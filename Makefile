@@ -87,9 +87,12 @@ metrics-lint:
 # BENCH_SKIP optionally excludes benchmarks by regex (go test -skip); CI
 # uses it to avoid re-running the campaign benchmarks that bench-baseline
 # records right after. Note BenchmarkFlatInjectionCampaign is a prefix of
-# its Instrumented variant, so one pattern covers both.
+# its Instrumented variant, so one pattern covers both. Besides the paper
+# experiments of the root package the run covers the simulator and chunk-
+# executor micro-benchmarks (BenchmarkKernelEval/Commit, BenchmarkRunChunks),
+# so a cycle-loop regression localizes below the campaign level.
 bench:
-	FFR_INJECTIONS=$(FFR_INJECTIONS) $(GO) test -bench=. $(if $(BENCH_SKIP),-skip='$(BENCH_SKIP)') -benchtime=1x -run='^$$' .
+	FFR_INJECTIONS=$(FFR_INJECTIONS) $(GO) test -bench=. $(if $(BENCH_SKIP),-skip='$(BENCH_SKIP)') -benchtime=1x -run='^$$' . ./internal/sim ./internal/fault
 
 # Record the campaign and active-learning benchmarks (the perf trajectory of
 # the incremental engine plus the planner's budget-vs-quality headline) to

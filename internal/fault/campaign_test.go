@@ -17,7 +17,7 @@ var macFixture struct {
 	err   error
 }
 
-func smallMAC(t *testing.T) (*sim.Program, *circuit.MACBench) {
+func smallMAC(t testing.TB) (*sim.Program, *circuit.MACBench) {
 	t.Helper()
 	macFixture.once.Do(func() {
 		nl, err := circuit.NewMAC10GE(circuit.MACConfig{FIFODepth: 16, StatWidth: 16, TargetFFs: 0})

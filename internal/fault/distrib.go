@@ -3,11 +3,7 @@ package fault
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
-
-	"repro/internal/sim"
 )
 
 // Distributed-campaign support: the coordinator/worker fabric
@@ -82,97 +78,36 @@ func (r *Runner) validateJobs(jobs []Job) error {
 
 // RunChunks simulates exactly the given shard chunks of the plan and
 // returns their per-batch failure masks, keyed by chunk index — the unit
-// of work a fabric worker executes under one lease. The masks are
-// bit-identical to what a full single-node Run would record for the same
-// chunks: same golden trace, same schedule permutation, same incremental
-// fast-forward path.
+// of work a fabric worker executes under one lease. It runs them on the
+// same chunk pool as RunContext, so on the runner's configured backend (the
+// 256-lane compiled kernel by default) and with the same ffr_campaign_*
+// chunk metrics; only resume, merge and checkpointing are left out. The
+// masks are bit-identical to what a full single-node Run would record for
+// the same chunks, whichever backend either side ran.
 //
 // On context cancellation the chunks already finished are returned
 // alongside an error wrapping ErrInterrupted, so callers can still report
 // completed work before abandoning the lease.
 func (r *Runner) RunChunks(ctx context.Context, jobs []Job, chunkIdx []int) (map[int][]uint64, error) {
-	if err := r.validateJobs(jobs); err != nil {
-		return nil, err
-	}
-	sh, err := newSharding(len(jobs), r.cfg.ChunkJobs)
+	cp, err := r.planChunks(jobs)
 	if err != nil {
 		return nil, err
 	}
 	seen := make(map[int]bool, len(chunkIdx))
 	for _, ci := range chunkIdx {
-		if ci < 0 || ci >= sh.numChunks {
-			return nil, fmt.Errorf("fault: chunk %d of %d", ci, sh.numChunks)
+		if ci < 0 || ci >= cp.sh.numChunks {
+			return nil, fmt.Errorf("fault: chunk %d of %d", ci, cp.sh.numChunks)
 		}
 		if seen[ci] {
 			return nil, fmt.Errorf("fault: chunk %d requested twice", ci)
 		}
 		seen[ci] = true
 	}
-	golden, err := r.Golden()
-	if err != nil {
+	if cp.order, err = scheduleOrder(jobs, r.schedule); err != nil {
 		return nil, err
 	}
-	var snaps *sim.Snapshots
-	if !r.cfg.Naive {
-		snaps = r.snapshots()
-	}
-	order, err := scheduleOrder(jobs, r.schedule)
-	if err != nil {
-		return nil, err
-	}
-	// Model-dependent precomputation, shared read-only by all workers. The
-	// SET effect table derives from the golden run alone, so every fabric
-	// worker computes identical effects for its leased chunks.
-	setFX := r.setEffects(jobs)
-	if r.model.Kind == KindMBU {
-		r.ffClusters()
-	}
-
-	workers := r.cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(chunkIdx) {
-		workers = len(chunkIdx)
-	}
-
-	type chunkResult struct {
-		index int
-		masks []uint64
-	}
-	chunks := make(chan int)
-	results := make(chan chunkResult)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ws := newWorkerState(r, snaps, setFX)
-			for ci := range chunks {
-				masks, _ := r.runChunk(ws, golden, jobs, order, sh, ci)
-				results <- chunkResult{index: ci, masks: masks}
-			}
-		}()
-	}
-	go func() {
-		defer close(chunks)
-		for _, ci := range chunkIdx {
-			select {
-			case <-ctx.Done():
-				return
-			case chunks <- ci:
-			}
-		}
-	}()
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-
 	done := make(map[int][]uint64, len(chunkIdx))
-	for cr := range results {
-		done[cr.index] = cr.masks
-	}
+	r.runPool(ctx, cp, chunkIdx, func(cr chunkResult) { done[cr.index] = cr.masks })
 	if len(done) < len(chunkIdx) {
 		return done, fmt.Errorf("%w after %d of %d chunks: %v",
 			ErrInterrupted, len(done), len(chunkIdx), context.Cause(ctx))
@@ -226,17 +161,7 @@ func (r *Runner) CampaignCheckpoint(jobs []Job, done map[int][]uint64) (*Checkpo
 	if err != nil {
 		return nil, err
 	}
-	return &Checkpoint{
-		PlanHash:       PlanFingerprint(jobs),
-		GoldenHash:     golden.Fingerprint(),
-		ClassifierHash: r.classifierFingerprint(),
-		Schedule:       string(r.schedule),
-		Model:          r.model.String(),
-		TotalJobs:      sh.totalJobs,
-		ChunkJobs:      sh.chunkJobs,
-		NumChunks:      sh.numChunks,
-		Chunks:         done,
-	}, nil
+	return r.checkpoint(jobs, sh, golden, done), nil
 }
 
 // sortedChunkIndices returns the completed chunk indices in ascending

@@ -4,107 +4,120 @@ import (
 	"context"
 	"errors"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/fault"
 )
 
-// TestRunChunksMergeMatchesRun pins the distributed substrate: splitting a
-// plan's chunks across two independent Runners (as two fabric workers
-// would), merging the masks and assembling a checkpoint must be
-// bit-identical — same Result, same checkpoint fingerprint — to one
-// single-node Run of the same plan.
+// TestRunChunksMergeMatchesRun pins the distributed substrate, per fault
+// model and per backend: splitting a plan's chunks three ways across
+// independent Runners (as three fabric workers would) must reproduce,
+// chunk for chunk, the masks one checkpointed single-node Run records, and
+// merging them and assembling a checkpoint must be bit-identical — same
+// Result, same checkpoint fingerprint — to that Run.
 func TestRunChunksMergeMatchesRun(t *testing.T) {
 	p, bench := smallMAC(t)
 	cls := fault.NewMACClassifier(bench, true)
-	jobs := fault.NewPlan(p.NumFFs(), 3, bench.ActiveCycles, 41)
-	cfg := fault.RunnerConfig{ChunkJobs: 2 * 64, Workers: 2}
-
-	// Single-node reference, checkpointed.
-	ckPath := filepath.Join(t.TempDir(), "single.ckpt")
-	refCfg := cfg
-	refCfg.CheckpointPath = ckPath
-	ref, err := fault.RunJobs(p, bench.Stim, bench.Monitors, cls, jobs, refCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	singleCk, err := fault.LoadCheckpoint(ckPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Two "workers": independent runners, disjoint chunk sets.
-	sh, err := fault.PlanShards(len(jobs), cfg.ChunkJobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sh.NumChunks() < 2 {
-		t.Fatalf("plan too small: %d chunks", sh.NumChunks())
-	}
-	var even, odd []int
-	for ci := 0; ci < sh.NumChunks(); ci++ {
-		if ci%2 == 0 {
-			even = append(even, ci)
-		} else {
-			odd = append(odd, ci)
-		}
-	}
-	merged := make(map[int][]uint64)
-	for _, chunkSet := range [][]int{even, odd} {
-		w, err := fault.NewRunner(p, bench.Stim, bench.Monitors, fault.NewMACClassifier(bench, true), cfg)
+	for _, spec := range []string{"seu", "mbu:3", "stuck0:8", "stuck1:4@0.25-0.75", "set"} {
+		model, err := fault.ParseModel(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		masks, err := w.RunChunks(context.Background(), jobs, chunkSet)
+		jobs := fault.NewModelPlan(model, model.NumTargets(p), 2, bench.ActiveCycles, 41)
+		cfg := fault.RunnerConfig{Model: model, ChunkJobs: 2 * 64, Workers: 2}
+
+		// Single-node reference, checkpointed.
+		ckPath := filepath.Join(t.TempDir(), "single.ckpt")
+		refCfg := cfg
+		refCfg.CheckpointPath = ckPath
+		ref, err := fault.RunJobs(p, bench.Stim, bench.Monitors, cls, jobs, refCfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(masks) != len(chunkSet) {
-			t.Fatalf("worker returned %d of %d chunks", len(masks), len(chunkSet))
+		singleCk, err := fault.LoadCheckpoint(ckPath)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for ci, m := range masks {
-			merged[ci] = m
+		sh, err := fault.PlanShards(len(jobs), cfg.ChunkJobs)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
+		if sh.NumChunks() < 3 {
+			t.Fatalf("%s: plan too small: %d chunks", spec, sh.NumChunks())
+		}
+		var split [3][]int
+		for ci := 0; ci < sh.NumChunks(); ci++ {
+			split[ci%3] = append(split[ci%3], ci)
+		}
 
-	// Coordinator-side merge: Result and checkpoint must match the
-	// single-node run exactly.
-	coord, err := fault.NewRunner(p, bench.Stim, bench.Monitors, cls, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := coord.MergeChunks(jobs, merged)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for ff := range ref.FDR {
-		if res.Failures[ff] != ref.Failures[ff] || res.Injections[ff] != ref.Injections[ff] {
-			t.Fatalf("FF %d: distributed %d/%d, single-node %d/%d", ff,
-				res.Failures[ff], res.Injections[ff], ref.Failures[ff], ref.Injections[ff])
-		}
-	}
-	distCk, err := coord.CampaignCheckpoint(jobs, merged)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if distCk.Fingerprint() != singleCk.Fingerprint() {
-		t.Fatalf("checkpoint fingerprints differ: distributed %x, single-node %x",
-			distCk.Fingerprint(), singleCk.Fingerprint())
-	}
+		for _, backend := range []fault.Backend{fault.BackendInterp, fault.BackendKernel} {
+			t.Run(spec+"/"+string(backend), func(t *testing.T) {
+				cfg := cfg
+				cfg.Backend = backend
+				// Three "workers": independent runners, disjoint chunk sets.
+				merged := make(map[int][]uint64)
+				for _, chunkSet := range split {
+					w, err := fault.NewRunner(p, bench.Stim, bench.Monitors, fault.NewMACClassifier(bench, true), cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					masks, err := w.RunChunks(context.Background(), jobs, chunkSet)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(masks) != len(chunkSet) {
+						t.Fatalf("worker returned %d of %d chunks", len(masks), len(chunkSet))
+					}
+					for ci, m := range masks {
+						merged[ci] = m
+					}
+				}
+				if !reflect.DeepEqual(merged, singleCk.Chunks) {
+					t.Fatal("leased chunk masks differ from the single-node checkpoint's")
+				}
 
-	// The merged checkpoint must round-trip through the existing on-disk
-	// format and keep its fingerprint.
-	distPath := filepath.Join(t.TempDir(), "merged.ckpt")
-	if err := fault.SaveCheckpoint(distPath, distCk); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := fault.LoadCheckpoint(distPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Fingerprint() != singleCk.Fingerprint() {
-		t.Fatalf("fingerprint changed across save/load: %x != %x",
-			loaded.Fingerprint(), singleCk.Fingerprint())
+				// Coordinator-side merge: Result and checkpoint must match
+				// the single-node run exactly.
+				coord, err := fault.NewRunner(p, bench.Stim, bench.Monitors, cls, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := coord.MergeChunks(jobs, merged)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for ff := range ref.FDR {
+					if res.Failures[ff] != ref.Failures[ff] || res.Injections[ff] != ref.Injections[ff] {
+						t.Fatalf("target %d: distributed %d/%d, single-node %d/%d", ff,
+							res.Failures[ff], res.Injections[ff], ref.Failures[ff], ref.Injections[ff])
+					}
+				}
+				distCk, err := coord.CampaignCheckpoint(jobs, merged)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if distCk.Fingerprint() != singleCk.Fingerprint() {
+					t.Fatalf("checkpoint fingerprints differ: distributed %x, single-node %x",
+						distCk.Fingerprint(), singleCk.Fingerprint())
+				}
+
+				// The merged checkpoint must round-trip through the existing
+				// on-disk format and keep its fingerprint.
+				distPath := filepath.Join(t.TempDir(), "merged.ckpt")
+				if err := fault.SaveCheckpoint(distPath, distCk); err != nil {
+					t.Fatal(err)
+				}
+				loaded, err := fault.LoadCheckpoint(distPath)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if loaded.Fingerprint() != singleCk.Fingerprint() {
+					t.Fatalf("fingerprint changed across save/load: %x != %x",
+						loaded.Fingerprint(), singleCk.Fingerprint())
+				}
+			})
+		}
 	}
 }
 
@@ -184,5 +197,41 @@ func TestPlanShardsGeometry(t *testing.T) {
 	}
 	if _, err := fault.PlanShards(-1, 0); err == nil {
 		t.Fatal("negative plan accepted")
+	}
+}
+
+// BenchmarkRunChunks measures the chunk executor end to end — worker state
+// set-up, batch packing, windowed simulation, classification — over every
+// chunk of a small-MAC plan, per backend, on one worker.
+func BenchmarkRunChunks(b *testing.B) {
+	p, bench := smallMAC(b)
+	jobs := fault.NewPlan(p.NumFFs(), 8, bench.ActiveCycles, 41)
+	sh, err := fault.PlanShards(len(jobs), 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	all := make([]int, sh.NumChunks())
+	for i := range all {
+		all[i] = i
+	}
+	for _, backend := range []fault.Backend{fault.BackendInterp, fault.BackendKernel} {
+		b.Run(string(backend), func(b *testing.B) {
+			r, err := fault.NewRunner(p, bench.Stim, bench.Monitors, fault.NewMACClassifier(bench, true),
+				fault.RunnerConfig{Workers: 1, Backend: backend})
+			if err != nil {
+				b.Fatal(err)
+			}
+			// Golden run, snapshots and kernel compilation are set-up.
+			if _, err := r.RunChunks(context.Background(), jobs, nil); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := r.RunChunks(context.Background(), jobs, all); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(jobs)), "ns/injection")
+		})
 	}
 }

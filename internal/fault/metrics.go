@@ -44,7 +44,7 @@ type campaignMetrics struct {
 func newCampaignMetrics(reg *obs.Registry, backend string) *campaignMetrics {
 	return &campaignMetrics{
 		chunksCompleted: reg.Counter("ffr_campaign_chunks_completed_total",
-			"shard chunks simulated and merged (excludes chunks restored from a checkpoint)"),
+			"shard chunks simulated (excludes chunks restored from a checkpoint)"),
 		chunkSeconds: reg.HistogramVec("ffr_campaign_chunk_seconds",
 			"per-chunk simulation wall time in seconds by simulation backend",
 			obs.DefBuckets, "backend").With(backend),
@@ -71,30 +71,33 @@ func newCampaignMetrics(reg *obs.Registry, backend string) *campaignMetrics {
 	}
 }
 
-func (m *campaignMetrics) startCampaign(jobsDone, jobsTotal, lanes int) {
+// observeJobs is RunContext's campaign progress; a fabric worker's
+// RunChunks leases have no campaign-wide progress to report.
+func (m *campaignMetrics) observeJobs(jobsDone, jobsTotal int) {
 	if m == nil {
 		return
 	}
 	m.jobsDone.Set(float64(jobsDone))
 	m.jobsTotal.Set(float64(jobsTotal))
+}
+
+// startPool and observeChunk are recorded by the chunk pool itself, so
+// local campaigns and leased chunks export the same families.
+func (m *campaignMetrics) startPool(lanes int) {
+	if m == nil {
+		return
+	}
 	m.lanesPerBatch.Set(float64(lanes))
 }
 
-func (m *campaignMetrics) observeChunk(elapsed time.Duration) {
+func (m *campaignMetrics) observeChunk(cr chunkResult) {
 	if m == nil {
 		return
 	}
 	m.chunksCompleted.Inc()
-	m.chunkSeconds.Observe(elapsed.Seconds())
-}
-
-func (m *campaignMetrics) mergeChunk(jobsDone int, simCycles, replayCycles int64) {
-	if m == nil {
-		return
-	}
-	m.jobsDone.Set(float64(jobsDone))
-	m.simCycles.Add(float64(simCycles))
-	m.replayCycles.Add(float64(replayCycles))
+	m.chunkSeconds.Observe(cr.elapsed.Seconds())
+	m.simCycles.Add(float64(cr.simCycles))
+	m.replayCycles.Add(float64(cr.replayCycles))
 }
 
 // observeBatch records one incremental batch: the fast-forwarded prefix

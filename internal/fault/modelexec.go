@@ -205,7 +205,7 @@ func applyOp(e *sim.Engine, f *flipOp) {
 }
 
 // applyWideOp performs one scheduled event on the kernel engine.
-func applyWideOp(e *sim.KernelEngine, f *wideFlip) {
+func applyWideOp(e *sim.KernelEngine, f *flipOp) {
 	switch f.kind {
 	case effForce0:
 		e.ForceFF(f.ff, f.word, f.mask, false)

@@ -313,6 +313,143 @@ func (r *Runner) Run(jobs []Job) (*Result, error) {
 	return r.RunContext(context.Background(), jobs)
 }
 
+// chunkPlan is what the chunk pool needs to simulate any chunk of one plan:
+// the jobs in their packing order, the chunk geometry, the golden
+// reference and the backend's shared read-only state.
+type chunkPlan struct {
+	jobs   []Job
+	order  []int // scheduleOrder permutation, set by planChunks' caller
+	sh     sharding
+	golden *sim.Trace
+	// snaps is nil on the naive path, kern on the interpreter backend.
+	snaps *sim.Snapshots
+	kern  *sim.Kernel
+	// setFX is the plan's SET effect table; nil for other models.
+	setFX map[int64]setEffect
+}
+
+// planChunks validates the plan and gathers everything but the packing
+// order, which RunContext can only fix after it has seen the checkpoint.
+func (r *Runner) planChunks(jobs []Job) (*chunkPlan, error) {
+	if err := r.validateJobs(jobs); err != nil {
+		return nil, err
+	}
+	sh, err := newSharding(len(jobs), r.cfg.ChunkJobs)
+	if err != nil {
+		return nil, err
+	}
+	cp := &chunkPlan{jobs: jobs, sh: sh}
+	if cp.golden, err = r.Golden(); err != nil {
+		return nil, err
+	}
+	if !r.cfg.Naive {
+		cp.snaps = r.snapshots()
+	}
+	if r.backend == BackendKernel {
+		if cp.kern, err = r.kernel(); err != nil {
+			return nil, err
+		}
+	}
+	// Model-dependent precomputation, shared read-only by all workers. The
+	// SET effect table derives from the golden run alone, so every fabric
+	// worker computes identical effects for its leased chunks.
+	cp.setFX = r.setEffects(jobs)
+	if r.model.Kind == KindMBU {
+		r.ffClusters()
+	}
+	return cp, nil
+}
+
+// workers resolves the configured pool bound.
+func (r *Runner) workers() int {
+	if r.cfg.Workers > 0 {
+		return r.cfg.Workers
+	}
+	return runtime.GOMAXPROCS(0)
+}
+
+// lanesPerBatch is the width of one engine batch on the resolved backend.
+func (r *Runner) lanesPerBatch() int {
+	if r.backend == BackendKernel {
+		return sim.Lanes * sim.DefaultKernelWords
+	}
+	return sim.Lanes
+}
+
+// chunkResult is one simulated chunk as the pool hands it back: per-batch
+// failure masks, engine cycles simulated — and what a naive full replay of
+// every 64-lane batch would have simulated — and the wall time it took.
+type chunkResult struct {
+	index                   int
+	masks                   []uint64
+	simCycles, replayCycles int64
+	elapsed                 time.Duration
+}
+
+// runPool is the one chunk executor, shared by RunContext and RunChunks. It
+// simulates the chunks idx of the plan on a bounded pool of workers, each
+// owning reusable engine state for the resolved backend — the 256-lane
+// compiled kernel unless the interpreter was asked for — and hands every
+// finished chunk to collect on the calling goroutine, in completion order.
+// When ctx is canceled it stops dispatching, lets the chunks in flight
+// finish and returns, so the caller collects fewer chunks than it asked for.
+func (r *Runner) runPool(ctx context.Context, cp *chunkPlan, idx []int, collect func(chunkResult)) {
+	workers := r.workers()
+	if workers > len(idx) {
+		// No chunks means no workers: wg.Wait returns immediately and the
+		// collect loop is a no-op.
+		workers = len(idx)
+	}
+	r.metrics.startPool(r.lanesPerBatch())
+
+	chunks := make(chan int)
+	results := make(chan chunkResult)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run := r.newChunkRunner(cp)
+			for ci := range chunks {
+				cr := chunkResult{index: ci, replayCycles: int64(cp.sh.chunkBatches(ci)) * int64(r.stim.Cycles())}
+				start := time.Now()
+				cr.masks, cr.simCycles = run(ci)
+				cr.elapsed = time.Since(start)
+				r.metrics.observeChunk(cr)
+				results <- cr
+			}
+		}()
+	}
+	go func() {
+		defer close(chunks)
+		for _, ci := range idx {
+			select {
+			case <-ctx.Done():
+				return
+			case chunks <- ci:
+			}
+		}
+	}()
+	go func() {
+		wg.Wait()
+		close(results)
+	}()
+	for cr := range results {
+		collect(cr)
+	}
+}
+
+// newChunkRunner builds one pool worker's reusable simulation state for the
+// plan's backend and returns the function simulating chunk ci on it.
+func (r *Runner) newChunkRunner(cp *chunkPlan) func(ci int) ([]uint64, int64) {
+	if cp.kern != nil {
+		ws := newWideWorkerState(r, cp)
+		return func(ci int) ([]uint64, int64) { return r.runChunkWide(ws, cp, ci) }
+	}
+	ws := newWorkerState(r, cp)
+	return func(ci int) ([]uint64, int64) { return r.runChunk(ws, cp, ci) }
+}
+
 // RunContext executes the plan. On context cancellation it finishes the
 // chunks already in flight, flushes the checkpoint (when configured) and
 // returns an error wrapping ErrInterrupted; a later call with Resume set
@@ -322,32 +459,11 @@ func (r *Runner) RunContext(ctx context.Context, jobs []Job) (*Result, error) {
 	// chunks as soon as a checkpoint save fails.
 	ctx, cancelRun := context.WithCancel(ctx)
 	defer cancelRun()
-	if err := r.validateJobs(jobs); err != nil {
-		return nil, err
-	}
-	sh, err := newSharding(len(jobs), r.cfg.ChunkJobs)
+	cp, err := r.planChunks(jobs)
 	if err != nil {
 		return nil, err
 	}
-	golden, err := r.Golden()
-	if err != nil {
-		return nil, err
-	}
-	var snaps *sim.Snapshots
-	if !r.cfg.Naive {
-		snaps = r.snapshots()
-	}
-	var kern *sim.Kernel
-	if r.backend == BackendKernel {
-		if kern, err = r.kernel(); err != nil {
-			return nil, err
-		}
-	}
-	// Model-dependent precomputation, shared read-only by all workers.
-	setFX := r.setEffects(jobs)
-	if r.model.Kind == KindMBU {
-		r.ffClusters()
-	}
+	sh, golden := cp.sh, cp.golden
 
 	// Restore completed chunks from the checkpoint, if resuming. This may
 	// adopt the checkpoint's schedule (see matchCheckpoint), so the
@@ -369,8 +485,7 @@ func (r *Runner) RunContext(ctx context.Context, jobs []Job) (*Result, error) {
 			}
 		}
 	}
-	order, err := scheduleOrder(jobs, r.schedule)
-	if err != nil {
+	if cp.order, err = scheduleOrder(jobs, r.schedule); err != nil {
 		return nil, err
 	}
 	resumed := len(done)
@@ -387,97 +502,36 @@ func (r *Runner) RunContext(ctx context.Context, jobs []Job) (*Result, error) {
 		}
 	}
 
-	workers := r.cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	lanes := sim.Lanes
-	if kern != nil {
-		lanes = sim.Lanes * sim.DefaultKernelWords
-	}
-	r.metrics.startCampaign(jobsDone, sh.totalJobs, lanes)
+	r.metrics.observeJobs(jobsDone, sh.totalJobs)
 	r.log.Info("campaign start",
 		obs.F("jobs", sh.totalJobs),
 		obs.F("chunks", sh.numChunks),
 		obs.F("resumed", resumed),
-		obs.F("workers", workers),
+		obs.F("workers", r.workers()),
 		obs.F("schedule", string(r.schedule)),
 		obs.F("backend", string(r.backend)),
-		obs.F("lanes_per_batch", lanes),
+		obs.F("lanes_per_batch", r.lanesPerBatch()),
 		obs.F("naive", r.cfg.Naive))
-	if workers > len(pending) {
-		// Zero pending (fully resumed) means zero workers: wg.Wait
-		// returns immediately and the merge loop is a no-op.
-		workers = len(pending)
-	}
-
-	type chunkResult struct {
-		index     int
-		masks     []uint64
-		simCycles int64
-	}
-	chunks := make(chan int)
-	results := make(chan chunkResult)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var ws *workerState
-			var wws *wideWorkerState
-			if kern != nil {
-				wws = newWideWorkerState(r, kern, setFX)
-			} else {
-				ws = newWorkerState(r, snaps, setFX)
-			}
-			for ci := range chunks {
-				chunkStart := time.Now()
-				var masks []uint64
-				var simCycles int64
-				if wws != nil {
-					masks, simCycles = r.runChunkWide(wws, golden, jobs, order, sh, ci)
-				} else {
-					masks, simCycles = r.runChunk(ws, golden, jobs, order, sh, ci)
-				}
-				r.metrics.observeChunk(time.Since(chunkStart))
-				results <- chunkResult{index: ci, masks: masks, simCycles: simCycles}
-			}
-		}()
-	}
-	go func() {
-		defer close(chunks)
-		for _, ci := range pending {
-			select {
-			case <-ctx.Done():
-				return
-			case chunks <- ci:
-			}
-		}
-	}()
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
 
 	// Merge stage: collect chunk results, report progress, checkpoint.
 	start := time.Now()
 	sinceFlush := 0
 	var saveErr error
 	var simCycles, replayCycles int64
-	for cr := range results {
+	r.runPool(ctx, cp, pending, func(cr chunkResult) {
 		done[cr.index] = cr.masks
 		lo, hi := sh.chunkRange(cr.index)
 		jobsDone += hi - lo
-		crReplay := int64(sh.chunkBatches(cr.index)) * int64(r.stim.Cycles())
 		simCycles += cr.simCycles
-		replayCycles += crReplay
+		replayCycles += cr.replayCycles
 		sinceFlush++
-		r.metrics.mergeChunk(jobsDone, cr.simCycles, crReplay)
+		r.metrics.observeJobs(jobsDone, sh.totalJobs)
 		if r.log.Enabled(obs.LevelDebug) {
 			r.log.Debug("chunk merged",
 				obs.F("chunk", cr.index),
 				obs.F("jobs_done", jobsDone),
-				obs.F("sim_cycles", cr.simCycles))
+				obs.F("sim_cycles", cr.simCycles),
+				obs.F("elapsed", cr.elapsed))
 		}
 		r.reportProgress(sh, jobsDone, len(done), resumed, len(done)-resumed, start)
 		if r.cfg.CheckpointPath != "" && sinceFlush >= r.cfg.CheckpointEvery && saveErr == nil {
@@ -489,7 +543,7 @@ func (r *Runner) RunContext(ctx context.Context, jobs []Job) (*Result, error) {
 			}
 			sinceFlush = 0
 		}
-	}
+	})
 	if saveErr != nil {
 		return nil, saveErr
 	}
@@ -511,7 +565,7 @@ func (r *Runner) RunContext(ctx context.Context, jobs []Job) (*Result, error) {
 			return nil, err
 		}
 	}
-	res := r.merge(jobs, order, sh, done, resumed)
+	res := r.merge(jobs, cp.order, sh, done, resumed)
 	res.SimulatedCycles = simCycles
 	res.ReplayCycles = replayCycles
 	r.log.Info("campaign complete",
@@ -525,12 +579,14 @@ func (r *Runner) RunContext(ctx context.Context, jobs []Job) (*Result, error) {
 }
 
 // flipOp is one scheduled engine event of a batch: apply kind to ff in the
-// lanes of mask at the given cycle. fin marks the lanes' final event (see
+// lanes of mask — within batch word `word` of a wide batch, always 0 on the
+// interpreter — at the given cycle. fin marks the lanes' final event (see
 // modelexec.go); under the SEU reference model every job is exactly one
 // effFlip with fin set.
 type flipOp struct {
 	cycle int
 	ff    int
+	word  int
 	mask  uint64
 	kind  effKind
 	fin   bool
@@ -545,26 +601,22 @@ type workerState struct {
 	trace    *sim.Trace
 	flips    []flipOp
 	glitches []laneGlitch
-	// fx is the read-only SET effect table of the current plan; nil for
-	// other models.
-	fx map[int64]setEffect
 }
 
-func newWorkerState(r *Runner, snaps *sim.Snapshots, fx map[int64]setEffect) *workerState {
+func newWorkerState(r *Runner, cp *chunkPlan) *workerState {
 	ws := &workerState{
 		e:     sim.NewEngine(r.p),
 		flips: make([]flipOp, 0, sim.Lanes),
-		fx:    fx,
 	}
-	if snaps != nil {
+	if cp.snaps != nil {
 		ws.trace = sim.NewTrace(r.monitors, r.stim.Cycles())
 	}
 	return ws
 }
 
-// sortFlips orders the flip schedule by cycle. Batches are at most 64 flips
-// and already sorted under the clustered schedule, so insertion sort beats
-// the allocation and indirection of sort.Slice here.
+// sortFlips orders the flip schedule by cycle. Batches are small and already
+// sorted under the clustered schedule, so insertion sort beats the
+// allocation and indirection of sort.Slice here.
 func sortFlips(flips []flipOp) {
 	for i := 1; i < len(flips); i++ {
 		f := flips[i]
@@ -579,9 +631,10 @@ func sortFlips(flips []flipOp) {
 
 // runChunk simulates every 64-lane batch of chunk ci and returns the
 // per-batch failure masks plus the number of engine cycles simulated.
-func (r *Runner) runChunk(ws *workerState, golden *sim.Trace, jobs []Job, order []int, sh sharding, ci int) ([]uint64, int64) {
-	lo, hi := sh.chunkRange(ci)
-	masks := make([]uint64, 0, sh.chunkBatches(ci))
+func (r *Runner) runChunk(ws *workerState, cp *chunkPlan, ci int) ([]uint64, int64) {
+	golden := cp.golden
+	lo, hi := cp.sh.chunkRange(ci)
+	masks := make([]uint64, 0, cp.sh.chunkBatches(ci))
 	var simCycles int64
 	for blo := lo; blo < hi; blo += sim.Lanes {
 		bhi := blo + sim.Lanes
@@ -592,14 +645,14 @@ func (r *Runner) runChunk(ws *workerState, golden *sim.Trace, jobs []Job, order 
 		ws.glitches = ws.glitches[:0]
 		var used, eventless uint64
 		for lane, pos := 0, blo; pos < bhi; lane, pos = lane+1, pos+1 {
-			job := jobs[jobIndex(order, pos)]
+			job := cp.jobs[jobIndex(cp.order, pos)]
 			laneMask := uint64(1) << uint(lane)
 			n := len(ws.flips)
-			ws.flips = r.expandJob(ws.flips, ws.fx, job, laneMask)
+			ws.flips = r.expandJob(ws.flips, cp.setFX, job, laneMask)
 			if len(ws.flips) == n {
 				eventless |= laneMask
 			}
-			ws.glitches = r.appendGlitches(ws.glitches, ws.fx, job, laneMask)
+			ws.glitches = r.appendGlitches(ws.glitches, cp.setFX, job, laneMask)
 			used |= laneMask
 		}
 		sortFlips(ws.flips)
@@ -819,9 +872,10 @@ func (r *Runner) matchCheckpoint(ck *Checkpoint, jobs []Job, sh sharding, golden
 	return nil
 }
 
-func (r *Runner) saveCheckpoint(jobs []Job, sh sharding, golden *sim.Trace, done map[int][]uint64) error {
-	saveStart := time.Now()
-	err := SaveCheckpoint(r.cfg.CheckpointPath, &Checkpoint{
+// checkpoint assembles the versioned checkpoint of a campaign with the
+// given completed chunks.
+func (r *Runner) checkpoint(jobs []Job, sh sharding, golden *sim.Trace, done map[int][]uint64) *Checkpoint {
+	return &Checkpoint{
 		PlanHash:       PlanFingerprint(jobs),
 		GoldenHash:     golden.Fingerprint(),
 		ClassifierHash: r.classifierFingerprint(),
@@ -831,7 +885,12 @@ func (r *Runner) saveCheckpoint(jobs []Job, sh sharding, golden *sim.Trace, done
 		ChunkJobs:      sh.chunkJobs,
 		NumChunks:      sh.numChunks,
 		Chunks:         done,
-	})
+	}
+}
+
+func (r *Runner) saveCheckpoint(jobs []Job, sh sharding, golden *sim.Trace, done map[int][]uint64) error {
+	saveStart := time.Now()
+	err := SaveCheckpoint(r.cfg.CheckpointPath, r.checkpoint(jobs, sh, golden, done))
 	elapsed := time.Since(saveStart)
 	r.metrics.observeCheckpoint(elapsed)
 	if err != nil {

@@ -26,32 +26,6 @@ import (
 // the per-batch classification below is post hoc over the reconstructed
 // trace, exactly like the narrow path.
 
-// wideFlip is one scheduled engine event of a wide batch: apply kind to ff
-// in the lanes of mask within batch word `word` at the given cycle. Like
-// flipOp, fin marks the lanes' final event.
-type wideFlip struct {
-	cycle int
-	ff    int
-	word  int
-	mask  uint64
-	kind  effKind
-	fin   bool
-}
-
-// sortWideFlips orders the flip schedule by cycle; same rationale as
-// sortFlips (small, mostly sorted under the clustered schedule).
-func sortWideFlips(flips []wideFlip) {
-	for i := 1; i < len(flips); i++ {
-		f := flips[i]
-		j := i - 1
-		for j >= 0 && flips[j].cycle > f.cycle {
-			flips[j+1] = flips[j]
-			j--
-		}
-		flips[j+1] = f
-	}
-}
-
 // kernelCache memoizes compiled kernels process-wide, keyed by program
 // identity and the kept-port signature. Studies build an ephemeral Runner
 // per partial campaign over the same program; without the cache every one
@@ -102,51 +76,104 @@ func (r *Runner) kernel() (*sim.Kernel, error) {
 }
 
 // wideWorkerState is the reusable per-worker state of the kernel path: the
-// wide engine, one faulty-trace buffer and stream per batch word, and the
-// per-word lane bookkeeping, all recycled across wide batches.
+// wide engine, one faulty-trace buffer and stream per batch word, the
+// per-word lane bookkeeping and the window hooks reading it, all recycled
+// across wide batches so a steady-state batch allocates nothing beyond the
+// classifier's own streams.
 type wideWorkerState struct {
-	e       *sim.KernelEngine
-	traces  []*sim.Trace
-	flips   []wideFlip
-	scratch []flipOp // expandJob staging, re-tagged with the batch word
+	golden *sim.Trace
+	e      *sim.KernelEngine
+	traces []*sim.Trace
+	flips  []flipOp
 	// glitches collects the batch's SET output glitches per word.
 	glitches [][]laneGlitch
-	streams  []Stream
-	used     []uint64
-	pending  []uint64
-	failed   []uint64
-	settled  []uint64
-	// fx is the read-only SET effect table of the current plan; nil for
-	// other models.
-	fx map[int64]setEffect
+
+	// The current batch, as its window hooks see it: the next event to
+	// apply, the groups in use and their streams and lane sets.
+	ptr     int
+	groups  int
+	streams []Stream // nil entries when the classifier cannot stream
+	used    []uint64
+	pending []uint64
+	failed  []uint64
+	settled []uint64
+	// window is the hook set handed to sim.RunWindowWide, bound once.
+	window sim.WideWindowConfig
 }
 
-func newWideWorkerState(r *Runner, kern *sim.Kernel, fx map[int64]setEffect) *wideWorkerState {
+func newWideWorkerState(r *Runner, cp *chunkPlan) *wideWorkerState {
 	W := sim.DefaultKernelWords
 	ws := &wideWorkerState{
-		e:        sim.NewKernelEngine(kern, W),
+		golden:   cp.golden,
+		e:        sim.NewKernelEngine(cp.kern, W),
 		traces:   make([]*sim.Trace, W),
-		flips:    make([]wideFlip, 0, W*sim.Lanes),
-		scratch:  make([]flipOp, 0, sim.Lanes),
+		flips:    make([]flipOp, 0, W*sim.Lanes),
 		glitches: make([][]laneGlitch, W),
 		streams:  make([]Stream, W),
 		used:     make([]uint64, W),
 		pending:  make([]uint64, W),
 		failed:   make([]uint64, W),
 		settled:  make([]uint64, W),
-		fx:       fx,
 	}
 	for i := range ws.traces {
 		ws.traces[i] = sim.NewTrace(r.monitors, r.stim.Cycles())
 	}
+	ws.window = sim.WideWindowConfig{
+		Monitors:   r.monitors,
+		PreEval:    ws.applyEvents,
+		OnSnapshot: ws.onSnapshot,
+	}
+	if _, ok := r.cls.(StreamClassifier); ok {
+		ws.window.OnCycle = ws.onCycle
+	}
 	return ws
+}
+
+// applyEvents is the window's injection hook: apply the events scheduled
+// for cycle c, retiring lanes from pending on their final event.
+func (ws *wideWorkerState) applyEvents(c int) {
+	for ws.ptr < len(ws.flips) && ws.flips[ws.ptr].cycle == c {
+		f := &ws.flips[ws.ptr]
+		applyWideOp(ws.e, f)
+		if f.fin {
+			ws.pending[f.word] &^= f.mask
+		}
+		ws.ptr++
+	}
+}
+
+// onCycle feeds cycle c's recorded rows to the groups' streams and stops
+// the window once every lane is decided.
+func (ws *wideWorkerState) onCycle(c int) bool {
+	gr := ws.golden.Row(c)
+	for g := 0; g < ws.groups; g++ {
+		ws.failed[g] = ws.streams[g].Observe(c, gr, ws.traces[g].Row(c))
+	}
+	return !ws.undecided()
+}
+
+// onSnapshot settles the lanes that re-converged to golden state with no
+// event still pending, and stops the window once every lane is decided.
+func (ws *wideWorkerState) onSnapshot(c int, diverged []uint64) bool {
+	for g := 0; g < ws.groups; g++ {
+		ws.settled[g] = ws.used[g] &^ diverged[g] &^ ws.pending[g]
+	}
+	return !ws.undecided()
+}
+
+func (ws *wideWorkerState) undecided() bool {
+	for g := 0; g < ws.groups; g++ {
+		if ws.used[g]&^(ws.settled[g]|ws.failed[g]) != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // runChunkWide simulates chunk ci as wide batches and returns the same
 // per-64-lane-batch failure masks runChunk would, in the same order.
-func (r *Runner) runChunkWide(ws *wideWorkerState, golden *sim.Trace, jobs []Job, order []int, sh sharding, ci int) ([]uint64, int64) {
-	lo, hi := sh.chunkRange(ci)
-	nb := sh.chunkBatches(ci)
+func (r *Runner) runChunkWide(ws *wideWorkerState, cp *chunkPlan, ci int) ([]uint64, int64) {
+	nb := cp.sh.chunkBatches(ci)
 	masks := make([]uint64, 0, nb)
 	var simCycles int64
 	W := ws.e.Words()
@@ -156,25 +183,24 @@ func (r *Runner) runChunkWide(ws *wideWorkerState, golden *sim.Trace, jobs []Job
 			groups = nb - wb
 		}
 		var cycles int
-		masks, cycles = r.runBatchWide(ws, golden, jobs, order, lo, hi, wb, groups, masks)
+		masks, cycles = r.runBatchWide(ws, cp, ci, wb, groups, masks)
 		simCycles += int64(cycles)
 	}
 	return masks, simCycles
 }
 
 // runBatchWide simulates one wide batch of `groups` 64-lane groups
-// (narrow-batch indices wb..wb+groups-1 of the chunk at job range
-// [lo,hi)), appends one failure mask per group to masks and returns the
-// window length simulated. The window is counted once per wide batch —
-// each additional word rides the same combinational passes — so the
-// simulated-cycle totals reflect the widening win.
-func (r *Runner) runBatchWide(ws *wideWorkerState, golden *sim.Trace, jobs []Job, order []int, lo, hi, wb, groups int, masks []uint64) ([]uint64, int) {
-	snaps := r.snaps
+// (narrow-batch indices wb..wb+groups-1 of chunk ci), appends one failure
+// mask per group to masks and returns the window length simulated. The
+// window is counted once per wide batch — each additional word rides the
+// same combinational passes — so the simulated-cycle totals reflect the
+// widening win.
+func (r *Runner) runBatchWide(ws *wideWorkerState, cp *chunkPlan, ci, wb, groups int, masks []uint64) ([]uint64, int) {
+	snaps, golden := cp.snaps, cp.golden
+	lo, hi := cp.sh.chunkRange(ci)
 	ws.flips = ws.flips[:0]
-	used := ws.used[:groups]
-	pending := ws.pending[:groups]
-	failed := ws.failed[:groups]
-	settled := ws.settled[:groups]
+	ws.ptr, ws.groups = 0, groups
+	used, failed, settled := ws.used, ws.failed, ws.settled
 	for g := 0; g < groups; g++ {
 		used[g], failed[g], settled[g] = 0, 0, 0
 		ws.glitches[g] = ws.glitches[g][:0]
@@ -185,24 +211,23 @@ func (r *Runner) runBatchWide(ws *wideWorkerState, golden *sim.Trace, jobs []Job
 		}
 		var eventless uint64
 		for lane, pos := 0, blo; pos < bhi; lane, pos = lane+1, pos+1 {
-			job := jobs[jobIndex(order, pos)]
+			job := cp.jobs[jobIndex(cp.order, pos)]
 			laneMask := uint64(1) << uint(lane)
-			ws.scratch = r.expandJob(ws.scratch[:0], ws.fx, job, laneMask)
-			if len(ws.scratch) == 0 {
+			n := len(ws.flips)
+			ws.flips = r.expandJob(ws.flips, cp.setFX, job, laneMask)
+			if len(ws.flips) == n {
 				eventless |= laneMask
 			}
-			for _, f := range ws.scratch {
-				ws.flips = append(ws.flips, wideFlip{
-					cycle: f.cycle, ff: f.ff, word: g, mask: f.mask, kind: f.kind, fin: f.fin,
-				})
+			for i := n; i < len(ws.flips); i++ {
+				ws.flips[i].word = g
 			}
-			ws.glitches[g] = r.appendGlitches(ws.glitches[g], ws.fx, job, laneMask)
+			ws.glitches[g] = r.appendGlitches(ws.glitches[g], cp.setFX, job, laneMask)
 			used[g] |= laneMask
 		}
 		// Eventless lanes are never pending: their state is golden forever.
-		pending[g] = used[g] &^ eventless
+		ws.pending[g] = used[g] &^ eventless
 	}
-	sortWideFlips(ws.flips)
+	sortFlips(ws.flips)
 
 	// A wide batch with no events at all (possible under SET) needs no
 	// simulation: every group's trace is the golden trace plus glitches.
@@ -210,56 +235,13 @@ func (r *Runner) runBatchWide(ws *wideWorkerState, golden *sim.Trace, jobs []Job
 	if len(ws.flips) > 0 {
 		minCycle := ws.flips[0].cycle
 		start = snaps.SnapCycle(snaps.IndexAtOrBefore(minCycle))
-
-		streams := ws.streams[:groups]
-		sc, isStream := r.cls.(StreamClassifier)
-		for g := range streams {
-			if isStream {
-				streams[g] = sc.StartStream(golden, used[g], start)
-			} else {
-				streams[g] = nil
-			}
-		}
-		undecided := func() bool {
+		if sc, ok := r.cls.(StreamClassifier); ok {
 			for g := 0; g < groups; g++ {
-				if used[g]&^(settled[g]|failed[g]) != 0 {
-					return true
-				}
+				ws.streams[g] = sc.StartStream(golden, used[g], start)
 			}
-			return false
 		}
-
-		ptr := 0
-		stop = sim.RunWindowWide(ws.e, r.stim, snaps, minCycle, sim.WideWindowConfig{
-			Monitors: r.monitors,
-			Traces:   ws.traces[:groups],
-			PreEval: func(c int) {
-				for ptr < len(ws.flips) && ws.flips[ptr].cycle == c {
-					f := &ws.flips[ptr]
-					applyWideOp(ws.e, f)
-					if f.fin {
-						pending[f.word] &^= f.mask
-					}
-					ptr++
-				}
-			},
-			OnCycle: func(c int) bool {
-				if !isStream {
-					return false
-				}
-				gr := golden.Row(c)
-				for g := 0; g < groups; g++ {
-					failed[g] = streams[g].Observe(c, gr, ws.traces[g].Row(c))
-				}
-				return !undecided()
-			},
-			OnSnapshot: func(c int, diverged []uint64) bool {
-				for g := 0; g < groups; g++ {
-					settled[g] = used[g] &^ diverged[g] &^ pending[g]
-				}
-				return !undecided()
-			},
-		})
+		ws.window.Traces = ws.traces[:groups]
+		stop = sim.RunWindowWide(ws.e, r.stim, snaps, minCycle, ws.window)
 	}
 	for g := 0; g < groups; g++ {
 		tr := ws.traces[g]

@@ -78,3 +78,48 @@ func BenchmarkCompile(b *testing.B) {
 		}
 	}
 }
+
+// macKernelEngine compiles the MAC the way a campaign does — keeping the
+// monitored ports and the loopback sources, pruning the rest — and returns
+// a full-width engine on it.
+func macKernelEngine(b *testing.B) *sim.KernelEngine {
+	b.Helper()
+	p, bench := compiledMAC(b)
+	keep := append([]int(nil), bench.Monitors...)
+	for _, lb := range bench.Stim.Loopbacks() {
+		keep = append(keep, lb.Out)
+	}
+	k, err := sim.BuildKernel(p, sim.KernelConfig{KeepOutputs: keep})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return sim.NewKernelEngine(k, sim.DefaultKernelWords)
+}
+
+// reportLaneCycle reports the benchmarked cycle step per simulated lane.
+func reportLaneCycle(b *testing.B, e *sim.KernelEngine) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(e.Lanes()), "ns/lane-cycle")
+}
+
+// BenchmarkKernelEval measures one fused combinational pass of the compiled
+// MAC kernel over a 256-lane batch — the campaign's inner loop.
+func BenchmarkKernelEval(b *testing.B) {
+	e := macKernelEngine(b)
+	b.ReportAllocs()
+	for b.Loop() {
+		e.Eval()
+	}
+	reportLaneCycle(b, e)
+}
+
+// BenchmarkKernelCommit measures the clock edge of the same engine: 1054
+// flip-flop captures over 256 lanes.
+func BenchmarkKernelCommit(b *testing.B) {
+	e := macKernelEngine(b)
+	e.Eval()
+	b.ReportAllocs()
+	for b.Loop() {
+		e.Commit()
+	}
+	reportLaneCycle(b, e)
+}

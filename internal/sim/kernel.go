@@ -2,11 +2,12 @@ package sim
 
 import "fmt"
 
-// DefaultKernelWords is the default wide-batch width of a KernelEngine in
-// 64-lane words: 4 words = 256 independent fault-simulation lanes per
-// combinational pass. Wider batches amortize instruction dispatch further
-// but grow the register file; 4 keeps it cache-resident for the corpus
-// circuits while quadrupling lanes per pass.
+// DefaultKernelWords is the wide-batch width of a KernelEngine in 64-lane
+// words, and the fixed row width of its register file: 4 words = 256
+// independent fault-simulation lanes per combinational pass. Wider batches
+// amortize instruction dispatch further but grow the register file; 4
+// keeps it cache-resident for the corpus circuits while quadrupling lanes
+// per pass.
 const DefaultKernelWords = 4
 
 // kOp is a kernel bytecode opcode. The And/Or/Nand/Nor groups must stay
@@ -39,9 +40,8 @@ const (
 	kOrN  // a | ^b — fused or-not
 )
 
-// kinstr is one kernel instruction: an opcode plus register-slot operands.
-// Slots are register-file rows; a KernelEngine scales them by its batch
-// width when it loads the code.
+// kinstr is one kernel instruction: an opcode plus its operand rows, as
+// word offsets into the register file (slot · DefaultKernelWords).
 type kinstr struct {
 	dst        int32
 	a, b, c, d int32
@@ -70,6 +70,9 @@ type Kernel struct {
 	ffQ, ffD       []int32
 	ffInit         []bool
 	const0, const1 int32
+	// direct and staged are the clock edge's flip-flop captures, split by
+	// planCommit.
+	direct, staged []ffCopy
 	stats          KernelStats
 }
 
@@ -79,44 +82,83 @@ func (k *Kernel) Program() *Program { return k.p }
 // Stats reports what the kernel compiler did.
 func (k *Kernel) Stats() KernelStats { return k.stats }
 
-// KernelEngine executes a kernel over a wide batch of W 64-lane words:
-// 64·W independent simulation lanes per combinational pass. Word w, bit l
-// is lane 64·w+l; the fault runner maps each word to one scheduled 64-job
-// group so wide batches stay bit-identical to W narrow interpreter batches.
+// krow is one register-file row: the batch words of one slot. The width is
+// a compile-time constant so Eval and Commit address a row as one array —
+// one bounds check per operand, straight-line word ops — instead of
+// looping over a run-time width.
+type krow = [DefaultKernelWords]uint64
+
+// Eval's per-opcode word ops are written out for exactly four words.
+var _ = [1]struct{}{}[DefaultKernelWords-4]
+
+// ffCopy is one flip-flop capture of the clock edge, Q ← D, as
+// register-file word offsets.
+type ffCopy struct{ q, d int32 }
+
+// planCommit splits the flip-flop captures into those Commit can copy
+// D→Q in place and those it must stage. Commit writes Q rows only, so a
+// capture whose D row is no flip-flop's Q row (an instruction result, a
+// primary input or a constant — the allocator never hands a Q slot to an
+// instruction) reads a value no capture of the same edge overwrites, in
+// any order. Only a D row that is itself a Q row (an FF→FF shift path, or
+// a hold loop) must be read before its own capture lands: those stage.
+func (k *Kernel) planCommit() {
+	isQ := make([]bool, k.slots)
+	for _, q := range k.ffQ {
+		isQ[q] = true
+	}
+	for i, q := range k.ffQ {
+		d := k.ffD[i]
+		c := ffCopy{q: q * DefaultKernelWords, d: d * DefaultKernelWords}
+		if isQ[d] {
+			k.staged = append(k.staged, c)
+		} else {
+			k.direct = append(k.direct, c)
+		}
+	}
+}
+
+// KernelEngine executes a kernel over a wide batch of up to
+// DefaultKernelWords 64-lane words: 64·W independent simulation lanes per
+// combinational pass. Word w, bit l is lane 64·w+l; the fault runner maps
+// each word to one scheduled 64-job group so wide batches stay
+// bit-identical to W narrow interpreter batches.
 //
 // The cycle protocol mirrors Engine exactly (SetInput* / FlipFF / Eval /
 // read outputs / Commit); state lives in a compact register file laid out
-// slot-major (slot s occupies words [s·W, s·W+W)), which keeps each
-// instruction's operands in adjacent cache lines.
+// slot-major in fixed-width rows (slot s occupies words
+// [s·DefaultKernelWords, (s+1)·DefaultKernelWords)), which keeps each
+// instruction's operands in adjacent cache lines. Eval and Commit always
+// process whole rows; an engine instantiated narrower simply leaves the
+// upper words of every row unread.
 type KernelEngine struct {
 	k     *Kernel
-	w     int
-	code  []kinstr // kernel code with slot operands pre-scaled by w
+	w     int // batch words in use, ≤ DefaultKernelWords
 	regs  []uint64
-	nextQ []uint64 // FF capture scratch, numFFs·W
+	nextQ []krow // capture staging, one row per staged flip-flop
+
+	// RunWindowWide scratch, recycled across windows: per-lane loopback
+	// words, per-word divergence masks, and the register-file offsets of
+	// the loopback and monitor ports.
+	lb, diverged       []uint64
+	lbIn, lbOut, monAt []int
 }
 
 // NewKernelEngine instantiates a kernel over words 64-lane words per batch
-// (0 selects DefaultKernelWords). Instances are cheap; create one per
-// worker goroutine.
+// (0 selects DefaultKernelWords, the maximum). Instances are cheap; create
+// one per worker goroutine.
 func NewKernelEngine(k *Kernel, words int) *KernelEngine {
 	if words <= 0 {
 		words = DefaultKernelWords
 	}
+	if words > DefaultKernelWords {
+		panic(fmt.Sprintf("sim: kernel engine of %d words, row width is %d", words, DefaultKernelWords))
+	}
 	e := &KernelEngine{
 		k:     k,
 		w:     words,
-		code:  make([]kinstr, len(k.code)),
-		regs:  make([]uint64, k.slots*words),
-		nextQ: make([]uint64, len(k.ffQ)*words),
-	}
-	W := int32(words)
-	for i, ins := range k.code {
-		e.code[i] = kinstr{
-			op:  ins.op,
-			dst: ins.dst * W,
-			a:   ins.a * W, b: ins.b * W, c: ins.c * W, d: ins.d * W,
-		}
+		regs:  make([]uint64, k.slots*DefaultKernelWords),
+		nextQ: make([]krow, len(k.staged)),
 	}
 	e.Reset()
 	return e
@@ -131,24 +173,29 @@ func (e *KernelEngine) Words() int { return e.w }
 // Lanes returns the total lane count of one batch.
 func (e *KernelEngine) Lanes() int { return e.w * Lanes }
 
+// rowAt returns the register-file row starting at word offset at.
+func rowAt(regs []uint64, at int32) *krow {
+	o := int(at)
+	return (*krow)(regs[o : o+DefaultKernelWords])
+}
+
+// row returns the register-file row of a slot.
+func (e *KernelEngine) row(slot int32) *krow {
+	return rowAt(e.regs, slot*DefaultKernelWords)
+}
+
 // Reset loads the constant slots and every flip-flop's initial value into
 // all lanes and clears everything else.
 func (e *KernelEngine) Reset() {
 	for i := range e.regs {
 		e.regs[i] = 0
 	}
-	e.fillSlot(e.k.const1, ^uint64(0))
+	ones := krow{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)}
+	*e.row(e.k.const1) = ones
 	for i, q := range e.k.ffQ {
 		if e.k.ffInit[i] {
-			e.fillSlot(q, ^uint64(0))
+			*e.row(q) = ones
 		}
-	}
-}
-
-func (e *KernelEngine) fillSlot(slot int32, v uint64) {
-	base := int(slot) * e.w
-	for w := 0; w < e.w; w++ {
-		e.regs[base+w] = v
 	}
 }
 
@@ -158,18 +205,13 @@ func (e *KernelEngine) SetInputBool(i int, v bool) {
 	if v {
 		word = ^uint64(0)
 	}
-	e.fillSlot(e.k.inSlot[i], word)
-}
-
-// SetInputWord drives a packed word onto input port i's batch word w.
-func (e *KernelEngine) SetInputWord(i, w int, word uint64) {
-	e.regs[int(e.k.inSlot[i])*e.w+w] = word
+	*e.row(e.k.inSlot[i]) = krow{word, word, word, word}
 }
 
 // FlipFF inverts flip-flop ff in the lanes of mask within batch word w —
 // the SEU injection primitive, same semantics as Engine.FlipFF per word.
 func (e *KernelEngine) FlipFF(ff, w int, mask uint64) {
-	e.regs[int(e.k.ffQ[ff])*e.w+w] ^= mask
+	e.row(e.k.ffQ[ff])[w] ^= mask
 }
 
 // ForceFF drives flip-flop ff to value in the lanes of mask within batch
@@ -177,164 +219,134 @@ func (e *KernelEngine) FlipFF(ff, w int, mask uint64) {
 // fault model.
 func (e *KernelEngine) ForceFF(ff, w int, mask uint64, value bool) {
 	if value {
-		e.regs[int(e.k.ffQ[ff])*e.w+w] |= mask
+		e.row(e.k.ffQ[ff])[w] |= mask
 	} else {
-		e.regs[int(e.k.ffQ[ff])*e.w+w] &^= mask
+		e.row(e.k.ffQ[ff])[w] &^= mask
 	}
 }
 
 // FFWord returns the packed state of flip-flop ff in batch word w.
 func (e *KernelEngine) FFWord(ff, w int) uint64 {
-	return e.regs[int(e.k.ffQ[ff])*e.w+w]
+	return e.row(e.k.ffQ[ff])[w]
+}
+
+// outAt returns the register-file offset of output port i's row. The port
+// must be in the kernel's kept set.
+func (e *KernelEngine) outAt(i int) int {
+	slot := e.k.outSlot[i]
+	if slot < 0 {
+		panic(fmt.Sprintf("sim: kernel output port %d was pruned (not in KeepOutputs)", i))
+	}
+	return int(slot) * DefaultKernelWords
 }
 
 // OutputWord returns the packed word on output port i in batch word w
 // (valid after Eval). The port must be in the kernel's kept set.
 func (e *KernelEngine) OutputWord(i, w int) uint64 {
-	slot := e.k.outSlot[i]
-	if slot < 0 {
-		panic(fmt.Sprintf("sim: kernel output port %d was pruned (not in KeepOutputs)", i))
-	}
-	return e.regs[int(slot)*e.w+w]
+	return e.regs[e.outAt(i)+w]
 }
 
 // Eval executes the kernel bytecode: one fused combinational pass over all
-// 64·W lanes. Operand offsets are pre-scaled; every instruction reads all
-// its operand words before writing the destination word, so in-place
-// destinations (the allocator's preferred layout) are safe.
+// lanes of every row. Every instruction reads all its operand words before
+// writing the destination row (the right-hand sides of a tuple assignment
+// are evaluated first), so in-place destinations — the allocator's
+// preferred layout — are safe.
 func (e *KernelEngine) Eval() {
 	regs := e.regs
-	W := e.w
-	for i := range e.code {
-		ins := &e.code[i]
-		rd := regs[ins.dst:][:W]
-		ra := regs[ins.a:][:W]
+	code := e.k.code
+	for i := range code {
+		ins := &code[i]
+		rd := rowAt(regs, ins.dst)
+		a := rowAt(regs, ins.a)
 		switch ins.op {
 		case kBuf:
-			copy(rd, ra)
+			rd[0], rd[1], rd[2], rd[3] = a[0], a[1], a[2], a[3]
 		case kInv:
-			for w := range rd {
-				rd[w] = ^ra[w]
-			}
+			rd[0], rd[1], rd[2], rd[3] = ^a[0], ^a[1], ^a[2], ^a[3]
 		case kAnd2:
-			rb := regs[ins.b:][:W]
-			for w := range rd {
-				rd[w] = ra[w] & rb[w]
-			}
+			b := rowAt(regs, ins.b)
+			rd[0], rd[1], rd[2], rd[3] = a[0]&b[0], a[1]&b[1], a[2]&b[2], a[3]&b[3]
 		case kAnd3:
-			rb, rc := regs[ins.b:][:W], regs[ins.c:][:W]
-			for w := range rd {
-				rd[w] = ra[w] & rb[w] & rc[w]
-			}
+			b, c := rowAt(regs, ins.b), rowAt(regs, ins.c)
+			rd[0], rd[1], rd[2], rd[3] = a[0]&b[0]&c[0], a[1]&b[1]&c[1], a[2]&b[2]&c[2], a[3]&b[3]&c[3]
 		case kAnd4:
-			rb, rc, re := regs[ins.b:][:W], regs[ins.c:][:W], regs[ins.d:][:W]
-			for w := range rd {
-				rd[w] = ra[w] & rb[w] & rc[w] & re[w]
-			}
+			b, c, d := rowAt(regs, ins.b), rowAt(regs, ins.c), rowAt(regs, ins.d)
+			rd[0], rd[1], rd[2], rd[3] = a[0]&b[0]&c[0]&d[0], a[1]&b[1]&c[1]&d[1], a[2]&b[2]&c[2]&d[2], a[3]&b[3]&c[3]&d[3]
 		case kOr2:
-			rb := regs[ins.b:][:W]
-			for w := range rd {
-				rd[w] = ra[w] | rb[w]
-			}
+			b := rowAt(regs, ins.b)
+			rd[0], rd[1], rd[2], rd[3] = a[0]|b[0], a[1]|b[1], a[2]|b[2], a[3]|b[3]
 		case kOr3:
-			rb, rc := regs[ins.b:][:W], regs[ins.c:][:W]
-			for w := range rd {
-				rd[w] = ra[w] | rb[w] | rc[w]
-			}
+			b, c := rowAt(regs, ins.b), rowAt(regs, ins.c)
+			rd[0], rd[1], rd[2], rd[3] = a[0]|b[0]|c[0], a[1]|b[1]|c[1], a[2]|b[2]|c[2], a[3]|b[3]|c[3]
 		case kOr4:
-			rb, rc, re := regs[ins.b:][:W], regs[ins.c:][:W], regs[ins.d:][:W]
-			for w := range rd {
-				rd[w] = ra[w] | rb[w] | rc[w] | re[w]
-			}
+			b, c, d := rowAt(regs, ins.b), rowAt(regs, ins.c), rowAt(regs, ins.d)
+			rd[0], rd[1], rd[2], rd[3] = a[0]|b[0]|c[0]|d[0], a[1]|b[1]|c[1]|d[1], a[2]|b[2]|c[2]|d[2], a[3]|b[3]|c[3]|d[3]
 		case kNand2:
-			rb := regs[ins.b:][:W]
-			for w := range rd {
-				rd[w] = ^(ra[w] & rb[w])
-			}
+			b := rowAt(regs, ins.b)
+			rd[0], rd[1], rd[2], rd[3] = ^(a[0] & b[0]), ^(a[1] & b[1]), ^(a[2] & b[2]), ^(a[3] & b[3])
 		case kNand3:
-			rb, rc := regs[ins.b:][:W], regs[ins.c:][:W]
-			for w := range rd {
-				rd[w] = ^(ra[w] & rb[w] & rc[w])
-			}
+			b, c := rowAt(regs, ins.b), rowAt(regs, ins.c)
+			rd[0], rd[1], rd[2], rd[3] = ^(a[0] & b[0] & c[0]), ^(a[1] & b[1] & c[1]), ^(a[2] & b[2] & c[2]), ^(a[3] & b[3] & c[3])
 		case kNand4:
-			rb, rc, re := regs[ins.b:][:W], regs[ins.c:][:W], regs[ins.d:][:W]
-			for w := range rd {
-				rd[w] = ^(ra[w] & rb[w] & rc[w] & re[w])
-			}
+			b, c, d := rowAt(regs, ins.b), rowAt(regs, ins.c), rowAt(regs, ins.d)
+			rd[0], rd[1], rd[2], rd[3] = ^(a[0] & b[0] & c[0] & d[0]), ^(a[1] & b[1] & c[1] & d[1]), ^(a[2] & b[2] & c[2] & d[2]), ^(a[3] & b[3] & c[3] & d[3])
 		case kNor2:
-			rb := regs[ins.b:][:W]
-			for w := range rd {
-				rd[w] = ^(ra[w] | rb[w])
-			}
+			b := rowAt(regs, ins.b)
+			rd[0], rd[1], rd[2], rd[3] = ^(a[0] | b[0]), ^(a[1] | b[1]), ^(a[2] | b[2]), ^(a[3] | b[3])
 		case kNor3:
-			rb, rc := regs[ins.b:][:W], regs[ins.c:][:W]
-			for w := range rd {
-				rd[w] = ^(ra[w] | rb[w] | rc[w])
-			}
+			b, c := rowAt(regs, ins.b), rowAt(regs, ins.c)
+			rd[0], rd[1], rd[2], rd[3] = ^(a[0] | b[0] | c[0]), ^(a[1] | b[1] | c[1]), ^(a[2] | b[2] | c[2]), ^(a[3] | b[3] | c[3])
 		case kNor4:
-			rb, rc, re := regs[ins.b:][:W], regs[ins.c:][:W], regs[ins.d:][:W]
-			for w := range rd {
-				rd[w] = ^(ra[w] | rb[w] | rc[w] | re[w])
-			}
+			b, c, d := rowAt(regs, ins.b), rowAt(regs, ins.c), rowAt(regs, ins.d)
+			rd[0], rd[1], rd[2], rd[3] = ^(a[0] | b[0] | c[0] | d[0]), ^(a[1] | b[1] | c[1] | d[1]), ^(a[2] | b[2] | c[2] | d[2]), ^(a[3] | b[3] | c[3] | d[3])
 		case kXor2:
-			rb := regs[ins.b:][:W]
-			for w := range rd {
-				rd[w] = ra[w] ^ rb[w]
-			}
+			b := rowAt(regs, ins.b)
+			rd[0], rd[1], rd[2], rd[3] = a[0]^b[0], a[1]^b[1], a[2]^b[2], a[3]^b[3]
 		case kXnor2:
-			rb := regs[ins.b:][:W]
-			for w := range rd {
-				rd[w] = ^(ra[w] ^ rb[w])
-			}
+			b := rowAt(regs, ins.b)
+			rd[0], rd[1], rd[2], rd[3] = ^(a[0] ^ b[0]), ^(a[1] ^ b[1]), ^(a[2] ^ b[2]), ^(a[3] ^ b[3])
 		case kMux2:
-			rb, rc := regs[ins.b:][:W], regs[ins.c:][:W]
-			for w := range rd {
-				s := rc[w]
-				rd[w] = (ra[w] &^ s) | (rb[w] & s)
-			}
+			b, s := rowAt(regs, ins.b), rowAt(regs, ins.c)
+			rd[0], rd[1], rd[2], rd[3] = (a[0]&^s[0])|(b[0]&s[0]), (a[1]&^s[1])|(b[1]&s[1]), (a[2]&^s[2])|(b[2]&s[2]), (a[3]&^s[3])|(b[3]&s[3])
 		case kAOI21:
-			rb, rc := regs[ins.b:][:W], regs[ins.c:][:W]
-			for w := range rd {
-				rd[w] = ^((ra[w] & rb[w]) | rc[w])
-			}
+			b, c := rowAt(regs, ins.b), rowAt(regs, ins.c)
+			rd[0], rd[1], rd[2], rd[3] = ^((a[0] & b[0]) | c[0]), ^((a[1] & b[1]) | c[1]), ^((a[2] & b[2]) | c[2]), ^((a[3] & b[3]) | c[3])
 		case kOAI21:
-			rb, rc := regs[ins.b:][:W], regs[ins.c:][:W]
-			for w := range rd {
-				rd[w] = ^((ra[w] | rb[w]) & rc[w])
-			}
+			b, c := rowAt(regs, ins.b), rowAt(regs, ins.c)
+			rd[0], rd[1], rd[2], rd[3] = ^((a[0] | b[0]) & c[0]), ^((a[1] | b[1]) & c[1]), ^((a[2] | b[2]) & c[2]), ^((a[3] | b[3]) & c[3])
 		case kAO21:
-			rb, rc := regs[ins.b:][:W], regs[ins.c:][:W]
-			for w := range rd {
-				rd[w] = (ra[w] & rb[w]) | rc[w]
-			}
+			b, c := rowAt(regs, ins.b), rowAt(regs, ins.c)
+			rd[0], rd[1], rd[2], rd[3] = (a[0]&b[0])|c[0], (a[1]&b[1])|c[1], (a[2]&b[2])|c[2], (a[3]&b[3])|c[3]
 		case kOA21:
-			rb, rc := regs[ins.b:][:W], regs[ins.c:][:W]
-			for w := range rd {
-				rd[w] = (ra[w] | rb[w]) & rc[w]
-			}
+			b, c := rowAt(regs, ins.b), rowAt(regs, ins.c)
+			rd[0], rd[1], rd[2], rd[3] = (a[0]|b[0])&c[0], (a[1]|b[1])&c[1], (a[2]|b[2])&c[2], (a[3]|b[3])&c[3]
 		case kAndN:
-			rb := regs[ins.b:][:W]
-			for w := range rd {
-				rd[w] = ra[w] &^ rb[w]
-			}
+			b := rowAt(regs, ins.b)
+			rd[0], rd[1], rd[2], rd[3] = a[0]&^b[0], a[1]&^b[1], a[2]&^b[2], a[3]&^b[3]
 		case kOrN:
-			rb := regs[ins.b:][:W]
-			for w := range rd {
-				rd[w] = ra[w] | ^rb[w]
-			}
+			b := rowAt(regs, ins.b)
+			rd[0], rd[1], rd[2], rd[3] = a[0]|^b[0], a[1]|^b[1], a[2]|^b[2], a[3]|^b[3]
 		}
 	}
 }
 
 // Commit performs the clock edge for all lanes: every flip-flop captures
-// its D value. Capture is two-phase so FF-to-FF paths see pre-edge values.
+// its D value. Staged captures are read out before any Q row is written,
+// so FF-to-FF paths see pre-edge values; the rest copy D→Q directly (see
+// planCommit for why that is sound).
 func (e *KernelEngine) Commit() {
-	W := e.w
 	regs := e.regs
-	for i, d := range e.k.ffD {
-		copy(e.nextQ[i*W:(i+1)*W], regs[int(d)*W:][:W])
+	staged := e.k.staged
+	for i, c := range staged {
+		e.nextQ[i] = *rowAt(regs, c.d)
 	}
-	for i, q := range e.k.ffQ {
-		copy(regs[int(q)*W:][:W], e.nextQ[i*W:(i+1)*W])
+	for _, c := range e.k.direct {
+		// Word by word: a whole-row assignment between rows the compiler
+		// cannot prove disjoint becomes a memmove call.
+		q, d := rowAt(regs, c.q), rowAt(regs, c.d)
+		q[0], q[1], q[2], q[3] = d[0], d[1], d[2], d[3]
+	}
+	for i, c := range staged {
+		*rowAt(regs, c.q) = e.nextQ[i]
 	}
 }

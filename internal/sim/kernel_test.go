@@ -7,7 +7,10 @@ package sim_test
 // batch widths. The generator deliberately includes the cell types the
 // corpus generators underuse: TIEL/TIEH (constant folding paths), BUF
 // (copy propagation), NAND/NOR (inverted forms) and AOI21/OAI21 (the
-// fusion superops).
+// fusion superops). Every netlist also carries the flip-flop topologies the
+// kernel's Commit treats specially: an FF fed straight by a primary input,
+// direct FF→FF shift links (one through a BUF that copy propagation
+// removes) and an FF holding its own Q.
 
 import (
 	"fmt"
@@ -41,6 +44,16 @@ func randKernelNetlist(seed int64) (*netlist.Netlist, error) {
 		q, ffSet[i] = b.DFFDecl(fmt.Sprintf("ff[%d]", i), rng.Intn(2) == 1)
 		pool = append(pool, q)
 	}
+	// in[0] → ffIn → ffShift[0] → BUF → ffShift[1], and ffHold ↺.
+	qIn, setIn := b.DFFDecl("ffIn", false)
+	qS0, setS0 := b.DFFDecl("ffShift[0]", true)
+	qS1, setS1 := b.DFFDecl("ffShift[1]", false)
+	qHold, setHold := b.DFFDecl("ffHold", true)
+	setIn(pool[0])
+	setS0(qIn)
+	setS1(b.Buf(qS0))
+	setHold(qHold)
+	pool = append(pool, qIn, qS0, qS1, qHold)
 	pick := func() netlist.NetID { return pool[rng.Intn(len(pool))] }
 	for g := 0; g < nGates; g++ {
 		var out netlist.NetID
@@ -88,92 +101,19 @@ func randKernelNetlist(seed int64) (*netlist.Netlist, error) {
 	return b.Finish()
 }
 
-// TestKernelMatchesInterpreters drives one KernelEngine of W words against
-// W independent packed Engines (word w ≡ narrow batch w) and a
-// ScalarEngine shadowing lane 0 of word 0, with per-word random flip
-// schedules, asserting every output word and flip-flop word agrees on
-// every cycle.
+// TestKernelMatchesInterpreters drives one KernelEngine of W words, for
+// every W the row holds, against W independent packed Engines (word w ≡
+// narrow batch w) and a ScalarEngine shadowing lane 0 of word 0, with
+// per-word random flip schedules, asserting every output word agrees on
+// every cycle and every flip-flop word after every clock edge.
 func TestKernelMatchesInterpreters(t *testing.T) {
 	var totFused, totFolded, totPruned int
 	for seed := int64(1); seed <= 25; seed++ {
-		rng := rand.New(rand.NewSource(seed * 7919))
-		nl, err := randKernelNetlist(seed)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		p, err := sim.Compile(nl)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		k, err := sim.BuildKernel(p, sim.KernelConfig{})
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		st := k.Stats()
-		if st.KernelOps > st.ProgramOps {
-			t.Fatalf("seed %d: kernel grew: %+v", seed, st)
-		}
-		totFused += st.Fused
-		totFolded += st.Folded
-		totPruned += st.Pruned
-
-		W := 1 + rng.Intn(4)
-		ke := sim.NewKernelEngine(k, W)
-		if ke.Lanes() != W*sim.Lanes {
-			t.Fatalf("seed %d: lanes %d, want %d", seed, ke.Lanes(), W*sim.Lanes)
-		}
-		narrow := make([]*sim.Engine, W)
-		for w := range narrow {
-			narrow[w] = sim.NewEngine(p)
-		}
-		sc := sim.NewScalarEngine(p)
-
-		nIn, nOut, nFF := p.NumInputs(), p.NumOutputs(), p.NumFFs()
-		for cycle := 0; cycle < 24; cycle++ {
-			for i := 0; i < nIn; i++ {
-				v := rng.Intn(2) == 1
-				ke.SetInputBool(i, v)
-				for _, e := range narrow {
-					e.SetInputBool(i, v)
-				}
-				sc.SetInput(i, v)
-			}
-			if rng.Intn(3) != 0 { // SEU injection on a random word
-				ff, w := rng.Intn(nFF), rng.Intn(W)
-				mask := rng.Uint64() | 1
-				ke.FlipFF(ff, w, mask)
-				narrow[w].FlipFF(ff, mask)
-				if w == 0 {
-					sc.FlipFF(ff)
-				}
-			}
-			ke.Eval()
-			sc.Eval()
-			for w, e := range narrow {
-				e.Eval()
-				for i := 0; i < nOut; i++ {
-					if got, want := ke.OutputWord(i, w), e.Output(i); got != want {
-						t.Fatalf("seed %d cycle %d out %d word %d: kernel %016x, interp %016x",
-							seed, cycle, i, w, got, want)
-					}
-				}
-			}
-			for i := 0; i < nOut; i++ {
-				if got, want := sc.Output(i), narrow[0].Output(i)&1 == 1; got != want {
-					t.Fatalf("seed %d cycle %d out %d: scalar %v, interp lane0 %v", seed, cycle, i, got, want)
-				}
-			}
-			ke.Commit()
-			sc.Commit()
-			for w, e := range narrow {
-				e.Commit()
-				for f := 0; f < nFF; f++ {
-					if got, want := ke.FFWord(f, w), e.FFState(f); got != want {
-						t.Fatalf("seed %d cycle %d ff %d word %d: kernel %016x, interp %016x",
-							seed, cycle, f, w, got, want)
-					}
-				}
-			}
+		for W := 1; W <= sim.DefaultKernelWords; W++ {
+			fused, folded, pruned := kernelMatchesInterpreters(t, seed, W)
+			totFused += fused
+			totFolded += folded
+			totPruned += pruned
 		}
 	}
 	// The generator feeds every optimization pass; across 25 seeds each
@@ -182,6 +122,93 @@ func TestKernelMatchesInterpreters(t *testing.T) {
 		t.Fatalf("optimizer idle across all seeds: fused=%d folded=%d pruned=%d",
 			totFused, totFolded, totPruned)
 	}
+}
+
+// kernelMatchesInterpreters runs one (netlist seed, batch width) case and
+// returns what the kernel compiler did to the netlist.
+func kernelMatchesInterpreters(t *testing.T, seed int64, W int) (fused, folded, pruned int) {
+	rng := rand.New(rand.NewSource(seed*7919 + int64(W)))
+	nl, err := randKernelNetlist(seed)
+	if err != nil {
+		t.Fatalf("seed %d: %v", seed, err)
+	}
+	p, err := sim.Compile(nl)
+	if err != nil {
+		t.Fatalf("seed %d: %v", seed, err)
+	}
+	k, err := sim.BuildKernel(p, sim.KernelConfig{})
+	if err != nil {
+		t.Fatalf("seed %d: %v", seed, err)
+	}
+	st := k.Stats()
+	if st.KernelOps > st.ProgramOps {
+		t.Fatalf("seed %d: kernel grew: %+v", seed, st)
+	}
+	fused, folded, pruned = st.Fused, st.Folded, st.Pruned
+
+	ke := sim.NewKernelEngine(k, W)
+	if ke.Lanes() != W*sim.Lanes {
+		t.Fatalf("seed %d: lanes %d, want %d", seed, ke.Lanes(), W*sim.Lanes)
+	}
+	narrow := make([]*sim.Engine, W)
+	for w := range narrow {
+		narrow[w] = sim.NewEngine(p)
+	}
+	sc := sim.NewScalarEngine(p)
+
+	nIn, nOut, nFF := p.NumInputs(), p.NumOutputs(), p.NumFFs()
+	for cycle := 0; cycle < 24; cycle++ {
+		for i := 0; i < nIn; i++ {
+			v := rng.Intn(2) == 1
+			ke.SetInputBool(i, v)
+			for _, e := range narrow {
+				e.SetInputBool(i, v)
+			}
+			sc.SetInput(i, v)
+		}
+		if rng.Intn(3) != 0 { // SEU injection on a random word
+			ff, w := rng.Intn(nFF), rng.Intn(W)
+			mask := rng.Uint64() | 1
+			ke.FlipFF(ff, w, mask)
+			narrow[w].FlipFF(ff, mask)
+			if w == 0 {
+				sc.FlipFF(ff)
+			}
+		}
+		ke.Eval()
+		sc.Eval()
+		for w, e := range narrow {
+			e.Eval()
+			for i := 0; i < nOut; i++ {
+				if got, want := ke.OutputWord(i, w), e.Output(i); got != want {
+					t.Fatalf("seed %d cycle %d out %d word %d: kernel %016x, interp %016x",
+						seed, cycle, i, w, got, want)
+				}
+			}
+		}
+		for i := 0; i < nOut; i++ {
+			if got, want := sc.Output(i), narrow[0].Output(i)&1 == 1; got != want {
+				t.Fatalf("seed %d cycle %d out %d: scalar %v, interp lane0 %v", seed, cycle, i, got, want)
+			}
+		}
+		ke.Commit()
+		sc.Commit()
+		for w, e := range narrow {
+			e.Commit()
+			for f := 0; f < nFF; f++ {
+				if got, want := ke.FFWord(f, w), e.FFState(f); got != want {
+					t.Fatalf("seed %d cycle %d ff %d word %d: kernel %016x, interp %016x",
+						seed, cycle, f, w, got, want)
+				}
+			}
+		}
+		for f := 0; f < nFF; f++ {
+			if got, want := sc.FFState(f), narrow[0].FFState(f)&1 == 1; got != want {
+				t.Fatalf("seed %d cycle %d ff %d: scalar %v, interp lane0 %v", seed, cycle, f, got, want)
+			}
+		}
+	}
+	return fused, folded, pruned
 }
 
 // TestKernelPrunedOutputs checks dead-fanout pruning against a restricted

@@ -198,7 +198,8 @@ type WindowConfig struct {
 // caller only stops once every lane's verdict can no longer change).
 func RunWindow(e *Engine, stim *Stimulus, snaps *Snapshots, start int, cfg WindowConfig) int {
 	idx := snaps.IndexAtOrBefore(start)
-	lb := make([]uint64, snaps.numLb)
+	e.lb = grow(e.lb, snaps.numLb)
+	lb := e.lb
 	snaps.Restore(e, idx, lb)
 	first := snaps.SnapCycle(idx)
 

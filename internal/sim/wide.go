@@ -25,10 +25,7 @@ func (s *Snapshots) RestoreKernel(e *KernelEngine, idx int, lb []uint64) {
 		if s.ff[ffBase+i/64]>>uint(i%64)&1 == 1 {
 			word = ^uint64(0)
 		}
-		base := int(e.k.ffQ[i]) * W
-		for w := 0; w < W; w++ {
-			e.regs[base+w] = word
-		}
+		*e.row(e.k.ffQ[i]) = krow{word, word, word, word}
 	}
 	lbBase := idx * s.numLb
 	for j := 0; j < s.numLb; j++ {
@@ -43,20 +40,20 @@ func (s *Snapshots) RestoreKernel(e *KernelEngine, idx int, lb []uint64) {
 // counterpart of divergedLanes.
 func (s *Snapshots) divergedKernel(e *KernelEngine, lb []uint64, idx int, out []uint64) {
 	W := e.w
-	for w := 0; w < W; w++ {
-		out[w] = 0
-	}
+	var diff krow
 	ffBase := idx * s.ffWords
 	for i := 0; i < s.numFFs; i++ {
 		var want uint64
 		if s.ff[ffBase+i/64]>>uint(i%64)&1 == 1 {
 			want = ^uint64(0)
 		}
-		base := int(e.k.ffQ[i]) * W
-		for w := 0; w < W; w++ {
-			out[w] |= e.regs[base+w] ^ want
-		}
+		q := e.row(e.k.ffQ[i])
+		diff[0] |= q[0] ^ want
+		diff[1] |= q[1] ^ want
+		diff[2] |= q[2] ^ want
+		diff[3] |= q[3] ^ want
 	}
+	copy(out, diff[:W])
 	lbBase := idx * s.numLb
 	for j := 0; j < s.numLb; j++ {
 		for w := 0; w < W; w++ {
@@ -95,12 +92,26 @@ type WideWindowConfig struct {
 func RunWindowWide(e *KernelEngine, stim *Stimulus, snaps *Snapshots, start int, cfg WideWindowConfig) int {
 	W := e.w
 	idx := snaps.IndexAtOrBefore(start)
-	lb := make([]uint64, snaps.numLb*W)
-	diverged := make([]uint64, W)
+	e.lb = grow(e.lb, snaps.numLb*W)
+	e.diverged = grow(e.diverged, W)
+	lb, diverged := e.lb, e.diverged
 	snaps.RestoreKernel(e, idx, lb)
 	first := snaps.SnapCycle(idx)
 
-	nm := len(cfg.Monitors)
+	// Resolve every port the loop touches to its register-file offset once,
+	// not per cycle and word.
+	e.lbIn, e.lbOut, e.monAt = e.lbIn[:0], e.lbOut[:0], e.monAt[:0]
+	for _, l := range stim.loopback {
+		e.lbIn = append(e.lbIn, int(e.k.inSlot[l.In])*DefaultKernelWords)
+		e.lbOut = append(e.lbOut, e.outAt(l.Out))
+	}
+	for _, port := range cfg.Monitors {
+		e.monAt = append(e.monAt, e.outAt(port))
+	}
+	lbIn, lbOut, monAt := e.lbIn, e.lbOut, e.monAt
+	nm := len(monAt)
+	regs := e.regs
+
 	for c := first; c < stim.cycles; c++ {
 		if cfg.OnSnapshot != nil && c != first && c%snaps.every == 0 {
 			snaps.divergedKernel(e, lb, c/snaps.every, diverged)
@@ -111,18 +122,18 @@ func RunWindowWide(e *KernelEngine, stim *Stimulus, snaps *Snapshots, start int,
 		for k, port := range stim.ports {
 			e.SetInputBool(port, stim.vectors[k][c])
 		}
-		for i, l := range stim.loopback {
+		for i, at := range lbIn {
 			for w := 0; w < W; w++ {
-				e.SetInputWord(l.In, w, lb[i*W+w])
+				regs[at+w] = lb[i*W+w]
 			}
 		}
 		if cfg.PreEval != nil {
 			cfg.PreEval(c)
 		}
 		e.Eval()
-		for i, l := range stim.loopback {
+		for i, at := range lbOut {
 			for w := 0; w < W; w++ {
-				lb[i*W+w] = e.OutputWord(l.Out, w)
+				lb[i*W+w] = regs[at+w]
 			}
 		}
 		base := c * nm
@@ -130,8 +141,9 @@ func RunWindowWide(e *KernelEngine, stim *Stimulus, snaps *Snapshots, start int,
 			if trace == nil {
 				continue
 			}
-			for m, port := range cfg.Monitors {
-				trace.words[base+m] = e.OutputWord(port, w)
+			row := trace.words[base : base+nm]
+			for m, at := range monAt {
+				row[m] = regs[at+w]
 			}
 		}
 		if cfg.OnCycle != nil && cfg.OnCycle(c) {
@@ -141,4 +153,13 @@ func RunWindowWide(e *KernelEngine, stim *Stimulus, snaps *Snapshots, start int,
 		e.Commit()
 	}
 	return stim.cycles
+}
+
+// grow returns buf resized to n words, reallocating only when it is too
+// small; the contents are unspecified.
+func grow(buf []uint64, n int) []uint64 {
+	if cap(buf) < n {
+		return make([]uint64, n)
+	}
+	return buf[:n]
 }
