@@ -89,10 +89,12 @@ metrics-lint:
 # records right after. Note BenchmarkFlatInjectionCampaign is a prefix of
 # its Instrumented variant, so one pattern covers both. Besides the paper
 # experiments of the root package the run covers the simulator and chunk-
-# executor micro-benchmarks (BenchmarkKernelEval/Commit, BenchmarkRunChunks),
-# so a cycle-loop regression localizes below the campaign level.
+# executor micro-benchmarks (BenchmarkKernelEval/Commit, BenchmarkRunChunks)
+# and the per-model ones in internal/core (BenchmarkModelFit/Predict per
+# Table I model, BenchmarkTuneKNN), so a cycle-loop or training-loop
+# regression localizes below the campaign and protocol level.
 bench:
-	FFR_INJECTIONS=$(FFR_INJECTIONS) $(GO) test -bench=. $(if $(BENCH_SKIP),-skip='$(BENCH_SKIP)') -benchtime=1x -run='^$$' . ./internal/sim ./internal/fault
+	FFR_INJECTIONS=$(FFR_INJECTIONS) $(GO) test -bench=. $(if $(BENCH_SKIP),-skip='$(BENCH_SKIP)') -benchtime=1x -run='^$$' . ./internal/sim ./internal/fault ./internal/core
 
 # Record the campaign and active-learning benchmarks (the perf trajectory of
 # the incremental engine plus the planner's budget-vs-quality headline) to

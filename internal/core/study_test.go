@@ -18,7 +18,7 @@ var testStudy struct {
 	err   error
 }
 
-func smallStudy(t *testing.T) *Study {
+func smallStudy(t testing.TB) *Study {
 	t.Helper()
 	testStudy.once.Do(func() {
 		cfg := StudyConfig{

@@ -37,6 +37,8 @@ type campaignMetrics struct {
 	jobsDone        *obs.Gauge
 	jobsTotal       *obs.Gauge
 	lanesPerBatch   *obs.Gauge
+	activeLanes     *obs.Counter
+	windowLanes     *obs.Counter
 }
 
 // newCampaignMetrics precomputes the backend-labeled children for the
@@ -68,6 +70,10 @@ func newCampaignMetrics(reg *obs.Registry, backend string) *campaignMetrics {
 			"injection jobs in the campaign plan"),
 		lanesPerBatch: reg.Gauge("ffr_campaign_lanes_per_batch",
 			"independent fault-simulation lanes per engine batch (64 on the interpreter, 64 per kernel batch word)"),
+		activeLanes: reg.Counter("ffr_campaign_active_lane_cycles_total",
+			"kernel-batch lane-cycles spent on lanes still undecided at the start of their snapshot interval (lane occupancy = active/window)"),
+		windowLanes: reg.Counter("ffr_campaign_window_lane_cycles_total",
+			"kernel-batch lane-cycles simulated, whole engine width, counted per completed snapshot interval"),
 	}
 }
 
@@ -123,6 +129,15 @@ func (m *campaignMetrics) observeBatch(start, stop, cycles int, used, failed, se
 		}
 	}
 	m.earlyExits.With(reason).Inc()
+}
+
+// observeLaneCycles records one wide batch's lane occupancy.
+func (m *campaignMetrics) observeLaneCycles(active, window int) {
+	if m == nil {
+		return
+	}
+	m.activeLanes.Add(float64(active))
+	m.windowLanes.Add(float64(window))
 }
 
 func (m *campaignMetrics) observeNaiveBatch() {

@@ -1,6 +1,7 @@
 package fault_test
 
 import (
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -38,6 +39,8 @@ func TestCampaignMetrics(t *testing.T) {
 		"ffr_campaign_batches_total",
 		"ffr_campaign_simulated_cycles_total",
 		"ffr_campaign_replay_cycles_total",
+		"ffr_campaign_active_lane_cycles_total",
+		"ffr_campaign_window_lane_cycles_total",
 		"ffr_campaign_early_exits_total",
 		"ffr_campaign_jobs_done",
 		"ffr_campaign_jobs_total",
@@ -75,6 +78,16 @@ func TestCampaignMetrics(t *testing.T) {
 	}
 	if got := get("ffr_campaign_replay_cycles_total"); got != float64(res.ReplayCycles) {
 		t.Fatalf("replay cycles %v, result says %d", got, res.ReplayCycles)
+	}
+	// Lane occupancy of the kernel batches: whole snapshot intervals at the
+	// engine's full width, of which the undecided lanes are a non-empty part.
+	active, window := get("ffr_campaign_active_lane_cycles_total"), get("ffr_campaign_window_lane_cycles_total")
+	interval := float64(sim.Lanes * sim.DefaultKernelWords * sim.DefaultSnapshotEvery)
+	if window <= 0 || math.Mod(window, interval) != 0 || window > float64(res.SimulatedCycles*sim.Lanes*sim.DefaultKernelWords) {
+		t.Fatalf("window lane-cycles %v: want a positive multiple of %v within %d simulated cycles", window, interval, res.SimulatedCycles)
+	}
+	if active <= 0 || active > window {
+		t.Fatalf("active lane-cycles %v outside (0, %v]", active, window)
 	}
 }
 

@@ -2,6 +2,7 @@ package fault
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync"
 
@@ -99,6 +100,11 @@ type wideWorkerState struct {
 	settled []uint64
 	// window is the hook set handed to sim.RunWindowWide, bound once.
 	window sim.WideWindowConfig
+
+	// Lane occupancy of the current batch, counted once per snapshot
+	// interval: the intervals simulated, and summed over them the lanes
+	// that were still undecided when each began.
+	intervals, activeLanes int
 }
 
 func newWideWorkerState(r *Runner, cp *chunkPlan) *wideWorkerState {
@@ -155,7 +161,11 @@ func (ws *wideWorkerState) onCycle(c int) bool {
 // onSnapshot settles the lanes that re-converged to golden state with no
 // event still pending, and stops the window once every lane is decided.
 func (ws *wideWorkerState) onSnapshot(c int, diverged []uint64) bool {
+	ws.intervals++
 	for g := 0; g < ws.groups; g++ {
+		// settled still holds the previous boundary's verdict: the lanes it
+		// leaves undecided are the ones the interval just simulated was for.
+		ws.activeLanes += bits.OnesCount64(ws.used[g] &^ (ws.settled[g] | ws.failed[g]))
 		ws.settled[g] = ws.used[g] &^ diverged[g] &^ ws.pending[g]
 	}
 	return !ws.undecided()
@@ -243,6 +253,8 @@ func (r *Runner) runBatchWide(ws *wideWorkerState, cp *chunkPlan, ci, wb, groups
 		ws.window.Traces = ws.traces[:groups]
 		stop = sim.RunWindowWide(ws.e, r.stim, snaps, minCycle, ws.window)
 	}
+	r.metrics.observeLaneCycles(ws.activeLanes*snaps.Every(), ws.intervals*ws.e.Words()*sim.Lanes*snaps.Every())
+	ws.intervals, ws.activeLanes = 0, 0
 	for g := 0; g < groups; g++ {
 		tr := ws.traces[g]
 		tr.CopyCycles(golden, 0, start)

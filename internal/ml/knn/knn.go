@@ -1,7 +1,6 @@
 package knn
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 
@@ -92,6 +91,35 @@ func (r *Regressor) Fit(X [][]float64, y []float64) error {
 	return nil
 }
 
+// distances4 returns the distances from x to four training rows. The four
+// sums run side by side on independent accumulators, each adding its terms in
+// ascending feature order, so every distance is the one-row loop's bit for
+// bit.
+func (r *Regressor) distances4(x, a, b, c, d []float64) (da, db, dc, dd float64) {
+	a, b, c, d = a[:len(x)], b[:len(x)], c[:len(x)], d[:len(x)]
+	switch r.Metric {
+	case Euclidean:
+		for i, v := range x {
+			ea, eb, ec, ed := v-a[i], v-b[i], v-c[i], v-d[i]
+			da += ea * ea
+			db += eb * eb
+			dc += ec * ec
+			dd += ed * ed
+		}
+		return math.Sqrt(da), math.Sqrt(db), math.Sqrt(dc), math.Sqrt(dd)
+	case Minkowski: // math.Pow dominates; nothing to gain from blocking
+		return r.distance(x, a), r.distance(x, b), r.distance(x, c), r.distance(x, d)
+	default: // Manhattan
+		for i, v := range x {
+			da += math.Abs(v - a[i])
+			db += math.Abs(v - b[i])
+			dc += math.Abs(v - c[i])
+			dd += math.Abs(v - d[i])
+		}
+		return da, db, dc, dd
+	}
+}
+
 func (r *Regressor) distance(a, b []float64) float64 {
 	switch r.Metric {
 	case Euclidean:
@@ -116,24 +144,61 @@ func (r *Regressor) distance(a, b []float64) float64 {
 	}
 }
 
-// neighborHeap is a max-heap on distance holding the current best k.
-type neighborHeap []neighbor
-
-type neighbor struct {
-	dist float64
-	idx  int
+// nearest is the current best k as a max-heap on distance, over two parallel
+// slices — the ones Neighbors returns, so a query allocates nothing else.
+// up and down are container/heap's sift loops with Less(i, j) = dist[i] >
+// dist[j] written in: among equidistant rows the same ones survive, in the
+// same order, as under container/heap.
+type nearest struct {
+	idx  []int
+	dist []float64
 }
 
-func (h neighborHeap) Len() int            { return len(h) }
-func (h neighborHeap) Less(i, j int) bool  { return h[i].dist > h[j].dist }
-func (h neighborHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *neighborHeap) Push(x interface{}) { *h = append(*h, x.(neighbor)) }
-func (h *neighborHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+func (h *nearest) swap(i, j int) {
+	h.idx[i], h.idx[j] = h.idx[j], h.idx[i]
+	h.dist[i], h.dist[j] = h.dist[j], h.dist[i]
+}
+
+func (h *nearest) up(j int) {
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !(h.dist[j] > h.dist[i]) {
+			break
+		}
+		h.swap(i, j)
+		j = i
+	}
+}
+
+// down sifts the root down within the first n entries.
+func (h *nearest) down(n int) {
+	i := 0
+	for {
+		j1 := 2*i + 1
+		if j1 >= n {
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && h.dist[j2] > h.dist[j1] {
+			j = j2 // right child
+		}
+		if !(h.dist[j] > h.dist[i]) {
+			break
+		}
+		h.swap(i, j)
+		i = j
+	}
+}
+
+// offer considers training row i at distance d for the best k.
+func (h *nearest) offer(k, i int, d float64) {
+	if n := len(h.idx); n < k {
+		h.idx, h.dist = append(h.idx, i), append(h.dist, d)
+		h.up(n)
+	} else if d < h.dist[0] {
+		h.idx[0], h.dist[0] = i, d
+		h.down(n)
+	}
 }
 
 // Neighbors returns the indices and distances of the k nearest training
@@ -142,25 +207,26 @@ func (r *Regressor) Neighbors(x []float64) ([]int, []float64, error) {
 	if !r.fitted {
 		return nil, nil, ml.ErrNotFitted
 	}
-	h := make(neighborHeap, 0, r.K)
-	for i, row := range r.x {
-		d := r.distance(x, row)
-		if len(h) < r.K {
-			heap.Push(&h, neighbor{dist: d, idx: i})
-		} else if d < h[0].dist {
-			h[0] = neighbor{dist: d, idx: i}
-			heap.Fix(&h, 0)
-		}
+	h := nearest{idx: make([]int, 0, r.K), dist: make([]float64, 0, r.K)}
+	rows := r.x
+	i := 0
+	for ; i+4 <= len(rows); i += 4 {
+		d0, d1, d2, d3 := r.distances4(x, rows[i], rows[i+1], rows[i+2], rows[i+3])
+		h.offer(r.K, i, d0)
+		h.offer(r.K, i+1, d1)
+		h.offer(r.K, i+2, d2)
+		h.offer(r.K, i+3, d3)
 	}
-	// Extract ascending.
-	idx := make([]int, len(h))
-	dist := make([]float64, len(h))
-	for i := len(h) - 1; i >= 0; i-- {
-		nb := heap.Pop(&h).(neighbor)
-		idx[i] = nb.idx
-		dist[i] = nb.dist
+	for ; i < len(rows); i++ {
+		h.offer(r.K, i, r.distance(x, rows[i]))
 	}
-	return idx, dist, nil
+	// Sort ascending in place: each pass moves the farthest of the first n
+	// entries to position n-1, where popping the heap would have put it.
+	for n := len(h.idx) - 1; n > 0; n-- {
+		h.swap(0, n)
+		h.down(n)
+	}
+	return h.idx, h.dist, nil
 }
 
 // Predict returns the weighted average of the k nearest targets.

@@ -184,3 +184,25 @@ func TestMetricString(t *testing.T) {
 		t.Fatal("Metric.String wrong")
 	}
 }
+
+// A query allocates its two result slices and nothing else: the heap lives
+// in them and no distance or push boxes a value.
+func TestNeighborsAllocations(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	X := make([][]float64, 203)
+	y := make([]float64, len(X))
+	for i := range X {
+		X[i] = []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
+		y[i] = rng.NormFloat64()
+	}
+	for _, metric := range []Metric{Manhattan, Euclidean, Minkowski} {
+		m := New(7, metric)
+		if err := m.Fit(X, y); err != nil {
+			t.Fatal(err)
+		}
+		q := []float64{0.1, -0.2, 0.3}
+		if n := testing.AllocsPerRun(50, func() { m.Neighbors(q) }); n > 2 {
+			t.Errorf("%v: Neighbors allocates %v times per query, want <= 2", metric, n)
+		}
+	}
+}

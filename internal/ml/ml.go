@@ -13,8 +13,8 @@ var ErrBadData = errors.New("ml: bad data")
 
 // Regressor is the supervised regression contract: learn a mapping from
 // feature vectors to a continuous target, then predict on new vectors.
-// Predict on an unfitted model returns NaN-free garbage only if the
-// implementation documents it; callers should Fit first.
+// Predict on an unfitted model returns 0 (all seven models do); callers
+// should Fit first.
 type Regressor interface {
 	// Fit trains on rows X with targets y (len(X) == len(y), all rows
 	// equally wide). Implementations must copy what they need; callers

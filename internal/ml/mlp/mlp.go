@@ -29,7 +29,7 @@ type Regressor struct {
 	BatchSize int
 	// LearningRate for Adam (default 1e-3).
 	LearningRate float64
-	// L2 is the weight decay (default 1e-4).
+	// L2 is the weight decay (default 0, no decay).
 	L2 float64
 	// Seed drives initialization and shuffling.
 	Seed int64
@@ -66,25 +66,69 @@ func (m *Regressor) defaults() {
 	}
 }
 
-func (m *Regressor) act(v float64) float64 {
-	if m.Act == Tanh {
-		return math.Tanh(v)
+// affine computes dst[j] = b[j] + Σ_i w[j*len(x)+i]·x[i] for every output
+// neuron j. Four neurons run side by side on independent accumulators; each
+// sum still adds its terms in ascending i from the bias, so the result is
+// the one-neuron-at-a-time loop's, bit for bit.
+func affine(dst, w, b, x []float64) {
+	n := len(x)
+	b = b[:len(dst)]
+	j := 0
+	for ; j+4 <= len(dst); j += 4 {
+		s0, s1, s2, s3 := b[j], b[j+1], b[j+2], b[j+3]
+		w0 := w[j*n : j*n+n]
+		w1 := w[j*n+n : j*n+2*n]
+		w2 := w[j*n+2*n : j*n+3*n]
+		w3 := w[j*n+3*n : j*n+4*n]
+		for i, v := range x {
+			s0 += w0[i] * v
+			s1 += w1[i] * v
+			s2 += w2[i] * v
+			s3 += w3[i] * v
+		}
+		dst[j], dst[j+1], dst[j+2], dst[j+3] = s0, s1, s2, s3
 	}
-	if v < 0 {
-		return 0
+	for ; j < len(dst); j++ {
+		s := b[j]
+		wrow := w[j*n : j*n+n]
+		for i, v := range x {
+			s += wrow[i] * v
+		}
+		dst[j] = s
 	}
-	return v
 }
 
-func (m *Regressor) actGrad(pre float64) float64 {
-	if m.Act == Tanh {
-		t := math.Tanh(pre)
-		return 1 - t*t
+// axpy adds a·x to dst, element by element.
+func axpy(dst []float64, a float64, x []float64) {
+	dst = dst[:len(x)]
+	i := 0
+	for ; i+4 <= len(x); i += 4 {
+		d, v := dst[i:i+4:i+4], x[i:i+4:i+4]
+		d[0] += a * v[0]
+		d[1] += a * v[1]
+		d[2] += a * v[2]
+		d[3] += a * v[3]
 	}
-	if pre < 0 {
-		return 0
+	for ; i < len(x); i++ {
+		dst[i] += a * x[i]
 	}
-	return 1
+}
+
+// activate writes the hidden activation of pre into out.
+func activate(out, pre []float64, act Activation) {
+	out = out[:len(pre)]
+	if act == Tanh {
+		for j, s := range pre {
+			out[j] = math.Tanh(s)
+		}
+		return
+	}
+	for j, s := range pre {
+		if s < 0 {
+			s = 0
+		}
+		out[j] = s
+	}
 }
 
 // Fit trains the network with Adam.
@@ -158,54 +202,45 @@ func (m *Regressor) Fit(X [][]float64, y []float64) error {
 			}
 			batch := order[lo:hi]
 			for l := 0; l < L; l++ {
-				for i := range gw[l] {
-					gw[l][i] = 0
-				}
-				for i := range gb[l] {
-					gb[l][i] = 0
-				}
+				clear(gw[l])
+				clear(gb[l])
 			}
 			for _, idx := range batch {
 				// Forward.
 				out[0] = X[idx]
-				for l := 0; l < L; l++ {
-					fanIn := m.dims[l]
-					for j := 0; j < m.dims[l+1]; j++ {
-						s := m.biases[l][j]
-						wrow := m.weights[l][j*fanIn : (j+1)*fanIn]
-						for i2, v := range out[l] {
-							s += wrow[i2] * v
-						}
-						pre[l][j] = s
-						if l == L-1 {
-							out[l+1][j] = s // linear output
-						} else {
-							out[l+1][j] = m.act(s)
-						}
-					}
+				for l := 0; l < L-1; l++ {
+					affine(pre[l], m.weights[l], m.biases[l], out[l])
+					activate(out[l+1], pre[l], m.Act)
 				}
+				affine(out[L], m.weights[L-1], m.biases[L-1], out[L-1]) // linear output
 				// Backward.
-				diff := out[L][0] - y[idx]
-				delta[L-1][0] = diff
+				delta[L-1][0] = out[L][0] - y[idx]
 				for l := L - 2; l >= 0; l-- {
-					fanIn := m.dims[l+1]
-					for j := 0; j < m.dims[l+1]; j++ {
-						var s float64
-						for k2 := 0; k2 < m.dims[l+2]; k2++ {
-							s += m.weights[l+1][k2*fanIn+j] * delta[l+1][k2]
+					// delta[l][j] = act'(pre[l][j]) · Σ_k2 W[l+1][k2][j]·delta[l+1][k2],
+					// accumulated one W[l+1] row at a time: every delta[l][j]
+					// still adds its terms in ascending k2.
+					d, p := delta[l], pre[l][:len(delta[l])]
+					clear(d)
+					for k2, up := range delta[l+1] {
+						axpy(d, up, m.weights[l+1][k2*len(d):(k2+1)*len(d)])
+					}
+					if m.Act == Tanh {
+						for j, t := range out[l+1][:len(d)] { // t = tanh(pre[l][j])
+							d[j] *= 1 - t*t
 						}
-						delta[l][j] = s * m.actGrad(pre[l][j])
+					} else {
+						for j, s := range p {
+							if s < 0 {
+								d[j] *= 0
+							}
+						}
 					}
 				}
 				for l := 0; l < L; l++ {
-					fanIn := m.dims[l]
-					for j := 0; j < m.dims[l+1]; j++ {
-						d := delta[l][j]
-						grow := gw[l][j*fanIn : (j+1)*fanIn]
-						for i2, v := range out[l] {
-							grow[i2] += d * v
-						}
-						gb[l][j] += d
+					x, g, bias := out[l], gw[l], gb[l][:len(delta[l])]
+					for j, d := range delta[l] {
+						axpy(g[j*len(x):(j+1)*len(x)], d, x)
+						bias[j] += d
 					}
 				}
 			}
@@ -215,11 +250,13 @@ func (m *Regressor) Fit(X [][]float64, y []float64) error {
 			corr1 := 1 - math.Pow(beta1, float64(step))
 			corr2 := 1 - math.Pow(beta2, float64(step))
 			for l := 0; l < L; l++ {
-				for i := range m.weights[l] {
-					g := gw[l][i]/bs + m.L2*m.weights[l][i]
-					mw[l][i] = beta1*mw[l][i] + (1-beta1)*g
-					vw[l][i] = beta2*vw[l][i] + (1-beta2)*g*g
-					m.weights[l][i] -= m.LearningRate * (mw[l][i] / corr1) / (math.Sqrt(vw[l][i]/corr2) + eps)
+				w, g, m1, v1 := m.weights[l], gw[l], mw[l], vw[l]
+				g, m1, v1 = g[:len(w)], m1[:len(w)], v1[:len(w)]
+				for i := range w {
+					gi := g[i]/bs + m.L2*w[i]
+					m1[i] = beta1*m1[i] + (1-beta1)*gi
+					v1[i] = beta2*v1[i] + (1-beta2)*gi*gi
+					w[i] -= m.LearningRate * (m1[i] / corr1) / (math.Sqrt(v1[i]/corr2) + eps)
 				}
 				for i := range m.biases[l] {
 					g := gb[l][i] / bs
@@ -239,24 +276,22 @@ func (m *Regressor) Predict(x []float64) float64 {
 	if !m.fitted {
 		return 0
 	}
-	cur := x
+	// One buffer per call, so concurrent Predicts share nothing: the layers
+	// alternate between its two halves, each as wide as the widest layer.
+	widest := 1
+	for _, d := range m.dims[1:] {
+		widest = max(widest, d)
+	}
+	buf := make([]float64, 2*widest)
+	cur, next, spare := x, buf[:widest], buf[widest:]
 	L := len(m.dims) - 1
 	for l := 0; l < L; l++ {
-		fanIn := m.dims[l]
-		next := make([]float64, m.dims[l+1])
-		for j := range next {
-			s := m.biases[l][j]
-			wrow := m.weights[l][j*fanIn : (j+1)*fanIn]
-			for i, v := range cur {
-				s += wrow[i] * v
-			}
-			if l == L-1 {
-				next[j] = s
-			} else {
-				next[j] = m.act(s)
-			}
+		out := next[:m.dims[l+1]]
+		affine(out, m.weights[l], m.biases[l], cur)
+		if l < L-1 {
+			activate(out, out, m.Act)
 		}
-		cur = next
+		cur, next, spare = out, spare, next
 	}
 	return cur[0]
 }

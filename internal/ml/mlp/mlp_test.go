@@ -125,3 +125,23 @@ func TestDefaults(t *testing.T) {
 		t.Fatalf("defaults not applied: %+v", m)
 	}
 }
+
+// Predict allocates one buffer per call (both halves of the layer ping-pong),
+// which is also what keeps concurrent Predicts from sharing state.
+func TestPredictAllocations(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	X := make([][]float64, 40)
+	y := make([]float64, len(X))
+	for i := range X {
+		X[i] = []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
+		y[i] = X[i][0] - X[i][2]
+	}
+	m := New([]int{9, 17, 4}, 1)
+	m.Epochs = 3
+	if err := m.Fit(X, y); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(50, func() { m.Predict(X[0]) }); n > 1 {
+		t.Errorf("Predict allocates %v times per call, want <= 1", n)
+	}
+}

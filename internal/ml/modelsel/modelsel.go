@@ -12,30 +12,24 @@ import (
 
 // CVResult aggregates per-split evaluation.
 type CVResult struct {
-	// TrainScores and TestScores hold one entry per split.
-	TrainScores []metrics.Scores
-	TestScores  []metrics.Scores
+	// TestScores holds one entry per split.
+	TestScores []metrics.Scores
 }
 
 // MeanTest averages the test scores over splits.
-func (r CVResult) MeanTest() metrics.Scores { return meanScores(r.TestScores) }
-
-// MeanTrain averages the train scores over splits.
-func (r CVResult) MeanTrain() metrics.Scores { return meanScores(r.TrainScores) }
-
-func meanScores(ss []metrics.Scores) metrics.Scores {
+func (r CVResult) MeanTest() metrics.Scores {
 	var acc metrics.Scores
-	if len(ss) == 0 {
+	if len(r.TestScores) == 0 {
 		return acc
 	}
-	for _, s := range ss {
+	for _, s := range r.TestScores {
 		acc = acc.Add(s)
 	}
-	return acc.Scale(1 / float64(len(ss)))
+	return acc.Scale(1 / float64(len(r.TestScores)))
 }
 
 // CrossValidate trains a fresh model per split and evaluates all five paper
-// metrics on both partitions.
+// metrics on the split's test partition.
 func CrossValidate(factory ml.Factory, X [][]float64, y []float64, splits []ml.Split) (CVResult, error) {
 	if err := ml.CheckXY(X, y); err != nil {
 		return CVResult{}, err
@@ -43,10 +37,7 @@ func CrossValidate(factory ml.Factory, X [][]float64, y []float64, splits []ml.S
 	if len(splits) == 0 {
 		return CVResult{}, fmt.Errorf("%w: no splits", ml.ErrBadData)
 	}
-	res := CVResult{
-		TrainScores: make([]metrics.Scores, len(splits)),
-		TestScores:  make([]metrics.Scores, len(splits)),
-	}
+	res := CVResult{TestScores: make([]metrics.Scores, len(splits))}
 	for si, sp := range splits {
 		trX, trY := ml.Gather(X, y, sp.Train)
 		teX, teY := ml.Gather(X, y, sp.Test)
@@ -54,7 +45,6 @@ func CrossValidate(factory ml.Factory, X [][]float64, y []float64, splits []ml.S
 		if err := model.Fit(trX, trY); err != nil {
 			return CVResult{}, fmt.Errorf("modelsel: split %d: %w", si, err)
 		}
-		res.TrainScores[si] = metrics.Evaluate(trY, ml.PredictAll(model, trX))
 		res.TestScores[si] = metrics.Evaluate(teY, ml.PredictAll(model, teX))
 	}
 	return res, nil

@@ -3,7 +3,7 @@ package tree
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/ml"
 )
@@ -56,11 +56,26 @@ func (r *Regressor) Fit(X [][]float64, y []float64) error {
 	if r.MaxFeatures < 0 {
 		return fmt.Errorf("ml/tree: MaxFeatures=%d", r.MaxFeatures)
 	}
+	g := grower{
+		r: r, X: X, y: y,
+		sorted: make([]sample, len(X)),
+		right:  make([]int, len(X)),
+	}
+	if r.FeatureOrder == nil {
+		numFeatures := len(X[0])
+		if r.MaxFeatures > 0 && r.MaxFeatures < numFeatures {
+			numFeatures = r.MaxFeatures
+		}
+		g.feats = make([]int, numFeatures)
+		for i := range g.feats {
+			g.feats[i] = i
+		}
+	}
 	idx := make([]int, len(X))
 	for i := range idx {
 		idx[i] = i
 	}
-	r.root = r.grow(X, y, idx, 0)
+	r.root = g.grow(idx, 0)
 	r.fitted = true
 	return nil
 }
@@ -84,59 +99,78 @@ func sse(y []float64, idx []int) float64 {
 	return s
 }
 
-func (r *Regressor) candidateFeatures(numFeatures int) []int {
-	if r.FeatureOrder != nil {
-		return r.FeatureOrder(numFeatures)
-	}
-	feats := make([]int, numFeatures)
-	for i := range feats {
-		feats[i] = i
-	}
-	if r.MaxFeatures > 0 && r.MaxFeatures < numFeatures {
-		return feats[:r.MaxFeatures]
-	}
-	return feats
+// sample is one training row as the split search sees it: the value of the
+// feature under examination and the row's target.
+type sample struct{ x, y float64 }
+
+// grower is one Fit's state: the training set and the scratch every node of
+// the recursion shares, so growing allocates nothing but the nodes.
+type grower struct {
+	r      *Regressor
+	X      [][]float64
+	y      []float64
+	sorted []sample // the node's rows in feature order
+	right  []int    // rows bound for the right child while idx is partitioned
+	feats  []int    // the features every split examines; nil under FeatureOrder
 }
 
-func (r *Regressor) grow(X [][]float64, y []float64, idx []int, depth int) *node {
-	leaf := &node{feature: -1, value: mean(y, idx)}
+func (g *grower) grow(idx []int, depth int) *node {
+	r, X, y := g.r, g.X, g.y
+	n := &node{feature: -1, value: mean(y, idx)}
 	if len(idx) < r.MinSamplesSplit {
-		return leaf
+		return n
 	}
 	if r.MaxDepth > 0 && depth >= r.MaxDepth {
-		return leaf
+		return n
 	}
 	parentSSE := sse(y, idx)
 	if parentSSE == 0 {
-		return leaf // pure node
+		return n // pure node
 	}
 
 	bestGain := 0.0
 	bestFeature := -1
 	var bestThresh float64
-	order := make([]int, len(idx))
-	for _, f := range r.candidateFeatures(len(X[0])) {
-		copy(order, idx)
-		sort.Slice(order, func(a, b int) bool { return X[order[a]][f] < X[order[b]][f] })
+	feats := g.feats
+	if r.FeatureOrder != nil {
+		feats = r.FeatureOrder(len(X[0]))
+	}
+	sorted := g.sorted[:len(idx)]
+	for _, f := range feats {
+		// The node's rows in idx order, sorted by feature f. The sort sees
+		// the keys sort.Slice over an index slice would, in the same
+		// positions, and both are the same pdqsort: equal keys come out in
+		// the same order, which the sums below depend on.
+		for k, i := range idx {
+			sorted[k] = sample{X[i][f], y[i]}
+		}
+		slices.SortFunc(sorted, func(a, b sample) int {
+			if a.x < b.x {
+				return -1
+			}
+			if b.x < a.x {
+				return 1
+			}
+			return 0
+		})
 		// Prefix sums over the sorted order for O(n) split evaluation.
 		var sumL, sumSqL float64
 		var sumR, sumSqR float64
-		for _, i := range order {
-			sumR += y[i]
-			sumSqR += y[i] * y[i]
+		for _, s := range sorted {
+			sumR += s.y
+			sumSqR += s.y * s.y
 		}
 		nL := 0
-		nR := len(order)
-		for k := 0; k < len(order)-1; k++ {
-			i := order[k]
-			sumL += y[i]
-			sumSqL += y[i] * y[i]
-			sumR -= y[i]
-			sumSqR -= y[i] * y[i]
+		nR := len(sorted)
+		for k, s := range sorted[:len(sorted)-1] {
+			sumL += s.y
+			sumSqL += s.y * s.y
+			sumR -= s.y
+			sumSqR -= s.y * s.y
 			nL++
 			nR--
 			// Can't split between equal feature values.
-			if X[order[k]][f] == X[order[k+1]][f] {
+			if s.x == sorted[k+1].x {
 				continue
 			}
 			if nL < r.MinSamplesLeaf || nR < r.MinSamplesLeaf {
@@ -148,31 +182,31 @@ func (r *Regressor) grow(X [][]float64, y []float64, idx []int, depth int) *node
 			if gain > bestGain+1e-12 {
 				bestGain = gain
 				bestFeature = f
-				bestThresh = (X[order[k]][f] + X[order[k+1]][f]) / 2
+				bestThresh = (s.x + sorted[k+1].x) / 2
 			}
 		}
 	}
 	if bestFeature < 0 {
-		return leaf
+		return n
 	}
-	var leftIdx, rightIdx []int
+	// Partition idx in place, both sides keeping their order.
+	nl, right := 0, g.right[:0]
 	for _, i := range idx {
 		if X[i][bestFeature] <= bestThresh {
-			leftIdx = append(leftIdx, i)
+			idx[nl] = i
+			nl++
 		} else {
-			rightIdx = append(rightIdx, i)
+			right = append(right, i)
 		}
 	}
-	if len(leftIdx) == 0 || len(rightIdx) == 0 {
-		return leaf // numerical degeneracy
+	if nl == 0 || len(right) == 0 {
+		return n // numerical degeneracy
 	}
-	return &node{
-		feature: bestFeature,
-		thresh:  bestThresh,
-		value:   leaf.value,
-		left:    r.grow(X, y, leftIdx, depth+1),
-		right:   r.grow(X, y, rightIdx, depth+1),
-	}
+	copy(idx[nl:], right)
+	n.feature, n.thresh = bestFeature, bestThresh
+	n.left = g.grow(idx[:nl], depth+1)
+	n.right = g.grow(idx[nl:], depth+1)
+	return n
 }
 
 // Predict walks the tree.

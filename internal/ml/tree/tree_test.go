@@ -184,3 +184,41 @@ func TestMaxFeaturesSubsetting(t *testing.T) {
 		t.Fatalf("Predict = %v, want 0.5 (cannot see feature 1)", got)
 	}
 }
+
+func countNodes(n *node) int {
+	if n == nil {
+		return 0
+	}
+	return 1 + countNodes(n.left) + countNodes(n.right)
+}
+
+// Fit allocates its nodes plus a fixed set of per-Fit scratch slices: what it
+// allocates beyond the nodes does not grow with the tree.
+func TestFitAllocationsIndependentOfNodeCount(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	X := make([][]float64, 300)
+	y := make([]float64, len(X))
+	for i := range X {
+		X[i] = []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
+		y[i] = rng.NormFloat64()
+	}
+	overhead := func(maxDepth int) (float64, int) {
+		m := New(maxDepth)
+		allocs := testing.AllocsPerRun(5, func() {
+			if err := m.Fit(X, y); err != nil {
+				t.Fatal(err)
+			}
+		})
+		nodes := countNodes(m.root)
+		return allocs - float64(nodes), nodes
+	}
+	stump, stumpNodes := overhead(1)
+	deep, deepNodes := overhead(0)
+	if deepNodes < 50*stumpNodes {
+		t.Fatalf("fixture too shallow: %d vs %d nodes", deepNodes, stumpNodes)
+	}
+	if stump != deep {
+		t.Errorf("allocations beyond the nodes: %v for %d nodes, %v for %d nodes; want equal",
+			stump, stumpNodes, deep, deepNodes)
+	}
+}
