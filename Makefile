@@ -22,19 +22,13 @@ BENCH_FILE ?= BENCH_7.json
 HARDEN_BENCH_FILE ?= BENCH_8.json
 HARDEN_INJECTIONS ?= 16
 
-# Kernel-vs-interpreter record file (see kernel-baseline) and its injection
-# budget: 8/FF is enough batches that the wide kernel path actually fills
-# its 256-lane batches on the benchmarked partial campaign.
-KERNEL_BENCH_FILE ?= BENCH_9.json
-KERNEL_INJECTIONS ?= 8
-
 # Fault-model cost record file (see faultmodel-baseline) and its injection
 # budget: 4/FF keeps every model's campaign in seconds while still filling
 # multi-run batches per chunk.
 FAULTMODEL_BENCH_FILE ?= BENCH_10.json
 FAULTMODEL_INJECTIONS ?= 4
 
-.PHONY: all build examples test race lint doc-check metrics-lint bench bench-baseline kernel-baseline serve-smoke corpus-smoke fabric-smoke load-smoke harden-smoke harden-baseline faultmodel-smoke faultmodel-baseline
+.PHONY: all build examples test race lint doc-check metrics-lint bench bench-baseline serve-smoke corpus-smoke fabric-smoke load-smoke harden-smoke harden-baseline faultmodel-smoke faultmodel-baseline
 
 all: lint build examples test doc-check
 
@@ -89,12 +83,14 @@ metrics-lint:
 # records right after. Note BenchmarkFlatInjectionCampaign is a prefix of
 # its Instrumented variant, so one pattern covers both. Besides the paper
 # experiments of the root package the run covers the simulator and chunk-
-# executor micro-benchmarks (BenchmarkKernelEval/Commit, BenchmarkRunChunks)
-# and the per-model ones in internal/core (BenchmarkModelFit/Predict per
-# Table I model, BenchmarkTuneKNN), so a cycle-loop or training-loop
-# regression localizes below the campaign and protocol level.
+# executor micro-benchmarks (BenchmarkKernelEval/Commit; BenchmarkRunChunks
+# per backend, interpreter beside kernel, with sim-cycles/injection and lane
+# occupancy), BenchmarkExtract in internal/features and the per-model ones
+# in internal/core (BenchmarkModelFit/Predict per Table I model,
+# BenchmarkTuneKNN), so a cycle-loop, feature or training-loop regression
+# localizes below the campaign and protocol level.
 bench:
-	FFR_INJECTIONS=$(FFR_INJECTIONS) $(GO) test -bench=. $(if $(BENCH_SKIP),-skip='$(BENCH_SKIP)') -benchtime=1x -run='^$$' . ./internal/sim ./internal/fault ./internal/core
+	FFR_INJECTIONS=$(FFR_INJECTIONS) $(GO) test -bench=. $(if $(BENCH_SKIP),-skip='$(BENCH_SKIP)') -benchtime=1x -run='^$$' . ./internal/sim ./internal/fault ./internal/features ./internal/core
 
 # Record the campaign and active-learning benchmarks (the perf trajectory of
 # the incremental engine plus the planner's budget-vs-quality headline) to
@@ -116,55 +112,6 @@ bench-baseline:
 	@grep -F '"Output":"Benchmark' $(BENCH_FILE) >/dev/null || \
 		{ echo "no benchmark results recorded in $(BENCH_FILE)"; exit 1; }
 	@echo "recorded campaign benchmarks to $(BENCH_FILE)"
-
-# Record the interpreter-vs-kernel campaign baseline (see
-# docs/ARCHITECTURE.md "Compiled kernels"): BenchmarkFlatInjectionCampaign
-# runs once per backend at the same injection budget, and the side-by-side
-# readout — wall-clock speedup_x plus the simulated-cycle reduction of the
-# fused wide-batch kernel — lands in $(KERNEL_BENCH_FILE), which CI uploads
-# as an artifact. The target FAILS if the kernel backend is slower than the
-# interpreter (speedup_x < 1); results are bit-identical either way, so a
-# failure here is a pure performance regression.
-kernel-baseline:
-	@set -e; \
-	tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; \
-	for backend in interp kernel; do \
-		echo "== BenchmarkFlatInjectionCampaign FFR_BACKEND=$$backend =="; \
-		FFR_INJECTIONS=$(KERNEL_INJECTIONS) FFR_BACKEND=$$backend \
-			$(GO) test -bench='^BenchmarkFlatInjectionCampaign$$' \
-			-benchtime=3x -count=3 -run='^$$' . | tee $$tmp/$$backend.out; \
-	done; \
-	awk -v inj=$(KERNEL_INJECTIONS) ' \
-		FNR == 1 { side++ } \
-		/^BenchmarkFlatInjectionCampaign/ { \
-			ns = ""; \
-			for (i = 3; i < NF; i++) if ($$(i+1) == "ns/op") ns = $$i; \
-			if (ns == "" ) next; \
-			if (m[side ",ns/op"] == "" || ns + 0 < m[side ",ns/op"] + 0) \
-				for (i = 3; i < NF; i++) if ($$(i+1) !~ /^[0-9.]/) m[side "," $$(i+1)] = $$i; \
-		} \
-		END { \
-			if (m["1,ns/op"] == "" || m["2,ns/op"] == "") { \
-				print "kernel-baseline: missing benchmark results" > "/dev/stderr"; exit 1; \
-			} \
-			printf "{\n"; \
-			printf "  \"benchmark\": \"BenchmarkFlatInjectionCampaign\",\n"; \
-			printf "  \"injections_per_ff\": %d,\n", inj; \
-			printf "  \"interp\": {\"ns_per_op\": %s, \"sim_cycles_per_op\": %s, \"cycle_speedup\": %s, \"gt_sim_cycles\": %s, \"gt_cycle_speedup\": %s},\n", \
-				m["1,ns/op"], m["1,sim_cycles/op"], m["1,cycle_speedup"], m["1,gt_sim_cycles"], m["1,gt_cycle_speedup"]; \
-			printf "  \"kernel\": {\"ns_per_op\": %s, \"sim_cycles_per_op\": %s, \"cycle_speedup\": %s, \"gt_sim_cycles\": %s, \"gt_cycle_speedup\": %s},\n", \
-				m["2,ns/op"], m["2,sim_cycles/op"], m["2,cycle_speedup"], m["2,gt_sim_cycles"], m["2,gt_cycle_speedup"]; \
-			printf "  \"speedup_x\": %.3f,\n", m["1,ns/op"] / m["2,ns/op"]; \
-			printf "  \"sim_cycle_reduction_x\": %.3f,\n", m["1,sim_cycles/op"] / m["2,sim_cycles/op"]; \
-			printf "  \"gt_sim_cycle_reduction_x\": %.3f\n", m["1,gt_sim_cycles"] / m["2,gt_sim_cycles"]; \
-			printf "}\n"; \
-		} \
-	' $$tmp/interp.out $$tmp/kernel.out > $(KERNEL_BENCH_FILE); \
-	cat $(KERNEL_BENCH_FILE); \
-	speed=$$(sed -n 's/.*"speedup_x": \([0-9.]*\).*/\1/p' $(KERNEL_BENCH_FILE)); \
-	awk -v s=$$speed 'BEGIN { exit !(s >= 1.0) }' || \
-		{ echo "kernel-baseline: kernel backend slower than interpreter (speedup_x=$$speed)"; exit 1; }; \
-	echo "recorded kernel baseline to $(KERNEL_BENCH_FILE) (speedup_x=$$speed)"
 
 # Fault-model distinctness gate: the pinned fixed-seed run asserting that
 # MBU/stuck-at campaigns do NOT reproduce the SEU failure profile and that

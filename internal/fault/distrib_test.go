@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/obs"
 )
 
 // TestRunChunksMergeMatchesRun pins the distributed substrate, per fault
@@ -202,7 +203,10 @@ func TestPlanShardsGeometry(t *testing.T) {
 
 // BenchmarkRunChunks measures the chunk executor end to end — worker state
 // set-up, batch packing, windowed simulation, classification — over every
-// chunk of a small-MAC plan, per backend, on one worker.
+// chunk of a small-MAC plan, per backend, on one worker. Beside the time it
+// reports the exact, repeatable counts behind it: engine cycles simulated
+// per injection and, on the kernel, lane occupancy (active / window
+// lane-cycles).
 func BenchmarkRunChunks(b *testing.B) {
 	p, bench := smallMAC(b)
 	jobs := fault.NewPlan(p.NumFFs(), 8, bench.ActiveCycles, 41)
@@ -216,8 +220,9 @@ func BenchmarkRunChunks(b *testing.B) {
 	}
 	for _, backend := range []fault.Backend{fault.BackendInterp, fault.BackendKernel} {
 		b.Run(string(backend), func(b *testing.B) {
+			reg := obs.NewRegistry()
 			r, err := fault.NewRunner(p, bench.Stim, bench.Monitors, fault.NewMACClassifier(bench, true),
-				fault.RunnerConfig{Workers: 1, Backend: backend})
+				fault.RunnerConfig{Workers: 1, Backend: backend, Metrics: reg})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -231,7 +236,13 @@ func BenchmarkRunChunks(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(jobs)), "ns/injection")
+			injections := float64(b.N) * float64(len(jobs))
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/injections, "ns/injection")
+			count := func(name string) float64 { return reg.Counter(name, "").Value() }
+			b.ReportMetric(count("ffr_campaign_simulated_cycles_total")/injections, "sim-cycles/injection")
+			if window := count("ffr_campaign_window_lane_cycles_total"); window > 0 {
+				b.ReportMetric(count("ffr_campaign_active_lane_cycles_total")/window, "lane-occupancy")
+			}
 		})
 	}
 }

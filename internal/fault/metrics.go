@@ -19,6 +19,9 @@ const (
 	// exitWindowEnd: the batch ran to the end of the stimulus window (no
 	// early exit).
 	exitWindowEnd = "window_end"
+	// exitRepacked: the kernel path cut the group's wide batch with these
+	// lanes still undecided and re-injected them in a later round.
+	exitRepacked = "repacked"
 )
 
 // campaignMetrics is the campaign engine's observability surface
@@ -39,6 +42,7 @@ type campaignMetrics struct {
 	lanesPerBatch   *obs.Gauge
 	activeLanes     *obs.Counter
 	windowLanes     *obs.Counter
+	repackedLanes   *obs.Counter
 }
 
 // newCampaignMetrics precomputes the backend-labeled children for the
@@ -51,7 +55,7 @@ func newCampaignMetrics(reg *obs.Registry, backend string) *campaignMetrics {
 			"per-chunk simulation wall time in seconds by simulation backend",
 			obs.DefBuckets, "backend").With(backend),
 		batches: reg.Counter("ffr_campaign_batches_total",
-			"64-lane batches simulated"),
+			"64-lane batches of the plan simulated (a repacked lane's second window is not another batch)"),
 		simCycles: reg.Counter("ffr_campaign_simulated_cycles_total",
 			"engine cycles actually simulated"),
 		replayCycles: reg.Counter("ffr_campaign_replay_cycles_total",
@@ -61,7 +65,7 @@ func newCampaignMetrics(reg *obs.Registry, backend string) *campaignMetrics {
 		ffCycles: reg.Counter("ffr_campaign_fastforward_cycles_total",
 			"engine cycles skipped by golden-state snapshot fast-forward"),
 		earlyExits: reg.CounterVec("ffr_campaign_early_exits_total",
-			"incremental batches by how their simulation window ended", "reason"),
+			"64-lane simulation windows by how they ended (repacked: cut with stragglers left for a later kernel round)", "reason"),
 		ckSeconds: reg.Histogram("ffr_campaign_checkpoint_seconds",
 			"checkpoint save latency in seconds", obs.DefBuckets),
 		jobsDone: reg.Gauge("ffr_campaign_jobs_done",
@@ -73,7 +77,9 @@ func newCampaignMetrics(reg *obs.Registry, backend string) *campaignMetrics {
 		activeLanes: reg.Counter("ffr_campaign_active_lane_cycles_total",
 			"kernel-batch lane-cycles spent on lanes still undecided at the start of their snapshot interval (lane occupancy = active/window)"),
 		windowLanes: reg.Counter("ffr_campaign_window_lane_cycles_total",
-			"kernel-batch lane-cycles simulated, whole engine width, counted per completed snapshot interval"),
+			"kernel-batch lane-cycles simulated, whole engine width (lanes per batch x simulated cycles)"),
+		repackedLanes: reg.Counter("ffr_campaign_repacked_lanes_total",
+			"lanes a cut kernel batch left undecided, re-injected from their injection cycle in a later round"),
 	}
 }
 
@@ -101,18 +107,18 @@ func (m *campaignMetrics) observeChunk(cr chunkResult) {
 		return
 	}
 	m.chunksCompleted.Inc()
+	m.batches.Add(float64(len(cr.masks)))
 	m.chunkSeconds.Observe(cr.elapsed.Seconds())
 	m.simCycles.Add(float64(cr.simCycles))
 	m.replayCycles.Add(float64(cr.replayCycles))
 }
 
-// observeBatch records one incremental batch: the fast-forwarded prefix
-// [0, start) and how the simulation window ended at stop of total cycles.
+// observeBatch records one incremental 64-lane window: the fast-forwarded
+// prefix [0, start) and how the window ended at stop of total cycles.
 func (m *campaignMetrics) observeBatch(start, stop, cycles int, used, failed, settled uint64) {
 	if m == nil {
 		return
 	}
-	m.batches.Inc()
 	if start > 0 {
 		m.ffHits.Inc()
 		m.ffCycles.Add(float64(start))
@@ -120,6 +126,8 @@ func (m *campaignMetrics) observeBatch(start, stop, cycles int, used, failed, se
 	reason := exitWindowEnd
 	if stop < cycles {
 		switch {
+		case used&^(failed|settled) != 0:
+			reason = exitRepacked
 		case used&^failed == 0:
 			reason = exitAllFailed
 		case used&^settled == 0:
@@ -131,20 +139,21 @@ func (m *campaignMetrics) observeBatch(start, stop, cycles int, used, failed, se
 	m.earlyExits.With(reason).Inc()
 }
 
-// observeLaneCycles records one wide batch's lane occupancy.
-func (m *campaignMetrics) observeLaneCycles(active, window int) {
+// observeWideBatch records one wide batch's lane occupancy and the lanes it
+// left for a later round.
+func (m *campaignMetrics) observeWideBatch(active, window, repacked int) {
 	if m == nil {
 		return
 	}
 	m.activeLanes.Add(float64(active))
 	m.windowLanes.Add(float64(window))
+	m.repackedLanes.Add(float64(repacked))
 }
 
 func (m *campaignMetrics) observeNaiveBatch() {
 	if m == nil {
 		return
 	}
-	m.batches.Inc()
 	m.earlyExits.With(exitWindowEnd).Inc()
 }
 

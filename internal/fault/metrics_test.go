@@ -1,7 +1,6 @@
 package fault_test
 
 import (
-	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -16,12 +15,12 @@ import (
 
 // TestCampaignMetrics pins the ffr_campaign_* families: an instrumented
 // campaign must report consistent chunk/batch/job counts, a plausible
-// fast-forward hit rate, and early-exit accounting that covers every
-// batch.
+// fast-forward hit rate, early-exit accounting that covers every window,
+// and — on chunks of several kernel batches — the repacking it did.
 func TestCampaignMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
 	r, jobs := newRunner(t, fault.RunnerConfig{
-		ChunkJobs: sim.Lanes,
+		ChunkJobs: 8 * sim.Lanes,
 		Workers:   2,
 		Metrics:   reg,
 	})
@@ -41,6 +40,7 @@ func TestCampaignMetrics(t *testing.T) {
 		"ffr_campaign_replay_cycles_total",
 		"ffr_campaign_active_lane_cycles_total",
 		"ffr_campaign_window_lane_cycles_total",
+		"ffr_campaign_repacked_lanes_total",
 		"ffr_campaign_early_exits_total",
 		"ffr_campaign_jobs_done",
 		"ffr_campaign_jobs_total",
@@ -79,15 +79,22 @@ func TestCampaignMetrics(t *testing.T) {
 	if got := get("ffr_campaign_replay_cycles_total"); got != float64(res.ReplayCycles) {
 		t.Fatalf("replay cycles %v, result says %d", got, res.ReplayCycles)
 	}
-	// Lane occupancy of the kernel batches: whole snapshot intervals at the
-	// engine's full width, of which the undecided lanes are a non-empty part.
+	// Lane occupancy of the kernel batches: every simulated cycle at the
+	// engine's full width, trailing partial snapshot intervals included, of
+	// which the undecided lanes are a non-empty part.
 	active, window := get("ffr_campaign_active_lane_cycles_total"), get("ffr_campaign_window_lane_cycles_total")
-	interval := float64(sim.Lanes * sim.DefaultKernelWords * sim.DefaultSnapshotEvery)
-	if window <= 0 || math.Mod(window, interval) != 0 || window > float64(res.SimulatedCycles*sim.Lanes*sim.DefaultKernelWords) {
-		t.Fatalf("window lane-cycles %v: want a positive multiple of %v within %d simulated cycles", window, interval, res.SimulatedCycles)
+	if want := get("ffr_campaign_lanes_per_batch") * float64(res.SimulatedCycles); window != want {
+		t.Fatalf("window lane-cycles %v, want lanes per batch x %d simulated cycles = %v", window, res.SimulatedCycles, want)
 	}
 	if active <= 0 || active > window {
 		t.Fatalf("active lane-cycles %v outside (0, %v]", active, window)
+	}
+	// Repacking: every cut group is an early exit of its own reason, every
+	// lane it left behind was re-injected, and each round passes on at most
+	// a quarter of its lanes (1/4 + 1/16 + ... < 1/3 of the plan).
+	cut, repacked := get(`ffr_campaign_early_exits_total{reason="repacked"}`), get("ffr_campaign_repacked_lanes_total")
+	if cut <= 0 || repacked < cut || repacked > float64(res.TotalRuns)/3 {
+		t.Fatalf("%v groups cut with %v lanes repacked of %d", cut, repacked, res.TotalRuns)
 	}
 }
 

@@ -20,7 +20,7 @@ import (
 // checkpoints completed-chunk state to disk so an interrupted campaign can
 // resume exactly where it stopped.
 //
-// Simulation is incremental by default. Three mechanisms compose, all of
+// Simulation is incremental by default. Four mechanisms compose, all of
 // them result-preserving (the equivalence suite pins bit-identical failure
 // masks against the naive full-replay path):
 //
@@ -37,6 +37,12 @@ import (
 //   - Cycle-clustered scheduling: jobs are packed into batches in ascending
 //     injection-cycle order (see Schedule), so each batch spans a narrow
 //     cycle window and the prefix skip actually bites.
+//   - Straggler repacking (kernel backend, wide.go): a 256-lane batch stops
+//     once at most a quarter of its lanes are undecided, and a chunk's
+//     stragglers are re-injected together in a later, denser batch instead
+//     of each keeping a whole batch running to the end of the stimulus. A
+//     decided verdict is final and a lane's simulation is a pure function
+//     of its job, so the re-run changes no verdict.
 //
 // Determinism is structural: a chunk's failure masks depend only on the
 // plan, the schedule and the golden trace, never on scheduling of workers,
@@ -171,10 +177,6 @@ type Runner struct {
 	// clusters are the lazily computed MBU proximity clusters.
 	clusterOnce sync.Once
 	clusters    [][]int
-
-	kernOnce sync.Once
-	kern     *sim.Kernel
-	kernErr  error
 
 	goldenOnce sync.Once
 	golden     *sim.Trace

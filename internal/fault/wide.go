@@ -1,86 +1,65 @@
 package fault
 
 import (
-	"fmt"
 	"math/bits"
-	"sort"
-	"sync"
 
 	"repro/internal/sim"
 )
 
 // wide.go is the kernel backend's batch path: chunks are simulated as wide
-// batches of W consecutive 64-lane groups (W = sim.DefaultKernelWords) on
-// compiled fused-op bytecode instead of one group at a time on the
-// interpreter. Group g of a wide batch covers exactly the jobs narrow
-// batch wb+g would, in the same scheduled order, and emits its failure
-// mask at the same position of the chunk's mask slice — so chunk masks,
-// checkpoints and merged results are bit-identical to the interpreter path
-// and wide batches never cross chunk boundaries.
+// batches of W 64-lane groups (W = sim.DefaultKernelWords) on compiled
+// fused-op bytecode instead of one group at a time on the interpreter. A
+// chunk's verdicts land at the same bit of the same mask the interpreter
+// path writes — masks[(pos-lo)/64], bit (pos-lo)%64 for scheduled position
+// pos — so chunk masks, checkpoints and merged results are bit-identical to
+// it, and wide batches never cross chunk boundaries.
 //
-// Early exit runs per group over the shared window: the wide batch stops
-// once EVERY group's lanes are decided (confirmed failed or settled back
-// to golden). Groups that decide early keep simulating until the last
-// straggler, which is sound because settled lanes evolve identically to
-// golden (their recorded rows equal the golden fill the narrow path uses)
-// and stream-confirmed failures are final regardless of the trace suffix —
-// the per-batch classification below is post hoc over the reconstructed
-// trace, exactly like the narrow path.
+// Early exit runs per lane over the shared window: a lane is decided once a
+// stream confirmed it failed or it settled back to golden state. Decided
+// lanes keep simulating while the window runs, which is sound because
+// settled lanes evolve identically to golden (their recorded rows equal the
+// golden fill the narrow path uses) and stream-confirmed failures are final
+// regardless of the trace suffix — the per-group classification is post hoc
+// over the reconstructed trace, exactly like the narrow path.
+//
+// It is also mostly wasted: a few latent lanes per batch stay undecided to
+// the end of the stimulus. So a chunk is a work list of scheduled positions
+// simulated in rounds. Each round packs its list, in order, into wide
+// batches (round one is the plan's own packing). A batch stops at the first
+// snapshot boundary that leaves at most 1/repackFraction of its lanes
+// undecided; the decided lanes are classified then and there, and the
+// stragglers join the next round's list, where they are re-injected from
+// their own injection cycle packed densely with the other batches'
+// stragglers. A list that fits one batch is the final round and runs until
+// every lane is decided. Re-running a lane cannot change its verdict: lanes
+// are independent and a lane's events are a pure function of its job
+// (expandJob, appendGlitches), so nothing is carried between rounds.
 
-// kernelCache memoizes compiled kernels process-wide, keyed by program
-// identity and the kept-port signature. Studies build an ephemeral Runner
-// per partial campaign over the same program; without the cache every one
-// of those would re-run the compiler pipeline. Kernels are immutable after
-// BuildKernel (all mutable state lives in KernelEngine), so sharing across
-// runners and goroutines is safe. Entries live until process exit, bounded
-// by the number of distinct (program, monitor-set) pairs.
-var kernelCache sync.Map // kernelKey -> *kernelEntry
+// repackFraction sets the cut: a batch is repacked once at most a quarter of
+// its lanes are undecided, so four cut batches' stragglers fill at most one
+// batch of the next round and rounds shrink geometrically. Swept on the MAC
+// ground truth (simulated cycles): never cutting 23.4 k, 1/8 14.4 k, 1/4
+// 13.0 k, 1/3 15.1 k (4×85 stragglers overflow one batch), 1/2 12.8 k but
+// slower (a third round's fixed costs), 3/4 15.1 k.
+const repackFraction = 4
 
-type kernelKey struct {
-	p     *sim.Program
-	ports string
-}
-
-type kernelEntry struct {
-	once sync.Once
-	k    *sim.Kernel
-	err  error
-}
-
-// kernel compiles the program once per (program, observed ports), keeping
-// exactly the output ports the campaign observes: the monitored ports and
-// every loopback source (the stimulus reads those back each cycle).
-// Everything else is dead fanout to the campaign and is pruned.
+// kernel returns the program's kernel keeping exactly the output ports the
+// campaign observes: the monitored ports and every loopback source (the
+// stimulus reads those back each cycle). Everything else is dead fanout to
+// the campaign and is pruned. The program memoizes it per port set.
 func (r *Runner) kernel() (*sim.Kernel, error) {
-	r.kernOnce.Do(func() {
-		keep := make(map[int]bool, len(r.monitors))
-		for _, m := range r.monitors {
-			keep[m] = true
-		}
-		for _, lb := range r.stim.Loopbacks() {
-			keep[lb.Out] = true
-		}
-		ports := make([]int, 0, len(keep))
-		for p := range keep {
-			ports = append(ports, p)
-		}
-		sort.Ints(ports)
-		key := kernelKey{p: r.p, ports: fmt.Sprint(ports)}
-		ent, _ := kernelCache.LoadOrStore(key, &kernelEntry{})
-		e := ent.(*kernelEntry)
-		e.once.Do(func() {
-			e.k, e.err = sim.BuildKernel(r.p, sim.KernelConfig{KeepOutputs: ports})
-		})
-		r.kern, r.kernErr = e.k, e.err
-	})
-	return r.kern, r.kernErr
+	keep := append([]int(nil), r.monitors...)
+	for _, lb := range r.stim.Loopbacks() {
+		keep = append(keep, lb.Out)
+	}
+	return r.p.Kernel(keep)
 }
 
 // wideWorkerState is the reusable per-worker state of the kernel path: the
 // wide engine, one faulty-trace buffer and stream per batch word, the
-// per-word lane bookkeeping and the window hooks reading it, all recycled
-// across wide batches so a steady-state batch allocates nothing beyond the
-// classifier's own streams.
+// per-word lane bookkeeping, the window hooks reading it and the chunk's
+// work lists, all recycled across wide batches so a steady-state batch
+// allocates nothing beyond the classifier's own streams.
 type wideWorkerState struct {
 	golden *sim.Trace
 	e      *sim.KernelEngine
@@ -88,6 +67,9 @@ type wideWorkerState struct {
 	flips  []flipOp
 	// glitches collects the batch's SET output glitches per word.
 	glitches [][]laneGlitch
+	// work is the current round's scheduled positions, next the stragglers
+	// its batches leave for the following round.
+	work, next []int
 
 	// The current batch, as its window hooks see it: the next event to
 	// apply, the groups in use and their streams and lane sets.
@@ -98,13 +80,21 @@ type wideWorkerState struct {
 	pending []uint64
 	failed  []uint64
 	settled []uint64
+	// glitched are the lanes carrying a SET output glitch. Glitches are
+	// XORed into the trace after the window, so a stream never saw them and
+	// must not confirm these lanes: where the cut splices the golden suffix
+	// on is not theirs to choose. They decide by settling.
+	glitched []uint64
+	// cutAt stops the window at a snapshot boundary leaving this many lanes
+	// or fewer undecided: 0 on a final round.
+	cutAt int
 	// window is the hook set handed to sim.RunWindowWide, bound once.
 	window sim.WideWindowConfig
 
-	// Lane occupancy of the current batch, counted once per snapshot
-	// interval: the intervals simulated, and summed over them the lanes
-	// that were still undecided when each began.
-	intervals, activeLanes int
+	// Lane occupancy of the current batch: the lanes undecided when the
+	// snapshot interval in progress began at cycle since, and the
+	// lane-cycles the closed intervals spent on such lanes.
+	undecidedLanes, since, activeLaneCycles int
 }
 
 func newWideWorkerState(r *Runner, cp *chunkPlan) *wideWorkerState {
@@ -120,6 +110,7 @@ func newWideWorkerState(r *Runner, cp *chunkPlan) *wideWorkerState {
 		pending:  make([]uint64, W),
 		failed:   make([]uint64, W),
 		settled:  make([]uint64, W),
+		glitched: make([]uint64, W),
 	}
 	for i := range ws.traces {
 		ws.traces[i] = sim.NewTrace(r.monitors, r.stim.Cycles())
@@ -152,75 +143,86 @@ func (ws *wideWorkerState) applyEvents(c int) {
 // the window once every lane is decided.
 func (ws *wideWorkerState) onCycle(c int) bool {
 	gr := ws.golden.Row(c)
+	undecided := uint64(0)
 	for g := 0; g < ws.groups; g++ {
-		ws.failed[g] = ws.streams[g].Observe(c, gr, ws.traces[g].Row(c))
+		ws.failed[g] = ws.streams[g].Observe(c, gr, ws.traces[g].Row(c)) &^ ws.glitched[g]
+		undecided |= ws.undecided(g)
 	}
-	return !ws.undecided()
+	return undecided == 0
 }
 
 // onSnapshot settles the lanes that re-converged to golden state with no
-// event still pending, and stops the window once every lane is decided.
+// event still pending, and stops the window once few enough lanes are left
+// undecided: none, or on a non-final round the share worth repacking.
 func (ws *wideWorkerState) onSnapshot(c int, diverged []uint64) bool {
-	ws.intervals++
+	ws.closeInterval(c)
+	ws.undecidedLanes = 0
 	for g := 0; g < ws.groups; g++ {
-		// settled still holds the previous boundary's verdict: the lanes it
-		// leaves undecided are the ones the interval just simulated was for.
-		ws.activeLanes += bits.OnesCount64(ws.used[g] &^ (ws.settled[g] | ws.failed[g]))
 		ws.settled[g] = ws.used[g] &^ diverged[g] &^ ws.pending[g]
+		ws.undecidedLanes += bits.OnesCount64(ws.undecided(g))
 	}
-	return !ws.undecided()
+	return ws.undecidedLanes <= ws.cutAt
 }
 
-func (ws *wideWorkerState) undecided() bool {
-	for g := 0; g < ws.groups; g++ {
-		if ws.used[g]&^(ws.settled[g]|ws.failed[g]) != 0 {
-			return true
-		}
-	}
-	return false
+// closeInterval accounts the snapshot interval ending at cycle c — whole, or
+// cut short by the end of the window — to the lanes undecided at its start.
+func (ws *wideWorkerState) closeInterval(c int) {
+	ws.activeLaneCycles += ws.undecidedLanes * (c - ws.since)
+	ws.since = c
 }
 
-// runChunkWide simulates chunk ci as wide batches and returns the same
-// per-64-lane-batch failure masks runChunk would, in the same order.
+// undecided returns group g's lanes neither confirmed failed nor settled.
+func (ws *wideWorkerState) undecided(g int) uint64 {
+	return ws.used[g] &^ (ws.settled[g] | ws.failed[g])
+}
+
+// runChunkWide simulates chunk ci in rounds of wide batches (see the file
+// comment) and returns the same per-64-lane-batch failure masks runChunk
+// would, plus the engine cycles run, re-runs included.
 func (r *Runner) runChunkWide(ws *wideWorkerState, cp *chunkPlan, ci int) ([]uint64, int64) {
-	nb := cp.sh.chunkBatches(ci)
-	masks := make([]uint64, 0, nb)
-	var simCycles int64
-	W := ws.e.Words()
-	for wb := 0; wb < nb; wb += W {
-		groups := W
-		if wb+groups > nb {
-			groups = nb - wb
-		}
-		var cycles int
-		masks, cycles = r.runBatchWide(ws, cp, ci, wb, groups, masks)
-		simCycles += int64(cycles)
+	lo, hi := cp.sh.chunkRange(ci)
+	masks := make([]uint64, cp.sh.chunkBatches(ci))
+	work := ws.work[:0]
+	for pos := lo; pos < hi; pos++ {
+		work = append(work, pos)
 	}
+	wide := ws.e.Words() * sim.Lanes
+	var simCycles int64
+	for len(work) > 0 {
+		final := len(work) <= wide
+		ws.next = ws.next[:0]
+		for i := 0; i < len(work); i += wide {
+			simCycles += int64(r.runBatchWide(ws, cp, lo, work[i:min(i+wide, len(work))], final, masks))
+		}
+		work, ws.next = ws.next, work
+	}
+	ws.work = work
 	return masks, simCycles
 }
 
-// runBatchWide simulates one wide batch of `groups` 64-lane groups
-// (narrow-batch indices wb..wb+groups-1 of chunk ci), appends one failure
-// mask per group to masks and returns the window length simulated. The
-// window is counted once per wide batch — each additional word rides the
-// same combinational passes — so the simulated-cycle totals reflect the
-// widening win.
-func (r *Runner) runBatchWide(ws *wideWorkerState, cp *chunkPlan, ci, wb, groups int, masks []uint64) ([]uint64, int) {
+// runBatchWide simulates the scheduled positions batch as one wide batch,
+// lane i%64 of group i/64 carrying batch[i]. It ORs the decided lanes'
+// verdicts into the chunk's masks (lo is the chunk's first position),
+// appends the positions still undecided — none when final — to ws.next, and
+// returns the window length simulated. The window is counted once per wide
+// batch — each additional word rides the same combinational passes — so the
+// simulated-cycle totals reflect the widening win.
+func (r *Runner) runBatchWide(ws *wideWorkerState, cp *chunkPlan, lo int, batch []int, final bool, masks []uint64) int {
 	snaps, golden := cp.snaps, cp.golden
-	lo, hi := cp.sh.chunkRange(ci)
+	groups := (len(batch) + sim.Lanes - 1) / sim.Lanes
+	carried := len(ws.next)
 	ws.flips = ws.flips[:0]
-	ws.ptr, ws.groups = 0, groups
+	ws.ptr, ws.groups, ws.cutAt = 0, groups, 0
+	ws.undecidedLanes, ws.activeLaneCycles = len(batch), 0
+	if !final {
+		ws.cutAt = len(batch) / repackFraction
+	}
 	used, failed, settled := ws.used, ws.failed, ws.settled
 	for g := 0; g < groups; g++ {
 		used[g], failed[g], settled[g] = 0, 0, 0
 		ws.glitches[g] = ws.glitches[g][:0]
-		blo := lo + (wb+g)*sim.Lanes
-		bhi := blo + sim.Lanes
-		if bhi > hi {
-			bhi = hi
-		}
 		var eventless uint64
-		for lane, pos := 0, blo; pos < bhi; lane, pos = lane+1, pos+1 {
+		for lane, pos := range batch[g*sim.Lanes : min((g+1)*sim.Lanes, len(batch))] {
 			job := cp.jobs[jobIndex(cp.order, pos)]
 			laneMask := uint64(1) << uint(lane)
 			n := len(ws.flips)
@@ -236,13 +238,20 @@ func (r *Runner) runBatchWide(ws *wideWorkerState, cp *chunkPlan, ci, wb, groups
 		}
 		// Eventless lanes are never pending: their state is golden forever.
 		ws.pending[g] = used[g] &^ eventless
+		ws.glitched[g] = 0
+		for i := range ws.glitches[g] {
+			ws.glitched[g] |= ws.glitches[g][i].mask
+		}
 	}
 	sortFlips(ws.flips)
 
 	// A wide batch with no events at all (possible under SET) needs no
-	// simulation: every group's trace is the golden trace plus glitches.
+	// simulation: every lane is settled from the start, its trace the
+	// golden trace plus glitches.
 	var start, stop int
-	if len(ws.flips) > 0 {
+	if len(ws.flips) == 0 {
+		copy(settled[:groups], used)
+	} else {
 		minCycle := ws.flips[0].cycle
 		start = snaps.SnapCycle(snaps.IndexAtOrBefore(minCycle))
 		if sc, ok := r.cls.(StreamClassifier); ok {
@@ -250,11 +259,11 @@ func (r *Runner) runBatchWide(ws *wideWorkerState, cp *chunkPlan, ci, wb, groups
 				ws.streams[g] = sc.StartStream(golden, used[g], start)
 			}
 		}
+		ws.since = start
 		ws.window.Traces = ws.traces[:groups]
 		stop = sim.RunWindowWide(ws.e, r.stim, snaps, minCycle, ws.window)
+		ws.closeInterval(stop)
 	}
-	r.metrics.observeLaneCycles(ws.activeLanes*snaps.Every(), ws.intervals*ws.e.Words()*sim.Lanes*snaps.Every())
-	ws.intervals, ws.activeLanes = 0, 0
 	for g := 0; g < groups; g++ {
 		tr := ws.traces[g]
 		tr.CopyCycles(golden, 0, start)
@@ -264,7 +273,20 @@ func (r *Runner) runBatchWide(ws *wideWorkerState, cp *chunkPlan, ci, wb, groups
 			tr.XORWord(gl.cycle, gl.mon, gl.mask)
 		}
 		r.metrics.observeBatch(start, stop, r.stim.Cycles(), used[g], failed[g], settled[g])
-		masks = append(masks, r.cls.FailingLanes(golden, tr, used[g]))
+		// A window that reached the end of the stimulus decided every lane.
+		var repack uint64
+		if stop < r.stim.Cycles() {
+			repack = ws.undecided(g)
+		}
+		group := batch[g*sim.Lanes:]
+		for m := r.cls.FailingLanes(golden, tr, used[g]&^repack); m != 0; m &= m - 1 {
+			at := group[bits.TrailingZeros64(m)] - lo
+			masks[at/sim.Lanes] |= 1 << uint(at%sim.Lanes)
+		}
+		for m := repack; m != 0; m &= m - 1 {
+			ws.next = append(ws.next, group[bits.TrailingZeros64(m)])
+		}
 	}
-	return masks, stop - start
+	r.metrics.observeWideBatch(ws.activeLaneCycles, (stop-start)*ws.e.Words()*sim.Lanes, len(ws.next)-carried)
+	return stop - start
 }

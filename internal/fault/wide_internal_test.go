@@ -1,40 +1,59 @@
 package fault
 
 import (
+	"context"
+	"runtime"
+	"slices"
+	"sync"
 	"testing"
+	"weak"
 
 	"repro/internal/circuit"
+	"repro/internal/netlist"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
-// TestRunBatchWideSteadyStateAllocs pins the kernel path's per-batch
-// allocations: once a worker's state is warm, a wide batch allocates
-// nothing in the window loop or the runner — no loopback or divergence
-// buffers, no hook closures — only the classifier's one stream per group.
-func TestRunBatchWideSteadyStateAllocs(t *testing.T) {
+var wideFixture struct {
+	once  sync.Once
+	p     *sim.Program
+	bench *circuit.MACBench
+	err   error
+}
+
+// wideMAC is this package-internal suite's copy of the small MAC fixture.
+func wideMAC(t *testing.T) (*sim.Program, *circuit.MACBench) {
+	t.Helper()
+	f := &wideFixture
+	f.once.Do(func() { f.p, f.bench, f.err = buildWideMAC() })
+	if f.err != nil {
+		t.Fatal(f.err)
+	}
+	return f.p, f.bench
+}
+
+func buildWideMAC() (*sim.Program, *circuit.MACBench, error) {
 	nl, err := circuit.NewMAC10GE(circuit.MACConfig{FIFODepth: 16, StatWidth: 16})
 	if err != nil {
-		t.Fatal(err)
+		return nil, nil, err
 	}
 	if err := circuit.Synthesize(nl); err != nil {
-		t.Fatal(err)
+		return nil, nil, err
 	}
 	p, err := sim.Compile(nl)
 	if err != nil {
-		t.Fatal(err)
+		return nil, nil, err
 	}
 	bench, err := circuit.BuildMACBench(p, circuit.MACBenchConfig{
 		Packets: 4, MinPayload: 4, MaxPayload: 6, Gap: 10,
 		DrainCycles: 40, Seed: 99, FIFODepth: 16,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewRunner(p, bench.Stim, bench.Monitors, &ExactClassifier{}, RunnerConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	jobs := NewPlan(p.NumFFs(), 2, bench.ActiveCycles, 3)
+	return p, bench, err
+}
+
+// planned returns the runner's chunk plan for jobs, packing order included.
+func planned(t *testing.T, r *Runner, jobs []Job) *chunkPlan {
+	t.Helper()
 	cp, err := r.planChunks(jobs)
 	if err != nil {
 		t.Fatal(err)
@@ -42,15 +61,284 @@ func TestRunBatchWideSteadyStateAllocs(t *testing.T) {
 	if cp.order, err = scheduleOrder(jobs, r.schedule); err != nil {
 		t.Fatal(err)
 	}
+	return cp
+}
+
+// TestRunBatchWideSteadyStateAllocs pins the kernel path's per-batch
+// allocations: once a worker's state is warm, a wide batch allocates
+// nothing in the window loop or the runner — no loopback or divergence
+// buffers, no hook closures, no straggler list — only the classifier's one
+// stream per group.
+func TestRunBatchWideSteadyStateAllocs(t *testing.T) {
+	p, bench := wideMAC(t)
+	r, err := NewRunner(p, bench.Stim, bench.Monitors, &ExactClassifier{}, RunnerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp := planned(t, r, NewPlan(p.NumFFs(), 2, bench.ActiveCycles, 3))
 	const groups = sim.DefaultKernelWords
 	if cp.sh.chunkBatches(0) < groups {
 		t.Fatalf("chunk 0 has %d batches, need %d", cp.sh.chunkBatches(0), groups)
 	}
 	ws := newWideWorkerState(r, cp)
-	masks := make([]uint64, 0, groups)
-	batch := func() { r.runBatchWide(ws, cp, 0, 0, groups, masks) }
-	batch() // warm the engine's window scratch
+	masks := make([]uint64, groups)
+	pos := make([]int, groups*sim.Lanes)
+	for i := range pos {
+		pos[i] = i
+	}
+	repacked := 0
+	batch := func() {
+		ws.next = ws.next[:0]
+		r.runBatchWide(ws, cp, 0, pos, false, masks)
+		repacked = len(ws.next)
+	}
+	batch() // warm the engine's window scratch and the straggler list
+	if repacked == 0 {
+		t.Fatal("the non-final batch was not cut: the repacking path is not under test")
+	}
 	if got := testing.AllocsPerRun(10, batch); got > groups {
 		t.Fatalf("steady-state wide batch allocates %v times, want at most %d (one stream per group)", got, groups)
+	}
+}
+
+// chunkMasks runs every chunk of the plan through the runner's pool and
+// returns the masks in scheduled-position order. Chunks are whole 64-lane
+// groups, so the concatenation does not depend on the chunk size.
+func chunkMasks(t *testing.T, r *Runner, jobs []Job) []uint64 {
+	t.Helper()
+	sh, err := newSharding(len(jobs), r.cfg.ChunkJobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := make([]int, sh.numChunks)
+	for ci := range all {
+		all[ci] = ci
+	}
+	done, err := r.RunChunks(context.Background(), jobs, all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var masks []uint64
+	for _, ci := range all {
+		masks = append(masks, done[ci]...)
+	}
+	return masks
+}
+
+// wholeWindows runs every wide batch of the plan's own packing to
+// completion — no cut, no second round: what the kernel path simulated
+// before it repacked — and returns the cycles that takes.
+func wholeWindows(t *testing.T, r *Runner, jobs []Job) int64 {
+	t.Helper()
+	cp := planned(t, r, jobs)
+	ws := newWideWorkerState(r, cp)
+	masks := make([]uint64, cp.sh.numBatches())
+	wide := ws.e.Words() * sim.Lanes
+	var cycles int64
+	for ci := 0; ci < cp.sh.numChunks; ci++ {
+		lo, hi := cp.sh.chunkRange(ci)
+		for blo := lo; blo < hi; blo += wide {
+			batch := make([]int, 0, wide)
+			for pos := blo; pos < min(blo+wide, hi); pos++ {
+				batch = append(batch, pos)
+			}
+			cycles += int64(r.runBatchWide(ws, cp, 0, batch, true, masks))
+			if len(ws.next) != 0 {
+				t.Fatalf("final batch at %d left %d lanes undecided", blo, len(ws.next))
+			}
+		}
+	}
+	return cycles
+}
+
+// TestRepackedChunksMatchInterpreter pins the repacking rounds against the
+// interpreter, which still runs every 64-lane group's whole window: per
+// fault model and per kind of classifier — the MAC's stream, the exact
+// stream, and a wrapper hiding StartStream so that nothing is ever
+// confirmed mid-run — chunks that take one round (a single wide batch),
+// two and three must give the interpreter's masks bit for bit, and the
+// multi-round ones must really have cut batches and re-injected lanes —
+// under SEU in fewer cycles than the whole windows of the same packing.
+func TestRepackedChunksMatchInterpreter(t *testing.T) {
+	p, bench := wideMAC(t)
+	classifiers := []struct {
+		name string
+		make func() Classifier
+	}{
+		{"mac-stream", func() Classifier { return NewMACClassifier(bench, true) }},
+		{"exact-stream", func() Classifier { return &ExactClassifier{} }},
+		{"post-hoc", func() Classifier { return struct{ Classifier }{NewMACClassifier(bench, true)} }},
+	}
+	for _, spec := range []string{"seu", "mbu:3", "stuck0:8", "stuck1:4@0.25-0.75", "set"} {
+		model, err := ParseModel(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Enough jobs for a 4096-job chunk whose stragglers overflow one batch.
+		targets := model.NumTargets(p)
+		jobs := NewModelPlan(model, targets, (5000+targets-1)/targets, bench.ActiveCycles, 41)
+		for _, c := range classifiers {
+			t.Run(spec+"/"+c.name, func(t *testing.T) {
+				run := func(backend Backend, chunkJobs int) *Runner {
+					r, err := NewRunner(p, bench.Stim, bench.Monitors, c.make(), RunnerConfig{
+						Model: model, Backend: backend, ChunkJobs: chunkJobs, Workers: 2, Metrics: obs.NewRegistry(),
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					return r
+				}
+				want := chunkMasks(t, run(BackendInterp, 0), jobs)
+				for _, chunkJobs := range []int{64, 1024, 4096} {
+					r := run(BackendKernel, chunkJobs)
+					if got := chunkMasks(t, r, jobs); !slices.Equal(got, want) {
+						t.Fatalf("ChunkJobs %d: kernel masks differ from the interpreter's", chunkJobs)
+					}
+					repacked, cycles := r.metrics.repackedLanes.Value(), int64(r.metrics.simCycles.Value())
+					switch {
+					case chunkJobs == 64:
+						if repacked != 0 {
+							t.Fatalf("ChunkJobs 64: single-batch chunks repacked %v lanes", repacked)
+						}
+					case repacked == 0 && c.name != "post-hoc":
+						// Without a stream nothing confirms the failing lanes, and
+						// where over a quarter fail no batch gets under the cut.
+						t.Fatalf("ChunkJobs %d: nothing repacked", chunkJobs)
+					case spec == "seu":
+						// Only pinned for the reference model: this stimulus is 133
+						// cycles long, and under the multi-event models a re-run
+						// costs about what the cut tail saves.
+						if whole := wholeWindows(t, r, jobs); cycles >= whole {
+							t.Fatalf("ChunkJobs %d: %d cycles simulated with %v lanes repacked, %d by whole windows",
+								chunkJobs, cycles, repacked, whole)
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestRepackingTakesThreeRounds checks the fixture above: round one of a
+// 4096-job chunk leaves more stragglers than one wide batch holds, so the
+// chunk's second round is cut again and a third finishes it.
+func TestRepackingTakesThreeRounds(t *testing.T) {
+	p, bench := wideMAC(t)
+	r, err := NewRunner(p, bench.Stim, bench.Monitors, NewMACClassifier(bench, true), RunnerConfig{ChunkJobs: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp := planned(t, r, NewPlan(p.NumFFs(), (5000+p.NumFFs()-1)/p.NumFFs(), bench.ActiveCycles, 41))
+	ws := newWideWorkerState(r, cp)
+	wide := ws.e.Words() * sim.Lanes
+	masks := make([]uint64, cp.sh.chunkBatches(0))
+	for blo := 0; blo < 4096; blo += wide {
+		batch := make([]int, wide)
+		for i := range batch {
+			batch[i] = blo + i
+		}
+		r.runBatchWide(ws, cp, 0, batch, false, masks)
+	}
+	next := ws.next
+	if len(next) <= wide || len(next) > 4096/repackFraction {
+		t.Fatalf("round one left %d stragglers, want more than one batch (%d) and at most a quarter", len(next), wide)
+	}
+	if !slices.IsSorted(next) {
+		t.Fatal("stragglers are not in scheduled order")
+	}
+}
+
+// TestRepackingTerminates is the worst case for the cut: flip-flops that
+// hold their value never settle, and a classifier that cannot stream never
+// confirms, so no batch ever gets under the cut. Every batch must then run
+// to the end of the stimulus and decide all its lanes there — one round,
+// nothing repacked — instead of passing the whole list on for ever.
+func TestRepackingTerminates(t *testing.T) {
+	b := netlist.NewBuilder("hold")
+	const regs = 8
+	for i := 0; i < regs; i++ {
+		q, set := b.DFFDecl("r"+string(rune('0'+i)), i%2 == 0)
+		set(q)
+		b.Output("q"+string(rune('0'+i)), q)
+	}
+	nl, err := b.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := sim.Compile(nl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const cycles = 100
+	stim := sim.NewStimulus(cycles)
+	monitors := make([]int, regs)
+	for i := range monitors {
+		monitors[i] = i
+	}
+	jobs := NewPlan(regs, 80, cycles, 7) // 640 jobs: one chunk, three wide batches
+	run := func(backend Backend) (*Runner, []uint64) {
+		r, err := NewRunner(p, stim, monitors, struct{ Classifier }{&ExactClassifier{}}, RunnerConfig{
+			Backend: backend, ChunkJobs: 1024, Metrics: obs.NewRegistry(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r, chunkMasks(t, r, jobs)
+	}
+	_, want := run(BackendInterp)
+	r, got := run(BackendKernel)
+	if !slices.Equal(got, want) {
+		t.Fatal("kernel masks differ from the interpreter's")
+	}
+	for _, m := range got[:len(got)-1] {
+		if m != ^uint64(0) {
+			t.Fatalf("mask %016x: every held flip must fail", m)
+		}
+	}
+	if n := r.metrics.repackedLanes.Value(); n != 0 {
+		t.Fatalf("%v lanes repacked, want none", n)
+	}
+	batches := (len(jobs) + sim.Lanes - 1) / sim.Lanes
+	if n := r.metrics.earlyExits.With(exitWindowEnd).Value(); n != float64(batches) {
+		t.Fatalf("%v windows ran to the stimulus end, want all %d, once each", n, batches)
+	}
+}
+
+// TestKernelSharedAndCollectable pins where compiled kernels live: on
+// their program. Runners over one program share one compilation, and once
+// the program and its runners are dropped the kernel goes with them — a
+// long-lived process (hardening verification, a fabric worker) must not
+// accumulate one per study. The kernel points back at its program, and a
+// finalizer never runs on an object of a cycle, so the test watches the
+// kernel through a weak pointer instead.
+func TestKernelSharedAndCollectable(t *testing.T) {
+	kern := func() weak.Pointer[sim.Kernel] {
+		p, bench, err := buildWideMAC()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var kernels [2]*sim.Kernel
+		for i := range kernels {
+			r, err := NewRunner(p, bench.Stim, bench.Monitors, &ExactClassifier{}, RunnerConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := r.Run(NewPlan(p.NumFFs(), 1, bench.ActiveCycles, 5)); err != nil {
+				t.Fatal(err)
+			}
+			if kernels[i], err = r.kernel(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if kernels[0] != kernels[1] {
+			t.Fatal("two runners on one program compiled two kernels")
+		}
+		return weak.Make(kernels[0])
+	}()
+	for i := 0; i < 3 && kern.Value() != nil; i++ {
+		runtime.GC()
+	}
+	if kern.Value() != nil {
+		t.Fatal("the kernel of a dropped program is still reachable")
 	}
 }

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"repro/internal/netlist"
 )
@@ -40,6 +42,41 @@ type Program struct {
 	// decomposed wide gate, the root op).
 	combCells []netlist.CellID
 	combOps   []int32
+
+	// kernels memoizes Kernel by kept-port set. The memo lives on the
+	// program so it dies with it: a process that builds many studies
+	// (hardening verification, fabric workers, corpus sweeps) retains no
+	// kernel beyond the last reference to its program.
+	kernelMu sync.Mutex
+	kernels  map[string]kernelMemo
+}
+
+type kernelMemo struct {
+	k   *Kernel
+	err error
+}
+
+// Kernel returns the program's kernel for the given kept output ports (see
+// KernelConfig.KeepOutputs; order and duplicates don't matter, nil keeps
+// every port), compiling it on first use. Studies build an ephemeral runner
+// per partial campaign over one program; every one of them, from any
+// goroutine, shares the one immutable kernel compiled here.
+func (p *Program) Kernel(keep []int) (*Kernel, error) {
+	keep = slices.Clone(keep) // nil (keep all) stays nil, empty (keep none) empty
+	slices.Sort(keep)
+	keep = slices.Compact(keep)
+	key := fmt.Sprintf("%#v", keep)
+	p.kernelMu.Lock()
+	defer p.kernelMu.Unlock()
+	m, ok := p.kernels[key]
+	if !ok {
+		m.k, m.err = BuildKernel(p, KernelConfig{KeepOutputs: keep})
+		if p.kernels == nil {
+			p.kernels = make(map[string]kernelMemo)
+		}
+		p.kernels[key] = m
+	}
+	return m.k, m.err
 }
 
 // Compile levelizes the netlist and returns a reusable program.

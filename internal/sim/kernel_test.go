@@ -15,6 +15,7 @@ package sim_test
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/netlist"
@@ -287,4 +288,64 @@ func TestKernelOutputWordPanicsOnPruned(t *testing.T) {
 		}
 	}()
 	_ = e.OutputWord(1, 0)
+}
+
+// TestProgramKernelMemo pins Program.Kernel's once-per-(program, ports)
+// contract: callers racing for the same kept-port set — in any order, with
+// duplicates — all get the one compiled kernel; a different set, nil
+// (keep all) included, is its own kernel; a bad port is an error every time.
+func TestProgramKernelMemo(t *testing.T) {
+	nl, err := randKernelNetlist(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := sim.Compile(nl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.NumOutputs() < 2 {
+		t.Fatalf("fixture has %d outputs, need 2", p.NumOutputs())
+	}
+	keeps := [][]int{{0, 1}, {1, 0}, {1, 0, 1}}
+	got := make([]*sim.Kernel, 8*len(keeps))
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			k, err := p.Kernel(keeps[i%len(keeps)])
+			if err != nil {
+				t.Error(err)
+			}
+			got[i] = k
+		}()
+	}
+	wg.Wait()
+	for i, k := range got {
+		if k == nil || k != got[0] {
+			t.Fatalf("caller %d got kernel %p, caller 0 %p", i, k, got[0])
+		}
+	}
+	if keeps[1][0] != 1 {
+		t.Fatal("Kernel reordered the caller's port list")
+	}
+	for _, keep := range [][]int{nil, {}, {0}} {
+		k, err := p.Kernel(keep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k == got[0] {
+			t.Fatalf("ports %#v share the kernel of ports [0 1]", keep)
+		}
+	}
+	all, _ := p.Kernel(nil)
+	none, _ := p.Kernel([]int{})
+	if all == none {
+		t.Fatal("keep-all and keep-none share a kernel")
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := p.Kernel([]int{p.NumOutputs()}); err == nil {
+			t.Fatal("out-of-range kept port accepted")
+		}
+	}
 }
