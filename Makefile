@@ -84,11 +84,11 @@ metrics-lint:
 # its Instrumented variant, so one pattern covers both. Besides the paper
 # experiments of the root package the run covers the simulator and chunk-
 # executor micro-benchmarks (BenchmarkKernelEval/Commit; BenchmarkRunChunks
-# per backend, interpreter beside kernel, with sim-cycles/injection and lane
-# occupancy), BenchmarkExtract in internal/features and the per-model ones
-# in internal/core (BenchmarkModelFit/Predict per Table I model,
-# BenchmarkTuneKNN), so a cycle-loop, feature or training-loop regression
-# localizes below the campaign and protocol level.
+# with sim-cycles/injection and lane occupancy), BenchmarkExtract in
+# internal/features and the per-model ones in internal/core
+# (BenchmarkModelFit/Predict per Table I model, BenchmarkTuneKNN), so a
+# cycle-loop, feature or training-loop regression localizes below the
+# campaign and protocol level.
 bench:
 	FFR_INJECTIONS=$(FFR_INJECTIONS) $(GO) test -bench=. $(if $(BENCH_SKIP),-skip='$(BENCH_SKIP)') -benchtime=1x -run='^$$' . ./internal/sim ./internal/fault ./internal/features ./internal/core
 
@@ -103,8 +103,8 @@ bench:
 #
 #	jq -r 'select(.Action=="output").Output' BENCH_7.json | benchstat /dev/stdin
 #
-# Compare against the naive path by re-running with FFR_NAIVE=1 and a
-# different BENCH_FILE.
+# replay_cycles/op beside sim_cycles/op is what replaying every batch from
+# cycle 0 would have simulated (computed, not run).
 bench-baseline:
 	FFR_INJECTIONS=$(FFR_INJECTIONS) $(GO) test -json \
 		-bench='BenchmarkFlatInjectionCampaign|BenchmarkCorpusSweep|BenchmarkAdaptivePlanner|BenchmarkAdaptiveCorpusPlanner' \

@@ -86,8 +86,8 @@ func BenchmarkFlatInjectionCampaign(b *testing.B) {
 			b.ReportMetric(float64(part.TotalRuns), "injections/op")
 			b.ReportMetric(float64(res.Chunks), "groundtruth_chunks")
 			// The incremental-engine headline: engine cycles actually
-			// simulated versus what naive full replay would have cost
-			// (FFR_NAIVE=1 runs the naive path, where the two are equal).
+			// simulated versus what replaying every 64-lane batch from
+			// cycle 0 would have cost (computed, not simulated).
 			// gt_* covers the Section IV-A ground-truth campaign itself —
 			// the 1054 FFs × FFR_INJECTIONS cost center — sim_cycles/op
 			// the benchmarked partial campaign.
@@ -455,7 +455,6 @@ func BenchmarkCorpusSweep(b *testing.B) {
 				Scale:           repro.CorpusScaleSmall,
 				InjectionsPerFF: cfg.InjectionsPerFF,
 				Workers:         cfg.Workers,
-				NaiveCampaign:   cfg.NaiveCampaign,
 			})
 			if err != nil {
 				b.Fatalf("%s: %v", sc.ID(), err)

@@ -12,7 +12,7 @@
 //	ffrcorpus -validate [-scale small|default] [-seed 1]
 //	ffrcorpus -sweep    [-scale small|default] [-seed 1] [-n N]
 //	          [-model "k-NN"] [-out DIR] [-scenario family[/workload],...]
-//	          [-shards N] [-workers N] [-naive] [-kernel auto|interp|kernel]
+//	          [-shards N] [-workers N]
 //	          [-fault-model seu|mbu:N|stuck0:D|stuck1:D]
 //	          [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
@@ -57,8 +57,6 @@ func run() error {
 		scenario   = flag.String("scenario", "", "comma-separated scenario IDs (default: all)")
 		shards     = flag.Int("shards", 0, "split each campaign into about this many shard chunks")
 		workers    = flag.Int("workers", 0, "campaign worker count (0 = GOMAXPROCS)")
-		naive      = flag.Bool("naive", false, "disable the incremental campaign engine (full replay per batch)")
-		kernelF    = flag.String("kernel", "", "simulation backend: auto, interp or kernel (default auto = compiled kernel; results are bit-identical)")
 		faultModel = flag.String("fault-model", "", "fault model for -sweep campaigns: seu (default), mbu:N, stuck0:D, stuck1:D, each with optional @start-end window; falls back to FFR_FAULT_MODEL")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit (go tool pprof)")
@@ -71,8 +69,6 @@ func run() error {
 		cli.MinInt("ffrcorpus", "n", *n, 0),
 		cli.MinInt("ffrcorpus", "shards", *shards, 0),
 		cli.MinInt("ffrcorpus", "workers", *workers, 0),
-		cli.OneOf("ffrcorpus", "kernel", *kernelF,
-			"", "auto", string(fault.BackendInterp), string(fault.BackendKernel)),
 	); err != nil {
 		return err
 	}
@@ -113,8 +109,6 @@ func run() error {
 	}
 	defer stopProfiling()
 
-	backend, _ := fault.ParseBackend(*kernelF)
-
 	switch {
 	case *list:
 		return runList()
@@ -128,7 +122,7 @@ func run() error {
 		return runSweep(scenarios, sweepConfig{
 			scale: scale, seed: *seed, injections: *n,
 			spec: spec, outDir: *out, shards: *shards, workers: *workers,
-			naive: *naive, logger: logger, backend: backend, model: fmodel,
+			logger: logger, model: fmodel,
 		})
 	}
 }
@@ -214,8 +208,6 @@ type sweepConfig struct {
 	outDir     string
 	shards     int
 	workers    int
-	naive      bool
-	backend    fault.Backend
 	model      fault.Model
 	logger     *obs.Logger
 }
@@ -239,8 +231,6 @@ func runSweep(scenarios []repro.CorpusScenario, cfg sweepConfig) error {
 			Model:           cfg.model,
 			Workers:         cfg.workers,
 			Shards:          cfg.shards,
-			NaiveCampaign:   cfg.naive,
-			Backend:         cfg.backend,
 			Logger:          cfg.logger,
 		})
 		if err != nil {

@@ -12,8 +12,8 @@
 //
 //	ffrinject [-n 170] [-seed 2019] [-workers 0] [-csv fdr.csv]
 //	          [-checkpoint state.ffr] [-resume] [-shards 0] [-progress]
-//	          [-naive] [-snapshot-every 0] [-schedule clustered|plan]
-//	          [-kernel auto|interp|kernel] [-fault-model seu|mbu:N|stuck0:D|stuck1:D]
+//	          [-snapshot-every 0] [-schedule clustered|plan]
+//	          [-fault-model seu|mbu:N|stuck0:D|stuck1:D]
 //	          [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //	          [-log-level info] [-log-format text] [-metrics-addr :0]
 package main
@@ -54,10 +54,8 @@ func run() error {
 		resume     = flag.Bool("resume", false, "resume from -checkpoint if it exists")
 		shards     = flag.Int("shards", 0, "split the plan into about this many shard chunks (rounded to whole 64-lane batches; must match on -resume; 0 = default chunk size)")
 		progress   = flag.Bool("progress", false, "print live campaign progress to stderr")
-		naive      = flag.Bool("naive", false, "disable the incremental engine (full replay per batch) — the before/after baseline")
 		snapEvery  = flag.Int("snapshot-every", 0, "golden snapshot cadence in cycles for the incremental engine (0 = default)")
 		schedule   = flag.String("schedule", "", "batch-packing schedule: clustered or plan (default: clustered, adopting a resumed checkpoint's schedule)")
-		kernelF    = flag.String("kernel", "", "simulation backend: auto, interp or kernel (default auto = compiled kernel; results are bit-identical)")
 		faultModel = flag.String("fault-model", "", "fault model: seu (default), mbu:N, stuck0:D, stuck1:D, each with optional @start-end window (e.g. mbu:3, stuck0:8@0.25-0.75); falls back to FFR_FAULT_MODEL")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the campaign to this file (go tool pprof)")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit (go tool pprof)")
@@ -75,8 +73,6 @@ func run() error {
 		cli.Requires("ffrinject", "resume", "checkpoint", !*resume || *checkpoint != ""),
 		cli.OneOf("ffrinject", "schedule", *schedule,
 			"", string(fault.ScheduleClustered), string(fault.SchedulePlan)),
-		cli.OneOf("ffrinject", "kernel", *kernelF,
-			"", "auto", string(fault.BackendInterp), string(fault.BackendKernel)),
 	); err != nil {
 		return err
 	}
@@ -111,10 +107,8 @@ func run() error {
 	cfg.Checkpoint = *checkpoint
 	cfg.Resume = *resume
 	cfg.Shards = *shards
-	cfg.NaiveCampaign = *naive
 	cfg.SnapshotEvery = *snapEvery
 	cfg.Schedule = fault.Schedule(*schedule)
-	cfg.Backend, _ = fault.ParseBackend(*kernelF)
 	cfg.Model = model
 	cfg.Metrics = reg
 	cfg.Logger = logger

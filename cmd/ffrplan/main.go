@@ -14,7 +14,7 @@
 //	        [-strategy committee] [-model "k-NN"] [-n 0] [-budget 0.5]
 //	        [-rounds 0] [-init 0] [-batch 0] [-delta 0] [-ci 0] [-patience 0]
 //	        [-checkpoint loop.ffrp] [-resume] [-workers 0] [-eval] [-csv out.csv]
-//	        [-kernel auto|interp|kernel] [-fault-model seu|mbu:N|stuck0:D|stuck1:D]
+//	        [-fault-model seu|mbu:N|stuck0:D|stuck1:D]
 //	        [-log-level info] [-log-format text] [-metrics-addr :0]
 //	        [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
@@ -73,7 +73,6 @@ func run() error {
 		workers    = flag.Int("workers", 0, "campaign worker goroutines (0 = GOMAXPROCS)")
 		eval       = flag.Bool("eval", false, "also run the exhaustive campaign and score the adaptive estimate against it")
 		csvOut     = flag.String("csv", "", "write the per-round trajectory to this CSV file")
-		kernelF    = flag.String("kernel", "", "simulation backend: auto, interp or kernel (default auto = compiled kernel; results are bit-identical)")
 		faultModel = flag.String("fault-model", "", "fault model: seu (default), mbu:N, stuck0:D, stuck1:D, each with optional @start-end window; falls back to FFR_FAULT_MODEL")
 		mAddr      = flag.String("metrics-addr", "", "serve planner /metrics and /debug/pprof/ on this address during the run (off when empty)")
 		logFlags   = cli.RegisterLog()
@@ -93,8 +92,6 @@ func run() error {
 		cli.NonNegFloat("ffrplan", "ci", *ciWidth),
 		cli.Requires("ffrplan", "resume", "checkpoint", !*resume || *checkpoint != ""),
 		cli.OneOf("ffrplan", "strategy", *strategy, repro.AdaptiveStrategyNames()...),
-		cli.OneOf("ffrplan", "kernel", *kernelF,
-			"", "auto", string(fault.BackendInterp), string(fault.BackendKernel)),
 	); err != nil {
 		return err
 	}
@@ -137,13 +134,11 @@ func run() error {
 		return err
 	}
 
-	backend, _ := fault.ParseBackend(*kernelF)
 	study, err := repro.NewCorpusStudy(sc, repro.CorpusStudyConfig{
 		Scale:           scale,
 		InjectionsPerFF: *n,
 		Model:           fmodel,
 		Workers:         *workers,
-		Backend:         backend,
 		Metrics:         reg,
 		Logger:          logger,
 	})

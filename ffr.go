@@ -200,21 +200,11 @@ var (
 var ErrCampaignInterrupted = fault.ErrInterrupted
 
 // Campaign batch-packing schedules (see fault.Schedule): clustered packing
-// is the default and lets the incremental engine skip the shared golden
-// prefix of every batch; plan-order packing is the naive layout and the
-// layout of pre-schedule checkpoints.
+// is the default and lets every batch skip its shared golden prefix;
+// plan-order packing is the layout of pre-schedule checkpoints.
 const (
 	CampaignScheduleClustered = fault.ScheduleClustered
 	CampaignSchedulePlan      = fault.SchedulePlan
-)
-
-// Campaign simulation backends (see fault.Backend): auto resolves to the
-// compiled wide-batch kernel; interp forces the 64-lane per-op
-// interpreter. Results are bit-identical across backends.
-const (
-	CampaignBackendAuto   = fault.BackendAuto
-	CampaignBackendInterp = fault.BackendInterp
-	CampaignBackendKernel = fault.BackendKernel
 )
 
 // EnvStudyConfig returns DefaultStudyConfig adjusted by environment
@@ -224,11 +214,6 @@ const (
 //	FFR_INJECTIONS  injections per flip-flop (default 170)
 //	FFR_SEED        campaign seed (default 2019)
 //	FFR_WORKERS     campaign worker count (default GOMAXPROCS)
-//	FFR_NAIVE       1 forces the non-incremental full-replay campaign
-//	                path — the before/after baseline for benchmarks
-//	FFR_BACKEND     campaign simulation backend: auto (default, the
-//	                compiled wide-batch kernel), kernel, or interp (the
-//	                64-lane interpreter); results are bit-identical
 //	FFR_FAULT_MODEL campaign fault model ("seu", "mbu:3", "stuck0:8",
 //	                "stuck1:4@0.25-0.75"; default seu); studies require
 //	                an FF-targeted model, so "set" is rejected here
@@ -254,20 +239,6 @@ func EnvStudyConfig() (StudyConfig, error) {
 			return cfg, fmt.Errorf("repro: bad FFR_WORKERS %q", v)
 		}
 		cfg.Workers = n
-	}
-	if v := os.Getenv("FFR_NAIVE"); v != "" {
-		on, err := strconv.ParseBool(v)
-		if err != nil {
-			return cfg, fmt.Errorf("repro: bad FFR_NAIVE %q", v)
-		}
-		cfg.NaiveCampaign = on
-	}
-	if v, ok := os.LookupEnv("FFR_BACKEND"); ok {
-		b, err := fault.ParseBackend(v)
-		if err != nil {
-			return cfg, fmt.Errorf("repro: bad FFR_BACKEND %q (want auto, interp or kernel)", v)
-		}
-		cfg.Backend = b
 	}
 	if v := os.Getenv("FFR_FAULT_MODEL"); v != "" {
 		m, err := fault.ParseModel(v)

@@ -133,22 +133,13 @@ func (t *studyTarget) CampaignFingerprint() uint64 { return t.study.golden.Finge
 func (t *studyTarget) RunRound(ctx context.Context, ffs []int, checkpointPath string, resume bool) (*fault.Result, error) {
 	s := t.study
 	jobs := s.planFor(ffs)
-	runner, err := fault.NewRunner(s.Program, s.stim, s.monitors, s.classifier, fault.RunnerConfig{
-		Model:           s.Config.Model,
-		ChunkJobs:       s.Config.ChunkJobs,
-		Workers:         s.Config.Workers,
-		Golden:          s.golden,
-		Snapshots:       s.snapshots,
-		Naive:           s.Config.NaiveCampaign,
-		Schedule:        s.Config.Schedule,
-		Backend:         s.Config.Backend,
-		CheckpointPath:  checkpointPath,
-		CheckpointEvery: s.Config.CheckpointEvery,
-		Resume:          resume && checkpointPath != "",
-		OnProgress:      s.Config.Progress,
-		Metrics:         s.Config.Metrics,
-		Logger:          s.Config.Logger,
-	})
+	cfg := s.ephemeralRunnerConfig()
+	cfg.ChunkJobs = s.Config.ChunkJobs
+	cfg.CheckpointPath = checkpointPath
+	cfg.CheckpointEvery = s.Config.CheckpointEvery
+	cfg.Resume = resume && checkpointPath != ""
+	cfg.OnProgress = s.Config.Progress
+	runner, err := fault.NewRunner(s.Program, s.stim, s.monitors, s.classifier, cfg)
 	if err != nil {
 		return nil, err
 	}

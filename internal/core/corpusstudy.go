@@ -35,15 +35,9 @@ type CorpusStudyConfig struct {
 	Resume          bool
 	CheckpointEvery int
 	Progress        func(fault.Progress)
-	// NaiveCampaign forces the non-incremental full-replay campaign path
-	// (see StudyConfig.NaiveCampaign).
-	NaiveCampaign bool
 	// Schedule selects the campaign batch-packing schedule (see
 	// StudyConfig.Schedule).
 	Schedule fault.Schedule
-	// Backend selects the campaign simulation backend (see
-	// StudyConfig.Backend).
-	Backend fault.Backend
 	// Metrics optionally receives campaign metric families (see
 	// StudyConfig.Metrics).
 	Metrics *obs.Registry
@@ -85,9 +79,7 @@ func NewCorpusStudy(sc corpus.Scenario, cfg CorpusStudyConfig) (*Study, error) {
 			Workers:         cfg.Workers,
 			Golden:          m.Golden,
 			Snapshots:       m.Snapshots,
-			Naive:           cfg.NaiveCampaign,
 			Schedule:        cfg.Schedule,
-			Backend:         cfg.Backend,
 			CheckpointPath:  cfg.Checkpoint,
 			CheckpointEvery: cfg.CheckpointEvery,
 			Resume:          cfg.Resume,
@@ -110,9 +102,7 @@ func NewCorpusStudy(sc corpus.Scenario, cfg CorpusStudyConfig) (*Study, error) {
 			Resume:          cfg.Resume,
 			CheckpointEvery: cfg.CheckpointEvery,
 			Progress:        cfg.Progress,
-			NaiveCampaign:   cfg.NaiveCampaign,
 			Schedule:        cfg.Schedule,
-			Backend:         cfg.Backend,
 			Metrics:         cfg.Metrics,
 			Logger:          cfg.Logger,
 		},

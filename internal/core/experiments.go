@@ -249,15 +249,8 @@ func (s *Study) InjectionBudgetAblation(budgets []int, spec ModelSpec, nSplits i
 	X := s.FeatureRows()
 	out := make([]BudgetPoint, 0, len(budgets))
 	for _, budget := range budgets {
-		plan := fault.NewPlan(s.NumFFs(), budget, s.activeCycles, s.Config.CampaignSeed+int64(budget))
-		res, err := fault.RunJobs(s.Program, s.stim, s.monitors, s.classifier, plan, fault.RunnerConfig{
-			Workers:   s.Config.Workers,
-			Golden:    s.golden,
-			Snapshots: s.snapshots,
-			Naive:     s.Config.NaiveCampaign,
-			Schedule:  s.Config.Schedule,
-			Backend:   s.Config.Backend,
-		})
+		plan := fault.NewModelPlan(s.Config.Model, s.NumFFs(), budget, s.activeCycles, s.Config.CampaignSeed+int64(budget))
+		res, err := fault.RunJobs(s.Program, s.stim, s.monitors, s.classifier, plan, s.ephemeralRunnerConfig())
 		if err != nil {
 			return nil, fmt.Errorf("core: budget %d campaign: %w", budget, err)
 		}

@@ -57,24 +57,16 @@ type StudyConfig struct {
 	CheckpointEvery int
 	// Progress, when non-nil, receives campaign progress updates.
 	Progress func(fault.Progress)
-	// SnapshotEvery is the golden-snapshot cadence in cycles for the
-	// incremental campaign engine (0 = sim.DefaultSnapshotEvery). The
-	// cadence never changes results, only how much prefix a faulty batch
-	// can skip and how often early exit is checked.
+	// SnapshotEvery is the golden-snapshot cadence in cycles (0 =
+	// sim.DefaultSnapshotEvery). The cadence never changes results, only
+	// how much prefix a faulty batch can skip and how often early exit is
+	// checked.
 	SnapshotEvery int
-	// NaiveCampaign forces the non-incremental full-replay campaign path —
-	// the before/after baseline for benchmarks (FFR_NAIVE=1). Results are
-	// bit-identical either way.
-	NaiveCampaign bool
 	// Schedule selects the campaign batch-packing schedule (see
 	// fault.Schedule). The "" default packs clustered and adopts a
 	// resumed checkpoint's recorded schedule, keeping pre-schedule
 	// plan-order checkpoints resumable.
 	Schedule fault.Schedule
-	// Backend selects the campaign simulation backend (see fault.Backend):
-	// compiled wide-batch kernels by default, the 64-lane interpreter with
-	// FFR_BACKEND=interp. Results are bit-identical either way.
-	Backend fault.Backend
 	// Metrics optionally receives the ffr_campaign_* metric families of
 	// every campaign this study runs (ground truth and partial); nil
 	// disables campaign metrics.
@@ -157,14 +149,10 @@ func NewStudy(cfg StudyConfig) (*Study, error) {
 	}
 
 	// The one golden run yields the reference trace, the activity
-	// statistics and the periodic engine-state snapshots the incremental
-	// campaign engine fast-forwards from (skipped on the naive baseline,
-	// which never restores them).
+	// statistics and the periodic engine-state snapshots faulty batches
+	// fast-forward from.
 	engine := sim.NewEngine(p)
-	var snaps *sim.Snapshots
-	if !cfg.NaiveCampaign {
-		snaps = sim.NewSnapshots(p, bench.Stim, cfg.SnapshotEvery)
-	}
+	snaps := sim.NewSnapshots(p, bench.Stim, cfg.SnapshotEvery)
 	golden, act := sim.Run(engine, bench.Stim, sim.RunConfig{
 		Monitors:        bench.Monitors,
 		CollectActivity: true,
@@ -191,9 +179,7 @@ func NewStudy(cfg StudyConfig) (*Study, error) {
 		Workers:         cfg.Workers,
 		Golden:          golden,
 		Snapshots:       snaps,
-		Naive:           cfg.NaiveCampaign,
 		Schedule:        cfg.Schedule,
-		Backend:         cfg.Backend,
 		CheckpointPath:  cfg.Checkpoint,
 		CheckpointEvery: cfg.CheckpointEvery,
 		Resume:          cfg.Resume,
@@ -300,24 +286,31 @@ func (s *Study) RunGroundTruthContext(ctx context.Context) (*fault.Result, error
 	return res, nil
 }
 
+// ephemeralRunnerConfig is the configuration of every campaign the study
+// runs besides its ground truth: the study's fault model, schedule, worker
+// bound and instrumentation on the study's golden trace and snapshots, so
+// nothing is re-simulated per campaign. Callers add what is theirs alone
+// (chunk geometry, checkpointing, progress).
+func (s *Study) ephemeralRunnerConfig() fault.RunnerConfig {
+	return fault.RunnerConfig{
+		Model:     s.Config.Model,
+		Workers:   s.Config.Workers,
+		Golden:    s.golden,
+		Snapshots: s.snapshots,
+		Schedule:  s.Config.Schedule,
+		Metrics:   s.Config.Metrics,
+		Logger:    s.Config.Logger,
+	}
+}
+
 // RunPartialCampaign fault-injects only the given flip-flops — the flow's
 // cost-saving mode: the training subset is measured, the rest predicted.
 // Partial plans run on an ephemeral uncheckpointed runner (their plan
 // fingerprint differs from the ground truth's) but still reuse the study's
-// golden trace and snapshots, so they ride the same incremental path.
+// golden trace and snapshots.
 func (s *Study) RunPartialCampaign(ffs []int) (*fault.Result, error) {
 	res, err := fault.RunJobs(s.Program, s.stim, s.monitors, s.classifier, s.planFor(ffs),
-		fault.RunnerConfig{
-			Model:     s.Config.Model,
-			Workers:   s.Config.Workers,
-			Golden:    s.golden,
-			Snapshots: s.snapshots,
-			Naive:     s.Config.NaiveCampaign,
-			Schedule:  s.Config.Schedule,
-			Backend:   s.Config.Backend,
-			Metrics:   s.Config.Metrics,
-			Logger:    s.Config.Logger,
-		})
+		s.ephemeralRunnerConfig())
 	if err != nil {
 		return nil, fmt.Errorf("core: partial campaign: %w", err)
 	}

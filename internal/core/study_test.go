@@ -7,7 +7,10 @@ import (
 	"testing"
 
 	"repro/internal/circuit"
+	"repro/internal/corpus"
+	"repro/internal/fault"
 	"repro/internal/features"
+	"repro/internal/obs"
 )
 
 // testStudy is a shared, scaled-down study fixture (small FIFOs, few
@@ -250,6 +253,55 @@ func TestInjectionBudgetAblation(t *testing.T) {
 	if points[1].MeanCI95 >= points[0].MeanCI95 {
 		t.Fatalf("CI width must shrink with budget: %v vs %v",
 			points[1].MeanCI95, points[0].MeanCI95)
+	}
+}
+
+// TestInjectionBudgetAblationHonoursStudyModel: the reduced-budget targets
+// must come from campaigns under the study's own fault model, on its
+// instrumented runner configuration — not from SEU campaigns scored against
+// an MBU ground truth.
+func TestInjectionBudgetAblationHonoursStudyModel(t *testing.T) {
+	sc, err := corpus.Find("alupipe/randomops")
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := fault.ParseModel("mbu:3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	s, err := NewCorpusStudy(sc, CorpusStudyConfig{
+		Scale: corpus.ScaleSmall, InjectionsPerFF: 8, Model: model, Metrics: reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.RunGroundTruth(); err != nil {
+		t.Fatal(err)
+	}
+	chunks := reg.Counter("ffr_campaign_chunks_completed_total", "")
+	before := chunks.Value()
+	const budget = 4
+	points, err := s.InjectionBudgetAblation([]int{budget}, PaperModels()[1], 2, 6)
+	if err != nil {
+		t.Fatalf("InjectionBudgetAblation: %v", err)
+	}
+	if chunks.Value() == before {
+		t.Fatal("the ablation campaign reported nothing to the study's metrics registry")
+	}
+
+	plan := fault.NewModelPlan(model, s.NumFFs(), budget, s.activeCycles, s.Config.CampaignSeed+budget)
+	want, err := fault.RunJobs(s.Program, s.stim, s.monitors, s.classifier, plan, fault.RunnerConfig{Model: model})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var widthSum float64
+	for ff := range want.FDR {
+		lo, hi := fault.WilsonInterval(want.Failures[ff], want.Injections[ff], 1.96)
+		widthSum += hi - lo
+	}
+	if got, want := points[0].MeanCI95, widthSum/float64(s.NumFFs()); got != want {
+		t.Fatalf("budget-%d targets have mean CI width %v, the %s campaign of the same plan %v", budget, got, model, want)
 	}
 }
 

@@ -100,17 +100,14 @@ func ResolveSpec(spec api.CampaignSpec) (api.CampaignSpec, error) {
 // deterministic in the spec: two nodes building the same spec get
 // fingerprint-identical plans and golden traces.
 func BuildCampaign(spec api.CampaignSpec, workers int) (*Campaign, error) {
-	return BuildCampaignObs(spec, workers, fault.BackendAuto, nil, nil)
+	return BuildCampaignObs(spec, workers, nil, nil)
 }
 
-// BuildCampaignObs is BuildCampaign with node-local runtime choices: the
-// simulation backend this node runs chunks on (backend is deliberately
-// not part of the wire spec — results are bit-identical across backends,
-// so heterogeneous fleets stay coherent), plus campaign instrumentation —
-// the chunk runner reports its ffr_campaign_* metric families to reg and
-// structured campaign records to log (either may be nil; instrumentation
-// never changes results).
-func BuildCampaignObs(spec api.CampaignSpec, workers int, backend fault.Backend, reg *obs.Registry, log *obs.Logger) (*Campaign, error) {
+// BuildCampaignObs is BuildCampaign with node-local campaign
+// instrumentation: the chunk runner reports its ffr_campaign_* metric
+// families to reg and structured campaign records to log (either may be
+// nil; instrumentation never changes results).
+func BuildCampaignObs(spec api.CampaignSpec, workers int, reg *obs.Registry, log *obs.Logger) (*Campaign, error) {
 	spec, err := ResolveSpec(spec)
 	if err != nil {
 		return nil, err
@@ -148,7 +145,6 @@ func BuildCampaignObs(spec api.CampaignSpec, workers int, backend fault.Backend,
 			Golden:    m.Golden,
 			Snapshots: m.Snapshots,
 			Schedule:  fault.Schedule(spec.Schedule),
-			Backend:   backend,
 			Metrics:   reg,
 			Logger:    log,
 		})

@@ -8,10 +8,8 @@
 // netlist, golden trace, injection plan and chunk splitting
 // (fault.PlanShards). Workers therefore never receive jobs over the wire,
 // only chunk indices; they simulate the chunks locally (fault.RunChunks —
-// the same chunk executor a single-node campaign runs, on the node's
-// selected backend, by default the 256-lane compiled kernel) and post back
-// per-batch failure masks, which are bit-identical whichever engine
-// produced them. The coordinator merges the masks
+// the same chunk executor a single-node campaign runs) and post back
+// per-batch failure masks. The coordinator merges the masks
 // into the existing versioned checkpoint format and the final
 // fault.Result, so a 2-worker distributed campaign is bit-identical —
 // checkpoint-fingerprint-equal — to the single-node run of the same spec,

@@ -3,7 +3,6 @@ package fabric_test
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net/http/httptest"
 	"path/filepath"
 	"sync"
@@ -170,84 +169,46 @@ func TestTwoWorkerCampaignMatchesSingleNode(t *testing.T) {
 }
 
 // TestWorkerRunsSelectedBackend pins that a worker's leased chunks run on
-// the engine its config selects — read back from the worker's own campaign
-// metrics: 256 lanes per batch on the default (kernel) backend, 64 on the
-// interpreter, chunk wall times under the matching backend label — and
-// that whichever engines a fleet mixes, the merged checkpoint stays
-// fingerprint-identical to the single-node run.
+// the Runner's one chunk executor — there is no backend left to select —
+// read back from the worker's own campaign metrics: 256 lanes per batch, one
+// chunk wall time per completed chunk, simulated cycles — and that the
+// merged checkpoint is fingerprint-identical to the single-node run.
 func TestWorkerRunsSelectedBackend(t *testing.T) {
 	spec := testSpec()
 	want := singleNodeFingerprint(t, spec)
-	engine := map[fault.Backend]struct {
-		label string
-		lanes float64
-	}{
-		fault.BackendAuto:   {"kernel", 256},
-		fault.BackendKernel: {"kernel", 256},
-		fault.BackendInterp: {"interp", 64},
+	coord, err := fabric.NewCoordinator(fabric.CoordinatorConfig{Spec: spec, LeaseTTL: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, fleet := range [][]fault.Backend{
-		{fault.BackendAuto},
-		{fault.BackendInterp},
-		{fault.BackendInterp, fault.BackendKernel},
-	} {
-		coord, err := fabric.NewCoordinator(fabric.CoordinatorConfig{Spec: spec, LeaseTTL: 5 * time.Second})
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv := httptest.NewServer(coord.Handler())
-		workers := make([]*fabric.Worker, len(fleet))
-		regs := make([]*obs.Registry, len(fleet))
-		errs := make([]error, len(fleet))
-		var wg sync.WaitGroup
-		for i, backend := range fleet {
-			regs[i] = obs.NewRegistry()
-			workers[i], err = fabric.NewWorker(fabric.WorkerConfig{
-				Name:        fmt.Sprintf("w%d", i),
-				Coordinator: srv.URL,
-				Workers:     1,
-				Backend:     backend,
-				MaxChunks:   1,
-				Heartbeat:   100 * time.Millisecond,
-				Metrics:     regs[i],
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				errs[i] = workers[i].Run(context.Background())
-			}(i)
-		}
-		wg.Wait()
-		srv.Close()
-		for i, err := range errs {
-			if err != nil {
-				t.Fatalf("fleet %q worker %d: %v", fleet, i, err)
-			}
-		}
-		if got, ok := coord.CheckpointFingerprint(); !ok || got != want {
-			t.Fatalf("fleet %q: fingerprint %x (ok=%v), single-node %x", fleet, got, ok, want)
-		}
-		for i, backend := range fleet {
-			ran := workers[i].Completed()
-			if ran == 0 && len(fleet) > 1 {
-				continue // the other worker won every lease
-			}
-			e := engine[backend]
-			if got := regs[i].Gauge("ffr_campaign_lanes_per_batch", "").Value(); got != e.lanes {
-				t.Fatalf("fleet %q worker %d ran %v lanes per batch, want %v", fleet, i, got, e.lanes)
-			}
-			chunkSeconds := regs[i].HistogramVec("ffr_campaign_chunk_seconds", "", obs.DefBuckets, "backend")
-			if got := chunkSeconds.With(e.label).Count(); got != uint64(ran) {
-				t.Fatalf("fleet %q worker %d: %d chunk timings under backend=%q, completed %d chunks",
-					fleet, i, got, e.label, ran)
-			}
-			if regs[i].Counter("ffr_campaign_simulated_cycles_total", "").Value() == 0 {
-				t.Fatalf("fleet %q worker %d exported no simulated cycles", fleet, i)
-			}
-		}
+	srv := httptest.NewServer(coord.Handler())
+	defer srv.Close()
+	reg := obs.NewRegistry()
+	w, err := fabric.NewWorker(fabric.WorkerConfig{
+		Name:        "w0",
+		Coordinator: srv.URL,
+		Workers:     1,
+		MaxChunks:   1,
+		Heartbeat:   100 * time.Millisecond,
+		Metrics:     reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := coord.CheckpointFingerprint(); !ok || got != want {
+		t.Fatalf("fingerprint %x (ok=%v), single-node %x", got, ok, want)
+	}
+	if got := reg.Gauge("ffr_campaign_lanes_per_batch", "").Value(); got != 256 {
+		t.Fatalf("worker ran %v lanes per batch, want 256", got)
+	}
+	ran := w.Completed()
+	if got := reg.Histogram("ffr_campaign_chunk_seconds", "", obs.DefBuckets).Count(); ran == 0 || got != uint64(ran) {
+		t.Fatalf("%d chunk timings, completed %d chunks", got, ran)
+	}
+	if reg.Counter("ffr_campaign_simulated_cycles_total", "").Value() == 0 {
+		t.Fatal("worker exported no simulated cycles")
 	}
 }
 

@@ -128,10 +128,10 @@ type Result struct {
 	// SimulatedCycles counts the engine cycles actually simulated in this
 	// run (chunks restored from a checkpoint contribute nothing).
 	SimulatedCycles int64
-	// ReplayCycles is what the naive full-replay path would have simulated
-	// for the same chunks: computed batches × stimulus cycles. On the
-	// naive path SimulatedCycles == ReplayCycles; their ratio is the
-	// incremental engine's cycle saving.
+	// ReplayCycles is what replaying every 64-lane batch of the same chunks
+	// from cycle 0 would have simulated: computed batches × stimulus
+	// cycles. Its ratio to SimulatedCycles is the cycle saving of
+	// fast-forward, early exit and wide batches.
 	ReplayCycles int64
 }
 
@@ -168,8 +168,7 @@ func RunCampaign(p *sim.Program, stim *sim.Stimulus, monitors []int, cls Classif
 // RunJobs executes an explicit injection plan on an ephemeral runner with
 // the given configuration. The core estimation flow uses it to fault-inject
 // only the training subset of flip-flops, passing the study's golden trace
-// and snapshots through cfg so partial campaigns ride the incremental path
-// without re-simulating either.
+// and snapshots through cfg so partial campaigns re-simulate neither.
 func RunJobs(p *sim.Program, stim *sim.Stimulus, monitors []int, cls Classifier, jobs []Job, cfg RunnerConfig) (*Result, error) {
 	r, err := NewRunner(p, stim, monitors, cls, cfg)
 	if err != nil {

@@ -79,11 +79,10 @@ func (r *Runner) validateJobs(jobs []Job) error {
 // RunChunks simulates exactly the given shard chunks of the plan and
 // returns their per-batch failure masks, keyed by chunk index — the unit
 // of work a fabric worker executes under one lease. It runs them on the
-// same chunk pool as RunContext, so on the runner's configured backend (the
-// 256-lane compiled kernel by default) and with the same ffr_campaign_*
-// chunk metrics; only resume, merge and checkpointing are left out. The
-// masks are bit-identical to what a full single-node Run would record for
-// the same chunks, whichever backend either side ran.
+// same chunk pool as RunContext, with the same ffr_campaign_* chunk
+// metrics; only resume, merge and checkpointing are left out. The masks are
+// bit-identical to what a full single-node Run would record for the same
+// chunks.
 //
 // On context cancellation the chunks already finished are returned
 // alongside an error wrapping ErrInterrupted, so callers can still report

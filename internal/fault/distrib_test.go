@@ -12,7 +12,7 @@ import (
 )
 
 // TestRunChunksMergeMatchesRun pins the distributed substrate, per fault
-// model and per backend: splitting a plan's chunks three ways across
+// model: splitting a plan's chunks three ways across
 // independent Runners (as three fabric workers would) must reproduce,
 // chunk for chunk, the masks one checkpointed single-node Run records, and
 // merging them and assembling a checkpoint must be bit-identical — same
@@ -52,73 +52,69 @@ func TestRunChunksMergeMatchesRun(t *testing.T) {
 			split[ci%3] = append(split[ci%3], ci)
 		}
 
-		for _, backend := range []fault.Backend{fault.BackendInterp, fault.BackendKernel} {
-			t.Run(spec+"/"+string(backend), func(t *testing.T) {
-				cfg := cfg
-				cfg.Backend = backend
-				// Three "workers": independent runners, disjoint chunk sets.
-				merged := make(map[int][]uint64)
-				for _, chunkSet := range split {
-					w, err := fault.NewRunner(p, bench.Stim, bench.Monitors, fault.NewMACClassifier(bench, true), cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					masks, err := w.RunChunks(context.Background(), jobs, chunkSet)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if len(masks) != len(chunkSet) {
-						t.Fatalf("worker returned %d of %d chunks", len(masks), len(chunkSet))
-					}
-					for ci, m := range masks {
-						merged[ci] = m
-					}
+		t.Run(spec+"/kernel", func(t *testing.T) {
+			// Three "workers": independent runners, disjoint chunk sets.
+			merged := make(map[int][]uint64)
+			for _, chunkSet := range split {
+				w, err := fault.NewRunner(p, bench.Stim, bench.Monitors, fault.NewMACClassifier(bench, true), cfg)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if !reflect.DeepEqual(merged, singleCk.Chunks) {
-					t.Fatal("leased chunk masks differ from the single-node checkpoint's")
+				masks, err := w.RunChunks(context.Background(), jobs, chunkSet)
+				if err != nil {
+					t.Fatal(err)
 				}
+				if len(masks) != len(chunkSet) {
+					t.Fatalf("worker returned %d of %d chunks", len(masks), len(chunkSet))
+				}
+				for ci, m := range masks {
+					merged[ci] = m
+				}
+			}
+			if !reflect.DeepEqual(merged, singleCk.Chunks) {
+				t.Fatal("leased chunk masks differ from the single-node checkpoint's")
+			}
 
-				// Coordinator-side merge: Result and checkpoint must match
-				// the single-node run exactly.
-				coord, err := fault.NewRunner(p, bench.Stim, bench.Monitors, cls, cfg)
-				if err != nil {
-					t.Fatal(err)
+			// Coordinator-side merge: Result and checkpoint must match
+			// the single-node run exactly.
+			coord, err := fault.NewRunner(p, bench.Stim, bench.Monitors, cls, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := coord.MergeChunks(jobs, merged)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for ff := range ref.FDR {
+				if res.Failures[ff] != ref.Failures[ff] || res.Injections[ff] != ref.Injections[ff] {
+					t.Fatalf("target %d: distributed %d/%d, single-node %d/%d", ff,
+						res.Failures[ff], res.Injections[ff], ref.Failures[ff], ref.Injections[ff])
 				}
-				res, err := coord.MergeChunks(jobs, merged)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for ff := range ref.FDR {
-					if res.Failures[ff] != ref.Failures[ff] || res.Injections[ff] != ref.Injections[ff] {
-						t.Fatalf("target %d: distributed %d/%d, single-node %d/%d", ff,
-							res.Failures[ff], res.Injections[ff], ref.Failures[ff], ref.Injections[ff])
-					}
-				}
-				distCk, err := coord.CampaignCheckpoint(jobs, merged)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if distCk.Fingerprint() != singleCk.Fingerprint() {
-					t.Fatalf("checkpoint fingerprints differ: distributed %x, single-node %x",
-						distCk.Fingerprint(), singleCk.Fingerprint())
-				}
+			}
+			distCk, err := coord.CampaignCheckpoint(jobs, merged)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if distCk.Fingerprint() != singleCk.Fingerprint() {
+				t.Fatalf("checkpoint fingerprints differ: distributed %x, single-node %x",
+					distCk.Fingerprint(), singleCk.Fingerprint())
+			}
 
-				// The merged checkpoint must round-trip through the existing
-				// on-disk format and keep its fingerprint.
-				distPath := filepath.Join(t.TempDir(), "merged.ckpt")
-				if err := fault.SaveCheckpoint(distPath, distCk); err != nil {
-					t.Fatal(err)
-				}
-				loaded, err := fault.LoadCheckpoint(distPath)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if loaded.Fingerprint() != singleCk.Fingerprint() {
-					t.Fatalf("fingerprint changed across save/load: %x != %x",
-						loaded.Fingerprint(), singleCk.Fingerprint())
-				}
-			})
-		}
+			// The merged checkpoint must round-trip through the existing
+			// on-disk format and keep its fingerprint.
+			distPath := filepath.Join(t.TempDir(), "merged.ckpt")
+			if err := fault.SaveCheckpoint(distPath, distCk); err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := fault.LoadCheckpoint(distPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if loaded.Fingerprint() != singleCk.Fingerprint() {
+				t.Fatalf("fingerprint changed across save/load: %x != %x",
+					loaded.Fingerprint(), singleCk.Fingerprint())
+			}
+		})
 	}
 }
 
@@ -203,10 +199,9 @@ func TestPlanShardsGeometry(t *testing.T) {
 
 // BenchmarkRunChunks measures the chunk executor end to end — worker state
 // set-up, batch packing, windowed simulation, classification — over every
-// chunk of a small-MAC plan, per backend, on one worker. Beside the time it
-// reports the exact, repeatable counts behind it: engine cycles simulated
-// per injection and, on the kernel, lane occupancy (active / window
-// lane-cycles).
+// chunk of a small-MAC plan on one worker. Beside the time it reports the
+// exact, repeatable counts behind it: engine cycles simulated per injection
+// and lane occupancy (active / window lane-cycles).
 func BenchmarkRunChunks(b *testing.B) {
 	p, bench := smallMAC(b)
 	jobs := fault.NewPlan(p.NumFFs(), 8, bench.ActiveCycles, 41)
@@ -218,31 +213,25 @@ func BenchmarkRunChunks(b *testing.B) {
 	for i := range all {
 		all[i] = i
 	}
-	for _, backend := range []fault.Backend{fault.BackendInterp, fault.BackendKernel} {
-		b.Run(string(backend), func(b *testing.B) {
-			reg := obs.NewRegistry()
-			r, err := fault.NewRunner(p, bench.Stim, bench.Monitors, fault.NewMACClassifier(bench, true),
-				fault.RunnerConfig{Workers: 1, Backend: backend, Metrics: reg})
-			if err != nil {
-				b.Fatal(err)
-			}
-			// Golden run, snapshots and kernel compilation are set-up.
-			if _, err := r.RunChunks(context.Background(), jobs, nil); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			for b.Loop() {
-				if _, err := r.RunChunks(context.Background(), jobs, all); err != nil {
-					b.Fatal(err)
-				}
-			}
-			injections := float64(b.N) * float64(len(jobs))
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/injections, "ns/injection")
-			count := func(name string) float64 { return reg.Counter(name, "").Value() }
-			b.ReportMetric(count("ffr_campaign_simulated_cycles_total")/injections, "sim-cycles/injection")
-			if window := count("ffr_campaign_window_lane_cycles_total"); window > 0 {
-				b.ReportMetric(count("ffr_campaign_active_lane_cycles_total")/window, "lane-occupancy")
-			}
-		})
+	reg := obs.NewRegistry()
+	r, err := fault.NewRunner(p, bench.Stim, bench.Monitors, fault.NewMACClassifier(bench, true),
+		fault.RunnerConfig{Workers: 1, Metrics: reg})
+	if err != nil {
+		b.Fatal(err)
 	}
+	// Golden run, snapshots and kernel compilation are set-up.
+	if _, err := r.RunChunks(context.Background(), jobs, nil); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := r.RunChunks(context.Background(), jobs, all); err != nil {
+			b.Fatal(err)
+		}
+	}
+	injections := float64(b.N) * float64(len(jobs))
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/injections, "ns/injection")
+	count := func(name string) float64 { return reg.Counter(name, "").Value() }
+	b.ReportMetric(count("ffr_campaign_simulated_cycles_total")/injections, "sim-cycles/injection")
+	b.ReportMetric(count("ffr_campaign_active_lane_cycles_total")/count("ffr_campaign_window_lane_cycles_total"), "lane-occupancy")
 }

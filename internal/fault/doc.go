@@ -13,12 +13,13 @@
 // holds a flip-flop at a value for a duration, SET pulses a combinational
 // cell's output for one evaluation (latching only where a downstream
 // flip-flop samples it), and any model can be windowed to a fraction of the
-// active phase. Every model is bit-identical across backends and schedules,
-// and the SEU model is bit-identical to the pre-model campaign — both
-// properties are pinned by the equivalence suite.
+// active phase. Every model is bit-identical across schedules and to a full
+// replay on the interpreter (sim.Engine), and the SEU model is bit-identical
+// to the pre-model campaign — both properties are pinned by the equivalence
+// suite.
 //
-// The campaign exploits the 64-lane bit-parallel engine: 64 independent
-// injection runs execute per simulation pass. Execution is owned by Runner,
+// The campaign exploits bit-parallel simulation: 256 independent injection
+// runs execute per pass of the compiled kernel. Execution is owned by Runner,
 // which shards the plan into fixed-size chunks, fans them out across a
 // bounded worker pool, merges partial results deterministically (worker
 // count and chunk size never change the outcome), and can checkpoint

@@ -13,67 +13,67 @@ import (
 	"repro/internal/sim"
 )
 
-// The campaign-equivalence suite: the incremental engine (golden-snapshot
-// fast-forward + streaming early exit + cycle-clustered scheduling) and the
-// compiled-kernel backend (gate fusion + dead-fanout pruning + wide batches)
-// must produce bit-identical failure masks, FDR vectors and
-// checkpoint/resume behavior versus the naive full-replay path, across the
-// MAC, every registered corpus scenario (which includes the random netlist
-// family), a TMR-hardened netlist and the edge cycles where off-by-one bugs
-// would hide: flips at cycle 0, the last active cycle, the last stimulus
-// cycle and snapshot boundaries.
+// The campaign-equivalence suite: the Runner (golden-snapshot fast-forward +
+// streaming early exit + straggler repacking on the compiled kernel: gate
+// fusion + dead-fanout pruning + wide batches), under both schedules, must
+// produce bit-identical failure masks, FDR vectors and checkpoint/resume
+// behavior versus the reference — a full replay of every 64-lane batch on
+// the interpreter (fault.ReferenceMasks) — across the MAC, every registered
+// corpus scenario (which includes the random netlist family), a TMR-hardened
+// netlist and the edge cycles where off-by-one bugs would hide: flips at
+// cycle 0, the last active cycle, the last stimulus cycle and snapshot
+// boundaries.
 
-// runConfigs are the backend × schedule combinations every plan is run
-// under; all of them must agree with the first (the naive plan-order
-// reference).
-var runConfigs = []struct {
-	name string
-	cfg  fault.RunnerConfig
-}{
-	{"naive/plan", fault.RunnerConfig{Naive: true, Schedule: fault.SchedulePlan}},
-	{"naive/clustered", fault.RunnerConfig{Naive: true, Schedule: fault.ScheduleClustered}},
-	{"interp/plan", fault.RunnerConfig{Schedule: fault.SchedulePlan, Backend: fault.BackendInterp}},
-	{"interp/clustered", fault.RunnerConfig{Schedule: fault.ScheduleClustered, Backend: fault.BackendInterp}},
-	{"kernel/plan", fault.RunnerConfig{Schedule: fault.SchedulePlan, Backend: fault.BackendKernel}},
-	{"kernel/clustered", fault.RunnerConfig{Schedule: fault.ScheduleClustered, Backend: fault.BackendKernel}},
+// runSchedules are the schedules every plan is run under; each must agree
+// with the plan-order reference replay.
+var runSchedules = []fault.Schedule{fault.SchedulePlan, fault.ScheduleClustered}
+
+// reference replays the plan on the interpreter under cfg's model, schedule
+// and chunk geometry and folds the masks into a Result.
+func reference(t *testing.T, p *sim.Program, stim *sim.Stimulus, monitors []int,
+	cls fault.Classifier, jobs []fault.Job, cfg fault.RunnerConfig) *fault.Result {
+	t.Helper()
+	r, err := fault.NewRunner(p, stim, monitors, cls, cfg)
+	if err != nil {
+		t.Fatalf("reference: %v", err)
+	}
+	res, err := fault.ReferenceResult(r, jobs)
+	if err != nil {
+		t.Fatalf("reference: %v", err)
+	}
+	return res
 }
 
+// assertEquivalent runs one plan under every schedule with the given model
+// (zero: SEU) and requires bit-identical results against the plan-order
+// reference, which it returns.
 func assertEquivalent(t *testing.T, p *sim.Program, stim *sim.Stimulus, monitors []int,
-	cls fault.Classifier, jobs []fault.Job) {
+	cls fault.Classifier, model fault.Model, jobs []fault.Job) *fault.Result {
 	t.Helper()
-	var ref *fault.Result
-	for _, rc := range runConfigs {
-		cfg := rc.cfg
-		cfg.Workers = 2
-		res, err := fault.RunJobs(p, stim, monitors, cls, jobs, cfg)
+	ref := reference(t, p, stim, monitors, cls, jobs, fault.RunnerConfig{Model: model, Schedule: fault.SchedulePlan})
+	for _, schedule := range runSchedules {
+		res, err := fault.RunJobs(p, stim, monitors, cls, jobs,
+			fault.RunnerConfig{Model: model, Schedule: schedule, Workers: 2})
 		if err != nil {
-			t.Fatalf("%s: %v", rc.name, err)
+			t.Fatalf("%s: %v", schedule, err)
 		}
-		if cfg.Naive {
-			if res.SimulatedCycles != res.ReplayCycles {
-				t.Fatalf("%s: naive path simulated %d of %d replay cycles",
-					rc.name, res.SimulatedCycles, res.ReplayCycles)
-			}
-		} else if res.SimulatedCycles > res.ReplayCycles {
-			t.Fatalf("%s: incremental path simulated %d > %d replay cycles",
-				rc.name, res.SimulatedCycles, res.ReplayCycles)
-		}
-		if ref == nil {
-			ref = res
-			continue
+		if res.SimulatedCycles > res.ReplayCycles {
+			t.Fatalf("%s: simulated %d > %d replay cycles",
+				schedule, res.SimulatedCycles, res.ReplayCycles)
 		}
 		if res.TotalRuns != ref.TotalRuns || res.Batches != ref.Batches {
-			t.Fatalf("%s: shape differs from reference", rc.name)
+			t.Fatalf("%s: shape differs from reference", schedule)
 		}
-		for ff := range ref.FDR {
-			if res.Failures[ff] != ref.Failures[ff] || res.Injections[ff] != ref.Injections[ff] ||
-				res.FDR[ff] != ref.FDR[ff] {
-				t.Fatalf("%s: FF %d = %d/%d failures, reference %d/%d",
-					rc.name, ff, res.Failures[ff], res.Injections[ff],
-					ref.Failures[ff], ref.Injections[ff])
+		for i := range ref.FDR {
+			if res.Failures[i] != ref.Failures[i] || res.Injections[i] != ref.Injections[i] ||
+				res.FDR[i] != ref.FDR[i] {
+				t.Fatalf("%s: target %d = %d/%d failures, reference %d/%d",
+					schedule, i, res.Failures[i], res.Injections[i],
+					ref.Failures[i], ref.Injections[i])
 			}
 		}
 	}
+	return ref
 }
 
 // TestEquivalenceMAC pins the incremental path on the MAC classifier (the
@@ -82,7 +82,7 @@ func TestEquivalenceMAC(t *testing.T) {
 	p, bench := smallMAC(t)
 	cls := fault.NewMACClassifier(bench, true)
 	jobs := fault.NewPlan(p.NumFFs(), 3, bench.ActiveCycles, 77)
-	assertEquivalent(t, p, bench.Stim, bench.Monitors, cls, jobs)
+	assertEquivalent(t, p, bench.Stim, bench.Monitors, cls, fault.Model{}, jobs)
 }
 
 // TestEquivalenceMACNoStats covers the criterion variant without the
@@ -91,7 +91,7 @@ func TestEquivalenceMACNoStats(t *testing.T) {
 	p, bench := smallMAC(t)
 	cls := fault.NewMACClassifier(bench, false)
 	jobs := fault.NewPlan(p.NumFFs(), 2, bench.ActiveCycles, 78)
-	assertEquivalent(t, p, bench.Stim, bench.Monitors, cls, jobs)
+	assertEquivalent(t, p, bench.Stim, bench.Monitors, cls, fault.Model{}, jobs)
 }
 
 // TestEquivalenceCorpus sweeps every registered scenario — the structured
@@ -106,7 +106,7 @@ func TestEquivalenceCorpus(t *testing.T) {
 				t.Fatalf("materialize: %v", err)
 			}
 			jobs := fault.NewPlan(m.NumFFs(), 2, m.Bench.ActiveCycles, 9)
-			assertEquivalent(t, m.Program, m.Bench.Stim, m.Bench.Monitors, m.Bench.Classifier, jobs)
+			assertEquivalent(t, m.Program, m.Bench.Stim, m.Bench.Monitors, m.Bench.Classifier, fault.Model{}, jobs)
 		})
 	}
 }
@@ -115,7 +115,7 @@ func TestEquivalenceCorpus(t *testing.T) {
 // materialization of a corpus scenario: the rewrite triples flip-flops and
 // inserts majority voters, so the kernel compiler sees the voter's AOI/OAI
 // structure and the pruner a changed fanout cone — the hardened netlist
-// must classify identically on every backend × schedule combination.
+// must classify identically to the reference under both schedules.
 func TestEquivalenceTMRHardened(t *testing.T) {
 	sc, err := corpus.Find("mac10ge/loopback")
 	if err != nil {
@@ -128,7 +128,7 @@ func TestEquivalenceTMRHardened(t *testing.T) {
 		t.Fatalf("materialize hardened: %v", err)
 	}
 	jobs := fault.NewPlan(mh.NumFFs(), 2, mh.Bench.ActiveCycles, 9)
-	assertEquivalent(t, mh.Program, mh.Bench.Stim, mh.Bench.Monitors, mh.Bench.Classifier, jobs)
+	assertEquivalent(t, mh.Program, mh.Bench.Stim, mh.Bench.Monitors, mh.Bench.Classifier, fault.Model{}, jobs)
 }
 
 // TestEquivalenceEdgeCycles targets the boundary cases: flips at cycle 0,
@@ -147,7 +147,7 @@ func TestEquivalenceEdgeCycles(t *testing.T) {
 			Cycle: edges[i%len(edges)],
 		})
 	}
-	assertEquivalent(t, p, bench.Stim, bench.Monitors, cls, jobs)
+	assertEquivalent(t, p, bench.Stim, bench.Monitors, cls, fault.Model{}, jobs)
 }
 
 // TestEquivalenceSnapshotCadence pins that the snapshot cadence never
@@ -176,9 +176,9 @@ func TestEquivalenceSnapshotCadence(t *testing.T) {
 }
 
 // TestEquivalenceCheckpointResumeIncremental is the resume half of the
-// acceptance criterion: an interrupted incremental clustered campaign
-// resumed from its checkpoint matches the uninterrupted naive reference
-// bit for bit, and reports the cycles it did not re-simulate as resumed.
+// acceptance criterion: an interrupted clustered campaign resumed from its
+// checkpoint matches the uninterrupted reference replay bit for bit, and
+// reports the cycles it did not re-simulate as resumed.
 func TestEquivalenceCheckpointResumeIncremental(t *testing.T) {
 	p, bench := smallMAC(t)
 	jobs := fault.NewPlan(p.NumFFs(), 2, bench.ActiveCycles, 21)
@@ -186,13 +186,10 @@ func TestEquivalenceCheckpointResumeIncremental(t *testing.T) {
 
 	newCls := func() fault.Classifier { return fault.NewMACClassifier(bench, true) }
 
-	want, err := fault.RunJobs(p, bench.Stim, bench.Monitors, newCls(), jobs,
-		fault.RunnerConfig{Naive: true, Schedule: fault.SchedulePlan, ChunkJobs: sim.Lanes})
-	if err != nil {
-		t.Fatalf("reference: %v", err)
-	}
+	want := reference(t, p, bench.Stim, bench.Monitors, newCls(), jobs,
+		fault.RunnerConfig{Schedule: fault.SchedulePlan, ChunkJobs: sim.Lanes})
 
-	// Interrupt the incremental clustered run after two chunks.
+	// Interrupt the clustered run after two chunks.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	ri, err := fault.NewRunner(p, bench.Stim, bench.Monitors, newCls(), fault.RunnerConfig{
@@ -247,83 +244,6 @@ func TestEquivalenceCheckpointResumeIncremental(t *testing.T) {
 	}
 }
 
-// TestEquivalenceCheckpointCrossBackend: checkpoints record plan geometry
-// and schedule but deliberately not the backend — results are bit-identical
-// across backends, so a checkpoint written under one backend must resume
-// under the other and still match the uninterrupted naive reference bit for
-// bit (a heterogeneous fleet can share one campaign).
-func TestEquivalenceCheckpointCrossBackend(t *testing.T) {
-	p, bench := smallMAC(t)
-	jobs := fault.NewPlan(p.NumFFs(), 2, bench.ActiveCycles, 21)
-	newCls := func() fault.Classifier { return fault.NewMACClassifier(bench, true) }
-
-	want, err := fault.RunJobs(p, bench.Stim, bench.Monitors, newCls(), jobs,
-		fault.RunnerConfig{Naive: true, Schedule: fault.SchedulePlan, ChunkJobs: sim.Lanes})
-	if err != nil {
-		t.Fatalf("reference: %v", err)
-	}
-
-	dirs := []struct {
-		name          string
-		first, second fault.Backend
-	}{
-		{"interp-to-kernel", fault.BackendInterp, fault.BackendKernel},
-		{"kernel-to-interp", fault.BackendKernel, fault.BackendInterp},
-	}
-	for _, dir := range dirs {
-		dir := dir
-		t.Run(dir.name, func(t *testing.T) {
-			ckpt := filepath.Join(t.TempDir(), "campaign.ffr")
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			ri, err := fault.NewRunner(p, bench.Stim, bench.Monitors, newCls(), fault.RunnerConfig{
-				ChunkJobs:       sim.Lanes,
-				Workers:         2,
-				Backend:         dir.first,
-				CheckpointPath:  ckpt,
-				CheckpointEvery: 1,
-				OnProgress: func(pr fault.Progress) {
-					if pr.ChunksDone >= 2 {
-						cancel()
-					}
-				},
-			})
-			if err != nil {
-				t.Fatalf("NewRunner: %v", err)
-			}
-			if _, err := ri.RunContext(ctx, jobs); !errors.Is(err, fault.ErrInterrupted) {
-				t.Fatalf("interrupted run returned %v", err)
-			}
-			ck, err := fault.LoadCheckpoint(ckpt)
-			if err != nil {
-				t.Fatalf("checkpoint: %v", err)
-			}
-			if len(ck.Chunks) == 0 || len(ck.Chunks) >= want.Chunks {
-				t.Fatalf("interrupt did not land mid-run (%d of %d chunks)", len(ck.Chunks), want.Chunks)
-			}
-
-			rr, err := fault.NewRunner(p, bench.Stim, bench.Monitors, newCls(), fault.RunnerConfig{
-				ChunkJobs:      sim.Lanes,
-				Workers:        2,
-				Backend:        dir.second,
-				CheckpointPath: ckpt,
-				Resume:         true,
-			})
-			if err != nil {
-				t.Fatalf("NewRunner: %v", err)
-			}
-			got, err := rr.Run(jobs)
-			if err != nil {
-				t.Fatalf("cross-backend resume: %v", err)
-			}
-			if got.ResumedChunks != len(ck.Chunks) {
-				t.Fatalf("resumed %d chunks, checkpoint held %d", got.ResumedChunks, len(ck.Chunks))
-			}
-			sameResult(t, want, got)
-		})
-	}
-}
-
 // TestScheduleMismatchRejected: masks are packed per schedule, so resuming a
 // clustered checkpoint under plan order (or vice versa) must be refused.
 func TestScheduleMismatchRejected(t *testing.T) {
@@ -364,11 +284,8 @@ func TestLegacyScheduleAdoptedOnResume(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "campaign.ffr")
 
 	newCls := func() fault.Classifier { return fault.NewMACClassifier(bench, true) }
-	want, err := fault.RunJobs(p, bench.Stim, bench.Monitors, newCls(), jobs,
-		fault.RunnerConfig{Naive: true, Schedule: fault.SchedulePlan, ChunkJobs: sim.Lanes})
-	if err != nil {
-		t.Fatalf("reference: %v", err)
-	}
+	want := reference(t, p, bench.Stim, bench.Monitors, newCls(), jobs,
+		fault.RunnerConfig{Schedule: fault.SchedulePlan, ChunkJobs: sim.Lanes})
 
 	// Interrupt an explicitly plan-order run to get a partial checkpoint.
 	ctx, cancel := context.WithCancel(context.Background())

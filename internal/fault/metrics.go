@@ -6,7 +6,7 @@ import (
 	"repro/internal/obs"
 )
 
-// Early-exit reasons of the incremental batch path, the label values of
+// Early-exit reasons of a 64-lane window, the label values of
 // ffr_campaign_early_exits_total.
 const (
 	// exitAllFailed: every undecided lane was confirmed failed by the
@@ -19,8 +19,8 @@ const (
 	// exitWindowEnd: the batch ran to the end of the stimulus window (no
 	// early exit).
 	exitWindowEnd = "window_end"
-	// exitRepacked: the kernel path cut the group's wide batch with these
-	// lanes still undecided and re-injected them in a later round.
+	// exitRepacked: the group's wide batch was cut with lanes still
+	// undecided, to be re-injected in a later round.
 	exitRepacked = "repacked"
 )
 
@@ -45,27 +45,24 @@ type campaignMetrics struct {
 	repackedLanes   *obs.Counter
 }
 
-// newCampaignMetrics precomputes the backend-labeled children for the
-// runner's resolved backend, so the hot path observes plain metrics.
-func newCampaignMetrics(reg *obs.Registry, backend string) *campaignMetrics {
+func newCampaignMetrics(reg *obs.Registry) *campaignMetrics {
 	return &campaignMetrics{
 		chunksCompleted: reg.Counter("ffr_campaign_chunks_completed_total",
 			"shard chunks simulated (excludes chunks restored from a checkpoint)"),
-		chunkSeconds: reg.HistogramVec("ffr_campaign_chunk_seconds",
-			"per-chunk simulation wall time in seconds by simulation backend",
-			obs.DefBuckets, "backend").With(backend),
+		chunkSeconds: reg.Histogram("ffr_campaign_chunk_seconds",
+			"per-chunk simulation wall time in seconds", obs.DefBuckets),
 		batches: reg.Counter("ffr_campaign_batches_total",
 			"64-lane batches of the plan simulated (a repacked lane's second window is not another batch)"),
 		simCycles: reg.Counter("ffr_campaign_simulated_cycles_total",
 			"engine cycles actually simulated"),
 		replayCycles: reg.Counter("ffr_campaign_replay_cycles_total",
-			"engine cycles a naive full-replay campaign would have simulated"),
+			"engine cycles replaying every 64-lane batch from cycle 0 would have simulated"),
 		ffHits: reg.Counter("ffr_campaign_fastforward_hits_total",
 			"batches whose golden-state snapshot fast-forward skipped a non-empty prefix"),
 		ffCycles: reg.Counter("ffr_campaign_fastforward_cycles_total",
 			"engine cycles skipped by golden-state snapshot fast-forward"),
 		earlyExits: reg.CounterVec("ffr_campaign_early_exits_total",
-			"64-lane simulation windows by how they ended (repacked: cut with stragglers left for a later kernel round)", "reason"),
+			"64-lane simulation windows by how they ended (repacked: cut with stragglers left for a later round)", "reason"),
 		ckSeconds: reg.Histogram("ffr_campaign_checkpoint_seconds",
 			"checkpoint save latency in seconds", obs.DefBuckets),
 		jobsDone: reg.Gauge("ffr_campaign_jobs_done",
@@ -73,13 +70,13 @@ func newCampaignMetrics(reg *obs.Registry, backend string) *campaignMetrics {
 		jobsTotal: reg.Gauge("ffr_campaign_jobs_total",
 			"injection jobs in the campaign plan"),
 		lanesPerBatch: reg.Gauge("ffr_campaign_lanes_per_batch",
-			"independent fault-simulation lanes per engine batch (64 on the interpreter, 64 per kernel batch word)"),
+			"independent fault-simulation lanes per engine batch (64 per kernel batch word)"),
 		activeLanes: reg.Counter("ffr_campaign_active_lane_cycles_total",
-			"kernel-batch lane-cycles spent on lanes still undecided at the start of their snapshot interval (lane occupancy = active/window)"),
+			"lane-cycles spent on lanes still undecided at the start of their snapshot interval (lane occupancy = active/window)"),
 		windowLanes: reg.Counter("ffr_campaign_window_lane_cycles_total",
-			"kernel-batch lane-cycles simulated, whole engine width (lanes per batch x simulated cycles)"),
+			"lane-cycles simulated, whole engine width (lanes per batch x simulated cycles)"),
 		repackedLanes: reg.Counter("ffr_campaign_repacked_lanes_total",
-			"lanes a cut kernel batch left undecided, re-injected from their injection cycle in a later round"),
+			"lanes a cut batch left undecided, re-injected from their injection cycle in a later round"),
 	}
 }
 
@@ -113,7 +110,7 @@ func (m *campaignMetrics) observeChunk(cr chunkResult) {
 	m.replayCycles.Add(float64(cr.replayCycles))
 }
 
-// observeBatch records one incremental 64-lane window: the fast-forwarded
+// observeBatch records one 64-lane window: the fast-forwarded
 // prefix [0, start) and how the window ended at stop of total cycles.
 func (m *campaignMetrics) observeBatch(start, stop, cycles int, used, failed, settled uint64) {
 	if m == nil {
@@ -148,13 +145,6 @@ func (m *campaignMetrics) observeWideBatch(active, window, repacked int) {
 	m.activeLanes.Add(float64(active))
 	m.windowLanes.Add(float64(window))
 	m.repackedLanes.Add(float64(repacked))
-}
-
-func (m *campaignMetrics) observeNaiveBatch() {
-	if m == nil {
-		return
-	}
-	m.earlyExits.With(exitWindowEnd).Inc()
 }
 
 func (m *campaignMetrics) observeCheckpoint(elapsed time.Duration) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/circuit"
@@ -15,9 +16,8 @@ import (
 
 // The fault-model equivalence suite: every model — MBU clusters, stuck-at
 // holds, SET pulses, windowed variants — must produce bit-identical failure
-// masks, per-target tallies and checkpoints across the same backend ×
-// schedule matrix the SEU suite pins (naive replay, incremental interpreter,
-// compiled wide kernel; plan-order and clustered packing), plus the model
+// masks, per-target tallies and checkpoints to the reference replay under
+// both schedules, as the SEU suite pins (assertEquivalent), plus the model
 // edge cases where off-by-one bugs would hide: clusters clamped at the FF
 // count, stuck-at holds running past the last stimulus cycle, and SET
 // pulses on combinational cells the kernel's dead-fanout pruner discards.
@@ -30,40 +30,6 @@ var equivModels = []string{
 	"stuck0:2", "stuck1:3", "stuck0:8",
 	"set",
 	"seu@0.25-0.75", "mbu:3@0.5-1", "stuck1:2@0-0.5", "set@0.5-1",
-}
-
-// assertModelEquivalent runs one plan under every backend × schedule
-// combination with the given model and requires bit-identical results
-// against the naive plan-order reference.
-func assertModelEquivalent(t *testing.T, p *sim.Program, stim *sim.Stimulus, monitors []int,
-	cls fault.Classifier, model fault.Model, jobs []fault.Job) *fault.Result {
-	t.Helper()
-	var ref *fault.Result
-	for _, rc := range runConfigs {
-		cfg := rc.cfg
-		cfg.Workers = 2
-		cfg.Model = model
-		res, err := fault.RunJobs(p, stim, monitors, cls, jobs, cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", rc.name, err)
-		}
-		if ref == nil {
-			ref = res
-			continue
-		}
-		if res.TotalRuns != ref.TotalRuns || res.Batches != ref.Batches {
-			t.Fatalf("%s: shape differs from reference", rc.name)
-		}
-		for i := range ref.FDR {
-			if res.Failures[i] != ref.Failures[i] || res.Injections[i] != ref.Injections[i] ||
-				res.FDR[i] != ref.FDR[i] {
-				t.Fatalf("%s: target %d = %d/%d failures, reference %d/%d",
-					rc.name, i, res.Failures[i], res.Injections[i],
-					ref.Failures[i], ref.Injections[i])
-			}
-		}
-	}
-	return ref
 }
 
 // TestModelEquivalenceMAC sweeps the model matrix on the MAC under its
@@ -79,7 +45,7 @@ func TestModelEquivalenceMAC(t *testing.T) {
 				t.Fatalf("ParseModel: %v", err)
 			}
 			jobs := fault.NewModelPlan(model, model.NumTargets(p), 2, bench.ActiveCycles, 77)
-			res := assertModelEquivalent(t, p, bench.Stim, bench.Monitors, cls, model, jobs)
+			res := assertEquivalent(t, p, bench.Stim, bench.Monitors, cls, model, jobs)
 			if want := model.NumTargets(p); len(res.FDR) != want {
 				t.Fatalf("result sized for %d targets, want %d", len(res.FDR), want)
 			}
@@ -110,7 +76,7 @@ func TestModelEquivalenceCorpus(t *testing.T) {
 				t.Fatalf("ParseModel: %v", err)
 			}
 			jobs := fault.NewModelPlan(model, model.NumTargets(m.Program), 2, m.Bench.ActiveCycles, 9)
-			assertModelEquivalent(t, m.Program, m.Bench.Stim, m.Bench.Monitors, m.Bench.Classifier, model, jobs)
+			assertEquivalent(t, m.Program, m.Bench.Stim, m.Bench.Monitors, m.Bench.Classifier, model, jobs)
 		})
 	}
 }
@@ -175,8 +141,59 @@ func tinyFixture(t *testing.T) (*sim.Program, *sim.Stimulus, []int, int) {
 	return p, stim, []int{0}, deadTarget
 }
 
+// TestReferenceMatchesScalarOracle ties the reference replay — which shares
+// its event expansion with the Runner and its engine with the golden run —
+// to a replay that shares neither: every flip-flop × every cycle of the tiny
+// fixture is injected on the single-lane ScalarEngine, where the job fails
+// when any monitored sample differs from the scalar golden run. The
+// reference's and the Runner's masks must both say the same, job for job.
+func TestReferenceMatchesScalarOracle(t *testing.T) {
+	p, stim, monitors, _ := tinyFixture(t)
+	var jobs []fault.Job
+	for ff := 0; ff < p.NumFFs(); ff++ {
+		for c := 0; c < stim.Cycles(); c++ {
+			jobs = append(jobs, fault.Job{FF: ff, Cycle: c})
+		}
+	}
+	// Plan order: bit i%64 of mask i/64 is job i.
+	r, err := fault.NewRunner(p, stim, monitors, &fault.ExactClassifier{},
+		fault.RunnerConfig{Schedule: fault.SchedulePlan})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := fault.ReferenceMasks(r, jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kernel := fault.ChunkMasks(t, r, jobs)
+
+	e := sim.NewScalarEngine(p)
+	golden := sim.RunScalar(e, stim, monitors, nil)
+	failures := 0
+	for i, job := range jobs {
+		faulty := sim.RunScalar(e, stim, monitors, func(c int) {
+			if c == job.Cycle {
+				e.FlipFF(job.FF)
+			}
+		})
+		fails := !reflect.DeepEqual(faulty, golden)
+		if fails {
+			failures++
+		}
+		if got := ref[i/64]>>uint(i%64)&1 == 1; got != fails {
+			t.Fatalf("job %+v: reference says failed=%v, scalar oracle %v", job, got, fails)
+		}
+		if got := kernel[i/64]>>uint(i%64)&1 == 1; got != fails {
+			t.Fatalf("job %+v: runner says failed=%v, scalar oracle %v", job, got, fails)
+		}
+	}
+	if failures == 0 || failures == len(jobs) {
+		t.Fatalf("%d of %d jobs fail: the fixture does not exercise both verdicts", failures, len(jobs))
+	}
+}
+
 // TestModelEquivalenceMBUClusterClamp: an MBU larger than the device must
-// clamp its clusters to every flip-flop and still agree across backends.
+// clamp its clusters to every flip-flop and still agree with the reference.
 func TestModelEquivalenceMBUClusterClamp(t *testing.T) {
 	p, stim, monitors, _ := tinyFixture(t)
 	if p.NumFFs() >= 4 {
@@ -187,7 +204,7 @@ func TestModelEquivalenceMBUClusterClamp(t *testing.T) {
 		t.Fatal(err)
 	}
 	jobs := fault.NewModelPlan(model, p.NumFFs(), 4, stim.Cycles(), 5)
-	res := assertModelEquivalent(t, p, stim, monitors, &fault.ExactClassifier{}, model, jobs)
+	res := assertEquivalent(t, p, stim, monitors, &fault.ExactClassifier{}, model, jobs)
 	// Flipping the whole 3-FF state is a heavy fault; the shift chain's
 	// output must diverge somewhere or the fixture is not exercising MBU.
 	total := 0
@@ -200,7 +217,7 @@ func TestModelEquivalenceMBUClusterClamp(t *testing.T) {
 }
 
 // TestModelEquivalenceStuckPastEnd: a stuck-at hold whose duration runs past
-// the last stimulus cycle must clamp identically on every path.
+// the last stimulus cycle must clamp as it does in the reference.
 func TestModelEquivalenceStuckPastEnd(t *testing.T) {
 	p, bench := smallMAC(t)
 	cls := fault.NewMACClassifier(bench, true)
@@ -219,11 +236,11 @@ func TestModelEquivalenceStuckPastEnd(t *testing.T) {
 		}
 		jobs = append(jobs, fault.Job{FF: (i * 5) % p.NumFFs(), Cycle: c})
 	}
-	assertModelEquivalent(t, p, bench.Stim, bench.Monitors, cls, model, jobs)
+	assertEquivalent(t, p, bench.Stim, bench.Monitors, cls, model, jobs)
 }
 
 // TestModelEquivalenceSETDeadFanout: a SET pulse on a combinational cell the
-// kernel compiler prunes must classify as a clean run on every backend —
+// kernel compiler prunes must classify as a clean run —
 // the transient has nowhere to latch — while pulses on live cells agree
 // bit for bit.
 func TestModelEquivalenceSETDeadFanout(t *testing.T) {
@@ -240,7 +257,7 @@ func TestModelEquivalenceSETDeadFanout(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		jobs = append(jobs, fault.Job{FF: i % p.NumCombTargets(), Cycle: (i * 3) % (stim.Cycles() - 1)})
 	}
-	res := assertModelEquivalent(t, p, stim, monitors, &fault.ExactClassifier{}, model, jobs)
+	res := assertEquivalent(t, p, stim, monitors, &fault.ExactClassifier{}, model, jobs)
 	if res.Failures[deadTarget] != 0 {
 		t.Fatalf("SET on a dead-fanout cell reported %d failures", res.Failures[deadTarget])
 	}
@@ -323,95 +340,6 @@ func TestSEUModelPreservesResults(t *testing.T) {
 	}
 }
 
-// TestModelCheckpointCrossBackendResume: for every fault model, a campaign
-// interrupted under one backend must resume under the other — in both
-// directions — and match the uninterrupted naive reference bit for bit.
-func TestModelCheckpointCrossBackendResume(t *testing.T) {
-	p, bench := smallMAC(t)
-	newCls := func() fault.Classifier { return fault.NewMACClassifier(bench, true) }
-
-	dirs := []struct {
-		name          string
-		first, second fault.Backend
-	}{
-		{"interp-to-kernel", fault.BackendInterp, fault.BackendKernel},
-		{"kernel-to-interp", fault.BackendKernel, fault.BackendInterp},
-	}
-	for _, spec := range []string{"mbu:2", "stuck0:2", "set", "seu@0.25-0.75"} {
-		spec := spec
-		t.Run(spec, func(t *testing.T) {
-			model, err := fault.ParseModel(spec)
-			if err != nil {
-				t.Fatalf("ParseModel: %v", err)
-			}
-			jobs := fault.NewModelPlan(model, model.NumTargets(p), 2, bench.ActiveCycles, 21)
-			want, err := fault.RunJobs(p, bench.Stim, bench.Monitors, newCls(), jobs,
-				fault.RunnerConfig{Naive: true, Schedule: fault.SchedulePlan,
-					ChunkJobs: sim.Lanes, Model: model})
-			if err != nil {
-				t.Fatalf("reference: %v", err)
-			}
-			for _, dir := range dirs {
-				dir := dir
-				t.Run(dir.name, func(t *testing.T) {
-					ckpt := filepath.Join(t.TempDir(), "campaign.ffr")
-					ctx, cancel := context.WithCancel(context.Background())
-					defer cancel()
-					ri, err := fault.NewRunner(p, bench.Stim, bench.Monitors, newCls(), fault.RunnerConfig{
-						Model:           model,
-						ChunkJobs:       sim.Lanes,
-						Workers:         2,
-						Backend:         dir.first,
-						CheckpointPath:  ckpt,
-						CheckpointEvery: 1,
-						OnProgress: func(pr fault.Progress) {
-							if pr.ChunksDone >= 2 {
-								cancel()
-							}
-						},
-					})
-					if err != nil {
-						t.Fatalf("NewRunner: %v", err)
-					}
-					if _, err := ri.RunContext(ctx, jobs); !errors.Is(err, fault.ErrInterrupted) {
-						t.Fatalf("interrupted run returned %v", err)
-					}
-					ck, err := fault.LoadCheckpoint(ckpt)
-					if err != nil {
-						t.Fatalf("checkpoint: %v", err)
-					}
-					if ck.Model != model.String() {
-						t.Fatalf("checkpoint records model %q, want %q", ck.Model, model)
-					}
-					if len(ck.Chunks) == 0 || len(ck.Chunks) >= want.Chunks {
-						t.Fatalf("interrupt did not land mid-run (%d of %d chunks)", len(ck.Chunks), want.Chunks)
-					}
-
-					rr, err := fault.NewRunner(p, bench.Stim, bench.Monitors, newCls(), fault.RunnerConfig{
-						Model:          model,
-						ChunkJobs:      sim.Lanes,
-						Workers:        2,
-						Backend:        dir.second,
-						CheckpointPath: ckpt,
-						Resume:         true,
-					})
-					if err != nil {
-						t.Fatalf("NewRunner: %v", err)
-					}
-					got, err := rr.Run(jobs)
-					if err != nil {
-						t.Fatalf("cross-backend resume: %v", err)
-					}
-					if got.ResumedChunks != len(ck.Chunks) {
-						t.Fatalf("resumed %d chunks, checkpoint held %d", got.ResumedChunks, len(ck.Chunks))
-					}
-					sameResult(t, want, got)
-				})
-			}
-		})
-	}
-}
-
 // TestModelMismatchRejected: masks are only meaningful under the model that
 // produced them, so resuming a checkpoint under a different fault model must
 // be refused with ErrCheckpointMismatch.
@@ -454,11 +382,8 @@ func TestLegacyModelCheckpointResume(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "campaign.ffr")
 	newCls := func() fault.Classifier { return fault.NewMACClassifier(bench, true) }
 
-	want, err := fault.RunJobs(p, bench.Stim, bench.Monitors, newCls(), jobs,
-		fault.RunnerConfig{Naive: true, Schedule: fault.SchedulePlan, ChunkJobs: sim.Lanes})
-	if err != nil {
-		t.Fatalf("reference: %v", err)
-	}
+	want := reference(t, p, bench.Stim, bench.Monitors, newCls(), jobs,
+		fault.RunnerConfig{Schedule: fault.SchedulePlan, ChunkJobs: sim.Lanes})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

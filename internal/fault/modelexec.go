@@ -18,8 +18,8 @@ import (
 //   - SET:       one flip at cycle+1 per flip-flop that latched the pulse,
 //     plus post-hoc output glitches for the pulse cycle itself.
 //
-// Every event carries a fin marker on the lane's last event: the
-// incremental paths keep a lane "pending" — ineligible for settling — until
+// Every event carries a fin marker on the lane's last event: the batch
+// window keeps a lane "pending" — ineligible for settling — until
 // its final event has been applied, which is what keeps streaming early
 // exit sound for multi-event models (a stuck-at lane that still has forces
 // coming, or a SET lane whose capture lands next cycle, can re-diverge and
@@ -78,8 +78,7 @@ func (r *Runner) ffClusters() [][]int {
 // once on a lane-uniform engine — per cycle of interest, evaluate the
 // baseline, then re-evaluate the suffix with each target's output inverted
 // (sim.Engine.EvalPulse) and diff the captured D pins and monitored
-// outputs. Backends then replay only the resulting state flips, which is
-// what keeps SET campaigns bit-identical across interpreter and kernel: the
+// outputs. Batches then replay only the resulting state flips, so the
 // kernel never needs the pruned combinational node itself. A pulse on a
 // node whose fanout is entirely dead (unmonitored, no downstream FF)
 // produces an empty effect — the transient is masked, matching hardware.
@@ -190,18 +189,6 @@ func (r *Runner) appendGlitches(dst []laneGlitch, fx map[int64]setEffect, j Job,
 		dst = append(dst, laneGlitch{cycle: j.Cycle, mon: mi, mask: mask})
 	}
 	return dst
-}
-
-// applyOp performs one scheduled event on the interpreter engine.
-func applyOp(e *sim.Engine, f *flipOp) {
-	switch f.kind {
-	case effForce0:
-		e.ForceFF(f.ff, f.mask, false)
-	case effForce1:
-		e.ForceFF(f.ff, f.mask, true)
-	default:
-		e.FlipFF(f.ff, f.mask)
-	}
 }
 
 // applyWideOp performs one scheduled event on the kernel engine.

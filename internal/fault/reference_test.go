@@ -1,0 +1,64 @@
+package fault
+
+import "repro/internal/sim"
+
+// referenceMasks is the oracle every equivalence suite compares the Runner
+// against: each 64-lane batch of the runner's packing is replayed on the
+// interpreter (sim.Engine) from cycle 0 to the end of the stimulus — no
+// snapshot, no early exit, no repacking — and classified post hoc over its
+// whole trace. It returns one failure mask per batch in scheduled-position
+// order, which is the order a Runner's chunk masks concatenate to whatever
+// the chunk size. The events come from expandJob and appendGlitches, as in
+// runBatchWide; TestReferenceMatchesScalarOracle ties it to a replay that
+// shares nothing with either.
+func referenceMasks(r *Runner, jobs []Job) ([]uint64, error) {
+	if err := r.validateJobs(jobs); err != nil {
+		return nil, err
+	}
+	golden, err := r.Golden()
+	if err != nil {
+		return nil, err
+	}
+	order, err := scheduleOrder(jobs, r.schedule)
+	if err != nil {
+		return nil, err
+	}
+	fx := r.setEffects(jobs)
+	e := sim.NewEngine(r.p)
+	var flips []flipOp
+	var glitches []laneGlitch
+	masks := make([]uint64, 0, (len(jobs)+sim.Lanes-1)/sim.Lanes)
+	for blo := 0; blo < len(jobs); blo += sim.Lanes {
+		flips, glitches = flips[:0], glitches[:0]
+		var used uint64
+		for lane := 0; lane < sim.Lanes && blo+lane < len(jobs); lane++ {
+			job := jobs[jobIndex(order, blo+lane)]
+			laneMask := uint64(1) << uint(lane)
+			flips = r.expandJob(flips, fx, job, laneMask)
+			glitches = r.appendGlitches(glitches, fx, job, laneMask)
+			used |= laneMask
+		}
+		sortFlips(flips)
+		ptr := 0
+		faulty, _ := sim.Run(e, r.stim, sim.RunConfig{
+			Monitors: r.monitors,
+			PreEval: func(c int) {
+				for ; ptr < len(flips) && flips[ptr].cycle == c; ptr++ {
+					switch f := &flips[ptr]; f.kind {
+					case effForce0:
+						e.ForceFF(f.ff, f.mask, false)
+					case effForce1:
+						e.ForceFF(f.ff, f.mask, true)
+					default:
+						e.FlipFF(f.ff, f.mask)
+					}
+				}
+			},
+		})
+		for _, g := range glitches {
+			faulty.XORWord(g.cycle, g.mon, g.mask)
+		}
+		masks = append(masks, r.cls.FailingLanes(golden, faulty, used))
+	}
+	return masks, nil
+}

@@ -20,9 +20,11 @@ import (
 // checkpoints completed-chunk state to disk so an interrupted campaign can
 // resume exactly where it stopped.
 //
-// Simulation is incremental by default. Four mechanisms compose, all of
-// them result-preserving (the equivalence suite pins bit-identical failure
-// masks against the naive full-replay path):
+// Faulty batches are simulated one way: 256 lanes at a time on the compiled
+// kernel (wide.go). Four mechanisms compose there, all of them
+// result-preserving (the equivalence suite pins bit-identical failure masks
+// against a full replay of every 64-lane batch from cycle 0 on sim.Engine,
+// kept in the tests as the reference):
 //
 //   - Golden fast-forward: the golden run captures periodic engine-state
 //     snapshots (sim.Snapshots); every faulty batch restores the snapshot at
@@ -37,12 +39,12 @@ import (
 //   - Cycle-clustered scheduling: jobs are packed into batches in ascending
 //     injection-cycle order (see Schedule), so each batch spans a narrow
 //     cycle window and the prefix skip actually bites.
-//   - Straggler repacking (kernel backend, wide.go): a 256-lane batch stops
-//     once at most a quarter of its lanes are undecided, and a chunk's
-//     stragglers are re-injected together in a later, denser batch instead
-//     of each keeping a whole batch running to the end of the stimulus. A
-//     decided verdict is final and a lane's simulation is a pure function
-//     of its job, so the re-run changes no verdict.
+//   - Straggler repacking: a 256-lane batch stops once at most a quarter of
+//     its lanes are undecided, and a chunk's stragglers are re-injected
+//     together in a later, denser batch instead of each keeping a whole
+//     batch running to the end of the stimulus. A decided verdict is final
+//     and a lane's simulation is a pure function of its job, so the re-run
+//     changes no verdict.
 //
 // Determinism is structural: a chunk's failure masks depend only on the
 // plan, the schedule and the golden trace, never on scheduling of workers,
@@ -120,19 +122,6 @@ type RunnerConfig struct {
 	// schedule — so plan-order checkpoints from before schedules existed
 	// stay resumable without any configuration.
 	Schedule Schedule
-	// Backend selects the engine faulty batches run on: the compiled
-	// fused-op kernel over wide batches (BackendKernel, the BackendAuto
-	// default) or the per-op interpreter over 64-lane batches
-	// (BackendInterp). Results are bit-identical either way, so
-	// checkpoints don't record the backend and resume across it. The
-	// golden run always uses the interpreter. Naive forces BackendInterp:
-	// the kernel path is incremental by construction.
-	Backend Backend
-	// Naive forces the non-incremental reference path: every batch
-	// replays the stimulus from cycle 0 and is classified post hoc over
-	// the full trace. Results are bit-identical to the incremental path;
-	// the equivalence suite and before/after benchmarks rely on that.
-	Naive bool
 	// CheckpointPath enables checkpointing to this file; "" disables it.
 	CheckpointPath string
 	// CheckpointEvery is the number of completed chunks between flushes;
@@ -166,8 +155,6 @@ type Runner struct {
 	// the zero value adopts a resumed checkpoint's schedule instead of
 	// rejecting it, keeping pre-schedule (plan-order) checkpoints usable.
 	scheduleSet bool
-	// backend is the resolved concrete backend (never BackendAuto).
-	backend Backend
 	// model is the resolved fault model (normalized; never zero-valued).
 	model Model
 
@@ -212,9 +199,6 @@ func NewRunner(p *sim.Program, stim *sim.Stimulus, monitors []int, cls Classifie
 	if !cfg.Schedule.valid() {
 		return nil, fmt.Errorf("fault: unknown schedule %q", cfg.Schedule)
 	}
-	if !cfg.Backend.valid() {
-		return nil, fmt.Errorf("fault: unknown backend %q", cfg.Backend)
-	}
 	if err := cfg.Model.Validate(); err != nil {
 		return nil, err
 	}
@@ -230,22 +214,17 @@ func NewRunner(p *sim.Program, stim *sim.Stimulus, monitors []int, cls Classifie
 	if cfg.CheckpointEvery == 0 {
 		cfg.CheckpointEvery = DefaultCheckpointEvery
 	}
-	backend := cfg.Backend.normalize()
-	if cfg.Naive {
-		backend = BackendInterp
-	}
 	r := &Runner{
 		p: p, stim: stim, monitors: monitors, cls: cls, cfg: cfg,
 		schedule:    cfg.Schedule.normalize(),
 		scheduleSet: cfg.Schedule != "",
-		backend:     backend,
 		model:       cfg.Model.normalize(),
 		golden:      cfg.Golden,
 		snaps:       cfg.Snapshots,
 		log:         cfg.Logger.Component("campaign"),
 	}
 	if cfg.Metrics != nil {
-		r.metrics = newCampaignMetrics(cfg.Metrics, string(backend))
+		r.metrics = newCampaignMetrics(cfg.Metrics)
 	}
 	return r, nil
 }
@@ -257,10 +236,10 @@ func NewRunner(p *sim.Program, stim *sim.Stimulus, monitors []int, cls Classifie
 func (r *Runner) Golden() (*sim.Trace, error) {
 	r.goldenOnce.Do(func() {
 		if r.golden == nil {
-			// Capture snapshots during this one golden run when the
-			// incremental path will need them and none were supplied.
+			// Capture snapshots during this one golden run when none were
+			// supplied.
 			var snaps *sim.Snapshots
-			if r.snaps == nil && !r.cfg.Naive {
+			if r.snaps == nil {
 				snaps = sim.NewSnapshots(r.p, r.stim, r.cfg.SnapshotEvery)
 			}
 			e := sim.NewEngine(r.p)
@@ -317,15 +296,14 @@ func (r *Runner) Run(jobs []Job) (*Result, error) {
 
 // chunkPlan is what the chunk pool needs to simulate any chunk of one plan:
 // the jobs in their packing order, the chunk geometry, the golden
-// reference and the backend's shared read-only state.
+// reference and the workers' shared read-only state.
 type chunkPlan struct {
 	jobs   []Job
 	order  []int // scheduleOrder permutation, set by planChunks' caller
 	sh     sharding
 	golden *sim.Trace
-	// snaps is nil on the naive path, kern on the interpreter backend.
-	snaps *sim.Snapshots
-	kern  *sim.Kernel
+	snaps  *sim.Snapshots
+	kern   *sim.Kernel
 	// setFX is the plan's SET effect table; nil for other models.
 	setFX map[int64]setEffect
 }
@@ -344,13 +322,9 @@ func (r *Runner) planChunks(jobs []Job) (*chunkPlan, error) {
 	if cp.golden, err = r.Golden(); err != nil {
 		return nil, err
 	}
-	if !r.cfg.Naive {
-		cp.snaps = r.snapshots()
-	}
-	if r.backend == BackendKernel {
-		if cp.kern, err = r.kernel(); err != nil {
-			return nil, err
-		}
+	cp.snaps = r.snapshots()
+	if cp.kern, err = r.kernel(); err != nil {
+		return nil, err
 	}
 	// Model-dependent precomputation, shared read-only by all workers. The
 	// SET effect table derives from the golden run alone, so every fabric
@@ -370,17 +344,12 @@ func (r *Runner) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// lanesPerBatch is the width of one engine batch on the resolved backend.
-func (r *Runner) lanesPerBatch() int {
-	if r.backend == BackendKernel {
-		return sim.Lanes * sim.DefaultKernelWords
-	}
-	return sim.Lanes
-}
+// lanesPerBatch is the width of one engine batch.
+const lanesPerBatch = sim.Lanes * sim.DefaultKernelWords
 
 // chunkResult is one simulated chunk as the pool hands it back: per-batch
-// failure masks, engine cycles simulated — and what a naive full replay of
-// every 64-lane batch would have simulated — and the wall time it took.
+// failure masks, engine cycles simulated — and what a full replay of every
+// 64-lane batch from cycle 0 would have simulated — and the wall time it took.
 type chunkResult struct {
 	index                   int
 	masks                   []uint64
@@ -390,9 +359,9 @@ type chunkResult struct {
 
 // runPool is the one chunk executor, shared by RunContext and RunChunks. It
 // simulates the chunks idx of the plan on a bounded pool of workers, each
-// owning reusable engine state for the resolved backend — the 256-lane
-// compiled kernel unless the interpreter was asked for — and hands every
-// finished chunk to collect on the calling goroutine, in completion order.
+// owning a reusable 256-lane kernel engine and its batch state, and hands
+// every finished chunk to collect on the calling goroutine, in completion
+// order.
 // When ctx is canceled it stops dispatching, lets the chunks in flight
 // finish and returns, so the caller collects fewer chunks than it asked for.
 func (r *Runner) runPool(ctx context.Context, cp *chunkPlan, idx []int, collect func(chunkResult)) {
@@ -402,7 +371,7 @@ func (r *Runner) runPool(ctx context.Context, cp *chunkPlan, idx []int, collect 
 		// collect loop is a no-op.
 		workers = len(idx)
 	}
-	r.metrics.startPool(r.lanesPerBatch())
+	r.metrics.startPool(lanesPerBatch)
 
 	chunks := make(chan int)
 	results := make(chan chunkResult)
@@ -411,11 +380,11 @@ func (r *Runner) runPool(ctx context.Context, cp *chunkPlan, idx []int, collect 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			run := r.newChunkRunner(cp)
+			ws := newWideWorkerState(r, cp)
 			for ci := range chunks {
 				cr := chunkResult{index: ci, replayCycles: int64(cp.sh.chunkBatches(ci)) * int64(r.stim.Cycles())}
 				start := time.Now()
-				cr.masks, cr.simCycles = run(ci)
+				cr.masks, cr.simCycles = r.runChunkWide(ws, cp, ci)
 				cr.elapsed = time.Since(start)
 				r.metrics.observeChunk(cr)
 				results <- cr
@@ -439,17 +408,6 @@ func (r *Runner) runPool(ctx context.Context, cp *chunkPlan, idx []int, collect 
 	for cr := range results {
 		collect(cr)
 	}
-}
-
-// newChunkRunner builds one pool worker's reusable simulation state for the
-// plan's backend and returns the function simulating chunk ci on it.
-func (r *Runner) newChunkRunner(cp *chunkPlan) func(ci int) ([]uint64, int64) {
-	if cp.kern != nil {
-		ws := newWideWorkerState(r, cp)
-		return func(ci int) ([]uint64, int64) { return r.runChunkWide(ws, cp, ci) }
-	}
-	ws := newWorkerState(r, cp)
-	return func(ci int) ([]uint64, int64) { return r.runChunk(ws, cp, ci) }
 }
 
 // RunContext executes the plan. On context cancellation it finishes the
@@ -511,9 +469,7 @@ func (r *Runner) RunContext(ctx context.Context, jobs []Job) (*Result, error) {
 		obs.F("resumed", resumed),
 		obs.F("workers", r.workers()),
 		obs.F("schedule", string(r.schedule)),
-		obs.F("backend", string(r.backend)),
-		obs.F("lanes_per_batch", r.lanesPerBatch()),
-		obs.F("naive", r.cfg.Naive))
+		obs.F("lanes_per_batch", lanesPerBatch))
 
 	// Merge stage: collect chunk results, report progress, checkpoint.
 	start := time.Now()
@@ -581,8 +537,8 @@ func (r *Runner) RunContext(ctx context.Context, jobs []Job) (*Result, error) {
 }
 
 // flipOp is one scheduled engine event of a batch: apply kind to ff in the
-// lanes of mask — within batch word `word` of a wide batch, always 0 on the
-// interpreter — at the given cycle. fin marks the lanes' final event (see
+// lanes of mask within batch word `word` at the given cycle (expandJob leaves
+// word 0; the batch packer sets it). fin marks the lanes' final event (see
 // modelexec.go); under the SEU reference model every job is exactly one
 // effFlip with fin set.
 type flipOp struct {
@@ -592,28 +548,6 @@ type flipOp struct {
 	mask  uint64
 	kind  effKind
 	fin   bool
-}
-
-// workerState is the reusable per-worker simulation state: the engine, the
-// faulty-trace buffer of the incremental path, the event schedule and the
-// SET glitch list, all recycled across batches so the hot loop allocates
-// nothing per batch.
-type workerState struct {
-	e        *sim.Engine
-	trace    *sim.Trace
-	flips    []flipOp
-	glitches []laneGlitch
-}
-
-func newWorkerState(r *Runner, cp *chunkPlan) *workerState {
-	ws := &workerState{
-		e:     sim.NewEngine(r.p),
-		flips: make([]flipOp, 0, sim.Lanes),
-	}
-	if cp.snaps != nil {
-		ws.trace = sim.NewTrace(r.monitors, r.stim.Cycles())
-	}
-	return ws
 }
 
 // sortFlips orders the flip schedule by cycle. Batches are small and already
@@ -629,141 +563,6 @@ func sortFlips(flips []flipOp) {
 		}
 		flips[j+1] = f
 	}
-}
-
-// runChunk simulates every 64-lane batch of chunk ci and returns the
-// per-batch failure masks plus the number of engine cycles simulated.
-func (r *Runner) runChunk(ws *workerState, cp *chunkPlan, ci int) ([]uint64, int64) {
-	golden := cp.golden
-	lo, hi := cp.sh.chunkRange(ci)
-	masks := make([]uint64, 0, cp.sh.chunkBatches(ci))
-	var simCycles int64
-	for blo := lo; blo < hi; blo += sim.Lanes {
-		bhi := blo + sim.Lanes
-		if bhi > hi {
-			bhi = hi
-		}
-		ws.flips = ws.flips[:0]
-		ws.glitches = ws.glitches[:0]
-		var used, eventless uint64
-		for lane, pos := 0, blo; pos < bhi; lane, pos = lane+1, pos+1 {
-			job := cp.jobs[jobIndex(cp.order, pos)]
-			laneMask := uint64(1) << uint(lane)
-			n := len(ws.flips)
-			ws.flips = r.expandJob(ws.flips, cp.setFX, job, laneMask)
-			if len(ws.flips) == n {
-				eventless |= laneMask
-			}
-			ws.glitches = r.appendGlitches(ws.glitches, cp.setFX, job, laneMask)
-			used |= laneMask
-		}
-		sortFlips(ws.flips)
-
-		var mask uint64
-		var cycles int
-		if ws.trace != nil {
-			mask, cycles = r.runBatchIncremental(ws, golden, used, eventless)
-		} else {
-			mask, cycles = r.runBatchNaive(ws, golden, used)
-			r.metrics.observeNaiveBatch()
-		}
-		masks = append(masks, mask)
-		simCycles += int64(cycles)
-	}
-	return masks, simCycles
-}
-
-// runBatchNaive is the reference path: full replay from cycle 0, post-hoc
-// classification over the complete faulty trace.
-func (r *Runner) runBatchNaive(ws *workerState, golden *sim.Trace, used uint64) (uint64, int) {
-	ptr := 0
-	faulty, _ := sim.Run(ws.e, r.stim, sim.RunConfig{
-		Monitors: r.monitors,
-		PreEval: func(c int) {
-			for ptr < len(ws.flips) && ws.flips[ptr].cycle == c {
-				applyOp(ws.e, &ws.flips[ptr])
-				ptr++
-			}
-		},
-	})
-	for i := range ws.glitches {
-		g := &ws.glitches[i]
-		faulty.XORWord(g.cycle, g.mon, g.mask)
-	}
-	return r.cls.FailingLanes(golden, faulty, used), r.stim.Cycles()
-}
-
-// runBatchIncremental fast-forwards to the golden snapshot at or before the
-// batch's earliest injection, simulates forward recording into the reusable
-// trace, stops as soon as every used lane's verdict is decided, fills the
-// skipped prefix and suffix from the golden trace (both provably identical
-// to it) and classifies the reconstructed trace exactly like the naive path.
-func (r *Runner) runBatchIncremental(ws *workerState, golden *sim.Trace, used, eventless uint64) (uint64, int) {
-	if len(ws.flips) == 0 {
-		// No lane has any engine event (possible under SET): the faulty
-		// trace is the golden trace plus glitches, no simulation needed.
-		ws.trace.CopyCycles(golden, 0, r.stim.Cycles())
-		for i := range ws.glitches {
-			g := &ws.glitches[i]
-			ws.trace.XORWord(g.cycle, g.mon, g.mask)
-		}
-		r.metrics.observeBatch(0, 0, r.stim.Cycles(), used, 0, used)
-		return r.cls.FailingLanes(golden, ws.trace, used), 0
-	}
-	snaps := r.snaps
-	minCycle := ws.flips[0].cycle
-	start := snaps.SnapCycle(snaps.IndexAtOrBefore(minCycle))
-
-	var stream Stream
-	if sc, ok := r.cls.(StreamClassifier); ok {
-		stream = sc.StartStream(golden, used, start)
-	}
-
-	ws.trace.CopyCycles(golden, 0, start)
-	ptr := 0
-	// Lanes stay pending until their final event has been applied; lanes
-	// with no events at all are never pending (their state is golden).
-	pending := used &^ eventless
-	var failed, settled uint64
-	stop := sim.RunWindow(ws.e, r.stim, snaps, minCycle, sim.WindowConfig{
-		Monitors: r.monitors,
-		Trace:    ws.trace,
-		PreEval: func(c int) {
-			for ptr < len(ws.flips) && ws.flips[ptr].cycle == c {
-				f := &ws.flips[ptr]
-				applyOp(ws.e, f)
-				if f.fin {
-					pending &^= f.mask
-				}
-				ptr++
-			}
-		},
-		OnCycle: func(c int) bool {
-			if stream == nil {
-				return false
-			}
-			// Confirmed failures are final, and settlement is sticky (a
-			// settled lane evolves identically to golden forever), so the
-			// batch can stop the very cycle the last straggler confirms
-			// instead of waiting for the next snapshot boundary.
-			failed = stream.Observe(c, golden.Row(c), ws.trace.Row(c))
-			return used&^(settled|failed) == 0
-		},
-		OnSnapshot: func(c int, diverged uint64) bool {
-			// Settled lanes have fully re-converged to golden state with
-			// no flip still pending: their remaining trace is the golden
-			// trace, so their verdict is decided too.
-			settled = used &^ diverged &^ pending
-			return used&^(settled|failed) == 0
-		},
-	})
-	ws.trace.CopyCycles(golden, stop, r.stim.Cycles())
-	for i := range ws.glitches {
-		g := &ws.glitches[i]
-		ws.trace.XORWord(g.cycle, g.mon, g.mask)
-	}
-	r.metrics.observeBatch(start, stop, r.stim.Cycles(), used, failed, settled)
-	return r.cls.FailingLanes(golden, ws.trace, used), stop - start
 }
 
 // merge folds completed chunk masks into the final per-target Result (per

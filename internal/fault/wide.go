@@ -6,21 +6,20 @@ import (
 	"repro/internal/sim"
 )
 
-// wide.go is the kernel backend's batch path: chunks are simulated as wide
-// batches of W 64-lane groups (W = sim.DefaultKernelWords) on compiled
-// fused-op bytecode instead of one group at a time on the interpreter. A
-// chunk's verdicts land at the same bit of the same mask the interpreter
-// path writes — masks[(pos-lo)/64], bit (pos-lo)%64 for scheduled position
-// pos — so chunk masks, checkpoints and merged results are bit-identical to
-// it, and wide batches never cross chunk boundaries.
+// wide.go is the batch path, the one way a Runner simulates faults: chunks
+// run as wide batches of W 64-lane groups (W = sim.DefaultKernelWords) on
+// compiled fused-op bytecode. A chunk's verdicts land in one mask per
+// 64-lane group of the plan's packing — masks[(pos-lo)/64], bit (pos-lo)%64
+// for scheduled position pos — which is the checkpoint format, so wide
+// batches never cross chunk boundaries and masks do not depend on W.
 //
 // Early exit runs per lane over the shared window: a lane is decided once a
 // stream confirmed it failed or it settled back to golden state. Decided
 // lanes keep simulating while the window runs, which is sound because
 // settled lanes evolve identically to golden (their recorded rows equal the
-// golden fill the narrow path uses) and stream-confirmed failures are final
-// regardless of the trace suffix — the per-group classification is post hoc
-// over the reconstructed trace, exactly like the narrow path.
+// golden fill) and stream-confirmed failures are final regardless of the
+// trace suffix — the per-group classification is post hoc over the
+// reconstructed trace.
 //
 // It is also mostly wasted: a few latent lanes per batch stay undecided to
 // the end of the stimulus. So a chunk is a work list of scheduled positions
@@ -55,8 +54,8 @@ func (r *Runner) kernel() (*sim.Kernel, error) {
 	return r.p.Kernel(keep)
 }
 
-// wideWorkerState is the reusable per-worker state of the kernel path: the
-// wide engine, one faulty-trace buffer and stream per batch word, the
+// wideWorkerState is the reusable per-worker simulation state: the wide
+// engine, one faulty-trace buffer and stream per batch word, the
 // per-word lane bookkeeping, the window hooks reading it and the chunk's
 // work lists, all recycled across wide batches so a steady-state batch
 // allocates nothing beyond the classifier's own streams.
@@ -177,8 +176,8 @@ func (ws *wideWorkerState) undecided(g int) uint64 {
 }
 
 // runChunkWide simulates chunk ci in rounds of wide batches (see the file
-// comment) and returns the same per-64-lane-batch failure masks runChunk
-// would, plus the engine cycles run, re-runs included.
+// comment) and returns its failure masks, one per 64-lane batch of the
+// plan's packing, plus the engine cycles run, re-runs included.
 func (r *Runner) runChunkWide(ws *wideWorkerState, cp *chunkPlan, ci int) ([]uint64, int64) {
 	lo, hi := cp.sh.chunkRange(ci)
 	masks := make([]uint64, cp.sh.chunkBatches(ci))

@@ -64,7 +64,7 @@ func planned(t *testing.T, r *Runner, jobs []Job) *chunkPlan {
 	return cp
 }
 
-// TestRunBatchWideSteadyStateAllocs pins the kernel path's per-batch
+// TestRunBatchWideSteadyStateAllocs pins the batch path's per-batch
 // allocations: once a worker's state is warm, a wide batch allocates
 // nothing in the window loop or the runner — no loopback or divergence
 // buffers, no hook closures, no straggler list — only the classifier's one
@@ -126,8 +126,7 @@ func chunkMasks(t *testing.T, r *Runner, jobs []Job) []uint64 {
 }
 
 // wholeWindows runs every wide batch of the plan's own packing to
-// completion — no cut, no second round: what the kernel path simulated
-// before it repacked — and returns the cycles that takes.
+// completion — no cut, no second round — and returns the cycles that takes.
 func wholeWindows(t *testing.T, r *Runner, jobs []Job) int64 {
 	t.Helper()
 	cp := planned(t, r, jobs)
@@ -151,15 +150,15 @@ func wholeWindows(t *testing.T, r *Runner, jobs []Job) int64 {
 	return cycles
 }
 
-// TestRepackedChunksMatchInterpreter pins the repacking rounds against the
-// interpreter, which still runs every 64-lane group's whole window: per
-// fault model and per kind of classifier — the MAC's stream, the exact
-// stream, and a wrapper hiding StartStream so that nothing is ever
-// confirmed mid-run — chunks that take one round (a single wide batch),
-// two and three must give the interpreter's masks bit for bit, and the
-// multi-round ones must really have cut batches and re-injected lanes —
-// under SEU in fewer cycles than the whole windows of the same packing.
-func TestRepackedChunksMatchInterpreter(t *testing.T) {
+// TestRepackedChunksMatchReference pins the repacking rounds against the
+// reference, which replays every 64-lane group's whole stimulus: per fault
+// model and per kind of classifier — the MAC's stream, the exact stream,
+// and a wrapper hiding StartStream so that nothing is ever confirmed
+// mid-run — chunks that take one round (a single wide batch), two and
+// three must give the reference's masks bit for bit, and the multi-round
+// ones must really have cut batches and re-injected lanes — under SEU in
+// fewer cycles than the whole windows of the same packing.
+func TestRepackedChunksMatchReference(t *testing.T) {
 	p, bench := wideMAC(t)
 	classifiers := []struct {
 		name string
@@ -179,20 +178,23 @@ func TestRepackedChunksMatchInterpreter(t *testing.T) {
 		jobs := NewModelPlan(model, targets, (5000+targets-1)/targets, bench.ActiveCycles, 41)
 		for _, c := range classifiers {
 			t.Run(spec+"/"+c.name, func(t *testing.T) {
-				run := func(backend Backend, chunkJobs int) *Runner {
+				run := func(chunkJobs int) *Runner {
 					r, err := NewRunner(p, bench.Stim, bench.Monitors, c.make(), RunnerConfig{
-						Model: model, Backend: backend, ChunkJobs: chunkJobs, Workers: 2, Metrics: obs.NewRegistry(),
+						Model: model, ChunkJobs: chunkJobs, Workers: 2, Metrics: obs.NewRegistry(),
 					})
 					if err != nil {
 						t.Fatal(err)
 					}
 					return r
 				}
-				want := chunkMasks(t, run(BackendInterp, 0), jobs)
+				want, err := referenceMasks(run(0), jobs)
+				if err != nil {
+					t.Fatal(err)
+				}
 				for _, chunkJobs := range []int{64, 1024, 4096} {
-					r := run(BackendKernel, chunkJobs)
+					r := run(chunkJobs)
 					if got := chunkMasks(t, r, jobs); !slices.Equal(got, want) {
-						t.Fatalf("ChunkJobs %d: kernel masks differ from the interpreter's", chunkJobs)
+						t.Fatalf("ChunkJobs %d: masks differ from the reference's", chunkJobs)
 					}
 					repacked, cycles := r.metrics.repackedLanes.Value(), int64(r.metrics.simCycles.Value())
 					switch {
@@ -276,19 +278,19 @@ func TestRepackingTerminates(t *testing.T) {
 		monitors[i] = i
 	}
 	jobs := NewPlan(regs, 80, cycles, 7) // 640 jobs: one chunk, three wide batches
-	run := func(backend Backend) (*Runner, []uint64) {
-		r, err := NewRunner(p, stim, monitors, struct{ Classifier }{&ExactClassifier{}}, RunnerConfig{
-			Backend: backend, ChunkJobs: 1024, Metrics: obs.NewRegistry(),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r, chunkMasks(t, r, jobs)
+	r, err := NewRunner(p, stim, monitors, struct{ Classifier }{&ExactClassifier{}}, RunnerConfig{
+		ChunkJobs: 1024, Metrics: obs.NewRegistry(),
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	_, want := run(BackendInterp)
-	r, got := run(BackendKernel)
+	want, err := referenceMasks(r, jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := chunkMasks(t, r, jobs)
 	if !slices.Equal(got, want) {
-		t.Fatal("kernel masks differ from the interpreter's")
+		t.Fatal("masks differ from the reference's")
 	}
 	for _, m := range got[:len(got)-1] {
 		if m != ^uint64(0) {

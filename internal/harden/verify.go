@@ -26,12 +26,10 @@ type VerifyConfig struct {
 	// 0 adopts the scenario's default geometry.
 	InjectionsPerFF int
 	CampaignSeed    int64
-	// Workers, ChunkJobs, Schedule and Backend are passed to the
-	// campaign runner.
+	// Workers, ChunkJobs and Schedule are passed to the campaign runner.
 	Workers   int
 	ChunkJobs int
 	Schedule  fault.Schedule
-	Backend   fault.Backend
 	// CheckpointPath enables checkpointing of the hardened campaign; the
 	// baseline campaign (when run) checkpoints to CheckpointPath +
 	// ".baseline". Resume picks both up where they stopped.
@@ -162,7 +160,6 @@ func (v *Verification) runCampaign(ctx context.Context, m *corpus.Materialized, 
 			Golden:          m.Golden,
 			Snapshots:       m.Snapshots,
 			Schedule:        cfg.Schedule,
-			Backend:         cfg.Backend,
 			CheckpointPath:  checkpoint,
 			CheckpointEvery: cfg.CheckpointEvery,
 			Resume:          cfg.Resume && checkpoint != "",

@@ -30,7 +30,6 @@ type Engine struct {
 	p     *Program
 	nets  []uint64
 	nextQ []uint64 // FF capture scratch
-	lb    []uint64 // RunWindow's loopback words, recycled across windows
 }
 
 // NewEngine returns a fresh engine instance for p. Instances are cheap;

@@ -19,7 +19,7 @@ const DefaultSnapshotEvery = 8
 //
 // Because the golden run drives identical stimulus into all 64 lanes, the
 // state is one bit per flip-flop, not one word: Snapshots stores lane 0 and
-// Restore broadcasts it. Restoring a snapshot and simulating forward
+// RestoreKernel broadcasts it. Restoring a snapshot and simulating forward
 // reproduces the golden run exactly, which is what makes golden fast-forward
 // of faulty batches sound: lanes only diverge from golden at their first
 // injected flip, so every cycle before the batch's earliest injection is
@@ -125,116 +125,8 @@ func (s *Snapshots) capture(e *Engine, lb []uint64, c int) {
 	}
 }
 
-// Restore resets the engine and loads snapshot idx into every lane,
-// broadcasting the golden flip-flop bits and filling lb with the golden
-// loopback words at that cycle.
-func (s *Snapshots) Restore(e *Engine, idx int, lb []uint64) {
-	e.Reset()
-	ffBase := idx * s.ffWords
-	for i := 0; i < s.numFFs; i++ {
-		var word uint64
-		if s.ff[ffBase+i/64]>>uint(i%64)&1 == 1 {
-			word = ^uint64(0)
-		}
-		e.nets[e.p.ffs[i].q] = word
-	}
-	copy(lb, s.lb[idx*s.numLb:(idx+1)*s.numLb])
-}
-
-// divergedLanes returns the mask of lanes whose inter-cycle state (flip-flop
-// bits plus loopback words) differs from golden snapshot idx. A lane with a
-// zero bit here has fully re-converged: its remaining simulation is
-// cycle-for-cycle identical to the golden run.
-func (s *Snapshots) divergedLanes(e *Engine, lb []uint64, idx int) uint64 {
-	var diff uint64
-	ffBase := idx * s.ffWords
-	for i := 0; i < s.numFFs; i++ {
-		var want uint64
-		if s.ff[ffBase+i/64]>>uint(i%64)&1 == 1 {
-			want = ^uint64(0)
-		}
-		diff |= e.nets[e.p.ffs[i].q] ^ want
-	}
-	lbBase := idx * s.numLb
-	for j := 0; j < s.numLb; j++ {
-		diff |= lb[j] ^ s.lb[lbBase+j]
-	}
-	return diff
-}
-
 // MemoryBytes reports the approximate snapshot store size, mostly useful for
 // sizing the cadence on very large designs.
 func (s *Snapshots) MemoryBytes() int {
 	return 8 * (len(s.ff) + len(s.lb))
-}
-
-// WindowConfig controls an incremental faulty-batch run (RunWindow).
-type WindowConfig struct {
-	// Monitors lists output ports to record into Trace; must match the
-	// trace's monitor set.
-	Monitors []int
-	// Trace receives the recorded monitor words for every simulated cycle.
-	// It must span the full stimulus length; the caller fills the skipped
-	// prefix and any early-exited suffix from the golden trace.
-	Trace *Trace
-	// PreEval is the per-cycle injection hook (see RunConfig.PreEval).
-	PreEval func(cycle int)
-	// OnCycle, when non-nil, is invoked after cycle c's monitor words are
-	// recorded; returning true stops the run before cycle c+1.
-	OnCycle func(cycle int) bool
-	// OnSnapshot, when non-nil, is invoked at the top of every
-	// snapshot-aligned cycle after the restore point with the mask of lanes
-	// that have diverged from the golden state; returning true stops the
-	// run before that cycle is simulated.
-	OnSnapshot func(cycle int, diverged uint64) bool
-}
-
-// RunWindow is the incremental counterpart of Run: it restores the golden
-// snapshot at or before start, then simulates cycles forward until the
-// stimulus ends or a hook stops it. It returns the first cycle NOT recorded
-// into cfg.Trace; rows [0, snapshot) and [returned, cycles) must be filled
-// from the golden trace by the caller (they are provably identical to it:
-// the prefix because lanes have not yet diverged, the suffix because the
-// caller only stops once every lane's verdict can no longer change).
-func RunWindow(e *Engine, stim *Stimulus, snaps *Snapshots, start int, cfg WindowConfig) int {
-	idx := snaps.IndexAtOrBefore(start)
-	e.lb = grow(e.lb, snaps.numLb)
-	lb := e.lb
-	snaps.Restore(e, idx, lb)
-	first := snaps.SnapCycle(idx)
-
-	trace := cfg.Trace
-	nm := len(cfg.Monitors)
-	for c := first; c < stim.cycles; c++ {
-		if cfg.OnSnapshot != nil && c != first && c%snaps.every == 0 {
-			if cfg.OnSnapshot(c, snaps.divergedLanes(e, lb, c/snaps.every)) {
-				return c
-			}
-		}
-		for k, port := range stim.ports {
-			e.SetInputBool(port, stim.vectors[k][c])
-		}
-		for i, l := range stim.loopback {
-			e.SetInput(l.In, lb[i])
-		}
-		if cfg.PreEval != nil {
-			cfg.PreEval(c)
-		}
-		e.Eval()
-		for i, l := range stim.loopback {
-			lb[i] = e.Output(l.Out)
-		}
-		if trace != nil {
-			base := c * nm
-			for m, port := range cfg.Monitors {
-				trace.words[base+m] = e.Output(port)
-			}
-		}
-		if cfg.OnCycle != nil && cfg.OnCycle(c) {
-			e.Commit()
-			return c + 1
-		}
-		e.Commit()
-	}
-	return stim.cycles
 }

@@ -43,23 +43,41 @@ func goldenWithSnapshots(t *testing.T, p *sim.Program, bench *circuit.MACBench, 
 	return golden, snaps
 }
 
+// windowEngine returns a full-width kernel engine keeping every output port
+// and one recording trace per batch word.
+func windowEngine(t *testing.T, p *sim.Program, bench *circuit.MACBench) (*sim.KernelEngine, []*sim.Trace) {
+	t.Helper()
+	k, err := p.Kernel(nil)
+	if err != nil {
+		t.Fatalf("Kernel: %v", err)
+	}
+	traces := make([]*sim.Trace, sim.DefaultKernelWords)
+	for w := range traces {
+		traces[w] = sim.NewTrace(bench.Monitors, bench.Stim.Cycles())
+	}
+	return sim.NewKernelEngine(k, len(traces)), traces
+}
+
 // A fault-free window run restored from any snapshot must reproduce the
-// golden trace exactly and never report divergence — the soundness core of
-// golden fast-forward.
+// golden trace exactly, in every batch word, and never report divergence —
+// the soundness core of golden fast-forward.
 func TestRunWindowReproducesGolden(t *testing.T) {
 	p, bench := snapshotFixture(t)
 	golden, snaps := goldenWithSnapshots(t, p, bench, 8)
-	e := sim.NewEngine(p)
+	e, traces := windowEngine(t, p, bench)
 	cycles := bench.Stim.Cycles()
 	for _, start := range []int{0, 1, 7, 8, 9, cycles / 2, cycles - 1} {
-		trace := sim.NewTrace(bench.Monitors, cycles)
-		trace.CopyCycles(golden, 0, snaps.SnapCycle(snaps.IndexAtOrBefore(start)))
-		stop := sim.RunWindow(e, bench.Stim, snaps, start, sim.WindowConfig{
+		for _, trace := range traces {
+			trace.CopyCycles(golden, 0, snaps.SnapCycle(snaps.IndexAtOrBefore(start)))
+		}
+		stop := sim.RunWindowWide(e, bench.Stim, snaps, start, sim.WideWindowConfig{
 			Monitors: bench.Monitors,
-			Trace:    trace,
-			OnSnapshot: func(c int, diverged uint64) bool {
-				if diverged != 0 {
-					t.Fatalf("start %d: spurious divergence %x at cycle %d", start, diverged, c)
+			Traces:   traces,
+			OnSnapshot: func(c int, diverged []uint64) bool {
+				for w, d := range diverged {
+					if d != 0 {
+						t.Fatalf("start %d: spurious divergence %x in word %d at cycle %d", start, d, w, c)
+					}
 				}
 				return false
 			},
@@ -67,8 +85,10 @@ func TestRunWindowReproducesGolden(t *testing.T) {
 		if stop != cycles {
 			t.Fatalf("start %d: stopped at %d without a stop hook", start, stop)
 		}
-		if !trace.Equal(golden) {
-			t.Fatalf("start %d: fast-forwarded trace differs from golden", start)
+		for w, trace := range traces {
+			if !trace.Equal(golden) {
+				t.Fatalf("start %d: word %d's fast-forwarded trace differs from golden", start, w)
+			}
 		}
 	}
 }
@@ -76,79 +96,87 @@ func TestRunWindowReproducesGolden(t *testing.T) {
 func TestRunWindowEarlyStop(t *testing.T) {
 	p, bench := snapshotFixture(t)
 	golden, snaps := goldenWithSnapshots(t, p, bench, 8)
-	e := sim.NewEngine(p)
+	e, traces := windowEngine(t, p, bench)
 	cycles := bench.Stim.Cycles()
 
 	// OnCycle stop: the stopping cycle is recorded, so the first
 	// unrecorded cycle is c+1.
-	trace := sim.NewTrace(bench.Monitors, cycles)
-	stop := sim.RunWindow(e, bench.Stim, snaps, 0, sim.WindowConfig{
+	stop := sim.RunWindowWide(e, bench.Stim, snaps, 0, sim.WideWindowConfig{
 		Monitors: bench.Monitors,
-		Trace:    trace,
+		Traces:   traces,
 		OnCycle:  func(c int) bool { return c == 20 },
 	})
 	if stop != 21 {
 		t.Fatalf("OnCycle stop at 20 returned %d, want 21", stop)
 	}
-	trace.CopyCycles(golden, stop, cycles)
-	if !trace.Equal(golden) {
-		t.Fatal("stopped fault-free trace + golden suffix differs from golden")
+	for w, trace := range traces {
+		trace.CopyCycles(golden, stop, cycles)
+		if !trace.Equal(golden) {
+			t.Fatalf("word %d: stopped fault-free trace + golden suffix differs from golden", w)
+		}
 	}
 
 	// OnSnapshot stop: the boundary cycle is not simulated.
-	stop = sim.RunWindow(e, bench.Stim, snaps, 0, sim.WindowConfig{
+	stop = sim.RunWindowWide(e, bench.Stim, snaps, 0, sim.WideWindowConfig{
 		Monitors:   bench.Monitors,
-		Trace:      sim.NewTrace(bench.Monitors, cycles),
-		OnSnapshot: func(c int, diverged uint64) bool { return c >= 24 },
+		Traces:     traces,
+		OnSnapshot: func(c int, diverged []uint64) bool { return c >= 24 },
 	})
 	if stop != 24 {
 		t.Fatalf("OnSnapshot stop at 24 returned %d, want %d", stop, 24)
 	}
 }
 
-// A flip must show up as divergence at the next boundary, and restoring a
-// snapshot must clear it — i.e. restores really do rewind lane state.
+// A flip in batch word w must show up as divergence in word w, and only
+// there, at the next boundary, and restoring a snapshot must clear it — i.e.
+// restores really do rewind lane state.
 func TestRunWindowSeesDivergenceAndRestoreClearsIt(t *testing.T) {
 	p, bench := snapshotFixture(t)
 	_, snaps := goldenWithSnapshots(t, p, bench, 8)
-	e := sim.NewEngine(p)
+	e, traces := windowEngine(t, p, bench)
 
-	var sawDiverged uint64
-	sim.RunWindow(e, bench.Stim, snaps, 0, sim.WindowConfig{
-		Monitors: bench.Monitors,
-		Trace:    sim.NewTrace(bench.Monitors, bench.Stim.Cycles()),
-		PreEval: func(c int) {
-			if c == 2 {
-				e.FlipFF(0, 1<<5)
+	for word := range traces {
+		var saw []uint64
+		sim.RunWindowWide(e, bench.Stim, snaps, 0, sim.WideWindowConfig{
+			Monitors: bench.Monitors,
+			Traces:   traces,
+			PreEval: func(c int) {
+				if c == 2 {
+					e.FlipFF(0, word, 1<<5)
+				}
+			},
+			OnSnapshot: func(c int, diverged []uint64) bool {
+				saw = append(saw[:0], diverged...)
+				return c == 8
+			},
+		})
+		if len(saw) != len(traces) {
+			t.Fatalf("boundary reported %d divergence words, want %d", len(saw), len(traces))
+		}
+		for w, d := range saw {
+			if w == word && d>>5&1 != 1 {
+				t.Fatalf("flip on lane 5 of word %d not seen as divergence (mask %x)", word, d)
 			}
-		},
-		OnSnapshot: func(c int, diverged uint64) bool {
-			if c == 8 {
-				sawDiverged = diverged
-				return true
+			if w != word && d != 0 {
+				t.Fatalf("flip in word %d diverged word %d (mask %x)", word, w, d)
 			}
-			return false
-		},
-	})
-	if sawDiverged>>5&1 != 1 {
-		t.Fatalf("flip on lane 5 not seen as divergence (mask %x)", sawDiverged)
-	}
+		}
 
-	// The engine still carries the flipped state; a fresh fault-free window
-	// from the same dirty engine must be golden again after Restore.
-	clean := true
-	sim.RunWindow(e, bench.Stim, snaps, 0, sim.WindowConfig{
-		Monitors: bench.Monitors,
-		Trace:    sim.NewTrace(bench.Monitors, bench.Stim.Cycles()),
-		OnSnapshot: func(c int, diverged uint64) bool {
-			if diverged != 0 {
-				clean = false
-			}
-			return false
-		},
-	})
-	if !clean {
-		t.Fatal("restore did not clear previous batch state")
+		// The engine still carries the flipped state; a fresh fault-free
+		// window from the same dirty engine must be golden again after
+		// RestoreKernel.
+		sim.RunWindowWide(e, bench.Stim, snaps, 0, sim.WideWindowConfig{
+			Monitors: bench.Monitors,
+			Traces:   traces,
+			OnSnapshot: func(c int, diverged []uint64) bool {
+				for w, d := range diverged {
+					if d != 0 {
+						t.Fatalf("restore did not clear word %d's previous batch state (%x at cycle %d)", w, d, c)
+					}
+				}
+				return false
+			},
+		})
 	}
 }
 

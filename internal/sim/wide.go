@@ -1,12 +1,11 @@
 package sim
 
-// wide.go threads the kernel backend's wide batches (64·W lanes) through
-// the snapshot/window machinery: golden fast-forward, per-word divergence
-// tracking and the incremental simulation window, each the W-word
-// counterpart of its 64-lane sibling in snapshot.go. Word w of a wide
-// batch evolves exactly like one narrow batch, so every soundness argument
-// of the incremental path (prefix identity, settlement stickiness, final
-// failure verdicts) applies per word unchanged.
+// wide.go is the faulty-batch window loop: a kernel engine's 64·W lanes
+// are restored from a golden snapshot (fast-forward), simulated forward
+// with per-word divergence tracking, and stopped by the caller's hooks.
+// Word w of a wide batch evolves exactly like one 64-lane batch on Engine,
+// so the soundness arguments (prefix identity, settlement stickiness, final
+// failure verdicts) are made per 64-lane word.
 
 // Loopbacks returns the stimulus's loopback rules (shared storage; treat
 // as read-only). The fault runner uses it to keep loopback source ports in
@@ -36,8 +35,9 @@ func (s *Snapshots) RestoreKernel(e *KernelEngine, idx int, lb []uint64) {
 }
 
 // divergedKernel fills out (one mask per batch word) with the lanes whose
-// inter-cycle state differs from golden snapshot idx — the per-word
-// counterpart of divergedLanes.
+// inter-cycle state (flip-flop bits plus loopback words) differs from golden
+// snapshot idx. A lane with a zero bit has fully re-converged: its remaining
+// simulation is cycle-for-cycle identical to the golden run.
 func (s *Snapshots) divergedKernel(e *KernelEngine, lb []uint64, idx int, out []uint64) {
 	W := e.w
 	var diff krow
@@ -63,16 +63,18 @@ func (s *Snapshots) divergedKernel(e *KernelEngine, lb []uint64, idx int, out []
 }
 
 // WideWindowConfig controls an incremental wide-batch run (RunWindowWide).
-// It mirrors WindowConfig with per-word recording: batch word w records
-// into Traces[w], and OnSnapshot receives one diverged mask per word.
+// Recording is per word: batch word w records into Traces[w], and
+// OnSnapshot receives one diverged mask per word.
 type WideWindowConfig struct {
 	// Monitors lists output ports to record; must match the traces'
 	// monitor sets and be within the kernel's kept output set.
 	Monitors []int
 	// Traces receives the recorded monitor words, one trace per batch
-	// word; a nil entry skips that word (empty tail group of a plan).
+	// word; a nil entry skips that word (empty tail group of a plan). Each
+	// must span the full stimulus length; the caller fills the skipped
+	// prefix and any early-exited suffix from the golden trace.
 	Traces []*Trace
-	// PreEval is the per-cycle injection hook.
+	// PreEval is the per-cycle injection hook (see RunConfig.PreEval).
 	PreEval func(cycle int)
 	// OnCycle is invoked after cycle c's monitor words are recorded;
 	// returning true stops the run before cycle c+1.
@@ -83,12 +85,13 @@ type WideWindowConfig struct {
 	OnSnapshot func(cycle int, diverged []uint64) bool
 }
 
-// RunWindowWide is the kernel-backend counterpart of RunWindow: it
-// restores the golden snapshot at or before start into all 64·W lanes,
-// then simulates forward until the stimulus ends or a hook stops it. It
-// returns the first cycle NOT recorded into the traces; the caller fills
-// rows [0, snapshot) and [returned, cycles) from the golden trace, exactly
-// as on the narrow path.
+// RunWindowWide is the incremental counterpart of Run: it restores the
+// golden snapshot at or before start into all 64·W lanes, then simulates
+// forward until the stimulus ends or a hook stops it. It returns the first
+// cycle NOT recorded into the traces; the caller fills rows [0, snapshot)
+// and [returned, cycles) from the golden trace (they are provably identical
+// to it: the prefix because lanes have not yet diverged, the suffix because
+// the caller only stops once every lane's verdict can no longer change).
 func RunWindowWide(e *KernelEngine, stim *Stimulus, snaps *Snapshots, start int, cfg WideWindowConfig) int {
 	W := e.w
 	idx := snaps.IndexAtOrBefore(start)

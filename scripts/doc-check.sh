@@ -4,8 +4,8 @@
 # For every command under cmd/, the script asks the binary itself for its
 # flags (go run <cmd> -h) and requires each one to appear in docs/CLI.md as
 # `-flag`; it also requires a "## <command>" section per command, rejects
-# documented commands that no longer exist, and checks that the environment
-# knobs the facade defines stay documented. Run via `make doc-check` (CI
+# documented commands that no longer exist, and checks that every FFR_*
+# environment variable the source reads stays documented. Run via `make doc-check` (CI
 # runs it on every push).
 
 set -u
@@ -49,9 +49,16 @@ for name in $(awk '/^## ffr/{print $2}' "$doc"); do
     fi
 done
 
-# Environment knobs (EnvStudyConfig in ffr.go, FFR_LOG in internal/cli)
-# must stay documented.
-for env in FFR_INJECTIONS FFR_SEED FFR_WORKERS FFR_NAIVE FFR_LOG FFR_FAULT_MODEL; do
+# Every FFR_* environment variable the program reads must stay documented.
+# The list comes from the Getenv/LookupEnv sites themselves, so adding or
+# deleting a variable needs no edit here.
+envs=$(grep -rhoE --include='*.go' --exclude='*_test.go' '(Getenv|LookupEnv)\("FFR_[A-Z0-9_]+"' . |
+    grep -oE 'FFR_[A-Z0-9_]+' | sort -u)
+if [ -z "$envs" ]; then
+    echo "doc-check: found no FFR_* environment reads in the source"
+    fail=1
+fi
+for env in $envs; do
     if ! grep -q "$env" "$doc"; then
         echo "doc-check: environment variable $env is not documented in $doc"
         fail=1
