@@ -22,13 +22,7 @@ BENCH_FILE ?= BENCH_7.json
 HARDEN_BENCH_FILE ?= BENCH_8.json
 HARDEN_INJECTIONS ?= 16
 
-# Fault-model cost record file (see faultmodel-baseline) and its injection
-# budget: 4/FF keeps every model's campaign in seconds while still filling
-# multi-run batches per chunk.
-FAULTMODEL_BENCH_FILE ?= BENCH_10.json
-FAULTMODEL_INJECTIONS ?= 4
-
-.PHONY: all build examples test race lint doc-check metrics-lint bench bench-baseline serve-smoke corpus-smoke fabric-smoke load-smoke harden-smoke harden-baseline faultmodel-smoke faultmodel-baseline
+.PHONY: all build examples test race lint doc-check metrics-lint bench bench-baseline serve-smoke corpus-smoke fabric-smoke load-smoke harden-smoke harden-baseline faultmodel-smoke
 
 all: lint build examples test doc-check
 
@@ -84,7 +78,8 @@ metrics-lint:
 # its Instrumented variant, so one pattern covers both. Besides the paper
 # experiments of the root package the run covers the simulator and chunk-
 # executor micro-benchmarks (BenchmarkKernelEval/Commit; BenchmarkRunChunks
-# with sim-cycles/injection and lane occupancy), BenchmarkExtract in
+# per circuit and fault model, with ns/injection, sim-cycles/injection and
+# lane occupancy), BenchmarkExtract in
 # internal/features and the per-model ones in internal/core
 # (BenchmarkModelFit/Predict per Table I model, BenchmarkTuneKNN), so a
 # cycle-loop, feature or training-loop regression localizes below the
@@ -120,18 +115,6 @@ bench-baseline:
 # cross-model comparison catches it).
 faultmodel-smoke:
 	$(GO) test -run 'TestFaultModelDistinctProfiles' -v ./internal/fault
-
-# Record the per-fault-model campaign cost (SEU reference vs MBU wide
-# flips, stuck-at multi-cycle forces and windowed injection, all on the
-# same runner path and scenario) to $(FAULTMODEL_BENCH_FILE) as
-# `go test -json` events; CI uploads it next to BENCH_7.json.
-faultmodel-baseline:
-	FFR_INJECTIONS=$(FAULTMODEL_INJECTIONS) $(GO) test -json \
-		-bench='^BenchmarkFaultModels$$' -benchtime=1x -run='^$$' . \
-		> $(FAULTMODEL_BENCH_FILE)
-	@grep -F '"Output":"BenchmarkFaultModels' $(FAULTMODEL_BENCH_FILE) >/dev/null || \
-		{ echo "no fault-model benchmarks recorded in $(FAULTMODEL_BENCH_FILE)"; exit 1; }
-	@echo "recorded fault-model benchmarks to $(FAULTMODEL_BENCH_FILE)"
 
 # End-to-end service smoke: train a tiny k-NN artifact, serve it, and
 # assert /healthz and one /v1/predict both return 200.

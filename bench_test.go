@@ -479,58 +479,6 @@ func BenchmarkCorpusSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkFaultModels measures the campaign cost of each fault model on
-// one small corpus scenario (ns/op is the whole ground-truth campaign).
-// SEU is the reference row: the other models widen each injection (MBU),
-// lengthen it (stuck-at) or window it, and the per-model sub-benchmarks
-// pin what that costs on the same runner path. make faultmodel-baseline
-// records the family to BENCH_10.json. SET campaigns target combinational
-// nodes and run through fault.RunJobs rather than a study, so they are
-// covered by the internal/fault suite instead of this benchmark.
-func BenchmarkFaultModels(b *testing.B) {
-	cfg, err := repro.EnvStudyConfig()
-	if err != nil {
-		b.Fatal(err)
-	}
-	sc, err := repro.FindCorpusScenario("alupipe/randomops")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, spec := range []string{"seu", "mbu:2", "mbu:4", "stuck0:8", "stuck1:8", "seu@0.25-0.75"} {
-		model, err := repro.ParseFaultModel(spec)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(spec, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				study, err := repro.NewCorpusStudy(sc, repro.CorpusStudyConfig{
-					Scale:           repro.CorpusScaleSmall,
-					InjectionsPerFF: cfg.InjectionsPerFF,
-					Workers:         cfg.Workers,
-					Model:           model,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := study.RunGroundTruth()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == 0 {
-					b.ReportMetric(float64(res.TotalRuns), "injections/op")
-					b.ReportMetric(float64(res.SimulatedCycles), "sim_cycles/op")
-					b.ReportMetric(float64(res.ReplayCycles), "replay_cycles/op")
-					failures := 0
-					for _, f := range res.Failures {
-						failures += f
-					}
-					b.ReportMetric(float64(failures), "failures/op")
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkCrossCircuitTransfer measures the cross-circuit generalization
 // experiment on three small corpus scenarios and reports how well the k-NN
 // ranking transfers (mean off-diagonal Kendall τ).

@@ -24,8 +24,10 @@ type Job struct {
 // Implementations define the applicative failure criterion.
 type Classifier interface {
 	// FailingLanes returns a bitmask of lanes in faulty that fail against
-	// golden. used is the mask of lanes carrying real jobs.
-	FailingLanes(golden, faulty *sim.Trace, used uint64) uint64
+	// golden. used is the mask of lanes carrying real jobs; faulty equals
+	// golden in every row outside [from, to), so only those rows need
+	// comparing (0, golden.Cycles() when nothing is known).
+	FailingLanes(golden, faulty *sim.Trace, used uint64, from, to int) uint64
 }
 
 // ConfigFingerprinter is an optional Classifier extension: a stable digest
@@ -56,8 +58,8 @@ type StreamClassifier interface {
 	// StartStream begins streaming classification of one 64-lane batch
 	// against the golden trace. used masks the lanes carrying real jobs;
 	// from is the first cycle Observe will see — every earlier cycle is
-	// bit-identical to golden (the batch's fast-forwarded prefix), which
-	// stateful streams fold in by replaying the golden trace up to from.
+	// bit-identical to golden (the batch's fast-forwarded prefix), so a
+	// stateful stream starts from the golden run's state at from.
 	StartStream(golden *sim.Trace, used uint64, from int) Stream
 }
 

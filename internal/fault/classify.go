@@ -35,16 +35,21 @@ func (e *ExactClassifier) ConfigFingerprint() uint64 {
 
 // FailingLanes implements Classifier: XOR of the packed monitor words flags
 // every divergent lane directly (the golden trace is lane-uniform).
-func (e *ExactClassifier) FailingLanes(golden, faulty *sim.Trace, used uint64) uint64 {
+func (e *ExactClassifier) FailingLanes(golden, faulty *sim.Trace, used uint64, from, to int) uint64 {
+	return divergedLanes(golden, faulty, max(from, e.CheckFrom), to) & used
+}
+
+// divergedLanes returns the lanes whose monitor words differ from golden's
+// in any row of [from, to).
+func divergedLanes(golden, faulty *sim.Trace, from, to int) uint64 {
 	var diff uint64
-	cycles := golden.Cycles()
-	nm := len(golden.Monitors)
-	for c := e.CheckFrom; c < cycles; c++ {
-		for w := 0; w < nm; w++ {
-			diff |= golden.Word(c, w) ^ faulty.Word(c, w)
+	for c := from; c < to; c++ {
+		fr := faulty.Row(c)
+		for w, gw := range golden.Row(c) {
+			diff |= gw ^ fr[w]
 		}
 	}
-	return diff & used
+	return diff
 }
 
 // StartStream implements StreamClassifier. The exact criterion is ideal for
@@ -89,7 +94,25 @@ type MACClassifier struct {
 
 	goldenPkts  []circuit.LanePacket
 	goldenStats []byte
-	prepare     sync.Once
+	// goldenDec[c] is the golden frame decoder's state at the top of cycle c.
+	goldenDec []frameDec
+	prepare   sync.Once
+}
+
+// prepared decodes the golden run once: its packets, its statistics readout
+// and the frame decoder state streams start from.
+func (m *MACClassifier) prepared(golden *sim.Trace) {
+	m.prepare.Do(func() {
+		// Golden is lane-uniform; lane 0 is canonical.
+		b := m.Bench
+		m.goldenPkts = b.LanePackets(golden, 0)
+		m.goldenStats = b.LaneStats(golden, 0)
+		m.goldenDec = make([]frameDec, golden.Cycles()+1)
+		for c := 0; c < golden.Cycles(); c++ {
+			m.goldenDec[c+1] = m.goldenDec[c]
+			m.goldenDec[c+1].advance(golden.Bit(c, b.MonRxValid, 0), golden.Bit(c, b.MonRxEOP, 0))
+		}
+	})
 }
 
 // NewMACClassifier returns a classifier for the given compiled testbench.
@@ -107,25 +130,13 @@ func (m *MACClassifier) ConfigFingerprint() uint64 {
 }
 
 // FailingLanes implements Classifier.
-func (m *MACClassifier) FailingLanes(golden, faulty *sim.Trace, used uint64) uint64 {
-	m.prepare.Do(func() {
-		// Golden is lane-uniform; lane 0 is canonical.
-		m.goldenPkts = m.Bench.LanePackets(golden, 0)
-		m.goldenStats = m.Bench.LaneStats(golden, 0)
-	})
+func (m *MACClassifier) FailingLanes(golden, faulty *sim.Trace, used uint64, from, to int) uint64 {
+	m.prepared(golden)
 
 	// Fast path: lanes whose monitored trace is bit-identical to golden
 	// cannot fail. Golden lanes are uniform, so XOR of packed words flags
 	// every divergent lane directly.
-	var diff uint64
-	cycles := golden.Cycles()
-	nm := len(golden.Monitors)
-	for c := 0; c < cycles; c++ {
-		for w := 0; w < nm; w++ {
-			diff |= golden.Word(c, w) ^ faulty.Word(c, w)
-		}
-	}
-	diff &= used
+	diff := divergedLanes(golden, faulty, from, to) & used
 
 	var failing uint64
 	for lane := 0; lane < sim.Lanes; lane++ {
@@ -154,19 +165,28 @@ func (m *MACClassifier) FailingLanes(golden, faulty *sim.Trace, used uint64) uin
 // so lanes that fail only by frame count are decided by the trace-based
 // verdict when the batch ends or every lane re-converges.
 func (m *MACClassifier) StartStream(golden *sim.Trace, used uint64, from int) Stream {
-	m.prepare.Do(func() {
-		m.goldenPkts = m.Bench.LanePackets(golden, 0)
-		m.goldenStats = m.Bench.LaneStats(golden, 0)
-	})
-	s := &macStream{m: m, used: used}
-	// Fold the skipped prefix into the golden decoder: lanes are
-	// bit-identical to golden before from, so their reconstruction state is
-	// the golden run's state at from.
-	b := m.Bench
-	for c := 0; c < from; c++ {
-		s.advanceGolden(golden.Bit(c, b.MonRxValid, 0), golden.Bit(c, b.MonRxEOP, 0))
+	m.prepared(golden)
+	// Lanes are bit-identical to golden before from, so their
+	// reconstruction state is the golden run's state at from.
+	return &macStream{m: m, used: used, g: m.goldenDec[from]}
+}
+
+// frameDec is the receive-side frame decoder's position: the index of the
+// frame in progress and the next payload byte within it.
+type frameDec struct{ k, pos int32 }
+
+// advance steps the decoder by one cycle's receive-side monitor bits — the
+// one copy of the advance rule MACBench.LanePackets applies per lane.
+func (d *frameDec) advance(valid, eop bool) {
+	if !valid {
+		return
 	}
-	return s
+	if eop {
+		d.k++
+		d.pos = 0
+	} else {
+		d.pos++
+	}
 }
 
 type macStream struct {
@@ -175,8 +195,8 @@ type macStream struct {
 	failed   uint64
 	diverged uint64 // lanes whose rx monitor bits ever differed from golden
 
-	gk, gpos int32 // golden frame decoder: frame index, byte position
-	k, pos   [sim.Lanes]int32
+	g      frameDec // golden frame decoder
+	k, pos [sim.Lanes]int32
 }
 
 func (s *macStream) Observe(cycle int, golden, faulty []uint64) uint64 {
@@ -204,7 +224,7 @@ func (s *macStream) Observe(cycle int, golden, faulty []uint64) uint64 {
 	if newlyDiverged := rxDiff & s.used &^ s.diverged; newlyDiverged != 0 {
 		for w := newlyDiverged; w != 0; w &= w - 1 {
 			lane := bits.TrailingZeros64(w)
-			s.k[lane], s.pos[lane] = s.gk, s.gpos
+			s.k[lane], s.pos[lane] = s.g.k, s.g.pos
 		}
 		s.diverged |= newlyDiverged
 	}
@@ -260,23 +280,8 @@ func (s *macStream) Observe(cycle int, golden, faulty []uint64) uint64 {
 	}
 
 	// Advance the golden decoder (uniform: bit 0 is canonical).
-	s.advanceGolden(golden[b.MonRxValid]&1 == 1, golden[b.MonRxEOP]&1 == 1)
+	s.g.advance(golden[b.MonRxValid]&1 == 1, golden[b.MonRxEOP]&1 == 1)
 	return s.failed
-}
-
-// advanceGolden steps the golden frame decoder by one cycle's receive-side
-// monitor bits — the one copy of the advance rule MACBench.LanePackets
-// applies per lane, shared by the StartStream prefix fold and Observe.
-func (s *macStream) advanceGolden(valid, eop bool) {
-	if !valid {
-		return
-	}
-	if eop {
-		s.gk++
-		s.gpos = 0
-	} else {
-		s.gpos++
-	}
 }
 
 func (m *MACClassifier) laneFails(faulty *sim.Trace, lane int) bool {

@@ -25,7 +25,7 @@ func TestMACClassifierGoldenIsClean(t *testing.T) {
 	for _, checkStats := range []bool{false, true} {
 		cls := fault.NewMACClassifier(bench, checkStats)
 		for _, used := range []uint64{0, 1, 0xff, ^uint64(0)} {
-			if got := cls.FailingLanes(golden, golden, used); got != 0 {
+			if got := cls.FailingLanes(golden, golden, used, 0, golden.Cycles()); got != 0 {
 				t.Fatalf("checkStats=%v used=%#x: golden classified failing: %#x", checkStats, used, got)
 			}
 		}
@@ -60,12 +60,12 @@ func TestMACClassifierRespectsUsedMask(t *testing.T) {
 	faulty, _ := faultyTrace(t, 5)
 	cls := fault.NewMACClassifier(bench, true)
 
-	all := cls.FailingLanes(golden, faulty, ^uint64(0))
+	all := cls.FailingLanes(golden, faulty, ^uint64(0), 0, golden.Cycles())
 	if all == 0 {
 		t.Fatal("fixture produced no failing lanes; classifier untestable")
 	}
 	for _, used := range []uint64{0, 1, 0xffff, 0xaaaaaaaaaaaaaaaa} {
-		got := cls.FailingLanes(golden, faulty, used)
+		got := cls.FailingLanes(golden, faulty, used, 0, golden.Cycles())
 		if got&^used != 0 {
 			t.Fatalf("used=%#x: failing lanes %#x outside used mask", used, got)
 		}
@@ -84,14 +84,14 @@ func TestMACClassifierDeterministic(t *testing.T) {
 	faulty, _ := faultyTrace(t, 6)
 
 	cls := fault.NewMACClassifier(bench, true)
-	first := cls.FailingLanes(golden, faulty, ^uint64(0))
+	first := cls.FailingLanes(golden, faulty, ^uint64(0), 0, golden.Cycles())
 	for i := 0; i < 3; i++ {
-		if got := cls.FailingLanes(golden, faulty, ^uint64(0)); got != first {
+		if got := cls.FailingLanes(golden, faulty, ^uint64(0), 0, golden.Cycles()); got != first {
 			t.Fatalf("call %d: %#x, first %#x", i, got, first)
 		}
 	}
 	fresh := fault.NewMACClassifier(bench, true)
-	if got := fresh.FailingLanes(golden, faulty, ^uint64(0)); got != first {
+	if got := fresh.FailingLanes(golden, faulty, ^uint64(0), 0, golden.Cycles()); got != first {
 		t.Fatalf("fresh classifier: %#x, want %#x", got, first)
 	}
 }
@@ -107,7 +107,7 @@ func TestMACClassifierAgreesWithPacketComparison(t *testing.T) {
 	goldenStats := bench.LaneStats(golden, 0)
 
 	cls := fault.NewMACClassifier(bench, true)
-	failing := cls.FailingLanes(golden, faulty, ^uint64(0))
+	failing := cls.FailingLanes(golden, faulty, ^uint64(0), 0, golden.Cycles())
 	for lane := 0; lane < sim.Lanes; lane++ {
 		pkts := bench.LanePackets(faulty, lane)
 		stats := bench.LaneStats(faulty, lane)
@@ -153,8 +153,8 @@ func TestMACClassifierCheckStatsWidens(t *testing.T) {
 	golden := goldenTrace(t)
 	faulty, _ := faultyTrace(t, 8)
 
-	noStats := fault.NewMACClassifier(bench, false).FailingLanes(golden, faulty, ^uint64(0))
-	withStats := fault.NewMACClassifier(bench, true).FailingLanes(golden, faulty, ^uint64(0))
+	noStats := fault.NewMACClassifier(bench, false).FailingLanes(golden, faulty, ^uint64(0), 0, golden.Cycles())
+	withStats := fault.NewMACClassifier(bench, true).FailingLanes(golden, faulty, ^uint64(0), 0, golden.Cycles())
 	if noStats&^withStats != 0 {
 		t.Fatalf("lanes %#x fail without stats but pass with stats", noStats&^withStats)
 	}
@@ -169,28 +169,28 @@ func TestExactClassifier(t *testing.T) {
 	cls := &fault.ExactClassifier{}
 
 	for _, used := range []uint64{0, 1, ^uint64(0)} {
-		if got := cls.FailingLanes(golden, golden, used); got != 0 {
+		if got := cls.FailingLanes(golden, golden, used, 0, golden.Cycles()); got != 0 {
 			t.Fatalf("used=%#x: golden classified failing: %#x", used, got)
 		}
 	}
-	all := cls.FailingLanes(golden, faulty, ^uint64(0))
+	all := cls.FailingLanes(golden, faulty, ^uint64(0), 0, golden.Cycles())
 	if all == 0 {
 		t.Fatal("fixture produced no divergent lanes; classifier untestable")
 	}
 	for _, used := range []uint64{1, 0xffff, 0xaaaaaaaaaaaaaaaa} {
-		if got := cls.FailingLanes(golden, faulty, used); got != all&used {
+		if got := cls.FailingLanes(golden, faulty, used, 0, golden.Cycles()); got != all&used {
 			t.Fatalf("used=%#x: failing = %#x, want %#x", used, got, all&used)
 		}
 	}
 	// A window starting past the end of the trace sees no divergence.
 	late := &fault.ExactClassifier{CheckFrom: golden.Cycles()}
-	if got := late.FailingLanes(golden, faulty, ^uint64(0)); got != 0 {
+	if got := late.FailingLanes(golden, faulty, ^uint64(0), 0, golden.Cycles()); got != 0 {
 		t.Fatalf("empty check window still fails lanes %#x", got)
 	}
 	// Exact classification is at least as strict as the MAC criterion: the
 	// exact mask must cover every applicatively failing lane.
 	_, bench := smallMAC(t)
-	mac := fault.NewMACClassifier(bench, true).FailingLanes(golden, faulty, ^uint64(0))
+	mac := fault.NewMACClassifier(bench, true).FailingLanes(golden, faulty, ^uint64(0), 0, golden.Cycles())
 	if mac&^all != 0 {
 		t.Fatalf("lanes %#x fail applicatively but match golden exactly", mac&^all)
 	}
@@ -233,7 +233,7 @@ func TestStreamConfirmationsAreSound(t *testing.T) {
 		faulty, _ := faultyTrace(t, seed)
 		for _, checkStats := range []bool{false, true} {
 			mac := fault.NewMACClassifier(bench, checkStats)
-			verdict := mac.FailingLanes(golden, faulty, ^uint64(0))
+			verdict := mac.FailingLanes(golden, faulty, ^uint64(0), 0, golden.Cycles())
 			for _, from := range []int{0, 8, 32} {
 				confirmed := streamOverTrace(mac, golden, faulty, ^uint64(0), from)
 				if confirmed&^verdict != 0 {
@@ -254,7 +254,7 @@ func TestExactStreamMatchesVerdict(t *testing.T) {
 		faulty, _ := faultyTrace(t, seed)
 		for _, from := range []int{0, 5} {
 			cls := &fault.ExactClassifier{CheckFrom: from}
-			verdict := cls.FailingLanes(golden, faulty, ^uint64(0))
+			verdict := cls.FailingLanes(golden, faulty, ^uint64(0), 0, golden.Cycles())
 			confirmed := streamOverTrace(cls, golden, faulty, ^uint64(0), 0)
 			if confirmed != verdict {
 				t.Fatalf("seed %d CheckFrom=%d: stream %#x, verdict %#x", seed, from, confirmed, verdict)

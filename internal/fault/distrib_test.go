@@ -7,8 +7,10 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/corpus"
 	"repro/internal/fault"
 	"repro/internal/obs"
+	"repro/internal/sim"
 )
 
 // TestRunChunksMergeMatchesRun pins the distributed substrate, per fault
@@ -199,39 +201,73 @@ func TestPlanShardsGeometry(t *testing.T) {
 
 // BenchmarkRunChunks measures the chunk executor end to end — worker state
 // set-up, batch packing, windowed simulation, classification — over every
-// chunk of a small-MAC plan on one worker. Beside the time it reports the
-// exact, repeatable counts behind it: engine cycles simulated per injection
-// and lane occupancy (active / window lane-cycles).
+// chunk of a plan on one worker, per circuit and fault model: the small MAC
+// under its frame-decoding classifier, and a corpus datapath at the scale
+// the corpus-models workload runs it, under the exact classifier. Beside
+// the time it reports the exact, repeatable counts behind it: engine cycles
+// simulated per injection and lane occupancy (active / window lane-cycles).
 func BenchmarkRunChunks(b *testing.B) {
+	type circuitUnderTest struct {
+		name     string
+		p        *sim.Program
+		stim     *sim.Stimulus
+		monitors []int
+		active   int
+		cls      func() fault.Classifier
+	}
 	p, bench := smallMAC(b)
-	jobs := fault.NewPlan(p.NumFFs(), 8, bench.ActiveCycles, 41)
-	sh, err := fault.PlanShards(len(jobs), 0)
+	sc, err := corpus.Find("alupipe/randomops")
 	if err != nil {
 		b.Fatal(err)
 	}
-	all := make([]int, sh.NumChunks())
-	for i := range all {
-		all[i] = i
-	}
-	reg := obs.NewRegistry()
-	r, err := fault.NewRunner(p, bench.Stim, bench.Monitors, fault.NewMACClassifier(bench, true),
-		fault.RunnerConfig{Workers: 1, Metrics: reg})
+	m, err := sc.Materialize(corpus.ScaleDefault, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	// Golden run, snapshots and kernel compilation are set-up.
-	if _, err := r.RunChunks(context.Background(), jobs, nil); err != nil {
-		b.Fatal(err)
+	circuits := []circuitUnderTest{
+		{"mac", p, bench.Stim, bench.Monitors, bench.ActiveCycles,
+			func() fault.Classifier { return fault.NewMACClassifier(bench, true) }},
+		{"alupipe", m.Program, m.Bench.Stim, m.Bench.Monitors, m.Bench.ActiveCycles,
+			func() fault.Classifier { return m.Bench.Classifier }},
 	}
-	b.ReportAllocs()
-	for b.Loop() {
-		if _, err := r.RunChunks(context.Background(), jobs, all); err != nil {
-			b.Fatal(err)
+	for _, c := range circuits {
+		for _, spec := range []string{"seu", "mbu:3", "stuck0:8"} {
+			model, err := fault.ParseModel(spec)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Run(c.name+"/"+spec, func(b *testing.B) {
+				jobs := fault.NewModelPlan(model, model.NumTargets(c.p), 8, c.active, 41)
+				sh, err := fault.PlanShards(len(jobs), 0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				all := make([]int, sh.NumChunks())
+				for i := range all {
+					all[i] = i
+				}
+				reg := obs.NewRegistry()
+				r, err := fault.NewRunner(c.p, c.stim, c.monitors, c.cls(),
+					fault.RunnerConfig{Model: model, Workers: 1, Metrics: reg})
+				if err != nil {
+					b.Fatal(err)
+				}
+				// Golden run, snapshots and kernel compilation are set-up.
+				if _, err := r.RunChunks(context.Background(), jobs, nil); err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				for b.Loop() {
+					if _, err := r.RunChunks(context.Background(), jobs, all); err != nil {
+						b.Fatal(err)
+					}
+				}
+				injections := float64(b.N) * float64(len(jobs))
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/injections, "ns/injection")
+				count := func(name string) float64 { return reg.Counter(name, "").Value() }
+				b.ReportMetric(count("ffr_campaign_simulated_cycles_total")/injections, "sim-cycles/injection")
+				b.ReportMetric(count("ffr_campaign_active_lane_cycles_total")/count("ffr_campaign_window_lane_cycles_total"), "lane-occupancy")
+			})
 		}
 	}
-	injections := float64(b.N) * float64(len(jobs))
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/injections, "ns/injection")
-	count := func(name string) float64 { return reg.Counter(name, "").Value() }
-	b.ReportMetric(count("ffr_campaign_simulated_cycles_total")/injections, "sim-cycles/injection")
-	b.ReportMetric(count("ffr_campaign_active_lane_cycles_total")/count("ffr_campaign_window_lane_cycles_total"), "lane-occupancy")
 }

@@ -26,6 +26,7 @@ func referenceMasks(r *Runner, jobs []Job) ([]uint64, error) {
 	fx := r.setEffects(jobs)
 	e := sim.NewEngine(r.p)
 	var flips []flipOp
+	var sorter flipSorter
 	var glitches []laneGlitch
 	masks := make([]uint64, 0, (len(jobs)+sim.Lanes-1)/sim.Lanes)
 	for blo := 0; blo < len(jobs); blo += sim.Lanes {
@@ -38,7 +39,7 @@ func referenceMasks(r *Runner, jobs []Job) ([]uint64, error) {
 			glitches = r.appendGlitches(glitches, fx, job, laneMask)
 			used |= laneMask
 		}
-		sortFlips(flips)
+		flips = sorter.sort(flips)
 		ptr := 0
 		faulty, _ := sim.Run(e, r.stim, sim.RunConfig{
 			Monitors: r.monitors,
@@ -58,7 +59,21 @@ func referenceMasks(r *Runner, jobs []Job) ([]uint64, error) {
 		for _, g := range glitches {
 			faulty.XORWord(g.cycle, g.mon, g.mask)
 		}
-		masks = append(masks, r.cls.FailingLanes(golden, faulty, used))
+		masks = append(masks, r.cls.FailingLanes(golden, faulty, used, 0, golden.Cycles()))
 	}
 	return masks, nil
+}
+
+// insertionSortFlips is the event ordering the Runner used before
+// flipSorter, kept verbatim as its reference: stable by cycle.
+func insertionSortFlips(flips []flipOp) {
+	for i := 1; i < len(flips); i++ {
+		f := flips[i]
+		j := i - 1
+		for j >= 0 && flips[j].cycle > f.cycle {
+			flips[j+1] = flips[j]
+			j--
+		}
+		flips[j+1] = f
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io/fs"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -35,7 +36,7 @@ import (
 //     either confirmed failed by a streaming classifier (StreamClassifier)
 //     or has re-converged to the golden engine state — in both cases the
 //     remaining cycles cannot change the verdict, so the trace suffix is
-//     filled from the golden run and classified as usual.
+//     the golden run's and the batch is classified as usual.
 //   - Cycle-clustered scheduling: jobs are packed into batches in ascending
 //     injection-cycle order (see Schedule), so each batch spans a narrow
 //     cycle window and the prefix skip actually bites.
@@ -550,19 +551,45 @@ type flipOp struct {
 	fin   bool
 }
 
-// sortFlips orders the flip schedule by cycle. Batches are small and already
-// sorted under the clustered schedule, so insertion sort beats the
-// allocation and indirection of sort.Slice here.
-func sortFlips(flips []flipOp) {
-	for i := 1; i < len(flips); i++ {
-		f := flips[i]
-		j := i - 1
-		for j >= 0 && flips[j].cycle > f.cycle {
-			flips[j+1] = flips[j]
-			j--
-		}
-		flips[j+1] = f
+// flipSorter orders a batch's events by cycle, ties in the order given (a
+// lane's events stay in expandJob's order, lanes in packing order), with a
+// stable counting sort: stuck-at interleaves Duration events per lane, which
+// a comparison sort pays for per lane. Its buffers are recycled across
+// batches.
+type flipSorter struct {
+	buf   []flipOp
+	count []int
+}
+
+// sort returns the events of flips in order; flips becomes the sorter's
+// next buffer and must not be used again.
+func (s *flipSorter) sort(flips []flipOp) []flipOp {
+	if len(flips) == 0 {
+		return flips
 	}
+	lo, hi := flips[0].cycle, flips[0].cycle
+	for i := range flips {
+		lo, hi = min(lo, flips[i].cycle), max(hi, flips[i].cycle)
+	}
+	// count[k+1] counts the events of cycle lo+k, then count[k] becomes
+	// the position of that cycle's next event.
+	count := slices.Grow(s.count[:0], hi-lo+2)[:hi-lo+2]
+	clear(count)
+	s.count = count
+	for i := range flips {
+		count[flips[i].cycle-lo+1]++
+	}
+	for k := 1; k < len(count); k++ {
+		count[k] += count[k-1]
+	}
+	out := slices.Grow(s.buf[:0], len(flips))[:len(flips)]
+	for i := range flips {
+		k := flips[i].cycle - lo
+		out[count[k]] = flips[i]
+		count[k]++
+	}
+	s.buf = flips[:0]
+	return out
 }
 
 // merge folds completed chunk masks into the final per-target Result (per

@@ -2,13 +2,13 @@ package fault
 
 import "fmt"
 
-// Schedule selects how an injection plan's jobs are packed into 64-lane
-// batches. The packing never changes campaign results — the merge stage maps
-// every lane back to its job — but it decides how much the incremental
-// engine saves: golden fast-forward skips everything before a batch's
-// earliest injection cycle, so a batch spanning a narrow cycle window skips
-// nearly the whole shared prefix, while a batch mixing cycle-0 and late
-// injections skips nothing.
+// Schedule selects how an injection plan's jobs are packed into the 64-lane
+// groups that wide batches are made of. The packing never changes campaign
+// results — the merge stage maps every lane back to its job — but it
+// decides how much golden fast-forward saves: it skips everything before a
+// batch's earliest injection cycle, so a batch spanning a narrow cycle
+// window skips nearly the whole shared prefix, while a batch mixing cycle-0
+// and late injections skips nothing.
 type Schedule string
 
 const (

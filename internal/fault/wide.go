@@ -17,7 +17,7 @@ import (
 // stream confirmed it failed or it settled back to golden state. Decided
 // lanes keep simulating while the window runs, which is sound because
 // settled lanes evolve identically to golden (their recorded rows equal the
-// golden fill) and stream-confirmed failures are final regardless of the
+// golden rows) and stream-confirmed failures are final regardless of the
 // trace suffix — the per-group classification is post hoc over the
 // reconstructed trace.
 //
@@ -33,6 +33,11 @@ import (
 // every lane is decided. Re-running a lane cannot change its verdict: lanes
 // are independent and a lane's events are a pure function of its job
 // (expandJob, appendGlitches), so nothing is carried between rounds.
+//
+// A batch's bookkeeping is bounded by its window, not the stimulus: the
+// worker's traces hold the golden trace between batches, a batch records its
+// window and glitches into them, classifies over those rows alone and puts
+// them back (dirtyRange); its events are ordered in linear time (flipSorter).
 
 // repackFraction sets the cut: a batch is repacked once at most a quarter of
 // its lanes are undecided, so four cut batches' stragglers fill at most one
@@ -62,8 +67,10 @@ func (r *Runner) kernel() (*sim.Kernel, error) {
 type wideWorkerState struct {
 	golden *sim.Trace
 	e      *sim.KernelEngine
+	// traces equal the golden trace between batches (see the file comment).
 	traces []*sim.Trace
 	flips  []flipOp
+	sorter flipSorter
 	// glitches collects the batch's SET output glitches per word.
 	glitches [][]laneGlitch
 	// work is the current round's scheduled positions, next the stragglers
@@ -113,6 +120,7 @@ func newWideWorkerState(r *Runner, cp *chunkPlan) *wideWorkerState {
 	}
 	for i := range ws.traces {
 		ws.traces[i] = sim.NewTrace(r.monitors, r.stim.Cycles())
+		ws.traces[i].CopyCycles(cp.golden, 0, r.stim.Cycles())
 	}
 	ws.window = sim.WideWindowConfig{
 		Monitors:   r.monitors,
@@ -242,7 +250,7 @@ func (r *Runner) runBatchWide(ws *wideWorkerState, cp *chunkPlan, lo int, batch 
 			ws.glitched[g] |= ws.glitches[g][i].mask
 		}
 	}
-	sortFlips(ws.flips)
+	ws.flips = ws.sorter.sort(ws.flips)
 
 	// A wide batch with no events at all (possible under SET) needs no
 	// simulation: every lane is settled from the start, its trace the
@@ -265,8 +273,7 @@ func (r *Runner) runBatchWide(ws *wideWorkerState, cp *chunkPlan, lo int, batch 
 	}
 	for g := 0; g < groups; g++ {
 		tr := ws.traces[g]
-		tr.CopyCycles(golden, 0, start)
-		tr.CopyCycles(golden, stop, r.stim.Cycles())
+		from, to := ws.dirtyRange(g, start, stop)
 		for i := range ws.glitches[g] {
 			gl := &ws.glitches[g][i]
 			tr.XORWord(gl.cycle, gl.mon, gl.mask)
@@ -278,14 +285,31 @@ func (r *Runner) runBatchWide(ws *wideWorkerState, cp *chunkPlan, lo int, batch 
 			repack = ws.undecided(g)
 		}
 		group := batch[g*sim.Lanes:]
-		for m := r.cls.FailingLanes(golden, tr, used[g]&^repack); m != 0; m &= m - 1 {
+		for m := r.cls.FailingLanes(golden, tr, used[g]&^repack, from, to); m != 0; m &= m - 1 {
 			at := group[bits.TrailingZeros64(m)] - lo
 			masks[at/sim.Lanes] |= 1 << uint(at%sim.Lanes)
 		}
 		for m := repack; m != 0; m &= m - 1 {
 			ws.next = append(ws.next, group[bits.TrailingZeros64(m)])
 		}
+		tr.CopyCycles(golden, from, to)
 	}
 	r.metrics.observeWideBatch(ws.activeLaneCycles, (stop-start)*ws.e.Words()*sim.Lanes, len(ws.next)-carried)
 	return stop - start
+}
+
+// dirtyRange returns the rows of group g's trace the current batch may leave
+// different from golden: the window [start, stop) and the group's SET glitch
+// rows, which can lie outside it — a pulse is observed the cycle before its
+// capture flips land, and one that nothing latches has no flips at all.
+func (ws *wideWorkerState) dirtyRange(g, start, stop int) (from, to int) {
+	from, to = start, stop
+	for i := range ws.glitches[g] {
+		c := ws.glitches[g][i].cycle
+		if from == to {
+			from, to = c, c+1
+		}
+		from, to = min(from, c), max(to, c+1)
+	}
+	return from, to
 }

@@ -2,6 +2,7 @@ package fault
 
 import (
 	"context"
+	"math/rand"
 	"runtime"
 	"slices"
 	"sync"
@@ -342,5 +343,298 @@ func TestKernelSharedAndCollectable(t *testing.T) {
 	}
 	if kern.Value() != nil {
 		t.Fatal("the kernel of a dropped program is still reachable")
+	}
+}
+
+// runRoundsChecked is runChunkWide over every chunk of the plan with the
+// worker-trace invariant checked after each batch: whatever the batch
+// recorded, glitched and classified, every worker trace is the golden trace
+// again when it returns. It returns the masks in scheduled-position order.
+func runRoundsChecked(t *testing.T, r *Runner, cp *chunkPlan) []uint64 {
+	t.Helper()
+	ws := newWideWorkerState(r, cp)
+	wide := ws.e.Words() * sim.Lanes
+	var all []uint64
+	for ci := 0; ci < cp.sh.numChunks; ci++ {
+		lo, hi := cp.sh.chunkRange(ci)
+		masks := make([]uint64, cp.sh.chunkBatches(ci))
+		var work []int
+		for pos := lo; pos < hi; pos++ {
+			work = append(work, pos)
+		}
+		for len(work) > 0 {
+			ws.next = nil
+			for i := 0; i < len(work); i += wide {
+				r.runBatchWide(ws, cp, lo, work[i:min(i+wide, len(work))], len(work) <= wide, masks)
+				for g, tr := range ws.traces {
+					if !tr.Equal(cp.golden) {
+						t.Fatalf("chunk %d: worker trace %d differs from golden after a batch", ci, g)
+					}
+				}
+			}
+			work = ws.next
+		}
+		all = append(all, masks...)
+	}
+	return all
+}
+
+// TestWorkerTracesReturnToGolden pins the invariant the window-bounded
+// bookkeeping rests on, across the fault-model matrix and both kinds of
+// classifier: a batch dirties only the rows of its window and its glitches
+// and restores exactly those, so between batches every worker trace equals
+// golden — and classifying over that range alone gives the reference's
+// masks.
+func TestWorkerTracesReturnToGolden(t *testing.T) {
+	p, bench := wideMAC(t)
+	for _, spec := range []string{"seu", "mbu:3", "stuck0:8", "stuck1:4@0.25-0.75", "set"} {
+		model, err := ParseModel(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		targets := model.NumTargets(p)
+		jobs := NewModelPlan(model, targets, (1500+targets-1)/targets, bench.ActiveCycles, 17)
+		for name, cls := range map[string]Classifier{
+			"mac":   NewMACClassifier(bench, true),
+			"exact": &ExactClassifier{CheckFrom: 20},
+		} {
+			t.Run(spec+"/"+name, func(t *testing.T) {
+				r, err := NewRunner(p, bench.Stim, bench.Monitors, cls, RunnerConfig{Model: model, ChunkJobs: 1024})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := referenceMasks(r, jobs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := runRoundsChecked(t, r, planned(t, r, jobs)); !slices.Equal(got, want) {
+					t.Fatal("masks differ from the reference's")
+				}
+			})
+		}
+	}
+}
+
+// setRunner returns a SET-model runner over the small MAC under the exact
+// classifier, with the effect table of one pulse per combinational target
+// at each of the given cycles.
+func setRunner(t *testing.T, cycles ...int) (*Runner, []Job, map[int64]setEffect) {
+	t.Helper()
+	p, bench := wideMAC(t)
+	model, err := ParseModel("set")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewRunner(p, bench.Stim, bench.Monitors, &ExactClassifier{}, RunnerConfig{Model: model})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var jobs []Job
+	for _, c := range cycles {
+		for target := 0; target < model.NumTargets(p); target++ {
+			jobs = append(jobs, Job{FF: target, Cycle: c})
+		}
+	}
+	return r, jobs, r.setEffects(jobs)
+}
+
+// runOneBatch runs jobs as a single final wide batch on a fresh worker and
+// returns the worker, the window length and the masks.
+func runOneBatch(t *testing.T, r *Runner, jobs []Job) (*wideWorkerState, int, []uint64) {
+	t.Helper()
+	if len(jobs) == 0 || len(jobs) > lanesPerBatch {
+		t.Fatalf("%d jobs do not make one wide batch", len(jobs))
+	}
+	cp := planned(t, r, jobs)
+	ws := newWideWorkerState(r, cp)
+	batch := make([]int, len(jobs))
+	for i := range batch {
+		batch[i] = i
+	}
+	masks := make([]uint64, cp.sh.chunkBatches(0))
+	n := r.runBatchWide(ws, cp, 0, batch, true, masks)
+	return ws, n, masks
+}
+
+// TestSETGlitchRowBeforeWindow is the dirty range's corner: a SET pulse at
+// cycle c is observed at row c but its capture flips land at c+1, so when
+// c+1 is snapshot-aligned the window starts at c+1 and the glitch row lies
+// before it. That row must be classified (the exact criterion fails the
+// lane on the glitch alone) and restored.
+func TestSETGlitchRowBeforeWindow(t *testing.T) {
+	_, bench := wideMAC(t)
+	pulse := bench.ActiveCycles/2/sim.DefaultSnapshotEvery*sim.DefaultSnapshotEvery - 1
+	r, all, fx := setRunner(t, pulse)
+	var jobs []Job
+	for _, j := range all {
+		if eff := fx[setKey(j.FF, j.Cycle)]; len(eff.ffs) > 0 && len(eff.mons) > 0 && len(jobs) < sim.Lanes {
+			jobs = append(jobs, j)
+		}
+	}
+	if len(jobs) == 0 {
+		t.Fatalf("no pulse at cycle %d both glitches a monitor and is latched", pulse)
+	}
+	ws, n, got := runOneBatch(t, r, jobs)
+	if n == 0 {
+		t.Fatal("the batch simulated nothing")
+	}
+	if from, _ := ws.dirtyRange(0, pulse+1, pulse+1+n); from != pulse {
+		t.Fatalf("dirty range starts at %d, want the glitch row %d before the window at %d", from, pulse, pulse+1)
+	}
+	want, err := referenceMasks(r, jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("masks %x, reference %x", got, want)
+	}
+	if want[0] != uint64(1)<<uint(len(jobs))-1 {
+		t.Fatalf("reference masks %x: every glitched lane fails the exact criterion", want)
+	}
+	if !ws.traces[0].Equal(ws.golden) {
+		t.Fatal("the glitch row before the window was not restored")
+	}
+}
+
+// TestEventlessGlitchBatch runs a batch made only of SET pulses nothing
+// latches: no event, no window, yet every lane's glitch row is classified
+// and restored.
+func TestEventlessGlitchBatch(t *testing.T) {
+	_, bench := wideMAC(t)
+	// The last cycle has no following cycle to latch into at all.
+	r, all, fx := setRunner(t, bench.ActiveCycles/3, bench.Stim.Cycles()-1)
+	var jobs []Job
+	for _, j := range all {
+		eff := fx[setKey(j.FF, j.Cycle)]
+		if len(eff.mons) > 0 && (len(eff.ffs) == 0 || j.Cycle == bench.Stim.Cycles()-1) && len(jobs) < lanesPerBatch {
+			jobs = append(jobs, j)
+		}
+	}
+	if len(jobs) <= sim.Lanes {
+		t.Fatalf("only %d glitch-only pulses: want more than one group", len(jobs))
+	}
+	ws, n, got := runOneBatch(t, r, jobs)
+	if n != 0 || len(ws.flips) != 0 {
+		t.Fatalf("an event-less batch simulated %d cycles over %d events", n, len(ws.flips))
+	}
+	want, err := referenceMasks(r, jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("masks %x, reference %x", got, want)
+	}
+	for g, m := range got {
+		if m == 0 {
+			t.Fatalf("group %d: no glitched lane failed the exact criterion", g)
+		}
+		if !ws.traces[g].Equal(ws.golden) {
+			t.Fatalf("group %d: glitch rows were not restored", g)
+		}
+	}
+}
+
+// shortRange classifies over the first half of the range it is handed — a
+// caller that under-reports what a batch dirtied.
+type shortRange struct{ Classifier }
+
+func (s shortRange) FailingLanes(golden, faulty *sim.Trace, used uint64, from, to int) uint64 {
+	return s.Classifier.FailingLanes(golden, faulty, used, from, from+(to-from)/2)
+}
+
+// TestNarrowedRangeBreaksEquivalence is the negative control of the range
+// contract: the equivalence suites must notice a classifier call whose
+// range is narrower than the real divergence. If this test fails, the
+// suites would pass a Runner that under-reports its dirty rows.
+func TestNarrowedRangeBreaksEquivalence(t *testing.T) {
+	p, bench := wideMAC(t)
+	jobs := NewPlan(p.NumFFs(), 2, bench.ActiveCycles, 41)
+	run := func(cls Classifier) *Runner {
+		r, err := NewRunner(p, bench.Stim, bench.Monitors, cls, RunnerConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	want, err := referenceMasks(run(&ExactClassifier{}), jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := chunkMasks(t, run(&ExactClassifier{}), jobs); !slices.Equal(got, want) {
+		t.Fatal("the unnarrowed Runner already differs from the reference")
+	}
+	if got := chunkMasks(t, run(shortRange{&ExactClassifier{}}), jobs); slices.Equal(got, want) {
+		t.Fatal("classifying half of every dirty range still matched the reference")
+	}
+}
+
+// TestFlipSorterMatchesInsertionSort pins the counting sort to the
+// insertion sort it replaced, element for element — ties included, which is
+// what keeps a lane's events in expandJob's order — on the events of random
+// batches under every kind of model.
+func TestFlipSorterMatchesInsertionSort(t *testing.T) {
+	p, bench := wideMAC(t)
+	rng := rand.New(rand.NewSource(5))
+	for _, spec := range []string{"seu", "mbu:3", "stuck0:8", "set"} {
+		model, err := ParseModel(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := NewRunner(p, bench.Stim, bench.Monitors, &ExactClassifier{}, RunnerConfig{Model: model})
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs := NewModelPlan(model, model.NumTargets(p), 2, bench.ActiveCycles, 23)
+		fx := r.setEffects(jobs)
+		var sorter flipSorter
+		events := 0
+		for trial := 0; trial < 20; trial++ {
+			var flips []flipOp
+			for lane := 0; lane < 1+rng.Intn(lanesPerBatch); lane++ {
+				n := len(flips)
+				flips = r.expandJob(flips, fx, jobs[rng.Intn(len(jobs))], 1<<uint(lane%sim.Lanes))
+				for i := n; i < len(flips); i++ {
+					flips[i].word = lane / sim.Lanes
+				}
+			}
+			want := slices.Clone(flips)
+			insertionSortFlips(want)
+			if got := sorter.sort(flips); !slices.Equal(got, want) {
+				t.Fatalf("%s trial %d: %d events ordered differently from the insertion sort", spec, trial, len(want))
+			}
+			events += len(want)
+		}
+		if events == 0 {
+			t.Fatalf("%s: no events sorted", spec)
+		}
+	}
+}
+
+// TestMACStreamStartsAtGoldenDecoderState pins the per-cycle decoder table
+// to what it replaced: a stream started at cycle from holds the state the
+// golden frame decoder reaches by replaying rows [0, from), for every from.
+func TestMACStreamStartsAtGoldenDecoderState(t *testing.T) {
+	p, bench := wideMAC(t)
+	cls := NewMACClassifier(bench, true)
+	r, err := NewRunner(p, bench.Stim, bench.Monitors, cls, RunnerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden, err := r.Golden()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var replay frameDec
+	for from := 0; from <= golden.Cycles(); from++ {
+		if got := cls.StartStream(golden, ^uint64(0), from).(*macStream).g; got != replay {
+			t.Fatalf("stream from cycle %d starts at frame %d byte %d, replay reaches frame %d byte %d",
+				from, got.k, got.pos, replay.k, replay.pos)
+		}
+		if from < golden.Cycles() {
+			replay.advance(golden.Bit(from, bench.MonRxValid, 0), golden.Bit(from, bench.MonRxEOP, 0))
+		}
+	}
+	if replay.k == 0 {
+		t.Fatal("the golden run received no frame")
 	}
 }

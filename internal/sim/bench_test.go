@@ -7,7 +7,7 @@ import (
 	"repro/internal/sim"
 )
 
-func compiledMAC(b *testing.B) (*sim.Program, *circuit.MACBench) {
+func compiledMAC(b testing.TB) (*sim.Program, *circuit.MACBench) {
 	b.Helper()
 	nl, err := circuit.NewMAC10GE(circuit.DefaultMACConfig())
 	if err != nil {
@@ -85,15 +85,22 @@ func BenchmarkCompile(b *testing.B) {
 func macKernelEngine(b *testing.B) *sim.KernelEngine {
 	b.Helper()
 	p, bench := compiledMAC(b)
-	keep := append([]int(nil), bench.Monitors...)
-	for _, lb := range bench.Stim.Loopbacks() {
+	return sim.NewKernelEngine(campaignKernel(b, p, bench.Stim, bench.Monitors), sim.DefaultKernelWords)
+}
+
+// campaignKernel builds the kernel a campaign over the stimulus and monitors
+// would: the monitored ports and the loopback sources kept, the rest pruned.
+func campaignKernel(tb testing.TB, p *sim.Program, stim *sim.Stimulus, monitors []int) *sim.Kernel {
+	tb.Helper()
+	keep := append([]int(nil), monitors...)
+	for _, lb := range stim.Loopbacks() {
 		keep = append(keep, lb.Out)
 	}
 	k, err := sim.BuildKernel(p, sim.KernelConfig{KeepOutputs: keep})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	return sim.NewKernelEngine(k, sim.DefaultKernelWords)
+	return k
 }
 
 // reportLaneCycle reports the benchmarked cycle step per simulated lane.

@@ -1,0 +1,27 @@
+package sim
+
+// SlotRefs returns every register-file slot the kernel addresses: each
+// instruction's destination and four operand fields (unused ones are slot
+// 0), the flip-flop Q and D rows, the input ports, the kept output ports
+// and the two constants.
+func (k *Kernel) SlotRefs() []int32 {
+	refs := []int32{k.const0, k.const1}
+	for _, ins := range k.code {
+		refs = append(refs, ins.dst, ins.a, ins.b, ins.c, ins.d)
+	}
+	for _, c := range k.direct {
+		refs = append(refs, c.q, c.d)
+	}
+	for _, c := range k.staged {
+		refs = append(refs, c.q, c.d)
+	}
+	refs = append(refs, k.ffQ...)
+	refs = append(refs, k.ffD...)
+	refs = append(refs, k.inSlot...)
+	for _, s := range k.outSlot {
+		if s >= 0 { // -1 is a pruned port
+			refs = append(refs, s)
+		}
+	}
+	return refs
+}

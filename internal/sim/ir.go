@@ -602,11 +602,7 @@ func (b *irBuilder) buildKernel() (*Kernel, error) {
 			dst = alloc()
 		}
 		slotOfNet[o.out] = dst
-		const row = DefaultKernelWords // operands are word offsets of rows
-		k.code = append(k.code, kinstr{
-			op: code, dst: dst * row,
-			a: ops[0] * row, b: ops[1] * row, c: ops[2] * row, d: ops[3] * row,
-		})
+		k.code = append(k.code, kinstr{op: code, dst: dst, a: ops[0], b: ops[1], c: ops[2], d: ops[3]})
 	}
 
 	for i := range p.ffs {

@@ -41,7 +41,7 @@ const (
 )
 
 // kinstr is one kernel instruction: an opcode plus its operand rows, as
-// word offsets into the register file (slot · DefaultKernelWords).
+// slot indices into the register file.
 type kinstr struct {
 	dst        int32
 	a, b, c, d int32
@@ -92,7 +92,7 @@ type krow = [DefaultKernelWords]uint64
 var _ = [1]struct{}{}[DefaultKernelWords-4]
 
 // ffCopy is one flip-flop capture of the clock edge, Q ← D, as
-// register-file word offsets.
+// register-file slots.
 type ffCopy struct{ q, d int32 }
 
 // planCommit splits the flip-flop captures into those Commit can copy
@@ -108,9 +108,8 @@ func (k *Kernel) planCommit() {
 		isQ[q] = true
 	}
 	for i, q := range k.ffQ {
-		d := k.ffD[i]
-		c := ffCopy{q: q * DefaultKernelWords, d: d * DefaultKernelWords}
-		if isQ[d] {
+		c := ffCopy{q: q, d: k.ffD[i]}
+		if isQ[c.d] {
 			k.staged = append(k.staged, c)
 		} else {
 			k.direct = append(k.direct, c)
@@ -125,23 +124,22 @@ func (k *Kernel) planCommit() {
 // bit-identical to W narrow interpreter batches.
 //
 // The cycle protocol mirrors Engine exactly (SetInput* / FlipFF / Eval /
-// read outputs / Commit); state lives in a compact register file laid out
-// slot-major in fixed-width rows (slot s occupies words
-// [s·DefaultKernelWords, (s+1)·DefaultKernelWords)), which keeps each
-// instruction's operands in adjacent cache lines. Eval and Commit always
-// process whole rows; an engine instantiated narrower simply leaves the
-// upper words of every row unread.
+// read outputs / Commit); state lives in a compact register file of one
+// fixed-width row per slot (regs[s][w] is slot s, batch word w), which keeps
+// each instruction's operands in adjacent cache lines. Eval and Commit
+// always process whole rows; an engine instantiated narrower simply leaves
+// the upper words of every row unread.
 type KernelEngine struct {
 	k     *Kernel
-	w     int // batch words in use, ≤ DefaultKernelWords
-	regs  []uint64
+	w     int    // batch words in use, ≤ DefaultKernelWords
+	regs  []krow // one row per slot
 	nextQ []krow // capture staging, one row per staged flip-flop
 
 	// RunWindowWide scratch, recycled across windows: per-lane loopback
-	// words, per-word divergence masks, and the register-file offsets of
-	// the loopback and monitor ports.
+	// words, per-word divergence masks, and the register-file slots of the
+	// loopback and monitor ports.
 	lb, diverged       []uint64
-	lbIn, lbOut, monAt []int
+	lbIn, lbOut, monAt []int32
 }
 
 // NewKernelEngine instantiates a kernel over words 64-lane words per batch
@@ -157,7 +155,7 @@ func NewKernelEngine(k *Kernel, words int) *KernelEngine {
 	e := &KernelEngine{
 		k:     k,
 		w:     words,
-		regs:  make([]uint64, k.slots*DefaultKernelWords),
+		regs:  make([]krow, k.slots),
 		nextQ: make([]krow, len(k.staged)),
 	}
 	e.Reset()
@@ -173,23 +171,13 @@ func (e *KernelEngine) Words() int { return e.w }
 // Lanes returns the total lane count of one batch.
 func (e *KernelEngine) Lanes() int { return e.w * Lanes }
 
-// rowAt returns the register-file row starting at word offset at.
-func rowAt(regs []uint64, at int32) *krow {
-	o := int(at)
-	return (*krow)(regs[o : o+DefaultKernelWords])
-}
-
 // row returns the register-file row of a slot.
-func (e *KernelEngine) row(slot int32) *krow {
-	return rowAt(e.regs, slot*DefaultKernelWords)
-}
+func (e *KernelEngine) row(slot int32) *krow { return &e.regs[slot] }
 
 // Reset loads the constant slots and every flip-flop's initial value into
 // all lanes and clears everything else.
 func (e *KernelEngine) Reset() {
-	for i := range e.regs {
-		e.regs[i] = 0
-	}
+	clear(e.regs)
 	ones := krow{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)}
 	*e.row(e.k.const1) = ones
 	for i, q := range e.k.ffQ {
@@ -230,20 +218,20 @@ func (e *KernelEngine) FFWord(ff, w int) uint64 {
 	return e.row(e.k.ffQ[ff])[w]
 }
 
-// outAt returns the register-file offset of output port i's row. The port
-// must be in the kernel's kept set.
-func (e *KernelEngine) outAt(i int) int {
+// outAt returns the register-file slot of output port i. The port must be
+// in the kernel's kept set.
+func (e *KernelEngine) outAt(i int) int32 {
 	slot := e.k.outSlot[i]
 	if slot < 0 {
 		panic(fmt.Sprintf("sim: kernel output port %d was pruned (not in KeepOutputs)", i))
 	}
-	return int(slot) * DefaultKernelWords
+	return slot
 }
 
 // OutputWord returns the packed word on output port i in batch word w
 // (valid after Eval). The port must be in the kernel's kept set.
 func (e *KernelEngine) OutputWord(i, w int) uint64 {
-	return e.regs[e.outAt(i)+w]
+	return e.regs[e.outAt(i)][w]
 }
 
 // Eval executes the kernel bytecode: one fused combinational pass over all
@@ -256,75 +244,75 @@ func (e *KernelEngine) Eval() {
 	code := e.k.code
 	for i := range code {
 		ins := &code[i]
-		rd := rowAt(regs, ins.dst)
-		a := rowAt(regs, ins.a)
+		rd := &regs[ins.dst]
+		a := &regs[ins.a]
 		switch ins.op {
 		case kBuf:
 			rd[0], rd[1], rd[2], rd[3] = a[0], a[1], a[2], a[3]
 		case kInv:
 			rd[0], rd[1], rd[2], rd[3] = ^a[0], ^a[1], ^a[2], ^a[3]
 		case kAnd2:
-			b := rowAt(regs, ins.b)
+			b := &regs[ins.b]
 			rd[0], rd[1], rd[2], rd[3] = a[0]&b[0], a[1]&b[1], a[2]&b[2], a[3]&b[3]
 		case kAnd3:
-			b, c := rowAt(regs, ins.b), rowAt(regs, ins.c)
+			b, c := &regs[ins.b], &regs[ins.c]
 			rd[0], rd[1], rd[2], rd[3] = a[0]&b[0]&c[0], a[1]&b[1]&c[1], a[2]&b[2]&c[2], a[3]&b[3]&c[3]
 		case kAnd4:
-			b, c, d := rowAt(regs, ins.b), rowAt(regs, ins.c), rowAt(regs, ins.d)
+			b, c, d := &regs[ins.b], &regs[ins.c], &regs[ins.d]
 			rd[0], rd[1], rd[2], rd[3] = a[0]&b[0]&c[0]&d[0], a[1]&b[1]&c[1]&d[1], a[2]&b[2]&c[2]&d[2], a[3]&b[3]&c[3]&d[3]
 		case kOr2:
-			b := rowAt(regs, ins.b)
+			b := &regs[ins.b]
 			rd[0], rd[1], rd[2], rd[3] = a[0]|b[0], a[1]|b[1], a[2]|b[2], a[3]|b[3]
 		case kOr3:
-			b, c := rowAt(regs, ins.b), rowAt(regs, ins.c)
+			b, c := &regs[ins.b], &regs[ins.c]
 			rd[0], rd[1], rd[2], rd[3] = a[0]|b[0]|c[0], a[1]|b[1]|c[1], a[2]|b[2]|c[2], a[3]|b[3]|c[3]
 		case kOr4:
-			b, c, d := rowAt(regs, ins.b), rowAt(regs, ins.c), rowAt(regs, ins.d)
+			b, c, d := &regs[ins.b], &regs[ins.c], &regs[ins.d]
 			rd[0], rd[1], rd[2], rd[3] = a[0]|b[0]|c[0]|d[0], a[1]|b[1]|c[1]|d[1], a[2]|b[2]|c[2]|d[2], a[3]|b[3]|c[3]|d[3]
 		case kNand2:
-			b := rowAt(regs, ins.b)
+			b := &regs[ins.b]
 			rd[0], rd[1], rd[2], rd[3] = ^(a[0] & b[0]), ^(a[1] & b[1]), ^(a[2] & b[2]), ^(a[3] & b[3])
 		case kNand3:
-			b, c := rowAt(regs, ins.b), rowAt(regs, ins.c)
+			b, c := &regs[ins.b], &regs[ins.c]
 			rd[0], rd[1], rd[2], rd[3] = ^(a[0] & b[0] & c[0]), ^(a[1] & b[1] & c[1]), ^(a[2] & b[2] & c[2]), ^(a[3] & b[3] & c[3])
 		case kNand4:
-			b, c, d := rowAt(regs, ins.b), rowAt(regs, ins.c), rowAt(regs, ins.d)
+			b, c, d := &regs[ins.b], &regs[ins.c], &regs[ins.d]
 			rd[0], rd[1], rd[2], rd[3] = ^(a[0] & b[0] & c[0] & d[0]), ^(a[1] & b[1] & c[1] & d[1]), ^(a[2] & b[2] & c[2] & d[2]), ^(a[3] & b[3] & c[3] & d[3])
 		case kNor2:
-			b := rowAt(regs, ins.b)
+			b := &regs[ins.b]
 			rd[0], rd[1], rd[2], rd[3] = ^(a[0] | b[0]), ^(a[1] | b[1]), ^(a[2] | b[2]), ^(a[3] | b[3])
 		case kNor3:
-			b, c := rowAt(regs, ins.b), rowAt(regs, ins.c)
+			b, c := &regs[ins.b], &regs[ins.c]
 			rd[0], rd[1], rd[2], rd[3] = ^(a[0] | b[0] | c[0]), ^(a[1] | b[1] | c[1]), ^(a[2] | b[2] | c[2]), ^(a[3] | b[3] | c[3])
 		case kNor4:
-			b, c, d := rowAt(regs, ins.b), rowAt(regs, ins.c), rowAt(regs, ins.d)
+			b, c, d := &regs[ins.b], &regs[ins.c], &regs[ins.d]
 			rd[0], rd[1], rd[2], rd[3] = ^(a[0] | b[0] | c[0] | d[0]), ^(a[1] | b[1] | c[1] | d[1]), ^(a[2] | b[2] | c[2] | d[2]), ^(a[3] | b[3] | c[3] | d[3])
 		case kXor2:
-			b := rowAt(regs, ins.b)
+			b := &regs[ins.b]
 			rd[0], rd[1], rd[2], rd[3] = a[0]^b[0], a[1]^b[1], a[2]^b[2], a[3]^b[3]
 		case kXnor2:
-			b := rowAt(regs, ins.b)
+			b := &regs[ins.b]
 			rd[0], rd[1], rd[2], rd[3] = ^(a[0] ^ b[0]), ^(a[1] ^ b[1]), ^(a[2] ^ b[2]), ^(a[3] ^ b[3])
 		case kMux2:
-			b, s := rowAt(regs, ins.b), rowAt(regs, ins.c)
+			b, s := &regs[ins.b], &regs[ins.c]
 			rd[0], rd[1], rd[2], rd[3] = (a[0]&^s[0])|(b[0]&s[0]), (a[1]&^s[1])|(b[1]&s[1]), (a[2]&^s[2])|(b[2]&s[2]), (a[3]&^s[3])|(b[3]&s[3])
 		case kAOI21:
-			b, c := rowAt(regs, ins.b), rowAt(regs, ins.c)
+			b, c := &regs[ins.b], &regs[ins.c]
 			rd[0], rd[1], rd[2], rd[3] = ^((a[0] & b[0]) | c[0]), ^((a[1] & b[1]) | c[1]), ^((a[2] & b[2]) | c[2]), ^((a[3] & b[3]) | c[3])
 		case kOAI21:
-			b, c := rowAt(regs, ins.b), rowAt(regs, ins.c)
+			b, c := &regs[ins.b], &regs[ins.c]
 			rd[0], rd[1], rd[2], rd[3] = ^((a[0] | b[0]) & c[0]), ^((a[1] | b[1]) & c[1]), ^((a[2] | b[2]) & c[2]), ^((a[3] | b[3]) & c[3])
 		case kAO21:
-			b, c := rowAt(regs, ins.b), rowAt(regs, ins.c)
+			b, c := &regs[ins.b], &regs[ins.c]
 			rd[0], rd[1], rd[2], rd[3] = (a[0]&b[0])|c[0], (a[1]&b[1])|c[1], (a[2]&b[2])|c[2], (a[3]&b[3])|c[3]
 		case kOA21:
-			b, c := rowAt(regs, ins.b), rowAt(regs, ins.c)
+			b, c := &regs[ins.b], &regs[ins.c]
 			rd[0], rd[1], rd[2], rd[3] = (a[0]|b[0])&c[0], (a[1]|b[1])&c[1], (a[2]|b[2])&c[2], (a[3]|b[3])&c[3]
 		case kAndN:
-			b := rowAt(regs, ins.b)
+			b := &regs[ins.b]
 			rd[0], rd[1], rd[2], rd[3] = a[0]&^b[0], a[1]&^b[1], a[2]&^b[2], a[3]&^b[3]
 		case kOrN:
-			b := rowAt(regs, ins.b)
+			b := &regs[ins.b]
 			rd[0], rd[1], rd[2], rd[3] = a[0]|^b[0], a[1]|^b[1], a[2]|^b[2], a[3]|^b[3]
 		}
 	}
@@ -338,15 +326,15 @@ func (e *KernelEngine) Commit() {
 	regs := e.regs
 	staged := e.k.staged
 	for i, c := range staged {
-		e.nextQ[i] = *rowAt(regs, c.d)
+		e.nextQ[i] = regs[c.d]
 	}
 	for _, c := range e.k.direct {
 		// Word by word: a whole-row assignment between rows the compiler
 		// cannot prove disjoint becomes a memmove call.
-		q, d := rowAt(regs, c.q), rowAt(regs, c.d)
+		q, d := &regs[c.q], &regs[c.d]
 		q[0], q[1], q[2], q[3] = d[0], d[1], d[2], d[3]
 	}
 	for i, c := range staged {
-		*rowAt(regs, c.q) = e.nextQ[i]
+		regs[c.q] = e.nextQ[i]
 	}
 }

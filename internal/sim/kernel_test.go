@@ -18,6 +18,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/corpus"
 	"repro/internal/netlist"
 	"repro/internal/sim"
 )
@@ -347,5 +348,51 @@ func TestProgramKernelMemo(t *testing.T) {
 		if _, err := p.Kernel([]int{p.NumOutputs()}); err == nil {
 			t.Fatal("out-of-range kept port accepted")
 		}
+	}
+}
+
+// TestKernelLayout pins the register file's addressing contract on the
+// kernels campaigns really run — the full-size MAC and every corpus scenario,
+// compiled with the campaign's kept ports: every slot an instruction, a
+// flip-flop capture or a port names lies inside the register file (Eval and
+// Commit index it unconditionally), and a warm cycle step or window
+// allocates nothing.
+func TestKernelLayout(t *testing.T) {
+	check := func(t *testing.T, p *sim.Program, stim *sim.Stimulus, monitors []int) {
+		k := campaignKernel(t, p, stim, monitors)
+		slots := k.Stats().Slots
+		for i, s := range k.SlotRefs() {
+			if s < 0 || int(s) >= slots {
+				t.Fatalf("slot reference %d is %d, register file has %d slots", i, s, slots)
+			}
+		}
+		e := sim.NewKernelEngine(k, sim.DefaultKernelWords)
+		if n := testing.AllocsPerRun(5, func() { e.Eval(); e.Commit() }); n != 0 {
+			t.Fatalf("Eval+Commit allocate %v times per cycle", n)
+		}
+		snaps := sim.NewSnapshots(p, stim, 0)
+		sim.Run(sim.NewEngine(p), stim, sim.RunConfig{Monitors: monitors, Snapshots: snaps})
+		cfg := sim.WideWindowConfig{Monitors: monitors, Traces: make([]*sim.Trace, e.Words())}
+		for w := range cfg.Traces {
+			cfg.Traces[w] = sim.NewTrace(monitors, stim.Cycles())
+		}
+		window := func() { sim.RunWindowWide(e, stim, snaps, stim.Cycles()/2, cfg) }
+		window() // warm the engine's window scratch
+		if n := testing.AllocsPerRun(3, window); n != 0 {
+			t.Fatalf("RunWindowWide allocates %v times per window", n)
+		}
+	}
+	t.Run("mac10ge/full", func(t *testing.T) {
+		p, bench := compiledMAC(t)
+		check(t, p, bench.Stim, bench.Monitors)
+	})
+	for _, sc := range corpus.List() {
+		t.Run(sc.ID(), func(t *testing.T) {
+			m, err := sc.Materialize(corpus.ScaleSmall, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(t, m.Program, m.Bench.Stim, m.Bench.Monitors)
+		})
 	}
 }

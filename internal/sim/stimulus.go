@@ -110,10 +110,9 @@ func (t *Trace) XORWord(cycle, m int, mask uint64) {
 }
 
 // CopyCycles copies rows [from, to) of src into t. Both traces must record
-// the same monitor set over the same cycle count; the incremental campaign
-// path uses it to fill the fast-forwarded prefix and early-exited suffix of
-// a faulty trace from the golden run, which those cycles are provably
-// identical to.
+// the same monitor set over the same cycle count; the campaign path uses it
+// to start a worker's faulty-trace buffers as copies of the golden run and
+// to put back the rows a batch's window dirtied.
 func (t *Trace) CopyCycles(src *Trace, from, to int) {
 	if len(t.Monitors) != len(src.Monitors) || t.cycles != src.cycles {
 		panic("sim: CopyCycles across mismatched traces")

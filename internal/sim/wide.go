@@ -71,8 +71,9 @@ type WideWindowConfig struct {
 	Monitors []int
 	// Traces receives the recorded monitor words, one trace per batch
 	// word; a nil entry skips that word (empty tail group of a plan). Each
-	// must span the full stimulus length; the caller fills the skipped
-	// prefix and any early-exited suffix from the golden trace.
+	// must span the full stimulus length; only the rows of the simulated
+	// window are written, so the skipped prefix and any early-exited suffix
+	// keep what the caller put there — the golden trace's rows.
 	Traces []*Trace
 	// PreEval is the per-cycle injection hook (see RunConfig.PreEval).
 	PreEval func(cycle int)
@@ -88,10 +89,11 @@ type WideWindowConfig struct {
 // RunWindowWide is the incremental counterpart of Run: it restores the
 // golden snapshot at or before start into all 64·W lanes, then simulates
 // forward until the stimulus ends or a hook stops it. It returns the first
-// cycle NOT recorded into the traces; the caller fills rows [0, snapshot)
-// and [returned, cycles) from the golden trace (they are provably identical
-// to it: the prefix because lanes have not yet diverged, the suffix because
-// the caller only stops once every lane's verdict can no longer change).
+// cycle NOT recorded into the traces: rows [0, snapshot) and [returned,
+// cycles) are left untouched, and the caller keeps the golden trace's rows
+// there (the lanes' are provably identical to them: the prefix because lanes
+// have not yet diverged, the suffix because the caller only stops once every
+// lane's verdict can no longer change).
 func RunWindowWide(e *KernelEngine, stim *Stimulus, snaps *Snapshots, start int, cfg WideWindowConfig) int {
 	W := e.w
 	idx := snaps.IndexAtOrBefore(start)
@@ -101,11 +103,11 @@ func RunWindowWide(e *KernelEngine, stim *Stimulus, snaps *Snapshots, start int,
 	snaps.RestoreKernel(e, idx, lb)
 	first := snaps.SnapCycle(idx)
 
-	// Resolve every port the loop touches to its register-file offset once,
+	// Resolve every port the loop touches to its register-file slot once,
 	// not per cycle and word.
 	e.lbIn, e.lbOut, e.monAt = e.lbIn[:0], e.lbOut[:0], e.monAt[:0]
 	for _, l := range stim.loopback {
-		e.lbIn = append(e.lbIn, int(e.k.inSlot[l.In])*DefaultKernelWords)
+		e.lbIn = append(e.lbIn, e.k.inSlot[l.In])
 		e.lbOut = append(e.lbOut, e.outAt(l.Out))
 	}
 	for _, port := range cfg.Monitors {
@@ -127,7 +129,7 @@ func RunWindowWide(e *KernelEngine, stim *Stimulus, snaps *Snapshots, start int,
 		}
 		for i, at := range lbIn {
 			for w := 0; w < W; w++ {
-				regs[at+w] = lb[i*W+w]
+				regs[at][w] = lb[i*W+w]
 			}
 		}
 		if cfg.PreEval != nil {
@@ -136,7 +138,7 @@ func RunWindowWide(e *KernelEngine, stim *Stimulus, snaps *Snapshots, start int,
 		e.Eval()
 		for i, at := range lbOut {
 			for w := 0; w < W; w++ {
-				lb[i*W+w] = regs[at+w]
+				lb[i*W+w] = regs[at][w]
 			}
 		}
 		base := c * nm
@@ -146,7 +148,7 @@ func RunWindowWide(e *KernelEngine, stim *Stimulus, snaps *Snapshots, start int,
 			}
 			row := trace.words[base : base+nm]
 			for m, at := range monAt {
-				row[m] = regs[at+w]
+				row[m] = regs[at][w]
 			}
 		}
 		if cfg.OnCycle != nil && cfg.OnCycle(c) {
