@@ -1,0 +1,170 @@
+package main
+
+import (
+	"context"
+	"fmt"
+	"sort"
+	"strconv"
+	"strings"
+	"time"
+
+	"repro/internal/api"
+	"repro/internal/cli"
+	"repro/internal/fabric"
+	"repro/internal/fault"
+)
+
+// runCoord is the distributed-campaign coordinator: it materializes a
+// corpus scenario into a deterministic fault-injection campaign, leases
+// shard chunks to ffr work workers over the /v1/fabric HTTP protocol, and
+// merges their failure masks into the standard versioned checkpoint — the
+// merged result is bit-identical (checkpoint-fingerprint-equal) to a
+// single-node run of the same spec.
+//
+// The coordinator never simulates injection chunks itself; it serves
+// /v1/fabric/{join,lease,heartbeat,complete}, GET /v1/fabric/status,
+// /healthz and /metrics until every chunk is merged, prints the campaign
+// summary and returns. Crashed workers are healed by lease expiry;
+// straggler chunks are work-stolen by idle workers.
+func runCoord(c *cli.Cmd) error {
+	var (
+		scenario     = c.Flags.String("scenario", "", "corpus scenario to run (\"family/workload\"; see ffr corpus -list)")
+		scale        = c.Flags.String("scale", "small", "corpus scale (small, default)")
+		seed         = c.Flags.Int64("seed", 1, "scenario materialization seed (netlist + workload)")
+		n            = c.Flags.Int("n", 0, "injections per flip-flop (0 = scenario default)")
+		campaignSeed = c.Flags.Int64("campaign-seed", 0, "injection sampling seed (0 = scenario default)")
+		chunk        = c.Flags.Int("chunk", 0, "shard chunk size in jobs (0 = runner default, rounded to 64-lane batches)")
+		schedule     = c.Flags.String("schedule", "clustered", "batch-packing schedule (clustered, plan)")
+		hardenList   = c.Flags.String("harden", "", "comma-separated flip-flop indices to TMR-harden before the campaign (e.g. from ffr harden)")
+		faultModel   = c.FaultModel("fault model: seu, mbu:N, stuck0:D, stuck1:D, set, each with optional @start-end window; part of the campaign identity, shipped to workers in the spec")
+		addr         = c.Flags.String("addr", ":9090", "listen address (host:port; port 0 picks a free port)")
+		leaseTTL     = c.Flags.Duration("lease-ttl", fabric.DefaultLeaseTTL, "heartbeat deadline per leased chunk")
+		maxLease     = c.Flags.Int("max-lease", fabric.DefaultMaxLeaseChunks, "maximum chunks granted per lease request")
+		checkpoint   = c.Flags.String("checkpoint", "", "checkpoint file for merged worker results (optional)")
+		resume       = c.Flags.Bool("resume", false, "resume from -checkpoint if it exists, skipping completed chunks")
+		ckEvery      = c.Flags.Int("checkpoint-every", 0, "completed chunks between checkpoint flushes (0 = default)")
+		tel          = c.Telemetry(cli.Trace | cli.Metrics | cli.Profile)
+	)
+	if err := c.Parse(); err != nil {
+		return err
+	}
+	if err := cli.Check(
+		c.MinInt("n", *n, 0),
+		c.MinInt("chunk", *chunk, 0),
+		c.MinInt("max-lease", *maxLease, 1),
+		c.MinInt("checkpoint-every", *ckEvery, 0),
+		c.OneOf("schedule", *schedule,
+			string(fault.ScheduleClustered), string(fault.SchedulePlan)),
+	); err != nil {
+		return err
+	}
+	if *scenario == "" {
+		return c.UsageErrorf("-scenario is required")
+	}
+	if err := c.Requires("resume", "checkpoint", !*resume || *checkpoint != ""); err != nil {
+		return err
+	}
+	hardenFFs, err := parseFFList(*hardenList)
+	if err != nil {
+		return c.UsageErrorf("-harden: %v", err)
+	}
+	fmodel, err := faultModel()
+	if err != nil {
+		return err
+	}
+	if *leaseTTL <= 0 {
+		return c.UsageErrorf("-lease-ttl must be positive (got %s)", *leaseTTL)
+	}
+	stop, err := tel.Start()
+	if err != nil {
+		return err
+	}
+	defer stop()
+
+	coord, err := fabric.NewCoordinator(fabric.CoordinatorConfig{
+		Spec: api.CampaignSpec{
+			Scenario:        *scenario,
+			Scale:           *scale,
+			Seed:            *seed,
+			InjectionsPerFF: *n,
+			CampaignSeed:    *campaignSeed,
+			ChunkJobs:       *chunk,
+			Schedule:        *schedule,
+			FaultModel:      fmodel.String(),
+			Harden:          hardenFFs,
+		},
+		LeaseTTL:        *leaseTTL,
+		MaxLeaseChunks:  *maxLease,
+		CheckpointPath:  *checkpoint,
+		CheckpointEvery: *ckEvery,
+		Resume:          *resume,
+		Logger:          tel.Logger,
+		Tracer:          tel.Tracer,
+		Metrics:         tel.Metrics,
+	})
+	if err != nil {
+		return err
+	}
+	camp := coord.Campaign()
+	c.Printf("coord: campaign %s @ %s (seed %d): %d jobs in %d chunks of %d, plan %s, golden %s\n",
+		camp.Spec.Scenario, camp.Spec.Scale, camp.Spec.Seed,
+		camp.Shards.TotalJobs(), camp.Shards.NumChunks(), camp.Shards.ChunkJobs(),
+		camp.PlanHashHex(), camp.GoldenHashHex())
+
+	var res *fault.Result
+	err = c.Serve(*addr, coord.Handler(), "", func(ctx context.Context) error {
+		var err error
+		if res, err = coord.Wait(ctx); err != nil {
+			return err
+		}
+		// Keep serving briefly so every worker's next lease poll observes
+		// Done instead of a dead socket; crashed workers cap the wait.
+		drainCtx, cancel := context.WithTimeout(context.WithoutCancel(ctx), 5*time.Second)
+		defer cancel()
+		coord.Drained(drainCtx)
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+
+	st := coord.Status()
+	fp, _ := coord.CheckpointFingerprint()
+	c.Printf("coord: campaign complete: %d/%d chunks, %d lease expirations, %d shards stolen\n",
+		st.DoneChunks, st.TotalChunks, st.LeaseExpirations, st.ShardsStolen)
+	c.Printf("coord: checkpoint fingerprint %s\n", strconv.FormatUint(fp, 16))
+	for _, w := range st.Workers {
+		c.Printf("coord: worker %s completed %d chunks\n", w.Worker, w.Completed)
+	}
+	if res != nil && len(res.FDR) > 0 {
+		fdr := append([]float64(nil), res.FDR...)
+		sort.Float64s(fdr)
+		var sum float64
+		for _, v := range fdr {
+			sum += v
+		}
+		c.Printf("coord: FDR over %d FFs: mean %.4f, median %.4f, max %.4f\n",
+			len(fdr), sum/float64(len(fdr)), fdr[len(fdr)/2], fdr[len(fdr)-1])
+	}
+	return nil
+}
+
+// parseFFList parses a comma-separated list of flip-flop indices; empty
+// input means no hardening.
+func parseFFList(s string) ([]int, error) {
+	if strings.TrimSpace(s) == "" {
+		return nil, nil
+	}
+	var out []int
+	for _, part := range strings.Split(s, ",") {
+		v, err := strconv.Atoi(strings.TrimSpace(part))
+		if err != nil {
+			return nil, fmt.Errorf("bad flip-flop index %q", part)
+		}
+		if v < 0 {
+			return nil, fmt.Errorf("negative flip-flop index %d", v)
+		}
+		out = append(out, v)
+	}
+	return out, nil
+}

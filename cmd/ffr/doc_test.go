@@ -1,0 +1,164 @@
+package main
+
+import (
+	"context"
+	"flag"
+	"io"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+
+	"repro/internal/cli"
+)
+
+// registeredFlags returns the flag set a subcommand defines, by running it
+// with -h: it registers its flags, Parse prints the list and stops.
+func registeredFlags(t *testing.T, name string, fn func(*cli.Cmd) error) *flag.FlagSet {
+	t.Helper()
+	c := cli.New(context.Background(), name, []string{"-h"}, io.Discard, io.Discard)
+	if code := c.Run(fn); code != 0 {
+		t.Fatalf("ffr %s -h exited %d", name, code)
+	}
+	return c.Flags
+}
+
+// TestCLIReference keeps docs/CLI.md and the binary in step. Every flag a
+// subcommand registers must have a row in its "## ffr <cmd>" section — or,
+// for the telemetry flags, in the observability table with the command in
+// its Commands column — every documented flag must still be registered,
+// and every documented command must exist.
+func TestCLIReference(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("..", "..", "docs", "CLI.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := string(raw)
+
+	// Split the reference into its "## " sections.
+	sections := map[string]string{}
+	var title string
+	for _, line := range strings.SplitAfter(doc, "\n") {
+		if strings.HasPrefix(line, "## ") {
+			title = strings.TrimSpace(strings.TrimPrefix(line, "## "))
+		}
+		sections[title] += line
+	}
+	flagRow := regexp.MustCompile("(?m)^\\| `-([a-z0-9-]+)[ `]")
+
+	// Observability table rows: | `-flag ...` | cmd, cmd | meaning |.
+	shared := map[string]string{}
+	for _, m := range regexp.MustCompile("(?m)^\\| `-([a-z0-9-]+)[ `][^|]*\\|([^|]*)\\|").FindAllStringSubmatch(sections["Observability flags"], -1) {
+		shared[m[1]] = m[2]
+	}
+	if len(shared) == 0 {
+		t.Fatal("docs/CLI.md has no observability table")
+	}
+
+	registered := map[string]func(*cli.Cmd) error{}
+	for _, cmd := range commands {
+		registered[cmd.name] = cmd.run
+		section, ok := sections["ffr "+cmd.name]
+		if !ok {
+			t.Errorf("docs/CLI.md has no '## ffr %s' section", cmd.name)
+			continue
+		}
+		documented := map[string]bool{}
+		for _, m := range flagRow.FindAllStringSubmatch(section, -1) {
+			documented[m[1]] = true
+		}
+		flags := registeredFlags(t, cmd.name, cmd.run)
+		flags.VisitAll(func(f *flag.Flag) {
+			if documented[f.Name] {
+				delete(documented, f.Name)
+				return
+			}
+			who, ok := shared[f.Name]
+			if !ok {
+				t.Errorf("ffr %s -%s has no row in docs/CLI.md", cmd.name, f.Name)
+			} else if who = strings.TrimSpace(who); who != "all" && !regexp.MustCompile(`\b`+cmd.name+`\b`).MatchString(who) {
+				t.Errorf("ffr %s -%s: the observability table lists it for %q only", cmd.name, f.Name, who)
+			}
+		})
+		for name := range documented {
+			t.Errorf("docs/CLI.md documents ffr %s -%s, which the command does not define", cmd.name, name)
+		}
+	}
+	for name, who := range shared {
+		for _, cmd := range strings.Split(who, ",") {
+			cmd = strings.TrimSpace(cmd)
+			if cmd == "all" {
+				continue
+			}
+			if fn := registered[cmd]; fn == nil {
+				t.Errorf("observability table lists -%s for unknown command %q", name, cmd)
+			} else if registeredFlags(t, cmd, fn).Lookup(name) == nil {
+				t.Errorf("observability table lists -%s for ffr %s, which does not define it", name, cmd)
+			}
+		}
+	}
+	for title := range sections {
+		if name, ok := strings.CutPrefix(title, "ffr "); ok && registered[name] == nil {
+			t.Errorf("docs/CLI.md documents '## %s', which is not a registered command", title)
+		}
+	}
+}
+
+// TestEnvironmentReference: the environment is read in internal/cli and
+// nowhere else in non-test source, and the variables read there are
+// exactly the FFR_* names docs/CLI.md documents.
+func TestEnvironmentReference(t *testing.T) {
+	root := filepath.Join("..", "..")
+	read := map[string]bool{}
+	envCall := regexp.MustCompile(`(Getenv|LookupEnv|Environ)\(("(\w+)")?`)
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && strings.HasPrefix(d.Name(), ".") && path != root {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range envCall.FindAllStringSubmatch(string(src), -1) {
+			if rel, _ := filepath.Rel(root, path); filepath.ToSlash(filepath.Dir(rel)) != "internal/cli" {
+				t.Errorf("%s reads the environment (%s); only internal/cli may", rel, m[0])
+			}
+			if !strings.HasPrefix(m[3], "FFR_") {
+				t.Errorf("%s: environment read %s is not a literal FFR_* name", path, m[0])
+			}
+			read[m[3]] = true
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(read) == 0 {
+		t.Fatal("found no environment reads in the source")
+	}
+
+	doc, err := os.ReadFile(filepath.Join(root, "docs", "CLI.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	documented := map[string]bool{}
+	for _, name := range regexp.MustCompile(`FFR_[A-Z0-9_]+`).FindAllString(string(doc), -1) {
+		documented[name] = true
+		if !read[name] {
+			t.Errorf("docs/CLI.md mentions %s, which nothing reads", name)
+		}
+	}
+	for name := range read {
+		if !documented[name] {
+			t.Errorf("environment variable %s is not documented in docs/CLI.md", name)
+		}
+	}
+}

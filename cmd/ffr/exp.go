@@ -1,0 +1,437 @@
+package main
+
+import (
+	"flag"
+	"fmt"
+	"math"
+	"path/filepath"
+	"sort"
+	"strconv"
+	"strings"
+	"time"
+
+	"repro"
+	"repro/internal/cli"
+	"repro/internal/features"
+)
+
+// experiments lists the MAC-study experiments in the order -exp all runs
+// them; predict and cross are dispatched apart because they need no
+// ground-truth campaign on the MAC.
+var experiments = []struct {
+	id  string
+	run func(expRunner) error
+}{
+	{"campaign", expRunner.campaign},
+	{"table1", func(r expRunner) error { return r.table1(repro.PaperModels()) }},
+	{"fig2a", func(r expRunner) error { return r.figA("fig2a", repro.PaperModels()[0]) }},
+	{"fig2b", func(r expRunner) error { return r.figB("fig2b", repro.PaperModels()[0]) }},
+	{"fig3a", func(r expRunner) error { return r.figA("fig3a", repro.PaperModels()[1]) }},
+	{"fig3b", func(r expRunner) error { return r.figB("fig3b", repro.PaperModels()[1]) }},
+	{"fig4a", func(r expRunner) error { return r.figA("fig4a", repro.PaperModels()[2]) }},
+	{"fig4b", func(r expRunner) error { return r.figB("fig4b", repro.PaperModels()[2]) }},
+	{"table1x", func(r expRunner) error { return r.table1(repro.ExtendedModels()) }},
+	{"search", expRunner.search},
+	{"ablation", expRunner.ablation},
+	{"budget", expRunner.budget},
+	{"importance", expRunner.importance},
+	{"pca", expRunner.pca},
+}
+
+// runExp regenerates the paper's evaluation artifacts: Table I and Figures
+// 2a/2b, 3a/3b, 4a/4b, plus the campaign report, the extended-model table,
+// the hyperparameter search and the ablations. Figure experiments also
+// emit the plotted series as CSV files when -csvdir is given.
+//
+// The predict experiment is the train-once/predict-forever fast path: it
+// loads a saved model artifact (ffr train -save) and predicts the FDR of
+// every flip-flop from features alone — no campaign, no retraining.
+//
+// The cross experiment is the corpus's cross-circuit generalization study:
+// it runs the ground-truth campaign of each -scenarios entry, trains the
+// paper's k-NN on each and predicts every other, and emits the
+// train-on-A/predict-on-B transfer matrices (R² and Kendall τ) — one per
+// -fault-models entry.
+func runExp(c *cli.Cmd) error {
+	var (
+		exp       = c.Flags.String("exp", "all", "experiment id")
+		n         = c.Flags.Int("n", repro.PaperInjections, "injections per flip-flop")
+		seed      = c.Flags.Int64("seed", 1, "evaluation split seed")
+		csvDir    = c.Flags.String("csvdir", "", "directory for figure CSV series")
+		load      = c.Flags.String("load", "", "model artifact for -exp predict")
+		scenarios = c.Flags.String("scenarios", "mac10ge/loopback,alupipe/randomops,rrarb/uniform,uartser/paced",
+			"comma-separated corpus scenarios for -exp cross")
+		scaleStr    = c.Flags.String("scale", "small", "corpus scale for -exp cross: small or default")
+		faultModels = c.Flags.String("fault-models", "seu,mbu:2,stuck0:2",
+			"comma-separated fault models for -exp cross; one transfer matrix is emitted per model")
+		tel = c.Telemetry(0)
+	)
+	if err := c.Parse(); err != nil {
+		return err
+	}
+	ids := []string{"all", "predict", "cross"}
+	for _, e := range experiments {
+		ids = append(ids, e.id)
+	}
+	if err := cli.Check(
+		c.MinInt("n", *n, 1),
+		c.OneOf("exp", *exp, ids...),
+	); err != nil {
+		return err
+	}
+	if *load != "" && *exp != "predict" {
+		return c.UsageErrorf("-load only applies to -exp predict")
+	}
+	if *exp == "predict" && *load == "" {
+		return c.Requires("exp predict", "load", false)
+	}
+	if *exp != "cross" {
+		var misused []string
+		c.Flags.Visit(func(f *flag.Flag) {
+			if f.Name == "scenarios" || f.Name == "scale" || f.Name == "fault-models" {
+				misused = append(misused, "-"+f.Name)
+			}
+		})
+		if len(misused) > 0 {
+			return c.UsageErrorf("%s only applies to -exp cross", strings.Join(misused, ", "))
+		}
+	}
+	if *csvDir != "" {
+		if err := cli.Creatable("csvdir", filepath.Join(*csvDir, *exp+".csv")); err != nil {
+			return err
+		}
+	}
+	stop, err := tel.Start()
+	if err != nil {
+		return err
+	}
+	defer stop()
+	r := expRunner{c: c, seed: *seed, csvDir: *csvDir}
+
+	// Neither special experiment runs the MAC campaign, so both resolve
+	// their inputs before the (expensive) MAC study build.
+	switch *exp {
+	case "cross":
+		scale, err := repro.ParseCorpusScale(*scaleStr)
+		if err != nil {
+			return err
+		}
+		return r.cross(*scenarios, *faultModels, scale, *n, tel)
+	case "predict":
+		art, err := repro.LoadModel(*load)
+		if err != nil {
+			return err
+		}
+		if r.study, err = macStudy(*n, tel); err != nil {
+			return err
+		}
+		return r.predict(art, *load)
+	}
+
+	if r.study, err = macStudy(*n, tel); err != nil {
+		return err
+	}
+	start := time.Now()
+	if _, err := r.study.RunGroundTruthContext(c.Ctx); err != nil {
+		return err
+	}
+	c.Printf("# ground truth: %d FFs x %d injections in %v\n\n",
+		r.study.NumFFs(), *n, time.Since(start).Round(time.Millisecond))
+	for _, e := range experiments {
+		switch *exp {
+		case e.id:
+			return e.run(r)
+		case "all":
+			c.Printf("== %s ==\n", e.id)
+			if err := e.run(r); err != nil {
+				return fmt.Errorf("%s: %w", e.id, err)
+			}
+			c.Printf("\n")
+		}
+	}
+	return nil
+}
+
+// expRunner carries what every experiment needs.
+type expRunner struct {
+	c      *cli.Cmd
+	study  *repro.Study
+	seed   int64
+	csvDir string
+}
+
+// writeSeries writes a figure's plotted series to <csvdir>/<id>.csv; it
+// does nothing without -csvdir.
+func (r expRunner) writeSeries(id string, header []string, rows [][]string) error {
+	if r.csvDir == "" {
+		return nil
+	}
+	path := filepath.Join(r.csvDir, id+".csv")
+	if err := cli.WriteCSV(path, header, rows); err != nil {
+		return err
+	}
+	r.c.Printf("wrote %s\n", path)
+	return nil
+}
+
+// predict is -exp predict: validate the artifact's schema against the
+// study's features, then predict every flip-flop.
+func (r expRunner) predict(art *repro.ModelArtifact, path string) error {
+	start := time.Now()
+	names := repro.FeatureNames()
+	if len(art.FeatureNames) != len(names) {
+		return fmt.Errorf("artifact schema has %d features, study extracts %d",
+			len(art.FeatureNames), len(names))
+	}
+	for i, name := range names {
+		if art.FeatureNames[i] != name {
+			return fmt.Errorf("artifact feature %d is %q, study extracts %q",
+				i, art.FeatureNames[i], name)
+		}
+	}
+	r.c.Printf("loaded %q (%s, trained on %d flip-flops, hash %x) from %s\n",
+		art.Name, art.Kind, art.TrainRows, art.TrainHash, path)
+	if len(art.Metrics) > 0 {
+		r.c.Printf("training-time CV metrics: %v\n", art.Metrics)
+	}
+
+	X := r.study.FeatureRows()
+	preds := make([]float64, len(X))
+	var mean float64
+	max := math.Inf(-1)
+	for i, x := range X {
+		preds[i] = art.Model.Predict(x)
+		mean += preds[i]
+		if preds[i] > max {
+			max = preds[i]
+		}
+	}
+	mean /= float64(len(preds))
+	r.c.Printf("\npredicted FDR for %d flip-flops in %v — no campaign, no retraining\n",
+		len(preds), time.Since(start).Round(time.Millisecond))
+	r.c.Printf("mean predicted FDR: %.4f, max: %.3f\n\nfirst predictions:\n", mean, max)
+	for i := 0; i < 8 && i < len(preds); i++ {
+		r.c.Printf("  %-28s %.3f\n", r.study.Netlist.Cells[r.study.Program.FFCell(i)].Name, preds[i])
+	}
+	return nil
+}
+
+func (r expRunner) campaign() error {
+	res, err := r.study.RunGroundTruth()
+	if err != nil {
+		return err
+	}
+	return repro.RenderCampaign(r.c.Stdout, res)
+}
+
+func (r expRunner) table1(models []repro.ModelSpec) error {
+	rows, err := r.study.Table1(models, repro.PaperCVSplits, repro.PaperTrainFrac, r.seed)
+	if err != nil {
+		return err
+	}
+	return repro.RenderTable1(r.c.Stdout, rows)
+}
+
+// figA reproduces Figures 2a/3a/4a: the per-instance prediction of an
+// example fold with training size 50 %.
+func (r expRunner) figA(id string, spec repro.ModelSpec) error {
+	est, trainScores, testScores, err := r.study.FoldPrediction(spec, r.seed)
+	if err != nil {
+		return err
+	}
+	if err := repro.RenderFoldPrediction(r.c.Stdout, spec.Name, est); err != nil {
+		return err
+	}
+	r.c.Printf("train: %v\ntest:  %v\n", trainScores, testScores)
+	var rows [][]string
+	series := func(part string, idx []int, truth, pred []float64) {
+		for i := range idx {
+			rows = append(rows, []string{
+				part, strconv.Itoa(i), strconv.Itoa(idx[i]),
+				ftoa(truth[i]), ftoa(pred[i]), ftoa(pred[i] - truth[i]),
+			})
+		}
+	}
+	series("train", est.TrainIdx, est.TrainTrue, est.TrainPred)
+	series("test", est.TestIdx, est.TestTrue, est.TestPred)
+	return r.writeSeries(id,
+		[]string{"partition", "series_index", "ff_index", "true_fdr", "predicted_fdr", "error"}, rows)
+}
+
+// figB reproduces Figures 2b/3b/4b: the learning curves.
+func (r expRunner) figB(id string, spec repro.ModelSpec) error {
+	points, err := r.study.LearningCurve(spec, repro.PaperLearningFracs(), repro.PaperCVSplits, r.seed)
+	if err != nil {
+		return err
+	}
+	if err := repro.RenderLearningCurve(r.c.Stdout, spec.Name, points); err != nil {
+		return err
+	}
+	rows := make([][]string, len(points))
+	for i, p := range points {
+		rows[i] = []string{ftoa(p.TrainFrac), ftoa(p.TrainScore), ftoa(p.TestScore)}
+	}
+	return r.writeSeries(id, []string{"train_frac", "train_r2", "test_r2"}, rows)
+}
+
+func (r expRunner) search() error {
+	for _, spec := range repro.PaperModels() {
+		if spec.Tunable == nil {
+			continue
+		}
+		out, err := r.study.TuneModel(spec, 20, r.seed)
+		if err != nil {
+			return err
+		}
+		r.c.Printf("%s:\n  random search best %v (R²=%.3f, %d samples)\n  grid refine  best %v (R²=%.3f, %d points)\n",
+			out.Model, out.Random.Best, out.Random.BestScore, out.Random.Evaluated,
+			out.Grid.Best, out.Grid.BestScore, out.Grid.Evaluated)
+	}
+	return nil
+}
+
+func (r expRunner) ablation() error {
+	spec := repro.PaperModels()[1] // k-NN carries the ablation
+	cases := []struct {
+		name string
+		keep []features.Group
+	}{
+		{"all features", []features.Group{features.GroupStructural, features.GroupSynthesis, features.GroupDynamic}},
+		{"structural only", []features.Group{features.GroupStructural}},
+		{"synthesis only", []features.Group{features.GroupSynthesis}},
+		{"dynamic only", []features.Group{features.GroupDynamic}},
+		{"w/o dynamic", []features.Group{features.GroupStructural, features.GroupSynthesis}},
+		{"w/o structural", []features.Group{features.GroupSynthesis, features.GroupDynamic}},
+	}
+	r.c.Printf("%-18s %8s %8s %8s %8s %8s\n", "Feature set", "MAE", "MAX", "RMSE", "EV", "R2")
+	for _, cs := range cases {
+		row, err := r.study.Table1Ablation(spec, r.study.MaskFeatureGroups(cs.keep...),
+			repro.PaperCVSplits, repro.PaperTrainFrac, r.seed)
+		if err != nil {
+			return err
+		}
+		r.c.Printf("%-18s %8.3f %8.3f %8.3f %8.3f %8.3f\n",
+			cs.name, row.MAE, row.MAX, row.RMSE, row.EV, row.R2)
+	}
+	return nil
+}
+
+func (r expRunner) budget() error {
+	points, err := r.study.InjectionBudgetAblation([]int{10, 34, 85, 170}, repro.PaperModels()[1], 5, r.seed)
+	if err != nil {
+		return err
+	}
+	r.c.Printf("%-16s %14s %12s\n", "Injections/FF", "mean 95% CI", "k-NN R2")
+	for _, p := range points {
+		r.c.Printf("%-16d %14.3f %12.3f\n", p.InjectionsPerFF, p.MeanCI95, p.KNNR2)
+	}
+	return nil
+}
+
+// importance runs the Section V feature-value analysis.
+func (r expRunner) importance() error {
+	imp, err := r.study.FeatureValue(repro.PaperModels()[1], 5, r.seed)
+	if err != nil {
+		return err
+	}
+	names := features.Names()
+	ranked := make([]int, len(imp))
+	for i := range ranked {
+		ranked[i] = i
+	}
+	sort.SliceStable(ranked, func(a, b int) bool { return imp[ranked[a]].MeanDrop > imp[ranked[b]].MeanDrop })
+	r.c.Printf("permutation importance (k-NN, R² drop when shuffled):\n")
+	for _, j := range ranked {
+		r.c.Printf("  %-16s %7.4f\n", names[j], imp[j].MeanDrop)
+	}
+	return nil
+}
+
+// pca runs the Section V dimensionality-reduction sweep.
+func (r expRunner) pca() error {
+	points, err := r.study.PCASweep(repro.PaperModels()[1], []int{3, 5, 10, 15, 25}, 5, r.seed)
+	if err != nil {
+		return err
+	}
+	r.c.Printf("%-14s %10s\n", "components", "k-NN R2")
+	for _, p := range points {
+		r.c.Printf("%-14d %10.3f\n", p.Components, p.R2)
+	}
+	return nil
+}
+
+// cross runs the cross-circuit generalization study, once per requested
+// fault model: ground truth per scenario, the paper's k-NN trained on
+// each, transfer scores on every ordered pair. Does FDR predictability
+// transfer across circuits equally well for SEU, MBU and stuck-at faults?
+func (r expRunner) cross(scenarioList, modelList string, scale repro.CorpusScale, n int, tel *cli.Telemetry) error {
+	// Resolve and validate both lists before the first (expensive)
+	// campaign so bad input fails in milliseconds, not minutes.
+	selected, err := cli.Scenarios(scenarioList)
+	if err != nil {
+		return err
+	}
+	if len(selected) < 2 {
+		return fmt.Errorf("-exp cross needs at least 2 scenarios, got %d", len(selected))
+	}
+	var models []repro.FaultModel
+	seenModel := map[string]bool{}
+	for _, s := range strings.Split(modelList, ",") {
+		m, err := repro.ParseFaultModel(strings.TrimSpace(s))
+		if err != nil {
+			return err
+		}
+		if seenModel[m.String()] {
+			return fmt.Errorf("fault model %q selected twice", m)
+		}
+		seenModel[m.String()] = true
+		models = append(models, m)
+	}
+
+	var csvRows [][]string
+	for _, model := range models {
+		// Per-fault-model campaigns: the same scenarios re-measured under
+		// this model's ground truth, then the full transfer matrix.
+		var studies []*repro.Study
+		for _, sc := range selected {
+			start := time.Now()
+			study, err := repro.NewCorpusStudy(sc, repro.CorpusStudyConfig{
+				Scale:           scale,
+				InjectionsPerFF: n,
+				Model:           model,
+				Logger:          tel.Logger,
+			})
+			if err != nil {
+				return err
+			}
+			if _, err := study.RunGroundTruthContext(r.c.Ctx); err != nil {
+				return fmt.Errorf("%s (%s): %w", sc.ID(), model, err)
+			}
+			r.c.Printf("# %-22s %-10s ground truth: %4d FFs x %d injections in %v\n",
+				sc.ID(), model, study.NumFFs(), study.Config.InjectionsPerFF,
+				time.Since(start).Round(time.Millisecond))
+			studies = append(studies, study)
+		}
+		r.c.Printf("\n")
+
+		// k-NN, the paper's best model.
+		tm, err := repro.CrossCircuit(studies, repro.PaperModels()[1], r.seed)
+		if err != nil {
+			return err
+		}
+		if err := repro.RenderTransferMatrix(r.c.Stdout, tm); err != nil {
+			return err
+		}
+		r.c.Printf("\n")
+		for i := range tm.Cells {
+			for _, cell := range tm.Cells[i] {
+				csvRows = append(csvRows, []string{
+					tm.FaultModel, cell.TrainID, cell.TestID, strconv.FormatBool(cell.Diagonal),
+					ftoa(cell.R2), ftoa(cell.Tau), ftoa(cell.MAE),
+				})
+			}
+		}
+	}
+	return r.writeSeries("cross",
+		[]string{"fault_model", "train", "test", "diagonal", "r2", "kendall_tau", "mae"}, csvRows)
+}

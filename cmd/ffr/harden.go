@@ -1,0 +1,144 @@
+package main
+
+import (
+	"io"
+	"strconv"
+	"strings"
+
+	"repro/internal/cli"
+	"repro/internal/corpus"
+	"repro/internal/harden"
+	"repro/internal/persist"
+)
+
+// runHarden is the selective-mitigation advisor: it loads a trained model
+// artifact, scores every flip-flop of a corpus scenario, clusters the
+// criticality ranking, and emits the TMR hardening plan that fits an area
+// budget — then optionally verifies the plan by TMR-rewriting the netlist
+// and re-running the fault campaign, reporting measured vs. predicted
+// residual FFR.
+//
+// Without -scenario the artifact's training-scenario tag is used. The
+// selected flip-flop list prints in ffr coord -harden form, so a verified
+// plan can be re-measured at scale on the distributed fabric.
+func runHarden(c *cli.Cmd) error {
+	var (
+		load         = c.Flags.String("load", "", "model artifact to advise with (required)")
+		scenario     = c.Flags.String("scenario", "", "corpus scenario (\"family/workload\"; default: the artifact's training scenario)")
+		scale        = c.Flags.String("scale", "small", "corpus scale (small, default)")
+		seed         = c.Flags.Int64("seed", 1, "scenario materialization seed")
+		budget       = c.Flags.Float64("budget", 0.5, "area budget as a fraction of full-TMR area")
+		clusters     = c.Flags.Int("clusters", harden.DefaultClusters, "criticality bands for the k-means ranking")
+		clusterSeed  = c.Flags.Int64("cluster-seed", 0, "clustering seed (plans are deterministic in it)")
+		csvPath      = c.Flags.String("csv", "", "write the full ranking as CSV to this file")
+		verify       = c.Flags.Bool("verify", false, "TMR-rewrite the netlist and re-measure residual FFR by campaign")
+		n            = c.Flags.Int("n", 0, "verify injections per flip-flop (0 = scenario default)")
+		campaignSeed = c.Flags.Int64("campaign-seed", 0, "verify injection sampling seed (0 = scenario default)")
+		workers      = c.Flags.Int("workers", 0, "verify simulation workers (0 = GOMAXPROCS)")
+		chunk        = c.Flags.Int("chunk", 0, "verify chunk size in jobs (0 = runner default)")
+		checkpoint   = c.Flags.String("checkpoint", "", "checkpoint file for the verify campaigns (baseline uses a .baseline suffix)")
+		resume       = c.Flags.Bool("resume", false, "resume the verify campaigns from -checkpoint if present")
+		ckEvery      = c.Flags.Int("checkpoint-every", 0, "chunks between checkpoint flushes (0 = default)")
+		tel          = c.Telemetry(0)
+	)
+	if err := c.Parse(); err != nil {
+		return err
+	}
+	if err := cli.Check(
+		c.NonNegFloat("budget", *budget),
+		c.MinInt("clusters", *clusters, 1),
+		c.MinInt("n", *n, 0),
+		c.MinInt("workers", *workers, 0),
+		c.MinInt("chunk", *chunk, 0),
+		c.MinInt("checkpoint-every", *ckEvery, 0),
+	); err != nil {
+		return err
+	}
+	if *load == "" {
+		return c.UsageErrorf("-load is required")
+	}
+	if err := c.Requires("resume", "checkpoint", !*resume || *checkpoint != ""); err != nil {
+		return err
+	}
+	stop, err := tel.Start()
+	if err != nil {
+		return err
+	}
+	defer stop()
+
+	art, err := persist.Load(*load)
+	if err != nil {
+		return err
+	}
+	id := *scenario
+	if id == "" {
+		if art.Circuit == "" || art.Workload == "" {
+			return c.UsageErrorf("artifact %q carries no scenario tag; -scenario is required", art.Name)
+		}
+		id = art.Circuit + "/" + art.Workload
+	}
+	sc, err := corpus.Find(id)
+	if err != nil {
+		return err
+	}
+	scl, err := corpus.ParseScale(*scale)
+	if err != nil {
+		return err
+	}
+
+	m, err := sc.Materialize(scl, *seed)
+	if err != nil {
+		return err
+	}
+	plan, err := harden.Advise(art, m, *budget, harden.Config{Clusters: *clusters, Seed: *clusterSeed})
+	if err != nil {
+		return err
+	}
+	c.Printf("harden: %s on %s/%s: %d of %d FFs within budget %.2f (area %.1f of %.1f units, %d bands)\n",
+		plan.Model, plan.Circuit, plan.Workload, len(plan.Selected), m.NumFFs(), plan.Budget,
+		plan.UsedArea, plan.TotalArea, plan.Clusters)
+	c.Printf("harden: predicted FFR %.4f -> %.4f residual\n", plan.BaseFFR, plan.ResidualFFR)
+	if sel := plan.SelectedFFs(); len(sel) > 0 {
+		parts := make([]string, len(sel))
+		for i, ff := range sel {
+			parts[i] = strconv.Itoa(ff)
+		}
+		c.Printf("harden: selection for ffr coord: -harden %s\n", strings.Join(parts, ","))
+	}
+
+	if *csvPath != "" {
+		if err := writeTo(c, *csvPath, func(w io.Writer) error { return harden.WriteCSV(w, plan) }); err != nil {
+			return err
+		}
+		c.Printf("harden: wrote ranking to %s\n", *csvPath)
+	}
+	if !*verify {
+		return nil
+	}
+	v, err := harden.Verify(c.Ctx, plan, harden.VerifyConfig{
+		Scenario:        sc,
+		Scale:           scl,
+		Seed:            *seed,
+		InjectionsPerFF: *n,
+		CampaignSeed:    *campaignSeed,
+		Workers:         *workers,
+		ChunkJobs:       *chunk,
+		CheckpointPath:  *checkpoint,
+		CheckpointEvery: *ckEvery,
+		Resume:          *resume,
+		Logger:          tel.Logger,
+	})
+	if err != nil {
+		return err
+	}
+	// The trailing improved / predicted_within_2x tokens are the
+	// machine-readable verdicts.
+	c.Printf("harden: verify: %d FFs hardened (%d -> %d in design), fingerprint %x -> %x\n",
+		v.HardenedFFs, v.BaselineNumFFs, v.HardenedNumFFs, v.BaseFingerprint, v.HardenedFingerprint)
+	within2x := v.PredictedResidualFFR <= 2*v.MeasuredResidualFFR+1e-12 &&
+		v.MeasuredResidualFFR <= 2*v.PredictedResidualFFR+1e-12
+	c.Printf("harden: verify: baseline_ffr=%.4f measured_residual=%.4f predicted_residual=%.4f improved=%t predicted_within_2x=%t\n",
+		v.BaselineFFR, v.MeasuredResidualFFR, v.PredictedResidualFFR,
+		v.Improved(), within2x)
+	return nil
+}

@@ -1,0 +1,137 @@
+package main
+
+import (
+	"errors"
+	"fmt"
+	"strconv"
+	"time"
+
+	"repro"
+	"repro/internal/cli"
+	"repro/internal/fault"
+)
+
+// runInject runs the paper's flat statistical fault-injection campaign
+// (Section IV-A): faults in every flip-flop at random cycles of the active
+// window, classified against the golden run, yielding per-flip-flop
+// Functional De-Rating factors.
+//
+// The plan is split into fixed-size chunks, and with -checkpoint the
+// completed-chunk state is periodically persisted so an interrupted
+// campaign can be picked up with -resume, bit-identical to an
+// uninterrupted run.
+func runInject(c *cli.Cmd) error {
+	var (
+		n          = c.Flags.Int("n", repro.PaperInjections, "injections per flip-flop")
+		seed       = c.Flags.Int64("seed", 2019, "injection plan seed")
+		workers    = c.Flags.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
+		csvOut     = c.Flags.String("csv", "", "write per-FF results to this CSV file")
+		checkpoint = c.Flags.String("checkpoint", "", "periodically save campaign state to this file")
+		resume     = c.Flags.Bool("resume", false, "resume from -checkpoint if it exists")
+		shards     = c.Flags.Int("shards", 0, "split the plan into about this many shard chunks (rounded to whole 64-lane batches; must match on -resume; 0 = default chunk size)")
+		progress   = c.Flags.Bool("progress", false, "print live campaign progress to stderr")
+		snapEvery  = c.Flags.Int("snapshot-every", 0, "golden snapshot cadence in cycles (0 = default; never changes results)")
+		schedule   = c.Flags.String("schedule", "", "batch-packing schedule: clustered or plan (default: clustered, adopting a resumed checkpoint's schedule)")
+		faultModel = c.FaultModel("fault model: seu, mbu:N, stuck0:D, stuck1:D, each with optional @start-end window (e.g. mbu:3, stuck0:8@0.25-0.75)")
+		tel        = c.Telemetry(cli.Metrics | cli.Profile)
+	)
+	if err := c.Parse(); err != nil {
+		return err
+	}
+	if err := cli.Check(
+		c.MinInt("n", *n, 1),
+		c.MinInt("workers", *workers, 0),
+		c.MinInt("shards", *shards, 0),
+		c.MinInt("snapshot-every", *snapEvery, 0),
+		c.Requires("resume", "checkpoint", !*resume || *checkpoint != ""),
+		c.OneOf("schedule", *schedule,
+			"", string(fault.ScheduleClustered), string(fault.SchedulePlan)),
+	); err != nil {
+		return err
+	}
+	model, err := faultModel()
+	if err != nil {
+		return err
+	}
+	if err := cli.Creatable("csv", *csvOut); err != nil {
+		return err
+	}
+	stop, err := tel.Start()
+	if err != nil {
+		return err
+	}
+	defer stop()
+
+	cfg := repro.DefaultStudyConfig()
+	cfg.InjectionsPerFF = *n
+	cfg.CampaignSeed = *seed
+	cfg.Workers = *workers
+	cfg.Checkpoint = *checkpoint
+	cfg.Resume = *resume
+	cfg.Shards = *shards
+	cfg.SnapshotEvery = *snapEvery
+	cfg.Schedule = fault.Schedule(*schedule)
+	cfg.Model = model
+	cfg.Metrics = tel.Metrics
+	cfg.Logger = tel.Logger
+	if *progress {
+		cfg.Progress = func(p repro.CampaignProgress) {
+			fmt.Fprintf(c.Stderr, "\rinjected %d/%d jobs (%.1f%%), chunks %d/%d, elapsed %s, eta %s   ",
+				p.JobsDone, p.JobsTotal, 100*float64(p.JobsDone)/float64(p.JobsTotal),
+				p.ChunksDone, p.ChunksTotal,
+				p.Elapsed.Round(time.Second), p.ETA.Round(time.Second))
+		}
+	}
+	study, err := repro.NewStudy(cfg)
+	if err != nil {
+		return err
+	}
+	c.Printf("device: %d flip-flops, testbench: %d cycles (%d active), fault model: %s\n",
+		study.NumFFs(), study.Bench.Stim.Cycles(), study.Bench.ActiveCycles, model)
+
+	// On cancellation in-flight chunks finish and the checkpoint is
+	// flushed, so the run can be picked up with -resume.
+	start := time.Now()
+	res, err := study.RunGroundTruthContext(c.Ctx)
+	if *progress {
+		fmt.Fprintln(c.Stderr)
+	}
+	if err != nil {
+		if errors.Is(err, repro.ErrCampaignInterrupted) && *checkpoint != "" {
+			fmt.Fprintf(c.Stderr, "inject: campaign state saved to %s; rerun with -resume to continue\n", *checkpoint)
+		}
+		return err
+	}
+	c.Printf("campaign finished in %v (%d chunks", time.Since(start).Round(time.Millisecond), res.Chunks)
+	if res.ResumedChunks > 0 {
+		c.Printf(", %d resumed from checkpoint", res.ResumedChunks)
+	}
+	if res.SimulatedCycles > 0 && res.SimulatedCycles < res.ReplayCycles {
+		c.Printf(", %d of %d engine cycles simulated — %.2fx saved by snapshot fast-forward and early exit",
+			res.SimulatedCycles, res.ReplayCycles,
+			float64(res.ReplayCycles)/float64(res.SimulatedCycles))
+	}
+	c.Printf(")\n\n")
+	if err := repro.RenderCampaign(c.Stdout, res); err != nil {
+		return err
+	}
+
+	if *csvOut == "" {
+		return nil
+	}
+	rows := make([][]string, study.NumFFs())
+	for ff := range rows {
+		lo, hi := fault.WilsonInterval(res.Failures[ff], res.Injections[ff], 1.96)
+		rows[ff] = []string{
+			study.Netlist.Cells[study.Program.FFCell(ff)].Name,
+			strconv.Itoa(res.Injections[ff]),
+			strconv.Itoa(res.Failures[ff]),
+			ftoa(res.FDR[ff]), ftoa(lo), ftoa(hi),
+		}
+	}
+	if err := cli.WriteCSV(*csvOut, []string{"instance", "injections", "failures", "fdr", "ci95_lo", "ci95_hi"}, rows); err != nil {
+		return err
+	}
+	c.Printf("\nwrote %d rows to %s\n", study.NumFFs(), *csvOut)
+	return nil
+}

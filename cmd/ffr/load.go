@@ -1,32 +1,10 @@
-// Command ffrload is the prediction-service load harness: it floods a
-// running ffrserve with concurrent POST /v1/predict requests and reports
-// throughput, latency percentiles and the error budget. 429 responses
-// (admission control shedding load) are expected under overload and counted
-// separately; any other non-2xx response fails the run with a nonzero exit,
-// which is what makes the harness usable as a CI gate.
-//
-// Usage:
-//
-//	ffrload -url http://127.0.0.1:8080 [-model name] [-requests 10000]
-//	        [-concurrency 10000] [-batch 1] [-seed 1] [-timeout 30s]
-//	        [-p99-slo 0] [-log-level info] [-log-format text]
-//
-// -p99-slo turns the latency report into an assertion: when the measured
-// p99 exceeds the bound the run exits nonzero, so smoke jobs catch serving
-// regressions, not just availability failures.
-//
-// Vectors are generated from -seed against the model's advertised feature
-// width, so runs are reproducible. The file-descriptor soft limit is raised
-// automatically so ten thousand concurrent sockets fit in one process.
 package main
 
 import (
 	"errors"
-	"flag"
 	"fmt"
 	"math/rand"
 	"net/http"
-	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -38,45 +16,53 @@ import (
 	"repro/internal/obs"
 )
 
-func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "ffrload:", err)
-		os.Exit(1)
-	}
-}
-
-func run() error {
+// runLoad is the prediction-service load harness: it floods a running ffr
+// serve with concurrent POST /v1/predict requests and reports throughput,
+// latency percentiles and the error budget. 429 responses (admission
+// control shedding load) are expected under overload and counted
+// separately; any other non-2xx response fails the run, which is what makes
+// the harness usable as a CI gate.
+//
+// -p99-slo turns the latency report into an assertion: when the measured
+// p99 exceeds the bound the run fails, so smoke jobs catch serving
+// regressions, not just availability failures.
+//
+// Vectors are generated from -seed against the model's advertised feature
+// width, so runs are reproducible. The file-descriptor soft limit is raised
+// automatically so ten thousand concurrent sockets fit in one process.
+func runLoad(c *cli.Cmd) error {
 	var (
-		url         = flag.String("url", "", "service base URL (e.g. http://127.0.0.1:8080)")
-		model       = flag.String("model", "", "model to predict against (default: first served model)")
-		requests    = flag.Int("requests", 10000, "total predict requests to issue")
-		concurrency = flag.Int("concurrency", 10000, "concurrent in-flight requests")
-		batch       = flag.Int("batch", 1, "vectors per request")
-		seed        = flag.Int64("seed", 1, "vector generation seed")
-		timeout     = flag.Duration("timeout", 30*time.Second, "per-request timeout")
-		p99SLO      = flag.Duration("p99-slo", 0, "fail the run when p99 latency exceeds this bound (0 = report only)")
-		logFlags    = cli.RegisterLog()
+		url         = c.Flags.String("url", "", "service base URL (e.g. http://127.0.0.1:8080)")
+		model       = c.Flags.String("model", "", "model to predict against (default: first served model)")
+		requests    = c.Flags.Int("requests", 10000, "total predict requests to issue")
+		concurrency = c.Flags.Int("concurrency", 10000, "concurrent in-flight requests")
+		batch       = c.Flags.Int("batch", 1, "vectors per request")
+		seed        = c.Flags.Int64("seed", 1, "vector generation seed")
+		timeout     = c.Flags.Duration("timeout", 30*time.Second, "per-request timeout")
+		p99SLO      = c.Flags.Duration("p99-slo", 0, "fail the run when p99 latency exceeds this bound (0 = report only)")
+		tel         = c.Telemetry(0)
 	)
-	flag.Parse()
-
+	if err := c.Parse(); err != nil {
+		return err
+	}
 	if err := cli.Check(
-		cli.NoArgs("ffrload"),
-		cli.MinInt("ffrload", "requests", *requests, 1),
-		cli.MinInt("ffrload", "concurrency", *concurrency, 1),
-		cli.MinInt("ffrload", "batch", *batch, 1),
+		c.MinInt("requests", *requests, 1),
+		c.MinInt("concurrency", *concurrency, 1),
+		c.MinInt("batch", *batch, 1),
 	); err != nil {
 		return err
 	}
 	if *url == "" {
-		return cli.UsageErrorf("ffrload", "-url is required")
+		return c.UsageErrorf("-url is required")
 	}
 	if *p99SLO < 0 {
-		return cli.UsageErrorf("ffrload", "-p99-slo must be >= 0 (got %s)", *p99SLO)
+		return c.UsageErrorf("-p99-slo must be >= 0 (got %s)", *p99SLO)
 	}
-	logger, err := logFlags.Logger("ffrload")
+	stop, err := tel.Start()
 	if err != nil {
 		return err
 	}
+	defer stop()
 	if *concurrency > *requests {
 		*concurrency = *requests
 	}
@@ -91,6 +77,7 @@ func run() error {
 		MaxConnsPerHost:     0,
 		IdleConnTimeout:     90 * time.Second,
 	}
+	defer transport.CloseIdleConnections()
 	client := api.NewClient(*url)
 	client.HTTP = &http.Client{Transport: transport, Timeout: *timeout}
 
@@ -98,7 +85,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("ffrload: targeting %s model %q (%d features): %d requests × %d vectors at concurrency %d\n",
+	c.Printf("load: targeting %s model %q (%d features): %d requests × %d vectors at concurrency %d\n",
 		*url, name, width, *requests, *batch, *concurrency)
 
 	var (
@@ -148,8 +135,8 @@ func run() error {
 	wg.Wait()
 	elapsed := time.Since(start)
 
-	p99 := report(latencies, elapsed, ok.Load(), throttled.Load(), failed.Load())
-	logger.Debug("run finished",
+	p99 := loadReport(c, latencies, elapsed, ok.Load(), throttled.Load(), failed.Load())
+	tel.Logger.Debug("run finished",
 		obs.F("ok", ok.Load()), obs.F("throttled", throttled.Load()),
 		obs.F("failed", failed.Load()), obs.F("p99", p99))
 	if n := failed.Load(); n > 0 {
@@ -224,19 +211,19 @@ func raiseFDLimit(want uint64) {
 	syscall.Setrlimit(syscall.RLIMIT_NOFILE, &lim)
 }
 
-// report prints the latency summary and returns the measured p99, which
-// -p99-slo asserts against.
-func report(latencies []time.Duration, elapsed time.Duration, ok, throttled, failed int64) time.Duration {
+// loadReport prints the latency summary and returns the measured p99,
+// which -p99-slo asserts against.
+func loadReport(c *cli.Cmd, latencies []time.Duration, elapsed time.Duration, ok, throttled, failed int64) time.Duration {
 	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
 	pct := func(p float64) time.Duration {
 		i := int(p * float64(len(latencies)-1))
 		return latencies[i].Round(time.Microsecond)
 	}
 	total := ok + throttled + failed
-	fmt.Printf("ffrload: %d requests in %s (%.0f req/s)\n",
+	c.Printf("load: %d requests in %s (%.0f req/s)\n",
 		total, elapsed.Round(time.Millisecond), float64(total)/elapsed.Seconds())
-	fmt.Printf("ffrload: ok %d, throttled(429) %d, failed %d\n", ok, throttled, failed)
-	fmt.Printf("ffrload: latency p50 %s  p90 %s  p99 %s  max %s\n",
+	c.Printf("load: ok %d, throttled(429) %d, failed %d\n", ok, throttled, failed)
+	c.Printf("load: latency p50 %s  p90 %s  p99 %s  max %s\n",
 		pct(0.50), pct(0.90), pct(0.99), pct(1.0))
 	return pct(0.99)
 }

@@ -1,0 +1,123 @@
+package main
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+)
+
+// TestValidateBeforeComputing: a bad experiment id and an output path that
+// cannot be created are reported before the first campaign starts — not
+// after it, with the result lost.
+func TestValidateBeforeComputing(t *testing.T) {
+	dir := t.TempDir()
+	blocker := filepath.Join(dir, "a-file")
+	if err := os.WriteFile(blocker, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	missing := filepath.Join(dir, "no", "such", "dir")
+	for _, args := range [][]string{
+		{"exp", "-exp", "bogus", "-n", "1"},
+		{"exp", "-exp", "fig2a", "-n", "1", "-csvdir", missing},
+		{"exp", "-exp", "predict", "-load", filepath.Join(missing, "m.ffrm")},
+		{"inject", "-n", "1", "-csv", filepath.Join(missing, "x.csv")},
+		{"plan", "-scenario", "random/noise", "-n", "1", "-csv", filepath.Join(missing, "x.csv")},
+		{"sim", "-activity", filepath.Join(missing, "x.csv")},
+		{"feat", "-fdr", "-n", "1", "-o", filepath.Join(missing, "x.csv")},
+		{"train", "-n", "1", "-save", filepath.Join(missing, "m.ffrm")},
+		{"corpus", "-sweep", "-n", "1", "-out", filepath.Join(blocker, "artifacts")},
+	} {
+		code, stdout, stderr := ffr(t, args...)
+		if code != 1 || stdout != "" || strings.Count(stderr, "\n") != 1 || strings.Contains(stderr, "campaign start") {
+			t.Errorf("ffr %s: exit %d, stdout %q, stderr %q", strings.Join(args, " "), code, stdout, stderr)
+		}
+	}
+	_, _, stderr := ffr(t, "exp", "-exp", "bogus")
+	for _, id := range []string{"table1", "fig4b", "pca", "predict", "cross", "all"} {
+		if !strings.Contains(stderr, id) {
+			t.Errorf("the -exp error does not list %q: %s", id, stderr)
+		}
+	}
+}
+
+// TestInjectInterruptResume interrupts a checkpointed campaign right after
+// its first checkpoint flush and resumes it: the resumed run must adopt the
+// flushed chunks and write a CSV byte-identical to an uninterrupted run's.
+func TestInjectInterruptResume(t *testing.T) {
+	dir := t.TempDir()
+	want, got, ckpt := filepath.Join(dir, "want.csv"), filepath.Join(dir, "got.csv"), filepath.Join(dir, "campaign.ffr")
+	mustFFR(t, "inject", "-n", "8", "-shards", "8", "-csv", want)
+
+	args := []string{"inject", "-n", "8", "-shards", "8", "-workers", "1", "-checkpoint", ckpt, "-csv", got, "-log-level", "debug"}
+	first := newProc(args...)
+	first.stderr.onMatch("checkpoint saved", first.cancel)
+	first.start(t)
+	if code := first.wait(t); code != 1 {
+		t.Fatalf("interrupted campaign exited %d\nstderr:\n%s", code, first.stderr)
+	}
+	stderr := first.stderr.String()
+	if !strings.Contains(stderr, "campaign interrupted after") ||
+		!strings.Contains(stderr, "inject: campaign state saved to "+ckpt+"; rerun with -resume to continue") {
+		t.Errorf("interrupt not reported with the resume hint:\n%s", stderr)
+	}
+	if _, err := os.Stat(got); err == nil {
+		t.Error("the interrupted run wrote its CSV")
+	}
+
+	stdout, _ := mustFFR(t, append(args, "-resume")...)
+	if !regexp.MustCompile(`\(\d+ chunks, [1-9]\d* resumed from checkpoint`).MatchString(stdout) {
+		t.Errorf("the resumed run adopted no chunk:\n%s", stdout)
+	}
+	a, err := os.ReadFile(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Error("resumed campaign's CSV differs from the uninterrupted run's")
+	}
+}
+
+// TestPlanInterruptResume interrupts the planner after round 1 and resumes
+// it: the resumed loop must replay the checkpointed rounds and end on the
+// model and estimate fingerprints of an uninterrupted loop.
+func TestPlanInterruptResume(t *testing.T) {
+	fingerprints := regexp.MustCompile(`model fingerprint [0-9a-f]{16}, estimate fingerprint [0-9a-f]{16}\n`)
+	args := []string{"plan", "-scenario", "uartser/paced", "-n", "4"}
+	stdout, _ := mustFFR(t, args...)
+	want := fingerprints.FindString(stdout)
+	if want == "" {
+		t.Fatalf("no fingerprints:\n%s", stdout)
+	}
+
+	ckpt := filepath.Join(t.TempDir(), "loop.ffrp")
+	args = append(args, "-checkpoint", ckpt)
+	first := newProc(args...)
+	first.stdout.onMatch(`round  1: `, first.cancel)
+	first.start(t)
+	if code := first.wait(t); code != 1 {
+		t.Fatalf("interrupted loop exited %d\nstderr:\n%s", code, first.stderr)
+	}
+	if stderr := first.stderr.String(); !strings.Contains(stderr, "plan: loop state saved to "+ckpt+"; rerun with -resume to continue") {
+		t.Errorf("interrupt not reported with the resume hint:\n%s", stderr)
+	}
+	if fingerprints.MatchString(first.stdout.String()) {
+		t.Fatalf("the loop finished before the interrupt:\n%s", first.stdout)
+	}
+
+	stdout, _ = mustFFR(t, append(args, "-resume")...)
+	// A round already in flight at the interrupt may still complete, so
+	// more than rounds 0 and 1 can come back from the checkpoint.
+	if n := strings.Count(stdout, "(resumed)\n"); n < 2 || n >= strings.Count(stdout, "\nround ") {
+		t.Errorf("the resumed loop replayed %d rounds, want at least rounds 0 and 1 but not all:\n%s", n, stdout)
+	}
+	if got := fingerprints.FindString(stdout); got != want {
+		t.Errorf("resumed loop ended on\n%swant\n%s", got, want)
+	}
+}

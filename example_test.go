@@ -103,7 +103,7 @@ func Example_adaptiveCampaign() {
 // artifact, plan the TMR set that fits half the full-TMR area, then verify
 // the plan by rewriting the netlist and re-measuring residual FFR.
 func Example_harden() {
-	art, err := repro.LoadModel("knn.ffrm") // e.g. from ffrcorpus -sweep -out
+	art, err := repro.LoadModel("knn.ffrm") // e.g. from ffr corpus -sweep -out
 	if err != nil {
 		log.Fatal(err)
 	}

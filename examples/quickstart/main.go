@@ -2,7 +2,7 @@
 // truth, train the paper's k-NN model on half the flip-flops and predict
 // the other half — the complete Fig. 1 flow in one page of code — then
 // persist the trained model as an artifact and reload it, showing the
-// train-once/predict-forever path ffrserve builds on.
+// train-once/predict-forever path ffr serve builds on.
 package main
 
 import (
@@ -76,7 +76,7 @@ func run() error {
 
 	// Train once, predict forever: persist the fitted model and reload it.
 	// The reloaded model predicts bit-identically, so the campaign and the
-	// training never have to run again (ffrserve serves these artifacts).
+	// training never have to run again (ffr serve serves these artifacts).
 	X := study.FeatureRows()
 	y, err := study.FDR()
 	if err != nil {

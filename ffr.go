@@ -1,11 +1,6 @@
 package repro
 
 import (
-	"fmt"
-	"os"
-	"strconv"
-	"sync"
-
 	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/corpus"
@@ -58,7 +53,7 @@ type (
 	Regressor = ml.Regressor
 	// ModelArtifact is a fitted model plus its serving metadata (feature
 	// schema, training fingerprint, CV metrics, scenario tags) — the unit
-	// the artifact store persists and ffrserve loads.
+	// the artifact store persists and ffr serve loads.
 	ModelArtifact = persist.Artifact
 	// CorpusEntry is one DUT family of the circuit corpus.
 	CorpusEntry = corpus.Entry
@@ -206,79 +201,3 @@ const (
 	CampaignScheduleClustered = fault.ScheduleClustered
 	CampaignSchedulePlan      = fault.SchedulePlan
 )
-
-// EnvStudyConfig returns DefaultStudyConfig adjusted by environment
-// variables, which the benchmarks honour so constrained machines can
-// shrink the campaign without code changes:
-//
-//	FFR_INJECTIONS  injections per flip-flop (default 170)
-//	FFR_SEED        campaign seed (default 2019)
-//	FFR_WORKERS     campaign worker count (default GOMAXPROCS)
-//	FFR_FAULT_MODEL campaign fault model ("seu", "mbu:3", "stuck0:8",
-//	                "stuck1:4@0.25-0.75"; default seu); studies require
-//	                an FF-targeted model, so "set" is rejected here
-func EnvStudyConfig() (StudyConfig, error) {
-	cfg := DefaultStudyConfig()
-	if v := os.Getenv("FFR_INJECTIONS"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 1 {
-			return cfg, fmt.Errorf("repro: bad FFR_INJECTIONS %q", v)
-		}
-		cfg.InjectionsPerFF = n
-	}
-	if v := os.Getenv("FFR_SEED"); v != "" {
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			return cfg, fmt.Errorf("repro: bad FFR_SEED %q", v)
-		}
-		cfg.CampaignSeed = n
-	}
-	if v := os.Getenv("FFR_WORKERS"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			return cfg, fmt.Errorf("repro: bad FFR_WORKERS %q", v)
-		}
-		cfg.Workers = n
-	}
-	if v := os.Getenv("FFR_FAULT_MODEL"); v != "" {
-		m, err := fault.ParseModel(v)
-		if err != nil {
-			return cfg, fmt.Errorf("repro: bad FFR_FAULT_MODEL %q: %v", v, err)
-		}
-		if !m.TargetsFFs() {
-			return cfg, fmt.Errorf("repro: FFR_FAULT_MODEL %q targets combinational nodes; studies need an FF-targeted model", v)
-		}
-		cfg.Model = m
-	}
-	return cfg, nil
-}
-
-var sharedStudy struct {
-	once  sync.Once
-	study *Study
-	err   error
-}
-
-// SharedStudy returns a process-wide study built from EnvStudyConfig with
-// ground truth computed, shared by the benchmarks so the (expensive)
-// campaign runs once regardless of how many benches execute.
-func SharedStudy() (*Study, error) {
-	sharedStudy.once.Do(func() {
-		cfg, err := EnvStudyConfig()
-		if err != nil {
-			sharedStudy.err = err
-			return
-		}
-		study, err := NewStudy(cfg)
-		if err != nil {
-			sharedStudy.err = err
-			return
-		}
-		if _, err := study.RunGroundTruth(); err != nil {
-			sharedStudy.err = err
-			return
-		}
-		sharedStudy.study = study
-	})
-	return sharedStudy.study, sharedStudy.err
-}

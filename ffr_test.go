@@ -6,76 +6,6 @@ import (
 	"repro"
 )
 
-func TestEnvStudyConfigDefaults(t *testing.T) {
-	t.Setenv("FFR_INJECTIONS", "")
-	t.Setenv("FFR_SEED", "")
-	t.Setenv("FFR_WORKERS", "")
-	cfg, err := repro.EnvStudyConfig()
-	if err != nil {
-		t.Fatalf("EnvStudyConfig: %v", err)
-	}
-	if cfg.InjectionsPerFF != repro.PaperInjections {
-		t.Fatalf("default injections = %d, want %d", cfg.InjectionsPerFF, repro.PaperInjections)
-	}
-	if cfg.MAC.TargetFFs != 1054 {
-		t.Fatalf("default TargetFFs = %d, want 1054", cfg.MAC.TargetFFs)
-	}
-}
-
-func TestEnvStudyConfigOverrides(t *testing.T) {
-	t.Setenv("FFR_INJECTIONS", "17")
-	t.Setenv("FFR_SEED", "99")
-	t.Setenv("FFR_WORKERS", "2")
-	cfg, err := repro.EnvStudyConfig()
-	if err != nil {
-		t.Fatalf("EnvStudyConfig: %v", err)
-	}
-	if cfg.InjectionsPerFF != 17 || cfg.CampaignSeed != 99 || cfg.Workers != 2 {
-		t.Fatalf("overrides not applied: %+v", cfg)
-	}
-}
-
-func TestEnvStudyConfigFaultModel(t *testing.T) {
-	t.Setenv("FFR_FAULT_MODEL", "mbu:3@0.25-0.75")
-	cfg, err := repro.EnvStudyConfig()
-	if err != nil {
-		t.Fatalf("EnvStudyConfig: %v", err)
-	}
-	if got := cfg.Model.String(); got != "mbu:3@0.25-0.75" {
-		t.Fatalf("FFR_FAULT_MODEL parsed as %q", got)
-	}
-	t.Setenv("FFR_FAULT_MODEL", "")
-	cfg, err = repro.EnvStudyConfig()
-	if err != nil {
-		t.Fatalf("EnvStudyConfig: %v", err)
-	}
-	if got := cfg.Model.String(); got != "seu" {
-		t.Fatalf("default fault model is %q, want %q", got, "seu")
-	}
-}
-
-func TestEnvStudyConfigRejectsGarbage(t *testing.T) {
-	cases := [][2]string{
-		{"FFR_INJECTIONS", "zero"},
-		{"FFR_INJECTIONS", "0"},
-		{"FFR_SEED", "x"},
-		{"FFR_WORKERS", "-1"},
-		{"FFR_FAULT_MODEL", "mbu:9"},
-		{"FFR_FAULT_MODEL", "set"}, // studies are FF-targeted; SET is for fault.RunJobs
-	}
-	for _, c := range cases {
-		t.Run(c[0]+"="+c[1], func(t *testing.T) {
-			t.Setenv("FFR_INJECTIONS", "")
-			t.Setenv("FFR_SEED", "")
-			t.Setenv("FFR_WORKERS", "")
-			t.Setenv(c[0], c[1])
-			if _, err := repro.EnvStudyConfig(); err == nil {
-				t.Fatalf("%s=%s must be rejected", c[0], c[1])
-			}
-		})
-	}
-}
-
 func TestPublicSurface(t *testing.T) {
 	if len(repro.PaperModels()) != 3 {
 		t.Fatal("PaperModels must expose the three Table I rows")

@@ -3,8 +3,8 @@
 // error envelope, and the HTTP client helpers that speak them.
 //
 // Every HTTP-facing component — the prediction service (internal/serve,
-// cmd/ffrserve), the distributed campaign fabric (internal/fabric,
-// cmd/ffrcoord, cmd/ffrwork) and the load harness (cmd/ffrload) — shares
+// ffr serve), the distributed campaign fabric (internal/fabric,
+// ffr coord, ffr work) and the load harness (ffr load) — shares
 // these types instead of declaring per-handler structs, so the wire format
 // is defined exactly once and pinned by the schema regression tests in this
 // package.

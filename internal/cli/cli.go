@@ -1,10 +1,81 @@
 package cli
 
 import (
+	"context"
+	"encoding/csv"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"net"
+	"net/http"
+	"os"
 	"strings"
+	"time"
+
+	"repro/internal/corpus"
+	"repro/internal/fault"
 )
+
+// Cmd is one invocation of an ffr subcommand: the context that cancels
+// it, its name, its own flag set and the two streams it may write to.
+// Nothing below reads a process global, so a test drives a command
+// exactly as main does.
+type Cmd struct {
+	Ctx    context.Context
+	Name   string
+	Flags  *flag.FlagSet
+	Stdout io.Writer
+	Stderr io.Writer
+	args   []string
+}
+
+// New prepares the invocation "ffr <name> <args...>". The subcommand
+// registers its flags on Flags, then calls Parse.
+func New(ctx context.Context, name string, args []string, stdout, stderr io.Writer) *Cmd {
+	fs := flag.NewFlagSet("ffr "+name, flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	return &Cmd{Ctx: ctx, Name: name, Flags: fs, Stdout: stdout, Stderr: stderr, args: args}
+}
+
+// errFlags marks arguments the flag package rejected; it has already
+// printed the reason and the flag list to Stderr.
+var errFlags = errors.New("unparseable flags")
+
+// Parse parses the invocation's arguments. No ffr command takes
+// positional arguments, so any left over are flag misuse.
+func (c *Cmd) Parse() error {
+	if err := c.Flags.Parse(c.args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return errFlags
+	}
+	if args := c.Flags.Args(); len(args) > 0 {
+		return c.UsageErrorf("unexpected arguments: %v", args)
+	}
+	return nil
+}
+
+// Run executes the subcommand and maps its error to the exit code: 0 on
+// success and for -h, 2 for flags that do not parse, 1 for anything
+// else, reported on Stderr as one "<name>: <error>" line.
+func (c *Cmd) Run(fn func(*Cmd) error) int {
+	err := fn(c)
+	switch {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+		return 0
+	case errors.Is(err, errFlags):
+		return 2
+	}
+	fmt.Fprintf(c.Stderr, "%s: %v\n", c.Name, err)
+	return 1
+}
+
+// Printf writes to the command's Stdout.
+func (c *Cmd) Printf(format string, args ...any) {
+	fmt.Fprintf(c.Stdout, format, args...)
+}
 
 // Check returns the first non-nil error, letting a command validate all of
 // its flags in one expression.
@@ -19,55 +90,46 @@ func Check(errs ...error) error {
 
 // UsageErrorf formats a flag-validation failure the standard way: the
 // message, then a pointer at the command's -h.
-func UsageErrorf(cmd, format string, args ...any) error {
-	return fmt.Errorf("%s (run '%s -h' for usage)", fmt.Sprintf(format, args...), cmd)
-}
-
-// NoArgs rejects positional arguments — none of the ffr commands take any.
-// Call it after flag.Parse.
-func NoArgs(cmd string) error {
-	if args := flag.Args(); len(args) > 0 {
-		return UsageErrorf(cmd, "unexpected arguments: %v", args)
-	}
-	return nil
+func (c *Cmd) UsageErrorf(format string, args ...any) error {
+	return fmt.Errorf("%s (run 'ffr %s -h' for usage)", fmt.Sprintf(format, args...), c.Name)
 }
 
 // MinInt requires flag -name to be at least min.
-func MinInt(cmd, name string, v, min int) error {
+func (c *Cmd) MinInt(name string, v, min int) error {
 	if v < min {
-		return UsageErrorf(cmd, "-%s must be >= %d (got %d)", name, min, v)
+		return c.UsageErrorf("-%s must be >= %d (got %d)", name, min, v)
 	}
 	return nil
 }
 
 // OpenUnit requires flag -name to lie strictly inside (0,1).
-func OpenUnit(cmd, name string, v float64) error {
+func (c *Cmd) OpenUnit(name string, v float64) error {
 	if v <= 0 || v >= 1 {
-		return UsageErrorf(cmd, "-%s must be in (0,1) exclusive (got %g)", name, v)
+		return c.UsageErrorf("-%s must be in (0,1) exclusive (got %g)", name, v)
 	}
 	return nil
 }
 
 // NonNegFloat requires flag -name to be zero or positive.
-func NonNegFloat(cmd, name string, v float64) error {
+func (c *Cmd) NonNegFloat(name string, v float64) error {
 	if v < 0 {
-		return UsageErrorf(cmd, "-%s must be >= 0 (got %g)", name, v)
+		return c.UsageErrorf("-%s must be >= 0 (got %g)", name, v)
 	}
 	return nil
 }
 
 // Requires enforces a flag dependency: when -name is used, -dependency must
 // be set too. Pass the violation as ok == false.
-func Requires(cmd, name, dependency string, ok bool) error {
+func (c *Cmd) Requires(name, dependency string, ok bool) error {
 	if !ok {
-		return UsageErrorf(cmd, "-%s requires -%s", name, dependency)
+		return c.UsageErrorf("-%s requires -%s", name, dependency)
 	}
 	return nil
 }
 
 // OneOf requires flag -name to be one of the valid values ("" is allowed
 // only when listed).
-func OneOf(cmd, name, v string, valid ...string) error {
+func (c *Cmd) OneOf(name, v string, valid ...string) error {
 	for _, ok := range valid {
 		if v == ok {
 			return nil
@@ -79,5 +141,103 @@ func OneOf(cmd, name, v string, valid ...string) error {
 			shown = append(shown, s)
 		}
 	}
-	return UsageErrorf(cmd, "-%s must be one of %s (got %q)", name, strings.Join(shown, ", "), v)
+	return c.UsageErrorf("-%s must be one of %s (got %q)", name, strings.Join(shown, ", "), v)
+}
+
+// FaultModel registers -fault-model, whose default is the FFR_FAULT_MODEL
+// environment variable, and returns the function that parses the chosen
+// value once Parse has run.
+func (c *Cmd) FaultModel(usage string) func() (fault.Model, error) {
+	s := c.Flags.String("fault-model", os.Getenv("FFR_FAULT_MODEL"), usage+"; defaults to $FFR_FAULT_MODEL, else seu")
+	return func() (fault.Model, error) {
+		m, err := fault.ParseModel(*s)
+		if err != nil {
+			return m, c.UsageErrorf("bad -fault-model: %v", err)
+		}
+		return m, nil
+	}
+}
+
+// Scenarios resolves a comma-separated list of corpus scenario IDs,
+// rejecting unknown and repeated entries.
+func Scenarios(list string) ([]corpus.Scenario, error) {
+	var out []corpus.Scenario
+	seen := map[string]bool{}
+	for _, id := range strings.Split(list, ",") {
+		sc, err := corpus.Find(strings.TrimSpace(id))
+		if err != nil {
+			return nil, err
+		}
+		if seen[sc.ID()] {
+			return nil, fmt.Errorf("scenario %q selected twice", sc.ID())
+		}
+		seen[sc.ID()] = true
+		out = append(out, sc)
+	}
+	return out, nil
+}
+
+// Creatable reports whether the file -name points at can be created or
+// overwritten, so a command learns that before the campaign whose result
+// the file is for, not after. An existing file is left as it is and a
+// missing one is not left behind; an empty path passes.
+func Creatable(name, path string) error {
+	if path == "" {
+		return nil
+	}
+	_, statErr := os.Stat(path)
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE, 0o666)
+	if err != nil {
+		return fmt.Errorf("-%s: %w", name, err)
+	}
+	f.Close()
+	if errors.Is(statErr, os.ErrNotExist) {
+		os.Remove(path)
+	}
+	return nil
+}
+
+// WriteCSV writes header and rows to a new file at path.
+func WriteCSV(path string, header []string, rows [][]string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := csv.NewWriter(f).WriteAll(append([][]string{header}, rows...)); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// Serve listens on addr, announces "<name>: listening on <address><note>"
+// on Stdout, and serves h while until runs; until gets a context that is
+// canceled with the command's or when the listener fails. Once until
+// returns, in-flight requests get 15 s to drain. The error is the
+// listener's if it failed, else until's.
+func (c *Cmd) Serve(addr string, h http.Handler, note string, until func(context.Context) error) error {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return err
+	}
+	srv := &http.Server{Handler: h, ReadHeaderTimeout: 10 * time.Second}
+	ctx, cancel := context.WithCancel(c.Ctx)
+	defer cancel()
+	served := make(chan error, 1)
+	go func() {
+		served <- srv.Serve(ln)
+		cancel()
+	}()
+	c.Printf("%s: listening on %s%s\n", c.Name, ln.Addr(), note)
+
+	untilErr := until(ctx)
+	drainCtx, stop := context.WithTimeout(context.WithoutCancel(c.Ctx), 15*time.Second)
+	defer stop()
+	if err := srv.Shutdown(drainCtx); err != nil {
+		return fmt.Errorf("shutdown: %w", err)
+	}
+	if err := <-served; !errors.Is(err, http.ErrServerClosed) {
+		return err
+	}
+	return untilErr
 }

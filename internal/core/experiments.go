@@ -4,9 +4,11 @@ import (
 	"fmt"
 
 	"repro/internal/fault"
+	"repro/internal/features"
 	"repro/internal/ml"
 	"repro/internal/ml/metrics"
 	"repro/internal/ml/modelsel"
+	"repro/internal/persist"
 )
 
 // Paper evaluation protocol constants (Section IV-B).
@@ -46,6 +48,32 @@ func (s *Study) Table1(models []ModelSpec, nSplits int, trainFrac float64, seed 
 		rows = append(rows, TableRow{Model: spec.Name, Scores: res.MeanTest()})
 	}
 	return rows, nil
+}
+
+// FitArtifact refits spec on every flip-flop's measured FDR — cross
+// validation estimated the model's quality, serving wants all the evidence
+// — and wraps it as the artifact called name: feature schema, scenario
+// tags, training-data fingerprint and cv, the row that validation scored.
+func (s *Study) FitArtifact(name string, spec ModelSpec, cv TableRow) (*persist.Artifact, error) {
+	X := s.FeatureRows()
+	y, err := s.FDR()
+	if err != nil {
+		return nil, err
+	}
+	model := spec.Factory()
+	if err := model.Fit(X, y); err != nil {
+		return nil, fmt.Errorf("core: final fit of %s: %w", spec.Name, err)
+	}
+	art := persist.New(name, model, features.Names())
+	art.Circuit = s.CircuitName
+	art.Workload = s.WorkloadName
+	art.TrainRows = len(X)
+	art.TrainHash = persist.DataFingerprint(X, y)
+	art.Metrics = map[string]float64{
+		"cv_mae": cv.MAE, "cv_max": cv.MAX, "cv_rmse": cv.RMSE,
+		"cv_ev": cv.EV, "cv_r2": cv.R2,
+	}
+	return art, nil
 }
 
 // Table1Ablation evaluates one model on a reduced feature matrix (the

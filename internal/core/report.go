@@ -43,7 +43,7 @@ func RenderLearningCurve(w io.Writer, model string, points []modelsel.LearningPo
 
 // RenderFoldPrediction summarizes a Fig. 2a/3a/4a fold: per-partition
 // scores and an FDR-vs-error digest (full series are written by the CSV
-// exporters in cmd/ffrexp).
+// exporters in ffr exp).
 func RenderFoldPrediction(w io.Writer, model string, est *EstimateResult) error {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "FOLD PREDICTION — %s (training size = %.0f %%)\n\n", model, PaperTrainFrac*100)

@@ -11,6 +11,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/features"
 	"repro/internal/obs"
+	"repro/internal/persist"
 )
 
 // testStudy is a shared, scaled-down study fixture (small FIFOs, few
@@ -213,6 +214,45 @@ func TestTable1Ablation(t *testing.T) {
 	}
 	if row.R2 <= -1 || row.R2 > 1 {
 		t.Fatalf("ablation R² out of range: %v", row.R2)
+	}
+}
+
+// TestFitArtifact: the artifact train -save and corpus -sweep -out persist
+// is the spec refitted on every flip-flop, fingerprinted over exactly that
+// data and tagged with the study's scenario and the CV row it was given.
+func TestFitArtifact(t *testing.T) {
+	s := smallStudy(t)
+	spec := PaperModels()[1]
+	rows, err := s.Table1([]ModelSpec{spec}, 3, 0.5, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	art, err := s.FitArtifact(spec.Name+"@"+s.ScenarioID(), spec, rows[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	X := s.FeatureRows()
+	y, _ := s.FDR()
+	if art.Name != "k-NN@"+s.ScenarioID() || art.Kind == "" || art.Circuit != s.CircuitName || art.Workload != s.WorkloadName {
+		t.Errorf("artifact identity: %q kind %q tagged %s/%s", art.Name, art.Kind, art.Circuit, art.Workload)
+	}
+	if art.TrainRows != len(X) || art.TrainHash != persist.DataFingerprint(X, y) || art.NumFeatures() != features.NumFeatures {
+		t.Errorf("artifact provenance: %d rows, hash %x, %d features", art.TrainRows, art.TrainHash, art.NumFeatures())
+	}
+	if art.Metrics["cv_r2"] != rows[0].R2 || art.Metrics["cv_mae"] != rows[0].MAE || len(art.Metrics) != 5 {
+		t.Errorf("artifact metrics %v, CV row %+v", art.Metrics, rows[0])
+	}
+	want := spec.Factory()
+	if err := want.Fit(X, y); err != nil {
+		t.Fatal(err)
+	}
+	for i, x := range X {
+		if got := art.Model.Predict(x); got != want.Predict(x) {
+			t.Fatalf("row %d: artifact predicts %v, a fit on every flip-flop predicts %v", i, got, want.Predict(x))
+		}
+	}
+	if _, err := (&Study{Features: s.Features}).FitArtifact("x", spec, rows[0]); err == nil {
+		t.Error("a study without ground truth produced an artifact")
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"log"
 	"sort"
 	"sync"
 	"time"
@@ -31,11 +30,9 @@ type WorkerConfig struct {
 	// Heartbeat overrides the heartbeat interval (0 = a third of the
 	// coordinator's lease TTL).
 	Heartbeat time.Duration
-	// Log receives progress lines; nil is silent.
-	Log *log.Logger
-	// Logger optionally receives structured records (lease grants, chunk
-	// completions) carrying the trace ID each lease cycle runs under; nil
-	// disables structured logging.
+	// Logger optionally receives structured records (join, lease grants,
+	// chunk completions) carrying the trace ID each lease cycle runs
+	// under; nil is silent.
 	Logger *obs.Logger
 	// Metrics optionally receives the local chunk runner's ffr_campaign_*
 	// metric families; nil disables campaign metrics.
@@ -90,12 +87,6 @@ func (w *Worker) Completed() int {
 	return w.completed
 }
 
-func (w *Worker) logf(format string, args ...any) {
-	if w.cfg.Log != nil {
-		w.cfg.Log.Printf(format, args...)
-	}
-}
-
 // hold/release maintain the heartbeat set.
 func (w *Worker) hold(chunks []int) {
 	w.mu.Lock()
@@ -139,8 +130,10 @@ func (w *Worker) Run(ctx context.Context) error {
 		return err
 	}
 	w.camp = camp
-	w.logf("worker %s joined: %s (%d chunks of %d jobs)",
-		w.cfg.Name, camp.Spec.Scenario, join.NumChunks, join.ChunkJobs)
+	w.slog.Info("joined",
+		obs.F("scenario", camp.Spec.Scenario),
+		obs.F("chunks", join.NumChunks),
+		obs.F("chunk_jobs", join.ChunkJobs))
 
 	hb := w.cfg.Heartbeat
 	if hb <= 0 {
@@ -168,7 +161,6 @@ func (w *Worker) Run(ctx context.Context) error {
 			return fmt.Errorf("fabric: worker %s lease: %w", w.cfg.Name, err)
 		}
 		if lease.Done {
-			w.logf("worker %s done: campaign complete", w.cfg.Name)
 			w.slog.Info("campaign complete")
 			return nil
 		}
@@ -183,9 +175,6 @@ func (w *Worker) Run(ctx context.Context) error {
 			case <-time.After(retry):
 			}
 			continue
-		}
-		if lease.Stolen > 0 {
-			w.logf("worker %s stole %d straggler chunk(s)", w.cfg.Name, lease.Stolen)
 		}
 		w.slog.Info("lease granted",
 			obs.F("chunks", lease.Chunks),
@@ -227,9 +216,6 @@ func (w *Worker) runLease(ctx context.Context, chunks []int) error {
 			obs.F("chunk", ci),
 			obs.F("duplicate", resp.Duplicate),
 			obs.F("trace_id", obs.TraceIDFrom(ctx)))
-		if resp.Duplicate {
-			w.logf("worker %s chunk %d was a duplicate", w.cfg.Name, ci)
-		}
 	}
 	if runErr != nil {
 		// Interrupted: the unfinished chunks stay held until their leases
@@ -258,7 +244,7 @@ func (w *Worker) heartbeatLoop(ctx context.Context, interval time.Duration) {
 		}
 		resp, err := w.client.Heartbeat(api.HeartbeatRequest{Worker: w.cfg.Name, Chunks: held})
 		if err != nil {
-			w.logf("worker %s heartbeat failed: %v", w.cfg.Name, err)
+			w.slog.Info("heartbeat failed", obs.F("error", err))
 			continue
 		}
 		for _, ci := range resp.Canceled {

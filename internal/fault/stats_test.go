@@ -129,3 +129,11 @@ func TestSummarizeMedianAndString(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkWilsonInterval pins the cost of the statistics helper used in
+// campaign reporting.
+func BenchmarkWilsonInterval(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		fault.WilsonInterval(i%171, 170, 1.96)
+	}
+}

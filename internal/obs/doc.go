@@ -17,7 +17,7 @@
 //     by a Tracer as JSONL span records — convertible to the Chrome
 //     trace-event format (WriteChromeTrace) for chrome://tracing and
 //     Perfetto — so one prediction or one leased chunk is followable
-//     across ffrserve, ffrcoord and ffrwork.
+//     across ffr serve, ffr coord and ffr work.
 //
 // The implementation favors hot-path cheapness: counters and gauges are a
 // single atomic word, histograms one atomic word per bucket, label lookup

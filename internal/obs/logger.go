@@ -123,7 +123,7 @@ func (l *Logger) With(fields ...Field) *Logger {
 	return &d
 }
 
-// Component derives a logger scoped to one component ("ffrwork",
+// Component derives a logger scoped to one component ("worker",
 // "campaign", ...): every record carries component=name.
 func (l *Logger) Component(name string) *Logger {
 	return l.With(F("component", name))

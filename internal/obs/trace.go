@@ -81,7 +81,7 @@ type Tracer struct {
 }
 
 // NewTracer returns a tracer journaling to w, tagging every span with the
-// given process name ("ffrcoord", "ffrwork", ...).
+// given process name ("coord", "work", ...).
 func NewTracer(w io.Writer, process string) *Tracer {
 	return &Tracer{process: process, w: w}
 }

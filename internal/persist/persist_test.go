@@ -27,7 +27,7 @@ var testStudy struct {
 	err   error
 }
 
-func smallStudy(t *testing.T) *core.Study {
+func smallStudy(t testing.TB) *core.Study {
 	t.Helper()
 	testStudy.once.Do(func() {
 		cfg := core.DefaultStudyConfig()

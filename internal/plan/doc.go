@@ -19,6 +19,6 @@
 // round's checkpoint.
 //
 // The planner is deliberately decoupled from the core study: it drives any
-// Target (core wires studies in via core.NewAdaptiveStudy, the ffrplan CLI
+// Target (core wires studies in via core.NewAdaptiveStudy, the ffr plan CLI
 // and the examples/activelearn walkthrough build on that).
 package plan

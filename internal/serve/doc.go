@@ -21,7 +21,7 @@
 // vectors coalesce onto one evaluation (a minimal singleflight), so bursts
 // of repeated vectors cost one model call. Each model has a bounded
 // admission queue; overflow is shed immediately with 429 + Retry-After
-// instead of queueing into collapse (cmd/ffrload is the gate). And cache
+// instead of queueing into collapse (ffr load is the gate). And cache
 // keys include the artifact fingerprint, so a hot reload can never serve a
 // stale cached prediction — the old entries become unreachable and age out
 // of the LRU.

@@ -16,7 +16,7 @@ import (
 // scenario mode materializes a corpus scenario (the request's, or the one
 // the artifact is tagged with) and scores its flip-flops. Plans are pure
 // computation over the model — no campaign runs here; verification is the
-// ffrharden CLI's job.
+// ffr harden CLI's job.
 func (s *Server) handleHarden(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	var req api.HardenRequest

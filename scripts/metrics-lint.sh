@@ -16,8 +16,9 @@
 #   curl -fsS host:port/metrics | sh scripts/metrics-lint.sh
 #   sh scripts/metrics-lint.sh http://host:port/metrics
 #   sh scripts/metrics-lint.sh dump.txt
-# Run via `make metrics-lint` (which lints a live ffrserve and ffrcoord);
-# the smoke targets lint every exposition they already fetch.
+# Run by the Go tests that fetch or render an exposition (the cmd/ffr smokes
+# lint a live ffr serve and ffr coord; internal/fault lints the campaign
+# families) and by `make load-smoke`.
 
 set -u
 

@@ -15,7 +15,7 @@ import (
 type (
 	// PredictionServer serves trained model artifacts over HTTP with
 	// response caching, request coalescing, per-model admission control
-	// and hot reload (the ffrserve engine).
+	// and hot reload (the ffr serve engine).
 	PredictionServer = serve.Server
 	// PredictionServerConfig assembles a PredictionServer.
 	PredictionServerConfig = serve.Config
@@ -71,7 +71,7 @@ type (
 
 	// HardenPlan is a selective-TMR hardening decision: the ordered
 	// flip-flop set that fits an area budget plus the predicted residual
-	// FFR at every budget point (the ffrharden engine).
+	// FFR at every budget point (the ffr harden engine).
 	HardenPlan = harden.Plan
 	// HardenConfig parameterizes plan construction (bands, seed).
 	HardenConfig = harden.Config
