@@ -9,7 +9,7 @@
 
 GO ?= go
 
-.PHONY: all build examples test race lint bench load-smoke
+.PHONY: all build examples test race lint bench fuzz-smoke load-smoke
 
 all: lint build examples test
 
@@ -36,12 +36,22 @@ lint:
 # regression localizes below the workloads of ./bench: the simulator
 # (BenchmarkKernelEval/Commit), the chunk executor (BenchmarkRunChunks per
 # circuit and fault model, with ns/injection, sim-cycles/injection and lane
-# occupancy; BenchmarkWilsonInterval), feature extraction, the per-model
-# fit/predict/tune benchmarks, artifact save/load and raw predict
-# throughput, and one batch through the prediction service's HTTP stack.
+# occupancy; BenchmarkWilsonInterval), feature extraction per circuit
+# (BenchmarkExtract, ns/flip-flop), the front end phase by phase
+# (BenchmarkMaterialize, ms per phase), the per-model fit/predict/tune
+# benchmarks, artifact save/load and raw predict throughput, and one batch
+# through the prediction service's HTTP stack.
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./internal/sim ./internal/fault \
-		./internal/features ./internal/core ./internal/persist ./internal/serve
+		./internal/features ./internal/corpus ./internal/core ./internal/persist ./internal/serve
+
+# Ten seconds of the differential fuzz target: netlist bytes the parser
+# accepts must extract without a panic and to the bits of the reference
+# extractor kept in internal/features/reference_test.go. Minimizing each
+# coverage-increasing input would eat the whole budget (60 s apiece by
+# default), so it is capped at ten executions.
+fuzz-smoke:
+	$(GO) test -run='^$$' -fuzz=FuzzExtractMatchesReference -fuzztime=10s -fuzzminimizetime=10x ./internal/features
 
 # Load-test parameters: LOAD_CONCURRENCY requests in flight at once until
 # LOAD_REQUESTS have been issued. The harness exits nonzero on any non-429

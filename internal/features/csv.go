@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 )
 
@@ -86,7 +87,7 @@ func ReadCSV(r io.Reader) (*Matrix, []float64, error) {
 		m.InstanceNames = append(m.InstanceNames, rec[0])
 		row := make([]float64, NumFeatures)
 		for j := 0; j < NumFeatures; j++ {
-			v, err := strconv.ParseFloat(rec[j+1], 64)
+			v, err := parseFinite(rec[j+1])
 			if err != nil {
 				return nil, nil, fmt.Errorf("features: line %d column %d: %w", li+2, j+1, err)
 			}
@@ -94,7 +95,7 @@ func ReadCSV(r io.Reader) (*Matrix, []float64, error) {
 		}
 		m.Rows = append(m.Rows, row)
 		if hasTarget {
-			v, err := strconv.ParseFloat(rec[len(rec)-1], 64)
+			v, err := parseFinite(rec[len(rec)-1])
 			if err != nil {
 				return nil, nil, fmt.Errorf("features: line %d target: %w", li+2, err)
 			}
@@ -102,4 +103,15 @@ func ReadCSV(r io.Reader) (*Matrix, []float64, error) {
 		}
 	}
 	return m, target, nil
+}
+
+// parseFinite parses one cell. ParseFloat accepts "NaN" and "Inf" spellings;
+// no feature or failure rate is either, and the scalers downstream would
+// spread one through a whole column.
+func parseFinite(cell string) (float64, error) {
+	v, err := strconv.ParseFloat(cell, 64)
+	if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+		err = fmt.Errorf("%q is not a finite number", cell)
+	}
+	return v, err
 }

@@ -117,6 +117,34 @@ func TestReadCSVRejectsForeignSchema(t *testing.T) {
 	}
 }
 
+// TestReadCSVRejectsNonFinite: strconv spells NaN and the infinities, the
+// scalers behind ReadCSV cannot digest them, and the error says where.
+func TestReadCSVRejectsNonFinite(t *testing.T) {
+	m, target := awkwardMatrix()
+	var buf bytes.Buffer
+	if err := WriteCSV(&buf, m, target); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(buf.String(), "\n")
+	for _, bad := range []string{"NaN", "nan", "+Inf", "-Inf", "Infinity", "1e999"} {
+		// Line 3 column 4, then the target of line 2.
+		cells := strings.Split(lines[2], ",")
+		cells[4] = bad
+		doc := lines[0] + lines[1] + strings.Join(cells, ",") + lines[3]
+		_, _, err := ReadCSV(strings.NewReader(doc))
+		if err == nil || !strings.Contains(err.Error(), "line 3 column 4") {
+			t.Errorf("cell %q: err = %v, want a rejection naming line 3 column 4", bad, err)
+		}
+		cells = strings.Split(strings.TrimSuffix(lines[1], "\n"), ",")
+		cells[len(cells)-1] = bad
+		doc = lines[0] + strings.Join(cells, ",") + "\n" + lines[2] + lines[3]
+		_, _, err = ReadCSV(strings.NewReader(doc))
+		if err == nil || !strings.Contains(err.Error(), "line 2 target") {
+			t.Errorf("target %q: err = %v, want a rejection naming line 2", bad, err)
+		}
+	}
+}
+
 func TestWriteCSVRejectsRaggedRows(t *testing.T) {
 	m, _ := awkwardMatrix()
 	m.Rows[1] = m.Rows[1][:3]

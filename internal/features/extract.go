@@ -2,6 +2,7 @@ package features
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -10,232 +11,243 @@ import (
 	"repro/internal/sim"
 )
 
-// cone is the result of walking the combinational logic attached to one
-// flip-flop pin: which sequential/port elements terminate the walk and how
-// much logic lies in between.
-type cone struct {
-	ffs     []int   // FF indices at the cone frontier
-	piNets  []int32 // distinct primary input nets reached (backward cones)
-	poPorts []int32 // distinct primary output ports reached (forward cones)
-	consts  int     // constant driver cells reached
-	cells   int     // combinational cells traversed
-}
-
 // Extractor computes feature vectors for every flip-flop of a netlist.
 // Structure analysis happens once in NewExtractor; Extract combines it with
 // per-run activity data.
 type Extractor struct {
-	nl    *netlist.Netlist
-	ffs   []netlist.CellID
-	ffIdx map[netlist.CellID]int
+	names  []string
+	static []Vector // per flip-flop: every column but the dynamic ones
+}
 
-	readers  [][]int32 // net → cell IDs reading it
-	outPorts [][]int32 // net → primary output port indices
-	isPI     []bool    // net → driven by primary input
+// analysis is NewExtractor's working state: flat tables over the netlist
+// and the scratch every cone walk reuses, so the analysis allocates per
+// netlist and never per flip-flop.
+type analysis struct {
+	nl  *netlist.Netlist
+	ffs []netlist.CellID
 
-	inCones  []cone
-	outCones []cone
+	ffOf    []int32        // cell → flip-flop index, -1 for a combinational cell
+	piOf    []int32        // net → primary input index, -1 for a cell-driven net
+	readers *graph.Digraph // cell → the cells reading its output, one edge per pin
 
-	// ffGraph is the FF-stage graph: nodes [0,n) are FFs, then PIs, then
-	// POs. Edges: PI→FF, FF→FF, FF→PO, each crossing one stage.
-	ffGraph *graph.Digraph
-	numPI   int
-	numPO   int
+	// A net (backward walks) or cell (forward walks) has been visited by
+	// the walk numbered w when its mark is w.
+	netMark  []int32
+	cellMark []int32
+	stack    []int32
 
-	depthMemo []int32 // net → longest comb chain forward (-1 unknown)
+	// The stage graph's predecessor lists, in node order as the backward
+	// walks find them. Nodes [0,n) are FFs, then PIs, then POs; an edge
+	// crosses one stage of combinational logic.
+	pred []int32
 }
 
 // NewExtractor analyzes the netlist structure.
 func NewExtractor(nl *netlist.Netlist) (*Extractor, error) {
-	if err := nl.Validate(); err != nil {
+	order, err := nl.CombOrder() // validates
+	if err != nil {
 		return nil, fmt.Errorf("features: %w", err)
 	}
-	e := &Extractor{nl: nl, ffs: nl.FFs(), numPI: len(nl.Inputs), numPO: len(nl.Outputs)}
-	e.ffIdx = make(map[netlist.CellID]int, len(e.ffs))
-	for i, cid := range e.ffs {
-		e.ffIdx[cid] = i
+	a := &analysis{nl: nl, ffs: nl.FFs()}
+	n, numPI := len(a.ffs), len(nl.Inputs)
+	a.ffOf = filled(len(nl.Cells), -1)
+	for i, cid := range a.ffs {
+		a.ffOf[cid] = int32(i)
 	}
-	e.readers = make([][]int32, len(nl.Nets))
+	a.piOf = filled(len(nl.Nets), -1)
+	for k, net := range nl.Inputs {
+		a.piOf[net] = int32(k)
+	}
+	pins := 0
+	for ci := range nl.Cells {
+		pins += len(nl.Cells[ci].Inputs)
+	}
+	readOff := make([]int32, len(nl.Cells)+1)
+	drivers := make([]int32, 0, pins)
 	for ci := range nl.Cells {
 		for _, in := range nl.Cells[ci].Inputs {
-			e.readers[in] = append(e.readers[in], int32(ci))
+			if drv := nl.Nets[in].Driver; drv >= 0 {
+				drivers = append(drivers, int32(drv))
+			}
 		}
+		readOff[ci+1] = int32(len(drivers))
 	}
-	e.outPorts = make([][]int32, len(nl.Nets))
-	for pi, net := range nl.Outputs {
-		e.outPorts[net] = append(e.outPorts[net], int32(pi))
+	if a.readers, err = graph.FromPreds(readOff, drivers); err != nil {
+		return nil, fmt.Errorf("features: %w", err)
 	}
-	e.isPI = make([]bool, len(nl.Nets))
-	for _, net := range nl.Inputs {
-		e.isPI[net] = true
+	a.netMark = filled(len(nl.Nets), -1)
+	a.cellMark = filled(len(nl.Cells), -1)
+
+	e := &Extractor{names: make([]string, n), static: make([]Vector, n)}
+	depth := a.combDepths(order)
+	predOff := make([]int32, n+numPI+len(nl.Outputs)+1)
+	for i, cid := range a.ffs {
+		cell := &nl.Cells[cid]
+		e.names[i] = cell.Name
+		v := &e.static[i]
+		ffs, pis, consts, cells := a.backwardCone(cell.Inputs[0], int32(i))
+		v.FFFanIn, v.ConnFromPI = float64(ffs), float64(pis)
+		v.ConnConst, v.CombFanIn = float64(consts), float64(cells)
+		predOff[i+1] = int32(len(a.pred))
+		ffs, cells = a.forwardCone(cid, int32(i))
+		v.FFFanOut, v.CombFanOut = float64(ffs), float64(cells)
+		v.DriveStrength = float64(cell.Type.Drive)
+		v.CombDepth = float64(a.deepestReader(cid, depth))
+	}
+	a.buses(e.static)
+	// A primary input has no predecessors. A primary output's are what its
+	// net's cone holds: the flip-flops one stage before the port (and any
+	// input wired through to it, a node nothing below looks at).
+	for k := range nl.Inputs {
+		predOff[n+k+1] = int32(len(a.pred))
+	}
+	for port, net := range nl.Outputs {
+		a.backwardCone(net, int32(n+numPI+port))
+		predOff[n+numPI+port+1] = int32(len(a.pred))
+	}
+	g, err := graph.FromPreds(predOff, a.pred)
+	if err != nil {
+		return nil, fmt.Errorf("features: %w", err)
 	}
 
-	e.inCones = make([]cone, len(e.ffs))
-	e.outCones = make([]cone, len(e.ffs))
-	for i, cid := range e.ffs {
-		e.inCones[i] = e.backwardCone(nl.Cells[cid].Inputs[0])
-		e.outCones[i] = e.forwardCone(nl.Cells[cid].Output)
-	}
-
-	n := len(e.ffs)
-	e.ffGraph = graph.New(n + e.numPI + e.numPO)
-	piNode := make(map[netlist.NetID]int, e.numPI)
-	for k, net := range nl.Inputs {
-		piNode[net] = n + k
-	}
-	for i := range e.ffs {
-		for _, src := range e.inCones[i].ffs {
-			if err := e.ffGraph.AddEdge(src, i); err != nil {
-				return nil, fmt.Errorf("features: %w", err)
+	dist := filled(g.Order(), -1)
+	queue := make([]int32, 0, g.Order()) // a search enqueues a node once: never grows
+	// PI nodes forward to FFs; PO nodes backward to FFs.
+	fromPI := portProximity(g, n, numPI, graph.Forward, dist, queue)
+	toPO := portProximity(g, n+numPI, len(nl.Outputs), graph.Backward, dist, queue)
+	comp, sccOrder := g.SCC()
+	ffsFrom, ffsTo := g.ReachCounts(comp, sccOrder, n)
+	for i := range e.static {
+		v := &e.static[i]
+		for _, node := range g.Succ(i) {
+			if int(node) >= n+numPI {
+				v.ConnToPO++
 			}
 		}
-		for _, piNet := range e.inCones[i].piNets {
-			if err := e.ffGraph.AddEdge(piNode[netlist.NetID(piNet)], i); err != nil {
-				return nil, fmt.Errorf("features: %w", err)
-			}
+		v.ProxPIMax, v.ProxPIAvg, v.ProxPIMin = fromPI[i].stats()
+		v.ProxPOMax, v.ProxPOAvg, v.ProxPOMin = toPO[i].stats()
+		v.TotalFFsFrom = float64(ffsFrom[i])
+		v.TotalFFsTo = float64(ffsTo[i])
+		v.FeedbackDep = float64(g.ShortestCycleThrough(i, comp, dist, queue))
+		if v.FeedbackDep > 0 {
+			v.HasFeedback = 1
 		}
-		for _, port := range e.outCones[i].poPorts {
-			if err := e.ffGraph.AddEdge(i, n+e.numPI+int(port)); err != nil {
-				return nil, fmt.Errorf("features: %w", err)
-			}
-		}
-	}
-	e.depthMemo = make([]int32, len(nl.Nets))
-	for i := range e.depthMemo {
-		e.depthMemo[i] = -1
 	}
 	return e, nil
 }
 
+func filled(n int, v int32) []int32 {
+	s := make([]int32, n)
+	for i := range s {
+		s[i] = v
+	}
+	return s
+}
+
 // backwardCone walks from a net backwards through combinational cells,
-// stopping at flip-flop outputs, primary inputs and constant drivers.
-func (e *Extractor) backwardCone(start netlist.NetID) cone {
-	var c cone
-	seenNet := map[netlist.NetID]bool{start: true}
-	seenFF := map[int]bool{}
-	stack := []netlist.NetID{start}
+// stopping at flip-flop outputs, primary inputs and constant drivers, and
+// appends the stage-graph node of each flip-flop and input found to a.pred.
+// It returns how many of each it found and how many combinational cells it
+// crossed. A net is pushed once, so its driver is counted once. walk
+// numbers the walk for the marks.
+func (a *analysis) backwardCone(start netlist.NetID, walk int32) (ffs, pis, consts, cells int) {
+	a.netMark[start] = walk
+	stack := append(a.stack[:0], int32(start))
 	for len(stack) > 0 {
 		net := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if e.isPI[net] {
-			c.piNets = append(c.piNets, int32(net))
+		if pi := a.piOf[net]; pi >= 0 {
+			pis++
+			a.pred = append(a.pred, int32(len(a.ffs))+pi)
 			continue
 		}
-		drv := e.nl.Nets[net].Driver
-		cell := &e.nl.Cells[drv]
+		drv := a.nl.Nets[net].Driver
+		cell := &a.nl.Cells[drv]
 		switch {
 		case cell.Type.IsSequential():
-			if idx := e.ffIdx[drv]; !seenFF[idx] {
-				seenFF[idx] = true
-				c.ffs = append(c.ffs, idx)
-			}
+			ffs++
+			a.pred = append(a.pred, a.ffOf[drv])
 		case cell.Type.Func == netlist.FuncConst0 || cell.Type.Func == netlist.FuncConst1:
-			c.consts++
+			consts++
 		default:
-			c.cells++
+			cells++
 			for _, in := range cell.Inputs {
-				if !seenNet[in] {
-					seenNet[in] = true
-					stack = append(stack, in)
+				if a.netMark[in] != walk {
+					a.netMark[in] = walk
+					stack = append(stack, int32(in))
 				}
 			}
 		}
 	}
-	return c
+	a.stack = stack
+	return ffs, pis, consts, cells
 }
 
-// forwardCone walks from a net forward through combinational cells,
-// stopping at flip-flop D pins and collecting primary output ports.
-func (e *Extractor) forwardCone(start netlist.NetID) cone {
-	var c cone
-	seenNet := map[netlist.NetID]bool{start: true}
-	seenFF := map[int]bool{}
-	seenCell := map[int32]bool{}
-	seenPO := map[int32]bool{}
-	stack := []netlist.NetID{start}
+// forwardCone walks from a flip-flop forward through the combinational
+// cells its output reaches, stopping at flip-flop D pins, and returns how
+// many of each it met. A cell is entered once.
+func (a *analysis) forwardCone(start netlist.CellID, walk int32) (ffs, cells int) {
+	stack := append(a.stack[:0], int32(start))
 	for len(stack) > 0 {
-		net := stack[len(stack)-1]
+		cell := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, port := range e.outPorts[net] {
-			if !seenPO[port] {
-				seenPO[port] = true
-				c.poPorts = append(c.poPorts, port)
-			}
-		}
-		for _, rd := range e.readers[net] {
-			cell := &e.nl.Cells[rd]
-			if cell.Type.IsSequential() {
-				if idx := e.ffIdx[netlist.CellID(rd)]; !seenFF[idx] {
-					seenFF[idx] = true
-					c.ffs = append(c.ffs, idx)
-				}
+		for _, rd := range a.readers.Succ(int(cell)) {
+			if a.cellMark[rd] == walk {
 				continue
 			}
-			if seenCell[rd] {
+			a.cellMark[rd] = walk
+			if a.ffOf[rd] >= 0 {
+				ffs++
 				continue
 			}
-			seenCell[rd] = true
-			c.cells++
-			if out := cell.Output; !seenNet[out] {
-				seenNet[out] = true
-				stack = append(stack, out)
-			}
+			cells++
+			stack = append(stack, rd)
 		}
 	}
-	return c
+	a.stack = stack
+	return ffs, cells
 }
 
-// combDepthFrom returns the longest chain of combinational cells reachable
-// forward from net (0 when the net only feeds FFs/outputs directly).
-func (e *Extractor) combDepthFrom(net netlist.NetID) int {
-	if d := e.depthMemo[net]; d >= 0 {
-		return int(d)
-	}
-	best := 0
-	for _, rd := range e.readers[net] {
-		cell := &e.nl.Cells[rd]
-		if cell.Type.IsSequential() {
-			continue
-		}
-		if d := 1 + e.combDepthFrom(cell.Output); d > best {
-			best = d
+// combDepths returns, per combinational cell, the longest chain of
+// combinational cells that starts with it (flip-flops stay 0). order is the
+// netlist's evaluation order: walked backwards, every reader of a cell's
+// output is settled before the cell.
+func (a *analysis) combDepths(order []int32) []int32 {
+	depth := make([]int32, len(a.nl.Cells))
+	for k := len(order) - 1; k >= 0; k-- {
+		if ci := order[k]; a.ffOf[ci] < 0 {
+			depth[ci] = 1 + a.deepestReader(netlist.CellID(ci), depth)
 		}
 	}
-	e.depthMemo[net] = int32(best)
+	return depth
+}
+
+// deepestReader returns the longest combinational chain reachable forward
+// from a cell's output (0 when it only feeds FFs/outputs directly).
+func (a *analysis) deepestReader(cell netlist.CellID, depth []int32) int32 {
+	best := int32(0)
+	for _, rd := range a.readers.Succ(int(cell)) {
+		best = max(best, depth[rd])
+	}
 	return best
 }
 
-// busInfo derives bus membership from instance names of the form
+// buses derives bus membership from instance names of the form
 // "scope/name[index]"; a bus needs at least two members.
-type busInfo struct {
-	member bool
-	pos    int
-	length int
-}
-
-func (e *Extractor) busTable() []busInfo {
-	type entry struct {
-		base string
-		pos  int
-	}
-	entries := make([]entry, len(e.ffs))
+func (a *analysis) buses(static []Vector) {
 	counts := make(map[string]int)
-	for i, cid := range e.ffs {
-		base, pos := splitBusName(e.nl.Cells[cid].Name)
-		entries[i] = entry{base: base, pos: pos}
-		if pos >= 0 {
+	for _, cid := range a.ffs {
+		if base, pos := splitBusName(a.nl.Cells[cid].Name); pos >= 0 {
 			counts[base]++
 		}
 	}
-	out := make([]busInfo, len(e.ffs))
-	for i, en := range entries {
-		if en.pos >= 0 && counts[en.base] >= 2 {
-			out[i] = busInfo{member: true, pos: en.pos, length: counts[en.base]}
-		} else {
-			out[i] = busInfo{member: false, pos: -1, length: 0}
+	for i, cid := range a.ffs {
+		v := &static[i]
+		v.BusPosition = -1
+		if base, pos := splitBusName(a.nl.Cells[cid].Name); pos >= 0 && counts[base] >= 2 {
+			v.PartOfBus, v.BusPosition, v.BusLength = 1, float64(pos), float64(counts[base])
 		}
 	}
-	return out
 }
 
 // splitBusName splits "regs/data[7]" into ("regs/data", 7); pos is -1 for
@@ -255,128 +267,65 @@ func splitBusName(name string) (string, int) {
 	return name[:open], idx
 }
 
-// proximity aggregates per-FF min/avg/max stage distances from a set of
-// port nodes; unreached FFs get -1 across the board.
+// proximity accumulates one node's stage distances from the ports that
+// reach it. They are small integers, so the float64 statistics below are
+// exact and carry the bits a float64 accumulation would.
 type proximity struct {
-	min, max, avg []float64
+	min, max, ports int32
+	sum             int64
 }
 
-func (e *Extractor) portProximity(first, count int, dir graph.Direction) proximity {
-	n := len(e.ffs)
-	p := proximity{
-		min: make([]float64, n),
-		max: make([]float64, n),
-		avg: make([]float64, n),
+// stats returns max, average and min, -1 across the board for a flip-flop
+// no port reaches.
+func (p proximity) stats() (hi, avg, lo float64) {
+	if p.ports == 0 {
+		return -1, -1, -1
 	}
-	sum := make([]float64, n)
-	cnt := make([]int, n)
-	for i := 0; i < n; i++ {
-		p.min[i] = -1
-		p.max[i] = -1
-		p.avg[i] = -1
-	}
-	for k := 0; k < count; k++ {
-		dist := e.ffGraph.Dijkstra([]int{first + k}, dir, graph.UnitWeight)
-		for f := 0; f < n; f++ {
-			v := dist[f]
-			if v == graph.Inf {
-				continue
+	return float64(p.max), float64(p.sum) / float64(p.ports), float64(p.min)
+}
+
+// portProximity runs one unit-weight search per port node first..first+count
+// and aggregates every node's distance from each port that reaches it.
+func portProximity(g *graph.Digraph, first, count int, dir graph.Direction, dist, queue []int32) []proximity {
+	prox := make([]proximity, g.Order())
+	for k := first; k < first+count; k++ {
+		queue = g.BFS([]int32{int32(k)}, dir, dist, queue)
+		for _, u := range queue {
+			p, d := &prox[u], dist[u]
+			if p.ports == 0 || d < p.min {
+				p.min = d
 			}
-			if cnt[f] == 0 || v < p.min[f] {
-				p.min[f] = v
-			}
-			if cnt[f] == 0 || v > p.max[f] {
-				p.max[f] = v
-			}
-			sum[f] += v
-			cnt[f]++
+			p.max = max(p.max, d)
+			p.sum += int64(d)
+			p.ports++
+			dist[u] = -1
 		}
 	}
-	for f := 0; f < n; f++ {
-		if cnt[f] > 0 {
-			p.avg[f] = sum[f] / float64(cnt[f])
-		}
-	}
-	return p
+	return prox
 }
 
 // Extract computes the full feature matrix. act supplies the dynamic
 // features and must come from a simulation of the same netlist; it may be
 // nil, zeroing the dynamic columns.
 func (e *Extractor) Extract(act *sim.Activity) (*Matrix, error) {
-	n := len(e.ffs)
-	if act != nil && len(act.Ones) != n {
-		return nil, fmt.Errorf("features: activity covers %d FFs, netlist has %d", len(act.Ones), n)
+	n := len(e.static)
+	if act != nil && (len(act.Ones) != n || len(act.Toggles) != n) {
+		return nil, fmt.Errorf("features: activity covers %d/%d FFs (ones/toggles), netlist has %d",
+			len(act.Ones), len(act.Toggles), n)
 	}
-	buses := e.busTable()
-	// PI nodes forward to FFs; PO nodes backward to FFs.
-	proxPI := e.portProximity(n, e.numPI, graph.Forward)
-	proxPO := e.portProximity(n+e.numPI, e.numPO, graph.Backward)
-
+	backing := make([]float64, n*NumFeatures)
 	rows := make([][]float64, n)
-	names := make([]string, n)
-	for i, cid := range e.ffs {
-		cell := &e.nl.Cells[cid]
-		names[i] = cell.Name
-		in := e.inCones[i]
-		out := e.outCones[i]
-
-		fbDepth := e.ffGraph.ShortestCycleThrough(i)
-		hasFB := 0.0
-		if fbDepth > 0 {
-			hasFB = 1.0
-		}
-
-		v := Vector{
-			FFFanIn:       float64(len(in.ffs)),
-			FFFanOut:      float64(len(out.ffs)),
-			TotalFFsFrom:  float64(e.countReachableFFs(i, graph.Backward)),
-			TotalFFsTo:    float64(e.countReachableFFs(i, graph.Forward)),
-			ConnFromPI:    float64(len(in.piNets)),
-			ConnToPO:      float64(len(out.poPorts)),
-			ProxPIMax:     proxPI.max[i],
-			ProxPIAvg:     proxPI.avg[i],
-			ProxPIMin:     proxPI.min[i],
-			ProxPOMax:     proxPO.max[i],
-			ProxPOAvg:     proxPO.avg[i],
-			ProxPOMin:     proxPO.min[i],
-			ConnConst:     float64(in.consts),
-			HasFeedback:   hasFB,
-			FeedbackDep:   float64(fbDepth),
-			DriveStrength: float64(cell.Type.Drive),
-			CombFanIn:     float64(in.cells),
-			CombFanOut:    float64(out.cells),
-			CombDepth:     float64(e.combDepthFrom(cell.Output)),
-		}
-		b := buses[i]
-		if b.member {
-			v.PartOfBus = 1
-			v.BusPosition = float64(b.pos)
-			v.BusLength = float64(b.length)
-		} else {
-			v.BusPosition = -1
-		}
+	for i := range rows {
+		v := e.static[i]
 		if act != nil && act.Cycles > 0 {
-			cyc := float64(act.Cycles)
-			v.At1 = float64(act.Ones[i]) / cyc
+			v.At1 = float64(act.Ones[i]) / float64(act.Cycles)
 			v.At0 = 1 - v.At1
 			v.StateChanges = float64(act.Toggles[i])
 		}
-		rows[i] = v.Slice()
+		// Capped, so appending to one row cannot write into the next.
+		rows[i] = backing[i*NumFeatures : (i+1)*NumFeatures : (i+1)*NumFeatures]
+		flat := v.array()
+		copy(rows[i], flat[:])
 	}
-	return &Matrix{InstanceNames: names, Rows: rows}, nil
-}
-
-// countReachableFFs counts flip-flop nodes reachable from FF i in the stage
-// graph (excluding port nodes, and excluding i itself unless it sits on a
-// cycle).
-func (e *Extractor) countReachableFFs(i int, dir graph.Direction) int {
-	n := len(e.ffs)
-	count := 0
-	for _, u := range e.ffGraph.Reachable(i, dir) {
-		if u < n {
-			count++
-		}
-	}
-	return count
+	return &Matrix{InstanceNames: slices.Clone(e.names), Rows: rows}, nil
 }

@@ -238,6 +238,28 @@ func TestDynamicFeatures(t *testing.T) {
 	}
 }
 
+// Either activity slice may be the short one; both are indexed per FF.
+func TestExtractRejectsShortActivity(t *testing.T) {
+	ex, err := NewExtractor(chainCircuit(t))
+	if err != nil {
+		t.Fatalf("NewExtractor: %v", err)
+	}
+	full := []int64{1, 2, 3}
+	for name, act := range map[string]*sim.Activity{
+		"no toggles":    {Ones: full, Toggles: nil, Cycles: 4},
+		"short toggles": {Ones: full, Toggles: full[:2], Cycles: 4},
+		"short ones":    {Ones: full[:2], Toggles: full, Cycles: 4},
+		"long toggles":  {Ones: full, Toggles: append(full, 4), Cycles: 4},
+	} {
+		if _, err := ex.Extract(act); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	if _, err := ex.Extract(&sim.Activity{Ones: full, Toggles: full, Cycles: 4}); err != nil {
+		t.Errorf("matching activity rejected: %v", err)
+	}
+}
+
 func TestFeatureSchemaConsistency(t *testing.T) {
 	if len(Names()) != NumFeatures {
 		t.Fatal("Names/NumFeatures drift")

@@ -79,7 +79,13 @@ func Groups() []Group {
 
 // Slice flattens the vector in Names order.
 func (v *Vector) Slice() []float64 {
-	return []float64{
+	flat := v.array()
+	return flat[:]
+}
+
+// array is Slice by value, for a caller that copies it into a row it owns.
+func (v *Vector) array() [25]float64 {
+	return [...]float64{
 		v.FFFanIn, v.FFFanOut, v.TotalFFsFrom, v.TotalFFsTo,
 		v.ConnFromPI, v.ConnToPO,
 		v.ProxPIMax, v.ProxPIAvg, v.ProxPIMin,

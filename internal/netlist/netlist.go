@@ -145,29 +145,33 @@ func (n *Netlist) Stats() Stats {
 	return s
 }
 
-// CombGraph builds the cell-level dependency graph restricted to
+// combGraph builds the cell-level dependency graph restricted to
 // combinational evaluation order: an edge u→v means combinational cell v
 // reads the output of cell u. Flip-flop outputs and primary inputs are
 // sources (no incoming edges in this graph), so a valid netlist yields a DAG.
-func (n *Netlist) CombGraph() *graph.Digraph {
-	g := graph.New(len(n.Cells))
+// Net references must be in range (CombOrder checks them first).
+func (n *Netlist) combGraph() *graph.Digraph {
+	pins := 0
+	for ci := range n.Cells {
+		pins += len(n.Cells[ci].Inputs)
+	}
+	off := make([]int32, len(n.Cells)+1)
+	pred := make([]int32, 0, pins)
 	for ci := range n.Cells {
 		c := &n.Cells[ci]
-		if c.Type.IsSequential() {
-			continue // state updates are not part of combinational order
-		}
 		for _, in := range c.Inputs {
+			// A flip-flop's state update is not part of combinational
+			// order, and primary inputs and flip-flop outputs are sources
+			// for this cycle.
 			drv := n.Nets[in].Driver
-			if drv < 0 {
-				continue // primary input
+			if !c.Type.IsSequential() && drv >= 0 && !n.Cells[drv].Type.IsSequential() {
+				pred = append(pred, int32(drv))
 			}
-			if n.Cells[drv].Type.IsSequential() {
-				continue // FF output is a source for this cycle
-			}
-			// Error impossible: both IDs are in range.
-			_ = g.AddEdge(int(drv), ci)
 		}
+		off[ci+1] = int32(len(pred))
 	}
+	// Error impossible: off partitions pred and every driver indexes n.Cells.
+	g, _ := graph.FromPreds(off, pred)
 	return g
 }
 
@@ -175,7 +179,7 @@ func (n *Netlist) CombGraph() *graph.Digraph {
 // flip-flops and cells fed only by FFs/primary inputs). It returns
 // graph.ErrCycle when combinational feedback exists.
 func (n *Netlist) CombLevels() ([]int, error) {
-	lv, err := n.CombGraph().Levels()
+	lv, err := n.combGraph().Levels()
 	if err != nil {
 		return nil, fmt.Errorf("netlist %q: %w", n.Name, err)
 	}
@@ -193,29 +197,38 @@ var (
 // pin counts match cell types, every net has a consistent driver record, and
 // the combinational subcircuit is acyclic.
 func (n *Netlist) Validate() error {
+	_, err := n.CombOrder()
+	return err
+}
+
+// CombOrder is Validate for a caller that goes on to walk the logic: the
+// one combinational graph that proves the netlist acyclic also yields the
+// cells in evaluation order (every combinational cell after the cells whose
+// outputs it reads; ties in cell order), which is returned.
+func (n *Netlist) CombOrder() ([]int32, error) {
 	for ci := range n.Cells {
 		c := &n.Cells[ci]
 		if len(c.Inputs) != c.Type.Inputs {
-			return fmt.Errorf("%w: cell %q (%s) has %d inputs, wants %d",
+			return nil, fmt.Errorf("%w: cell %q (%s) has %d inputs, wants %d",
 				ErrBadPinout, c.Name, c.Type.Name, len(c.Inputs), c.Type.Inputs)
 		}
 		for _, in := range c.Inputs {
 			if in < 0 || int(in) >= len(n.Nets) {
-				return fmt.Errorf("%w: cell %q input net %d", ErrBadRef, c.Name, in)
+				return nil, fmt.Errorf("%w: cell %q input net %d", ErrBadRef, c.Name, in)
 			}
 		}
 		if c.Output < 0 || int(c.Output) >= len(n.Nets) {
-			return fmt.Errorf("%w: cell %q output net %d", ErrBadRef, c.Name, c.Output)
+			return nil, fmt.Errorf("%w: cell %q output net %d", ErrBadRef, c.Name, c.Output)
 		}
 		if n.Nets[c.Output].Driver != CellID(ci) {
-			return fmt.Errorf("netlist: net %q driver mismatch: cell %q claims it",
+			return nil, fmt.Errorf("netlist: net %q driver mismatch: cell %q claims it",
 				n.Nets[c.Output].Name, c.Name)
 		}
 	}
 	driven := make([]bool, len(n.Nets))
 	for _, id := range n.Inputs {
 		if id < 0 || int(id) >= len(n.Nets) {
-			return fmt.Errorf("%w: primary input net %d", ErrBadRef, id)
+			return nil, fmt.Errorf("%w: primary input net %d", ErrBadRef, id)
 		}
 		driven[id] = true
 	}
@@ -224,19 +237,20 @@ func (n *Netlist) Validate() error {
 	}
 	for i, d := range driven {
 		if !d {
-			return fmt.Errorf("%w: %q", ErrUndriven, n.Nets[i].Name)
+			return nil, fmt.Errorf("%w: %q", ErrUndriven, n.Nets[i].Name)
 		}
 	}
 	if len(n.OutputNames) != len(n.Outputs) {
-		return fmt.Errorf("netlist: %d output names for %d outputs", len(n.OutputNames), len(n.Outputs))
+		return nil, fmt.Errorf("netlist: %d output names for %d outputs", len(n.OutputNames), len(n.Outputs))
 	}
 	for _, id := range n.Outputs {
 		if id < 0 || int(id) >= len(n.Nets) {
-			return fmt.Errorf("%w: primary output net %d", ErrBadRef, id)
+			return nil, fmt.Errorf("%w: primary output net %d", ErrBadRef, id)
 		}
 	}
-	if _, err := n.CombLevels(); err != nil {
-		return err
+	order, err := n.combGraph().TopoSort()
+	if err != nil {
+		return nil, fmt.Errorf("netlist %q: %w", n.Name, err)
 	}
-	return nil
+	return order, nil
 }

@@ -81,10 +81,7 @@ func (p *Program) Kernel(keep []int) (*Kernel, error) {
 
 // Compile levelizes the netlist and returns a reusable program.
 func Compile(nl *netlist.Netlist) (*Program, error) {
-	if err := nl.Validate(); err != nil {
-		return nil, fmt.Errorf("sim: compile: %w", err)
-	}
-	order, err := nl.CombGraph().TopoSort()
+	order, err := nl.CombOrder() // validates
 	if err != nil {
 		return nil, fmt.Errorf("sim: compile: %w", err)
 	}
@@ -124,7 +121,7 @@ func Compile(nl *netlist.Netlist) (*Program, error) {
 	for i, id := range nl.Outputs {
 		p.outputNets[i] = int32(id)
 	}
-	opByOut := make(map[int32]int32, len(p.ops))
+	opByOut := make([]int32, p.nets)
 	for i := range p.ops {
 		opByOut[p.ops[i].out] = int32(i)
 	}

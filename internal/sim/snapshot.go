@@ -110,14 +110,10 @@ func (s *Snapshots) capture(e *Engine, lb []uint64, c int) {
 		return
 	}
 	idx := c / s.every
-	ffBase := idx * s.ffWords
-	for w := 0; w < s.ffWords; w++ {
-		s.ff[ffBase+w] = 0
-	}
-	for i := 0; i < s.numFFs; i++ {
-		if e.FFState(i)&1 == 1 {
-			s.ff[ffBase+i/64] |= 1 << uint(i%64)
-		}
+	ff := s.ff[idx*s.ffWords : (idx+1)*s.ffWords]
+	clear(ff)
+	for i, info := range e.p.ffs[:s.numFFs] {
+		ff[i/64] |= (e.nets[info.q] & 1) << (i % 64)
 	}
 	copy(s.lb[idx*s.numLb:(idx+1)*s.numLb], lb)
 	if idx >= s.captured {

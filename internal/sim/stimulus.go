@@ -200,13 +200,13 @@ func Run(e *Engine, stim *Stimulus, cfg RunConfig) (*Trace, *Activity) {
 		trace = NewTrace(cfg.Monitors, stim.cycles)
 	}
 	var act *Activity
-	var prev []bool
+	var prev []uint64 // lane 0 of each flip-flop one cycle ago
 	if cfg.CollectActivity {
 		n := e.p.NumFFs()
 		act = &Activity{Ones: make([]int64, n), Toggles: make([]int64, n), Cycles: stim.cycles}
-		prev = make([]bool, n)
-		for i := 0; i < n; i++ {
-			prev[i] = e.FFState(i)&1 == 1
+		prev = make([]uint64, n)
+		for i := range prev {
+			prev[i] = e.FFState(i) & 1
 		}
 	}
 	lb := make([]uint64, len(stim.loopback))
@@ -237,15 +237,12 @@ func Run(e *Engine, stim *Stimulus, cfg RunConfig) (*Trace, *Activity) {
 			}
 		}
 		if act != nil {
-			for i := range act.Ones {
-				bit := e.FFState(i)&1 == 1
-				if bit {
-					act.Ones[i]++
-				}
-				if bit != prev[i] {
-					act.Toggles[i]++
-					prev[i] = bit
-				}
+			// Word arithmetic on lane 0, no branch per flip-flop.
+			for i, ff := range e.p.ffs {
+				q := e.nets[ff.q] & 1
+				act.Ones[i] += int64(q)
+				act.Toggles[i] += int64(q ^ prev[i])
+				prev[i] = q
 			}
 		}
 		e.Commit()
