@@ -1,0 +1,102 @@
+package plan
+
+import (
+	"bytes"
+	"encoding/binary"
+	"hash/fnv"
+	"math"
+	"os"
+	"path/filepath"
+	"testing"
+)
+
+// loopDigest digests everything a loop checkpoint holds, in the repository's
+// fingerprint convention. Loop checkpoints have no fingerprint of their own;
+// the tests need one to compare payloads gob may encode differently.
+func loopDigest(ck *loopCheckpoint) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	write := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	str := func(s string) {
+		write(uint64(len(s)))
+		h.Write([]byte(s))
+	}
+	ints := func(v []int) {
+		write(uint64(len(v)))
+		for _, x := range v {
+			write(uint64(x))
+		}
+	}
+	str(ck.Strategy)
+	str(ck.Model)
+	write(uint64(ck.Seed))
+	write(uint64(ck.InjectionsPerFF))
+	write(uint64(ck.NumFFs))
+	write(uint64(ck.CampaignHash))
+	write(uint64(ck.FeaturesHash))
+	write(uint64(ck.PoolHash))
+	write(uint64(ck.InitFFs))
+	write(uint64(ck.RoundFFs))
+	write(uint64(ck.MaxRounds))
+	write(uint64(ck.BudgetFFs))
+	write(math.Float64bits(ck.DeltaTol))
+	write(math.Float64bits(ck.CIWidthTol))
+	write(uint64(ck.Patience))
+	write(uint64(len(ck.Rounds)))
+	for _, r := range ck.Rounds {
+		ints(r.Selected)
+		ints(r.Failures)
+		ints(r.Injections)
+	}
+	return h.Sum64()
+}
+
+func headerLine(t *testing.T, path string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nl := bytes.IndexByte(data, '\n')
+	if nl < 0 {
+		t.Fatalf("%s has no header line", path)
+	}
+	return data[:nl+1]
+}
+
+// testdata/loop.ckpt was written by the build before the container package
+// existed (PR 18's `ffr plan -scenario rrarb/uniform -scale small -rounds 3
+// -delta 0.0125 -ci 0.3`), and its digest was computed by that build's
+// loader. It must load, digest to the recorded value and re-save to the same
+// header line.
+func TestLoopCheckpointCompatibility(t *testing.T) {
+	const recorded = 0x4840ff12ad778de2
+	src := filepath.Join("testdata", "loop.ckpt")
+	ck, err := loadLoopCheckpoint(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ck.Strategy != "committee" || ck.DeltaTol != 0.0125 || ck.CIWidthTol != 0.3 || len(ck.Rounds) != 3 {
+		t.Errorf("loaded strategy %q, tolerances %v/%v, %d rounds", ck.Strategy, ck.DeltaTol, ck.CIWidthTol, len(ck.Rounds))
+	}
+	if got := loopDigest(ck); got != recorded {
+		t.Errorf("digest %#x, recorded %#x", got, uint64(recorded))
+	}
+	dst := filepath.Join(t.TempDir(), "loop.ckpt")
+	if err := saveLoopCheckpoint(dst, ck); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := headerLine(t, dst), headerLine(t, src); !bytes.Equal(got, want) {
+		t.Errorf("re-saved header\n got %s\nwant %s", got, want)
+	}
+	back, err := loadLoopCheckpoint(dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := loopDigest(back); got != recorded {
+		t.Errorf("re-saved digest %#x, recorded %#x", got, uint64(recorded))
+	}
+}
