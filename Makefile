@@ -45,13 +45,21 @@ bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./internal/sim ./internal/fault \
 		./internal/features ./internal/corpus ./internal/core ./internal/persist ./internal/serve
 
-# Ten seconds of the differential fuzz target: netlist bytes the parser
-# accepts must extract without a panic and to the bits of the reference
-# extractor kept in internal/features/reference_test.go. Minimizing each
-# coverage-increasing input would eat the whole budget (60 s apiece by
-# default), so it is capped at ten executions.
+# Ten seconds of each fuzz target, one `go test -fuzz` invocation apiece (the
+# flag takes a single target). FuzzExtractMatchesReference is differential:
+# netlist bytes the parser accepts must extract without a panic and to the
+# bits of the reference extractor kept in internal/features/reference_test.go.
+# The three decoder targets feed arbitrary bytes to the loaders of the
+# on-disk formats (seeded from each package's testdata/): a typed error or a
+# value that survives save -> load with its fingerprint, never a panic.
+# Minimizing each coverage-increasing input would eat the whole budget (60 s
+# apiece by default), so it is capped at ten executions.
+FUZZ = $(GO) test -run='^$$' -fuzztime=10s -fuzzminimizetime=10x
 fuzz-smoke:
-	$(GO) test -run='^$$' -fuzz=FuzzExtractMatchesReference -fuzztime=10s -fuzzminimizetime=10x ./internal/features
+	$(FUZZ) -fuzz=FuzzExtractMatchesReference ./internal/features
+	$(FUZZ) -fuzz=FuzzLoadCheckpoint ./internal/fault
+	$(FUZZ) -fuzz=FuzzLoadLoopCheckpoint ./internal/plan
+	$(FUZZ) -fuzz=FuzzLoadArtifact ./internal/persist
 
 # Load-test parameters: LOAD_CONCURRENCY requests in flight at once until
 # LOAD_REQUESTS have been issued. The harness exits nonzero on any non-429

@@ -84,6 +84,39 @@ func TestInjectInterruptResume(t *testing.T) {
 	}
 }
 
+// TestInjectResumesCheckpointOfEarlierBuild resumes from a checkpoint that the
+// build before internal/durable wrote for `ffr inject -n 1 -shards 4` (see
+// internal/fault/testdata): every chunk must be adopted — so the plan,
+// golden-trace and criterion fingerprints this build computes are the ones
+// in that file's header — and the CSV must be a fresh campaign's.
+func TestInjectResumesCheckpointOfEarlierBuild(t *testing.T) {
+	dir := t.TempDir()
+	want, got, ckpt := filepath.Join(dir, "want.csv"), filepath.Join(dir, "got.csv"), filepath.Join(dir, "campaign.ckpt")
+	old, err := os.ReadFile(filepath.Join("..", "..", "internal", "fault", "testdata", "campaign.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(ckpt, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	mustFFR(t, "inject", "-n", "1", "-shards", "4", "-csv", want)
+	stdout, _ := mustFFR(t, "inject", "-n", "1", "-shards", "4", "-checkpoint", ckpt, "-resume", "-csv", got)
+	if !strings.Contains(stdout, "(4 chunks, 4 resumed from checkpoint") {
+		t.Errorf("the resumed run did not adopt all four chunks:\n%s", stdout)
+	}
+	a, err := os.ReadFile(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Error("the CSV resumed from the earlier build's checkpoint differs from a fresh campaign's")
+	}
+}
+
 // TestPlanInterruptResume interrupts the planner after round 1 and resumes
 // it: the resumed loop must replay the checkpointed rounds and end on the
 // model and estimate fingerprints of an uninterrupted loop.

@@ -1,35 +1,16 @@
 package fault
 
 import (
-	"bufio"
-	"encoding/binary"
-	"encoding/gob"
-	"encoding/json"
+	"cmp"
 	"errors"
-	"fmt"
-	"hash/fnv"
-	"os"
-	"path/filepath"
-	"strconv"
+
+	"repro/internal/durable"
 )
 
-// Checkpoint persistence: a campaign checkpoint is a single file holding a
-// human-readable JSON header line (format identification, version, campaign
-// fingerprints, shard geometry) followed by a gob-encoded payload mapping
-// completed chunk indices to their per-batch failure masks. The header makes
-// files inspectable and lets loaders reject foreign or stale checkpoints
-// before touching the binary payload; gob keeps the (potentially large) mask
-// payload compact. Saves are atomic: the file is written to a temp sibling
-// and renamed into place, so an interrupted save never corrupts an earlier
-// good checkpoint.
-
-const (
-	// checkpointMagic identifies the file format.
-	checkpointMagic = "repro/fault campaign checkpoint"
-	// CheckpointVersion is the current on-disk format version. Loaders
-	// reject any other version with ErrCheckpointVersion.
-	CheckpointVersion = 1
-)
+// CheckpointVersion is the current on-disk format version of a campaign
+// checkpoint (docs/ARCHITECTURE.md "On-disk state"). Loaders reject any
+// other version with ErrCheckpointVersion.
+const CheckpointVersion = 1
 
 // Checkpoint errors, matchable with errors.Is.
 var (
@@ -48,48 +29,41 @@ var (
 // plus fingerprints pinning the exact campaign they belong to.
 type Checkpoint struct {
 	// PlanHash fingerprints the injection plan (see PlanFingerprint).
-	PlanHash uint64
+	PlanHash durable.Hash `json:"plan_hash"`
 	// GoldenHash fingerprints the golden trace the masks were classified
 	// against (see sim.Trace.Fingerprint).
-	GoldenHash uint64
-	// ClassifierHash fingerprints the failure criterion (see
-	// ConfigFingerprinter); 0 when the classifier does not identify
-	// itself.
-	ClassifierHash uint64
+	GoldenHash durable.Hash `json:"golden_hash"`
+	// ClassifierHash fingerprints the failure criterion
+	// (ConfigFingerprinter); 0 when the classifier does not identify itself.
+	ClassifierHash durable.Hash `json:"classifier_hash"`
 	// Schedule names the batch-packing schedule the masks were recorded
-	// under (see Schedule). "" marks files from before schedules existed,
-	// which were packed in plan order. Resuming under a different schedule
-	// is rejected: the same mask bit maps to a different job.
-	Schedule string
-	// Model is the canonical fault-model string the masks were recorded
-	// under (see Model.String). "" marks files from before fault models
-	// existed, which were all SEU campaigns. Resuming under a different
-	// model is rejected: the same job injects a different fault.
-	Model string
+	// under: the same mask bit maps to a different job under another. ""
+	// marks files from before schedules existed, packed in plan order.
+	Schedule string `json:"schedule,omitempty"`
+	// Model is the canonical fault-model string (Model.String) the masks
+	// were recorded under: the same job injects a different fault under
+	// another. "" marks files from before fault models existed, all SEU.
+	Model string `json:"fault_model,omitempty"`
 	// TotalJobs is the plan length.
-	TotalJobs int
+	TotalJobs int `json:"total_jobs"`
 	// ChunkJobs is the shard chunk size in jobs (a multiple of sim.Lanes).
-	ChunkJobs int
+	ChunkJobs int `json:"chunk_jobs"`
 	// NumChunks is the total shard count of the campaign.
-	NumChunks int
-	// Chunks maps completed chunk index -> per-batch failure masks.
-	Chunks map[int][]uint64
+	NumChunks int `json:"num_chunks"`
+	// Chunks maps completed chunk index -> per-batch failure masks (payload).
+	Chunks map[int][]uint64 `json:"-"`
 }
 
-// checkpointHeader is the JSON first line of a checkpoint file.
+// checkpointHeader is the header line after magic and version: the
+// Checkpoint's own fields, which are the file's on-disk names, and the
+// number of chunks the payload must hold.
 type checkpointHeader struct {
-	Magic          string `json:"magic"`
-	Version        int    `json:"version"`
-	PlanHash       string `json:"plan_hash"`
-	GoldenHash     string `json:"golden_hash"`
-	ClassifierHash string `json:"classifier_hash"`
-	Schedule       string `json:"schedule,omitempty"`
-	FaultModel     string `json:"fault_model,omitempty"`
-	TotalJobs      int    `json:"total_jobs"`
-	ChunkJobs      int    `json:"chunk_jobs"`
-	NumChunks      int    `json:"num_chunks"`
-	Completed      int    `json:"completed_chunks"`
+	Checkpoint
+	Completed int `json:"completed_chunks"`
 }
+
+var checkpointFormat = durable.Format{Magic: "repro/fault campaign checkpoint", Version: CheckpointVersion,
+	Corrupt: ErrCheckpointCorrupt, Unsupported: ErrCheckpointVersion}
 
 // Fingerprint returns a canonical 64-bit digest of the checkpoint's
 // content: campaign fingerprints, shard geometry, normalized schedule and
@@ -100,188 +74,77 @@ type checkpointHeader struct {
 // This is how the distributed fabric proves a merged multi-worker campaign
 // is bit-identical to a single-node run.
 func (c *Checkpoint) Fingerprint() uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	write := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	write(c.PlanHash)
-	write(c.GoldenHash)
-	write(c.ClassifierHash)
-	sched := normalizeCheckpointSchedule(c.Schedule)
-	write(uint64(len(sched)))
-	h.Write([]byte(sched))
-	model := normalizeCheckpointModel(c.Model)
-	write(uint64(len(model)))
-	h.Write([]byte(model))
-	write(uint64(c.TotalJobs))
-	write(uint64(c.ChunkJobs))
-	write(uint64(c.NumChunks))
-	write(uint64(len(c.Chunks)))
+	d := durable.NewDigest()
+	d.U64(uint64(c.PlanHash))
+	d.U64(uint64(c.GoldenHash))
+	d.U64(uint64(c.ClassifierHash))
+	d.Str(string(normalizeCheckpointSchedule(c.Schedule)))
+	d.Str(normalizeCheckpointModel(c.Model))
+	d.Int(c.TotalJobs)
+	d.Int(c.ChunkJobs)
+	d.Int(c.NumChunks)
+	d.Int(len(c.Chunks))
 	for _, ci := range sortedChunkIndices(c.Chunks) {
-		masks := c.Chunks[ci]
-		write(uint64(ci))
-		write(uint64(len(masks)))
-		for _, m := range masks {
-			write(m)
+		d.Int(ci)
+		d.Int(len(c.Chunks[ci]))
+		for _, m := range c.Chunks[ci] {
+			d.U64(m)
 		}
 	}
-	return h.Sum64()
+	return d.Sum()
 }
 
-// normalizeCheckpointModel resolves a checkpoint's recorded fault model:
-// "" marks files from before fault models existed, which were all SEU
-// campaigns, so they normalize to — and fingerprint identically with — the
-// canonical SEU string.
-func normalizeCheckpointModel(s string) string {
-	if s == "" {
-		return Model{}.String()
-	}
-	return s
-}
+// normalizeCheckpointModel resolves a checkpoint's recorded fault model: ""
+// marks files from before fault models existed, which were all SEU campaigns
+// and fingerprint identically with the canonical SEU string.
+func normalizeCheckpointModel(s string) string { return cmp.Or(s, Model{}.String()) }
 
 // PlanFingerprint returns a stable 64-bit digest of an injection plan. Two
 // plans fingerprint equal iff they contain the same jobs in the same order,
 // which is how checkpoints detect being resumed against a different seed,
 // budget or flip-flop population.
 func PlanFingerprint(jobs []Job) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	write := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	write(uint64(len(jobs)))
+	d := durable.NewDigest()
+	d.Int(len(jobs))
 	for _, j := range jobs {
-		write(uint64(j.FF))
-		write(uint64(j.Cycle))
+		d.Int(j.FF)
+		d.Int(j.Cycle)
 	}
-	return h.Sum64()
+	return d.Sum()
 }
 
-// SaveCheckpoint atomically writes c to path: the payload lands in a temp
-// file in the same directory first and is renamed over path only after a
-// successful flush, so readers never observe a torn file.
-func SaveCheckpoint(path string, c *Checkpoint) (err error) {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("fault: saving checkpoint: %w", err)
-	}
-	defer func() {
-		if err != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-	}()
-
-	w := bufio.NewWriter(tmp)
-	hdr := checkpointHeader{
-		Magic:          checkpointMagic,
-		Version:        CheckpointVersion,
-		PlanHash:       strconv.FormatUint(c.PlanHash, 16),
-		GoldenHash:     strconv.FormatUint(c.GoldenHash, 16),
-		ClassifierHash: strconv.FormatUint(c.ClassifierHash, 16),
-		Schedule:       c.Schedule,
-		FaultModel:     c.Model,
-		TotalJobs:      c.TotalJobs,
-		ChunkJobs:      c.ChunkJobs,
-		NumChunks:      c.NumChunks,
-		Completed:      len(c.Chunks),
-	}
-	line, err := json.Marshal(hdr)
-	if err != nil {
-		return fmt.Errorf("fault: saving checkpoint: %w", err)
-	}
-	if _, err = w.Write(append(line, '\n')); err != nil {
-		return fmt.Errorf("fault: saving checkpoint: %w", err)
-	}
-	if err = gob.NewEncoder(w).Encode(c.Chunks); err != nil {
-		return fmt.Errorf("fault: saving checkpoint: %w", err)
-	}
-	if err = w.Flush(); err != nil {
-		return fmt.Errorf("fault: saving checkpoint: %w", err)
-	}
-	if err = tmp.Sync(); err != nil {
-		return fmt.Errorf("fault: saving checkpoint: %w", err)
-	}
-	if err = tmp.Close(); err != nil {
-		return fmt.Errorf("fault: saving checkpoint: %w", err)
-	}
-	if err = os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("fault: saving checkpoint: %w", err)
-	}
-	return nil
+// SaveCheckpoint atomically replaces the file at path with c (durable.Save),
+// so readers never observe a torn file.
+func SaveCheckpoint(path string, c *Checkpoint) error {
+	return durable.Save(path, checkpointFormat, checkpointHeader{*c, len(c.Chunks)}, c.Chunks)
 }
 
 // LoadCheckpoint reads and structurally validates a checkpoint file. It
-// returns ErrCheckpointCorrupt for unparseable files, ErrCheckpointVersion
-// for foreign format versions, and fs.ErrNotExist (via os.Open) when no
-// checkpoint exists. Campaign-level matching (does this checkpoint belong to
-// the plan being run?) is the caller's job.
+// returns ErrCheckpointCorrupt for files durable.Load refuses or whose
+// payload disagrees with the header's chunk count or shard geometry,
+// ErrCheckpointVersion for foreign format versions, and fs.ErrNotExist when
+// no checkpoint exists. Campaign-level matching (does this checkpoint belong
+// to the plan being run?) is the caller's job.
 func LoadCheckpoint(path string) (*Checkpoint, error) {
-	f, err := os.Open(path)
-	if err != nil {
+	var hdr checkpointHeader
+	if err := durable.Load(path, checkpointFormat, &hdr, &hdr.Chunks); err != nil {
 		return nil, err
 	}
-	defer f.Close()
-
-	r := bufio.NewReader(f)
-	line, err := r.ReadBytes('\n')
-	if err != nil {
-		return nil, fmt.Errorf("%w: %s: missing header", ErrCheckpointCorrupt, path)
+	c, f := &hdr.Checkpoint, checkpointFormat
+	if len(c.Chunks) != hdr.Completed {
+		return nil, f.Corruptf(path, "header says %d chunks, payload has %d", hdr.Completed, len(c.Chunks))
 	}
-	var hdr checkpointHeader
-	if err := json.Unmarshal(line, &hdr); err != nil {
-		return nil, fmt.Errorf("%w: %s: bad header: %v", ErrCheckpointCorrupt, path, err)
-	}
-	if hdr.Magic != checkpointMagic {
-		return nil, fmt.Errorf("%w: %s: magic %q", ErrCheckpointCorrupt, path, hdr.Magic)
-	}
-	if hdr.Version != CheckpointVersion {
-		return nil, fmt.Errorf("%w: %s: version %d, supported %d",
-			ErrCheckpointVersion, path, hdr.Version, CheckpointVersion)
-	}
-	planHash, err := strconv.ParseUint(hdr.PlanHash, 16, 64)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %s: bad plan hash %q", ErrCheckpointCorrupt, path, hdr.PlanHash)
-	}
-	goldenHash, err := strconv.ParseUint(hdr.GoldenHash, 16, 64)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %s: bad golden hash %q", ErrCheckpointCorrupt, path, hdr.GoldenHash)
-	}
-	classifierHash, err := strconv.ParseUint(hdr.ClassifierHash, 16, 64)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %s: bad classifier hash %q", ErrCheckpointCorrupt, path, hdr.ClassifierHash)
-	}
-
-	c := &Checkpoint{
-		PlanHash:       planHash,
-		GoldenHash:     goldenHash,
-		ClassifierHash: classifierHash,
-		Schedule:       hdr.Schedule,
-		Model:          hdr.FaultModel,
-		TotalJobs:      hdr.TotalJobs,
-		ChunkJobs:      hdr.ChunkJobs,
-		NumChunks:      hdr.NumChunks,
-	}
-	if err := gob.NewDecoder(r).Decode(&c.Chunks); err != nil {
-		return nil, fmt.Errorf("%w: %s: bad payload: %v", ErrCheckpointCorrupt, path, err)
-	}
-
 	sh, err := newSharding(c.TotalJobs, c.ChunkJobs)
 	if err != nil || sh.chunkJobs != c.ChunkJobs || sh.numChunks != c.NumChunks {
-		return nil, fmt.Errorf("%w: %s: inconsistent shard geometry (%d jobs, %d/chunk, %d chunks)",
-			ErrCheckpointCorrupt, path, c.TotalJobs, c.ChunkJobs, c.NumChunks)
+		return nil, f.Corruptf(path, "inconsistent shard geometry (%d jobs, %d/chunk, %d chunks)",
+			c.TotalJobs, c.ChunkJobs, c.NumChunks)
 	}
 	for ci, masks := range c.Chunks {
 		if ci < 0 || ci >= c.NumChunks {
-			return nil, fmt.Errorf("%w: %s: chunk %d of %d", ErrCheckpointCorrupt, path, ci, c.NumChunks)
+			return nil, f.Corruptf(path, "chunk %d of %d", ci, c.NumChunks)
 		}
 		if len(masks) != sh.chunkBatches(ci) {
-			return nil, fmt.Errorf("%w: %s: chunk %d has %d batches, want %d",
-				ErrCheckpointCorrupt, path, ci, len(masks), sh.chunkBatches(ci))
+			return nil, f.Corruptf(path, "chunk %d has %d batches, want %d", ci, len(masks), sh.chunkBatches(ci))
 		}
 	}
 	return c, nil

@@ -160,7 +160,9 @@ func (r *Runner) CampaignCheckpoint(jobs []Job, done map[int][]uint64) (*Checkpo
 	if err != nil {
 		return nil, err
 	}
-	return r.checkpoint(jobs, sh, golden, done), nil
+	cp := &chunkPlan{jobs: jobs, sh: sh, golden: golden}
+	cp.fingerprint()
+	return r.checkpoint(cp, done), nil
 }
 
 // sortedChunkIndices returns the completed chunk indices in ascending

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/durable"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
@@ -307,6 +308,18 @@ type chunkPlan struct {
 	kern   *sim.Kernel
 	// setFX is the plan's SET effect table; nil for other models.
 	setFX map[int64]setEffect
+	// planHash and goldenHash are what a checkpoint of this plan pins, set
+	// by fingerprint for the callers that read or write one.
+	planHash, goldenHash durable.Hash
+}
+
+// fingerprint digests the plan and the golden trace, once per run: every
+// checkpoint flush and the resume match read the result. It is not part of
+// planChunks because RunChunks, which a fabric worker calls per lease, never
+// checkpoints, and the plan digest alone costs 4 ms at the paper's scale.
+func (cp *chunkPlan) fingerprint() {
+	cp.planHash = durable.Hash(PlanFingerprint(cp.jobs))
+	cp.goldenHash = durable.Hash(cp.golden.Fingerprint())
 }
 
 // planChunks validates the plan and gathers everything but the packing
@@ -424,7 +437,10 @@ func (r *Runner) RunContext(ctx context.Context, jobs []Job) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	sh, golden := cp.sh, cp.golden
+	sh := cp.sh
+	if r.cfg.CheckpointPath != "" {
+		cp.fingerprint()
+	}
 
 	// Restore completed chunks from the checkpoint, if resuming. This may
 	// adopt the checkpoint's schedule (see matchCheckpoint), so the
@@ -438,7 +454,7 @@ func (r *Runner) RunContext(ctx context.Context, jobs []Job) (*Result, error) {
 		case err != nil:
 			return nil, err
 		default:
-			if err := r.matchCheckpoint(ck, jobs, sh, golden); err != nil {
+			if err := r.matchCheckpoint(ck, cp); err != nil {
 				return nil, err
 			}
 			for ci, masks := range ck.Chunks {
@@ -494,7 +510,7 @@ func (r *Runner) RunContext(ctx context.Context, jobs []Job) (*Result, error) {
 		}
 		r.reportProgress(sh, jobsDone, len(done), resumed, len(done)-resumed, start)
 		if r.cfg.CheckpointPath != "" && sinceFlush >= r.cfg.CheckpointEvery && saveErr == nil {
-			if saveErr = r.saveCheckpoint(jobs, sh, golden, done); saveErr != nil {
+			if saveErr = r.saveCheckpoint(cp, done); saveErr != nil {
 				// Fail fast: a broken checkpoint sink would silently
 				// turn the campaign non-resumable, so stop dispatching
 				// instead of simulating chunks that can't be persisted.
@@ -512,7 +528,7 @@ func (r *Runner) RunContext(ctx context.Context, jobs []Job) (*Result, error) {
 		// flush is unconditional so a resumable file exists even when
 		// the interrupt landed before the first periodic save.
 		if r.cfg.CheckpointPath != "" {
-			if err := r.saveCheckpoint(jobs, sh, golden, done); err != nil {
+			if err := r.saveCheckpoint(cp, done); err != nil {
 				return nil, err
 			}
 		}
@@ -520,7 +536,7 @@ func (r *Runner) RunContext(ctx context.Context, jobs []Job) (*Result, error) {
 			ErrInterrupted, len(done), sh.numChunks, context.Cause(ctx))
 	}
 	if r.cfg.CheckpointPath != "" && sinceFlush > 0 {
-		if err := r.saveCheckpoint(jobs, sh, golden, done); err != nil {
+		if err := r.saveCheckpoint(cp, done); err != nil {
 			return nil, err
 		}
 	}
@@ -654,9 +670,9 @@ func (r *Runner) reportProgress(sh sharding, jobsDone, chunksDone, resumed, comp
 
 // classifierFingerprint digests the failure criterion when the classifier
 // identifies itself; 0 otherwise.
-func (r *Runner) classifierFingerprint() uint64 {
+func (r *Runner) classifierFingerprint() durable.Hash {
 	if cf, ok := r.cls.(ConfigFingerprinter); ok {
-		return cf.ConfigFingerprint()
+		return durable.Hash(cf.ConfigFingerprint())
 	}
 	return 0
 }
@@ -664,9 +680,9 @@ func (r *Runner) classifierFingerprint() uint64 {
 // matchCheckpoint verifies that a loaded checkpoint belongs to exactly this
 // campaign: same plan, same golden trace, same failure criterion, same
 // fault model, same shard geometry, same batch-packing schedule.
-func (r *Runner) matchCheckpoint(ck *Checkpoint, jobs []Job, sh sharding, golden *sim.Trace) error {
-	if ck.PlanHash != PlanFingerprint(jobs) {
-		return fmt.Errorf("%w: plan fingerprint differs (checkpoint %x)", ErrCheckpointMismatch, ck.PlanHash)
+func (r *Runner) matchCheckpoint(ck *Checkpoint, cp *chunkPlan) error {
+	if ck.PlanHash != cp.planHash {
+		return fmt.Errorf("%w: plan fingerprint differs (checkpoint %v)", ErrCheckpointMismatch, ck.PlanHash)
 	}
 	if got := normalizeCheckpointModel(ck.Model); got != r.model.String() {
 		// Masks depend on what each job injected, so models must agree. ""
@@ -674,11 +690,11 @@ func (r *Runner) matchCheckpoint(ck *Checkpoint, jobs []Job, sh sharding, golden
 		return fmt.Errorf("%w: fault model differs (checkpoint %q, campaign %q)",
 			ErrCheckpointMismatch, got, r.model)
 	}
-	if ck.GoldenHash != golden.Fingerprint() {
-		return fmt.Errorf("%w: golden trace fingerprint differs (checkpoint %x)", ErrCheckpointMismatch, ck.GoldenHash)
+	if ck.GoldenHash != cp.goldenHash {
+		return fmt.Errorf("%w: golden trace fingerprint differs (checkpoint %v)", ErrCheckpointMismatch, ck.GoldenHash)
 	}
 	if ck.ClassifierHash != r.classifierFingerprint() {
-		return fmt.Errorf("%w: failure-criterion fingerprint differs (checkpoint %x)", ErrCheckpointMismatch, ck.ClassifierHash)
+		return fmt.Errorf("%w: failure-criterion fingerprint differs (checkpoint %v)", ErrCheckpointMismatch, ck.ClassifierHash)
 	}
 	if got := normalizeCheckpointSchedule(ck.Schedule); got != r.schedule {
 		// Masks are packed per schedule, so the two must agree. When the
@@ -692,7 +708,7 @@ func (r *Runner) matchCheckpoint(ck *Checkpoint, jobs []Job, sh sharding, golden
 		}
 		r.schedule = got
 	}
-	if ck.TotalJobs != sh.totalJobs || ck.ChunkJobs != sh.chunkJobs || ck.NumChunks != sh.numChunks {
+	if sh := cp.sh; ck.TotalJobs != sh.totalJobs || ck.ChunkJobs != sh.chunkJobs || ck.NumChunks != sh.numChunks {
 		return fmt.Errorf("%w: shard geometry differs (checkpoint %d jobs in %d chunks of %d, campaign %d/%d/%d)",
 			ErrCheckpointMismatch, ck.TotalJobs, ck.NumChunks, ck.ChunkJobs,
 			sh.totalJobs, sh.numChunks, sh.chunkJobs)
@@ -702,23 +718,23 @@ func (r *Runner) matchCheckpoint(ck *Checkpoint, jobs []Job, sh sharding, golden
 
 // checkpoint assembles the versioned checkpoint of a campaign with the
 // given completed chunks.
-func (r *Runner) checkpoint(jobs []Job, sh sharding, golden *sim.Trace, done map[int][]uint64) *Checkpoint {
+func (r *Runner) checkpoint(cp *chunkPlan, done map[int][]uint64) *Checkpoint {
 	return &Checkpoint{
-		PlanHash:       PlanFingerprint(jobs),
-		GoldenHash:     golden.Fingerprint(),
+		PlanHash:       cp.planHash,
+		GoldenHash:     cp.goldenHash,
 		ClassifierHash: r.classifierFingerprint(),
 		Schedule:       string(r.schedule),
 		Model:          r.model.String(),
-		TotalJobs:      sh.totalJobs,
-		ChunkJobs:      sh.chunkJobs,
-		NumChunks:      sh.numChunks,
+		TotalJobs:      cp.sh.totalJobs,
+		ChunkJobs:      cp.sh.chunkJobs,
+		NumChunks:      cp.sh.numChunks,
 		Chunks:         done,
 	}
 }
 
-func (r *Runner) saveCheckpoint(jobs []Job, sh sharding, golden *sim.Trace, done map[int][]uint64) error {
+func (r *Runner) saveCheckpoint(cp *chunkPlan, done map[int][]uint64) error {
 	saveStart := time.Now()
-	err := SaveCheckpoint(r.cfg.CheckpointPath, r.checkpoint(jobs, sh, golden, done))
+	err := SaveCheckpoint(r.cfg.CheckpointPath, r.checkpoint(cp, done))
 	elapsed := time.Since(saveStart)
 	r.metrics.observeCheckpoint(elapsed)
 	if err != nil {

@@ -1,9 +1,6 @@
 package netlist
 
-import (
-	"encoding/binary"
-	"hash/fnv"
-)
+import "repro/internal/durable"
 
 // Fingerprint returns a stable 64-bit digest of the netlist structure: the
 // design name, every net (name and driver), every cell (name, type, drive,
@@ -13,47 +10,38 @@ import (
 // ("same config and seed → the same circuit") without storing golden
 // netlist files.
 func (n *Netlist) Fingerprint() uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	writeInt := func(v int64) {
-		binary.LittleEndian.PutUint64(buf[:], uint64(v))
-		h.Write(buf[:])
-	}
-	writeStr := func(s string) {
-		writeInt(int64(len(s)))
-		h.Write([]byte(s))
-	}
-	writeStr(n.Name)
-	writeInt(int64(len(n.Nets)))
+	d := durable.NewDigest()
+	d.Str(n.Name)
+	d.Int(len(n.Nets))
 	for i := range n.Nets {
-		writeStr(n.Nets[i].Name)
-		writeInt(int64(n.Nets[i].Driver))
+		d.Str(n.Nets[i].Name)
+		d.Int(int(n.Nets[i].Driver))
 	}
-	writeInt(int64(len(n.Cells)))
+	d.Int(len(n.Cells))
 	for i := range n.Cells {
 		c := &n.Cells[i]
-		writeStr(c.Name)
-		writeStr(c.Type.Name)
-		writeInt(int64(c.Type.Drive))
-		writeInt(int64(len(c.Inputs)))
+		d.Str(c.Name)
+		d.Str(c.Type.Name)
+		d.Int(c.Type.Drive)
+		d.Int(len(c.Inputs))
 		for _, in := range c.Inputs {
-			writeInt(int64(in))
+			d.Int(int(in))
 		}
-		writeInt(int64(c.Output))
+		d.Int(int(c.Output))
 		if c.Init {
-			writeInt(1)
+			d.Int(1)
 		} else {
-			writeInt(0)
+			d.Int(0)
 		}
 	}
-	writeInt(int64(len(n.Inputs)))
+	d.Int(len(n.Inputs))
 	for _, in := range n.Inputs {
-		writeInt(int64(in))
+		d.Int(int(in))
 	}
-	writeInt(int64(len(n.Outputs)))
+	d.Int(len(n.Outputs))
 	for i, out := range n.Outputs {
-		writeStr(n.OutputNames[i])
-		writeInt(int64(out))
+		d.Str(n.OutputNames[i])
+		d.Int(int(out))
 	}
-	return h.Sum64()
+	return d.Sum()
 }

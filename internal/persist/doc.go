@@ -3,11 +3,11 @@
 // — bit-identical — by any later process, turning the paper's
 // train-once/predict-forever promise into a file.
 //
-// An artifact is a single file holding a human-readable JSON header line
-// (format identification, version, model name and kind, the feature schema,
+// An artifact is a single file in the container every on-disk format of this
+// system uses (internal/durable; docs/ARCHITECTURE.md "On-disk state"): a
+// human-readable JSON header line (model name and kind, the feature schema,
 // a training-data fingerprint, CV metrics) followed by a gob payload with
-// the fitted model. The layout mirrors fault/checkpoint.go: the header lets
-// loaders reject foreign, stale or undecodable files before touching the
-// binary payload, and saves are atomic (temp sibling + rename) so an
-// interrupted save never corrupts an existing artifact.
+// the fitted model, replaced atomically. This package owns what is the
+// artifact's: the header's fields, the codec registry and the check that the
+// payload is the kind of model the header says.
 package persist

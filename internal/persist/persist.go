@@ -1,30 +1,20 @@
 package persist
 
 import (
-	"bufio"
-	"encoding/binary"
-	"encoding/gob"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
-	"math"
-	"os"
-	"path/filepath"
-	"sort"
-	"strconv"
+	"maps"
+	"slices"
 	"time"
 
+	"repro/internal/durable"
 	"repro/internal/ml"
 )
 
-const (
-	// artifactMagic identifies the file format.
-	artifactMagic = "repro/ffr model artifact"
-	// ArtifactVersion is the current on-disk format version. Loaders
-	// reject any other version with ErrArtifactVersion.
-	ArtifactVersion = 1
-)
+// ArtifactVersion is the current on-disk format version of a model artifact
+// (docs/ARCHITECTURE.md "On-disk state"). Loaders reject any other version
+// with ErrArtifactVersion.
+const ArtifactVersion = 1
 
 // Artifact errors, matchable with errors.Is.
 var (
@@ -78,10 +68,7 @@ type Artifact struct {
 // otherwise). The caller may fill TrainRows, TrainHash and Metrics before
 // Save.
 func New(name string, model ml.Regressor, featureNames []string) *Artifact {
-	kind, err := KindOf(model)
-	if err != nil {
-		kind = ""
-	}
+	kind, _ := KindOf(model) // "" for an unregistered type
 	return &Artifact{
 		Name:         name,
 		Kind:         kind,
@@ -110,38 +97,25 @@ func (a *Artifact) CheckVector(x []float64) error {
 // its response cache per artifact so a hot reload never serves stale
 // predictions.
 func (a *Artifact) Fingerprint() uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	write := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	writeStr := func(s string) {
-		write(uint64(len(s)))
-		h.Write([]byte(s))
-	}
-	writeStr(a.Name)
-	writeStr(a.Kind)
-	writeStr(a.Circuit)
-	writeStr(a.Workload)
-	write(uint64(len(a.FeatureNames)))
+	d := durable.NewDigest()
+	d.Str(a.Name)
+	d.Str(a.Kind)
+	d.Str(a.Circuit)
+	d.Str(a.Workload)
+	d.Int(len(a.FeatureNames))
 	for _, f := range a.FeatureNames {
-		writeStr(f)
+		d.Str(f)
 	}
-	write(uint64(a.TrainRows))
-	write(a.TrainHash)
-	write(uint64(a.CreatedAt.UnixNano()))
-	keys := make([]string, 0, len(a.Metrics))
-	for k := range a.Metrics {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	write(uint64(len(keys)))
+	d.Int(a.TrainRows)
+	d.U64(a.TrainHash)
+	d.U64(uint64(a.CreatedAt.UnixNano()))
+	keys := slices.Sorted(maps.Keys(a.Metrics))
+	d.Int(len(keys))
 	for _, k := range keys {
-		writeStr(k)
-		write(math.Float64bits(a.Metrics[k]))
+		d.Str(k)
+		d.F64(a.Metrics[k])
 	}
-	return h.Sum64()
+	return d.Sum()
 }
 
 // DataFingerprint returns a stable 64-bit digest of a training set: exact
@@ -149,42 +123,45 @@ func (a *Artifact) Fingerprint() uint64 {
 // equal iff they are bit-identical, letting artifact consumers detect which
 // campaign a model was trained on.
 func DataFingerprint(X [][]float64, y []float64) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	write := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	write(uint64(len(X)))
+	d := durable.NewDigest()
+	d.Int(len(X))
 	for _, row := range X {
-		write(uint64(len(row)))
-		for _, v := range row {
-			write(math.Float64bits(v))
-		}
+		d.F64s(row)
 	}
-	write(uint64(len(y)))
-	for _, v := range y {
-		write(math.Float64bits(v))
-	}
-	return h.Sum64()
+	d.F64s(y)
+	return d.Sum()
 }
 
-// artifactHeader is the JSON first line of an artifact file. Circuit and
+// artifactHeader is the header line after magic and version. Circuit and
 // Workload are additive optional fields: version-1 artifacts written before
 // the corpus load cleanly with empty tags.
 type artifactHeader struct {
-	Magic     string             `json:"magic"`
-	Version   int                `json:"version"`
 	Name      string             `json:"name"`
 	Kind      string             `json:"kind"`
 	Circuit   string             `json:"circuit,omitempty"`
 	Workload  string             `json:"workload,omitempty"`
 	Features  []string           `json:"features"`
 	TrainRows int                `json:"train_rows"`
-	TrainHash string             `json:"train_hash"`
+	TrainHash durable.Hash       `json:"train_hash"`
 	Metrics   map[string]float64 `json:"metrics,omitempty"`
 	CreatedAt time.Time          `json:"created_at"`
 }
+
+// Validate is what durable.Load asks before it decodes the payload: gob
+// cannot decode a model this build has no codec for, and that file is not
+// corrupt.
+func (h *artifactHeader) Validate() error {
+	if h.Name == "" || len(h.Features) == 0 {
+		return fmt.Errorf("%w: missing name or feature schema", ErrArtifactCorrupt)
+	}
+	if !KnownKind(h.Kind) {
+		return fmt.Errorf("%w: kind %q (register its codec before loading)", ErrUnknownKind, h.Kind)
+	}
+	return nil
+}
+
+var artifactFormat = durable.Format{Magic: "repro/ffr model artifact", Version: ArtifactVersion,
+	Corrupt: ErrArtifactCorrupt, Unsupported: ErrArtifactVersion}
 
 // payload wraps the model so gob transmits the interface value (with the
 // concrete type name) rather than requiring a fixed concrete type.
@@ -192,132 +169,55 @@ type payload struct {
 	Model ml.Regressor
 }
 
-// Save atomically writes the artifact: the bytes land in a temp sibling
-// first and are renamed over path only after a successful flush, so readers
-// never observe a torn file. It stamps a.Kind and a.CreatedAt.
-func Save(path string, a *Artifact) (err error) {
-	if a == nil || a.Model == nil {
-		return fmt.Errorf("persist: saving artifact: nil artifact or model")
+// Save atomically replaces the file at path with the artifact (durable.Save),
+// so readers never observe a torn file. It stamps a.Kind and a.CreatedAt.
+func Save(path string, a *Artifact) error {
+	switch {
+	case a == nil || a.Model == nil:
+		return errors.New("persist: saving artifact: nil artifact or model")
+	case a.Name == "":
+		return errors.New("persist: saving artifact: empty model name")
+	case len(a.FeatureNames) == 0:
+		return errors.New("persist: saving artifact: empty feature schema")
 	}
-	if a.Name == "" {
-		return fmt.Errorf("persist: saving artifact: empty model name")
-	}
-	if len(a.FeatureNames) == 0 {
-		return fmt.Errorf("persist: saving artifact: empty feature schema")
-	}
-	kind, err := KindOf(a.Model)
-	if err != nil {
+	var err error
+	if a.Kind, err = KindOf(a.Model); err != nil {
 		return fmt.Errorf("persist: saving artifact: %w", err)
 	}
-	a.Kind = kind
 	if a.CreatedAt.IsZero() {
 		a.CreatedAt = time.Now().UTC()
 	}
-
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("persist: saving artifact: %w", err)
-	}
-	defer func() {
-		if err != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-	}()
-
-	w := bufio.NewWriter(tmp)
-	hdr := artifactHeader{
-		Magic:     artifactMagic,
-		Version:   ArtifactVersion,
+	return durable.Save(path, artifactFormat, artifactHeader{
 		Name:      a.Name,
 		Kind:      a.Kind,
 		Circuit:   a.Circuit,
 		Workload:  a.Workload,
 		Features:  a.FeatureNames,
 		TrainRows: a.TrainRows,
-		TrainHash: strconv.FormatUint(a.TrainHash, 16),
+		TrainHash: durable.Hash(a.TrainHash),
 		Metrics:   a.Metrics,
 		CreatedAt: a.CreatedAt,
-	}
-	line, err := json.Marshal(hdr)
-	if err != nil {
-		return fmt.Errorf("persist: saving artifact: %w", err)
-	}
-	if _, err = w.Write(append(line, '\n')); err != nil {
-		return fmt.Errorf("persist: saving artifact: %w", err)
-	}
-	if err = gob.NewEncoder(w).Encode(payload{Model: a.Model}); err != nil {
-		return fmt.Errorf("persist: saving artifact: %w", err)
-	}
-	if err = w.Flush(); err != nil {
-		return fmt.Errorf("persist: saving artifact: %w", err)
-	}
-	if err = tmp.Sync(); err != nil {
-		return fmt.Errorf("persist: saving artifact: %w", err)
-	}
-	if err = tmp.Close(); err != nil {
-		return fmt.Errorf("persist: saving artifact: %w", err)
-	}
-	if err = os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("persist: saving artifact: %w", err)
-	}
-	return nil
+	}, payload{Model: a.Model})
 }
 
 // Load reads and validates an artifact file. It returns ErrArtifactCorrupt
-// for unparseable files, ErrArtifactVersion for foreign format versions,
-// ErrUnknownKind for models this build has no codec for, and fs.ErrNotExist
-// (via os.Open) when the file is missing. The returned model predicts
-// bit-identically to the instance that was saved.
+// for files durable.Load refuses or whose payload is not the header's kind
+// of model, ErrArtifactVersion for foreign format versions, ErrUnknownKind
+// for models this build has no codec for, and fs.ErrNotExist when the file
+// is missing. The returned model predicts bit-identically to the instance
+// that was saved.
 func Load(path string) (*Artifact, error) {
-	f, err := os.Open(path)
-	if err != nil {
+	var hdr artifactHeader
+	var pl payload
+	if err := durable.Load(path, artifactFormat, &hdr, &pl); err != nil {
 		return nil, err
 	}
-	defer f.Close()
-
-	r := bufio.NewReader(f)
-	line, err := r.ReadBytes('\n')
-	if err != nil {
-		return nil, fmt.Errorf("%w: %s: missing header", ErrArtifactCorrupt, path)
-	}
-	var hdr artifactHeader
-	if err := json.Unmarshal(line, &hdr); err != nil {
-		return nil, fmt.Errorf("%w: %s: bad header: %v", ErrArtifactCorrupt, path, err)
-	}
-	if hdr.Magic != artifactMagic {
-		return nil, fmt.Errorf("%w: %s: magic %q", ErrArtifactCorrupt, path, hdr.Magic)
-	}
-	if hdr.Version != ArtifactVersion {
-		return nil, fmt.Errorf("%w: %s: version %d, supported %d",
-			ErrArtifactVersion, path, hdr.Version, ArtifactVersion)
-	}
-	if hdr.Name == "" || len(hdr.Features) == 0 {
-		return nil, fmt.Errorf("%w: %s: missing name or feature schema", ErrArtifactCorrupt, path)
-	}
-	if !KnownKind(hdr.Kind) {
-		return nil, fmt.Errorf("%w: %s: kind %q (register its codec before loading)",
-			ErrUnknownKind, path, hdr.Kind)
-	}
-	trainHash, err := strconv.ParseUint(hdr.TrainHash, 16, 64)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %s: bad train hash %q", ErrArtifactCorrupt, path, hdr.TrainHash)
-	}
-
-	var pl payload
-	if err := gob.NewDecoder(r).Decode(&pl); err != nil {
-		return nil, fmt.Errorf("%w: %s: bad payload: %v", ErrArtifactCorrupt, path, err)
-	}
 	if pl.Model == nil {
-		return nil, fmt.Errorf("%w: %s: payload without model", ErrArtifactCorrupt, path)
+		return nil, artifactFormat.Corruptf(path, "payload without model")
 	}
-	kind, err := KindOf(pl.Model)
-	if err != nil || kind != hdr.Kind {
-		return nil, fmt.Errorf("%w: %s: payload kind %q does not match header kind %q",
-			ErrArtifactCorrupt, path, kind, hdr.Kind)
+	if kind, err := KindOf(pl.Model); err != nil || kind != hdr.Kind {
+		return nil, artifactFormat.Corruptf(path, "payload kind %q does not match header kind %q", kind, hdr.Kind)
 	}
-
 	return &Artifact{
 		Name:         hdr.Name,
 		Kind:         hdr.Kind,
@@ -325,7 +225,7 @@ func Load(path string) (*Artifact, error) {
 		Workload:     hdr.Workload,
 		FeatureNames: hdr.Features,
 		TrainRows:    hdr.TrainRows,
-		TrainHash:    trainHash,
+		TrainHash:    uint64(hdr.TrainHash),
 		Metrics:      hdr.Metrics,
 		CreatedAt:    hdr.CreatedAt,
 		Model:        pl.Model,

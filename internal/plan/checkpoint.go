@@ -1,35 +1,16 @@
 package plan
 
 import (
-	"bufio"
-	"encoding/binary"
-	"encoding/gob"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
-	"os"
-	"path/filepath"
-	"strconv"
 
+	"repro/internal/durable"
 	"repro/internal/persist"
 )
 
-// Loop checkpoint persistence, in the repository's standard artifact layout
-// (fault/checkpoint.go, persist): one file with a human-readable JSON header
-// line — format identification, version, the full loop configuration
-// fingerprint — followed by a gob payload with the per-round measurement
-// records. Saves are atomic (temp sibling + rename). The header pins
-// everything a selection depends on, so a loop cannot silently resume under
-// a different strategy, model, seed, budget, pool or campaign and drift from
-// the run it checkpointed.
-
-const (
-	// loopCheckpointMagic identifies the file format.
-	loopCheckpointMagic = "repro/plan adaptive-loop checkpoint"
-	// LoopCheckpointVersion is the current on-disk format version.
-	LoopCheckpointVersion = 1
-)
+// LoopCheckpointVersion is the current on-disk format version of a loop
+// checkpoint (docs/ARCHITECTURE.md "On-disk state").
+const LoopCheckpointVersion = 1
 
 // Loop checkpoint errors, matchable with errors.Is.
 var (
@@ -47,66 +28,51 @@ var (
 // roundRecord is one completed round: which flip-flops were measured and
 // what the campaign counted for each (aligned with Selected).
 type roundRecord struct {
-	Selected   []int
-	Failures   []int
-	Injections []int
+	Selected, Failures, Injections []int
 }
 
-// loopCheckpoint is the on-disk state of a partially completed loop.
+// loopCheckpoint is the on-disk state of a partially completed loop. Every
+// field but Rounds is in the header line under the name tagged here, and
+// pins something a selection depends on: a loop cannot resume under another
+// strategy, model, seed, budget, pool or campaign and drift from the run it
+// checkpointed.
 type loopCheckpoint struct {
-	Strategy        string
-	Model           string
-	Seed            int64
-	InjectionsPerFF int
-	NumFFs          int
-	CampaignHash    uint64
-	FeaturesHash    uint64
-	PoolHash        uint64
-	InitFFs         int
-	RoundFFs        int
-	MaxRounds       int
-	BudgetFFs       int
-	DeltaTol        float64
-	CIWidthTol      float64
-	Patience        int
-	Rounds          []roundRecord
+	Strategy        string        `json:"strategy"`
+	Model           string        `json:"model"`
+	Seed            int64         `json:"seed"`
+	InjectionsPerFF int           `json:"injections_per_ff"`
+	NumFFs          int           `json:"num_ffs"`
+	CampaignHash    durable.Hash  `json:"campaign_hash"`
+	FeaturesHash    durable.Hash  `json:"features_hash"`
+	PoolHash        durable.Hash  `json:"pool_hash"`
+	InitFFs         int           `json:"init_ffs"`
+	RoundFFs        int           `json:"round_ffs"`
+	MaxRounds       int           `json:"max_rounds"`
+	BudgetFFs       int           `json:"budget_ffs"`
+	DeltaTol        float64       `json:"delta_tol"`
+	CIWidthTol      float64       `json:"ci_width_tol"`
+	Patience        int           `json:"patience"`
+	Rounds          []roundRecord `json:"-"` // the payload
 }
 
-// loopHeader is the JSON first line of a loop checkpoint file.
+// loopHeader is the header line after magic and version: the checkpoint's
+// fields and the number of rounds the payload must hold.
 type loopHeader struct {
-	Magic           string  `json:"magic"`
-	Version         int     `json:"version"`
-	Strategy        string  `json:"strategy"`
-	Model           string  `json:"model"`
-	Seed            int64   `json:"seed"`
-	InjectionsPerFF int     `json:"injections_per_ff"`
-	NumFFs          int     `json:"num_ffs"`
-	CampaignHash    string  `json:"campaign_hash"`
-	FeaturesHash    string  `json:"features_hash"`
-	PoolHash        string  `json:"pool_hash"`
-	InitFFs         int     `json:"init_ffs"`
-	RoundFFs        int     `json:"round_ffs"`
-	MaxRounds       int     `json:"max_rounds"`
-	BudgetFFs       int     `json:"budget_ffs"`
-	DeltaTol        float64 `json:"delta_tol"`
-	CIWidthTol      float64 `json:"ci_width_tol"`
-	Patience        int     `json:"patience"`
-	Rounds          int     `json:"completed_rounds"`
+	loopCheckpoint
+	Completed int `json:"completed_rounds"`
 }
+
+var loopFormat = durable.Format{Magic: "repro/plan adaptive-loop checkpoint", Version: LoopCheckpointVersion,
+	Corrupt: ErrLoopCheckpointCorrupt, Unsupported: ErrLoopCheckpointVersion}
 
 // poolFingerprint digests the eligible flip-flop set.
-func poolFingerprint(pool []int) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	write := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	write(uint64(len(pool)))
+func poolFingerprint(pool []int) durable.Hash {
+	d := durable.NewDigest()
+	d.Int(len(pool))
 	for _, ff := range pool {
-		write(uint64(ff))
+		d.Int(ff)
 	}
-	return h.Sum64()
+	return durable.Hash(d.Sum())
 }
 
 // checkpoint snapshots the loop's identity plus the completed rounds.
@@ -117,8 +83,8 @@ func (l *Loop) checkpoint(records []roundRecord) *loopCheckpoint {
 		Seed:            l.cfg.Seed,
 		InjectionsPerFF: l.cfg.Target.InjectionsPerFF(),
 		NumFFs:          l.cfg.Target.NumFFs(),
-		CampaignHash:    l.cfg.Target.CampaignFingerprint(),
-		FeaturesHash:    persist.DataFingerprint(l.cfg.Target.FeatureRows(), nil),
+		CampaignHash:    durable.Hash(l.cfg.Target.CampaignFingerprint()),
+		FeaturesHash:    durable.Hash(persist.DataFingerprint(l.cfg.Target.FeatureRows(), nil)),
 		PoolHash:        poolFingerprint(l.pool),
 		InitFFs:         l.cfg.InitFFs,
 		RoundFFs:        l.cfg.RoundFFs,
@@ -136,165 +102,47 @@ func (l *Loop) checkpoint(records []roundRecord) *loopCheckpoint {
 // flip-flops than the interrupted one.
 func (l *Loop) matchCheckpoint(ck *loopCheckpoint) error {
 	want := l.checkpoint(nil)
-	mismatch := func(what string, got, exp any) error {
-		return fmt.Errorf("%w: %s differs (checkpoint %v, loop %v)", ErrLoopCheckpointMismatch, what, got, exp)
-	}
-	switch {
-	case ck.Strategy != want.Strategy:
-		return mismatch("strategy", ck.Strategy, want.Strategy)
-	case ck.Model != want.Model:
-		return mismatch("model", ck.Model, want.Model)
-	case ck.Seed != want.Seed:
-		return mismatch("seed", ck.Seed, want.Seed)
-	case ck.InjectionsPerFF != want.InjectionsPerFF:
-		return mismatch("injections per FF", ck.InjectionsPerFF, want.InjectionsPerFF)
-	case ck.NumFFs != want.NumFFs:
-		return mismatch("flip-flop count", ck.NumFFs, want.NumFFs)
-	case ck.CampaignHash != want.CampaignHash:
-		return mismatch("campaign fingerprint", fmt.Sprintf("%x", ck.CampaignHash), fmt.Sprintf("%x", want.CampaignHash))
-	case ck.FeaturesHash != want.FeaturesHash:
-		return mismatch("feature fingerprint", fmt.Sprintf("%x", ck.FeaturesHash), fmt.Sprintf("%x", want.FeaturesHash))
-	case ck.PoolHash != want.PoolHash:
-		return mismatch("pool fingerprint", fmt.Sprintf("%x", ck.PoolHash), fmt.Sprintf("%x", want.PoolHash))
-	case ck.InitFFs != want.InitFFs:
-		return mismatch("init batch", ck.InitFFs, want.InitFFs)
-	case ck.RoundFFs != want.RoundFFs:
-		return mismatch("round batch", ck.RoundFFs, want.RoundFFs)
-	case ck.MaxRounds != want.MaxRounds:
-		return mismatch("max rounds", ck.MaxRounds, want.MaxRounds)
-	case ck.BudgetFFs != want.BudgetFFs:
-		return mismatch("budget", ck.BudgetFFs, want.BudgetFFs)
-	case ck.DeltaTol != want.DeltaTol:
-		return mismatch("delta tolerance", ck.DeltaTol, want.DeltaTol)
-	case ck.CIWidthTol != want.CIWidthTol:
-		return mismatch("CI width tolerance", ck.CIWidthTol, want.CIWidthTol)
-	case ck.Patience != want.Patience:
-		return mismatch("patience", ck.Patience, want.Patience)
+	for _, f := range []struct {
+		what      string
+		got, want any
+	}{
+		{"strategy", ck.Strategy, want.Strategy},
+		{"model", ck.Model, want.Model},
+		{"seed", ck.Seed, want.Seed},
+		{"injections per FF", ck.InjectionsPerFF, want.InjectionsPerFF},
+		{"flip-flop count", ck.NumFFs, want.NumFFs},
+		{"campaign fingerprint", ck.CampaignHash, want.CampaignHash},
+		{"feature fingerprint", ck.FeaturesHash, want.FeaturesHash},
+		{"pool fingerprint", ck.PoolHash, want.PoolHash},
+		{"init batch", ck.InitFFs, want.InitFFs},
+		{"round batch", ck.RoundFFs, want.RoundFFs},
+		{"max rounds", ck.MaxRounds, want.MaxRounds},
+		{"budget", ck.BudgetFFs, want.BudgetFFs},
+		{"delta tolerance", ck.DeltaTol, want.DeltaTol},
+		{"CI width tolerance", ck.CIWidthTol, want.CIWidthTol},
+		{"patience", ck.Patience, want.Patience},
+	} {
+		if f.got != f.want {
+			return fmt.Errorf("%w: %s differs (checkpoint %v, loop %v)", ErrLoopCheckpointMismatch, f.what, f.got, f.want)
+		}
 	}
 	return nil
 }
 
-// saveLoopCheckpoint atomically writes ck to path (temp sibling + rename).
-func saveLoopCheckpoint(path string, ck *loopCheckpoint) (err error) {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("plan: saving loop checkpoint: %w", err)
-	}
-	defer func() {
-		if err != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-	}()
-
-	w := bufio.NewWriter(tmp)
-	hdr := loopHeader{
-		Magic:           loopCheckpointMagic,
-		Version:         LoopCheckpointVersion,
-		Strategy:        ck.Strategy,
-		Model:           ck.Model,
-		Seed:            ck.Seed,
-		InjectionsPerFF: ck.InjectionsPerFF,
-		NumFFs:          ck.NumFFs,
-		CampaignHash:    strconv.FormatUint(ck.CampaignHash, 16),
-		FeaturesHash:    strconv.FormatUint(ck.FeaturesHash, 16),
-		PoolHash:        strconv.FormatUint(ck.PoolHash, 16),
-		InitFFs:         ck.InitFFs,
-		RoundFFs:        ck.RoundFFs,
-		MaxRounds:       ck.MaxRounds,
-		BudgetFFs:       ck.BudgetFFs,
-		DeltaTol:        ck.DeltaTol,
-		CIWidthTol:      ck.CIWidthTol,
-		Patience:        ck.Patience,
-		Rounds:          len(ck.Rounds),
-	}
-	line, err := json.Marshal(hdr)
-	if err != nil {
-		return fmt.Errorf("plan: saving loop checkpoint: %w", err)
-	}
-	if _, err = w.Write(append(line, '\n')); err != nil {
-		return fmt.Errorf("plan: saving loop checkpoint: %w", err)
-	}
-	if err = gob.NewEncoder(w).Encode(ck.Rounds); err != nil {
-		return fmt.Errorf("plan: saving loop checkpoint: %w", err)
-	}
-	if err = w.Flush(); err != nil {
-		return fmt.Errorf("plan: saving loop checkpoint: %w", err)
-	}
-	if err = tmp.Sync(); err != nil {
-		return fmt.Errorf("plan: saving loop checkpoint: %w", err)
-	}
-	if err = tmp.Close(); err != nil {
-		return fmt.Errorf("plan: saving loop checkpoint: %w", err)
-	}
-	if err = os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("plan: saving loop checkpoint: %w", err)
-	}
-	return nil
+// saveLoopCheckpoint atomically replaces the file at path with ck.
+func saveLoopCheckpoint(path string, ck *loopCheckpoint) error {
+	return durable.Save(path, loopFormat, loopHeader{*ck, len(ck.Rounds)}, ck.Rounds)
 }
 
 // loadLoopCheckpoint reads and structurally validates a loop checkpoint.
 // Matching it against the running configuration is matchCheckpoint's job.
 func loadLoopCheckpoint(path string) (*loopCheckpoint, error) {
-	f, err := os.Open(path)
-	if err != nil {
+	var hdr loopHeader
+	if err := durable.Load(path, loopFormat, &hdr, &hdr.Rounds); err != nil {
 		return nil, err
 	}
-	defer f.Close()
-
-	r := bufio.NewReader(f)
-	line, err := r.ReadBytes('\n')
-	if err != nil {
-		return nil, fmt.Errorf("%w: %s: missing header", ErrLoopCheckpointCorrupt, path)
+	if len(hdr.Rounds) != hdr.Completed {
+		return nil, loopFormat.Corruptf(path, "header says %d rounds, payload has %d", hdr.Completed, len(hdr.Rounds))
 	}
-	var hdr loopHeader
-	if err := json.Unmarshal(line, &hdr); err != nil {
-		return nil, fmt.Errorf("%w: %s: bad header: %v", ErrLoopCheckpointCorrupt, path, err)
-	}
-	if hdr.Magic != loopCheckpointMagic {
-		return nil, fmt.Errorf("%w: %s: magic %q", ErrLoopCheckpointCorrupt, path, hdr.Magic)
-	}
-	if hdr.Version != LoopCheckpointVersion {
-		return nil, fmt.Errorf("%w: %s: version %d, supported %d",
-			ErrLoopCheckpointVersion, path, hdr.Version, LoopCheckpointVersion)
-	}
-	campaignHash, err := strconv.ParseUint(hdr.CampaignHash, 16, 64)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %s: bad campaign hash %q", ErrLoopCheckpointCorrupt, path, hdr.CampaignHash)
-	}
-	featuresHash, err := strconv.ParseUint(hdr.FeaturesHash, 16, 64)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %s: bad features hash %q", ErrLoopCheckpointCorrupt, path, hdr.FeaturesHash)
-	}
-	poolHash, err := strconv.ParseUint(hdr.PoolHash, 16, 64)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %s: bad pool hash %q", ErrLoopCheckpointCorrupt, path, hdr.PoolHash)
-	}
-
-	ck := &loopCheckpoint{
-		Strategy:        hdr.Strategy,
-		Model:           hdr.Model,
-		Seed:            hdr.Seed,
-		InjectionsPerFF: hdr.InjectionsPerFF,
-		NumFFs:          hdr.NumFFs,
-		CampaignHash:    campaignHash,
-		FeaturesHash:    featuresHash,
-		PoolHash:        poolHash,
-		InitFFs:         hdr.InitFFs,
-		RoundFFs:        hdr.RoundFFs,
-		MaxRounds:       hdr.MaxRounds,
-		BudgetFFs:       hdr.BudgetFFs,
-		DeltaTol:        hdr.DeltaTol,
-		CIWidthTol:      hdr.CIWidthTol,
-		Patience:        hdr.Patience,
-	}
-	if err := gob.NewDecoder(r).Decode(&ck.Rounds); err != nil {
-		return nil, fmt.Errorf("%w: %s: bad payload: %v", ErrLoopCheckpointCorrupt, path, err)
-	}
-	if len(ck.Rounds) != hdr.Rounds {
-		return nil, fmt.Errorf("%w: %s: header says %d rounds, payload has %d",
-			ErrLoopCheckpointCorrupt, path, hdr.Rounds, len(ck.Rounds))
-	}
-	return ck, nil
+	return &hdr.loopCheckpoint, nil
 }

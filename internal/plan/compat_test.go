@@ -2,56 +2,46 @@ package plan
 
 import (
 	"bytes"
-	"encoding/binary"
-	"hash/fnv"
-	"math"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/durable"
 )
 
 // loopDigest digests everything a loop checkpoint holds, in the repository's
 // fingerprint convention. Loop checkpoints have no fingerprint of their own;
 // the tests need one to compare payloads gob may encode differently.
 func loopDigest(ck *loopCheckpoint) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	write := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	str := func(s string) {
-		write(uint64(len(s)))
-		h.Write([]byte(s))
-	}
+	d := durable.NewDigest()
 	ints := func(v []int) {
-		write(uint64(len(v)))
+		d.Int(len(v))
 		for _, x := range v {
-			write(uint64(x))
+			d.Int(x)
 		}
 	}
-	str(ck.Strategy)
-	str(ck.Model)
-	write(uint64(ck.Seed))
-	write(uint64(ck.InjectionsPerFF))
-	write(uint64(ck.NumFFs))
-	write(uint64(ck.CampaignHash))
-	write(uint64(ck.FeaturesHash))
-	write(uint64(ck.PoolHash))
-	write(uint64(ck.InitFFs))
-	write(uint64(ck.RoundFFs))
-	write(uint64(ck.MaxRounds))
-	write(uint64(ck.BudgetFFs))
-	write(math.Float64bits(ck.DeltaTol))
-	write(math.Float64bits(ck.CIWidthTol))
-	write(uint64(ck.Patience))
-	write(uint64(len(ck.Rounds)))
+	d.Str(ck.Strategy)
+	d.Str(ck.Model)
+	d.U64(uint64(ck.Seed))
+	d.Int(ck.InjectionsPerFF)
+	d.Int(ck.NumFFs)
+	d.U64(uint64(ck.CampaignHash))
+	d.U64(uint64(ck.FeaturesHash))
+	d.U64(uint64(ck.PoolHash))
+	d.Int(ck.InitFFs)
+	d.Int(ck.RoundFFs)
+	d.Int(ck.MaxRounds)
+	d.Int(ck.BudgetFFs)
+	d.F64(ck.DeltaTol)
+	d.F64(ck.CIWidthTol)
+	d.Int(ck.Patience)
+	d.Int(len(ck.Rounds))
 	for _, r := range ck.Rounds {
 		ints(r.Selected)
 		ints(r.Failures)
 		ints(r.Injections)
 	}
-	return h.Sum64()
+	return d.Sum()
 }
 
 func headerLine(t *testing.T, path string) []byte {

@@ -1,9 +1,9 @@
 package sim
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
+
+	"repro/internal/durable"
 )
 
 // Stimulus is an open-loop input trace plus loopback rules. Open-loop
@@ -127,21 +127,16 @@ func (t *Trace) CopyCycles(src *Trace, from, to int) {
 // values, which lets campaign checkpoints pin the golden reference they were
 // classified against without storing the trace itself.
 func (t *Trace) Fingerprint() uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	write := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	write(uint64(t.cycles))
-	write(uint64(len(t.Monitors)))
+	d := durable.NewDigest()
+	d.Int(t.cycles)
+	d.Int(len(t.Monitors))
 	for _, m := range t.Monitors {
-		write(uint64(m))
+		d.Int(m)
 	}
 	for _, w := range t.words {
-		write(w)
+		d.U64(w)
 	}
-	return h.Sum64()
+	return d.Sum()
 }
 
 // Equal reports whether two traces record identical monitors, cycle counts
