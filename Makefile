@@ -36,7 +36,8 @@ lint:
 # regression localizes below the workloads of ./bench: the simulator
 # (BenchmarkKernelEval/Commit), the chunk executor (BenchmarkRunChunks per
 # circuit and fault model, with ns/injection, sim-cycles/injection and lane
-# occupancy; BenchmarkWilsonInterval), feature extraction per circuit
+# occupancy; BenchmarkLease: an empty and a 2-chunk fabric lease on one
+# prepared plan; BenchmarkWilsonInterval), feature extraction per circuit
 # (BenchmarkExtract, ns/flip-flop), the front end phase by phase
 # (BenchmarkMaterialize, ms per phase), the per-model fit/predict/tune
 # benchmarks, artifact save/load and raw predict throughput, and one batch

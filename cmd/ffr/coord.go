@@ -34,7 +34,6 @@ func runCoord(c *cli.Cmd) error {
 		n            = c.Flags.Int("n", 0, "injections per flip-flop (0 = scenario default)")
 		campaignSeed = c.Flags.Int64("campaign-seed", 0, "injection sampling seed (0 = scenario default)")
 		chunk        = c.Flags.Int("chunk", 0, "shard chunk size in jobs (0 = runner default, rounded to 64-lane batches)")
-		schedule     = c.Flags.String("schedule", "clustered", "batch-packing schedule (clustered, plan)")
 		hardenList   = c.Flags.String("harden", "", "comma-separated flip-flop indices to TMR-harden before the campaign (e.g. from ffr harden)")
 		faultModel   = c.FaultModel("fault model: seu, mbu:N, stuck0:D, stuck1:D, set, each with optional @start-end window; part of the campaign identity, shipped to workers in the spec")
 		addr         = c.Flags.String("addr", ":9090", "listen address (host:port; port 0 picks a free port)")
@@ -53,8 +52,6 @@ func runCoord(c *cli.Cmd) error {
 		c.MinInt("chunk", *chunk, 0),
 		c.MinInt("max-lease", *maxLease, 1),
 		c.MinInt("checkpoint-every", *ckEvery, 0),
-		c.OneOf("schedule", *schedule,
-			string(fault.ScheduleClustered), string(fault.SchedulePlan)),
 	); err != nil {
 		return err
 	}
@@ -89,7 +86,6 @@ func runCoord(c *cli.Cmd) error {
 			InjectionsPerFF: *n,
 			CampaignSeed:    *campaignSeed,
 			ChunkJobs:       *chunk,
-			Schedule:        *schedule,
 			FaultModel:      fmodel.String(),
 			Harden:          hardenFFs,
 		},
@@ -108,7 +104,7 @@ func runCoord(c *cli.Cmd) error {
 	camp := coord.Campaign()
 	c.Printf("coord: campaign %s @ %s (seed %d): %d jobs in %d chunks of %d, plan %s, golden %s\n",
 		camp.Spec.Scenario, camp.Spec.Scale, camp.Spec.Seed,
-		camp.Shards.TotalJobs(), camp.Shards.NumChunks(), camp.Shards.ChunkJobs(),
+		camp.Plan.TotalJobs(), camp.Plan.NumChunks(), camp.Plan.ChunkJobs(),
 		camp.PlanHashHex(), camp.GoldenHashHex())
 
 	var res *fault.Result

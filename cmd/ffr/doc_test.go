@@ -6,6 +6,7 @@ import (
 	"io"
 	"io/fs"
 	"os"
+	"path"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -106,13 +107,11 @@ func TestCLIReference(t *testing.T) {
 	}
 }
 
-// TestEnvironmentReference: the environment is read in internal/cli and
-// nowhere else in non-test source, and the variables read there are
-// exactly the FFR_* names docs/CLI.md documents.
-func TestEnvironmentReference(t *testing.T) {
+// nonTestSource calls visit with the slash-separated path below the
+// repository root and the text of every non-test Go file in it.
+func nonTestSource(t *testing.T, visit func(rel, src string)) {
+	t.Helper()
 	root := filepath.Join("..", "..")
-	read := map[string]bool{}
-	envCall := regexp.MustCompile(`(Getenv|LookupEnv|Environ)\(("(\w+)")?`)
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -127,25 +126,67 @@ func TestEnvironmentReference(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		for _, m := range envCall.FindAllStringSubmatch(string(src), -1) {
-			if rel, _ := filepath.Rel(root, path); filepath.ToSlash(filepath.Dir(rel)) != "internal/cli" {
-				t.Errorf("%s reads the environment (%s); only internal/cli may", rel, m[0])
-			}
-			if !strings.HasPrefix(m[3], "FFR_") {
-				t.Errorf("%s: environment read %s is not a literal FFR_* name", path, m[0])
-			}
-			read[m[3]] = true
+		rel, err := filepath.Rel(root, path)
+		if err != nil {
+			return err
 		}
+		visit(filepath.ToSlash(rel), string(src))
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestOneCheckpointMatcher: which checkpoint belongs to a campaign, when it
+// is written and what it pins is decided in internal/fault (the Ledger) and
+// nowhere else. No other non-test package outside bench/ — which only
+// round-trips a finished file — loads or saves a campaign checkpoint or
+// fingerprints a plan, so a second matcher cannot reappear unnoticed. The
+// root facade re-exports the functions without calling them.
+func TestOneCheckpointMatcher(t *testing.T) {
+	call := regexp.MustCompile(`\bfault\.(LoadCheckpoint|SaveCheckpoint)\(|\bPlanFingerprint\(`)
+	inFault := false
+	nonTestSource(t, func(rel, src string) {
+		if strings.HasPrefix(rel, "bench/") {
+			return
+		}
+		m := call.FindString(src)
+		switch {
+		case m == "":
+		case path.Dir(rel) == "internal/fault":
+			inFault = true
+		default:
+			t.Errorf("%s calls %s…); only internal/fault may", rel, m)
+		}
+	})
+	if !inFault {
+		t.Fatal("found no plan fingerprinting in internal/fault: the guard matches nothing")
+	}
+}
+
+// TestEnvironmentReference: the environment is read in internal/cli and
+// nowhere else in non-test source, and the variables read there are
+// exactly the FFR_* names docs/CLI.md documents.
+func TestEnvironmentReference(t *testing.T) {
+	read := map[string]bool{}
+	envCall := regexp.MustCompile(`(Getenv|LookupEnv|Environ)\(("(\w+)")?`)
+	nonTestSource(t, func(rel, src string) {
+		for _, m := range envCall.FindAllStringSubmatch(src, -1) {
+			if path.Dir(rel) != "internal/cli" {
+				t.Errorf("%s reads the environment (%s); only internal/cli may", rel, m[0])
+			}
+			if !strings.HasPrefix(m[3], "FFR_") {
+				t.Errorf("%s: environment read %s is not a literal FFR_* name", rel, m[0])
+			}
+			read[m[3]] = true
+		}
+	})
 	if len(read) == 0 {
 		t.Fatal("found no environment reads in the source")
 	}
 
-	doc, err := os.ReadFile(filepath.Join(root, "docs", "CLI.md"))
+	doc, err := os.ReadFile(filepath.Join("..", "..", "docs", "CLI.md"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,6 @@ func runInject(c *cli.Cmd) error {
 		shards     = c.Flags.Int("shards", 0, "split the plan into about this many shard chunks (rounded to whole 64-lane batches; must match on -resume; 0 = default chunk size)")
 		progress   = c.Flags.Bool("progress", false, "print live campaign progress to stderr")
 		snapEvery  = c.Flags.Int("snapshot-every", 0, "golden snapshot cadence in cycles (0 = default; never changes results)")
-		schedule   = c.Flags.String("schedule", "", "batch-packing schedule: clustered or plan (default: clustered, adopting a resumed checkpoint's schedule)")
 		faultModel = c.FaultModel("fault model: seu, mbu:N, stuck0:D, stuck1:D, each with optional @start-end window (e.g. mbu:3, stuck0:8@0.25-0.75)")
 		tel        = c.Telemetry(cli.Metrics | cli.Profile)
 	)
@@ -44,8 +43,6 @@ func runInject(c *cli.Cmd) error {
 		c.MinInt("shards", *shards, 0),
 		c.MinInt("snapshot-every", *snapEvery, 0),
 		c.Requires("resume", "checkpoint", !*resume || *checkpoint != ""),
-		c.OneOf("schedule", *schedule,
-			"", string(fault.ScheduleClustered), string(fault.SchedulePlan)),
 	); err != nil {
 		return err
 	}
@@ -70,7 +67,6 @@ func runInject(c *cli.Cmd) error {
 	cfg.Resume = *resume
 	cfg.Shards = *shards
 	cfg.SnapshotEvery = *snapEvery
-	cfg.Schedule = fault.Schedule(*schedule)
 	cfg.Model = model
 	cfg.Metrics = tel.Metrics
 	cfg.Logger = tel.Logger

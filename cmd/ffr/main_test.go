@@ -174,7 +174,9 @@ func TestUsage(t *testing.T) {
 // TestMisuse runs every flag combination the commands reject: each must
 // exit 1 with empty stdout and exactly one stderr line, "<cmd>: <reason>
 // (run 'ffr <cmd> -h' for usage)", before any work starts. An unknown flag
-// exits 2 and -h exits 0, both with the flag list on stderr.
+// exits 2 and -h exits 0, both with the flag list on stderr; -schedule,
+// which inject and coord had while packing was a user's choice, is such a
+// flag now.
 func TestMisuse(t *testing.T) {
 	t.Setenv("FFR_LOG", "")
 	t.Setenv("FFR_FAULT_MODEL", "")
@@ -182,7 +184,7 @@ func TestMisuse(t *testing.T) {
 		"gen": {{"-fifo", "1"}, {"-statw", "0"}, {"-ffs", "-1"}, {"stray"}},
 		"sim": {{"-packets", "0"}},
 		"inject": {{"-n", "0"}, {"-workers", "-1"}, {"-shards", "-1"}, {"-snapshot-every", "-1"},
-			{"-resume"}, {"-schedule", "zigzag"}, {"-fault-model", "mbu:99"}, {"-fault-model", "bogus"},
+			{"-resume"}, {"-fault-model", "mbu:99"}, {"-fault-model", "bogus"},
 			{"-log-level", "loud"}, {"-log-format", "xml"}},
 		"feat":  {{"-n", "0"}},
 		"train": {{"-train", "0"}, {"-train", "1"}, {"-splits", "0"}, {"-n", "0"}, {"-samples", "0"}},
@@ -193,7 +195,7 @@ func TestMisuse(t *testing.T) {
 		"serve": {{}, {"-model", "m.ffrm", "-workers", "-1"}, {"-model", "m.ffrm", "-retry-after", "-1"}},
 		"coord": {{}, {"-scenario", "random/noise", "-n", "-1"}, {"-scenario", "random/noise", "-chunk", "-1"},
 			{"-scenario", "random/noise", "-max-lease", "0"}, {"-scenario", "random/noise", "-checkpoint-every", "-1"},
-			{"-scenario", "random/noise", "-schedule", "zigzag"}, {"-scenario", "random/noise", "-resume"},
+			{"-scenario", "random/noise", "-resume"},
 			{"-scenario", "random/noise", "-harden", "1,x"}, {"-scenario", "random/noise", "-harden", "-3"},
 			{"-scenario", "random/noise", "-fault-model", "bogus"}, {"-scenario", "random/noise", "-lease-ttl", "0s"}},
 		"work": {{}, {"-coordinator", "http://127.0.0.1:1", "-workers", "-1"},
@@ -228,6 +230,12 @@ func TestMisuse(t *testing.T) {
 		code, stdout, stderr = ffr(t, cmd.name, "-h")
 		if code != 0 || stdout != "" || !strings.HasPrefix(stderr, "Usage of ffr "+cmd.name+":\n  -") {
 			t.Errorf("ffr %s -h: exit %d, stdout %q, stderr %q", cmd.name, code, stdout, stderr)
+		}
+	}
+	for _, args := range [][]string{{"inject", "-schedule", "zigzag"}, {"coord", "-scenario", "random/noise", "-schedule", "zigzag"}} {
+		code, stdout, stderr := ffr(t, args...)
+		if code != 2 || stdout != "" || !strings.HasPrefix(stderr, "flag provided but not defined: -schedule\nUsage of ffr "+args[0]+":\n") {
+			t.Errorf("ffr %v: exit %d, stdout %q, stderr %q", args, code, stdout, stderr)
 		}
 	}
 }

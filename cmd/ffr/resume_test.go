@@ -5,8 +5,13 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/api"
+	"repro/internal/fabric"
+	"repro/internal/fault"
 )
 
 // TestValidateBeforeComputing: a bad experiment id and an output path that
@@ -152,5 +157,64 @@ func TestPlanInterruptResume(t *testing.T) {
 	}
 	if got := fingerprints.FindString(stdout); got != want {
 		t.Errorf("resumed loop ended on\n%swant\n%s", got, want)
+	}
+}
+
+// TestCoordResumeAdoptsRecordedSchedule resumes `ffr coord` over what an
+// interrupted plan-order campaign left — two of five chunks, recorded under
+// the packing no flag selects any more: the coordinator must adopt it, tell
+// its workers, and finish on the fingerprint of the single-node plan-order
+// run, never on a silently different one.
+func TestCoordResumeAdoptsRecordedSchedule(t *testing.T) {
+	ckpt := filepath.Join(t.TempDir(), "fabric.ckpt")
+	camp, err := fabric.BuildCampaign(api.CampaignSpec{
+		Scenario: "random/noise", Scale: "small", Seed: 11,
+		InjectionsPerFF: 6, CampaignSeed: 77, ChunkJobs: 64,
+	}, fault.RunnerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fault.RunJobs(camp.M.Program, camp.M.Bench.Stim, camp.M.Bench.Monitors,
+		camp.M.Bench.Classifier, camp.Jobs, fault.RunnerConfig{
+			ChunkJobs: 64, Golden: camp.M.Golden, Snapshots: camp.M.Snapshots,
+			Schedule: fault.SchedulePlan, CheckpointPath: ckpt,
+		}); err != nil {
+		t.Fatal(err)
+	}
+	ck, err := fault.LoadCheckpoint(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strconv.FormatUint(ck.Fingerprint(), 16)
+	for ci := 2; ci < ck.NumChunks; ci++ {
+		delete(ck.Chunks, ci)
+	}
+	if err := fault.SaveCheckpoint(ckpt, ck); err != nil {
+		t.Fatal(err)
+	}
+
+	coord := start(t, "coord", "-scenario", "random/noise", "-seed", "11", "-n", "6",
+		"-campaign-seed", "77", "-chunk", "64", "-addr", "127.0.0.1:0", "-checkpoint", ckpt, "-resume")
+	base := coord.listening(t)
+	a := start(t, "work", "-coordinator", base, "-name", "resume-a", "-workers", "1")
+	b := start(t, "work", "-coordinator", base, "-name", "resume-b", "-workers", "1")
+	for _, p := range []*proc{a, b, coord} {
+		if code := p.wait(t); code != 0 {
+			t.Fatalf("ffr %s exited %d\nstdout:\n%s\nstderr:\n%s", p.args[0], code, p.stdout, p.stderr)
+		}
+	}
+	stdout := coord.stdout.String()
+	if !strings.Contains(stdout, "coord: campaign complete: 5/5 chunks") ||
+		!strings.Contains(stdout, "coord: checkpoint fingerprint "+want+"\n") {
+		t.Errorf("the resumed campaign did not finish on the plan-order run's fingerprint %s:\n%s", want, stdout)
+	}
+	// The two recorded chunks were adopted, not simulated again.
+	simulated := 0
+	for _, m := range regexp.MustCompile(`coord: worker resume-[ab] completed (\d) chunks\n`).FindAllStringSubmatch(stdout, -1) {
+		n, _ := strconv.Atoi(m[1])
+		simulated += n
+	}
+	if simulated != 3 {
+		t.Errorf("the workers completed %d chunks, want the 3 the checkpoint lacked:\n%s", simulated, stdout)
 	}
 }

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/fabric"
+	"repro/internal/fault"
 )
 
 // zeroVector is a features.NumFeatures-wide prediction input.
@@ -219,23 +220,15 @@ func TestFabricSmoke(t *testing.T) {
 // returns the fingerprint of the merged checkpoint.
 func singleNodeFingerprint(t *testing.T, spec api.CampaignSpec) uint64 {
 	t.Helper()
-	camp, err := fabric.BuildCampaign(spec, 1)
+	camp, err := fabric.BuildCampaign(spec, fault.RunnerConfig{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	all := make([]int, camp.Shards.NumChunks())
-	for i := range all {
-		all[i] = i
-	}
-	done, err := camp.Runner.RunChunks(context.Background(), camp.Jobs, all)
+	fp, err := camp.SingleNodeFingerprint(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ck, err := camp.Runner.CampaignCheckpoint(camp.Jobs, done)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ck.Fingerprint()
+	return fp
 }
 
 // TestHardenSmoke: train a per-scenario artifact, advise a 50 %

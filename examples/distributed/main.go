@@ -36,8 +36,13 @@ func run() error {
 		ChunkJobs:       64,
 	}
 
-	// Reference: simulate every chunk locally and checkpoint the merge.
-	single, err := singleNodeFingerprint(spec)
+	// Reference: simulate every chunk in this process and record the masks
+	// in the same ledger a coordinator keeps.
+	camp, err := repro.BuildDistributedCampaign(spec, repro.CampaignRunnerConfig{})
+	if err != nil {
+		return err
+	}
+	single, err := camp.SingleNodeFingerprint(context.Background())
 	if err != nil {
 		return err
 	}
@@ -97,26 +102,4 @@ func run() error {
 	}
 	fmt.Println("fingerprints match: distributed merge is bit-identical to single-node")
 	return nil
-}
-
-// singleNodeFingerprint runs every chunk of the campaign in-process and
-// returns the canonical fingerprint of the merged checkpoint.
-func singleNodeFingerprint(spec repro.DistributedCampaignSpec) (uint64, error) {
-	camp, err := repro.BuildDistributedCampaign(spec, 0)
-	if err != nil {
-		return 0, err
-	}
-	all := make([]int, camp.Shards.NumChunks())
-	for i := range all {
-		all[i] = i
-	}
-	done, err := camp.Runner.RunChunks(context.Background(), camp.Jobs, all)
-	if err != nil {
-		return 0, err
-	}
-	ck, err := camp.Runner.CampaignCheckpoint(camp.Jobs, done)
-	if err != nil {
-		return 0, err
-	}
-	return ck.Fingerprint(), nil
 }

@@ -193,11 +193,3 @@ var (
 // ErrCampaignInterrupted reports a campaign stopped by cancellation after
 // flushing its checkpoint.
 var ErrCampaignInterrupted = fault.ErrInterrupted
-
-// Campaign batch-packing schedules (see fault.Schedule): clustered packing
-// is the default and lets every batch skip its shared golden prefix;
-// plan-order packing is the layout of pre-schedule checkpoints.
-const (
-	CampaignScheduleClustered = fault.ScheduleClustered
-	CampaignSchedulePlan      = fault.SchedulePlan
-)

@@ -35,9 +35,6 @@ type CorpusStudyConfig struct {
 	Resume          bool
 	CheckpointEvery int
 	Progress        func(fault.Progress)
-	// Schedule selects the campaign batch-packing schedule (see
-	// StudyConfig.Schedule).
-	Schedule fault.Schedule
 	// Metrics optionally receives campaign metric families (see
 	// StudyConfig.Metrics).
 	Metrics *obs.Registry
@@ -79,7 +76,6 @@ func NewCorpusStudy(sc corpus.Scenario, cfg CorpusStudyConfig) (*Study, error) {
 			Workers:         cfg.Workers,
 			Golden:          m.Golden,
 			Snapshots:       m.Snapshots,
-			Schedule:        cfg.Schedule,
 			CheckpointPath:  cfg.Checkpoint,
 			CheckpointEvery: cfg.CheckpointEvery,
 			Resume:          cfg.Resume,
@@ -102,7 +98,6 @@ func NewCorpusStudy(sc corpus.Scenario, cfg CorpusStudyConfig) (*Study, error) {
 			Resume:          cfg.Resume,
 			CheckpointEvery: cfg.CheckpointEvery,
 			Progress:        cfg.Progress,
-			Schedule:        cfg.Schedule,
 			Metrics:         cfg.Metrics,
 			Logger:          cfg.Logger,
 		},

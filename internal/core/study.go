@@ -62,11 +62,6 @@ type StudyConfig struct {
 	// how much prefix a faulty batch can skip and how often early exit is
 	// checked.
 	SnapshotEvery int
-	// Schedule selects the campaign batch-packing schedule (see
-	// fault.Schedule). The "" default packs clustered and adopts a
-	// resumed checkpoint's recorded schedule, keeping pre-schedule
-	// plan-order checkpoints resumable.
-	Schedule fault.Schedule
 	// Metrics optionally receives the ffr_campaign_* metric families of
 	// every campaign this study runs (ground truth and partial); nil
 	// disables campaign metrics.
@@ -179,7 +174,6 @@ func NewStudy(cfg StudyConfig) (*Study, error) {
 		Workers:         cfg.Workers,
 		Golden:          golden,
 		Snapshots:       snaps,
-		Schedule:        cfg.Schedule,
 		CheckpointPath:  cfg.Checkpoint,
 		CheckpointEvery: cfg.CheckpointEvery,
 		Resume:          cfg.Resume,
@@ -287,8 +281,8 @@ func (s *Study) RunGroundTruthContext(ctx context.Context) (*fault.Result, error
 }
 
 // ephemeralRunnerConfig is the configuration of every campaign the study
-// runs besides its ground truth: the study's fault model, schedule, worker
-// bound and instrumentation on the study's golden trace and snapshots, so
+// runs besides its ground truth: the study's fault model, worker bound and
+// instrumentation on the study's golden trace and snapshots, so
 // nothing is re-simulated per campaign. Callers add what is theirs alone
 // (chunk geometry, checkpointing, progress).
 func (s *Study) ephemeralRunnerConfig() fault.RunnerConfig {
@@ -297,7 +291,6 @@ func (s *Study) ephemeralRunnerConfig() fault.RunnerConfig {
 		Workers:   s.Config.Workers,
 		Golden:    s.golden,
 		Snapshots: s.snapshots,
-		Schedule:  s.Config.Schedule,
 		Metrics:   s.Config.Metrics,
 		Logger:    s.Config.Logger,
 	}

@@ -1,20 +1,19 @@
 package fabric
 
 import (
+	"context"
 	"fmt"
 	"sort"
-	"strconv"
 
 	"repro/internal/api"
 	"repro/internal/circuit"
 	"repro/internal/corpus"
 	"repro/internal/fault"
 	"repro/internal/netlist"
-	"repro/internal/obs"
 )
 
 // Campaign is a materialized campaign spec: everything one node needs to
-// simulate chunks of the plan or merge their results. Coordinator and
+// simulate chunks of the plan or record their results. Coordinator and
 // workers each build their own from the same spec; the fingerprints prove
 // they agree.
 type Campaign struct {
@@ -25,20 +24,17 @@ type Campaign struct {
 	M *corpus.Materialized
 	// Jobs is the deterministic injection plan.
 	Jobs []fault.Job
-	// Shards is the chunk geometry of the plan.
-	Shards fault.Shards
-	// Runner executes chunks (workers) and merges masks (coordinator),
-	// preloaded with the golden trace and snapshots from M.
-	Runner *fault.Runner
-	// PlanHash and GoldenHash fingerprint the plan and golden trace.
-	PlanHash   uint64
-	GoldenHash uint64
+	// Plan is Jobs prepared once on this node's runner, over M's golden
+	// trace and snapshots: a worker runs every lease on it, the coordinator
+	// opens its ledger on it, geometry and fingerprints are read off it.
+	Plan *fault.Plan
 }
 
 // ResolveSpec validates a campaign spec and fills every default — scale,
-// injection budget, campaign seed, chunk size, schedule — so the resolved
-// spec is fully explicit and a worker can rebuild the identical campaign
-// from the wire copy alone.
+// injection budget, campaign seed, chunk size — so a worker can rebuild the
+// identical campaign from the wire copy alone. The schedule is not a
+// default: it is the coordinator's ledger that decides it, and the
+// coordinator that writes it into the spec its workers join on.
 func ResolveSpec(spec api.CampaignSpec) (api.CampaignSpec, error) {
 	sc, err := corpus.Find(spec.Scenario)
 	if err != nil {
@@ -66,9 +62,6 @@ func ResolveSpec(spec api.CampaignSpec) (api.CampaignSpec, error) {
 	if spec.ChunkJobs == 0 {
 		spec.ChunkJobs = fault.DefaultChunkJobs
 	}
-	if spec.Schedule == "" {
-		spec.Schedule = string(fault.ScheduleClustered)
-	}
 	model, err := fault.ParseModel(spec.FaultModel)
 	if err != nil {
 		return spec, fmt.Errorf("fabric: %v", err)
@@ -95,19 +88,13 @@ func ResolveSpec(spec api.CampaignSpec) (api.CampaignSpec, error) {
 	return spec, nil
 }
 
-// BuildCampaign materializes a spec into a runnable campaign. workers
-// bounds the local simulation pool (0 = GOMAXPROCS). The result is
-// deterministic in the spec: two nodes building the same spec get
-// fingerprint-identical plans and golden traces.
-func BuildCampaign(spec api.CampaignSpec, workers int) (*Campaign, error) {
-	return BuildCampaignObs(spec, workers, nil, nil)
-}
-
-// BuildCampaignObs is BuildCampaign with node-local campaign
-// instrumentation: the chunk runner reports its ffr_campaign_* metric
-// families to reg and structured campaign records to log (either may be
-// nil; instrumentation never changes results).
-func BuildCampaignObs(spec api.CampaignSpec, workers int, reg *obs.Registry, log *obs.Logger) (*Campaign, error) {
+// BuildCampaign materializes a spec into a prepared campaign. The spec is
+// the campaign's identity — model, chunk size, schedule, golden trace and
+// snapshots come from it — and local adds what is this node's alone and
+// never changes results: pool bound, checkpointing, instrumentation. Two
+// nodes building the same spec get fingerprint-identical plans and golden
+// traces.
+func BuildCampaign(spec api.CampaignSpec, local fault.RunnerConfig) (*Campaign, error) {
 	spec, err := ResolveSpec(spec)
 	if err != nil {
 		return nil, err
@@ -137,42 +124,50 @@ func BuildCampaignObs(spec api.CampaignSpec, workers int, reg *obs.Registry, log
 	}
 	jobs := fault.NewModelPlan(model, model.NumTargets(m.Program), spec.InjectionsPerFF,
 		m.Bench.ActiveCycles, spec.CampaignSeed)
-	runner, err := fault.NewRunner(m.Program, m.Bench.Stim, m.Bench.Monitors, m.Bench.Classifier,
-		fault.RunnerConfig{
-			Model:     model,
-			ChunkJobs: spec.ChunkJobs,
-			Workers:   workers,
-			Golden:    m.Golden,
-			Snapshots: m.Snapshots,
-			Schedule:  fault.Schedule(spec.Schedule),
-			Metrics:   reg,
-			Logger:    log,
-		})
+	local.Model, local.ChunkJobs, local.Schedule = model, spec.ChunkJobs, fault.Schedule(spec.Schedule)
+	local.Golden, local.Snapshots = m.Golden, m.Snapshots
+	runner, err := fault.NewRunner(m.Program, m.Bench.Stim, m.Bench.Monitors, m.Bench.Classifier, local)
 	if err != nil {
 		return nil, err
 	}
-	shards, err := fault.PlanShards(len(jobs), spec.ChunkJobs)
+	plan, err := runner.Prepare(jobs)
 	if err != nil {
 		return nil, err
 	}
-	golden, err := runner.Golden()
-	if err != nil {
-		return nil, err
-	}
-	return &Campaign{
-		Spec:       spec,
-		M:          m,
-		Jobs:       jobs,
-		Shards:     shards,
-		Runner:     runner,
-		PlanHash:   fault.PlanFingerprint(jobs),
-		GoldenHash: golden.Fingerprint(),
-	}, nil
+	return &Campaign{Spec: spec, M: m, Jobs: jobs, Plan: plan}, nil
 }
 
 // PlanHashHex and GoldenHashHex are the wire encodings of the fingerprints.
-func (c *Campaign) PlanHashHex() string   { return strconv.FormatUint(c.PlanHash, 16) }
-func (c *Campaign) GoldenHashHex() string { return strconv.FormatUint(c.GoldenHash, 16) }
+func (c *Campaign) PlanHashHex() string {
+	h, _ := c.Plan.Hashes()
+	return h.String()
+}
+
+func (c *Campaign) GoldenHashHex() string {
+	_, h := c.Plan.Hashes()
+	return h.String()
+}
+
+// SingleNodeFingerprint simulates every chunk of the campaign in this
+// process, records them in a ledger as a coordinator would, and returns the
+// checkpoint fingerprint a distributed run of the same spec must reach: the
+// reference of the fabric tests, cmd/ffr's smoke and examples/distributed.
+func (c *Campaign) SingleNodeFingerprint(ctx context.Context) (uint64, error) {
+	ledger, err := c.Plan.OpenLedger()
+	if err != nil {
+		return 0, err
+	}
+	done, err := c.Plan.RunChunks(ctx, ledger.Pending())
+	if err != nil {
+		return 0, err
+	}
+	for ci, masks := range done {
+		if _, err := ledger.Add(ci, masks); err != nil {
+			return 0, err
+		}
+	}
+	return ledger.Fingerprint(), nil
+}
 
 // CheckAgainst verifies this campaign matches a coordinator's join
 // response; a mismatch means the two nodes materialized different
@@ -185,10 +180,10 @@ func (c *Campaign) CheckAgainst(join api.JoinResponse) error {
 	if got := c.GoldenHashHex(); got != join.GoldenHash {
 		return fmt.Errorf("fabric: golden-trace fingerprint mismatch: local %s, coordinator %s", got, join.GoldenHash)
 	}
-	if c.Shards.TotalJobs() != join.TotalJobs || c.Shards.ChunkJobs() != join.ChunkJobs ||
-		c.Shards.NumChunks() != join.NumChunks {
+	if pl := c.Plan; pl.TotalJobs() != join.TotalJobs || pl.ChunkJobs() != join.ChunkJobs ||
+		pl.NumChunks() != join.NumChunks {
 		return fmt.Errorf("fabric: shard geometry mismatch: local %d/%d/%d, coordinator %d/%d/%d",
-			c.Shards.TotalJobs(), c.Shards.ChunkJobs(), c.Shards.NumChunks(),
+			pl.TotalJobs(), pl.ChunkJobs(), pl.NumChunks(),
 			join.TotalJobs, join.ChunkJobs, join.NumChunks)
 	}
 	return nil

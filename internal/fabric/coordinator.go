@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io/fs"
 	"net/http"
 	"sort"
 	"strconv"
@@ -31,7 +30,9 @@ const (
 // CoordinatorConfig parameterizes a Coordinator.
 type CoordinatorConfig struct {
 	// Spec identifies the campaign; it is resolved (defaults filled) at
-	// construction.
+	// construction. Its Schedule is written, not read: a new campaign packs
+	// clustered, a resumed one as its checkpoint recorded, and the Join
+	// response's spec says which.
 	Spec api.CampaignSpec
 	// LeaseTTL is the heartbeat deadline per leased chunk (0 =
 	// DefaultLeaseTTL).
@@ -48,10 +49,6 @@ type CoordinatorConfig struct {
 	// Resume loads CheckpointPath (if present) and skips its completed
 	// chunks, exactly like a single-node resumed run.
 	Resume bool
-	// Workers bounds the merge-side simulation pool; the coordinator never
-	// simulates chunks, so this only affects golden-trace reuse (0 =
-	// GOMAXPROCS).
-	Workers int
 	// Metrics optionally receives the fabric metric families; nil creates
 	// a private registry (still served at /metrics).
 	Metrics *obs.Registry
@@ -77,23 +74,23 @@ type workerInfo struct {
 }
 
 // Coordinator owns a distributed campaign: the pending queue, the lease
-// table, the completed-chunk masks and the merged result. All HTTP
+// table and the campaign's chunk ledger — the fault.Ledger a single-node run
+// keeps too, which matches a resumed checkpoint, checks and records every
+// completed chunk, flushes the checkpoint and folds the result. All HTTP
 // handlers and accessors are safe for concurrent use.
 type Coordinator struct {
 	cfg  CoordinatorConfig
 	camp *Campaign
 
-	mu         sync.Mutex
-	pending    []int
-	leases     map[int]map[string]time.Time // chunk -> worker -> lease expiry
-	done       map[int][]uint64
-	workers    map[string]*workerInfo
-	sinceFlush int
-	finished   bool
-	result     *fault.Result
-	finalErr   error
-	ckHash     uint64
-	doneCh     chan struct{}
+	mu       sync.Mutex
+	pending  []int
+	leases   map[int]map[string]time.Time // chunk -> worker -> lease expiry
+	ledger   *fault.Ledger
+	workers  map[string]*workerInfo
+	finished bool
+	result   *fault.Result
+	finalErr error
+	doneCh   chan struct{}
 
 	metrics *obs.Registry
 	log     *obs.Logger
@@ -121,26 +118,30 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if cfg.MaxLeaseChunks == 0 {
 		cfg.MaxLeaseChunks = DefaultMaxLeaseChunks
 	}
-	if cfg.CheckpointEvery == 0 {
-		cfg.CheckpointEvery = fault.DefaultCheckpointEvery
-	}
-	if cfg.Resume && cfg.CheckpointPath == "" {
-		return nil, fmt.Errorf("fabric: Resume requires a CheckpointPath")
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
 	}
-	camp, err := BuildCampaign(cfg.Spec, cfg.Workers)
+	cfg.Spec.Schedule = ""
+	camp, err := BuildCampaign(cfg.Spec, fault.RunnerConfig{
+		CheckpointPath:  cfg.CheckpointPath,
+		CheckpointEvery: cfg.CheckpointEvery,
+		Resume:          cfg.Resume,
+	})
 	if err != nil {
 		return nil, err
 	}
-	cfg.Spec = camp.Spec
+	ledger, err := camp.Plan.OpenLedger()
+	if err != nil {
+		return nil, err
+	}
+	camp.Spec.Schedule = string(ledger.Schedule())
 
 	c := &Coordinator{
 		cfg:     cfg,
 		camp:    camp,
 		leases:  make(map[int]map[string]time.Time),
-		done:    make(map[int][]uint64),
+		ledger:  ledger,
+		pending: ledger.Pending(),
 		workers: make(map[string]*workerInfo),
 		doneCh:  make(chan struct{}),
 		metrics: cfg.Metrics,
@@ -162,58 +163,19 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	c.gDone = c.metrics.Gauge("ffr_fabric_chunks_done", "chunks completed")
 	c.gWorkers = c.metrics.Gauge("ffr_fabric_workers", "workers that have contacted the coordinator")
 
-	if cfg.Resume {
-		if err := c.restore(); err != nil {
-			return nil, err
-		}
-	}
-	c.startDone = len(c.done)
-	for ci := 0; ci < camp.Shards.NumChunks(); ci++ {
-		if _, ok := c.done[ci]; !ok {
-			c.pending = append(c.pending, ci)
-		}
-	}
+	c.startDone = ledger.Len()
 	c.updateGauges()
 	if len(c.pending) == 0 {
-		// Fully resumed: finalize immediately so Wait returns.
+		// Fully resumed: finish immediately so Wait returns.
 		c.mu.Lock()
-		c.finalize()
+		c.finish(ledger.Result())
 		c.mu.Unlock()
 	}
 	return c, nil
 }
 
-// restore seeds the done map from an existing checkpoint, exactly like a
-// resumed single-node run (foreign checkpoints are rejected by
-// fingerprint).
-func (c *Coordinator) restore() error {
-	ck, err := fault.LoadCheckpoint(c.cfg.CheckpointPath)
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	want, err := c.camp.Runner.CampaignCheckpoint(c.camp.Jobs, nil)
-	if err != nil {
-		return err
-	}
-	if ck.PlanHash != want.PlanHash || ck.GoldenHash != want.GoldenHash ||
-		ck.ClassifierHash != want.ClassifierHash ||
-		ck.TotalJobs != want.TotalJobs || ck.ChunkJobs != want.ChunkJobs || ck.NumChunks != want.NumChunks {
-		return fmt.Errorf("fabric: checkpoint %s belongs to a different campaign", c.cfg.CheckpointPath)
-	}
-	for ci, masks := range ck.Chunks {
-		c.done[ci] = masks
-	}
-	return nil
-}
-
 // Campaign returns the materialized campaign.
 func (c *Coordinator) Campaign() *Campaign { return c.camp }
-
-// Metrics returns the registry serving /metrics.
-func (c *Coordinator) Metrics() *obs.Registry { return c.metrics }
 
 // now is the (test-overridable) clock.
 func (c *Coordinator) now() time.Time { return c.cfg.Clock() }
@@ -229,7 +191,7 @@ func (c *Coordinator) reap(now time.Time) {
 		}
 		if len(holders) == 0 {
 			delete(c.leases, ci)
-			if _, isDone := c.done[ci]; !isDone {
+			if !c.ledger.Has(ci) {
 				// Expired without a surviving holder: back to the front of
 				// the queue so recovery beats fresh work.
 				c.pending = append([]int{ci}, c.pending...)
@@ -254,7 +216,7 @@ func (c *Coordinator) touch(worker string) *workerInfo {
 func (c *Coordinator) updateGauges() {
 	c.gPending.Set(float64(len(c.pending)))
 	c.gLeased.Set(float64(len(c.leases)))
-	c.gDone.Set(float64(len(c.done)))
+	c.gDone.Set(float64(c.ledger.Len()))
 	c.gWorkers.Set(float64(len(c.workers)))
 }
 
@@ -272,9 +234,9 @@ func (c *Coordinator) Join(req api.JoinRequest) (api.JoinResponse, error) {
 		Spec:           c.camp.Spec,
 		PlanHash:       c.camp.PlanHashHex(),
 		GoldenHash:     c.camp.GoldenHashHex(),
-		TotalJobs:      c.camp.Shards.TotalJobs(),
-		ChunkJobs:      c.camp.Shards.ChunkJobs(),
-		NumChunks:      c.camp.Shards.NumChunks(),
+		TotalJobs:      c.camp.Plan.TotalJobs(),
+		ChunkJobs:      c.camp.Plan.ChunkJobs(),
+		NumChunks:      c.camp.Plan.NumChunks(),
 		LeaseTTLMillis: c.cfg.LeaseTTL.Milliseconds(),
 	}, nil
 }
@@ -348,7 +310,7 @@ func (c *Coordinator) stealCandidate(worker string) (int, bool) {
 		if _, mine := holders[worker]; mine {
 			continue
 		}
-		if _, isDone := c.done[ci]; isDone {
+		if c.ledger.Has(ci) {
 			continue
 		}
 		earliest := time.Time{}
@@ -380,7 +342,7 @@ func (c *Coordinator) Heartbeat(req api.HeartbeatRequest) (api.HeartbeatResponse
 	var resp api.HeartbeatResponse
 	for _, ci := range req.Chunks {
 		holders, leased := c.leases[ci]
-		if _, isDone := c.done[ci]; isDone || !leased {
+		if c.ledger.Has(ci) || !leased {
 			resp.Canceled = append(resp.Canceled, ci)
 			continue
 		}
@@ -394,66 +356,46 @@ func (c *Coordinator) Heartbeat(req api.HeartbeatRequest) (api.HeartbeatResponse
 	return resp, nil
 }
 
-// errConflict marks results that contradict coordinator state; the HTTP
-// layer maps it to 409 + CodeConflict.
-var errConflict = errors.New("fabric: conflicting result")
-
-// Complete merges one chunk result. The first result for a chunk wins;
-// later copies (work stealing, expired-lease races) are verified
+// Complete hands one chunk result to the ledger. The first result for a
+// chunk wins; later copies (work stealing, expired-lease races) are verified
 // bit-identical and acknowledged as duplicates — a mismatch means the
-// campaign is not deterministic and is rejected loudly.
+// campaign is not deterministic and is rejected loudly (the HTTP layer
+// answers fault.ErrChunkConflict with 409 + CodeConflict). A refused result
+// leaves the campaign as it was; a checkpoint that cannot be flushed fails it.
 func (c *Coordinator) Complete(req api.CompleteRequest) (api.CompleteResponse, error) {
 	if req.Worker == "" {
 		return api.CompleteResponse{}, fmt.Errorf("fabric: complete without a worker name")
 	}
 	if req.PlanHash != c.camp.PlanHashHex() {
 		return api.CompleteResponse{}, fmt.Errorf("%w: plan fingerprint %q, campaign %q",
-			errConflict, req.PlanHash, c.camp.PlanHashHex())
-	}
-	if req.Chunk < 0 || req.Chunk >= c.camp.Shards.NumChunks() {
-		return api.CompleteResponse{}, fmt.Errorf("fabric: chunk %d of %d", req.Chunk, c.camp.Shards.NumChunks())
+			fault.ErrChunkConflict, req.PlanHash, c.camp.PlanHashHex())
 	}
 	masks, err := api.DecodeMasks(req.Masks)
 	if err != nil {
 		return api.CompleteResponse{}, err
 	}
-	if want := c.camp.Shards.ChunkBatches(req.Chunk); len(masks) != want {
-		return api.CompleteResponse{}, fmt.Errorf("fabric: chunk %d carries %d batch masks, want %d",
-			req.Chunk, len(masks), want)
-	}
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	wi := c.touch(req.Worker)
-	if prev, isDone := c.done[req.Chunk]; isDone {
-		for i := range prev {
-			if prev[i] != masks[i] {
-				return api.CompleteResponse{}, fmt.Errorf(
-					"%w: chunk %d batch %d mask %x contradicts accepted %x — campaign is not deterministic",
-					errConflict, req.Chunk, i, masks[i], prev[i])
-			}
+	duplicate, err := c.ledger.Add(req.Chunk, masks)
+	if err != nil {
+		if c.ledger.Err() != nil {
+			c.finish(nil, err)
 		}
+		return api.CompleteResponse{}, err
+	}
+	if duplicate {
 		c.mDuplicates.Inc()
 		c.updateGauges()
 		return api.CompleteResponse{Accepted: true, Duplicate: true}, nil
 	}
-
-	c.done[req.Chunk] = masks
 	delete(c.leases, req.Chunk)
 	c.removePending(req.Chunk)
 	wi.completed++
 	c.mCompleted.Inc()
-	c.sinceFlush++
-
-	if c.cfg.CheckpointPath != "" && c.sinceFlush >= c.cfg.CheckpointEvery && !c.allDone() {
-		if err := c.saveCheckpointLocked(); err != nil {
-			c.failLocked(err)
-			return api.CompleteResponse{}, err
-		}
-		c.sinceFlush = 0
-	}
-	if c.allDone() {
-		c.finalize()
+	if c.ledger.Len() == c.camp.Plan.NumChunks() {
+		c.finish(c.ledger.Result())
 	}
 	c.updateGauges()
 	return api.CompleteResponse{Accepted: true}, nil
@@ -471,61 +413,15 @@ func (c *Coordinator) removePending(ci int) {
 	}
 }
 
-func (c *Coordinator) allDone() bool {
-	return len(c.done) == c.camp.Shards.NumChunks()
-}
-
-// saveCheckpointLocked persists the merged state in the standard campaign
-// checkpoint format. Callers hold c.mu.
-func (c *Coordinator) saveCheckpointLocked() error {
-	ck, err := c.camp.Runner.CampaignCheckpoint(c.camp.Jobs, c.done)
-	if err != nil {
-		return err
-	}
-	return fault.SaveCheckpoint(c.cfg.CheckpointPath, ck)
-}
-
-// failLocked terminates the campaign with an error. Callers hold c.mu.
-func (c *Coordinator) failLocked(err error) {
+// finish ends the campaign — with the complete ledger's fold, or with the
+// error that broke it — and releases Wait. Callers hold c.mu.
+func (c *Coordinator) finish(res *fault.Result, err error) {
 	if c.finished {
 		return
 	}
-	c.finished = true
-	c.finalErr = err
+	c.finished, c.result, c.finalErr = true, res, err
 	close(c.doneCh)
 }
-
-// finalize merges the complete mask set into the final Result, writes the
-// final checkpoint and releases Wait. Callers hold c.mu.
-func (c *Coordinator) finalize() {
-	if c.finished {
-		return
-	}
-	res, err := c.camp.Runner.MergeChunks(c.camp.Jobs, c.done)
-	if err != nil {
-		c.failLocked(err)
-		return
-	}
-	ck, err := c.camp.Runner.CampaignCheckpoint(c.camp.Jobs, c.done)
-	if err != nil {
-		c.failLocked(err)
-		return
-	}
-	if c.cfg.CheckpointPath != "" {
-		if err := fault.SaveCheckpoint(c.cfg.CheckpointPath, ck); err != nil {
-			c.failLocked(err)
-			return
-		}
-	}
-	c.result = res
-	c.ckHash = ck.Fingerprint()
-	c.finished = true
-	close(c.doneCh)
-}
-
-// Done exposes completion: the channel closes when every chunk is merged
-// (or the campaign failed).
-func (c *Coordinator) Done() <-chan struct{} { return c.doneCh }
 
 // Wait blocks until the campaign completes and returns the merged result.
 func (c *Coordinator) Wait(ctx context.Context) (*fault.Result, error) {
@@ -574,7 +470,10 @@ func (c *Coordinator) Drained(ctx context.Context) bool {
 func (c *Coordinator) CheckpointFingerprint() (uint64, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.ckHash, c.finished && c.finalErr == nil
+	if !c.finished || c.finalErr != nil {
+		return 0, false
+	}
+	return c.ledger.Fingerprint(), true
 }
 
 // Status snapshots campaign progress.
@@ -584,18 +483,15 @@ func (c *Coordinator) Status() api.FabricStatus {
 	defer c.mu.Unlock()
 	st := api.FabricStatus{
 		Scenario:         c.camp.Spec.Scenario,
-		TotalChunks:      c.camp.Shards.NumChunks(),
-		DoneChunks:       len(c.done),
+		TotalChunks:      c.camp.Plan.NumChunks(),
+		DoneChunks:       c.ledger.Len(),
 		Pending:          len(c.pending),
 		Leased:           len(c.leases),
 		Done:             c.finished && c.finalErr == nil,
-		JobsTotal:        c.camp.Shards.TotalJobs(),
+		JobsDone:         c.ledger.JobsDone(),
+		JobsTotal:        c.camp.Plan.TotalJobs(),
 		LeaseExpirations: int64(c.mExpired.Value()),
 		ShardsStolen:     int64(c.mStolen.Value()),
-	}
-	for ci := range c.done {
-		lo, hi := c.camp.Shards.ChunkRange(ci)
-		st.JobsDone += hi - lo
 	}
 	if st.JobsTotal > 0 {
 		st.ProgressPercent = 100 * float64(st.JobsDone) / float64(st.JobsTotal)
@@ -603,12 +499,12 @@ func (c *Coordinator) Status() api.FabricStatus {
 	// Extrapolate the ETA from chunks merged since this coordinator
 	// started; chunks restored from a resumed checkpoint carry no timing
 	// signal.
-	if newDone := len(c.done) - c.startDone; newDone > 0 && !c.finished {
-		remaining := c.camp.Shards.NumChunks() - len(c.done)
+	if newDone := c.ledger.Len() - c.startDone; newDone > 0 && !c.finished {
+		remaining := c.camp.Plan.NumChunks() - c.ledger.Len()
 		st.ETAMillis = now.Sub(c.started).Milliseconds() * int64(remaining) / int64(newDone)
 	}
 	if st.Done {
-		st.CheckpointFingerprint = strconv.FormatUint(c.ckHash, 16)
+		st.CheckpointFingerprint = strconv.FormatUint(c.ledger.Fingerprint(), 16)
 	}
 	names := make([]string, 0, len(c.workers))
 	for name := range c.workers {
@@ -695,7 +591,7 @@ func (c *Coordinator) Handler() http.Handler {
 			resp, err := c.Complete(req)
 			if err == nil {
 				c.mu.Lock()
-				done, total := len(c.done), c.camp.Shards.NumChunks()
+				done, total := c.ledger.Len(), c.camp.Plan.NumChunks()
 				c.mu.Unlock()
 				c.log.Info("chunk completed",
 					obs.F("worker", req.Worker),
@@ -727,7 +623,7 @@ func (c *Coordinator) respond(w http.ResponseWriter, r *http.Request, op, worker
 	switch {
 	case err == nil:
 		api.WriteJSON(w, http.StatusOK, resp)
-	case errors.Is(err, errConflict):
+	case errors.Is(err, fault.ErrChunkConflict):
 		c.log.Warn(op+" conflict",
 			obs.F("worker", worker), obs.F("error", err),
 			obs.F("trace_id", obs.TraceIDFrom(ctx)))

@@ -5,16 +5,19 @@
 // The design leans entirely on determinism. A campaign is identified by an
 // api.CampaignSpec — corpus scenario, scale, seeds, chunk geometry,
 // schedule — and every node that materializes the spec derives the same
-// netlist, golden trace, injection plan and chunk splitting
-// (fault.PlanShards). Workers therefore never receive jobs over the wire,
-// only chunk indices; they simulate the chunks locally (fault.RunChunks —
-// the same chunk executor a single-node campaign runs) and post back
-// per-batch failure masks. The coordinator merges the masks
-// into the existing versioned checkpoint format and the final
-// fault.Result, so a 2-worker distributed campaign is bit-identical —
-// checkpoint-fingerprint-equal — to the single-node run of the same spec,
-// a property pinned by this package's tests on top of the PR 4
-// equivalence suite.
+// netlist, golden trace, injection plan and chunk splitting (one
+// fault.Plan, prepared once per node). Workers therefore never receive jobs
+// over the wire, only chunk indices; they simulate the chunks locally
+// (fault.Plan.RunChunks — the same chunk executor a single-node campaign
+// runs, every lease on the one prepared plan) and post back per-batch
+// failure masks. The coordinator hands them to the same fault.Ledger a
+// single-node run keeps — one matcher for a resumed checkpoint, one set of
+// per-chunk checks, one flush cadence, one fold — so a 2-worker distributed
+// campaign is bit-identical — checkpoint-fingerprint-equal — to the
+// single-node run of the same spec, a property pinned by this package's
+// tests on top of the PR 4 equivalence suite. The schedule in the spec is
+// the coordinator's to fill: clustered for a new campaign, the recorded one
+// for a resumed checkpoint.
 //
 // Fault tolerance is lease-based: a granted chunk must be heartbeated
 // within the lease TTL or it returns to the pending queue (lease expiry —

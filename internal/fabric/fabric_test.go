@@ -29,33 +29,20 @@ func testSpec() api.CampaignSpec {
 	}
 }
 
-// singleNodeFingerprint runs the spec single-node with a checkpoint and
-// returns the canonical checkpoint fingerprint — the reference every
-// distributed test must hit exactly.
+// singleNodeFingerprint runs the spec in this process and returns the
+// canonical checkpoint fingerprint — the reference every distributed test
+// must hit exactly.
 func singleNodeFingerprint(t *testing.T, spec api.CampaignSpec) uint64 {
 	t.Helper()
-	camp, err := fabric.BuildCampaign(spec, 2)
+	camp, err := fabric.BuildCampaign(spec, fault.RunnerConfig{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ckPath := filepath.Join(t.TempDir(), "single.ckpt")
-	cfg := fault.RunnerConfig{
-		ChunkJobs:      camp.Spec.ChunkJobs,
-		Workers:        2,
-		Golden:         camp.M.Golden,
-		Snapshots:      camp.M.Snapshots,
-		Schedule:       fault.Schedule(camp.Spec.Schedule),
-		CheckpointPath: ckPath,
-	}
-	if _, err := fault.RunJobs(camp.M.Program, camp.M.Bench.Stim, camp.M.Bench.Monitors,
-		camp.M.Bench.Classifier, camp.Jobs, cfg); err != nil {
-		t.Fatal(err)
-	}
-	ck, err := fault.LoadCheckpoint(ckPath)
+	fp, err := camp.SingleNodeFingerprint(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ck.Fingerprint()
+	return fp
 }
 
 // fakeClock is a manually advanced coordinator clock.
@@ -92,44 +79,7 @@ func TestTwoWorkerCampaignMatchesSingleNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(coord.Handler())
-	defer srv.Close()
-
-	var wg sync.WaitGroup
-	workerErrs := make([]error, 2)
-	for i, name := range []string{"w1", "w2"} {
-		w, err := fabric.NewWorker(fabric.WorkerConfig{
-			Name:        name,
-			Coordinator: srv.URL,
-			Workers:     1,
-			Heartbeat:   100 * time.Millisecond,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			workerErrs[i] = w.Run(context.Background())
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range workerErrs {
-		if err != nil {
-			t.Fatalf("worker %d: %v", i, err)
-		}
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if _, err := coord.Wait(ctx); err != nil {
-		t.Fatal(err)
-	}
-	got, ok := coord.CheckpointFingerprint()
-	if !ok {
-		t.Fatal("campaign finished without a fingerprint")
-	}
-	if got != want {
+	if got := runWorkers(t, coord, 2); got != want {
 		t.Fatalf("distributed fingerprint %x != single-node %x", got, want)
 	}
 
@@ -160,6 +110,8 @@ func TestTwoWorkerCampaignMatchesSingleNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
 	if _, err := resumed.Wait(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -366,14 +318,15 @@ func TestWorkerCrashRecovery(t *testing.T) {
 // conflict.
 func TestWorkStealing(t *testing.T) {
 	spec := testSpec()
-	camp, err := fabric.BuildCampaign(spec, 2)
+	camp, err := fabric.BuildCampaign(spec, fault.RunnerConfig{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	numChunks := camp.Plan.NumChunks()
 	coord, err := fabric.NewCoordinator(fabric.CoordinatorConfig{
 		Spec:           spec,
 		LeaseTTL:       time.Hour, // nothing expires: stealing must not need expiry
-		MaxLeaseChunks: camp.Shards.NumChunks(),
+		MaxLeaseChunks: numChunks,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -383,12 +336,12 @@ func TestWorkStealing(t *testing.T) {
 	client := fabric.NewClient(srv.URL)
 
 	// The slow worker leases every chunk.
-	slow, err := client.Lease(api.LeaseRequest{Worker: "slow", Max: camp.Shards.NumChunks()})
+	slow, err := client.Lease(api.LeaseRequest{Worker: "slow", Max: numChunks})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(slow.Chunks) != camp.Shards.NumChunks() {
-		t.Fatalf("slow worker leased %d of %d chunks", len(slow.Chunks), camp.Shards.NumChunks())
+	if len(slow.Chunks) != numChunks {
+		t.Fatalf("slow worker leased %d of %d chunks", len(slow.Chunks), numChunks)
 	}
 
 	// A fast worker finds the queue empty and steals a straggler.
@@ -403,11 +356,11 @@ func TestWorkStealing(t *testing.T) {
 
 	// Simulate everything locally (the masks are deterministic, so any
 	// node's copy is THE copy).
-	all := make([]int, camp.Shards.NumChunks())
+	all := make([]int, numChunks)
 	for i := range all {
 		all[i] = i
 	}
-	masks, err := camp.Runner.RunChunks(context.Background(), camp.Jobs, all)
+	masks, err := camp.Plan.RunChunks(context.Background(), all)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -497,7 +450,7 @@ func TestCompleteValidation(t *testing.T) {
 		t.Fatal("foreign plan hash accepted")
 	}
 	if _, err := coord.Complete(api.CompleteRequest{
-		Worker: "w", Chunk: camp.Shards.NumChunks(), PlanHash: camp.PlanHashHex(), Masks: []string{"0"},
+		Worker: "w", Chunk: camp.Plan.NumChunks(), PlanHash: camp.PlanHashHex(), Masks: []string{"0"},
 	}); err == nil {
 		t.Fatal("out-of-range chunk accepted")
 	}

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/fabric"
+	"repro/internal/fault"
 )
 
 // TestResolveSpecCanonicalizesHarden pins the wire contract: a harden list
@@ -42,13 +43,13 @@ func TestResolveSpecCanonicalizesHarden(t *testing.T) {
 // is what lets the fabric distribute hardened verify campaigns.
 func TestBuildCampaignHardened(t *testing.T) {
 	base := api.CampaignSpec{Scenario: "alupipe/randomops", Seed: 1, InjectionsPerFF: 2}
-	plain, err := fabric.BuildCampaign(base, 1)
+	plain, err := fabric.BuildCampaign(base, fault.RunnerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	spec := base
 	spec.Harden = []int{0, 1, 2, 3}
-	hard, err := fabric.BuildCampaign(spec, 1)
+	hard, err := fabric.BuildCampaign(spec, fault.RunnerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,25 +59,25 @@ func TestBuildCampaignHardened(t *testing.T) {
 	if len(hard.Jobs) <= len(plain.Jobs) {
 		t.Fatalf("hardened campaign has %d jobs, plain has %d", len(hard.Jobs), len(plain.Jobs))
 	}
-	if hard.PlanHash == plain.PlanHash {
+	if hard.PlanHashHex() == plain.PlanHashHex() {
 		t.Fatal("hardened plan fingerprint equals the unhardened one")
 	}
 	// The TMR invariant: the fault-free golden trace is bit-identical, so
 	// the golden fingerprint must not change.
-	if hard.GoldenHash != plain.GoldenHash {
+	if hard.GoldenHashHex() != plain.GoldenHashHex() {
 		t.Fatal("hardened golden fingerprint differs; TMR rewrite changed fault-free behavior")
 	}
-	again, err := fabric.BuildCampaign(spec, 1)
+	again, err := fabric.BuildCampaign(spec, fault.RunnerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again.PlanHash != hard.PlanHash || again.GoldenHash != hard.GoldenHash {
+	if again.PlanHashHex() != hard.PlanHashHex() || again.GoldenHashHex() != hard.GoldenHashHex() {
 		t.Fatal("hardened campaign build is not deterministic")
 	}
 	if _, err := fabric.BuildCampaign(api.CampaignSpec{
 		Scenario: "alupipe/randomops", Seed: 1, InjectionsPerFF: 2,
 		Harden: []int{1 << 20},
-	}, 1); err == nil {
+	}, fault.RunnerConfig{}); err == nil {
 		t.Fatal("out-of-range harden index accepted")
 	}
 }

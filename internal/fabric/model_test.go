@@ -1,10 +1,7 @@
 package fabric_test
 
 import (
-	"context"
-	"net/http/httptest"
 	"path/filepath"
-	"sync"
 	"testing"
 	"time"
 
@@ -51,31 +48,7 @@ func TestDistributedModelCampaignMatchesSingleNode(t *testing.T) {
 	spec := testSpec()
 	spec.FaultModel = "mbu:2"
 
-	camp, err := fabric.BuildCampaign(spec, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	model, err := fault.ParseModel(spec.FaultModel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ckPath := filepath.Join(t.TempDir(), "single.ckpt")
-	if _, err := fault.RunJobs(camp.M.Program, camp.M.Bench.Stim, camp.M.Bench.Monitors,
-		camp.M.Bench.Classifier, camp.Jobs, fault.RunnerConfig{
-			Model:          model,
-			ChunkJobs:      camp.Spec.ChunkJobs,
-			Workers:        2,
-			Golden:         camp.M.Golden,
-			Snapshots:      camp.M.Snapshots,
-			Schedule:       fault.Schedule(camp.Spec.Schedule),
-			CheckpointPath: ckPath,
-		}); err != nil {
-		t.Fatal(err)
-	}
-	ck, err := fault.LoadCheckpoint(ckPath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ck := checkpointed(t, spec, fault.RunnerConfig{Workers: 2}, filepath.Join(t.TempDir(), "single.ckpt"))
 	want := ck.Fingerprint()
 	if ck.Model != "mbu:2" {
 		t.Fatalf("single-node checkpoint records model %q, want %q", ck.Model, "mbu:2")
@@ -88,44 +61,7 @@ func TestDistributedModelCampaignMatchesSingleNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(coord.Handler())
-	defer srv.Close()
-
-	var wg sync.WaitGroup
-	workerErrs := make([]error, 2)
-	for i, name := range []string{"w1", "w2"} {
-		w, err := fabric.NewWorker(fabric.WorkerConfig{
-			Name:        name,
-			Coordinator: srv.URL,
-			Workers:     1,
-			Heartbeat:   100 * time.Millisecond,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			workerErrs[i] = w.Run(context.Background())
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range workerErrs {
-		if err != nil {
-			t.Fatalf("worker %d: %v", i, err)
-		}
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if _, err := coord.Wait(ctx); err != nil {
-		t.Fatal(err)
-	}
-	got, ok := coord.CheckpointFingerprint()
-	if !ok {
-		t.Fatal("campaign finished without a fingerprint")
-	}
-	if got != want {
+	if got := runWorkers(t, coord, 2); got != want {
 		t.Fatalf("distributed MBU fingerprint %x != single-node %x", got, want)
 	}
 }

@@ -1,0 +1,189 @@
+package fabric_test
+
+import (
+	"bytes"
+	"cmp"
+	"context"
+	"errors"
+	"fmt"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/api"
+	"repro/internal/fabric"
+	"repro/internal/fault"
+)
+
+// checkpointed runs the spec single-node under local (Model, ChunkJobs,
+// Golden and Snapshots come from the spec) with a checkpoint at path and
+// returns the finished file.
+func checkpointed(t *testing.T, spec api.CampaignSpec, local fault.RunnerConfig, path string) *fault.Checkpoint {
+	t.Helper()
+	camp, err := fabric.BuildCampaign(spec, fault.RunnerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := fault.ParseModel(camp.Spec.FaultModel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	local.Model, local.ChunkJobs, local.CheckpointPath = model, camp.Spec.ChunkJobs, path
+	local.Golden, local.Snapshots = camp.M.Golden, camp.M.Snapshots
+	if _, err := fault.RunJobs(camp.M.Program, camp.M.Bench.Stim, camp.M.Bench.Monitors,
+		camp.M.Bench.Classifier, camp.Jobs, local); err != nil {
+		t.Fatal(err)
+	}
+	ck, err := fault.LoadCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ck
+}
+
+// runWorkers runs n workers against the coordinator until the campaign
+// completes and returns its checkpoint fingerprint.
+func runWorkers(t *testing.T, coord *fabric.Coordinator, n int) uint64 {
+	t.Helper()
+	srv := httptest.NewServer(coord.Handler())
+	defer srv.Close()
+	var wg sync.WaitGroup
+	errs := make([]error, n)
+	for i := range errs {
+		w, err := fabric.NewWorker(fabric.WorkerConfig{
+			Name: fmt.Sprintf("w%d", i), Coordinator: srv.URL, Workers: 1, Heartbeat: 100 * time.Millisecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = w.Run(context.Background())
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("worker %d: %v", i, err)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if _, err := coord.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	fp, ok := coord.CheckpointFingerprint()
+	if !ok {
+		t.Fatal("campaign finished without a fingerprint")
+	}
+	return fp
+}
+
+// TestCoordinatorRefusesForeignCheckpoint: a coordinator resumes only the
+// checkpoint of its own campaign. A file written under another fault model
+// — SEU and stuck-at plans are the same jobs, so the plan fingerprint cannot
+// tell — or under another shard geometry is refused with
+// fault.ErrCheckpointMismatch, as a Runner refuses it, and stays on disk
+// byte for byte: never a campaign that finishes with no worker attached on
+// the other campaign's masks, under this one's label.
+func TestCoordinatorRefusesForeignCheckpoint(t *testing.T) {
+	spec := testSpec()
+	for _, tc := range []struct {
+		name    string
+		foreign func(*api.CampaignSpec)
+	}{
+		{"fault-model", func(s *api.CampaignSpec) { s.FaultModel = "stuck1:4" }},
+		{"geometry", func(s *api.CampaignSpec) { s.ChunkJobs = 128 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			other := spec
+			tc.foreign(&other)
+			path := filepath.Join(t.TempDir(), "campaign.ckpt")
+			ck := checkpointed(t, other, fault.RunnerConfig{}, path)
+			mine, err := fabric.BuildCampaign(spec, fault.RunnerConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ck.PlanHash.String() != mine.PlanHashHex() {
+				t.Fatalf("the foreign campaign has plan %v, this one %s: the plan fingerprint alone tells them apart",
+					ck.PlanHash, mine.PlanHashHex())
+			}
+			before, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = fabric.NewCoordinator(fabric.CoordinatorConfig{Spec: spec, CheckpointPath: path, Resume: true})
+			if !errors.Is(err, fault.ErrCheckpointMismatch) {
+				t.Fatalf("resume over a checkpoint of another %s returned %v, want ErrCheckpointMismatch", tc.name, err)
+			}
+			after, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(before, after) {
+				t.Fatal("the refused checkpoint was rewritten")
+			}
+		})
+	}
+}
+
+// TestCoordinatorAdoptsRecordedSchedule: a coordinator resumed over a
+// plan-order checkpoint — also one whose header predates the schedule field
+// — adopts that packing exactly as a default Runner does, tells its workers
+// in the Join response's spec, and two workers then finish the campaign at
+// the fingerprint of the single-node plan-order run.
+func TestCoordinatorAdoptsRecordedSchedule(t *testing.T) {
+	spec := testSpec()
+	for _, recorded := range []string{string(fault.SchedulePlan), ""} {
+		t.Run("recorded="+cmp.Or(recorded, "none"), func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "campaign.ckpt")
+			ck := checkpointed(t, spec, fault.RunnerConfig{Schedule: fault.SchedulePlan}, path)
+			want := ck.Fingerprint()
+
+			// What an interrupted run leaves: two of the five chunks.
+			ck.Schedule = recorded
+			for ci := 2; ci < ck.NumChunks; ci++ {
+				delete(ck.Chunks, ci)
+			}
+			if err := fault.SaveCheckpoint(path, ck); err != nil {
+				t.Fatal(err)
+			}
+			local := path + ".local"
+			if err := fault.SaveCheckpoint(local, ck); err != nil {
+				t.Fatal(err)
+			}
+			if got := checkpointed(t, spec, fault.RunnerConfig{Resume: true}, local); got.Fingerprint() != want || got.Schedule != string(fault.SchedulePlan) {
+				t.Fatalf("default Runner resumed to %x under %q, want %x under plan order", got.Fingerprint(), got.Schedule, want)
+			}
+
+			coord, err := fabric.NewCoordinator(fabric.CoordinatorConfig{Spec: spec, CheckpointPath: path, Resume: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			join, err := coord.Join(api.JoinRequest{Worker: "probe"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if join.Spec.Schedule != string(fault.SchedulePlan) {
+				t.Fatalf("join spec carries schedule %q, want the adopted %q", join.Spec.Schedule, fault.SchedulePlan)
+			}
+			if st := coord.Status(); st.DoneChunks != 2 {
+				t.Fatalf("resumed %d chunks, the checkpoint held 2", st.DoneChunks)
+			}
+			if got := runWorkers(t, coord, 2); got != want {
+				t.Fatalf("resumed 2-worker fingerprint %x, single-node plan-order run %x", got, want)
+			}
+			final, err := fault.LoadCheckpoint(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if final.Fingerprint() != want || final.Schedule != string(fault.SchedulePlan) {
+				t.Fatalf("final file fingerprints %x under %q, want %x under plan order", final.Fingerprint(), final.Schedule, want)
+			}
+		})
+	}
+}

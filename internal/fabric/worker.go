@@ -4,7 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
 	"time"
 
@@ -122,7 +123,10 @@ func (w *Worker) Run(ctx context.Context) error {
 	if err != nil {
 		return fmt.Errorf("fabric: worker %s join: %w", w.cfg.Name, err)
 	}
-	camp, err := BuildCampaignObs(join.Spec, w.cfg.Workers, w.cfg.Metrics, w.cfg.Logger)
+	// Prepared once: every lease below runs on this one plan.
+	camp, err := BuildCampaign(join.Spec, fault.RunnerConfig{
+		Workers: w.cfg.Workers, Metrics: w.cfg.Metrics, Logger: w.cfg.Logger,
+	})
 	if err != nil {
 		return fmt.Errorf("fabric: worker %s materializing campaign: %w", w.cfg.Name, err)
 	}
@@ -193,12 +197,12 @@ func (w *Worker) Run(ctx context.Context) error {
 // context error.
 func (w *Worker) runLease(ctx context.Context, chunks []int) error {
 	simCtx, span := w.tracer.Start(ctx, "fabric.simulate", obs.F("chunks", len(chunks)))
-	done, runErr := w.camp.Runner.RunChunks(simCtx, w.camp.Jobs, chunks)
+	done, runErr := w.camp.Plan.RunChunks(simCtx, chunks)
 	span.End()
 	if runErr != nil && !errors.Is(runErr, fault.ErrInterrupted) {
 		return fmt.Errorf("fabric: worker %s simulating: %w", w.cfg.Name, runErr)
 	}
-	for _, ci := range sortedChunks(done) {
+	for _, ci := range slices.Sorted(maps.Keys(done)) {
 		resp, err := w.client.CompleteCtx(ctx, api.CompleteRequest{
 			Worker:   w.cfg.Name,
 			Chunk:    ci,
@@ -251,14 +255,4 @@ func (w *Worker) heartbeatLoop(ctx context.Context, interval time.Duration) {
 			w.release(ci)
 		}
 	}
-}
-
-// sortedChunks returns map keys ascending, for deterministic posting.
-func sortedChunks(done map[int][]uint64) []int {
-	out := make([]int, 0, len(done))
-	for ci := range done {
-		out = append(out, ci)
-	}
-	sort.Ints(out)
-	return out
 }

@@ -3,6 +3,8 @@ package fault
 import (
 	"cmp"
 	"errors"
+	"maps"
+	"slices"
 
 	"repro/internal/durable"
 )
@@ -84,7 +86,7 @@ func (c *Checkpoint) Fingerprint() uint64 {
 	d.Int(c.ChunkJobs)
 	d.Int(c.NumChunks)
 	d.Int(len(c.Chunks))
-	for _, ci := range sortedChunkIndices(c.Chunks) {
+	for _, ci := range slices.Sorted(maps.Keys(c.Chunks)) {
 		d.Int(ci)
 		d.Int(len(c.Chunks[ci]))
 		for _, m := range c.Chunks[ci] {

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/circuit"
 	"repro/internal/corpus"
 	"repro/internal/fault"
 	"repro/internal/obs"
@@ -17,8 +18,9 @@ import (
 // model: splitting a plan's chunks three ways across
 // independent Runners (as three fabric workers would) must reproduce,
 // chunk for chunk, the masks one checkpointed single-node Run records, and
-// merging them and assembling a checkpoint must be bit-identical — same
-// Result, same checkpoint fingerprint — to that Run.
+// recording them in a fourth Runner's ledger (as their coordinator would)
+// must be bit-identical — same Result, same checkpoint fingerprint, same
+// file — to that Run.
 func TestRunChunksMergeMatchesRun(t *testing.T) {
 	p, bench := smallMAC(t)
 	cls := fault.NewMACClassifier(bench, true)
@@ -42,15 +44,11 @@ func TestRunChunksMergeMatchesRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sh, err := fault.PlanShards(len(jobs), cfg.ChunkJobs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sh.NumChunks() < 3 {
-			t.Fatalf("%s: plan too small: %d chunks", spec, sh.NumChunks())
+		if singleCk.NumChunks < 3 {
+			t.Fatalf("%s: plan too small: %d chunks", spec, singleCk.NumChunks)
 		}
 		var split [3][]int
-		for ci := 0; ci < sh.NumChunks(); ci++ {
+		for ci := 0; ci < singleCk.NumChunks; ci++ {
 			split[ci%3] = append(split[ci%3], ci)
 		}
 
@@ -58,11 +56,7 @@ func TestRunChunksMergeMatchesRun(t *testing.T) {
 			// Three "workers": independent runners, disjoint chunk sets.
 			merged := make(map[int][]uint64)
 			for _, chunkSet := range split {
-				w, err := fault.NewRunner(p, bench.Stim, bench.Monitors, fault.NewMACClassifier(bench, true), cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				masks, err := w.RunChunks(context.Background(), jobs, chunkSet)
+				masks, err := prepare(t, p, bench, cfg, jobs).RunChunks(context.Background(), chunkSet)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -77,13 +71,20 @@ func TestRunChunksMergeMatchesRun(t *testing.T) {
 				t.Fatal("leased chunk masks differ from the single-node checkpoint's")
 			}
 
-			// Coordinator-side merge: Result and checkpoint must match
+			// Coordinator-side ledger: Result and checkpoint must match
 			// the single-node run exactly.
-			coord, err := fault.NewRunner(p, bench.Stim, bench.Monitors, cls, cfg)
+			distCfg := cfg
+			distCfg.CheckpointPath = filepath.Join(t.TempDir(), "merged.ckpt")
+			lg, err := prepare(t, p, bench, distCfg, jobs).OpenLedger()
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := coord.MergeChunks(jobs, merged)
+			for ci, m := range merged {
+				if dup, err := lg.Add(ci, m); err != nil || dup {
+					t.Fatalf("chunk %d: duplicate=%v, err %v", ci, dup, err)
+				}
+			}
+			res, err := lg.Result()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -93,22 +94,14 @@ func TestRunChunksMergeMatchesRun(t *testing.T) {
 						res.Failures[ff], res.Injections[ff], ref.Failures[ff], ref.Injections[ff])
 				}
 			}
-			distCk, err := coord.CampaignCheckpoint(jobs, merged)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if distCk.Fingerprint() != singleCk.Fingerprint() {
+			if lg.Fingerprint() != singleCk.Fingerprint() {
 				t.Fatalf("checkpoint fingerprints differ: distributed %x, single-node %x",
-					distCk.Fingerprint(), singleCk.Fingerprint())
+					lg.Fingerprint(), singleCk.Fingerprint())
 			}
 
-			// The merged checkpoint must round-trip through the existing
-			// on-disk format and keep its fingerprint.
-			distPath := filepath.Join(t.TempDir(), "merged.ckpt")
-			if err := fault.SaveCheckpoint(distPath, distCk); err != nil {
-				t.Fatal(err)
-			}
-			loaded, err := fault.LoadCheckpoint(distPath)
+			// The file the ledger flushed with the last chunk must load
+			// from the existing on-disk format with the same fingerprint.
+			loaded, err := fault.LoadCheckpoint(distCfg.CheckpointPath)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -120,29 +113,62 @@ func TestRunChunksMergeMatchesRun(t *testing.T) {
 	}
 }
 
-// TestRunChunksValidation covers the error paths workers depend on.
-func TestRunChunksValidation(t *testing.T) {
-	p, bench := smallMAC(t)
-	cls := fault.NewMACClassifier(bench, true)
-	jobs := fault.NewPlan(p.NumFFs(), 1, bench.ActiveCycles, 5)
-	r, err := fault.NewRunner(p, bench.Stim, bench.Monitors, cls, fault.RunnerConfig{ChunkJobs: 64})
+// prepare returns jobs prepared on a fresh Runner over the small MAC.
+func prepare(t testing.TB, p *sim.Program, bench *circuit.MACBench, cfg fault.RunnerConfig, jobs []fault.Job) *fault.Plan {
+	t.Helper()
+	r, err := fault.NewRunner(p, bench.Stim, bench.Monitors, fault.NewMACClassifier(bench, true), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.RunChunks(context.Background(), jobs, []int{-1}); err == nil {
+	pl, err := r.Prepare(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pl
+}
+
+// TestRunChunksValidation covers the error paths workers and their
+// coordinator depend on.
+func TestRunChunksValidation(t *testing.T) {
+	p, bench := smallMAC(t)
+	jobs := fault.NewPlan(p.NumFFs(), 1, bench.ActiveCycles, 5)
+	pl := prepare(t, p, bench, fault.RunnerConfig{ChunkJobs: 64}, jobs)
+	if _, err := pl.RunChunks(context.Background(), []int{-1}); err == nil {
 		t.Fatal("negative chunk accepted")
 	}
-	if _, err := r.RunChunks(context.Background(), jobs, []int{1 << 30}); err == nil {
+	if _, err := pl.RunChunks(context.Background(), []int{1 << 30}); err == nil {
 		t.Fatal("out-of-range chunk accepted")
 	}
-	if _, err := r.RunChunks(context.Background(), jobs, []int{0, 0}); err == nil {
+	if _, err := pl.RunChunks(context.Background(), []int{0, 0}); err == nil {
 		t.Fatal("duplicate chunk accepted")
 	}
-	if _, err := r.MergeChunks(jobs, map[int][]uint64{}); err == nil {
+	lg, err := pl.OpenLedger()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := lg.Result(); err == nil {
 		t.Fatal("incomplete merge accepted")
 	}
-	if _, err := r.MergeChunks(jobs, map[int][]uint64{0: {0}, 1: {0}, 1 << 20: {0}}); err == nil {
+	if _, err := lg.Add(1<<20, []uint64{0}); err == nil {
 		t.Fatal("foreign chunk index accepted")
+	}
+	if _, err := lg.Add(0, []uint64{0, 0}); err == nil {
+		t.Fatal("wrong mask count accepted")
+	}
+	if lg.Len() != 0 {
+		t.Fatalf("refused chunks left %d recorded", lg.Len())
+	}
+	if dup, err := lg.Add(0, []uint64{5}); err != nil || dup {
+		t.Fatalf("first copy: duplicate=%v, err %v", dup, err)
+	}
+	if dup, err := lg.Add(0, []uint64{5}); err != nil || !dup {
+		t.Fatalf("identical copy: duplicate=%v, err %v", dup, err)
+	}
+	if _, err := lg.Add(0, []uint64{4}); !errors.Is(err, fault.ErrChunkConflict) {
+		t.Fatalf("contradicting copy returned %v, want ErrChunkConflict", err)
+	}
+	if lg.Len() != 1 || lg.Err() != nil {
+		t.Fatalf("after one chunk and two refused copies: %d recorded, Err %v", lg.Len(), lg.Err())
 	}
 }
 
@@ -150,52 +176,20 @@ func TestRunChunksValidation(t *testing.T) {
 // returns the finished chunks plus ErrInterrupted.
 func TestRunChunksInterrupted(t *testing.T) {
 	p, bench := smallMAC(t)
-	cls := fault.NewMACClassifier(bench, true)
 	jobs := fault.NewPlan(p.NumFFs(), 2, bench.ActiveCycles, 7)
-	r, err := fault.NewRunner(p, bench.Stim, bench.Monitors, cls, fault.RunnerConfig{ChunkJobs: 64, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh, err := fault.PlanShards(len(jobs), 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	all := make([]int, sh.NumChunks())
+	pl := prepare(t, p, bench, fault.RunnerConfig{ChunkJobs: 64, Workers: 1}, jobs)
+	all := make([]int, pl.NumChunks())
 	for i := range all {
 		all[i] = i
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // already canceled: nothing should be dispatched
-	done, err := r.RunChunks(ctx, jobs, all)
+	done, err := pl.RunChunks(ctx, all)
 	if !errors.Is(err, fault.ErrInterrupted) {
 		t.Fatalf("err %v, want ErrInterrupted", err)
 	}
 	if len(done) >= len(all) {
 		t.Fatalf("canceled run completed all %d chunks", len(done))
-	}
-}
-
-// TestPlanShardsGeometry pins the exported geometry against the internal
-// splitting (whole 64-lane batches, short last chunk).
-func TestPlanShardsGeometry(t *testing.T) {
-	sh, err := fault.PlanShards(300, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sh.ChunkJobs() != 128 { // 100 rounded up to 2 batches
-		t.Fatalf("chunk jobs %d, want 128", sh.ChunkJobs())
-	}
-	if sh.NumChunks() != 3 || sh.TotalJobs() != 300 {
-		t.Fatalf("geometry %d chunks / %d jobs", sh.NumChunks(), sh.TotalJobs())
-	}
-	if lo, hi := sh.ChunkRange(2); lo != 256 || hi != 300 {
-		t.Fatalf("last chunk [%d,%d)", lo, hi)
-	}
-	if sh.ChunkBatches(2) != 1 {
-		t.Fatalf("last chunk batches %d", sh.ChunkBatches(2))
-	}
-	if _, err := fault.PlanShards(-1, 0); err == nil {
-		t.Fatal("negative plan accepted")
 	}
 }
 
@@ -238,27 +232,27 @@ func BenchmarkRunChunks(b *testing.B) {
 			}
 			b.Run(c.name+"/"+spec, func(b *testing.B) {
 				jobs := fault.NewModelPlan(model, model.NumTargets(c.p), 8, c.active, 41)
-				sh, err := fault.PlanShards(len(jobs), 0)
-				if err != nil {
-					b.Fatal(err)
-				}
-				all := make([]int, sh.NumChunks())
-				for i := range all {
-					all[i] = i
-				}
 				reg := obs.NewRegistry()
 				r, err := fault.NewRunner(c.p, c.stim, c.monitors, c.cls(),
 					fault.RunnerConfig{Model: model, Workers: 1, Metrics: reg})
 				if err != nil {
 					b.Fatal(err)
 				}
+				pl, err := r.Prepare(jobs)
+				if err != nil {
+					b.Fatal(err)
+				}
+				all := make([]int, pl.NumChunks())
+				for i := range all {
+					all[i] = i
+				}
 				// Golden run, snapshots and kernel compilation are set-up.
-				if _, err := r.RunChunks(context.Background(), jobs, nil); err != nil {
+				if _, err := pl.RunChunks(context.Background(), nil); err != nil {
 					b.Fatal(err)
 				}
 				b.ReportAllocs()
 				for b.Loop() {
-					if _, err := r.RunChunks(context.Background(), jobs, all); err != nil {
+					if _, err := pl.RunChunks(context.Background(), all); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -267,6 +261,62 @@ func BenchmarkRunChunks(b *testing.B) {
 				count := func(name string) float64 { return reg.Counter(name, "").Value() }
 				b.ReportMetric(count("ffr_campaign_simulated_cycles_total")/injections, "sim-cycles/injection")
 				b.ReportMetric(count("ffr_campaign_active_lane_cycles_total")/count("ffr_campaign_window_lane_cycles_total"), "lane-occupancy")
+			})
+		}
+	}
+}
+
+// BenchmarkLease measures what one fabric lease costs on a prepared plan: an
+// empty lease (everything that is not simulation: it must not grow with the
+// plan) and a 2-chunk lease, the coordinator's default grant, taken from the
+// middle of the plan. mac-seu is the
+// paper's campaign, the 1054-FF MAC at 170 injections per flip-flop;
+// alupipe-set is a corpus datapath under the transient model, whose effect
+// table — one golden-rate interpreter replay of the whole plan — every lease
+// used to rebuild.
+func BenchmarkLease(b *testing.B) {
+	for _, c := range []struct{ name, scenario, model string }{
+		{"mac-seu", "mac10ge/loopback", "seu"},
+		{"alupipe-set", "alupipe/randomops", "set"},
+	} {
+		sc, err := corpus.Find(c.scenario)
+		if err != nil {
+			b.Fatal(err)
+		}
+		m, err := sc.Materialize(corpus.ScaleDefault, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		model, err := fault.ParseModel(c.model)
+		if err != nil {
+			b.Fatal(err)
+		}
+		r, err := fault.NewRunner(m.Program, m.Bench.Stim, m.Bench.Monitors, m.Bench.Classifier,
+			fault.RunnerConfig{Model: model, Workers: 1, Golden: m.Golden, Snapshots: m.Snapshots})
+		if err != nil {
+			b.Fatal(err)
+		}
+		pl, err := r.Prepare(fault.NewModelPlan(model, model.NumTargets(m.Program),
+			sc.Entry.Defaults.InjectionsPerFF, m.Bench.ActiveCycles, sc.Entry.Defaults.CampaignSeed))
+		if err != nil {
+			b.Fatal(err)
+		}
+		// The first lease prepares: kernel, packing order, effect table.
+		if _, err := pl.RunChunks(context.Background(), nil); err != nil {
+			b.Fatal(err)
+		}
+		mid := pl.NumChunks() / 2
+		for _, lease := range []struct {
+			name   string
+			chunks []int
+		}{{"empty", nil}, {"2-chunk", []int{mid, mid + 1}}} {
+			b.Run(c.name+"/"+lease.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for b.Loop() {
+					if _, err := pl.RunChunks(context.Background(), lease.chunks); err != nil {
+						b.Fatal(err)
+					}
+				}
 			})
 		}
 	}

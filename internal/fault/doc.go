@@ -19,13 +19,16 @@
 // suite.
 //
 // The campaign exploits bit-parallel simulation: 256 independent injection
-// runs execute per pass of the compiled kernel. Execution is owned by Runner,
-// which shards the plan into fixed-size chunks, fans them out across a
-// bounded worker pool, merges partial results deterministically (worker
-// count and chunk size never change the outcome), and can checkpoint
-// completed-chunk state to disk for exact resume. Checkpoints record the
-// fault model and refuse to resume under a different one. RunCampaign and
-// RunJobs are thin convenience wrappers over Runner.
+// runs execute per pass of the compiled kernel. Execution is owned by Runner.
+// Prepare turns an injection plan into a Plan — fixed-size chunks, and
+// everything simulating one needs, each derived once — whose chunks a bounded
+// worker pool simulates; a Ledger opened on the Plan records the finished
+// chunks, checkpoints them to disk for exact resume (refusing a checkpoint
+// of another plan, golden trace, criterion, fault model, schedule or
+// geometry) and folds them deterministically: worker count and chunk size
+// never change the outcome. A local run and a distributed one (package
+// fabric) differ only in who simulates the chunks. RunCampaign and RunJobs
+// are thin convenience wrappers over Runner.
 //
 // The same machinery serves partial campaigns: the core estimation flow
 // injects only a training subset, and the active-learning planner (package

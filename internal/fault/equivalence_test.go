@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/circuit"
@@ -15,18 +16,17 @@ import (
 
 // The campaign-equivalence suite: the Runner (golden-snapshot fast-forward +
 // streaming early exit + straggler repacking on the compiled kernel: gate
-// fusion + dead-fanout pruning + wide batches), under both schedules, must
-// produce bit-identical failure masks, FDR vectors and checkpoint/resume
-// behavior versus the reference — a full replay of every 64-lane batch on
-// the interpreter (fault.ReferenceMasks) — across the MAC, every registered
+// fusion + dead-fanout pruning + wide batches) must produce bit-identical
+// failure masks, FDR vectors and checkpoint/resume behavior versus the
+// reference — a full replay of every 64-lane batch, packed in plan order,
+// on the interpreter (fault.ReferenceMasks) — across the MAC, every registered
 // corpus scenario (which includes the random netlist family), a TMR-hardened
 // netlist and the edge cycles where off-by-one bugs would hide: flips at
 // cycle 0, the last active cycle, the last stimulus cycle and snapshot
-// boundaries.
-
-// runSchedules are the schedules every plan is run under; each must agree
-// with the plan-order reference replay.
-var runSchedules = []fault.Schedule{fault.SchedulePlan, fault.ScheduleClustered}
+// boundaries. Campaigns pack clustered, as every new campaign does; plan
+// order is run where a checkpoint from before schedules existed can still
+// bring it back: one MAC cell (TestEquivalenceMAC), the adoption test and the
+// mismatch test.
 
 // reference replays the plan on the interpreter under cfg's model, schedule
 // and chunk geometry and folds the masks into a Result.
@@ -44,45 +44,55 @@ func reference(t *testing.T, p *sim.Program, stim *sim.Stimulus, monitors []int,
 	return res
 }
 
-// assertEquivalent runs one plan under every schedule with the given model
-// (zero: SEU) and requires bit-identical results against the plan-order
-// reference, which it returns.
+// assertEquivalent runs one plan with the given model (zero: SEU) and
+// requires bit-identical results against the plan-order reference, which it
+// returns.
 func assertEquivalent(t *testing.T, p *sim.Program, stim *sim.Stimulus, monitors []int,
 	cls fault.Classifier, model fault.Model, jobs []fault.Job) *fault.Result {
 	t.Helper()
 	ref := reference(t, p, stim, monitors, cls, jobs, fault.RunnerConfig{Model: model, Schedule: fault.SchedulePlan})
-	for _, schedule := range runSchedules {
-		res, err := fault.RunJobs(p, stim, monitors, cls, jobs,
-			fault.RunnerConfig{Model: model, Schedule: schedule, Workers: 2})
-		if err != nil {
-			t.Fatalf("%s: %v", schedule, err)
-		}
-		if res.SimulatedCycles > res.ReplayCycles {
-			t.Fatalf("%s: simulated %d > %d replay cycles",
-				schedule, res.SimulatedCycles, res.ReplayCycles)
-		}
-		if res.TotalRuns != ref.TotalRuns || res.Batches != ref.Batches {
-			t.Fatalf("%s: shape differs from reference", schedule)
-		}
-		for i := range ref.FDR {
-			if res.Failures[i] != ref.Failures[i] || res.Injections[i] != ref.Injections[i] ||
-				res.FDR[i] != ref.FDR[i] {
-				t.Fatalf("%s: target %d = %d/%d failures, reference %d/%d",
-					schedule, i, res.Failures[i], res.Injections[i],
-					ref.Failures[i], ref.Injections[i])
-			}
+	res, err := fault.RunJobs(p, stim, monitors, cls, jobs, fault.RunnerConfig{Model: model, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.SimulatedCycles > res.ReplayCycles {
+		t.Fatalf("simulated %d > %d replay cycles", res.SimulatedCycles, res.ReplayCycles)
+	}
+	if res.TotalRuns != ref.TotalRuns || res.Batches != ref.Batches {
+		t.Fatal("shape differs from reference")
+	}
+	for i := range ref.FDR {
+		if res.Failures[i] != ref.Failures[i] || res.Injections[i] != ref.Injections[i] ||
+			res.FDR[i] != ref.FDR[i] {
+			t.Fatalf("target %d = %d/%d failures, reference %d/%d",
+				i, res.Failures[i], res.Injections[i], ref.Failures[i], ref.Injections[i])
 		}
 	}
 	return ref
 }
 
 // TestEquivalenceMAC pins the incremental path on the MAC classifier (the
-// paper's packet-level criterion, streaming-capable).
+// paper's packet-level criterion, streaming-capable) — and, in this one
+// cell, under the plan-order packing a resumed legacy checkpoint brings
+// back, mask for mask against the reference.
 func TestEquivalenceMAC(t *testing.T) {
 	p, bench := smallMAC(t)
 	cls := fault.NewMACClassifier(bench, true)
 	jobs := fault.NewPlan(p.NumFFs(), 3, bench.ActiveCycles, 77)
 	assertEquivalent(t, p, bench.Stim, bench.Monitors, cls, fault.Model{}, jobs)
+
+	r, err := fault.NewRunner(p, bench.Stim, bench.Monitors, cls,
+		fault.RunnerConfig{Schedule: fault.SchedulePlan, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fault.ReferenceMasks(r, jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fault.ChunkMasks(t, r, jobs); !slices.Equal(got, want) {
+		t.Fatal("plan order: masks differ from the reference's")
+	}
 }
 
 // TestEquivalenceMACNoStats covers the criterion variant without the
@@ -115,7 +125,7 @@ func TestEquivalenceCorpus(t *testing.T) {
 // materialization of a corpus scenario: the rewrite triples flip-flops and
 // inserts majority voters, so the kernel compiler sees the voter's AOI/OAI
 // structure and the pruner a changed fanout cone — the hardened netlist
-// must classify identically to the reference under both schedules.
+// must classify identically to the reference.
 func TestEquivalenceTMRHardened(t *testing.T) {
 	sc, err := corpus.Find("mac10ge/loopback")
 	if err != nil {

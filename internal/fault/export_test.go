@@ -9,25 +9,26 @@ var (
 	ChunkMasks     = chunkMasks
 )
 
-// ReferenceResult folds the reference masks through the Runner's own merge
+// ReferenceResult folds the reference masks through the Runner's own ledger
 // into the Result a campaign over the same plan must report.
 func ReferenceResult(r *Runner, jobs []Job) (*Result, error) {
 	masks, err := referenceMasks(r, jobs)
 	if err != nil {
 		return nil, err
 	}
-	sh, err := newSharding(len(jobs), r.cfg.ChunkJobs)
+	pl, err := r.Prepare(jobs)
 	if err != nil {
 		return nil, err
 	}
-	order, err := scheduleOrder(jobs, r.schedule)
+	lg, err := pl.OpenLedger()
 	if err != nil {
 		return nil, err
 	}
-	done := make(map[int][]uint64, sh.numChunks)
-	for ci := 0; ci < sh.numChunks; ci++ {
-		lo, _ := sh.chunkRange(ci)
-		done[ci] = masks[lo/sim.Lanes:][:sh.chunkBatches(ci)]
+	for ci := 0; ci < pl.sh.numChunks; ci++ {
+		lo, _ := pl.sh.chunkRange(ci)
+		if _, err := lg.Add(ci, masks[lo/sim.Lanes:][:pl.sh.chunkBatches(ci)]); err != nil {
+			return nil, err
+		}
 	}
-	return r.merge(jobs, order, sh, done, 0), nil
+	return lg.Result()
 }

@@ -80,8 +80,8 @@ func newCampaignMetrics(reg *obs.Registry) *campaignMetrics {
 	}
 }
 
-// observeJobs is RunContext's campaign progress; a fabric worker's
-// RunChunks leases have no campaign-wide progress to report.
+// observeJobs is campaign-wide progress, reported by the campaign's Ledger;
+// a fabric worker's leases have none to report.
 func (m *campaignMetrics) observeJobs(jobsDone, jobsTotal int) {
 	if m == nil {
 		return

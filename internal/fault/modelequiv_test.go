@@ -16,8 +16,8 @@ import (
 
 // The fault-model equivalence suite: every model — MBU clusters, stuck-at
 // holds, SET pulses, windowed variants — must produce bit-identical failure
-// masks, per-target tallies and checkpoints to the reference replay under
-// both schedules, as the SEU suite pins (assertEquivalent), plus the model
+// masks, per-target tallies and checkpoints to the reference replay, as the
+// SEU suite pins (assertEquivalent), plus the model
 // edge cases where off-by-one bugs would hide: clusters clamped at the FF
 // count, stuck-at holds running past the last stimulus cycle, and SET
 // pulses on combinational cells the kernel's dead-fanout pruner discards.

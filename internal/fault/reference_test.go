@@ -19,10 +19,7 @@ func referenceMasks(r *Runner, jobs []Job) ([]uint64, error) {
 	if err != nil {
 		return nil, err
 	}
-	order, err := scheduleOrder(jobs, r.schedule)
-	if err != nil {
-		return nil, err
-	}
+	order := scheduleOrder(jobs, r.schedule)
 	fx := r.setEffects(jobs)
 	e := sim.NewEngine(r.p)
 	var flips []flipOp

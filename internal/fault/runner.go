@@ -1,10 +1,10 @@
 package fault
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"io/fs"
 	"runtime"
 	"slices"
 	"sync"
@@ -15,12 +15,17 @@ import (
 	"repro/internal/sim"
 )
 
-// Runner is the sharded, resumable campaign runtime. It deterministically
-// splits an injection plan into fixed-size chunks of whole 64-lane batches,
-// fans the chunks out across a bounded worker pool, streams per-chunk
-// partial results through a merge stage, and (when configured) periodically
-// checkpoints completed-chunk state to disk so an interrupted campaign can
-// resume exactly where it stopped.
+// Runner is the sharded, resumable campaign runtime, in three parts that
+// each exist once. Prepare (plan.go) validates an injection plan and splits
+// it deterministically into fixed-size chunks of whole 64-lane batches: a
+// Plan, from which packing order, kernel, SET effect table and fingerprints
+// are each derived at most once. runPool (this file) fans chunks of a Plan
+// out across a bounded worker pool. A Ledger (ledger.go) records finished
+// chunks: it decides which checkpoint belongs to the campaign, checks every
+// chunk, flushes the checkpoint on its cadence and folds the masks into the
+// Result. RunContext is prepare → open ledger → runPool(pending, ledger.Add)
+// → ledger.Result; a fabric worker runs leases on its Plan (Plan.RunChunks)
+// while its coordinator keeps the Ledger.
 //
 // Faulty batches are simulated one way: 256 lanes at a time on the compiled
 // kernel (wide.go). Four mechanisms compose there, all of them
@@ -117,12 +122,12 @@ type RunnerConfig struct {
 	// the cadence of a supplied Snapshots set. The cadence never changes
 	// results, only the fast-forward and early-exit granularity.
 	SnapshotEvery int
-	// Schedule selects how jobs are packed into 64-lane batches; ""
-	// means ScheduleClustered. Checkpoints record the schedule their
-	// masks were packed under: resuming under an explicitly different
-	// schedule is rejected, while the "" default adopts the checkpoint's
-	// schedule — so plan-order checkpoints from before schedules existed
-	// stay resumable without any configuration.
+	// Schedule is what a fabric coordinator hands its workers: the packing
+	// its ledger's masks are recorded under. Everyone else leaves it "":
+	// a new campaign packs ScheduleClustered, a resumed one adopts the
+	// schedule its checkpoint recorded — so plan-order checkpoints from
+	// before schedules existed stay resumable — and resuming under an
+	// explicitly different schedule is rejected.
 	Schedule Schedule
 	// CheckpointPath enables checkpointing to this file; "" disables it.
 	CheckpointPath string
@@ -152,11 +157,9 @@ type Runner struct {
 	monitors []int
 	cls      Classifier
 	cfg      RunnerConfig
+	// schedule is cfg.Schedule with the default resolved: what a plan packs
+	// under unless its ledger adopts a checkpoint's (cfg.Schedule == "").
 	schedule Schedule
-	// scheduleSet records whether the schedule was an explicit choice;
-	// the zero value adopts a resumed checkpoint's schedule instead of
-	// rejecting it, keeping pre-schedule (plan-order) checkpoints usable.
-	scheduleSet bool
 	// model is the resolved fault model (normalized; never zero-valued).
 	model Model
 
@@ -218,12 +221,11 @@ func NewRunner(p *sim.Program, stim *sim.Stimulus, monitors []int, cls Classifie
 	}
 	r := &Runner{
 		p: p, stim: stim, monitors: monitors, cls: cls, cfg: cfg,
-		schedule:    cfg.Schedule.normalize(),
-		scheduleSet: cfg.Schedule != "",
-		model:       cfg.Model.normalize(),
-		golden:      cfg.Golden,
-		snaps:       cfg.Snapshots,
-		log:         cfg.Logger.Component("campaign"),
+		schedule: cmp.Or(cfg.Schedule, ScheduleClustered),
+		model:    cfg.Model.normalize(),
+		golden:   cfg.Golden,
+		snaps:    cfg.Snapshots,
+		log:      cfg.Logger.Component("campaign"),
 	}
 	if cfg.Metrics != nil {
 		r.metrics = newCampaignMetrics(cfg.Metrics)
@@ -296,60 +298,6 @@ func (r *Runner) Run(jobs []Job) (*Result, error) {
 	return r.RunContext(context.Background(), jobs)
 }
 
-// chunkPlan is what the chunk pool needs to simulate any chunk of one plan:
-// the jobs in their packing order, the chunk geometry, the golden
-// reference and the workers' shared read-only state.
-type chunkPlan struct {
-	jobs   []Job
-	order  []int // scheduleOrder permutation, set by planChunks' caller
-	sh     sharding
-	golden *sim.Trace
-	snaps  *sim.Snapshots
-	kern   *sim.Kernel
-	// setFX is the plan's SET effect table; nil for other models.
-	setFX map[int64]setEffect
-	// planHash and goldenHash are what a checkpoint of this plan pins, set
-	// by fingerprint for the callers that read or write one.
-	planHash, goldenHash durable.Hash
-}
-
-// fingerprint digests the plan and the golden trace, once per run: every
-// checkpoint flush and the resume match read the result. It is not part of
-// planChunks because RunChunks, which a fabric worker calls per lease, never
-// checkpoints, and the plan digest alone costs 4 ms at the paper's scale.
-func (cp *chunkPlan) fingerprint() {
-	cp.planHash = durable.Hash(PlanFingerprint(cp.jobs))
-	cp.goldenHash = durable.Hash(cp.golden.Fingerprint())
-}
-
-// planChunks validates the plan and gathers everything but the packing
-// order, which RunContext can only fix after it has seen the checkpoint.
-func (r *Runner) planChunks(jobs []Job) (*chunkPlan, error) {
-	if err := r.validateJobs(jobs); err != nil {
-		return nil, err
-	}
-	sh, err := newSharding(len(jobs), r.cfg.ChunkJobs)
-	if err != nil {
-		return nil, err
-	}
-	cp := &chunkPlan{jobs: jobs, sh: sh}
-	if cp.golden, err = r.Golden(); err != nil {
-		return nil, err
-	}
-	cp.snaps = r.snapshots()
-	if cp.kern, err = r.kernel(); err != nil {
-		return nil, err
-	}
-	// Model-dependent precomputation, shared read-only by all workers. The
-	// SET effect table derives from the golden run alone, so every fabric
-	// worker computes identical effects for its leased chunks.
-	cp.setFX = r.setEffects(jobs)
-	if r.model.Kind == KindMBU {
-		r.ffClusters()
-	}
-	return cp, nil
-}
-
 // workers resolves the configured pool bound.
 func (r *Runner) workers() int {
 	if r.cfg.Workers > 0 {
@@ -378,7 +326,7 @@ type chunkResult struct {
 // order.
 // When ctx is canceled it stops dispatching, lets the chunks in flight
 // finish and returns, so the caller collects fewer chunks than it asked for.
-func (r *Runner) runPool(ctx context.Context, cp *chunkPlan, idx []int, collect func(chunkResult)) {
+func (r *Runner) runPool(ctx context.Context, pl *Plan, idx []int, collect func(chunkResult)) {
 	workers := r.workers()
 	if workers > len(idx) {
 		// No chunks means no workers: wg.Wait returns immediately and the
@@ -394,11 +342,11 @@ func (r *Runner) runPool(ctx context.Context, cp *chunkPlan, idx []int, collect 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ws := newWideWorkerState(r, cp)
+			ws := newWideWorkerState(r, pl)
 			for ci := range chunks {
-				cr := chunkResult{index: ci, replayCycles: int64(cp.sh.chunkBatches(ci)) * int64(r.stim.Cycles())}
+				cr := chunkResult{index: ci, replayCycles: int64(pl.sh.chunkBatches(ci)) * int64(r.stim.Cycles())}
 				start := time.Now()
-				cr.masks, cr.simCycles = r.runChunkWide(ws, cp, ci)
+				cr.masks, cr.simCycles = r.runChunkWide(ws, pl, ci)
 				cr.elapsed = time.Since(start)
 				r.metrics.observeChunk(cr)
 				results <- cr
@@ -424,129 +372,83 @@ func (r *Runner) runPool(ctx context.Context, cp *chunkPlan, idx []int, collect 
 	}
 }
 
-// RunContext executes the plan. On context cancellation it finishes the
-// chunks already in flight, flushes the checkpoint (when configured) and
-// returns an error wrapping ErrInterrupted; a later call with Resume set
-// picks up from the flushed state.
+// RunContext executes the plan: prepare it, open its ledger, simulate the
+// chunks the ledger lacks on the local pool, fold. On context cancellation
+// it finishes the chunks already in flight, flushes the checkpoint (when
+// configured) and returns an error wrapping ErrInterrupted; a later call with
+// Resume set picks up from the flushed state.
 func (r *Runner) RunContext(ctx context.Context, jobs []Job) (*Result, error) {
 	// Internal cancellation lets the merge stage stop dispatching new
 	// chunks as soon as a checkpoint save fails.
 	ctx, cancelRun := context.WithCancel(ctx)
 	defer cancelRun()
-	cp, err := r.planChunks(jobs)
+	pl, err := r.Prepare(jobs)
 	if err != nil {
 		return nil, err
 	}
-	sh := cp.sh
-	if r.cfg.CheckpointPath != "" {
-		cp.fingerprint()
-	}
-
-	// Restore completed chunks from the checkpoint, if resuming. This may
-	// adopt the checkpoint's schedule (see matchCheckpoint), so the
-	// lane-packing permutation is computed after it.
-	done := make(map[int][]uint64, sh.numChunks)
-	if r.cfg.Resume {
-		ck, err := LoadCheckpoint(r.cfg.CheckpointPath)
-		switch {
-		case errors.Is(err, fs.ErrNotExist):
-			// Nothing to resume; run from scratch.
-		case err != nil:
-			return nil, err
-		default:
-			if err := r.matchCheckpoint(ck, cp); err != nil {
-				return nil, err
-			}
-			for ci, masks := range ck.Chunks {
-				done[ci] = masks
-			}
-		}
-	}
-	if cp.order, err = scheduleOrder(jobs, r.schedule); err != nil {
+	// The ledger may adopt a resumed checkpoint's schedule, so it opens
+	// before ready computes the lane-packing permutation.
+	lg, err := pl.OpenLedger()
+	if err != nil {
 		return nil, err
 	}
-	resumed := len(done)
-	jobsDone := 0
-	for ci := range done {
-		lo, hi := sh.chunkRange(ci)
-		jobsDone += hi - lo
+	if err := pl.ready(); err != nil {
+		return nil, err
 	}
-
-	pending := make([]int, 0, sh.numChunks-resumed)
-	for ci := 0; ci < sh.numChunks; ci++ {
-		if _, ok := done[ci]; !ok {
-			pending = append(pending, ci)
-		}
-	}
-
-	r.metrics.observeJobs(jobsDone, sh.totalJobs)
+	sh := pl.sh
 	r.log.Info("campaign start",
 		obs.F("jobs", sh.totalJobs),
 		obs.F("chunks", sh.numChunks),
-		obs.F("resumed", resumed),
+		obs.F("resumed", lg.resumed),
 		obs.F("workers", r.workers()),
-		obs.F("schedule", string(r.schedule)),
+		obs.F("schedule", string(lg.Schedule())),
 		obs.F("lanes_per_batch", lanesPerBatch))
 
-	// Merge stage: collect chunk results, report progress, checkpoint.
+	// Merge stage: record chunk results, report progress.
 	start := time.Now()
-	sinceFlush := 0
-	var saveErr error
+	var addErr error
 	var simCycles, replayCycles int64
-	r.runPool(ctx, cp, pending, func(cr chunkResult) {
-		done[cr.index] = cr.masks
-		lo, hi := sh.chunkRange(cr.index)
-		jobsDone += hi - lo
+	r.runPool(ctx, pl, lg.Pending(), func(cr chunkResult) {
+		if _, err := lg.Add(cr.index, cr.masks); err != nil {
+			// Fail fast: a broken checkpoint sink would silently turn the
+			// campaign non-resumable, so stop dispatching instead of
+			// simulating chunks that can't be persisted.
+			addErr = err
+			cancelRun()
+			return
+		}
 		simCycles += cr.simCycles
 		replayCycles += cr.replayCycles
-		sinceFlush++
-		r.metrics.observeJobs(jobsDone, sh.totalJobs)
 		if r.log.Enabled(obs.LevelDebug) {
 			r.log.Debug("chunk merged",
 				obs.F("chunk", cr.index),
-				obs.F("jobs_done", jobsDone),
+				obs.F("jobs_done", lg.JobsDone()),
 				obs.F("sim_cycles", cr.simCycles),
 				obs.F("elapsed", cr.elapsed))
 		}
-		r.reportProgress(sh, jobsDone, len(done), resumed, len(done)-resumed, start)
-		if r.cfg.CheckpointPath != "" && sinceFlush >= r.cfg.CheckpointEvery && saveErr == nil {
-			if saveErr = r.saveCheckpoint(cp, done); saveErr != nil {
-				// Fail fast: a broken checkpoint sink would silently
-				// turn the campaign non-resumable, so stop dispatching
-				// instead of simulating chunks that can't be persisted.
-				cancelRun()
-			}
-			sinceFlush = 0
-		}
+		r.reportProgress(lg, start)
 	})
-	if saveErr != nil {
-		return nil, saveErr
+	if addErr != nil {
+		return nil, addErr
 	}
-
-	if len(done) < sh.numChunks {
-		// Interrupted: flush everything completed so far and bail. The
-		// flush is unconditional so a resumable file exists even when
-		// the interrupt landed before the first periodic save.
-		if r.cfg.CheckpointPath != "" {
-			if err := r.saveCheckpoint(cp, done); err != nil {
-				return nil, err
-			}
-		}
-		return nil, fmt.Errorf("%w after %d of %d chunks: %v",
-			ErrInterrupted, len(done), sh.numChunks, context.Cause(ctx))
-	}
-	if r.cfg.CheckpointPath != "" && sinceFlush > 0 {
-		if err := r.saveCheckpoint(cp, done); err != nil {
+	if lg.Len() < sh.numChunks {
+		// Interrupted: flush everything completed so far and bail.
+		if err := lg.Flush(); err != nil {
 			return nil, err
 		}
+		return nil, fmt.Errorf("%w after %d of %d chunks: %v",
+			ErrInterrupted, lg.Len(), sh.numChunks, context.Cause(ctx))
 	}
-	res := r.merge(jobs, cp.order, sh, done, resumed)
+	res, err := lg.Result()
+	if err != nil {
+		return nil, err
+	}
 	res.SimulatedCycles = simCycles
 	res.ReplayCycles = replayCycles
 	r.log.Info("campaign complete",
 		obs.F("jobs", sh.totalJobs),
 		obs.F("chunks", sh.numChunks),
-		obs.F("resumed", resumed),
+		obs.F("resumed", lg.resumed),
 		obs.F("sim_cycles", simCycles),
 		obs.F("replay_cycles", replayCycles),
 		obs.F("elapsed", time.Since(start)))
@@ -608,60 +510,20 @@ func (s *flipSorter) sort(flips []flipOp) []flipOp {
 	return out
 }
 
-// merge folds completed chunk masks into the final per-target Result (per
-// flip-flop for FF-targeted models, per combinational cell for SET). The
-// fold visits chunks in index order and maps every lane back to its job
-// through the schedule, so the outcome is independent of completion order,
-// schedule and of which chunks came from a checkpoint.
-func (r *Runner) merge(jobs []Job, order []int, sh sharding, done map[int][]uint64, resumed int) *Result {
-	numTargets := r.model.NumTargets(r.p)
-	res := &Result{
-		FDR:           make([]float64, numTargets),
-		Failures:      make([]int, numTargets),
-		Injections:    make([]int, numTargets),
-		TotalRuns:     len(jobs),
-		Batches:       sh.numBatches(),
-		Chunks:        sh.numChunks,
-		ResumedChunks: resumed,
-	}
-	for ci := 0; ci < sh.numChunks; ci++ {
-		lo, hi := sh.chunkRange(ci)
-		for bi, mask := range done[ci] {
-			blo := lo + bi*sim.Lanes
-			bhi := blo + sim.Lanes
-			if bhi > hi {
-				bhi = hi
-			}
-			for lane, pos := 0, blo; pos < bhi; lane, pos = lane+1, pos+1 {
-				job := jobs[jobIndex(order, pos)]
-				res.Injections[job.FF]++
-				if mask>>uint(lane)&1 == 1 {
-					res.Failures[job.FF]++
-				}
-			}
-		}
-	}
-	for ff := range res.FDR {
-		if res.Injections[ff] > 0 {
-			res.FDR[ff] = float64(res.Failures[ff]) / float64(res.Injections[ff])
-		}
-	}
-	return res
-}
-
-func (r *Runner) reportProgress(sh sharding, jobsDone, chunksDone, resumed, computed int, start time.Time) {
+func (r *Runner) reportProgress(lg *Ledger, start time.Time) {
 	if r.cfg.OnProgress == nil {
 		return
 	}
+	sh, chunksDone := lg.pl.sh, lg.Len()
 	p := Progress{
-		JobsDone:      jobsDone,
+		JobsDone:      lg.jobsDone,
 		JobsTotal:     sh.totalJobs,
 		ChunksDone:    chunksDone,
 		ChunksTotal:   sh.numChunks,
-		ChunksResumed: resumed,
+		ChunksResumed: lg.resumed,
 		Elapsed:       time.Since(start),
 	}
-	if computed > 0 && chunksDone < sh.numChunks {
+	if computed := chunksDone - lg.resumed; computed > 0 && chunksDone < sh.numChunks {
 		perChunk := p.Elapsed / time.Duration(computed)
 		p.ETA = perChunk * time.Duration(sh.numChunks-chunksDone)
 	}
@@ -675,122 +537,4 @@ func (r *Runner) classifierFingerprint() durable.Hash {
 		return durable.Hash(cf.ConfigFingerprint())
 	}
 	return 0
-}
-
-// matchCheckpoint verifies that a loaded checkpoint belongs to exactly this
-// campaign: same plan, same golden trace, same failure criterion, same
-// fault model, same shard geometry, same batch-packing schedule.
-func (r *Runner) matchCheckpoint(ck *Checkpoint, cp *chunkPlan) error {
-	if ck.PlanHash != cp.planHash {
-		return fmt.Errorf("%w: plan fingerprint differs (checkpoint %v)", ErrCheckpointMismatch, ck.PlanHash)
-	}
-	if got := normalizeCheckpointModel(ck.Model); got != r.model.String() {
-		// Masks depend on what each job injected, so models must agree. ""
-		// marks files from before fault models existed, which were all SEU.
-		return fmt.Errorf("%w: fault model differs (checkpoint %q, campaign %q)",
-			ErrCheckpointMismatch, got, r.model)
-	}
-	if ck.GoldenHash != cp.goldenHash {
-		return fmt.Errorf("%w: golden trace fingerprint differs (checkpoint %v)", ErrCheckpointMismatch, ck.GoldenHash)
-	}
-	if ck.ClassifierHash != r.classifierFingerprint() {
-		return fmt.Errorf("%w: failure-criterion fingerprint differs (checkpoint %v)", ErrCheckpointMismatch, ck.ClassifierHash)
-	}
-	if got := normalizeCheckpointSchedule(ck.Schedule); got != r.schedule {
-		// Masks are packed per schedule, so the two must agree. When the
-		// caller expressed no preference (the zero-value default), adopt
-		// the checkpoint's schedule instead of rejecting — this is what
-		// keeps plan-order checkpoints from before schedules existed
-		// resumable on a default-configured runner.
-		if r.scheduleSet || !got.valid() {
-			return fmt.Errorf("%w: schedule differs (checkpoint %q, campaign %q — masks are packed per schedule)",
-				ErrCheckpointMismatch, got, r.schedule)
-		}
-		r.schedule = got
-	}
-	if sh := cp.sh; ck.TotalJobs != sh.totalJobs || ck.ChunkJobs != sh.chunkJobs || ck.NumChunks != sh.numChunks {
-		return fmt.Errorf("%w: shard geometry differs (checkpoint %d jobs in %d chunks of %d, campaign %d/%d/%d)",
-			ErrCheckpointMismatch, ck.TotalJobs, ck.NumChunks, ck.ChunkJobs,
-			sh.totalJobs, sh.numChunks, sh.chunkJobs)
-	}
-	return nil
-}
-
-// checkpoint assembles the versioned checkpoint of a campaign with the
-// given completed chunks.
-func (r *Runner) checkpoint(cp *chunkPlan, done map[int][]uint64) *Checkpoint {
-	return &Checkpoint{
-		PlanHash:       cp.planHash,
-		GoldenHash:     cp.goldenHash,
-		ClassifierHash: r.classifierFingerprint(),
-		Schedule:       string(r.schedule),
-		Model:          r.model.String(),
-		TotalJobs:      cp.sh.totalJobs,
-		ChunkJobs:      cp.sh.chunkJobs,
-		NumChunks:      cp.sh.numChunks,
-		Chunks:         done,
-	}
-}
-
-func (r *Runner) saveCheckpoint(cp *chunkPlan, done map[int][]uint64) error {
-	saveStart := time.Now()
-	err := SaveCheckpoint(r.cfg.CheckpointPath, r.checkpoint(cp, done))
-	elapsed := time.Since(saveStart)
-	r.metrics.observeCheckpoint(elapsed)
-	if err != nil {
-		r.log.Error("checkpoint save failed",
-			obs.F("path", r.cfg.CheckpointPath), obs.F("error", err))
-	} else if r.log.Enabled(obs.LevelDebug) {
-		r.log.Debug("checkpoint saved",
-			obs.F("path", r.cfg.CheckpointPath),
-			obs.F("chunks", len(done)),
-			obs.F("elapsed", elapsed))
-	}
-	return err
-}
-
-// sharding is the deterministic chunk geometry of a plan: totalJobs jobs in
-// numChunks chunks of chunkJobs jobs each (the last possibly short), every
-// chunk a whole number of 64-lane batches.
-type sharding struct {
-	totalJobs int
-	chunkJobs int
-	numChunks int
-}
-
-func newSharding(totalJobs, chunkJobs int) (sharding, error) {
-	if totalJobs < 0 {
-		return sharding{}, fmt.Errorf("fault: negative job count %d", totalJobs)
-	}
-	if chunkJobs <= 0 {
-		chunkJobs = DefaultChunkJobs
-	}
-	// Round up to whole batches so chunk boundaries never split a batch.
-	chunkJobs = (chunkJobs + sim.Lanes - 1) / sim.Lanes * sim.Lanes
-	return sharding{
-		totalJobs: totalJobs,
-		chunkJobs: chunkJobs,
-		numChunks: (totalJobs + chunkJobs - 1) / chunkJobs,
-	}, nil
-}
-
-// chunkRange returns the half-open job interval of chunk ci.
-func (s sharding) chunkRange(ci int) (lo, hi int) {
-	lo = ci * s.chunkJobs
-	hi = lo + s.chunkJobs
-	if hi > s.totalJobs {
-		hi = s.totalJobs
-	}
-	return lo, hi
-}
-
-// chunkBatches returns the number of 64-lane batches in chunk ci.
-func (s sharding) chunkBatches(ci int) int {
-	lo, hi := s.chunkRange(ci)
-	return (hi - lo + sim.Lanes - 1) / sim.Lanes
-}
-
-// numBatches returns the total number of 64-lane batches across all chunks.
-func (s sharding) numBatches() int {
-	return (s.totalJobs + sim.Lanes - 1) / sim.Lanes
 }

@@ -103,7 +103,7 @@ type wideWorkerState struct {
 	undecidedLanes, since, activeLaneCycles int
 }
 
-func newWideWorkerState(r *Runner, cp *chunkPlan) *wideWorkerState {
+func newWideWorkerState(r *Runner, cp *Plan) *wideWorkerState {
 	W := sim.DefaultKernelWords
 	ws := &wideWorkerState{
 		golden:   cp.golden,
@@ -186,7 +186,7 @@ func (ws *wideWorkerState) undecided(g int) uint64 {
 // runChunkWide simulates chunk ci in rounds of wide batches (see the file
 // comment) and returns its failure masks, one per 64-lane batch of the
 // plan's packing, plus the engine cycles run, re-runs included.
-func (r *Runner) runChunkWide(ws *wideWorkerState, cp *chunkPlan, ci int) ([]uint64, int64) {
+func (r *Runner) runChunkWide(ws *wideWorkerState, cp *Plan, ci int) ([]uint64, int64) {
 	lo, hi := cp.sh.chunkRange(ci)
 	masks := make([]uint64, cp.sh.chunkBatches(ci))
 	work := ws.work[:0]
@@ -214,7 +214,7 @@ func (r *Runner) runChunkWide(ws *wideWorkerState, cp *chunkPlan, ci int) ([]uin
 // returns the window length simulated. The window is counted once per wide
 // batch — each additional word rides the same combinational passes — so the
 // simulated-cycle totals reflect the widening win.
-func (r *Runner) runBatchWide(ws *wideWorkerState, cp *chunkPlan, lo int, batch []int, final bool, masks []uint64) int {
+func (r *Runner) runBatchWide(ws *wideWorkerState, cp *Plan, lo int, batch []int, final bool, masks []uint64) int {
 	snaps, golden := cp.snaps, cp.golden
 	groups := (len(batch) + sim.Lanes - 1) / sim.Lanes
 	carried := len(ws.next)

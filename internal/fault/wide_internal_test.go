@@ -52,17 +52,17 @@ func buildWideMAC() (*sim.Program, *circuit.MACBench, error) {
 	return p, bench, err
 }
 
-// planned returns the runner's chunk plan for jobs, packing order included.
-func planned(t *testing.T, r *Runner, jobs []Job) *chunkPlan {
+// planned returns the runner's prepared plan for jobs, ready to simulate.
+func planned(t *testing.T, r *Runner, jobs []Job) *Plan {
 	t.Helper()
-	cp, err := r.planChunks(jobs)
+	pl, err := r.Prepare(jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cp.order, err = scheduleOrder(jobs, r.schedule); err != nil {
+	if err := pl.ready(); err != nil {
 		t.Fatal(err)
 	}
-	return cp
+	return pl
 }
 
 // TestRunBatchWideSteadyStateAllocs pins the batch path's per-batch
@@ -107,15 +107,12 @@ func TestRunBatchWideSteadyStateAllocs(t *testing.T) {
 // groups, so the concatenation does not depend on the chunk size.
 func chunkMasks(t *testing.T, r *Runner, jobs []Job) []uint64 {
 	t.Helper()
-	sh, err := newSharding(len(jobs), r.cfg.ChunkJobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	all := make([]int, sh.numChunks)
+	pl := planned(t, r, jobs)
+	all := make([]int, pl.NumChunks())
 	for ci := range all {
 		all[ci] = ci
 	}
-	done, err := r.RunChunks(context.Background(), jobs, all)
+	done, err := pl.RunChunks(context.Background(), all)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +347,7 @@ func TestKernelSharedAndCollectable(t *testing.T) {
 // worker-trace invariant checked after each batch: whatever the batch
 // recorded, glitched and classified, every worker trace is the golden trace
 // again when it returns. It returns the masks in scheduled-position order.
-func runRoundsChecked(t *testing.T, r *Runner, cp *chunkPlan) []uint64 {
+func runRoundsChecked(t *testing.T, r *Runner, cp *Plan) []uint64 {
 	t.Helper()
 	ws := newWideWorkerState(r, cp)
 	wide := ws.e.Words() * sim.Lanes
@@ -636,5 +633,34 @@ func TestMACStreamStartsAtGoldenDecoderState(t *testing.T) {
 	}
 	if replay.k == 0 {
 		t.Fatal("the golden run received no frame")
+	}
+}
+
+// TestPlanGeometry pins a prepared plan's exported geometry against the
+// internal splitting (whole 64-lane batches, short last chunk).
+func TestPlanGeometry(t *testing.T) {
+	p, bench := wideMAC(t)
+	r, err := NewRunner(p, bench.Stim, bench.Monitors, &ExactClassifier{}, RunnerConfig{ChunkJobs: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, err := r.Prepare(NewPlan(300, 1, bench.ActiveCycles, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pl.ChunkJobs() != 128 { // 100 rounded up to 2 batches
+		t.Fatalf("chunk jobs %d, want 128", pl.ChunkJobs())
+	}
+	if pl.NumChunks() != 3 || pl.TotalJobs() != 300 {
+		t.Fatalf("geometry %d chunks / %d jobs", pl.NumChunks(), pl.TotalJobs())
+	}
+	if lo, hi := pl.sh.chunkRange(2); lo != 256 || hi != 300 {
+		t.Fatalf("last chunk [%d,%d)", lo, hi)
+	}
+	if pl.sh.chunkBatches(2) != 1 {
+		t.Fatalf("last chunk batches %d", pl.sh.chunkBatches(2))
+	}
+	if _, err := newSharding(-1, 0); err == nil {
+		t.Fatal("negative plan accepted")
 	}
 }

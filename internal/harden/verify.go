@@ -26,10 +26,9 @@ type VerifyConfig struct {
 	// 0 adopts the scenario's default geometry.
 	InjectionsPerFF int
 	CampaignSeed    int64
-	// Workers, ChunkJobs and Schedule are passed to the campaign runner.
+	// Workers and ChunkJobs are passed to the campaign runner.
 	Workers   int
 	ChunkJobs int
-	Schedule  fault.Schedule
 	// CheckpointPath enables checkpointing of the hardened campaign; the
 	// baseline campaign (when run) checkpoints to CheckpointPath +
 	// ".baseline". Resume picks both up where they stopped.
@@ -159,7 +158,6 @@ func (v *Verification) runCampaign(ctx context.Context, m *corpus.Materialized, 
 			Workers:         cfg.Workers,
 			Golden:          m.Golden,
 			Snapshots:       m.Snapshots,
-			Schedule:        cfg.Schedule,
 			CheckpointPath:  checkpoint,
 			CheckpointEvery: cfg.CheckpointEvery,
 			Resume:          cfg.Resume && checkpoint != "",
