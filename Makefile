@@ -52,7 +52,10 @@ bench:
 # bits of the reference extractor kept in internal/features/reference_test.go.
 # The three decoder targets feed arbitrary bytes to the loaders of the
 # on-disk formats (seeded from each package's testdata/): a typed error or a
-# value that survives save -> load with its fingerprint, never a panic.
+# value that survives save -> load with its fingerprint, never a panic. The
+# two parser targets hold the same for text: netlist.Parse (an error, or a
+# netlist that Write -> Parse reproduces to the same Fingerprint) and
+# fault.ParseModel (an error, or a model whose String parses back to itself).
 # Minimizing each coverage-increasing input would eat the whole budget (60 s
 # apiece by default), so it is capped at ten executions.
 FUZZ = $(GO) test -run='^$$' -fuzztime=10s -fuzzminimizetime=10x
@@ -61,6 +64,8 @@ fuzz-smoke:
 	$(FUZZ) -fuzz=FuzzLoadCheckpoint ./internal/fault
 	$(FUZZ) -fuzz=FuzzLoadLoopCheckpoint ./internal/plan
 	$(FUZZ) -fuzz=FuzzLoadArtifact ./internal/persist
+	$(FUZZ) -fuzz=FuzzParse ./internal/netlist
+	$(FUZZ) -fuzz=FuzzParseModel ./internal/fault
 
 # Load-test parameters: LOAD_CONCURRENCY requests in flight at once until
 # LOAD_REQUESTS have been issued. The harness exits nonzero on any non-429

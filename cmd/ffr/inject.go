@@ -23,14 +23,13 @@ import (
 func runInject(c *cli.Cmd) error {
 	var (
 		n          = c.Flags.Int("n", repro.PaperInjections, "injections per flip-flop")
-		seed       = c.Flags.Int64("seed", 2019, "injection plan seed")
+		seed       = c.Flags.Int64("seed", 2019, "injection plan seed (0 = the scenario default, 2019)")
 		workers    = c.Flags.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
 		csvOut     = c.Flags.String("csv", "", "write per-FF results to this CSV file")
 		checkpoint = c.Flags.String("checkpoint", "", "periodically save campaign state to this file")
 		resume     = c.Flags.Bool("resume", false, "resume from -checkpoint if it exists")
 		shards     = c.Flags.Int("shards", 0, "split the plan into about this many shard chunks (rounded to whole 64-lane batches; must match on -resume; 0 = default chunk size)")
 		progress   = c.Flags.Bool("progress", false, "print live campaign progress to stderr")
-		snapEvery  = c.Flags.Int("snapshot-every", 0, "golden snapshot cadence in cycles (0 = default; never changes results)")
 		faultModel = c.FaultModel("fault model: seu, mbu:N, stuck0:D, stuck1:D, each with optional @start-end window (e.g. mbu:3, stuck0:8@0.25-0.75)")
 		tel        = c.Telemetry(cli.Metrics | cli.Profile)
 	)
@@ -41,7 +40,6 @@ func runInject(c *cli.Cmd) error {
 		c.MinInt("n", *n, 1),
 		c.MinInt("workers", *workers, 0),
 		c.MinInt("shards", *shards, 0),
-		c.MinInt("snapshot-every", *snapEvery, 0),
 		c.Requires("resume", "checkpoint", !*resume || *checkpoint != ""),
 	); err != nil {
 		return err
@@ -66,7 +64,6 @@ func runInject(c *cli.Cmd) error {
 	cfg.Checkpoint = *checkpoint
 	cfg.Resume = *resume
 	cfg.Shards = *shards
-	cfg.SnapshotEvery = *snapEvery
 	cfg.Model = model
 	cfg.Metrics = tel.Metrics
 	cfg.Logger = tel.Logger

@@ -175,15 +175,15 @@ func TestUsage(t *testing.T) {
 // exit 1 with empty stdout and exactly one stderr line, "<cmd>: <reason>
 // (run 'ffr <cmd> -h' for usage)", before any work starts. An unknown flag
 // exits 2 and -h exits 0, both with the flag list on stderr; -schedule,
-// which inject and coord had while packing was a user's choice, is such a
-// flag now.
+// which inject and coord had while packing was a user's choice, and inject's
+// -snapshot-every, which never changed a result, are such flags now.
 func TestMisuse(t *testing.T) {
 	t.Setenv("FFR_LOG", "")
 	t.Setenv("FFR_FAULT_MODEL", "")
 	misuse := map[string][][]string{
 		"gen": {{"-fifo", "1"}, {"-statw", "0"}, {"-ffs", "-1"}, {"stray"}},
 		"sim": {{"-packets", "0"}},
-		"inject": {{"-n", "0"}, {"-workers", "-1"}, {"-shards", "-1"}, {"-snapshot-every", "-1"},
+		"inject": {{"-n", "0"}, {"-workers", "-1"}, {"-shards", "-1"},
 			{"-resume"}, {"-fault-model", "mbu:99"}, {"-fault-model", "bogus"},
 			{"-log-level", "loud"}, {"-log-format", "xml"}},
 		"feat":  {{"-n", "0"}},
@@ -232,9 +232,10 @@ func TestMisuse(t *testing.T) {
 			t.Errorf("ffr %s -h: exit %d, stdout %q, stderr %q", cmd.name, code, stdout, stderr)
 		}
 	}
-	for _, args := range [][]string{{"inject", "-schedule", "zigzag"}, {"coord", "-scenario", "random/noise", "-schedule", "zigzag"}} {
+	for _, args := range [][]string{{"inject", "-schedule", "zigzag"}, {"coord", "-scenario", "random/noise", "-schedule", "zigzag"},
+		{"inject", "-snapshot-every", "4"}} {
 		code, stdout, stderr := ffr(t, args...)
-		if code != 2 || stdout != "" || !strings.HasPrefix(stderr, "flag provided but not defined: -schedule\nUsage of ffr "+args[0]+":\n") {
+		if code != 2 || stdout != "" || !strings.HasPrefix(stderr, "flag provided but not defined: "+args[len(args)-2]+"\nUsage of ffr "+args[0]+":\n") {
 			t.Errorf("ffr %v: exit %d, stdout %q, stderr %q", args, code, stdout, stderr)
 		}
 	}

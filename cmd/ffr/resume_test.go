@@ -174,11 +174,11 @@ func TestCoordResumeAdoptsRecordedSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fault.RunJobs(camp.M.Program, camp.M.Bench.Stim, camp.M.Bench.Monitors,
-		camp.M.Bench.Classifier, camp.Jobs, fault.RunnerConfig{
-			ChunkJobs: 64, Golden: camp.M.Golden, Snapshots: camp.M.Snapshots,
-			Schedule: fault.SchedulePlan, CheckpointPath: ckpt,
-		}); err != nil {
+	planOrder, err := camp.M.Runner(fault.RunnerConfig{ChunkJobs: 64, Schedule: fault.SchedulePlan, CheckpointPath: ckpt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := planOrder.Run(camp.Jobs); err != nil {
 		t.Fatal(err)
 	}
 	ck, err := fault.LoadCheckpoint(ckpt)

@@ -39,7 +39,7 @@ func run() error {
 	fmt.Printf("MAC10GE-lite: %d cells (%d flip-flops, %d combinational), depth %d\n",
 		st.Cells, st.FlipFlops, st.Combo, st.MaxLevel)
 	fmt.Printf("testbench: %d packets over %d cycles, XGMII loopback\n\n",
-		len(study.Bench.Packets), study.Bench.Stim.Cycles())
+		cfg.Bench.Packets, study.Bench.Stim.Cycles())
 
 	start := time.Now()
 	campaign, err := study.RunGroundTruth()

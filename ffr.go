@@ -135,10 +135,6 @@ var (
 	RenderFoldPrediction = core.RenderFoldPrediction
 	// RenderCampaign summarizes the flat fault-injection campaign.
 	RenderCampaign = core.RenderCampaign
-	// NewCampaignRunner builds a sharded campaign runner directly; most
-	// callers go through Study, which wires one up with a shared golden
-	// trace and the StudyConfig checkpoint knobs.
-	NewCampaignRunner = fault.NewRunner
 	// LoadCampaignCheckpoint reads and validates a campaign checkpoint.
 	LoadCampaignCheckpoint = fault.LoadCheckpoint
 	// ParseFaultModel parses a canonical fault-model string
@@ -190,6 +186,13 @@ var (
 	RenderTransferMatrix = core.RenderTransferMatrix
 )
 
-// ErrCampaignInterrupted reports a campaign stopped by cancellation after
-// flushing its checkpoint.
-var ErrCampaignInterrupted = fault.ErrInterrupted
+// Campaign errors, matchable with errors.Is.
+var (
+	// ErrCampaignInterrupted reports a campaign stopped by cancellation
+	// after flushing its checkpoint.
+	ErrCampaignInterrupted = fault.ErrInterrupted
+	// ErrCampaignBudget reports a negative injection budget, whichever
+	// entry point it was handed to (NewCorpusStudy, a distributed campaign
+	// spec, HardenVerify); zero means the scenario's default.
+	ErrCampaignBudget = corpus.ErrBudget
+)

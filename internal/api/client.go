@@ -96,13 +96,6 @@ func (c *Client) Models() (ModelsResponse, error) {
 	return resp, err
 }
 
-// Health fetches the service health.
-func (c *Client) Health() (HealthResponse, error) {
-	var resp HealthResponse
-	err := c.Do(http.MethodGet, "/healthz", nil, &resp)
-	return resp, err
-}
-
 // Harden posts one hardening-plan request.
 func (c *Client) Harden(req HardenRequest) (HardenResponse, error) {
 	var resp HardenResponse

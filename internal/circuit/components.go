@@ -163,15 +163,6 @@ func Register(b *netlist.Builder, name string, d Word, en netlist.NetID, init ui
 	return q
 }
 
-// RegisterAlways builds a register that loads d every cycle (no enable).
-func RegisterAlways(b *netlist.Builder, name string, d Word, init uint64) Word {
-	q := make(Word, len(d))
-	for i := range d {
-		q[i] = b.DFF(fmt.Sprintf("%s[%d]", name, i), d[i], init>>uint(i)&1 == 1)
-	}
-	return q
-}
-
 // Counter builds a width-bit up counter with enable and synchronous clear
 // (clear wins over enable). It returns the counter value.
 func Counter(b *netlist.Builder, name string, width int, en, clear netlist.NetID) Word {
@@ -216,19 +207,6 @@ func ShiftRegister(b *netlist.Builder, name string, width int, in netlist.NetID,
 		setD(b.Mux(qi, prev, en))
 		stages[i] = qi
 		prev = qi
-	}
-	return stages
-}
-
-// ByteDelayLine builds a depth-stage, width-bit delay line with enable; it
-// returns the output of the final stage and every intermediate stage.
-// Stage 0 holds the most recent word.
-func ByteDelayLine(b *netlist.Builder, name string, depth int, d Word, en netlist.NetID) []Word {
-	stages := make([]Word, depth)
-	cur := d
-	for s := 0; s < depth; s++ {
-		cur = Register(b, fmt.Sprintf("%s%d", name, s), cur, en, 0)
-		stages[s] = cur
 	}
 	return stages
 }

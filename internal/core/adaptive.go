@@ -128,22 +128,10 @@ type studyTarget struct {
 func (t *studyTarget) NumFFs() int                 { return t.study.NumFFs() }
 func (t *studyTarget) FeatureRows() [][]float64    { return t.study.FeatureRows() }
 func (t *studyTarget) InjectionsPerFF() int        { return t.study.Config.InjectionsPerFF }
-func (t *studyTarget) CampaignFingerprint() uint64 { return t.study.golden.Fingerprint() }
+func (t *studyTarget) CampaignFingerprint() uint64 { return t.study.Golden.Fingerprint() }
 
 func (t *studyTarget) RunRound(ctx context.Context, ffs []int, checkpointPath string, resume bool) (*fault.Result, error) {
-	s := t.study
-	jobs := s.planFor(ffs)
-	cfg := s.ephemeralRunnerConfig()
-	cfg.ChunkJobs = s.Config.ChunkJobs
-	cfg.CheckpointPath = checkpointPath
-	cfg.CheckpointEvery = s.Config.CheckpointEvery
-	cfg.Resume = resume && checkpointPath != ""
-	cfg.OnProgress = s.Config.Progress
-	runner, err := fault.NewRunner(s.Program, s.stim, s.monitors, s.classifier, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return runner.RunContext(ctx, jobs)
+	return t.study.campaign(ctx, t.study.planFor(ffs), checkpointPath, resume && checkpointPath != "")
 }
 
 // planFor extracts the given flip-flops' jobs from the study's full
@@ -151,13 +139,12 @@ func (t *studyTarget) RunRound(ctx context.Context, ffs []int, checkpointPath st
 // flip-flop's measured counts are bit-identical no matter which round (or
 // which campaign) measures it.
 func (s *Study) planFor(ffs []int) []fault.Job {
-	full := fault.NewModelPlan(s.Config.Model, s.NumFFs(), s.Config.InjectionsPerFF, s.activeCycles, s.Config.CampaignSeed)
 	want := make(map[int]bool, len(ffs))
 	for _, ff := range ffs {
 		want[ff] = true
 	}
 	jobs := make([]fault.Job, 0, len(ffs)*s.Config.InjectionsPerFF)
-	for _, j := range full {
+	for _, j := range s.Jobs(s.Config.Model, s.Config.InjectionsPerFF, s.Config.CampaignSeed) {
 		if want[j.FF] {
 			jobs = append(jobs, j)
 		}
@@ -174,14 +161,9 @@ func (s *Study) planFor(ffs []int) []fault.Job {
 // many strategies against one already-measured campaign at zero simulation
 // cost.
 type replayTarget struct {
-	study    *Study
+	studyTarget
 	campaign *fault.Result
 }
-
-func (t *replayTarget) NumFFs() int                 { return t.study.NumFFs() }
-func (t *replayTarget) FeatureRows() [][]float64    { return t.study.FeatureRows() }
-func (t *replayTarget) InjectionsPerFF() int        { return t.study.Config.InjectionsPerFF }
-func (t *replayTarget) CampaignFingerprint() uint64 { return t.study.golden.Fingerprint() }
 
 func (t *replayTarget) RunRound(ctx context.Context, ffs []int, checkpointPath string, resume bool) (*fault.Result, error) {
 	res := &fault.Result{
@@ -299,7 +281,7 @@ func (s *Study) CompareAdaptiveStrategies(strategies []string, spec ModelSpec, b
 			return nil, err
 		}
 		loop, err := plan.NewLoop(plan.Config{
-			Target:    &replayTarget{study: s, campaign: s.Campaign},
+			Target:    &replayTarget{studyTarget{s}, s.Campaign},
 			Strategy:  strategy,
 			Model:     spec.Factory,
 			ModelName: spec.Name,

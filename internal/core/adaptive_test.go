@@ -190,7 +190,7 @@ func TestReplayTargetMatchesPartialCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replay, err := (&replayTarget{study: s, campaign: s.Campaign}).RunRound(context.Background(), ffs, "", false)
+	replay, err := (&replayTarget{studyTarget{s}, s.Campaign}).RunRound(context.Background(), ffs, "", false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/corpus"
 	"repro/internal/fault"
 	"repro/internal/obs"
@@ -17,7 +15,8 @@ type CorpusStudyConfig struct {
 	// Seed drives circuit generation (randomized families) and workload
 	// stimulus; 0 means 1.
 	Seed int64
-	// InjectionsPerFF overrides the scenario's default budget when > 0.
+	// InjectionsPerFF overrides the scenario's default budget when > 0; a
+	// negative budget is corpus.ErrBudget.
 	InjectionsPerFF int
 	// CampaignSeed overrides the scenario's default campaign seed when
 	// non-zero.
@@ -45,74 +44,26 @@ type CorpusStudyConfig struct {
 
 // NewCorpusStudy materializes a corpus scenario into a Study: the full
 // generate → synthesize → compile → workload → golden → features front end,
-// plus a sharded campaign runner wired to the scenario's failure criterion
-// and reusing the materialization's golden trace. Every Study method —
-// ground truth, Table I protocols, learning curves, cross-circuit transfer —
-// then works on the scenario exactly as on the paper's MAC.
+// with the campaign shape resolved against the scenario's defaults. Every
+// Study method — ground truth, Table I protocols, learning curves,
+// cross-circuit transfer — then works on the scenario exactly as on the
+// paper's MAC, which is itself one (NewStudy).
 func NewCorpusStudy(sc corpus.Scenario, cfg CorpusStudyConfig) (*Study, error) {
-	if err := validateStudyModel(cfg.Model); err != nil {
-		return nil, err
-	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	m, err := sc.Materialize(cfg.Scale, cfg.Seed)
-	if err != nil {
-		return nil, fmt.Errorf("core: corpus study: %w", err)
-	}
-	injections := cfg.InjectionsPerFF
-	if injections <= 0 {
-		injections = sc.Entry.Defaults.InjectionsPerFF
-	}
-	campaignSeed := cfg.CampaignSeed
-	if campaignSeed == 0 {
-		campaignSeed = sc.Entry.Defaults.CampaignSeed
-	}
-	chunkJobs := chunkJobsFor(m.NumFFs()*injections, cfg.Shards, cfg.ChunkJobs)
-	runner, err := fault.NewRunner(m.Program, m.Bench.Stim, m.Bench.Monitors,
-		m.Bench.Classifier, fault.RunnerConfig{
-			Model:           cfg.Model,
-			ChunkJobs:       chunkJobs,
-			Workers:         cfg.Workers,
-			Golden:          m.Golden,
-			Snapshots:       m.Snapshots,
-			CheckpointPath:  cfg.Checkpoint,
-			CheckpointEvery: cfg.CheckpointEvery,
-			Resume:          cfg.Resume,
-			OnProgress:      cfg.Progress,
-			Metrics:         cfg.Metrics,
-			Logger:          cfg.Logger,
-		})
-	if err != nil {
-		return nil, fmt.Errorf("core: corpus study runner: %w", err)
-	}
-	return &Study{
-		Config: StudyConfig{
-			InjectionsPerFF: injections,
-			CampaignSeed:    campaignSeed,
-			Model:           cfg.Model,
-			Workers:         cfg.Workers,
-			ChunkJobs:       cfg.ChunkJobs,
-			Shards:          cfg.Shards,
-			Checkpoint:      cfg.Checkpoint,
-			Resume:          cfg.Resume,
-			CheckpointEvery: cfg.CheckpointEvery,
-			Progress:        cfg.Progress,
-			Metrics:         cfg.Metrics,
-			Logger:          cfg.Logger,
-		},
-		Netlist:      m.Netlist,
-		Program:      m.Program,
-		Activity:     m.Activity,
-		Features:     m.Features,
-		CircuitName:  sc.Entry.Name,
-		WorkloadName: sc.Workload.Name,
-		classifier:   m.Bench.Classifier,
-		golden:       m.Golden,
-		snapshots:    m.Snapshots,
-		runner:       runner,
-		stim:         m.Bench.Stim,
-		monitors:     m.Bench.Monitors,
-		activeCycles: m.Bench.ActiveCycles,
-	}, nil
+	return newStudy(sc, cfg.Scale, cfg.Seed, StudyConfig{
+		InjectionsPerFF: cfg.InjectionsPerFF,
+		CampaignSeed:    cfg.CampaignSeed,
+		Model:           cfg.Model,
+		Workers:         cfg.Workers,
+		ChunkJobs:       cfg.ChunkJobs,
+		Shards:          cfg.Shards,
+		Checkpoint:      cfg.Checkpoint,
+		Resume:          cfg.Resume,
+		CheckpointEvery: cfg.CheckpointEvery,
+		Progress:        cfg.Progress,
+		Metrics:         cfg.Metrics,
+		Logger:          cfg.Logger,
+	})
 }

@@ -35,9 +35,6 @@ func TestNewCorpusStudyEndToEnd(t *testing.T) {
 	if study.ScenarioID() != "alupipe/randomops" {
 		t.Fatalf("scenario tag %q", study.ScenarioID())
 	}
-	if study.Bench != nil {
-		t.Fatal("corpus study carries a MAC bench")
-	}
 	y, err := study.FDR()
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/fault"
@@ -65,8 +66,8 @@ func (s *Study) FitArtifact(name string, spec ModelSpec, cv TableRow) (*persist.
 		return nil, fmt.Errorf("core: final fit of %s: %w", spec.Name, err)
 	}
 	art := persist.New(name, model, features.Names())
-	art.Circuit = s.CircuitName
-	art.Workload = s.WorkloadName
+	art.Circuit = s.Scenario.Entry.Name
+	art.Workload = s.Scenario.Workload.Name
 	art.TrainRows = len(X)
 	art.TrainHash = persist.DataFingerprint(X, y)
 	art.Metrics = map[string]float64{
@@ -277,8 +278,8 @@ func (s *Study) InjectionBudgetAblation(budgets []int, spec ModelSpec, nSplits i
 	X := s.FeatureRows()
 	out := make([]BudgetPoint, 0, len(budgets))
 	for _, budget := range budgets {
-		plan := fault.NewModelPlan(s.Config.Model, s.NumFFs(), budget, s.activeCycles, s.Config.CampaignSeed+int64(budget))
-		res, err := fault.RunJobs(s.Program, s.stim, s.monitors, s.classifier, plan, s.ephemeralRunnerConfig())
+		jobs := s.Jobs(s.Config.Model, budget, s.Config.CampaignSeed+int64(budget))
+		res, err := s.campaign(context.Background(), jobs, "", false)
 		if err != nil {
 			return nil, fmt.Errorf("core: budget %d campaign: %w", budget, err)
 		}

@@ -33,7 +33,6 @@ func smallStudy(t testing.TB) *Study {
 			},
 			InjectionsPerFF: 8,
 			CampaignSeed:    1,
-			CheckStats:      true,
 		}
 		testStudy.study, testStudy.err = NewStudy(cfg)
 		if testStudy.err == nil {
@@ -233,7 +232,7 @@ func TestFitArtifact(t *testing.T) {
 	}
 	X := s.FeatureRows()
 	y, _ := s.FDR()
-	if art.Name != "k-NN@"+s.ScenarioID() || art.Kind == "" || art.Circuit != s.CircuitName || art.Workload != s.WorkloadName {
+	if art.Name != "k-NN@"+s.ScenarioID() || art.Kind == "" || art.Circuit != "mac10ge" || art.Workload != "loopback" {
 		t.Errorf("artifact identity: %q kind %q tagged %s/%s", art.Name, art.Kind, art.Circuit, art.Workload)
 	}
 	if art.TrainRows != len(X) || art.TrainHash != persist.DataFingerprint(X, y) || art.NumFeatures() != features.NumFeatures {
@@ -251,7 +250,7 @@ func TestFitArtifact(t *testing.T) {
 			t.Fatalf("row %d: artifact predicts %v, a fit on every flip-flop predicts %v", i, got, want.Predict(x))
 		}
 	}
-	if _, err := (&Study{Features: s.Features}).FitArtifact("x", spec, rows[0]); err == nil {
+	if _, err := (&Study{Materialized: s.Materialized}).FitArtifact("x", spec, rows[0]); err == nil {
 		t.Error("a study without ground truth produced an artifact")
 	}
 }
@@ -330,8 +329,11 @@ func TestInjectionBudgetAblationHonoursStudyModel(t *testing.T) {
 		t.Fatal("the ablation campaign reported nothing to the study's metrics registry")
 	}
 
-	plan := fault.NewModelPlan(model, s.NumFFs(), budget, s.activeCycles, s.Config.CampaignSeed+budget)
-	want, err := fault.RunJobs(s.Program, s.stim, s.monitors, s.classifier, plan, fault.RunnerConfig{Model: model})
+	runner, err := s.Runner(fault.RunnerConfig{Model: model})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := runner.Run(fault.NewModelPlan(model, s.NumFFs(), budget, s.ActiveCycles(), s.Config.CampaignSeed+budget))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,41 +7,6 @@ import (
 	"repro/internal/fault"
 )
 
-func TestFaultDescriptorFor(t *testing.T) {
-	seu := FaultDescriptorFor(fault.Model{})
-	if seu.SEU != 1 || seu.MBU != 0 || seu.WindowStart != 0 || seu.WindowSpan != 1 {
-		t.Fatalf("zero model descriptor = %+v", seu)
-	}
-	m, err := fault.ParseModel("mbu:3@0.25-0.75")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mbu := FaultDescriptorFor(m)
-	if mbu.MBU != 1 || mbu.ClusterSize != 3 || mbu.WindowStart != 0.25 || mbu.WindowSpan != 0.5 {
-		t.Fatalf("MBU descriptor = %+v", mbu)
-	}
-	m, err = fault.ParseModel("stuck1:8")
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := FaultDescriptorFor(m)
-	if st.Stuck1 != 1 || st.Duration != 8 || st.WindowSpan != 1 {
-		t.Fatalf("stuck-at descriptor = %+v", st)
-	}
-	set := FaultDescriptorFor(fault.Model{Kind: fault.KindSET})
-	if set.SET != 1 || set.ClusterSize != 0 || set.Duration != 0 {
-		t.Fatalf("SET descriptor = %+v", set)
-	}
-	// Exactly one one-hot bit per model.
-	for _, d := range []interface{ Slice() []float64 }{seu, mbu, st, set} {
-		row := d.Slice()
-		hot := row[0] + row[1] + row[2] + row[3] + row[4]
-		if hot != 1 {
-			t.Fatalf("kind one-hot sums to %g in %v", hot, row)
-		}
-	}
-}
-
 // TestStudyRejectsSET: per-flip-flop FDR features are meaningless for
 // combinational targets, so study construction must refuse the SET model on
 // both the MAC and corpus fronts.

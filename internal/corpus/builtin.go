@@ -26,8 +26,27 @@ func macConfig(scale Scale) circuit.MACConfig {
 	return circuit.DefaultMACConfig()
 }
 
-func macEntry() *Entry {
-	buildMAC := func(p *sim.Program, cfg circuit.MACBenchConfig) (*Bench, error) {
+// newMACEntry is the one place a MAC device meets its testbench and failure
+// criterion: the registered mac10ge family and MACScenario are both built
+// here, so the paper's study and the corpus entry cannot drift apart. Its
+// workloads build through macBench, which asks a workload only for its bench
+// configuration at a scale and seed; the FIFO depth follows the device.
+func newMACEntry(mac func(Scale) circuit.MACConfig, workloads ...Workload) *Entry {
+	return &Entry{
+		Name:        "mac10ge",
+		Description: "MAC10GE-lite: the paper's store-and-forward 10GE MAC with CRC-32 and RMON counters",
+		Generate: func(scale Scale, seed int64) (*netlist.Netlist, error) {
+			return circuit.NewMAC10GE(mac(scale))
+		},
+		Workloads: workloads,
+		Defaults:  Geometry{InjectionsPerFF: 170, CampaignSeed: 2019},
+	}
+}
+
+func macBench(mac func(Scale) circuit.MACConfig, config func(Scale, int64) circuit.MACBenchConfig) func(*sim.Program, Scale, int64) (*Bench, error) {
+	return func(p *sim.Program, scale Scale, seed int64) (*Bench, error) {
+		cfg := config(scale, seed)
+		cfg.FIFODepth = mac(scale).FIFODepth
 		bench, err := circuit.BuildMACBench(p, cfg)
 		if err != nil {
 			return nil, err
@@ -39,48 +58,57 @@ func macEntry() *Entry {
 			Classifier:   fault.NewMACClassifier(bench, true),
 		}, nil
 	}
-	return &Entry{
-		Name:        "mac10ge",
-		Description: "MAC10GE-lite: the paper's store-and-forward 10GE MAC with CRC-32 and RMON counters",
-		Generate: func(scale Scale, seed int64) (*netlist.Netlist, error) {
-			return circuit.NewMAC10GE(macConfig(scale))
+}
+
+const loopbackDescription = "the paper's testbench: packets through the XGMII loopback plus a statistics sweep"
+
+// MACScenario is the paper's study as a scenario outside the registry: the
+// MAC generated from mac under the loopback testbench bench, whatever scale
+// and seed it is materialized at. core.NewStudy runs on it, so the MAC goes
+// through the same front end and the same runner wiring as every corpus
+// entry.
+func MACScenario(mac circuit.MACConfig, bench circuit.MACBenchConfig) Scenario {
+	fixed := func(Scale) circuit.MACConfig { return mac }
+	e := newMACEntry(fixed, Workload{
+		Name:        "loopback",
+		Description: loopbackDescription,
+		Build:       macBench(fixed, func(Scale, int64) circuit.MACBenchConfig { return bench }),
+	})
+	return Scenario{Entry: e, Workload: &e.Workloads[0]}
+}
+
+func macEntry() *Entry {
+	return newMACEntry(macConfig,
+		Workload{
+			Name:        "loopback",
+			Description: loopbackDescription,
+			Build: macBench(macConfig, func(scale Scale, seed int64) circuit.MACBenchConfig {
+				cfg := circuit.DefaultMACBenchConfig()
+				cfg.Seed = uint64(seed)*0x9E3779B97F4A7C15 | 1
+				if scale == ScaleSmall {
+					cfg.Packets = 6
+					cfg.MinPayload = 4
+					cfg.MaxPayload = 6
+				}
+				return cfg
+			}),
 		},
-		Workloads: []Workload{
-			{
-				Name:        "loopback",
-				Description: "the paper's testbench: packets through the XGMII loopback plus a statistics sweep",
-				Build: func(p *sim.Program, scale Scale, seed int64) (*Bench, error) {
-					cfg := circuit.DefaultMACBenchConfig()
-					cfg.FIFODepth = macConfig(scale).FIFODepth
-					cfg.Seed = uint64(seed)*0x9E3779B97F4A7C15 | 1
-					if scale == ScaleSmall {
-						cfg.Packets = 6
-						cfg.MinPayload = 4
-						cfg.MaxPayload = 6
-					}
-					return buildMAC(p, cfg)
-				},
-			},
-			{
-				Name:        "bursty",
-				Description: "many short frames at minimum inter-frame gap: the FIFO/framer stress profile",
-				Build: func(p *sim.Program, scale Scale, seed int64) (*Bench, error) {
-					cfg := circuit.DefaultMACBenchConfig()
-					cfg.FIFODepth = macConfig(scale).FIFODepth
-					cfg.Seed = uint64(seed)*0xD1B54A32D192ED03 | 1
-					cfg.MinPayload = 2
-					cfg.MaxPayload = 4
-					cfg.Gap = 2
-					cfg.Packets = 10
-					if scale != ScaleSmall {
-						cfg.Packets = 24
-					}
-					return buildMAC(p, cfg)
-				},
-			},
-		},
-		Defaults: Geometry{InjectionsPerFF: 170, CampaignSeed: 2019},
-	}
+		Workload{
+			Name:        "bursty",
+			Description: "many short frames at minimum inter-frame gap: the FIFO/framer stress profile",
+			Build: macBench(macConfig, func(scale Scale, seed int64) circuit.MACBenchConfig {
+				cfg := circuit.DefaultMACBenchConfig()
+				cfg.Seed = uint64(seed)*0xD1B54A32D192ED03 | 1
+				cfg.MinPayload = 2
+				cfg.MaxPayload = 4
+				cfg.Gap = 2
+				cfg.Packets = 10
+				if scale != ScaleSmall {
+					cfg.Packets = 24
+				}
+				return cfg
+			}),
+		})
 }
 
 func aluConfig(scale Scale) circuit.ALUConfig {

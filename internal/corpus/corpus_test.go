@@ -189,13 +189,15 @@ func TestCorpusScenarioCampaigns(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", s.ID(), err)
 		}
-		runner, err := fault.NewRunner(m.Program, m.Bench.Stim, m.Bench.Monitors,
-			m.Bench.Classifier, fault.RunnerConfig{Golden: m.Golden})
+		runner, err := m.Runner(fault.RunnerConfig{})
 		if err != nil {
 			t.Fatalf("%s: %v", s.ID(), err)
 		}
-		jobs := fault.NewPlan(m.NumFFs(), 2, m.Bench.ActiveCycles, s.Entry.Defaults.CampaignSeed)
-		res, err := runner.Run(jobs)
+		g, err := s.Campaign(2, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", s.ID(), err)
+		}
+		res, err := runner.Run(m.Jobs(fault.Model{}, g.InjectionsPerFF, g.CampaignSeed))
 		if err != nil {
 			t.Fatalf("%s: campaign: %v", s.ID(), err)
 		}

@@ -1,9 +1,11 @@
 package corpus
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/circuit"
+	"repro/internal/fault"
 	"repro/internal/features"
 	"repro/internal/netlist"
 	"repro/internal/sim"
@@ -107,3 +109,42 @@ func (s Scenario) MaterializeWith(scale Scale, seed int64, rewrite func(*netlist
 
 // NumFFs returns the flip-flop count of the materialized DUT.
 func (m *Materialized) NumFFs() int { return m.Program.NumFFs() }
+
+// ErrBudget marks a campaign request with a negative injection budget.
+var ErrBudget = errors.New("corpus: negative injection budget")
+
+// Campaign resolves a requested campaign shape against the scenario: a zero
+// budget or seed means the scenario's default, a negative budget is
+// ErrBudget. Every entry point that takes a budget (core studies, the fabric
+// spec, the hardening verifier) resolves it here and nowhere else.
+func (s Scenario) Campaign(injectionsPerFF int, campaignSeed int64) (Geometry, error) {
+	g := s.Entry.Defaults
+	if injectionsPerFF < 0 {
+		return g, fmt.Errorf("%w: %d injections per flip-flop on %s", ErrBudget, injectionsPerFF, s.ID())
+	}
+	if injectionsPerFF > 0 {
+		g.InjectionsPerFF = injectionsPerFF
+	}
+	if campaignSeed != 0 {
+		g.CampaignSeed = campaignSeed
+	}
+	return g, nil
+}
+
+// Jobs draws the injection plan of a campaign over the materialized DUT:
+// injectionsPerFF cycles of the workload's injection window for every target
+// of model, sampled from campaignSeed (both resolved by Scenario.Campaign).
+func (m *Materialized) Jobs(model fault.Model, injectionsPerFF int, campaignSeed int64) []fault.Job {
+	return fault.NewModelPlan(model, model.NumTargets(m.Program), injectionsPerFF,
+		m.Bench.ActiveCycles, campaignSeed)
+}
+
+// Runner is the one place a materialized scenario becomes a campaign
+// runner: program, stimulus, monitors, failure criterion, golden trace and
+// snapshots all come from m. The caller's cfg carries only what m cannot
+// know — the fault model and chunk geometry of the campaign, and what is
+// this node's alone (pool bound, checkpointing, instrumentation).
+func (m *Materialized) Runner(cfg fault.RunnerConfig) (*fault.Runner, error) {
+	cfg.Golden, cfg.Snapshots = m.Golden, m.Snapshots
+	return fault.NewRunner(m.Program, m.Bench.Stim, m.Bench.Monitors, m.Bench.Classifier, cfg)
+}

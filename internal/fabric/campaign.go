@@ -47,15 +47,11 @@ func ResolveSpec(spec api.CampaignSpec) (api.CampaignSpec, error) {
 	if _, err := corpus.ParseScale(spec.Scale); err != nil {
 		return spec, err
 	}
-	if spec.InjectionsPerFF == 0 {
-		spec.InjectionsPerFF = sc.Entry.Defaults.InjectionsPerFF
+	g, err := sc.Campaign(spec.InjectionsPerFF, spec.CampaignSeed)
+	if err != nil {
+		return spec, fmt.Errorf("fabric: %w", err)
 	}
-	if spec.InjectionsPerFF < 1 {
-		return spec, fmt.Errorf("fabric: injections per FF %d < 1", spec.InjectionsPerFF)
-	}
-	if spec.CampaignSeed == 0 {
-		spec.CampaignSeed = sc.Entry.Defaults.CampaignSeed
-	}
+	spec.InjectionsPerFF, spec.CampaignSeed = g.InjectionsPerFF, g.CampaignSeed
 	if spec.ChunkJobs < 0 {
 		return spec, fmt.Errorf("fabric: negative chunk size %d", spec.ChunkJobs)
 	}
@@ -122,11 +118,9 @@ func BuildCampaign(spec api.CampaignSpec, local fault.RunnerConfig) (*Campaign, 
 	if err != nil {
 		return nil, fmt.Errorf("fabric: %v", err)
 	}
-	jobs := fault.NewModelPlan(model, model.NumTargets(m.Program), spec.InjectionsPerFF,
-		m.Bench.ActiveCycles, spec.CampaignSeed)
+	jobs := m.Jobs(model, spec.InjectionsPerFF, spec.CampaignSeed)
 	local.Model, local.ChunkJobs, local.Schedule = model, spec.ChunkJobs, fault.Schedule(spec.Schedule)
-	local.Golden, local.Snapshots = m.Golden, m.Snapshots
-	runner, err := fault.NewRunner(m.Program, m.Bench.Stim, m.Bench.Monitors, m.Bench.Classifier, local)
+	runner, err := m.Runner(local)
 	if err != nil {
 		return nil, err
 	}

@@ -32,9 +32,11 @@ func checkpointed(t *testing.T, spec api.CampaignSpec, local fault.RunnerConfig,
 		t.Fatal(err)
 	}
 	local.Model, local.ChunkJobs, local.CheckpointPath = model, camp.Spec.ChunkJobs, path
-	local.Golden, local.Snapshots = camp.M.Golden, camp.M.Snapshots
-	if _, err := fault.RunJobs(camp.M.Program, camp.M.Bench.Stim, camp.M.Bench.Monitors,
-		camp.M.Bench.Classifier, camp.Jobs, local); err != nil {
+	runner, err := camp.M.Runner(local)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := runner.Run(camp.Jobs); err != nil {
 		t.Fatal(err)
 	}
 	ck, err := fault.LoadCheckpoint(path)

@@ -1,11 +1,6 @@
 package fault
 
-import (
-	"fmt"
-	"math/rand"
-
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // Job is one scheduled injection of a campaign: inject a fault at target FF
 // at the given cycle. What "inject" means — and what index space FF draws
@@ -76,37 +71,6 @@ type Stream interface {
 	Observe(cycle int, golden, faulty []uint64) uint64
 }
 
-// CampaignConfig parameterizes RunCampaign.
-type CampaignConfig struct {
-	// Model selects the fault model; the zero value is the SEU reference
-	// model (one flip-flop flip, full active window).
-	Model Model
-	// InjectionsPerFF is the number of injection runs per target (the
-	// paper uses 170 per flip-flop).
-	InjectionsPerFF int
-	// ActiveCycles bounds injection times: cycles are drawn uniformly
-	// from [0, ActiveCycles), restricted further by a windowed Model.
-	ActiveCycles int
-	// Seed drives injection-time sampling.
-	Seed int64
-	// Workers is the worker-pool size; 0 means GOMAXPROCS.
-	Workers int
-}
-
-// Validate checks the configuration against the stimulus.
-func (c CampaignConfig) Validate(stimCycles int) error {
-	if c.InjectionsPerFF < 1 {
-		return fmt.Errorf("fault: InjectionsPerFF %d < 1", c.InjectionsPerFF)
-	}
-	if c.ActiveCycles < 1 || c.ActiveCycles > stimCycles {
-		return fmt.Errorf("fault: ActiveCycles %d out of (0,%d]", c.ActiveCycles, stimCycles)
-	}
-	if c.Workers < 0 {
-		return fmt.Errorf("fault: negative Workers %d", c.Workers)
-	}
-	return nil
-}
-
 // Result is the outcome of a campaign. The per-target arrays are indexed by
 // the campaign model's target space: flip-flop index for SEU, MBU and
 // stuck-at (an MBU is counted against its anchor flip-flop), combinational
@@ -135,46 +99,4 @@ type Result struct {
 	// cycles. Its ratio to SimulatedCycles is the cycle saving of
 	// fast-forward, early exit and wide batches.
 	ReplayCycles int64
-}
-
-// NewPlan samples the paper's injection plan: for every flip-flop of p,
-// injectionsPerFF uniformly random cycles in [0, activeCycles). The plan is
-// ordered by flip-flop, matching how the paper reports per-instance results.
-func NewPlan(numFFs, injectionsPerFF, activeCycles int, seed int64) []Job {
-	rng := rand.New(rand.NewSource(seed))
-	jobs := make([]Job, 0, numFFs*injectionsPerFF)
-	for ff := 0; ff < numFFs; ff++ {
-		for k := 0; k < injectionsPerFF; k++ {
-			jobs = append(jobs, Job{FF: ff, Cycle: rng.Intn(activeCycles)})
-		}
-	}
-	return jobs
-}
-
-// RunCampaign executes the full flat statistical campaign: a golden run,
-// then every job of the plan in 64-lane batches, classified by cls. The
-// zero-valued cfg.Model runs the paper's SEU campaign, whose plan and
-// results are bit-identical to the pre-model NewPlan path.
-func RunCampaign(p *sim.Program, stim *sim.Stimulus, monitors []int, cls Classifier, cfg CampaignConfig) (*Result, error) {
-	if err := cfg.Validate(stim.Cycles()); err != nil {
-		return nil, err
-	}
-	r, err := NewRunner(p, stim, monitors, cls, RunnerConfig{Workers: cfg.Workers, Model: cfg.Model})
-	if err != nil {
-		return nil, err
-	}
-	jobs := NewModelPlan(cfg.Model, cfg.Model.NumTargets(p), cfg.InjectionsPerFF, cfg.ActiveCycles, cfg.Seed)
-	return r.Run(jobs)
-}
-
-// RunJobs executes an explicit injection plan on an ephemeral runner with
-// the given configuration. The core estimation flow uses it to fault-inject
-// only the training subset of flip-flops, passing the study's golden trace
-// and snapshots through cfg so partial campaigns re-simulate neither.
-func RunJobs(p *sim.Program, stim *sim.Stimulus, monitors []int, cls Classifier, jobs []Job, cfg RunnerConfig) (*Result, error) {
-	r, err := NewRunner(p, stim, monitors, cls, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return r.Run(jobs)
 }

@@ -52,7 +52,7 @@ func smallMAC(t testing.TB) (*sim.Program, *circuit.MACBench) {
 }
 
 func TestNewPlanShape(t *testing.T) {
-	jobs := fault.NewPlan(10, 7, 100, 1)
+	jobs := fault.NewModelPlan(fault.Model{}, 10, 7, 100, 1)
 	if len(jobs) != 70 {
 		t.Fatalf("len = %d, want 70", len(jobs))
 	}
@@ -71,14 +71,14 @@ func TestNewPlanShape(t *testing.T) {
 }
 
 func TestNewPlanDeterministic(t *testing.T) {
-	a := fault.NewPlan(5, 3, 50, 42)
-	b := fault.NewPlan(5, 3, 50, 42)
+	a := fault.NewModelPlan(fault.Model{}, 5, 3, 50, 42)
+	b := fault.NewModelPlan(fault.Model{}, 5, 3, 50, 42)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("plans with equal seeds must match")
 		}
 	}
-	c := fault.NewPlan(5, 3, 50, 43)
+	c := fault.NewModelPlan(fault.Model{}, 5, 3, 50, 43)
 	same := true
 	for i := range a {
 		if a[i] != c[i] {
@@ -91,34 +91,22 @@ func TestNewPlanDeterministic(t *testing.T) {
 	}
 }
 
-func TestCampaignConfigValidation(t *testing.T) {
-	cases := []fault.CampaignConfig{
-		{InjectionsPerFF: 0, ActiveCycles: 10},
-		{InjectionsPerFF: 1, ActiveCycles: 0},
-		{InjectionsPerFF: 1, ActiveCycles: 1000},
-		{InjectionsPerFF: 1, ActiveCycles: 10, Workers: -1},
+// runJobs executes an explicit injection plan on a fresh runner.
+func runJobs(p *sim.Program, stim *sim.Stimulus, monitors []int, cls fault.Classifier, jobs []fault.Job, cfg fault.RunnerConfig) (*fault.Result, error) {
+	r, err := fault.NewRunner(p, stim, monitors, cls, cfg)
+	if err != nil {
+		return nil, err
 	}
-	for i, cfg := range cases {
-		if err := cfg.Validate(100); err == nil {
-			t.Fatalf("case %d must fail: %+v", i, cfg)
-		}
-	}
-	ok := fault.CampaignConfig{InjectionsPerFF: 1, ActiveCycles: 100}
-	if err := ok.Validate(100); err != nil {
-		t.Fatalf("valid config rejected: %v", err)
-	}
+	return r.Run(jobs)
 }
 
 func TestCampaignOnSmallMAC(t *testing.T) {
 	p, bench := smallMAC(t)
 	cls := fault.NewMACClassifier(bench, true)
-	res, err := fault.RunCampaign(p, bench.Stim, bench.Monitors, cls, fault.CampaignConfig{
-		InjectionsPerFF: 4,
-		ActiveCycles:    bench.ActiveCycles,
-		Seed:            7,
-	})
+	res, err := runJobs(p, bench.Stim, bench.Monitors, cls,
+		fault.NewModelPlan(fault.Model{}, p.NumFFs(), 4, bench.ActiveCycles, 7), fault.RunnerConfig{})
 	if err != nil {
-		t.Fatalf("RunCampaign: %v", err)
+		t.Fatalf("campaign: %v", err)
 	}
 	if len(res.FDR) != p.NumFFs() {
 		t.Fatalf("FDR length %d, want %d", len(res.FDR), p.NumFFs())
@@ -159,14 +147,10 @@ func TestCampaignDeterministicAcrossWorkerCounts(t *testing.T) {
 	p, bench := smallMAC(t)
 	run := func(workers int) *fault.Result {
 		cls := fault.NewMACClassifier(bench, true)
-		res, err := fault.RunCampaign(p, bench.Stim, bench.Monitors, cls, fault.CampaignConfig{
-			InjectionsPerFF: 2,
-			ActiveCycles:    bench.ActiveCycles,
-			Seed:            11,
-			Workers:         workers,
-		})
+		res, err := runJobs(p, bench.Stim, bench.Monitors, cls,
+			fault.NewModelPlan(fault.Model{}, p.NumFFs(), 2, bench.ActiveCycles, 11), fault.RunnerConfig{Workers: workers})
 		if err != nil {
-			t.Fatalf("RunCampaign(%d workers): %v", workers, err)
+			t.Fatalf("campaign (%d workers): %v", workers, err)
 		}
 		return res
 	}
@@ -184,7 +168,7 @@ func TestRunJobsExplicitPlan(t *testing.T) {
 	golden, _ := sim.Run(e, bench.Stim, sim.RunConfig{Monitors: bench.Monitors})
 	cls := fault.NewMACClassifier(bench, true)
 	jobs := []fault.Job{{FF: 0, Cycle: 1}, {FF: 1, Cycle: 2}, {FF: 0, Cycle: 3}}
-	res, err := fault.RunJobs(p, bench.Stim, bench.Monitors, cls, jobs,
+	res, err := runJobs(p, bench.Stim, bench.Monitors, cls, jobs,
 		fault.RunnerConfig{Workers: 2, Golden: golden})
 	if err != nil {
 		t.Fatalf("RunJobs: %v", err)
@@ -193,11 +177,11 @@ func TestRunJobsExplicitPlan(t *testing.T) {
 		t.Fatalf("injections = %v", res.Injections[:2])
 	}
 	// Out-of-range jobs must be rejected.
-	if _, err := fault.RunJobs(p, bench.Stim, bench.Monitors, cls,
+	if _, err := runJobs(p, bench.Stim, bench.Monitors, cls,
 		[]fault.Job{{FF: -1, Cycle: 0}}, fault.RunnerConfig{Golden: golden}); err == nil {
 		t.Fatal("negative FF accepted")
 	}
-	if _, err := fault.RunJobs(p, bench.Stim, bench.Monitors, cls,
+	if _, err := runJobs(p, bench.Stim, bench.Monitors, cls,
 		[]fault.Job{{FF: 0, Cycle: 99999}}, fault.RunnerConfig{Golden: golden}); err == nil {
 		t.Fatal("out-of-range cycle accepted")
 	}
@@ -216,8 +200,8 @@ func TestClassifierBenignTimingShiftIgnored(t *testing.T) {
 	goldenStats := bench.LaneStats(golden, 0)
 
 	cls := fault.NewMACClassifier(bench, true)
-	jobs := fault.NewPlan(p.NumFFs(), 1, bench.ActiveCycles, 3)[:64]
-	res, err := fault.RunJobs(p, bench.Stim, bench.Monitors, cls, jobs,
+	jobs := fault.NewModelPlan(fault.Model{}, p.NumFFs(), 1, bench.ActiveCycles, 3)[:64]
+	res, err := runJobs(p, bench.Stim, bench.Monitors, cls, jobs,
 		fault.RunnerConfig{Workers: 1, Golden: golden})
 	if err != nil {
 		t.Fatalf("RunJobs: %v", err)

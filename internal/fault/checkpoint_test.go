@@ -180,12 +180,12 @@ func TestCheckpointRejectsBadGeometry(t *testing.T) {
 }
 
 func TestPlanFingerprint(t *testing.T) {
-	a := fault.NewPlan(5, 3, 50, 42)
-	b := fault.NewPlan(5, 3, 50, 42)
+	a := fault.NewModelPlan(fault.Model{}, 5, 3, 50, 42)
+	b := fault.NewModelPlan(fault.Model{}, 5, 3, 50, 42)
 	if fault.PlanFingerprint(a) != fault.PlanFingerprint(b) {
 		t.Fatal("identical plans fingerprint differently")
 	}
-	c := fault.NewPlan(5, 3, 50, 43)
+	c := fault.NewModelPlan(fault.Model{}, 5, 3, 50, 43)
 	if fault.PlanFingerprint(a) == fault.PlanFingerprint(c) {
 		t.Fatal("different plans share a fingerprint")
 	}

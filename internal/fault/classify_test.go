@@ -37,7 +37,7 @@ func TestMACClassifierGoldenIsClean(t *testing.T) {
 func faultyTrace(t *testing.T, seed int64) (*sim.Trace, []fault.Job) {
 	t.Helper()
 	p, bench := smallMAC(t)
-	jobs := fault.NewPlan(p.NumFFs(), 1, bench.ActiveCycles, seed)[:sim.Lanes]
+	jobs := fault.NewModelPlan(fault.Model{}, p.NumFFs(), 1, bench.ActiveCycles, seed)[:sim.Lanes]
 	e := sim.NewEngine(p)
 	faulty, _ := sim.Run(e, bench.Stim, sim.RunConfig{
 		Monitors: bench.Monitors,

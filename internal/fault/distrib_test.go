@@ -36,7 +36,7 @@ func TestRunChunksMergeMatchesRun(t *testing.T) {
 		ckPath := filepath.Join(t.TempDir(), "single.ckpt")
 		refCfg := cfg
 		refCfg.CheckpointPath = ckPath
-		ref, err := fault.RunJobs(p, bench.Stim, bench.Monitors, cls, jobs, refCfg)
+		ref, err := runJobs(p, bench.Stim, bench.Monitors, cls, jobs, refCfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,7 +131,7 @@ func prepare(t testing.TB, p *sim.Program, bench *circuit.MACBench, cfg fault.Ru
 // coordinator depend on.
 func TestRunChunksValidation(t *testing.T) {
 	p, bench := smallMAC(t)
-	jobs := fault.NewPlan(p.NumFFs(), 1, bench.ActiveCycles, 5)
+	jobs := fault.NewModelPlan(fault.Model{}, p.NumFFs(), 1, bench.ActiveCycles, 5)
 	pl := prepare(t, p, bench, fault.RunnerConfig{ChunkJobs: 64}, jobs)
 	if _, err := pl.RunChunks(context.Background(), []int{-1}); err == nil {
 		t.Fatal("negative chunk accepted")
@@ -176,7 +176,7 @@ func TestRunChunksValidation(t *testing.T) {
 // returns the finished chunks plus ErrInterrupted.
 func TestRunChunksInterrupted(t *testing.T) {
 	p, bench := smallMAC(t)
-	jobs := fault.NewPlan(p.NumFFs(), 2, bench.ActiveCycles, 7)
+	jobs := fault.NewModelPlan(fault.Model{}, p.NumFFs(), 2, bench.ActiveCycles, 7)
 	pl := prepare(t, p, bench, fault.RunnerConfig{ChunkJobs: 64, Workers: 1}, jobs)
 	all := make([]int, pl.NumChunks())
 	for i := range all {

@@ -27,8 +27,8 @@
 // of another plan, golden trace, criterion, fault model, schedule or
 // geometry) and folds them deterministically: worker count and chunk size
 // never change the outcome. A local run and a distributed one (package
-// fabric) differ only in who simulates the chunks. RunCampaign and RunJobs
-// are thin convenience wrappers over Runner.
+// fabric) differ only in who simulates the chunks. Outside this package a
+// Runner is built in one place, corpus.Materialized.Runner.
 //
 // The same machinery serves partial campaigns: the core estimation flow
 // injects only a training subset, and the active-learning planner (package

@@ -51,7 +51,7 @@ func assertEquivalent(t *testing.T, p *sim.Program, stim *sim.Stimulus, monitors
 	cls fault.Classifier, model fault.Model, jobs []fault.Job) *fault.Result {
 	t.Helper()
 	ref := reference(t, p, stim, monitors, cls, jobs, fault.RunnerConfig{Model: model, Schedule: fault.SchedulePlan})
-	res, err := fault.RunJobs(p, stim, monitors, cls, jobs, fault.RunnerConfig{Model: model, Workers: 2})
+	res, err := runJobs(p, stim, monitors, cls, jobs, fault.RunnerConfig{Model: model, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func assertEquivalent(t *testing.T, p *sim.Program, stim *sim.Stimulus, monitors
 func TestEquivalenceMAC(t *testing.T) {
 	p, bench := smallMAC(t)
 	cls := fault.NewMACClassifier(bench, true)
-	jobs := fault.NewPlan(p.NumFFs(), 3, bench.ActiveCycles, 77)
+	jobs := fault.NewModelPlan(fault.Model{}, p.NumFFs(), 3, bench.ActiveCycles, 77)
 	assertEquivalent(t, p, bench.Stim, bench.Monitors, cls, fault.Model{}, jobs)
 
 	r, err := fault.NewRunner(p, bench.Stim, bench.Monitors, cls,
@@ -100,7 +100,7 @@ func TestEquivalenceMAC(t *testing.T) {
 func TestEquivalenceMACNoStats(t *testing.T) {
 	p, bench := smallMAC(t)
 	cls := fault.NewMACClassifier(bench, false)
-	jobs := fault.NewPlan(p.NumFFs(), 2, bench.ActiveCycles, 78)
+	jobs := fault.NewModelPlan(fault.Model{}, p.NumFFs(), 2, bench.ActiveCycles, 78)
 	assertEquivalent(t, p, bench.Stim, bench.Monitors, cls, fault.Model{}, jobs)
 }
 
@@ -115,7 +115,7 @@ func TestEquivalenceCorpus(t *testing.T) {
 			if err != nil {
 				t.Fatalf("materialize: %v", err)
 			}
-			jobs := fault.NewPlan(m.NumFFs(), 2, m.Bench.ActiveCycles, 9)
+			jobs := fault.NewModelPlan(fault.Model{}, m.NumFFs(), 2, m.Bench.ActiveCycles, 9)
 			assertEquivalent(t, m.Program, m.Bench.Stim, m.Bench.Monitors, m.Bench.Classifier, fault.Model{}, jobs)
 		})
 	}
@@ -137,7 +137,7 @@ func TestEquivalenceTMRHardened(t *testing.T) {
 	if err != nil {
 		t.Fatalf("materialize hardened: %v", err)
 	}
-	jobs := fault.NewPlan(mh.NumFFs(), 2, mh.Bench.ActiveCycles, 9)
+	jobs := fault.NewModelPlan(fault.Model{}, mh.NumFFs(), 2, mh.Bench.ActiveCycles, 9)
 	assertEquivalent(t, mh.Program, mh.Bench.Stim, mh.Bench.Monitors, mh.Bench.Classifier, fault.Model{}, jobs)
 }
 
@@ -164,11 +164,11 @@ func TestEquivalenceEdgeCycles(t *testing.T) {
 // changes results, only cost.
 func TestEquivalenceSnapshotCadence(t *testing.T) {
 	p, bench := smallMAC(t)
-	jobs := fault.NewPlan(p.NumFFs(), 2, bench.ActiveCycles, 13)
+	jobs := fault.NewModelPlan(fault.Model{}, p.NumFFs(), 2, bench.ActiveCycles, 13)
 	var ref *fault.Result
 	for _, every := range []int{1, 3, sim.DefaultSnapshotEvery, 64, 1 << 20} {
 		cls := fault.NewMACClassifier(bench, true)
-		res, err := fault.RunJobs(p, bench.Stim, bench.Monitors, cls, jobs,
+		res, err := runJobs(p, bench.Stim, bench.Monitors, cls, jobs,
 			fault.RunnerConfig{SnapshotEvery: every, Workers: 2})
 		if err != nil {
 			t.Fatalf("cadence %d: %v", every, err)
@@ -191,7 +191,7 @@ func TestEquivalenceSnapshotCadence(t *testing.T) {
 // reports the cycles it did not re-simulate as resumed.
 func TestEquivalenceCheckpointResumeIncremental(t *testing.T) {
 	p, bench := smallMAC(t)
-	jobs := fault.NewPlan(p.NumFFs(), 2, bench.ActiveCycles, 21)
+	jobs := fault.NewModelPlan(fault.Model{}, p.NumFFs(), 2, bench.ActiveCycles, 21)
 	ckpt := filepath.Join(t.TempDir(), "campaign.ffr")
 
 	newCls := func() fault.Classifier { return fault.NewMACClassifier(bench, true) }
@@ -258,7 +258,7 @@ func TestEquivalenceCheckpointResumeIncremental(t *testing.T) {
 // clustered checkpoint under plan order (or vice versa) must be refused.
 func TestScheduleMismatchRejected(t *testing.T) {
 	p, bench := smallMAC(t)
-	jobs := fault.NewPlan(p.NumFFs(), 2, bench.ActiveCycles, 21)
+	jobs := fault.NewModelPlan(fault.Model{}, p.NumFFs(), 2, bench.ActiveCycles, 21)
 	ckpt := filepath.Join(t.TempDir(), "campaign.ffr")
 
 	seed, err := fault.NewRunner(p, bench.Stim, bench.Monitors,
@@ -290,7 +290,7 @@ func TestScheduleMismatchRejected(t *testing.T) {
 // campaign still matches the reference bit for bit.
 func TestLegacyScheduleAdoptedOnResume(t *testing.T) {
 	p, bench := smallMAC(t)
-	jobs := fault.NewPlan(p.NumFFs(), 2, bench.ActiveCycles, 21)
+	jobs := fault.NewModelPlan(fault.Model{}, p.NumFFs(), 2, bench.ActiveCycles, 21)
 	ckpt := filepath.Join(t.TempDir(), "campaign.ffr")
 
 	newCls := func() fault.Classifier { return fault.NewMACClassifier(bench, true) }

@@ -51,3 +51,35 @@ func FuzzLoadCheckpoint(f *testing.F) {
 		}
 	})
 }
+
+// Whatever string it is handed, ParseModel returns an error or a valid model
+// whose canonical String parses back to the same model and the same string —
+// the form checkpoints record and the fabric sends its workers; it never
+// panics.
+func FuzzParseModel(f *testing.F) {
+	for _, spec := range equivModels {
+		f.Add(spec)
+	}
+	// The third used to render as "seu@1e-05-0.5", which does not parse back;
+	// the fourth used to be accepted, and NaN equals nothing, itself included.
+	for _, spec := range []string{"", " MBU:3 ", "seu@0.00001-0.5", "seu@nan-1", "stuck0:8@0.25-0.75", "mbu:0", "set:2", "seu@0.5"} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		m, err := fault.ParseModel(spec)
+		if err != nil {
+			return
+		}
+		if err := m.Validate(); err != nil {
+			t.Fatalf("ParseModel(%q) returned invalid %+v: %v", spec, m, err)
+		}
+		canon := m.String()
+		back, err := fault.ParseModel(canon)
+		if err != nil {
+			t.Fatalf("ParseModel(%q) = %+v, whose String %q does not parse: %v", spec, m, canon, err)
+		}
+		if back != m || back.String() != canon {
+			t.Fatalf("ParseModel(%q) = %+v (%q), reparsed as %+v (%q)", spec, m, canon, back, back.String())
+		}
+	})
+}

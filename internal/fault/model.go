@@ -105,7 +105,7 @@ func (m Model) Validate() error {
 	} else if m.Duration != 0 {
 		return fmt.Errorf("fault: model %q does not take a duration", n.Kind)
 	}
-	if n.WindowStart < 0 || n.WindowEnd > 1 || n.WindowStart >= n.WindowEnd {
+	if !(0 <= n.WindowStart && n.WindowStart < n.WindowEnd && n.WindowEnd <= 1) { // NaN fails every comparison
 		return fmt.Errorf("fault: injection window [%g,%g) out of order or outside [0,1]",
 			n.WindowStart, n.WindowEnd)
 	}
@@ -126,7 +126,9 @@ func (m Model) String() string {
 		fmt.Fprintf(&b, ":%d", n.Duration)
 	}
 	if n.WindowStart != 0 || n.WindowEnd != 1 {
-		fmt.Fprintf(&b, "@%g-%g", n.WindowStart, n.WindowEnd)
+		// Never an exponent: its '-' would read as the window separator.
+		b.WriteString("@" + strconv.FormatFloat(n.WindowStart, 'f', -1, 64) +
+			"-" + strconv.FormatFloat(n.WindowEnd, 'f', -1, 64))
 	}
 	return b.String()
 }
@@ -213,10 +215,11 @@ func (m Model) window(activeCycles int) (lo, hi int) {
 
 // NewModelPlan samples the statistical injection plan for a fault model:
 // for every target, perTarget uniformly random cycles inside the model's
-// window of [0, activeCycles). For the SEU reference model (full window)
-// the sampling — and therefore the plan — is identical to NewPlan, which
-// is what keeps the model abstraction bit-compatible with the paper's
-// original campaign.
+// window of [0, activeCycles), ordered by target as the paper reports its
+// per-instance results. For the SEU reference model (full window) the
+// sampling — and therefore the plan — is the paper's original one: one
+// rng.Intn(activeCycles) per job, which the tests pin against a copy of
+// the pre-model sampler.
 func NewModelPlan(m Model, numTargets, perTarget, activeCycles int, seed int64) []Job {
 	lo, hi := m.window(activeCycles)
 	rng := rand.New(rand.NewSource(seed))

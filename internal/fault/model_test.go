@@ -1,6 +1,7 @@
 package fault_test
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -124,11 +125,18 @@ func TestModelKindsComplete(t *testing.T) {
 }
 
 // TestNewModelPlanSEUMatchesNewPlan is the bit-compatibility contract at the
-// plan level: the SEU reference model samples the exact plan NewPlan does,
-// for any spelling of the SEU default.
+// plan level: the SEU reference model samples the exact plan the paper's
+// original sampler (NewPlan, until it lost its last caller; its body is kept
+// here) does, for any spelling of the SEU default.
 func TestNewModelPlanSEUMatchesNewPlan(t *testing.T) {
 	const ffs, per, active, seed = 37, 5, 913, 2019
-	want := fault.NewPlan(ffs, per, active, seed)
+	rng := rand.New(rand.NewSource(seed))
+	want := make([]fault.Job, 0, ffs*per)
+	for ff := 0; ff < ffs; ff++ {
+		for k := 0; k < per; k++ {
+			want = append(want, fault.Job{FF: ff, Cycle: rng.Intn(active)})
+		}
+	}
 	for _, m := range []fault.Model{{}, {Kind: fault.KindSEU}, {Kind: fault.KindSEU, WindowEnd: 1}} {
 		got := fault.NewModelPlan(m, ffs, per, active, seed)
 		if len(got) != len(want) {

@@ -274,7 +274,7 @@ func TestSEUModelPreservesResults(t *testing.T) {
 		cls fault.Classifier, active int, seed int64) {
 		t.Helper()
 		dir := t.TempDir()
-		legacyJobs := fault.NewPlan(p.NumFFs(), 2, active, seed)
+		legacyJobs := fault.NewModelPlan(fault.Model{}, p.NumFFs(), 2, active, seed)
 		seu, err := fault.ParseModel("seu")
 		if err != nil {
 			t.Fatal(err)
@@ -290,13 +290,13 @@ func TestSEUModelPreservesResults(t *testing.T) {
 		}
 
 		ckLegacy := filepath.Join(dir, "legacy.ffr")
-		want, err := fault.RunJobs(p, stim, monitors, cls, legacyJobs,
+		want, err := runJobs(p, stim, monitors, cls, legacyJobs,
 			fault.RunnerConfig{Workers: 2, CheckpointPath: ckLegacy})
 		if err != nil {
 			t.Fatalf("legacy run: %v", err)
 		}
 		ckModel := filepath.Join(dir, "model.ffr")
-		got, err := fault.RunJobs(p, stim, monitors, cls, modelJobs,
+		got, err := runJobs(p, stim, monitors, cls, modelJobs,
 			fault.RunnerConfig{Workers: 2, Model: seu, CheckpointPath: ckModel})
 		if err != nil {
 			t.Fatalf("SEU-model run: %v", err)
@@ -378,7 +378,7 @@ func TestModelMismatchRejected(t *testing.T) {
 // bit-identically — pre-model campaign files stay usable.
 func TestLegacyModelCheckpointResume(t *testing.T) {
 	p, bench := smallMAC(t)
-	jobs := fault.NewPlan(p.NumFFs(), 2, bench.ActiveCycles, 21)
+	jobs := fault.NewModelPlan(fault.Model{}, p.NumFFs(), 2, bench.ActiveCycles, 21)
 	ckpt := filepath.Join(t.TempDir(), "campaign.ffr")
 	newCls := func() fault.Classifier { return fault.NewMACClassifier(bench, true) }
 
@@ -456,7 +456,7 @@ func TestFaultModelDistinctProfiles(t *testing.T) {
 			t.Fatalf("ParseModel(%q): %v", spec, err)
 		}
 		jobs := fault.NewModelPlan(model, model.NumTargets(p), 3, bench.ActiveCycles, 2019)
-		res, err := fault.RunJobs(p, bench.Stim, bench.Monitors, cls, jobs,
+		res, err := runJobs(p, bench.Stim, bench.Monitors, cls, jobs,
 			fault.RunnerConfig{Workers: 2, Model: model})
 		if err != nil {
 			t.Fatalf("%s: %v", spec, err)

@@ -61,7 +61,7 @@ import (
 //
 // The golden trace is simulated at most once per Runner and reused across
 // all shards and Run calls (and can be supplied up front when the caller
-// already has it, as the core study does — ideally together with the
+// already has it, as corpus.Materialized.Runner does, together with the
 // snapshots captured during that same run).
 
 // Default shard geometry and checkpoint cadence.

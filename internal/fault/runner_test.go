@@ -21,7 +21,7 @@ func newRunner(t *testing.T, cfg fault.RunnerConfig) (*fault.Runner, []fault.Job
 	if err != nil {
 		t.Fatalf("NewRunner: %v", err)
 	}
-	jobs := fault.NewPlan(p.NumFFs(), 2, bench.ActiveCycles, 21)
+	jobs := fault.NewModelPlan(fault.Model{}, p.NumFFs(), 2, bench.ActiveCycles, 21)
 	return r, jobs
 }
 
@@ -67,16 +67,13 @@ func TestRunnerRejectsBadJobs(t *testing.T) {
 	}
 }
 
-// The runner must agree bit-for-bit with the legacy single-shot entry point
-// regardless of chunk size or worker count.
+// The runner must agree bit-for-bit with a default-configured single-shot
+// campaign (what RunCampaign was) regardless of chunk size or worker count.
 func TestRunnerMatchesRunCampaign(t *testing.T) {
-	p, bench := smallMAC(t)
-	cls := fault.NewMACClassifier(bench, true)
-	want, err := fault.RunCampaign(p, bench.Stim, bench.Monitors, cls, fault.CampaignConfig{
-		InjectionsPerFF: 2, ActiveCycles: bench.ActiveCycles, Seed: 21,
-	})
+	r, jobs := newRunner(t, fault.RunnerConfig{})
+	want, err := r.Run(jobs)
 	if err != nil {
-		t.Fatalf("RunCampaign: %v", err)
+		t.Fatalf("default campaign: %v", err)
 	}
 	for _, chunk := range []int{sim.Lanes, 3 * sim.Lanes, 1 << 20} {
 		for _, workers := range []int{1, 3} {
@@ -252,7 +249,7 @@ func TestRunnerResumeRejectsForeignCheckpoint(t *testing.T) {
 
 	// A different plan (different seed) must be rejected.
 	p, bench := smallMAC(t)
-	other := fault.NewPlan(p.NumFFs(), 2, bench.ActiveCycles, 22)
+	other := fault.NewModelPlan(fault.Model{}, p.NumFFs(), 2, bench.ActiveCycles, 22)
 	rr, _ := newRunner(t, fault.RunnerConfig{
 		ChunkJobs:      sim.Lanes,
 		CheckpointPath: ckpt,
@@ -279,7 +276,7 @@ func TestRunnerResumeRejectsForeignCheckpoint(t *testing.T) {
 func TestRunnerResumeRejectsDifferentCriterion(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "campaign.ffr")
 	p, bench := smallMAC(t)
-	jobs := fault.NewPlan(p.NumFFs(), 2, bench.ActiveCycles, 21)
+	jobs := fault.NewModelPlan(fault.Model{}, p.NumFFs(), 2, bench.ActiveCycles, 21)
 
 	strict, err := fault.NewRunner(p, bench.Stim, bench.Monitors,
 		fault.NewMACClassifier(bench, true),

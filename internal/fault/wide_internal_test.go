@@ -76,7 +76,7 @@ func TestRunBatchWideSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp := planned(t, r, NewPlan(p.NumFFs(), 2, bench.ActiveCycles, 3))
+	cp := planned(t, r, NewModelPlan(Model{}, p.NumFFs(), 2, bench.ActiveCycles, 3))
 	const groups = sim.DefaultKernelWords
 	if cp.sh.chunkBatches(0) < groups {
 		t.Fatalf("chunk 0 has %d batches, need %d", cp.sh.chunkBatches(0), groups)
@@ -228,7 +228,7 @@ func TestRepackingTakesThreeRounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp := planned(t, r, NewPlan(p.NumFFs(), (5000+p.NumFFs()-1)/p.NumFFs(), bench.ActiveCycles, 41))
+	cp := planned(t, r, NewModelPlan(Model{}, p.NumFFs(), (5000+p.NumFFs()-1)/p.NumFFs(), bench.ActiveCycles, 41))
 	ws := newWideWorkerState(r, cp)
 	wide := ws.e.Words() * sim.Lanes
 	masks := make([]uint64, cp.sh.chunkBatches(0))
@@ -275,7 +275,7 @@ func TestRepackingTerminates(t *testing.T) {
 	for i := range monitors {
 		monitors[i] = i
 	}
-	jobs := NewPlan(regs, 80, cycles, 7) // 640 jobs: one chunk, three wide batches
+	jobs := NewModelPlan(Model{}, regs, 80, cycles, 7) // 640 jobs: one chunk, three wide batches
 	r, err := NewRunner(p, stim, monitors, struct{ Classifier }{&ExactClassifier{}}, RunnerConfig{
 		ChunkJobs: 1024, Metrics: obs.NewRegistry(),
 	})
@@ -323,7 +323,7 @@ func TestKernelSharedAndCollectable(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := r.Run(NewPlan(p.NumFFs(), 1, bench.ActiveCycles, 5)); err != nil {
+			if _, err := r.Run(NewModelPlan(Model{}, p.NumFFs(), 1, bench.ActiveCycles, 5)); err != nil {
 				t.Fatal(err)
 			}
 			if kernels[i], err = r.kernel(); err != nil {
@@ -545,7 +545,7 @@ func (s shortRange) FailingLanes(golden, faulty *sim.Trace, used uint64, from, t
 // suites would pass a Runner that under-reports its dirty rows.
 func TestNarrowedRangeBreaksEquivalence(t *testing.T) {
 	p, bench := wideMAC(t)
-	jobs := NewPlan(p.NumFFs(), 2, bench.ActiveCycles, 41)
+	jobs := NewModelPlan(Model{}, p.NumFFs(), 2, bench.ActiveCycles, 41)
 	run := func(cls Classifier) *Runner {
 		r, err := NewRunner(p, bench.Stim, bench.Monitors, cls, RunnerConfig{})
 		if err != nil {
@@ -644,7 +644,7 @@ func TestPlanGeometry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := r.Prepare(NewPlan(300, 1, bench.ActiveCycles, 3))
+	pl, err := r.Prepare(NewModelPlan(Model{}, 300, 1, bench.ActiveCycles, 3))
 	if err != nil {
 		t.Fatal(err)
 	}

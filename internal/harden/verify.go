@@ -23,7 +23,8 @@ type VerifyConfig struct {
 	Scale    corpus.Scale
 	Seed     int64
 	// InjectionsPerFF and CampaignSeed shape the verify campaign;
-	// 0 adopts the scenario's default geometry.
+	// 0 adopts the scenario's default geometry, a negative budget is
+	// corpus.ErrBudget.
 	InjectionsPerFF int
 	CampaignSeed    int64
 	// Workers and ChunkJobs are passed to the campaign runner.
@@ -94,6 +95,10 @@ func Verify(ctx context.Context, plan *Plan, cfg VerifyConfig) (*Verification, e
 	if cfg.Scenario.Entry == nil || cfg.Scenario.Workload == nil {
 		return nil, fmt.Errorf("harden: verify needs a scenario")
 	}
+	g, err := cfg.Scenario.Campaign(cfg.InjectionsPerFF, cfg.CampaignSeed)
+	if err != nil {
+		return nil, fmt.Errorf("harden: %w", err)
+	}
 	sel := plan.SelectedFFs()
 	m0, err := cfg.Scenario.Materialize(cfg.Scale, cfg.Seed)
 	if err != nil {
@@ -120,16 +125,7 @@ func Verify(ctx context.Context, plan *Plan, cfg VerifyConfig) (*Verification, e
 		return nil, fmt.Errorf("harden: hardened golden trace diverges from the original — the rewrite broke fault-free behavior")
 	}
 
-	n := cfg.InjectionsPerFF
-	if n == 0 {
-		n = cfg.Scenario.Entry.Defaults.InjectionsPerFF
-	}
-	seed := cfg.CampaignSeed
-	if seed == 0 {
-		seed = cfg.Scenario.Entry.Defaults.CampaignSeed
-	}
-
-	v.Hardened, err = v.runCampaign(ctx, mh, n, seed, cfg, cfg.CheckpointPath)
+	v.Hardened, err = runCampaign(ctx, mh, g, cfg, cfg.CheckpointPath)
 	if err != nil {
 		return nil, fmt.Errorf("harden: hardened campaign: %w", err)
 	}
@@ -140,7 +136,7 @@ func Verify(ctx context.Context, plan *Plan, cfg VerifyConfig) (*Verification, e
 		if ckpt != "" {
 			ckpt += ".baseline"
 		}
-		v.Baseline, err = v.runCampaign(ctx, m0, n, seed, cfg, ckpt)
+		v.Baseline, err = runCampaign(ctx, m0, g, cfg, ckpt)
 		if err != nil {
 			return nil, fmt.Errorf("harden: baseline campaign: %w", err)
 		}
@@ -149,26 +145,22 @@ func Verify(ctx context.Context, plan *Plan, cfg VerifyConfig) (*Verification, e
 	return v, nil
 }
 
-// runCampaign executes one flat campaign over the materialized design.
-func (v *Verification) runCampaign(ctx context.Context, m *corpus.Materialized, n int, seed int64, cfg VerifyConfig, checkpoint string) (*fault.Result, error) {
-	jobs := fault.NewPlan(m.NumFFs(), n, m.Bench.ActiveCycles, seed)
-	runner, err := fault.NewRunner(m.Program, m.Bench.Stim, m.Bench.Monitors, m.Bench.Classifier,
-		fault.RunnerConfig{
-			ChunkJobs:       cfg.ChunkJobs,
-			Workers:         cfg.Workers,
-			Golden:          m.Golden,
-			Snapshots:       m.Snapshots,
-			CheckpointPath:  checkpoint,
-			CheckpointEvery: cfg.CheckpointEvery,
-			Resume:          cfg.Resume && checkpoint != "",
-			OnProgress:      cfg.OnProgress,
-			Metrics:         cfg.Metrics,
-			Logger:          cfg.Logger,
-		})
+// runCampaign executes one flat SEU campaign over the materialized design.
+func runCampaign(ctx context.Context, m *corpus.Materialized, g corpus.Geometry, cfg VerifyConfig, checkpoint string) (*fault.Result, error) {
+	runner, err := m.Runner(fault.RunnerConfig{
+		ChunkJobs:       cfg.ChunkJobs,
+		Workers:         cfg.Workers,
+		CheckpointPath:  checkpoint,
+		CheckpointEvery: cfg.CheckpointEvery,
+		Resume:          cfg.Resume && checkpoint != "",
+		OnProgress:      cfg.OnProgress,
+		Metrics:         cfg.Metrics,
+		Logger:          cfg.Logger,
+	})
 	if err != nil {
 		return nil, err
 	}
-	return runner.RunContext(ctx, jobs)
+	return runner.RunContext(ctx, m.Jobs(fault.Model{}, g.InjectionsPerFF, g.CampaignSeed))
 }
 
 // sumFDR folds a campaign result into the design FFR (sum of per-FF FDR).

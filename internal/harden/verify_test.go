@@ -28,13 +28,11 @@ type acceptanceCase struct {
 // the harden pipeline from model generalization error.
 func trainTruthModel(t *testing.T, m *corpus.Materialized, n int, cseed int64) *persist.Artifact {
 	t.Helper()
-	jobs := fault.NewPlan(m.NumFFs(), n, m.Bench.ActiveCycles, cseed)
-	runner, err := fault.NewRunner(m.Program, m.Bench.Stim, m.Bench.Monitors, m.Bench.Classifier,
-		fault.RunnerConfig{Golden: m.Golden, Snapshots: m.Snapshots})
+	runner, err := m.Runner(fault.RunnerConfig{})
 	if err != nil {
-		t.Fatalf("NewRunner: %v", err)
+		t.Fatalf("Runner: %v", err)
 	}
-	res, err := runner.Run(jobs)
+	res, err := runner.Run(m.Jobs(fault.Model{}, n, cseed))
 	if err != nil {
 		t.Fatalf("ground-truth campaign: %v", err)
 	}

@@ -79,9 +79,6 @@ func Variance(x []float64) float64 {
 	return s / float64(len(x))
 }
 
-// StdDev returns the population standard deviation of x.
-func StdDev(x []float64) float64 { return math.Sqrt(Variance(x)) }
-
 // MinMax returns the minimum and maximum of x.
 // For an empty slice it returns (0, 0).
 func MinMax(x []float64) (min, max float64) {

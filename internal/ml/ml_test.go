@@ -138,65 +138,6 @@ func TestStandardScalerIdempotent(t *testing.T) {
 	}
 }
 
-func TestTrainTestSplit(t *testing.T) {
-	sp, err := TrainTestSplit(10, 0.5, 1)
-	if err != nil {
-		t.Fatalf("TrainTestSplit: %v", err)
-	}
-	if len(sp.Train) != 5 || len(sp.Test) != 5 {
-		t.Fatalf("split sizes %d/%d", len(sp.Train), len(sp.Test))
-	}
-	seen := map[int]bool{}
-	for _, i := range append(append([]int{}, sp.Train...), sp.Test...) {
-		if seen[i] {
-			t.Fatalf("index %d duplicated", i)
-		}
-		seen[i] = true
-	}
-	if len(seen) != 10 {
-		t.Fatal("split must cover all indices")
-	}
-	if _, err := TrainTestSplit(1, 0.5, 1); err == nil {
-		t.Fatal("n=1 must fail")
-	}
-	if _, err := TrainTestSplit(10, 0, 1); err == nil {
-		t.Fatal("frac=0 must fail")
-	}
-	if _, err := TrainTestSplit(10, 1, 1); err == nil {
-		t.Fatal("frac=1 must fail")
-	}
-}
-
-func TestKFoldSplits(t *testing.T) {
-	splits, err := KFoldSplits(10, 3, 2)
-	if err != nil {
-		t.Fatalf("KFoldSplits: %v", err)
-	}
-	if len(splits) != 3 {
-		t.Fatalf("folds = %d", len(splits))
-	}
-	testCount := map[int]int{}
-	for _, sp := range splits {
-		if len(sp.Train)+len(sp.Test) != 10 {
-			t.Fatal("fold must cover all samples")
-		}
-		for _, i := range sp.Test {
-			testCount[i]++
-		}
-	}
-	for i := 0; i < 10; i++ {
-		if testCount[i] != 1 {
-			t.Fatalf("index %d tested %d times, want 1", i, testCount[i])
-		}
-	}
-	if _, err := KFoldSplits(3, 5, 1); err == nil {
-		t.Fatal("k>n must fail")
-	}
-	if _, err := KFoldSplits(10, 1, 1); err == nil {
-		t.Fatal("k=1 must fail")
-	}
-}
-
 func TestStratifiedShuffleSplits(t *testing.T) {
 	// Bimodal target: half at 0, half at 1.
 	y := make([]float64, 40)

@@ -20,10 +20,11 @@ func TestPermutationImportanceFindsSignal(t *testing.T) {
 		X[i] = []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
 		y[i] = 3*X[i][0] - 2*X[i][2]
 	}
-	split, err := ml.TrainTestSplit(n, 0.6, 2)
+	splits, err := ml.StratifiedShuffleSplits(y, 1, 0.6, 5, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	split := splits[0]
 	imp, err := PermutationImportance(func() ml.Regressor { return linreg.New() },
 		X, y, split, 5, 3)
 	if err != nil {
@@ -53,7 +54,11 @@ func TestPermutationImportanceWithKNN(t *testing.T) {
 		X[i] = []float64{rng.Float64(), rng.Float64()}
 		y[i] = X[i][0] * X[i][0] // nonlinear, feature 0 only
 	}
-	split, _ := ml.TrainTestSplit(n, 0.5, 1)
+	splits, err := ml.StratifiedShuffleSplits(y, 1, 0.5, 5, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	split := splits[0]
 	imp, err := PermutationImportance(func() ml.Regressor { return knn.New(3, knn.Manhattan) },
 		X, y, split, 3, 7)
 	if err != nil {

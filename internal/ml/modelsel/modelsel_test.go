@@ -24,7 +24,7 @@ func linearData(seed int64, n int) ([][]float64, []float64) {
 
 func TestCrossValidate(t *testing.T) {
 	X, y := linearData(1, 100)
-	splits, err := ml.KFoldSplits(len(X), 5, 2)
+	splits, err := ml.StratifiedKFoldSplits(y, 5, 5, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestRandomSearchFindsGoodK(t *testing.T) {
 		X[i] = []float64{x}
 		y[i] = math.Sin(x)
 	}
-	splits, err := ml.KFoldSplits(n, 5, 5)
+	splits, err := ml.StratifiedKFoldSplits(y, 5, 5, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestRandomSearchValidation(t *testing.T) {
 
 func TestGridSearchExhaustive(t *testing.T) {
 	X, y := linearData(5, 60)
-	splits, _ := ml.KFoldSplits(len(X), 4, 6)
+	splits, _ := ml.StratifiedKFoldSplits(y, 4, 5, 6)
 	calls := 0
 	build := func(p Params) ml.Regressor {
 		calls++
@@ -185,7 +185,7 @@ func TestRefineGrid(t *testing.T) {
 
 func TestLearningCurveShape(t *testing.T) {
 	X, y := linearData(6, 200)
-	splits, _ := ml.KFoldSplits(len(X), 5, 7)
+	splits, _ := ml.StratifiedKFoldSplits(y, 5, 5, 7)
 	fracs := []float64{0.1, 0.3, 0.5, 0.8, 1.0}
 	points, err := LearningCurve(func() ml.Regressor { return linreg.New() }, X, y, fracs, splits, 8)
 	if err != nil {
@@ -213,7 +213,7 @@ func TestLearningCurveShape(t *testing.T) {
 
 func TestLearningCurveValidation(t *testing.T) {
 	X, y := linearData(7, 20)
-	splits, _ := ml.KFoldSplits(len(X), 4, 1)
+	splits, _ := ml.StratifiedKFoldSplits(y, 4, 5, 1)
 	if _, err := LearningCurve(func() ml.Regressor { return linreg.New() }, X, y, nil, splits, 1); err == nil {
 		t.Fatal("no fractions must fail")
 	}

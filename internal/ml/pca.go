@@ -101,22 +101,4 @@ func (p *PCA) Transform(X [][]float64) [][]float64 {
 	return out
 }
 
-// ExplainedVarianceRatio returns, per kept component, the fraction of total
-// variance it carries.
-func (p *PCA) ExplainedVarianceRatio() []float64 {
-	var total float64
-	for _, v := range p.variance {
-		total += v
-	}
-	k := p.keep()
-	out := make([]float64, k)
-	if total == 0 {
-		return out
-	}
-	for i := 0; i < k; i++ {
-		out[i] = p.variance[i] / total
-	}
-	return out
-}
-
 var _ Scaler = (*PCA)(nil)

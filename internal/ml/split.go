@@ -12,47 +12,6 @@ type Split struct {
 	Test  []int
 }
 
-// TrainTestSplit shuffles [0,n) and partitions it with the given training
-// fraction (0 < trainFrac < 1). The training part has at least one element,
-// as does the test part.
-func TrainTestSplit(n int, trainFrac float64, seed int64) (Split, error) {
-	if n < 2 {
-		return Split{}, fmt.Errorf("%w: need at least 2 samples, have %d", ErrBadData, n)
-	}
-	if trainFrac <= 0 || trainFrac >= 1 {
-		return Split{}, fmt.Errorf("%w: train fraction %v out of (0,1)", ErrBadData, trainFrac)
-	}
-	perm := rand.New(rand.NewSource(seed)).Perm(n)
-	k := int(trainFrac * float64(n))
-	if k < 1 {
-		k = 1
-	}
-	if k > n-1 {
-		k = n - 1
-	}
-	return Split{Train: perm[:k], Test: perm[k:]}, nil
-}
-
-// KFoldSplits returns k shuffled folds over [0,n); fold i is the test set of
-// split i and the remaining rows train.
-func KFoldSplits(n, k int, seed int64) ([]Split, error) {
-	if k < 2 || k > n {
-		return nil, fmt.Errorf("%w: k=%d for n=%d", ErrBadData, k, n)
-	}
-	perm := rand.New(rand.NewSource(seed)).Perm(n)
-	splits := make([]Split, k)
-	for i := 0; i < k; i++ {
-		lo := i * n / k
-		hi := (i + 1) * n / k
-		test := append([]int(nil), perm[lo:hi]...)
-		train := make([]int, 0, n-len(test))
-		train = append(train, perm[:lo]...)
-		train = append(train, perm[hi:]...)
-		splits[i] = Split{Train: train, Test: test}
-	}
-	return splits, nil
-}
-
 // targetBins assigns each sample a quantile bin of its target value; used to
 // stratify regression splits (the paper's "stratified cross validation" on a
 // continuous FDR target).

@@ -181,7 +181,4 @@ func (r *Regressor) Predict(x []float64) float64 {
 	return s
 }
 
-// NumSupportVectors reports the size of the learned expansion.
-func (r *Regressor) NumSupportVectors() int { return len(r.sv) }
-
 var _ ml.Regressor = (*Regressor)(nil)

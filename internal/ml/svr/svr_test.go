@@ -74,8 +74,8 @@ func TestEpsilonInsensitivity(t *testing.T) {
 	if err := m.Fit(X, y); err != nil {
 		t.Fatalf("Fit: %v", err)
 	}
-	if m.NumSupportVectors() != 0 {
-		t.Fatalf("sv = %d, want 0 with giant epsilon", m.NumSupportVectors())
+	if len(m.sv) != 0 {
+		t.Fatalf("sv = %d, want 0 with giant epsilon", len(m.sv))
 	}
 	if got := m.Predict([]float64{1}); got != 0 {
 		t.Fatalf("Predict = %v, want 0", got)

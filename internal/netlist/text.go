@@ -171,6 +171,9 @@ func Parse(r io.Reader) (*Netlist, error) {
 		if err != nil {
 			return nil, fmt.Errorf("netlist: line %d: %w", pc.line, err)
 		}
+		if pc.init && !ct.IsSequential() {
+			return nil, fmt.Errorf("netlist: line %d: init=1 on combinational cell %q", pc.line, pc.inst)
+		}
 		ins := make([]NetID, len(pc.inNets))
 		for i, name := range pc.inNets {
 			id, ok := nl.FindNet(name)

@@ -282,8 +282,8 @@ func TestScenarioTagsRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	art := persist.New(spec.Name, model, features.Names())
-	art.Circuit = study.CircuitName
-	art.Workload = study.WorkloadName
+	art.Circuit = study.Scenario.Entry.Name
+	art.Workload = study.Scenario.Workload.Name
 	path := filepath.Join(t.TempDir(), "tagged.ffrm")
 	if err := persist.Save(path, art); err != nil {
 		t.Fatal(err)

@@ -58,9 +58,9 @@ type kernelMemo struct {
 
 // Kernel returns the program's kernel for the given kept output ports (see
 // KernelConfig.KeepOutputs; order and duplicates don't matter, nil keeps
-// every port), compiling it on first use. Studies build an ephemeral runner
-// per partial campaign over one program; every one of them, from any
-// goroutine, shares the one immutable kernel compiled here.
+// every port), compiling it on first use. Studies build a runner per
+// campaign over one program; every one of them, from any goroutine, shares
+// the one immutable kernel compiled here.
 func (p *Program) Kernel(keep []int) (*Kernel, error) {
 	keep = slices.Clone(keep) // nil (keep all) stays nil, empty (keep none) empty
 	slices.Sort(keep)
