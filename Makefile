@@ -9,7 +9,7 @@
 
 GO ?= go
 
-.PHONY: all build examples test race lint bench fuzz-smoke load-smoke
+.PHONY: all build examples test race lint loc bench fuzz-smoke load-smoke
 
 all: lint build examples test
 
@@ -31,6 +31,14 @@ lint:
 	if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed:"; echo "$$unformatted"; exit 1; \
 	fi
+
+# The size metric ROADMAP and CHANGES.md quote: non-test Go lines outside
+# bench/, per internal/ package tree and in all. A number to report, not a
+# CI gate.
+loc:
+	@count() { find "$$@" -name '*.go' ! -name '*_test.go' ! -path './bench/*' -print0 | xargs -0 cat | wc -l; }; \
+	for d in internal/*/; do printf '%7d %s\n' "$$(count $$d)" "$${d%/}"; done; \
+	printf '%7d non-test Go lines outside bench/\n' "$$(count .)"
 
 # Every micro-benchmark once, each beside the layer it measures, so a
 # regression localizes below the workloads of ./bench: the simulator

@@ -48,7 +48,7 @@ func LinearModel() ml.Regressor { return scaled(linreg.NewRidge(1e-8)) }
 
 // KNNModel is the paper's tuned k-NN: k=3, Manhattan distance,
 // inverse-distance weighting.
-func KNNModel() ml.Regressor { return scaled(knn.New(3, knn.Manhattan)) }
+func KNNModel() ml.Regressor { return scaled(knn.New(3)) }
 
 // SVRModel is the paper's tuned SVR: RBF kernel, C=3.5, γ=0.055, ε=0.025.
 func SVRModel() ml.Regressor { return scaled(svr.New(3.5, 0.055, 0.025)) }
@@ -68,7 +68,7 @@ func PaperModels() []ModelSpec {
 					"k": {Min: 1, Max: 20, Integer: true},
 				},
 				Build: func(p modelsel.Params) ml.Regressor {
-					return scaled(knn.New(int(p["k"]), knn.Manhattan))
+					return scaled(knn.New(int(p["k"])))
 				},
 			},
 		},

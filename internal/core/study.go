@@ -19,6 +19,13 @@ type StudyConfig struct {
 	// workload (NewStudy; a corpus study's scenario brings its own).
 	MAC   circuit.MACConfig
 	Bench circuit.MACBenchConfig
+	// Scale selects the circuit/workload size of a corpus study; the zero
+	// value is ScaleSmall, the smoke-run size. NewStudy's MAC and Bench fix
+	// the size themselves.
+	Scale corpus.Scale
+	// Seed drives circuit generation (randomized families) and workload
+	// stimulus; 0 means 1.
+	Seed int64
 	// InjectionsPerFF is the flat-campaign budget (the paper uses 170);
 	// 0 means the scenario's default.
 	InjectionsPerFF int
@@ -85,8 +92,8 @@ func DefaultStudyConfig() StudyConfig {
 // corpus.MACScenario, the paper's MAC loopback flow. There is no other
 // difference between the two.
 type Study struct {
-	// Config holds the resolved campaign configuration: InjectionsPerFF
-	// and CampaignSeed are never zero.
+	// Config holds the resolved configuration: Seed, InjectionsPerFF and
+	// CampaignSeed are never zero.
 	Config StudyConfig
 	*corpus.Materialized
 
@@ -99,28 +106,8 @@ type Study struct {
 // extracts all per-flip-flop features. It does not run the fault campaign;
 // call RunGroundTruth for the reference FDR data.
 func NewStudy(cfg StudyConfig) (*Study, error) {
-	return newStudy(corpus.MACScenario(cfg.MAC, cfg.Bench), corpus.ScaleDefault, 1, cfg)
-}
-
-// newStudy materializes sc and resolves the campaign shape against it.
-func newStudy(sc corpus.Scenario, scale corpus.Scale, seed int64, cfg StudyConfig) (*Study, error) {
-	if err := cfg.Model.Validate(); err != nil {
-		return nil, fmt.Errorf("core: study fault model: %w", err)
-	}
-	if !cfg.Model.TargetsFFs() {
-		return nil, fmt.Errorf("core: study fault model %q targets combinational cells; "+
-			"studies need an FF-targeted model (per-FF features cannot describe comb targets)", cfg.Model)
-	}
-	g, err := sc.Campaign(cfg.InjectionsPerFF, cfg.CampaignSeed)
-	if err != nil {
-		return nil, fmt.Errorf("core: study: %w", err)
-	}
-	cfg.InjectionsPerFF, cfg.CampaignSeed = g.InjectionsPerFF, g.CampaignSeed
-	m, err := sc.Materialize(scale, seed)
-	if err != nil {
-		return nil, fmt.Errorf("core: study: %w", err)
-	}
-	return &Study{Config: cfg, Materialized: m}, nil
+	cfg.Scale, cfg.Seed = corpus.ScaleDefault, 1
+	return NewCorpusStudy(corpus.MACScenario(cfg.MAC, cfg.Bench), cfg)
 }
 
 // ScenarioID returns the "circuit/workload" tag of the study; it flows into

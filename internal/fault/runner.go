@@ -356,6 +356,11 @@ func (r *Runner) runPool(ctx context.Context, pl *Plan, idx []int, collect func(
 	go func() {
 		defer close(chunks)
 		for _, ci := range idx {
+			// A select with both cases ready picks either: ask first, so a
+			// context cancelled before the campaign dispatches nothing.
+			if ctx.Err() != nil {
+				return
+			}
 			select {
 			case <-ctx.Done():
 				return

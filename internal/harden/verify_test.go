@@ -36,7 +36,7 @@ func trainTruthModel(t *testing.T, m *corpus.Materialized, n int, cseed int64) *
 	if err != nil {
 		t.Fatalf("ground-truth campaign: %v", err)
 	}
-	model := knn.New(1, knn.Manhattan)
+	model := knn.New(1)
 	if err := model.Fit(m.Features.Rows, res.FDR); err != nil {
 		t.Fatalf("Fit: %v", err)
 	}

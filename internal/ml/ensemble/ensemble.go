@@ -1,6 +1,7 @@
 package ensemble
 
 import (
+	"encoding/gob"
 	"fmt"
 	"math/rand"
 
@@ -8,7 +9,8 @@ import (
 	"repro/internal/ml/tree"
 )
 
-// RandomForest averages bootstrap-trained CART trees.
+// RandomForest averages bootstrap-trained CART trees. The fields are also
+// the model's gob payload; Members are the fitted trees.
 type RandomForest struct {
 	// Trees is the ensemble size (default 100).
 	Trees int
@@ -22,8 +24,8 @@ type RandomForest struct {
 	// Seed drives bootstrap sampling and feature subsampling.
 	Seed int64
 
-	members []*tree.Regressor
-	fitted  bool
+	Members []*tree.Regressor
+	Fitted  bool
 }
 
 // NewForest returns a forest with the given size and depth bound.
@@ -49,7 +51,7 @@ func (f *RandomForest) Fit(X [][]float64, y []float64) error {
 	if subset < 1 {
 		subset = 1
 	}
-	f.members = make([]*tree.Regressor, f.Trees)
+	f.Members = make([]*tree.Regressor, f.Trees)
 	bx := make([][]float64, n)
 	by := make([]float64, n)
 	for t := 0; t < f.Trees; t++ {
@@ -70,27 +72,28 @@ func (f *RandomForest) Fit(X [][]float64, y []float64) error {
 		if err := member.Fit(bx, by); err != nil {
 			return fmt.Errorf("ml/ensemble: tree %d: %w", t, err)
 		}
-		f.members[t] = member
+		f.Members[t] = member
 	}
-	f.fitted = true
+	f.Fitted = true
 	return nil
 }
 
 // Predict averages the member predictions.
 func (f *RandomForest) Predict(x []float64) float64 {
-	if !f.fitted {
+	if !f.Fitted {
 		return 0
 	}
 	var s float64
-	for _, m := range f.members {
+	for _, m := range f.Members {
 		s += m.Predict(x)
 	}
-	return s / float64(len(f.members))
+	return s / float64(len(f.Members))
 }
 
 // GradientBoosting fits shallow trees to residuals with shrinkage — the
 // "boosting algorithms" the paper's future work names, in its least-squares
-// form.
+// form. The fields are also the model's gob payload; Base and StageTrees are
+// the fitted mean and residual trees.
 type GradientBoosting struct {
 	// Stages is the number of boosting rounds (default 200).
 	Stages int
@@ -106,9 +109,9 @@ type GradientBoosting struct {
 	// Seed drives subsampling.
 	Seed int64
 
-	base   float64
-	stages []*tree.Regressor
-	fitted bool
+	Base       float64
+	StageTrees []*tree.Regressor
+	Fitted     bool
 }
 
 // NewBoosting returns a boosted ensemble with the given configuration.
@@ -140,14 +143,14 @@ func (g *GradientBoosting) Fit(X [][]float64, y []float64) error {
 	for _, v := range y {
 		s += v
 	}
-	g.base = s / float64(n)
+	g.Base = s / float64(n)
 
 	pred := make([]float64, n)
 	for i := range pred {
-		pred[i] = g.base
+		pred[i] = g.Base
 	}
 	resid := make([]float64, n)
-	g.stages = make([]*tree.Regressor, 0, g.Stages)
+	g.StageTrees = make([]*tree.Regressor, 0, g.Stages)
 	rows := int(g.Subsample * float64(n))
 	if rows < 1 {
 		rows = 1
@@ -176,19 +179,19 @@ func (g *GradientBoosting) Fit(X [][]float64, y []float64) error {
 		for i := range pred {
 			pred[i] += g.LearningRate * stage.Predict(X[i])
 		}
-		g.stages = append(g.stages, stage)
+		g.StageTrees = append(g.StageTrees, stage)
 	}
-	g.fitted = true
+	g.Fitted = true
 	return nil
 }
 
 // Predict sums the base value and shrunken stage contributions.
 func (g *GradientBoosting) Predict(x []float64) float64 {
-	if !g.fitted {
+	if !g.Fitted {
 		return 0
 	}
-	s := g.base
-	for _, stage := range g.stages {
+	s := g.Base
+	for _, stage := range g.StageTrees {
 		s += g.LearningRate * stage.Predict(x)
 	}
 	return s
@@ -198,3 +201,29 @@ var (
 	_ ml.Regressor = (*RandomForest)(nil)
 	_ ml.Regressor = (*GradientBoosting)(nil)
 )
+
+func init() {
+	gob.RegisterName("ffr/ensemble.RandomForest", &RandomForest{})
+	gob.RegisterName("ffr/ensemble.GradientBoosting", &GradientBoosting{})
+}
+
+// The wire types are the ensembles without their methods: what gob sees of
+// one. Member trees travel through tree.Regressor's codec, which checks each.
+type (
+	forest   RandomForest
+	boosting GradientBoosting
+)
+
+// GobEncode exports the configuration and every member tree.
+func (f *RandomForest) GobEncode() ([]byte, error) { return ml.GobState((*forest)(f)) }
+
+// GobDecode restores a random forest.
+func (f *RandomForest) GobDecode(data []byte) error { return ml.UngobState(data, (*forest)(f), nil) }
+
+// GobEncode exports the configuration, base value and stage trees.
+func (g *GradientBoosting) GobEncode() ([]byte, error) { return ml.GobState((*boosting)(g)) }
+
+// GobDecode restores a gradient-boosting ensemble.
+func (g *GradientBoosting) GobDecode(data []byte) error {
+	return ml.UngobState(data, (*boosting)(g), nil)
+}

@@ -6,103 +6,56 @@ import (
 	"fmt"
 )
 
-// Gob serialization of the scalers and the pipeline, the glue that lets a
-// fitted model leave the process that trained it (internal/persist wraps
-// this in the versioned artifact format). Every learned field — including
-// the unexported ones — is mirrored into an exported state struct, so the
-// wire format is explicit and survives refactors of the in-memory layout.
-// Floats travel as raw IEEE-754 bits under gob, which is what makes
-// save → load → Predict bit-identical.
-//
-// The concrete types are registered under stable names (not Go import
-// paths) so artifacts remain readable if packages move. Interface-typed
-// fields (Pipeline.Scaler, Pipeline.Model) decode only when the concrete
-// type's package has been linked in; internal/persist imports every model
-// package and is the intended entry point.
+// Gob codecs of the scaler and the pipeline, and the two helpers every model
+// package's codec is made of. A model's exported fields are its payload
+// (docs/ARCHITECTURE.md "On-disk state"): GobEncode encodes the value through
+// a method-less type of the same struct, GobDecode decodes into one and then
+// checks what Predict indexes by. The concrete types are registered under
+// stable names, not Go import paths; interface-typed fields decode only when
+// the concrete type's package is linked in, which importing internal/persist
+// ensures.
 
 func init() {
 	gob.RegisterName("ffr/ml.StandardScaler", &StandardScaler{})
-	gob.RegisterName("ffr/ml.MinMaxScaler", &MinMaxScaler{})
 	gob.RegisterName("ffr/ml.Pipeline", &Pipeline{})
 }
 
-// GobState encodes any exported state struct into a gob byte slice; the
-// model packages share it to keep their GobEncode implementations uniform.
-func GobState(state any) ([]byte, error) {
+// GobState encodes a model's wire value; the model packages share it.
+func GobState(wire any) ([]byte, error) {
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(state); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(wire); err != nil {
 		return nil, fmt.Errorf("ml: encoding state: %w", err)
 	}
 	return buf.Bytes(), nil
 }
 
-// UngobState decodes a GobState byte slice back into the state struct.
-func UngobState(data []byte, state any) error {
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(state); err != nil {
+// UngobState decodes a GobState byte slice into the wire value, then asks
+// check (when non-nil) whether Predict can index what arrived.
+func UngobState(data []byte, wire any, check func() error) error {
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(wire); err != nil {
 		return fmt.Errorf("ml: decoding state: %w", err)
+	}
+	if check != nil {
+		return check()
 	}
 	return nil
 }
 
-type standardScalerState struct {
-	Mean  []float64
-	Scale []float64
-}
+type (
+	scalerWire   StandardScaler
+	pipelineWire Pipeline
+)
 
 // GobEncode exports the learned column statistics.
-func (s *StandardScaler) GobEncode() ([]byte, error) {
-	return GobState(standardScalerState{Mean: s.mean, Scale: s.scale})
-}
+func (s *StandardScaler) GobEncode() ([]byte, error) { return GobState((*scalerWire)(s)) }
 
 // GobDecode restores the learned column statistics.
 func (s *StandardScaler) GobDecode(data []byte) error {
-	var st standardScalerState
-	if err := UngobState(data, &st); err != nil {
-		return err
-	}
-	s.mean, s.scale = st.Mean, st.Scale
-	return nil
-}
-
-type minMaxScalerState struct {
-	Min  []float64
-	Span []float64
-}
-
-// GobEncode exports the learned column ranges.
-func (s *MinMaxScaler) GobEncode() ([]byte, error) {
-	return GobState(minMaxScalerState{Min: s.min, Span: s.span})
-}
-
-// GobDecode restores the learned column ranges.
-func (s *MinMaxScaler) GobDecode(data []byte) error {
-	var st minMaxScalerState
-	if err := UngobState(data, &st); err != nil {
-		return err
-	}
-	s.min, s.span = st.Min, st.Span
-	return nil
-}
-
-type pipelineState struct {
-	Scaler Scaler
-	Model  Regressor
-	Fitted bool
+	return UngobState(data, (*scalerWire)(s), s.check)
 }
 
 // GobEncode serializes the scaler, the wrapped model and the fitted flag.
-// The concrete scaler and model types must be gob-registered; the built-in
-// ones register themselves in their package init.
-func (p *Pipeline) GobEncode() ([]byte, error) {
-	return GobState(pipelineState{Scaler: p.Scaler, Model: p.Model, Fitted: p.fitted})
-}
+func (p *Pipeline) GobEncode() ([]byte, error) { return GobState((*pipelineWire)(p)) }
 
 // GobDecode restores the pipeline.
-func (p *Pipeline) GobDecode(data []byte) error {
-	var st pipelineState
-	if err := UngobState(data, &st); err != nil {
-		return err
-	}
-	p.Scaler, p.Model, p.fitted = st.Scaler, st.Model, st.Fitted
-	return nil
-}
+func (p *Pipeline) GobDecode(data []byte) error { return UngobState(data, (*pipelineWire)(p), nil) }

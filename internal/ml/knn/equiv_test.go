@@ -17,8 +17,8 @@ import (
 // numerics").
 func refNeighbors(r *Regressor, x []float64) ([]int, []float64) {
 	h := make(refHeap, 0, r.K)
-	for i, row := range r.x {
-		d := refDistance(r, x, row)
+	for i, row := range r.X {
+		d := refDistance(x, row)
 		if len(h) < r.K {
 			heap.Push(&h, refNeighbor{dist: d, idx: i})
 		} else if d < h[0].dist {
@@ -36,28 +36,12 @@ func refNeighbors(r *Regressor, x []float64) ([]int, []float64) {
 	return idx, dist
 }
 
-func refDistance(r *Regressor, a, b []float64) float64 {
-	switch r.Metric {
-	case Euclidean:
-		var s float64
-		for i := range a {
-			d := a[i] - b[i]
-			s += d * d
-		}
-		return math.Sqrt(s)
-	case Minkowski:
-		var s float64
-		for i := range a {
-			s += math.Pow(math.Abs(a[i]-b[i]), r.P)
-		}
-		return math.Pow(s, 1/r.P)
-	default: // Manhattan
-		var s float64
-		for i := range a {
-			s += math.Abs(a[i] - b[i])
-		}
-		return s
+func refDistance(a, b []float64) float64 {
+	var s float64
+	for i := range a {
+		s += math.Abs(a[i] - b[i])
 	}
+	return s
 }
 
 type refHeap []refNeighbor
@@ -106,31 +90,28 @@ func TestNeighborsBitIdenticalToContainerHeap(t *testing.T) {
 		}
 		queries = append(queries, row)
 	}
-	for _, metric := range []Metric{Manhattan, Euclidean, Minkowski} {
-		for _, k := range []int{1, 3, 7, 20, n} {
-			t.Run(fmt.Sprintf("%v-k%d", metric, k), func(t *testing.T) {
-				m := New(k, metric)
-				m.P = 3
-				if err := m.Fit(X, y); err != nil {
-					t.Fatalf("Fit: %v", err)
+	for _, k := range []int{1, 3, 7, 20, n} {
+		t.Run(fmt.Sprintf("manhattan-k%d", k), func(t *testing.T) {
+			m := New(k)
+			if err := m.Fit(X, y); err != nil {
+				t.Fatalf("Fit: %v", err)
+			}
+			for qi, q := range queries {
+				idx, dist, err := m.Neighbors(q)
+				if err != nil {
+					t.Fatalf("Neighbors: %v", err)
 				}
-				for qi, q := range queries {
-					idx, dist, err := m.Neighbors(q)
-					if err != nil {
-						t.Fatalf("Neighbors: %v", err)
-					}
-					wantIdx, wantDist := refNeighbors(m, q)
-					if len(idx) != len(wantIdx) || len(dist) != len(wantDist) {
-						t.Fatalf("query %d: %d/%d results, want %d", qi, len(idx), len(dist), len(wantIdx))
-					}
-					for i := range wantIdx {
-						if idx[i] != wantIdx[i] || math.Float64bits(dist[i]) != math.Float64bits(wantDist[i]) {
-							t.Fatalf("query %d neighbour %d: (%d, %x), container/heap search gives (%d, %x)",
-								qi, i, idx[i], dist[i], wantIdx[i], wantDist[i])
-						}
+				wantIdx, wantDist := refNeighbors(m, q)
+				if len(idx) != len(wantIdx) || len(dist) != len(wantDist) {
+					t.Fatalf("query %d: %d/%d results, want %d", qi, len(idx), len(dist), len(wantIdx))
+				}
+				for i := range wantIdx {
+					if idx[i] != wantIdx[i] || math.Float64bits(dist[i]) != math.Float64bits(wantDist[i]) {
+						t.Fatalf("query %d neighbour %d: (%d, %x), container/heap search gives (%d, %x)",
+							qi, i, idx[i], dist[i], wantIdx[i], wantDist[i])
 					}
 				}
-			})
-		}
+			}
+		})
 	}
 }

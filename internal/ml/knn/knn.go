@@ -1,93 +1,82 @@
 package knn
 
 import (
+	"encoding/gob"
 	"fmt"
 	"math"
 
 	"repro/internal/ml"
 )
 
-// Metric identifies the distance function.
-type Metric int
-
-// Supported metrics.
-const (
-	Manhattan Metric = iota + 1 // L1, the paper's tuned choice
-	Euclidean                   // L2
-	Minkowski                   // Lp with configurable P
+// Metric and Weighting are what a payload says about the distance function
+// and the neighbor weights. One value of each is implemented, the paper's
+// tuned choice; a payload naming another is refused.
+type (
+	Metric    int
+	Weighting int
 )
 
-// String names the metric.
-func (m Metric) String() string {
-	switch m {
-	case Manhattan:
-		return "manhattan"
-	case Euclidean:
-		return "euclidean"
-	case Minkowski:
-		return "minkowski"
-	default:
-		return fmt.Sprintf("Metric(%d)", int(m))
-	}
-}
-
-// Weighting selects how neighbor targets are combined.
-type Weighting int
-
-// Supported weightings.
 const (
-	// WeightDistance uses inverse-distance weights (the paper's choice);
-	// an exact feature match returns that training target directly.
-	WeightDistance Weighting = iota + 1
-	// WeightUniform averages the k neighbors equally.
-	WeightUniform
+	// Manhattan is the L1 distance.
+	Manhattan Metric = 1
+	// WeightDistance uses inverse-distance weights; an exact feature match
+	// returns that training target directly.
+	WeightDistance Weighting = 1
 )
 
-// Regressor is the k-NN model. Configure before Fit; the zero value is
-// k=0 and invalid (use New).
+// Regressor is the k-NN model: the inverse-distance weighted average of the
+// K nearest training rows under Manhattan distance. The zero value is k=0
+// and invalid (use New). The fields are also the model's gob payload; X and
+// Y are the memorized training set.
 type Regressor struct {
-	K      int
-	Metric Metric
-	// P is the Minkowski exponent, used only when Metric == Minkowski.
-	P float64
-	// Weights defaults to WeightDistance when left zero.
+	K       int
+	Metric  Metric
 	Weights Weighting
-
-	x      [][]float64
-	y      []float64
-	fitted bool
+	X       [][]float64
+	Y       []float64
+	Fitted  bool
 }
 
-// New returns the paper's configuration: weighted k-NN with the given k and
-// metric.
-func New(k int, metric Metric) *Regressor {
-	return &Regressor{K: k, Metric: metric, P: 2, Weights: WeightDistance}
+// New returns the paper's configuration with the given k.
+func New(k int) *Regressor {
+	return &Regressor{K: k, Metric: Manhattan, Weights: WeightDistance}
+}
+
+// check is what Fit asks of the model it is about to leave and GobDecode of
+// a decoded one, before Neighbors indexes it: the implemented metric and
+// weighting (the zero values mean them too) and, once fitted, K or more
+// equally wide rows with a target each.
+func (r *Regressor) check() error {
+	if (r.Metric != 0 && r.Metric != Manhattan) || (r.Weights != 0 && r.Weights != WeightDistance) {
+		return fmt.Errorf("ml/knn: metric %d with weighting %d: only Manhattan distance (%d) with inverse-distance weights (%d) is implemented",
+			r.Metric, r.Weights, Manhattan, WeightDistance)
+	}
+	if !r.Fitted {
+		return nil
+	}
+	if err := ml.CheckXY(r.X, r.Y); err != nil {
+		return err
+	}
+	if r.K < 1 || r.K > len(r.X) {
+		return fmt.Errorf("ml/knn: k=%d must be in [1, %d training samples]", r.K, len(r.X))
+	}
+	return nil
 }
 
 // Fit memorizes the training set.
 func (r *Regressor) Fit(X [][]float64, y []float64) error {
-	if err := ml.CheckXY(X, y); err != nil {
+	// The model this Fit would leave must pass the check a decoded one does.
+	fitted := Regressor{K: r.K, Metric: r.Metric, Weights: r.Weights, X: X, Y: y, Fitted: true}
+	if err := fitted.check(); err != nil {
 		return err
 	}
-	if r.K < 1 {
-		return fmt.Errorf("ml/knn: k=%d must be >= 1", r.K)
-	}
-	if r.K > len(X) {
-		return fmt.Errorf("ml/knn: k=%d exceeds %d training samples", r.K, len(X))
-	}
-	if r.Metric == Minkowski && r.P <= 0 {
-		return fmt.Errorf("ml/knn: minkowski p=%v must be > 0", r.P)
-	}
-	if r.Weights == 0 {
-		r.Weights = WeightDistance
-	}
 	// Copy: the contract says callers may reuse their slices.
-	r.x = make([][]float64, len(X))
+	r.X = make([][]float64, len(X))
 	for i, row := range X {
-		r.x[i] = append([]float64(nil), row...)
+		r.X[i] = append([]float64(nil), row...)
 	}
-	r.y = append([]float64(nil), y...)
-	r.fitted = true
+	r.Y = append([]float64(nil), y...)
+	r.Fitted = true
 	return nil
 }
 
@@ -95,53 +84,23 @@ func (r *Regressor) Fit(X [][]float64, y []float64) error {
 // sums run side by side on independent accumulators, each adding its terms in
 // ascending feature order, so every distance is the one-row loop's bit for
 // bit.
-func (r *Regressor) distances4(x, a, b, c, d []float64) (da, db, dc, dd float64) {
+func distances4(x, a, b, c, d []float64) (da, db, dc, dd float64) {
 	a, b, c, d = a[:len(x)], b[:len(x)], c[:len(x)], d[:len(x)]
-	switch r.Metric {
-	case Euclidean:
-		for i, v := range x {
-			ea, eb, ec, ed := v-a[i], v-b[i], v-c[i], v-d[i]
-			da += ea * ea
-			db += eb * eb
-			dc += ec * ec
-			dd += ed * ed
-		}
-		return math.Sqrt(da), math.Sqrt(db), math.Sqrt(dc), math.Sqrt(dd)
-	case Minkowski: // math.Pow dominates; nothing to gain from blocking
-		return r.distance(x, a), r.distance(x, b), r.distance(x, c), r.distance(x, d)
-	default: // Manhattan
-		for i, v := range x {
-			da += math.Abs(v - a[i])
-			db += math.Abs(v - b[i])
-			dc += math.Abs(v - c[i])
-			dd += math.Abs(v - d[i])
-		}
-		return da, db, dc, dd
+	for i, v := range x {
+		da += math.Abs(v - a[i])
+		db += math.Abs(v - b[i])
+		dc += math.Abs(v - c[i])
+		dd += math.Abs(v - d[i])
 	}
+	return da, db, dc, dd
 }
 
-func (r *Regressor) distance(a, b []float64) float64 {
-	switch r.Metric {
-	case Euclidean:
-		var s float64
-		for i := range a {
-			d := a[i] - b[i]
-			s += d * d
-		}
-		return math.Sqrt(s)
-	case Minkowski:
-		var s float64
-		for i := range a {
-			s += math.Pow(math.Abs(a[i]-b[i]), r.P)
-		}
-		return math.Pow(s, 1/r.P)
-	default: // Manhattan
-		var s float64
-		for i := range a {
-			s += math.Abs(a[i] - b[i])
-		}
-		return s
+func distance(a, b []float64) float64 {
+	var s float64
+	for i := range a {
+		s += math.Abs(a[i] - b[i])
 	}
+	return s
 }
 
 // nearest is the current best k as a max-heap on distance, over two parallel
@@ -204,21 +163,21 @@ func (h *nearest) offer(k, i int, d float64) {
 // Neighbors returns the indices and distances of the k nearest training
 // points, nearest first.
 func (r *Regressor) Neighbors(x []float64) ([]int, []float64, error) {
-	if !r.fitted {
+	if !r.Fitted {
 		return nil, nil, ml.ErrNotFitted
 	}
 	h := nearest{idx: make([]int, 0, r.K), dist: make([]float64, 0, r.K)}
-	rows := r.x
+	rows := r.X
 	i := 0
 	for ; i+4 <= len(rows); i += 4 {
-		d0, d1, d2, d3 := r.distances4(x, rows[i], rows[i+1], rows[i+2], rows[i+3])
+		d0, d1, d2, d3 := distances4(x, rows[i], rows[i+1], rows[i+2], rows[i+3])
 		h.offer(r.K, i, d0)
 		h.offer(r.K, i+1, d1)
 		h.offer(r.K, i+2, d2)
 		h.offer(r.K, i+3, d3)
 	}
 	for ; i < len(rows); i++ {
-		h.offer(r.K, i, r.distance(x, rows[i]))
+		h.offer(r.K, i, distance(x, rows[i]))
 	}
 	// Sort ascending in place: each pass moves the farthest of the first n
 	// entries to position n-1, where popping the heap would have put it.
@@ -235,20 +194,13 @@ func (r *Regressor) Predict(x []float64) float64 {
 	if err != nil {
 		return 0
 	}
-	if r.Weights == WeightUniform {
-		var s float64
-		for _, i := range idx {
-			s += r.y[i]
-		}
-		return s / float64(len(idx))
-	}
 	// Inverse-distance weights; exact matches dominate (scikit-learn
 	// semantics: if any neighbor is at distance 0, average those).
 	var exactSum float64
 	exactCnt := 0
 	for k, d := range dist {
 		if d == 0 {
-			exactSum += r.y[idx[k]]
+			exactSum += r.Y[idx[k]]
 			exactCnt++
 		}
 	}
@@ -258,10 +210,21 @@ func (r *Regressor) Predict(x []float64) float64 {
 	var num, den float64
 	for k, d := range dist {
 		w := 1 / d
-		num += w * r.y[idx[k]]
+		num += w * r.Y[idx[k]]
 		den += w
 	}
 	return num / den
 }
 
 var _ ml.Regressor = (*Regressor)(nil)
+
+func init() { gob.RegisterName("ffr/knn.Regressor", &Regressor{}) }
+
+// wire is Regressor without its methods: what gob sees of one.
+type wire Regressor
+
+// GobEncode exports the configuration and the memorized training set.
+func (r *Regressor) GobEncode() ([]byte, error) { return ml.GobState((*wire)(r)) }
+
+// GobDecode restores a k-NN model.
+func (r *Regressor) GobDecode(data []byte) error { return ml.UngobState(data, (*wire)(r), r.check) }

@@ -23,7 +23,7 @@ func TestK1RecallsTrainingPoints(t *testing.T) {
 			X[i] = []float64{rng.NormFloat64(), rng.NormFloat64()}
 			y[i] = rng.NormFloat64()
 		}
-		m := New(1, Euclidean)
+		m := New(1)
 		if err := m.Fit(X, y); err != nil {
 			return false
 		}
@@ -51,7 +51,7 @@ func TestK1RecallsTrainingPoints(t *testing.T) {
 
 func TestExactMatchDominates(t *testing.T) {
 	X, y := grid2D()
-	m := New(3, Manhattan)
+	m := New(3)
 	if err := m.Fit(X, y); err != nil {
 		t.Fatalf("Fit: %v", err)
 	}
@@ -60,23 +60,10 @@ func TestExactMatchDominates(t *testing.T) {
 	}
 }
 
-func TestUniformWeights(t *testing.T) {
-	X, y := grid2D()
-	m := &Regressor{K: 4, Metric: Manhattan, Weights: WeightUniform}
-	if err := m.Fit(X, y); err != nil {
-		t.Fatalf("Fit: %v", err)
-	}
-	// Query at the center of the unit square: 4 nearest are the corners.
-	got := m.Predict([]float64{0.5, 0.5})
-	if math.Abs(got-2.5) > 1e-9 {
-		t.Fatalf("uniform Predict = %v, want 2.5", got)
-	}
-}
-
 func TestInverseDistanceWeighting(t *testing.T) {
 	X := [][]float64{{0}, {3}}
 	y := []float64{0, 1}
-	m := New(2, Manhattan)
+	m := New(2)
 	if err := m.Fit(X, y); err != nil {
 		t.Fatalf("Fit: %v", err)
 	}
@@ -88,47 +75,9 @@ func TestInverseDistanceWeighting(t *testing.T) {
 	}
 }
 
-func TestMetricsDiffer(t *testing.T) {
-	// Points chosen so Manhattan and Euclidean rank neighbors differently.
-	X := [][]float64{{2.2, 0}, {1.3, 1.3}, {9, 9}}
-	y := []float64{1, 2, 99}
-	man := New(1, Manhattan)
-	euc := New(1, Euclidean)
-	if err := man.Fit(X, y); err != nil {
-		t.Fatal(err)
-	}
-	if err := euc.Fit(X, y); err != nil {
-		t.Fatal(err)
-	}
-	q := []float64{0, 0}
-	// Manhattan: |2.2| = 2.2 vs 2.6 → picks y=1. Euclidean: 2.2 vs 1.84 → y=2.
-	if got := man.Predict(q); got != 1 {
-		t.Fatalf("manhattan pick = %v, want 1", got)
-	}
-	if got := euc.Predict(q); got != 2 {
-		t.Fatalf("euclidean pick = %v, want 2", got)
-	}
-}
-
-func TestMinkowskiGeneralizes(t *testing.T) {
-	X, y := grid2D()
-	m2 := &Regressor{K: 2, Metric: Minkowski, P: 2, Weights: WeightDistance}
-	e := New(2, Euclidean)
-	if err := m2.Fit(X, y); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Fit(X, y); err != nil {
-		t.Fatal(err)
-	}
-	q := []float64{0.2, 0.7}
-	if math.Abs(m2.Predict(q)-e.Predict(q)) > 1e-12 {
-		t.Fatal("minkowski p=2 must equal euclidean")
-	}
-}
-
 func TestNeighborsSorted(t *testing.T) {
 	X, y := grid2D()
-	m := New(3, Euclidean)
+	m := New(3)
 	if err := m.Fit(X, y); err != nil {
 		t.Fatal(err)
 	}
@@ -145,17 +94,18 @@ func TestNeighborsSorted(t *testing.T) {
 
 func TestValidation(t *testing.T) {
 	X, y := grid2D()
-	if err := New(0, Manhattan).Fit(X, y); err == nil {
+	if err := New(0).Fit(X, y); err == nil {
 		t.Fatal("k=0 must fail")
 	}
-	if err := New(99, Manhattan).Fit(X, y); err == nil {
+	if err := New(99).Fit(X, y); err == nil {
 		t.Fatal("k>n must fail")
 	}
-	bad := &Regressor{K: 1, Metric: Minkowski, P: 0}
-	if err := bad.Fit(X, y); err == nil {
-		t.Fatal("p=0 minkowski must fail")
+	for _, bad := range []*Regressor{{K: 1, Metric: 2}, {K: 1, Weights: 2}} {
+		if err := bad.Fit(X, y); err == nil {
+			t.Fatalf("metric %d with weighting %d is not implemented and must fail", bad.Metric, bad.Weights)
+		}
 	}
-	m := New(1, Manhattan)
+	m := New(1)
 	if got := m.Predict([]float64{0, 0}); got != 0 {
 		t.Fatalf("unfitted Predict = %v, want 0", got)
 	}
@@ -167,7 +117,7 @@ func TestValidation(t *testing.T) {
 func TestFitCopiesData(t *testing.T) {
 	X := [][]float64{{1}, {2}}
 	y := []float64{1, 2}
-	m := New(1, Manhattan)
+	m := New(1)
 	if err := m.Fit(X, y); err != nil {
 		t.Fatal(err)
 	}
@@ -175,13 +125,6 @@ func TestFitCopiesData(t *testing.T) {
 	y[0] = 99
 	if got := m.Predict([]float64{1}); got != 1 {
 		t.Fatalf("model must be insulated from caller mutation, got %v", got)
-	}
-}
-
-func TestMetricString(t *testing.T) {
-	if Manhattan.String() != "manhattan" || Euclidean.String() != "euclidean" ||
-		Minkowski.String() != "minkowski" || Metric(9).String() == "" {
-		t.Fatal("Metric.String wrong")
 	}
 }
 
@@ -195,14 +138,12 @@ func TestNeighborsAllocations(t *testing.T) {
 		X[i] = []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
 		y[i] = rng.NormFloat64()
 	}
-	for _, metric := range []Metric{Manhattan, Euclidean, Minkowski} {
-		m := New(7, metric)
-		if err := m.Fit(X, y); err != nil {
-			t.Fatal(err)
-		}
-		q := []float64{0.1, -0.2, 0.3}
-		if n := testing.AllocsPerRun(50, func() { m.Neighbors(q) }); n > 2 {
-			t.Errorf("%v: Neighbors allocates %v times per query, want <= 2", metric, n)
-		}
+	m := New(7)
+	if err := m.Fit(X, y); err != nil {
+		t.Fatal(err)
+	}
+	q := []float64{0.1, -0.2, 0.3}
+	if n := testing.AllocsPerRun(50, func() { m.Neighbors(q) }); n > 2 {
+		t.Errorf("Neighbors allocates %v times per query, want <= 2", n)
 	}
 }

@@ -1,6 +1,7 @@
 package linreg
 
 import (
+	"encoding/gob"
 	"fmt"
 
 	"repro/internal/mat"
@@ -11,22 +12,19 @@ import (
 // squares. The zero value is a plain OLS model; set Lambda for ridge
 // regularization (the intercept is never penalized in spirit — with
 // standardized features the distinction is immaterial, and the augmented
-// column trick keeps the solver simple).
+// column trick keeps the solver simple). The fields are also the model's gob
+// payload.
 type LinearRegression struct {
 	// Lambda is the L2 penalty; 0 means ordinary least squares.
 	Lambda float64
-	// FitIntercept controls the bias term; the zero value fits one.
-	NoIntercept bool
 
-	weights   []float64 // learned coefficients (without intercept)
-	intercept float64
-	fitted    bool
+	// Weights are the learned coefficients (without the intercept).
+	Weights   []float64
+	Intercept float64
+	Fitted    bool
 }
 
-// New returns an OLS regressor.
-func New() *LinearRegression { return &LinearRegression{} }
-
-// NewRidge returns a ridge regressor with the given penalty.
+// NewRidge returns a ridge regressor with the given penalty; 0 is OLS.
 func NewRidge(lambda float64) *LinearRegression { return &LinearRegression{Lambda: lambda} }
 
 // Fit solves the least squares problem.
@@ -35,10 +33,7 @@ func (l *LinearRegression) Fit(X [][]float64, y []float64) error {
 		return err
 	}
 	rows, cols := len(X), len(X[0])
-	aug := cols
-	if !l.NoIntercept {
-		aug++
-	}
+	aug := cols + 1 // the intercept is a constant column
 	if rows < aug && l.Lambda == 0 {
 		return fmt.Errorf("ml/linreg: %d samples cannot determine %d coefficients", rows, aug)
 	}
@@ -46,40 +41,35 @@ func (l *LinearRegression) Fit(X [][]float64, y []float64) error {
 	for i, row := range X {
 		r := a.RawRow(i)
 		copy(r, row)
-		if !l.NoIntercept {
-			r[cols] = 1
-		}
+		r[cols] = 1
 	}
 	sol, err := mat.RidgeSolve(a, y, l.Lambda)
 	if err != nil {
 		return fmt.Errorf("ml/linreg: %w", err)
 	}
-	l.weights = sol[:cols]
-	if !l.NoIntercept {
-		l.intercept = sol[cols]
-	} else {
-		l.intercept = 0
-	}
-	l.fitted = true
+	l.Weights, l.Intercept = sol[:cols], sol[cols]
+	l.Fitted = true
 	return nil
 }
 
 // Predict evaluates the linear model.
 func (l *LinearRegression) Predict(x []float64) float64 {
-	if !l.fitted {
+	if !l.Fitted {
 		return 0
 	}
-	return mat.Dot(l.weights, x) + l.intercept
-}
-
-// Coefficients returns a copy of the learned weights and the intercept.
-func (l *LinearRegression) Coefficients() ([]float64, float64, error) {
-	if !l.fitted {
-		return nil, 0, ml.ErrNotFitted
-	}
-	w := make([]float64, len(l.weights))
-	copy(w, l.weights)
-	return w, l.intercept, nil
+	return mat.Dot(l.Weights, x) + l.Intercept
 }
 
 var _ ml.Regressor = (*LinearRegression)(nil)
+
+func init() { gob.RegisterName("ffr/linreg.LinearRegression", &LinearRegression{}) }
+
+// wire is LinearRegression without its methods: what gob sees of one.
+type wire LinearRegression
+
+// GobEncode exports the configuration and learned coefficients.
+func (l *LinearRegression) GobEncode() ([]byte, error) { return ml.GobState((*wire)(l)) }
+
+// GobDecode restores a linear model. There is nothing to check: any
+// coefficient vector is one.
+func (l *LinearRegression) GobDecode(data []byte) error { return ml.UngobState(data, (*wire)(l), nil) }

@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/ml"
 )
 
 func TestRecoversLinearFunction(t *testing.T) {
@@ -30,20 +28,16 @@ func TestRecoversLinearFunction(t *testing.T) {
 			}
 			y[i] = s
 		}
-		m := New()
+		m := NewRidge(0)
 		if err := m.Fit(X, y); err != nil {
 			return false
 		}
-		coef, intercept, err := m.Coefficients()
-		if err != nil {
-			return false
-		}
 		for j := range w {
-			if math.Abs(coef[j]-w[j]) > 1e-7 {
+			if math.Abs(m.Weights[j]-w[j]) > 1e-7 {
 				return false
 			}
 		}
-		return math.Abs(intercept-b) < 1e-7
+		return math.Abs(m.Intercept-b) < 1e-7
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -54,7 +48,7 @@ func TestInterceptOnlyData(t *testing.T) {
 	// Constant target: weights 0, intercept = constant.
 	X := [][]float64{{1}, {2}, {3}, {4}}
 	y := []float64{5, 5, 5, 5}
-	m := New()
+	m := NewRidge(0)
 	if err := m.Fit(X, y); err != nil {
 		t.Fatalf("Fit: %v", err)
 	}
@@ -63,23 +57,10 @@ func TestInterceptOnlyData(t *testing.T) {
 	}
 }
 
-func TestNoIntercept(t *testing.T) {
-	X := [][]float64{{1}, {2}, {3}}
-	y := []float64{2, 4, 6}
-	m := &LinearRegression{NoIntercept: true}
-	if err := m.Fit(X, y); err != nil {
-		t.Fatalf("Fit: %v", err)
-	}
-	coef, intercept, _ := m.Coefficients()
-	if math.Abs(coef[0]-2) > 1e-9 || intercept != 0 {
-		t.Fatalf("coef=%v intercept=%v", coef, intercept)
-	}
-}
-
 func TestUnderdeterminedRejected(t *testing.T) {
 	X := [][]float64{{1, 2, 3}}
 	y := []float64{1}
-	if err := New().Fit(X, y); err == nil {
+	if err := NewRidge(0).Fit(X, y); err == nil {
 		t.Fatal("underdetermined OLS must fail")
 	}
 }
@@ -87,7 +68,7 @@ func TestUnderdeterminedRejected(t *testing.T) {
 func TestDuplicateColumnRejectedByOLSAcceptedByRidge(t *testing.T) {
 	X := [][]float64{{1, 1}, {2, 2}, {3, 3}, {4, 4}}
 	y := []float64{1, 2, 3, 4}
-	if err := New().Fit(X, y); err == nil {
+	if err := NewRidge(0).Fit(X, y); err == nil {
 		t.Fatal("collinear OLS must fail")
 	}
 	r := NewRidge(1e-6)
@@ -100,17 +81,14 @@ func TestDuplicateColumnRejectedByOLSAcceptedByRidge(t *testing.T) {
 }
 
 func TestUnfittedBehaviour(t *testing.T) {
-	m := New()
+	m := NewRidge(0)
 	if got := m.Predict([]float64{1}); got != 0 {
 		t.Fatalf("unfitted Predict = %v, want 0", got)
-	}
-	if _, _, err := m.Coefficients(); err != ml.ErrNotFitted {
-		t.Fatalf("Coefficients err = %v, want ErrNotFitted", err)
 	}
 }
 
 func TestBadData(t *testing.T) {
-	if err := New().Fit(nil, nil); err == nil {
+	if err := NewRidge(0).Fit(nil, nil); err == nil {
 		t.Fatal("empty data must fail")
 	}
 }

@@ -81,27 +81,6 @@ func TestStandardScalerErrors(t *testing.T) {
 	}
 }
 
-func TestMinMaxScaler(t *testing.T) {
-	X := [][]float64{{0, 5}, {10, 5}}
-	var s MinMaxScaler
-	if err := s.Fit(X); err != nil {
-		t.Fatalf("Fit: %v", err)
-	}
-	out := s.Transform([][]float64{{5, 5}, {0, 5}, {10, 5}})
-	if out[0][0] != 0.5 || out[1][0] != 0 || out[2][0] != 1 {
-		t.Fatalf("minmax wrong: %v", out)
-	}
-	if out[0][1] != 0 {
-		t.Fatalf("constant column must map to 0, got %v", out[0][1])
-	}
-	if err := s.Fit(nil); err == nil {
-		t.Fatal("empty must fail")
-	}
-	if err := s.Fit([][]float64{{1}, {1, 2}}); err == nil {
-		t.Fatal("ragged must fail")
-	}
-}
-
 // Property: standard scaling is idempotent on already-scaled data.
 func TestStandardScalerIdempotent(t *testing.T) {
 	prop := func(seed int64) bool {

@@ -14,19 +14,19 @@ func refFit(m *Regressor, X [][]float64, y []float64) {
 	m.defaults()
 	rng := rand.New(rand.NewSource(m.Seed))
 	in := len(X[0])
-	m.dims = append(append([]int{in}, m.Hidden...), 1)
-	L := len(m.dims) - 1
-	m.weights = make([][]float64, L)
-	m.biases = make([][]float64, L)
+	m.Dims = append(append([]int{in}, m.Hidden...), 1)
+	L := len(m.Dims) - 1
+	m.Weights = make([][]float64, L)
+	m.Biases = make([][]float64, L)
 	for l := 0; l < L; l++ {
-		fanIn, fanOut := m.dims[l], m.dims[l+1]
+		fanIn, fanOut := m.Dims[l], m.Dims[l+1]
 		scale := math.Sqrt(2 / float64(fanIn))
 		w := make([]float64, fanIn*fanOut)
 		for i := range w {
 			w[i] = rng.NormFloat64() * scale
 		}
-		m.weights[l] = w
-		m.biases[l] = make([]float64, fanOut)
+		m.Weights[l] = w
+		m.Biases[l] = make([]float64, fanOut)
 	}
 
 	mw := make([][]float64, L)
@@ -34,10 +34,10 @@ func refFit(m *Regressor, X [][]float64, y []float64) {
 	mb := make([][]float64, L)
 	vb := make([][]float64, L)
 	for l := 0; l < L; l++ {
-		mw[l] = make([]float64, len(m.weights[l]))
-		vw[l] = make([]float64, len(m.weights[l]))
-		mb[l] = make([]float64, len(m.biases[l]))
-		vb[l] = make([]float64, len(m.biases[l]))
+		mw[l] = make([]float64, len(m.Weights[l]))
+		vw[l] = make([]float64, len(m.Weights[l]))
+		mb[l] = make([]float64, len(m.Biases[l]))
+		vb[l] = make([]float64, len(m.Biases[l]))
 	}
 	const beta1, beta2, eps = 0.9, 0.999, 1e-8
 
@@ -46,18 +46,18 @@ func refFit(m *Regressor, X [][]float64, y []float64) {
 	pre := make([][]float64, L)
 	out := make([][]float64, L+1)
 	for l := 0; l < L; l++ {
-		pre[l] = make([]float64, m.dims[l+1])
-		out[l+1] = make([]float64, m.dims[l+1])
+		pre[l] = make([]float64, m.Dims[l+1])
+		out[l+1] = make([]float64, m.Dims[l+1])
 	}
 	delta := make([][]float64, L)
 	for l := 0; l < L; l++ {
-		delta[l] = make([]float64, m.dims[l+1])
+		delta[l] = make([]float64, m.Dims[l+1])
 	}
 	gw := make([][]float64, L)
 	gb := make([][]float64, L)
 	for l := 0; l < L; l++ {
-		gw[l] = make([]float64, len(m.weights[l]))
-		gb[l] = make([]float64, len(m.biases[l]))
+		gw[l] = make([]float64, len(m.Weights[l]))
+		gb[l] = make([]float64, len(m.Biases[l]))
 	}
 
 	step := 0
@@ -80,10 +80,10 @@ func refFit(m *Regressor, X [][]float64, y []float64) {
 			for _, idx := range batch {
 				out[0] = X[idx]
 				for l := 0; l < L; l++ {
-					fanIn := m.dims[l]
-					for j := 0; j < m.dims[l+1]; j++ {
-						s := m.biases[l][j]
-						wrow := m.weights[l][j*fanIn : (j+1)*fanIn]
+					fanIn := m.Dims[l]
+					for j := 0; j < m.Dims[l+1]; j++ {
+						s := m.Biases[l][j]
+						wrow := m.Weights[l][j*fanIn : (j+1)*fanIn]
 						for i2, v := range out[l] {
 							s += wrow[i2] * v
 						}
@@ -91,25 +91,25 @@ func refFit(m *Regressor, X [][]float64, y []float64) {
 						if l == L-1 {
 							out[l+1][j] = s
 						} else {
-							out[l+1][j] = refAct(m.Act, s)
+							out[l+1][j] = refAct(s)
 						}
 					}
 				}
 				diff := out[L][0] - y[idx]
 				delta[L-1][0] = diff
 				for l := L - 2; l >= 0; l-- {
-					fanIn := m.dims[l+1]
-					for j := 0; j < m.dims[l+1]; j++ {
+					fanIn := m.Dims[l+1]
+					for j := 0; j < m.Dims[l+1]; j++ {
 						var s float64
-						for k2 := 0; k2 < m.dims[l+2]; k2++ {
-							s += m.weights[l+1][k2*fanIn+j] * delta[l+1][k2]
+						for k2 := 0; k2 < m.Dims[l+2]; k2++ {
+							s += m.Weights[l+1][k2*fanIn+j] * delta[l+1][k2]
 						}
-						delta[l][j] = s * refActGrad(m.Act, pre[l][j])
+						delta[l][j] = s * refActGrad(pre[l][j])
 					}
 				}
 				for l := 0; l < L; l++ {
-					fanIn := m.dims[l]
-					for j := 0; j < m.dims[l+1]; j++ {
+					fanIn := m.Dims[l]
+					for j := 0; j < m.Dims[l+1]; j++ {
 						d := delta[l][j]
 						grow := gw[l][j*fanIn : (j+1)*fanIn]
 						for i2, v := range out[l] {
@@ -124,39 +124,32 @@ func refFit(m *Regressor, X [][]float64, y []float64) {
 			corr1 := 1 - math.Pow(beta1, float64(step))
 			corr2 := 1 - math.Pow(beta2, float64(step))
 			for l := 0; l < L; l++ {
-				for i := range m.weights[l] {
-					g := gw[l][i]/bs + m.L2*m.weights[l][i]
+				for i := range m.Weights[l] {
+					g := gw[l][i]/bs + m.L2*m.Weights[l][i]
 					mw[l][i] = beta1*mw[l][i] + (1-beta1)*g
 					vw[l][i] = beta2*vw[l][i] + (1-beta2)*g*g
-					m.weights[l][i] -= m.LearningRate * (mw[l][i] / corr1) / (math.Sqrt(vw[l][i]/corr2) + eps)
+					m.Weights[l][i] -= m.LearningRate * (mw[l][i] / corr1) / (math.Sqrt(vw[l][i]/corr2) + eps)
 				}
-				for i := range m.biases[l] {
+				for i := range m.Biases[l] {
 					g := gb[l][i] / bs
 					mb[l][i] = beta1*mb[l][i] + (1-beta1)*g
 					vb[l][i] = beta2*vb[l][i] + (1-beta2)*g*g
-					m.biases[l][i] -= m.LearningRate * (mb[l][i] / corr1) / (math.Sqrt(vb[l][i]/corr2) + eps)
+					m.Biases[l][i] -= m.LearningRate * (mb[l][i] / corr1) / (math.Sqrt(vb[l][i]/corr2) + eps)
 				}
 			}
 		}
 	}
-	m.fitted = true
+	m.Fitted = true
 }
 
-func refAct(a Activation, v float64) float64 {
-	if a == Tanh {
-		return math.Tanh(v)
-	}
+func refAct(v float64) float64 {
 	if v < 0 {
 		return 0
 	}
 	return v
 }
 
-func refActGrad(a Activation, pre float64) float64 {
-	if a == Tanh {
-		t := math.Tanh(pre)
-		return 1 - t*t
-	}
+func refActGrad(pre float64) float64 {
 	if pre < 0 {
 		return 0
 	}
@@ -166,20 +159,20 @@ func refActGrad(a Activation, pre float64) float64 {
 // refPredict is the forward pass Predict replaced, one buffer per layer.
 func refPredict(m *Regressor, x []float64) float64 {
 	cur := x
-	L := len(m.dims) - 1
+	L := len(m.Dims) - 1
 	for l := 0; l < L; l++ {
-		fanIn := m.dims[l]
-		next := make([]float64, m.dims[l+1])
+		fanIn := m.Dims[l]
+		next := make([]float64, m.Dims[l+1])
 		for j := range next {
-			s := m.biases[l][j]
-			wrow := m.weights[l][j*fanIn : (j+1)*fanIn]
+			s := m.Biases[l][j]
+			wrow := m.Weights[l][j*fanIn : (j+1)*fanIn]
 			for i, v := range cur {
 				s += wrow[i] * v
 			}
 			if l == L-1 {
 				next[j] = s
 			} else {
-				next[j] = refAct(m.Act, s)
+				next[j] = refAct(s)
 			}
 		}
 		cur = next
@@ -202,20 +195,18 @@ func TestFitBitIdenticalToScalarLoops(t *testing.T) {
 	cases := []struct {
 		name   string
 		hidden []int
-		act    Activation
 		l2     float64
 	}{
-		{"relu-7-3", []int{7, 3}, ReLU, 0},
-		{"tanh-7-3", []int{7, 3}, Tanh, 0},
-		{"relu-64-32", []int{64, 32}, ReLU, 0},
-		{"tanh-5", []int{5}, Tanh, 1e-4},
-		{"relu-1-9-2", []int{1, 9, 2}, ReLU, 1e-3},
+		{"relu-7-3", []int{7, 3}, 0},
+		{"relu-64-32", []int{64, 32}, 0},
+		{"relu-5", []int{5}, 1e-4},
+		{"relu-1-9-2", []int{1, 9, 2}, 1e-3},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			build := func() *Regressor {
 				m := New(append([]int(nil), tc.hidden...), 5)
-				m.Act, m.L2, m.Epochs, m.BatchSize = tc.act, tc.l2, 12, 16
+				m.L2, m.Epochs, m.BatchSize = tc.l2, 12, 16
 				return m
 			}
 			got, want := build(), build()
@@ -223,15 +214,15 @@ func TestFitBitIdenticalToScalarLoops(t *testing.T) {
 				t.Fatalf("Fit: %v", err)
 			}
 			refFit(want, X, y)
-			for l := range want.weights {
-				for i, w := range want.weights[l] {
-					if math.Float64bits(got.weights[l][i]) != math.Float64bits(w) {
-						t.Fatalf("layer %d weight %d: %x, scalar loops give %x", l, i, got.weights[l][i], w)
+			for l := range want.Weights {
+				for i, w := range want.Weights[l] {
+					if math.Float64bits(got.Weights[l][i]) != math.Float64bits(w) {
+						t.Fatalf("layer %d weight %d: %x, scalar loops give %x", l, i, got.Weights[l][i], w)
 					}
 				}
-				for i, b := range want.biases[l] {
-					if math.Float64bits(got.biases[l][i]) != math.Float64bits(b) {
-						t.Fatalf("layer %d bias %d: %x, scalar loops give %x", l, i, got.biases[l][i], b)
+				for i, b := range want.Biases[l] {
+					if math.Float64bits(got.Biases[l][i]) != math.Float64bits(b) {
+						t.Fatalf("layer %d bias %d: %x, scalar loops give %x", l, i, got.Biases[l][i], b)
 					}
 				}
 			}

@@ -1,6 +1,7 @@
 package mlp
 
 import (
+	"encoding/gob"
 	"fmt"
 	"math"
 	"math/rand"
@@ -8,20 +9,19 @@ import (
 	"repro/internal/ml"
 )
 
-// Activation selects the hidden-layer nonlinearity.
+// Activation is what a payload says about the hidden-layer nonlinearity. One
+// is implemented; a payload naming another is refused.
 type Activation int
 
-// Supported activations.
-const (
-	ReLU Activation = iota + 1
-	Tanh
-)
+// ReLU is max(0, s).
+const ReLU Activation = 1
 
-// Regressor is a feed-forward network with a linear output unit.
+// Regressor is a feed-forward network with ReLU hidden layers and a linear
+// output unit. The fields are also the model's gob payload.
 type Regressor struct {
 	// Hidden lists the hidden layer widths (default [64, 32]).
 	Hidden []int
-	// Act is the hidden activation (default ReLU).
+	// Act is the hidden activation; the zero value means ReLU.
 	Act Activation
 	// Epochs is the number of passes over the data (default 300).
 	Epochs int
@@ -34,10 +34,12 @@ type Regressor struct {
 	// Seed drives initialization and shuffling.
 	Seed int64
 
-	weights [][]float64 // per layer, row-major (out × in)
-	biases  [][]float64
-	dims    []int
-	fitted  bool
+	// Weights holds one row-major (out × in) matrix per layer, Biases one
+	// vector; Dims lists the layer widths from the input to the one output.
+	Weights [][]float64
+	Biases  [][]float64
+	Dims    []int
+	Fitted  bool
 }
 
 // New returns an MLP with the given hidden layout and seed.
@@ -45,13 +47,38 @@ func New(hidden []int, seed int64) *Regressor {
 	return &Regressor{Hidden: hidden, Seed: seed}
 }
 
+// check is what Fit asks of a configured model and GobDecode of a decoded
+// one, before Predict indexes it: the implemented activation (the zero value
+// means it too) and, once fitted, a weight matrix and a bias vector of the
+// shape Dims gives for every layer, down to the one output.
+func (m *Regressor) check() error {
+	if m.Act != 0 && m.Act != ReLU {
+		return fmt.Errorf("ml/mlp: activation %d: only ReLU (%d) is implemented", m.Act, ReLU)
+	}
+	if !m.Fitted {
+		return nil
+	}
+	L := len(m.Dims) - 1
+	if L < 1 || len(m.Weights) != L || len(m.Biases) != L || m.Dims[0] < 1 || m.Dims[L] != 1 {
+		return fmt.Errorf("ml/mlp: %d weight matrices and %d bias vectors for layer widths %v",
+			len(m.Weights), len(m.Biases), m.Dims)
+	}
+	for l, w := range m.Weights {
+		// out ≥ 1 is a slice's length, so in·out cannot overflow unnoticed.
+		in, out := m.Dims[l], m.Dims[l+1]
+		if out < 1 || len(m.Biases[l]) != out || len(w)%out != 0 || len(w)/out != in {
+			return fmt.Errorf("ml/mlp: layer %d has %d weights and %d biases for %d×%d",
+				l, len(w), len(m.Biases[l]), out, in)
+		}
+	}
+	return nil
+}
+
 func (m *Regressor) defaults() {
 	if len(m.Hidden) == 0 {
 		m.Hidden = []int{64, 32}
 	}
-	if m.Act == 0 {
-		m.Act = ReLU
-	}
+	m.Act = ReLU
 	if m.Epochs <= 0 {
 		m.Epochs = 300
 	}
@@ -114,15 +141,9 @@ func axpy(dst []float64, a float64, x []float64) {
 	}
 }
 
-// activate writes the hidden activation of pre into out.
-func activate(out, pre []float64, act Activation) {
+// activate writes the hidden activation (ReLU) of pre into out.
+func activate(out, pre []float64) {
 	out = out[:len(pre)]
-	if act == Tanh {
-		for j, s := range pre {
-			out[j] = math.Tanh(s)
-		}
-		return
-	}
 	for j, s := range pre {
 		if s < 0 {
 			s = 0
@@ -136,6 +157,9 @@ func (m *Regressor) Fit(X [][]float64, y []float64) error {
 	if err := ml.CheckXY(X, y); err != nil {
 		return err
 	}
+	if err := m.check(); err != nil {
+		return err
+	}
 	m.defaults()
 	for _, h := range m.Hidden {
 		if h < 1 {
@@ -144,19 +168,19 @@ func (m *Regressor) Fit(X [][]float64, y []float64) error {
 	}
 	rng := rand.New(rand.NewSource(m.Seed))
 	in := len(X[0])
-	m.dims = append(append([]int{in}, m.Hidden...), 1)
-	L := len(m.dims) - 1
-	m.weights = make([][]float64, L)
-	m.biases = make([][]float64, L)
+	m.Dims = append(append([]int{in}, m.Hidden...), 1)
+	L := len(m.Dims) - 1
+	m.Weights = make([][]float64, L)
+	m.Biases = make([][]float64, L)
 	for l := 0; l < L; l++ {
-		fanIn, fanOut := m.dims[l], m.dims[l+1]
-		scale := math.Sqrt(2 / float64(fanIn)) // He init; fine for tanh too
+		fanIn, fanOut := m.Dims[l], m.Dims[l+1]
+		scale := math.Sqrt(2 / float64(fanIn)) // He init
 		w := make([]float64, fanIn*fanOut)
 		for i := range w {
 			w[i] = rng.NormFloat64() * scale
 		}
-		m.weights[l] = w
-		m.biases[l] = make([]float64, fanOut)
+		m.Weights[l] = w
+		m.Biases[l] = make([]float64, fanOut)
 	}
 
 	// Adam state.
@@ -165,10 +189,10 @@ func (m *Regressor) Fit(X [][]float64, y []float64) error {
 	mb := make([][]float64, L)
 	vb := make([][]float64, L)
 	for l := 0; l < L; l++ {
-		mw[l] = make([]float64, len(m.weights[l]))
-		vw[l] = make([]float64, len(m.weights[l]))
-		mb[l] = make([]float64, len(m.biases[l]))
-		vb[l] = make([]float64, len(m.biases[l]))
+		mw[l] = make([]float64, len(m.Weights[l]))
+		vw[l] = make([]float64, len(m.Weights[l]))
+		mb[l] = make([]float64, len(m.Biases[l]))
+		vb[l] = make([]float64, len(m.Biases[l]))
 	}
 	const beta1, beta2, eps = 0.9, 0.999, 1e-8
 
@@ -178,18 +202,18 @@ func (m *Regressor) Fit(X [][]float64, y []float64) error {
 	pre := make([][]float64, L) // pre-activations per layer
 	out := make([][]float64, L+1)
 	for l := 0; l < L; l++ {
-		pre[l] = make([]float64, m.dims[l+1])
-		out[l+1] = make([]float64, m.dims[l+1])
+		pre[l] = make([]float64, m.Dims[l+1])
+		out[l+1] = make([]float64, m.Dims[l+1])
 	}
 	delta := make([][]float64, L)
 	for l := 0; l < L; l++ {
-		delta[l] = make([]float64, m.dims[l+1])
+		delta[l] = make([]float64, m.Dims[l+1])
 	}
 	gw := make([][]float64, L)
 	gb := make([][]float64, L)
 	for l := 0; l < L; l++ {
-		gw[l] = make([]float64, len(m.weights[l]))
-		gb[l] = make([]float64, len(m.biases[l]))
+		gw[l] = make([]float64, len(m.Weights[l]))
+		gb[l] = make([]float64, len(m.Biases[l]))
 	}
 
 	step := 0
@@ -209,10 +233,10 @@ func (m *Regressor) Fit(X [][]float64, y []float64) error {
 				// Forward.
 				out[0] = X[idx]
 				for l := 0; l < L-1; l++ {
-					affine(pre[l], m.weights[l], m.biases[l], out[l])
-					activate(out[l+1], pre[l], m.Act)
+					affine(pre[l], m.Weights[l], m.Biases[l], out[l])
+					activate(out[l+1], pre[l])
 				}
-				affine(out[L], m.weights[L-1], m.biases[L-1], out[L-1]) // linear output
+				affine(out[L], m.Weights[L-1], m.Biases[L-1], out[L-1]) // linear output
 				// Backward.
 				delta[L-1][0] = out[L][0] - y[idx]
 				for l := L - 2; l >= 0; l-- {
@@ -222,17 +246,11 @@ func (m *Regressor) Fit(X [][]float64, y []float64) error {
 					d, p := delta[l], pre[l][:len(delta[l])]
 					clear(d)
 					for k2, up := range delta[l+1] {
-						axpy(d, up, m.weights[l+1][k2*len(d):(k2+1)*len(d)])
+						axpy(d, up, m.Weights[l+1][k2*len(d):(k2+1)*len(d)])
 					}
-					if m.Act == Tanh {
-						for j, t := range out[l+1][:len(d)] { // t = tanh(pre[l][j])
-							d[j] *= 1 - t*t
-						}
-					} else {
-						for j, s := range p {
-							if s < 0 {
-								d[j] *= 0
-							}
+					for j, s := range p {
+						if s < 0 {
+							d[j] *= 0
 						}
 					}
 				}
@@ -250,7 +268,7 @@ func (m *Regressor) Fit(X [][]float64, y []float64) error {
 			corr1 := 1 - math.Pow(beta1, float64(step))
 			corr2 := 1 - math.Pow(beta2, float64(step))
 			for l := 0; l < L; l++ {
-				w, g, m1, v1 := m.weights[l], gw[l], mw[l], vw[l]
+				w, g, m1, v1 := m.Weights[l], gw[l], mw[l], vw[l]
 				g, m1, v1 = g[:len(w)], m1[:len(w)], v1[:len(w)]
 				for i := range w {
 					gi := g[i]/bs + m.L2*w[i]
@@ -258,38 +276,38 @@ func (m *Regressor) Fit(X [][]float64, y []float64) error {
 					v1[i] = beta2*v1[i] + (1-beta2)*gi*gi
 					w[i] -= m.LearningRate * (m1[i] / corr1) / (math.Sqrt(v1[i]/corr2) + eps)
 				}
-				for i := range m.biases[l] {
+				for i := range m.Biases[l] {
 					g := gb[l][i] / bs
 					mb[l][i] = beta1*mb[l][i] + (1-beta1)*g
 					vb[l][i] = beta2*vb[l][i] + (1-beta2)*g*g
-					m.biases[l][i] -= m.LearningRate * (mb[l][i] / corr1) / (math.Sqrt(vb[l][i]/corr2) + eps)
+					m.Biases[l][i] -= m.LearningRate * (mb[l][i] / corr1) / (math.Sqrt(vb[l][i]/corr2) + eps)
 				}
 			}
 		}
 	}
-	m.fitted = true
+	m.Fitted = true
 	return nil
 }
 
 // Predict runs a forward pass.
 func (m *Regressor) Predict(x []float64) float64 {
-	if !m.fitted {
+	if !m.Fitted {
 		return 0
 	}
 	// One buffer per call, so concurrent Predicts share nothing: the layers
 	// alternate between its two halves, each as wide as the widest layer.
 	widest := 1
-	for _, d := range m.dims[1:] {
+	for _, d := range m.Dims[1:] {
 		widest = max(widest, d)
 	}
 	buf := make([]float64, 2*widest)
 	cur, next, spare := x, buf[:widest], buf[widest:]
-	L := len(m.dims) - 1
+	L := len(m.Dims) - 1
 	for l := 0; l < L; l++ {
-		out := next[:m.dims[l+1]]
-		affine(out, m.weights[l], m.biases[l], cur)
+		out := next[:m.Dims[l+1]]
+		affine(out, m.Weights[l], m.Biases[l], cur)
 		if l < L-1 {
-			activate(out, out, m.Act)
+			activate(out, out)
 		}
 		cur, next, spare = out, spare, next
 	}
@@ -297,3 +315,14 @@ func (m *Regressor) Predict(x []float64) float64 {
 }
 
 var _ ml.Regressor = (*Regressor)(nil)
+
+func init() { gob.RegisterName("ffr/mlp.Regressor", &Regressor{}) }
+
+// wire is Regressor without its methods: what gob sees of one.
+type wire Regressor
+
+// GobEncode exports the configuration and the learned parameters.
+func (m *Regressor) GobEncode() ([]byte, error) { return ml.GobState((*wire)(m)) }
+
+// GobDecode restores an MLP.
+func (m *Regressor) GobDecode(data []byte) error { return ml.UngobState(data, (*wire)(m), m.check) }

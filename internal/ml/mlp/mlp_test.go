@@ -55,31 +55,6 @@ func TestFitsNonlinearFunction(t *testing.T) {
 	}
 }
 
-func TestTanhActivation(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	n := 150
-	X := make([][]float64, n)
-	y := make([]float64, n)
-	for i := range X {
-		x := rng.Float64()*2 - 1
-		X[i] = []float64{x}
-		y[i] = x * x
-	}
-	m := New([]int{24}, 4)
-	m.Act = Tanh
-	m.Epochs = 400
-	if err := m.Fit(X, y); err != nil {
-		t.Fatalf("Fit: %v", err)
-	}
-	yhat := make([]float64, n)
-	for i := range X {
-		yhat[i] = m.Predict(X[i])
-	}
-	if r2 := metrics.R2(y, yhat); r2 < 0.9 {
-		t.Fatalf("tanh MLP R² = %v, want > 0.9", r2)
-	}
-}
-
 func TestDeterministicWithSeed(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	n := 50
@@ -109,6 +84,11 @@ func TestValidation(t *testing.T) {
 	m := New([]int{0}, 1)
 	if err := m.Fit([][]float64{{1}}, []float64{1}); err == nil {
 		t.Fatal("zero-width hidden layer must fail")
+	}
+	tanh := New([]int{4}, 1)
+	tanh.Act = 2
+	if err := tanh.Fit([][]float64{{1}}, []float64{1}); err == nil {
+		t.Fatal("an activation that is not implemented must fail")
 	}
 	fresh := New([]int{4}, 1)
 	if got := fresh.Predict([]float64{1}); got != 0 {

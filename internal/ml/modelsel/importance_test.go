@@ -25,7 +25,7 @@ func TestPermutationImportanceFindsSignal(t *testing.T) {
 		t.Fatal(err)
 	}
 	split := splits[0]
-	imp, err := PermutationImportance(func() ml.Regressor { return linreg.New() },
+	imp, err := PermutationImportance(func() ml.Regressor { return linreg.NewRidge(0) },
 		X, y, split, 5, 3)
 	if err != nil {
 		t.Fatalf("PermutationImportance: %v", err)
@@ -59,7 +59,7 @@ func TestPermutationImportanceWithKNN(t *testing.T) {
 		t.Fatal(err)
 	}
 	split := splits[0]
-	imp, err := PermutationImportance(func() ml.Regressor { return knn.New(3, knn.Manhattan) },
+	imp, err := PermutationImportance(func() ml.Regressor { return knn.New(3) },
 		X, y, split, 3, 7)
 	if err != nil {
 		t.Fatalf("PermutationImportance: %v", err)
@@ -74,7 +74,7 @@ func TestPermutationImportanceWithKNN(t *testing.T) {
 func TestPermutationImportanceValidation(t *testing.T) {
 	X := [][]float64{{1}, {2}, {3}, {4}}
 	y := []float64{1, 2, 3, 4}
-	factory := func() ml.Regressor { return knn.New(1, knn.Manhattan) }
+	factory := func() ml.Regressor { return knn.New(1) }
 	if _, err := PermutationImportance(factory, nil, nil, ml.Split{}, 1, 1); err == nil {
 		t.Fatal("empty data must fail")
 	}

@@ -28,7 +28,7 @@ func TestCrossValidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := CrossValidate(func() ml.Regressor { return linreg.New() }, X, y, splits)
+	res, err := CrossValidate(func() ml.Regressor { return linreg.NewRidge(0) }, X, y, splits)
 	if err != nil {
 		t.Fatalf("CrossValidate: %v", err)
 	}
@@ -43,7 +43,7 @@ func TestCrossValidate(t *testing.T) {
 	var trainR2 float64
 	for _, sp := range splits {
 		trX, trY := ml.Gather(X, y, sp.Train)
-		m := linreg.New()
+		m := linreg.NewRidge(0)
 		if err := m.Fit(trX, trY); err != nil {
 			t.Fatal(err)
 		}
@@ -56,15 +56,15 @@ func TestCrossValidate(t *testing.T) {
 
 func TestCrossValidateErrors(t *testing.T) {
 	X, y := linearData(1, 10)
-	if _, err := CrossValidate(func() ml.Regressor { return linreg.New() }, X, y, nil); err == nil {
+	if _, err := CrossValidate(func() ml.Regressor { return linreg.NewRidge(0) }, X, y, nil); err == nil {
 		t.Fatal("no splits must fail")
 	}
-	if _, err := CrossValidate(func() ml.Regressor { return linreg.New() }, nil, nil, nil); err == nil {
+	if _, err := CrossValidate(func() ml.Regressor { return linreg.NewRidge(0) }, nil, nil, nil); err == nil {
 		t.Fatal("empty data must fail")
 	}
 	// A fold too small for OLS surfaces the model error.
 	bad := []ml.Split{{Train: []int{0}, Test: []int{1}}}
-	if _, err := CrossValidate(func() ml.Regressor { return linreg.New() }, X, y, bad); err == nil {
+	if _, err := CrossValidate(func() ml.Regressor { return linreg.NewRidge(0) }, X, y, bad); err == nil {
 		t.Fatal("model failure must propagate")
 	}
 }
@@ -111,7 +111,7 @@ func TestRandomSearchFindsGoodK(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	build := func(p Params) ml.Regressor { return knn.New(int(p["k"]), knn.Manhattan) }
+	build := func(p Params) ml.Regressor { return knn.New(int(p["k"])) }
 	res, err := RandomSearch(build, map[string]Range{
 		"k": {Min: 1, Max: 60, Integer: true},
 	}, 15, X, y, splits, 9)
@@ -187,7 +187,7 @@ func TestLearningCurveShape(t *testing.T) {
 	X, y := linearData(6, 200)
 	splits, _ := ml.StratifiedKFoldSplits(y, 5, 5, 7)
 	fracs := []float64{0.1, 0.3, 0.5, 0.8, 1.0}
-	points, err := LearningCurve(func() ml.Regressor { return linreg.New() }, X, y, fracs, splits, 8)
+	points, err := LearningCurve(func() ml.Regressor { return linreg.NewRidge(0) }, X, y, fracs, splits, 8)
 	if err != nil {
 		t.Fatalf("LearningCurve: %v", err)
 	}
@@ -214,13 +214,13 @@ func TestLearningCurveShape(t *testing.T) {
 func TestLearningCurveValidation(t *testing.T) {
 	X, y := linearData(7, 20)
 	splits, _ := ml.StratifiedKFoldSplits(y, 4, 5, 1)
-	if _, err := LearningCurve(func() ml.Regressor { return linreg.New() }, X, y, nil, splits, 1); err == nil {
+	if _, err := LearningCurve(func() ml.Regressor { return linreg.NewRidge(0) }, X, y, nil, splits, 1); err == nil {
 		t.Fatal("no fractions must fail")
 	}
-	if _, err := LearningCurve(func() ml.Regressor { return linreg.New() }, X, y, []float64{2}, splits, 1); err == nil {
+	if _, err := LearningCurve(func() ml.Regressor { return linreg.NewRidge(0) }, X, y, []float64{2}, splits, 1); err == nil {
 		t.Fatal("fraction > 1 must fail")
 	}
-	if _, err := LearningCurve(func() ml.Regressor { return linreg.New() }, X, y, []float64{0.5}, nil, 1); err == nil {
+	if _, err := LearningCurve(func() ml.Regressor { return linreg.NewRidge(0) }, X, y, []float64{0.5}, nil, 1); err == nil {
 		t.Fatal("no splits must fail")
 	}
 }

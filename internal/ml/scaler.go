@@ -15,10 +15,19 @@ type Scaler interface {
 
 // StandardScaler centers each column to zero mean and scales to unit
 // variance (constant columns are centered only), matching scikit-learn's
-// StandardScaler. The zero value is ready for Fit.
+// StandardScaler. The zero value is ready for Fit. The learned statistics
+// are the exported fields, which are also the scaler's gob payload.
 type StandardScaler struct {
-	mean  []float64
-	scale []float64
+	Mean  []float64
+	Scale []float64
+}
+
+// check is what a decoded scaler must pass before TransformRow indexes it.
+func (s *StandardScaler) check() error {
+	if len(s.Mean) != len(s.Scale) {
+		return fmt.Errorf("ml: scaler with %d means and %d scales", len(s.Mean), len(s.Scale))
+	}
+	return nil
 }
 
 // Fit learns per-column means and standard deviations.
@@ -27,32 +36,32 @@ func (s *StandardScaler) Fit(X [][]float64) error {
 		return fmt.Errorf("%w: empty matrix", ErrBadData)
 	}
 	cols := len(X[0])
-	s.mean = make([]float64, cols)
-	s.scale = make([]float64, cols)
+	s.Mean = make([]float64, cols)
+	s.Scale = make([]float64, cols)
 	n := float64(len(X))
 	for _, row := range X {
 		if len(row) != cols {
 			return fmt.Errorf("%w: ragged matrix", ErrBadData)
 		}
 		for j, v := range row {
-			s.mean[j] += v
+			s.Mean[j] += v
 		}
 	}
-	for j := range s.mean {
-		s.mean[j] /= n
+	for j := range s.Mean {
+		s.Mean[j] /= n
 	}
 	for _, row := range X {
 		for j, v := range row {
-			d := v - s.mean[j]
-			s.scale[j] += d * d
+			d := v - s.Mean[j]
+			s.Scale[j] += d * d
 		}
 	}
-	for j := range s.scale {
-		sd := math.Sqrt(s.scale[j] / n)
+	for j := range s.Scale {
+		sd := math.Sqrt(s.Scale[j] / n)
 		if sd == 0 {
 			sd = 1 // constant column: center only
 		}
-		s.scale[j] = sd
+		s.Scale[j] = sd
 	}
 	return nil
 }
@@ -61,7 +70,7 @@ func (s *StandardScaler) Fit(X [][]float64) error {
 func (s *StandardScaler) TransformRow(x []float64) []float64 {
 	out := make([]float64, len(x))
 	for j, v := range x {
-		out[j] = (v - s.mean[j]) / s.scale[j]
+		out[j] = (v - s.Mean[j]) / s.Scale[j]
 	}
 	return out
 }
@@ -75,72 +84,14 @@ func (s *StandardScaler) Transform(X [][]float64) [][]float64 {
 	return out
 }
 
-// MinMaxScaler maps each column linearly onto [0,1] (constant columns map
-// to 0), matching scikit-learn's MinMaxScaler.
-type MinMaxScaler struct {
-	min  []float64
-	span []float64
-}
-
-// Fit learns per-column minima and ranges.
-func (s *MinMaxScaler) Fit(X [][]float64) error {
-	if len(X) == 0 || len(X[0]) == 0 {
-		return fmt.Errorf("%w: empty matrix", ErrBadData)
-	}
-	cols := len(X[0])
-	s.min = make([]float64, cols)
-	max := make([]float64, cols)
-	copy(s.min, X[0])
-	copy(max, X[0])
-	for _, row := range X {
-		if len(row) != cols {
-			return fmt.Errorf("%w: ragged matrix", ErrBadData)
-		}
-		for j, v := range row {
-			if v < s.min[j] {
-				s.min[j] = v
-			}
-			if v > max[j] {
-				max[j] = v
-			}
-		}
-	}
-	s.span = make([]float64, cols)
-	for j := range s.span {
-		d := max[j] - s.min[j]
-		if d == 0 {
-			d = 1
-		}
-		s.span[j] = d
-	}
-	return nil
-}
-
-// TransformRow scales a single row.
-func (s *MinMaxScaler) TransformRow(x []float64) []float64 {
-	out := make([]float64, len(x))
-	for j, v := range x {
-		out[j] = (v - s.min[j]) / s.span[j]
-	}
-	return out
-}
-
-// Transform scales every row.
-func (s *MinMaxScaler) Transform(X [][]float64) [][]float64 {
-	out := make([][]float64, len(X))
-	for i, row := range X {
-		out[i] = s.TransformRow(row)
-	}
-	return out
-}
-
 // Pipeline chains a scaler with a model; the scaler is fitted on the
 // training rows only, so cross-validation folds never leak statistics.
-// A nil Scaler passes features through unchanged.
+// A nil Scaler passes features through unchanged. The three fields are also
+// the pipeline's gob payload.
 type Pipeline struct {
 	Scaler Scaler
 	Model  Regressor
-	fitted bool
+	Fitted bool
 }
 
 // Fit fits the scaler, transforms the training rows and fits the model.
@@ -158,7 +109,7 @@ func (p *Pipeline) Fit(X [][]float64, y []float64) error {
 	if err := p.Model.Fit(rows, y); err != nil {
 		return err
 	}
-	p.fitted = true
+	p.Fitted = true
 	return nil
 }
 

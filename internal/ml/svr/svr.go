@@ -1,54 +1,37 @@
 package svr
 
 import (
+	"encoding/gob"
 	"fmt"
 	"math"
 
 	"repro/internal/ml"
 )
 
-// Kernel identifies the kernel function.
+// Kernel is what a payload says about the kernel function. One is
+// implemented, the paper's; a payload naming another is refused.
 type Kernel int
 
-// Supported kernels.
-const (
-	RBF Kernel = iota + 1 // exp(-γ‖a−b‖²), the paper's choice
-	Linear
-	Poly // (γ a·b + coef0)^degree
-)
+// RBF is exp(-γ‖a−b‖²).
+const RBF Kernel = 1
 
-// String names the kernel.
-func (k Kernel) String() string {
-	switch k {
-	case RBF:
-		return "rbf"
-	case Linear:
-		return "linear"
-	case Poly:
-		return "poly"
-	default:
-		return fmt.Sprintf("Kernel(%d)", int(k))
-	}
-}
-
-// Regressor is the ε-SVR model. Configure before Fit (use New for the
-// paper's RBF setup).
+// Regressor is the RBF ε-SVR model. Configure before Fit (use New). The
+// fields are also the model's gob payload; SV and Beta are the fitted
+// support-vector expansion.
 type Regressor struct {
 	Kernel  Kernel
 	C       float64 // box constraint (paper: 3.5)
 	Epsilon float64 // ε-tube half-width (paper: 0.025)
-	Gamma   float64 // RBF/poly scale (paper: 0.055)
-	Coef0   float64 // poly offset
-	Degree  int     // poly degree
+	Gamma   float64 // RBF scale (paper: 0.055)
 	// MaxIter bounds coordinate-descent epochs (default 1000).
 	MaxIter int
 	// Tol is the convergence threshold on the largest coefficient change
 	// in one epoch (default 1e-4).
 	Tol float64
 
-	sv     [][]float64 // support vectors (training rows with β ≠ 0)
-	beta   []float64   // dual coefficients of the support vectors
-	fitted bool
+	SV     [][]float64 // support vectors (training rows with β ≠ 0)
+	Beta   []float64   // dual coefficients of the support vectors
+	Fitted bool
 }
 
 // New returns an RBF ε-SVR with the given hyperparameters.
@@ -56,28 +39,26 @@ func New(c, gamma, epsilon float64) *Regressor {
 	return &Regressor{Kernel: RBF, C: c, Gamma: gamma, Epsilon: epsilon}
 }
 
-func (r *Regressor) kernel(a, b []float64) float64 {
-	switch r.Kernel {
-	case Linear:
-		var s float64
-		for i := range a {
-			s += a[i] * b[i]
-		}
-		return s
-	case Poly:
-		var s float64
-		for i := range a {
-			s += a[i] * b[i]
-		}
-		return math.Pow(r.Gamma*s+r.Coef0, float64(r.Degree))
-	default: // RBF
-		var s float64
-		for i := range a {
-			d := a[i] - b[i]
-			s += d * d
-		}
-		return math.Exp(-r.Gamma * s)
+// check is what Fit asks of a configured model and GobDecode of a decoded
+// one, before Predict indexes it: the implemented kernel (the zero value
+// means it too) and equally wide support vectors with a coefficient each.
+func (r *Regressor) check() error {
+	if r.Kernel != 0 && r.Kernel != RBF {
+		return fmt.Errorf("ml/svr: kernel %d: only RBF (%d) is implemented", r.Kernel, RBF)
 	}
+	if len(r.SV)+len(r.Beta) == 0 {
+		return nil // unfitted, or every target inside the ε-tube
+	}
+	return ml.CheckXY(r.SV, r.Beta)
+}
+
+func (r *Regressor) kernel(a, b []float64) float64 {
+	var s float64
+	for i := range a {
+		d := a[i] - b[i]
+		s += d * d
+	}
+	return math.Exp(-r.Gamma * s)
 }
 
 func soft(z, eps float64) float64 {
@@ -96,14 +77,17 @@ func (r *Regressor) Fit(X [][]float64, y []float64) error {
 	if err := ml.CheckXY(X, y); err != nil {
 		return err
 	}
+	if err := r.check(); err != nil {
+		return err
+	}
 	if r.C <= 0 {
 		return fmt.Errorf("ml/svr: C=%v must be > 0", r.C)
 	}
 	if r.Epsilon < 0 {
 		return fmt.Errorf("ml/svr: epsilon=%v must be >= 0", r.Epsilon)
 	}
-	if r.Kernel == RBF && r.Gamma <= 0 {
-		return fmt.Errorf("ml/svr: gamma=%v must be > 0 for RBF", r.Gamma)
+	if r.Gamma <= 0 {
+		return fmt.Errorf("ml/svr: gamma=%v must be > 0", r.Gamma)
 	}
 	maxIter := r.MaxIter
 	if maxIter <= 0 {
@@ -157,28 +141,39 @@ func (r *Regressor) Fit(X [][]float64, y []float64) error {
 	}
 
 	// Keep only support vectors.
-	r.sv = r.sv[:0]
-	r.beta = r.beta[:0]
+	r.SV = r.SV[:0]
+	r.Beta = r.Beta[:0]
 	for i, b := range beta {
 		if b != 0 {
-			r.sv = append(r.sv, append([]float64(nil), X[i]...))
-			r.beta = append(r.beta, b)
+			r.SV = append(r.SV, append([]float64(nil), X[i]...))
+			r.Beta = append(r.Beta, b)
 		}
 	}
-	r.fitted = true
+	r.Fitted = true
 	return nil
 }
 
 // Predict evaluates f(x) = Σ βᵢ (K(xᵢ,x) + 1).
 func (r *Regressor) Predict(x []float64) float64 {
-	if !r.fitted {
+	if !r.Fitted {
 		return 0
 	}
 	var s float64
-	for i, sv := range r.sv {
-		s += r.beta[i] * (r.kernel(sv, x) + 1)
+	for i, sv := range r.SV {
+		s += r.Beta[i] * (r.kernel(sv, x) + 1)
 	}
 	return s
 }
 
 var _ ml.Regressor = (*Regressor)(nil)
+
+func init() { gob.RegisterName("ffr/svr.Regressor", &Regressor{}) }
+
+// wire is Regressor without its methods: what gob sees of one.
+type wire Regressor
+
+// GobEncode exports the hyperparameters and the support-vector expansion.
+func (r *Regressor) GobEncode() ([]byte, error) { return ml.GobState((*wire)(r)) }
+
+// GobDecode restores an SVR.
+func (r *Regressor) GobDecode(data []byte) error { return ml.UngobState(data, (*wire)(r), r.check) }

@@ -13,8 +13,8 @@ import (
 // prefix sums add targets in, hence the bits of every gain and leaf mean, so
 // grow must reproduce that permutation exactly (docs/ARCHITECTURE.md, "ML
 // numerics").
-func refGrow(r *Regressor, X [][]float64, y []float64, idx []int, depth int) *node {
-	leaf := &node{feature: -1, value: mean(y, idx)}
+func refGrow(r *Regressor, X [][]float64, y []float64, idx []int, depth int) *refNode {
+	leaf := &refNode{feature: -1, value: mean(y, idx)}
 	if len(idx) < r.MinSamplesSplit {
 		return leaf
 	}
@@ -79,7 +79,7 @@ func refGrow(r *Regressor, X [][]float64, y []float64, idx []int, depth int) *no
 	if len(leftIdx) == 0 || len(rightIdx) == 0 {
 		return leaf
 	}
-	return &node{
+	return &refNode{
 		feature: bestFeature,
 		thresh:  bestThresh,
 		value:   leaf.value,
@@ -102,14 +102,34 @@ func refCandidateFeatures(r *Regressor, numFeatures int) []int {
 	return feats
 }
 
+// refNode is the pointer tree refGrow builds, and refFlatten its preorder
+// walk into the slice Fit grows in place.
+type refNode struct {
+	feature     int
+	thresh      float64
+	value       float64
+	left, right *refNode
+}
+
+func refFlatten(n *refNode, out *[]node) int {
+	if n == nil {
+		return -1
+	}
+	idx := len(*out)
+	*out = append(*out, node{Feature: n.feature, Thresh: n.thresh, Value: n.value, Left: -1, Right: -1})
+	(*out)[idx].Left = refFlatten(n.left, out)
+	(*out)[idx].Right = refFlatten(n.right, out)
+	return idx
+}
+
 // refFit is Fit over refGrow. Call it on a tree whose defaults are resolved.
-func refFit(r *Regressor, X [][]float64, y []float64) []flatNode {
+func refFit(r *Regressor, X [][]float64, y []float64) []node {
 	idx := make([]int, len(X))
 	for i := range idx {
 		idx[i] = i
 	}
-	var nodes []flatNode
-	flatten(refGrow(r, X, y, idx, 0), &nodes)
+	var nodes []node
+	refFlatten(refGrow(r, X, y, idx, 0), &nodes)
 	return nodes
 }
 
@@ -134,10 +154,9 @@ func tieHeavyData(seed int64, n, width int) ([][]float64, []float64) {
 	return X, y
 }
 
-func requireSameTree(t *testing.T, what string, got *Regressor, want []flatNode) {
+func requireSameTree(t *testing.T, what string, got *Regressor, want []node) {
 	t.Helper()
-	var nodes []flatNode
-	flatten(got.root, &nodes)
+	nodes := got.Nodes
 	if len(nodes) != len(want) {
 		t.Fatalf("%s: %d nodes, reference split search grows %d", what, len(nodes), len(want))
 	}

@@ -1,15 +1,16 @@
 package tree
 
 import (
+	"encoding/gob"
 	"fmt"
-	"math"
 	"slices"
 
 	"repro/internal/ml"
 )
 
 // Regressor is a CART regression tree. The zero value uses sane defaults
-// (unbounded depth, leaves of at least one sample).
+// (unbounded depth, leaves of at least one sample). The fields but
+// FeatureOrder are also the model's gob payload.
 type Regressor struct {
 	// MaxDepth bounds the tree height; 0 means unbounded.
 	MaxDepth int
@@ -23,18 +24,35 @@ type Regressor struct {
 	MaxFeatures int
 	// FeatureOrder, when non-nil, supplies the feature subset to examine
 	// at each split (used by ensembles for feature subsampling).
+	// It is fit-time state gob skips: a reloaded tree predicts identically
+	// but cannot be refitted with the same subsampling closure.
 	FeatureOrder func(numFeatures int) []int
 
-	root   *node
-	fitted bool
+	// Nodes is the fitted tree in preorder: Nodes[0] is the root and every
+	// child sits after its parent.
+	Nodes  []node
+	Fitted bool
 }
 
 type node struct {
-	feature int     // split feature, -1 for leaves
-	thresh  float64 // go left when x[feature] <= thresh
-	value   float64 // leaf prediction
-	left    *node
-	right   *node
+	Feature     int     // split feature, -1 for leaves
+	Thresh      float64 // go left when x[Feature] <= Thresh
+	Value       float64 // leaf prediction
+	Left, Right int     // child indices into Nodes, -1 for leaves
+}
+
+// check is what a decoded tree must pass before Predict walks it: a root,
+// and under every split two children further down the slice, so a walk ends.
+func (r *Regressor) check() error {
+	if r.Fitted && len(r.Nodes) == 0 {
+		return fmt.Errorf("ml/tree: fitted tree without nodes")
+	}
+	for i, n := range r.Nodes {
+		if n.Feature >= 0 && (n.Left <= i || n.Left >= len(r.Nodes) || n.Right <= i || n.Right >= len(r.Nodes)) {
+			return fmt.Errorf("ml/tree: node %d of %d has children %d and %d", i, len(r.Nodes), n.Left, n.Right)
+		}
+	}
+	return nil
 }
 
 // New returns a tree with the given depth bound.
@@ -75,8 +93,9 @@ func (r *Regressor) Fit(X [][]float64, y []float64) error {
 	for i := range idx {
 		idx[i] = i
 	}
-	r.root = g.grow(idx, 0)
-	r.fitted = true
+	r.Nodes = nil
+	g.grow(idx, 0)
+	r.Fitted = true
 	return nil
 }
 
@@ -104,7 +123,7 @@ func sse(y []float64, idx []int) float64 {
 type sample struct{ x, y float64 }
 
 // grower is one Fit's state: the training set and the scratch every node of
-// the recursion shares, so growing allocates nothing but the nodes.
+// the recursion shares, so growing allocates nothing but the node slice.
 type grower struct {
 	r      *Regressor
 	X      [][]float64
@@ -114,9 +133,11 @@ type grower struct {
 	feats  []int    // the features every split examines; nil under FeatureOrder
 }
 
-func (g *grower) grow(idx []int, depth int) *node {
+// grow appends the subtree over idx to r.Nodes and returns its root's index.
+func (g *grower) grow(idx []int, depth int) int {
 	r, X, y := g.r, g.X, g.y
-	n := &node{feature: -1, value: mean(y, idx)}
+	n := len(r.Nodes)
+	r.Nodes = append(r.Nodes, node{Feature: -1, Value: mean(y, idx), Left: -1, Right: -1})
 	if len(idx) < r.MinSamplesSplit {
 		return n
 	}
@@ -203,43 +224,55 @@ func (g *grower) grow(idx []int, depth int) *node {
 		return n // numerical degeneracy
 	}
 	copy(idx[nl:], right)
-	n.feature, n.thresh = bestFeature, bestThresh
-	n.left = g.grow(idx[:nl], depth+1)
-	n.right = g.grow(idx[nl:], depth+1)
+	lc := g.grow(idx[:nl], depth+1)
+	rc := g.grow(idx[nl:], depth+1)
+	split := &r.Nodes[n] // taken after the subtrees' appends, which may move the slice
+	split.Feature, split.Thresh, split.Left, split.Right = bestFeature, bestThresh, lc, rc
 	return n
 }
 
 // Predict walks the tree.
 func (r *Regressor) Predict(x []float64) float64 {
-	if !r.fitted {
+	if !r.Fitted {
 		return 0
 	}
-	n := r.root
-	for n.feature >= 0 {
-		if x[n.feature] <= n.thresh {
-			n = n.left
+	n := &r.Nodes[0]
+	for n.Feature >= 0 {
+		if x[n.Feature] <= n.Thresh {
+			n = &r.Nodes[n.Left]
 		} else {
-			n = n.right
+			n = &r.Nodes[n.Right]
 		}
 	}
-	return n.value
+	return n.Value
 }
 
 // Depth returns the height of the fitted tree (a leaf-only tree has
 // depth 0); -1 before Fit.
 func (r *Regressor) Depth() int {
-	if !r.fitted {
+	if !r.Fitted {
 		return -1
 	}
-	var rec func(*node) int
-	rec = func(n *node) int {
-		if n.feature < 0 {
+	var rec func(int) int
+	rec = func(i int) int {
+		n := r.Nodes[i]
+		if n.Feature < 0 {
 			return 0
 		}
-		l, rr := rec(n.left), rec(n.right)
-		return 1 + int(math.Max(float64(l), float64(rr)))
+		return 1 + max(rec(n.Left), rec(n.Right))
 	}
-	return rec(r.root)
+	return rec(0)
 }
 
 var _ ml.Regressor = (*Regressor)(nil)
+
+func init() { gob.RegisterName("ffr/tree.Regressor", &Regressor{}) }
+
+// wire is Regressor without its methods: what gob sees of one.
+type wire Regressor
+
+// GobEncode exports the configuration and the fitted tree.
+func (r *Regressor) GobEncode() ([]byte, error) { return ml.GobState((*wire)(r)) }
+
+// GobDecode restores a tree.
+func (r *Regressor) GobDecode(data []byte) error { return ml.UngobState(data, (*wire)(r), r.check) }

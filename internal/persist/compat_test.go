@@ -2,6 +2,7 @@ package persist_test
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
@@ -118,5 +119,25 @@ func TestArtifactCompatibility(t *testing.T) {
 			}
 			check("re-saved", back)
 		})
+	}
+}
+
+// The removed-*.ffrm files were written by the same build as the pin files,
+// from the same data, by the model variants that build still had: Euclidean
+// and uniformly weighted k-NN, a linear-kernel SVR, a tanh MLP and a min-max
+// scaled pipeline. This build implements none of them, and must say so
+// rather than predict with the variant it kept.
+func TestLoadRefusesRemovedVariants(t *testing.T) {
+	for file, want := range map[string]error{
+		"removed-knn-euclidean.ffrm": persist.ErrArtifactCorrupt,
+		"removed-knn-uniform.ffrm":   persist.ErrArtifactCorrupt,
+		"removed-svr-linear.ffrm":    persist.ErrArtifactCorrupt,
+		"removed-mlp-tanh.ffrm":      persist.ErrArtifactCorrupt,
+		"removed-minmax-knn.ffrm":    persist.ErrUnknownKind,
+	} {
+		art, err := persist.Load(filepath.Join("testdata", file))
+		if !errors.Is(err, want) {
+			t.Errorf("%s: loaded %v with error %v, want %v", file, art, err, want)
+		}
 	}
 }

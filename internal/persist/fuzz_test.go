@@ -10,8 +10,9 @@ import (
 )
 
 // Whatever bytes an artifact file holds, Load returns one of its three typed
-// errors or an artifact that survives Save → Load with its fingerprint and
-// model kind unchanged; it never panics.
+// errors or an artifact that predicts for a vector of its schema's width and
+// survives Save → Load with its fingerprint and model kind unchanged; nothing
+// panics.
 func FuzzLoadArtifact(f *testing.F) {
 	files, err := filepath.Glob(filepath.Join("testdata", "*.ffrm"))
 	if err != nil || len(files) == 0 {
@@ -39,6 +40,7 @@ func FuzzLoadArtifact(f *testing.F) {
 			}
 			return
 		}
+		art.Model.Predict(make([]float64, art.NumFeatures()))
 		again := filepath.Join(dir, "again.ffrm")
 		if err := persist.Save(again, art); err != nil {
 			t.Fatalf("saving what loaded: %v", err)

@@ -202,7 +202,8 @@ func Save(path string, a *Artifact) error {
 
 // Load reads and validates an artifact file. It returns ErrArtifactCorrupt
 // for files durable.Load refuses or whose payload is not the header's kind
-// of model, ErrArtifactVersion for foreign format versions, ErrUnknownKind
+// of model, names a variant this build does not implement or cannot take a
+// vector as wide as the header's schema; ErrArtifactVersion for foreign format versions, ErrUnknownKind
 // for models this build has no codec for, and fs.ErrNotExist when the file
 // is missing. The returned model predicts bit-identically to the instance
 // that was saved.
@@ -217,6 +218,9 @@ func Load(path string) (*Artifact, error) {
 	}
 	if kind, err := KindOf(pl.Model); err != nil || kind != hdr.Kind {
 		return nil, artifactFormat.Corruptf(path, "payload kind %q does not match header kind %q", kind, hdr.Kind)
+	}
+	if !takes(pl.Model, len(hdr.Features)) {
+		return nil, artifactFormat.Corruptf(path, "the model cannot take a vector of the header's %d features", len(hdr.Features))
 	}
 	return &Artifact{
 		Name:         hdr.Name,

@@ -118,7 +118,7 @@ func TestRoundTripBitIdentical(t *testing.T) {
 // corruption tests.
 func fittedArtifact(t *testing.T) (string, *persist.Artifact) {
 	t.Helper()
-	model := linreg.New()
+	model := linreg.NewRidge(0)
 	X := [][]float64{{1, 2}, {2, 3}, {3, 5}, {4, 4}, {5, 8}}
 	y := []float64{1, 2, 3, 4, 5}
 	if err := model.Fit(X, y); err != nil {
@@ -194,9 +194,53 @@ func TestLoadRejectsCorruptArtifacts(t *testing.T) {
 	}
 }
 
+// A header promises every caller of Predict vectors as wide as its schema.
+// Load used to take the header's word for it: a k-NN fitted on 4 columns and
+// saved under 5 names loaded, and its first Predict sliced a row out of
+// range. Each kind, in its pipeline and bare, fitted on pinDataset's 4 columns
+// and saved under 1, 4 and 5 names: Load must refuse every width but 4 —
+// except that a bare tree, which reads only the columns it split on, can take
+// a wider vector — and what loads must predict without a panic.
+func TestLoadRejectsModelThatCannotTakeItsSchema(t *testing.T) {
+	X, y := pinDataset()
+	for _, spec := range append(core.PaperModels(), core.ExtendedModels()...) {
+		pipeline := spec.Factory().(*ml.Pipeline)
+		if err := pipeline.Fit(X, y); err != nil {
+			t.Fatal(err)
+		}
+		bare := pipeline.Model
+		if err := bare.Fit(X, y); err != nil {
+			t.Fatal(err)
+		}
+		for _, model := range []ml.Regressor{pipeline, bare} {
+			for _, names := range [][]string{{"a"}, pinFeatures, {"a", "b", "c", "d", "e"}} {
+				art := persist.New(spec.Name, model, names)
+				path := filepath.Join(t.TempDir(), "model.ffrm")
+				if err := persist.Save(path, art); err != nil {
+					t.Fatal(err)
+				}
+				_, trees := map[string]bool{"tree": true, "forest": true, "boosting": true}[art.Kind]
+				fits := len(names) == len(pinFeatures) || (trees && len(names) > len(pinFeatures))
+				got, err := persist.Load(path)
+				if !fits {
+					if !errors.Is(err, persist.ErrArtifactCorrupt) {
+						t.Errorf("%s under %d names: error %v, want ErrArtifactCorrupt", art.Kind, len(names), err)
+					}
+					continue
+				}
+				if err != nil {
+					t.Errorf("%s under %d names: %v", art.Kind, len(names), err)
+					continue
+				}
+				got.Model.Predict(make([]float64, got.NumFeatures()))
+			}
+		}
+	}
+}
+
 func TestSaveValidation(t *testing.T) {
 	dir := t.TempDir()
-	model := linreg.New()
+	model := linreg.NewRidge(0)
 	if err := persist.Save(filepath.Join(dir, "a"), nil); err == nil {
 		t.Error("nil artifact accepted")
 	}
@@ -217,11 +261,11 @@ func (alienModel) Fit(X [][]float64, y []float64) error { return nil }
 func (alienModel) Predict(x []float64) float64          { return 0 }
 
 func TestKindOf(t *testing.T) {
-	k, err := persist.KindOf(&ml.Pipeline{Scaler: &ml.StandardScaler{}, Model: knn.New(3, knn.Manhattan)})
+	k, err := persist.KindOf(&ml.Pipeline{Scaler: &ml.StandardScaler{}, Model: knn.New(3)})
 	if err != nil || k != "pipeline[std,knn]" {
 		t.Errorf("pipeline kind %q (%v), want pipeline[std,knn]", k, err)
 	}
-	k, err = persist.KindOf(&ml.Pipeline{Model: linreg.New()})
+	k, err = persist.KindOf(&ml.Pipeline{Model: linreg.NewRidge(0)})
 	if err != nil || k != "pipeline[raw,linreg]" {
 		t.Errorf("scalerless pipeline kind %q (%v), want pipeline[raw,linreg]", k, err)
 	}
@@ -254,7 +298,7 @@ func TestDataFingerprint(t *testing.T) {
 }
 
 func TestCheckVector(t *testing.T) {
-	art := persist.New("m", linreg.New(), []string{"a", "b", "c"})
+	art := persist.New("m", linreg.NewRidge(0), []string{"a", "b", "c"})
 	if err := art.CheckVector([]float64{1, 2, 3}); err != nil {
 		t.Errorf("valid vector rejected: %v", err)
 	}

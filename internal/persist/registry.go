@@ -65,7 +65,6 @@ func init() {
 	RegisterKind("boosting", &ensemble.GradientBoosting{})
 	RegisterKind("mlp", &mlp.Regressor{})
 	RegisterKind("std", &ml.StandardScaler{})
-	RegisterKind("minmax", &ml.MinMaxScaler{})
 }
 
 func kindOfValue(v any) (string, bool) {
@@ -128,4 +127,39 @@ func KnownKind(kind string) bool {
 		return KnownKind(inner)
 	}
 	return kindRegistered(kind)
+}
+
+// takes reports whether Predict on m (a built-in model or scaler, already
+// past its own post-decode check) can index a vector of width n. A registered
+// kind from outside this package is taken on trust.
+func takes(m any, n int) bool {
+	var trees []*tree.Regressor // read x[Feature] at their splits, nothing else
+	switch m := m.(type) {
+	case *ml.Pipeline:
+		return (m.Scaler == nil || takes(m.Scaler, n)) && takes(m.Model, n)
+	case *ml.StandardScaler:
+		return len(m.Mean) == n
+	case *linreg.LinearRegression:
+		return !m.Fitted || len(m.Weights) == n
+	case *knn.Regressor:
+		return !m.Fitted || len(m.X[0]) == n
+	case *svr.Regressor:
+		return len(m.SV) == 0 || len(m.SV[0]) == n
+	case *mlp.Regressor:
+		return !m.Fitted || m.Dims[0] == n
+	case *tree.Regressor:
+		trees = []*tree.Regressor{m}
+	case *ensemble.RandomForest:
+		trees = m.Members
+	case *ensemble.GradientBoosting:
+		trees = m.StageTrees
+	}
+	for _, t := range trees {
+		for _, node := range t.Nodes {
+			if node.Feature >= n {
+				return false
+			}
+		}
+	}
+	return true
 }

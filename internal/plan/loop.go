@@ -308,18 +308,17 @@ func (l *Loop) RunContext(ctx context.Context) (*Result, error) {
 
 		// Retrain and estimate; the replayed path runs the identical code,
 		// so a resumed trajectory is bit-identical to an uninterrupted one.
-		ffr, lo, hi, err := l.estimate(st)
-		if err != nil {
+		if err := l.estimate(st, res); err != nil {
 			return nil, fmt.Errorf("plan: round %d estimate: %w", st.Round, err)
 		}
 		rnd.MeasuredFFs = st.MeasuredCount()
 		rnd.Injections = totalInjections(st)
-		rnd.FFR, rnd.CILo, rnd.CIHi = ffr, lo, hi
+		rnd.FFR, rnd.CILo, rnd.CIHi = res.FFR, res.CILo, res.CIHi
 		rnd.Delta = math.Inf(1)
 		if !math.IsNaN(prevFFR) {
-			rnd.Delta = math.Abs(ffr - prevFFR)
+			rnd.Delta = math.Abs(res.FFR - prevFFR)
 		}
-		prevFFR = ffr
+		prevFFR = res.FFR
 		res.Rounds = append(res.Rounds, rnd)
 
 		if !rnd.Resumed && cfg.CheckpointPath != "" {
@@ -364,7 +363,13 @@ func (l *Loop) RunContext(ctx context.Context) (*Result, error) {
 		obs.F("converged", res.Converged),
 		obs.F("measured_ffs", st.MeasuredCount()),
 		obs.F("injections", totalInjections(st)))
-	return l.finalize(st, res)
+	// No measurement follows a round's estimate, so the last round's model,
+	// estimate vector, FFR and CI are already the result's.
+	res.Measured = st.MeasuredSet()
+	res.TotalInjections = totalInjections(st)
+	res.ModelFingerprint = persist.DataFingerprint(st.TrainData())
+	res.EstimateFingerprint = persist.DataFingerprint(nil, res.Estimates)
+	return res, nil
 }
 
 // selectBatch applies the strategy and validates its output contract.
@@ -396,22 +401,24 @@ func (l *Loop) applyMeasurement(st *State, ff, failures, injections int) {
 	}
 }
 
-// estimate retrains the model on the measured flip-flops and produces the
-// circuit FFR (mean of the per-FF estimate vector) and the measured-mean CI.
-func (l *Loop) estimate(st *State) (ffr, lo, hi float64, err error) {
+// estimate retrains the model on the measured flip-flops and writes it into
+// res with the per-FF estimate vector, the circuit FFR (the vector's mean)
+// and the measured-mean CI.
+func (l *Loop) estimate(st *State, res *Result) error {
 	trX, trY := st.TrainData()
 	model := l.cfg.Model()
 	if err := model.Fit(trX, trY); err != nil {
-		return 0, 0, 0, err
+		return err
 	}
-	est := estimateVector(st, model)
+	res.Model = model
+	res.Estimates = estimateVector(st, model)
 	var sum float64
-	for _, v := range est {
+	for _, v := range res.Estimates {
 		sum += v
 	}
-	ffr = sum / float64(len(est))
-	_, lo, hi = metrics.MeanCI(trY, 1.96)
-	return ffr, lo, hi, nil
+	res.FFR = sum / float64(len(res.Estimates))
+	_, res.CILo, res.CIHi = metrics.MeanCI(trY, 1.96)
+	return nil
 }
 
 // estimateVector is the per-FF FDR estimate: the measurement where one
@@ -440,28 +447,6 @@ func totalInjections(st *State) int {
 		n += st.Injections[ff]
 	}
 	return n
-}
-
-// finalize trains the final model and assembles the Result.
-func (l *Loop) finalize(st *State, res *Result) (*Result, error) {
-	trX, trY := st.TrainData()
-	model := l.cfg.Model()
-	if err := model.Fit(trX, trY); err != nil {
-		return nil, fmt.Errorf("plan: final fit: %w", err)
-	}
-	res.Measured = st.MeasuredSet()
-	res.TotalInjections = totalInjections(st)
-	res.Model = model
-	res.Estimates = estimateVector(st, model)
-	var sum float64
-	for _, v := range res.Estimates {
-		sum += v
-	}
-	res.FFR = sum / float64(len(res.Estimates))
-	_, res.CILo, res.CIHi = metrics.MeanCI(trY, 1.96)
-	res.ModelFingerprint = persist.DataFingerprint(trX, trY)
-	res.EstimateFingerprint = persist.DataFingerprint(nil, res.Estimates)
-	return res, nil
 }
 
 // roundCheckpointPath names the fault.Runner checkpoint of one in-flight

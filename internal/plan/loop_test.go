@@ -72,7 +72,7 @@ func (t *fakeTarget) RunRound(ctx context.Context, ffs []int, checkpointPath str
 
 func testModel() ml.Factory {
 	return func() ml.Regressor {
-		return &ml.Pipeline{Scaler: &ml.StandardScaler{}, Model: knn.New(3, knn.Manhattan)}
+		return &ml.Pipeline{Scaler: &ml.StandardScaler{}, Model: knn.New(3)}
 	}
 }
 
@@ -80,7 +80,7 @@ func testCommittee() []ml.Factory {
 	return []ml.Factory{
 		func() ml.Regressor { return &ml.Pipeline{Scaler: &ml.StandardScaler{}, Model: linreg.NewRidge(1e-8)} },
 		func() ml.Regressor {
-			return &ml.Pipeline{Scaler: &ml.StandardScaler{}, Model: knn.New(3, knn.Manhattan)}
+			return &ml.Pipeline{Scaler: &ml.StandardScaler{}, Model: knn.New(3)}
 		},
 		func() ml.Regressor { return &ml.Pipeline{Scaler: &ml.StandardScaler{}, Model: tree.New(8)} },
 	}

@@ -53,11 +53,11 @@ func syntheticArtifactSeed(t testing.TB, name string, model ml.Regressor, seed i
 func testServer(t testing.TB, cfg Config) (*Server, *persist.Artifact) {
 	t.Helper()
 	s := New(cfg)
-	knnArt := syntheticArtifact(t, "k-NN", knn.New(3, knn.Manhattan))
+	knnArt := syntheticArtifact(t, "k-NN", knn.New(3))
 	if err := s.Add(knnArt); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Add(syntheticArtifact(t, "Linear Least Squares", linreg.New())); err != nil {
+	if err := s.Add(syntheticArtifact(t, "Linear Least Squares", linreg.NewRidge(0))); err != nil {
 		t.Fatal(err)
 	}
 	return s, knnArt
@@ -300,7 +300,7 @@ func TestConcurrentBatchPredict(t *testing.T) {
 }
 
 func TestLoadArtifactAndDuplicates(t *testing.T) {
-	art := syntheticArtifact(t, "k-NN", knn.New(3, knn.Manhattan))
+	art := syntheticArtifact(t, "k-NN", knn.New(3))
 	path := filepath.Join(t.TempDir(), "knn.ffrm")
 	if err := persist.Save(path, art); err != nil {
 		t.Fatal(err)
@@ -404,13 +404,13 @@ func TestLRUCache(t *testing.T) {
 // of a multi-scenario deployment can route predictions.
 func TestModelsEndpointScenarioTags(t *testing.T) {
 	s := New(Config{})
-	tagged := syntheticArtifact(t, "k-NN", knn.New(3, knn.Manhattan))
+	tagged := syntheticArtifact(t, "k-NN", knn.New(3))
 	tagged.Circuit = "alupipe"
 	tagged.Workload = "randomops"
 	if err := s.Add(tagged); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Add(syntheticArtifact(t, "untagged", knn.New(3, knn.Manhattan))); err != nil {
+	if err := s.Add(syntheticArtifact(t, "untagged", knn.New(3))); err != nil {
 		t.Fatal(err)
 	}
 	req := httptest.NewRequest(http.MethodGet, "/v1/models", nil)
@@ -447,7 +447,7 @@ func TestModelsEndpointScenarioTags(t *testing.T) {
 // old cache entry unreachable.
 func TestReloadNeverServesStale(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "knn.ffrm")
-	v1 := syntheticArtifactSeed(t, "k-NN", knn.New(3, knn.Manhattan), 7)
+	v1 := syntheticArtifactSeed(t, "k-NN", knn.New(3), 7)
 	if err := persist.Save(path, v1); err != nil {
 		t.Fatal(err)
 	}
@@ -471,7 +471,7 @@ func TestReloadNeverServesStale(t *testing.T) {
 	}
 
 	// Retrain on different data and overwrite the artifact file.
-	v2 := syntheticArtifactSeed(t, "k-NN", knn.New(3, knn.Manhattan), 99)
+	v2 := syntheticArtifactSeed(t, "k-NN", knn.New(3), 99)
 	if err := persist.Save(path, v2); err != nil {
 		t.Fatal(err)
 	}
@@ -567,7 +567,7 @@ func TestAdmissionControl(t *testing.T) {
 	if err := s.Add(&persist.Artifact{Name: "slow", FeatureNames: []string{"f0"}, Model: m}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Add(syntheticArtifact(t, "k-NN", knn.New(3, knn.Manhattan))); err != nil {
+	if err := s.Add(syntheticArtifact(t, "k-NN", knn.New(3))); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(s.Handler())
@@ -734,7 +734,7 @@ func TestMetricsEndpoint(t *testing.T) {
 // one registry see the same models.
 func TestSharedRegistry(t *testing.T) {
 	reg := NewRegistry()
-	if err := reg.Add(syntheticArtifact(t, "k-NN", knn.New(3, knn.Manhattan))); err != nil {
+	if err := reg.Add(syntheticArtifact(t, "k-NN", knn.New(3))); err != nil {
 		t.Fatal(err)
 	}
 	a := New(Config{Registry: reg})
