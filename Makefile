@@ -33,8 +33,8 @@ lint:
 	fi
 
 # The size metric ROADMAP and CHANGES.md quote: non-test Go lines outside
-# bench/, per internal/ package tree and in all. A number to report, not a
-# CI gate.
+# bench/, per internal/ package tree and in all. CI prints it in every PR's
+# log; it is a number to report, not a gate.
 loc:
 	@count() { find "$$@" -name '*.go' ! -name '*_test.go' ! -path './bench/*' -print0 | xargs -0 cat | wc -l; }; \
 	for d in internal/*/; do printf '%7d %s\n' "$$(count $$d)" "$${d%/}"; done; \

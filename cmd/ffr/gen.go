@@ -7,7 +7,6 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/cli"
 	"repro/internal/netlist"
-	"repro/internal/obs"
 )
 
 // runGen generates the MAC10GE-lite gate-level netlist (the paper's device
@@ -57,7 +56,7 @@ func runGen(c *cli.Cmd) error {
 			nl.Name, st.Cells, st.FlipFlops, st.Combo, st.Nets, st.MaxLevel)
 	}
 	tel.Logger.Debug("netlist generated",
-		obs.F("design", nl.Name), obs.F("cells", st.Cells),
-		obs.F("ffs", st.FlipFlops), obs.F("synthesized", !*noSynth))
+		"design", nl.Name, "cells", st.Cells,
+		"ffs", st.FlipFlops, "synthesized", !*noSynth)
 	return writeTo(c, *out, func(w io.Writer) error { return netlist.Write(w, nl) })
 }

@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/cli"
-	"repro/internal/obs"
 )
 
 // runLoad is the prediction-service load harness: it floods a running ffr
@@ -137,8 +136,8 @@ func runLoad(c *cli.Cmd) error {
 
 	p99 := loadReport(c, latencies, elapsed, ok.Load(), throttled.Load(), failed.Load())
 	tel.Logger.Debug("run finished",
-		obs.F("ok", ok.Load()), obs.F("throttled", throttled.Load()),
-		obs.F("failed", failed.Load()), obs.F("p99", p99))
+		"ok", ok.Load(), "throttled", throttled.Load(),
+		"failed", failed.Load(), "p99", p99)
 	if n := failed.Load(); n > 0 {
 		msg, _ := firstErr.Load().(string)
 		return fmt.Errorf("%d non-429 failures (first: %s)", n, msg)

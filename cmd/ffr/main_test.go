@@ -257,12 +257,12 @@ func TestEnvironmentDefaults(t *testing.T) {
 	}
 	t.Setenv("FFR_FAULT_MODEL", "")
 	t.Setenv("FFR_LOG", "")
-	if model, logs := plan(); model != "seu" || !strings.Contains(logs, " INFO loop finished proc=plan") || strings.Contains(logs, "DEBUG") {
+	if model, logs := plan(); model != "seu" || !strings.Contains(logs, ` level=INFO msg="loop finished" proc=plan `) || strings.Contains(logs, "DEBUG") {
 		t.Errorf("built-in defaults: model %q, logs:\n%s", model, logs)
 	}
 	t.Setenv("FFR_FAULT_MODEL", "mbu:2")
 	t.Setenv("FFR_LOG", "debug,json")
-	if model, logs := plan(); model != "mbu:2" || !strings.Contains(logs, `"level":"debug"`) {
+	if model, logs := plan(); model != "mbu:2" || !strings.Contains(logs, `","level":"DEBUG","msg":"`) || !strings.HasPrefix(logs, `{"time":"`) {
 		t.Errorf("environment defaults: model %q, logs:\n%s", model, logs)
 	}
 	if model, logs := plan("-fault-model", "stuck0:4", "-log-level", "error", "-log-format", "text"); model != "stuck0:4" || logs != "" {

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/cli"
-	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -58,9 +57,9 @@ func runSim(c *cli.Cmd) error {
 
 	got := bench.LanePackets(trace, 0)
 	tel.Logger.Debug("golden run complete",
-		obs.F("cycles", bench.Stim.Cycles()),
-		obs.F("sent", len(bench.Packets)),
-		obs.F("received", len(got)))
+		"cycles", bench.Stim.Cycles(),
+		"sent", len(bench.Packets),
+		"received", len(got))
 	c.Printf("simulated %d cycles, sent %d packets, received %d packets\n",
 		bench.Stim.Cycles(), len(bench.Packets), len(got))
 	for i, pkt := range got {

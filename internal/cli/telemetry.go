@@ -2,6 +2,7 @@ package cli
 
 import (
 	"fmt"
+	"log/slog"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -28,7 +29,7 @@ const (
 // sinks and fills Logger, Tracer and Metrics. A sink that was not selected
 // or not asked for stays nil, which every consumer accepts as "off".
 type Telemetry struct {
-	Logger  *obs.Logger
+	Logger  *slog.Logger
 	Tracer  *obs.Tracer
 	Metrics *obs.Registry
 
@@ -59,11 +60,19 @@ func (c *Cmd) Telemetry(sinks Sinks) *Telemetry {
 	return t
 }
 
+// logLevels are the -log-level names (matched case-insensitively).
+var logLevels = map[string]slog.Level{
+	"debug": slog.LevelDebug,
+	"info":  slog.LevelInfo,
+	"warn":  slog.LevelWarn,
+	"error": slog.LevelError,
+}
+
 // logDefaults decodes the FFR_LOG environment value ("level" or
 // "level,format") into flag defaults, leaving the stock info/text pair
 // for whatever the variable does not mention.
 func logDefaults(env string) (level, format string) {
-	level, format = "info", obs.FormatText
+	level, format = "info", "text"
 	parts := strings.SplitN(env, ",", 2)
 	if parts[0] != "" {
 		level = parts[0]
@@ -82,15 +91,21 @@ func logDefaults(env string) (level, format string) {
 // opened and writes the heap profile.
 func (t *Telemetry) Start() (stop func(), err error) {
 	c := t.c
-	level, err := obs.ParseLevel(t.level)
-	if err != nil {
+	level, ok := logLevels[strings.ToLower(t.level)]
+	if !ok {
 		return nil, c.UsageErrorf("-log-level must be debug, info, warn or error (got %q)", t.level)
 	}
-	format, err := obs.ParseFormat(t.format)
-	if err != nil {
+	opts := &slog.HandlerOptions{Level: level}
+	var h slog.Handler
+	switch strings.ToLower(t.format) {
+	case "text":
+		h = slog.NewTextHandler(c.Stderr, opts)
+	case "json":
+		h = slog.NewJSONHandler(c.Stderr, opts)
+	default:
 		return nil, c.UsageErrorf("-log-format must be text or json (got %q)", t.format)
 	}
-	t.Logger = obs.NewLogger(c.Stderr, level, format).With(obs.F("proc", c.Name))
+	t.Logger = slog.New(h).With("proc", c.Name)
 
 	var stops []func()
 	stop = func() {
@@ -124,7 +139,7 @@ func (t *Telemetry) Start() (stop func(), err error) {
 		t.Tracer = obs.NewTracer(f, c.Name)
 		stops = append(stops, func() {
 			if err := f.Close(); err != nil {
-				t.Logger.Warn("closing span journal", obs.F("error", err))
+				t.Logger.Warn("closing span journal", "error", err)
 			}
 		})
 	}
@@ -136,7 +151,7 @@ func (t *Telemetry) Start() (stop func(), err error) {
 		if err != nil {
 			return fail("metrics-addr", err)
 		}
-		t.Logger.Info("metrics listener up", obs.F("addr", bound))
+		t.Logger.Info("metrics listener up", "addr", bound)
 		stops = append(stops, stopDebug)
 	}
 	if t.mem != "" {

@@ -1,14 +1,21 @@
 package cli
 
 import (
+	"context"
+	"encoding/json"
+	"errors"
 	"flag"
+	"fmt"
 	"io"
+	"log/slog"
+	"maps"
 	"net/http"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 )
@@ -17,11 +24,11 @@ func TestLogDefaults(t *testing.T) {
 	cases := []struct {
 		env, level, format string
 	}{
-		{"", "info", obs.FormatText},
-		{"debug", "debug", obs.FormatText},
+		{"", "info", "text"},
+		{"debug", "debug", "text"},
 		{"debug,json", "debug", "json"},
 		{",json", "info", "json"},
-		{"warn,", "warn", obs.FormatText},
+		{"warn,", "warn", "text"},
 	}
 	for _, c := range cases {
 		level, format := logDefaults(c.env)
@@ -54,7 +61,7 @@ func TestLogFlagsLogger(t *testing.T) {
 	if err != nil {
 		t.Fatalf("valid flags rejected: %v", err)
 	}
-	if !tel.Logger.Enabled(obs.LevelDebug) {
+	if !tel.Logger.Enabled(context.Background(), slog.LevelDebug) {
 		t.Error("debug level not applied")
 	}
 	if !strings.Contains(stderr, `"proc":"x"`) || !strings.Contains(stderr, `"msg":"probe"`) {
@@ -64,11 +71,19 @@ func TestLogFlagsLogger(t *testing.T) {
 		t.Error("unselected sinks are not nil")
 	}
 
-	if _, _, err := start(t, 0, "-log-level", "loud"); err == nil || !strings.Contains(err.Error(), "-log-level") {
-		t.Errorf("bad level = %v, want -log-level usage error", err)
+	for flag, bad := range map[string]string{"-log-level": "loud", "-log-format": "xml"} {
+		_, _, err := start(t, 0, flag, bad)
+		if err == nil || !strings.HasPrefix(err.Error(), flag+" must be ") || !strings.HasSuffix(err.Error(), "(run 'ffr x -h' for usage)") {
+			t.Errorf("%s %s = %v, want a usage error naming the flag", flag, bad, err)
+		}
 	}
-	if _, _, err := start(t, 0, "-log-format", "xml"); err == nil || !strings.Contains(err.Error(), "-log-format") {
-		t.Errorf("bad format = %v, want -log-format usage error", err)
+	// The level names are matched case-insensitively; "warning" went with
+	// the hand-rolled parser.
+	if _, _, err := start(t, 0, "-log-level", "WARN", "-log-format", "JSON"); err != nil {
+		t.Errorf("upper-case names rejected: %v", err)
+	}
+	if _, _, err := start(t, 0, "-log-level", "warning"); err == nil {
+		t.Error(`"warning" accepted as a level`)
 	}
 }
 
@@ -98,12 +113,78 @@ func TestLogPrecedence(t *testing.T) {
 		}
 		tel.Logger.Error("probe")
 		stop()
-		if got := tel.Logger.Enabled(obs.LevelDebug); got != tc.debug {
+		if got := tel.Logger.Enabled(context.Background(), slog.LevelDebug); got != tc.debug {
 			t.Errorf("FFR_LOG=%q %v: debug enabled = %v", tc.env, tc.args, got)
 		}
 		if got := strings.HasPrefix(stderr.String(), "{"); got != tc.json {
 			t.Errorf("FFR_LOG=%q %v: JSON output = %v (%q)", tc.env, tc.args, got, stderr)
 		}
+	}
+}
+
+// TestLogContract pins what a log line is now that log/slog owns the
+// encoding: one record per call, carrying time, level, msg, the command's
+// proc, the component scope and the call's own keys, in either format; and
+// a component handed no logger writes nothing.
+func TestLogContract(t *testing.T) {
+	for format, decode := range map[string]func(line string) map[string]string{
+		"text": func(line string) map[string]string {
+			rec := map[string]string{}
+			for _, kv := range regexp.MustCompile(`(\w+)=("[^"]*"|\S+)`).FindAllStringSubmatch(line, -1) {
+				rec[kv[1]] = strings.Trim(kv[2], `"`)
+			}
+			return rec
+		},
+		"json": func(line string) map[string]string {
+			var fields map[string]any
+			if err := json.Unmarshal([]byte(line), &fields); err != nil {
+				t.Errorf("json record %q: %v", line, err)
+			}
+			rec := map[string]string{}
+			for k, v := range fields {
+				rec[k] = fmt.Sprint(v)
+			}
+			return rec
+		},
+	} {
+		c, _, stderr := testCmd("-log-format", format)
+		tel := c.Telemetry(0)
+		if err := c.Parse(); err != nil {
+			t.Fatal(err)
+		}
+		stop, err := tel.Start()
+		if err != nil {
+			t.Fatal(err)
+		}
+		log := obs.Component(tel.Logger, "campaign")
+		log.Debug("below the default level")
+		log.Info("campaign start", "jobs", 2108, "schedule", "clustered")
+		log.Warn("lease conflict", "error", errors.New("chunk 3 taken"))
+		stop()
+
+		lines := strings.Split(strings.TrimSuffix(stderr.String(), "\n"), "\n")
+		if len(lines) != 2 {
+			t.Fatalf("%s: %d records for two enabled calls: %q", format, len(lines), stderr)
+		}
+		for i, want := range []map[string]string{
+			{"level": "INFO", "msg": "campaign start", "proc": "x", "component": "campaign", "jobs": "2108", "schedule": "clustered"},
+			{"level": "WARN", "msg": "lease conflict", "proc": "x", "component": "campaign", "error": "chunk 3 taken"},
+		} {
+			got := decode(lines[i])
+			if _, err := time.Parse(time.RFC3339Nano, got["time"]); err != nil {
+				t.Errorf("%s record %q: time: %v", format, lines[i], err)
+			}
+			delete(got, "time")
+			if !maps.Equal(got, want) {
+				t.Errorf("%s record %q\n got %v\nwant %v", format, lines[i], got, want)
+			}
+		}
+	}
+
+	silent := obs.Component(nil, "campaign")
+	silent.Error("dropped") // must not panic, has nowhere to write
+	if silent.Enabled(context.Background(), slog.LevelError) {
+		t.Error("a nil logger config is not silent")
 	}
 }
 
@@ -144,7 +225,7 @@ func TestTelemetrySinks(t *testing.T) {
 	tel.Metrics.Counter("ffr_test_total", "a counter").Inc()
 	_, span := tel.Tracer.Start(c.Ctx, "test.span")
 	span.End()
-	m := regexp.MustCompile(`metrics listener up proc=x addr=(\S+)`).FindStringSubmatch(stderr.String())
+	m := regexp.MustCompile(`msg="metrics listener up" proc=x addr=(\S+)`).FindStringSubmatch(stderr.String())
 	if m == nil {
 		t.Fatalf("no listener line on stderr: %q", stderr)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"log/slog"
 
 	"repro/internal/circuit"
 	"repro/internal/corpus"
@@ -68,7 +69,7 @@ type StudyConfig struct {
 	Metrics *obs.Registry
 	// Logger optionally receives structured campaign records; nil
 	// disables logging.
-	Logger *obs.Logger
+	Logger *slog.Logger
 }
 
 // DefaultStudyConfig reproduces the paper's setup: the 1054-FF circuit and

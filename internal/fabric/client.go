@@ -50,12 +50,7 @@ func (c *Client) LeaseCtx(ctx context.Context, req api.LeaseRequest) (api.LeaseR
 	return resp, err
 }
 
-// Heartbeat extends the worker's leases.
-func (c *Client) Heartbeat(req api.HeartbeatRequest) (api.HeartbeatResponse, error) {
-	return c.HeartbeatCtx(context.Background(), req)
-}
-
-// HeartbeatCtx is Heartbeat with a caller context.
+// HeartbeatCtx extends the worker's leases; the request dies with ctx.
 func (c *Client) HeartbeatCtx(ctx context.Context, req api.HeartbeatRequest) (api.HeartbeatResponse, error) {
 	var resp api.HeartbeatResponse
 	err := c.c.DoCtx(ctx, http.MethodPost, "/v1/fabric/heartbeat", req, &resp)

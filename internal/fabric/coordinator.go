@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"sort"
 	"strconv"
@@ -54,7 +55,7 @@ type CoordinatorConfig struct {
 	Metrics *obs.Registry
 	// Logger optionally receives structured protocol logs (lease grants,
 	// chunk completions, rejections) with trace IDs; nil disables logging.
-	Logger *obs.Logger
+	Logger *slog.Logger
 	// Tracer optionally journals one span per protocol request, joined to
 	// the trace propagated by the requesting worker; nil disables
 	// journaling (traces still propagate).
@@ -93,7 +94,7 @@ type Coordinator struct {
 	doneCh   chan struct{}
 
 	metrics *obs.Registry
-	log     *obs.Logger
+	log     *slog.Logger
 	tracer  *obs.Tracer
 	// started and startDone anchor the ETA extrapolation: progress made
 	// before construction (a resumed checkpoint) must not inflate the
@@ -145,7 +146,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		workers: make(map[string]*workerInfo),
 		doneCh:  make(chan struct{}),
 		metrics: cfg.Metrics,
-		log:     cfg.Logger.Component("coord"),
+		log:     obs.Component(cfg.Logger, "coord"),
 		tracer:  cfg.Tracer,
 		started: cfg.Clock(),
 	}
@@ -546,9 +547,9 @@ func (c *Coordinator) Handler() http.Handler {
 			resp, err := c.Join(req)
 			if err == nil {
 				c.log.Info("worker joined",
-					obs.F("worker", req.Worker),
-					obs.F("chunks", resp.NumChunks),
-					obs.F("trace_id", obs.TraceIDFrom(ctx)))
+					"worker", req.Worker,
+					"chunks", resp.NumChunks,
+					"trace_id", obs.TraceIDFrom(ctx))
 			}
 			return resp, err
 		})
@@ -563,10 +564,10 @@ func (c *Coordinator) Handler() http.Handler {
 			resp, err := c.Lease(req)
 			if err == nil && len(resp.Chunks) > 0 {
 				c.log.Info("lease granted",
-					obs.F("worker", req.Worker),
-					obs.F("chunks", resp.Chunks),
-					obs.F("stolen", resp.Stolen),
-					obs.F("trace_id", obs.TraceIDFrom(ctx)))
+					"worker", req.Worker,
+					"chunks", resp.Chunks,
+					"stolen", resp.Stolen,
+					"trace_id", obs.TraceIDFrom(ctx))
 			}
 			return resp, err
 		})
@@ -594,12 +595,12 @@ func (c *Coordinator) Handler() http.Handler {
 				done, total := c.ledger.Len(), c.camp.Plan.NumChunks()
 				c.mu.Unlock()
 				c.log.Info("chunk completed",
-					obs.F("worker", req.Worker),
-					obs.F("chunk", req.Chunk),
-					obs.F("duplicate", resp.Duplicate),
-					obs.F("done", done),
-					obs.F("total", total),
-					obs.F("trace_id", obs.TraceIDFrom(ctx)))
+					"worker", req.Worker,
+					"chunk", req.Chunk,
+					"duplicate", resp.Duplicate,
+					"done", done,
+					"total", total,
+					"trace_id", obs.TraceIDFrom(ctx))
 			}
 			return resp, err
 		})
@@ -617,7 +618,7 @@ func (c *Coordinator) Handler() http.Handler {
 // respond runs one protocol call under a span joined to the worker's
 // propagated trace and maps its outcome to the common error envelope.
 func (c *Coordinator) respond(w http.ResponseWriter, r *http.Request, op, worker string, fn func(context.Context) (any, error)) {
-	ctx, span := c.tracer.Start(r.Context(), "fabric."+op, obs.F("worker", worker))
+	ctx, span := c.tracer.Start(r.Context(), "fabric."+op, slog.String("worker", worker))
 	defer span.End()
 	resp, err := fn(ctx)
 	switch {
@@ -625,13 +626,13 @@ func (c *Coordinator) respond(w http.ResponseWriter, r *http.Request, op, worker
 		api.WriteJSON(w, http.StatusOK, resp)
 	case errors.Is(err, fault.ErrChunkConflict):
 		c.log.Warn(op+" conflict",
-			obs.F("worker", worker), obs.F("error", err),
-			obs.F("trace_id", obs.TraceIDFrom(ctx)))
+			"worker", worker, "error", err,
+			"trace_id", obs.TraceIDFrom(ctx))
 		api.WriteError(w, http.StatusConflict, api.CodeConflict, "%v", err)
 	default:
 		c.log.Warn(op+" rejected",
-			obs.F("worker", worker), obs.F("error", err),
-			obs.F("trace_id", obs.TraceIDFrom(ctx)))
+			"worker", worker, "error", err,
+			"trace_id", obs.TraceIDFrom(ctx))
 		api.WriteError(w, http.StatusBadRequest, api.CodeBadRequest, "%v", err)
 	}
 }

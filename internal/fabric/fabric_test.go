@@ -3,9 +3,11 @@ package fabric_test
 import (
 	"context"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -270,9 +272,10 @@ func TestWorkerCrashRecovery(t *testing.T) {
 
 	// A second worker is also canceled mid-run to exercise the
 	// interrupted-lease path (it posts finished chunks before exiting).
+	ireg := obs.NewRegistry()
 	interrupted, err := fabric.NewWorker(fabric.WorkerConfig{
 		Name: "interrupted", Coordinator: srv.URL, Workers: 1,
-		Heartbeat: 50 * time.Millisecond,
+		Heartbeat: 50 * time.Millisecond, Metrics: ireg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -284,6 +287,9 @@ func TestWorkerCrashRecovery(t *testing.T) {
 	}()
 	if err := interrupted.Run(ictx); err != nil && !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupted worker: %v", err)
+	}
+	if ran := int(ireg.Counter("ffr_campaign_chunks_completed_total", "").Value()); interrupted.Completed() != ran {
+		t.Fatalf("interrupted worker simulated %d chunks and posted %d", ran, interrupted.Completed())
 	}
 
 	// The survivor finishes the campaign, re-leasing whatever expired.
@@ -463,5 +469,62 @@ func TestCompleteValidation(t *testing.T) {
 		Worker: "w", Chunk: 0, PlanHash: camp.PlanHashHex(), Masks: []string{"xyz"},
 	}); err == nil {
 		t.Fatal("unparseable mask accepted")
+	}
+}
+
+// TestInterruptedLeasePostsFinishedChunks: a worker cancelled mid-lease
+// still hands the coordinator every chunk its pool finished — none waits out
+// its lease TTL to be simulated again — and reports the cancellation.
+func TestInterruptedLeasePostsFinishedChunks(t *testing.T) {
+	// Chunks long enough (16 wide batches each) to be cancelled inside one.
+	coord, err := fabric.NewCoordinator(fabric.CoordinatorConfig{
+		Spec: api.CampaignSpec{
+			Scenario: "mac10ge/loopback", Scale: "small", Seed: 1,
+			InjectionsPerFF: 16, CampaignSeed: 7, ChunkJobs: 4096,
+		},
+		LeaseTTL: time.Minute,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var completes atomic.Int32
+	handler := coord.Handler()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/fabric/complete" {
+			completes.Add(1)
+		}
+		handler.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+
+	reg := obs.NewRegistry()
+	w, err := fabric.NewWorker(fabric.WorkerConfig{
+		Name: "interrupted", Coordinator: srv.URL, Workers: 1, Metrics: reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go func() {
+		// The first wide batch is through: a chunk of the first lease is
+		// in flight, and the pool will finish it after the cancellation.
+		for ctx.Err() == nil && reg.Counter("ffr_campaign_window_lane_cycles_total", "").Value() == 0 {
+			time.Sleep(100 * time.Microsecond)
+		}
+		cancel()
+	}()
+	if err := w.Run(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("interrupted worker returned %v, want the cancellation", err)
+	}
+
+	finished := int(reg.Counter("ffr_campaign_chunks_completed_total", "").Value())
+	st := coord.Status()
+	if finished == 0 || finished == st.TotalChunks {
+		t.Fatalf("the cancellation did not land mid-lease: %d of %d chunks simulated", finished, st.TotalChunks)
+	}
+	if got := int(completes.Load()); got != finished || w.Completed() != finished || st.DoneChunks != finished {
+		t.Fatalf("pool finished %d chunks: %d complete requests, worker counts %d posted, coordinator holds %d",
+			finished, got, w.Completed(), st.DoneChunks)
 	}
 }

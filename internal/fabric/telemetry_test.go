@@ -3,6 +3,7 @@ package fabric_test
 import (
 	"context"
 	"encoding/json"
+	"log/slog"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -58,7 +59,7 @@ func TestCampaignTelemetryCorrelates(t *testing.T) {
 	coord, err := fabric.NewCoordinator(fabric.CoordinatorConfig{
 		Spec:     testSpec(),
 		LeaseTTL: 5 * time.Second,
-		Logger:   obs.NewLogger(&coordLog, obs.LevelInfo, obs.FormatJSON),
+		Logger:   slog.New(slog.NewJSONHandler(&coordLog, nil)),
 		Tracer:   obs.NewTracer(&coordSpans, "ffrcoord"),
 	})
 	if err != nil {
@@ -72,7 +73,7 @@ func TestCampaignTelemetryCorrelates(t *testing.T) {
 		Coordinator: srv.URL,
 		Workers:     1,
 		Heartbeat:   time.Second,
-		Logger:      obs.NewLogger(&workLog, obs.LevelInfo, obs.FormatJSON),
+		Logger:      slog.New(slog.NewJSONHandler(&workLog, nil)),
 		Tracer:      obs.NewTracer(&workSpans, "ffrwork"),
 	})
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"maps"
 	"slices"
 	"sync"
@@ -34,7 +35,7 @@ type WorkerConfig struct {
 	// Logger optionally receives structured records (join, lease grants,
 	// chunk completions) carrying the trace ID each lease cycle runs
 	// under; nil is silent.
-	Logger *obs.Logger
+	Logger *slog.Logger
 	// Metrics optionally receives the local chunk runner's ffr_campaign_*
 	// metric families; nil disables campaign metrics.
 	Metrics *obs.Registry
@@ -44,13 +45,18 @@ type WorkerConfig struct {
 	Tracer *obs.Tracer
 }
 
+// completeGrace is how long an interrupted worker keeps posting the chunks
+// it finished: long enough for a lease's masks, short enough that a dead
+// coordinator cannot keep a cancelled worker alive.
+const completeGrace = 10 * time.Second
+
 // Worker is the fabric worker loop: join, verify the campaign contract,
 // then lease→simulate→complete until the coordinator reports done.
 type Worker struct {
 	cfg    WorkerConfig
 	client *Client
 	camp   *Campaign
-	slog   *obs.Logger
+	log    *slog.Logger
 	tracer *obs.Tracer
 
 	mu   sync.Mutex
@@ -76,7 +82,7 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	return &Worker{
 		cfg:    cfg,
 		client: client,
-		slog:   cfg.Logger.Component("worker").With(obs.F("worker", cfg.Name)),
+		log:    obs.Component(cfg.Logger, "worker").With("worker", cfg.Name),
 		tracer: cfg.Tracer,
 	}, nil
 }
@@ -134,10 +140,10 @@ func (w *Worker) Run(ctx context.Context) error {
 		return err
 	}
 	w.camp = camp
-	w.slog.Info("joined",
-		obs.F("scenario", camp.Spec.Scenario),
-		obs.F("chunks", join.NumChunks),
-		obs.F("chunk_jobs", join.ChunkJobs))
+	w.log.Info("joined",
+		"scenario", camp.Spec.Scenario,
+		"chunks", join.NumChunks,
+		"chunk_jobs", join.ChunkJobs)
 
 	hb := w.cfg.Heartbeat
 	if hb <= 0 {
@@ -165,7 +171,7 @@ func (w *Worker) Run(ctx context.Context) error {
 			return fmt.Errorf("fabric: worker %s lease: %w", w.cfg.Name, err)
 		}
 		if lease.Done {
-			w.slog.Info("campaign complete")
+			w.log.Info("campaign complete")
 			return nil
 		}
 		if len(lease.Chunks) == 0 {
@@ -180,10 +186,10 @@ func (w *Worker) Run(ctx context.Context) error {
 			}
 			continue
 		}
-		w.slog.Info("lease granted",
-			obs.F("chunks", lease.Chunks),
-			obs.F("stolen", lease.Stolen),
-			obs.F("trace_id", obs.TraceIDFrom(cycleCtx)))
+		w.log.Info("lease granted",
+			"chunks", lease.Chunks,
+			"stolen", lease.Stolen,
+			"trace_id", obs.TraceIDFrom(cycleCtx))
 		w.hold(lease.Chunks)
 		runErr := w.runLease(cycleCtx, lease.Chunks)
 		if runErr != nil {
@@ -196,14 +202,20 @@ func (w *Worker) Run(ctx context.Context) error {
 // cancellation it still posts the chunks that finished, then reports the
 // context error.
 func (w *Worker) runLease(ctx context.Context, chunks []int) error {
-	simCtx, span := w.tracer.Start(ctx, "fabric.simulate", obs.F("chunks", len(chunks)))
+	simCtx, span := w.tracer.Start(ctx, "fabric.simulate", slog.Int("chunks", len(chunks)))
 	done, runErr := w.camp.Plan.RunChunks(simCtx, chunks)
 	span.End()
 	if runErr != nil && !errors.Is(runErr, fault.ErrInterrupted) {
 		return fmt.Errorf("fabric: worker %s simulating: %w", w.cfg.Name, runErr)
 	}
+	// A cancelled ctx must not fail the posts — the finished chunks would
+	// wait out their lease to be simulated again — it only bounds them. The
+	// trace still propagates.
+	postCtx, cancel := context.WithCancel(context.WithoutCancel(ctx))
+	defer cancel()
+	defer context.AfterFunc(ctx, func() { time.AfterFunc(completeGrace, cancel) })()
 	for _, ci := range slices.Sorted(maps.Keys(done)) {
-		resp, err := w.client.CompleteCtx(ctx, api.CompleteRequest{
+		resp, err := w.client.CompleteCtx(postCtx, api.CompleteRequest{
 			Worker:   w.cfg.Name,
 			Chunk:    ci,
 			PlanHash: w.camp.PlanHashHex(),
@@ -216,10 +228,10 @@ func (w *Worker) runLease(ctx context.Context, chunks []int) error {
 		w.mu.Lock()
 		w.completed++
 		w.mu.Unlock()
-		w.slog.Info("chunk completed",
-			obs.F("chunk", ci),
-			obs.F("duplicate", resp.Duplicate),
-			obs.F("trace_id", obs.TraceIDFrom(ctx)))
+		w.log.Info("chunk completed",
+			"chunk", ci,
+			"duplicate", resp.Duplicate,
+			"trace_id", obs.TraceIDFrom(ctx))
 	}
 	if runErr != nil {
 		// Interrupted: the unfinished chunks stay held until their leases
@@ -229,10 +241,10 @@ func (w *Worker) runLease(ctx context.Context, chunks []int) error {
 	return nil
 }
 
-// heartbeatLoop extends the worker's leases until stopped. Heartbeat
-// failures are non-fatal (the lease simply expires); cancellations
-// reported by the coordinator drop chunks from the held set so they stop
-// being heartbeated.
+// heartbeatLoop extends the worker's leases until ctx stops it, an
+// in-flight request included. Heartbeat failures are non-fatal (the lease
+// simply expires); cancellations reported by the coordinator drop chunks
+// from the held set so they stop being heartbeated.
 func (w *Worker) heartbeatLoop(ctx context.Context, interval time.Duration) {
 	t := time.NewTicker(interval)
 	defer t.Stop()
@@ -246,9 +258,9 @@ func (w *Worker) heartbeatLoop(ctx context.Context, interval time.Duration) {
 		if len(held) == 0 {
 			continue
 		}
-		resp, err := w.client.Heartbeat(api.HeartbeatRequest{Worker: w.cfg.Name, Chunks: held})
+		resp, err := w.client.HeartbeatCtx(ctx, api.HeartbeatRequest{Worker: w.cfg.Name, Chunks: held})
 		if err != nil {
-			w.slog.Info("heartbeat failed", obs.F("error", err))
+			w.log.Info("heartbeat failed", "error", err)
 			continue
 		}
 		for _, ci := range resp.Canceled {

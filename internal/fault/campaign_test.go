@@ -93,7 +93,7 @@ func TestNewPlanDeterministic(t *testing.T) {
 
 // runJobs executes an explicit injection plan on a fresh runner.
 func runJobs(p *sim.Program, stim *sim.Stimulus, monitors []int, cls fault.Classifier, jobs []fault.Job, cfg fault.RunnerConfig) (*fault.Result, error) {
-	r, err := fault.NewRunner(p, stim, monitors, cls, cfg)
+	r, err := fault.NewGoldenRunner(p, stim, monitors, cls, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -164,12 +164,10 @@ func TestCampaignDeterministicAcrossWorkerCounts(t *testing.T) {
 
 func TestRunJobsExplicitPlan(t *testing.T) {
 	p, bench := smallMAC(t)
-	e := sim.NewEngine(p)
-	golden, _ := sim.Run(e, bench.Stim, sim.RunConfig{Monitors: bench.Monitors})
 	cls := fault.NewMACClassifier(bench, true)
 	jobs := []fault.Job{{FF: 0, Cycle: 1}, {FF: 1, Cycle: 2}, {FF: 0, Cycle: 3}}
 	res, err := runJobs(p, bench.Stim, bench.Monitors, cls, jobs,
-		fault.RunnerConfig{Workers: 2, Golden: golden})
+		fault.RunnerConfig{Workers: 2})
 	if err != nil {
 		t.Fatalf("RunJobs: %v", err)
 	}
@@ -178,11 +176,11 @@ func TestRunJobsExplicitPlan(t *testing.T) {
 	}
 	// Out-of-range jobs must be rejected.
 	if _, err := runJobs(p, bench.Stim, bench.Monitors, cls,
-		[]fault.Job{{FF: -1, Cycle: 0}}, fault.RunnerConfig{Golden: golden}); err == nil {
+		[]fault.Job{{FF: -1, Cycle: 0}}, fault.RunnerConfig{}); err == nil {
 		t.Fatal("negative FF accepted")
 	}
 	if _, err := runJobs(p, bench.Stim, bench.Monitors, cls,
-		[]fault.Job{{FF: 0, Cycle: 99999}}, fault.RunnerConfig{Golden: golden}); err == nil {
+		[]fault.Job{{FF: 0, Cycle: 99999}}, fault.RunnerConfig{}); err == nil {
 		t.Fatal("out-of-range cycle accepted")
 	}
 }
@@ -202,7 +200,7 @@ func TestClassifierBenignTimingShiftIgnored(t *testing.T) {
 	cls := fault.NewMACClassifier(bench, true)
 	jobs := fault.NewModelPlan(fault.Model{}, p.NumFFs(), 1, bench.ActiveCycles, 3)[:64]
 	res, err := runJobs(p, bench.Stim, bench.Monitors, cls, jobs,
-		fault.RunnerConfig{Workers: 1, Golden: golden})
+		fault.RunnerConfig{Workers: 1})
 	if err != nil {
 		t.Fatalf("RunJobs: %v", err)
 	}

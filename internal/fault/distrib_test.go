@@ -116,7 +116,7 @@ func TestRunChunksMergeMatchesRun(t *testing.T) {
 // prepare returns jobs prepared on a fresh Runner over the small MAC.
 func prepare(t testing.TB, p *sim.Program, bench *circuit.MACBench, cfg fault.RunnerConfig, jobs []fault.Job) *fault.Plan {
 	t.Helper()
-	r, err := fault.NewRunner(p, bench.Stim, bench.Monitors, fault.NewMACClassifier(bench, true), cfg)
+	r, err := fault.NewGoldenRunner(p, bench.Stim, bench.Monitors, fault.NewMACClassifier(bench, true), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func BenchmarkRunChunks(b *testing.B) {
 			b.Run(c.name+"/"+spec, func(b *testing.B) {
 				jobs := fault.NewModelPlan(model, model.NumTargets(c.p), 8, c.active, 41)
 				reg := obs.NewRegistry()
-				r, err := fault.NewRunner(c.p, c.stim, c.monitors, c.cls(),
+				r, err := fault.NewGoldenRunner(c.p, c.stim, c.monitors, c.cls(),
 					fault.RunnerConfig{Model: model, Workers: 1, Metrics: reg})
 				if err != nil {
 					b.Fatal(err)

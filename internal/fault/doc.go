@@ -28,7 +28,9 @@
 // geometry) and folds them deterministically: worker count and chunk size
 // never change the outcome. A local run and a distributed one (package
 // fabric) differ only in who simulates the chunks. Outside this package a
-// Runner is built in one place, corpus.Materialized.Runner.
+// Runner is built in one place, corpus.Materialized.Runner, which hands it
+// the golden trace and the snapshots of the materialization's one golden
+// run: the Runner simulates none of its own.
 //
 // The same machinery serves partial campaigns: the core estimation flow
 // injects only a training subset, and the active-learning planner (package

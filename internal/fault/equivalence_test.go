@@ -33,7 +33,7 @@ import (
 func reference(t *testing.T, p *sim.Program, stim *sim.Stimulus, monitors []int,
 	cls fault.Classifier, jobs []fault.Job, cfg fault.RunnerConfig) *fault.Result {
 	t.Helper()
-	r, err := fault.NewRunner(p, stim, monitors, cls, cfg)
+	r, err := fault.NewGoldenRunner(p, stim, monitors, cls, cfg)
 	if err != nil {
 		t.Fatalf("reference: %v", err)
 	}
@@ -81,7 +81,7 @@ func TestEquivalenceMAC(t *testing.T) {
 	jobs := fault.NewModelPlan(fault.Model{}, p.NumFFs(), 3, bench.ActiveCycles, 77)
 	assertEquivalent(t, p, bench.Stim, bench.Monitors, cls, fault.Model{}, jobs)
 
-	r, err := fault.NewRunner(p, bench.Stim, bench.Monitors, cls,
+	r, err := fault.NewGoldenRunner(p, bench.Stim, bench.Monitors, cls,
 		fault.RunnerConfig{Schedule: fault.SchedulePlan, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -169,7 +169,7 @@ func TestEquivalenceSnapshotCadence(t *testing.T) {
 	for _, every := range []int{1, 3, sim.DefaultSnapshotEvery, 64, 1 << 20} {
 		cls := fault.NewMACClassifier(bench, true)
 		res, err := runJobs(p, bench.Stim, bench.Monitors, cls, jobs,
-			fault.RunnerConfig{SnapshotEvery: every, Workers: 2})
+			fault.RunnerConfig{Snapshots: sim.NewSnapshots(p, bench.Stim, every), Workers: 2})
 		if err != nil {
 			t.Fatalf("cadence %d: %v", every, err)
 		}
@@ -202,7 +202,7 @@ func TestEquivalenceCheckpointResumeIncremental(t *testing.T) {
 	// Interrupt the clustered run after two chunks.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	ri, err := fault.NewRunner(p, bench.Stim, bench.Monitors, newCls(), fault.RunnerConfig{
+	ri, err := fault.NewGoldenRunner(p, bench.Stim, bench.Monitors, newCls(), fault.RunnerConfig{
 		ChunkJobs:       sim.Lanes,
 		Workers:         2,
 		CheckpointPath:  ckpt,
@@ -230,7 +230,7 @@ func TestEquivalenceCheckpointResumeIncremental(t *testing.T) {
 		t.Fatalf("interrupt did not land mid-run (%d of %d chunks)", len(ck.Chunks), want.Chunks)
 	}
 
-	rr, err := fault.NewRunner(p, bench.Stim, bench.Monitors, newCls(), fault.RunnerConfig{
+	rr, err := fault.NewGoldenRunner(p, bench.Stim, bench.Monitors, newCls(), fault.RunnerConfig{
 		ChunkJobs:      sim.Lanes,
 		Workers:        2,
 		CheckpointPath: ckpt,
@@ -261,7 +261,7 @@ func TestScheduleMismatchRejected(t *testing.T) {
 	jobs := fault.NewModelPlan(fault.Model{}, p.NumFFs(), 2, bench.ActiveCycles, 21)
 	ckpt := filepath.Join(t.TempDir(), "campaign.ffr")
 
-	seed, err := fault.NewRunner(p, bench.Stim, bench.Monitors,
+	seed, err := fault.NewGoldenRunner(p, bench.Stim, bench.Monitors,
 		fault.NewMACClassifier(bench, true),
 		fault.RunnerConfig{ChunkJobs: sim.Lanes, CheckpointPath: ckpt})
 	if err != nil {
@@ -271,7 +271,7 @@ func TestScheduleMismatchRejected(t *testing.T) {
 		t.Fatalf("seeding checkpoint: %v", err)
 	}
 
-	other, err := fault.NewRunner(p, bench.Stim, bench.Monitors,
+	other, err := fault.NewGoldenRunner(p, bench.Stim, bench.Monitors,
 		fault.NewMACClassifier(bench, true),
 		fault.RunnerConfig{ChunkJobs: sim.Lanes, CheckpointPath: ckpt,
 			Resume: true, Schedule: fault.SchedulePlan})
@@ -300,7 +300,7 @@ func TestLegacyScheduleAdoptedOnResume(t *testing.T) {
 	// Interrupt an explicitly plan-order run to get a partial checkpoint.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	ri, err := fault.NewRunner(p, bench.Stim, bench.Monitors, newCls(), fault.RunnerConfig{
+	ri, err := fault.NewGoldenRunner(p, bench.Stim, bench.Monitors, newCls(), fault.RunnerConfig{
 		ChunkJobs:       sim.Lanes,
 		Workers:         1,
 		Schedule:        fault.SchedulePlan,
@@ -333,7 +333,7 @@ func TestLegacyScheduleAdoptedOnResume(t *testing.T) {
 	}
 
 	// A default-configured runner (no explicit schedule) adopts plan order.
-	rr, err := fault.NewRunner(p, bench.Stim, bench.Monitors, newCls(), fault.RunnerConfig{
+	rr, err := fault.NewGoldenRunner(p, bench.Stim, bench.Monitors, newCls(), fault.RunnerConfig{
 		ChunkJobs:      sim.Lanes,
 		Workers:        2,
 		CheckpointPath: ckpt,
@@ -366,33 +366,43 @@ func TestRunnerValidatesIncrementalConfig(t *testing.T) {
 	p, bench := smallMAC(t)
 	cls := fault.NewMACClassifier(bench, true)
 
-	if _, err := fault.NewRunner(p, bench.Stim, nil, cls, fault.RunnerConfig{}); err == nil {
+	filled := sim.NewSnapshots(p, bench.Stim, 8)
+	golden, _ := sim.Run(sim.NewEngine(p), bench.Stim, sim.RunConfig{Monitors: bench.Monitors, Snapshots: filled})
+	if _, err := fault.NewRunner(p, bench.Stim, bench.Monitors, cls,
+		fault.RunnerConfig{Golden: golden, Snapshots: filled}); err != nil {
+		t.Fatalf("a golden run at cadence 8 rejected: %v", err)
+	}
+	if _, err := fault.NewRunner(p, bench.Stim, nil, cls,
+		fault.RunnerConfig{Golden: golden, Snapshots: filled}); err == nil {
 		t.Fatal("runner accepted an empty monitor set")
 	}
 	if _, err := fault.NewRunner(p, bench.Stim, bench.Monitors, cls,
-		fault.RunnerConfig{Schedule: "zigzag"}); err == nil {
+		fault.RunnerConfig{Golden: golden, Snapshots: filled, Schedule: "zigzag"}); err == nil {
 		t.Fatal("runner accepted an unknown schedule")
 	}
+	// The golden run is an input: the runner simulates none of its own.
 	if _, err := fault.NewRunner(p, bench.Stim, bench.Monitors, cls,
-		fault.RunnerConfig{SnapshotEvery: -1}); err == nil {
-		t.Fatal("runner accepted a negative snapshot cadence")
+		fault.RunnerConfig{Snapshots: filled}); err == nil {
+		t.Fatal("runner accepted a nil golden trace")
+	}
+	if _, err := fault.NewRunner(p, bench.Stim, bench.Monitors, cls,
+		fault.RunnerConfig{Golden: golden}); err == nil {
+		t.Fatal("runner accepted nil snapshots")
 	}
 	// An unfilled snapshot set must be rejected up front.
-	empty := sim.NewSnapshots(p, bench.Stim, 8)
 	if _, err := fault.NewRunner(p, bench.Stim, bench.Monitors, cls,
-		fault.RunnerConfig{Snapshots: empty}); err == nil {
+		fault.RunnerConfig{Golden: golden, Snapshots: sim.NewSnapshots(p, bench.Stim, 8)}); err == nil {
 		t.Fatal("runner accepted incomplete snapshots")
 	}
-	// A cadence conflicting with supplied snapshots must be rejected.
-	filled := sim.NewSnapshots(p, bench.Stim, 8)
-	e := sim.NewEngine(p)
-	sim.Run(e, bench.Stim, sim.RunConfig{Snapshots: filled})
+	// So must a golden trace of other monitors, or of another stimulus
+	// length: it would silently misclassify every lane.
+	fewer, _ := sim.Run(sim.NewEngine(p), bench.Stim, sim.RunConfig{Monitors: bench.Monitors[1:]})
 	if _, err := fault.NewRunner(p, bench.Stim, bench.Monitors, cls,
-		fault.RunnerConfig{Snapshots: filled, SnapshotEvery: 16}); err == nil {
-		t.Fatal("runner accepted a conflicting snapshot cadence")
+		fault.RunnerConfig{Golden: fewer, Snapshots: filled}); err == nil {
+		t.Fatal("runner accepted a golden trace of another monitor list")
 	}
 	if _, err := fault.NewRunner(p, bench.Stim, bench.Monitors, cls,
-		fault.RunnerConfig{Snapshots: filled, SnapshotEvery: 8}); err != nil {
-		t.Fatalf("matching cadence rejected: %v", err)
+		fault.RunnerConfig{Golden: sim.NewTrace(bench.Monitors, bench.Stim.Cycles()-1), Snapshots: filled}); err == nil {
+		t.Fatal("runner accepted a golden trace shorter than the stimulus")
 	}
 }

@@ -24,7 +24,7 @@ func TestLeasesShareOnePreparation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r, err := NewRunner(p, bench.Stim, bench.Monitors, NewMACClassifier(bench, true),
+			r, err := NewGoldenRunner(p, bench.Stim, bench.Monitors, NewMACClassifier(bench, true),
 				RunnerConfig{Model: model, ChunkJobs: 64, Workers: 2})
 			if err != nil {
 				t.Fatal(err)

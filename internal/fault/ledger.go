@@ -6,7 +6,6 @@ import (
 	"io/fs"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -184,12 +183,12 @@ func (l *Ledger) Flush() error {
 	r.metrics.observeCheckpoint(elapsed)
 	if l.err != nil {
 		r.log.Error("checkpoint save failed",
-			obs.F("path", r.cfg.CheckpointPath), obs.F("error", l.err))
-	} else if r.log.Enabled(obs.LevelDebug) {
+			"path", r.cfg.CheckpointPath, "error", l.err)
+	} else {
 		r.log.Debug("checkpoint saved",
-			obs.F("path", r.cfg.CheckpointPath),
-			obs.F("chunks", len(l.done)),
-			obs.F("elapsed", elapsed))
+			"path", r.cfg.CheckpointPath,
+			"chunks", len(l.done),
+			"elapsed", elapsed)
 	}
 	l.sinceFlush = 0
 	return l.err

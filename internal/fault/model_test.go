@@ -205,7 +205,7 @@ func TestModelTargetSpaces(t *testing.T) {
 func TestRunnerRejectsBadModel(t *testing.T) {
 	p, bench := smallMAC(t)
 	cls := fault.NewMACClassifier(bench, true)
-	_, err := fault.NewRunner(p, bench.Stim, bench.Monitors, cls,
+	_, err := fault.NewGoldenRunner(p, bench.Stim, bench.Monitors, cls,
 		fault.RunnerConfig{Model: fault.Model{Kind: "gamma-ray"}})
 	if err == nil || !strings.Contains(err.Error(), "model") {
 		t.Fatalf("NewRunner accepted an unknown fault model (err %v)", err)

@@ -156,7 +156,7 @@ func TestReferenceMatchesScalarOracle(t *testing.T) {
 		}
 	}
 	// Plan order: bit i%64 of mask i/64 is job i.
-	r, err := fault.NewRunner(p, stim, monitors, &fault.ExactClassifier{},
+	r, err := fault.NewGoldenRunner(p, stim, monitors, &fault.ExactClassifier{},
 		fault.RunnerConfig{Schedule: fault.SchedulePlan})
 	if err != nil {
 		t.Fatal(err)
@@ -352,7 +352,7 @@ func TestModelMismatchRejected(t *testing.T) {
 	jobs := fault.NewModelPlan(mbu, p.NumFFs(), 2, bench.ActiveCycles, 21)
 	ckpt := filepath.Join(t.TempDir(), "campaign.ffr")
 
-	seed, err := fault.NewRunner(p, bench.Stim, bench.Monitors,
+	seed, err := fault.NewGoldenRunner(p, bench.Stim, bench.Monitors,
 		fault.NewMACClassifier(bench, true),
 		fault.RunnerConfig{Model: mbu, ChunkJobs: sim.Lanes, CheckpointPath: ckpt})
 	if err != nil {
@@ -362,7 +362,7 @@ func TestModelMismatchRejected(t *testing.T) {
 		t.Fatalf("seeding checkpoint: %v", err)
 	}
 
-	other, err := fault.NewRunner(p, bench.Stim, bench.Monitors,
+	other, err := fault.NewGoldenRunner(p, bench.Stim, bench.Monitors,
 		fault.NewMACClassifier(bench, true),
 		fault.RunnerConfig{ChunkJobs: sim.Lanes, CheckpointPath: ckpt, Resume: true})
 	if err != nil {
@@ -387,7 +387,7 @@ func TestLegacyModelCheckpointResume(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	ri, err := fault.NewRunner(p, bench.Stim, bench.Monitors, newCls(), fault.RunnerConfig{
+	ri, err := fault.NewGoldenRunner(p, bench.Stim, bench.Monitors, newCls(), fault.RunnerConfig{
 		ChunkJobs:       sim.Lanes,
 		Workers:         2,
 		CheckpointPath:  ckpt,
@@ -418,7 +418,7 @@ func TestLegacyModelCheckpointResume(t *testing.T) {
 		t.Fatalf("rewriting checkpoint: %v", err)
 	}
 
-	rr, err := fault.NewRunner(p, bench.Stim, bench.Monitors, newCls(), fault.RunnerConfig{
+	rr, err := fault.NewGoldenRunner(p, bench.Stim, bench.Monitors, newCls(), fault.RunnerConfig{
 		ChunkJobs:      sim.Lanes,
 		Workers:        2,
 		CheckpointPath: ckpt,

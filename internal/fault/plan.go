@@ -17,10 +17,12 @@ import (
 // run, which neither checkpoints nor joins a fabric, hashes nothing. A Plan
 // is safe for concurrent use.
 type Plan struct {
-	r      *Runner
-	jobs   []Job
-	sh     sharding
+	r    *Runner
+	jobs []Job
+	sh   sharding
+	// The runner's golden run: its trace and restore points.
 	golden *sim.Trace
+	snaps  *sim.Snapshots
 
 	// The packing: scheduled position i carries jobs[order[i]], nil being
 	// plan order. The first caller of pack fixes it for good.
@@ -32,7 +34,6 @@ type Plan struct {
 	// leases; set by ready.
 	execOnce sync.Once
 	execErr  error
-	snaps    *sim.Snapshots
 	kern     *sim.Kernel
 	// setFX is the plan's SET effect table; nil for other models. It derives
 	// from the golden run alone, so every fabric worker computes identical
@@ -54,11 +55,7 @@ func (r *Runner) Prepare(jobs []Job) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	golden, err := r.Golden()
-	if err != nil {
-		return nil, err
-	}
-	return &Plan{r: r, jobs: jobs, sh: sh, golden: golden}, nil
+	return &Plan{r: r, jobs: jobs, sh: sh, golden: r.cfg.Golden, snaps: r.cfg.Snapshots}, nil
 }
 
 // validateJobs bounds-checks a plan against the program, stimulus and fault
@@ -117,7 +114,6 @@ func (pl *Plan) ready() error {
 	pl.execOnce.Do(func() {
 		r := pl.r
 		pl.pack(r.schedule)
-		pl.snaps = r.snapshots()
 		if pl.kern, pl.execErr = r.kernel(); pl.execErr != nil {
 			return
 		}

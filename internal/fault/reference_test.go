@@ -15,10 +15,7 @@ func referenceMasks(r *Runner, jobs []Job) ([]uint64, error) {
 	if err := r.validateJobs(jobs); err != nil {
 		return nil, err
 	}
-	golden, err := r.Golden()
-	if err != nil {
-		return nil, err
-	}
+	golden := r.cfg.Golden
 	order := scheduleOrder(jobs, r.schedule)
 	fx := r.setEffects(jobs)
 	e := sim.NewEngine(r.p)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"runtime"
 	"slices"
 	"sync"
@@ -59,10 +60,10 @@ import (
 // interrupted. Resuming from a checkpoint therefore produces bit-identical
 // per-FF failure counts to an uninterrupted run — a property the tests pin.
 //
-// The golden trace is simulated at most once per Runner and reused across
-// all shards and Run calls (and can be supplied up front when the caller
-// already has it, as corpus.Materialized.Runner does, together with the
-// snapshots captured during that same run).
+// The Runner simulates no golden run of its own: the caller hands it the
+// golden trace and the snapshots captured during that same run (as
+// corpus.Materialized.Runner does), and every shard of every Run call
+// classifies against that one trace.
 
 // Default shard geometry and checkpoint cadence.
 const (
@@ -108,20 +109,16 @@ type RunnerConfig struct {
 	ChunkJobs int
 	// Workers bounds the worker pool; 0 means GOMAXPROCS.
 	Workers int
-	// Golden optionally supplies a precomputed golden trace. When nil the
-	// Runner simulates it once on first use.
+	// Golden is the golden trace of the stimulus over the monitored
+	// outputs, in the runner's monitor order. Required: a mismatched golden
+	// would silently misclassify every lane, so NewRunner checks its
+	// geometry.
 	Golden *sim.Trace
-	// Snapshots optionally supplies the golden engine-state restore points
-	// captured during the caller's golden run (sim.RunConfig.Snapshots).
-	// When nil the Runner captures its own on first use — during its own
-	// golden run when it simulates one, otherwise via one extra golden-rate
-	// replay, amortized over the campaign.
+	// Snapshots are the golden engine-state restore points captured during
+	// that same golden run (sim.RunConfig.Snapshots). Required. Their
+	// cadence never changes results, only the fast-forward and early-exit
+	// granularity.
 	Snapshots *sim.Snapshots
-	// SnapshotEvery is the snapshot cadence in cycles for Runner-captured
-	// snapshots; 0 means sim.DefaultSnapshotEvery. It must be 0 or match
-	// the cadence of a supplied Snapshots set. The cadence never changes
-	// results, only the fast-forward and early-exit granularity.
-	SnapshotEvery int
 	// Schedule is what a fabric coordinator hands its workers: the packing
 	// its ledger's masks are recorded under. Everyone else leaves it "":
 	// a new campaign packs ScheduleClustered, a resumed one adopts the
@@ -147,7 +144,7 @@ type RunnerConfig struct {
 	Metrics *obs.Registry
 	// Logger optionally receives structured campaign records (start,
 	// per-chunk completions, checkpoint flushes); nil disables logging.
-	Logger *obs.Logger
+	Logger *slog.Logger
 }
 
 // Runner executes injection plans; see the package comment above.
@@ -164,18 +161,11 @@ type Runner struct {
 	model Model
 
 	metrics *campaignMetrics
-	log     *obs.Logger
+	log     *slog.Logger
 
 	// clusters are the lazily computed MBU proximity clusters.
 	clusterOnce sync.Once
 	clusters    [][]int
-
-	goldenOnce sync.Once
-	golden     *sim.Trace
-	goldenErr  error
-
-	snapOnce sync.Once
-	snaps    *sim.Snapshots
 }
 
 // NewRunner validates the configuration and returns a Runner.
@@ -195,9 +185,6 @@ func NewRunner(p *sim.Program, stim *sim.Stimulus, monitors []int, cls Classifie
 	if cfg.CheckpointEvery < 0 {
 		return nil, fmt.Errorf("fault: negative CheckpointEvery %d", cfg.CheckpointEvery)
 	}
-	if cfg.SnapshotEvery < 0 {
-		return nil, fmt.Errorf("fault: negative SnapshotEvery %d", cfg.SnapshotEvery)
-	}
 	if cfg.Resume && cfg.CheckpointPath == "" {
 		return nil, fmt.Errorf("fault: Resume requires a CheckpointPath")
 	}
@@ -207,14 +194,14 @@ func NewRunner(p *sim.Program, stim *sim.Stimulus, monitors []int, cls Classifie
 	if err := cfg.Model.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Snapshots != nil {
-		if err := cfg.Snapshots.Matches(p, stim); err != nil {
-			return nil, fmt.Errorf("fault: supplied snapshots: %w", err)
-		}
-		if cfg.SnapshotEvery != 0 && cfg.SnapshotEvery != cfg.Snapshots.Every() {
-			return nil, fmt.Errorf("fault: SnapshotEvery %d conflicts with supplied snapshot cadence %d",
-				cfg.SnapshotEvery, cfg.Snapshots.Every())
-		}
+	if err := checkGolden(cfg.Golden, stim, monitors); err != nil {
+		return nil, err
+	}
+	if cfg.Snapshots == nil {
+		return nil, fmt.Errorf("fault: runner needs the golden run's snapshots")
+	}
+	if err := cfg.Snapshots.Matches(p, stim); err != nil {
+		return nil, fmt.Errorf("fault: supplied snapshots: %w", err)
 	}
 	if cfg.CheckpointEvery == 0 {
 		cfg.CheckpointEvery = DefaultCheckpointEvery
@@ -223,9 +210,7 @@ func NewRunner(p *sim.Program, stim *sim.Stimulus, monitors []int, cls Classifie
 		p: p, stim: stim, monitors: monitors, cls: cls, cfg: cfg,
 		schedule: cmp.Or(cfg.Schedule, ScheduleClustered),
 		model:    cfg.Model.normalize(),
-		golden:   cfg.Golden,
-		snaps:    cfg.Snapshots,
-		log:      cfg.Logger.Component("campaign"),
+		log:      obs.Component(cfg.Logger, "campaign"),
 	}
 	if cfg.Metrics != nil {
 		r.metrics = newCampaignMetrics(cfg.Metrics)
@@ -233,63 +218,21 @@ func NewRunner(p *sim.Program, stim *sim.Stimulus, monitors []int, cls Classifie
 	return r, nil
 }
 
-// Golden returns the golden reference trace, simulating it on first use.
-// Every shard of every Run call classifies against this one trace. A
-// supplied trace is validated against the stimulus geometry; a mismatched
-// golden would silently misclassify every lane.
-func (r *Runner) Golden() (*sim.Trace, error) {
-	r.goldenOnce.Do(func() {
-		if r.golden == nil {
-			// Capture snapshots during this one golden run when none were
-			// supplied.
-			var snaps *sim.Snapshots
-			if r.snaps == nil {
-				snaps = sim.NewSnapshots(r.p, r.stim, r.cfg.SnapshotEvery)
-			}
-			e := sim.NewEngine(r.p)
-			r.golden, _ = sim.Run(e, r.stim, sim.RunConfig{Monitors: r.monitors, Snapshots: snaps})
-			if snaps != nil {
-				r.snaps = snaps
-			}
-		}
-		if r.golden == nil {
-			r.goldenErr = fmt.Errorf("fault: golden simulation produced no trace")
-			return
-		}
-		if r.golden.Cycles() != r.stim.Cycles() {
-			r.goldenErr = fmt.Errorf("fault: golden trace covers %d cycles, stimulus has %d",
-				r.golden.Cycles(), r.stim.Cycles())
-			return
-		}
-		if len(r.golden.Monitors) != len(r.monitors) {
-			r.goldenErr = fmt.Errorf("fault: golden trace records %d monitors, campaign monitors %d",
-				len(r.golden.Monitors), len(r.monitors))
-			return
-		}
-		for i, m := range r.monitors {
-			if r.golden.Monitors[i] != m {
-				r.goldenErr = fmt.Errorf("fault: golden trace monitor %d is port %d, campaign monitors port %d",
-					i, r.golden.Monitors[i], m)
-				return
-			}
-		}
-	})
-	return r.golden, r.goldenErr
-}
-
-// snapshots returns the golden restore points, capturing them with one
-// golden-rate replay if neither the config nor Golden() produced them.
-func (r *Runner) snapshots() *sim.Snapshots {
-	r.snapOnce.Do(func() {
-		if r.snaps != nil {
-			return
-		}
-		snaps := sim.NewSnapshots(r.p, r.stim, r.cfg.SnapshotEvery)
-		e := sim.NewEngine(r.p)
-		sim.Run(e, r.stim, sim.RunConfig{Snapshots: snaps})
-		r.snaps = snaps
-	})
-	return r.snaps
+// checkGolden validates the supplied golden trace against the stimulus
+// and monitor geometry.
+func checkGolden(golden *sim.Trace, stim *sim.Stimulus, monitors []int) error {
+	if golden == nil {
+		return fmt.Errorf("fault: runner needs a golden trace")
+	}
+	if golden.Cycles() != stim.Cycles() {
+		return fmt.Errorf("fault: golden trace covers %d cycles, stimulus has %d",
+			golden.Cycles(), stim.Cycles())
+	}
+	if !slices.Equal(golden.Monitors, monitors) {
+		return fmt.Errorf("fault: golden trace monitors ports %v, campaign monitors %v",
+			golden.Monitors, monitors)
+	}
+	return nil
 }
 
 // Run executes the plan to completion (or until the checkpoint says it
@@ -402,12 +345,12 @@ func (r *Runner) RunContext(ctx context.Context, jobs []Job) (*Result, error) {
 	}
 	sh := pl.sh
 	r.log.Info("campaign start",
-		obs.F("jobs", sh.totalJobs),
-		obs.F("chunks", sh.numChunks),
-		obs.F("resumed", lg.resumed),
-		obs.F("workers", r.workers()),
-		obs.F("schedule", string(lg.Schedule())),
-		obs.F("lanes_per_batch", lanesPerBatch))
+		"jobs", sh.totalJobs,
+		"chunks", sh.numChunks,
+		"resumed", lg.resumed,
+		"workers", r.workers(),
+		"schedule", string(lg.Schedule()),
+		"lanes_per_batch", lanesPerBatch)
 
 	// Merge stage: record chunk results, report progress.
 	start := time.Now()
@@ -424,13 +367,11 @@ func (r *Runner) RunContext(ctx context.Context, jobs []Job) (*Result, error) {
 		}
 		simCycles += cr.simCycles
 		replayCycles += cr.replayCycles
-		if r.log.Enabled(obs.LevelDebug) {
-			r.log.Debug("chunk merged",
-				obs.F("chunk", cr.index),
-				obs.F("jobs_done", lg.JobsDone()),
-				obs.F("sim_cycles", cr.simCycles),
-				obs.F("elapsed", cr.elapsed))
-		}
+		r.log.Debug("chunk merged",
+			"chunk", cr.index,
+			"jobs_done", lg.JobsDone(),
+			"sim_cycles", cr.simCycles,
+			"elapsed", cr.elapsed)
 		r.reportProgress(lg, start)
 	})
 	if addErr != nil {
@@ -451,12 +392,12 @@ func (r *Runner) RunContext(ctx context.Context, jobs []Job) (*Result, error) {
 	res.SimulatedCycles = simCycles
 	res.ReplayCycles = replayCycles
 	r.log.Info("campaign complete",
-		obs.F("jobs", sh.totalJobs),
-		obs.F("chunks", sh.numChunks),
-		obs.F("resumed", lg.resumed),
-		obs.F("sim_cycles", simCycles),
-		obs.F("replay_cycles", replayCycles),
-		obs.F("elapsed", time.Since(start)))
+		"jobs", sh.totalJobs,
+		"chunks", sh.numChunks,
+		"resumed", lg.resumed,
+		"sim_cycles", simCycles,
+		"replay_cycles", replayCycles,
+		"elapsed", time.Since(start))
 	return res, nil
 }
 

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/durable"
 	"repro/internal/fault"
 	"repro/internal/sim"
 )
@@ -17,7 +18,7 @@ func newRunner(t *testing.T, cfg fault.RunnerConfig) (*fault.Runner, []fault.Job
 	t.Helper()
 	p, bench := smallMAC(t)
 	cls := fault.NewMACClassifier(bench, true)
-	r, err := fault.NewRunner(p, bench.Stim, bench.Monitors, cls, cfg)
+	r, err := fault.NewGoldenRunner(p, bench.Stim, bench.Monitors, cls, cfg)
 	if err != nil {
 		t.Fatalf("NewRunner: %v", err)
 	}
@@ -48,13 +49,17 @@ func TestRunnerConfigValidation(t *testing.T) {
 		{Resume: true}, // resume without a checkpoint path
 	}
 	for i, cfg := range bad {
-		if _, err := fault.NewRunner(p, bench.Stim, bench.Monitors, cls, cfg); err == nil {
+		if _, err := fault.NewGoldenRunner(p, bench.Stim, bench.Monitors, cls, cfg); err == nil {
 			t.Fatalf("case %d must fail: %+v", i, cfg)
 		}
 	}
-	if _, err := fault.NewRunner(nil, bench.Stim, bench.Monitors, cls, fault.RunnerConfig{}); err == nil {
+	snaps := sim.NewSnapshots(p, bench.Stim, 0)
+	golden, _ := sim.Run(sim.NewEngine(p), bench.Stim, sim.RunConfig{Monitors: bench.Monitors, Snapshots: snaps})
+	if _, err := fault.NewRunner(nil, bench.Stim, bench.Monitors, cls,
+		fault.RunnerConfig{Golden: golden, Snapshots: snaps}); err == nil {
 		t.Fatal("nil program accepted")
 	}
+
 }
 
 func TestRunnerRejectsBadJobs(t *testing.T) {
@@ -109,31 +114,28 @@ func TestRunnerChunkGeometry(t *testing.T) {
 	}
 }
 
+// TestRunnerGoldenReuse: the supplied golden run is the one the campaign
+// pins and classifies against, and it can be shared between runners.
 func TestRunnerGoldenReuse(t *testing.T) {
 	p, bench := smallMAC(t)
-	e := sim.NewEngine(p)
-	golden, _ := sim.Run(e, bench.Stim, sim.RunConfig{Monitors: bench.Monitors})
+	snaps := sim.NewSnapshots(p, bench.Stim, 0)
+	golden, _ := sim.Run(sim.NewEngine(p), bench.Stim, sim.RunConfig{Monitors: bench.Monitors, Snapshots: snaps})
 
-	// A supplied golden trace is used as-is.
-	r, jobs := newRunner(t, fault.RunnerConfig{Golden: golden})
-	if g, err := r.Golden(); err != nil || g != golden {
-		t.Fatalf("supplied golden trace not reused (err %v)", err)
+	var results [2]*fault.Result
+	for i := range results {
+		r, jobs := newRunner(t, fault.RunnerConfig{Golden: golden, Snapshots: snaps})
+		pl, err := r.Prepare(jobs[:sim.Lanes])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, got := pl.Hashes(); got != durable.Hash(golden.Fingerprint()) {
+			t.Fatalf("plan pins golden %v, supplied trace is %x", got, golden.Fingerprint())
+		}
+		if results[i], err = r.Run(jobs[:sim.Lanes]); err != nil {
+			t.Fatalf("Run with shared golden: %v", err)
+		}
 	}
-	// Without one, it is simulated once and cached across calls.
-	r2, _ := newRunner(t, fault.RunnerConfig{})
-	g1, err := r2.Golden()
-	if err != nil || g1 == nil {
-		t.Fatalf("no golden trace computed: %v", err)
-	}
-	if g2, err := r2.Golden(); err != nil || g2 != g1 {
-		t.Fatalf("golden trace recomputed (err %v)", err)
-	}
-	if !g1.Equal(golden) {
-		t.Fatal("computed golden trace differs from reference run")
-	}
-	if _, err := r.Run(jobs[:sim.Lanes]); err != nil {
-		t.Fatalf("Run with shared golden: %v", err)
-	}
+	sameResult(t, results[0], results[1])
 }
 
 func TestRunnerProgress(t *testing.T) {
@@ -278,7 +280,7 @@ func TestRunnerResumeRejectsDifferentCriterion(t *testing.T) {
 	p, bench := smallMAC(t)
 	jobs := fault.NewModelPlan(fault.Model{}, p.NumFFs(), 2, bench.ActiveCycles, 21)
 
-	strict, err := fault.NewRunner(p, bench.Stim, bench.Monitors,
+	strict, err := fault.NewGoldenRunner(p, bench.Stim, bench.Monitors,
 		fault.NewMACClassifier(bench, true),
 		fault.RunnerConfig{ChunkJobs: sim.Lanes, CheckpointPath: ckpt})
 	if err != nil {
@@ -288,7 +290,7 @@ func TestRunnerResumeRejectsDifferentCriterion(t *testing.T) {
 		t.Fatalf("seeding checkpoint: %v", err)
 	}
 
-	lax, err := fault.NewRunner(p, bench.Stim, bench.Monitors,
+	lax, err := fault.NewGoldenRunner(p, bench.Stim, bench.Monitors,
 		fault.NewMACClassifier(bench, false),
 		fault.RunnerConfig{ChunkJobs: sim.Lanes, CheckpointPath: ckpt, Resume: true})
 	if err != nil {

@@ -72,7 +72,7 @@ func planned(t *testing.T, r *Runner, jobs []Job) *Plan {
 // stream per group.
 func TestRunBatchWideSteadyStateAllocs(t *testing.T) {
 	p, bench := wideMAC(t)
-	r, err := NewRunner(p, bench.Stim, bench.Monitors, &ExactClassifier{}, RunnerConfig{})
+	r, err := NewGoldenRunner(p, bench.Stim, bench.Monitors, &ExactClassifier{}, RunnerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestRepackedChunksMatchReference(t *testing.T) {
 		for _, c := range classifiers {
 			t.Run(spec+"/"+c.name, func(t *testing.T) {
 				run := func(chunkJobs int) *Runner {
-					r, err := NewRunner(p, bench.Stim, bench.Monitors, c.make(), RunnerConfig{
+					r, err := NewGoldenRunner(p, bench.Stim, bench.Monitors, c.make(), RunnerConfig{
 						Model: model, ChunkJobs: chunkJobs, Workers: 2, Metrics: obs.NewRegistry(),
 					})
 					if err != nil {
@@ -224,7 +224,7 @@ func TestRepackedChunksMatchReference(t *testing.T) {
 // chunk's second round is cut again and a third finishes it.
 func TestRepackingTakesThreeRounds(t *testing.T) {
 	p, bench := wideMAC(t)
-	r, err := NewRunner(p, bench.Stim, bench.Monitors, NewMACClassifier(bench, true), RunnerConfig{ChunkJobs: 4096})
+	r, err := NewGoldenRunner(p, bench.Stim, bench.Monitors, NewMACClassifier(bench, true), RunnerConfig{ChunkJobs: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestRepackingTerminates(t *testing.T) {
 		monitors[i] = i
 	}
 	jobs := NewModelPlan(Model{}, regs, 80, cycles, 7) // 640 jobs: one chunk, three wide batches
-	r, err := NewRunner(p, stim, monitors, struct{ Classifier }{&ExactClassifier{}}, RunnerConfig{
+	r, err := NewGoldenRunner(p, stim, monitors, struct{ Classifier }{&ExactClassifier{}}, RunnerConfig{
 		ChunkJobs: 1024, Metrics: obs.NewRegistry(),
 	})
 	if err != nil {
@@ -319,7 +319,7 @@ func TestKernelSharedAndCollectable(t *testing.T) {
 		}
 		var kernels [2]*sim.Kernel
 		for i := range kernels {
-			r, err := NewRunner(p, bench.Stim, bench.Monitors, &ExactClassifier{}, RunnerConfig{})
+			r, err := NewGoldenRunner(p, bench.Stim, bench.Monitors, &ExactClassifier{}, RunnerConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -396,7 +396,7 @@ func TestWorkerTracesReturnToGolden(t *testing.T) {
 			"exact": &ExactClassifier{CheckFrom: 20},
 		} {
 			t.Run(spec+"/"+name, func(t *testing.T) {
-				r, err := NewRunner(p, bench.Stim, bench.Monitors, cls, RunnerConfig{Model: model, ChunkJobs: 1024})
+				r, err := NewGoldenRunner(p, bench.Stim, bench.Monitors, cls, RunnerConfig{Model: model, ChunkJobs: 1024})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -422,7 +422,7 @@ func setRunner(t *testing.T, cycles ...int) (*Runner, []Job, map[int64]setEffect
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewRunner(p, bench.Stim, bench.Monitors, &ExactClassifier{}, RunnerConfig{Model: model})
+	r, err := NewGoldenRunner(p, bench.Stim, bench.Monitors, &ExactClassifier{}, RunnerConfig{Model: model})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -547,7 +547,7 @@ func TestNarrowedRangeBreaksEquivalence(t *testing.T) {
 	p, bench := wideMAC(t)
 	jobs := NewModelPlan(Model{}, p.NumFFs(), 2, bench.ActiveCycles, 41)
 	run := func(cls Classifier) *Runner {
-		r, err := NewRunner(p, bench.Stim, bench.Monitors, cls, RunnerConfig{})
+		r, err := NewGoldenRunner(p, bench.Stim, bench.Monitors, cls, RunnerConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -577,7 +577,7 @@ func TestFlipSorterMatchesInsertionSort(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := NewRunner(p, bench.Stim, bench.Monitors, &ExactClassifier{}, RunnerConfig{Model: model})
+		r, err := NewGoldenRunner(p, bench.Stim, bench.Monitors, &ExactClassifier{}, RunnerConfig{Model: model})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -613,14 +613,11 @@ func TestFlipSorterMatchesInsertionSort(t *testing.T) {
 func TestMACStreamStartsAtGoldenDecoderState(t *testing.T) {
 	p, bench := wideMAC(t)
 	cls := NewMACClassifier(bench, true)
-	r, err := NewRunner(p, bench.Stim, bench.Monitors, cls, RunnerConfig{})
+	r, err := NewGoldenRunner(p, bench.Stim, bench.Monitors, cls, RunnerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	golden, err := r.Golden()
-	if err != nil {
-		t.Fatal(err)
-	}
+	golden := r.cfg.Golden
 	var replay frameDec
 	for from := 0; from <= golden.Cycles(); from++ {
 		if got := cls.StartStream(golden, ^uint64(0), from).(*macStream).g; got != replay {
@@ -640,7 +637,7 @@ func TestMACStreamStartsAtGoldenDecoderState(t *testing.T) {
 // internal splitting (whole 64-lane batches, short last chunk).
 func TestPlanGeometry(t *testing.T) {
 	p, bench := wideMAC(t)
-	r, err := NewRunner(p, bench.Stim, bench.Monitors, &ExactClassifier{}, RunnerConfig{ChunkJobs: 100})
+	r, err := NewGoldenRunner(p, bench.Stim, bench.Monitors, &ExactClassifier{}, RunnerConfig{ChunkJobs: 100})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package harden
 import (
 	"context"
 	"fmt"
+	"log/slog"
 
 	"repro/internal/circuit"
 	"repro/internal/corpus"
@@ -42,7 +43,7 @@ type VerifyConfig struct {
 	// OnProgress, Metrics and Logger instrument the campaigns.
 	OnProgress func(fault.Progress)
 	Metrics    *obs.Registry
-	Logger     *obs.Logger
+	Logger     *slog.Logger
 }
 
 // Verification is the outcome of re-measuring a hardened design: the

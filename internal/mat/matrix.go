@@ -3,8 +3,6 @@ package mat
 import (
 	"errors"
 	"fmt"
-	"math"
-	"strings"
 )
 
 // ErrShape is returned when operand dimensions are incompatible.
@@ -30,23 +28,6 @@ func New(rows, cols int) *Matrix {
 	return &Matrix{rows: rows, cols: cols, data: make([]float64, rows*cols)}
 }
 
-// FromRows builds a matrix from a slice of equally sized rows.
-// The data is copied.
-func FromRows(rows [][]float64) (*Matrix, error) {
-	if len(rows) == 0 {
-		return New(0, 0), nil
-	}
-	cols := len(rows[0])
-	m := New(len(rows), cols)
-	for i, r := range rows {
-		if len(r) != cols {
-			return nil, fmt.Errorf("%w: row %d has %d columns, want %d", ErrShape, i, len(r), cols)
-		}
-		copy(m.data[i*cols:(i+1)*cols], r)
-	}
-	return m, nil
-}
-
 // Rows returns the number of rows.
 func (m *Matrix) Rows() int { return m.rows }
 
@@ -59,116 +40,10 @@ func (m *Matrix) At(i, j int) float64 { return m.data[i*m.cols+j] }
 // Set assigns the element at row i, column j.
 func (m *Matrix) Set(i, j int, v float64) { m.data[i*m.cols+j] = v }
 
-// Row returns a copy of row i.
-func (m *Matrix) Row(i int) []float64 {
-	out := make([]float64, m.cols)
-	copy(out, m.data[i*m.cols:(i+1)*m.cols])
-	return out
-}
-
 // RawRow returns row i as a slice aliasing the matrix storage.
 // Mutating the returned slice mutates the matrix.
 func (m *Matrix) RawRow(i int) []float64 {
 	return m.data[i*m.cols : (i+1)*m.cols]
-}
-
-// Col returns a copy of column j.
-func (m *Matrix) Col(j int) []float64 {
-	out := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		out[i] = m.data[i*m.cols+j]
-	}
-	return out
-}
-
-// Clone returns a deep copy of m.
-func (m *Matrix) Clone() *Matrix {
-	c := New(m.rows, m.cols)
-	copy(c.data, m.data)
-	return c
-}
-
-// T returns the transpose of m as a new matrix.
-func (m *Matrix) T() *Matrix {
-	t := New(m.cols, m.rows)
-	for i := 0; i < m.rows; i++ {
-		row := m.data[i*m.cols : (i+1)*m.cols]
-		for j, v := range row {
-			t.data[j*t.cols+i] = v
-		}
-	}
-	return t
-}
-
-// Mul returns a*b.
-func Mul(a, b *Matrix) (*Matrix, error) {
-	if a.cols != b.rows {
-		return nil, fmt.Errorf("%w: %dx%d * %dx%d", ErrShape, a.rows, a.cols, b.rows, b.cols)
-	}
-	out := New(a.rows, b.cols)
-	for i := 0; i < a.rows; i++ {
-		arow := a.data[i*a.cols : (i+1)*a.cols]
-		orow := out.data[i*out.cols : (i+1)*out.cols]
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b.data[k*b.cols : (k+1)*b.cols]
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
-		}
-	}
-	return out, nil
-}
-
-// MulVec returns a*x for a column vector x.
-func MulVec(a *Matrix, x []float64) ([]float64, error) {
-	if a.cols != len(x) {
-		return nil, fmt.Errorf("%w: %dx%d * vec(%d)", ErrShape, a.rows, a.cols, len(x))
-	}
-	out := make([]float64, a.rows)
-	for i := 0; i < a.rows; i++ {
-		row := a.data[i*a.cols : (i+1)*a.cols]
-		var s float64
-		for j, v := range row {
-			s += v * x[j]
-		}
-		out[i] = s
-	}
-	return out, nil
-}
-
-// Add returns a+b.
-func Add(a, b *Matrix) (*Matrix, error) {
-	if a.rows != b.rows || a.cols != b.cols {
-		return nil, fmt.Errorf("%w: %dx%d + %dx%d", ErrShape, a.rows, a.cols, b.rows, b.cols)
-	}
-	out := New(a.rows, a.cols)
-	for i, v := range a.data {
-		out.data[i] = v + b.data[i]
-	}
-	return out, nil
-}
-
-// Sub returns a-b.
-func Sub(a, b *Matrix) (*Matrix, error) {
-	if a.rows != b.rows || a.cols != b.cols {
-		return nil, fmt.Errorf("%w: %dx%d - %dx%d", ErrShape, a.rows, a.cols, b.rows, b.cols)
-	}
-	out := New(a.rows, a.cols)
-	for i, v := range a.data {
-		out.data[i] = v - b.data[i]
-	}
-	return out, nil
-}
-
-// Scale multiplies every element of m by s in place and returns m.
-func (m *Matrix) Scale(s float64) *Matrix {
-	for i := range m.data {
-		m.data[i] *= s
-	}
-	return m
 }
 
 // Identity returns the n×n identity matrix.
@@ -178,33 +53,4 @@ func Identity(n int) *Matrix {
 		m.data[i*n+i] = 1
 	}
 	return m
-}
-
-// MaxAbsDiff returns the largest absolute element-wise difference between a
-// and b, or an error if the shapes differ.
-func MaxAbsDiff(a, b *Matrix) (float64, error) {
-	if a.rows != b.rows || a.cols != b.cols {
-		return 0, fmt.Errorf("%w: %dx%d vs %dx%d", ErrShape, a.rows, a.cols, b.rows, b.cols)
-	}
-	var max float64
-	for i, v := range a.data {
-		d := math.Abs(v - b.data[i])
-		if d > max {
-			max = d
-		}
-	}
-	return max, nil
-}
-
-// String renders the matrix for debugging.
-func (m *Matrix) String() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "mat %dx%d\n", m.rows, m.cols)
-	for i := 0; i < m.rows; i++ {
-		for j := 0; j < m.cols; j++ {
-			fmt.Fprintf(&sb, "% .6g ", m.At(i, j))
-		}
-		sb.WriteByte('\n')
-	}
-	return sb.String()
 }

@@ -21,7 +21,8 @@ func Factorize(a *Matrix) (*QR, error) {
 	if m < n {
 		return nil, fmt.Errorf("%w: QR needs rows >= cols, got %dx%d", ErrShape, m, n)
 	}
-	qr := a.Clone()
+	qr := New(m, n)
+	copy(qr.data, a.data)
 	tau := make([]float64, n)
 	for k := 0; k < n; k++ {
 		// Compute the norm of the k-th column below the diagonal.
@@ -55,45 +56,6 @@ func Factorize(a *Matrix) (*QR, error) {
 		}
 	}
 	return &QR{qr: qr, tau: tau, rows: m, cols: n}, nil
-}
-
-// R returns the n×n upper-triangular factor.
-func (f *QR) R() *Matrix {
-	n := f.cols
-	r := New(n, n)
-	for i := 0; i < n; i++ {
-		for j := i; j < n; j++ {
-			if i == j {
-				r.Set(i, j, -f.tau[i])
-			} else {
-				r.Set(i, j, f.qr.At(i, j))
-			}
-		}
-	}
-	return r
-}
-
-// Q returns the thin m×n orthonormal factor.
-func (f *QR) Q() *Matrix {
-	m, n := f.rows, f.cols
-	q := New(m, n)
-	for k := n - 1; k >= 0; k-- {
-		q.Set(k, k, 1)
-		if f.qr.At(k, k) == 0 {
-			continue
-		}
-		for j := k; j < n; j++ {
-			var s float64
-			for i := k; i < m; i++ {
-				s += f.qr.At(i, k) * q.At(i, j)
-			}
-			s = -s / f.qr.At(k, k)
-			for i := k; i < m; i++ {
-				q.Set(i, j, q.At(i, j)+s*f.qr.At(i, k))
-			}
-		}
-	}
-	return q
 }
 
 // Solve computes the least-squares solution x minimizing ||A*x - b||₂ using

@@ -1,10 +1,6 @@
 package mat
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
+import "fmt"
 
 // Dot returns the inner product of x and y.
 // It panics if the lengths differ; vector helpers are hot paths and callers
@@ -18,107 +14,4 @@ func Dot(x, y []float64) float64 {
 		s += v * y[i]
 	}
 	return s
-}
-
-// Norm2 returns the Euclidean norm of x.
-func Norm2(x []float64) float64 {
-	// Scaled accumulation avoids overflow for large magnitudes.
-	var scale, ssq float64
-	ssq = 1
-	for _, v := range x {
-		if v == 0 {
-			continue
-		}
-		a := math.Abs(v)
-		if scale < a {
-			r := scale / a
-			ssq = 1 + ssq*r*r
-			scale = a
-		} else {
-			r := a / scale
-			ssq += r * r
-		}
-	}
-	return scale * math.Sqrt(ssq)
-}
-
-// AXPY computes y += alpha*x in place.
-func AXPY(alpha float64, x, y []float64) {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("mat: axpy length mismatch %d vs %d", len(x), len(y)))
-	}
-	for i, v := range x {
-		y[i] += alpha * v
-	}
-}
-
-// Mean returns the arithmetic mean of x, or 0 for an empty slice.
-func Mean(x []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	var s float64
-	for _, v := range x {
-		s += v
-	}
-	return s / float64(len(x))
-}
-
-// Variance returns the population variance of x (dividing by n, matching the
-// paper's Explained Variance definition), or 0 for fewer than one element.
-func Variance(x []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	m := Mean(x)
-	var s float64
-	for _, v := range x {
-		d := v - m
-		s += d * d
-	}
-	return s / float64(len(x))
-}
-
-// MinMax returns the minimum and maximum of x.
-// For an empty slice it returns (0, 0).
-func MinMax(x []float64) (min, max float64) {
-	if len(x) == 0 {
-		return 0, 0
-	}
-	min, max = x[0], x[0]
-	for _, v := range x[1:] {
-		if v < min {
-			min = v
-		}
-		if v > max {
-			max = v
-		}
-	}
-	return min, max
-}
-
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) of x using linear
-// interpolation between order statistics. x is not modified.
-// For an empty slice it returns 0.
-func Quantile(x []float64, q float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	s := make([]float64, len(x))
-	copy(s, x)
-	sort.Float64s(s)
-	if q <= 0 {
-		return s[0]
-	}
-	if q >= 1 {
-		return s[len(s)-1]
-	}
-	pos := q * float64(len(s)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return s[lo]
-	}
-	frac := pos - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
 }

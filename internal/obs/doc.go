@@ -1,5 +1,6 @@
-// Package obs is the repository's dependency-free telemetry core, three
-// pillars behind one import:
+// Package obs is the repository's dependency-free telemetry core: what the
+// toolchain does not ship. Log records are log/slog's; this package adds
+// only Component, which scopes an optional logger (nil means silent).
 //
 //   - Metrics: Prometheus-style counters, gauges and histograms behind a
 //     Registry that exposes them in the Prometheus text format (version
@@ -8,10 +9,6 @@
 //     histograms, cache hit counters, lease-churn counters, per-chunk wall
 //     time, simulated-vs-replay cycle counters — so a fleet can be scraped
 //     by stock monitoring tooling without a client_golang dependency.
-//   - Structured logging: a leveled Logger with JSON and text encoders and
-//     With-scoped fields (component, campaign, trace_id). A nil *Logger is
-//     a valid no-op, so long-running components take one optionally and
-//     log unguarded.
 //   - Tracing: lightweight trace/span identifiers (Trace, Span) carried in
 //     contexts, propagated as HTTP headers by internal/api, and journaled
 //     by a Tracer as JSONL span records — convertible to the Chrome
@@ -21,9 +18,9 @@
 //
 // The implementation favors hot-path cheapness: counters and gauges are a
 // single atomic word, histograms one atomic word per bucket, label lookup
-// is a read-locked map hit, and disabled log levels return before any
-// formatting. Metric families are created once at construction (Counter,
-// CounterVec, Gauge, Histogram) and used lock-free afterwards.
+// is a read-locked map hit. Metric families are created once at
+// construction (Counter, CounterVec, Gauge, Histogram) and used lock-free
+// afterwards.
 //
 // ServeDebug is the shared -metrics-addr debug listener: /metrics plus
 // net/http/pprof, so a campaign can be profiled mid-run.

@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"sync"
 	"time"
 )
@@ -99,7 +100,7 @@ type Span struct {
 // (becoming a child of its current span) or starts a new trace, and the
 // returned context carries the updated trace for children and for HTTP
 // propagation. End the span to journal it.
-func (t *Tracer) Start(ctx context.Context, name string, attrs ...Field) (context.Context, *Span) {
+func (t *Tracer) Start(ctx context.Context, name string, attrs ...slog.Attr) (context.Context, *Span) {
 	tc, _ := TraceFrom(ctx)
 	parent := tc.SpanID
 	if !tc.Valid() {
@@ -124,9 +125,7 @@ func (t *Tracer) Start(ctx context.Context, name string, attrs ...Field) (contex
 	if t != nil {
 		s.rec.Process = t.process
 	}
-	for _, f := range attrs {
-		s.SetAttr(f.Key, f.Value)
-	}
+	s.SetAttr(attrs...)
 	return ContextWithTrace(ctx, tc), s
 }
 
@@ -146,15 +145,17 @@ func (s *Span) TraceID() string {
 	return s.rec.TraceID
 }
 
-// SetAttr attaches one attribute to the span.
-func (s *Span) SetAttr(key string, value any) {
-	if s == nil {
+// SetAttr attaches attributes to the span.
+func (s *Span) SetAttr(attrs ...slog.Attr) {
+	if s == nil || len(attrs) == 0 {
 		return
 	}
 	if s.rec.Attrs == nil {
-		s.rec.Attrs = make(map[string]any)
+		s.rec.Attrs = make(map[string]any, len(attrs))
 	}
-	s.rec.Attrs[key] = value
+	for _, a := range attrs {
+		s.rec.Attrs[a.Key] = a.Value.Any()
+	}
 }
 
 // End closes the span and journals it (when the tracer has a journal).

@@ -3,6 +3,7 @@ package obs
 import (
 	"context"
 	"encoding/json"
+	"log/slog"
 	"strings"
 	"testing"
 	"time"
@@ -32,9 +33,9 @@ func TestTracerJournalAndParenting(t *testing.T) {
 		return mono
 	}
 
-	ctx, root := tr.Start(context.Background(), "lease", F("worker", "w1"))
+	ctx, root := tr.Start(context.Background(), "lease", slog.String("worker", "w1"))
 	_, child := tr.Start(ctx, "chunk")
-	child.SetAttr("chunk", 3)
+	child.SetAttr(slog.Int("chunk", 3))
 	child.End()
 	root.End()
 
@@ -97,7 +98,7 @@ func TestNilTracerStillPropagates(t *testing.T) {
 func TestWriteChromeTrace(t *testing.T) {
 	var journal strings.Builder
 	tr := NewTracer(&journal, "ffrwork")
-	_, s := tr.Start(context.Background(), "chunk", F("chunk", 7))
+	_, s := tr.Start(context.Background(), "chunk", slog.Int("chunk", 7))
 	s.End()
 
 	var chrome strings.Builder

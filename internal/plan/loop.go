@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"log/slog"
 	"math"
 	"os"
 	"sort"
@@ -74,7 +75,7 @@ type Config struct {
 	Metrics *obs.Registry
 	// Logger optionally receives structured per-round records; nil
 	// disables logging.
-	Logger *obs.Logger
+	Logger *slog.Logger
 }
 
 // DefaultMaxRounds caps adaptive loops that never meet their convergence
@@ -138,7 +139,7 @@ type Loop struct {
 	cfg     Config
 	pool    []int
 	metrics *planMetrics
-	log     *obs.Logger
+	log     *slog.Logger
 }
 
 // NewLoop validates the configuration and applies defaults.
@@ -195,7 +196,7 @@ func NewLoop(cfg Config) (*Loop, error) {
 	if cfg.Patience <= 0 {
 		cfg.Patience = DefaultPatience
 	}
-	l := &Loop{cfg: cfg, pool: pool, log: cfg.Logger.Component("plan")}
+	l := &Loop{cfg: cfg, pool: pool, log: obs.Component(cfg.Logger, "plan")}
 	if cfg.Metrics != nil {
 		l.metrics = newPlanMetrics(cfg.Metrics)
 	}
@@ -330,15 +331,19 @@ func (l *Loop) RunContext(ctx context.Context) (*Result, error) {
 			os.Remove(l.roundCheckpointPath(st.Round))
 		}
 		l.metrics.observeRound(rnd)
-		l.log.Info("round complete",
-			obs.F("round", rnd.Index),
-			obs.F("selected", len(rnd.Selected)),
-			obs.F("resumed", rnd.Resumed),
-			obs.F("measured_ffs", rnd.MeasuredFFs),
-			obs.F("injections", rnd.Injections),
-			obs.F("ffr", rnd.FFR),
-			obs.F("ci_width", rnd.CIHi-rnd.CILo),
-			obs.F("delta", rnd.Delta))
+		log := l.log
+		if !math.IsInf(rnd.Delta, 1) {
+			// Round 0 has no delta, and JSON no +Inf.
+			log = log.With("delta", rnd.Delta)
+		}
+		log.Info("round complete",
+			"round", rnd.Index,
+			"selected", len(rnd.Selected),
+			"resumed", rnd.Resumed,
+			"measured_ffs", rnd.MeasuredFFs,
+			"injections", rnd.Injections,
+			"ffr", rnd.FFR,
+			"ci_width", rnd.CIHi-rnd.CILo)
 		if cfg.OnRound != nil {
 			cfg.OnRound(rnd)
 		}
@@ -359,10 +364,10 @@ func (l *Loop) RunContext(ctx context.Context) (*Result, error) {
 	}
 	l.metrics.observeConverged(res.Converged)
 	l.log.Info("loop finished",
-		obs.F("rounds", len(res.Rounds)),
-		obs.F("converged", res.Converged),
-		obs.F("measured_ffs", st.MeasuredCount()),
-		obs.F("injections", totalInjections(st)))
+		"rounds", len(res.Rounds),
+		"converged", res.Converged,
+		"measured_ffs", st.MeasuredCount(),
+		"injections", totalInjections(st))
 	// No measurement follows a round's estimate, so the last round's model,
 	// estimate vector, FFR and CI are already the result's.
 	res.Measured = st.MeasuredSet()

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"log/slog"
 	"net/http"
 	"strconv"
 	"time"
@@ -73,7 +74,7 @@ func (r *statusRecorder) WriteHeader(code int) {
 // and structured request logging, labeled by route pattern (not raw URL,
 // to bound cardinality). Successful requests log at debug so production
 // logs stay quiet at info; 4xx logs at warn and 5xx at error.
-func (m *metrics) instrument(log *obs.Logger, path string, h http.HandlerFunc) http.HandlerFunc {
+func (m *metrics) instrument(log *slog.Logger, path string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 		start := time.Now()
@@ -82,20 +83,20 @@ func (m *metrics) instrument(log *obs.Logger, path string, h http.HandlerFunc) h
 		m.latency.Observe(elapsed.Seconds())
 		m.requests.With(path, strconv.Itoa(rec.status)).Inc()
 
-		level := obs.LevelDebug
+		level := slog.LevelDebug
 		switch {
 		case rec.status >= 500:
-			level = obs.LevelError
+			level = slog.LevelError
 		case rec.status >= 400:
-			level = obs.LevelWarn
+			level = slog.LevelWarn
 		}
-		if log.Enabled(level) {
-			log.Log(level, "request",
-				obs.F("method", r.Method),
-				obs.F("path", path),
-				obs.F("status", rec.status),
-				obs.F("seconds", elapsed.Seconds()),
-				obs.F("trace_id", w.Header().Get(api.HeaderTraceID)))
+		if ctx := r.Context(); log.Enabled(ctx, level) {
+			log.Log(ctx, level, "request",
+				"method", r.Method,
+				"path", path,
+				"status", rec.status,
+				"seconds", elapsed.Seconds(),
+				"trace_id", w.Header().Get(api.HeaderTraceID))
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"runtime"
 	"sync"
@@ -74,7 +75,7 @@ type Config struct {
 	Metrics *obs.Registry
 	// Logger optionally receives structured request logs; nil disables
 	// logging.
-	Logger *obs.Logger
+	Logger *slog.Logger
 }
 
 // Server is the prediction service: a model registry behind HTTP handlers
@@ -94,7 +95,7 @@ type Server struct {
 
 	obsReg  *obs.Registry
 	metrics *metrics
-	log     *obs.Logger
+	log     *slog.Logger
 }
 
 // New builds a server; load models with Add or LoadArtifact (or pass a
@@ -138,7 +139,7 @@ func New(cfg Config) *Server {
 		admit:   make(map[string]chan struct{}),
 		obsReg:  obsReg,
 		metrics: newMetrics(obsReg),
-		log:     cfg.Logger.Component("serve"),
+		log:     obs.Component(cfg.Logger, "serve"),
 	}
 }
 
