@@ -187,7 +187,7 @@ func TestMisuse(t *testing.T) {
 			{"-resume"}, {"-fault-model", "mbu:99"}, {"-fault-model", "bogus"},
 			{"-log-level", "loud"}, {"-log-format", "xml"}},
 		"feat":  {{"-n", "0"}},
-		"train": {{"-train", "0"}, {"-train", "1"}, {"-splits", "0"}, {"-n", "0"}, {"-samples", "0"}},
+		"train": {{"-train", "0"}, {"-train", "1"}, {"-train", "NaN"}, {"-splits", "0"}, {"-n", "0"}, {"-samples", "0"}},
 		"exp": {{"-n", "0"}, {"-exp", "bogus"}, {"-exp", "table1", "-load", "m.ffrm"}, {"-exp", "predict"},
 			{"-exp", "table1", "-scenarios", "alupipe/randomops"}, {"-scale", "default"}, {"-exp", "fig2a", "-fault-models", "seu"}},
 		"corpus": {{}, {"-list", "-sweep"}, {"-sweep", "-n", "-1"}, {"-sweep", "-shards", "-1"},
@@ -203,9 +203,10 @@ func TestMisuse(t *testing.T) {
 		"load": {{}, {"-url", "http://127.0.0.1:1", "-requests", "0"}, {"-url", "http://127.0.0.1:1", "-concurrency", "0"},
 			{"-url", "http://127.0.0.1:1", "-batch", "0"}, {"-url", "http://127.0.0.1:1", "-p99-slo", "-1s"}},
 		"plan": {{"-n", "-1"}, {"-rounds", "-1"}, {"-init", "-1"}, {"-batch", "-1"}, {"-patience", "-1"},
-			{"-workers", "-1"}, {"-delta", "-1"}, {"-ci", "-1"}, {"-resume"}, {"-strategy", "psychic"},
-			{"-budget", "0"}, {"-budget", "1.5"}, {"-fault-model", "bogus"}},
-		"harden": {{}, {"-load", "m.ffrm", "-budget", "-1"}, {"-load", "m.ffrm", "-clusters", "0"},
+			{"-workers", "-1"}, {"-delta", "-1"}, {"-delta", "NaN"}, {"-ci", "-1"}, {"-ci", "NaN"}, {"-resume"},
+			{"-strategy", "psychic"}, {"-strategy", "uncertainty"}, {"-strategy", "cluster"},
+			{"-budget", "0"}, {"-budget", "1.5"}, {"-budget", "NaN"}, {"-fault-model", "bogus"}},
+		"harden": {{}, {"-load", "m.ffrm", "-budget", "-1"}, {"-load", "m.ffrm", "-budget", "NaN"}, {"-load", "m.ffrm", "-clusters", "0"},
 			{"-load", "m.ffrm", "-n", "-1"}, {"-load", "m.ffrm", "-workers", "-1"}, {"-load", "m.ffrm", "-chunk", "-1"},
 			{"-load", "m.ffrm", "-checkpoint-every", "-1"}, {"-load", "m.ffrm", "-resume"}},
 	}

@@ -13,7 +13,7 @@ import (
 
 // runPlan runs the active-learning campaign planner: instead of
 // fault-injecting every flip-flop, it closes the loop train →
-// score-uncertainty → select-next-injection-batch → inject → retrain on any
+// score-disagreement → select-next-injection-batch → inject → retrain on any
 // corpus scenario, stopping when the circuit-level FFR estimate converges or
 // the injection budget is spent.
 //
@@ -29,8 +29,8 @@ func runPlan(c *cli.Cmd) error {
 	var (
 		scenario   = c.Flags.String("scenario", "mac10ge/loopback", "corpus scenario to plan (family/workload)")
 		scaleStr   = c.Flags.String("scale", "small", "circuit/workload scale: small or default")
-		seed       = c.Flags.Int64("seed", 1, "planner seed (initial draw, bootstraps, clustering)")
-		strategy   = c.Flags.String("strategy", repro.StrategyCommittee, "acquisition strategy: random, committee, uncertainty or cluster")
+		seed       = c.Flags.Int64("seed", 1, "planner seed (the random draws: every random round, committee's round 0)")
+		strategy   = c.Flags.String("strategy", repro.StrategyCommittee, "acquisition strategy: random or committee")
 		model      = c.Flags.String("model", "k-NN", "estimate model (Table I row label)")
 		n          = c.Flags.Int("n", 0, "injections per measured flip-flop (0 = scenario default)")
 		budget     = c.Flags.Float64("budget", 0.5, "fraction of flip-flops the loop may measure (0,1]")
@@ -65,7 +65,7 @@ func runPlan(c *cli.Cmd) error {
 	); err != nil {
 		return err
 	}
-	if *budget <= 0 || *budget > 1 {
+	if !(0 < *budget && *budget <= 1) { // NaN fails every comparison
 		return c.UsageErrorf("-budget must be in (0,1] (got %g)", *budget)
 	}
 	fmodel, err := faultModel()

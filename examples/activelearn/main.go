@@ -46,17 +46,16 @@ func run() error {
 		return err
 	}
 
-	// Compare acquisition strategies under a shared protocol: a held-out
-	// evaluation half, half the pool as injection budget, six adaptive
-	// rounds. The comparison replays measurements from the ground truth —
-	// bit-identical to re-injecting, at zero simulation cost.
+	// Compare committee against the random control under a shared
+	// protocol: a held-out evaluation half, half the pool as injection
+	// budget, six adaptive rounds. The comparison replays measurements from
+	// the ground truth — bit-identical to re-injecting, at zero simulation
+	// cost.
 	spec, err := repro.FindModel("k-NN")
 	if err != nil {
 		return err
 	}
-	cmp, err := study.CompareAdaptiveStrategies(
-		[]string{repro.StrategyRandom, repro.StrategyCommittee, repro.StrategyUncertainty},
-		spec, 0.5, 6, 2)
+	cmp, err := study.CompareAdaptiveStrategies(repro.AdaptiveStrategyNames(), spec, 0.5, 6, 2)
 	if err != nil {
 		return err
 	}
@@ -101,7 +100,7 @@ func run() error {
 	fmt.Printf("\nfinal: FFR %.4f vs exhaustive truth %.4f (error %+.4f) at %.1f%% of the injections\n",
 		res.FFR, trueFFR, res.FFR-trueFFR,
 		100*float64(res.TotalInjections)/float64(study.NumFFs()*cfg.InjectionsPerFF))
-	fmt.Println("\nthe model spends the budget where it is uncertain — random spends it anywhere;")
+	fmt.Println("\nthe committee spends the budget where its models disagree — random spends it anywhere;")
 	fmt.Println("same model, same budget, better estimate.")
 	return nil
 }

@@ -72,7 +72,7 @@ type (
 	// TransferCell is one (train → test) transfer measurement.
 	TransferCell = core.TransferCell
 	// AdaptiveStudy couples a Study with the active-learning campaign
-	// planner (train → score-uncertainty → inject → retrain).
+	// planner (train → score disagreement → inject → retrain).
 	AdaptiveStudy = core.AdaptiveStudy
 	// AdaptiveStudyConfig assembles an adaptive campaign over a study.
 	AdaptiveStudyConfig = core.AdaptiveConfig
@@ -89,14 +89,11 @@ type (
 	AcquisitionStrategy = plan.Strategy
 )
 
-// Acquisition strategy names (see plan.New): the random baseline, committee
-// disagreement across the model zoo, bootstrap-variance uncertainty
-// sampling, and k-means cluster coverage of the feature space.
+// Acquisition strategy names (see plan.New): the random control and
+// committee disagreement across the model zoo.
 const (
-	StrategyRandom      = plan.StrategyRandom
-	StrategyCommittee   = plan.StrategyCommittee
-	StrategyUncertainty = plan.StrategyUncertainty
-	StrategyCluster     = plan.StrategyCluster
+	StrategyRandom    = plan.StrategyRandom
+	StrategyCommittee = plan.StrategyCommittee
 )
 
 // Corpus scales.

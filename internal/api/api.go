@@ -62,11 +62,19 @@ type ErrorResponse struct {
 	Error *Error `json:"error"`
 }
 
-// WriteJSON writes v as the JSON response body with the given status.
+// WriteJSON writes v as the JSON response body with the given status. It
+// encodes before it commits the status, so a value JSON cannot carry (a NaN
+// or an infinity) is answered with a 500 internal envelope, not a status
+// with no body.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		WriteError(w, http.StatusInternalServerError, CodeInternal, "encoding the response: %v", err)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
+	w.Write(append(body, '\n')) // the status is sent: a failed write has no one left to tell
 }
 
 // WriteError writes the common error envelope with the given status and

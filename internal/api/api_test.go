@@ -137,6 +137,19 @@ func TestWriteAndDecodeError(t *testing.T) {
 	}
 }
 
+// TestWriteJSONUnencodable: a value encoding/json refuses must not leave a
+// committed 200 with an empty body behind; it becomes a 500 envelope.
+func TestWriteJSONUnencodable(t *testing.T) {
+	rec := httptest.NewRecorder()
+	WriteJSON(rec, http.StatusOK, PredictResponse{Model: "m", Predictions: []float64{math.NaN()}})
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status %d, body %q", rec.Code, rec.Body.String())
+	}
+	if e := DecodeError(rec.Code, rec.Body.Bytes()); e.Code != CodeInternal || e.Message == "" {
+		t.Fatalf("decoded %+v from %q", e, rec.Body.String())
+	}
+}
+
 func TestWriteOverloaded(t *testing.T) {
 	rec := httptest.NewRecorder()
 	WriteOverloaded(rec, 0, "queue full")

@@ -104,7 +104,7 @@ func (c *Cmd) MinInt(name string, v, min int) error {
 
 // OpenUnit requires flag -name to lie strictly inside (0,1).
 func (c *Cmd) OpenUnit(name string, v float64) error {
-	if v <= 0 || v >= 1 {
+	if !(0 < v && v < 1) { // NaN fails every comparison
 		return c.UsageErrorf("-%s must be in (0,1) exclusive (got %g)", name, v)
 	}
 	return nil
@@ -112,7 +112,7 @@ func (c *Cmd) OpenUnit(name string, v float64) error {
 
 // NonNegFloat requires flag -name to be zero or positive.
 func (c *Cmd) NonNegFloat(name string, v float64) error {
-	if v < 0 {
+	if !(v >= 0) { // NaN fails every comparison
 		return c.UsageErrorf("-%s must be >= 0 (got %g)", name, v)
 	}
 	return nil

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"flag"
 	"io"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -54,7 +55,7 @@ func TestOpenUnit(t *testing.T) {
 	if err := c.OpenUnit("train", 0.5); err != nil {
 		t.Errorf("valid fraction rejected: %v", err)
 	}
-	for _, v := range []float64{0, 1, -0.1, 1.5} {
+	for _, v := range []float64{0, 1, -0.1, 1.5, math.NaN()} {
 		if c.OpenUnit("train", v) == nil {
 			t.Errorf("OpenUnit accepted %v", v)
 		}
@@ -66,8 +67,10 @@ func TestNonNegFloat(t *testing.T) {
 	if err := c.NonNegFloat("delta", 0); err != nil {
 		t.Errorf("zero rejected: %v", err)
 	}
-	if c.NonNegFloat("delta", -1) == nil {
-		t.Error("negative accepted")
+	for _, v := range []float64{-1, math.NaN()} {
+		if c.NonNegFloat("delta", v) == nil {
+			t.Errorf("NonNegFloat accepted %v", v)
+		}
 	}
 }
 

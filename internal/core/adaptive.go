@@ -20,8 +20,8 @@ type AdaptiveConfig struct {
 	// Model is the estimate model retrained every round and returned in
 	// the result; the zero value selects the paper's k-NN.
 	Model ModelSpec
-	// Seed drives the initial draw, bootstrap resamples and cluster
-	// seeding.
+	// Seed drives the random draws: every round of the random strategy,
+	// round 0 of committee.
 	Seed int64
 	// Pool restricts measurement to these flip-flops; nil means all.
 	Pool []int
@@ -75,7 +75,7 @@ func NewAdaptiveStudy(s *Study, cfg AdaptiveConfig) (*AdaptiveStudy, error) {
 	if name == "" {
 		name = plan.StrategyCommittee
 	}
-	strategy, err := plan.New(name, spec.Factory, CommitteeFactories())
+	strategy, err := plan.New(name, CommitteeFactories())
 	if err != nil {
 		return nil, fmt.Errorf("core: adaptive study: %w", err)
 	}
@@ -276,7 +276,7 @@ func (s *Study) CompareAdaptiveStrategies(strategies []string, spec ModelSpec, b
 		perRound = 1
 	}
 	for _, name := range strategies {
-		strategy, err := plan.New(name, spec.Factory, CommitteeFactories())
+		strategy, err := plan.New(name, CommitteeFactories())
 		if err != nil {
 			return nil, err
 		}

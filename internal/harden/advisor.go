@@ -195,8 +195,8 @@ const budgetEps = 1e-9
 // residual FFR. budget is a fraction of the full-TMR area; 0 plans
 // nothing, anything ≥ 1 plans full TMR.
 func NewPlan(cands []Candidate, budget float64) (*Plan, error) {
-	if budget < 0 {
-		return nil, fmt.Errorf("harden: negative budget %v", budget)
+	if !(budget >= 0) { // NaN fails every comparison
+		return nil, fmt.Errorf("harden: budget %v is not >= 0", budget)
 	}
 	p := &Plan{Budget: budget}
 	for _, c := range cands {

@@ -56,8 +56,10 @@ func TestNewPlanFullBudgetSelectsEverything(t *testing.T) {
 }
 
 func TestNewPlanRejectsNegativeBudget(t *testing.T) {
-	if _, err := harden.NewPlan(cands([]float64{0.5}, []float64{1}), -0.1); err == nil {
-		t.Fatal("negative budget accepted")
+	for _, budget := range []float64{-0.1, math.NaN()} {
+		if _, err := harden.NewPlan(cands([]float64{0.5}, []float64{1}), budget); err == nil {
+			t.Errorf("budget %v accepted", budget)
+		}
 	}
 }
 

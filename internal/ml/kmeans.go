@@ -9,8 +9,8 @@ import (
 // KMeans is a deterministic Lloyd's-algorithm k-means clusterer with
 // k-means++ seeding. All randomness derives from the seed passed to Fit, so
 // the same (data, k, seed) always yields identical clusters — the property
-// the cluster-coverage acquisition strategy and the hardening advisor need
-// for bit-identical checkpoint resume. Ties (equidistant centers, empty
+// the hardening advisor needs for plans that are deterministic in their
+// seed. Ties (equidistant centers, empty
 // clusters) break toward the lowest index.
 //
 // Edge cases are part of the contract: K is capped at the number of rows;

@@ -2,8 +2,10 @@ package plan
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/durable"
@@ -88,5 +90,38 @@ func TestLoopCheckpointCompatibility(t *testing.T) {
 	}
 	if got := loopDigest(back); got != recorded {
 		t.Errorf("re-saved digest %#x, recorded %#x", got, uint64(recorded))
+	}
+}
+
+// testdata/removed-{uncertainty,cluster}.ckpt were written by the last build
+// that had those strategies (`ffr plan -scenario rrarb/uniform -scale small
+// -strategy <s> -rounds 1 -checkpoint …`). A committee loop must refuse to
+// resume either as another strategy's state, and leave the file as it was.
+func TestLoopRefusesRemovedStrategy(t *testing.T) {
+	for _, name := range []string{"uncertainty", "cluster"} {
+		t.Run(name, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("testdata", "removed-"+name+".ckpt"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(t.TempDir(), "loop.ckpt")
+			if err := os.WriteFile(path, want, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			loop, err := NewLoop(Config{
+				Target: newFakeTarget(249, 128, 1), Strategy: Committee{Members: testCommittee()},
+				Model: testModel(), ModelName: "k-NN", Seed: 1, MaxRounds: 1,
+				CheckpointPath: path, Resume: true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := loop.Run(); !errors.Is(err, ErrLoopCheckpointMismatch) || !strings.Contains(err.Error(), "strategy differs") {
+				t.Errorf("resumed a %s checkpoint: got %v, want a strategy ErrLoopCheckpointMismatch", name, err)
+			}
+			if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+				t.Errorf("refused checkpoint was rewritten (read error %v)", err)
+			}
+		})
 	}
 }

@@ -2,14 +2,14 @@
 // injecting a fixed random subset of flip-flops and hoping the model
 // generalizes, it closes the loop the follow-up literature calls for
 // (arXiv:2002.08882, arXiv:2008.13664) — train a model on what has been
-// measured so far, score where the model is least certain, spend the next
+// measured so far, score where the models disagree most, spend the next
 // injection batch there, retrain, and stop as soon as the circuit-level FFR
 // estimate has converged.
 //
-// The package provides pluggable acquisition strategies (random baseline,
-// committee disagreement across the model zoo, bootstrap-variance
-// uncertainty sampling, and k-means cluster coverage over the feature
-// space), and a Loop driver with per-round budgets, convergence criteria
+// The package provides two acquisition strategies — committee disagreement
+// across the model zoo (the default), and the seeded random draw every
+// informed strategy is judged against and committee starts cold from — and
+// a Loop driver with per-round budgets, convergence criteria
 // (FFR-estimate delta plus confidence-interval width from ml/metrics) and
 // checkpointed resumability: the loop state is persisted after every round,
 // the in-flight round rides fault.Runner's own campaign checkpoints, and

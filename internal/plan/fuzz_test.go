@@ -11,12 +11,14 @@ import (
 // two typed errors or a checkpoint that survives save → load with its
 // content unchanged; it never panics.
 func FuzzLoadLoopCheckpoint(f *testing.F) {
-	seed, err := os.ReadFile(filepath.Join("testdata", "loop.ckpt"))
-	if err != nil {
-		f.Fatal(err)
+	for _, name := range []string{"loop.ckpt", "removed-uncertainty.ckpt", "removed-cluster.ckpt"} {
+		seed, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(seed)
+		f.Add(seed[:len(seed)/2])
 	}
-	f.Add(seed)
-	f.Add(seed[:len(seed)/2])
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
 		path := filepath.Join(dir, "fuzzed.ckpt")

@@ -29,8 +29,8 @@ type Config struct {
 	// ModelName tags the model in checkpoints; a resumed loop must be
 	// configured with the same name.
 	ModelName string
-	// Seed drives every stochastic choice (initial draw, bootstrap
-	// resamples, cluster seeding).
+	// Seed drives every stochastic choice: the random draws of the random
+	// strategy and of committee's cold start.
 	Seed int64
 	// Pool restricts measurement to these flip-flops (ascending, deduped by
 	// the loop); nil means every flip-flop. Evaluation protocols use it to

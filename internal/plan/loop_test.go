@@ -101,7 +101,7 @@ func runLoop(t *testing.T, cfg Config) *Result {
 
 func TestLoopBudgetAndRounds(t *testing.T) {
 	target := newFakeTarget(120, 20, 1)
-	strategy, err := New(StrategyCommittee, testModel(), testCommittee())
+	strategy, err := New(StrategyCommittee, testCommittee())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestLoopDeterminism(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			run := func() *Result {
 				target := newFakeTarget(100, 15, 6)
-				strategy, err := New(name, testModel(), testCommittee())
+				strategy, err := New(name, testCommittee())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -235,7 +235,7 @@ func TestLoopDeterminism(t *testing.T) {
 // final model fingerprint as an uninterrupted twin.
 func TestLoopResumeBitIdentical(t *testing.T) {
 	cfgFor := func(target Target, ckpt string) Config {
-		strategy, err := New(StrategyCommittee, testModel(), testCommittee())
+		strategy, err := New(StrategyCommittee, testCommittee())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -313,13 +313,7 @@ func TestLoopResumeRejectsForeignConfig(t *testing.T) {
 		func(c *Config) { c.ModelName = "other" },
 		func(c *Config) { c.RoundFFs = 4 },
 		func(c *Config) { c.BudgetFFs = 32 },
-		func(c *Config) {
-			s, err := New(StrategyCluster, nil, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			c.Strategy = s
-		},
+		func(c *Config) { c.Strategy = Committee{Members: testCommittee()} },
 	} {
 		cfg := base
 		cfg.Resume = true

@@ -123,22 +123,18 @@ type Strategy interface {
 
 // Strategy names accepted by New.
 const (
-	StrategyRandom      = "random"
-	StrategyCommittee   = "committee"
-	StrategyUncertainty = "uncertainty"
-	StrategyCluster     = "cluster"
+	StrategyRandom    = "random"
+	StrategyCommittee = "committee"
 )
 
 // StrategyNames lists every built-in strategy name.
 func StrategyNames() []string {
-	return []string{StrategyRandom, StrategyCommittee, StrategyUncertainty, StrategyCluster}
+	return []string{StrategyRandom, StrategyCommittee}
 }
 
-// New resolves a built-in strategy by name. base is the model factory the
-// uncertainty strategy bootstraps; committee is the model zoo the committee
-// strategy measures disagreement across (both may be nil for strategies that
-// do not need them — resolution fails if a required one is missing).
-func New(name string, base ml.Factory, committee []ml.Factory) (Strategy, error) {
+// New resolves a built-in strategy by name. committee is the model zoo the
+// committee strategy measures disagreement across; random ignores it.
+func New(name string, committee []ml.Factory) (Strategy, error) {
 	switch name {
 	case StrategyRandom:
 		return Random{}, nil
@@ -147,13 +143,6 @@ func New(name string, base ml.Factory, committee []ml.Factory) (Strategy, error)
 			return nil, fmt.Errorf("plan: committee strategy needs at least 2 member factories, have %d", len(committee))
 		}
 		return Committee{Members: committee}, nil
-	case StrategyUncertainty:
-		if base == nil {
-			return nil, fmt.Errorf("plan: uncertainty strategy needs a base model factory")
-		}
-		return Uncertainty{Base: base}, nil
-	case StrategyCluster:
-		return ClusterCoverage{}, nil
 	}
 	return nil, fmt.Errorf("plan: unknown strategy %q (valid: %v)", name, StrategyNames())
 }

@@ -2,7 +2,6 @@ package plan
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/ml"
 )
@@ -50,65 +49,6 @@ func (c Committee) Select(st *State, n int) ([]int, error) {
 	return topByScore(cand, score, n), nil
 }
 
-// Uncertainty is bootstrap-variance uncertainty sampling: Replicas copies of
-// the base model train on seeded bootstrap resamples of the measured data,
-// and the next batch goes to the unmeasured flip-flops whose predictions
-// vary most across the replicas — a model-agnostic stand-in for predictive
-// variance that works for point-estimate regressors like k-NN or SVR.
-type Uncertainty struct {
-	// Base builds the model being bootstrapped.
-	Base ml.Factory
-	// Replicas is the bootstrap ensemble size; 0 means DefaultReplicas.
-	Replicas int
-}
-
-// DefaultReplicas is the default bootstrap ensemble size of Uncertainty.
-const DefaultReplicas = 8
-
-// Name implements Strategy.
-func (Uncertainty) Name() string { return StrategyUncertainty }
-
-// Select implements Strategy. With no measured data yet it falls back to the
-// shared seeded random draw.
-func (u Uncertainty) Select(st *State, n int) ([]int, error) {
-	if u.Base == nil {
-		return nil, fmt.Errorf("plan: uncertainty strategy has no base model factory")
-	}
-	if st.MeasuredCount() == 0 {
-		return randomDraw(st, n), nil
-	}
-	replicas := u.Replicas
-	if replicas <= 0 {
-		replicas = DefaultReplicas
-	}
-	trX, trY := st.TrainData()
-	cand := st.Unmeasured()
-	rng := st.rng()
-	preds := make([][]float64, 0, replicas)
-	bx := make([][]float64, len(trX))
-	by := make([]float64, len(trY))
-	for r := 0; r < replicas; r++ {
-		for i := range bx {
-			j := rng.Intn(len(trX))
-			bx[i], by[i] = trX[j], trY[j]
-		}
-		m := u.Base()
-		if err := m.Fit(bx, by); err != nil {
-			return nil, fmt.Errorf("plan: bootstrap replica %d fit: %w", r, err)
-		}
-		p := make([]float64, len(cand))
-		for k, ff := range cand {
-			p[k] = m.Predict(st.X[ff])
-		}
-		preds = append(preds, p)
-	}
-	score := make([]float64, len(cand))
-	for k := range cand {
-		score[k] = predictionVariance(preds, k)
-	}
-	return topByScore(cand, score, n), nil
-}
-
 // predictionVariance is the population variance of column k across the
 // prediction matrix rows.
 func predictionVariance(preds [][]float64, k int) float64 {
@@ -123,151 +63,4 @@ func predictionVariance(preds [][]float64, k int) float64 {
 		v += d * d
 	}
 	return v / float64(len(preds))
-}
-
-// ClusterCoverage is density-aware exploration: the pool's feature rows are
-// standardized and k-means-clustered once per selection, the batch is
-// apportioned across clusters proportionally to how many unmeasured
-// flip-flops each still holds (largest-remainder rounding), and within a
-// cluster the flip-flops nearest the centroid go first. Unlike the
-// model-based strategies it needs no labels, so it covers the feature space
-// from the very first round.
-type ClusterCoverage struct {
-	// K is the cluster count; 0 picks ~√pool capped at 16.
-	K int
-}
-
-// Name implements Strategy.
-func (ClusterCoverage) Name() string { return StrategyCluster }
-
-// Select implements Strategy.
-func (c ClusterCoverage) Select(st *State, n int) ([]int, error) {
-	cand := st.Unmeasured()
-	if len(cand) == 0 {
-		return nil, nil
-	}
-	if n > len(cand) {
-		n = len(cand)
-	}
-	k := c.K
-	if k <= 0 {
-		k = 1
-		for k*k < len(st.Pool) {
-			k++
-		}
-		if k > 16 {
-			k = 16
-		}
-	}
-
-	// Cluster the whole pool (not just the unmeasured rows) with a seed
-	// independent of the round, so the partition stays stable as rounds
-	// consume it.
-	poolX := make([][]float64, len(st.Pool))
-	for i, ff := range st.Pool {
-		poolX[i] = st.X[ff]
-	}
-	scaler := &ml.StandardScaler{}
-	if err := scaler.Fit(poolX); err != nil {
-		return nil, fmt.Errorf("plan: cluster scaling: %w", err)
-	}
-	scaled := scaler.Transform(poolX)
-	km := ml.NewKMeans(k)
-	if err := km.Fit(scaled, st.Seed); err != nil {
-		return nil, fmt.Errorf("plan: clustering: %w", err)
-	}
-
-	// Per-cluster unmeasured members, ordered by distance to the centroid.
-	scaledOf := make(map[int][]float64, len(st.Pool))
-	for i, ff := range st.Pool {
-		scaledOf[ff] = scaled[i]
-	}
-	members := make([][]int, len(km.Centers))
-	for _, ff := range cand {
-		cl := km.Assign(scaledOf[ff])
-		members[cl] = append(members[cl], ff)
-	}
-	for cl := range members {
-		center := km.Centers[cl]
-		sortByDistance(members[cl], scaledOf, center)
-	}
-
-	quota := largestRemainderQuota(members, n)
-	var sel []int
-	for cl, m := range members {
-		sel = append(sel, m[:quota[cl]]...)
-	}
-	// Rounding can leave the batch short when some cluster ran dry; top up
-	// from the remaining nearest-to-centroid candidates in cluster order.
-	for len(sel) < n {
-		grew := false
-		for cl, m := range members {
-			if quota[cl] < len(m) {
-				sel = append(sel, m[quota[cl]])
-				quota[cl]++
-				grew = true
-				if len(sel) == n {
-					break
-				}
-			}
-		}
-		if !grew {
-			break
-		}
-	}
-	sort.Ints(sel)
-	return sel, nil
-}
-
-// largestRemainderQuota apportions n slots over clusters proportionally to
-// their unmeasured population, assigning leftover slots to the largest
-// fractional remainders (ties toward the lower cluster index). Quotas never
-// exceed a cluster's population.
-func largestRemainderQuota(members [][]int, n int) []int {
-	total := 0
-	for _, m := range members {
-		total += len(m)
-	}
-	quota := make([]int, len(members))
-	if total == 0 {
-		return quota
-	}
-	assigned := 0
-	order := make([]int, len(members))
-	frac := make([]float64, len(members))
-	for cl, m := range members {
-		exact := float64(n) * float64(len(m)) / float64(total)
-		quota[cl] = int(exact)
-		assigned += quota[cl]
-		order[cl] = cl
-		frac[cl] = exact - float64(quota[cl])
-	}
-	sort.SliceStable(order, func(a, b int) bool { return frac[order[a]] > frac[order[b]] })
-	for _, cl := range order {
-		if assigned >= n {
-			break
-		}
-		if quota[cl] < len(members[cl]) {
-			quota[cl]++
-			assigned++
-		}
-	}
-	return quota
-}
-
-func sortByDistance(ffs []int, scaledOf map[int][]float64, center []float64) {
-	// Stable over an ascending input, so equidistant flip-flops keep the
-	// lower index first.
-	sort.SliceStable(ffs, func(a, b int) bool {
-		return sqDistance(scaledOf[ffs[a]], center) < sqDistance(scaledOf[ffs[b]], center)
-	})
-}
-
-func sqDistance(a, b []float64) float64 {
-	var s float64
-	for j := range a {
-		d := a[j] - b[j]
-		s += d * d
-	}
-	return s
 }

@@ -61,7 +61,7 @@ func checkSelection(t *testing.T, st *State, sel []int, n int) {
 func TestStrategiesContractAndDeterminism(t *testing.T) {
 	for _, name := range StrategyNames() {
 		t.Run(name, func(t *testing.T) {
-			strategy, err := New(name, testModel(), testCommittee())
+			strategy, err := New(name, testCommittee())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -88,16 +88,12 @@ func TestStrategiesContractAndDeterminism(t *testing.T) {
 }
 
 func TestStrategiesColdStartMatchesRandom(t *testing.T) {
-	// With no measurements yet, committee and uncertainty must fall back to
-	// the exact random draw, so strategy comparisons share their round 0.
+	// With no measurements yet, every strategy must make the exact shared
+	// random draw, so strategy comparisons share their round 0.
 	st, _ := strategyState(t, 60, nil, 9)
-	random, _ := New(StrategyRandom, nil, nil)
-	want, err := random.Select(st, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{StrategyCommittee, StrategyUncertainty} {
-		strategy, err := New(name, testModel(), testCommittee())
+	want := randomDraw(st, 10)
+	for _, name := range StrategyNames() {
+		strategy, err := New(name, testCommittee())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,59 +153,21 @@ func TestCommitteePrefersDisagreement(t *testing.T) {
 	}
 }
 
-func TestClusterCoverageSpreads(t *testing.T) {
-	// Cluster coverage must hit every well-separated blob at least once.
-	rng := rand.New(rand.NewSource(2))
-	centers := [][]float64{{0, 0, 0}, {8, 8, 0}, {-8, 5, 3}, {3, -9, 7}}
-	var X [][]float64
-	blobOf := map[int]int{}
-	for c, center := range centers {
-		for i := 0; i < 20; i++ {
-			blobOf[len(X)] = c
-			X = append(X, []float64{
-				center[0] + rng.NormFloat64()*0.3,
-				center[1] + rng.NormFloat64()*0.3,
-				center[2] + rng.NormFloat64()*0.3,
-			})
+func TestNewStrategyValidation(t *testing.T) {
+	// uncertainty and cluster were strategies once; they are unknown now.
+	for _, name := range []string{"nope", "uncertainty", "cluster"} {
+		if _, err := New(name, testCommittee()); err == nil {
+			t.Errorf("unknown strategy %q accepted", name)
 		}
 	}
-	cst := &State{
-		X: X, Pool: measuredRange(len(X)),
-		Measured: make([]bool, len(X)), FDR: make([]float64, len(X)),
-		Failures: make([]int, len(X)), Injections: make([]int, len(X)),
-		Seed: 4,
-	}
-	sel, err := ClusterCoverage{K: 4}.Select(cst, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sel) != 8 {
-		t.Fatalf("selected %d, want 8", len(sel))
-	}
-	hit := map[int]bool{}
-	for _, ff := range sel {
-		hit[blobOf[ff]] = true
-	}
-	if len(hit) != len(centers) {
-		t.Errorf("coverage selection hit %d of %d blobs: %v", len(hit), len(centers), sel)
-	}
-}
-
-func TestNewStrategyValidation(t *testing.T) {
-	if _, err := New("nope", nil, nil); err == nil {
-		t.Error("unknown strategy accepted")
-	}
-	if _, err := New(StrategyCommittee, nil, testCommittee()[:1]); err == nil {
+	if _, err := New(StrategyCommittee, testCommittee()[:1]); err == nil {
 		t.Error("one-member committee accepted")
-	}
-	if _, err := New(StrategyUncertainty, nil, nil); err == nil {
-		t.Error("uncertainty without base factory accepted")
 	}
 }
 
 func TestSelectMoreThanAvailable(t *testing.T) {
 	for _, name := range StrategyNames() {
-		strategy, err := New(name, testModel(), testCommittee())
+		strategy, err := New(name, testCommittee())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"runtime"
 	"sync"
@@ -272,6 +273,15 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		api.WriteError(w, http.StatusInternalServerError, api.CodeInternal, "%v", err)
 		return
+	}
+	// A finite vector can still be one the model cannot answer: features
+	// near ±MaxFloat64 put every k-NN neighbour at +Inf and give 0/0.
+	for i, p := range preds {
+		if math.IsNaN(p) || math.IsInf(p, 0) {
+			api.WriteError(w, http.StatusBadRequest, api.CodeBadRequest,
+				"vector %d: model %q predicts %v, which is not a number JSON can carry", i, a.Name, p)
+			return
+		}
 	}
 	resp := api.PredictResponse{Model: a.Name, Predictions: preds, CacheHits: hits, Coalesced: coalesced}
 	if single {

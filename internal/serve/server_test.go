@@ -164,6 +164,9 @@ func TestPredictValidation(t *testing.T) {
 		{"empty batch", `{"model":"k-NN","vectors":[]}`, http.StatusBadRequest, api.CodeBadRequest, "empty batch"},
 		{"narrow vector", `{"model":"k-NN","vector":[1,2]}`, http.StatusBadRequest, api.CodeBadRequest, "wants 3"},
 		{"ragged batch", `{"model":"k-NN","vectors":[[1,2,3],[1,2,3,4]]}`, http.StatusBadRequest, api.CodeBadRequest, "vector 1"},
+		// Valid JSON, but k-NN finds every neighbour at +Inf and predicts NaN.
+		{"overflowing vector", `{"model":"k-NN","vector":[1e308,1e308,1e308]}`, http.StatusBadRequest, api.CodeBadRequest, "vector 0"},
+		{"overflowing batch", `{"model":"k-NN","vectors":[[1,2,3],[-1e308,-1e308,-1e308]]}`, http.StatusBadRequest, api.CodeBadRequest, "vector 1"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
