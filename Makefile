@@ -64,9 +64,9 @@ bench:
 # two parser targets hold the same for text: netlist.Parse (an error, or a
 # netlist that Write -> Parse reproduces to the same Fingerprint) and
 # fault.ParseModel (an error, or a model whose String parses back to itself).
-# FuzzPredictRequest posts arbitrary bodies to the prediction service's
-# /v1/predict: a 200 with finite predictions or a 4xx error envelope, never a
-# 500, an empty body or a panic.
+# FuzzPredictRequest and FuzzHardenRequest post arbitrary bodies to the
+# prediction service's /v1/predict and /v1/harden: a 200 with finite numbers
+# or a 4xx error envelope, never a 5xx, an empty body or a panic.
 # Minimizing each coverage-increasing input would eat the whole budget (60 s
 # apiece by default), so it is capped at ten executions.
 FUZZ = $(GO) test -run='^$$' -fuzztime=10s -fuzzminimizetime=10x
@@ -78,6 +78,7 @@ fuzz-smoke:
 	$(FUZZ) -fuzz=FuzzParse ./internal/netlist
 	$(FUZZ) -fuzz=FuzzParseModel ./internal/fault
 	$(FUZZ) -fuzz=FuzzPredictRequest ./internal/serve
+	$(FUZZ) -fuzz=FuzzHardenRequest ./internal/serve
 
 # Load-test parameters: LOAD_CONCURRENCY requests in flight at once until
 # LOAD_REQUESTS have been issued. The harness exits nonzero on any non-429

@@ -12,8 +12,8 @@ import (
 )
 
 // runHarden is the selective-mitigation advisor: it loads a trained model
-// artifact, scores every flip-flop of a corpus scenario, clusters the
-// criticality ranking, and emits the TMR hardening plan that fits an area
+// artifact, scores every flip-flop of a corpus scenario, ranks them by
+// predicted criticality, and emits the TMR hardening plan that fits an area
 // budget — then optionally verifies the plan by TMR-rewriting the netlist
 // and re-running the fault campaign, reporting measured vs. predicted
 // residual FFR.
@@ -28,8 +28,6 @@ func runHarden(c *cli.Cmd) error {
 		scale        = c.Flags.String("scale", "small", "corpus scale (small, default)")
 		seed         = c.Flags.Int64("seed", 1, "scenario materialization seed")
 		budget       = c.Flags.Float64("budget", 0.5, "area budget as a fraction of full-TMR area")
-		clusters     = c.Flags.Int("clusters", harden.DefaultClusters, "criticality bands for the k-means ranking")
-		clusterSeed  = c.Flags.Int64("cluster-seed", 0, "clustering seed (plans are deterministic in it)")
 		csvPath      = c.Flags.String("csv", "", "write the full ranking as CSV to this file")
 		verify       = c.Flags.Bool("verify", false, "TMR-rewrite the netlist and re-measure residual FFR by campaign")
 		n            = c.Flags.Int("n", 0, "verify injections per flip-flop (0 = scenario default)")
@@ -46,7 +44,6 @@ func runHarden(c *cli.Cmd) error {
 	}
 	if err := cli.Check(
 		c.NonNegFloat("budget", *budget),
-		c.MinInt("clusters", *clusters, 1),
 		c.MinInt("n", *n, 0),
 		c.MinInt("workers", *workers, 0),
 		c.MinInt("chunk", *chunk, 0),
@@ -90,13 +87,13 @@ func runHarden(c *cli.Cmd) error {
 	if err != nil {
 		return err
 	}
-	plan, err := harden.Advise(art, m, *budget, harden.Config{Clusters: *clusters, Seed: *clusterSeed})
+	plan, err := harden.Advise(art, m, *budget)
 	if err != nil {
 		return err
 	}
-	c.Printf("harden: %s on %s/%s: %d of %d FFs within budget %.2f (area %.1f of %.1f units, %d bands)\n",
+	c.Printf("harden: %s on %s/%s: %d of %d FFs within budget %.2f (area %.1f of %.1f units)\n",
 		plan.Model, plan.Circuit, plan.Workload, len(plan.Selected), m.NumFFs(), plan.Budget,
-		plan.UsedArea, plan.TotalArea, plan.Clusters)
+		plan.UsedArea, plan.TotalArea)
 	c.Printf("harden: predicted FFR %.4f -> %.4f residual\n", plan.BaseFFR, plan.ResidualFFR)
 	if sel := plan.SelectedFFs(); len(sel) > 0 {
 		parts := make([]string, len(sel))

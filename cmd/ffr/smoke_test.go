@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -254,19 +255,23 @@ func TestHardenSmoke(t *testing.T) {
 		t.Errorf("plan CSV not written (%v)", err)
 	}
 	// The printed selection is what coord -harden takes.
+	var printed []int
+	var err error
 	if m := regexp.MustCompile(`-harden ([0-9,]+)\n`).FindStringSubmatch(stdout); m == nil {
 		t.Errorf("no coord -harden selection:\n%s", stdout)
-	} else if _, err := parseFFList(m[1]); err != nil {
+	} else if printed, err = parseFFList(m[1]); err != nil {
 		t.Errorf("printed selection does not parse: %v", err)
 	}
 
+	// Without scenario_seed the service plans the workload ffr harden does.
 	srv := start(t, "serve", "-addr", "127.0.0.1:0", "-model", artifact)
 	base := srv.listening(t)
-	resp := post(t, base+"/v1/harden", `{"model":"k-NN@alupipe/randomops","budget":0.5}`)
-	for _, field := range []string{`"selected_ffs":[`, `"residual_ffr"`} {
-		if !strings.Contains(resp, field) {
-			t.Errorf("/v1/harden lacks %s: %s", field, resp)
-		}
+	var plan api.HardenResponse
+	if err := json.Unmarshal([]byte(post(t, base+"/v1/harden", `{"model":"k-NN@alupipe/randomops","budget":0.5}`)), &plan); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(plan.SelectedFFs) != fmt.Sprint(printed) {
+		t.Errorf("/v1/harden selects %v, ffr harden printed %v", plan.SelectedFFs, printed)
 	}
 	if text := lintMetrics(t, base+"/metrics"); !strings.Contains(text, "ffr_harden_requests_total 1\n") {
 		t.Errorf("/metrics does not count the harden request:\n%s", text)

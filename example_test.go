@@ -99,9 +99,10 @@ func Example_adaptiveCampaign() {
 		res.FFR, len(res.Measured), study.NumFFs(), res.Converged)
 }
 
-// Example_harden is the README "Hardening advisor" snippet: load a trained
-// artifact, plan the TMR set that fits half the full-TMR area, then verify
-// the plan by rewriting the netlist and re-measuring residual FFR.
+// Example_harden is `ffr harden -verify` through the facade: load a trained
+// artifact, rank the flip-flops by predicted FDR and plan the TMR set that
+// fits half the full-TMR area, then verify the plan by rewriting the
+// netlist and re-measuring residual FFR.
 func Example_harden() {
 	art, err := repro.LoadModel("knn.ffrm") // e.g. from ffr corpus -sweep -out
 	if err != nil {
@@ -115,7 +116,7 @@ func Example_harden() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	plan, err := repro.HardenAdvise(art, m, 0.5, repro.HardenConfig{})
+	plan, err := repro.HardenAdvise(art, m, 0.5)
 	if err != nil {
 		log.Fatal(err)
 	}

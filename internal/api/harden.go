@@ -15,18 +15,16 @@ type HardenRequest struct {
 	// Budget is the area budget as a fraction of the full-TMR area;
 	// negative is rejected, anything >= 1 plans full TMR.
 	Budget float64 `json:"budget"`
-	// Clusters is the number of criticality bands; 0 means the advisor
-	// default.
-	Clusters int `json:"clusters,omitempty"`
-	// Seed drives the clustering; plans are deterministic in it.
-	Seed int64 `json:"seed,omitempty"`
 
 	// Vectors, Costs and Names select explicit mode (see type comment).
 	Vectors [][]float64 `json:"vectors,omitempty"`
 	Costs   []float64   `json:"costs,omitempty"`
 	Names   []string    `json:"names,omitempty"`
 
-	// Scenario, Scale and ScenarioSeed select scenario mode.
+	// Scenario, Scale and ScenarioSeed select scenario mode. Scale empty
+	// means small; ScenarioSeed is the materialization seed, 0 meaning 1 —
+	// the default of ffr harden -seed and of every study that trains an
+	// artifact.
 	Scenario     string `json:"scenario,omitempty"`
 	Scale        string `json:"scale,omitempty"`
 	ScenarioSeed int64  `json:"scenario_seed,omitempty"`
@@ -34,11 +32,10 @@ type HardenRequest struct {
 
 // HardenCandidate is one ranked flip-flop of a hardening plan.
 type HardenCandidate struct {
-	FF      int     `json:"ff"`
-	Name    string  `json:"name,omitempty"`
-	Score   float64 `json:"score"`
-	Cluster int     `json:"cluster"`
-	Area    float64 `json:"area"`
+	FF    int     `json:"ff"`
+	Name  string  `json:"name,omitempty"`
+	Score float64 `json:"score"`
+	Area  float64 `json:"area"`
 }
 
 // HardenBudgetPoint is one point of the budget-vs-residual curve.
@@ -55,7 +52,6 @@ type HardenResponse struct {
 	Model    string `json:"model"`
 	Circuit  string `json:"circuit,omitempty"`
 	Workload string `json:"workload,omitempty"`
-	Clusters int    `json:"clusters"`
 
 	Budget      float64 `json:"budget"`
 	TotalArea   float64 `json:"total_area"`

@@ -2,25 +2,13 @@ package harden
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/circuit"
 	"repro/internal/corpus"
-	"repro/internal/ml"
 	"repro/internal/persist"
 )
-
-// DefaultClusters is the default number of criticality bands the score
-// ranking is clustered into.
-const DefaultClusters = 4
-
-// Config parameterizes plan construction.
-type Config struct {
-	// Clusters is the number of criticality bands; 0 means DefaultClusters.
-	Clusters int
-	// Seed drives the k-means clustering; plans are deterministic in it.
-	Seed int64
-}
 
 // Candidate is one flip-flop in the criticality ranking.
 type Candidate struct {
@@ -31,8 +19,6 @@ type Candidate struct {
 	Name string
 	// Score is the model-predicted FDR, clipped to [0, 1].
 	Score float64
-	// Cluster is the criticality band, 0 = most critical.
-	Cluster int
 	// Area is the incremental TMR cost of this flip-flop in
 	// gate-equivalent units (two replicas plus a voter).
 	Area float64
@@ -61,8 +47,6 @@ type Plan struct {
 	Model    string
 	Circuit  string
 	Workload string
-	// Clusters is the number of criticality bands used.
-	Clusters int
 	// Budget is the requested area budget as a fraction of TotalArea.
 	Budget float64
 	// TotalArea is the cost of TMR-hardening every flip-flop; UsedArea is
@@ -95,7 +79,9 @@ func (p *Plan) SelectedFFs() []int {
 
 // Score predicts every row's failure criticality with the artifact's
 // model, clipped to the [0, 1] range an FDR lives in. Rows must match the
-// artifact's feature schema.
+// artifact's feature schema. A finite row can still make a model predict
+// NaN or ±Inf (features near ±MaxFloat64 put every k-NN neighbour at +Inf);
+// that is an error naming the row, not a score.
 func Score(art *persist.Artifact, X [][]float64) ([]float64, error) {
 	scores := make([]float64, len(X))
 	for i, x := range X {
@@ -103,6 +89,9 @@ func Score(art *persist.Artifact, X [][]float64) ([]float64, error) {
 			return nil, fmt.Errorf("harden: row %d: %w", i, err)
 		}
 		s := art.Model.Predict(x)
+		if math.IsNaN(s) || math.IsInf(s, 0) {
+			return nil, fmt.Errorf("harden: row %d: model %q predicts %v", i, art.Name, s)
+		}
 		if s < 0 {
 			s = 0
 		} else if s > 1 {
@@ -113,11 +102,10 @@ func Score(art *persist.Artifact, X [][]float64) ([]float64, error) {
 	return scores, nil
 }
 
-// Rank clusters the scores into criticality bands and returns every
-// flip-flop ordered most-critical-first: by band (descending band center),
-// then by score descending, then by index ascending — fully deterministic
-// in (scores, cfg).
-func Rank(scores, costs []float64, names []string, cfg Config) ([]Candidate, error) {
+// Rank returns every flip-flop ordered most-critical-first: by score
+// descending, then by index ascending, so the order is a function of the
+// scores alone. Costs must be positive.
+func Rank(scores, costs []float64, names []string) ([]Candidate, error) {
 	n := len(scores)
 	if n == 0 {
 		return nil, fmt.Errorf("harden: no flip-flops to rank")
@@ -133,54 +121,16 @@ func Rank(scores, costs []float64, names []string, cfg Config) ([]Candidate, err
 			return nil, fmt.Errorf("harden: flip-flop %d has non-positive area cost %v", i, c)
 		}
 	}
-	k := cfg.Clusters
-	if k <= 0 {
-		k = DefaultClusters
-	}
-
-	// Cluster the 1-D score distribution; KMeans caps k at n.
-	col := make([][]float64, n)
-	for i, s := range scores {
-		col[i] = []float64{s}
-	}
-	km := ml.NewKMeans(k)
-	if err := km.Fit(col, cfg.Seed); err != nil {
-		return nil, fmt.Errorf("harden: clustering scores: %w", err)
-	}
-	labels := km.Labels(col)
-
-	// Band 0 is the cluster with the highest center. Ties (duplicate
-	// centers on degenerate data) break by cluster index for determinism.
-	type cc struct {
-		idx    int
-		center float64
-	}
-	order := make([]cc, len(km.Centers))
-	for c, center := range km.Centers {
-		order[c] = cc{c, center[0]}
-	}
-	sort.SliceStable(order, func(i, j int) bool { return order[i].center > order[j].center })
-	band := make([]int, len(km.Centers))
-	for rank, c := range order {
-		band[c.idx] = rank
-	}
-
 	cands := make([]Candidate, n)
 	for i := range cands {
-		cands[i] = Candidate{FF: i, Score: scores[i], Cluster: band[labels[i]], Area: costs[i]}
+		cands[i] = Candidate{FF: i, Score: scores[i], Area: costs[i]}
 		if names != nil {
 			cands[i].Name = names[i]
 		}
 	}
-	sort.SliceStable(cands, func(i, j int) bool {
-		if cands[i].Cluster != cands[j].Cluster {
-			return cands[i].Cluster < cands[j].Cluster
-		}
-		if cands[i].Score != cands[j].Score {
-			return cands[i].Score > cands[j].Score
-		}
-		return cands[i].FF < cands[j].FF
-	})
+	// Candidates start in index order, so a stable sort by score leaves
+	// equal scores in ascending FF order.
+	sort.SliceStable(cands, func(i, j int) bool { return cands[i].Score > cands[j].Score })
 	return cands, nil
 }
 
@@ -201,6 +151,11 @@ func NewPlan(cands []Candidate, budget float64) (*Plan, error) {
 	p := &Plan{Budget: budget}
 	for _, c := range cands {
 		p.TotalArea += c.Area
+	}
+	// TotalArea divides every curve point, and a plan carrying Inf or NaN
+	// cannot be encoded as JSON.
+	if math.IsNaN(p.TotalArea) || math.IsInf(p.TotalArea, 0) {
+		return nil, fmt.Errorf("harden: area costs sum to %v", p.TotalArea)
 	}
 	limit := budget * p.TotalArea
 
@@ -242,10 +197,10 @@ func NewPlan(cands []Candidate, budget float64) (*Plan, error) {
 }
 
 // Advise runs the whole advisor over a materialized scenario: score every
-// flip-flop with the artifact's model, rank and cluster, and fill the
-// budget. Per-FF TMR costs come from the synthesized netlist's cell types,
-// so a flip-flop that synthesis upsized costs more to triplicate.
-func Advise(art *persist.Artifact, m *corpus.Materialized, budget float64, cfg Config) (*Plan, error) {
+// flip-flop with the artifact's model, rank by score, and fill the budget.
+// Per-FF TMR costs come from the synthesized netlist's cell types, so a
+// flip-flop that synthesis upsized costs more to triplicate.
+func Advise(art *persist.Artifact, m *corpus.Materialized, budget float64) (*Plan, error) {
 	scores, err := Score(art, m.Features.Rows)
 	if err != nil {
 		return nil, err
@@ -259,7 +214,7 @@ func Advise(art *persist.Artifact, m *corpus.Materialized, budget float64, cfg C
 	for i, cid := range ffIDs {
 		costs[i] = circuit.TMRCost(nl.Cells[cid].Type)
 	}
-	cands, err := Rank(scores, costs, m.Features.InstanceNames, cfg)
+	cands, err := Rank(scores, costs, m.Features.InstanceNames)
 	if err != nil {
 		return nil, err
 	}
@@ -270,8 +225,5 @@ func Advise(art *persist.Artifact, m *corpus.Materialized, budget float64, cfg C
 	plan.Model = art.Name
 	plan.Circuit = m.Scenario.Entry.Name
 	plan.Workload = m.Scenario.Workload.Name
-	if plan.Clusters = cfg.Clusters; plan.Clusters <= 0 {
-		plan.Clusters = DefaultClusters
-	}
 	return plan, nil
 }

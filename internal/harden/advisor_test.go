@@ -63,6 +63,18 @@ func TestNewPlanRejectsNegativeBudget(t *testing.T) {
 	}
 }
 
+// TestNewPlanRejectsNonFiniteArea: a cost sum that overflows, or a cost that
+// is not a number, would put Inf or NaN into every curve point.
+func TestNewPlanRejectsNonFiniteArea(t *testing.T) {
+	for _, costs := range [][]float64{{1e308, 1e308}, {1, math.Inf(1)}, {1, math.NaN()}} {
+		for _, budget := range []float64{0, 0.5} {
+			if _, err := harden.NewPlan(cands([]float64{0.1, 0.2}, costs), budget); err == nil {
+				t.Errorf("costs %v at budget %v accepted", costs, budget)
+			}
+		}
+	}
+}
+
 // TestNewPlanResidualMonotone pins the contract that makes a budget sweep
 // meaningful: as the budget grows, the selection grows (prefix rule) and the
 // predicted residual FFR never increases. The area mix is chosen so a
@@ -125,41 +137,56 @@ func TestNewPlanCurve(t *testing.T) {
 	}
 }
 
+// TestRankOrdersMostCriticalFirst: the ranking is score descending, ties by
+// FF index ascending — including all-equal scores and a single flip-flop —
+// and every candidate carries its own flip-flop's score, cost and name.
 func TestRankOrdersMostCriticalFirst(t *testing.T) {
-	scores := []float64{0.01, 0.90, 0.02, 0.85, 0.40}
-	costs := []float64{1, 1, 1, 1, 1}
-	got, err := harden.Rank(scores, costs, nil, harden.Config{Clusters: 3, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name   string
+		scores []float64
+		want   []int
+	}{
+		{"distinct", []float64{0.01, 0.90, 0.02, 0.85, 0.40}, []int{1, 3, 4, 2, 0}},
+		{"ties", []float64{0.3, 0.3, 0.1, 0.9, 0.9, 0.5, 0.1}, []int{3, 4, 5, 0, 1, 2, 6}},
+		{"all equal", []float64{0.2, 0.2, 0.2, 0.2}, []int{0, 1, 2, 3}},
+		{"clipped", []float64{0, 1, 0, 1, 0.5}, []int{1, 3, 4, 0, 2}},
+		{"one", []float64{0.7}, []int{0}},
 	}
-	if len(got) != 5 {
-		t.Fatalf("ranked %d of 5", len(got))
-	}
-	// Scores must be non-increasing within a band and bands non-decreasing.
-	for i := 1; i < len(got); i++ {
-		if got[i].Cluster < got[i-1].Cluster {
-			t.Fatalf("band order violated at rank %d", i)
-		}
-		if got[i].Cluster == got[i-1].Cluster && got[i].Score > got[i-1].Score {
-			t.Fatalf("score order violated at rank %d", i)
-		}
-	}
-	if got[0].FF != 1 || got[1].FF != 3 {
-		t.Fatalf("top ranks are FFs %d, %d; want 1, 3", got[0].FF, got[1].FF)
-	}
-	if got[0].Cluster != 0 {
-		t.Fatalf("most critical candidate sits in band %d", got[0].Cluster)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			costs := make([]float64, len(tc.scores))
+			names := make([]string, len(tc.scores))
+			for i := range costs {
+				costs[i] = float64(i + 1)
+				names[i] = string(rune('a' + i))
+			}
+			got, err := harden.Rank(tc.scores, costs, names)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(tc.want) {
+				t.Fatalf("ranked %d of %d", len(got), len(tc.want))
+			}
+			for i, c := range got {
+				if c.FF != tc.want[i] {
+					t.Fatalf("rank %d holds FF %d, want %d (order %+v)", i, c.FF, tc.want[i], got)
+				}
+				if c.Score != tc.scores[c.FF] || c.Area != costs[c.FF] || c.Name != names[c.FF] {
+					t.Fatalf("rank %d carries %+v, not FF %d's score, cost and name", i, c, c.FF)
+				}
+			}
+		})
 	}
 }
 
 func TestRankDeterministic(t *testing.T) {
 	scores := []float64{0.3, 0.3, 0.1, 0.9, 0.9, 0.5}
 	costs := []float64{2, 2, 2, 2, 2, 2}
-	a, err := harden.Rank(scores, costs, nil, harden.Config{Seed: 42})
+	a, err := harden.Rank(scores, costs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := harden.Rank(scores, costs, nil, harden.Config{Seed: 42})
+	b, err := harden.Rank(scores, costs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,16 +198,16 @@ func TestRankDeterministic(t *testing.T) {
 }
 
 func TestRankValidation(t *testing.T) {
-	if _, err := harden.Rank(nil, nil, nil, harden.Config{}); err == nil {
+	if _, err := harden.Rank(nil, nil, nil); err == nil {
 		t.Fatal("empty ranking accepted")
 	}
-	if _, err := harden.Rank([]float64{0.1}, []float64{1, 2}, nil, harden.Config{}); err == nil {
+	if _, err := harden.Rank([]float64{0.1}, []float64{1, 2}, nil); err == nil {
 		t.Fatal("mismatched costs accepted")
 	}
-	if _, err := harden.Rank([]float64{0.1, 0.2}, []float64{1, 0}, nil, harden.Config{}); err == nil {
+	if _, err := harden.Rank([]float64{0.1, 0.2}, []float64{1, 0}, nil); err == nil {
 		t.Fatal("non-positive cost accepted")
 	}
-	if _, err := harden.Rank([]float64{0.1}, []float64{1}, []string{"a", "b"}, harden.Config{}); err == nil {
+	if _, err := harden.Rank([]float64{0.1}, []float64{1}, []string{"a", "b"}); err == nil {
 		t.Fatal("mismatched names accepted")
 	}
 }
@@ -216,7 +243,7 @@ func TestWriteCSV(t *testing.T) {
 	if len(lines) != 3 {
 		t.Fatalf("CSV has %d lines, want header + 2 rows:\n%s", len(lines), sb.String())
 	}
-	if !strings.HasPrefix(lines[0], "rank,ff,name,score,cluster,area,selected") {
+	if !strings.HasPrefix(lines[0], "rank,ff,name,score,area,selected") {
 		t.Fatalf("unexpected CSV header %q", lines[0])
 	}
 	if !strings.HasSuffix(lines[1], ",0.2") || !strings.HasSuffix(lines[2], ",0") {

@@ -12,7 +12,7 @@ import (
 func WriteCSV(w io.Writer, p *Plan) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write([]string{
-		"rank", "ff", "name", "score", "cluster", "area", "selected",
+		"rank", "ff", "name", "score", "area", "selected",
 		"cum_area", "cum_budget", "residual_ffr",
 	}); err != nil {
 		return err
@@ -36,7 +36,6 @@ func WriteCSV(w io.Writer, p *Plan) error {
 			fmt.Sprintf("%d", c.FF),
 			c.Name,
 			fmt.Sprintf("%g", c.Score),
-			fmt.Sprintf("%d", c.Cluster),
 			fmt.Sprintf("%g", c.Area),
 			sel,
 			fmt.Sprintf("%g", pt.Area),

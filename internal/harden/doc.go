@@ -3,14 +3,12 @@
 // opens (estimate the failure rate) with the step its references [3]-[5]
 // motivate (decide what to protect).
 //
-// The flow is estimate → rank → cluster → rewrite → verify:
+// The flow is estimate → rank → plan → rewrite → verify:
 //
 //   - Score every flip-flop's failure criticality by model prediction over
 //     the per-FF feature rows of a materialized scenario — no new
 //     injections; that is the point of having the model.
-//   - Cluster the score ranking into criticality bands with the
-//     deterministic ml.KMeans, so the selection cuts at natural gaps
-//     instead of an arbitrary rank.
+//   - Rank flip-flops by score, most critical first, ties by index.
 //   - Emit a Plan: the ordered TMR set that fits a user-supplied area
 //     budget (per-FF costs from gate areas in internal/netlist), with the
 //     predicted residual FFR at every budget point on the curve.

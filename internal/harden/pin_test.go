@@ -65,7 +65,7 @@ func rankGolden(t *testing.T) string {
 				t.Fatal(err)
 			}
 			for i, budget := range []float64{0.1, 0.5, 0.9} {
-				p, err := harden.Advise(art, s.Materialized, budget, harden.Config{})
+				p, err := harden.Advise(art, s.Materialized, budget)
 				if err != nil {
 					t.Fatalf("%s %s: %v", sc.ID(), name, err)
 				}

@@ -73,7 +73,7 @@ func TestHardenAcceptance(t *testing.T) {
 			}
 			art := trainTruthModel(t, m, tc.n, cseed)
 
-			plan, err := harden.Advise(art, m, 0.5, harden.Config{Seed: 2019})
+			plan, err := harden.Advise(art, m, 0.5)
 			if err != nil {
 				t.Fatalf("Advise: %v", err)
 			}

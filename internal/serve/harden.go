@@ -42,14 +42,12 @@ func (s *Server) handleHarden(w http.ResponseWriter, r *http.Request) {
 		api.WriteError(w, http.StatusNotFound, api.CodeNotFound, "unknown model %q", req.Model)
 		return
 	}
-	cfg := harden.Config{Clusters: req.Clusters, Seed: req.Seed}
-
 	var plan *harden.Plan
 	var err error
 	if len(req.Vectors) > 0 {
-		plan, err = explicitPlan(a, req, cfg)
+		plan, err = explicitPlan(a, req)
 	} else {
-		plan, err = scenarioPlan(a, req, cfg)
+		plan, err = scenarioPlan(a, req)
 	}
 	if err != nil {
 		api.WriteError(w, http.StatusBadRequest, api.CodeBadRequest, "%v", err)
@@ -65,7 +63,7 @@ func (s *Server) handleHarden(w http.ResponseWriter, r *http.Request) {
 
 // explicitPlan plans over caller-supplied feature rows. Costs default to
 // uniform when absent, making the budget a pure FF-count fraction.
-func explicitPlan(a *persist.Artifact, req api.HardenRequest, cfg harden.Config) (*harden.Plan, error) {
+func explicitPlan(a *persist.Artifact, req api.HardenRequest) (*harden.Plan, error) {
 	scores, err := harden.Score(a, req.Vectors)
 	if err != nil {
 		return nil, err
@@ -81,7 +79,7 @@ func explicitPlan(a *persist.Artifact, req api.HardenRequest, cfg harden.Config)
 	if len(req.Names) > 0 {
 		names = req.Names
 	}
-	cands, err := harden.Rank(scores, costs, names, cfg)
+	cands, err := harden.Rank(scores, costs, names)
 	if err != nil {
 		return nil, err
 	}
@@ -90,16 +88,12 @@ func explicitPlan(a *persist.Artifact, req api.HardenRequest, cfg harden.Config)
 		return nil, err
 	}
 	plan.Model = a.Name
-	plan.Clusters = cfg.Clusters
-	if plan.Clusters <= 0 {
-		plan.Clusters = harden.DefaultClusters
-	}
 	return plan, nil
 }
 
 // scenarioPlan materializes the request's scenario — or the artifact's
 // training scenario when the request names none — and advises over it.
-func scenarioPlan(a *persist.Artifact, req api.HardenRequest, cfg harden.Config) (*harden.Plan, error) {
+func scenarioPlan(a *persist.Artifact, req api.HardenRequest) (*harden.Plan, error) {
 	id := req.Scenario
 	if id == "" {
 		if a.Circuit == "" || a.Workload == "" {
@@ -117,11 +111,15 @@ func scenarioPlan(a *persist.Artifact, req api.HardenRequest, cfg harden.Config)
 			return nil, err
 		}
 	}
-	m, err := sc.Materialize(scale, req.ScenarioSeed)
+	seed := req.ScenarioSeed
+	if seed == 0 {
+		seed = 1
+	}
+	m, err := sc.Materialize(scale, seed)
 	if err != nil {
 		return nil, err
 	}
-	return harden.Advise(a, m, req.Budget, cfg)
+	return harden.Advise(a, m, req.Budget)
 }
 
 // hardenResponse flattens a plan onto the wire shape.
@@ -130,7 +128,6 @@ func hardenResponse(p *harden.Plan) api.HardenResponse {
 		Model:       p.Model,
 		Circuit:     p.Circuit,
 		Workload:    p.Workload,
-		Clusters:    p.Clusters,
 		Budget:      p.Budget,
 		TotalArea:   p.TotalArea,
 		UsedArea:    p.UsedArea,
@@ -153,7 +150,7 @@ func wireCandidates(cands []harden.Candidate) []api.HardenCandidate {
 	out := make([]api.HardenCandidate, len(cands))
 	for i, c := range cands {
 		out[i] = api.HardenCandidate{
-			FF: c.FF, Name: c.Name, Score: c.Score, Cluster: c.Cluster, Area: c.Area,
+			FF: c.FF, Name: c.Name, Score: c.Score, Area: c.Area,
 		}
 	}
 	return out

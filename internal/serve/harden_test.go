@@ -4,10 +4,18 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/api"
+	"repro/internal/corpus"
+	"repro/internal/fault"
+	"repro/internal/features"
+	"repro/internal/harden"
+	"repro/internal/ml"
+	"repro/internal/ml/knn"
+	"repro/internal/persist"
 )
 
 func postHarden(t testing.TB, h http.Handler, body string) (*httptest.ResponseRecorder, api.HardenResponse) {
@@ -28,16 +36,20 @@ func TestHardenExplicitVectors(t *testing.T) {
 	s, _ := testServer(t, Config{})
 	h := s.Handler()
 	// Four FFs with distinct feature rows; uniform costs default, so a 50%
-	// budget hardens the two most critical.
-	body := `{"model":"k-NN","budget":0.5,"clusters":2,
-		"vectors":[[0.1,0.2,9],[0.9,3.9,0.1],[0.2,0.1,8],[0.8,3.5,0.4]],
+	// budget hardens the two most critical. "clusters" was a request field
+	// once; a body that still carries it decodes and plans the same.
+	const rows = `"vectors":[[0.1,0.2,9],[0.9,3.9,0.1],[0.2,0.1,8],[0.8,3.5,0.4]],
 		"names":["a","b","c","d"]}`
+	body := `{"model":"k-NN","budget":0.5,"clusters":2,` + rows
 	rec, resp := postHarden(t, h, body)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 	}
-	if resp.Model != "k-NN" || resp.Clusters != 2 {
+	if resp.Model != "k-NN" {
 		t.Fatalf("response header %+v", resp)
+	}
+	if plain, _ := postHarden(t, h, `{"model":"k-NN","budget":0.5,`+rows); plain.Body.String() != rec.Body.String() {
+		t.Fatalf("dropping \"clusters\" changed the plan:\n%s\n%s", rec.Body.String(), plain.Body.String())
 	}
 	if len(resp.Selected)+len(resp.Rest) != 4 {
 		t.Fatalf("plan covers %d of 4 FFs", len(resp.Selected)+len(resp.Rest))
@@ -84,6 +96,12 @@ func TestHardenValidation(t *testing.T) {
 		{"bad width", `{"model":"k-NN","budget":0.5,"vectors":[[1,2]]}`, http.StatusBadRequest},
 		{"untagged model no scenario", `{"model":"k-NN","budget":0.5}`, http.StatusBadRequest},
 		{"unknown scenario", `{"model":"k-NN","budget":0.5,"scenario":"nope/nope"}`, http.StatusBadRequest},
+		// A finite vector the model answers with NaN, and costs whose sum
+		// overflows: both once answered 500 because the plan could not be
+		// encoded.
+		{"nan prediction", `{"model":"k-NN","budget":0.5,"vectors":[[1e308,1e308,1e308],[0.1,0.2,9]]}`, http.StatusBadRequest},
+		{"cost overflow", `{"model":"k-NN","budget":0.5,"vectors":[[0.1,0.2,9],[0.9,3.9,0.1]],"costs":[1e308,1e308]}`, http.StatusBadRequest},
+		{"cost overflow zero budget", `{"model":"k-NN","budget":0,"vectors":[[0.1,0.2,9],[0.9,3.9,0.1]],"costs":[1e308,1e308]}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -91,8 +109,71 @@ func TestHardenValidation(t *testing.T) {
 			if rec.Code != tc.code {
 				t.Fatalf("status %d, want %d: %s", rec.Code, tc.code, rec.Body.String())
 			}
-			decodeEnvelope(t, rec)
+			if e := decodeEnvelope(t, rec); rec.Code == http.StatusBadRequest && e.Code != api.CodeBadRequest {
+				t.Fatalf("400 with code %q", e.Code)
+			}
 		})
+	}
+}
+
+// scenarioArtifact fits a k-NN named "truth" on a 16-injection ground truth
+// of the scenario materialized at small scale and seed 1, tagged with the
+// scenario, and returns it with that materialization.
+func scenarioArtifact(t testing.TB, id string) (*persist.Artifact, *corpus.Materialized) {
+	t.Helper()
+	sc, err := corpus.Find(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := sc.Materialize(corpus.ScaleSmall, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runner, err := m.Runner(fault.RunnerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := runner.Run(m.Jobs(fault.Model{}, 16, sc.Entry.Defaults.CampaignSeed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := &ml.Pipeline{Scaler: &ml.StandardScaler{}, Model: knn.New(3)}
+	if err := model.Fit(m.Features.Rows, res.FDR); err != nil {
+		t.Fatal(err)
+	}
+	art := persist.New("truth", model, features.Names())
+	art.Circuit, art.Workload = sc.Entry.Name, sc.Workload.Name
+	return art, m
+}
+
+// TestHardenScenarioSeedDefault: a scenario-mode request without
+// scenario_seed plans the workload ffr harden plans by default and studies
+// train on — materialization seed 1 — to the last field of the response.
+func TestHardenScenarioSeedDefault(t *testing.T) {
+	art, m := scenarioArtifact(t, "alupipe/randomops")
+	s := New(Config{})
+	if err := s.Add(art); err != nil {
+		t.Fatal(err)
+	}
+
+	plan, err := harden.Advise(art, m, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := hardenResponse(plan)
+	for _, body := range []string{
+		`{"model":"truth","budget":0.5}`,
+		`{"model":"truth","budget":0.5,"scenario":"alupipe/randomops","scale":"small"}`,
+		`{"model":"truth","budget":0.5,"scenario":"alupipe/randomops","scenario_seed":1}`,
+	} {
+		rec, got := postHarden(t, s.Handler(), body)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", body, rec.Code, rec.Body.String())
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: response selects %v, harden.Advise over seed 1 selects %v",
+				body, got.SelectedFFs, want.SelectedFFs)
+		}
 	}
 }
 

@@ -73,9 +73,8 @@ type (
 	// flip-flop set that fits an area budget plus the predicted residual
 	// FFR at every budget point (the ffr harden engine).
 	HardenPlan = harden.Plan
-	// HardenConfig parameterizes plan construction (bands, seed).
-	HardenConfig = harden.Config
-	// HardenCandidate is one flip-flop of the criticality ranking.
+	// HardenCandidate is one flip-flop of the criticality ranking (score
+	// descending, ties by flip-flop index).
 	HardenCandidate = harden.Candidate
 	// HardenBudgetPoint is one point of the budget-vs-residual curve.
 	HardenBudgetPoint = harden.BudgetPoint
