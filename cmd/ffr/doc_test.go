@@ -9,6 +9,7 @@ import (
 	"path"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -162,6 +163,23 @@ func TestOneCheckpointMatcher(t *testing.T) {
 	})
 	if !inFault {
 		t.Fatal("found no plan fingerprinting in internal/fault: the guard matches nothing")
+	}
+}
+
+// TestOneGoldenSimulator: outside bench/, non-test source builds an
+// interpreter engine (sim.NewEngine) in two places only — the golden run of
+// corpus.Materialize, which every golden run (ffr sim's included) goes
+// through, and the SET effect table in internal/fault — so moving the golden
+// run onto the kernel has exactly those two call sites to replace.
+func TestOneGoldenSimulator(t *testing.T) {
+	var got []string
+	nonTestSource(t, func(rel, src string) {
+		if !strings.HasPrefix(rel, "bench/") && strings.Contains(src, "sim.NewEngine(") {
+			got = append(got, rel)
+		}
+	})
+	if want := []string{"internal/corpus/materialize.go", "internal/fault/modelexec.go"}; !slices.Equal(got, want) {
+		t.Fatalf("sim.NewEngine is called in %v, want only %v", got, want)
 	}
 }
 

@@ -5,13 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"strconv"
 	"strings"
 	"testing"
-
-	"repro/internal/api"
-	"repro/internal/fabric"
-	"repro/internal/fault"
 )
 
 // TestValidateBeforeComputing: a bad experiment id and an output path that
@@ -160,61 +155,25 @@ func TestPlanInterruptResume(t *testing.T) {
 	}
 }
 
-// TestCoordResumeAdoptsRecordedSchedule resumes `ffr coord` over what an
-// interrupted plan-order campaign left — two of five chunks, recorded under
-// the packing no flag selects any more: the coordinator must adopt it, tell
-// its workers, and finish on the fingerprint of the single-node plan-order
-// run, never on a silently different one.
-func TestCoordResumeAdoptsRecordedSchedule(t *testing.T) {
-	ckpt := filepath.Join(t.TempDir(), "fabric.ckpt")
-	camp, err := fabric.BuildCampaign(api.CampaignSpec{
-		Scenario: "random/noise", Scale: "small", Seed: 11,
-		InjectionsPerFF: 6, CampaignSeed: 77, ChunkJobs: 64,
-	}, fault.RunnerConfig{})
+// TestInjectRefusesLegacyCheckpoint: `ffr inject -resume` over a checkpoint
+// an earlier build packed in plan order (see internal/fault/testdata) exits
+// 1 with one error line saying so, reports no campaign and leaves the file
+// as it was.
+func TestInjectRefusesLegacyCheckpoint(t *testing.T) {
+	legacy, err := os.ReadFile(filepath.Join("..", "..", "internal", "fault", "testdata", "campaign-legacy.ckpt"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	planOrder, err := camp.M.Runner(fault.RunnerConfig{ChunkJobs: 64, Schedule: fault.SchedulePlan, CheckpointPath: ckpt})
-	if err != nil {
+	ckpt := filepath.Join(t.TempDir(), "campaign.ckpt")
+	if err := os.WriteFile(ckpt, legacy, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := planOrder.Run(camp.Jobs); err != nil {
-		t.Fatal(err)
+	code, stdout, stderr := ffr(t, "inject", "-n", "1", "-shards", "4", "-checkpoint", ckpt, "-resume")
+	if code != 1 || strings.Contains(stdout, "chunks") || strings.Count(stderr, "\n") != 1 ||
+		!strings.Contains(stderr, "unsupported checkpoint version") || !strings.Contains(stderr, "plan order") {
+		t.Errorf("exit %d, stdout %q, stderr %q", code, stdout, stderr)
 	}
-	ck, err := fault.LoadCheckpoint(ckpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := strconv.FormatUint(ck.Fingerprint(), 16)
-	for ci := 2; ci < ck.NumChunks; ci++ {
-		delete(ck.Chunks, ci)
-	}
-	if err := fault.SaveCheckpoint(ckpt, ck); err != nil {
-		t.Fatal(err)
-	}
-
-	coord := start(t, "coord", "-scenario", "random/noise", "-seed", "11", "-n", "6",
-		"-campaign-seed", "77", "-chunk", "64", "-addr", "127.0.0.1:0", "-checkpoint", ckpt, "-resume")
-	base := coord.listening(t)
-	a := start(t, "work", "-coordinator", base, "-name", "resume-a", "-workers", "1")
-	b := start(t, "work", "-coordinator", base, "-name", "resume-b", "-workers", "1")
-	for _, p := range []*proc{a, b, coord} {
-		if code := p.wait(t); code != 0 {
-			t.Fatalf("ffr %s exited %d\nstdout:\n%s\nstderr:\n%s", p.args[0], code, p.stdout, p.stderr)
-		}
-	}
-	stdout := coord.stdout.String()
-	if !strings.Contains(stdout, "coord: campaign complete: 5/5 chunks") ||
-		!strings.Contains(stdout, "coord: checkpoint fingerprint "+want+"\n") {
-		t.Errorf("the resumed campaign did not finish on the plan-order run's fingerprint %s:\n%s", want, stdout)
-	}
-	// The two recorded chunks were adopted, not simulated again.
-	simulated := 0
-	for _, m := range regexp.MustCompile(`coord: worker resume-[ab] completed (\d) chunks\n`).FindAllStringSubmatch(stdout, -1) {
-		n, _ := strconv.Atoi(m[1])
-		simulated += n
-	}
-	if simulated != 3 {
-		t.Errorf("the workers completed %d chunks, want the 3 the checkpoint lacked:\n%s", simulated, stdout)
+	if after, err := os.ReadFile(ckpt); err != nil || !bytes.Equal(after, legacy) {
+		t.Errorf("the refused checkpoint was rewritten (%v)", err)
 	}
 }

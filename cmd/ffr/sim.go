@@ -5,7 +5,8 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/cli"
-	"repro/internal/sim"
+	"repro/internal/corpus"
+	"repro/internal/fault"
 )
 
 // runSim runs the packet-loopback testbench on the MAC10GE-lite design (the
@@ -32,28 +33,16 @@ func runSim(c *cli.Cmd) error {
 		return err
 	}
 	defer stop()
-	nl, err := circuit.NewMAC10GE(circuit.DefaultMACConfig())
-	if err != nil {
-		return err
-	}
-	if err := circuit.Synthesize(nl); err != nil {
-		return err
-	}
-	p, err := sim.Compile(nl)
-	if err != nil {
-		return err
-	}
 	benchCfg := circuit.DefaultMACBenchConfig()
 	benchCfg.Packets = *packets
 	benchCfg.Seed = *seed
-	bench, err := circuit.BuildMACBench(p, benchCfg)
+	m, err := corpus.MACScenario(circuit.DefaultMACConfig(), benchCfg).Materialize(corpus.ScaleDefault, 1)
 	if err != nil {
 		return err
 	}
-	trace, act := sim.Run(sim.NewEngine(p), bench.Stim, sim.RunConfig{
-		Monitors:        bench.Monitors,
-		CollectActivity: true,
-	})
+	// The MAC scenario's criterion carries the testbench it decodes with.
+	bench := m.Bench.Classifier.(*fault.MACClassifier).Bench
+	p, nl, trace, act := m.Program, m.Netlist, m.Golden, m.Activity
 
 	got := bench.LanePackets(trace, 0)
 	tel.Logger.Debug("golden run complete",

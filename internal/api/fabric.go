@@ -27,9 +27,6 @@ type CampaignSpec struct {
 	// ChunkJobs is the shard chunk size in jobs; 0 means the runner
 	// default.
 	ChunkJobs int `json:"chunk_jobs,omitempty"`
-	// Schedule names the batch packing a coordinator's ledger records masks
-	// under, filled in by the coordinator for its workers to pack alike.
-	Schedule string `json:"schedule,omitempty"`
 	// FaultModel is the canonical fault-model string ("seu", "mbu:3",
 	// "stuck0:8@0.25-0.75", "set", ...); "" means SEU. The model is part
 	// of the campaign identity: it shapes the injection plan, the target

@@ -32,9 +32,7 @@ type Campaign struct {
 
 // ResolveSpec validates a campaign spec and fills every default — scale,
 // injection budget, campaign seed, chunk size — so a worker can rebuild the
-// identical campaign from the wire copy alone. The schedule is not a
-// default: it is the coordinator's ledger that decides it, and the
-// coordinator that writes it into the spec its workers join on.
+// identical campaign from the wire copy alone.
 func ResolveSpec(spec api.CampaignSpec) (api.CampaignSpec, error) {
 	sc, err := corpus.Find(spec.Scenario)
 	if err != nil {
@@ -85,8 +83,8 @@ func ResolveSpec(spec api.CampaignSpec) (api.CampaignSpec, error) {
 }
 
 // BuildCampaign materializes a spec into a prepared campaign. The spec is
-// the campaign's identity — model, chunk size, schedule, golden trace and
-// snapshots come from it — and local adds what is this node's alone and
+// the campaign's identity — model, chunk size, golden trace and snapshots
+// come from it — and local adds what is this node's alone and
 // never changes results: pool bound, checkpointing, instrumentation. Two
 // nodes building the same spec get fingerprint-identical plans and golden
 // traces.
@@ -119,7 +117,7 @@ func BuildCampaign(spec api.CampaignSpec, local fault.RunnerConfig) (*Campaign, 
 		return nil, fmt.Errorf("fabric: %v", err)
 	}
 	jobs := m.Jobs(model, spec.InjectionsPerFF, spec.CampaignSeed)
-	local.Model, local.ChunkJobs, local.Schedule = model, spec.ChunkJobs, fault.Schedule(spec.Schedule)
+	local.Model, local.ChunkJobs = model, spec.ChunkJobs
 	runner, err := m.Runner(local)
 	if err != nil {
 		return nil, err

@@ -31,9 +31,7 @@ const (
 // CoordinatorConfig parameterizes a Coordinator.
 type CoordinatorConfig struct {
 	// Spec identifies the campaign; it is resolved (defaults filled) at
-	// construction. Its Schedule is written, not read: a new campaign packs
-	// clustered, a resumed one as its checkpoint recorded, and the Join
-	// response's spec says which.
+	// construction.
 	Spec api.CampaignSpec
 	// LeaseTTL is the heartbeat deadline per leased chunk (0 =
 	// DefaultLeaseTTL).
@@ -122,7 +120,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
 	}
-	cfg.Spec.Schedule = ""
 	camp, err := BuildCampaign(cfg.Spec, fault.RunnerConfig{
 		CheckpointPath:  cfg.CheckpointPath,
 		CheckpointEvery: cfg.CheckpointEvery,
@@ -135,7 +132,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if err != nil {
 		return nil, err
 	}
-	camp.Spec.Schedule = string(ledger.Schedule())
 
 	c := &Coordinator{
 		cfg:     cfg,
@@ -260,6 +256,9 @@ func (c *Coordinator) Lease(req api.LeaseRequest) (api.LeaseResponse, error) {
 	defer c.mu.Unlock()
 	c.touch(req.Worker)
 	c.reap(now)
+	if err := c.failure(); err != nil {
+		return api.LeaseResponse{}, err
+	}
 	if c.finished {
 		c.workers[req.Worker].sawDone = true
 		c.updateGauges()
@@ -339,6 +338,9 @@ func (c *Coordinator) Heartbeat(req api.HeartbeatRequest) (api.HeartbeatResponse
 	defer c.mu.Unlock()
 	c.touch(req.Worker)
 	c.reap(now)
+	if err := c.failure(); err != nil {
+		return api.HeartbeatResponse{}, err
+	}
 	c.mHeartbeats.Inc()
 	var resp api.HeartbeatResponse
 	for _, ci := range req.Chunks {
@@ -362,7 +364,8 @@ func (c *Coordinator) Heartbeat(req api.HeartbeatRequest) (api.HeartbeatResponse
 // bit-identical and acknowledged as duplicates — a mismatch means the
 // campaign is not deterministic and is rejected loudly (the HTTP layer
 // answers fault.ErrChunkConflict with 409 + CodeConflict). A refused result
-// leaves the campaign as it was; a checkpoint that cannot be flushed fails it.
+// leaves the campaign as it was; a checkpoint that cannot be flushed fails
+// it, and that failure is the answer.
 func (c *Coordinator) Complete(req api.CompleteRequest) (api.CompleteResponse, error) {
 	if req.Worker == "" {
 		return api.CompleteResponse{}, fmt.Errorf("fabric: complete without a worker name")
@@ -382,7 +385,8 @@ func (c *Coordinator) Complete(req api.CompleteRequest) (api.CompleteResponse, e
 	duplicate, err := c.ledger.Add(req.Chunk, masks)
 	if err != nil {
 		if c.ledger.Err() != nil {
-			c.finish(nil, err)
+			c.finish(nil, c.ledger.Err())
+			return api.CompleteResponse{}, c.failure()
 		}
 		return api.CompleteResponse{}, err
 	}
@@ -412,6 +416,20 @@ func (c *Coordinator) removePending(ci int) {
 			return
 		}
 	}
+}
+
+// errFailed marks a request answered with the error that ended the campaign
+// (a checkpoint the coordinator could not flush): the coordinator's fault,
+// not the requesting worker's, so the HTTP layer answers 500.
+var errFailed = errors.New("fabric: campaign failed")
+
+// failure is what Lease, Heartbeat and Complete answer once the campaign has
+// ended with an error, nil while it has not. Callers hold c.mu.
+func (c *Coordinator) failure() error {
+	if c.finalErr == nil {
+		return nil
+	}
+	return fmt.Errorf("%w: %w", errFailed, c.finalErr)
 }
 
 // finish ends the campaign — with the complete ledger's fold, or with the
@@ -629,6 +647,11 @@ func (c *Coordinator) respond(w http.ResponseWriter, r *http.Request, op, worker
 			"worker", worker, "error", err,
 			"trace_id", obs.TraceIDFrom(ctx))
 		api.WriteError(w, http.StatusConflict, api.CodeConflict, "%v", err)
+	case errors.Is(err, errFailed):
+		c.log.Error(op+" refused",
+			"worker", worker, "error", err,
+			"trace_id", obs.TraceIDFrom(ctx))
+		api.WriteError(w, http.StatusInternalServerError, api.CodeInternal, "%v", err)
 	default:
 		c.log.Warn(op+" rejected",
 			"worker", worker, "error", err,

@@ -3,9 +3,12 @@ package fabric_test
 import (
 	"context"
 	"errors"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -469,6 +472,64 @@ func TestCompleteValidation(t *testing.T) {
 		Worker: "w", Chunk: 0, PlanHash: camp.PlanHashHex(), Masks: []string{"xyz"},
 	}); err == nil {
 		t.Fatal("unparseable mask accepted")
+	}
+}
+
+// TestFailedCampaignAnswersInternal: a coordinator whose checkpoint cannot
+// be flushed has failed, not its workers. The Complete that hit the failure
+// and every later Lease and Heartbeat answer 500 internal naming the cause,
+// a worker's Run returns an error instead of reporting the campaign
+// complete, and Wait returns the flush error.
+func TestFailedCampaignAnswersInternal(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "ckpt")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	coord, err := fabric.NewCoordinator(fabric.CoordinatorConfig{
+		Spec: testSpec(), CheckpointPath: filepath.Join(dir, "campaign.ckpt"), CheckpointEvery: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	camp := coord.Campaign()
+	done, err := camp.Plan.RunChunks(context.Background(), []int{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(coord.Handler())
+	defer srv.Close()
+	client := fabric.NewClient(srv.URL)
+	internal := func(what string, err error) {
+		t.Helper()
+		var apiErr *api.Error
+		if !errors.As(err, &apiErr) || apiErr.Status != http.StatusInternalServerError ||
+			apiErr.Code != api.CodeInternal || !strings.Contains(apiErr.Message, dir) {
+			t.Fatalf("%s: %v, want 500 %s naming the checkpoint", what, err, api.CodeInternal)
+		}
+	}
+	_, err = client.Complete(api.CompleteRequest{
+		Worker: "a", Chunk: 0, PlanHash: camp.PlanHashHex(), Masks: api.EncodeMasks(done[0]),
+	})
+	internal("complete", err)
+	_, err = client.Lease(api.LeaseRequest{Worker: "b"})
+	internal("lease", err)
+	_, err = client.HeartbeatCtx(context.Background(), api.HeartbeatRequest{Worker: "b", Chunks: []int{1}})
+	internal("heartbeat", err)
+
+	w, err := fabric.NewWorker(fabric.WorkerConfig{Name: "c", Coordinator: srv.URL, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Run(context.Background()); err == nil {
+		t.Fatal("a worker of the failed campaign reported it complete")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if _, err := coord.Wait(ctx); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("Wait returned %v, want the flush error", err)
 	}
 }
 

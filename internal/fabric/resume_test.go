@@ -133,59 +133,46 @@ func TestCoordinatorRefusesForeignCheckpoint(t *testing.T) {
 	}
 }
 
-// TestCoordinatorAdoptsRecordedSchedule: a coordinator resumed over a
-// plan-order checkpoint — also one whose header predates the schedule field
-// — adopts that packing exactly as a default Runner does, tells its workers
-// in the Join response's spec, and two workers then finish the campaign at
-// the fingerprint of the single-node plan-order run.
-func TestCoordinatorAdoptsRecordedSchedule(t *testing.T) {
+// TestCoordinatorRefusesLegacyCheckpoint: a checkpoint an earlier build
+// packed in plan order — internal/fault/testdata/campaign-legacy.ckpt, and
+// this campaign's own file with its schedule field dropped or spelled "plan"
+// — is refused by a resuming coordinator with fault.ErrCheckpointVersion, as
+// LoadCheckpoint refuses it, and stays on disk byte for byte.
+func TestCoordinatorRefusesLegacyCheckpoint(t *testing.T) {
 	spec := testSpec()
-	for _, recorded := range []string{string(fault.SchedulePlan), ""} {
+	refused := func(t *testing.T, path string) {
+		t.Helper()
+		before, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = fabric.NewCoordinator(fabric.CoordinatorConfig{Spec: spec, CheckpointPath: path, Resume: true})
+		if !errors.Is(err, fault.ErrCheckpointVersion) {
+			t.Fatalf("resume over a plan-order checkpoint returned %v, want ErrCheckpointVersion", err)
+		}
+		if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, before) {
+			t.Fatalf("the refused checkpoint was rewritten (%v)", err)
+		}
+	}
+	legacy, err := os.ReadFile(filepath.Join("..", "fault", "testdata", "campaign-legacy.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "campaign-legacy.ckpt")
+	if err := os.WriteFile(path, legacy, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	refused(t, path)
+
+	for _, recorded := range []string{"", "plan"} {
 		t.Run("recorded="+cmp.Or(recorded, "none"), func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "campaign.ckpt")
-			ck := checkpointed(t, spec, fault.RunnerConfig{Schedule: fault.SchedulePlan}, path)
-			want := ck.Fingerprint()
-
-			// What an interrupted run leaves: two of the five chunks.
+			ck := checkpointed(t, spec, fault.RunnerConfig{}, path)
 			ck.Schedule = recorded
-			for ci := 2; ci < ck.NumChunks; ci++ {
-				delete(ck.Chunks, ci)
-			}
 			if err := fault.SaveCheckpoint(path, ck); err != nil {
 				t.Fatal(err)
 			}
-			local := path + ".local"
-			if err := fault.SaveCheckpoint(local, ck); err != nil {
-				t.Fatal(err)
-			}
-			if got := checkpointed(t, spec, fault.RunnerConfig{Resume: true}, local); got.Fingerprint() != want || got.Schedule != string(fault.SchedulePlan) {
-				t.Fatalf("default Runner resumed to %x under %q, want %x under plan order", got.Fingerprint(), got.Schedule, want)
-			}
-
-			coord, err := fabric.NewCoordinator(fabric.CoordinatorConfig{Spec: spec, CheckpointPath: path, Resume: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			join, err := coord.Join(api.JoinRequest{Worker: "probe"})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if join.Spec.Schedule != string(fault.SchedulePlan) {
-				t.Fatalf("join spec carries schedule %q, want the adopted %q", join.Spec.Schedule, fault.SchedulePlan)
-			}
-			if st := coord.Status(); st.DoneChunks != 2 {
-				t.Fatalf("resumed %d chunks, the checkpoint held 2", st.DoneChunks)
-			}
-			if got := runWorkers(t, coord, 2); got != want {
-				t.Fatalf("resumed 2-worker fingerprint %x, single-node plan-order run %x", got, want)
-			}
-			final, err := fault.LoadCheckpoint(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if final.Fingerprint() != want || final.Schedule != string(fault.SchedulePlan) {
-				t.Fatalf("final file fingerprints %x under %q, want %x under plan order", final.Fingerprint(), final.Schedule, want)
-			}
+			refused(t, path)
 		})
 	}
 }

@@ -14,48 +14,40 @@ type Job struct {
 	Cycle int
 }
 
-// Classifier inspects one faulty lane of a monitored trace against the
-// golden trace and reports whether the lane exhibits a functional failure.
-// Implementations define the applicative failure criterion.
+// Classifier is the applicative failure criterion of a campaign: it decides
+// which lanes of a faulty batch fail against the golden trace, post hoc over
+// the recorded trace and, for early exit, cycle by cycle while the batch
+// runs.
 type Classifier interface {
 	// FailingLanes returns a bitmask of lanes in faulty that fail against
 	// golden. used is the mask of lanes carrying real jobs; faulty equals
 	// golden in every row outside [from, to), so only those rows need
 	// comparing (0, golden.Cycles() when nothing is known).
 	FailingLanes(golden, faulty *sim.Trace, used uint64, from, to int) uint64
-}
-
-// ConfigFingerprinter is an optional Classifier extension: a stable digest
-// of the failure criterion's configuration. Checkpoints record it so a
-// campaign cannot be resumed under a different criterion than it was
-// started with (failure masks from two criteria must never be merged).
-type ConfigFingerprinter interface {
-	ConfigFingerprint() uint64
-}
-
-// StreamClassifier is an optional Classifier extension for streaming
-// early-exit classification: instead of waiting for the full faulty trace,
-// the classifier observes the batch cycle by cycle and reports lanes whose
-// failure is already certain. The runner stops a batch as soon as every used
-// lane is either stream-confirmed failed or has re-converged to the golden
-// engine state (the fault effect expired), because no remaining cycle can
-// change either verdict.
-//
-// Soundness contract: a lane reported failed by Observe MUST be classified
-// as failing by FailingLanes no matter what the remaining cycles hold —
-// whether they are the lane's real future or the golden suffix the runner
-// substitutes after an early exit. Classifiers whose criterion cannot
-// confirm failures mid-run simply don't implement this interface and still
-// benefit from golden fast-forward and re-convergence exits; their verdict
-// always comes from the trace-based FailingLanes path.
-type StreamClassifier interface {
-	Classifier
 	// StartStream begins streaming classification of one 64-lane batch
-	// against the golden trace. used masks the lanes carrying real jobs;
-	// from is the first cycle Observe will see — every earlier cycle is
-	// bit-identical to golden (the batch's fast-forwarded prefix), so a
-	// stateful stream starts from the golden run's state at from.
+	// against the golden trace: the stream observes the batch cycle by cycle
+	// and reports lanes whose failure is already certain. used masks the
+	// lanes carrying real jobs; from is the first cycle Observe will see —
+	// every earlier cycle is bit-identical to golden (the batch's
+	// fast-forwarded prefix), so a stateful stream starts from the golden
+	// run's state at from. The runner stops a batch as soon as every used
+	// lane is either stream-confirmed failed or has re-converged to the
+	// golden engine state, because no remaining cycle can change either
+	// verdict.
+	//
+	// Soundness contract: a lane reported failed by Observe MUST be
+	// classified as failing by FailingLanes no matter what the remaining
+	// cycles hold — whether they are the lane's real future or the golden
+	// suffix the runner substitutes after an early exit. A criterion that
+	// cannot confirm failures mid-run returns a stream that never does; its
+	// verdicts then all come from FailingLanes, and its batches still exit
+	// early on re-convergence.
 	StartStream(golden *sim.Trace, used uint64, from int) Stream
+	// ConfigFingerprint is a stable digest of the criterion's configuration.
+	// Checkpoints record it so a campaign cannot be resumed under a
+	// different criterion than it was started with (failure masks from two
+	// criteria must never be merged).
+	ConfigFingerprint() uint64
 }
 
 // Stream observes consecutive simulated cycles of one faulty batch. Streams

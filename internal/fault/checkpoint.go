@@ -1,8 +1,8 @@
 package fault
 
 import (
-	"cmp"
 	"errors"
+	"fmt"
 	"maps"
 	"slices"
 
@@ -19,7 +19,7 @@ var (
 	// ErrCheckpointCorrupt marks files that are not parseable checkpoints.
 	ErrCheckpointCorrupt = errors.New("fault: corrupt checkpoint")
 	// ErrCheckpointVersion marks a parseable checkpoint of an unsupported
-	// format version.
+	// format version, or of a dialect an earlier build wrote.
 	ErrCheckpointVersion = errors.New("fault: unsupported checkpoint version")
 	// ErrCheckpointMismatch marks a well-formed checkpoint that belongs to
 	// a different campaign (plan, golden trace or shard geometry differ).
@@ -36,15 +36,16 @@ type Checkpoint struct {
 	// against (see sim.Trace.Fingerprint).
 	GoldenHash durable.Hash `json:"golden_hash"`
 	// ClassifierHash fingerprints the failure criterion
-	// (ConfigFingerprinter); 0 when the classifier does not identify itself.
+	// (Classifier.ConfigFingerprint).
 	ClassifierHash durable.Hash `json:"classifier_hash"`
-	// Schedule names the batch-packing schedule the masks were recorded
-	// under: the same mask bit maps to a different job under another. ""
-	// marks files from before schedules existed, packed in plan order.
+	// Schedule names the batch packing the masks were recorded under: the
+	// same mask bit maps to a different job under another. This build packs
+	// one way: its ledgers write "clustered", and LoadCheckpoint refuses any
+	// other value.
 	Schedule string `json:"schedule,omitempty"`
 	// Model is the canonical fault-model string (Model.String) the masks
 	// were recorded under: the same job injects a different fault under
-	// another. "" marks files from before fault models existed, all SEU.
+	// another.
 	Model string `json:"fault_model,omitempty"`
 	// TotalJobs is the plan length.
 	TotalJobs int `json:"total_jobs"`
@@ -67,8 +68,26 @@ type checkpointHeader struct {
 var checkpointFormat = durable.Format{Magic: "repro/fault campaign checkpoint", Version: CheckpointVersion,
 	Corrupt: ErrCheckpointCorrupt, Unsupported: ErrCheckpointVersion}
 
+// packing is the schedule every checkpoint of this build records: jobs packed
+// by ascending injection cycle (cycleOrder).
+const packing = "clustered"
+
+// Validate refuses, as ErrCheckpointVersion, the two dialects of earlier
+// builds: masks packed in plan order (no "clustered" schedule) and files from
+// before fault models (no fault_model).
+func (h *checkpointHeader) Validate() error {
+	if h.Schedule != packing {
+		return fmt.Errorf("%w: schedule %q, not %q: masks packed in plan order by an earlier build",
+			ErrCheckpointVersion, h.Schedule, packing)
+	}
+	if h.Model == "" {
+		return fmt.Errorf("%w: no fault model recorded: written by a build before fault models", ErrCheckpointVersion)
+	}
+	return nil
+}
+
 // Fingerprint returns a canonical 64-bit digest of the checkpoint's
-// content: campaign fingerprints, shard geometry, normalized schedule and
+// content: campaign fingerprints, shard geometry, schedule, fault model and
 // every completed chunk's masks, visited in ascending chunk order. Two
 // checkpoints fingerprint equal iff they represent the same campaign state
 // — regardless of file-level encoding details (gob serializes the chunk
@@ -80,8 +99,8 @@ func (c *Checkpoint) Fingerprint() uint64 {
 	d.U64(uint64(c.PlanHash))
 	d.U64(uint64(c.GoldenHash))
 	d.U64(uint64(c.ClassifierHash))
-	d.Str(string(normalizeCheckpointSchedule(c.Schedule)))
-	d.Str(normalizeCheckpointModel(c.Model))
+	d.Str(c.Schedule)
+	d.Str(c.Model)
 	d.Int(c.TotalJobs)
 	d.Int(c.ChunkJobs)
 	d.Int(c.NumChunks)
@@ -95,11 +114,6 @@ func (c *Checkpoint) Fingerprint() uint64 {
 	}
 	return d.Sum()
 }
-
-// normalizeCheckpointModel resolves a checkpoint's recorded fault model: ""
-// marks files from before fault models existed, which were all SEU campaigns
-// and fingerprint identically with the canonical SEU string.
-func normalizeCheckpointModel(s string) string { return cmp.Or(s, Model{}.String()) }
 
 // PlanFingerprint returns a stable 64-bit digest of an injection plan. Two
 // plans fingerprint equal iff they contain the same jobs in the same order,
@@ -124,9 +138,10 @@ func SaveCheckpoint(path string, c *Checkpoint) error {
 // LoadCheckpoint reads and structurally validates a checkpoint file. It
 // returns ErrCheckpointCorrupt for files durable.Load refuses or whose
 // payload disagrees with the header's chunk count or shard geometry,
-// ErrCheckpointVersion for foreign format versions, and fs.ErrNotExist when
-// no checkpoint exists. Campaign-level matching (does this checkpoint belong
-// to the plan being run?) is the caller's job.
+// ErrCheckpointVersion for foreign format versions and for the dialects of
+// earlier builds (see checkpointHeader.Validate), and fs.ErrNotExist when no
+// checkpoint exists. Campaign-level matching (does this checkpoint belong to
+// the plan being run?) is the caller's job.
 func LoadCheckpoint(path string) (*Checkpoint, error) {
 	var hdr checkpointHeader
 	if err := durable.Load(path, checkpointFormat, &hdr, &hdr.Chunks); err != nil {

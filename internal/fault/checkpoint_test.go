@@ -20,7 +20,8 @@ func sampleCheckpoint() *fault.Checkpoint {
 		PlanHash:       0xdeadbeefcafe,
 		GoldenHash:     0x1234567890ab,
 		ClassifierHash: 0x42,
-		Schedule:       string(fault.ScheduleClustered),
+		Schedule:       "clustered",
+		Model:          "seu",
 		TotalJobs:      5 * sim.Lanes,
 		ChunkJobs:      2 * sim.Lanes,
 		NumChunks:      3,
@@ -97,7 +98,7 @@ func TestCheckpointRejectsCorrupt(t *testing.T) {
 
 	goodHeader := func(version int) string {
 		return fmt.Sprintf(`{"magic":"repro/fault campaign checkpoint","version":%d,`+
-			`"plan_hash":"1","golden_hash":"2","classifier_hash":"3",`+
+			`"plan_hash":"1","golden_hash":"2","classifier_hash":"3","schedule":"clustered","fault_model":"seu",`+
 			`"total_jobs":64,"chunk_jobs":64,"num_chunks":1,"completed_chunks":0}`,
 			version)
 	}
@@ -136,27 +137,32 @@ func TestCheckpointRejectsCorrupt(t *testing.T) {
 	}
 }
 
-// A pre-schedule (seed-era) header without the schedule field must still
-// load, carrying the empty schedule that the runner interprets as plan
-// order — keeping old plan-order checkpoints resumable.
-func TestCheckpointLoadsLegacyHeaderWithoutSchedule(t *testing.T) {
-	hdr := `{"magic":"repro/fault campaign checkpoint","version":1,` +
-		`"plan_hash":"1","golden_hash":"2","classifier_hash":"3",` +
-		`"total_jobs":64,"chunk_jobs":64,"num_chunks":1,"completed_chunks":0}`
+// The dialects of earlier builds are refused as ErrCheckpointVersion, with
+// the error saying which: masks packed in plan order (no schedule, or
+// "plan") and a header from before fault models (no fault_model).
+func TestCheckpointRefusesLegacyHeader(t *testing.T) {
 	var sb strings.Builder
 	if err := gob.NewEncoder(&sb).Encode(map[int][]uint64(nil)); err != nil {
 		t.Fatal(err)
 	}
-	p := filepath.Join(t.TempDir(), "legacy.ffr")
-	if err := os.WriteFile(p, append([]byte(hdr+"\n"), sb.String()...), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	ck, err := fault.LoadCheckpoint(p)
-	if err != nil {
-		t.Fatalf("legacy checkpoint rejected: %v", err)
-	}
-	if ck.Schedule != "" {
-		t.Fatalf("legacy checkpoint schedule %q, want empty", ck.Schedule)
+	for _, tc := range []struct{ name, fields, says string }{
+		{"no-schedule", `"fault_model":"seu",`, "plan order"},
+		{"plan-order", `"schedule":"plan","fault_model":"seu",`, "plan order"},
+		{"no-fault-model", `"schedule":"clustered",`, "no fault model"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			hdr := `{"magic":"repro/fault campaign checkpoint","version":1,` +
+				`"plan_hash":"1","golden_hash":"2","classifier_hash":"3",` + tc.fields +
+				`"total_jobs":64,"chunk_jobs":64,"num_chunks":1,"completed_chunks":0}`
+			p := filepath.Join(t.TempDir(), "legacy.ffr")
+			if err := os.WriteFile(p, append([]byte(hdr+"\n"), sb.String()...), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, err := fault.LoadCheckpoint(p)
+			if !errors.Is(err, fault.ErrCheckpointVersion) || !strings.Contains(err.Error(), tc.says) {
+				t.Fatalf("LoadCheckpoint = %v, want ErrCheckpointVersion saying %q", err, tc.says)
+			}
+		})
 	}
 }
 
@@ -164,7 +170,7 @@ func TestCheckpointRejectsBadGeometry(t *testing.T) {
 	// ChunkJobs not a multiple of the lane count can never have been
 	// written by the runner; a doctored header must not load.
 	hdr := `{"magic":"repro/fault campaign checkpoint","version":1,` +
-		`"plan_hash":"1","golden_hash":"2","classifier_hash":"3",` +
+		`"plan_hash":"1","golden_hash":"2","classifier_hash":"3","schedule":"clustered","fault_model":"seu",` +
 		`"total_jobs":100,"chunk_jobs":70,"num_chunks":2,"completed_chunks":0}`
 	var sb strings.Builder
 	if err := gob.NewEncoder(&sb).Encode(map[int][]uint64(nil)); err != nil {

@@ -26,7 +26,7 @@ type ExactClassifier struct {
 	CheckFrom int
 }
 
-// ConfigFingerprint implements ConfigFingerprinter.
+// ConfigFingerprint implements Classifier.
 func (e *ExactClassifier) ConfigFingerprint() uint64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "exact-classifier/from=%d", e.CheckFrom)
@@ -52,7 +52,7 @@ func divergedLanes(golden, faulty *sim.Trace, from, to int) uint64 {
 	return diff
 }
 
-// StartStream implements StreamClassifier. The exact criterion is ideal for
+// StartStream implements Classifier. The exact criterion is ideal for
 // streaming: any monitored divergence inside the check window is final, so a
 // lane is confirmed failed the cycle it first diverges. The skipped prefix
 // needs no replay — it is divergence-free by construction.
@@ -120,7 +120,7 @@ func NewMACClassifier(bench *circuit.MACBench, checkStats bool) *MACClassifier {
 	return &MACClassifier{Bench: bench, CheckStats: checkStats}
 }
 
-// ConfigFingerprint implements ConfigFingerprinter: it digests the failure
+// ConfigFingerprint implements Classifier: it digests the failure
 // criterion (packet comparison, optionally widened by the statistics
 // readout) so checkpoints reject resumes under a different criterion.
 func (m *MACClassifier) ConfigFingerprint() uint64 {
@@ -150,7 +150,7 @@ func (m *MACClassifier) FailingLanes(golden, faulty *sim.Trace, used uint64, fro
 	return failing
 }
 
-// StartStream implements StreamClassifier with an incremental frame decoder:
+// StartStream implements Classifier with an incremental frame decoder:
 // every lane whose receive-side monitor bits ever diverge from golden gets a
 // private packet reconstruction, compared frame-by-frame against the golden
 // packet list as bytes arrive. A lane is confirmed failed as soon as it

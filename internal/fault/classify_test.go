@@ -214,7 +214,7 @@ func TestExactClassifierConfigFingerprint(t *testing.T) {
 
 // streamOverTrace replays a full faulty trace through a classifier stream
 // starting at cycle from and returns the final confirmed-failed mask.
-func streamOverTrace(sc fault.StreamClassifier, golden, faulty *sim.Trace, used uint64, from int) uint64 {
+func streamOverTrace(sc fault.Classifier, golden, faulty *sim.Trace, used uint64, from int) uint64 {
 	st := sc.StartStream(golden, used, from)
 	var failed uint64
 	for c := from; c < golden.Cycles(); c++ {

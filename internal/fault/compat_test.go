@@ -2,6 +2,7 @@ package fault_test
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -25,49 +26,45 @@ func headerLine(t *testing.T, path string) []byte {
 
 // The files under testdata/ were written by the build before the container
 // package existed (PR 18's `ffr inject -n 1 -shards 4` and SaveCheckpoint),
-// and the fingerprints beside them were printed by that build. Each must
-// load, fingerprint to the recorded value and re-save to the same header
-// line; gob writes the chunk map in no fixed order, so the payloads compare
-// by fingerprint.
+// and the fingerprint beside campaign.ckpt was printed by that build. It
+// must load, fingerprint to the recorded value and re-save to the same
+// header line; gob writes the chunk map in no fixed order, so the payloads
+// compare by fingerprint. campaign-legacy.ckpt has neither schedule nor
+// fault_model in its header: the plan-order dialect from before clustered
+// packing and fault models, which this build refuses.
 func TestCheckpointCompatibility(t *testing.T) {
-	for _, tc := range []struct {
-		file            string
-		fingerprint     uint64
-		schedule, model string
-		chunks          int
-	}{
-		{"campaign.ckpt", 0x62fd61fd74b5cece, "clustered", "seu", 4},
-		// No schedule and no fault_model in the header: the format from
-		// before schedules and fault models existed.
-		{"campaign-legacy.ckpt", 0x605e75daa8571772, "", "", 2},
-	} {
-		t.Run(tc.file, func(t *testing.T) {
-			src := filepath.Join("testdata", tc.file)
-			ck, err := fault.LoadCheckpoint(src)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ck.Schedule != tc.schedule || ck.Model != tc.model || len(ck.Chunks) != tc.chunks {
-				t.Errorf("loaded schedule %q, model %q, %d chunks; want %q, %q, %d",
-					ck.Schedule, ck.Model, len(ck.Chunks), tc.schedule, tc.model, tc.chunks)
-			}
-			if got := ck.Fingerprint(); got != tc.fingerprint {
-				t.Errorf("fingerprint %#x, recorded %#x", got, tc.fingerprint)
-			}
-			dst := filepath.Join(t.TempDir(), tc.file)
-			if err := fault.SaveCheckpoint(dst, ck); err != nil {
-				t.Fatal(err)
-			}
-			if got, want := headerLine(t, dst), headerLine(t, src); !bytes.Equal(got, want) {
-				t.Errorf("re-saved header\n got %s\nwant %s", got, want)
-			}
-			back, err := fault.LoadCheckpoint(dst)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := back.Fingerprint(); got != tc.fingerprint {
-				t.Errorf("re-saved fingerprint %#x, recorded %#x", got, tc.fingerprint)
-			}
-		})
-	}
+	t.Run("campaign.ckpt", func(t *testing.T) {
+		const fingerprint = 0x62fd61fd74b5cece
+		src := filepath.Join("testdata", "campaign.ckpt")
+		ck, err := fault.LoadCheckpoint(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ck.Schedule != "clustered" || ck.Model != "seu" || len(ck.Chunks) != 4 {
+			t.Errorf("loaded schedule %q, model %q, %d chunks; want clustered, seu, 4",
+				ck.Schedule, ck.Model, len(ck.Chunks))
+		}
+		if got := ck.Fingerprint(); got != fingerprint {
+			t.Errorf("fingerprint %#x, recorded %#x", got, uint64(fingerprint))
+		}
+		dst := filepath.Join(t.TempDir(), "campaign.ckpt")
+		if err := fault.SaveCheckpoint(dst, ck); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := headerLine(t, dst), headerLine(t, src); !bytes.Equal(got, want) {
+			t.Errorf("re-saved header\n got %s\nwant %s", got, want)
+		}
+		back, err := fault.LoadCheckpoint(dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := back.Fingerprint(); got != fingerprint {
+			t.Errorf("re-saved fingerprint %#x, recorded %#x", got, uint64(fingerprint))
+		}
+	})
+	t.Run("campaign-legacy.ckpt", func(t *testing.T) {
+		if _, err := fault.LoadCheckpoint(filepath.Join("testdata", "campaign-legacy.ckpt")); !errors.Is(err, fault.ErrCheckpointVersion) {
+			t.Fatalf("legacy checkpoint: %v, want ErrCheckpointVersion", err)
+		}
+	})
 }

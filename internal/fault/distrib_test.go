@@ -301,7 +301,7 @@ func BenchmarkLease(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		// The first lease prepares: kernel, packing order, effect table.
+		// The first lease prepares: kernel, effect table.
 		if _, err := pl.RunChunks(context.Background(), nil); err != nil {
 			b.Fatal(err)
 		}

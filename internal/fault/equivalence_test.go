@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"path/filepath"
-	"slices"
 	"testing"
 
 	"repro/internal/circuit"
@@ -14,22 +13,20 @@ import (
 	"repro/internal/sim"
 )
 
-// The campaign-equivalence suite: the Runner (golden-snapshot fast-forward +
-// streaming early exit + straggler repacking on the compiled kernel: gate
-// fusion + dead-fanout pruning + wide batches) must produce bit-identical
-// failure masks, FDR vectors and checkpoint/resume behavior versus the
-// reference — a full replay of every 64-lane batch, packed in plan order,
-// on the interpreter (fault.ReferenceMasks) — across the MAC, every registered
-// corpus scenario (which includes the random netlist family), a TMR-hardened
-// netlist and the edge cycles where off-by-one bugs would hide: flips at
-// cycle 0, the last active cycle, the last stimulus cycle and snapshot
-// boundaries. Campaigns pack clustered, as every new campaign does; plan
-// order is run where a checkpoint from before schedules existed can still
-// bring it back: one MAC cell (TestEquivalenceMAC), the adoption test and the
-// mismatch test.
+// The campaign-equivalence suite: the Runner (cycle-clustered packing +
+// golden-snapshot fast-forward + streaming early exit + straggler repacking
+// on the compiled kernel: gate fusion + dead-fanout pruning + wide batches)
+// must produce bit-identical per-target results and checkpoint/resume
+// behavior versus the reference — a full replay of every 64-lane batch,
+// packed in plan order, on the interpreter, folded on its own
+// (fault.ReferenceResult) — across the MAC, every registered corpus scenario
+// (which includes the random netlist family), a TMR-hardened netlist and the
+// edge cycles where off-by-one bugs would hide: flips at cycle 0, the last
+// active cycle, the last stimulus cycle and snapshot boundaries. The two
+// sides pack differently, so the comparison also checks the Runner's fold.
 
-// reference replays the plan on the interpreter under cfg's model, schedule
-// and chunk geometry and folds the masks into a Result.
+// reference replays the plan on the interpreter under cfg's model and chunk
+// geometry and folds the masks into a Result.
 func reference(t *testing.T, p *sim.Program, stim *sim.Stimulus, monitors []int,
 	cls fault.Classifier, jobs []fault.Job, cfg fault.RunnerConfig) *fault.Result {
 	t.Helper()
@@ -50,7 +47,7 @@ func reference(t *testing.T, p *sim.Program, stim *sim.Stimulus, monitors []int,
 func assertEquivalent(t *testing.T, p *sim.Program, stim *sim.Stimulus, monitors []int,
 	cls fault.Classifier, model fault.Model, jobs []fault.Job) *fault.Result {
 	t.Helper()
-	ref := reference(t, p, stim, monitors, cls, jobs, fault.RunnerConfig{Model: model, Schedule: fault.SchedulePlan})
+	ref := reference(t, p, stim, monitors, cls, jobs, fault.RunnerConfig{Model: model})
 	res, err := runJobs(p, stim, monitors, cls, jobs, fault.RunnerConfig{Model: model, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -72,27 +69,12 @@ func assertEquivalent(t *testing.T, p *sim.Program, stim *sim.Stimulus, monitors
 }
 
 // TestEquivalenceMAC pins the incremental path on the MAC classifier (the
-// paper's packet-level criterion, streaming-capable) — and, in this one
-// cell, under the plan-order packing a resumed legacy checkpoint brings
-// back, mask for mask against the reference.
+// paper's packet-level criterion, streaming-capable).
 func TestEquivalenceMAC(t *testing.T) {
 	p, bench := smallMAC(t)
 	cls := fault.NewMACClassifier(bench, true)
 	jobs := fault.NewModelPlan(fault.Model{}, p.NumFFs(), 3, bench.ActiveCycles, 77)
 	assertEquivalent(t, p, bench.Stim, bench.Monitors, cls, fault.Model{}, jobs)
-
-	r, err := fault.NewGoldenRunner(p, bench.Stim, bench.Monitors, cls,
-		fault.RunnerConfig{Schedule: fault.SchedulePlan, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := fault.ReferenceMasks(r, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := fault.ChunkMasks(t, r, jobs); !slices.Equal(got, want) {
-		t.Fatal("plan order: masks differ from the reference's")
-	}
 }
 
 // TestEquivalenceMACNoStats covers the criterion variant without the
@@ -197,9 +179,9 @@ func TestEquivalenceCheckpointResumeIncremental(t *testing.T) {
 	newCls := func() fault.Classifier { return fault.NewMACClassifier(bench, true) }
 
 	want := reference(t, p, bench.Stim, bench.Monitors, newCls(), jobs,
-		fault.RunnerConfig{Schedule: fault.SchedulePlan, ChunkJobs: sim.Lanes})
+		fault.RunnerConfig{ChunkJobs: sim.Lanes})
 
-	// Interrupt the clustered run after two chunks.
+	// Interrupt the run after two chunks.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	ri, err := fault.NewGoldenRunner(p, bench.Stim, bench.Monitors, newCls(), fault.RunnerConfig{
@@ -223,7 +205,7 @@ func TestEquivalenceCheckpointResumeIncremental(t *testing.T) {
 	if err != nil {
 		t.Fatalf("checkpoint: %v", err)
 	}
-	if got := ck.Schedule; got != string(fault.ScheduleClustered) {
+	if got := ck.Schedule; got != "clustered" {
 		t.Fatalf("checkpoint schedule %q, want clustered", got)
 	}
 	if len(ck.Chunks) == 0 || len(ck.Chunks) >= want.Chunks {
@@ -254,113 +236,6 @@ func TestEquivalenceCheckpointResumeIncremental(t *testing.T) {
 	}
 }
 
-// TestScheduleMismatchRejected: masks are packed per schedule, so resuming a
-// clustered checkpoint under plan order (or vice versa) must be refused.
-func TestScheduleMismatchRejected(t *testing.T) {
-	p, bench := smallMAC(t)
-	jobs := fault.NewModelPlan(fault.Model{}, p.NumFFs(), 2, bench.ActiveCycles, 21)
-	ckpt := filepath.Join(t.TempDir(), "campaign.ffr")
-
-	seed, err := fault.NewGoldenRunner(p, bench.Stim, bench.Monitors,
-		fault.NewMACClassifier(bench, true),
-		fault.RunnerConfig{ChunkJobs: sim.Lanes, CheckpointPath: ckpt})
-	if err != nil {
-		t.Fatalf("NewRunner: %v", err)
-	}
-	if _, err := seed.Run(jobs); err != nil {
-		t.Fatalf("seeding checkpoint: %v", err)
-	}
-
-	other, err := fault.NewGoldenRunner(p, bench.Stim, bench.Monitors,
-		fault.NewMACClassifier(bench, true),
-		fault.RunnerConfig{ChunkJobs: sim.Lanes, CheckpointPath: ckpt,
-			Resume: true, Schedule: fault.SchedulePlan})
-	if err != nil {
-		t.Fatalf("NewRunner: %v", err)
-	}
-	if _, err := other.Run(jobs); !errors.Is(err, fault.ErrCheckpointMismatch) {
-		t.Fatalf("plan-order resume of a clustered checkpoint returned %v", err)
-	}
-}
-
-// TestLegacyScheduleAdoptedOnResume: a plan-order checkpoint — including a
-// seed-era file whose header predates the schedule field — must resume on a
-// default-configured runner: with no explicit schedule preference the runner
-// adopts the checkpoint's packing instead of rejecting it, and the finished
-// campaign still matches the reference bit for bit.
-func TestLegacyScheduleAdoptedOnResume(t *testing.T) {
-	p, bench := smallMAC(t)
-	jobs := fault.NewModelPlan(fault.Model{}, p.NumFFs(), 2, bench.ActiveCycles, 21)
-	ckpt := filepath.Join(t.TempDir(), "campaign.ffr")
-
-	newCls := func() fault.Classifier { return fault.NewMACClassifier(bench, true) }
-	want := reference(t, p, bench.Stim, bench.Monitors, newCls(), jobs,
-		fault.RunnerConfig{Schedule: fault.SchedulePlan, ChunkJobs: sim.Lanes})
-
-	// Interrupt an explicitly plan-order run to get a partial checkpoint.
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	ri, err := fault.NewGoldenRunner(p, bench.Stim, bench.Monitors, newCls(), fault.RunnerConfig{
-		ChunkJobs:       sim.Lanes,
-		Workers:         1,
-		Schedule:        fault.SchedulePlan,
-		CheckpointPath:  ckpt,
-		CheckpointEvery: 1,
-		OnProgress: func(pr fault.Progress) {
-			if pr.ChunksDone >= 2 {
-				cancel()
-			}
-		},
-	})
-	if err != nil {
-		t.Fatalf("NewRunner: %v", err)
-	}
-	if _, err := ri.RunContext(ctx, jobs); !errors.Is(err, fault.ErrInterrupted) {
-		t.Fatalf("interrupted run returned %v", err)
-	}
-
-	// Rewrite the header as a seed-era file: no schedule recorded.
-	ck, err := fault.LoadCheckpoint(ckpt)
-	if err != nil {
-		t.Fatalf("checkpoint: %v", err)
-	}
-	if len(ck.Chunks) == 0 || len(ck.Chunks) >= want.Chunks {
-		t.Fatalf("interrupt did not land mid-run (%d of %d chunks)", len(ck.Chunks), want.Chunks)
-	}
-	ck.Schedule = ""
-	if err := fault.SaveCheckpoint(ckpt, ck); err != nil {
-		t.Fatalf("rewriting checkpoint: %v", err)
-	}
-
-	// A default-configured runner (no explicit schedule) adopts plan order.
-	rr, err := fault.NewGoldenRunner(p, bench.Stim, bench.Monitors, newCls(), fault.RunnerConfig{
-		ChunkJobs:      sim.Lanes,
-		Workers:        2,
-		CheckpointPath: ckpt,
-		Resume:         true,
-	})
-	if err != nil {
-		t.Fatalf("NewRunner: %v", err)
-	}
-	got, err := rr.Run(jobs)
-	if err != nil {
-		t.Fatalf("legacy resume rejected: %v", err)
-	}
-	if got.ResumedChunks != len(ck.Chunks) {
-		t.Fatalf("resumed %d chunks, checkpoint held %d", got.ResumedChunks, len(ck.Chunks))
-	}
-	sameResult(t, want, got)
-
-	// The finished checkpoint keeps the adopted schedule, not the default.
-	final, err := fault.LoadCheckpoint(ckpt)
-	if err != nil {
-		t.Fatalf("final checkpoint: %v", err)
-	}
-	if final.Schedule != string(fault.SchedulePlan) {
-		t.Fatalf("final checkpoint schedule %q, want adopted %q", final.Schedule, fault.SchedulePlan)
-	}
-}
-
 // TestRunnerValidatesIncrementalConfig covers the new config surface.
 func TestRunnerValidatesIncrementalConfig(t *testing.T) {
 	p, bench := smallMAC(t)
@@ -375,10 +250,6 @@ func TestRunnerValidatesIncrementalConfig(t *testing.T) {
 	if _, err := fault.NewRunner(p, bench.Stim, nil, cls,
 		fault.RunnerConfig{Golden: golden, Snapshots: filled}); err == nil {
 		t.Fatal("runner accepted an empty monitor set")
-	}
-	if _, err := fault.NewRunner(p, bench.Stim, bench.Monitors, cls,
-		fault.RunnerConfig{Golden: golden, Snapshots: filled, Schedule: "zigzag"}); err == nil {
-		t.Fatal("runner accepted an unknown schedule")
 	}
 	// The golden run is an input: the runner simulates none of its own.
 	if _, err := fault.NewRunner(p, bench.Stim, bench.Monitors, cls,

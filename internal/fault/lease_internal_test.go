@@ -11,8 +11,8 @@ import (
 // prepared plan, not once per lease. A campaign leased in four leases — under
 // SEU, and under set, whose effect table is a golden-rate interpreter replay
 // of the whole plan — gives the masks of one lease over every chunk, every
-// lease sees the first lease's packing order and effect table (the same
-// arrays, not equal copies), and a lease of no chunks allocates a small
+// lease sees the plan's packing order and the first lease's effect table
+// (the same arrays, not equal copies), and a lease of no chunks allocates a small
 // constant however long the plan is: no validation pass, no permutation, no
 // table.
 func TestLeasesShareOnePreparation(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"io/fs"
 	"time"
 
+	"repro/internal/durable"
 	"repro/internal/sim"
 )
 
@@ -33,8 +34,7 @@ type Ledger struct {
 // OpenLedger starts the plan's ledger. With the Runner's Resume set it loads
 // CheckpointPath (starting empty when the file does not exist) and restores
 // its chunks, refusing with ErrCheckpointMismatch a file that belongs to
-// another campaign. It also fixes the plan's packing: at the schedule the
-// checkpoint recorded, when the Runner's config names none.
+// another campaign.
 func (pl *Plan) OpenLedger() (*Ledger, error) {
 	r := pl.r
 	l := &Ledger{pl: pl, done: make(map[int][]uint64, pl.sh.numChunks)}
@@ -56,15 +56,14 @@ func (pl *Plan) OpenLedger() (*Ledger, error) {
 			}
 		}
 	}
-	pl.pack(r.schedule)
 	r.metrics.observeJobs(l.jobsDone, pl.sh.totalJobs)
 	return l, nil
 }
 
 // match verifies that a loaded checkpoint belongs to exactly this campaign:
 // same plan, same fault model, same golden trace, same failure criterion,
-// same batch-packing schedule, same shard geometry. (That every chunk it
-// holds lies inside that geometry with the right number of masks is
+// same shard geometry. (That every chunk it holds lies inside that geometry
+// with the right number of masks, packed as this build packs, is
 // LoadCheckpoint's check.)
 func (l *Ledger) match(ck *Checkpoint) error {
 	pl, r := l.pl, l.pl.r
@@ -72,16 +71,15 @@ func (l *Ledger) match(ck *Checkpoint) error {
 	if ck.PlanHash != planHash {
 		return fmt.Errorf("%w: plan fingerprint differs (checkpoint %v)", ErrCheckpointMismatch, ck.PlanHash)
 	}
-	if got := normalizeCheckpointModel(ck.Model); got != r.model.String() {
-		// Masks depend on what each job injected, so models must agree. ""
-		// marks files from before fault models existed, which were all SEU.
+	if ck.Model != r.model.String() {
+		// Masks depend on what each job injected, so models must agree.
 		return fmt.Errorf("%w: fault model differs (checkpoint %q, campaign %q)",
-			ErrCheckpointMismatch, got, r.model)
+			ErrCheckpointMismatch, ck.Model, r.model)
 	}
 	if ck.GoldenHash != goldenHash {
 		return fmt.Errorf("%w: golden trace fingerprint differs (checkpoint %v)", ErrCheckpointMismatch, ck.GoldenHash)
 	}
-	if ck.ClassifierHash != r.classifierFingerprint() {
+	if ck.ClassifierHash != durable.Hash(r.cls.ConfigFingerprint()) {
 		return fmt.Errorf("%w: failure-criterion fingerprint differs (checkpoint %v)", ErrCheckpointMismatch, ck.ClassifierHash)
 	}
 	if sh := pl.sh; ck.TotalJobs != sh.totalJobs || ck.ChunkJobs != sh.chunkJobs || ck.NumChunks != sh.numChunks {
@@ -89,21 +87,8 @@ func (l *Ledger) match(ck *Checkpoint) error {
 			ErrCheckpointMismatch, ck.TotalJobs, ck.NumChunks, ck.ChunkJobs,
 			sh.totalJobs, sh.numChunks, sh.chunkJobs)
 	}
-	// Masks are packed per schedule, so the two must agree. A Runner whose
-	// config names no schedule adopts the checkpoint's; one that names
-	// another (a fabric worker's, handed its coordinator's), or a plan that
-	// has already simulated chunks under another, cannot.
-	got := normalizeCheckpointSchedule(ck.Schedule)
-	if !got.valid() || (r.cfg.Schedule != "" && got != r.schedule) || pl.pack(got) != got {
-		return fmt.Errorf("%w: schedule differs (checkpoint %q, campaign %q — masks are packed per schedule)",
-			ErrCheckpointMismatch, got, r.schedule)
-	}
 	return nil
 }
-
-// Schedule is the packing the ledger's masks are recorded under: the
-// Runner's, or the one adopted from the resumed checkpoint.
-func (l *Ledger) Schedule() Schedule { return l.pl.schedule }
 
 // Len is the number of chunks recorded, JobsDone the jobs they cover.
 func (l *Ledger) Len() int      { return len(l.done) }
@@ -201,8 +186,8 @@ func (l *Ledger) checkpoint() *Checkpoint {
 	return &Checkpoint{
 		PlanHash:       planHash,
 		GoldenHash:     goldenHash,
-		ClassifierHash: pl.r.classifierFingerprint(),
-		Schedule:       string(pl.schedule),
+		ClassifierHash: durable.Hash(pl.r.cls.ConfigFingerprint()),
+		Schedule:       packing,
 		Model:          pl.r.model.String(),
 		TotalJobs:      pl.sh.totalJobs,
 		ChunkJobs:      pl.sh.chunkJobs,
@@ -219,8 +204,8 @@ func (l *Ledger) Fingerprint() uint64 { return l.checkpoint().Fingerprint() }
 // Result folds the masks of the complete ledger into the final per-target
 // Result (per flip-flop for FF-targeted models, per combinational cell for
 // SET). The fold visits chunks in index order and maps every lane back to
-// its job through the schedule, so the outcome is independent of completion
-// order, schedule and of which chunks came from a checkpoint or from which
+// its job through the packing, so the outcome is independent of completion
+// order, packing and of which chunks came from a checkpoint or from which
 // worker.
 func (l *Ledger) Result() (*Result, error) {
 	pl, sh := l.pl, l.pl.sh
@@ -246,7 +231,7 @@ func (l *Ledger) Result() (*Result, error) {
 				bhi = hi
 			}
 			for lane, pos := 0, blo; pos < bhi; lane, pos = lane+1, pos+1 {
-				job := pl.jobs[jobIndex(pl.order, pos)]
+				job := pl.jobs[pl.order[pos]]
 				res.Injections[job.FF]++
 				if mask>>uint(lane)&1 == 1 {
 					res.Failures[job.FF]++

@@ -1,7 +1,6 @@
 package fault_test
 
 import (
-	"context"
 	"errors"
 	"path/filepath"
 	"reflect"
@@ -149,15 +148,15 @@ func tinyFixture(t *testing.T) (*sim.Program, *sim.Stimulus, []int, int) {
 // reference's and the Runner's masks must both say the same, job for job.
 func TestReferenceMatchesScalarOracle(t *testing.T) {
 	p, stim, monitors, _ := tinyFixture(t)
+	// Jobs in ascending cycle order are their own packing: bit i%64 of mask
+	// i/64 is job i.
 	var jobs []fault.Job
-	for ff := 0; ff < p.NumFFs(); ff++ {
-		for c := 0; c < stim.Cycles(); c++ {
+	for c := 0; c < stim.Cycles(); c++ {
+		for ff := 0; ff < p.NumFFs(); ff++ {
 			jobs = append(jobs, fault.Job{FF: ff, Cycle: c})
 		}
 	}
-	// Plan order: bit i%64 of mask i/64 is job i.
-	r, err := fault.NewGoldenRunner(p, stim, monitors, &fault.ExactClassifier{},
-		fault.RunnerConfig{Schedule: fault.SchedulePlan})
+	r, err := fault.NewGoldenRunner(p, stim, monitors, &fault.ExactClassifier{}, fault.RunnerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,9 +265,7 @@ func TestModelEquivalenceSETDeadFanout(t *testing.T) {
 // TestSEUModelPreservesResults is the backward-compatibility property: the
 // explicit SEU model must reproduce the zero-config campaign exactly —
 // same result, same checkpoint fingerprint — on the MAC ground-truth
-// campaign and on every registered corpus scenario. A checkpoint whose
-// header predates the model field ("" model) must fingerprint identically
-// too, so legacy files remain resumable.
+// campaign and on every registered corpus scenario.
 func TestSEUModelPreservesResults(t *testing.T) {
 	check := func(t *testing.T, p *sim.Program, stim *sim.Stimulus, monitors []int,
 		cls fault.Classifier, active int, seed int64) {
@@ -313,12 +310,6 @@ func TestSEUModelPreservesResults(t *testing.T) {
 		}
 		if a.Fingerprint() != b.Fingerprint() {
 			t.Fatalf("checkpoint fingerprints differ: %016x vs %016x", a.Fingerprint(), b.Fingerprint())
-		}
-		// A pre-model header spells the model as "" — same fingerprint.
-		b.Model = ""
-		if a.Fingerprint() != b.Fingerprint() {
-			t.Fatalf("legacy \"\" model changes the fingerprint: %016x vs %016x",
-				a.Fingerprint(), b.Fingerprint())
 		}
 	}
 
@@ -370,76 +361,6 @@ func TestModelMismatchRejected(t *testing.T) {
 	}
 	if _, err := other.Run(jobs); !errors.Is(err, fault.ErrCheckpointMismatch) {
 		t.Fatalf("SEU resume of an MBU checkpoint returned %v", err)
-	}
-}
-
-// TestLegacyModelCheckpointResume: a checkpoint whose header predates the
-// fault-model field must resume under the default SEU runner and finish
-// bit-identically — pre-model campaign files stay usable.
-func TestLegacyModelCheckpointResume(t *testing.T) {
-	p, bench := smallMAC(t)
-	jobs := fault.NewModelPlan(fault.Model{}, p.NumFFs(), 2, bench.ActiveCycles, 21)
-	ckpt := filepath.Join(t.TempDir(), "campaign.ffr")
-	newCls := func() fault.Classifier { return fault.NewMACClassifier(bench, true) }
-
-	want := reference(t, p, bench.Stim, bench.Monitors, newCls(), jobs,
-		fault.RunnerConfig{Schedule: fault.SchedulePlan, ChunkJobs: sim.Lanes})
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	ri, err := fault.NewGoldenRunner(p, bench.Stim, bench.Monitors, newCls(), fault.RunnerConfig{
-		ChunkJobs:       sim.Lanes,
-		Workers:         2,
-		CheckpointPath:  ckpt,
-		CheckpointEvery: 1,
-		OnProgress: func(pr fault.Progress) {
-			if pr.ChunksDone >= 2 {
-				cancel()
-			}
-		},
-	})
-	if err != nil {
-		t.Fatalf("NewRunner: %v", err)
-	}
-	if _, err := ri.RunContext(ctx, jobs); !errors.Is(err, fault.ErrInterrupted) {
-		t.Fatalf("interrupted run returned %v", err)
-	}
-
-	// Rewrite the header as a pre-model file: no fault model recorded.
-	ck, err := fault.LoadCheckpoint(ckpt)
-	if err != nil {
-		t.Fatalf("checkpoint: %v", err)
-	}
-	if len(ck.Chunks) == 0 || len(ck.Chunks) >= want.Chunks {
-		t.Fatalf("interrupt did not land mid-run (%d of %d chunks)", len(ck.Chunks), want.Chunks)
-	}
-	ck.Model = ""
-	if err := fault.SaveCheckpoint(ckpt, ck); err != nil {
-		t.Fatalf("rewriting checkpoint: %v", err)
-	}
-
-	rr, err := fault.NewGoldenRunner(p, bench.Stim, bench.Monitors, newCls(), fault.RunnerConfig{
-		ChunkJobs:      sim.Lanes,
-		Workers:        2,
-		CheckpointPath: ckpt,
-		Resume:         true,
-	})
-	if err != nil {
-		t.Fatalf("NewRunner: %v", err)
-	}
-	got, err := rr.Run(jobs)
-	if err != nil {
-		t.Fatalf("legacy resume rejected: %v", err)
-	}
-	sameResult(t, want, got)
-
-	// The finished checkpoint records the canonical model string.
-	final, err := fault.LoadCheckpoint(ckpt)
-	if err != nil {
-		t.Fatalf("final checkpoint: %v", err)
-	}
-	if final.Model != "seu" {
-		t.Fatalf("final checkpoint model %q, want %q", final.Model, "seu")
 	}
 }
 

@@ -10,9 +10,9 @@ import (
 )
 
 // Plan is a prepared campaign: one validated injection plan on one Runner,
-// with its chunk geometry and golden reference. Everything else a chunk
-// simulation or a checkpoint needs is derived from those at most once, on
-// first use, and shared by every later lease, flush and fold — so a
+// with its chunk geometry, packing and golden reference. Everything else a
+// chunk simulation or a checkpoint needs is derived from those at most once,
+// on first use, and shared by every later lease, flush and fold — so a
 // coordinator, which never simulates, builds no effect table, and a local
 // run, which neither checkpoints nor joins a fabric, hashes nothing. A Plan
 // is safe for concurrent use.
@@ -24,11 +24,8 @@ type Plan struct {
 	golden *sim.Trace
 	snaps  *sim.Snapshots
 
-	// The packing: scheduled position i carries jobs[order[i]], nil being
-	// plan order. The first caller of pack fixes it for good.
-	packOnce sync.Once
-	schedule Schedule
-	order    []int
+	// The packing: position i carries jobs[order[i]] (see cycleOrder).
+	order []int
 
 	// What simulating a chunk reads, shared read-only by all workers of all
 	// leases; set by ready.
@@ -46,7 +43,7 @@ type Plan struct {
 }
 
 // Prepare validates the plan against the program, stimulus and fault model
-// and fixes its chunk geometry and golden trace.
+// and fixes its chunk geometry, packing and golden trace.
 func (r *Runner) Prepare(jobs []Job) (*Plan, error) {
 	if err := r.validateJobs(jobs); err != nil {
 		return nil, err
@@ -55,7 +52,35 @@ func (r *Runner) Prepare(jobs []Job) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Plan{r: r, jobs: jobs, sh: sh, golden: r.cfg.Golden, snaps: r.cfg.Snapshots}, nil
+	return &Plan{r: r, jobs: jobs, sh: sh, order: cycleOrder(jobs),
+		golden: r.cfg.Golden, snaps: r.cfg.Snapshots}, nil
+}
+
+// cycleOrder is the packing every campaign uses: the plan's jobs by ascending
+// injection cycle, equal cycles in plan order. The packing never changes
+// results — the fold maps every lane back to its job — but golden
+// fast-forward skips everything before a batch's earliest injection cycle,
+// so a batch spanning a narrow cycle window skips nearly the whole shared
+// prefix. It is a stable counting sort: plans are large (FFs × injections)
+// and cycles dense, so this is O(jobs + cycles).
+func cycleOrder(jobs []Job) []int {
+	maxCycle := 0
+	for _, j := range jobs {
+		maxCycle = max(maxCycle, j.Cycle)
+	}
+	counts := make([]int, maxCycle+2)
+	for _, j := range jobs {
+		counts[j.Cycle+1]++
+	}
+	for c := 1; c < len(counts); c++ {
+		counts[c] += counts[c-1]
+	}
+	order := make([]int, len(jobs))
+	for i, j := range jobs {
+		order[counts[j.Cycle]] = i
+		counts[j.Cycle]++
+	}
+	return order
 }
 
 // validateJobs bounds-checks a plan against the program, stimulus and fault
@@ -97,23 +122,10 @@ func (pl *Plan) Hashes() (plan, golden durable.Hash) {
 	return pl.planHash, pl.goldenHash
 }
 
-// pack fixes the plan's packing at schedule s unless an earlier caller fixed
-// it already, and returns the schedule in force. Masks are packed per
-// schedule, so it must not change once a chunk has been simulated or
-// recorded: a Ledger resuming a checkpoint packs first, with the schedule
-// the checkpoint recorded.
-func (pl *Plan) pack(s Schedule) Schedule {
-	pl.packOnce.Do(func() {
-		pl.schedule, pl.order = s, scheduleOrder(pl.jobs, s)
-	})
-	return pl.schedule
-}
-
 // ready gathers what simulating a chunk reads, once per plan.
 func (pl *Plan) ready() error {
 	pl.execOnce.Do(func() {
 		r := pl.r
-		pl.pack(r.schedule)
 		if pl.kern, pl.execErr = r.kernel(); pl.execErr != nil {
 			return
 		}

@@ -2,21 +2,19 @@ package fault
 
 import "repro/internal/sim"
 
-// referenceMasks is the oracle every equivalence suite compares the Runner
-// against: each 64-lane batch of the runner's packing is replayed on the
-// interpreter (sim.Engine) from cycle 0 to the end of the stimulus — no
-// snapshot, no early exit, no repacking — and classified post hoc over its
-// whole trace. It returns one failure mask per batch in scheduled-position
-// order, which is the order a Runner's chunk masks concatenate to whatever
-// the chunk size. The events come from expandJob and appendGlitches, as in
-// runBatchWide; TestReferenceMatchesScalarOracle ties it to a replay that
-// shares nothing with either.
-func referenceMasks(r *Runner, jobs []Job) ([]uint64, error) {
+// replayBatches is the oracle every equivalence suite compares the Runner
+// against: each 64-lane batch of a packing — position i carries
+// jobs[order[i]] — is replayed on the interpreter (sim.Engine) from cycle 0
+// to the end of the stimulus — no snapshot, no early exit, no repacking — and
+// classified post hoc over its whole trace. It returns one failure mask per
+// batch, in position order. The events come from expandJob and
+// appendGlitches, as in runBatchWide; TestReferenceMatchesScalarOracle ties
+// it to a replay that shares nothing with either.
+func replayBatches(r *Runner, jobs []Job, order []int) ([]uint64, error) {
 	if err := r.validateJobs(jobs); err != nil {
 		return nil, err
 	}
 	golden := r.cfg.Golden
-	order := scheduleOrder(jobs, r.schedule)
 	fx := r.setEffects(jobs)
 	e := sim.NewEngine(r.p)
 	var flips []flipOp
@@ -27,7 +25,7 @@ func referenceMasks(r *Runner, jobs []Job) ([]uint64, error) {
 		flips, glitches = flips[:0], glitches[:0]
 		var used uint64
 		for lane := 0; lane < sim.Lanes && blo+lane < len(jobs); lane++ {
-			job := jobs[jobIndex(order, blo+lane)]
+			job := jobs[order[blo+lane]]
 			laneMask := uint64(1) << uint(lane)
 			flips = r.expandJob(flips, fx, job, laneMask)
 			glitches = r.appendGlitches(glitches, fx, job, laneMask)
@@ -56,6 +54,53 @@ func referenceMasks(r *Runner, jobs []Job) ([]uint64, error) {
 		masks = append(masks, r.cls.FailingLanes(golden, faulty, used, 0, golden.Cycles()))
 	}
 	return masks, nil
+}
+
+// referenceMasks replays the plan in the Runner's own packing, for
+// mask-level comparisons: its masks are in the order a Runner's chunk masks
+// concatenate to, whatever the chunk size.
+func referenceMasks(r *Runner, jobs []Job) ([]uint64, error) {
+	return replayBatches(r, jobs, cycleOrder(jobs))
+}
+
+// referenceResult replays the plan in plan order — an identity packing no
+// campaign uses, kept here so that the reference and the Runner pack
+// differently — and folds the masks per target on its own, into the Result a
+// campaign over the same plan must report.
+func referenceResult(r *Runner, jobs []Job) (*Result, error) {
+	order := make([]int, len(jobs))
+	for i := range order {
+		order[i] = i
+	}
+	masks, err := replayBatches(r, jobs, order)
+	if err != nil {
+		return nil, err
+	}
+	sh, err := newSharding(len(jobs), r.cfg.ChunkJobs)
+	if err != nil {
+		return nil, err
+	}
+	n := r.model.NumTargets(r.p)
+	res := &Result{
+		FDR:        make([]float64, n),
+		Failures:   make([]int, n),
+		Injections: make([]int, n),
+		TotalRuns:  len(jobs),
+		Batches:    len(masks),
+		Chunks:     sh.numChunks,
+	}
+	for i, job := range jobs {
+		res.Injections[job.FF]++
+		if masks[i/sim.Lanes]>>uint(i%sim.Lanes)&1 == 1 {
+			res.Failures[job.FF]++
+		}
+	}
+	for t := range res.FDR {
+		if res.Injections[t] > 0 {
+			res.FDR[t] = float64(res.Failures[t]) / float64(res.Injections[t])
+		}
+	}
+	return res, nil
 }
 
 // insertionSortFlips is the event ordering the Runner used before

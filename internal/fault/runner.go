@@ -1,7 +1,6 @@
 package fault
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -11,16 +10,15 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/durable"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
 // Runner is the sharded, resumable campaign runtime, in three parts that
-// each exist once. Prepare (plan.go) validates an injection plan and splits
-// it deterministically into fixed-size chunks of whole 64-lane batches: a
-// Plan, from which packing order, kernel, SET effect table and fingerprints
-// are each derived at most once. runPool (this file) fans chunks of a Plan
+// each exist once. Prepare (plan.go) validates an injection plan, packs it
+// and splits it deterministically into fixed-size chunks of whole 64-lane
+// batches: a Plan, from which kernel, SET effect table and fingerprints are
+// each derived at most once. runPool (this file) fans chunks of a Plan
 // out across a bounded worker pool. A Ledger (ledger.go) records finished
 // chunks: it decides which checkpoint belongs to the campaign, checks every
 // chunk, flushes the checkpoint on its cadence and folds the masks into the
@@ -40,12 +38,13 @@ import (
 //     prefix, which is provably identical to golden because lanes only
 //     diverge at their first flip.
 //   - Streaming early exit: a batch stops as soon as every used lane is
-//     either confirmed failed by a streaming classifier (StreamClassifier)
-//     or has re-converged to the golden engine state — in both cases the
-//     remaining cycles cannot change the verdict, so the trace suffix is
-//     the golden run's and the batch is classified as usual.
-//   - Cycle-clustered scheduling: jobs are packed into batches in ascending
-//     injection-cycle order (see Schedule), so each batch spans a narrow
+//     either confirmed failed by the classifier's stream
+//     (Classifier.StartStream) or has re-converged to the golden engine
+//     state — in both cases the remaining cycles cannot change the verdict,
+//     so the trace suffix is the golden run's and the batch is classified as
+//     usual.
+//   - Cycle-clustered packing: jobs are packed into batches in ascending
+//     injection-cycle order (see cycleOrder), so each batch spans a narrow
 //     cycle window and the prefix skip actually bites.
 //   - Straggler repacking: a 256-lane batch stops once at most a quarter of
 //     its lanes are undecided, and a chunk's stragglers are re-injected
@@ -55,7 +54,7 @@ import (
 //     changes no verdict.
 //
 // Determinism is structural: a chunk's failure masks depend only on the
-// plan, the schedule and the golden trace, never on scheduling of workers,
+// plan and the golden trace, never on scheduling of workers,
 // worker count, chunk size, snapshot cadence or how often the run was
 // interrupted. Resuming from a checkpoint therefore produces bit-identical
 // per-FF failure counts to an uninterrupted run — a property the tests pin.
@@ -119,13 +118,6 @@ type RunnerConfig struct {
 	// cadence never changes results, only the fast-forward and early-exit
 	// granularity.
 	Snapshots *sim.Snapshots
-	// Schedule is what a fabric coordinator hands its workers: the packing
-	// its ledger's masks are recorded under. Everyone else leaves it "":
-	// a new campaign packs ScheduleClustered, a resumed one adopts the
-	// schedule its checkpoint recorded — so plan-order checkpoints from
-	// before schedules existed stay resumable — and resuming under an
-	// explicitly different schedule is rejected.
-	Schedule Schedule
 	// CheckpointPath enables checkpointing to this file; "" disables it.
 	CheckpointPath string
 	// CheckpointEvery is the number of completed chunks between flushes;
@@ -154,9 +146,6 @@ type Runner struct {
 	monitors []int
 	cls      Classifier
 	cfg      RunnerConfig
-	// schedule is cfg.Schedule with the default resolved: what a plan packs
-	// under unless its ledger adopts a checkpoint's (cfg.Schedule == "").
-	schedule Schedule
 	// model is the resolved fault model (normalized; never zero-valued).
 	model Model
 
@@ -188,9 +177,6 @@ func NewRunner(p *sim.Program, stim *sim.Stimulus, monitors []int, cls Classifie
 	if cfg.Resume && cfg.CheckpointPath == "" {
 		return nil, fmt.Errorf("fault: Resume requires a CheckpointPath")
 	}
-	if !cfg.Schedule.valid() {
-		return nil, fmt.Errorf("fault: unknown schedule %q", cfg.Schedule)
-	}
 	if err := cfg.Model.Validate(); err != nil {
 		return nil, err
 	}
@@ -208,9 +194,8 @@ func NewRunner(p *sim.Program, stim *sim.Stimulus, monitors []int, cls Classifie
 	}
 	r := &Runner{
 		p: p, stim: stim, monitors: monitors, cls: cls, cfg: cfg,
-		schedule: cmp.Or(cfg.Schedule, ScheduleClustered),
-		model:    cfg.Model.normalize(),
-		log:      obs.Component(cfg.Logger, "campaign"),
+		model: cfg.Model.normalize(),
+		log:   obs.Component(cfg.Logger, "campaign"),
 	}
 	if cfg.Metrics != nil {
 		r.metrics = newCampaignMetrics(cfg.Metrics)
@@ -334,8 +319,6 @@ func (r *Runner) RunContext(ctx context.Context, jobs []Job) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The ledger may adopt a resumed checkpoint's schedule, so it opens
-	// before ready computes the lane-packing permutation.
 	lg, err := pl.OpenLedger()
 	if err != nil {
 		return nil, err
@@ -349,7 +332,6 @@ func (r *Runner) RunContext(ctx context.Context, jobs []Job) (*Result, error) {
 		"chunks", sh.numChunks,
 		"resumed", lg.resumed,
 		"workers", r.workers(),
-		"schedule", string(lg.Schedule()),
 		"lanes_per_batch", lanesPerBatch)
 
 	// Merge stage: record chunk results, report progress.
@@ -474,13 +456,4 @@ func (r *Runner) reportProgress(lg *Ledger, start time.Time) {
 		p.ETA = perChunk * time.Duration(sh.numChunks-chunksDone)
 	}
 	r.cfg.OnProgress(p)
-}
-
-// classifierFingerprint digests the failure criterion when the classifier
-// identifies itself; 0 otherwise.
-func (r *Runner) classifierFingerprint() durable.Hash {
-	if cf, ok := r.cls.(ConfigFingerprinter); ok {
-		return durable.Hash(cf.ConfigFingerprint())
-	}
-	return 0
 }

@@ -10,7 +10,7 @@ import (
 // run as wide batches of W 64-lane groups (W = sim.DefaultKernelWords) on
 // compiled fused-op bytecode. A chunk's verdicts land in one mask per
 // 64-lane group of the plan's packing — masks[(pos-lo)/64], bit (pos-lo)%64
-// for scheduled position pos — which is the checkpoint format, so wide
+// for packed position pos — which is the checkpoint format, so wide
 // batches never cross chunk boundaries and masks do not depend on W.
 //
 // Early exit runs per lane over the shared window: a lane is decided once a
@@ -81,7 +81,7 @@ type wideWorkerState struct {
 	// apply, the groups in use and their streams and lane sets.
 	ptr     int
 	groups  int
-	streams []Stream // nil entries when the classifier cannot stream
+	streams []Stream
 	used    []uint64
 	pending []uint64
 	failed  []uint64
@@ -125,10 +125,8 @@ func newWideWorkerState(r *Runner, cp *Plan) *wideWorkerState {
 	ws.window = sim.WideWindowConfig{
 		Monitors:   r.monitors,
 		PreEval:    ws.applyEvents,
+		OnCycle:    ws.onCycle,
 		OnSnapshot: ws.onSnapshot,
-	}
-	if _, ok := r.cls.(StreamClassifier); ok {
-		ws.window.OnCycle = ws.onCycle
 	}
 	return ws
 }
@@ -230,7 +228,7 @@ func (r *Runner) runBatchWide(ws *wideWorkerState, cp *Plan, lo int, batch []int
 		ws.glitches[g] = ws.glitches[g][:0]
 		var eventless uint64
 		for lane, pos := range batch[g*sim.Lanes : min((g+1)*sim.Lanes, len(batch))] {
-			job := cp.jobs[jobIndex(cp.order, pos)]
+			job := cp.jobs[cp.order[pos]]
 			laneMask := uint64(1) << uint(lane)
 			n := len(ws.flips)
 			ws.flips = r.expandJob(ws.flips, cp.setFX, job, laneMask)
@@ -261,10 +259,8 @@ func (r *Runner) runBatchWide(ws *wideWorkerState, cp *Plan, lo int, batch []int
 	} else {
 		minCycle := ws.flips[0].cycle
 		start = snaps.SnapCycle(snaps.IndexAtOrBefore(minCycle))
-		if sc, ok := r.cls.(StreamClassifier); ok {
-			for g := 0; g < groups; g++ {
-				ws.streams[g] = sc.StartStream(golden, used[g], start)
-			}
+		for g := 0; g < groups; g++ {
+			ws.streams[g] = r.cls.StartStream(golden, used[g], start)
 		}
 		ws.since = start
 		ws.window.Traces = ws.traces[:groups]

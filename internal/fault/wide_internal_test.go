@@ -148,11 +148,22 @@ func wholeWindows(t *testing.T, r *Runner, jobs []Job) int64 {
 	return cycles
 }
 
+// postHoc replaces a classifier's stream with one that never confirms a
+// lane, so every verdict comes from FailingLanes and a batch decides its
+// lanes by settling alone.
+type postHoc struct{ Classifier }
+
+func (postHoc) StartStream(*sim.Trace, uint64, int) Stream { return neverConfirms{} }
+
+type neverConfirms struct{}
+
+func (neverConfirms) Observe(int, []uint64, []uint64) uint64 { return 0 }
+
 // TestRepackedChunksMatchReference pins the repacking rounds against the
 // reference, which replays every 64-lane group's whole stimulus: per fault
 // model and per kind of classifier — the MAC's stream, the exact stream,
-// and a wrapper hiding StartStream so that nothing is ever confirmed
-// mid-run — chunks that take one round (a single wide batch), two and
+// and a postHoc wrapper so that nothing is ever confirmed mid-run — chunks
+// that take one round (a single wide batch), two and
 // three must give the reference's masks bit for bit, and the multi-round
 // ones must really have cut batches and re-injected lanes — under SEU in
 // fewer cycles than the whole windows of the same packing.
@@ -164,7 +175,7 @@ func TestRepackedChunksMatchReference(t *testing.T) {
 	}{
 		{"mac-stream", func() Classifier { return NewMACClassifier(bench, true) }},
 		{"exact-stream", func() Classifier { return &ExactClassifier{} }},
-		{"post-hoc", func() Classifier { return struct{ Classifier }{NewMACClassifier(bench, true)} }},
+		{"post-hoc", func() Classifier { return postHoc{NewMACClassifier(bench, true)} }},
 	}
 	for _, spec := range []string{"seu", "mbu:3", "stuck0:8", "stuck1:4@0.25-0.75", "set"} {
 		model, err := ParseModel(spec)
@@ -249,8 +260,9 @@ func TestRepackingTakesThreeRounds(t *testing.T) {
 }
 
 // TestRepackingTerminates is the worst case for the cut: flip-flops that
-// hold their value never settle, and a classifier that cannot stream never
-// confirms, so no batch ever gets under the cut. Every batch must then run
+// hold their value never settle, and a classifier whose stream never
+// confirms (postHoc) leaves them undecided, so no batch ever gets under the
+// cut. Every batch must then run
 // to the end of the stimulus and decide all its lanes there — one round,
 // nothing repacked — instead of passing the whole list on for ever.
 func TestRepackingTerminates(t *testing.T) {
@@ -276,7 +288,7 @@ func TestRepackingTerminates(t *testing.T) {
 		monitors[i] = i
 	}
 	jobs := NewModelPlan(Model{}, regs, 80, cycles, 7) // 640 jobs: one chunk, three wide batches
-	r, err := NewGoldenRunner(p, stim, monitors, struct{ Classifier }{&ExactClassifier{}}, RunnerConfig{
+	r, err := NewGoldenRunner(p, stim, monitors, postHoc{&ExactClassifier{}}, RunnerConfig{
 		ChunkJobs: 1024, Metrics: obs.NewRegistry(),
 	})
 	if err != nil {

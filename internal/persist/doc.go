@@ -8,6 +8,7 @@
 // human-readable JSON header line (model name and kind, the feature schema,
 // a training-data fingerprint, CV metrics) followed by a gob payload with
 // the fitted model, replaced atomically. This package owns what is the
-// artifact's: the header's fields, the codec registry and the check that the
-// payload is the kind of model the header says.
+// artifact's: the header's fields, the fixed codec table of the eight
+// built-in model and scaler kinds and the check that the payload is the kind
+// of model the header says.
 package persist

@@ -2,9 +2,7 @@ package persist
 
 import (
 	"fmt"
-	"reflect"
 	"strings"
-	"sync"
 
 	"repro/internal/ml"
 	"repro/internal/ml/ensemble"
@@ -15,73 +13,50 @@ import (
 	"repro/internal/ml/tree"
 )
 
-// Codec registry: stable kind names for the concrete regressor and scaler
-// types an artifact can carry. The kind is recorded in the artifact header
-// so a loader can tell what a file contains — and reject files it cannot
-// decode — before touching the gob payload. Pipelines get a composite kind,
-// "pipeline[<scaler>,<model>]", derived recursively.
+// Codec table: stable kind names for the eight concrete regressor and
+// scaler types an artifact can carry. The kind is recorded in the artifact
+// header so a loader can tell what a file contains — and reject files it
+// cannot decode — before touching the gob payload. Pipelines get a composite
+// kind, "pipeline[<scaler>,<model>]", derived recursively.
 //
 // Importing this package links in every built-in model package, whose init
 // functions gob-register the concrete types; that registration is what lets
 // the interface-typed payload (and Pipeline's interface fields) decode.
 
-var registry = struct {
-	sync.RWMutex
-	kindOf map[reflect.Type]string
-	known  map[string]bool
-}{
-	kindOf: map[reflect.Type]string{},
-	known:  map[string]bool{},
-}
-
-// RegisterKind associates a stable kind name with the concrete type of
-// example (a regressor or a scaler). Built-in kinds are registered by this
-// package's init; external callers may add their own before saving or
-// loading artifacts that carry custom models. It panics on a duplicate kind
-// or type, like gob.Register.
-func RegisterKind(kind string, example any) {
-	if kind == "" || example == nil {
-		panic("persist: RegisterKind with empty kind or nil example")
-	}
-	t := reflect.TypeOf(example)
-	registry.Lock()
-	defer registry.Unlock()
-	if prev, ok := registry.kindOf[t]; ok {
-		panic(fmt.Sprintf("persist: type %v already registered as %q", t, prev))
-	}
-	if registry.known[kind] {
-		panic(fmt.Sprintf("persist: kind %q already registered", kind))
-	}
-	registry.kindOf[t] = kind
-	registry.known[kind] = true
-}
-
-func init() {
-	RegisterKind("linreg", &linreg.LinearRegression{})
-	RegisterKind("knn", &knn.Regressor{})
-	RegisterKind("svr", &svr.Regressor{})
-	RegisterKind("tree", &tree.Regressor{})
-	RegisterKind("forest", &ensemble.RandomForest{})
-	RegisterKind("boosting", &ensemble.GradientBoosting{})
-	RegisterKind("mlp", &mlp.Regressor{})
-	RegisterKind("std", &ml.StandardScaler{})
-}
-
+// kindOfValue names the codec of a built-in regressor or scaler.
 func kindOfValue(v any) (string, bool) {
-	registry.RLock()
-	defer registry.RUnlock()
-	k, ok := registry.kindOf[reflect.TypeOf(v)]
-	return k, ok
+	switch v.(type) {
+	case *linreg.LinearRegression:
+		return "linreg", true
+	case *knn.Regressor:
+		return "knn", true
+	case *svr.Regressor:
+		return "svr", true
+	case *tree.Regressor:
+		return "tree", true
+	case *ensemble.RandomForest:
+		return "forest", true
+	case *ensemble.GradientBoosting:
+		return "boosting", true
+	case *mlp.Regressor:
+		return "mlp", true
+	case *ml.StandardScaler:
+		return "std", true
+	}
+	return "", false
 }
 
+// kindRegistered reports whether kind names one of kindOfValue's codecs.
 func kindRegistered(kind string) bool {
-	registry.RLock()
-	defer registry.RUnlock()
-	return registry.known[kind]
+	switch kind {
+	case "linreg", "knn", "svr", "tree", "forest", "boosting", "mlp", "std":
+		return true
+	}
+	return false
 }
 
 // KindOf derives the registry kind of a model, unwrapping pipelines. It
-// fails for unregistered concrete types, which is how Save refuses models
+// fails for any other concrete type, which is how Save refuses models
 // no loader would be able to reconstruct.
 func KindOf(m ml.Regressor) (string, error) {
 	if p, ok := m.(*ml.Pipeline); ok {
@@ -110,7 +85,7 @@ func KindOf(m ml.Regressor) (string, error) {
 }
 
 // KnownKind reports whether a header kind (possibly composite) names only
-// registered codecs, i.e. whether this build can decode such an artifact.
+// built-in codecs, i.e. whether this build can decode such an artifact.
 func KnownKind(kind string) bool {
 	if rest, ok := strings.CutPrefix(kind, "pipeline["); ok {
 		body, ok := strings.CutSuffix(rest, "]")
@@ -130,8 +105,7 @@ func KnownKind(kind string) bool {
 }
 
 // takes reports whether Predict on m (a built-in model or scaler, already
-// past its own post-decode check) can index a vector of width n. A registered
-// kind from outside this package is taken on trust.
+// past its own post-decode check) can index a vector of width n.
 func takes(m any, n int) bool {
 	var trees []*tree.Regressor // read x[Feature] at their splits, nothing else
 	switch m := m.(type) {
