@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/fault"
 	"repro/internal/ml"
@@ -131,25 +132,33 @@ func (t *studyTarget) InjectionsPerFF() int        { return t.study.Config.Injec
 func (t *studyTarget) CampaignFingerprint() uint64 { return t.study.Golden.Fingerprint() }
 
 func (t *studyTarget) RunRound(ctx context.Context, ffs []int, checkpointPath string, resume bool) (*fault.Result, error) {
-	return t.study.campaign(ctx, t.study.planFor(ffs), checkpointPath, resume && checkpointPath != "")
+	jobs, err := t.study.planFor(ffs)
+	if err != nil {
+		return nil, err
+	}
+	return t.study.campaign(ctx, jobs, checkpointPath, resume && checkpointPath != "")
 }
 
-// planFor extracts the given flip-flops' jobs from the study's full
-// injection plan — the same subset rule RunPartialCampaign applies, so a
-// flip-flop's measured counts are bit-identical no matter which round (or
-// which campaign) measures it.
-func (s *Study) planFor(ffs []int) []fault.Job {
-	want := make(map[int]bool, len(ffs))
-	for _, ff := range ffs {
-		want[ff] = true
-	}
-	jobs := make([]fault.Job, 0, len(ffs)*s.Config.InjectionsPerFF)
-	for _, j := range s.Jobs(s.Config.Model, s.Config.InjectionsPerFF, s.Config.CampaignSeed) {
-		if want[j.FF] {
-			jobs = append(jobs, j)
+// planFor extracts the given targets' jobs from the study's full injection
+// plan — the same subset rule RunPartialCampaign applies, so a flip-flop's
+// measured counts are bit-identical no matter which round (or which
+// campaign) measures it. The plan is target-major with InjectionsPerFF jobs
+// per target, so target t's jobs are one slice of it; an index outside
+// [0, NumTargets) is an error.
+func (s *Study) planFor(ffs []int) ([]fault.Job, error) {
+	all := s.Jobs(s.Config.Model, s.Config.InjectionsPerFF, s.Config.CampaignSeed)
+	per := s.Config.InjectionsPerFF
+	for _, t := range ffs {
+		if t < 0 || t >= len(all)/per {
+			return nil, fmt.Errorf("core: injection target %d out of [0,%d)", t, len(all)/per)
 		}
 	}
-	return jobs
+	targets := slices.Compact(slices.Sorted(slices.Values(ffs)))
+	jobs := make([]fault.Job, 0, len(targets)*per)
+	for _, t := range targets {
+		jobs = append(jobs, all[t*per:(t+1)*per]...)
+	}
+	return jobs, nil
 }
 
 // replayTarget serves round measurements straight from a completed

@@ -3,8 +3,11 @@ package core
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -232,6 +235,87 @@ func TestStudyTargetRunsRealCampaign(t *testing.T) {
 			t.Errorf("FF %d: partial %d/%d, target %d/%d",
 				ff, want.Failures[ff], want.Injections[ff], got.Failures[ff], got.Injections[ff])
 		}
+	}
+}
+
+// filterPlan is planFor before it sliced the target-major plan: a filter over
+// every job of the full plan, kept as the reference.
+func filterPlan(s *Study, ffs []int) []fault.Job {
+	want := make(map[int]bool, len(ffs))
+	for _, ff := range ffs {
+		want[ff] = true
+	}
+	var jobs []fault.Job
+	for _, j := range s.Jobs(s.Config.Model, s.Config.InjectionsPerFF, s.Config.CampaignSeed) {
+		if want[j.FF] {
+			jobs = append(jobs, j)
+		}
+	}
+	return jobs
+}
+
+// setPlanStudy is the small MAC study with its fault model switched to SET,
+// whose injection targets are the combinational cells. A study refuses to be
+// built under SET (per-FF features cannot describe its targets), so this one
+// only draws plans.
+func setPlanStudy(t *testing.T) *Study {
+	t.Helper()
+	s := *smallStudy(t)
+	s.Config.Model = fault.Model{Kind: fault.KindSET}
+	if n := s.Config.Model.NumTargets(s.Program); n <= s.NumFFs() {
+		t.Fatalf("SET has %d targets on %d flip-flops", n, s.NumFFs())
+	}
+	return &s
+}
+
+func TestPlanForMatchesFilter(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, s := range []*Study{smallStudy(t), setPlanStudy(t)} {
+		n := s.Config.Model.NumTargets(s.Program)
+		for trial := 0; trial < 40; trial++ {
+			ffs := make([]int, rng.Intn(30))
+			for i := range ffs {
+				ffs[i] = rng.Intn(n)
+			}
+			if len(ffs) > 0 {
+				ffs = append(ffs, ffs[rng.Intn(len(ffs))], n-1)
+			}
+			got, err := s.planFor(ffs)
+			if err != nil {
+				t.Fatalf("%s %v: %v", s.ScenarioID(), ffs, err)
+			}
+			if want := filterPlan(s, ffs); !slices.Equal(got, want) {
+				t.Fatalf("%s %v: %d jobs, the filter gives %d (or a different order)", s.ScenarioID(), ffs, len(got), len(want))
+			}
+		}
+	}
+}
+
+// TestRunPartialCampaignRejectsOutOfRange: an index outside [0, NumTargets)
+// used to be dropped, and the campaign ran nothing and reported no error.
+func TestRunPartialCampaignRejectsOutOfRange(t *testing.T) {
+	s := smallStudy(t)
+	n := s.NumFFs()
+	res, err := s.RunPartialCampaign([]int{-1, n, n + 7})
+	if err == nil {
+		t.Fatalf("RunPartialCampaign(-1, %d, %d) ran %d injections and returned no error", n, n+7, res.TotalRuns)
+	}
+	if !strings.Contains(err.Error(), "target -1 ") {
+		t.Errorf("error %q does not name the first bad index", err)
+	}
+	if _, err := s.RunPartialCampaign([]int{0, n}); err == nil {
+		t.Errorf("target %d of %d accepted", n, n)
+	}
+	if _, err := (&studyTarget{study: s}).RunRound(context.Background(), []int{n}, "", false); err == nil {
+		t.Error("a planner round accepted an out-of-range flip-flop")
+	}
+	set := setPlanStudy(t)
+	nt := set.Config.Model.NumTargets(set.Program)
+	if _, err := set.planFor([]int{nt - 1, set.NumFFs()}); err != nil {
+		t.Errorf("SET combinational targets refused: %v", err)
+	}
+	if _, err := set.planFor([]int{nt}); err == nil {
+		t.Errorf("SET target %d of %d accepted", nt, nt)
 	}
 }
 

@@ -181,9 +181,14 @@ func (s *Study) RunGroundTruthContext(ctx context.Context) (*fault.Result, error
 // RunPartialCampaign fault-injects only the given flip-flops — the flow's
 // cost-saving mode: the training subset is measured, the rest predicted.
 // Partial plans are not checkpointed (their plan fingerprint differs from
-// the ground truth's).
+// the ground truth's). An index outside the fault model's targets is an
+// error.
 func (s *Study) RunPartialCampaign(ffs []int) (*fault.Result, error) {
-	res, err := s.campaign(context.Background(), s.planFor(ffs), "", false)
+	jobs, err := s.planFor(ffs)
+	var res *fault.Result
+	if err == nil {
+		res, err = s.campaign(context.Background(), jobs, "", false)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("core: partial campaign: %w", err)
 	}
