@@ -174,9 +174,9 @@ var (
 	NewAdaptiveStudy = core.NewAdaptiveStudy
 	// AdaptiveStrategyNames lists every built-in acquisition strategy.
 	AdaptiveStrategyNames = plan.StrategyNames
-	// CommitteeModelFactories is the model zoo the committee strategy
+	// CommitteeMembers is the named model zoo the committee strategy
 	// measures disagreement across.
-	CommitteeModelFactories = core.CommitteeFactories
+	CommitteeMembers = core.CommitteeMembers
 	// CrossCircuit measures FDR-model transfer across a set of studies.
 	CrossCircuit = core.CrossCircuit
 	// RenderTransferMatrix writes the R² and Kendall-τ transfer matrices.

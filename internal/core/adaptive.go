@@ -55,13 +55,16 @@ type AdaptiveStudy struct {
 	StrategyName string
 }
 
-// CommitteeFactories returns the model zoo the committee strategy measures
+// CommitteeMembers returns the model zoo the committee strategy measures
 // disagreement across: the paper's linear least squares and k-NN plus the
 // Section V decision tree — three cheap, deterministic, structurally
-// different learners.
-func CommitteeFactories() []ml.Factory {
-	tree := ExtendedModels()[0].Factory // "Decision Tree"
-	return []ml.Factory{LinearModel, KNNModel, tree}
+// different learners — named as in ModelNames.
+func CommitteeMembers() []plan.Member {
+	var members []plan.Member
+	for _, spec := range append(PaperModels()[:2], ExtendedModels()[0]) {
+		members = append(members, plan.Member{Name: spec.Name, Factory: spec.Factory})
+	}
+	return members
 }
 
 // NewAdaptiveStudy wires an active-learning planner onto a study. The study
@@ -76,7 +79,7 @@ func NewAdaptiveStudy(s *Study, cfg AdaptiveConfig) (*AdaptiveStudy, error) {
 	if name == "" {
 		name = plan.StrategyCommittee
 	}
-	strategy, err := plan.New(name, CommitteeFactories())
+	strategy, err := plan.New(name, CommitteeMembers())
 	if err != nil {
 		return nil, fmt.Errorf("core: adaptive study: %w", err)
 	}
@@ -143,19 +146,17 @@ func (t *studyTarget) RunRound(ctx context.Context, ffs []int, checkpointPath st
 // plan — the same subset rule RunPartialCampaign applies, so a flip-flop's
 // measured counts are bit-identical no matter which round (or which
 // campaign) measures it. The plan is target-major with InjectionsPerFF jobs
-// per target, so target t's jobs are one slice of it; an index outside
-// [0, NumTargets) is an error.
+// per target, so target t's jobs are one slice of it. The lowest index
+// outside [0, NumTargets), if any, is an error.
 func (s *Study) planFor(ffs []int) ([]fault.Job, error) {
 	all := s.Jobs(s.Config.Model, s.Config.InjectionsPerFF, s.Config.CampaignSeed)
 	per := s.Config.InjectionsPerFF
-	for _, t := range ffs {
-		if t < 0 || t >= len(all)/per {
-			return nil, fmt.Errorf("core: injection target %d out of [0,%d)", t, len(all)/per)
-		}
-	}
 	targets := slices.Compact(slices.Sorted(slices.Values(ffs)))
 	jobs := make([]fault.Job, 0, len(targets)*per)
 	for _, t := range targets {
+		if t < 0 || t >= len(all)/per {
+			return nil, fmt.Errorf("core: injection target %d out of [0,%d)", t, len(all)/per)
+		}
 		jobs = append(jobs, all[t*per:(t+1)*per]...)
 	}
 	return jobs, nil
@@ -285,7 +286,7 @@ func (s *Study) CompareAdaptiveStrategies(strategies []string, spec ModelSpec, b
 		perRound = 1
 	}
 	for _, name := range strategies {
-		strategy, err := plan.New(name, CommitteeFactories())
+		strategy, err := plan.New(name, CommitteeMembers())
 		if err != nil {
 			return nil, err
 		}

@@ -336,8 +336,8 @@ func TestNewAdaptiveStudyValidation(t *testing.T) {
 	if a.StrategyName != plan.StrategyCommittee {
 		t.Errorf("default strategy %q, want committee", a.StrategyName)
 	}
-	if len(CommitteeFactories()) < 3 {
-		t.Errorf("committee zoo has %d members", len(CommitteeFactories()))
+	if len(CommitteeMembers()) < 3 {
+		t.Errorf("committee zoo has %d members", len(CommitteeMembers()))
 	}
 }
 

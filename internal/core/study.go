@@ -184,11 +184,7 @@ func (s *Study) RunGroundTruthContext(ctx context.Context) (*fault.Result, error
 // the ground truth's). An index outside the fault model's targets is an
 // error.
 func (s *Study) RunPartialCampaign(ffs []int) (*fault.Result, error) {
-	jobs, err := s.planFor(ffs)
-	var res *fault.Result
-	if err == nil {
-		res, err = s.campaign(context.Background(), jobs, "", false)
-	}
+	res, err := (&studyTarget{s}).RunRound(context.Background(), ffs, "", false)
 	if err != nil {
 		return nil, fmt.Errorf("core: partial campaign: %w", err)
 	}

@@ -80,27 +80,30 @@ func (r *Regressor) Fit(X [][]float64, y []float64) error {
 	return nil
 }
 
+const checkEvery = 8 // features distances4 adds between two looks at its bound
+
 // distances4 returns the distances from x to four training rows. The four
 // sums run side by side on independent accumulators, each adding its terms in
 // ascending feature order, so every distance is the one-row loop's bit for
-// bit.
-func distances4(x, a, b, c, d []float64) (da, db, dc, dd float64) {
-	a, b, c, d = a[:len(x)], b[:len(x)], c[:len(x)], d[:len(x)]
-	for i, v := range x {
-		da += math.Abs(v - a[i])
-		db += math.Abs(v - b[i])
-		dc += math.Abs(v - c[i])
-		dd += math.Abs(v - d[i])
+// bit. Every checkEvery features it returns the partial sums once all four
+// are >= bound: adding a non-negative term never makes a float sum smaller,
+// so each distance would be >= bound too, or NaN. A NaN never compares >=.
+func distances4(x, a, b, c, d []float64, bound float64) (da, db, dc, dd float64) {
+	for len(x) > 0 {
+		n := min(len(x), checkEvery)
+		xs, as, bs, cs, ds := x[:n], a[:n], b[:n], c[:n], d[:n]
+		for i, v := range xs {
+			da += math.Abs(v - as[i])
+			db += math.Abs(v - bs[i])
+			dc += math.Abs(v - cs[i])
+			dd += math.Abs(v - ds[i])
+		}
+		if da >= bound && db >= bound && dc >= bound && dd >= bound {
+			break
+		}
+		x, a, b, c, d = x[n:], a[n:], b[n:], c[n:], d[n:]
 	}
 	return da, db, dc, dd
-}
-
-func distance(a, b []float64) float64 {
-	var s float64
-	for i := range a {
-		s += math.Abs(a[i] - b[i])
-	}
-	return s
 }
 
 // nearest is the current best k as a max-heap on distance, over two parallel
@@ -169,15 +172,23 @@ func (r *Regressor) Neighbors(x []float64) ([]int, []float64, error) {
 	h := nearest{idx: make([]int, 0, r.K), dist: make([]float64, 0, r.K)}
 	rows := r.X
 	i := 0
+	// Once the heap holds k rows, the root's distance bounds distances4: the
+	// partial sums of a block it gives up are >= the root, and offer rejects
+	// them as it would the full distances, so the heap keeps the same rows.
+	bound := math.NaN()
 	for ; i+4 <= len(rows); i += 4 {
-		d0, d1, d2, d3 := distances4(x, rows[i], rows[i+1], rows[i+2], rows[i+3])
+		d0, d1, d2, d3 := distances4(x, rows[i], rows[i+1], rows[i+2], rows[i+3], bound)
 		h.offer(r.K, i, d0)
 		h.offer(r.K, i+1, d1)
 		h.offer(r.K, i+2, d2)
 		h.offer(r.K, i+3, d3)
+		if len(h.idx) == r.K {
+			bound = h.dist[0]
+		}
 	}
 	for ; i < len(rows); i++ {
-		h.offer(r.K, i, distance(x, rows[i]))
+		d, _, _, _ := distances4(x, rows[i], rows[i], rows[i], rows[i], bound)
+		h.offer(r.K, i, d)
 	}
 	// Sort ascending in place: each pass moves the farthest of the first n
 	// entries to position n-1, where popping the heap would have put it.

@@ -398,6 +398,7 @@ func (l *Loop) selectBatch(st *State, n int) ([]int, error) {
 }
 
 func (l *Loop) applyMeasurement(st *State, ff, failures, injections int) {
+	st.Predicted = nil
 	st.Measured[ff] = true
 	st.Failures[ff] = failures
 	st.Injections[ff] = injections
@@ -408,42 +409,34 @@ func (l *Loop) applyMeasurement(st *State, ff, failures, injections int) {
 
 // estimate retrains the model on the measured flip-flops and writes it into
 // res with the per-FF estimate vector, the circuit FFR (the vector's mean)
-// and the measured-mean CI.
+// and the measured-mean CI, and its raw predictions into st.Predicted.
 func (l *Loop) estimate(st *State, res *Result) error {
 	trX, trY := st.TrainData()
 	model := l.cfg.Model()
 	if err := model.Fit(trX, trY); err != nil {
 		return err
 	}
+	st.Predicted, st.PredictedBy = make([]float64, len(st.X)), l.cfg.ModelName
 	res.Model = model
-	res.Estimates = estimateVector(st, model)
+	res.Estimates = make([]float64, len(st.X))
 	var sum float64
-	for _, v := range res.Estimates {
+	for ff, x := range st.X {
+		v := st.FDR[ff]
+		if !st.Measured[ff] {
+			v = model.Predict(x)
+			st.Predicted[ff] = v
+			if v < 0 {
+				v = 0
+			} else if v > 1 {
+				v = 1
+			}
+		}
+		res.Estimates[ff] = v
 		sum += v
 	}
 	res.FFR = sum / float64(len(res.Estimates))
 	_, res.CILo, res.CIHi = metrics.MeanCI(trY, 1.96)
 	return nil
-}
-
-// estimateVector is the per-FF FDR estimate: the measurement where one
-// exists, the model's clamped prediction elsewhere.
-func estimateVector(st *State, model ml.Regressor) []float64 {
-	est := make([]float64, len(st.X))
-	for ff := range st.X {
-		if st.Measured[ff] {
-			est[ff] = st.FDR[ff]
-			continue
-		}
-		p := model.Predict(st.X[ff])
-		if p < 0 {
-			p = 0
-		} else if p > 1 {
-			p = 1
-		}
-		est[ff] = p
-	}
-	return est
 }
 
 func totalInjections(st *State) int {

@@ -76,13 +76,13 @@ func testModel() ml.Factory {
 	}
 }
 
-func testCommittee() []ml.Factory {
-	return []ml.Factory{
-		func() ml.Regressor { return &ml.Pipeline{Scaler: &ml.StandardScaler{}, Model: linreg.NewRidge(1e-8)} },
-		func() ml.Regressor {
-			return &ml.Pipeline{Scaler: &ml.StandardScaler{}, Model: knn.New(3)}
-		},
-		func() ml.Regressor { return &ml.Pipeline{Scaler: &ml.StandardScaler{}, Model: tree.New(8)} },
+// testCommittee's k-NN member is named "knn", the ModelName the loop tests
+// give testModel, so committee loops take the estimate's predictions for it.
+func testCommittee() []Member {
+	return []Member{
+		{"linear", func() ml.Regressor { return &ml.Pipeline{Scaler: &ml.StandardScaler{}, Model: linreg.NewRidge(1e-8)} }},
+		{"knn", testModel()},
+		{"tree", func() ml.Regressor { return &ml.Pipeline{Scaler: &ml.StandardScaler{}, Model: tree.New(8)} }},
 	}
 }
 

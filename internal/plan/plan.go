@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"repro/internal/fault"
-	"repro/internal/ml"
 )
 
 // Target is the injection backend a Loop drives: it exposes the per-flip-flop
@@ -52,6 +51,11 @@ type State struct {
 	FDR        []float64
 	Failures   []int
 	Injections []int
+	// Predicted holds the raw predictions for the unmeasured flip-flops of
+	// the estimate model named PredictedBy, fitted on TrainData; the loop
+	// sets it to nil whenever it applies a measurement.
+	Predicted   []float64
+	PredictedBy string
 	// Round is the zero-based index of the round being selected.
 	Round int
 	// Seed drives every stochastic choice of the loop and its strategies.
@@ -134,7 +138,7 @@ func StrategyNames() []string {
 
 // New resolves a built-in strategy by name. committee is the model zoo the
 // committee strategy measures disagreement across; random ignores it.
-func New(name string, committee []ml.Factory) (Strategy, error) {
+func New(name string, committee []Member) (Strategy, error) {
 	switch name {
 	case StrategyRandom:
 		return Random{}, nil

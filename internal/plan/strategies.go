@@ -12,8 +12,15 @@ import (
 // variance of the per-FF predictions). Disagreement concentrates exactly
 // where the feature→FDR mapping is underdetermined by the evidence so far.
 type Committee struct {
-	// Members are the committee model factories (at least two).
-	Members []ml.Factory
+	// Members are the committee models (at least two).
+	Members []Member
+}
+
+// Member is one committee model. A member named like the estimate model
+// (Config.ModelName) takes State.Predicted instead of fitting again.
+type Member struct {
+	Name    string
+	Factory ml.Factory
 }
 
 // Name implements Strategy.
@@ -31,14 +38,18 @@ func (c Committee) Select(st *State, n int) ([]int, error) {
 	trX, trY := st.TrainData()
 	cand := st.Unmeasured()
 	preds := make([][]float64, 0, len(c.Members))
-	for i, factory := range c.Members {
-		m := factory()
-		if err := m.Fit(trX, trY); err != nil {
-			return nil, fmt.Errorf("plan: committee member %d fit: %w", i, err)
+	for i, member := range c.Members {
+		predict := func(ff int) float64 { return st.Predicted[ff] }
+		if member.Name == "" || member.Name != st.PredictedBy || st.Predicted == nil {
+			m := member.Factory()
+			if err := m.Fit(trX, trY); err != nil {
+				return nil, fmt.Errorf("plan: committee member %d fit: %w", i, err)
+			}
+			predict = func(ff int) float64 { return m.Predict(st.X[ff]) }
 		}
 		p := make([]float64, len(cand))
 		for k, ff := range cand {
-			p[k] = m.Predict(st.X[ff])
+			p[k] = predict(ff)
 		}
 		preds = append(preds, p)
 	}

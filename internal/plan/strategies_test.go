@@ -1,9 +1,12 @@
 package plan
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"repro/internal/ml"
 )
 
 // strategyState builds a State with the given measured set over a synthetic
@@ -123,8 +126,8 @@ func TestCommitteePrefersDisagreement(t *testing.T) {
 	}
 	trX, trY := st.TrainData()
 	var preds [][]float64
-	for _, f := range c.Members {
-		m := f()
+	for _, member := range c.Members {
+		m := member.Factory()
 		if err := m.Fit(trX, trY); err != nil {
 			t.Fatal(err)
 		}
@@ -179,5 +182,47 @@ func TestSelectMoreThanAvailable(t *testing.T) {
 		if len(sel) != 5 {
 			t.Errorf("%s: selected %d of the 5 remaining", name, len(sel))
 		}
+	}
+}
+
+// TestCommitteeReusesEstimatePredictions: the committee member named like the
+// loop's estimate model takes the estimate's predictions and fits nothing, and
+// the trajectory is bit-identical to a loop whose estimate has another name,
+// so that the member fits the same rows again. The pool leaves flip-flops out,
+// so the estimate predicts more of them than the committee scores.
+func TestCommitteeReusesEstimatePredictions(t *testing.T) {
+	fits := 0
+	members := testCommittee()
+	members[1].Factory = func() ml.Regressor { fits++; return testModel()() }
+	var pool []int
+	for ff := 0; ff < 152; ff += 4 {
+		pool = append(pool, ff, ff+1, ff+3)
+	}
+	run := func(modelName string) *Result {
+		fits = 0
+		return runLoop(t, Config{
+			Target: newFakeTarget(152, 20, 4), Strategy: Committee{Members: members},
+			Model: testModel(), ModelName: modelName, Seed: 5, Pool: pool, InitFFs: 12, RoundFFs: 8,
+		})
+	}
+	reused := run("knn")
+	if fits != 0 {
+		t.Errorf("the k-NN member was fitted %d times beside the estimate of the same name", fits)
+	}
+	refit := run("knn-other")
+	if fits != len(refit.Rounds)-1 {
+		t.Errorf("the k-NN member was fitted %d times in %d rounds under another estimate name", fits, len(refit.Rounds))
+	}
+	if len(reused.Rounds) != len(refit.Rounds) {
+		t.Fatalf("%d rounds reusing, %d refitting", len(reused.Rounds), len(refit.Rounds))
+	}
+	for i, r := range reused.Rounds {
+		if !reflect.DeepEqual(r.Selected, refit.Rounds[i].Selected) || math.Float64bits(r.FFR) != math.Float64bits(refit.Rounds[i].FFR) {
+			t.Errorf("round %d: reusing selected %v (FFR %v), refitting %v (FFR %v)",
+				i, r.Selected, r.FFR, refit.Rounds[i].Selected, refit.Rounds[i].FFR)
+		}
+	}
+	if reused.EstimateFingerprint != refit.EstimateFingerprint || reused.ModelFingerprint != refit.ModelFingerprint {
+		t.Error("reusing the estimate's predictions changed the result's fingerprints")
 	}
 }
