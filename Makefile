@@ -67,9 +67,13 @@ bench:
 # FuzzPredictRequest and FuzzHardenRequest post arbitrary bodies to the
 # prediction service's /v1/predict and /v1/harden: a 200 with finite numbers
 # or a 4xx error envelope, never a 5xx, an empty body or a panic.
-# FuzzCoordinatorRequests does the same to the fabric coordinator's four
-# POST routes (join, lease, heartbeat, complete): a 200 that decodes to the
-# route's response type or a 4xx envelope.
+# FuzzReloadRequest does the same to /v1/models/reload (a 200 with one result
+# per requested model, or a 4xx envelope), and FuzzCoordinatorRequests to the
+# fabric coordinator's four POST routes (join, lease, heartbeat, complete): a
+# 200 that decodes to the route's response type or a 4xx envelope.
+# FuzzNeighbors is differential: k-NN's bounded neighbour search must return
+# the indices and distance bits of the full search kept in
+# internal/ml/knn/equiv_test.go, whatever the rows, widths, NaNs and infinities.
 # Minimizing each coverage-increasing input would eat the whole budget (60 s
 # apiece by default), so it is capped at ten executions.
 FUZZ = $(GO) test -run='^$$' -fuzztime=10s -fuzzminimizetime=10x
@@ -82,7 +86,9 @@ fuzz-smoke:
 	$(FUZZ) -fuzz=FuzzParseModel ./internal/fault
 	$(FUZZ) -fuzz=FuzzPredictRequest ./internal/serve
 	$(FUZZ) -fuzz=FuzzHardenRequest ./internal/serve
+	$(FUZZ) -fuzz=FuzzReloadRequest ./internal/serve
 	$(FUZZ) -fuzz=FuzzCoordinatorRequests ./internal/fabric
+	$(FUZZ) -fuzz=FuzzNeighbors ./internal/ml/knn
 
 # Load-test parameters: LOAD_CONCURRENCY requests in flight at once until
 # LOAD_REQUESTS have been issued. The harness exits nonzero on any non-429

@@ -6,9 +6,13 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/api"
+	"repro/internal/ml/knn"
+	"repro/internal/ml/linreg"
+	"repro/internal/persist"
 )
 
 // Whatever body a client posts to /v1/predict, the answer is a 200 whose
@@ -50,13 +54,7 @@ func FuzzPredictRequest(f *testing.F) {
 			}
 			return
 		}
-		if rec.Code < 400 || rec.Code >= 500 {
-			t.Fatalf("status %d for body %q: %s", rec.Code, body, rec.Body.String())
-		}
-		var er api.ErrorResponse
-		if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil || er.Error == nil || er.Error.Code == "" || er.Error.Message == "" {
-			t.Fatalf("status %d without an envelope: %q", rec.Code, rec.Body.String())
-		}
+		assertClientError(t, rec, body)
 	})
 }
 
@@ -107,12 +105,70 @@ func FuzzHardenRequest(f *testing.F) {
 			}
 			return
 		}
-		if rec.Code < 400 || rec.Code >= 500 {
-			t.Fatalf("status %d for body %q: %s", rec.Code, body, rec.Body.String())
+		assertClientError(t, rec, body)
+	})
+}
+
+// assertClientError fails unless rec is a 4xx carrying the {code,message}
+// envelope.
+func assertClientError(t *testing.T, rec *httptest.ResponseRecorder, body []byte) {
+	t.Helper()
+	if rec.Code < 400 || rec.Code >= 500 {
+		t.Fatalf("status %d for body %q: %s", rec.Code, body, rec.Body.String())
+	}
+	var er api.ErrorResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil || er.Error == nil || er.Error.Code == "" || er.Error.Message == "" {
+		t.Fatalf("status %d without an envelope: %q", rec.Code, rec.Body.String())
+	}
+}
+
+// Whatever body a client posts to /v1/models/reload, the answer is a 200
+// whose body decodes to a ReloadResponse with one result per requested name
+// (per file-backed model when none is named), or a 4xx carrying the
+// {code,message} envelope; never a 5xx or a panic. The server serves one
+// file-backed model and one registered in memory.
+func FuzzReloadRequest(f *testing.F) {
+	path := filepath.Join(f.TempDir(), "knn.ffrm")
+	if err := persist.Save(path, syntheticArtifact(f, "k-NN", knn.New(3))); err != nil {
+		f.Fatal(err)
+	}
+	s := New(Config{})
+	if _, err := s.LoadArtifact(path); err != nil {
+		f.Fatal(err)
+	}
+	if err := s.Add(syntheticArtifact(f, "Linear Least Squares", linreg.NewRidge(0))); err != nil {
+		f.Fatal(err)
+	}
+	h := s.Handler()
+	f.Add([]byte(``))
+	f.Add([]byte(`{"models":[]}`))
+	f.Add([]byte(`{"models":["k-NN"]}`))
+	f.Add([]byte(`{"models":["nope","k-NN"]}`))
+	f.Add([]byte(`{"models":["Linear Least Squares"]}`))
+	f.Add([]byte(`{"models":"k-NN"}`))
+	f.Add([]byte(`reload everything`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/models/reload", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			assertClientError(t, rec, body)
+			return
 		}
-		var er api.ErrorResponse
-		if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil || er.Error == nil || er.Error.Code == "" || er.Error.Message == "" {
-			t.Fatalf("status %d without an envelope: %q", rec.Code, rec.Body.String())
+		var resp api.ReloadResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatalf("200 with body %q: %v", rec.Body.String(), err)
+		}
+		var req api.ReloadRequest
+		json.NewDecoder(bytes.NewReader(body)).Decode(&req)
+		reloaded := 0
+		for _, e := range resp.Results {
+			if e.Reloaded {
+				reloaded++
+			}
+		}
+		if want := max(len(req.Models), 1); len(resp.Results) != want || resp.Reloaded != reloaded {
+			t.Fatalf("%d results (%d reloaded, counted %d) for %d names: %s",
+				len(resp.Results), reloaded, resp.Reloaded, len(req.Models), rec.Body.String())
 		}
 	})
 }
