@@ -120,6 +120,25 @@ func TestHardenAcceptance(t *testing.T) {
 	}
 }
 
+// verifyResumed verifies plan on scenario id at small scale and seed 1 with
+// n injections per flip-flop, resuming the hardened campaign from checkpoint
+// and the baseline from checkpoint + ".baseline" — what ffr harden -verify
+// -n n -checkpoint checkpoint -resume runs.
+func verifyResumed(ctx context.Context, plan *harden.Plan, id string, n int, checkpoint string) (*harden.Verification, error) {
+	sc, err := corpus.Find(id)
+	if err != nil {
+		return nil, err
+	}
+	return harden.Verify(ctx, plan, harden.VerifyConfig{
+		Scenario:        sc,
+		Scale:           corpus.ScaleSmall,
+		Seed:            1,
+		InjectionsPerFF: n,
+		CheckpointPath:  checkpoint,
+		Resume:          true,
+	})
+}
+
 // TestVerifyValidation covers the guard rails.
 func TestVerifyValidation(t *testing.T) {
 	if _, err := harden.Verify(context.Background(), nil, harden.VerifyConfig{}); err == nil {
