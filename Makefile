@@ -9,15 +9,13 @@
 
 GO ?= go
 
-.PHONY: all build examples test race lint loc bench fuzz-smoke load-smoke
+.PHONY: all build test race lint loc bench fuzz-smoke load-smoke
 
-all: lint build examples test
+all: lint build test
 
+# go build ./... compiles examples/ too; go vet (make lint) vets it.
 build:
 	$(GO) build ./...
-
-examples:
-	$(GO) build ./examples/...
 
 test:
 	$(GO) test ./...

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/api"
 	"repro/internal/cli"
 	"repro/internal/fabric"
 	"repro/internal/fault"
@@ -28,47 +27,35 @@ import (
 // straggler chunks are work-stolen by idle workers.
 func runCoord(c *cli.Cmd) error {
 	var (
-		scenario     = c.Flags.String("scenario", "", "corpus scenario to run (\"family/workload\"; see ffr corpus -list)")
-		scale        = c.Flags.String("scale", "small", "corpus scale (small, default)")
-		seed         = c.Flags.Int64("seed", 1, "scenario materialization seed (netlist + workload)")
-		n            = c.Flags.Int("n", 0, "injections per flip-flop (0 = scenario default)")
-		campaignSeed = c.Flags.Int64("campaign-seed", 0, "injection sampling seed (0 = scenario default)")
-		chunk        = c.Flags.Int("chunk", 0, "shard chunk size in jobs (0 = runner default, rounded to 64-lane batches)")
-		hardenList   = c.Flags.String("harden", "", "comma-separated flip-flop indices to TMR-harden before the campaign (e.g. from ffr harden)")
-		faultModel   = c.FaultModel("fault model: seu, mbu:N, stuck0:D, stuck1:D, set, each with optional @start-end window; part of the campaign identity, shipped to workers in the spec")
-		addr         = c.Flags.String("addr", ":9090", "listen address (host:port; port 0 picks a free port)")
-		leaseTTL     = c.Flags.Duration("lease-ttl", fabric.DefaultLeaseTTL, "heartbeat deadline per leased chunk")
-		maxLease     = c.Flags.Int("max-lease", fabric.DefaultMaxLeaseChunks, "maximum chunks granted per lease request")
-		checkpoint   = c.Flags.String("checkpoint", "", "checkpoint file for merged worker results (optional)")
-		resume       = c.Flags.Bool("resume", false, "resume from -checkpoint if it exists, skipping completed chunks")
-		ckEvery      = c.Flags.Int("checkpoint-every", 0, "completed chunks between checkpoint flushes (0 = default)")
-		tel          = c.Telemetry(cli.Trace | cli.Metrics | cli.Profile)
+		campaign   = c.Campaign("corpus scenario to run (\"family/workload\"; see ffr corpus -list)")
+		hardenList = c.Flags.String("harden", "", "comma-separated flip-flop indices to TMR-harden before the campaign (e.g. from ffr harden)")
+		faultModel = c.FaultModel("fault model: seu, mbu:N, stuck0:D, stuck1:D, set, each with optional @start-end window; part of the campaign identity, shipped to workers in the spec")
+		addr       = c.Flags.String("addr", ":9090", "listen address (host:port; port 0 picks a free port)")
+		leaseTTL   = c.Flags.Duration("lease-ttl", fabric.DefaultLeaseTTL, "heartbeat deadline per leased chunk")
+		maxLease   = c.Flags.Int("max-lease", fabric.DefaultMaxLeaseChunks, "maximum chunks granted per lease request")
+		tel        = c.Telemetry(cli.Trace | cli.Metrics | cli.Profile)
 	)
 	if err := c.Parse(); err != nil {
 		return err
 	}
-	if err := cli.Check(
-		c.MinInt("n", *n, 0),
-		c.MinInt("chunk", *chunk, 0),
-		c.MinInt("max-lease", *maxLease, 1),
-		c.MinInt("checkpoint-every", *ckEvery, 0),
-	); err != nil {
+	spec, local, err := campaign()
+	if err != nil {
 		return err
 	}
-	if *scenario == "" {
+	if err := c.MinInt("max-lease", *maxLease, 1); err != nil {
+		return err
+	}
+	if spec.Scenario == "" {
 		return c.UsageErrorf("-scenario is required")
 	}
-	if err := c.Requires("resume", "checkpoint", !*resume || *checkpoint != ""); err != nil {
-		return err
-	}
-	hardenFFs, err := parseFFList(*hardenList)
-	if err != nil {
+	if spec.Harden, err = parseFFList(*hardenList); err != nil {
 		return c.UsageErrorf("-harden: %v", err)
 	}
 	fmodel, err := faultModel()
 	if err != nil {
 		return err
 	}
+	spec.FaultModel = fmodel.String()
 	if *leaseTTL <= 0 {
 		return c.UsageErrorf("-lease-ttl must be positive (got %s)", *leaseTTL)
 	}
@@ -79,21 +66,12 @@ func runCoord(c *cli.Cmd) error {
 	defer stop()
 
 	coord, err := fabric.NewCoordinator(fabric.CoordinatorConfig{
-		Spec: api.CampaignSpec{
-			Scenario:        *scenario,
-			Scale:           *scale,
-			Seed:            *seed,
-			InjectionsPerFF: *n,
-			CampaignSeed:    *campaignSeed,
-			ChunkJobs:       *chunk,
-			FaultModel:      fmodel.String(),
-			Harden:          hardenFFs,
-		},
+		Spec:            spec,
 		LeaseTTL:        *leaseTTL,
 		MaxLeaseChunks:  *maxLease,
-		CheckpointPath:  *checkpoint,
-		CheckpointEvery: *ckEvery,
-		Resume:          *resume,
+		CheckpointPath:  local.CheckpointPath,
+		CheckpointEvery: local.CheckpointEvery,
+		Resume:          local.Resume,
 		Logger:          tel.Logger,
 		Tracer:          tel.Tracer,
 		Metrics:         tel.Metrics,

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"flag"
 	"fmt"
 	"math"
 	"path/filepath"
@@ -79,22 +78,14 @@ func runExp(c *cli.Cmd) error {
 	); err != nil {
 		return err
 	}
-	if *load != "" && *exp != "predict" {
-		return c.UsageErrorf("-load only applies to -exp predict")
+	if err := cli.Check(
+		c.OnlyWith("-exp predict", *exp == "predict", "load"),
+		c.OnlyWith("-exp cross", *exp == "cross", "scenarios", "scale", "fault-models"),
+	); err != nil {
+		return err
 	}
 	if *exp == "predict" && *load == "" {
 		return c.Requires("exp predict", "load", false)
-	}
-	if *exp != "cross" {
-		var misused []string
-		c.Flags.Visit(func(f *flag.Flag) {
-			if f.Name == "scenarios" || f.Name == "scale" || f.Name == "fault-models" {
-				misused = append(misused, "-"+f.Name)
-			}
-		})
-		if len(misused) > 0 {
-			return c.UsageErrorf("%s only applies to -exp cross", strings.Join(misused, ", "))
-		}
 	}
 	if *csvDir != "" {
 		if err := cli.Creatable("csvdir", filepath.Join(*csvDir, *exp+".csv")); err != nil {

@@ -23,39 +23,30 @@ import (
 // plan can be re-measured at scale on the distributed fabric.
 func runHarden(c *cli.Cmd) error {
 	var (
-		load         = c.Flags.String("load", "", "model artifact to advise with (required)")
-		scenario     = c.Flags.String("scenario", "", "corpus scenario (\"family/workload\"; default: the artifact's training scenario)")
-		scale        = c.Flags.String("scale", "small", "corpus scale (small, default)")
-		seed         = c.Flags.Int64("seed", 1, "scenario materialization seed")
-		budget       = c.Flags.Float64("budget", 0.5, "area budget as a fraction of full-TMR area")
-		csvPath      = c.Flags.String("csv", "", "write the full ranking as CSV to this file")
-		verify       = c.Flags.Bool("verify", false, "TMR-rewrite the netlist and re-measure residual FFR by campaign")
-		n            = c.Flags.Int("n", 0, "verify injections per flip-flop (0 = scenario default)")
-		campaignSeed = c.Flags.Int64("campaign-seed", 0, "verify injection sampling seed (0 = scenario default)")
-		workers      = c.Flags.Int("workers", 0, "verify simulation workers (0 = GOMAXPROCS)")
-		chunk        = c.Flags.Int("chunk", 0, "verify chunk size in jobs (0 = runner default)")
-		checkpoint   = c.Flags.String("checkpoint", "", "checkpoint file for the verify campaigns (baseline uses a .baseline suffix)")
-		resume       = c.Flags.Bool("resume", false, "resume the verify campaigns from -checkpoint if present")
-		ckEvery      = c.Flags.Int("checkpoint-every", 0, "chunks between checkpoint flushes (0 = default)")
-		tel          = c.Telemetry(0)
+		load     = c.Flags.String("load", "", "model artifact to advise with (required)")
+		budget   = c.Flags.Float64("budget", 0.5, "area budget as a fraction of full-TMR area")
+		csvPath  = c.Flags.String("csv", "", "write the full ranking as CSV to this file")
+		verify   = c.Flags.Bool("verify", false, "TMR-rewrite the netlist and re-measure residual FFR by campaign")
+		workers  = c.Flags.Int("workers", 0, "verify simulation workers (0 = GOMAXPROCS)")
+		campaign = c.Campaign("corpus scenario (\"family/workload\"; default: the artifact's training scenario)")
+		tel      = c.Telemetry(0)
 	)
 	if err := c.Parse(); err != nil {
 		return err
 	}
 	if err := cli.Check(
 		c.NonNegFloat("budget", *budget),
-		c.MinInt("n", *n, 0),
 		c.MinInt("workers", *workers, 0),
-		c.MinInt("chunk", *chunk, 0),
-		c.MinInt("checkpoint-every", *ckEvery, 0),
+		c.OnlyWith("-verify", *verify, "n", "campaign-seed", "workers", "chunk", "checkpoint", "resume", "checkpoint-every"),
 	); err != nil {
+		return err
+	}
+	spec, local, err := campaign()
+	if err != nil {
 		return err
 	}
 	if *load == "" {
 		return c.UsageErrorf("-load is required")
-	}
-	if err := c.Requires("resume", "checkpoint", !*resume || *checkpoint != ""); err != nil {
-		return err
 	}
 	stop, err := tel.Start()
 	if err != nil {
@@ -67,23 +58,22 @@ func runHarden(c *cli.Cmd) error {
 	if err != nil {
 		return err
 	}
-	id := *scenario
-	if id == "" {
+	if spec.Scenario == "" {
 		if art.Circuit == "" || art.Workload == "" {
 			return c.UsageErrorf("artifact %q carries no scenario tag; -scenario is required", art.Name)
 		}
-		id = art.Circuit + "/" + art.Workload
+		spec.Scenario = art.Circuit + "/" + art.Workload
 	}
-	sc, err := corpus.Find(id)
+	sc, err := corpus.Find(spec.Scenario)
 	if err != nil {
 		return err
 	}
-	scl, err := corpus.ParseScale(*scale)
+	scl, err := corpus.ParseScale(spec.Scale)
 	if err != nil {
 		return err
 	}
 
-	m, err := sc.Materialize(scl, *seed)
+	m, err := sc.Materialize(scl, spec.Seed)
 	if err != nil {
 		return err
 	}
@@ -112,19 +102,8 @@ func runHarden(c *cli.Cmd) error {
 	if !*verify {
 		return nil
 	}
-	v, err := harden.Verify(c.Ctx, plan, harden.VerifyConfig{
-		Scenario:        sc,
-		Scale:           scl,
-		Seed:            *seed,
-		InjectionsPerFF: *n,
-		CampaignSeed:    *campaignSeed,
-		Workers:         *workers,
-		ChunkJobs:       *chunk,
-		CheckpointPath:  *checkpoint,
-		CheckpointEvery: *ckEvery,
-		Resume:          *resume,
-		Logger:          tel.Logger,
-	})
+	local.Workers, local.Logger = *workers, tel.Logger
+	v, err := harden.Verify(c.Ctx, plan, spec, local)
 	if err != nil {
 		return err
 	}

@@ -207,8 +207,13 @@ func TestMisuse(t *testing.T) {
 			{"-strategy", "psychic"}, {"-strategy", "uncertainty"}, {"-strategy", "cluster"},
 			{"-budget", "0"}, {"-budget", "1.5"}, {"-budget", "NaN"}, {"-fault-model", "bogus"}},
 		"harden": {{}, {"-load", "m.ffrm", "-budget", "-1"}, {"-load", "m.ffrm", "-budget", "NaN"},
-			{"-load", "m.ffrm", "-n", "-1"}, {"-load", "m.ffrm", "-workers", "-1"}, {"-load", "m.ffrm", "-chunk", "-1"},
-			{"-load", "m.ffrm", "-checkpoint-every", "-1"}, {"-load", "m.ffrm", "-resume"}},
+			{"-load", "m.ffrm", "-verify", "-n", "-1"}, {"-load", "m.ffrm", "-verify", "-workers", "-1"},
+			{"-load", "m.ffrm", "-verify", "-chunk", "-1"}, {"-load", "m.ffrm", "-verify", "-checkpoint-every", "-1"},
+			{"-load", "m.ffrm", "-verify", "-resume"},
+			// The verify campaign's flags without -verify: refused, not ignored.
+			{"-load", "m.ffrm", "-n", "16"}, {"-load", "m.ffrm", "-campaign-seed", "3"}, {"-load", "m.ffrm", "-workers", "2"},
+			{"-load", "m.ffrm", "-chunk", "64"}, {"-load", "m.ffrm", "-checkpoint", "v.ckpt"},
+			{"-load", "m.ffrm", "-checkpoint", "v.ckpt", "-resume"}, {"-load", "m.ffrm", "-checkpoint-every", "2"}},
 	}
 	for _, cmd := range commands {
 		cases := misuse[cmd.name]

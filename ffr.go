@@ -189,7 +189,8 @@ var (
 	// after flushing its checkpoint.
 	ErrCampaignInterrupted = fault.ErrInterrupted
 	// ErrCampaignBudget reports a negative injection budget, whichever
-	// entry point it was handed to (NewCorpusStudy, a distributed campaign
-	// spec, HardenVerify); zero means the scenario's default.
+	// entry point it was handed to (NewCorpusStudy, or a distributed
+	// campaign spec, which HardenVerify takes too); zero means the
+	// scenario's default.
 	ErrCampaignBudget = corpus.ErrBudget
 )

@@ -1,7 +1,6 @@
 package repro_test
 
 import (
-	"context"
 	"errors"
 	"testing"
 
@@ -34,7 +33,8 @@ func TestPublicSurface(t *testing.T) {
 // budget: zero means the scenario's default, a positive budget is taken as
 // is, and a negative one is ErrCampaignBudget from all of them (it used to
 // be a silent default from NewCorpusStudy, an untyped error from the fabric
-// spec and a makeslice panic from HardenVerify).
+// spec and a makeslice panic from HardenVerify, which now resolves its
+// budget by BuildDistributedCampaign).
 func TestCampaignBudget(t *testing.T) {
 	sc, err := repro.FindCorpusScenario("rrarb/uniform")
 	if err != nil {
@@ -64,15 +64,6 @@ func TestCampaignBudget(t *testing.T) {
 				return 0, err
 			}
 			return camp.Plan.TotalJobs() / camp.M.NumFFs(), nil
-		}},
-		{"HardenVerify", func(n int) (int, error) {
-			v, err := repro.HardenVerify(context.Background(), &repro.HardenPlan{}, repro.HardenVerifyConfig{
-				Scenario: sc, Scale: repro.CorpusScaleSmall, Seed: 1, InjectionsPerFF: n, SkipBaseline: true,
-			})
-			if err != nil {
-				return 0, err
-			}
-			return v.Hardened.Injections[0], nil
 		}},
 	}
 	for _, e := range entries {

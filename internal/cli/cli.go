@@ -10,9 +10,11 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/corpus"
 	"repro/internal/fault"
 )
@@ -156,6 +158,55 @@ func (c *Cmd) FaultModel(usage string) func() (fault.Model, error) {
 		}
 		return m, nil
 	}
+}
+
+// Campaign registers the flags of a corpus campaign that ffr coord and ffr
+// harden share — its identity (-scenario, -scale, -seed, -n,
+// -campaign-seed, -chunk) and this node's checkpointing (-checkpoint,
+// -resume, -checkpoint-every) — and returns the function that validates
+// them once Parse has run and returns them as the spec and runner config
+// fabric.BuildCampaign takes. scenario is the -scenario flag's usage.
+func (c *Cmd) Campaign(scenario string) func() (api.CampaignSpec, fault.RunnerConfig, error) {
+	var (
+		spec  api.CampaignSpec
+		local fault.RunnerConfig
+	)
+	fs := c.Flags
+	fs.StringVar(&spec.Scenario, "scenario", "", scenario)
+	fs.StringVar(&spec.Scale, "scale", "small", "corpus scale (small, default)")
+	fs.Int64Var(&spec.Seed, "seed", 1, "scenario materialization seed (netlist + workload; 0 means 1)")
+	fs.IntVar(&spec.InjectionsPerFF, "n", 0, "injections per flip-flop (0 = scenario default)")
+	fs.Int64Var(&spec.CampaignSeed, "campaign-seed", 0, "injection sampling seed (0 = scenario default)")
+	fs.IntVar(&spec.ChunkJobs, "chunk", 0, "shard chunk size in jobs (0 = runner default, rounded to 64-lane batches)")
+	fs.StringVar(&local.CheckpointPath, "checkpoint", "", "campaign checkpoint file (optional)")
+	fs.BoolVar(&local.Resume, "resume", false, "resume from -checkpoint if it exists, skipping completed chunks")
+	fs.IntVar(&local.CheckpointEvery, "checkpoint-every", 0, "completed chunks between checkpoint flushes (0 = default)")
+	return func() (api.CampaignSpec, fault.RunnerConfig, error) {
+		return spec, local, Check(
+			c.MinInt("n", spec.InjectionsPerFF, 0),
+			c.MinInt("chunk", spec.ChunkJobs, 0),
+			c.MinInt("checkpoint-every", local.CheckpointEvery, 0),
+			c.Requires("resume", "checkpoint", !local.Resume || local.CheckpointPath != ""),
+		)
+	}
+}
+
+// OnlyWith refuses the named flags when they were set on the command line
+// without what they apply to (ok false): "-a, -b: only with <what>".
+func (c *Cmd) OnlyWith(what string, ok bool, names ...string) error {
+	if ok {
+		return nil
+	}
+	var misused []string
+	c.Flags.Visit(func(f *flag.Flag) {
+		if slices.Contains(names, f.Name) {
+			misused = append(misused, "-"+f.Name)
+		}
+	})
+	if len(misused) > 0 {
+		return c.UsageErrorf("%s: only with %s", strings.Join(misused, ", "), what)
+	}
+	return nil
 }
 
 // Scenarios resolves a comma-separated list of corpus scenario IDs,

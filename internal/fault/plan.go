@@ -140,7 +140,7 @@ func (pl *Plan) ready() error {
 // RunChunks simulates exactly the given chunks of the plan and returns their
 // per-batch failure masks, keyed by chunk index — the unit of work a fabric
 // worker executes under one lease. It runs them on the same chunk pool as
-// RunContext, with the same ffr_campaign_* chunk metrics, and its masks are
+// Run, with the same ffr_campaign_* chunk metrics, and its masks are
 // bit-identical to what a full single-node Run records for the same chunks;
 // whoever keeps the campaign's Ledger does the rest.
 //

@@ -22,9 +22,9 @@ import (
 // out across a bounded worker pool. A Ledger (ledger.go) records finished
 // chunks: it decides which checkpoint belongs to the campaign, checks every
 // chunk, flushes the checkpoint on its cadence and folds the masks into the
-// Result. RunContext is prepare → open ledger → runPool(pending, ledger.Add)
-// → ledger.Result; a fabric worker runs leases on its Plan (Plan.RunChunks)
-// while its coordinator keeps the Ledger.
+// Result. Plan.Run is open ledger → runPool(pending, ledger.Add) →
+// ledger.Result, and RunContext is Prepare + Plan.Run; a fabric worker runs
+// leases on its Plan (Plan.RunChunks) while its coordinator keeps the Ledger.
 //
 // Faulty batches are simulated one way: 256 lanes at a time on the compiled
 // kernel (wide.go). Four mechanisms compose there, all of them
@@ -247,7 +247,7 @@ type chunkResult struct {
 	elapsed                 time.Duration
 }
 
-// runPool is the one chunk executor, shared by RunContext and RunChunks. It
+// runPool is the one chunk executor, shared by Plan.Run and RunChunks. It
 // simulates the chunks idx of the plan on a bounded pool of workers, each
 // owning a reusable 256-lane kernel engine and its batch state, and hands
 // every finished chunk to collect on the calling goroutine, in completion
@@ -305,20 +305,25 @@ func (r *Runner) runPool(ctx context.Context, pl *Plan, idx []int, collect func(
 	}
 }
 
-// RunContext executes the plan: prepare it, open its ledger, simulate the
-// chunks the ledger lacks on the local pool, fold. On context cancellation
-// it finishes the chunks already in flight, flushes the checkpoint (when
-// configured) and returns an error wrapping ErrInterrupted; a later call with
-// Resume set picks up from the flushed state.
+// RunContext executes the plan: Prepare, then Plan.Run.
 func (r *Runner) RunContext(ctx context.Context, jobs []Job) (*Result, error) {
-	// Internal cancellation lets the merge stage stop dispatching new
-	// chunks as soon as a checkpoint save fails.
-	ctx, cancelRun := context.WithCancel(ctx)
-	defer cancelRun()
 	pl, err := r.Prepare(jobs)
 	if err != nil {
 		return nil, err
 	}
+	return pl.Run(ctx)
+}
+
+// Run executes the prepared plan: open its ledger, simulate the chunks the
+// ledger lacks on the local pool, fold. On context cancellation it finishes
+// the chunks already in flight, flushes the checkpoint (when configured) and
+// returns an error wrapping ErrInterrupted; a later run with Resume set picks
+// up from the flushed state.
+func (pl *Plan) Run(ctx context.Context) (*Result, error) {
+	// Internal cancellation lets the merge stage stop dispatching new
+	// chunks as soon as a checkpoint save fails.
+	ctx, cancelRun := context.WithCancel(ctx)
+	defer cancelRun()
 	lg, err := pl.OpenLedger()
 	if err != nil {
 		return nil, err
@@ -326,7 +331,7 @@ func (r *Runner) RunContext(ctx context.Context, jobs []Job) (*Result, error) {
 	if err := pl.ready(); err != nil {
 		return nil, err
 	}
-	sh := pl.sh
+	r, sh := pl.r, pl.sh
 	r.log.Info("campaign start",
 		"jobs", sh.totalJobs,
 		"chunks", sh.numChunks,

@@ -12,10 +12,12 @@
 //   - Emit a Plan: the ordered TMR set that fits a user-supplied area
 //     budget (per-FF costs from gate areas in internal/netlist), with the
 //     predicted residual FFR at every budget point on the curve.
-//   - Verify the recommendation: circuit.ApplyTMR rewrites the netlist,
-//     a checkpointed fault.Runner campaign re-measures the hardened DUT,
-//     and the result reports measured vs. predicted residual FFR — the
-//     advisor's calibration is itself a tested claim.
+//   - Verify the recommendation: two campaigns of the fabric's campaign
+//     description (fabric.BuildCampaign) run on the local executor — the
+//     spec hardened with the plan's selection, which is the campaign
+//     ffr coord -harden distributes, and the spec as given for the
+//     baseline — and the result reports measured vs. predicted residual
+//     FFR. The advisor's calibration is itself a tested claim.
 //
 // FFR here is the sum of per-flip-flop FDR values: the expected number of
 // functional failures per one SEU in every flip-flop. It is additive, so

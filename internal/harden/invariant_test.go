@@ -3,13 +3,15 @@ package harden_test
 import (
 	"testing"
 
-	"repro/internal/circuit"
+	"repro/internal/api"
 	"repro/internal/corpus"
-	"repro/internal/netlist"
+	"repro/internal/fabric"
+	"repro/internal/fault"
 )
 
 // TestTMRRewriteInvariantAcrossCorpus is the rewriter's property test over
-// every corpus scenario: TMR-hardening any selection must change the
+// every corpus scenario, through the hardened campaign spec that ffr coord
+// -harden and harden.Verify build: TMR-hardening any selection must change the
 // netlist fingerprint while leaving the fault-free golden trace
 // bit-identical under the unchanged workload. This is the precondition for
 // comparing hardened and baseline campaigns at all — if the golden traces
@@ -23,22 +25,24 @@ func TestTMRRewriteInvariantAcrossCorpus(t *testing.T) {
 		sc := sc
 		t.Run(sc.ID(), func(t *testing.T) {
 			t.Parallel()
-			base, err := sc.Materialize(corpus.ScaleSmall, seed)
+			spec := api.CampaignSpec{Scenario: sc.ID(), Seed: seed, InjectionsPerFF: 1}
+			plain, err := fabric.BuildCampaign(spec, fault.RunnerConfig{})
 			if err != nil {
-				t.Fatalf("Materialize: %v", err)
+				t.Fatalf("BuildCampaign: %v", err)
 			}
+			base := plain.M
 			// Harden every other flip-flop — a representative partial
 			// selection including FF 0 and the last FF when odd-count.
 			var sel []int
 			for ff := 0; ff < base.NumFFs(); ff += 2 {
 				sel = append(sel, ff)
 			}
-			hard, err := sc.MaterializeWith(corpus.ScaleSmall, seed, func(nl *netlist.Netlist) error {
-				return circuit.ApplyTMR(nl, sel)
-			})
+			spec.Harden = sel
+			hardened, err := fabric.BuildCampaign(spec, fault.RunnerConfig{})
 			if err != nil {
-				t.Fatalf("MaterializeWith(ApplyTMR): %v", err)
+				t.Fatalf("BuildCampaign(Harden): %v", err)
 			}
+			hard := hardened.M
 			if base.Netlist.Fingerprint() == hard.Netlist.Fingerprint() {
 				t.Fatal("TMR rewrite left the netlist fingerprint unchanged")
 			}

@@ -2,9 +2,12 @@ package harden_test
 
 import (
 	"context"
+	"path/filepath"
 	"testing"
 
+	"repro/internal/api"
 	"repro/internal/corpus"
+	"repro/internal/fabric"
 	"repro/internal/fault"
 	"repro/internal/features"
 	"repro/internal/harden"
@@ -87,13 +90,13 @@ func TestHardenAcceptance(t *testing.T) {
 				t.Fatalf("plan used %v of %v area, over the 50%% budget", plan.UsedArea, plan.TotalArea)
 			}
 
-			v, err := harden.Verify(context.Background(), plan, harden.VerifyConfig{
-				Scenario:        sc,
-				Scale:           corpus.ScaleSmall,
+			v, err := harden.Verify(context.Background(), plan, api.CampaignSpec{
+				Scenario:        tc.id,
+				Scale:           corpus.ScaleSmall.String(),
 				Seed:            tc.seed,
 				InjectionsPerFF: tc.n,
 				CampaignSeed:    cseed,
-			})
+			}, fault.RunnerConfig{})
 			if err != nil {
 				t.Fatalf("Verify: %v", err)
 			}
@@ -125,26 +128,56 @@ func TestHardenAcceptance(t *testing.T) {
 // and the baseline from checkpoint + ".baseline" — what ffr harden -verify
 // -n n -checkpoint checkpoint -resume runs.
 func verifyResumed(ctx context.Context, plan *harden.Plan, id string, n int, checkpoint string) (*harden.Verification, error) {
-	sc, err := corpus.Find(id)
-	if err != nil {
-		return nil, err
-	}
-	return harden.Verify(ctx, plan, harden.VerifyConfig{
-		Scenario:        sc,
-		Scale:           corpus.ScaleSmall,
+	return harden.Verify(ctx, plan, api.CampaignSpec{
+		Scenario:        id,
+		Scale:           corpus.ScaleSmall.String(),
 		Seed:            1,
 		InjectionsPerFF: n,
-		CheckpointPath:  checkpoint,
-		Resume:          true,
-	})
+	}, fault.RunnerConfig{CheckpointPath: checkpoint, Resume: true})
+}
+
+// TestVerifyRunsCoordCampaign: the hardened campaign Verify runs is the one
+// ffr coord -harden distributes, fabric.BuildCampaign of the spec with Harden
+// set to the plan's selection. The checkpoint Verify writes for it carries
+// that campaign's plan and golden fingerprints, and its fingerprint is the
+// one a single-node run of the coordinator's campaign reaches.
+func TestVerifyRunsCoordCampaign(t *testing.T) {
+	ctx := context.Background()
+	spec := api.CampaignSpec{Scenario: "rrarb/uniform", Seed: 3, InjectionsPerFF: 4, CampaignSeed: 5, ChunkJobs: 128}
+	plan := &harden.Plan{Selected: []harden.Candidate{{FF: 5}, {FF: 0}, {FF: 2}}}
+	ckpt := filepath.Join(t.TempDir(), "verify.ckpt")
+	if _, err := harden.Verify(ctx, plan, spec, fault.RunnerConfig{CheckpointPath: ckpt}); err != nil {
+		t.Fatal(err)
+	}
+
+	spec.Harden = []int{0, 2, 5}
+	coord, err := fabric.BuildCampaign(spec, fault.RunnerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := coord.SingleNodeFingerprint(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck, err := fault.LoadCheckpoint(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ck.PlanHash.String() != coord.PlanHashHex() || ck.GoldenHash.String() != coord.GoldenHashHex() {
+		t.Errorf("verify campaign has plan %v, golden %v; coord -harden campaign has plan %s, golden %s",
+			ck.PlanHash, ck.GoldenHash, coord.PlanHashHex(), coord.GoldenHashHex())
+	}
+	if got := ck.Fingerprint(); got != want {
+		t.Errorf("verify checkpoint fingerprint %x, coord -harden campaign %x", got, want)
+	}
 }
 
 // TestVerifyValidation covers the guard rails.
 func TestVerifyValidation(t *testing.T) {
-	if _, err := harden.Verify(context.Background(), nil, harden.VerifyConfig{}); err == nil {
+	if _, err := harden.Verify(context.Background(), nil, api.CampaignSpec{}, fault.RunnerConfig{}); err == nil {
 		t.Fatal("nil plan accepted")
 	}
-	if _, err := harden.Verify(context.Background(), &harden.Plan{}, harden.VerifyConfig{}); err == nil {
+	if _, err := harden.Verify(context.Background(), &harden.Plan{}, api.CampaignSpec{}, fault.RunnerConfig{}); err == nil {
 		t.Fatal("missing scenario accepted")
 	}
 }

@@ -78,8 +78,6 @@ type (
 	HardenCandidate = harden.Candidate
 	// HardenBudgetPoint is one point of the budget-vs-residual curve.
 	HardenBudgetPoint = harden.BudgetPoint
-	// HardenVerifyConfig parameterizes the verification campaign.
-	HardenVerifyConfig = harden.VerifyConfig
 	// HardenVerification reports measured vs. predicted residual FFR
 	// after TMR-rewriting and re-running the campaign.
 	HardenVerification = harden.Verification
@@ -121,8 +119,9 @@ var (
 	// HardenAdvise scores a materialized scenario with a model artifact
 	// and plans the TMR set that fits the area budget.
 	HardenAdvise = harden.Advise
-	// HardenVerify TMR-rewrites the plan's scenario and re-measures
-	// residual FFR (and the unhardened baseline) by fault campaign.
+	// HardenVerify re-measures a plan by two distributed-campaign specs
+	// run locally: the spec hardened with the plan's selection (residual
+	// FFR) and the spec as given (the unhardened baseline).
 	HardenVerify = harden.Verify
 	// HardenNewPlan fills a budget with a prefix of a candidate ranking.
 	HardenNewPlan = harden.NewPlan
