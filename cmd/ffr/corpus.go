@@ -27,7 +27,7 @@ func runCorpus(c *cli.Cmd) error {
 		validate   = c.Flags.Bool("validate", false, "check generation/simulation determinism for every scenario")
 		sweep      = c.Flags.Bool("sweep", false, "run every scenario end to end through the campaign runner")
 		scaleStr   = c.Flags.String("scale", "small", "circuit/workload scale: small or default")
-		seed       = c.Flags.Int64("seed", 1, "generator and workload seed")
+		seed       = c.Flags.Int64("seed", 1, "generator and workload seed (0 means 1)")
 		n          = c.Flags.Int("n", 0, "injections per flip-flop (0 = per-scenario default)")
 		model      = c.Flags.String("model", "k-NN", "model trained per scenario during -sweep")
 		out        = c.Flags.String("out", "", "directory for per-scenario model artifacts (-sweep)")

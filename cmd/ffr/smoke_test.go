@@ -142,6 +142,21 @@ func TestCorpusSmoke(t *testing.T) {
 	}
 }
 
+// TestCorpusValidateSeedZero: seed 0 means seed 1 here as everywhere else,
+// so -validate -seed 0 materializes, and prints, seed 1's circuits.
+func TestCorpusValidateSeedZero(t *testing.T) {
+	scenarios := "random/noise,alupipe/randomops"
+	ok := regexp.MustCompile(`(?m)^ +\S+ +ok: .*golden [0-9a-f]{16}`)
+	validated := func(seed string) []string {
+		stdout, _ := mustFFR(t, "corpus", "-validate", "-scenario", scenarios, "-seed", seed)
+		return ok.FindAllString(stdout, -1)
+	}
+	zero, one := validated("0"), validated("1")
+	if len(one) != 2 || fmt.Sprint(zero) != fmt.Sprint(one) {
+		t.Errorf("-seed 0 validated\n%s\n-seed 1 validated\n%s", strings.Join(zero, "\n"), strings.Join(one, "\n"))
+	}
+}
+
 // TestFabricSmoke: a coordinator and two workers, each through run, over
 // real TCP. The campaign must complete with a checkpoint fingerprint equal
 // to a single-node run of the same spec, and the telemetry must be

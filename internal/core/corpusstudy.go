@@ -18,9 +18,6 @@ type CorpusStudyConfig = StudyConfig
 // cross-circuit transfer — then works on the scenario exactly as on the
 // paper's MAC, which is itself one (NewStudy).
 func NewCorpusStudy(sc corpus.Scenario, cfg CorpusStudyConfig) (*Study, error) {
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
 	if err := cfg.Model.Validate(); err != nil {
 		return nil, fmt.Errorf("core: study fault model: %w", err)
 	}
@@ -37,5 +34,6 @@ func NewCorpusStudy(sc corpus.Scenario, cfg CorpusStudyConfig) (*Study, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: study: %w", err)
 	}
+	cfg.Seed = m.Seed
 	return &Study{Config: cfg, Materialized: m}, nil
 }

@@ -36,19 +36,20 @@ type Materialized struct {
 
 // Materialize runs generate → synthesize → compile → build workload →
 // golden simulation (collecting activity) → feature extraction for the
-// scenario. The result is deterministic in (scenario, scale, seed).
+// scenario. The result is deterministic in (scenario, scale, ResolveSeed(seed)).
 func (s Scenario) Materialize(scale Scale, seed int64) (*Materialized, error) {
 	return s.MaterializeWith(scale, seed, nil)
 }
 
 // MaterializeWith is Materialize with a netlist rewrite hook applied
-// between generation and synthesis — the seam the hardening advisor uses
-// to TMR-rewrite a DUT (circuit.ApplyTMR) and re-measure it under the
-// unchanged workload. A nil rewrite is exactly Materialize; determinism
+// between generation and synthesis — the seam a hardened campaign spec uses
+// (fabric.BuildCampaign) to TMR-rewrite a DUT (circuit.ApplyTMR) and
+// re-measure it under the unchanged workload. A nil rewrite is exactly Materialize; determinism
 // extends to the rewrite (the result is deterministic in scenario, scale,
 // seed and what the hook does). Workloads resolve ports by name, so a
 // rewrite must preserve the port surface but may change anything else.
 func (s Scenario) MaterializeWith(scale Scale, seed int64, rewrite func(*netlist.Netlist) error) (*Materialized, error) {
+	seed = ResolveSeed(seed)
 	nl, err := s.Entry.Generate(scale, seed)
 	if err != nil {
 		return nil, fmt.Errorf("corpus: generating %s: %w", s.ID(), err)
@@ -107,6 +108,17 @@ func (s Scenario) MaterializeWith(scale Scale, seed int64, rewrite func(*netlist
 	}, nil
 }
 
+// ResolveSeed is the one materialization-seed rule: 0 means 1, so an entry
+// point that leaves the seed unset measures the same circuit and workload as
+// one that asks for seed 1. MaterializeWith applies it (Materialized.Seed is
+// the resolved seed), and a campaign spec resolves through it.
+func ResolveSeed(seed int64) int64 {
+	if seed == 0 {
+		return 1
+	}
+	return seed
+}
+
 // NumFFs returns the flip-flop count of the materialized DUT.
 func (m *Materialized) NumFFs() int { return m.Program.NumFFs() }
 
@@ -115,8 +127,9 @@ var ErrBudget = errors.New("corpus: negative injection budget")
 
 // Campaign resolves a requested campaign shape against the scenario: a zero
 // budget or seed means the scenario's default, a negative budget is
-// ErrBudget. Every entry point that takes a budget (core studies, the fabric
-// spec, the hardening verifier) resolves it here and nowhere else.
+// ErrBudget. Every entry point that takes a budget (core studies and the
+// fabric spec, which the hardening verifier runs on) resolves it here and
+// nowhere else.
 func (s Scenario) Campaign(injectionsPerFF int, campaignSeed int64) (Geometry, error) {
 	g := s.Entry.Defaults
 	if injectionsPerFF < 0 {

@@ -31,14 +31,14 @@ type Campaign struct {
 }
 
 // ResolveSpec validates a campaign spec and fills every default — scale,
-// injection budget, campaign seed, chunk size — so a worker can rebuild the
-// identical campaign from the wire copy alone.
+// materialization seed, injection budget, campaign seed, chunk size — so a
+// worker can rebuild the identical campaign from the wire copy alone.
 func ResolveSpec(spec api.CampaignSpec) (api.CampaignSpec, error) {
 	sc, err := corpus.Find(spec.Scenario)
 	if err != nil {
 		return spec, err
 	}
-	spec.Scenario = sc.ID()
+	spec.Scenario, spec.Seed = sc.ID(), corpus.ResolveSeed(spec.Seed)
 	if spec.Scale == "" {
 		spec.Scale = corpus.ScaleSmall.String()
 	}
@@ -143,7 +143,7 @@ func (c *Campaign) GoldenHashHex() string {
 // SingleNodeFingerprint simulates every chunk of the campaign in this
 // process, records them in a ledger as a coordinator would, and returns the
 // checkpoint fingerprint a distributed run of the same spec must reach: the
-// reference of the fabric tests, cmd/ffr's smoke and examples/distributed.
+// reference of the fabric tests, cmd/ffr's smoke and Example_distributed.
 func (c *Campaign) SingleNodeFingerprint(ctx context.Context) (uint64, error) {
 	ledger, err := c.Plan.OpenLedger()
 	if err != nil {

@@ -589,3 +589,29 @@ func TestInterruptedLeasePostsFinishedChunks(t *testing.T) {
 			finished, got, w.Completed(), st.DoneChunks)
 	}
 }
+
+// TestSeedZeroIsSeedOne: a spec that leaves the materialization seed unset
+// builds seed 1's circuit and workload, as every other entry point does, and
+// the resolved wire spec says so — so a worker, a coordinator and a corpus
+// study given seed 0 measure the same campaign.
+func TestSeedZeroIsSeedOne(t *testing.T) {
+	golden := map[int64]string{}
+	for _, seed := range []int64{0, 1, 2} {
+		spec := testSpec()
+		spec.Seed = seed
+		camp, err := fabric.BuildCampaign(spec, fault.RunnerConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := max(seed, 1); camp.Spec.Seed != want {
+			t.Errorf("seed %d resolved to %d, want %d", seed, camp.Spec.Seed, want)
+		}
+		golden[seed] = camp.GoldenHashHex()
+	}
+	if golden[0] != golden[1] {
+		t.Errorf("seed 0 has golden %s, seed 1 %s", golden[0], golden[1])
+	}
+	if golden[2] == golden[1] {
+		t.Fatal("seeds 1 and 2 share a golden trace: the scenario does not depend on its seed")
+	}
+}

@@ -111,11 +111,7 @@ func scenarioPlan(a *persist.Artifact, req api.HardenRequest) (*harden.Plan, err
 			return nil, err
 		}
 	}
-	seed := req.ScenarioSeed
-	if seed == 0 {
-		seed = 1
-	}
-	m, err := sc.Materialize(scale, seed)
+	m, err := sc.Materialize(scale, req.ScenarioSeed)
 	if err != nil {
 		return nil, err
 	}
