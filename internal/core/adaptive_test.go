@@ -89,7 +89,7 @@ func TestAdaptiveReachesFullCampaignQualityCorpus(t *testing.T) {
 
 // adaptiveResumeStudy builds the fixture of the interruption tests: a small
 // corpus study with fine-grained campaign chunking so rounds span several
-// checkpointable chunks.
+// checkpointable chunks: two shards of a 96-job round are 64-job chunks.
 func adaptiveResumeStudy(t *testing.T) *Study {
 	t.Helper()
 	sc, err := corpus.Find("alupipe/randomops")
@@ -99,7 +99,7 @@ func adaptiveResumeStudy(t *testing.T) *Study {
 	s, err := NewCorpusStudy(sc, CorpusStudyConfig{
 		Scale:           corpus.ScaleSmall,
 		InjectionsPerFF: 8,
-		ChunkJobs:       64,
+		Shards:          2,
 		CheckpointEvery: 1,
 		Workers:         1,
 	})

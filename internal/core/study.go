@@ -44,14 +44,11 @@ type StudyConfig struct {
 
 	// Campaign runtime knobs (see fault.RunnerConfig).
 
-	// ChunkJobs is the shard chunk size of the study's campaigns; 0 uses
-	// the runner default.
-	ChunkJobs int
-	// Shards, when positive, overrides ChunkJobs by splitting the plan of
-	// each campaign (the ground truth, in practice) into about this many
-	// equal shard chunks. The derived chunk size is rounded up to whole 64-lane batches,
-	// so the actual chunk count can be lower than requested; resuming a
-	// checkpoint requires the same shard geometry.
+	// Shards, when positive, splits the plan of each campaign into about
+	// this many equal shard chunks; 0 uses the runner's default chunk size.
+	// The derived chunk size is rounded up to whole 64-lane batches, so the
+	// actual chunk count can be lower than requested; resuming a checkpoint
+	// requires the same shard geometry.
 	Shards int
 	// Checkpoint enables periodic campaign checkpointing to this file.
 	Checkpoint string
@@ -132,7 +129,7 @@ func (s *Study) GoldenTrace() *sim.Trace { return s.Golden }
 // the checkpoint they bring. A positive Config.Shards splits whatever plan
 // it is handed.
 func (s *Study) campaign(ctx context.Context, jobs []fault.Job, checkpoint string, resume bool) (*fault.Result, error) {
-	chunkJobs := s.Config.ChunkJobs
+	chunkJobs := 0
 	if s.Config.Shards > 0 {
 		chunkJobs = (len(jobs) + s.Config.Shards - 1) / s.Config.Shards
 	}
