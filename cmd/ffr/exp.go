@@ -75,10 +75,6 @@ func runExp(c *cli.Cmd) error {
 	if err := cli.Check(
 		c.MinInt("n", *n, 1),
 		c.OneOf("exp", *exp, ids...),
-	); err != nil {
-		return err
-	}
-	if err := cli.Check(
 		c.OnlyWith("-exp predict", *exp == "predict", "load"),
 		c.OnlyWith("-exp cross", *exp == "cross", "scenarios", "scale", "fault-models"),
 	); err != nil {
