@@ -59,6 +59,9 @@ func runCoord(c *cli.Cmd) error {
 	if *leaseTTL <= 0 {
 		return c.UsageErrorf("-lease-ttl must be positive (got %s)", *leaseTTL)
 	}
+	if _, err := fabric.ResolveSpec(spec); err != nil {
+		return c.UsageErrorf("%v", err)
+	}
 	stop, err := tel.Start()
 	if err != nil {
 		return err

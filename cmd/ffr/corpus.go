@@ -62,12 +62,18 @@ func runCorpus(c *cli.Cmd) error {
 	}
 	scale, err := repro.ParseCorpusScale(*scaleStr)
 	if err != nil {
-		return err
+		return c.UsageErrorf("bad -scale: %v", err)
 	}
 	scenarios := repro.CorpusScenarios()
 	if *scenario != "" {
 		if scenarios, err = cli.Scenarios(*scenario); err != nil {
-			return err
+			return c.UsageErrorf("bad -scenario: %v", err)
+		}
+	}
+	var spec repro.ModelSpec
+	if *sweep {
+		if spec, err = repro.FindModel(*model); err != nil {
+			return c.UsageErrorf("bad -model: %v", err)
 		}
 	}
 	if *sweep && *out != "" {
@@ -94,10 +100,6 @@ func runCorpus(c *cli.Cmd) error {
 
 	// Sweep: carry every selected scenario through the full flow and
 	// optionally persist one tagged artifact per scenario.
-	spec, err := repro.FindModel(*model)
-	if err != nil {
-		return err
-	}
 	c.Printf("sweeping %d scenarios at scale %s (model %s, fault model %s)\n\n",
 		len(scenarios), scale, spec.Name, fmodel)
 	for _, sc := range scenarios {

@@ -38,7 +38,6 @@ var commands = []struct {
 	{"plan", "active-learning campaign planner", runPlan},
 	{"harden", "selective-TMR hardening advisor", runHarden},
 	{"serve", "HTTP prediction service for saved model artifacts", runServe},
-	{"load", "load harness for a running prediction service", runLoad},
 	{"coord", "distributed-campaign coordinator", runCoord},
 	{"work", "distributed-campaign worker", runWork},
 }

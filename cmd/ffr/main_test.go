@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"context"
+	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"sync"
@@ -154,8 +156,8 @@ func TestUsage(t *testing.T) {
 	if code != 2 || stdout != "" {
 		t.Errorf("no subcommand: exit %d, stdout %q", code, stdout)
 	}
-	if len(commands) != 13 {
-		t.Errorf("%d subcommands registered, want 13", len(commands))
+	if len(commands) != 12 {
+		t.Errorf("%d subcommands registered, want 12", len(commands))
 	}
 	for _, cmd := range commands {
 		if !regexp.MustCompile(`(?m)^  ` + cmd.name + ` +\S`).MatchString(stderr) {
@@ -173,13 +175,16 @@ func TestUsage(t *testing.T) {
 
 // TestMisuse runs every flag combination the commands reject: each must
 // exit 1 with empty stdout and exactly one stderr line, "<cmd>: <reason>
-// (run 'ffr <cmd> -h' for usage)", before any work starts. An unknown flag
-// exits 2 and -h exits 0, both with the flag list on stderr; -schedule,
-// which inject and coord had while packing was a user's choice, and inject's
-// -snapshot-every, which never changed a result, are such flags now.
+// (run 'ffr <cmd> -h' for usage)", before any work starts — a command with
+// -cpuprofile runs each case with one, and the existing file it names must
+// keep its bytes. An unknown flag exits 2 and -h exits 0, both with the flag
+// list on stderr; -schedule, which inject and coord had while packing was a
+// user's choice, and inject's -snapshot-every, which never changed a result,
+// are such flags now.
 func TestMisuse(t *testing.T) {
 	t.Setenv("FFR_LOG", "")
-	t.Setenv("FFR_FAULT_MODEL", "")
+	profile := filepath.Join(t.TempDir(), "cpu.pprof")
+	const profileBytes = "8 bytes."
 	misuse := map[string][][]string{
 		"gen": {{"-fifo", "1"}, {"-statw", "0"}, {"-ffs", "-1"}, {"stray"}},
 		"sim": {{"-packets", "0"}},
@@ -191,21 +196,22 @@ func TestMisuse(t *testing.T) {
 		"exp": {{"-n", "0"}, {"-exp", "bogus"}, {"-exp", "table1", "-load", "m.ffrm"}, {"-exp", "predict"},
 			{"-exp", "table1", "-scenarios", "alupipe/randomops"}, {"-scale", "default"}, {"-exp", "fig2a", "-fault-models", "seu"}},
 		"corpus": {{}, {"-list", "-sweep"}, {"-sweep", "-n", "-1"}, {"-sweep", "-shards", "-1"},
-			{"-sweep", "-workers", "-1"}, {"-sweep", "-fault-model", "bogus"}},
+			{"-sweep", "-workers", "-1"}, {"-sweep", "-fault-model", "bogus"},
+			{"-sweep", "-scale", "bogus"}, {"-sweep", "-model", "bogus"}, {"-sweep", "-scenario", "bogus"}},
 		"serve": {{}, {"-model", "m.ffrm", "-workers", "-1"}, {"-model", "m.ffrm", "-retry-after", "-1"}},
 		"coord": {{}, {"-scenario", "random/noise", "-n", "-1"}, {"-scenario", "random/noise", "-chunk", "-1"},
 			{"-scenario", "random/noise", "-max-lease", "0"}, {"-scenario", "random/noise", "-checkpoint-every", "-1"},
 			{"-scenario", "random/noise", "-resume"},
 			{"-scenario", "random/noise", "-harden", "1,x"}, {"-scenario", "random/noise", "-harden", "-3"},
-			{"-scenario", "random/noise", "-fault-model", "bogus"}, {"-scenario", "random/noise", "-lease-ttl", "0s"}},
+			{"-scenario", "random/noise", "-fault-model", "bogus"}, {"-scenario", "random/noise", "-lease-ttl", "0s"},
+			{"-scenario", "bogus"}, {"-scenario", "random/noise", "-scale", "bogus"}},
 		"work": {{}, {"-coordinator", "http://127.0.0.1:1", "-workers", "-1"},
 			{"-coordinator", "http://127.0.0.1:1", "-max-chunks", "-1"}},
-		"load": {{}, {"-url", "http://127.0.0.1:1", "-requests", "0"}, {"-url", "http://127.0.0.1:1", "-concurrency", "0"},
-			{"-url", "http://127.0.0.1:1", "-batch", "0"}, {"-url", "http://127.0.0.1:1", "-p99-slo", "-1s"}},
 		"plan": {{"-n", "-1"}, {"-rounds", "-1"}, {"-init", "-1"}, {"-batch", "-1"}, {"-patience", "-1"},
 			{"-workers", "-1"}, {"-delta", "-1"}, {"-delta", "NaN"}, {"-ci", "-1"}, {"-ci", "NaN"}, {"-resume"},
 			{"-strategy", "psychic"}, {"-strategy", "uncertainty"}, {"-strategy", "cluster"},
-			{"-budget", "0"}, {"-budget", "1.5"}, {"-budget", "NaN"}, {"-fault-model", "bogus"}},
+			{"-budget", "0"}, {"-budget", "1.5"}, {"-budget", "NaN"}, {"-fault-model", "bogus"},
+			{"-scale", "bogus"}, {"-model", "bogus"}, {"-scenario", "bogus"}},
 		"harden": {{}, {"-load", "m.ffrm", "-budget", "-1"}, {"-load", "m.ffrm", "-budget", "NaN"},
 			{"-load", "m.ffrm", "-verify", "-n", "-1"}, {"-load", "m.ffrm", "-verify", "-workers", "-1"},
 			{"-load", "m.ffrm", "-verify", "-chunk", "-1"}, {"-load", "m.ffrm", "-verify", "-checkpoint-every", "-1"},
@@ -221,11 +227,26 @@ func TestMisuse(t *testing.T) {
 			t.Errorf("%s: no misuse case", cmd.name)
 		}
 		pointer := "(run 'ffr " + cmd.name + " -h' for usage)\n"
+		profiled := registeredFlags(t, cmd.name, cmd.run).Lookup("cpuprofile") != nil
 		for _, args := range cases {
-			code, stdout, stderr := ffr(t, append([]string{cmd.name}, args...)...)
+			argv := []string{cmd.name}
+			if profiled {
+				if err := os.WriteFile(profile, []byte(profileBytes), 0o666); err != nil {
+					t.Fatal(err)
+				}
+				argv = append(argv, "-cpuprofile", profile)
+			}
+			code, stdout, stderr := ffr(t, append(argv, args...)...)
 			if code != 1 || stdout != "" || strings.Count(stderr, "\n") != 1 ||
 				!strings.HasPrefix(stderr, cmd.name+": ") || !strings.HasSuffix(stderr, pointer) {
 				t.Errorf("ffr %s %v: exit %d, stdout %q, stderr %q", cmd.name, args, code, stdout, stderr)
+			}
+			if !profiled {
+				continue
+			}
+			if b, err := os.ReadFile(profile); string(b) != profileBytes {
+				t.Errorf("ffr %s -cpuprofile %s %v: the profile holds %d bytes (%v), want its %d",
+					cmd.name, profile, args, len(b), err, len(profileBytes))
 			}
 		}
 
@@ -249,9 +270,9 @@ func TestMisuse(t *testing.T) {
 	}
 }
 
-// TestEnvironmentDefaults: FFR_FAULT_MODEL and FFR_LOG set the defaults of
-// -fault-model and -log-level/-log-format, a flag overrides them, and
-// without either the built-in seu and info/text apply.
+// TestEnvironmentDefaults: FFR_LOG sets the defaults of -log-level and
+// -log-format, the flags override it, and without it info/text apply;
+// -fault-model defaults to seu.
 func TestEnvironmentDefaults(t *testing.T) {
 	plan := func(args ...string) (model, logs string) {
 		t.Helper()
@@ -263,15 +284,13 @@ func TestEnvironmentDefaults(t *testing.T) {
 		}
 		return m[1], stderr
 	}
-	t.Setenv("FFR_FAULT_MODEL", "")
 	t.Setenv("FFR_LOG", "")
 	if model, logs := plan(); model != "seu" || !strings.Contains(logs, ` level=INFO msg="loop finished" proc=plan `) || strings.Contains(logs, "DEBUG") {
 		t.Errorf("built-in defaults: model %q, logs:\n%s", model, logs)
 	}
-	t.Setenv("FFR_FAULT_MODEL", "mbu:2")
 	t.Setenv("FFR_LOG", "debug,json")
-	if model, logs := plan(); model != "mbu:2" || !strings.Contains(logs, `","level":"DEBUG","msg":"`) || !strings.HasPrefix(logs, `{"time":"`) {
-		t.Errorf("environment defaults: model %q, logs:\n%s", model, logs)
+	if _, logs := plan(); !strings.Contains(logs, `","level":"DEBUG","msg":"`) || !strings.HasPrefix(logs, `{"time":"`) {
+		t.Errorf("environment defaults, logs:\n%s", logs)
 	}
 	if model, logs := plan("-fault-model", "stuck0:4", "-log-level", "error", "-log-format", "text"); model != "stuck0:4" || logs != "" {
 		t.Errorf("flags over environment: model %q, logs:\n%s", model, logs)

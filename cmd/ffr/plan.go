@@ -72,6 +72,18 @@ func runPlan(c *cli.Cmd) error {
 	if err != nil {
 		return err
 	}
+	scale, err := repro.ParseCorpusScale(*scaleStr)
+	if err != nil {
+		return c.UsageErrorf("bad -scale: %v", err)
+	}
+	spec, err := repro.FindModel(*model)
+	if err != nil {
+		return c.UsageErrorf("bad -model: %v", err)
+	}
+	sc, err := repro.FindCorpusScenario(*scenario)
+	if err != nil {
+		return c.UsageErrorf("bad -scenario: %v", err)
+	}
 	if err := cli.Creatable("csv", *csvOut); err != nil {
 		return err
 	}
@@ -80,18 +92,6 @@ func runPlan(c *cli.Cmd) error {
 		return err
 	}
 	defer stop()
-	scale, err := repro.ParseCorpusScale(*scaleStr)
-	if err != nil {
-		return err
-	}
-	spec, err := repro.FindModel(*model)
-	if err != nil {
-		return err
-	}
-	sc, err := repro.FindCorpusScenario(*scenario)
-	if err != nil {
-		return err
-	}
 
 	study, err := repro.NewCorpusStudy(sc, repro.CorpusStudyConfig{
 		Scale:           scale,

@@ -27,7 +27,7 @@ func (l *stringList) Set(v string) error {
 // predictions over HTTP, so the expensive train-once path never has to run
 // in the serving path.
 //
-// Endpoints: POST /v1/predict (single + batch, coalesced and cached), POST
+// Endpoints: POST /v1/predict (single + batch, cached), POST
 // /v1/harden, POST /v1/models/reload (hot-swap artifacts without drain),
 // GET /v1/models, GET /healthz, GET /metrics (Prometheus text format).
 // Overload is shed per model with 429 + Retry-After. Cancellation drains

@@ -7,9 +7,9 @@
 // simulation → feature extraction → fault-injection ground truth →
 // regression models → paper experiments), the circuit corpus, the model
 // artifact store and prediction service, and the active-learning campaign
-// planner, all with stable names. The examples/ directory and cmd/ tools
-// are written exclusively against this surface; docs/ARCHITECTURE.md maps
-// the packages behind it.
+// planner, all with stable names. The Example functions in this package's
+// tests and most of cmd/ffr are written against this surface;
+// docs/ARCHITECTURE.md maps the packages behind it.
 //
 // Quick start:
 //

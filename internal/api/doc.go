@@ -3,11 +3,10 @@
 // error envelope, and the HTTP client helpers that speak them.
 //
 // Every HTTP-facing component — the prediction service (internal/serve,
-// ffr serve), the distributed campaign fabric (internal/fabric,
-// ffr coord, ffr work) and the load harness (ffr load) — shares
-// these types instead of declaring per-handler structs, so the wire format
-// is defined exactly once and pinned by the schema regression tests in this
-// package.
+// ffr serve) and the distributed campaign fabric (internal/fabric,
+// ffr coord, ffr work) — shares these types instead of declaring
+// per-handler structs, so the wire format is defined exactly once and
+// pinned by the schema regression tests in this package.
 //
 // Errors travel in one envelope on every endpoint:
 //

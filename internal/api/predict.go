@@ -11,8 +11,7 @@ type PredictRequest struct {
 }
 
 // PredictResponse is the success body of POST /v1/predict. The field set
-// and names are wire-compatible with the pre-envelope server; Coalesced is
-// additive.
+// and names are wire-compatible with the pre-envelope server.
 type PredictResponse struct {
 	Model       string    `json:"model"`
 	Predictions []float64 `json:"predictions"`
@@ -20,8 +19,10 @@ type PredictResponse struct {
 	Prediction *float64 `json:"prediction,omitempty"`
 	// CacheHits counts vectors served from the response cache.
 	CacheHits int `json:"cache_hits"`
-	// Coalesced counts vectors whose evaluation was deduplicated onto an
-	// identical in-flight computation instead of re-evaluated.
+	// Coalesced is always 0, so omitempty keeps it off the wire: the server
+	// no longer deduplicates identical in-flight vectors. The field stays
+	// only because the benchmark harness reads it, and goes with ROADMAP
+	// item 1.
 	Coalesced int `json:"coalesced,omitempty"`
 }
 

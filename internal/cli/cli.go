@@ -146,11 +146,10 @@ func (c *Cmd) OneOf(name, v string, valid ...string) error {
 	return c.UsageErrorf("-%s must be one of %s (got %q)", name, strings.Join(shown, ", "), v)
 }
 
-// FaultModel registers -fault-model, whose default is the FFR_FAULT_MODEL
-// environment variable, and returns the function that parses the chosen
-// value once Parse has run.
+// FaultModel registers -fault-model, whose default is seu, and returns the
+// function that parses the chosen value once Parse has run.
 func (c *Cmd) FaultModel(usage string) func() (fault.Model, error) {
-	s := c.Flags.String("fault-model", os.Getenv("FFR_FAULT_MODEL"), usage+"; defaults to $FFR_FAULT_MODEL, else seu")
+	s := c.Flags.String("fault-model", "seu", usage)
 	return func() (fault.Model, error) {
 		m, err := fault.ParseModel(*s)
 		if err != nil {

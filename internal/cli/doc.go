@@ -7,6 +7,6 @@
 //
 // All commands follow the same contract: flag misuse produces a one-line
 // error ending in a pointer at -h — never a bare log.Fatal, never a full
-// usage dump. The only two environment variables the program reads,
-// FFR_LOG and FFR_FAULT_MODEL, are read here, as flag defaults.
+// usage dump. The only environment variable the program reads, FFR_LOG, is
+// read here, as the default of the log flags.
 package cli

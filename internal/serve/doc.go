@@ -14,15 +14,14 @@
 //	POST /v1/predict        {"model": "k-NN", "vectors": [[...], ...]}    batch
 //	GET  /v1/models         artifact metadata for every loaded model
 //	POST /v1/models/reload  hot-swap file-backed artifacts without drain
+//	POST /v1/harden         selective-TMR plan for a model and area budget
 //	GET  /healthz           liveness + model count
 //	GET  /metrics           Prometheus text format (internal/obs)
 //
-// Three production behaviors harden the predict path. Identical in-flight
-// vectors coalesce onto one evaluation (a minimal singleflight), so bursts
-// of repeated vectors cost one model call. Each model has a bounded
-// admission queue; overflow is shed immediately with 429 + Retry-After
-// instead of queueing into collapse (ffr load is the gate). And cache
-// keys include the artifact fingerprint, so a hot reload can never serve a
-// stale cached prediction — the old entries become unreachable and age out
-// of the LRU.
+// Two production behaviors harden the predict path. Each model has a
+// bounded admission queue; overflow is shed immediately with 429 +
+// Retry-After instead of queueing into collapse (TestAdmissionFlood sends
+// ten thousand concurrent requests through it). And cache keys include the
+// artifact fingerprint, so a hot reload can never serve a stale cached
+// prediction — the old entries become unreachable and age out of the LRU.
 package serve

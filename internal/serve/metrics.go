@@ -17,7 +17,6 @@ type metrics struct {
 	latency     *obs.Histogram
 	cacheHits   *obs.Counter
 	cacheMisses *obs.Counter
-	coalesced   *obs.Counter
 	rejected    *obs.Counter
 	inflight    *obs.GaugeVec // model
 	reloads     *obs.Counter
@@ -40,8 +39,6 @@ func newMetrics(reg *obs.Registry) *metrics {
 			"prediction vectors served from the response cache"),
 		cacheMisses: reg.Counter("ffr_serve_cache_misses_total",
 			"prediction vectors evaluated by a model"),
-		coalesced: reg.Counter("ffr_serve_coalesced_total",
-			"prediction vectors deduplicated onto an identical in-flight evaluation"),
 		rejected: reg.Counter("ffr_serve_rejected_total",
 			"requests rejected with 429 by per-model admission control"),
 		inflight: reg.GaugeVec("ffr_serve_inflight_requests",

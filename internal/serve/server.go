@@ -80,16 +80,14 @@ type Config struct {
 }
 
 // Server is the prediction service: a model registry behind HTTP handlers
-// with response caching, request coalescing, per-model admission control,
-// hot reload and a metrics endpoint. Safe for concurrent use: the registry
-// is guarded, the cache and flight group are internally synchronized, and
-// loaded models are only read.
+// with response caching, per-model admission control, hot reload and a
+// metrics endpoint. Safe for concurrent use: the registry is guarded, the
+// cache is internally synchronized, and loaded models are only read.
 type Server struct {
-	reg     *Registry
-	cache   *lruCache
-	flights *flightGroup
-	sem     chan struct{}
-	limits  LimitConfig
+	reg    *Registry
+	cache  *lruCache
+	sem    chan struct{}
+	limits LimitConfig
 
 	admitMu sync.Mutex
 	admit   map[string]chan struct{}
@@ -134,7 +132,6 @@ func New(cfg Config) *Server {
 	return &Server{
 		reg:     reg,
 		cache:   newLRUCache(cacheSize),
-		flights: newFlightGroup(),
 		sem:     make(chan struct{}, workers),
 		limits:  limits,
 		admit:   make(map[string]chan struct{}),
@@ -269,7 +266,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	g.Inc()
 	defer g.Dec()
 
-	preds, hits, coalesced, err := s.predictBatch(a, X)
+	preds, hits, err := s.predictBatch(a, X)
 	if err != nil {
 		api.WriteError(w, http.StatusInternalServerError, api.CodeInternal, "%v", err)
 		return
@@ -283,15 +280,14 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	resp := api.PredictResponse{Model: a.Name, Predictions: preds, CacheHits: hits, Coalesced: coalesced}
+	resp := api.PredictResponse{Model: a.Name, Predictions: preds, CacheHits: hits}
 	if single {
 		resp.Prediction = &preds[0]
 	}
 	api.WriteJSON(w, http.StatusOK, resp)
 }
 
-// predictBatch serves each vector from the cache when possible, coalesces
-// identical in-flight vectors onto one evaluation, and runs the remaining
+// predictBatch serves each vector from the cache when possible and runs the
 // misses in parallel on the shared worker pool. Cache keys include the
 // artifact fingerprint, so a hot-reloaded model can never serve
 // predictions cached from its predecessor. A panicking model (e.g. an
@@ -299,7 +295,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 // claims) is contained: evaluation recovers, the request fails with an
 // error, and the server keeps serving — net/http's per-connection recover
 // would not cover the pool goroutines.
-func (s *Server) predictBatch(a *persist.Artifact, X [][]float64) (preds []float64, hits, coalesced int, err error) {
+func (s *Server) predictBatch(a *persist.Artifact, X [][]float64) (preds []float64, hits int, err error) {
 	fp := a.Fingerprint()
 	out := make([]float64, len(X))
 	keys := make([]string, len(X))
@@ -317,39 +313,34 @@ func (s *Server) predictBatch(a *persist.Artifact, X [][]float64) (preds []float
 
 	var (
 		wg       sync.WaitGroup
-		statMu   sync.Mutex
-		shared   int
+		errMu    sync.Mutex
 		firstErr error
 	)
 	for _, i := range misses {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, wasShared, perr := s.flights.do(keys[i], func() (float64, error) {
-				s.sem <- struct{}{}
-				defer func() { <-s.sem }()
-				return safePredict(a, X[i])
-			})
-			statMu.Lock()
-			if wasShared {
-				shared++
-			}
-			if perr != nil && firstErr == nil {
-				firstErr = perr
-			}
-			statMu.Unlock()
+			s.sem <- struct{}{}
+			v, perr := safePredict(a, X[i])
+			<-s.sem
 			out[i] = v
+			if perr != nil {
+				errMu.Lock()
+				if firstErr == nil {
+					firstErr = perr
+				}
+				errMu.Unlock()
+			}
 		}(i)
 	}
 	wg.Wait()
 	if firstErr != nil {
-		return nil, 0, 0, firstErr
+		return nil, 0, firstErr
 	}
-	s.metrics.coalesced.Add(float64(shared))
 	for _, i := range misses {
 		s.cache.put(keys[i], out[i])
 	}
-	return out, len(X) - len(misses), shared, nil
+	return out, len(X) - len(misses), nil
 }
 
 // safePredict evaluates one vector with panic containment.

@@ -629,79 +629,80 @@ func TestAdmissionControl(t *testing.T) {
 	}
 }
 
-// TestCoalescing pins request coalescing: two concurrent requests for the
-// identical vector (cache disabled) share ONE model evaluation, and the
-// follower reports it was coalesced.
-func TestCoalescing(t *testing.T) {
-	evals := &atomic.Int32{}
-	m := blockingModel{started: make(chan struct{}, 8), release: make(chan struct{}), evals: evals}
+// TestAdmissionFlood sends ten thousand concurrent predict requests through
+// the handler, in process and without sockets. The model blocks until every
+// request but the QueueDepth admitted ones has been answered, so the split
+// is exact: the admitted ones get 200 with the model's own prediction, every
+// other one a 429 with Retry-After and the overloaded code.
+func TestAdmissionFlood(t *testing.T) {
+	const requests, depth = 10000, 8
+	m := blockingModel{started: make(chan struct{}, 1), release: make(chan struct{}), evals: &atomic.Int32{}}
 	s := New(Config{
-		Pool:  PoolConfig{Workers: 4},
-		Cache: CacheConfig{Size: -1}, // caching off: only coalescing can dedup
+		Pool:   PoolConfig{Workers: 4},
+		Limits: LimitConfig{QueueDepth: depth, RetryAfterSeconds: 3},
 	})
 	if err := s.Add(&persist.Artifact{Name: "slow", FeatureNames: []string{"f0"}, Model: m}); err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	h := s.Handler()
 
-	do := func() (api.PredictResponse, error) {
-		resp, err := http.Post(ts.URL+"/v1/predict", "application/json",
-			strings.NewReader(`{"model":"slow","vector":[3]}`))
-		if err != nil {
-			return api.PredictResponse{}, err
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			b, _ := io.ReadAll(resp.Body)
-			return api.PredictResponse{}, fmt.Errorf("status %d: %s", resp.StatusCode, b)
-		}
-		var pr api.PredictResponse
-		err = json.NewDecoder(resp.Body).Decode(&pr)
-		return pr, err
+	type answer struct {
+		x   float64
+		rec *httptest.ResponseRecorder
 	}
+	answers := make(chan answer, requests)
+	begin := make(chan struct{})
+	for i := range requests {
+		go func() {
+			x := float64(i)
+			req := httptest.NewRequest(http.MethodPost, "/v1/predict",
+				strings.NewReader(fmt.Sprintf(`{"model":"slow","vector":[%g]}`, x)))
+			rec := httptest.NewRecorder()
+			<-begin
+			h.ServeHTTP(rec, req)
+			answers <- answer{x, rec}
+		}()
+	}
+	close(begin)
 
-	results := make(chan api.PredictResponse, 2)
-	errc := make(chan error, 2)
-	launch := func() {
-		pr, err := do()
-		if err != nil {
-			errc <- err
-			return
+	var got []answer
+	for len(got) < requests {
+		if len(got) == requests-depth {
+			close(m.release) // only the admitted requests are left
 		}
-		results <- pr
-	}
-	go launch()
-	<-m.started // leader is parked inside Predict
-	go launch() // follower must coalesce onto the leader's evaluation
-
-	// Wait until the follower is parked on the leader's flight before
-	// releasing the model, so exactly one evaluation can ever happen.
-	for s.flights.waiting.Load() == 0 {
-		time.Sleep(time.Millisecond)
-	}
-	close(m.release)
-
-	var got []api.PredictResponse
-	for len(got) < 2 {
 		select {
-		case pr := <-results:
-			got = append(got, pr)
-		case err := <-errc:
-			t.Fatal(err)
+		case a := <-answers:
+			got = append(got, a)
+		case <-time.After(time.Minute):
+			t.Fatalf("%d of %d requests answered, then none for a minute", len(got), requests)
 		}
 	}
-	if n := evals.Load(); n != 1 {
-		t.Fatalf("%d evaluations for 2 identical requests, want 1", n)
-	}
-	coalesced := got[0].Coalesced + got[1].Coalesced
-	if coalesced != 1 {
-		t.Fatalf("coalesced counts %d+%d, want exactly one follower", got[0].Coalesced, got[1].Coalesced)
-	}
-	for _, pr := range got {
-		if len(pr.Predictions) != 1 || pr.Predictions[0] != 3 {
-			t.Fatalf("prediction %+v, want [3]", pr.Predictions)
+	var ok, shed int
+	for _, a := range got {
+		switch a.rec.Code {
+		case http.StatusOK:
+			ok++
+			var pr api.PredictResponse
+			if err := json.Unmarshal(a.rec.Body.Bytes(), &pr); err != nil {
+				t.Fatalf("vector [%g]: bad body %q: %v", a.x, a.rec.Body.String(), err)
+			}
+			if want := m.Predict([]float64{a.x}); len(pr.Predictions) != 1 || pr.Predictions[0] != want {
+				t.Errorf("vector [%g]: predictions %v, want [%v]", a.x, pr.Predictions, want)
+			}
+		case http.StatusTooManyRequests:
+			shed++
+			if ra := a.rec.Header().Get("Retry-After"); ra != "3" {
+				t.Errorf("vector [%g]: Retry-After %q, want 3", a.x, ra)
+			}
+			if er := api.DecodeError(a.rec.Code, a.rec.Body.Bytes()); er.Code != api.CodeOverloaded {
+				t.Errorf("vector [%g]: code %q, want %q", a.x, er.Code, api.CodeOverloaded)
+			}
+		default:
+			t.Errorf("vector [%g]: status %d: %s", a.x, a.rec.Code, a.rec.Body.String())
 		}
+	}
+	if ok != depth || shed != requests-depth {
+		t.Errorf("%d served and %d shed of %d requests, want %d and %d", ok, shed, requests, depth, requests-depth)
 	}
 }
 

@@ -18,7 +18,7 @@
 #   sh scripts/metrics-lint.sh dump.txt
 # Run by the Go tests that fetch or render an exposition (the cmd/ffr smokes
 # lint a live ffr serve and ffr coord; internal/fault lints the campaign
-# families) and by `make load-smoke`.
+# families).
 
 set -u
 

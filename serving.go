@@ -14,8 +14,8 @@ import (
 // coordinator/worker campaign fabric — without importing internal paths.
 type (
 	// PredictionServer serves trained model artifacts over HTTP with
-	// response caching, request coalescing, per-model admission control
-	// and hot reload (the ffr serve engine).
+	// response caching, per-model admission control and hot reload (the
+	// ffr serve engine).
 	PredictionServer = serve.Server
 	// PredictionServerConfig assembles a PredictionServer.
 	PredictionServerConfig = serve.Config
