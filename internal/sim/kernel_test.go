@@ -351,6 +351,25 @@ func TestProgramKernelMemo(t *testing.T) {
 	}
 }
 
+// TestMACKernelShape pins what the compiler makes of the full MAC's campaign
+// kernel, so a pass that starts or stops finding work shows up as a cause.
+func TestMACKernelShape(t *testing.T) {
+	p, bench := compiledMAC(t)
+	st := campaignKernel(t, p, bench.Stim, bench.Monitors).Stats()
+	for _, c := range []struct {
+		name      string
+		got, want int
+	}{
+		{"kernel ops", st.KernelOps, 4244},
+		{"slots", st.Slots, 2200},
+		{"pruned", st.Pruned, 102},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %d, want %d (%+v)", c.name, c.got, c.want, st)
+		}
+	}
+}
+
 // TestKernelLayout pins the register file's addressing contract on the
 // kernels campaigns really run — the full-size MAC and every corpus scenario,
 // compiled with the campaign's kept ports: every slot an instruction, a
