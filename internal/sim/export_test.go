@@ -1,9 +1,11 @@
 package sim
 
+import "slices"
+
 // SlotRefs returns every register-file slot the kernel addresses: each
 // instruction's destination and four operand fields (unused ones are slot
-// 0), the flip-flop Q and D rows, the input ports, the kept output ports
-// and the two constants.
+// 0), every capture's Q and D rows or Q, x and s rows, the input ports, the
+// kept output ports and the two constants.
 func (k *Kernel) SlotRefs() []int32 {
 	refs := []int32{k.const0, k.const1}
 	for _, ins := range k.code {
@@ -12,11 +14,10 @@ func (k *Kernel) SlotRefs() []int32 {
 	for _, c := range k.direct {
 		refs = append(refs, c.q, c.d)
 	}
-	for _, c := range k.staged {
-		refs = append(refs, c.q, c.d)
+	for _, h := range slices.Concat(k.holds, k.staged) {
+		refs = append(refs, h.q, h.x, h.s)
 	}
 	refs = append(refs, k.ffQ...)
-	refs = append(refs, k.ffD...)
 	refs = append(refs, k.inSlot...)
 	for _, s := range k.outSlot {
 		if s >= 0 { // -1 is a pruned port

@@ -8,7 +8,7 @@ import (
 
 // ir.go is the kernel compiler's middle end: it lowers a levelized Program
 // through an optimizing IR into the fused-op bytecode a KernelEngine
-// executes (kernel.go). Four passes run over the op list, all of them
+// executes (kernel.go). Five passes run over the op list, all of them
 // result-preserving on every observable value (kept outputs and flip-flop
 // state — the equivalence suite pins bit-identical campaign results):
 //
@@ -25,7 +25,10 @@ import (
 //     pins is dropped. All flip-flops stay: they are the campaign's
 //     injection targets and the golden snapshot state, so their next-state
 //     logic is always live.
-//  4. Allocate: liveness-based register-slot assignment. Values get slots
+//  4. Fold holds: a load-enable flip-flop, whose D pin is a mux of its own
+//     Q and one other value that nothing else reads, becomes a hold capture
+//     of the clock edge, and the mux is not emitted.
+//  5. Allocate: liveness-based register-slot assignment. Values get slots
 //     in evaluation order and dead values return their slot to a free list,
 //     so the kernel's working set is compacted into a small register file
 //     that stays cache-resident regardless of netlist size (operand
@@ -75,6 +78,9 @@ type KernelStats struct {
 	// Pruned counts live-code ops dropped as dead fanout (outside the
 	// observed output + flip-flop cone).
 	Pruned int
+	// Holds counts the hold muxes folded into the clock edge as hold
+	// captures; they are neither emitted nor pruned.
+	Holds int
 	// Slots is the register-file height in 64-lane words per batch word.
 	Slots int
 }
@@ -489,10 +495,54 @@ func (b *irBuilder) prune(keepOutputs []int) {
 	}
 }
 
-// buildKernel is pass 4 plus emission: liveness-based slot allocation over
+// foldHolds is pass 4. A flip-flop qualifies when its canonical D net is a
+// live Mux2 with the flip-flop's own Q as one data input, and the mux output
+// is read by no other op, drives no output port and feeds no other flip-flop.
+// The mux leaves the live set; holds[i] is flip-flop i's capture over nets,
+// with x < 0 when it copies its D pin.
+func (b *irBuilder) foldHolds() []ffHold {
+	p := b.p
+	readers := make([]int32, p.nets)
+	for i := range b.ops {
+		if o := &b.ops[i]; o.live {
+			for j := int8(0); j < o.nin; j++ {
+				readers[o.in[j]]++
+			}
+		}
+	}
+	for _, n := range p.outputNets {
+		readers[b.resolve(n)]++
+	}
+	for i := range p.ffs {
+		readers[b.resolve(p.ffs[i].d)]++
+	}
+	holds := make([]ffHold, len(p.ffs))
+	for i := range p.ffs {
+		q := p.ffs[i].q
+		holds[i] = ffHold{q: q, x: -1}
+		d := b.resolve(p.ffs[i].d)
+		o := b.defOf(d)
+		if o == nil || o.fn != netlist.FuncMux2 || !o.live || readers[d] != 1 {
+			continue
+		}
+		switch q {
+		case o.in[0]:
+			holds[i] = ffHold{q: q, x: o.in[1], s: o.in[2]}
+		case o.in[1]:
+			holds[i] = ffHold{q: q, x: o.in[0], s: o.in[2], hold: ^uint64(0)}
+		default:
+			continue
+		}
+		o.live = false
+	}
+	return holds
+}
+
+// buildKernel is pass 5 plus emission: liveness-based slot allocation over
 // the surviving ops, then bytecode. See kernel.go for the artifact.
 func (b *irBuilder) buildKernel() (*Kernel, error) {
 	p := b.p
+	holds := b.foldHolds()
 	const unallocated = int32(-1)
 	slotOfNet := make([]int32, p.nets)
 	for i := range slotOfNet {
@@ -532,9 +582,9 @@ func (b *irBuilder) buildKernel() (*Kernel, error) {
 		return 0, fmt.Errorf("sim: kernel: net %d read before any definition", n)
 	}
 
-	// Liveness: the last op position reading each temp. Roots (FF D pins,
-	// kept outputs — prune marked their cones) must survive the whole pass
-	// for Commit and output reads; flag them never-free.
+	// Liveness: the last op position reading each temp. Roots (FF D pins or
+	// hold inputs, kept outputs — prune marked their cones) must survive the
+	// whole pass for Commit and output reads; flag them never-free.
 	live := make([]*irOp, 0, len(b.ops))
 	for i := range b.ops {
 		if b.ops[i].live {
@@ -551,8 +601,12 @@ func (b *irBuilder) buildKernel() (*Kernel, error) {
 			lastUse[o.in[j]] = int32(pos)
 		}
 	}
-	for i := range p.ffs {
-		rooted[b.resolve(p.ffs[i].d)] = true
+	for i, h := range holds {
+		if h.x < 0 {
+			rooted[b.resolve(p.ffs[i].d)] = true
+		} else {
+			rooted[h.x], rooted[h.s] = true, true
+		}
 	}
 	for _, n := range p.outputNets {
 		rooted[b.resolve(n)] = true
@@ -563,7 +617,6 @@ func (b *irBuilder) buildKernel() (*Kernel, error) {
 		code:   make([]kinstr, 0, len(live)),
 		inSlot: make([]int32, len(p.inputNets)),
 		ffQ:    make([]int32, len(p.ffs)),
-		ffD:    make([]int32, len(p.ffs)),
 		ffInit: make([]bool, len(p.ffs)),
 		const0: const0,
 		const1: const1,
@@ -605,14 +658,27 @@ func (b *irBuilder) buildKernel() (*Kernel, error) {
 		k.code = append(k.code, kinstr{op: code, dst: dst, a: ops[0], b: ops[1], c: ops[2], d: ops[3]})
 	}
 
-	for i := range p.ffs {
-		k.ffQ[i] = slotOfNet[p.ffs[i].q]
-		k.ffInit[i] = p.ffs[i].init
-		s, err := slotOf(b.resolve(p.ffs[i].d))
-		if err != nil {
-			return nil, err
+	var err error
+	slot := func(n int32) int32 {
+		s, e := slotOf(n)
+		if err == nil {
+			err = e
 		}
-		k.ffD[i] = s
+		return s
+	}
+	var copies []ffCopy
+	var holdCaps []ffHold
+	for i, h := range holds {
+		q := slotOfNet[h.q]
+		k.ffQ[i], k.ffInit[i] = q, p.ffs[i].init
+		if h.x < 0 {
+			copies = append(copies, ffCopy{q: q, d: slot(b.resolve(p.ffs[i].d))})
+		} else {
+			holdCaps = append(holdCaps, ffHold{q: q, x: slot(h.x), s: slot(h.s), hold: h.hold})
+		}
+	}
+	if err != nil {
+		return nil, err
 	}
 	k.outSlot = make([]int32, len(p.outputNets))
 	for i, n := range p.outputNets {
@@ -632,7 +698,7 @@ func (b *irBuilder) buildKernel() (*Kernel, error) {
 		k.inSlot[i] = slotOfNet[n]
 	}
 	k.slots = int(nextSlot)
-	k.planCommit()
+	k.planCommit(copies, holdCaps)
 
 	folded := 0
 	for i := range b.ops {
@@ -645,8 +711,9 @@ func (b *irBuilder) buildKernel() (*Kernel, error) {
 		KernelOps:  len(k.code),
 		Folded:     folded,
 		Fused:      b.fused,
-		Pruned:     len(p.ops) - folded - len(k.code),
+		Pruned:     len(p.ops) - folded - len(k.code) - len(holdCaps),
 		Slots:      k.slots,
+		Holds:      len(holdCaps),
 	}
 	return k, nil
 }

@@ -67,13 +67,14 @@ type Kernel struct {
 	inSlot []int32 // per input port
 	// outSlot is -1 for output ports whose logic was pruned away.
 	outSlot        []int32
-	ffQ, ffD       []int32
+	ffQ            []int32
 	ffInit         []bool
 	const0, const1 int32
-	// direct and staged are the clock edge's flip-flop captures, split by
-	// planCommit.
-	direct, staged []ffCopy
-	stats          KernelStats
+	// The clock edge's flip-flop captures, split by planCommit: copies and
+	// holds that run in place, and captures staged through scratch rows.
+	direct        []ffCopy
+	holds, staged []ffHold
+	stats         KernelStats
 }
 
 // Program returns the program the kernel was compiled from.
@@ -95,24 +96,45 @@ var _ = [1]struct{}{}[DefaultKernelWords-4]
 // register-file slots.
 type ffCopy struct{ q, d int32 }
 
-// planCommit splits the flip-flop captures into those Commit can copy
-// D→Q in place and those it must stage. Commit writes Q rows only, so a
-// capture whose D row is no flip-flop's Q row (an instruction result, a
-// primary input or a constant — the allocator never hands a Q slot to an
-// instruction) reads a value no capture of the same edge overwrites, in
-// any order. Only a D row that is itself a Q row (an FF→FF shift path, or
-// a hold loop) must be read before its own capture lands: those stage.
-func (k *Kernel) planCommit() {
+// ffHold is the capture of a load-enable flip-flop, Q ← s == hold ? Q : x,
+// as register-file slots; hold, 0 or all ones, is the select that keeps Q.
+type ffHold struct {
+	q, x, s int32
+	hold    uint64
+}
+
+// next returns the row h captures from the register file.
+func (h *ffHold) next(regs []krow) krow {
+	q, x, s := &regs[h.q], &regs[h.x], &regs[h.s]
+	m0, m1, m2, m3 := s[0]^h.hold, s[1]^h.hold, s[2]^h.hold, s[3]^h.hold
+	return krow{q[0]&^m0 | x[0]&m0, q[1]&^m1 | x[1]&m1, q[2]&^m2 | x[2]&m2, q[3]&^m3 | x[3]&m3}
+}
+
+// planCommit splits the flip-flop captures into those Commit can run in
+// place and those it must stage. Commit writes Q rows only, each capture its
+// own, so a capture reading no Q row but its own (only instruction results,
+// primary inputs and constants — the allocator never hands a Q slot to an
+// instruction) reads values no other capture of the edge overwrites, in any
+// order. A capture reading another Q row (an FF→FF shift path, a hold whose
+// data or enable is a Q; a copy of its own Q, too) stages. A staged copy is
+// a hold that always loads.
+func (k *Kernel) planCommit(copies []ffCopy, holds []ffHold) {
 	isQ := make([]bool, k.slots)
 	for _, q := range k.ffQ {
 		isQ[q] = true
 	}
-	for i, q := range k.ffQ {
-		c := ffCopy{q: q, d: k.ffD[i]}
+	for _, c := range copies {
 		if isQ[c.d] {
-			k.staged = append(k.staged, c)
+			holds = append(holds, ffHold{q: c.q, x: c.d, s: k.const1})
 		} else {
 			k.direct = append(k.direct, c)
+		}
+	}
+	for _, h := range holds {
+		if isQ[h.x] || isQ[h.s] && h.s != h.q {
+			k.staged = append(k.staged, h)
+		} else {
+			k.holds = append(k.holds, h)
 		}
 	}
 }
@@ -150,6 +172,7 @@ func NewKernelEngine(k *Kernel, words int) *KernelEngine {
 		words = DefaultKernelWords
 	}
 	if words > DefaultKernelWords {
+		// Programmer error: callers pass DefaultKernelWords or a test width.
 		panic(fmt.Sprintf("sim: kernel engine of %d words, row width is %d", words, DefaultKernelWords))
 	}
 	e := &KernelEngine{
@@ -223,6 +246,8 @@ func (e *KernelEngine) FFWord(ff, w int) uint64 {
 func (e *KernelEngine) outAt(i int) int32 {
 	slot := e.k.outSlot[i]
 	if slot < 0 {
+		// Programmer error: the fault runner builds its kernel keeping its
+		// own monitors and loopback sources, the only ports it reads.
 		panic(fmt.Sprintf("sim: kernel output port %d was pruned (not in KeepOutputs)", i))
 	}
 	return slot
@@ -320,21 +345,28 @@ func (e *KernelEngine) Eval() {
 
 // Commit performs the clock edge for all lanes: every flip-flop captures
 // its D value. Staged captures are read out before any Q row is written,
-// so FF-to-FF paths see pre-edge values; the rest copy D→Q directly (see
-// planCommit for why that is sound).
+// so FF-to-FF paths see pre-edge values; the rest run in place (see
+// planCommit for why that is sound). An in-place hold whose select row is
+// the hold word in every word is skipped: mux(q, x, hold) is q.
 func (e *KernelEngine) Commit() {
-	regs := e.regs
-	staged := e.k.staged
-	for i, c := range staged {
-		e.nextQ[i] = regs[c.d]
+	regs, k := e.regs, e.k
+	for i := range k.staged {
+		e.nextQ[i] = k.staged[i].next(regs)
 	}
-	for _, c := range e.k.direct {
+	for i := range k.holds {
+		h := &k.holds[i]
+		if s := &regs[h.s]; s[0] == h.hold && s[1] == h.hold && s[2] == h.hold && s[3] == h.hold {
+			continue
+		}
+		regs[h.q] = h.next(regs)
+	}
+	for _, c := range k.direct {
 		// Word by word: a whole-row assignment between rows the compiler
 		// cannot prove disjoint becomes a memmove call.
 		q, d := &regs[c.q], &regs[c.d]
 		q[0], q[1], q[2], q[3] = d[0], d[1], d[2], d[3]
 	}
-	for i, c := range staged {
-		regs[c.q] = e.nextQ[i]
+	for i := range k.staged {
+		regs[k.staged[i].q] = e.nextQ[i]
 	}
 }

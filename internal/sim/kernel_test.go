@@ -10,7 +10,8 @@ package sim_test
 // fusion superops). Every netlist also carries the flip-flop topologies the
 // kernel's Commit treats specially: an FF fed straight by a primary input,
 // direct FF→FF shift links (one through a BUF that copy propagation
-// removes) and an FF holding its own Q.
+// removes), an FF holding its own Q, and load-enable FFs in every shape the
+// compiler folds into a hold capture or must leave alone.
 
 import (
 	"fmt"
@@ -100,6 +101,30 @@ func randKernelNetlist(seed int64) (*netlist.Netlist, error) {
 	for i := 0; i < nOut; i++ {
 		b.Output(fmt.Sprintf("out[%d]", i), pick())
 	}
+	// Load-enable flip-flops, D = mux(Q, x, en), which the compiler turns
+	// into hold captures: holding while en is 0, while en is 1, with en its
+	// own Q, and with en or x the Q of an earlier hold (so the capture must
+	// stage: run in place, it would read that Q after its edge). Then three
+	// hold muxes it must keep as ops: one a gate also reads, one driving an
+	// output port, one feeding two flip-flops.
+	en0, en1 := pool[1], pool[2]
+	hold := func(name string, d func(q netlist.NetID) netlist.NetID) (q, dNet netlist.NetID) {
+		q, set := b.DFFDecl(name, rng.Intn(2) == 1)
+		dNet = d(q)
+		set(dNet)
+		return q, dNet
+	}
+	q0, _ := hold("ffHold0", func(q netlist.NetID) netlist.NetID { return b.Mux(q, pick(), en0) })
+	q1, _ := hold("ffHold1", func(q netlist.NetID) netlist.NetID { return b.Mux(pick(), q, en1) })
+	hold("ffHoldSelf", func(q netlist.NetID) netlist.NetID { return b.Mux(q, pick(), q) })
+	hold("ffHoldEnQ", func(q netlist.NetID) netlist.NetID { return b.Mux(q, pick(), q0) })
+	hold("ffHoldLoadQ", func(q netlist.NetID) netlist.NetID { return b.Mux(q, q1, en0) })
+	_, read := hold("ffHoldRead", func(q netlist.NetID) netlist.NetID { return b.Mux(q, pick(), en1) })
+	b.Output("holdRead", b.Xor(read, pick()))
+	_, out := hold("ffHoldOut", func(q netlist.NetID) netlist.NetID { return b.Mux(pick(), q, en0) })
+	b.Output("holdOut", out)
+	_, shared := hold("ffHoldShared", func(q netlist.NetID) netlist.NetID { return b.Mux(q, pick(), en1) })
+	b.DFF("ffHoldTwin", shared, false)
 	return b.Finish()
 }
 
@@ -109,26 +134,27 @@ func randKernelNetlist(seed int64) (*netlist.Netlist, error) {
 // per-word random flip schedules, asserting every output word agrees on
 // every cycle and every flip-flop word after every clock edge.
 func TestKernelMatchesInterpreters(t *testing.T) {
-	var totFused, totFolded, totPruned int
+	var tot sim.KernelStats
 	for seed := int64(1); seed <= 25; seed++ {
 		for W := 1; W <= sim.DefaultKernelWords; W++ {
-			fused, folded, pruned := kernelMatchesInterpreters(t, seed, W)
-			totFused += fused
-			totFolded += folded
-			totPruned += pruned
+			st := kernelMatchesInterpreters(t, seed, W)
+			tot.Fused += st.Fused
+			tot.Folded += st.Folded
+			tot.Pruned += st.Pruned
+			tot.Holds += st.Holds
 		}
 	}
 	// The generator feeds every optimization pass; across 25 seeds each
 	// must have found work, or the compiler is silently a no-op.
-	if totFused == 0 || totFolded == 0 || totPruned == 0 {
-		t.Fatalf("optimizer idle across all seeds: fused=%d folded=%d pruned=%d",
-			totFused, totFolded, totPruned)
+	if tot.Fused == 0 || tot.Folded == 0 || tot.Pruned == 0 || tot.Holds == 0 {
+		t.Fatalf("optimizer idle across all seeds: fused=%d folded=%d pruned=%d holds=%d",
+			tot.Fused, tot.Folded, tot.Pruned, tot.Holds)
 	}
 }
 
 // kernelMatchesInterpreters runs one (netlist seed, batch width) case and
 // returns what the kernel compiler did to the netlist.
-func kernelMatchesInterpreters(t *testing.T, seed int64, W int) (fused, folded, pruned int) {
+func kernelMatchesInterpreters(t *testing.T, seed int64, W int) sim.KernelStats {
 	rng := rand.New(rand.NewSource(seed*7919 + int64(W)))
 	nl, err := randKernelNetlist(seed)
 	if err != nil {
@@ -146,7 +172,6 @@ func kernelMatchesInterpreters(t *testing.T, seed int64, W int) (fused, folded, 
 	if st.KernelOps > st.ProgramOps {
 		t.Fatalf("seed %d: kernel grew: %+v", seed, st)
 	}
-	fused, folded, pruned = st.Fused, st.Folded, st.Pruned
 
 	ke := sim.NewKernelEngine(k, W)
 	if ke.Lanes() != W*sim.Lanes {
@@ -210,7 +235,7 @@ func kernelMatchesInterpreters(t *testing.T, seed int64, W int) (fused, folded, 
 			}
 		}
 	}
-	return fused, folded, pruned
+	return st
 }
 
 // TestKernelPrunedOutputs checks dead-fanout pruning against a restricted
@@ -360,8 +385,9 @@ func TestMACKernelShape(t *testing.T) {
 		name      string
 		got, want int
 	}{
-		{"kernel ops", st.KernelOps, 4244},
-		{"slots", st.Slots, 2200},
+		{"kernel ops", st.KernelOps, 3554},
+		{"slots", st.Slots, 1901},
+		{"holds", st.Holds, 690},
 		{"pruned", st.Pruned, 102},
 	} {
 		if c.got != c.want {
