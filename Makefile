@@ -41,7 +41,8 @@ loc:
 
 # Every micro-benchmark once, each beside the layer it measures, so a
 # regression localizes below the workloads of ./bench: the simulator
-# (BenchmarkKernelEval/Commit), the chunk executor (BenchmarkRunChunks per
+# (BenchmarkKernelEval/Commit on a reset register file, BenchmarkKernelWindow
+# over the MAC stimulus's activity), the chunk executor (BenchmarkRunChunks per
 # circuit and fault model, with ns/injection, sim-cycles/injection and lane
 # occupancy; BenchmarkLease: an empty and a 2-chunk fabric lease on one
 # prepared plan; BenchmarkWilsonInterval), feature extraction per circuit
