@@ -10,6 +10,9 @@ var (
 	ChunkMasks      = chunkMasks
 )
 
+// Kernel is the compiled kernel the Runner's plans simulate.
+func (r *Runner) Kernel() (*sim.Kernel, error) { return r.kernel() }
+
 // NewGoldenRunner is NewRunner after what corpus.Materialize does for it: one
 // golden run recording the monitored outputs and the snapshots (into
 // cfg.Snapshots when the test chose a cadence), unless cfg carries a golden

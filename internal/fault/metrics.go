@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/sim"
 )
 
 // Early-exit reasons of a 64-lane window, the label values of
@@ -43,6 +44,9 @@ type campaignMetrics struct {
 	activeLanes     *obs.Counter
 	windowLanes     *obs.Counter
 	repackedLanes   *obs.Counter
+	kernelOps       *obs.Gauge
+	kernelSlots     *obs.Gauge
+	kernelHolds     *obs.Gauge
 }
 
 func newCampaignMetrics(reg *obs.Registry) *campaignMetrics {
@@ -77,7 +81,23 @@ func newCampaignMetrics(reg *obs.Registry) *campaignMetrics {
 			"lane-cycles simulated, whole engine width (lanes per batch x simulated cycles)"),
 		repackedLanes: reg.Counter("ffr_campaign_repacked_lanes_total",
 			"lanes a cut batch left undecided, re-injected from their injection cycle in a later round"),
+		kernelOps: reg.Gauge("ffr_campaign_kernel_ops",
+			"bytecode instructions of the campaign kernel's combinational pass"),
+		kernelSlots: reg.Gauge("ffr_campaign_kernel_slots",
+			"register-file rows of the campaign kernel"),
+		kernelHolds: reg.Gauge("ffr_campaign_kernel_hold_captures",
+			"load-enable flip-flops the campaign kernel captures at the clock edge instead of through a mux op"),
 	}
+}
+
+// observeKernel records the shape of the kernel a plan compiled.
+func (m *campaignMetrics) observeKernel(st sim.KernelStats) {
+	if m == nil {
+		return
+	}
+	m.kernelOps.Set(float64(st.KernelOps))
+	m.kernelSlots.Set(float64(st.Slots))
+	m.kernelHolds.Set(float64(st.Holds))
 }
 
 // observeJobs is campaign-wide progress, reported by the campaign's Ledger;

@@ -45,6 +45,9 @@ func TestCampaignMetrics(t *testing.T) {
 		"ffr_campaign_early_exits_total",
 		"ffr_campaign_jobs_done",
 		"ffr_campaign_jobs_total",
+		"ffr_campaign_kernel_ops",
+		"ffr_campaign_kernel_slots",
+		"ffr_campaign_kernel_hold_captures",
 	} {
 		if !strings.Contains(text, fam) {
 			t.Fatalf("exposition missing %s:\n%s", fam, text)
@@ -85,6 +88,20 @@ func TestCampaignMetrics(t *testing.T) {
 	}
 	if got := get("ffr_campaign_replay_cycles_total"); got != float64(res.ReplayCycles) {
 		t.Fatalf("replay cycles %v, result says %d", got, res.ReplayCycles)
+	}
+	k, err := r.Kernel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := k.Stats()
+	for name, want := range map[string]int{
+		"ffr_campaign_kernel_ops":           st.KernelOps,
+		"ffr_campaign_kernel_slots":         st.Slots,
+		"ffr_campaign_kernel_hold_captures": st.Holds,
+	} {
+		if got := get(name); got != float64(want) || want == 0 {
+			t.Fatalf("%s = %v, the kernel's stats say %d", name, got, want)
+		}
 	}
 	// Lane occupancy of the kernel batches: every simulated cycle at the
 	// engine's full width, trailing partial snapshot intervals included, of

@@ -129,6 +129,7 @@ func (pl *Plan) ready() error {
 		if pl.kern, pl.execErr = r.kernel(); pl.execErr != nil {
 			return
 		}
+		r.metrics.observeKernel(pl.kern.Stats())
 		pl.setFX = r.setEffects(pl.jobs)
 		if r.model.Kind == KindMBU {
 			r.ffClusters()
