@@ -1,7 +1,5 @@
 package sim
 
-import "slices"
-
 // SlotRefs returns every register-file slot the kernel addresses: each
 // instruction's destination and four operand fields (unused ones are slot
 // 0), every capture's Q and D rows or Q, x and s rows, the input ports, the
@@ -14,7 +12,7 @@ func (k *Kernel) SlotRefs() []int32 {
 	for _, c := range k.direct {
 		refs = append(refs, c.q, c.d)
 	}
-	for _, h := range slices.Concat(k.holds, k.staged) {
+	for _, h := range k.holds {
 		refs = append(refs, h.q, h.x, h.s)
 	}
 	refs = append(refs, k.ffQ...)

@@ -582,7 +582,7 @@ func (b *irBuilder) buildKernel() (*Kernel, error) {
 		return 0, fmt.Errorf("sim: kernel: net %d read before any definition", n)
 	}
 
-	// Liveness: the last op position reading each temp. Roots (FF D pins or
+	// Liveness: the last op position reading each temp. Roots (FF D pins,
 	// hold inputs, kept outputs — prune marked their cones) must survive the
 	// whole pass for Commit and output reads; flag them never-free.
 	live := make([]*irOp, 0, len(b.ops))
@@ -602,9 +602,8 @@ func (b *irBuilder) buildKernel() (*Kernel, error) {
 		}
 	}
 	for i, h := range holds {
-		if h.x < 0 {
-			rooted[b.resolve(p.ffs[i].d)] = true
-		} else {
+		rooted[b.resolve(p.ffs[i].d)] = true
+		if h.x >= 0 {
 			rooted[h.x], rooted[h.s] = true, true
 		}
 	}
@@ -666,8 +665,8 @@ func (b *irBuilder) buildKernel() (*Kernel, error) {
 		}
 		return s
 	}
-	var copies []ffCopy
-	var holdCaps []ffHold
+	copies := make([]ffCopy, 0, len(p.ffs))
+	holdCaps := make([]ffHold, 0, len(p.ffs))
 	for i, h := range holds {
 		q := slotOfNet[h.q]
 		k.ffQ[i], k.ffInit[i] = q, p.ffs[i].init

@@ -70,11 +70,13 @@ type Kernel struct {
 	ffQ            []int32
 	ffInit         []bool
 	const0, const1 int32
-	// The clock edge's flip-flop captures, split by planCommit: copies and
-	// holds that run in place, and captures staged through scratch rows.
-	direct        []ffCopy
-	holds, staged []ffHold
-	stats         KernelStats
+	// The clock edge's flip-flop captures, split by planCommit: copies run
+	// in place, holds[:staged] stage through scratch rows, the other holds
+	// run in place.
+	direct []ffCopy
+	holds  []ffHold
+	staged int
+	stats  KernelStats
 }
 
 // Program returns the program the kernel was compiled from.
@@ -103,21 +105,13 @@ type ffHold struct {
 	hold    uint64
 }
 
-// next returns the row h captures from the register file.
-func (h *ffHold) next(regs []krow) krow {
-	q, x, s := &regs[h.q], &regs[h.x], &regs[h.s]
-	m0, m1, m2, m3 := s[0]^h.hold, s[1]^h.hold, s[2]^h.hold, s[3]^h.hold
-	return krow{q[0]&^m0 | x[0]&m0, q[1]&^m1 | x[1]&m1, q[2]&^m2 | x[2]&m2, q[3]&^m3 | x[3]&m3}
-}
-
-// planCommit splits the flip-flop captures into those Commit can run in
-// place and those it must stage. Commit writes Q rows only, each capture its
-// own, so a capture reading no Q row but its own (only instruction results,
-// primary inputs and constants — the allocator never hands a Q slot to an
-// instruction) reads values no other capture of the edge overwrites, in any
-// order. A capture reading another Q row (an FF→FF shift path, a hold whose
-// data or enable is a Q; a copy of its own Q, too) stages. A staged copy is
-// a hold that always loads.
+// planCommit sorts the flip-flop captures. Commit writes Q rows only, each
+// capture its own, so a capture reading no Q row but its own (only
+// instruction results, primary inputs and constants: the allocator never
+// hands a Q slot to an instruction) can run in place, in any order. One
+// reading another Q row (an FF→FF shift path, a hold whose data or enable is
+// a Q; a copy of its own Q, too) stages, and a staged copy is a hold that
+// always loads.
 func (k *Kernel) planCommit(copies []ffCopy, holds []ffHold) {
 	isQ := make([]bool, k.slots)
 	for _, q := range k.ffQ {
@@ -130,13 +124,16 @@ func (k *Kernel) planCommit(copies []ffCopy, holds []ffHold) {
 			k.direct = append(k.direct, c)
 		}
 	}
+	var inPlace []ffHold
 	for _, h := range holds {
 		if isQ[h.x] || isQ[h.s] && h.s != h.q {
-			k.staged = append(k.staged, h)
-		} else {
 			k.holds = append(k.holds, h)
+		} else {
+			inPlace = append(inPlace, h)
 		}
 	}
+	k.staged = len(k.holds)
+	k.holds = append(k.holds, inPlace...)
 }
 
 // KernelEngine executes a kernel over a wide batch of up to
@@ -179,7 +176,7 @@ func NewKernelEngine(k *Kernel, words int) *KernelEngine {
 		k:     k,
 		w:     words,
 		regs:  make([]krow, k.slots),
-		nextQ: make([]krow, len(k.staged)),
+		nextQ: make([]krow, k.staged),
 	}
 	e.Reset()
 	return e
@@ -344,21 +341,25 @@ func (e *KernelEngine) Eval() {
 }
 
 // Commit performs the clock edge for all lanes: every flip-flop captures
-// its D value. Staged captures are read out before any Q row is written,
+// its D value. Staged captures are computed before any Q row is written,
 // so FF-to-FF paths see pre-edge values; the rest run in place (see
 // planCommit for why that is sound). An in-place hold whose select row is
 // the hold word in every word is skipped: mux(q, x, hold) is q.
 func (e *KernelEngine) Commit() {
 	regs, k := e.regs, e.k
-	for i := range k.staged {
-		e.nextQ[i] = k.staged[i].next(regs)
-	}
 	for i := range k.holds {
 		h := &k.holds[i]
-		if s := &regs[h.s]; s[0] == h.hold && s[1] == h.hold && s[2] == h.hold && s[3] == h.hold {
+		s := &regs[h.s]
+		if i >= k.staged && s[0] == h.hold && s[1] == h.hold && s[2] == h.hold && s[3] == h.hold {
 			continue
 		}
-		regs[h.q] = h.next(regs)
+		q, x := &regs[h.q], &regs[h.x]
+		dst := q
+		if i < k.staged {
+			dst = &e.nextQ[i]
+		}
+		m0, m1, m2, m3 := s[0]^h.hold, s[1]^h.hold, s[2]^h.hold, s[3]^h.hold
+		dst[0], dst[1], dst[2], dst[3] = q[0]&^m0|x[0]&m0, q[1]&^m1|x[1]&m1, q[2]&^m2|x[2]&m2, q[3]&^m3|x[3]&m3
 	}
 	for _, c := range k.direct {
 		// Word by word: a whole-row assignment between rows the compiler
@@ -366,7 +367,7 @@ func (e *KernelEngine) Commit() {
 		q, d := &regs[c.q], &regs[c.d]
 		q[0], q[1], q[2], q[3] = d[0], d[1], d[2], d[3]
 	}
-	for i := range k.staged {
-		regs[k.staged[i].q] = e.nextQ[i]
+	for i := range e.nextQ {
+		regs[k.holds[i].q] = e.nextQ[i]
 	}
 }
