@@ -387,6 +387,7 @@ func TestMACKernelShape(t *testing.T) {
 	}{
 		{"kernel ops", st.KernelOps, 3554},
 		{"slots", st.Slots, 1901},
+		{"fused", st.Fused, 281},
 		{"holds", st.Holds, 690},
 		{"pruned", st.Pruned, 102},
 	} {
