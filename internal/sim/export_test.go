@@ -1,13 +1,13 @@
 package sim
 
 // SlotRefs returns every register-file slot the kernel addresses: each
-// instruction's destination and four operand fields (unused ones are slot
+// instruction's destination and six operand fields (unused ones are slot
 // 0), every capture's Q and D rows or Q, x and s rows, the input ports, the
 // kept output ports and the two constants.
 func (k *Kernel) SlotRefs() []int32 {
 	refs := []int32{k.const0, k.const1}
 	for _, ins := range k.code {
-		refs = append(refs, ins.dst, ins.a, ins.b, ins.c, ins.d)
+		refs = append(refs, ins.dst, ins.a, ins.b, ins.c, ins.d, ins.e, ins.f)
 	}
 	for _, c := range k.direct {
 		refs = append(refs, c.q, c.d)
@@ -23,4 +23,16 @@ func (k *Kernel) SlotRefs() []int32 {
 		}
 	}
 	return refs
+}
+
+// WideOpCounts counts the kernel's wide-fusion superops by name.
+func (k *Kernel) WideOpCounts() map[string]int {
+	names := map[kOp]string{kAO222: "AO222", kMuxA: "MuxA", kMuxB: "MuxB", kXor3: "Xor3"}
+	counts := make(map[string]int, len(names))
+	for _, ins := range k.code {
+		if name, ok := names[ins.op]; ok {
+			counts[name]++
+		}
+	}
+	return counts
 }

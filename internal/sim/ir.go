@@ -8,7 +8,7 @@ import (
 
 // ir.go is the kernel compiler's middle end: it lowers a levelized Program
 // through an optimizing IR into the fused-op bytecode a KernelEngine
-// executes (kernel.go). Five passes run over the op list, all of them
+// executes (kernel.go). Six passes run over the op list, all of them
 // result-preserving on every observable value (kept outputs and flip-flop
 // state — the equivalence suite pins bit-identical campaign results):
 //
@@ -28,7 +28,12 @@ import (
 //  4. Fold holds: a load-enable flip-flop, whose D pin is a mux of its own
 //     Q and one other value that nothing else reads, becomes a hold capture
 //     of the clock edge, and the mux is not emitted.
-//  5. Allocate: liveness-based register-slot assignment. Values get slots
+//  5. Wide fusion: an op absorbs producers whose value it alone reads into a
+//     superop of up to six operands — AO222, a two-mux chain, XOR3. It runs
+//     after hold folding: fused first, a hold mux that absorbed its data
+//     producer would no longer be the Mux2 the fold recognizes, and folding
+//     first makes the hold's data and enable nets roots no superop may hide.
+//  6. Allocate: liveness-based register-slot assignment. Values get slots
 //     in evaluation order and dead values return their slot to a free list,
 //     so the kernel's working set is compacted into a small register file
 //     that stays cache-resident regardless of netlist size (operand
@@ -36,13 +41,17 @@ import (
 //     operand's slot.
 //
 // Fused superops that have no netlist.Func counterpart live in a private
-// extension of the Func space; they exist only between the fuse pass and
+// extension of the Func space; they exist only between the fuse passes and
 // bytecode emission.
 const (
-	fnAO21 netlist.Func = 1000 + iota // (a&b)|c
-	fnOA21                            // (a|b)&c
-	fnAndN                            // a &^ b
-	fnOrN                             // a | ^b
+	fnAO21  netlist.Func = 1000 + iota // (a&b)|c
+	fnOA21                             // (a|b)&c
+	fnAndN                             // a &^ b
+	fnOrN                              // a | ^b
+	fnAO222                            // (a&b)|(c&d)|(e&f)
+	fnMuxA                             // mux(mux(a, b, c), d, e): chain on the else side
+	fnMuxB                             // mux(d, mux(a, b, c), e): chain on the then side
+	fnXor3                             // a^b^c
 )
 
 // Net-kind classification of the IR's value table.
@@ -59,10 +68,10 @@ const (
 type irOp struct {
 	fn   netlist.Func
 	out  int32
-	in   [4]int32
+	in   [6]int32
 	nin  int8
 	dead bool // folded away by simplify
-	live bool // reaches an observed value (set by prune)
+	live bool // reaches an observed value (set by prune; cleared by the hold fold and wide fusion)
 }
 
 // KernelStats summarizes what the kernel compiler did to a program.
@@ -73,7 +82,8 @@ type KernelStats struct {
 	KernelOps int
 	// Folded counts ops removed by constant folding and copy propagation.
 	Folded int
-	// Fused counts peephole rewrites that absorbed a producer op.
+	// Fused counts peephole rewrites that absorbed a producer op, and the
+	// producers wide fusion absorbed into a superop.
 	Fused int
 	// Pruned counts live-code ops dropped as dead fanout (outside the
 	// observed output + flip-flop cone).
@@ -146,7 +156,8 @@ func newIR(p *Program) *irBuilder {
 		b.def[i] = -1
 	}
 	for i, o := range p.ops {
-		b.ops[i] = irOp{fn: o.fn, out: o.out, in: o.in, nin: o.nin}
+		b.ops[i] = irOp{fn: o.fn, out: o.out, nin: o.nin}
+		copy(b.ops[i].in[:], o.in[:])
 	}
 	return b
 }
@@ -538,11 +549,89 @@ func (b *irBuilder) foldHolds() []ffHold {
 	return holds
 }
 
-// buildKernel is pass 5 plus emission: liveness-based slot allocation over
-// the surviving ops, then bytecode. See kernel.go for the artifact.
+// fuseWide is pass 5. Walking the live ops in topological order, an op
+// absorbs each producer it alone reads — no other op, and no root: a
+// flip-flop D net, a hold capture's data or enable, an output port — into a
+// superop: an OR3 of three AND2s becomes AO222, a MUX2 whose else (then)
+// input is a MUX2 becomes MuxA (MuxB), an XOR2 of an XOR2 becomes XOR3. A
+// superop is no plain producer, so the forward walk pairs up a mux chain.
+// It returns the number of producers absorbed.
+func (b *irBuilder) fuseWide(rooted []bool) int {
+	readers := make([]int32, b.p.nets)
+	for i := range b.ops {
+		if o := &b.ops[i]; o.live {
+			for _, n := range o.in[:o.nin] {
+				readers[n]++
+			}
+		}
+	}
+	// single returns n's producer if it is a live fn of nin inputs whose value
+	// only the op at hand reads.
+	single := func(n int32, fn netlist.Func, nin int8) *irOp {
+		d := b.defOf(n)
+		if d == nil || !d.live || d.fn != fn || d.nin != nin || readers[n] != 1 || rooted[n] {
+			return nil
+		}
+		return d
+	}
+	absorbed := 0
+	absorb := func(o *irOp, fn netlist.Func, in []int32, ds ...*irOp) {
+		o.fn, o.nin = fn, int8(copy(o.in[:], in))
+		for _, d := range ds {
+			d.live = false
+		}
+		absorbed += len(ds)
+	}
+	for i := range b.ops {
+		o := &b.ops[i]
+		if !o.live {
+			continue
+		}
+		switch {
+		case o.fn == netlist.FuncOr && o.nin == 3:
+			d0 := single(o.in[0], netlist.FuncAnd, 2)
+			d1 := single(o.in[1], netlist.FuncAnd, 2)
+			d2 := single(o.in[2], netlist.FuncAnd, 2)
+			if d0 != nil && d1 != nil && d2 != nil {
+				absorb(o, fnAO222, []int32{d0.in[0], d0.in[1], d1.in[0], d1.in[1], d2.in[0], d2.in[1]}, d0, d1, d2)
+			}
+		case o.fn == netlist.FuncMux2:
+			if d := single(o.in[0], netlist.FuncMux2, 3); d != nil {
+				absorb(o, fnMuxA, []int32{d.in[0], d.in[1], d.in[2], o.in[1], o.in[2]}, d)
+			} else if d := single(o.in[1], netlist.FuncMux2, 3); d != nil {
+				absorb(o, fnMuxB, []int32{d.in[0], d.in[1], d.in[2], o.in[0], o.in[2]}, d)
+			}
+		case o.fn == netlist.FuncXor:
+			if d := single(o.in[0], netlist.FuncXor, 2); d != nil {
+				absorb(o, fnXor3, []int32{d.in[0], d.in[1], o.in[1]}, d)
+			} else if d := single(o.in[1], netlist.FuncXor, 2); d != nil {
+				absorb(o, fnXor3, []int32{d.in[0], d.in[1], o.in[0]}, d)
+			}
+		}
+	}
+	return absorbed
+}
+
+// buildKernel runs passes 4 to 6 and emission: hold folding, wide fusion,
+// liveness-based slot allocation over the surviving ops, then bytecode. See
+// kernel.go for the artifact.
 func (b *irBuilder) buildKernel() (*Kernel, error) {
 	p := b.p
 	holds := b.foldHolds()
+	// Roots (FF D pins, hold inputs, output ports) are read outside the op
+	// list: wide fusion must not absorb them, and their slots must survive
+	// the whole pass for Commit and output reads.
+	rooted := make([]bool, p.nets)
+	for i, h := range holds {
+		rooted[b.resolve(p.ffs[i].d)] = true
+		if h.x >= 0 {
+			rooted[h.x], rooted[h.s] = true, true
+		}
+	}
+	for _, n := range p.outputNets {
+		rooted[b.resolve(n)] = true
+	}
+	absorbed := b.fuseWide(rooted)
 	const unallocated = int32(-1)
 	slotOfNet := make([]int32, p.nets)
 	for i := range slotOfNet {
@@ -582,9 +671,7 @@ func (b *irBuilder) buildKernel() (*Kernel, error) {
 		return 0, fmt.Errorf("sim: kernel: net %d read before any definition", n)
 	}
 
-	// Liveness: the last op position reading each temp. Roots (FF D pins,
-	// hold inputs, kept outputs — prune marked their cones) must survive the
-	// whole pass for Commit and output reads; flag them never-free.
+	// Liveness: the last op position reading each temp; roots are never freed.
 	live := make([]*irOp, 0, len(b.ops))
 	for i := range b.ops {
 		if b.ops[i].live {
@@ -592,7 +679,6 @@ func (b *irBuilder) buildKernel() (*Kernel, error) {
 		}
 	}
 	lastUse := make([]int32, p.nets)
-	rooted := make([]bool, p.nets)
 	for i := range lastUse {
 		lastUse[i] = -1
 	}
@@ -600,15 +686,6 @@ func (b *irBuilder) buildKernel() (*Kernel, error) {
 		for j := int8(0); j < o.nin; j++ {
 			lastUse[o.in[j]] = int32(pos)
 		}
-	}
-	for i, h := range holds {
-		rooted[b.resolve(p.ffs[i].d)] = true
-		if h.x >= 0 {
-			rooted[h.x], rooted[h.s] = true, true
-		}
-	}
-	for _, n := range p.outputNets {
-		rooted[b.resolve(n)] = true
 	}
 
 	k := &Kernel{
@@ -626,7 +703,7 @@ func (b *irBuilder) buildKernel() (*Kernel, error) {
 		if err != nil {
 			return nil, err
 		}
-		var ops [4]int32
+		var ops [6]int32
 		for j := int8(0); j < o.nin; j++ {
 			s, err := slotOf(o.in[j])
 			if err != nil {
@@ -654,7 +731,7 @@ func (b *irBuilder) buildKernel() (*Kernel, error) {
 			dst = alloc()
 		}
 		slotOfNet[o.out] = dst
-		k.code = append(k.code, kinstr{op: code, dst: dst, a: ops[0], b: ops[1], c: ops[2], d: ops[3]})
+		k.code = append(k.code, kinstr{op: code, dst: dst, a: ops[0], b: ops[1], c: ops[2], d: ops[3], e: ops[4], f: ops[5]})
 	}
 
 	var err error
@@ -709,8 +786,8 @@ func (b *irBuilder) buildKernel() (*Kernel, error) {
 		ProgramOps: len(p.ops),
 		KernelOps:  len(k.code),
 		Folded:     folded,
-		Fused:      b.fused,
-		Pruned:     len(p.ops) - folded - len(k.code) - len(holdCaps),
+		Fused:      b.fused + absorbed,
+		Pruned:     len(p.ops) - folded - len(k.code) - len(holdCaps) - absorbed,
 		Slots:      k.slots,
 		Holds:      len(holdCaps),
 	}
@@ -750,6 +827,14 @@ func encodeOp(o *irOp) (kOp, error) {
 		return kAndN, nil
 	case fnOrN:
 		return kOrN, nil
+	case fnAO222:
+		return kAO222, nil
+	case fnMuxA:
+		return kMuxA, nil
+	case fnMuxB:
+		return kMuxB, nil
+	case fnXor3:
+		return kXor3, nil
 	}
 	return 0, fmt.Errorf("sim: kernel: no opcode for %v/%d", o.fn, o.nin)
 }

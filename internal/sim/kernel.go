@@ -1,6 +1,10 @@
 package sim
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"slices"
+)
 
 // DefaultKernelWords is the wide-batch width of a KernelEngine in 64-lane
 // words, and the fixed row width of its register file: 4 words = 256
@@ -38,14 +42,19 @@ const (
 	kOA21 // (a|b)&c — fused or-and
 	kAndN // a &^ b — fused and-not
 	kOrN  // a | ^b — fused or-not
+	// Wide fusion's superops (ir.go, pass 5).
+	kAO222 // (a&b)|(c&d)|(e&f)
+	kMuxA  // mux(mux(a, b, c), d, e)
+	kMuxB  // mux(d, mux(a, b, c), e)
+	kXor3  // a^b^c
 )
 
 // kinstr is one kernel instruction: an opcode plus its operand rows, as
 // slot indices into the register file.
 type kinstr struct {
-	dst        int32
-	a, b, c, d int32
-	op         kOp
+	dst              int32
+	a, b, c, d, e, f int32
+	op               kOp
 }
 
 // KernelConfig parameterizes kernel compilation.
@@ -72,7 +81,8 @@ type Kernel struct {
 	const0, const1 int32
 	// The clock edge's flip-flop captures, split by planCommit: copies run
 	// in place, holds[:staged] stage through scratch rows, the other holds
-	// run in place.
+	// run in place. Each part is sorted into groups sharing a select row and
+	// hold word.
 	direct []ffCopy
 	holds  []ffHold
 	staged int
@@ -100,9 +110,10 @@ type ffCopy struct{ q, d int32 }
 
 // ffHold is the capture of a load-enable flip-flop, Q ← s == hold ? Q : x,
 // as register-file slots; hold, 0 or all ones, is the select that keeps Q.
+// On the first hold of a group, end is the index past the group's last.
 type ffHold struct {
-	q, x, s int32
-	hold    uint64
+	q, x, s, end int32
+	hold         uint64
 }
 
 // planCommit sorts the flip-flop captures. Commit writes Q rows only, each
@@ -111,7 +122,10 @@ type ffHold struct {
 // hands a Q slot to an instruction) can run in place, in any order. One
 // reading another Q row (an FF→FF shift path, a hold whose data or enable is
 // a Q; a copy of its own Q, too) stages, and a staged copy is a hold that
-// always loads.
+// always loads. Holds sharing a select row and hold word are grouped, so
+// Commit tests and masks each shared load-enable once: in-place captures
+// read no other Q row, so their order is free, and the one whose select is
+// its own Q is alone in its group (another reading that Q is staged).
 func (k *Kernel) planCommit(copies []ffCopy, holds []ffHold) {
 	isQ := make([]bool, k.slots)
 	for _, q := range k.ffQ {
@@ -134,6 +148,22 @@ func (k *Kernel) planCommit(copies []ffCopy, holds []ffHold) {
 	}
 	k.staged = len(k.holds)
 	k.holds = append(k.holds, inPlace...)
+	byEnable := func(a, b ffHold) int {
+		return cmp.Or(cmp.Compare(a.s, b.s), cmp.Compare(a.hold, b.hold), cmp.Compare(a.q, b.q))
+	}
+	slices.SortFunc(k.holds[:k.staged], byEnable)
+	slices.SortFunc(k.holds[k.staged:], byEnable)
+	for start := 0; start < len(k.holds); {
+		limit, end := len(k.holds), start+1
+		if start < k.staged {
+			limit = k.staged
+		}
+		for end < limit && k.holds[end].s == k.holds[start].s && k.holds[end].hold == k.holds[start].hold {
+			end++
+		}
+		k.holds[start].end = int32(end)
+		start = end
+	}
 }
 
 // KernelEngine executes a kernel over a wide batch of up to
@@ -256,6 +286,9 @@ func (e *KernelEngine) OutputWord(i, w int) uint64 {
 	return e.regs[e.outAt(i)][w]
 }
 
+// mux is one word of the 2:1 select: s ? b : a.
+func mux(a, b, s uint64) uint64 { return a&^s | b&s }
+
 // Eval executes the kernel bytecode: one fused combinational pass over all
 // lanes of every row. Every instruction reads all its operand words before
 // writing the destination row (the right-hand sides of a tuple assignment
@@ -336,6 +369,18 @@ func (e *KernelEngine) Eval() {
 		case kOrN:
 			b := &regs[ins.b]
 			rd[0], rd[1], rd[2], rd[3] = a[0]|^b[0], a[1]|^b[1], a[2]|^b[2], a[3]|^b[3]
+		case kAO222:
+			b, c, d, e, f := &regs[ins.b], &regs[ins.c], &regs[ins.d], &regs[ins.e], &regs[ins.f]
+			rd[0], rd[1], rd[2], rd[3] = a[0]&b[0]|c[0]&d[0]|e[0]&f[0], a[1]&b[1]|c[1]&d[1]|e[1]&f[1], a[2]&b[2]|c[2]&d[2]|e[2]&f[2], a[3]&b[3]|c[3]&d[3]|e[3]&f[3]
+		case kMuxA:
+			b, c, d, e := &regs[ins.b], &regs[ins.c], &regs[ins.d], &regs[ins.e]
+			rd[0], rd[1], rd[2], rd[3] = mux(mux(a[0], b[0], c[0]), d[0], e[0]), mux(mux(a[1], b[1], c[1]), d[1], e[1]), mux(mux(a[2], b[2], c[2]), d[2], e[2]), mux(mux(a[3], b[3], c[3]), d[3], e[3])
+		case kMuxB:
+			b, c, d, e := &regs[ins.b], &regs[ins.c], &regs[ins.d], &regs[ins.e]
+			rd[0], rd[1], rd[2], rd[3] = mux(d[0], mux(a[0], b[0], c[0]), e[0]), mux(d[1], mux(a[1], b[1], c[1]), e[1]), mux(d[2], mux(a[2], b[2], c[2]), e[2]), mux(d[3], mux(a[3], b[3], c[3]), e[3])
+		case kXor3:
+			b, c := &regs[ins.b], &regs[ins.c]
+			rd[0], rd[1], rd[2], rd[3] = a[0]^b[0]^c[0], a[1]^b[1]^c[1], a[2]^b[2]^c[2], a[3]^b[3]^c[3]
 		}
 	}
 }
@@ -343,23 +388,29 @@ func (e *KernelEngine) Eval() {
 // Commit performs the clock edge for all lanes: every flip-flop captures
 // its D value. Staged captures are computed before any Q row is written,
 // so FF-to-FF paths see pre-edge values; the rest run in place (see
-// planCommit for why that is sound). An in-place hold whose select row is
-// the hold word in every word is skipped: mux(q, x, hold) is q.
+// planCommit for why that is sound). Each group of holds reads its select
+// row once, before writing any member: an in-place group whose select row
+// is the hold word in every word is skipped, as mux(q, x, hold) is q.
 func (e *KernelEngine) Commit() {
 	regs, k := e.regs, e.k
-	for i := range k.holds {
-		h := &k.holds[i]
-		s := &regs[h.s]
-		if i >= k.staged && s[0] == h.hold && s[1] == h.hold && s[2] == h.hold && s[3] == h.hold {
+	for i := 0; i < len(k.holds); {
+		g := &k.holds[i]
+		end := int(g.end)
+		s := &regs[g.s]
+		if i >= k.staged && s[0] == g.hold && s[1] == g.hold && s[2] == g.hold && s[3] == g.hold {
+			i = end
 			continue
 		}
-		q, x := &regs[h.q], &regs[h.x]
-		dst := q
-		if i < k.staged {
-			dst = &e.nextQ[i]
+		m0, m1, m2, m3 := s[0]^g.hold, s[1]^g.hold, s[2]^g.hold, s[3]^g.hold
+		for ; i < end; i++ {
+			h := &k.holds[i]
+			q, x := &regs[h.q], &regs[h.x]
+			dst := q
+			if i < k.staged {
+				dst = &e.nextQ[i]
+			}
+			dst[0], dst[1], dst[2], dst[3] = q[0]&^m0|x[0]&m0, q[1]&^m1|x[1]&m1, q[2]&^m2|x[2]&m2, q[3]&^m3|x[3]&m3
 		}
-		m0, m1, m2, m3 := s[0]^h.hold, s[1]^h.hold, s[2]^h.hold, s[3]^h.hold
-		dst[0], dst[1], dst[2], dst[3] = q[0]&^m0|x[0]&m0, q[1]&^m1|x[1]&m1, q[2]&^m2|x[2]&m2, q[3]&^m3|x[3]&m3
 	}
 	for _, c := range k.direct {
 		// Word by word: a whole-row assignment between rows the compiler

@@ -10,8 +10,10 @@ package sim_test
 // fusion superops). Every netlist also carries the flip-flop topologies the
 // kernel's Commit treats specially: an FF fed straight by a primary input,
 // direct FF→FF shift links (one through a BUF that copy propagation
-// removes), an FF holding its own Q, and load-enable FFs in every shape the
-// compiler folds into a hold capture or must leave alone.
+// removes), an FF holding its own Q, load-enable FFs in every shape the
+// compiler folds into a hold capture or must leave alone, and in-place holds
+// sharing one enable. Last come the idioms wide fusion merges into one
+// superop, each also in a negative form whose producer must stay an op.
 
 import (
 	"fmt"
@@ -125,6 +127,49 @@ func randKernelNetlist(seed int64) (*netlist.Netlist, error) {
 	b.Output("holdOut", out)
 	_, shared := hold("ffHoldShared", func(q netlist.NetID) netlist.NetID { return b.Mux(q, pick(), en1) })
 	b.DFF("ffHoldTwin", shared, false)
+
+	// The idioms take their leaves from the inputs and flip-flop outputs, so
+	// no constant folds them away and an upset makes their words differ.
+	leaves := append(pool[:nIn:nIn], pool[nIn+2:nIn+nFF+6]...)
+	leaf := func() netlist.NetID { return leaves[rng.Intn(len(leaves))] }
+	and := func() netlist.NetID { return b.And(leaf(), leaf()) }
+	mux := func() netlist.NetID { return b.Mux(leaf(), leaf(), leaf()) }
+	xor := func() netlist.NetID { return b.Xor(leaf(), leaf()) }
+
+	// In-place holds sharing an enable, two holding while it is 0 and two
+	// while it is 1; the enable is logic over flip-flop state, so its words
+	// differ once an upset lands.
+	en := b.Xor(leaves[nIn+rng.Intn(nFF+4)], leaves[nIn+rng.Intn(nFF+4)])
+	for i := 0; i < 4; i++ {
+		hold(fmt.Sprintf("ffEn[%d]", i), func(q netlist.NetID) netlist.NetID {
+			if i%2 == 0 {
+				return b.Mux(q, and(), en)
+			}
+			return b.Mux(and(), q, en)
+		})
+	}
+
+	// Wide fusion: an OR3 of AND2s, mux chains on the else and the then side,
+	// an XOR2 chain.
+	b.Output("ao222", b.Or(and(), and(), and()))
+	b.Output("muxElse", b.Mux(b.Mux(mux(), leaf(), leaf()), leaf(), leaf()))
+	b.Output("muxThen", b.Mux(leaf(), b.Mux(leaf(), mux(), leaf()), leaf()))
+	b.Output("xorChain", b.Xor(b.Xor(xor(), leaf()), leaf()))
+	// The same shapes with a producer read again: by a second gate, as an
+	// FF's D net, as a hold's data and enable, on an output port.
+	twice := and()
+	b.Output("andTwice", b.Or(twice, and(), and()))
+	b.Output("andAgain", b.Xor(twice, leaf()))
+	muxD := mux()
+	b.DFF("ffMuxD", muxD, false)
+	b.Output("muxD", b.Mux(muxD, leaf(), leaf()))
+	x, sel := xor(), xor()
+	hold("ffHoldXor", func(q netlist.NetID) netlist.NetID { return b.Mux(q, x, sel) })
+	b.Output("xorX", b.Xor(x, leaf()))
+	b.Output("xorS", b.Xor(leaf(), sel))
+	port := and()
+	b.Output("andPort", port)
+	b.Output("andPortRead", b.Or(and(), port, and()))
 	return b.Finish()
 }
 
@@ -135,26 +180,37 @@ func randKernelNetlist(seed int64) (*netlist.Netlist, error) {
 // every cycle and every flip-flop word after every clock edge.
 func TestKernelMatchesInterpreters(t *testing.T) {
 	var tot sim.KernelStats
+	wide := map[string]int{"AO222": 0, "MuxA": 0, "MuxB": 0, "Xor3": 0}
 	for seed := int64(1); seed <= 25; seed++ {
 		for W := 1; W <= sim.DefaultKernelWords; W++ {
-			st := kernelMatchesInterpreters(t, seed, W)
+			k := kernelMatchesInterpreters(t, seed, W)
+			st := k.Stats()
 			tot.Fused += st.Fused
 			tot.Folded += st.Folded
 			tot.Pruned += st.Pruned
 			tot.Holds += st.Holds
+			for op, n := range k.WideOpCounts() {
+				wide[op] += n
+			}
 		}
 	}
-	// The generator feeds every optimization pass; across 25 seeds each
-	// must have found work, or the compiler is silently a no-op.
+	// The generator feeds every optimization pass and every wide-fusion
+	// superop; across 25 seeds each must have found work, or the compiler is
+	// silently a no-op.
 	if tot.Fused == 0 || tot.Folded == 0 || tot.Pruned == 0 || tot.Holds == 0 {
 		t.Fatalf("optimizer idle across all seeds: fused=%d folded=%d pruned=%d holds=%d",
 			tot.Fused, tot.Folded, tot.Pruned, tot.Holds)
 	}
+	for op, n := range wide {
+		if n == 0 {
+			t.Errorf("optimizer idle across all seeds: no %s emitted (%v)", op, wide)
+		}
+	}
 }
 
 // kernelMatchesInterpreters runs one (netlist seed, batch width) case and
-// returns what the kernel compiler did to the netlist.
-func kernelMatchesInterpreters(t *testing.T, seed int64, W int) sim.KernelStats {
+// returns the kernel it checked.
+func kernelMatchesInterpreters(t *testing.T, seed int64, W int) *sim.Kernel {
 	rng := rand.New(rand.NewSource(seed*7919 + int64(W)))
 	nl, err := randKernelNetlist(seed)
 	if err != nil {
@@ -235,7 +291,7 @@ func kernelMatchesInterpreters(t *testing.T, seed int64, W int) sim.KernelStats 
 			}
 		}
 	}
-	return st
+	return k
 }
 
 // TestKernelPrunedOutputs checks dead-fanout pruning against a restricted
@@ -385,9 +441,9 @@ func TestMACKernelShape(t *testing.T) {
 		name      string
 		got, want int
 	}{
-		{"kernel ops", st.KernelOps, 3554},
-		{"slots", st.Slots, 1901},
-		{"fused", st.Fused, 281},
+		{"kernel ops", st.KernelOps, 2551},
+		{"slots", st.Slots, 1826},
+		{"fused", st.Fused, 1284},
 		{"holds", st.Holds, 690},
 		{"pruned", st.Pruned, 102},
 	} {
