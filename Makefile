@@ -74,6 +74,9 @@ bench:
 # FuzzNeighbors is differential: k-NN's bounded neighbour search must return
 # the indices and distance bits of the full search kept in
 # internal/ml/knn/equiv_test.go, whatever the rows, widths, NaNs and infinities.
+# FuzzKernelMatchesEngine is differential too: whatever netlist the parser
+# accepts, its compiled kernel must match four packed Engines word for word
+# through 16 cycles of random inputs and flip-flop upsets.
 # Minimizing each coverage-increasing input would eat the whole budget (60 s
 # apiece by default), so it is capped at ten executions.
 FUZZ = $(GO) test -run='^$$' -fuzztime=10s -fuzzminimizetime=10x
@@ -89,3 +92,4 @@ fuzz-smoke:
 	$(FUZZ) -fuzz=FuzzReloadRequest ./internal/serve
 	$(FUZZ) -fuzz=FuzzCoordinatorRequests ./internal/fabric
 	$(FUZZ) -fuzz=FuzzNeighbors ./internal/ml/knn
+	$(FUZZ) -fuzz=FuzzKernelMatchesEngine ./internal/sim
