@@ -184,7 +184,8 @@ func (e *Engine) evalFrom(start int) {
 		case netlist.FuncConst1:
 			v = ^uint64(0)
 		default:
-			// Unreachable for compiled programs; fail loudly in development.
+			// Programmer error: Compile emits only the library's combinational
+			// funcs, whatever netlist Parse accepted (FuzzKernelMatchesEngine).
 			panic(fmt.Sprintf("sim: unsupported op %v", o.fn))
 		}
 		nets[o.out] = v

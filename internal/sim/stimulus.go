@@ -115,6 +115,8 @@ func (t *Trace) XORWord(cycle, m int, mask uint64) {
 // to put back the rows a batch's window dirtied.
 func (t *Trace) CopyCycles(src *Trace, from, to int) {
 	if len(t.Monitors) != len(src.Monitors) || t.cycles != src.cycles {
+		// Programmer error: the campaign path builds both traces over its
+		// runner's monitors and stimulus.
 		panic("sim: CopyCycles across mismatched traces")
 	}
 	nm := len(t.Monitors)
