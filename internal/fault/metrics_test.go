@@ -48,6 +48,7 @@ func TestCampaignMetrics(t *testing.T) {
 		"ffr_campaign_kernel_ops",
 		"ffr_campaign_kernel_slots",
 		"ffr_campaign_kernel_hold_captures",
+		"ffr_campaign_kernel_removed_ops",
 	} {
 		if !strings.Contains(text, fam) {
 			t.Fatalf("exposition missing %s:\n%s", fam, text)
@@ -95,9 +96,12 @@ func TestCampaignMetrics(t *testing.T) {
 	}
 	st := k.Stats()
 	for name, want := range map[string]int{
-		"ffr_campaign_kernel_ops":           st.KernelOps,
-		"ffr_campaign_kernel_slots":         st.Slots,
-		"ffr_campaign_kernel_hold_captures": st.Holds,
+		"ffr_campaign_kernel_ops":                       st.KernelOps,
+		"ffr_campaign_kernel_slots":                     st.Slots,
+		"ffr_campaign_kernel_hold_captures":             st.Holds,
+		`ffr_campaign_kernel_removed_ops{pass="fold"}`:  st.Folded,
+		`ffr_campaign_kernel_removed_ops{pass="fuse"}`:  st.Fused,
+		`ffr_campaign_kernel_removed_ops{pass="prune"}`: st.Pruned,
 	} {
 		if got := get(name); got != float64(want) || want == 0 {
 			t.Fatalf("%s = %v, the kernel's stats say %d", name, got, want)
