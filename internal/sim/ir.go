@@ -71,7 +71,7 @@ type irOp struct {
 	in   [6]int32
 	nin  int8
 	dead bool // folded away by simplify
-	live bool // reaches an observed value (set by prune; cleared by the hold fold and wide fusion)
+	live bool // reaches an observed value (set by prune; cleared when folded into a hold or absorbed)
 }
 
 // KernelStats summarizes what the kernel compiler did to a program.
