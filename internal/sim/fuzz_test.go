@@ -126,9 +126,9 @@ output o3 h3
 }
 
 // FuzzKernelMatchesEngine is differential: whatever netlist the parser
-// accepts, its compiled kernel over a 4-word batch must produce, through 16
-// seeded cycles of random inputs and flip-flop upsets, every output word and
-// every flip-flop word of four packed Engines, one per batch word.
+// accepts, its compiled kernel over a 4-word batch must match four packed
+// Engines and the scalar reference through 16 seeded cycles of random inputs
+// and flip-flop upsets (matchInterpreters).
 func FuzzKernelMatchesEngine(f *testing.F) {
 	for _, seed := range kernelSeeds {
 		if _, err := netlist.Parse(bytes.NewReader([]byte(seed.gnl))); err != nil {
@@ -152,45 +152,6 @@ func FuzzKernelMatchesEngine(f *testing.F) {
 		if err != nil {
 			t.Fatalf("kernel of a compiled program: %v", err)
 		}
-		const W = sim.DefaultKernelWords
-		ke := sim.NewKernelEngine(k, W)
-		var narrow [W]*sim.Engine
-		for w := range narrow {
-			narrow[w] = sim.NewEngine(p)
-		}
-		rng := rand.New(rand.NewSource(seed))
-		nIn, nOut, nFF := p.NumInputs(), p.NumOutputs(), p.NumFFs()
-		for cycle := 0; cycle < 16; cycle++ {
-			for i := 0; i < nIn; i++ {
-				v := rng.Intn(2) == 1
-				ke.SetInputBool(i, v)
-				for _, e := range narrow {
-					e.SetInputBool(i, v)
-				}
-			}
-			for w := 0; w < W && nFF > 0; w++ {
-				ff, mask := rng.Intn(nFF), rng.Uint64()
-				ke.FlipFF(ff, w, mask)
-				narrow[w].FlipFF(ff, mask)
-			}
-			ke.Eval()
-			for w, e := range narrow {
-				e.Eval()
-				for i := 0; i < nOut; i++ {
-					if got, want := ke.OutputWord(i, w), e.Output(i); got != want {
-						t.Fatalf("cycle %d out %d word %d: kernel %016x, engine %016x", cycle, i, w, got, want)
-					}
-				}
-			}
-			ke.Commit()
-			for w, e := range narrow {
-				e.Commit()
-				for ff := 0; ff < nFF; ff++ {
-					if got, want := ke.FFWord(ff, w), e.FFState(ff); got != want {
-						t.Fatalf("cycle %d ff %d word %d: kernel %016x, engine %016x", cycle, ff, w, got, want)
-					}
-				}
-			}
-		}
+		matchInterpreters(t, p, k, sim.DefaultKernelWords, 16, rand.New(rand.NewSource(seed)))
 	})
 }

@@ -173,17 +173,21 @@ func randKernelNetlist(seed int64) (*netlist.Netlist, error) {
 	return b.Finish()
 }
 
-// TestKernelMatchesInterpreters drives one KernelEngine of W words, for
-// every W the row holds, against W independent packed Engines (word w ≡
-// narrow batch w) and a ScalarEngine shadowing lane 0 of word 0, with
-// per-word random flip schedules, asserting every output word agrees on
-// every cycle and every flip-flop word after every clock edge.
+// TestKernelMatchesInterpreters holds a KernelEngine of W words, for every
+// W the row holds, to the interpreters (matchInterpreters) on 25 random
+// netlists.
 func TestKernelMatchesInterpreters(t *testing.T) {
 	var tot sim.KernelStats
 	wide := map[string]int{"AO222": 0, "MuxA": 0, "MuxB": 0, "Xor3": 0}
 	for seed := int64(1); seed <= 25; seed++ {
 		for W := 1; W <= sim.DefaultKernelWords; W++ {
-			k := kernelMatchesInterpreters(t, seed, W)
+			var k *sim.Kernel
+			t.Run(fmt.Sprintf("seed%d-W%d", seed, W), func(t *testing.T) {
+				k = kernelMatchesInterpreters(t, seed, W)
+			})
+			if k == nil {
+				continue
+			}
 			st := k.Stats()
 			tot.Fused += st.Fused
 			tot.Folded += st.Folded
@@ -211,27 +215,36 @@ func TestKernelMatchesInterpreters(t *testing.T) {
 // kernelMatchesInterpreters runs one (netlist seed, batch width) case and
 // returns the kernel it checked.
 func kernelMatchesInterpreters(t *testing.T, seed int64, W int) *sim.Kernel {
-	rng := rand.New(rand.NewSource(seed*7919 + int64(W)))
 	nl, err := randKernelNetlist(seed)
 	if err != nil {
-		t.Fatalf("seed %d: %v", seed, err)
+		t.Fatal(err)
 	}
 	p, err := sim.Compile(nl)
 	if err != nil {
-		t.Fatalf("seed %d: %v", seed, err)
+		t.Fatal(err)
 	}
 	k, err := sim.BuildKernel(p, sim.KernelConfig{})
 	if err != nil {
-		t.Fatalf("seed %d: %v", seed, err)
+		t.Fatal(err)
 	}
-	st := k.Stats()
-	if st.KernelOps > st.ProgramOps {
-		t.Fatalf("seed %d: kernel grew: %+v", seed, st)
+	if st := k.Stats(); st.KernelOps > st.ProgramOps {
+		t.Fatalf("kernel grew: %+v", st)
 	}
+	matchInterpreters(t, p, k, W, 24, rand.New(rand.NewSource(seed*7919+int64(W))))
+	return k
+}
 
+// matchInterpreters drives a KernelEngine of W words through the given
+// number of cycles against W independent packed Engines (word w ≡ narrow
+// batch w) and a ScalarEngine shadowing lane 0 of word 0: random inputs
+// and, on two cycles in three, an upset in one random word. Every output
+// word must agree on every cycle and every flip-flop word after every
+// clock edge.
+func matchInterpreters(t *testing.T, p *sim.Program, k *sim.Kernel, W, cycles int, rng *rand.Rand) {
+	t.Helper()
 	ke := sim.NewKernelEngine(k, W)
 	if ke.Lanes() != W*sim.Lanes {
-		t.Fatalf("seed %d: lanes %d, want %d", seed, ke.Lanes(), W*sim.Lanes)
+		t.Fatalf("lanes %d, want %d", ke.Lanes(), W*sim.Lanes)
 	}
 	narrow := make([]*sim.Engine, W)
 	for w := range narrow {
@@ -240,7 +253,7 @@ func kernelMatchesInterpreters(t *testing.T, seed int64, W int) *sim.Kernel {
 	sc := sim.NewScalarEngine(p)
 
 	nIn, nOut, nFF := p.NumInputs(), p.NumOutputs(), p.NumFFs()
-	for cycle := 0; cycle < 24; cycle++ {
+	for cycle := 0; cycle < cycles; cycle++ {
 		for i := 0; i < nIn; i++ {
 			v := rng.Intn(2) == 1
 			ke.SetInputBool(i, v)
@@ -249,7 +262,7 @@ func kernelMatchesInterpreters(t *testing.T, seed int64, W int) *sim.Kernel {
 			}
 			sc.SetInput(i, v)
 		}
-		if rng.Intn(3) != 0 { // SEU injection on a random word
+		if nFF > 0 && rng.Intn(3) != 0 { // SEU injection on a random word
 			ff, w := rng.Intn(nFF), rng.Intn(W)
 			mask := rng.Uint64() | 1
 			ke.FlipFF(ff, w, mask)
@@ -264,14 +277,13 @@ func kernelMatchesInterpreters(t *testing.T, seed int64, W int) *sim.Kernel {
 			e.Eval()
 			for i := 0; i < nOut; i++ {
 				if got, want := ke.OutputWord(i, w), e.Output(i); got != want {
-					t.Fatalf("seed %d cycle %d out %d word %d: kernel %016x, interp %016x",
-						seed, cycle, i, w, got, want)
+					t.Fatalf("cycle %d out %d word %d: kernel %016x, interp %016x", cycle, i, w, got, want)
 				}
 			}
 		}
 		for i := 0; i < nOut; i++ {
 			if got, want := sc.Output(i), narrow[0].Output(i)&1 == 1; got != want {
-				t.Fatalf("seed %d cycle %d out %d: scalar %v, interp lane0 %v", seed, cycle, i, got, want)
+				t.Fatalf("cycle %d out %d: scalar %v, interp lane0 %v", cycle, i, got, want)
 			}
 		}
 		ke.Commit()
@@ -280,18 +292,16 @@ func kernelMatchesInterpreters(t *testing.T, seed int64, W int) *sim.Kernel {
 			e.Commit()
 			for f := 0; f < nFF; f++ {
 				if got, want := ke.FFWord(f, w), e.FFState(f); got != want {
-					t.Fatalf("seed %d cycle %d ff %d word %d: kernel %016x, interp %016x",
-						seed, cycle, f, w, got, want)
+					t.Fatalf("cycle %d ff %d word %d: kernel %016x, interp %016x", cycle, f, w, got, want)
 				}
 			}
 		}
 		for f := 0; f < nFF; f++ {
 			if got, want := sc.FFState(f), narrow[0].FFState(f)&1 == 1; got != want {
-				t.Fatalf("seed %d cycle %d ff %d: scalar %v, interp lane0 %v", seed, cycle, f, got, want)
+				t.Fatalf("cycle %d ff %d: scalar %v, interp lane0 %v", cycle, f, got, want)
 			}
 		}
 	}
-	return k
 }
 
 // TestKernelPrunedOutputs checks dead-fanout pruning against a restricted
