@@ -286,8 +286,9 @@ func (e *KernelEngine) OutputWord(i, w int) uint64 {
 	return e.regs[e.outAt(i)][w]
 }
 
-// mux is one word of the 2:1 select: s ? b : a.
-func mux(a, b, s uint64) uint64 { return a&^s | b&s }
+// mux is one word of the 2:1 select, s ? b : a, in the three-op form: a&^s
+// | b&s is four on amd64 without ANDN, the default GOAMD64 level.
+func mux(a, b, s uint64) uint64 { return a ^ (a^b)&s }
 
 // Eval executes the kernel bytecode: one fused combinational pass over all
 // lanes of every row. Every instruction reads all its operand words before
@@ -350,7 +351,7 @@ func (e *KernelEngine) Eval() {
 			rd[0], rd[1], rd[2], rd[3] = ^(a[0] ^ b[0]), ^(a[1] ^ b[1]), ^(a[2] ^ b[2]), ^(a[3] ^ b[3])
 		case kMux2:
 			b, s := &regs[ins.b], &regs[ins.c]
-			rd[0], rd[1], rd[2], rd[3] = (a[0]&^s[0])|(b[0]&s[0]), (a[1]&^s[1])|(b[1]&s[1]), (a[2]&^s[2])|(b[2]&s[2]), (a[3]&^s[3])|(b[3]&s[3])
+			rd[0], rd[1], rd[2], rd[3] = mux(a[0], b[0], s[0]), mux(a[1], b[1], s[1]), mux(a[2], b[2], s[2]), mux(a[3], b[3], s[3])
 		case kAOI21:
 			b, c := &regs[ins.b], &regs[ins.c]
 			rd[0], rd[1], rd[2], rd[3] = ^((a[0] & b[0]) | c[0]), ^((a[1] & b[1]) | c[1]), ^((a[2] & b[2]) | c[2]), ^((a[3] & b[3]) | c[3])
@@ -409,7 +410,7 @@ func (e *KernelEngine) Commit() {
 			if i < k.staged {
 				dst = &e.nextQ[i]
 			}
-			dst[0], dst[1], dst[2], dst[3] = q[0]&^m0|x[0]&m0, q[1]&^m1|x[1]&m1, q[2]&^m2|x[2]&m2, q[3]&^m3|x[3]&m3
+			dst[0], dst[1], dst[2], dst[3] = mux(q[0], x[0], m0), mux(q[1], x[1], m1), mux(q[2], x[2], m2), mux(q[3], x[3], m3)
 		}
 	}
 	for _, c := range k.direct {
