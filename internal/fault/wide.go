@@ -52,11 +52,7 @@ const repackFraction = 4
 // stimulus reads those back each cycle). Everything else is dead fanout to
 // the campaign and is pruned. The program memoizes it per port set.
 func (r *Runner) kernel() (*sim.Kernel, error) {
-	keep := append([]int(nil), r.monitors...)
-	for _, lb := range r.stim.Loopbacks() {
-		keep = append(keep, lb.Out)
-	}
-	return r.p.Kernel(keep)
+	return r.p.Kernel(r.stim.ObservedOutputs(r.monitors))
 }
 
 // wideWorkerState is the reusable per-worker simulation state: the wide

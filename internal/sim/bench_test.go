@@ -92,11 +92,7 @@ func macKernelEngine(b *testing.B) *sim.KernelEngine {
 // would: the monitored ports and the loopback sources kept, the rest pruned.
 func campaignKernel(tb testing.TB, p *sim.Program, stim *sim.Stimulus, monitors []int) *sim.Kernel {
 	tb.Helper()
-	keep := append([]int(nil), monitors...)
-	for _, lb := range stim.Loopbacks() {
-		keep = append(keep, lb.Out)
-	}
-	k, err := sim.BuildKernel(p, sim.KernelConfig{KeepOutputs: keep})
+	k, err := sim.BuildKernel(p, sim.KernelConfig{KeepOutputs: stim.ObservedOutputs(monitors)})
 	if err != nil {
 		tb.Fatal(err)
 	}

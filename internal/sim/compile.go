@@ -216,6 +216,19 @@ func (p *Program) NumInputs() int { return len(p.inputNets) }
 // NumOutputs returns the number of primary output ports.
 func (p *Program) NumOutputs() int { return len(p.outputNets) }
 
+// resetOutput returns output port i's word after Reset and before any
+// Eval: all ones when a flip-flop initialised to 1 drives it, otherwise 0.
+// That is what the interpreter holds there; a kernel may alias the port to
+// a constant row or, through a buffer, to a Q row.
+func (p *Program) resetOutput(i int) uint64 {
+	for _, ff := range p.ffs {
+		if ff.q == p.outputNets[i] && ff.init {
+			return ^uint64(0)
+		}
+	}
+	return 0
+}
+
 // FFCell returns the netlist cell ID of flip-flop index i (the campaign's
 // injection targets are FF indices; reports map them back to cell names).
 func (p *Program) FFCell(i int) netlist.CellID { return p.ffs[i].cell }

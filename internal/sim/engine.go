@@ -95,6 +95,13 @@ func (e *Engine) ForceFF(ff int, laneMask uint64, value bool) {
 // FFState returns the packed state of flip-flop ff.
 func (e *Engine) FFState(ff int) uint64 { return e.nets[e.p.ffs[ff].q] }
 
+func (e *Engine) ffBits(dst []uint64) {
+	clear(dst)
+	for i, ff := range e.p.ffs {
+		dst[i/64] |= (e.nets[ff.q] & 1) << (i % 64)
+	}
+}
+
 // FFD returns the packed D-pin value of flip-flop ff (valid after Eval):
 // the value the flip-flop will capture at the next Commit.
 func (e *Engine) FFD(ff int) uint64 { return e.nets[e.p.ffs[ff].d] }

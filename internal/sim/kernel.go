@@ -246,6 +246,14 @@ func (e *KernelEngine) SetInputBool(i int, v bool) {
 	*e.row(e.k.inSlot[i]) = krow{word, word, word, word}
 }
 
+// SetInput drives word onto input port i in every batch word in use.
+func (e *KernelEngine) SetInput(i int, word uint64) {
+	row := e.row(e.k.inSlot[i])
+	for w := range e.w {
+		row[w] = word
+	}
+}
+
 // FlipFF inverts flip-flop ff in the lanes of mask within batch word w —
 // the SEU injection primitive, same semantics as Engine.FlipFF per word.
 func (e *KernelEngine) FlipFF(ff, w int, mask uint64) {
@@ -268,6 +276,13 @@ func (e *KernelEngine) FFWord(ff, w int) uint64 {
 	return e.row(e.k.ffQ[ff])[w]
 }
 
+func (e *KernelEngine) ffBits(dst []uint64) {
+	clear(dst)
+	for i, q := range e.k.ffQ {
+		dst[i/64] |= (e.regs[q][0] & 1) << (i % 64)
+	}
+}
+
 // outAt returns the register-file slot of output port i. The port must be
 // in the kernel's kept set.
 func (e *KernelEngine) outAt(i int) int32 {
@@ -285,6 +300,9 @@ func (e *KernelEngine) outAt(i int) int32 {
 func (e *KernelEngine) OutputWord(i, w int) uint64 {
 	return e.regs[e.outAt(i)][w]
 }
+
+// Output returns batch word 0 of output port i, OutputWord(i, 0).
+func (e *KernelEngine) Output(i int) uint64 { return e.OutputWord(i, 0) }
 
 // mux is one word of the 2:1 select, s ? b : a, in the three-op form: a&^s
 // | b&s is four on amd64 without ANDN, the default GOAMD64 level.

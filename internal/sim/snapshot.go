@@ -105,16 +105,12 @@ func (s *Snapshots) Matches(p *Program, stim *Stimulus) error {
 // capture records the golden state at the top of cycle c when c is
 // snapshot-aligned. The engine must be running a lane-uniform (golden)
 // stimulus; lane 0 is taken as canonical.
-func (s *Snapshots) capture(e *Engine, lb []uint64, c int) {
+func (s *Snapshots) capture(e stepper, lb []uint64, c int) {
 	if c%s.every != 0 {
 		return
 	}
 	idx := c / s.every
-	ff := s.ff[idx*s.ffWords : (idx+1)*s.ffWords]
-	clear(ff)
-	for i, info := range e.p.ffs[:s.numFFs] {
-		ff[i/64] |= (e.nets[info.q] & 1) << (i % 64)
-	}
+	e.ffBits(s.ff[idx*s.ffWords : (idx+1)*s.ffWords])
 	copy(s.lb[idx*s.numLb:(idx+1)*s.numLb], lb)
 	if idx >= s.captured {
 		s.captured = idx + 1

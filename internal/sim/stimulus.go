@@ -187,28 +187,54 @@ type RunConfig struct {
 	Snapshots *Snapshots
 }
 
+// stepper is the cycle protocol run drives, on the interpreter (Engine) or
+// on batch word 0 of a compiled kernel (KernelEngine).
+type stepper interface {
+	Reset()
+	SetInputBool(i int, v bool)
+	SetInput(i int, word uint64)
+	Eval()
+	Output(i int) uint64
+	// ffBits packs lane 0 of every flip-flop's state into dst, flip-flop i
+	// at bit i%64 of word i/64.
+	ffBits(dst []uint64)
+	Commit()
+}
+
 // Run executes the stimulus on a freshly reset engine and returns the
 // recorded trace (nil when cfg.Monitors is nil) and activity statistics
 // (nil unless requested).
 func Run(e *Engine, stim *Stimulus, cfg RunConfig) (*Trace, *Activity) {
+	return run(e, e.p, stim, cfg)
+}
+
+// RunKernel is Run on a compiled kernel, bit for bit: the trace, activity
+// and snapshots of batch word 0. The kernel must keep the monitors and the
+// loopback sources (Stimulus.ObservedOutputs).
+func RunKernel(e *KernelEngine, stim *Stimulus, cfg RunConfig) (*Trace, *Activity) {
+	return run(e, e.k.p, stim, cfg)
+}
+
+// run is the one golden cycle loop. Cycle 0's loopback words are what the
+// interpreter reads after Reset (Program.resetOutput), whatever row a kernel
+// holds for the port.
+func run(e stepper, p *Program, stim *Stimulus, cfg RunConfig) (*Trace, *Activity) {
 	e.Reset()
 	var trace *Trace
 	if cfg.Monitors != nil {
 		trace = NewTrace(cfg.Monitors, stim.cycles)
 	}
 	var act *Activity
-	var prev []uint64 // lane 0 of each flip-flop one cycle ago
+	var q, prev []uint64 // lane 0 of every flip-flop, packed: this cycle and the one before
 	if cfg.CollectActivity {
-		n := e.p.NumFFs()
+		n := p.NumFFs()
 		act = &Activity{Ones: make([]int64, n), Toggles: make([]int64, n), Cycles: stim.cycles}
-		prev = make([]uint64, n)
-		for i := range prev {
-			prev[i] = e.FFState(i) & 1
-		}
+		q, prev = make([]uint64, (n+63)/64), make([]uint64, (n+63)/64)
+		e.ffBits(prev)
 	}
 	lb := make([]uint64, len(stim.loopback))
 	for i, l := range stim.loopback {
-		lb[i] = e.Output(l.Out)
+		lb[i] = p.resetOutput(l.Out)
 	}
 	for c := 0; c < stim.cycles; c++ {
 		if cfg.Snapshots != nil {
@@ -235,12 +261,13 @@ func Run(e *Engine, stim *Stimulus, cfg RunConfig) (*Trace, *Activity) {
 		}
 		if act != nil {
 			// Word arithmetic on lane 0, no branch per flip-flop.
-			for i, ff := range e.p.ffs {
-				q := e.nets[ff.q] & 1
-				act.Ones[i] += int64(q)
-				act.Toggles[i] += int64(q ^ prev[i])
-				prev[i] = q
+			e.ffBits(q)
+			for i := range act.Ones {
+				bit := q[i/64] >> (i % 64) & 1
+				act.Ones[i] += int64(bit)
+				act.Toggles[i] += int64(bit ^ prev[i/64]>>(i%64)&1)
 			}
+			q, prev = prev, q
 		}
 		e.Commit()
 	}

@@ -12,6 +12,17 @@ package sim
 // the kernel's observed output set.
 func (s *Stimulus) Loopbacks() []Loopback { return s.loopback }
 
+// ObservedOutputs returns the output ports a run recording monitors reads:
+// the monitors, then every loopback source. It is the kept set of the
+// campaign kernel (Program.Kernel), which prunes everything else.
+func (s *Stimulus) ObservedOutputs(monitors []int) []int {
+	keep := append([]int(nil), monitors...)
+	for _, l := range s.loopback {
+		keep = append(keep, l.Out)
+	}
+	return keep
+}
+
 // RestoreKernel resets the engine and loads snapshot idx into every lane
 // of every batch word, broadcasting the golden flip-flop bits and filling
 // lb (numLb·W words, loopback-major) with the golden loopback words.
