@@ -167,10 +167,10 @@ func TestOneCheckpointMatcher(t *testing.T) {
 }
 
 // TestOneGoldenSimulator: outside bench/, non-test source builds an
-// interpreter engine (sim.NewEngine) in two places only — the golden run of
-// corpus.Materialize, which every golden run (ffr sim's included) goes
-// through, and the SET effect table in internal/fault — so moving the golden
-// run onto the kernel has exactly those two call sites to replace.
+// interpreter engine (sim.NewEngine) in one place only, the SET effect table
+// in internal/fault. Every golden run (ffr sim's included) goes through
+// corpus.Materialize on the campaign's compiled kernel, so the effect table
+// is the one production survivor of the interpreter.
 func TestOneGoldenSimulator(t *testing.T) {
 	var got []string
 	nonTestSource(t, func(rel, src string) {
@@ -178,7 +178,7 @@ func TestOneGoldenSimulator(t *testing.T) {
 			got = append(got, rel)
 		}
 	})
-	if want := []string{"internal/corpus/materialize.go", "internal/fault/modelexec.go"}; !slices.Equal(got, want) {
+	if want := []string{"internal/fault/modelexec.go"}; !slices.Equal(got, want) {
 		t.Fatalf("sim.NewEngine is called in %v, want only %v", got, want)
 	}
 }

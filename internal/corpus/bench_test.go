@@ -21,7 +21,7 @@ func BenchmarkMaterialize(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.Run(sc.Entry.Name, func(b *testing.B) {
-			phases := []string{"generate", "synthesize", "compile", "workload", "golden", "features"}
+			phases := []string{"generate", "synthesize", "compile", "workload", "kernel", "golden", "features"}
 			spent := make([]time.Duration, len(phases))
 			b.ReportAllocs()
 			for b.Loop() {
@@ -41,8 +41,10 @@ func BenchmarkMaterialize(b *testing.B) {
 				lap(err)
 				bench, err := sc.Workload.Build(p, corpus.ScaleDefault, 1)
 				lap(err)
+				k, err := p.Kernel(bench.Stim.ObservedOutputs(bench.Monitors))
+				lap(err)
 				snaps := sim.NewSnapshots(p, bench.Stim, 0)
-				_, act := sim.Run(sim.NewEngine(p), bench.Stim, sim.RunConfig{
+				_, act := sim.RunKernel(sim.NewKernelEngine(k, 1), bench.Stim, sim.RunConfig{
 					Monitors: bench.Monitors, CollectActivity: true, Snapshots: snaps,
 				})
 				lap(nil)

@@ -78,9 +78,13 @@ func (s Scenario) MaterializeWith(scale Scale, seed int64, rewrite func(*netlist
 			s.ID(), bench.ActiveCycles, bench.Stim.Cycles())
 	}
 
-	engine := sim.NewEngine(p)
+	// The golden run executes on the campaign's kernel, memoized on p.
+	k, err := p.Kernel(bench.Stim.ObservedOutputs(bench.Monitors))
+	if err != nil {
+		return nil, fmt.Errorf("corpus: compiling the kernel of %s: %w", s.ID(), err)
+	}
 	snaps := sim.NewSnapshots(p, bench.Stim, 0)
-	golden, act := sim.Run(engine, bench.Stim, sim.RunConfig{
+	golden, act := sim.RunKernel(sim.NewKernelEngine(k, 1), bench.Stim, sim.RunConfig{
 		Monitors:        bench.Monitors,
 		CollectActivity: true,
 		Snapshots:       snaps,

@@ -266,6 +266,7 @@ func EvalScalar(f Func, in []bool) bool {
 	case FuncOAI21:
 		return !((in[0] || in[1]) && in[2])
 	default:
+		// Programmer error: its caller, sim.ScalarEngine, runs only Compile's combinational ops.
 		panic(fmt.Sprintf("netlist: EvalScalar on non-combinational func %v", f))
 	}
 }
@@ -326,6 +327,7 @@ func EvalPacked(f Func, in []uint64) uint64 {
 	case FuncOAI21:
 		return ^((in[0] | in[1]) & in[2])
 	default:
+		// Programmer error: only tests call it, with the library's funcs.
 		panic(fmt.Sprintf("netlist: EvalPacked on non-combinational func %v", f))
 	}
 }

@@ -216,10 +216,9 @@ func (p *Program) NumInputs() int { return len(p.inputNets) }
 // NumOutputs returns the number of primary output ports.
 func (p *Program) NumOutputs() int { return len(p.outputNets) }
 
-// resetOutput returns output port i's word after Reset and before any
-// Eval: all ones when a flip-flop initialised to 1 drives it, otherwise 0.
-// That is what the interpreter holds there; a kernel may alias the port to
-// a constant row or, through a buffer, to a Q row.
+// resetOutput is the interpreter's output port i before the first Eval: all
+// ones if a flip-flop initialised to 1 drives it, else 0. A kernel may hold
+// the port in a constant row or, through a buffer, in a Q row.
 func (p *Program) resetOutput(i int) uint64 {
 	for _, ff := range p.ffs {
 		if ff.q == p.outputNets[i] && ff.init {

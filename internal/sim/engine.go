@@ -44,9 +44,6 @@ func NewEngine(p *Program) *Engine {
 	return e
 }
 
-// Program returns the compiled program this engine runs.
-func (e *Engine) Program() *Program { return e.p }
-
 // Reset loads every flip-flop's initial value into all lanes and clears all
 // other nets.
 func (e *Engine) Reset() {
@@ -96,9 +93,12 @@ func (e *Engine) ForceFF(ff int, laneMask uint64, value bool) {
 func (e *Engine) FFState(ff int) uint64 { return e.nets[e.p.ffs[ff].q] }
 
 func (e *Engine) ffBits(dst []uint64) {
-	clear(dst)
-	for i, ff := range e.p.ffs {
-		dst[i/64] |= (e.nets[ff.q] & 1) << (i % 64)
+	for w := range dst {
+		var word uint64
+		for j, ff := range e.p.ffs[w*64 : min(w*64+64, len(e.p.ffs))] {
+			word |= (e.nets[ff.q] & 1) << (j & 63)
+		}
+		dst[w] = word
 	}
 }
 
@@ -108,9 +108,6 @@ func (e *Engine) FFD(ff int) uint64 { return e.nets[e.p.ffs[ff].d] }
 
 // Output returns the packed word on primary output port i (valid after Eval).
 func (e *Engine) Output(i int) uint64 { return e.nets[e.p.outputNets[i]] }
-
-// Net returns the packed word on an arbitrary net (valid after Eval).
-func (e *Engine) Net(id netlist.NetID) uint64 { return e.nets[id] }
 
 // Eval propagates the combinational logic in levelized order.
 func (e *Engine) Eval() { e.evalFrom(0) }

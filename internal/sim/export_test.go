@@ -1,5 +1,23 @@
 package sim
 
+import "fmt"
+
+// CheckLaneAgainstScalar verifies that lane `lane` of a packed trace matches
+// a scalar run row-for-row; it returns a descriptive error on mismatch.
+func CheckLaneAgainstScalar(t *Trace, scalar [][]bool, lane int) error {
+	if t.cycles != len(scalar) {
+		return fmt.Errorf("sim: trace has %d cycles, scalar %d", t.cycles, len(scalar))
+	}
+	for c := 0; c < t.cycles; c++ {
+		for m := range t.Monitors {
+			if t.Bit(c, m, lane) != scalar[c][m] {
+				return fmt.Errorf("sim: lane %d differs from scalar at cycle %d monitor %d", lane, c, m)
+			}
+		}
+	}
+	return nil
+}
+
 // SlotRefs returns every register-file slot the kernel addresses: each
 // instruction's destination and six operand fields (unused ones are slot
 // 0), every capture's Q and D rows or Q, x and s rows, the input ports, the

@@ -89,9 +89,6 @@ type Kernel struct {
 	stats  KernelStats
 }
 
-// Program returns the program the kernel was compiled from.
-func (k *Kernel) Program() *Program { return k.p }
-
 // Stats reports what the kernel compiler did.
 func (k *Kernel) Stats() KernelStats { return k.stats }
 
@@ -212,9 +209,6 @@ func NewKernelEngine(k *Kernel, words int) *KernelEngine {
 	return e
 }
 
-// Kernel returns the compiled kernel this engine runs.
-func (e *KernelEngine) Kernel() *Kernel { return e.k }
-
 // Words returns the batch width in 64-lane words.
 func (e *KernelEngine) Words() int { return e.w }
 
@@ -248,10 +242,8 @@ func (e *KernelEngine) SetInputBool(i int, v bool) {
 
 // SetInput drives word onto input port i in every batch word in use.
 func (e *KernelEngine) SetInput(i int, word uint64) {
-	row := e.row(e.k.inSlot[i])
-	for w := range e.w {
-		row[w] = word
-	}
+	words := krow{word, word, word, word}
+	copy(e.row(e.k.inSlot[i])[:e.w], words[:e.w])
 }
 
 // FlipFF inverts flip-flop ff in the lanes of mask within batch word w —
@@ -277,9 +269,12 @@ func (e *KernelEngine) FFWord(ff, w int) uint64 {
 }
 
 func (e *KernelEngine) ffBits(dst []uint64) {
-	clear(dst)
-	for i, q := range e.k.ffQ {
-		dst[i/64] |= (e.regs[q][0] & 1) << (i % 64)
+	for w := range dst {
+		var word uint64
+		for j, q := range e.k.ffQ[w*64 : min(w*64+64, len(e.k.ffQ))] {
+			word |= (e.regs[q][0] & 1) << (j & 63)
+		}
+		dst[w] = word
 	}
 }
 

@@ -47,9 +47,6 @@ func (e *ScalarEngine) FFState(ff int) bool { return e.nets[e.p.ffs[ff].q] }
 // Output returns primary output port i (valid after Eval).
 func (e *ScalarEngine) Output(i int) bool { return e.nets[e.p.outputNets[i]] }
 
-// Net returns the value on an arbitrary net (valid after Eval).
-func (e *ScalarEngine) Net(id netlist.NetID) bool { return e.nets[id] }
-
 // Eval propagates combinational logic using the reference semantics.
 func (e *ScalarEngine) Eval() {
 	var buf [4]bool

@@ -1,7 +1,7 @@
 package sim
 
 import (
-	"fmt"
+	"math/bits"
 
 	"repro/internal/durable"
 )
@@ -195,8 +195,7 @@ type stepper interface {
 	SetInput(i int, word uint64)
 	Eval()
 	Output(i int) uint64
-	// ffBits packs lane 0 of every flip-flop's state into dst, flip-flop i
-	// at bit i%64 of word i/64.
+	// ffBits packs lane 0 of every flip-flop's Q, flip-flop i at bit i%64 of dst[i/64].
 	ffBits(dst []uint64)
 	Commit()
 }
@@ -215,9 +214,9 @@ func RunKernel(e *KernelEngine, stim *Stimulus, cfg RunConfig) (*Trace, *Activit
 	return run(e, e.k.p, stim, cfg)
 }
 
-// run is the one golden cycle loop. Cycle 0's loopback words are what the
-// interpreter reads after Reset (Program.resetOutput), whatever row a kernel
-// holds for the port.
+// run is the one cycle loop of Run and RunKernel. Cycle 0's loopback words
+// are what the interpreter reads after Reset (Program.resetOutput), whatever
+// row a kernel holds for the port.
 func run(e stepper, p *Program, stim *Stimulus, cfg RunConfig) (*Trace, *Activity) {
 	e.Reset()
 	var trace *Trace
@@ -260,12 +259,15 @@ func run(e stepper, p *Program, stim *Stimulus, cfg RunConfig) (*Trace, *Activit
 			}
 		}
 		if act != nil {
-			// Word arithmetic on lane 0, no branch per flip-flop.
+			// Set bits only: a cycle costs its ones and toggles, not its flip-flops.
 			e.ffBits(q)
-			for i := range act.Ones {
-				bit := q[i/64] >> (i % 64) & 1
-				act.Ones[i] += int64(bit)
-				act.Toggles[i] += int64(bit ^ prev[i/64]>>(i%64)&1)
+			for w, word := range q {
+				for b := word; b != 0; b &= b - 1 {
+					act.Ones[w*64+bits.TrailingZeros64(b)]++
+				}
+				for b := word ^ prev[w]; b != 0; b &= b - 1 {
+					act.Toggles[w*64+bits.TrailingZeros64(b)]++
+				}
 			}
 			q, prev = prev, q
 		}
@@ -305,20 +307,4 @@ func RunScalar(e *ScalarEngine, stim *Stimulus, monitors []int, preEval func(cyc
 		e.Commit()
 	}
 	return out
-}
-
-// CheckLaneAgainstScalar verifies that lane `lane` of a packed trace matches
-// a scalar run row-for-row; it returns a descriptive error on mismatch.
-func CheckLaneAgainstScalar(t *Trace, scalar [][]bool, lane int) error {
-	if t.cycles != len(scalar) {
-		return fmt.Errorf("sim: trace has %d cycles, scalar %d", t.cycles, len(scalar))
-	}
-	for c := 0; c < t.cycles; c++ {
-		for m := range t.Monitors {
-			if t.Bit(c, m, lane) != scalar[c][m] {
-				return fmt.Errorf("sim: lane %d differs from scalar at cycle %d monitor %d", lane, c, m)
-			}
-		}
-	}
-	return nil
 }

@@ -12,9 +12,8 @@ package sim
 // the kernel's observed output set.
 func (s *Stimulus) Loopbacks() []Loopback { return s.loopback }
 
-// ObservedOutputs returns the output ports a run recording monitors reads:
-// the monitors, then every loopback source. It is the kept set of the
-// campaign kernel (Program.Kernel), which prunes everything else.
+// ObservedOutputs returns the monitors, then every loopback source: the
+// output ports a run reads, and so the campaign kernel's kept set.
 func (s *Stimulus) ObservedOutputs(monitors []int) []int {
 	keep := append([]int(nil), monitors...)
 	for _, l := range s.loopback {
