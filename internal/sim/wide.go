@@ -8,8 +8,7 @@ package sim
 // failure verdicts) are made per 64-lane word.
 
 // Loopbacks returns the stimulus's loopback rules (shared storage; treat
-// as read-only). The fault runner uses it to keep loopback source ports in
-// the kernel's observed output set.
+// as read-only).
 func (s *Stimulus) Loopbacks() []Loopback { return s.loopback }
 
 // ObservedOutputs returns the monitors, then every loopback source: the
