@@ -108,9 +108,10 @@ func TestCLIReference(t *testing.T) {
 	}
 }
 
-// nonTestSource calls visit with the slash-separated path below the
-// repository root and the text of every non-test Go file in it.
-func nonTestSource(t *testing.T, visit func(rel, src string)) {
+// goSource calls visit with the slash-separated path below the repository
+// root and the text of every Go test file in it (tests) or of every other Go
+// file (!tests).
+func goSource(t *testing.T, tests bool, visit func(rel, src string)) {
 	t.Helper()
 	root := filepath.Join("..", "..")
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
@@ -120,7 +121,7 @@ func nonTestSource(t *testing.T, visit func(rel, src string)) {
 		if d.IsDir() && strings.HasPrefix(d.Name(), ".") && path != root {
 			return filepath.SkipDir
 		}
-		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") != tests {
 			return nil
 		}
 		src, err := os.ReadFile(path)
@@ -148,7 +149,7 @@ func nonTestSource(t *testing.T, visit func(rel, src string)) {
 func TestOneCheckpointMatcher(t *testing.T) {
 	call := regexp.MustCompile(`\bfault\.(LoadCheckpoint|SaveCheckpoint)\(|\bPlanFingerprint\(`)
 	inFault := false
-	nonTestSource(t, func(rel, src string) {
+	goSource(t, false, func(rel, src string) {
 		if strings.HasPrefix(rel, "bench/") {
 			return
 		}
@@ -173,7 +174,7 @@ func TestOneCheckpointMatcher(t *testing.T) {
 // is the one production survivor of the interpreter.
 func TestOneGoldenSimulator(t *testing.T) {
 	var got []string
-	nonTestSource(t, func(rel, src string) {
+	goSource(t, false, func(rel, src string) {
 		if !strings.HasPrefix(rel, "bench/") && strings.Contains(src, "sim.NewEngine(") {
 			got = append(got, rel)
 		}
@@ -189,7 +190,7 @@ func TestOneGoldenSimulator(t *testing.T) {
 func TestEnvironmentReference(t *testing.T) {
 	read := map[string]bool{}
 	envCall := regexp.MustCompile(`(Getenv|LookupEnv|Environ)\(("(\w+)")?`)
-	nonTestSource(t, func(rel, src string) {
+	goSource(t, false, func(rel, src string) {
 		for _, m := range envCall.FindAllStringSubmatch(src, -1) {
 			if path.Dir(rel) != "internal/cli" {
 				t.Errorf("%s reads the environment (%s); only internal/cli may", rel, m[0])
@@ -219,5 +220,59 @@ func TestEnvironmentReference(t *testing.T) {
 		if !documented[name] {
 			t.Errorf("environment variable %s is not documented in docs/CLI.md", name)
 		}
+	}
+}
+
+// TestFuzzSmokeListsEveryTarget: make fuzz-smoke runs every Fuzz* target in
+// the tree, each on its own `$(FUZZ) -fuzz=<name> ./<pkg>` line, and names
+// no target that does not exist.
+func TestFuzzSmokeListsEveryTarget(t *testing.T) {
+	var defined []string
+	fuzzFunc := regexp.MustCompile(`(?m)^func (Fuzz\w+)\(`)
+	goSource(t, true, func(rel, src string) {
+		for _, m := range fuzzFunc.FindAllStringSubmatch(src, -1) {
+			defined = append(defined, m[1]+" ./"+path.Dir(rel))
+		}
+	})
+	if len(defined) == 0 {
+		t.Fatal("found no Fuzz* targets in the source")
+	}
+
+	mk, err := os.ReadFile(filepath.Join("..", "..", "Makefile"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, recipe, ok := strings.Cut(string(mk), "\nfuzz-smoke:\n")
+	if !ok {
+		t.Fatal("the Makefile has no fuzz-smoke target")
+	}
+	var listed []string
+	run := regexp.MustCompile(`^\t\$\(FUZZ\) -fuzz=(\w+) (\./\S+)$`)
+	for _, line := range strings.Split(recipe, "\n") {
+		if !strings.HasPrefix(line, "\t") {
+			break
+		}
+		m := run.FindStringSubmatch(line)
+		if m == nil {
+			t.Errorf("fuzz-smoke line %q is not `$(FUZZ) -fuzz=<name> ./<pkg>`", line)
+			continue
+		}
+		listed = append(listed, m[1]+" "+m[2])
+	}
+
+	slices.Sort(defined)
+	slices.Sort(listed)
+	for _, target := range defined {
+		if !slices.Contains(listed, target) {
+			t.Errorf("fuzz target %s is not run by make fuzz-smoke", target)
+		}
+	}
+	for _, target := range listed {
+		if !slices.Contains(defined, target) {
+			t.Errorf("make fuzz-smoke runs %s, which is not a fuzz target", target)
+		}
+	}
+	if !t.Failed() && !slices.Equal(defined, listed) {
+		t.Errorf("make fuzz-smoke runs a target twice:\n%s", strings.Join(listed, "\n"))
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"repro"
 	"repro/internal/cli"
 	"repro/internal/ml/metrics"
+	"repro/internal/plan"
 )
 
 // runPlan runs the active-learning campaign planner: instead of
@@ -113,20 +114,25 @@ func runPlan(c *cli.Cmd) error {
 	if budgetFFs < 1 {
 		budgetFFs = 1
 	}
+	acquire, err := plan.New(*strategy, repro.CommitteeMembers())
+	if err != nil {
+		return err
+	}
 	var trajectory [][]string
-	adaptive, err := repro.NewAdaptiveStudy(study, repro.AdaptiveStudyConfig{
-		Strategy:   *strategy,
-		Model:      spec,
-		Seed:       *seed,
-		InitFFs:    *initFFs,
-		RoundFFs:   *batch,
-		MaxRounds:  *rounds,
-		BudgetFFs:  budgetFFs,
-		DeltaTol:   *delta,
-		CIWidthTol: *ciWidth,
-		Patience:   *patience,
-		Checkpoint: *checkpoint,
-		Resume:     *resume,
+	loop, err := repro.NewAdaptiveStudy(study, repro.AdaptiveStudyConfig{
+		Strategy:       acquire,
+		Model:          spec.Factory,
+		ModelName:      spec.Name,
+		Seed:           *seed,
+		InitFFs:        *initFFs,
+		RoundFFs:       *batch,
+		MaxRounds:      *rounds,
+		BudgetFFs:      budgetFFs,
+		DeltaTol:       *delta,
+		CIWidthTol:     *ciWidth,
+		Patience:       *patience,
+		CheckpointPath: *checkpoint,
+		Resume:         *resume,
 		OnRound: func(r repro.AdaptiveRound) {
 			trajectory = append(trajectory, []string{
 				strconv.Itoa(r.Index), strconv.Itoa(len(r.Selected)),
@@ -149,7 +155,7 @@ func runPlan(c *cli.Cmd) error {
 	// loop checkpoint are flushed, and -resume picks the loop back up
 	// bit-identically.
 	start := time.Now()
-	res, err := adaptive.RunContext(c.Ctx)
+	res, err := loop.RunContext(c.Ctx)
 	if err != nil {
 		if errors.Is(err, repro.ErrCampaignInterrupted) && *checkpoint != "" {
 			fmt.Fprintf(c.Stderr, "plan: loop state saved to %s; rerun with -resume to continue\n", *checkpoint)

@@ -62,10 +62,11 @@ func runServe(c *cli.Cmd) error {
 	defer stop()
 
 	srv := serve.New(serve.Config{
-		Pool:   serve.PoolConfig{Workers: *workers},
-		Cache:  serve.CacheConfig{Size: *cache},
-		Limits: serve.LimitConfig{QueueDepth: *queue, RetryAfterSeconds: *retryAfter},
-		Logger: tel.Logger,
+		Workers:           *workers,
+		CacheSize:         *cache,
+		QueueDepth:        *queue,
+		RetryAfterSeconds: *retryAfter,
+		Logger:            tel.Logger,
 	})
 	for _, path := range models {
 		a, err := srv.LoadArtifact(path)

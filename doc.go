@@ -23,8 +23,8 @@
 // Adaptive campaigns replace the exhaustive ground truth with a closed
 // select → inject → retrain loop:
 //
-//	adaptive, err := repro.NewAdaptiveStudy(study, repro.AdaptiveStudyConfig{
-//	    Strategy: repro.StrategyCommittee,
+//	loop, err := repro.NewAdaptiveStudy(study, repro.AdaptiveStudyConfig{
+//	    BudgetFFs: study.NumFFs() / 4, // committee strategy, k-NN estimate
 //	})
-//	result, err := adaptive.Run()
+//	result, err := loop.Run()
 package repro

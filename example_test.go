@@ -155,8 +155,8 @@ func Example_activeLearning() {
 
 	// The same loop as a live campaign on half of all flip-flops.
 	adaptive, err := repro.NewAdaptiveStudy(study, repro.AdaptiveStudyConfig{
-		Strategy:  repro.StrategyCommittee,
-		Model:     spec,
+		Model:     spec.Factory,
+		ModelName: spec.Name,
 		Seed:      2,
 		BudgetFFs: study.NumFFs() / 2,
 		MaxRounds: 8,
@@ -260,8 +260,7 @@ func Example_adaptiveCampaign() {
 		log.Fatal(err)
 	}
 	adaptive, err := repro.NewAdaptiveStudy(study, repro.AdaptiveStudyConfig{
-		Strategy: repro.StrategyCommittee,
-		DeltaTol: 0.005,
+		DeltaTol: 0.005, // committee strategy, k-NN estimate
 		Patience: 2,
 		OnRound: func(r repro.AdaptiveRound) {
 			fmt.Printf("round %d: %d FFs measured, FFR estimate %.4f\n",

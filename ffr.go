@@ -71,10 +71,8 @@ type (
 	TransferMatrix = core.TransferMatrix
 	// TransferCell is one (train → test) transfer measurement.
 	TransferCell = core.TransferCell
-	// AdaptiveStudy couples a Study with the active-learning campaign
-	// planner (train → score disagreement → inject → retrain).
-	AdaptiveStudy = core.AdaptiveStudy
-	// AdaptiveStudyConfig assembles an adaptive campaign over a study.
+	// AdaptiveStudyConfig assembles an adaptive campaign over a study: the
+	// planner's configuration, with the study as its target.
 	AdaptiveStudyConfig = core.AdaptiveConfig
 	// AdaptiveRound reports one completed planner round.
 	AdaptiveRound = plan.Round
@@ -170,7 +168,8 @@ var (
 	ParseCorpusScale = corpus.ParseScale
 	// NewCorpusStudy materializes a corpus scenario into a Study.
 	NewCorpusStudy = core.NewCorpusStudy
-	// NewAdaptiveStudy wires an active-learning planner onto a study.
+	// NewAdaptiveStudy wires the active-learning campaign planner (train →
+	// score disagreement → inject → retrain) onto a study.
 	NewAdaptiveStudy = core.NewAdaptiveStudy
 	// AdaptiveStrategyNames lists every built-in acquisition strategy.
 	AdaptiveStrategyNames = plan.StrategyNames

@@ -37,14 +37,10 @@ func (c *Client) httpClient() *http.Client {
 // Do round-trips one JSON request: method + path against Base, in as the
 // body (nil for none), the response decoded into out (nil to discard). A
 // non-2xx response decodes the error envelope and returns it as *Error.
-func (c *Client) Do(method, path string, in, out any) error {
-	return c.DoCtx(context.Background(), method, path, in, out)
-}
-
-// DoCtx is Do with a caller context: the request is cancellable, and a
-// trace carried by the context (obs.ContextWithTrace) is stamped onto the
-// outbound headers so the server joins the caller's trace.
-func (c *Client) DoCtx(ctx context.Context, method, path string, in, out any) error {
+// The request is cancellable through ctx, and a trace carried by ctx
+// (obs.ContextWithTrace) is stamped onto the outbound headers so the server
+// joins the caller's trace.
+func (c *Client) Do(ctx context.Context, method, path string, in, out any) error {
 	var body *bytes.Reader
 	if in != nil {
 		b, err := json.Marshal(in)
@@ -85,27 +81,27 @@ func (c *Client) DoCtx(ctx context.Context, method, path string, in, out any) er
 // Predict posts one prediction request.
 func (c *Client) Predict(req PredictRequest) (PredictResponse, error) {
 	var resp PredictResponse
-	err := c.Do(http.MethodPost, "/v1/predict", req, &resp)
+	err := c.Do(context.Background(), http.MethodPost, "/v1/predict", req, &resp)
 	return resp, err
 }
 
 // Models lists the served models.
 func (c *Client) Models() (ModelsResponse, error) {
 	var resp ModelsResponse
-	err := c.Do(http.MethodGet, "/v1/models", nil, &resp)
+	err := c.Do(context.Background(), http.MethodGet, "/v1/models", nil, &resp)
 	return resp, err
 }
 
 // Harden posts one hardening-plan request.
 func (c *Client) Harden(req HardenRequest) (HardenResponse, error) {
 	var resp HardenResponse
-	err := c.Do(http.MethodPost, "/v1/harden", req, &resp)
+	err := c.Do(context.Background(), http.MethodPost, "/v1/harden", req, &resp)
 	return resp, err
 }
 
 // Reload triggers a hot reload of file-backed artifacts.
 func (c *Client) Reload(req ReloadRequest) (ReloadResponse, error) {
 	var resp ReloadResponse
-	err := c.Do(http.MethodPost, "/v1/models/reload", req, &resp)
+	err := c.Do(context.Background(), http.MethodPost, "/v1/models/reload", req, &resp)
 	return resp, err
 }

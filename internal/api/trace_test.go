@@ -65,7 +65,7 @@ func TestErrorEnvelopeCarriesTraceID(t *testing.T) {
 	}
 }
 
-func TestClientDoCtxStampsHeaders(t *testing.T) {
+func TestClientDoStampsHeaders(t *testing.T) {
 	var gotTrace, gotSpan string
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		gotTrace = r.Header.Get(HeaderTraceID)
@@ -76,7 +76,7 @@ func TestClientDoCtxStampsHeaders(t *testing.T) {
 
 	ctx := obs.ContextWithTrace(context.Background(), obs.Trace{TraceID: "0123456789abcdef", SpanID: "deadbeef"})
 	var resp HealthResponse
-	if err := NewClient(srv.URL).DoCtx(ctx, http.MethodGet, "/healthz", nil, &resp); err != nil {
+	if err := NewClient(srv.URL).Do(ctx, http.MethodGet, "/healthz", nil, &resp); err != nil {
 		t.Fatal(err)
 	}
 	if gotTrace != "0123456789abcdef" || gotSpan != "deadbeef" {

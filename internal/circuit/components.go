@@ -121,8 +121,7 @@ func Decoder(b *netlist.Builder, sel Word) []netlist.NetID {
 // len(inputs) must equal 1<<len(sel).
 func MuxTree(b *netlist.Builder, inputs []netlist.NetID, sel Word) netlist.NetID {
 	if len(inputs) != 1<<uint(len(sel)) {
-		// Builder sticky errors keep generator code clean; reuse that: an
-		// impossible mux arity is a programming error in the generator.
+		// Programmer error: every caller's arity is fixed by its generator.
 		panic(fmt.Sprintf("circuit: MuxTree with %d inputs, %d select bits", len(inputs), len(sel)))
 	}
 	layer := append([]netlist.NetID(nil), inputs...)

@@ -55,6 +55,7 @@ func CRC32Bytes(data []byte) uint32 {
 // register value. Gate cost: 8 stages × (1 + popcount(poly)) XOR2 gates.
 func CRC32ByteStep(b *netlist.Builder, crc Word, data Word) Word {
 	if len(crc) != 32 || len(data) != 8 {
+		// Programmer error: NewCRCEngine, the one caller, declares both widths.
 		panic(fmt.Sprintf("circuit: CRC32ByteStep wants 32+8 bits, got %d+%d", len(crc), len(data)))
 	}
 	cur := crc

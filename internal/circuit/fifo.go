@@ -62,6 +62,7 @@ func stateOrTMRWord(b *netlist.Builder, hardened bool, name string, width int, i
 
 func newFIFO(b *netlist.Builder, name string, depth int, din Word, push, pop netlist.NetID, hardened bool) *FIFO {
 	if depth < 2 || depth&(depth-1) != 0 {
+		// Programmer error: every generator's Validate checks its FIFO depth first.
 		panic(fmt.Sprintf("circuit: FIFO depth %d not a power of two >= 2", depth))
 	}
 	popScope := b.Scope(name)

@@ -36,11 +36,11 @@ func tmrVoterTypes() (and2, or3 *netlist.CellType) {
 	lib := netlist.StdLib()
 	and2, err := lib.Lookup("AND2_X1")
 	if err != nil {
-		panic(err)
+		panic(err) // programmer error: StdLib always has AND2_X1
 	}
 	or3, err = lib.Lookup("OR3_X1")
 	if err != nil {
-		panic(err)
+		panic(err) // programmer error: StdLib always has OR3_X1
 	}
 	return and2, or3
 }

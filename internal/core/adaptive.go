@@ -11,49 +11,12 @@ import (
 	"repro/internal/plan"
 )
 
-// AdaptiveConfig assembles an active-learning campaign over a Study. The
-// zero value is usable: committee strategy, paper k-NN estimate model, and
-// the plan package's default budgets (half the pool at ~1/16-pool rounds).
-type AdaptiveConfig struct {
-	// Strategy is the acquisition strategy name (plan.StrategyNames);
-	// "" means committee.
-	Strategy string
-	// Model is the estimate model retrained every round and returned in
-	// the result; the zero value selects the paper's k-NN.
-	Model ModelSpec
-	// Seed drives the random draws: every round of the random strategy,
-	// round 0 of committee.
-	Seed int64
-	// Pool restricts measurement to these flip-flops; nil means all.
-	Pool []int
-	// Per-round budgets and convergence criteria, as in plan.Config.
-	InitFFs    int
-	RoundFFs   int
-	MaxRounds  int
-	BudgetFFs  int
-	DeltaTol   float64
-	CIWidthTol float64
-	Patience   int
-	// Checkpoint enables loop checkpointing to this file (rounds in flight
-	// checkpoint to "<Checkpoint>.round<N>" on the campaign runner); Resume
-	// picks an interrupted loop back up bit-identically.
-	Checkpoint string
-	Resume     bool
-	// OnRound, when non-nil, receives every completed round.
-	OnRound func(plan.Round)
-}
-
-// AdaptiveStudy couples a Study with an active-learning campaign planner:
-// instead of RunGroundTruth's exhaustive flat campaign, Run measures only
-// the flip-flops the acquisition strategy asks for, round by round, until
-// the circuit-level FFR estimate converges or the budget is spent.
-type AdaptiveStudy struct {
-	*Study
-	// Planner is the configured loop; most callers just Run it.
-	Planner *plan.Loop
-	// StrategyName records the resolved acquisition strategy.
-	StrategyName string
-}
+// AdaptiveConfig assembles an active-learning campaign over a Study: the
+// planner's own configuration, with the study as its Target. The zero value
+// is usable: committee strategy, the paper's k-NN estimate model, the
+// study's telemetry and the plan package's default budgets (half the pool
+// at ~1/16-pool rounds).
+type AdaptiveConfig = plan.Config
 
 // CommitteeMembers returns the model zoo the committee strategy measures
 // disagreement across: the paper's linear least squares and k-NN plus the
@@ -67,57 +30,36 @@ func CommitteeMembers() []plan.Member {
 	return members
 }
 
-// NewAdaptiveStudy wires an active-learning planner onto a study. The study
-// does not need ground truth: rounds run real partial campaigns on the
-// study's incremental runner path (golden trace and snapshots reused).
-func NewAdaptiveStudy(s *Study, cfg AdaptiveConfig) (*AdaptiveStudy, error) {
-	spec := cfg.Model
-	if spec.Name == "" {
-		spec = PaperModels()[1] // the paper's best model, k-NN
+// NewAdaptiveStudy wires an active-learning planner onto a study: instead
+// of RunGroundTruth's exhaustive flat campaign, the returned loop measures
+// only the flip-flops its strategy asks for, round by round, on real
+// partial campaigns of the study's runner path (golden trace and snapshots
+// reused). The study is the loop's Target, so cfg.Target must be nil; a nil
+// Strategy is committee, a nil Model the paper's k-NN, and nil Metrics and
+// Logger are the study's.
+func NewAdaptiveStudy(s *Study, cfg AdaptiveConfig) (*plan.Loop, error) {
+	if cfg.Target != nil {
+		return nil, fmt.Errorf("core: adaptive study: the study is the target; Target must be nil")
 	}
-	name := cfg.Strategy
-	if name == "" {
-		name = plan.StrategyCommittee
+	cfg.Target = &studyTarget{study: s}
+	if cfg.Strategy == nil {
+		cfg.Strategy = plan.Committee{Members: CommitteeMembers()}
 	}
-	strategy, err := plan.New(name, CommitteeMembers())
+	if cfg.Model == nil {
+		knn := PaperModels()[1] // the paper's best model
+		cfg.Model, cfg.ModelName = knn.Factory, knn.Name
+	}
+	if cfg.Metrics == nil {
+		cfg.Metrics = s.Config.Metrics
+	}
+	if cfg.Logger == nil {
+		cfg.Logger = s.Config.Logger
+	}
+	loop, err := plan.NewLoop(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("core: adaptive study: %w", err)
 	}
-	loop, err := plan.NewLoop(plan.Config{
-		Target:         &studyTarget{study: s},
-		Strategy:       strategy,
-		Model:          spec.Factory,
-		ModelName:      spec.Name,
-		Seed:           cfg.Seed,
-		Pool:           cfg.Pool,
-		InitFFs:        cfg.InitFFs,
-		RoundFFs:       cfg.RoundFFs,
-		MaxRounds:      cfg.MaxRounds,
-		BudgetFFs:      cfg.BudgetFFs,
-		DeltaTol:       cfg.DeltaTol,
-		CIWidthTol:     cfg.CIWidthTol,
-		Patience:       cfg.Patience,
-		CheckpointPath: cfg.Checkpoint,
-		Resume:         cfg.Resume,
-		OnRound:        cfg.OnRound,
-		Metrics:        s.Config.Metrics,
-		Logger:         s.Config.Logger,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("core: adaptive study: %w", err)
-	}
-	return &AdaptiveStudy{Study: s, Planner: loop, StrategyName: name}, nil
-}
-
-// Run executes the adaptive campaign to completion.
-func (a *AdaptiveStudy) Run() (*plan.Result, error) {
-	return a.Planner.Run()
-}
-
-// RunContext is Run with cancellation: an interrupted loop flushes its
-// checkpoints (when configured) and can be resumed bit-identically.
-func (a *AdaptiveStudy) RunContext(ctx context.Context) (*plan.Result, error) {
-	return a.Planner.RunContext(ctx)
+	return loop, nil
 }
 
 // studyTarget adapts a Study to the planner's injection backend: every round

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"log/slog"
 	"math/rand"
 	"path/filepath"
 	"reflect"
@@ -13,6 +15,7 @@ import (
 
 	"repro/internal/corpus"
 	"repro/internal/fault"
+	"repro/internal/obs"
 	"repro/internal/plan"
 )
 
@@ -111,9 +114,9 @@ func adaptiveResumeStudy(t *testing.T) *Study {
 
 func adaptiveResumeConfig(ckpt string, resume bool) AdaptiveConfig {
 	return AdaptiveConfig{
-		Strategy: plan.StrategyCommittee, Seed: 9,
+		Seed:    9,
 		InitFFs: 12, RoundFFs: 12, BudgetFFs: 36,
-		Checkpoint: ckpt, Resume: resume,
+		CheckpointPath: ckpt, Resume: resume,
 	}
 }
 
@@ -321,23 +324,63 @@ func TestRunPartialCampaignRejectsOutOfRange(t *testing.T) {
 
 func TestNewAdaptiveStudyValidation(t *testing.T) {
 	s := smallStudy(t)
-	for _, name := range []string{"nope", "uncertainty", "cluster"} {
-		if _, err := NewAdaptiveStudy(s, AdaptiveConfig{Strategy: name}); err == nil {
-			t.Errorf("unknown strategy %q accepted", name)
-		}
-	}
 	if _, err := NewAdaptiveStudy(s, AdaptiveConfig{Resume: true}); err == nil {
 		t.Error("Resume without Checkpoint accepted")
 	}
-	a, err := NewAdaptiveStudy(s, AdaptiveConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.StrategyName != plan.StrategyCommittee {
-		t.Errorf("default strategy %q, want committee", a.StrategyName)
+	if _, err := NewAdaptiveStudy(s, AdaptiveConfig{Target: &studyTarget{study: s}}); err == nil {
+		t.Error("a caller-set Target accepted")
 	}
 	if len(CommitteeMembers()) < 3 {
 		t.Errorf("committee zoo has %d members", len(CommitteeMembers()))
+	}
+}
+
+// TestAdaptiveStudyDefaults: a zero AdaptiveConfig runs the committee
+// strategy with the paper's k-NN estimate model — the same trajectory as
+// naming both — and reports to the study's metrics registry and logger.
+func TestAdaptiveStudyDefaults(t *testing.T) {
+	run := func(cfg AdaptiveConfig, reg *obs.Registry, logger *slog.Logger) *plan.Result {
+		t.Helper()
+		s := adaptiveResumeStudy(t)
+		s.Config.Metrics, s.Config.Logger = reg, logger
+		cfg.Seed, cfg.MaxRounds = 9, 3
+		loop, err := NewAdaptiveStudy(s, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := loop.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	reg := obs.NewRegistry()
+	var logs bytes.Buffer
+	got := run(AdaptiveConfig{}, reg, slog.New(slog.NewTextHandler(&logs, nil)))
+
+	knn := PaperModels()[1]
+	want := run(AdaptiveConfig{Strategy: plan.Committee{Members: CommitteeMembers()}, Model: knn.Factory, ModelName: knn.Name}, nil, nil)
+	if got.ModelFingerprint != want.ModelFingerprint || got.EstimateFingerprint != want.EstimateFingerprint {
+		t.Errorf("zero config: model %016x estimate %016x, committee + k-NN: %016x %016x",
+			got.ModelFingerprint, got.EstimateFingerprint, want.ModelFingerprint, want.EstimateFingerprint)
+	}
+	random := run(AdaptiveConfig{Strategy: plan.Random{}}, nil, nil)
+	if random.ModelFingerprint == got.ModelFingerprint {
+		t.Error("random and committee measured the same flip-flops: the fixture cannot tell strategies apart")
+	}
+	tree := ExtendedModels()[0]
+	other := run(AdaptiveConfig{Model: tree.Factory, ModelName: tree.Name}, nil, nil)
+	if other.EstimateFingerprint == got.EstimateFingerprint {
+		t.Error("a tree estimate equals the k-NN one: the fixture cannot tell models apart")
+	}
+
+	var text strings.Builder
+	reg.WriteText(&text)
+	if !strings.Contains(text.String(), "ffr_plan_round 3") {
+		t.Errorf("study registry has no ffr_plan_round 3:\n%s", text.String())
+	}
+	if !strings.Contains(logs.String(), `msg="loop finished" component=plan`) {
+		t.Errorf("study logger has no planner record:\n%s", logs.String())
 	}
 }
 

@@ -7,8 +7,8 @@
 // the machine-learning estimation
 // protocol used by every experiment in Section IV (Table I, Figures 2–4),
 // the cross-circuit transfer study, and the active-learning extension:
-// NewAdaptiveStudy couples a Study with the plan package's campaign planner
-// so the model chooses where to inject next, and CompareAdaptiveStrategies
+// NewAdaptiveStudy makes a Study the target of the plan package's campaign
+// planner so the model chooses where to inject next, and CompareAdaptiveStrategies
 // measures the resulting budget-vs-quality win against full-campaign
 // training.
 package core

@@ -235,9 +235,11 @@ type EstimateResult struct {
 }
 
 // EstimateFDR runs the paper's flow once: draw a stratified training subset
-// of the given fraction, run the (partial) campaign for those flip-flops,
-// train the model on their measured FDR, and predict every remaining
-// flip-flop. The ground truth must be available for evaluation.
+// of the given fraction, train the model on those flip-flops' FDR, and
+// predict every remaining flip-flop. It reads the training FDR from the
+// ground truth, which must be available, rather than running a partial
+// campaign: by planFor's subset rule a partial campaign over the subset
+// measures exactly the ground truth's counts for it.
 func (s *Study) EstimateFDR(factory ml.Factory, trainFrac float64, seed int64) (*EstimateResult, error) {
 	y, err := s.FDR()
 	if err != nil {

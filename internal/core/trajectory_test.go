@@ -115,7 +115,8 @@ func TestCommitteeTrajectoryPins(t *testing.T) {
 		}
 	}
 	got.WriteString(trajectoryLines(t, "rrarb/pool", s, AdaptiveConfig{Seed: 3, Pool: pool, RoundFFs: 9}))
-	got.WriteString(trajectoryLines(t, "rrarb/svr", s, AdaptiveConfig{Seed: 2, Model: PaperModels()[2], RoundFFs: 12}))
+	svr := PaperModels()[2]
+	got.WriteString(trajectoryLines(t, "rrarb/svr", s, AdaptiveConfig{Seed: 2, Model: svr.Factory, ModelName: svr.Name, RoundFFs: 12}))
 
 	if _, err := s.RunGroundTruth(); err != nil {
 		t.Fatal(err)

@@ -146,7 +146,7 @@ func Register(e *Entry) error {
 // programming error.
 func mustRegister(e *Entry) {
 	if err := Register(e); err != nil {
-		panic(err)
+		panic(err) // programmer error: a builtin family is malformed or registered twice
 	}
 }
 

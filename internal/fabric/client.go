@@ -24,56 +24,41 @@ func NewClientHTTP(base string, h *http.Client) *Client {
 	return &Client{c: c}
 }
 
-// Join announces a worker and fetches the campaign contract.
-func (c *Client) Join(req api.JoinRequest) (api.JoinResponse, error) {
-	return c.JoinCtx(context.Background(), req)
-}
+// Each protocol route is one method. A trace carried by ctx is propagated
+// to the coordinator, so a chunk's lease and its completion correlate under
+// one trace ID across processes; the request dies with ctx.
 
-// JoinCtx is Join with a caller context; a trace carried by the context is
-// propagated to the coordinator.
-func (c *Client) JoinCtx(ctx context.Context, req api.JoinRequest) (api.JoinResponse, error) {
+// Join announces a worker and fetches the campaign contract.
+func (c *Client) Join(ctx context.Context, req api.JoinRequest) (api.JoinResponse, error) {
 	var resp api.JoinResponse
-	err := c.c.DoCtx(ctx, http.MethodPost, "/v1/fabric/join", req, &resp)
+	err := c.c.Do(ctx, http.MethodPost, "/v1/fabric/join", req, &resp)
 	return resp, err
 }
 
 // Lease requests chunks of work.
-func (c *Client) Lease(req api.LeaseRequest) (api.LeaseResponse, error) {
-	return c.LeaseCtx(context.Background(), req)
-}
-
-// LeaseCtx is Lease with a caller context; a trace carried by the context
-// is propagated to the coordinator.
-func (c *Client) LeaseCtx(ctx context.Context, req api.LeaseRequest) (api.LeaseResponse, error) {
+func (c *Client) Lease(ctx context.Context, req api.LeaseRequest) (api.LeaseResponse, error) {
 	var resp api.LeaseResponse
-	err := c.c.DoCtx(ctx, http.MethodPost, "/v1/fabric/lease", req, &resp)
+	err := c.c.Do(ctx, http.MethodPost, "/v1/fabric/lease", req, &resp)
 	return resp, err
 }
 
-// HeartbeatCtx extends the worker's leases; the request dies with ctx.
-func (c *Client) HeartbeatCtx(ctx context.Context, req api.HeartbeatRequest) (api.HeartbeatResponse, error) {
+// Heartbeat extends the worker's leases.
+func (c *Client) Heartbeat(ctx context.Context, req api.HeartbeatRequest) (api.HeartbeatResponse, error) {
 	var resp api.HeartbeatResponse
-	err := c.c.DoCtx(ctx, http.MethodPost, "/v1/fabric/heartbeat", req, &resp)
+	err := c.c.Do(ctx, http.MethodPost, "/v1/fabric/heartbeat", req, &resp)
 	return resp, err
 }
 
 // Complete posts one finished chunk's masks.
-func (c *Client) Complete(req api.CompleteRequest) (api.CompleteResponse, error) {
-	return c.CompleteCtx(context.Background(), req)
-}
-
-// CompleteCtx is Complete with a caller context; a trace carried by the
-// context is propagated to the coordinator, so a chunk's lease and its
-// completion correlate under one trace ID across processes.
-func (c *Client) CompleteCtx(ctx context.Context, req api.CompleteRequest) (api.CompleteResponse, error) {
+func (c *Client) Complete(ctx context.Context, req api.CompleteRequest) (api.CompleteResponse, error) {
 	var resp api.CompleteResponse
-	err := c.c.DoCtx(ctx, http.MethodPost, "/v1/fabric/complete", req, &resp)
+	err := c.c.Do(ctx, http.MethodPost, "/v1/fabric/complete", req, &resp)
 	return resp, err
 }
 
 // Status fetches campaign progress.
-func (c *Client) Status() (api.FabricStatus, error) {
+func (c *Client) Status(ctx context.Context) (api.FabricStatus, error) {
 	var resp api.FabricStatus
-	err := c.c.Do(http.MethodGet, "/v1/fabric/status", nil, &resp)
+	err := c.c.Do(ctx, http.MethodGet, "/v1/fabric/status", nil, &resp)
 	return resp, err
 }

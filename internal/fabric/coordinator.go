@@ -555,13 +555,8 @@ func (c *Coordinator) Status() api.FabricStatus {
 // leased chunk is followable across both processes.
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/fabric/join", func(w http.ResponseWriter, r *http.Request) {
-		var req api.JoinRequest
-		if err := api.ReadJSON(r, w, 1<<20, &req); err != nil {
-			api.WriteError(w, http.StatusBadRequest, api.CodeBadRequest, "bad request body: %v", err)
-			return
-		}
-		c.respond(w, r, "join", req.Worker, func(ctx context.Context) (any, error) {
+	post(c, mux, "join", 1<<20, func(r api.JoinRequest) string { return r.Worker },
+		func(ctx context.Context, req api.JoinRequest) (any, error) {
 			resp, err := c.Join(req)
 			if err == nil {
 				c.log.Info("worker joined",
@@ -571,14 +566,8 @@ func (c *Coordinator) Handler() http.Handler {
 			}
 			return resp, err
 		})
-	})
-	mux.HandleFunc("POST /v1/fabric/lease", func(w http.ResponseWriter, r *http.Request) {
-		var req api.LeaseRequest
-		if err := api.ReadJSON(r, w, 1<<20, &req); err != nil {
-			api.WriteError(w, http.StatusBadRequest, api.CodeBadRequest, "bad request body: %v", err)
-			return
-		}
-		c.respond(w, r, "lease", req.Worker, func(ctx context.Context) (any, error) {
+	post(c, mux, "lease", 1<<20, func(r api.LeaseRequest) string { return r.Worker },
+		func(ctx context.Context, req api.LeaseRequest) (any, error) {
 			resp, err := c.Lease(req)
 			if err == nil && len(resp.Chunks) > 0 {
 				c.log.Info("lease granted",
@@ -589,24 +578,12 @@ func (c *Coordinator) Handler() http.Handler {
 			}
 			return resp, err
 		})
-	})
-	mux.HandleFunc("POST /v1/fabric/heartbeat", func(w http.ResponseWriter, r *http.Request) {
-		var req api.HeartbeatRequest
-		if err := api.ReadJSON(r, w, 1<<20, &req); err != nil {
-			api.WriteError(w, http.StatusBadRequest, api.CodeBadRequest, "bad request body: %v", err)
-			return
-		}
-		c.respond(w, r, "heartbeat", req.Worker, func(ctx context.Context) (any, error) {
+	post(c, mux, "heartbeat", 1<<20, func(r api.HeartbeatRequest) string { return r.Worker },
+		func(ctx context.Context, req api.HeartbeatRequest) (any, error) {
 			return c.Heartbeat(req)
 		})
-	})
-	mux.HandleFunc("POST /v1/fabric/complete", func(w http.ResponseWriter, r *http.Request) {
-		var req api.CompleteRequest
-		if err := api.ReadJSON(r, w, 64<<20, &req); err != nil {
-			api.WriteError(w, http.StatusBadRequest, api.CodeBadRequest, "bad request body: %v", err)
-			return
-		}
-		c.respond(w, r, "complete", req.Worker, func(ctx context.Context) (any, error) {
+	post(c, mux, "complete", 64<<20, func(r api.CompleteRequest) string { return r.Worker },
+		func(ctx context.Context, req api.CompleteRequest) (any, error) {
 			resp, err := c.Complete(req)
 			if err == nil {
 				c.mu.Lock()
@@ -622,7 +599,6 @@ func (c *Coordinator) Handler() http.Handler {
 			}
 			return resp, err
 		})
-	})
 	mux.HandleFunc("GET /v1/fabric/status", func(w http.ResponseWriter, r *http.Request) {
 		api.WriteJSON(w, http.StatusOK, c.Status())
 	})
@@ -633,29 +609,33 @@ func (c *Coordinator) Handler() http.Handler {
 	return api.Traced(mux)
 }
 
-// respond runs one protocol call under a span joined to the worker's
-// propagated trace and maps its outcome to the common error envelope.
-func (c *Coordinator) respond(w http.ResponseWriter, r *http.Request, op, worker string, fn func(context.Context) (any, error)) {
-	ctx, span := c.tracer.Start(r.Context(), "fabric."+op, slog.String("worker", worker))
-	defer span.End()
-	resp, err := fn(ctx)
-	switch {
-	case err == nil:
-		api.WriteJSON(w, http.StatusOK, resp)
-	case errors.Is(err, fault.ErrChunkConflict):
-		c.log.Warn(op+" conflict",
-			"worker", worker, "error", err,
-			"trace_id", obs.TraceIDFrom(ctx))
-		api.WriteError(w, http.StatusConflict, api.CodeConflict, "%v", err)
-	case errors.Is(err, errFailed):
-		c.log.Error(op+" refused",
-			"worker", worker, "error", err,
-			"trace_id", obs.TraceIDFrom(ctx))
-		api.WriteError(w, http.StatusInternalServerError, api.CodeInternal, "%v", err)
-	default:
-		c.log.Warn(op+" rejected",
-			"worker", worker, "error", err,
-			"trace_id", obs.TraceIDFrom(ctx))
-		api.WriteError(w, http.StatusBadRequest, api.CodeBadRequest, "%v", err)
-	}
+// post registers the protocol route POST /v1/fabric/<op>: the body (at most
+// limit bytes) decodes into Req or is answered 400, and call runs under a
+// span joined to the propagated trace of the worker the request names, its
+// outcome mapped to the common error envelope.
+func post[Req any](c *Coordinator, mux *http.ServeMux, op string, limit int64, worker func(Req) string, call func(context.Context, Req) (any, error)) {
+	mux.HandleFunc("POST /v1/fabric/"+op, func(w http.ResponseWriter, r *http.Request) {
+		var req Req
+		if err := api.ReadJSON(r, w, limit, &req); err != nil {
+			api.WriteError(w, http.StatusBadRequest, api.CodeBadRequest, "bad request body: %v", err)
+			return
+		}
+		name := worker(req)
+		ctx, span := c.tracer.Start(r.Context(), "fabric."+op, slog.String("worker", name))
+		defer span.End()
+		resp, err := call(ctx, req)
+		if err == nil {
+			api.WriteJSON(w, http.StatusOK, resp)
+			return
+		}
+		status, code, level, outcome := http.StatusBadRequest, api.CodeBadRequest, slog.LevelWarn, " rejected"
+		switch {
+		case errors.Is(err, fault.ErrChunkConflict):
+			status, code, outcome = http.StatusConflict, api.CodeConflict, " conflict"
+		case errors.Is(err, errFailed):
+			status, code, level, outcome = http.StatusInternalServerError, api.CodeInternal, slog.LevelError, " refused"
+		}
+		c.log.Log(ctx, level, op+outcome, "worker", name, "error", err, "trace_id", obs.TraceIDFrom(ctx))
+		api.WriteError(w, status, code, "%v", err)
+	})
 }

@@ -253,14 +253,14 @@ func TestWorkerCrashRecovery(t *testing.T) {
 	}
 	srv := httptest.NewServer(coord.Handler())
 	defer srv.Close()
-	client := fabric.NewClient(srv.URL)
+	client, ctx := fabric.NewClient(srv.URL), context.Background()
 
 	// The "crashing worker": joins, leases two chunks, dies. It never
 	// heartbeats and never completes, exactly like a killed process.
-	if _, err := client.Join(api.JoinRequest{Worker: "crasher"}); err != nil {
+	if _, err := client.Join(ctx, api.JoinRequest{Worker: "crasher"}); err != nil {
 		t.Fatal(err)
 	}
-	crashed, err := client.Lease(api.LeaseRequest{Worker: "crasher", Max: 2})
+	crashed, err := client.Lease(ctx, api.LeaseRequest{Worker: "crasher", Max: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,10 +342,10 @@ func TestWorkStealing(t *testing.T) {
 	}
 	srv := httptest.NewServer(coord.Handler())
 	defer srv.Close()
-	client := fabric.NewClient(srv.URL)
+	client, ctx := fabric.NewClient(srv.URL), context.Background()
 
 	// The slow worker leases every chunk.
-	slow, err := client.Lease(api.LeaseRequest{Worker: "slow", Max: numChunks})
+	slow, err := client.Lease(ctx, api.LeaseRequest{Worker: "slow", Max: numChunks})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +354,7 @@ func TestWorkStealing(t *testing.T) {
 	}
 
 	// A fast worker finds the queue empty and steals a straggler.
-	fast, err := client.Lease(api.LeaseRequest{Worker: "fast", Max: 1})
+	fast, err := client.Lease(ctx, api.LeaseRequest{Worker: "fast", Max: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +375,7 @@ func TestWorkStealing(t *testing.T) {
 	}
 
 	// Fast completes the stolen chunk first...
-	resp, err := client.Complete(api.CompleteRequest{
+	resp, err := client.Complete(ctx, api.CompleteRequest{
 		Worker: "fast", Chunk: stolen,
 		PlanHash: camp.PlanHashHex(), Masks: api.EncodeMasks(masks[stolen]),
 	})
@@ -386,7 +386,7 @@ func TestWorkStealing(t *testing.T) {
 		t.Fatalf("stolen completion: %+v", resp)
 	}
 	// ...then the slow holder's identical copy arrives: duplicate, accepted.
-	resp, err = client.Complete(api.CompleteRequest{
+	resp, err = client.Complete(ctx, api.CompleteRequest{
 		Worker: "slow", Chunk: stolen,
 		PlanHash: camp.PlanHashHex(), Masks: api.EncodeMasks(masks[stolen]),
 	})
@@ -401,7 +401,7 @@ func TestWorkStealing(t *testing.T) {
 	// code through the common error envelope.
 	bad := append([]uint64(nil), masks[stolen]...)
 	bad[0] ^= 1
-	_, err = client.Complete(api.CompleteRequest{
+	_, err = client.Complete(ctx, api.CompleteRequest{
 		Worker: "evil", Chunk: stolen,
 		PlanHash: camp.PlanHashHex(), Masks: api.EncodeMasks(bad),
 	})
@@ -415,14 +415,14 @@ func TestWorkStealing(t *testing.T) {
 		if ci == stolen {
 			continue
 		}
-		if _, err := client.Complete(api.CompleteRequest{
+		if _, err := client.Complete(ctx, api.CompleteRequest{
 			Worker: "slow", Chunk: ci,
 			PlanHash: camp.PlanHashHex(), Masks: api.EncodeMasks(masks[ci]),
 		}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	st, err := client.Status()
+	st, err := client.Status(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,7 +435,7 @@ func TestWorkStealing(t *testing.T) {
 	}
 
 	// Post-completion leases tell workers to exit.
-	done, err := client.Lease(api.LeaseRequest{Worker: "slow", Max: 1})
+	done, err := client.Lease(ctx, api.LeaseRequest{Worker: "slow", Max: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -501,7 +501,7 @@ func TestFailedCampaignAnswersInternal(t *testing.T) {
 	}
 	srv := httptest.NewServer(coord.Handler())
 	defer srv.Close()
-	client := fabric.NewClient(srv.URL)
+	client, ctx := fabric.NewClient(srv.URL), context.Background()
 	internal := func(what string, err error) {
 		t.Helper()
 		var apiErr *api.Error
@@ -510,13 +510,13 @@ func TestFailedCampaignAnswersInternal(t *testing.T) {
 			t.Fatalf("%s: %v, want 500 %s naming the checkpoint", what, err, api.CodeInternal)
 		}
 	}
-	_, err = client.Complete(api.CompleteRequest{
+	_, err = client.Complete(ctx, api.CompleteRequest{
 		Worker: "a", Chunk: 0, PlanHash: camp.PlanHashHex(), Masks: api.EncodeMasks(done[0]),
 	})
 	internal("complete", err)
-	_, err = client.Lease(api.LeaseRequest{Worker: "b"})
+	_, err = client.Lease(ctx, api.LeaseRequest{Worker: "b"})
 	internal("lease", err)
-	_, err = client.HeartbeatCtx(context.Background(), api.HeartbeatRequest{Worker: "b", Chunks: []int{1}})
+	_, err = client.Heartbeat(ctx, api.HeartbeatRequest{Worker: "b", Chunks: []int{1}})
 	internal("heartbeat", err)
 
 	w, err := fabric.NewWorker(fabric.WorkerConfig{Name: "c", Coordinator: srv.URL, Workers: 1})

@@ -124,7 +124,7 @@ func (w *Worker) heldChunks() []int {
 // returning, so the lease is not wasted.
 func (w *Worker) Run(ctx context.Context) error {
 	joinCtx, joinSpan := w.tracer.Start(ctx, "fabric.join")
-	join, err := w.client.JoinCtx(joinCtx, api.JoinRequest{Worker: w.cfg.Name})
+	join, err := w.client.Join(joinCtx, api.JoinRequest{Worker: w.cfg.Name})
 	joinSpan.End()
 	if err != nil {
 		return fmt.Errorf("fabric: worker %s join: %w", w.cfg.Name, err)
@@ -166,7 +166,7 @@ func (w *Worker) Run(ctx context.Context) error {
 		// processes' logs and span journals.
 		cycleCtx := obs.ContextWithTrace(ctx,
 			obs.Trace{TraceID: obs.NewTraceID(), SpanID: obs.NewSpanID()})
-		lease, err := w.client.LeaseCtx(cycleCtx, api.LeaseRequest{Worker: w.cfg.Name, Max: w.cfg.MaxChunks})
+		lease, err := w.client.Lease(cycleCtx, api.LeaseRequest{Worker: w.cfg.Name, Max: w.cfg.MaxChunks})
 		if err != nil {
 			return fmt.Errorf("fabric: worker %s lease: %w", w.cfg.Name, err)
 		}
@@ -215,7 +215,7 @@ func (w *Worker) runLease(ctx context.Context, chunks []int) error {
 	defer cancel()
 	defer context.AfterFunc(ctx, func() { time.AfterFunc(completeGrace, cancel) })()
 	for _, ci := range slices.Sorted(maps.Keys(done)) {
-		resp, err := w.client.CompleteCtx(postCtx, api.CompleteRequest{
+		resp, err := w.client.Complete(postCtx, api.CompleteRequest{
 			Worker:   w.cfg.Name,
 			Chunk:    ci,
 			PlanHash: w.camp.PlanHashHex(),
@@ -258,7 +258,7 @@ func (w *Worker) heartbeatLoop(ctx context.Context, interval time.Duration) {
 		if len(held) == 0 {
 			continue
 		}
-		resp, err := w.client.HeartbeatCtx(ctx, api.HeartbeatRequest{Worker: w.cfg.Name, Chunks: held})
+		resp, err := w.client.Heartbeat(ctx, api.HeartbeatRequest{Worker: w.cfg.Name, Chunks: held})
 		if err != nil {
 			w.log.Info("heartbeat failed", "error", err)
 			continue

@@ -23,6 +23,7 @@ type Matrix struct {
 // an empty placeholder.
 func New(rows, cols int) *Matrix {
 	if rows < 0 || cols < 0 {
+		// Programmer error: every caller sizes a matrix by lengths of its data.
 		panic(fmt.Sprintf("mat: negative dimension %dx%d", rows, cols))
 	}
 	return &Matrix{rows: rows, cols: cols, data: make([]float64, rows*cols)}

@@ -7,6 +7,7 @@ import "fmt"
 // control both operands.
 func Dot(x, y []float64) float64 {
 	if len(x) != len(y) {
+		// Programmer error: linreg's Predict, the one caller, gets width-checked vectors.
 		panic(fmt.Sprintf("mat: dot length mismatch %d vs %d", len(x), len(y)))
 	}
 	var s float64

@@ -7,6 +7,7 @@ import (
 
 func check(y, yhat []float64) {
 	if len(y) != len(yhat) || len(y) == 0 {
+		// Programmer error: callers score a split's sides, never empty once Fit has accepted it.
 		panic(fmt.Sprintf("metrics: bad lengths %d vs %d", len(y), len(yhat)))
 	}
 }

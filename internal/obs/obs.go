@@ -131,6 +131,7 @@ func (r *Registry) register(name, help, kind string, labels []string, buckets []
 	defer r.mu.Unlock()
 	if f, ok := r.byName[name]; ok {
 		if f.kind != kind || len(f.labels) != len(labels) {
+			// Programmer error: metric names, kinds and labels are constants in the code.
 			panic(fmt.Sprintf("obs: metric %q re-registered as a different kind", name))
 		}
 		return f
@@ -149,6 +150,7 @@ func (r *Registry) register(name, help, kind string, labels []string, buckets []
 // child fetches or creates the labeled child metric of a family.
 func (f *family) child(values []string, make func() any) any {
 	if len(values) != len(f.labels) {
+		// Programmer error: every With call site passes its family's label count.
 		panic(fmt.Sprintf("obs: metric %q wants %d label values, got %d", f.name, len(f.labels), len(values)))
 	}
 	key := strings.Join(values, "\x00")

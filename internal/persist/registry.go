@@ -2,6 +2,7 @@ package persist
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 
 	"repro/internal/ml"
@@ -13,44 +14,33 @@ import (
 	"repro/internal/ml/tree"
 )
 
-// Codec table: stable kind names for the eight concrete regressor and
-// scaler types an artifact can carry. The kind is recorded in the artifact
-// header so a loader can tell what a file contains — and reject files it
-// cannot decode — before touching the gob payload. Pipelines get a composite
-// kind, "pipeline[<scaler>,<model>]", derived recursively.
+// codecKinds is the codec table: stable kind names for the eight concrete
+// regressor and scaler types an artifact can carry. The kind is recorded in
+// the artifact header so a loader can tell what a file contains — and
+// reject files it cannot decode — before touching the gob payload.
+// Pipelines get a composite kind, "pipeline[<scaler>,<model>]", derived
+// recursively.
 //
 // Importing this package links in every built-in model package, whose init
 // functions gob-register the concrete types; that registration is what lets
 // the interface-typed payload (and Pipeline's interface fields) decode.
-
-// kindOfValue names the codec of a built-in regressor or scaler.
-func kindOfValue(v any) (string, bool) {
-	switch v.(type) {
-	case *linreg.LinearRegression:
-		return "linreg", true
-	case *knn.Regressor:
-		return "knn", true
-	case *svr.Regressor:
-		return "svr", true
-	case *tree.Regressor:
-		return "tree", true
-	case *ensemble.RandomForest:
-		return "forest", true
-	case *ensemble.GradientBoosting:
-		return "boosting", true
-	case *mlp.Regressor:
-		return "mlp", true
-	case *ml.StandardScaler:
-		return "std", true
-	}
-	return "", false
+var codecKinds = map[reflect.Type]string{
+	reflect.TypeFor[*linreg.LinearRegression]():   "linreg",
+	reflect.TypeFor[*knn.Regressor]():             "knn",
+	reflect.TypeFor[*svr.Regressor]():             "svr",
+	reflect.TypeFor[*tree.Regressor]():            "tree",
+	reflect.TypeFor[*ensemble.RandomForest]():     "forest",
+	reflect.TypeFor[*ensemble.GradientBoosting](): "boosting",
+	reflect.TypeFor[*mlp.Regressor]():             "mlp",
+	reflect.TypeFor[*ml.StandardScaler]():         "std",
 }
 
-// kindRegistered reports whether kind names one of kindOfValue's codecs.
+// kindRegistered reports whether kind names one of the table's codecs.
 func kindRegistered(kind string) bool {
-	switch kind {
-	case "linreg", "knn", "svr", "tree", "forest", "boosting", "mlp", "std":
-		return true
+	for _, k := range codecKinds {
+		if k == kind {
+			return true
+		}
 	}
 	return false
 }
@@ -62,7 +52,7 @@ func KindOf(m ml.Regressor) (string, error) {
 	if p, ok := m.(*ml.Pipeline); ok {
 		scaler := "raw"
 		if p.Scaler != nil {
-			sk, ok := kindOfValue(p.Scaler)
+			sk, ok := codecKinds[reflect.TypeOf(p.Scaler)]
 			if !ok {
 				return "", fmt.Errorf("persist: unregistered scaler type %T", p.Scaler)
 			}
@@ -77,7 +67,7 @@ func KindOf(m ml.Regressor) (string, error) {
 		}
 		return "pipeline[" + scaler + "," + inner + "]", nil
 	}
-	k, ok := kindOfValue(m)
+	k, ok := codecKinds[reflect.TypeOf(m)]
 	if !ok {
 		return "", fmt.Errorf("persist: unregistered model type %T", m)
 	}

@@ -17,7 +17,7 @@ import (
 // hits the model; ns/op is per batch — divide by vectors/op for
 // per-prediction cost).
 func BenchmarkServeBatchPredict(b *testing.B) {
-	srv, art := testServer(b, Config{Cache: CacheConfig{Size: -1}})
+	srv, art := testServer(b, Config{CacheSize: -1})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

@@ -15,49 +15,22 @@ import (
 	"repro/internal/persist"
 )
 
-// MaxBatch bounds the vectors accepted in one predict request when
-// Limits.MaxBatch is zero; larger workloads should be split client-side so
-// no single request can pin the worker pool.
+// MaxBatch bounds the vectors accepted in one predict request; larger
+// workloads should be split client-side so no single request can pin the
+// worker pool.
 const MaxBatch = 65536
 
-// DefaultCacheSize is the response-cache capacity when Cache.Size is zero.
+// DefaultCacheSize is the response-cache capacity when CacheSize is zero.
 const DefaultCacheSize = 4096
 
-// DefaultQueueDepth is the per-model admission bound when
-// Limits.QueueDepth is zero: the number of requests per model allowed in
-// flight before the server answers 429.
+// DefaultQueueDepth is the per-model admission bound when QueueDepth is
+// zero: the number of requests per model allowed in flight before the
+// server answers 429.
 const DefaultQueueDepth = 1024
 
 // DefaultRetryAfterSeconds is the Retry-After hint on 429 responses when
-// Limits.RetryAfterSeconds is zero.
+// RetryAfterSeconds is zero.
 const DefaultRetryAfterSeconds = 1
-
-// PoolConfig sizes the shared evaluation worker pool.
-type PoolConfig struct {
-	// Workers bounds concurrent model evaluations across all in-flight
-	// requests (0 = GOMAXPROCS).
-	Workers int
-}
-
-// CacheConfig sizes the response cache.
-type CacheConfig struct {
-	// Size is the LRU response-cache capacity in vectors (0 = default
-	// 4096, negative = caching disabled).
-	Size int
-}
-
-// LimitConfig is the admission-control surface.
-type LimitConfig struct {
-	// MaxBatch bounds vectors per predict request (0 = MaxBatch const).
-	MaxBatch int
-	// QueueDepth bounds in-flight requests per model; request number
-	// QueueDepth+1 is answered 429 + Retry-After (0 = DefaultQueueDepth,
-	// negative = unbounded).
-	QueueDepth int
-	// RetryAfterSeconds is the Retry-After hint on 429 responses
-	// (0 = DefaultRetryAfterSeconds).
-	RetryAfterSeconds int
-}
 
 // Config parameterizes a Server.
 type Config struct {
@@ -65,12 +38,19 @@ type Config struct {
 	// Sharing a registry between servers (or with a background loader) is
 	// safe.
 	Registry *Registry
-	// Pool sizes the evaluation worker pool.
-	Pool PoolConfig
-	// Cache sizes the prediction response cache.
-	Cache CacheConfig
-	// Limits is the admission-control configuration.
-	Limits LimitConfig
+	// Workers bounds concurrent model evaluations across all in-flight
+	// requests (0 = GOMAXPROCS).
+	Workers int
+	// CacheSize is the LRU response-cache capacity in vectors (0 =
+	// DefaultCacheSize, negative = caching disabled).
+	CacheSize int
+	// QueueDepth bounds in-flight requests per model; request number
+	// QueueDepth+1 is answered 429 + Retry-After (0 = DefaultQueueDepth,
+	// negative = unbounded).
+	QueueDepth int
+	// RetryAfterSeconds is the Retry-After hint on 429 responses
+	// (0 = DefaultRetryAfterSeconds).
+	RetryAfterSeconds int
 	// Metrics optionally receives the serve metric families; nil creates a
 	// private registry (still exported at /metrics).
 	Metrics *obs.Registry
@@ -84,10 +64,11 @@ type Config struct {
 // metrics endpoint. Safe for concurrent use: the registry is guarded, the
 // cache is internally synchronized, and loaded models are only read.
 type Server struct {
-	reg    *Registry
-	cache  *lruCache
-	sem    chan struct{}
-	limits LimitConfig
+	reg        *Registry
+	cache      *lruCache
+	sem        chan struct{}
+	queueDepth int
+	retryAfter int
 
 	admitMu sync.Mutex
 	admit   map[string]chan struct{}
@@ -100,26 +81,17 @@ type Server struct {
 // New builds a server; load models with Add or LoadArtifact (or pass a
 // pre-populated Registry).
 func New(cfg Config) *Server {
-	workers := cfg.Pool.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	if cfg.Workers <= 0 {
+		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
-	cacheSize := cfg.Cache.Size
-	if cacheSize == 0 {
-		cacheSize = DefaultCacheSize
+	if cfg.CacheSize == 0 {
+		cfg.CacheSize = DefaultCacheSize
 	}
-	if cacheSize < 0 {
-		cacheSize = 0
+	if cfg.QueueDepth == 0 {
+		cfg.QueueDepth = DefaultQueueDepth
 	}
-	limits := cfg.Limits
-	if limits.MaxBatch <= 0 {
-		limits.MaxBatch = MaxBatch
-	}
-	if limits.QueueDepth == 0 {
-		limits.QueueDepth = DefaultQueueDepth
-	}
-	if limits.RetryAfterSeconds <= 0 {
-		limits.RetryAfterSeconds = DefaultRetryAfterSeconds
+	if cfg.RetryAfterSeconds <= 0 {
+		cfg.RetryAfterSeconds = DefaultRetryAfterSeconds
 	}
 	reg := cfg.Registry
 	if reg == nil {
@@ -130,14 +102,15 @@ func New(cfg Config) *Server {
 		obsReg = obs.NewRegistry()
 	}
 	return &Server{
-		reg:     reg,
-		cache:   newLRUCache(cacheSize),
-		sem:     make(chan struct{}, workers),
-		limits:  limits,
-		admit:   make(map[string]chan struct{}),
-		obsReg:  obsReg,
-		metrics: newMetrics(obsReg),
-		log:     obs.Component(cfg.Logger, "serve"),
+		reg:        reg,
+		cache:      newLRUCache(cfg.CacheSize),
+		sem:        make(chan struct{}, cfg.Workers),
+		queueDepth: cfg.QueueDepth,
+		retryAfter: cfg.RetryAfterSeconds,
+		admit:      make(map[string]chan struct{}),
+		obsReg:     obsReg,
+		metrics:    newMetrics(obsReg),
+		log:        obs.Component(cfg.Logger, "serve"),
 	}
 }
 
@@ -200,7 +173,7 @@ func (s *Server) admission(model string) chan struct{} {
 	defer s.admitMu.Unlock()
 	ch, ok := s.admit[model]
 	if !ok {
-		ch = make(chan struct{}, s.limits.QueueDepth)
+		ch = make(chan struct{}, s.queueDepth)
 		s.admit[model] = ch
 	}
 	return ch
@@ -234,9 +207,9 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		api.WriteError(w, http.StatusBadRequest, api.CodeBadRequest, "empty batch")
 		return
 	}
-	if len(X) > s.limits.MaxBatch {
+	if len(X) > MaxBatch {
 		api.WriteError(w, http.StatusBadRequest, api.CodeBadRequest,
-			"batch of %d vectors exceeds limit %d", len(X), s.limits.MaxBatch)
+			"batch of %d vectors exceeds limit %d", len(X), MaxBatch)
 		return
 	}
 	for i, x := range X {
@@ -250,14 +223,14 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	// per model; the rest are shed immediately with 429 + Retry-After so
 	// overload degrades into fast, explicit backpressure instead of
 	// unbounded queueing.
-	if s.limits.QueueDepth > 0 {
+	if s.queueDepth > 0 {
 		slots := s.admission(req.Model)
 		select {
 		case slots <- struct{}{}:
 			defer func() { <-slots }()
 		default:
 			s.metrics.rejected.Inc()
-			api.WriteOverloaded(w, s.limits.RetryAfterSeconds,
+			api.WriteOverloaded(w, s.retryAfter,
 				"model %q has %d requests in flight", req.Model, cap(slots))
 			return
 		}

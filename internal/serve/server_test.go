@@ -119,7 +119,7 @@ func TestPredictSingle(t *testing.T) {
 }
 
 func TestPredictBatch(t *testing.T) {
-	s, art := testServer(t, Config{Pool: PoolConfig{Workers: 4}})
+	s, art := testServer(t, Config{Workers: 4})
 	h := s.Handler()
 	rng := rand.New(rand.NewSource(11))
 	X := make([][]float64, 40)
@@ -249,7 +249,7 @@ func TestHealthz(t *testing.T) {
 // contract end to end: shared models, shared cache, shared worker pool,
 // zero failures.
 func TestConcurrentBatchPredict(t *testing.T) {
-	s, art := testServer(t, Config{Pool: PoolConfig{Workers: 8}, Cache: CacheConfig{Size: 256}})
+	s, art := testServer(t, Config{Workers: 8, CacheSize: 256})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -339,7 +339,7 @@ func (panicModel) Predict(x []float64) float64          { panic("width mismatch"
 // request with a 500 instead of killing the process, and that the server
 // keeps serving healthy models afterwards.
 func TestPredictContainsModelPanic(t *testing.T) {
-	s, _ := testServer(t, Config{Pool: PoolConfig{Workers: 2}})
+	s, _ := testServer(t, Config{Workers: 2})
 	bad := &persist.Artifact{Name: "bad", FeatureNames: []string{"f0", "f1", "f2"}, Model: panicModel{}}
 	if err := s.Add(bad); err != nil {
 		t.Fatal(err)
@@ -564,8 +564,8 @@ func TestAdmissionControl(t *testing.T) {
 	evals := &atomic.Int32{}
 	m := blockingModel{started: make(chan struct{}, 8), release: make(chan struct{}), evals: evals}
 	s := New(Config{
-		Pool:   PoolConfig{Workers: 2},
-		Limits: LimitConfig{QueueDepth: 1, RetryAfterSeconds: 7},
+		Workers:    2,
+		QueueDepth: 1, RetryAfterSeconds: 7,
 	})
 	if err := s.Add(&persist.Artifact{Name: "slow", FeatureNames: []string{"f0"}, Model: m}); err != nil {
 		t.Fatal(err)
@@ -638,8 +638,8 @@ func TestAdmissionFlood(t *testing.T) {
 	const requests, depth = 10000, 8
 	m := blockingModel{started: make(chan struct{}, 1), release: make(chan struct{}), evals: &atomic.Int32{}}
 	s := New(Config{
-		Pool:   PoolConfig{Workers: 4},
-		Limits: LimitConfig{QueueDepth: depth, RetryAfterSeconds: 3},
+		Workers:    4,
+		QueueDepth: depth, RetryAfterSeconds: 3,
 	})
 	if err := s.Add(&persist.Artifact{Name: "slow", FeatureNames: []string{"f0"}, Model: m}); err != nil {
 		t.Fatal(err)

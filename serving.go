@@ -19,12 +19,6 @@ type (
 	PredictionServer = serve.Server
 	// PredictionServerConfig assembles a PredictionServer.
 	PredictionServerConfig = serve.Config
-	// PredictionPoolConfig bounds concurrent model evaluations.
-	PredictionPoolConfig = serve.PoolConfig
-	// PredictionCacheConfig sizes the LRU response cache.
-	PredictionCacheConfig = serve.CacheConfig
-	// PredictionLimitConfig sets batch, queue-depth and Retry-After limits.
-	PredictionLimitConfig = serve.LimitConfig
 	// ModelRegistry is the named, hot-reloadable artifact set a
 	// PredictionServer serves from; it may be shared across servers.
 	ModelRegistry = serve.Registry
