@@ -74,6 +74,9 @@ bench:
 # FuzzNeighbors is differential: k-NN's bounded neighbour search must return
 # the indices and distance bits of the full search kept in
 # internal/ml/knn/equiv_test.go, whatever the rows, widths, NaNs and infinities.
+# FuzzMLPFitMatchesScalarLoops is differential: mlp.Fit must train small
+# networks to the weight bits of the scalar loops kept in
+# internal/ml/mlp/equiv_test.go, non-finite rows and zero deltas included.
 # FuzzKernelMatchesEngine is differential too: whatever netlist the parser
 # accepts, its compiled kernel must match four packed Engines word for word
 # through 16 cycles of random inputs and flip-flop upsets.
@@ -92,4 +95,5 @@ fuzz-smoke:
 	$(FUZZ) -fuzz=FuzzReloadRequest ./internal/serve
 	$(FUZZ) -fuzz=FuzzCoordinatorRequests ./internal/fabric
 	$(FUZZ) -fuzz=FuzzNeighbors ./internal/ml/knn
+	$(FUZZ) -fuzz=FuzzMLPFitMatchesScalarLoops ./internal/ml/mlp
 	$(FUZZ) -fuzz=FuzzKernelMatchesEngine ./internal/sim

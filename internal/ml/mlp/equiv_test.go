@@ -180,6 +180,70 @@ func refPredict(m *Regressor, x []float64) float64 {
 	return cur[0]
 }
 
+// same reports whether a and b have the same bits or are both NaN. A NaN's
+// payload is not compared: which of two NaN operands an amd64 add or multiply
+// passes on depends on the operand order the compiler picks, which differs
+// between builds of the same loop (the fuzzing build's instrumentation
+// changes it).
+func same(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+}
+
+// sameNetwork fails t unless got holds want's weights and biases bit for bit
+// and predicts every row of X to the bits of the scalar forward pass.
+func sameNetwork(t *testing.T, got, want *Regressor, X [][]float64) {
+	t.Helper()
+	for l := range want.Weights {
+		for i, w := range want.Weights[l] {
+			if !same(got.Weights[l][i], w) {
+				t.Fatalf("layer %d weight %d: %x, scalar loops give %x", l, i, got.Weights[l][i], w)
+			}
+		}
+		for i, b := range want.Biases[l] {
+			if !same(got.Biases[l][i], b) {
+				t.Fatalf("layer %d bias %d: %x, scalar loops give %x", l, i, got.Biases[l][i], b)
+			}
+		}
+	}
+	for i, x := range X {
+		if p, r := got.Predict(x), refPredict(want, x); !same(p, r) {
+			t.Fatalf("Predict(row %d) = %x, scalar forward pass gives %x", i, p, r)
+		}
+	}
+}
+
+// initialNetwork returns m as Fit initializes it on rows of the given width,
+// before the first step.
+func initialNetwork(m Regressor, width int) *Regressor {
+	m.defaults()
+	rng := rand.New(rand.NewSource(m.Seed))
+	m.Dims = append(append([]int{width}, m.Hidden...), 1)
+	m.Weights, m.Biases = nil, nil
+	for l := 0; l+1 < len(m.Dims); l++ {
+		scale := math.Sqrt(2 / float64(m.Dims[l]))
+		w := make([]float64, m.Dims[l]*m.Dims[l+1])
+		for i := range w {
+			w[i] = rng.NormFloat64() * scale
+		}
+		m.Weights = append(m.Weights, w)
+		m.Biases = append(m.Biases, make([]float64, m.Dims[l+1]))
+	}
+	m.Fitted = true
+	return &m
+}
+
+// zeroDeltaTargets returns the outputs of the network m starts from: every
+// output delta of the first batch is exactly 0, and without weight decay
+// every later one too, because a zero gradient leaves each weight as it is.
+func zeroDeltaTargets(m *Regressor, X [][]float64) []float64 {
+	init := initialNetwork(*m, len(X[0]))
+	y := make([]float64, len(X))
+	for i, x := range X {
+		y[i] = refPredict(init, x)
+	}
+	return y
+}
+
 func TestFitBitIdenticalToScalarLoops(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	const n, width = 70, 9 // n is not a multiple of the batch size
@@ -192,15 +256,46 @@ func TestFitBitIdenticalToScalarLoops(t *testing.T) {
 		}
 		y[i] = math.Sin(X[i][0]) + 0.5*X[i][1]*X[i][2] + 0.1*rng.NormFloat64()
 	}
+	// The same rows in raw feature units, as an MLP outside a pipeline sees
+	// them: large, off-centre values that leave many ReLUs at zero.
+	rawX := make([][]float64, n)
+	rawY := make([]float64, n)
+	for i, row := range X {
+		rawX[i] = make([]float64, width)
+		for j, v := range row {
+			rawX[i][j] = 250*float64(j) + 1000*v
+		}
+		rawY[i] = 100 * y[i]
+	}
+	// Three rows hold +Inf, -Inf and NaN: a zero delta times one of them is
+	// NaN, not a zero term, and the NaN reaches every weight.
+	badX := make([][]float64, n)
+	copy(badX, X)
+	for _, bad := range []struct {
+		row, col int
+		v        float64
+	}{{5, 2, math.Inf(1)}, {17, 0, math.Inf(-1)}, {40, 4, math.NaN()}} {
+		badX[bad.row] = append([]float64(nil), X[bad.row]...)
+		badX[bad.row][bad.col] = bad.v
+	}
 	cases := []struct {
-		name   string
-		hidden []int
-		l2     float64
+		name     string
+		hidden   []int
+		l2       float64
+		X        [][]float64
+		y        []float64
+		zeroStep bool // targets are the initial network's outputs
 	}{
-		{"relu-7-3", []int{7, 3}, 0},
-		{"relu-64-32", []int{64, 32}, 0},
-		{"relu-5", []int{5}, 1e-4},
-		{"relu-1-9-2", []int{1, 9, 2}, 1e-3},
+		{"relu-7-3", []int{7, 3}, 0, X, y, false},
+		{"relu-64-32", []int{64, 32}, 0, X, y, false},
+		{"relu-5", []int{5}, 1e-4, X, y, false},
+		{"relu-1-9-2", []int{1, 9, 2}, 1e-3, X, y, false},
+		{"unscaled-64-32", []int{64, 32}, 0, rawX, rawY, false},
+		{"unscaled-7-3", []int{7, 3}, 1e-3, rawX, rawY, false},
+		{"nonfinite-7-3", []int{7, 3}, 0, badX, y, false},
+		{"nonfinite-5", []int{5}, 1e-4, badX, y, false},
+		{"zero-delta-7-3", []int{7, 3}, 0, X, nil, true},
+		{"zero-delta-l2-7-3", []int{7, 3}, 1e-3, X, nil, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -210,27 +305,93 @@ func TestFitBitIdenticalToScalarLoops(t *testing.T) {
 				return m
 			}
 			got, want := build(), build()
-			if err := got.Fit(X, y); err != nil {
+			ty := tc.y
+			if tc.zeroStep {
+				ty = zeroDeltaTargets(got, tc.X)
+			}
+			if err := got.Fit(tc.X, ty); err != nil {
 				t.Fatalf("Fit: %v", err)
 			}
-			refFit(want, X, y)
-			for l := range want.Weights {
-				for i, w := range want.Weights[l] {
-					if math.Float64bits(got.Weights[l][i]) != math.Float64bits(w) {
-						t.Fatalf("layer %d weight %d: %x, scalar loops give %x", l, i, got.Weights[l][i], w)
-					}
-				}
-				for i, b := range want.Biases[l] {
-					if math.Float64bits(got.Biases[l][i]) != math.Float64bits(b) {
-						t.Fatalf("layer %d bias %d: %x, scalar loops give %x", l, i, got.Biases[l][i], b)
-					}
-				}
-			}
-			for i, x := range X {
-				if p, r := got.Predict(x), refPredict(want, x); math.Float64bits(p) != math.Float64bits(r) {
-					t.Fatalf("Predict(row %d) = %x, scalar forward pass gives %x", i, p, r)
-				}
+			refFit(want, tc.X, ty)
+			sameNetwork(t, got, want, tc.X)
+			if tc.zeroStep && tc.l2 == 0 {
+				// Every delta was 0, so training left the initial network.
+				sameNetwork(t, got, initialNetwork(*build(), width), tc.X)
 			}
 		})
 	}
+}
+
+// fuzzValue maps one byte to a feature or target value: a coarse grid, so
+// that ReLUs sit at exactly 0 often, and NaN, ±Inf, −0 and a value whose
+// square overflows at the top of the range.
+func fuzzValue(b byte) float64 {
+	switch b {
+	case 0xff:
+		return math.NaN()
+	case 0xfe:
+		return math.Inf(1)
+	case 0xfd:
+		return math.Inf(-1)
+	case 0xfc:
+		return math.Copysign(0, -1)
+	case 0xfb:
+		return 1e200
+	}
+	return float64(int(b)-128) / 16
+}
+
+// FuzzMLPFitMatchesScalarLoops fits small networks on small datasets with Fit
+// and with refFit, the scalar loops kept verbatim, and compares every weight
+// and bias bit for bit. Rows and targets are drawn from the fuzzed bytes (then
+// from seed once those run out) and may hold NaN, ±Inf, −0 and huge values;
+// with the low bit of shape set, the targets are the initial network's
+// outputs, so whole batches back-propagate exactly zero deltas.
+func FuzzMLPFitMatchesScalarLoops(f *testing.F) {
+	f.Add(int64(1), uint8(0), uint8(12), uint8(0x35), []byte{})
+	f.Add(int64(2), uint8(1), uint8(20), uint8(0x72), []byte{})
+	f.Add(int64(3), uint8(2), uint8(9), uint8(0xa4), []byte{0x80, 0xfe, 0x81, 0xfd, 0x90, 0xff, 0xfc, 0xfb, 0x70})
+	f.Add(int64(4), uint8(3), uint8(30), uint8(0x17), []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80})
+	f.Fuzz(func(t *testing.T, seed int64, shape, n, net uint8, data []byte) {
+		rng := rand.New(rand.NewSource(seed))
+		next := func() byte {
+			if len(data) == 0 {
+				return byte(rng.Intn(256))
+			}
+			b := data[0]
+			data = data[1:]
+			return b
+		}
+		width, rows := 1+int(shape>>1)%5, 1+int(n)%24
+		hidden := []int{1 + int(net)%8}
+		if net&0x80 != 0 {
+			hidden = append(hidden, 1+int(net>>3)%8)
+		}
+		X := make([][]float64, rows)
+		y := make([]float64, rows)
+		for i := range X {
+			X[i] = make([]float64, width)
+			for j := range X[i] {
+				X[i][j] = fuzzValue(next())
+			}
+			y[i] = fuzzValue(next())
+		}
+		build := func() *Regressor {
+			m := New(append([]int(nil), hidden...), seed)
+			m.Epochs, m.BatchSize = 1+int(shape>>4)%3, 1+int(n>>5)%8
+			if net&0x40 != 0 {
+				m.L2 = 1e-3
+			}
+			return m
+		}
+		got, want := build(), build()
+		if shape&1 != 0 {
+			y = zeroDeltaTargets(got, X)
+		}
+		if err := got.Fit(X, y); err != nil {
+			t.Fatal(err)
+		}
+		refFit(want, X, y)
+		sameNetwork(t, got, want, X)
+	})
 }
