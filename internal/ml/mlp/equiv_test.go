@@ -278,6 +278,20 @@ func TestFitBitIdenticalToScalarLoops(t *testing.T) {
 		badX[bad.row] = append([]float64(nil), X[bad.row]...)
 		badX[bad.row][bad.col] = bad.v
 	}
+	// One row drives a one-neuron first layer to −Inf: its ReLU is 0, so the
+	// rest of the network stays finite and the neuron's delta is exactly 0,
+	// and that 0 times the row's infinite input is a NaN gradient.
+	deadX := make([][]float64, n)
+	copy(deadX, X)
+	w := initialNetwork(*New([]int{1, 4}, 5), width).Weights[0]
+	col := 0
+	for j := range w {
+		if math.Abs(w[j]) > math.Abs(w[col]) {
+			col = j
+		}
+	}
+	deadX[5] = append([]float64(nil), X[5]...)
+	deadX[5][col] = math.Copysign(math.Inf(1), -w[col])
 	cases := []struct {
 		name     string
 		hidden   []int
@@ -294,6 +308,7 @@ func TestFitBitIdenticalToScalarLoops(t *testing.T) {
 		{"unscaled-7-3", []int{7, 3}, 1e-3, rawX, rawY, false},
 		{"nonfinite-7-3", []int{7, 3}, 0, badX, y, false},
 		{"nonfinite-5", []int{5}, 1e-4, badX, y, false},
+		{"dead-inf-1-4", []int{1, 4}, 0, deadX, y, false},
 		{"zero-delta-7-3", []int{7, 3}, 0, X, nil, true},
 		{"zero-delta-l2-7-3", []int{7, 3}, 1e-3, X, nil, true},
 	}
@@ -344,15 +359,20 @@ func fuzzValue(b byte) float64 {
 // FuzzMLPFitMatchesScalarLoops fits small networks on small datasets with Fit
 // and with refFit, the scalar loops kept verbatim, and compares every weight
 // and bias bit for bit. Rows and targets are drawn from the fuzzed bytes (then
-// from seed once those run out) and may hold NaN, ±Inf, −0 and huge values;
-// with the low bit of shape set, the targets are the initial network's
-// outputs, so whole batches back-propagate exactly zero deltas.
+// from seed once those run out) and may hold NaN, ±Inf, −0 and huge values.
+// cfg packs the shape and the training setup: from the low bit up, the width
+// (3 bits), the rows (5), the two hidden widths (3 each, a second width of 0
+// meaning one hidden layer), epochs (2), batch size (3), weight decay,
+// targets equal to the initial network's outputs (so whole batches
+// back-propagate exactly zero deltas) and a learning rate of MaxFloat64, under
+// which two steps the same way take a weight to ±Inf.
 func FuzzMLPFitMatchesScalarLoops(f *testing.F) {
-	f.Add(int64(1), uint8(0), uint8(12), uint8(0x35), []byte{})
-	f.Add(int64(2), uint8(1), uint8(20), uint8(0x72), []byte{})
-	f.Add(int64(3), uint8(2), uint8(9), uint8(0xa4), []byte{0x80, 0xfe, 0x81, 0xfd, 0x90, 0xff, 0xfc, 0xfb, 0x70})
-	f.Add(int64(4), uint8(3), uint8(30), uint8(0x17), []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80})
-	f.Fuzz(func(t *testing.T, seed int64, shape, n, net uint8, data []byte) {
+	f.Add(int64(1), uint32(0x75b62), []byte{}) // 3 wide, 13 rows, 4-3 hidden
+	f.Add(int64(2), uint32(0xb87bc), []byte{}) // 5 wide, 24 rows, 8 hidden, L2
+	f.Add(int64(3), uint32(0x26049), []byte{0x80, 0xfe, 0x81, 0xfd, 0x90, 0xff, 0xfc, 0xfb, 0x70})
+	f.Add(int64(4), uint32(0x14159b), []byte{}) // zero output deltas
+	f.Add(int64(5), uint32(0x23927a), []byte{}) // a learning rate of MaxFloat64
+	f.Fuzz(func(t *testing.T, seed int64, cfg uint32, data []byte) {
 		rng := rand.New(rand.NewSource(seed))
 		next := func() byte {
 			if len(data) == 0 {
@@ -362,10 +382,11 @@ func FuzzMLPFitMatchesScalarLoops(f *testing.F) {
 			data = data[1:]
 			return b
 		}
-		width, rows := 1+int(shape>>1)%5, 1+int(n)%24
-		hidden := []int{1 + int(net)%8}
-		if net&0x80 != 0 {
-			hidden = append(hidden, 1+int(net>>3)%8)
+		field := func(lo, bits int) int { return int(cfg>>lo) & (1<<bits - 1) }
+		width, rows := 1+field(0, 3)%5, 1+field(3, 5)%24
+		hidden := []int{1 + field(8, 3)}
+		if h := field(11, 3); h > 0 {
+			hidden = append(hidden, h)
 		}
 		X := make([][]float64, rows)
 		y := make([]float64, rows)
@@ -378,14 +399,17 @@ func FuzzMLPFitMatchesScalarLoops(f *testing.F) {
 		}
 		build := func() *Regressor {
 			m := New(append([]int(nil), hidden...), seed)
-			m.Epochs, m.BatchSize = 1+int(shape>>4)%3, 1+int(n>>5)%8
-			if net&0x40 != 0 {
+			m.Epochs, m.BatchSize = 1+field(14, 2)%3, 1+field(16, 3)
+			if field(19, 1) != 0 {
 				m.L2 = 1e-3
+			}
+			if field(21, 1) != 0 {
+				m.LearningRate = math.MaxFloat64
 			}
 			return m
 		}
 		got, want := build(), build()
-		if shape&1 != 0 {
+		if field(20, 1) != 0 {
 			y = zeroDeltaTargets(got, X)
 		}
 		if err := got.Fit(X, y); err != nil {
