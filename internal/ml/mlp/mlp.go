@@ -141,6 +141,17 @@ func axpy(dst []float64, a float64, x []float64) {
 	}
 }
 
+// finite reports whether every element of x is finite: v−v is 0 for a finite
+// v and NaN for ±Inf or NaN.
+func finite(x []float64) bool {
+	for _, v := range x {
+		if v-v != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // activate writes the hidden activation (ReLU) of pre into out.
 func activate(out, pre []float64) {
 	out = out[:len(pre)]
@@ -215,6 +226,13 @@ func (m *Regressor) Fit(X [][]float64, y []float64) error {
 		gw[l] = make([]float64, len(m.Weights[l]))
 		gb[l] = make([]float64, len(m.Biases[l]))
 	}
+	// Back-propagation skips the terms of a zero delta. Every sum it would
+	// add them to starts at +0, and under round-to-nearest a sum that starts
+	// at +0 is never −0, so adding ±0 leaves it as it is. A zero times ±Inf
+	// or NaN is NaN, not ±0, so a term is skipped only when the values it
+	// multiplies are finite: the weights of layer l (finiteW[l], fixed for a
+	// batch) or the layer's input (finiteX).
+	finiteW := make([]bool, L)
 
 	step := 0
 	for epoch := 0; epoch < m.Epochs; epoch++ {
@@ -228,6 +246,7 @@ func (m *Regressor) Fit(X [][]float64, y []float64) error {
 			for l := 0; l < L; l++ {
 				clear(gw[l])
 				clear(gb[l])
+				finiteW[l] = finite(m.Weights[l])
 			}
 			for _, idx := range batch {
 				// Forward.
@@ -246,6 +265,9 @@ func (m *Regressor) Fit(X [][]float64, y []float64) error {
 					d, p := delta[l], pre[l][:len(delta[l])]
 					clear(d)
 					for k2, up := range delta[l+1] {
+						if up == 0 && finiteW[l+1] {
+							continue
+						}
 						axpy(d, up, m.Weights[l+1][k2*len(d):(k2+1)*len(d)])
 					}
 					for j, s := range p {
@@ -256,7 +278,11 @@ func (m *Regressor) Fit(X [][]float64, y []float64) error {
 				}
 				for l := 0; l < L; l++ {
 					x, g, bias := out[l], gw[l], gb[l][:len(delta[l])]
+					finiteX := finite(x)
 					for j, d := range delta[l] {
+						if d == 0 && finiteX {
+							continue
+						}
 						axpy(g[j*len(x):(j+1)*len(x)], d, x)
 						bias[j] += d
 					}
