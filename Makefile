@@ -74,6 +74,8 @@ bench:
 # FuzzNeighbors is differential: k-NN's bounded neighbour search must return
 # the indices and distance bits of the full search kept in
 # internal/ml/knn/equiv_test.go, whatever the rows, widths, NaNs and infinities.
+# FuzzPredictEachK holds the shared pass that scores several k from one
+# distance scan to a model of its own per k, prediction bit for bit.
 # FuzzMLPFitMatchesScalarLoops is differential: mlp.Fit must train small
 # networks to the weight bits of the scalar loops kept in
 # internal/ml/mlp/equiv_test.go, non-finite rows and zero deltas included.
@@ -95,5 +97,6 @@ fuzz-smoke:
 	$(FUZZ) -fuzz=FuzzReloadRequest ./internal/serve
 	$(FUZZ) -fuzz=FuzzCoordinatorRequests ./internal/fabric
 	$(FUZZ) -fuzz=FuzzNeighbors ./internal/ml/knn
+	$(FUZZ) -fuzz=FuzzPredictEachK ./internal/ml/knn
 	$(FUZZ) -fuzz=FuzzMLPFitMatchesScalarLoops ./internal/ml/mlp
 	$(FUZZ) -fuzz=FuzzKernelMatchesEngine ./internal/sim

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/ml"
@@ -74,12 +75,18 @@ func BenchmarkModelPredict(b *testing.B) {
 	}
 }
 
-// BenchmarkTuneKNN times the random+grid search over k on five splits.
+// BenchmarkTuneKNN times the random+grid search over k on five splits, with
+// 6 random samples and with 20, the default of ffr train -tune and ffr exp
+// -exp search.
 func BenchmarkTuneKNN(b *testing.B) {
 	s := smallStudy(b)
-	for b.Loop() {
-		if _, err := s.TuneModel(PaperModels()[1], 6, 1); err != nil {
-			b.Fatal(err)
-		}
+	for _, n := range []int{6, 20} {
+		b.Run(fmt.Sprintf("samples=%d", n), func(b *testing.B) {
+			for b.Loop() {
+				if _, err := s.TuneModel(PaperModels()[1], n, 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

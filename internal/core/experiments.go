@@ -154,7 +154,7 @@ func (s *Study) TuneModel(spec ModelSpec, nRandom int, seed int64) (*SearchOutco
 		return nil, err
 	}
 	X := s.FeatureRows()
-	random, err := modelsel.RandomSearch(spec.Tunable.Build, spec.Tunable.Space, nRandom, X, y, splits, seed)
+	random, err := modelsel.RandomSearch(spec.Tunable.Score, spec.Tunable.Space, nRandom, X, y, splits, seed)
 	if err != nil {
 		return nil, fmt.Errorf("core: random search %s: %w", spec.Name, err)
 	}
@@ -172,7 +172,7 @@ func (s *Study) TuneModel(spec ModelSpec, nRandom int, seed int64) (*SearchOutco
 			grid[name] = vals
 		}
 	}
-	refined, err := modelsel.GridSearch(spec.Tunable.Build, grid, X, y, splits)
+	refined, err := modelsel.GridSearch(spec.Tunable.Score, grid, X, y, splits)
 	if err != nil {
 		return nil, fmt.Errorf("core: grid search %s: %w", spec.Name, err)
 	}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/ml/ensemble"
 	"repro/internal/ml/knn"
 	"repro/internal/ml/linreg"
+	"repro/internal/ml/metrics"
 	"repro/internal/ml/mlp"
 	"repro/internal/ml/modelsel"
 	"repro/internal/ml/svr"
@@ -31,6 +32,8 @@ type ModelSpec struct {
 type TunableSpec struct {
 	Space map[string]modelsel.Range
 	Build modelsel.Build
+	// Score scores a search stage's assignments of the models Build makes.
+	Score modelsel.Scorer
 	// Log marks parameters refined on a log scale by the grid stage.
 	Log map[string]bool
 }
@@ -53,6 +56,52 @@ func KNNModel() ml.Regressor { return scaled(knn.New(3)) }
 // SVRModel is the paper's tuned SVR: RBF kernel, C=3.5, γ=0.055, ε=0.025.
 func SVRModel() ml.Regressor { return scaled(svr.New(3.5, 0.055, 0.025)) }
 
+func knnBuild(p modelsel.Params) ml.Regressor { return scaled(knn.New(int(p["k"]))) }
+
+func svrBuild(p modelsel.Params) ml.Regressor { return scaled(svr.New(p["C"], p["gamma"], 0.025)) }
+
+// knnScores is k-NN's Scorer. Each split fits the scaler and the training set
+// once for the whole stage, and knn's PredictEachK predicts every test row for
+// all of the stage's k from one distance scan. The predictions are those of
+// knnBuild's pipelines, so the scores are CrossValidated's bits.
+func knnScores(ps []modelsel.Params, X [][]float64, y []float64, splits []ml.Split) ([]float64, error) {
+	if err := ml.CheckXY(X, y); err != nil {
+		return nil, err
+	}
+	if len(splits) == 0 {
+		return nil, fmt.Errorf("%w: no splits", ml.ErrBadData)
+	}
+	ks := make([]int, len(ps))
+	for i, p := range ps {
+		ks[i] = int(p["k"])
+	}
+	res := make([]modelsel.CVResult, len(ps))
+	for i := range res {
+		res[i].TestScores = make([]metrics.Scores, len(splits))
+	}
+	for si, sp := range splits {
+		trX, trY := ml.Gather(X, y, sp.Train)
+		teX, teY := ml.Gather(X, y, sp.Test)
+		m := knn.New(1)
+		pipe := ml.Pipeline{Scaler: &ml.StandardScaler{}, Model: m}
+		if err := pipe.Fit(trX, trY); err != nil {
+			return nil, fmt.Errorf("core: k-NN split %d: %w", si, err)
+		}
+		preds, err := m.PredictEachK(pipe.Scaler.Transform(teX), ks)
+		if err != nil {
+			return nil, fmt.Errorf("core: k-NN split %d: %w", si, err)
+		}
+		for i, pred := range preds {
+			res[i].TestScores[si] = metrics.Evaluate(teY, pred)
+		}
+	}
+	scores := make([]float64, len(ps))
+	for i, r := range res {
+		scores[i] = r.MeanTest().R2
+	}
+	return scores, nil
+}
+
 // PaperModels returns the three Table I rows in paper order.
 func PaperModels() []ModelSpec {
 	return []ModelSpec{
@@ -67,9 +116,8 @@ func PaperModels() []ModelSpec {
 				Space: map[string]modelsel.Range{
 					"k": {Min: 1, Max: 20, Integer: true},
 				},
-				Build: func(p modelsel.Params) ml.Regressor {
-					return scaled(knn.New(int(p["k"])))
-				},
+				Build: knnBuild,
+				Score: knnScores,
 			},
 		},
 		{
@@ -80,10 +128,9 @@ func PaperModels() []ModelSpec {
 					"C":     {Min: 0.1, Max: 100, Log: true},
 					"gamma": {Min: 1e-3, Max: 1, Log: true},
 				},
-				Build: func(p modelsel.Params) ml.Regressor {
-					return scaled(svr.New(p["C"], p["gamma"], 0.025))
-				},
-				Log: map[string]bool{"C": true, "gamma": true},
+				Build: svrBuild,
+				Score: modelsel.CrossValidated(svrBuild),
+				Log:   map[string]bool{"C": true, "gamma": true},
 			},
 		},
 	}

@@ -10,6 +10,8 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/fault"
 	"repro/internal/features"
+	"repro/internal/ml"
+	"repro/internal/ml/modelsel"
 	"repro/internal/obs"
 	"repro/internal/persist"
 )
@@ -276,6 +278,43 @@ func TestTuneModel(t *testing.T) {
 	// The linear model has no hyperparameters.
 	if _, err := s.TuneModel(PaperModels()[0], 2, 1); err == nil {
 		t.Fatal("tuning a non-tunable model must fail")
+	}
+}
+
+// k-NN's Scorer shares one scaler fit, one training set and one distance
+// scan per test row among a stage's k; each score must still be the bits of
+// a cross-validation of its own, repeated and extreme k included.
+func TestKNNScoresMatchCrossValidation(t *testing.T) {
+	s := smallStudy(t)
+	y, err := s.FDR()
+	if err != nil {
+		t.Fatal(err)
+	}
+	splits, err := ml.StratifiedShuffleSplits(y, 3, PaperTrainFrac, PaperStratifyBins, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ps []modelsel.Params
+	for _, k := range []float64{7, 1, 20, 3, 7, float64(len(splits[0].Train))} {
+		ps = append(ps, modelsel.Params{"k": k})
+	}
+	spec := PaperModels()[1].Tunable
+	got, err := spec.Score(ps, s.FeatureRows(), y, splits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := modelsel.CrossValidated(spec.Build)(ps, s.FeatureRows(), y, splits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Errorf("k=%v: mean R² %x, cross-validating it alone gives %x", ps[i]["k"], got[i], want[i])
+		}
+	}
+	tooMany := []modelsel.Params{{"k": 3}, {"k": float64(len(splits[0].Train) + 1)}}
+	if _, err := spec.Score(tooMany, s.FeatureRows(), y, splits); err == nil {
+		t.Error("a k above the training set's size was scored")
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/ml"
 )
@@ -57,8 +58,13 @@ func (r *Regressor) check() error {
 	if err := ml.CheckXY(r.X, r.Y); err != nil {
 		return err
 	}
-	if r.K < 1 || r.K > len(r.X) {
-		return fmt.Errorf("ml/knn: k=%d must be in [1, %d training samples]", r.K, len(r.X))
+	return checkK(r.K, len(r.X))
+}
+
+// checkK asks of k that it select between one and all n training rows.
+func checkK(k, n int) error {
+	if k < 1 || k > n {
+		return fmt.Errorf("ml/knn: k=%d must be in [1, %d training samples]", k, n)
 	}
 	return nil
 }
@@ -112,8 +118,13 @@ func distances4(x, a, b, c, d []float64, bound float64) (da, db, dc, dd float64)
 // dist[j] written in: among equidistant rows the same ones survive, in the
 // same order, as under container/heap.
 type nearest struct {
+	k    int
 	idx  []int
 	dist []float64
+}
+
+func newNearest(k int) nearest {
+	return nearest{k: k, idx: make([]int, 0, k), dist: make([]float64, 0, k)}
 }
 
 func (h *nearest) swap(i, j int) {
@@ -153,13 +164,72 @@ func (h *nearest) down(n int) {
 }
 
 // offer considers training row i at distance d for the best k.
-func (h *nearest) offer(k, i int, d float64) {
-	if n := len(h.idx); n < k {
+func (h *nearest) offer(i int, d float64) {
+	if n := len(h.idx); n < h.k {
 		h.idx, h.dist = append(h.idx, i), append(h.dist, d)
 		h.up(n)
 	} else if d < h.dist[0] {
 		h.idx[0], h.dist[0] = i, d
 		h.down(n)
+	}
+}
+
+// sort orders the heap's rows nearest first, in place: each pass moves the
+// farthest of the first n entries to position n-1, where popping the heap
+// would have put it.
+func (h *nearest) sort() {
+	for n := len(h.idx) - 1; n > 0; n-- {
+		h.swap(0, n)
+		h.down(n)
+	}
+}
+
+// bound is the distance at which distances4 may give a block up for every
+// heap in hs: the largest root, or NaN while a heap is not full or a root is
+// NaN. A block whose partial sums are all >= it is rejected by each heap's
+// offer, since each root is <= it, so every heap keeps the rows and the tie
+// order it would keep alone.
+func bound(hs []nearest) float64 {
+	b := math.Inf(-1)
+	for i := range hs {
+		if len(hs[i].idx) < hs[i].k {
+			return math.NaN()
+		}
+		b = max(b, hs[i].dist[0]) // NaN if the root is
+	}
+	return b
+}
+
+// scan offers every training row's distance from x to each heap of hs, in
+// index order. Every heap sees the same offers a search of its own would
+// make, so each ends up holding what that search would (see bound).
+func (r *Regressor) scan(x []float64, hs []nearest) {
+	rows := r.X
+	i := 0
+	// Once every heap is full, b is the largest root (see bound). distances4
+	// gives up a block whose partial sums are all >= b, and a block whose four
+	// sums, partial or full, are all >= b is not offered: every heap's offer
+	// would reject it, as it would the full distances.
+	b := math.NaN()
+	for ; i+4 <= len(rows); i += 4 {
+		d0, d1, d2, d3 := distances4(x, rows[i], rows[i+1], rows[i+2], rows[i+3], b)
+		if d0 >= b && d1 >= b && d2 >= b && d3 >= b {
+			continue
+		}
+		for j := range hs {
+			h := &hs[j]
+			h.offer(i, d0)
+			h.offer(i+1, d1)
+			h.offer(i+2, d2)
+			h.offer(i+3, d3)
+		}
+		b = bound(hs)
+	}
+	for ; i < len(rows); i++ {
+		d, _, _, _ := distances4(x, rows[i], rows[i], rows[i], rows[i], b)
+		for j := range hs {
+			hs[j].offer(i, d)
+		}
 	}
 }
 
@@ -169,34 +239,10 @@ func (r *Regressor) Neighbors(x []float64) ([]int, []float64, error) {
 	if !r.Fitted {
 		return nil, nil, ml.ErrNotFitted
 	}
-	h := nearest{idx: make([]int, 0, r.K), dist: make([]float64, 0, r.K)}
-	rows := r.X
-	i := 0
-	// Once the heap holds k rows, the root's distance bounds distances4: the
-	// partial sums of a block it gives up are >= the root, and offer rejects
-	// them as it would the full distances, so the heap keeps the same rows.
-	bound := math.NaN()
-	for ; i+4 <= len(rows); i += 4 {
-		d0, d1, d2, d3 := distances4(x, rows[i], rows[i+1], rows[i+2], rows[i+3], bound)
-		h.offer(r.K, i, d0)
-		h.offer(r.K, i+1, d1)
-		h.offer(r.K, i+2, d2)
-		h.offer(r.K, i+3, d3)
-		if len(h.idx) == r.K {
-			bound = h.dist[0]
-		}
-	}
-	for ; i < len(rows); i++ {
-		d, _, _, _ := distances4(x, rows[i], rows[i], rows[i], rows[i], bound)
-		h.offer(r.K, i, d)
-	}
-	// Sort ascending in place: each pass moves the farthest of the first n
-	// entries to position n-1, where popping the heap would have put it.
-	for n := len(h.idx) - 1; n > 0; n-- {
-		h.swap(0, n)
-		h.down(n)
-	}
-	return h.idx, h.dist, nil
+	h := [1]nearest{newNearest(r.K)}
+	r.scan(x, h[:])
+	h[0].sort()
+	return h[0].idx, h[0].dist, nil
 }
 
 // Predict returns the weighted average of the k nearest targets.
@@ -205,6 +251,12 @@ func (r *Regressor) Predict(x []float64) float64 {
 	if err != nil {
 		return 0
 	}
+	return r.average(idx, dist)
+}
+
+// average is the inverse-distance weighted average of the targets of the
+// given neighbours, nearest first.
+func (r *Regressor) average(idx []int, dist []float64) float64 {
 	// Inverse-distance weights; exact matches dominate (scikit-learn
 	// semantics: if any neighbor is at distance 0, average those).
 	var exactSum float64
@@ -225,6 +277,47 @@ func (r *Regressor) Predict(x []float64) float64 {
 		den += w
 	}
 	return num / den
+}
+
+// PredictEachK predicts every row of X once for each k in ks, with r's
+// training set and r.K ignored: out[i][q] is the prediction of New(ks[i])
+// fitted on that set, bit for bit. Each row gets one distance scan, which
+// feeds one heap per distinct k.
+func (r *Regressor) PredictEachK(X [][]float64, ks []int) ([][]float64, error) {
+	if !r.Fitted {
+		return nil, ml.ErrNotFitted
+	}
+	distinct := slices.Compact(slices.Sorted(slices.Values(ks)))
+	hs := make([]nearest, len(distinct))
+	for j, k := range distinct {
+		if err := checkK(k, len(r.X)); err != nil {
+			return nil, err
+		}
+		hs[j] = newNearest(k)
+	}
+	out := make([][]float64, len(ks))
+	for i := range out {
+		out[i] = make([]float64, len(X))
+	}
+	at := make([]int, len(ks)) // the heap of ks[i]
+	for i, k := range ks {
+		at[i], _ = slices.BinarySearch(distinct, k)
+	}
+	pred := make([]float64, len(hs))
+	for q, x := range X {
+		for j := range hs {
+			hs[j].idx, hs[j].dist = hs[j].idx[:0], hs[j].dist[:0]
+		}
+		r.scan(x, hs)
+		for j := range hs {
+			hs[j].sort()
+			pred[j] = r.average(hs[j].idx, hs[j].dist)
+		}
+		for i, j := range at {
+			out[i][q] = pred[j]
+		}
+	}
+	return out, nil
 }
 
 var _ ml.Regressor = (*Regressor)(nil)

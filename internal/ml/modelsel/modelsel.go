@@ -96,18 +96,47 @@ type SearchResult struct {
 	Evaluated int
 }
 
-// score evaluates an assignment by mean test R² over the splits.
-func score(build Build, p Params, X [][]float64, y []float64, splits []ml.Split) (float64, error) {
-	res, err := CrossValidate(func() ml.Regressor { return build(p) }, X, y, splits)
-	if err != nil {
-		return 0, err
+// Scorer returns the mean test R² over the splits of each assignment, in
+// order. A search hands it all of a stage's assignments at once, so that a
+// model can share work between them; each score must have the bits
+// CrossValidated gives the model its assignment builds.
+type Scorer func(ps []Params, X [][]float64, y []float64, splits []ml.Split) ([]float64, error)
+
+// CrossValidated is the generic Scorer: one CrossValidate per assignment.
+func CrossValidated(build Build) Scorer {
+	return func(ps []Params, X [][]float64, y []float64, splits []ml.Split) ([]float64, error) {
+		scores := make([]float64, len(ps))
+		for i, p := range ps {
+			res, err := CrossValidate(func() ml.Regressor { return build(p) }, X, y, splits)
+			if err != nil {
+				return nil, err
+			}
+			scores[i] = res.MeanTest().R2
+		}
+		return scores, nil
 	}
-	return res.MeanTest().R2, nil
+}
+
+// pick scores a stage's assignments as one batch and returns the first of
+// the best by mean test R².
+func pick(score Scorer, ps []Params, X [][]float64, y []float64, splits []ml.Split) (SearchResult, error) {
+	scores, err := score(ps, X, y, splits)
+	if err != nil {
+		return SearchResult{}, err
+	}
+	best := SearchResult{BestScore: math.Inf(-1), Evaluated: len(ps)}
+	for i, s := range scores {
+		if s > best.BestScore {
+			best.BestScore = s
+			best.Best = ps[i]
+		}
+	}
+	return best, nil
 }
 
 // RandomSearch samples n assignments from the space and returns the best by
 // mean test R² (the paper's first tuning stage).
-func RandomSearch(build Build, space map[string]Range, n int, X [][]float64, y []float64, splits []ml.Split, seed int64) (SearchResult, error) {
+func RandomSearch(score Scorer, space map[string]Range, n int, X [][]float64, y []float64, splits []ml.Split, seed int64) (SearchResult, error) {
 	if n < 1 {
 		return SearchResult{}, fmt.Errorf("%w: n=%d", ml.ErrBadData, n)
 	}
@@ -117,29 +146,20 @@ func RandomSearch(build Build, space map[string]Range, n int, X [][]float64, y [
 		names = append(names, k)
 	}
 	sort.Strings(names) // deterministic sampling order
-	best := SearchResult{BestScore: math.Inf(-1)}
-	for i := 0; i < n; i++ {
-		p := make(Params, len(space))
+	ps := make([]Params, n)
+	for i := range ps {
+		ps[i] = make(Params, len(space))
 		for _, k := range names {
-			p[k] = space[k].Sample(rng)
-		}
-		s, err := score(build, p, X, y, splits)
-		if err != nil {
-			return SearchResult{}, err
-		}
-		best.Evaluated++
-		if s > best.BestScore {
-			best.BestScore = s
-			best.Best = p
+			ps[i][k] = space[k].Sample(rng)
 		}
 	}
-	return best, nil
+	return pick(score, ps, X, y, splits)
 }
 
 // GridSearch exhaustively evaluates the cartesian product of the given
 // value lists (the paper's refinement stage around the random-search
 // optimum).
-func GridSearch(build Build, grid map[string][]float64, X [][]float64, y []float64, splits []ml.Split) (SearchResult, error) {
+func GridSearch(score Scorer, grid map[string][]float64, X [][]float64, y []float64, splits []ml.Split) (SearchResult, error) {
 	names := make([]string, 0, len(grid))
 	for k := range grid {
 		if len(grid[k]) == 0 {
@@ -151,22 +171,14 @@ func GridSearch(build Build, grid map[string][]float64, X [][]float64, y []float
 	if len(names) == 0 {
 		return SearchResult{}, fmt.Errorf("%w: empty grid", ml.ErrBadData)
 	}
-	best := SearchResult{BestScore: math.Inf(-1)}
+	var ps []Params
 	idx := make([]int, len(names))
 	for {
 		p := make(Params, len(names))
 		for i, k := range names {
 			p[k] = grid[k][idx[i]]
 		}
-		s, err := score(build, p, X, y, splits)
-		if err != nil {
-			return SearchResult{}, err
-		}
-		best.Evaluated++
-		if s > best.BestScore {
-			best.BestScore = s
-			best.Best = p
-		}
+		ps = append(ps, p)
 		// Advance the mixed-radix counter.
 		carry := len(names) - 1
 		for carry >= 0 {
@@ -178,7 +190,7 @@ func GridSearch(build Build, grid map[string][]float64, X [][]float64, y []float
 			carry--
 		}
 		if carry < 0 {
-			return best, nil
+			return pick(score, ps, X, y, splits)
 		}
 	}
 }

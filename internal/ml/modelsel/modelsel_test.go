@@ -112,7 +112,7 @@ func TestRandomSearchFindsGoodK(t *testing.T) {
 		t.Fatal(err)
 	}
 	build := func(p Params) ml.Regressor { return knn.New(int(p["k"])) }
-	res, err := RandomSearch(build, map[string]Range{
+	res, err := RandomSearch(CrossValidated(build), map[string]Range{
 		"k": {Min: 1, Max: 60, Integer: true},
 	}, 15, X, y, splits, 9)
 	if err != nil {
@@ -143,7 +143,7 @@ func TestGridSearchExhaustive(t *testing.T) {
 		calls++
 		return linreg.NewRidge(p["lambda"])
 	}
-	res, err := GridSearch(build, map[string][]float64{
+	res, err := GridSearch(CrossValidated(build), map[string][]float64{
 		"lambda": {0.001, 0.01, 0.1, 1},
 		"unused": {1, 2, 3},
 	}, X, y, splits)
@@ -167,6 +167,46 @@ func TestGridSearchValidation(t *testing.T) {
 	}
 	if _, err := GridSearch(nil, map[string][]float64{"a": {}}, nil, nil, nil); err == nil {
 		t.Fatal("empty grid values must fail")
+	}
+}
+
+// A search hands its Scorer the whole stage, in sampling or grid order, and
+// keeps the first of the best scores; a NaN never wins.
+func TestSearchScoresStageAsOneBatch(t *testing.T) {
+	var stages [][]Params
+	score := func(ps []Params, _ [][]float64, _ []float64, _ []ml.Split) ([]float64, error) {
+		stages = append(stages, ps)
+		scores := make([]float64, len(ps))
+		for i, p := range ps {
+			scores[i] = map[float64]float64{1: 0.5, 2: 0.9, 3: math.NaN(), 4: 0.9}[p["a"]]
+		}
+		return scores, nil
+	}
+	res, err := GridSearch(score, map[string][]float64{"a": {3, 1, 2, 4}}, nil, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(stages) != 1 || len(stages[0]) != 4 || stages[0][0]["a"] != 3 || stages[0][3]["a"] != 4 {
+		t.Fatalf("scorer saw stages %v, want one stage of 3, 1, 2, 4", stages)
+	}
+	if res.Best["a"] != 2 || res.BestScore != 0.9 || res.Evaluated != 4 {
+		t.Fatalf("best %v (%v over %d), want a=2, the first of two 0.9s, over 4", res.Best, res.BestScore, res.Evaluated)
+	}
+
+	stages = nil
+	space := map[string]Range{"a": {Min: 1, Max: 4, Integer: true}}
+	res, err = RandomSearch(score, space, 7, nil, nil, nil, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i, p := range stages[0] {
+		if want := space["a"].Sample(rng); len(stages) != 1 || p["a"] != want {
+			t.Fatalf("stage %v: sample %d is not the seed's draw %v", stages, i, want)
+		}
+	}
+	if res.Evaluated != 7 {
+		t.Fatalf("evaluated %d, want 7", res.Evaluated)
 	}
 }
 
