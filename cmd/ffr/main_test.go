@@ -191,8 +191,9 @@ func TestMisuse(t *testing.T) {
 		"inject": {{"-n", "0"}, {"-workers", "-1"}, {"-shards", "-1"},
 			{"-resume"}, {"-fault-model", "mbu:99"}, {"-fault-model", "bogus"},
 			{"-log-level", "loud"}, {"-log-format", "xml"}},
-		"feat":  {{"-n", "0"}},
-		"train": {{"-train", "0"}, {"-train", "1"}, {"-train", "NaN"}, {"-splits", "0"}, {"-n", "0"}, {"-samples", "0"}},
+		"feat": {{"-n", "0"}},
+		"train": {{"-train", "0"}, {"-train", "1"}, {"-train", "NaN"}, {"-splits", "0"}, {"-n", "0"}, {"-samples", "0"},
+			{"-model", "bogus"}, {"-model", "MLP", "-tune"}},
 		"exp": {{"-n", "0"}, {"-exp", "bogus"}, {"-exp", "table1", "-load", "m.ffrm"}, {"-exp", "predict"},
 			{"-exp", "table1", "-scenarios", "alupipe/randomops"}, {"-scale", "default"}, {"-exp", "fig2a", "-fault-models", "seu"}},
 		"corpus": {{}, {"-list", "-sweep"}, {"-sweep", "-n", "-1"}, {"-sweep", "-shards", "-1"},

@@ -9,9 +9,10 @@ import (
 	"testing"
 )
 
-// TestValidateBeforeComputing: a bad experiment id and an output path that
-// cannot be created are reported before the first campaign starts — not
-// after it, with the result lost.
+// TestValidateBeforeComputing: a bad experiment id, an output path that
+// cannot be created and -tune on a model without hyperparameters are
+// reported before the first campaign starts — not after it, with the result
+// lost.
 func TestValidateBeforeComputing(t *testing.T) {
 	dir := t.TempDir()
 	blocker := filepath.Join(dir, "a-file")
@@ -28,6 +29,7 @@ func TestValidateBeforeComputing(t *testing.T) {
 		{"sim", "-activity", filepath.Join(missing, "x.csv")},
 		{"feat", "-fdr", "-n", "1", "-o", filepath.Join(missing, "x.csv")},
 		{"train", "-n", "1", "-save", filepath.Join(missing, "m.ffrm")},
+		{"train", "-n", "1", "-model", "MLP", "-tune"},
 		{"corpus", "-sweep", "-n", "1", "-out", filepath.Join(blocker, "artifacts")},
 	} {
 		code, stdout, stderr := ffr(t, args...)

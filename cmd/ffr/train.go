@@ -27,11 +27,16 @@ func runTrain(c *cli.Cmd) error {
 	if err := c.Parse(); err != nil {
 		return err
 	}
+	spec, err := repro.FindModel(*model)
+	if err != nil {
+		return c.UsageErrorf("bad -model: %v", err)
+	}
 	if err := cli.Check(
 		c.OpenUnit("train", *train),
 		c.MinInt("splits", *splits, 1),
 		c.MinInt("n", *n, 1),
 		c.MinInt("samples", *samples, 1),
+		c.OnlyWith("a model that has hyperparameters", spec.Tunable != nil, "tune"),
 		cli.Creatable("save", *save),
 	); err != nil {
 		return err
@@ -41,10 +46,6 @@ func runTrain(c *cli.Cmd) error {
 		return err
 	}
 	defer stop()
-	spec, err := repro.FindModel(*model)
-	if err != nil {
-		return err
-	}
 	study, err := macStudy(*n, tel)
 	if err != nil {
 		return err
@@ -64,11 +65,9 @@ func runTrain(c *cli.Cmd) error {
 			out.Grid.Best, out.Grid.BestScore, out.Grid.Evaluated)
 		// The search winner becomes the model under evaluation — and the
 		// model -save persists — not the paper defaults.
-		if spec.Tunable != nil {
-			best, build := out.Grid.Best, spec.Tunable.Build
-			spec.Factory = func() repro.Regressor { return build(best) }
-			c.Printf("evaluating and saving with tuned parameters %v\n", best)
-		}
+		best, build := out.Grid.Best, spec.Tunable.Build
+		spec.Factory = func() repro.Regressor { return build(best) }
+		c.Printf("evaluating and saving with tuned parameters %v\n", best)
 	}
 
 	rows, err := study.Table1([]repro.ModelSpec{spec}, *splits, *train, 1)
