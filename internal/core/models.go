@@ -8,7 +8,6 @@ import (
 	"repro/internal/ml/ensemble"
 	"repro/internal/ml/knn"
 	"repro/internal/ml/linreg"
-	"repro/internal/ml/metrics"
 	"repro/internal/ml/mlp"
 	"repro/internal/ml/modelsel"
 	"repro/internal/ml/svr"
@@ -60,46 +59,21 @@ func knnBuild(p modelsel.Params) ml.Regressor { return scaled(knn.New(int(p["k"]
 
 func svrBuild(p modelsel.Params) ml.Regressor { return scaled(svr.New(p["C"], p["gamma"], 0.025)) }
 
-// knnScores is k-NN's Scorer. Each split fits the scaler and the training set
-// once for the whole stage, and knn's PredictEachK predicts every test row for
-// all of the stage's k from one distance scan. The predictions are those of
-// knnBuild's pipelines, so the scores are CrossValidated's bits.
-func knnScores(ps []modelsel.Params, X [][]float64, y []float64, splits []ml.Split) ([]float64, error) {
-	if err := ml.CheckXY(X, y); err != nil {
-		return nil, err
-	}
-	if len(splits) == 0 {
-		return nil, fmt.Errorf("%w: no splits", ml.ErrBadData)
-	}
+// knnPredict is k-NN's batch of models for modelsel.Batched: one scaler fit
+// and one training set serve all of a stage's k, and knn's PredictEachK
+// predicts every test row for each k from one distance scan. The predictions
+// are those of knnBuild's pipelines, bit for bit.
+func knnPredict(ps []modelsel.Params, trX [][]float64, trY []float64, teX [][]float64) ([][]float64, error) {
 	ks := make([]int, len(ps))
 	for i, p := range ps {
 		ks[i] = int(p["k"])
 	}
-	res := make([]modelsel.CVResult, len(ps))
-	for i := range res {
-		res[i].TestScores = make([]metrics.Scores, len(splits))
+	m := knn.New(1) // PredictEachK takes its k from ks
+	pipe := ml.Pipeline{Scaler: &ml.StandardScaler{}, Model: m}
+	if err := pipe.Fit(trX, trY); err != nil {
+		return nil, err
 	}
-	for si, sp := range splits {
-		trX, trY := ml.Gather(X, y, sp.Train)
-		teX, teY := ml.Gather(X, y, sp.Test)
-		m := knn.New(1)
-		pipe := ml.Pipeline{Scaler: &ml.StandardScaler{}, Model: m}
-		if err := pipe.Fit(trX, trY); err != nil {
-			return nil, fmt.Errorf("core: k-NN split %d: %w", si, err)
-		}
-		preds, err := m.PredictEachK(pipe.Scaler.Transform(teX), ks)
-		if err != nil {
-			return nil, fmt.Errorf("core: k-NN split %d: %w", si, err)
-		}
-		for i, pred := range preds {
-			res[i].TestScores[si] = metrics.Evaluate(teY, pred)
-		}
-	}
-	scores := make([]float64, len(ps))
-	for i, r := range res {
-		scores[i] = r.MeanTest().R2
-	}
-	return scores, nil
+	return m.PredictEachK(pipe.Scaler.Transform(teX), ks)
 }
 
 // PaperModels returns the three Table I rows in paper order.
@@ -117,7 +91,7 @@ func PaperModels() []ModelSpec {
 					"k": {Min: 1, Max: 20, Integer: true},
 				},
 				Build: knnBuild,
-				Score: knnScores,
+				Score: modelsel.Batched(knnPredict),
 			},
 		},
 		{

@@ -31,21 +31,49 @@ func (r CVResult) MeanTest() metrics.Scores {
 // CrossValidate trains a fresh model per split and evaluates all five paper
 // metrics on the split's test partition.
 func CrossValidate(factory ml.Factory, X [][]float64, y []float64, splits []ml.Split) (CVResult, error) {
-	if err := ml.CheckXY(X, y); err != nil {
+	res, err := crossValidate(1, func(trX [][]float64, trY []float64, teX [][]float64) ([][]float64, error) {
+		pred, err := fitPredict(factory(), trX, trY, teX)
+		return [][]float64{pred}, err
+	}, X, y, splits)
+	if err != nil {
 		return CVResult{}, err
 	}
-	if len(splits) == 0 {
-		return CVResult{}, fmt.Errorf("%w: no splits", ml.ErrBadData)
+	return res[0], nil
+}
+
+// fitPredict fits model to the training rows and predicts the test rows.
+func fitPredict(model ml.Regressor, trX [][]float64, trY []float64, teX [][]float64) ([]float64, error) {
+	if err := model.Fit(trX, trY); err != nil {
+		return nil, err
 	}
-	res := CVResult{TestScores: make([]metrics.Scores, len(splits))}
+	return ml.PredictAll(model, teX), nil
+}
+
+// crossValidate evaluates n models on every split: predict trains them on
+// the split's training partition and returns each one's predictions of its
+// test partition, in order.
+func crossValidate(n int, predict func(trX [][]float64, trY []float64, teX [][]float64) ([][]float64, error),
+	X [][]float64, y []float64, splits []ml.Split) ([]CVResult, error) {
+	if err := ml.CheckXY(X, y); err != nil {
+		return nil, err
+	}
+	if len(splits) == 0 {
+		return nil, fmt.Errorf("%w: no splits", ml.ErrBadData)
+	}
+	res := make([]CVResult, n)
+	for i := range res {
+		res[i].TestScores = make([]metrics.Scores, len(splits))
+	}
 	for si, sp := range splits {
 		trX, trY := ml.Gather(X, y, sp.Train)
 		teX, teY := ml.Gather(X, y, sp.Test)
-		model := factory()
-		if err := model.Fit(trX, trY); err != nil {
-			return CVResult{}, fmt.Errorf("modelsel: split %d: %w", si, err)
+		preds, err := predict(trX, trY, teX)
+		if err != nil {
+			return nil, fmt.Errorf("modelsel: split %d: %w", si, err)
 		}
-		res.TestScores[si] = metrics.Evaluate(teY, ml.PredictAll(model, teX))
+		for i, pred := range preds {
+			res[i].TestScores[si] = metrics.Evaluate(teY, pred)
+		}
 	}
 	return res, nil
 }
@@ -99,22 +127,41 @@ type SearchResult struct {
 // Scorer returns the mean test R² over the splits of each assignment, in
 // order. A search hands it all of a stage's assignments at once, so that a
 // model can share work between them; each score must have the bits
-// CrossValidated gives the model its assignment builds.
+// CrossValidate gives the model its assignment builds.
 type Scorer func(ps []Params, X [][]float64, y []float64, splits []ml.Split) ([]float64, error)
 
-// CrossValidated is the generic Scorer: one CrossValidate per assignment.
-func CrossValidated(build Build) Scorer {
+// Batched is the Scorer of the models predict trains: on each split,
+// predict trains the models of the assignments ps on the training partition
+// and returns each one's predictions of the test partition, in order.
+func Batched(predict func(ps []Params, trX [][]float64, trY []float64, teX [][]float64) ([][]float64, error)) Scorer {
 	return func(ps []Params, X [][]float64, y []float64, splits []ml.Split) ([]float64, error) {
+		res, err := crossValidate(len(ps), func(trX [][]float64, trY []float64, teX [][]float64) ([][]float64, error) {
+			return predict(ps, trX, trY, teX)
+		}, X, y, splits)
+		if err != nil {
+			return nil, err
+		}
 		scores := make([]float64, len(ps))
-		for i, p := range ps {
-			res, err := CrossValidate(func() ml.Regressor { return build(p) }, X, y, splits)
-			if err != nil {
-				return nil, err
-			}
-			scores[i] = res.MeanTest().R2
+		for i, r := range res {
+			scores[i] = r.MeanTest().R2
 		}
 		return scores, nil
 	}
+}
+
+// CrossValidated is the generic Scorer: a model of its own per assignment,
+// as CrossValidate trains it.
+func CrossValidated(build Build) Scorer {
+	return Batched(func(ps []Params, trX [][]float64, trY []float64, teX [][]float64) ([][]float64, error) {
+		preds := make([][]float64, len(ps))
+		for i, p := range ps {
+			var err error
+			if preds[i], err = fitPredict(build(p), trX, trY, teX); err != nil {
+				return nil, err
+			}
+		}
+		return preds, nil
+	})
 }
 
 // pick scores a stage's assignments as one batch and returns the first of
