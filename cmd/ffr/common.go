@@ -5,8 +5,8 @@ import (
 	"os"
 	"strconv"
 
-	"repro"
 	"repro/internal/cli"
+	"repro/internal/core"
 )
 
 // ftoa formats a float the way every CSV this tool writes does: shortest
@@ -32,9 +32,9 @@ func writeTo(c *cli.Cmd, path string, write func(io.Writer) error) error {
 
 // macStudy builds the paper's study — the 1054-flip-flop MAC — with n
 // injections per flip-flop, logging to the command's logger.
-func macStudy(n int, tel *cli.Telemetry) (*repro.Study, error) {
-	cfg := repro.DefaultStudyConfig()
+func macStudy(n int, tel *cli.Telemetry) (*core.Study, error) {
+	cfg := core.DefaultStudyConfig()
 	cfg.InjectionsPerFF = n
 	cfg.Logger = tel.Logger
-	return repro.NewStudy(cfg)
+	return core.NewStudy(cfg)
 }

@@ -6,8 +6,10 @@ import (
 	"path/filepath"
 	"time"
 
-	"repro"
 	"repro/internal/cli"
+	"repro/internal/core"
+	"repro/internal/corpus"
+	"repro/internal/persist"
 )
 
 // runCorpus drives the circuit/scenario corpus: it enumerates the
@@ -60,19 +62,19 @@ func runCorpus(c *cli.Cmd) error {
 	if err != nil {
 		return err
 	}
-	scale, err := repro.ParseCorpusScale(*scaleStr)
+	scale, err := corpus.ParseScale(*scaleStr)
 	if err != nil {
 		return c.UsageErrorf("bad -scale: %v", err)
 	}
-	scenarios := repro.CorpusScenarios()
+	scenarios := corpus.List()
 	if *scenario != "" {
 		if scenarios, err = cli.Scenarios(*scenario); err != nil {
 			return c.UsageErrorf("bad -scenario: %v", err)
 		}
 	}
-	var spec repro.ModelSpec
+	var spec core.ModelSpec
 	if *sweep {
-		if spec, err = repro.FindModel(*model); err != nil {
+		if spec, err = core.FindModel(*model); err != nil {
 			return c.UsageErrorf("bad -model: %v", err)
 		}
 	}
@@ -104,7 +106,7 @@ func runCorpus(c *cli.Cmd) error {
 		len(scenarios), scale, spec.Name, fmodel)
 	for _, sc := range scenarios {
 		start := time.Now()
-		study, err := repro.NewCorpusStudy(sc, repro.CorpusStudyConfig{
+		study, err := core.NewCorpusStudy(sc, core.CorpusStudyConfig{
 			Scale:           scale,
 			Seed:            *seed,
 			InjectionsPerFF: *n,
@@ -134,7 +136,7 @@ func runCorpus(c *cli.Cmd) error {
 		// The Table I protocol gives the artifact its CV metrics; its name
 		// carries the scenario so a whole sweep loads into one ffr serve
 		// (the registry keys by name).
-		rows, err := study.Table1([]repro.ModelSpec{spec}, 5, repro.PaperTrainFrac, 1)
+		rows, err := study.Table1([]core.ModelSpec{spec}, 5, core.PaperTrainFrac, 1)
 		if err != nil {
 			return fmt.Errorf("%s: training: %w", sc.ID(), err)
 		}
@@ -143,7 +145,7 @@ func runCorpus(c *cli.Cmd) error {
 			return fmt.Errorf("%s: training: %w", sc.ID(), err)
 		}
 		path := filepath.Join(*out, artifactFile(sc))
-		if err := repro.SaveModel(path, art); err != nil {
+		if err := persist.Save(path, art); err != nil {
 			return err
 		}
 		c.Printf("  %-22s saved %s (CV R²=%.3f, tagged %s)\n",
@@ -154,13 +156,13 @@ func runCorpus(c *cli.Cmd) error {
 }
 
 // artifactFile names the artifact a sweep saves for a scenario.
-func artifactFile(sc repro.CorpusScenario) string {
+func artifactFile(sc corpus.Scenario) string {
 	return fmt.Sprintf("%s-%s.ffrm", sc.Entry.Name, sc.Workload.Name)
 }
 
 func corpusList(c *cli.Cmd) {
-	families := repro.CorpusFamilies()
-	c.Printf("corpus: %d DUT families, %d scenarios\n\n", len(families), len(repro.CorpusScenarioIDs()))
+	families := corpus.Families()
+	c.Printf("corpus: %d DUT families, %d scenarios\n\n", len(families), len(corpus.IDs()))
 	for _, e := range families {
 		c.Printf("%-10s %s\n", e.Name, e.Description)
 		c.Printf("%-10s default geometry: %d injections/FF, campaign seed %d\n",
@@ -176,7 +178,7 @@ func corpusList(c *cli.Cmd) {
 // corpusValidate materializes every scenario twice and checks the
 // determinism contract: identical netlist fingerprints and identical
 // golden-trace fingerprints for the same (scale, seed).
-func corpusValidate(c *cli.Cmd, scenarios []repro.CorpusScenario, scale repro.CorpusScale, seed int64) error {
+func corpusValidate(c *cli.Cmd, scenarios []corpus.Scenario, scale corpus.Scale, seed int64) error {
 	c.Printf("validating %d scenarios at scale %s, seed %d\n\n", len(scenarios), scale, seed)
 	for _, sc := range scenarios {
 		start := time.Now()

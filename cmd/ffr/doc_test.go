@@ -3,8 +3,12 @@ package main
 import (
 	"context"
 	"flag"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io"
 	"io/fs"
+	"maps"
 	"os"
 	"path"
 	"path/filepath"
@@ -144,8 +148,7 @@ func goSource(t *testing.T, tests bool, visit func(rel, src string)) {
 // is written and what it pins is decided in internal/fault (the Ledger) and
 // nowhere else. No other non-test package outside bench/ — which only
 // round-trips a finished file — loads or saves a campaign checkpoint or
-// fingerprints a plan, so a second matcher cannot reappear unnoticed. The
-// root facade re-exports the functions without calling them.
+// fingerprints a plan, so a second matcher cannot reappear unnoticed.
 func TestOneCheckpointMatcher(t *testing.T) {
 	call := regexp.MustCompile(`\bfault\.(LoadCheckpoint|SaveCheckpoint)\(|\bPlanFingerprint\(`)
 	inFault := false
@@ -164,6 +167,86 @@ func TestOneCheckpointMatcher(t *testing.T) {
 	})
 	if !inFault {
 		t.Fatal("found no plan fingerprinting in internal/fault: the guard matches nothing")
+	}
+}
+
+// TestFacadeLayout: the root package repro is the walkthroughs' API, and
+// nothing else in the module goes through it. No non-test Go file outside
+// the root package imports "repro" (cmd/ffr and bench/ import the internal
+// packages they call), and every exported name the facade files declare is
+// written as repro.<Name> in a walkthrough, the package docs or bench/, so
+// a name that loses its last caller is deleted with it.
+func TestFacadeLayout(t *testing.T) {
+	declared := map[string]bool{}
+	declare := func(id *ast.Ident) {
+		if id.IsExported() {
+			declared[id.Name] = true
+		}
+	}
+	goSource(t, false, func(rel, src string) {
+		f, err := parser.ParseFile(token.NewFileSet(), rel, src, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if path.Dir(rel) == "." {
+			if rel == "ffr.go" || rel == "serving.go" {
+				for _, decl := range f.Decls {
+					switch d := decl.(type) {
+					case *ast.FuncDecl:
+						if d.Recv == nil {
+							declare(d.Name)
+						}
+					case *ast.GenDecl:
+						for _, spec := range d.Specs {
+							switch s := spec.(type) {
+							case *ast.TypeSpec:
+								declare(s.Name)
+							case *ast.ValueSpec:
+								for _, n := range s.Names {
+									declare(n)
+								}
+							}
+						}
+					}
+				}
+			}
+			return
+		}
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"repro"` {
+				t.Errorf("%s imports the repro facade; outside the root package import the internal packages", rel)
+			}
+		}
+	})
+	if len(declared) == 0 {
+		t.Fatal("found no names declared in ffr.go or serving.go: the guard matches nothing")
+	}
+	root := filepath.Join("..", "..")
+	callers := []string{"example_test.go", "ffr_test.go", "doc.go", "README.md"}
+	for _, dir := range []string{"docs", "bench"} {
+		err := filepath.WalkDir(filepath.Join(root, dir), func(p string, d fs.DirEntry, err error) error {
+			if err == nil && !d.IsDir() {
+				rel, _ := filepath.Rel(root, p)
+				callers = append(callers, rel)
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	use := regexp.MustCompile(`\brepro\.([A-Z]\w*)`)
+	for _, rel := range callers {
+		src, err := os.ReadFile(filepath.Join(root, rel))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range use.FindAllStringSubmatch(string(src), -1) {
+			delete(declared, m[1])
+		}
+	}
+	for _, name := range slices.Sorted(maps.Keys(declared)) {
+		t.Errorf("repro.%s has no caller in the walkthroughs, the package docs or bench/; delete it", name)
 	}
 }
 

@@ -9,9 +9,12 @@ import (
 	"strings"
 	"time"
 
-	"repro"
 	"repro/internal/cli"
+	"repro/internal/core"
+	"repro/internal/corpus"
+	"repro/internal/fault"
 	"repro/internal/features"
+	"repro/internal/persist"
 )
 
 // experiments lists the MAC-study experiments in the order -exp all runs
@@ -22,14 +25,14 @@ var experiments = []struct {
 	run func(expRunner) error
 }{
 	{"campaign", expRunner.campaign},
-	{"table1", func(r expRunner) error { return r.table1(repro.PaperModels()) }},
-	{"fig2a", func(r expRunner) error { return r.figA("fig2a", repro.PaperModels()[0]) }},
-	{"fig2b", func(r expRunner) error { return r.figB("fig2b", repro.PaperModels()[0]) }},
-	{"fig3a", func(r expRunner) error { return r.figA("fig3a", repro.PaperModels()[1]) }},
-	{"fig3b", func(r expRunner) error { return r.figB("fig3b", repro.PaperModels()[1]) }},
-	{"fig4a", func(r expRunner) error { return r.figA("fig4a", repro.PaperModels()[2]) }},
-	{"fig4b", func(r expRunner) error { return r.figB("fig4b", repro.PaperModels()[2]) }},
-	{"table1x", func(r expRunner) error { return r.table1(repro.ExtendedModels()) }},
+	{"table1", func(r expRunner) error { return r.table1(core.PaperModels()) }},
+	{"fig2a", func(r expRunner) error { return r.figA("fig2a", core.PaperModels()[0]) }},
+	{"fig2b", func(r expRunner) error { return r.figB("fig2b", core.PaperModels()[0]) }},
+	{"fig3a", func(r expRunner) error { return r.figA("fig3a", core.PaperModels()[1]) }},
+	{"fig3b", func(r expRunner) error { return r.figB("fig3b", core.PaperModels()[1]) }},
+	{"fig4a", func(r expRunner) error { return r.figA("fig4a", core.PaperModels()[2]) }},
+	{"fig4b", func(r expRunner) error { return r.figB("fig4b", core.PaperModels()[2]) }},
+	{"table1x", func(r expRunner) error { return r.table1(core.ExtendedModels()) }},
 	{"search", expRunner.search},
 	{"ablation", expRunner.ablation},
 	{"budget", expRunner.budget},
@@ -54,7 +57,7 @@ var experiments = []struct {
 func runExp(c *cli.Cmd) error {
 	var (
 		exp       = c.Flags.String("exp", "all", "experiment id")
-		n         = c.Flags.Int("n", repro.PaperInjections, "injections per flip-flop")
+		n         = c.Flags.Int("n", core.PaperInjections, "injections per flip-flop")
 		seed      = c.Flags.Int64("seed", 1, "evaluation split seed")
 		csvDir    = c.Flags.String("csvdir", "", "directory for figure CSV series")
 		load      = c.Flags.String("load", "", "model artifact for -exp predict")
@@ -99,13 +102,13 @@ func runExp(c *cli.Cmd) error {
 	// their inputs before the (expensive) MAC study build.
 	switch *exp {
 	case "cross":
-		scale, err := repro.ParseCorpusScale(*scaleStr)
+		scale, err := corpus.ParseScale(*scaleStr)
 		if err != nil {
 			return err
 		}
 		return r.cross(*scenarios, *faultModels, scale, *n, tel)
 	case "predict":
-		art, err := repro.LoadModel(*load)
+		art, err := persist.Load(*load)
 		if err != nil {
 			return err
 		}
@@ -142,7 +145,7 @@ func runExp(c *cli.Cmd) error {
 // expRunner carries what every experiment needs.
 type expRunner struct {
 	c      *cli.Cmd
-	study  *repro.Study
+	study  *core.Study
 	seed   int64
 	csvDir string
 }
@@ -163,9 +166,9 @@ func (r expRunner) writeSeries(id string, header []string, rows [][]string) erro
 
 // predict is -exp predict: validate the artifact's schema against the
 // study's features, then predict every flip-flop.
-func (r expRunner) predict(art *repro.ModelArtifact, path string) error {
+func (r expRunner) predict(art *persist.Artifact, path string) error {
 	start := time.Now()
-	names := repro.FeatureNames()
+	names := features.Names()
 	if len(art.FeatureNames) != len(names) {
 		return fmt.Errorf("artifact schema has %d features, study extracts %d",
 			len(art.FeatureNames), len(names))
@@ -208,25 +211,25 @@ func (r expRunner) campaign() error {
 	if err != nil {
 		return err
 	}
-	return repro.RenderCampaign(r.c.Stdout, res)
+	return core.RenderCampaign(r.c.Stdout, res)
 }
 
-func (r expRunner) table1(models []repro.ModelSpec) error {
-	rows, err := r.study.Table1(models, repro.PaperCVSplits, repro.PaperTrainFrac, r.seed)
+func (r expRunner) table1(models []core.ModelSpec) error {
+	rows, err := r.study.Table1(models, core.PaperCVSplits, core.PaperTrainFrac, r.seed)
 	if err != nil {
 		return err
 	}
-	return repro.RenderTable1(r.c.Stdout, rows)
+	return core.RenderTable1(r.c.Stdout, rows)
 }
 
 // figA reproduces Figures 2a/3a/4a: the per-instance prediction of an
 // example fold with training size 50 %.
-func (r expRunner) figA(id string, spec repro.ModelSpec) error {
+func (r expRunner) figA(id string, spec core.ModelSpec) error {
 	est, trainScores, testScores, err := r.study.FoldPrediction(spec, r.seed)
 	if err != nil {
 		return err
 	}
-	if err := repro.RenderFoldPrediction(r.c.Stdout, spec.Name, est); err != nil {
+	if err := core.RenderFoldPrediction(r.c.Stdout, spec.Name, est); err != nil {
 		return err
 	}
 	r.c.Printf("train: %v\ntest:  %v\n", trainScores, testScores)
@@ -246,12 +249,12 @@ func (r expRunner) figA(id string, spec repro.ModelSpec) error {
 }
 
 // figB reproduces Figures 2b/3b/4b: the learning curves.
-func (r expRunner) figB(id string, spec repro.ModelSpec) error {
-	points, err := r.study.LearningCurve(spec, repro.PaperLearningFracs(), repro.PaperCVSplits, r.seed)
+func (r expRunner) figB(id string, spec core.ModelSpec) error {
+	points, err := r.study.LearningCurve(spec, core.PaperLearningFracs(), core.PaperCVSplits, r.seed)
 	if err != nil {
 		return err
 	}
-	if err := repro.RenderLearningCurve(r.c.Stdout, spec.Name, points); err != nil {
+	if err := core.RenderLearningCurve(r.c.Stdout, spec.Name, points); err != nil {
 		return err
 	}
 	rows := make([][]string, len(points))
@@ -262,7 +265,7 @@ func (r expRunner) figB(id string, spec repro.ModelSpec) error {
 }
 
 func (r expRunner) search() error {
-	for _, spec := range repro.PaperModels() {
+	for _, spec := range core.PaperModels() {
 		if spec.Tunable == nil {
 			continue
 		}
@@ -278,7 +281,7 @@ func (r expRunner) search() error {
 }
 
 func (r expRunner) ablation() error {
-	spec := repro.PaperModels()[1] // k-NN carries the ablation
+	spec := core.PaperModels()[1] // k-NN carries the ablation
 	cases := []struct {
 		name string
 		keep []features.Group
@@ -293,7 +296,7 @@ func (r expRunner) ablation() error {
 	r.c.Printf("%-18s %8s %8s %8s %8s %8s\n", "Feature set", "MAE", "MAX", "RMSE", "EV", "R2")
 	for _, cs := range cases {
 		row, err := r.study.Table1Ablation(spec, r.study.MaskFeatureGroups(cs.keep...),
-			repro.PaperCVSplits, repro.PaperTrainFrac, r.seed)
+			core.PaperCVSplits, core.PaperTrainFrac, r.seed)
 		if err != nil {
 			return err
 		}
@@ -304,7 +307,7 @@ func (r expRunner) ablation() error {
 }
 
 func (r expRunner) budget() error {
-	points, err := r.study.InjectionBudgetAblation([]int{10, 34, 85, 170}, repro.PaperModels()[1], 5, r.seed)
+	points, err := r.study.InjectionBudgetAblation([]int{10, 34, 85, 170}, core.PaperModels()[1], 5, r.seed)
 	if err != nil {
 		return err
 	}
@@ -317,7 +320,7 @@ func (r expRunner) budget() error {
 
 // importance runs the Section V feature-value analysis.
 func (r expRunner) importance() error {
-	imp, err := r.study.FeatureValue(repro.PaperModels()[1], 5, r.seed)
+	imp, err := r.study.FeatureValue(core.PaperModels()[1], 5, r.seed)
 	if err != nil {
 		return err
 	}
@@ -336,7 +339,7 @@ func (r expRunner) importance() error {
 
 // pca runs the Section V dimensionality-reduction sweep.
 func (r expRunner) pca() error {
-	points, err := r.study.PCASweep(repro.PaperModels()[1], []int{3, 5, 10, 15, 25}, 5, r.seed)
+	points, err := r.study.PCASweep(core.PaperModels()[1], []int{3, 5, 10, 15, 25}, 5, r.seed)
 	if err != nil {
 		return err
 	}
@@ -351,7 +354,7 @@ func (r expRunner) pca() error {
 // fault model: ground truth per scenario, the paper's k-NN trained on
 // each, transfer scores on every ordered pair. Does FDR predictability
 // transfer across circuits equally well for SEU, MBU and stuck-at faults?
-func (r expRunner) cross(scenarioList, modelList string, scale repro.CorpusScale, n int, tel *cli.Telemetry) error {
+func (r expRunner) cross(scenarioList, modelList string, scale corpus.Scale, n int, tel *cli.Telemetry) error {
 	// Resolve and validate both lists before the first (expensive)
 	// campaign so bad input fails in milliseconds, not minutes.
 	selected, err := cli.Scenarios(scenarioList)
@@ -361,10 +364,10 @@ func (r expRunner) cross(scenarioList, modelList string, scale repro.CorpusScale
 	if len(selected) < 2 {
 		return fmt.Errorf("-exp cross needs at least 2 scenarios, got %d", len(selected))
 	}
-	var models []repro.FaultModel
+	var models []fault.Model
 	seenModel := map[string]bool{}
 	for _, s := range strings.Split(modelList, ",") {
-		m, err := repro.ParseFaultModel(strings.TrimSpace(s))
+		m, err := fault.ParseModel(strings.TrimSpace(s))
 		if err != nil {
 			return err
 		}
@@ -379,10 +382,10 @@ func (r expRunner) cross(scenarioList, modelList string, scale repro.CorpusScale
 	for _, model := range models {
 		// Per-fault-model campaigns: the same scenarios re-measured under
 		// this model's ground truth, then the full transfer matrix.
-		var studies []*repro.Study
+		var studies []*core.Study
 		for _, sc := range selected {
 			start := time.Now()
-			study, err := repro.NewCorpusStudy(sc, repro.CorpusStudyConfig{
+			study, err := core.NewCorpusStudy(sc, core.CorpusStudyConfig{
 				Scale:           scale,
 				InjectionsPerFF: n,
 				Model:           model,
@@ -402,11 +405,11 @@ func (r expRunner) cross(scenarioList, modelList string, scale repro.CorpusScale
 		r.c.Printf("\n")
 
 		// k-NN, the paper's best model.
-		tm, err := repro.CrossCircuit(studies, repro.PaperModels()[1], r.seed)
+		tm, err := core.CrossCircuit(studies, core.PaperModels()[1], r.seed)
 		if err != nil {
 			return err
 		}
-		if err := repro.RenderTransferMatrix(r.c.Stdout, tm); err != nil {
+		if err := core.RenderTransferMatrix(r.c.Stdout, tm); err != nil {
 			return err
 		}
 		r.c.Printf("\n")

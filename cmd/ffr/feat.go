@@ -2,8 +2,9 @@ package main
 
 import (
 	"io"
-	"repro"
+
 	"repro/internal/cli"
+	"repro/internal/core"
 	"repro/internal/features"
 )
 
@@ -14,7 +15,7 @@ func runFeat(c *cli.Cmd) error {
 	var (
 		out     = c.Flags.String("o", "", "output file (default stdout)")
 		withFDR = c.Flags.Bool("fdr", false, "run the fault campaign and append the fdr column")
-		n       = c.Flags.Int("n", repro.PaperInjections, "injections per flip-flop when -fdr is set")
+		n       = c.Flags.Int("n", core.PaperInjections, "injections per flip-flop when -fdr is set")
 		tel     = c.Telemetry(0)
 	)
 	if err := c.Parse(); err != nil {

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"errors"
+	"fmt"
 	"io"
 	"strconv"
 	"strings"
@@ -18,9 +20,11 @@ import (
 // and re-running the fault campaign, reporting measured vs. predicted
 // residual FFR.
 //
-// Without -scenario the artifact's training-scenario tag is used. The
-// selected flip-flop list prints in ffr coord -harden form, so a verified
-// plan can be re-measured at scale on the distributed fabric.
+// Without -scenario the artifact's training-scenario tag is used, and
+// refused at a -scale/-seed whose circuit is not the one the model was
+// trained on (harden.Materialize). The selected flip-flop list prints in
+// ffr coord -harden form, so a verified plan can be re-measured at scale on
+// the distributed fabric.
 func runHarden(c *cli.Cmd) error {
 	var (
 		load     = c.Flags.String("load", "", "model artifact to advise with (required)")
@@ -58,25 +62,20 @@ func runHarden(c *cli.Cmd) error {
 	if err != nil {
 		return err
 	}
-	if spec.Scenario == "" {
-		if art.Circuit == "" || art.Workload == "" {
-			return c.UsageErrorf("artifact %q carries no scenario tag; -scenario is required", art.Name)
-		}
-		spec.Scenario = art.Circuit + "/" + art.Workload
-	}
-	sc, err := corpus.Find(spec.Scenario)
-	if err != nil {
-		return err
-	}
 	scl, err := corpus.ParseScale(spec.Scale)
 	if err != nil {
 		return err
 	}
-
-	m, err := sc.Materialize(scl, spec.Seed)
-	if err != nil {
+	m, err := harden.Materialize(art, spec.Scenario, scl, spec.Seed)
+	switch {
+	case errors.Is(err, harden.ErrNoScenarioTag):
+		return c.UsageErrorf("artifact %q carries no scenario tag; -scenario is required", art.Name)
+	case errors.Is(err, harden.ErrUntrainedCircuit):
+		return fmt.Errorf("%w; pass the training run's -scale and -seed", err)
+	case err != nil:
 		return err
 	}
+	spec.Scenario = m.Scenario.ID()
 	plan, err := harden.Advise(art, m, *budget)
 	if err != nil {
 		return err

@@ -6,8 +6,8 @@ import (
 	"strconv"
 	"time"
 
-	"repro"
 	"repro/internal/cli"
+	"repro/internal/core"
 	"repro/internal/fault"
 )
 
@@ -22,7 +22,7 @@ import (
 // uninterrupted run.
 func runInject(c *cli.Cmd) error {
 	var (
-		n          = c.Flags.Int("n", repro.PaperInjections, "injections per flip-flop")
+		n          = c.Flags.Int("n", core.PaperInjections, "injections per flip-flop")
 		seed       = c.Flags.Int64("seed", 2019, "injection plan seed (0 = the scenario default, 2019)")
 		workers    = c.Flags.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
 		csvOut     = c.Flags.String("csv", "", "write per-FF results to this CSV file")
@@ -57,7 +57,7 @@ func runInject(c *cli.Cmd) error {
 	}
 	defer stop()
 
-	cfg := repro.DefaultStudyConfig()
+	cfg := core.DefaultStudyConfig()
 	cfg.InjectionsPerFF = *n
 	cfg.CampaignSeed = *seed
 	cfg.Workers = *workers
@@ -68,14 +68,14 @@ func runInject(c *cli.Cmd) error {
 	cfg.Metrics = tel.Metrics
 	cfg.Logger = tel.Logger
 	if *progress {
-		cfg.Progress = func(p repro.CampaignProgress) {
+		cfg.Progress = func(p fault.Progress) {
 			fmt.Fprintf(c.Stderr, "\rinjected %d/%d jobs (%.1f%%), chunks %d/%d, elapsed %s, eta %s   ",
 				p.JobsDone, p.JobsTotal, 100*float64(p.JobsDone)/float64(p.JobsTotal),
 				p.ChunksDone, p.ChunksTotal,
 				p.Elapsed.Round(time.Second), p.ETA.Round(time.Second))
 		}
 	}
-	study, err := repro.NewStudy(cfg)
+	study, err := core.NewStudy(cfg)
 	if err != nil {
 		return err
 	}
@@ -90,7 +90,7 @@ func runInject(c *cli.Cmd) error {
 		fmt.Fprintln(c.Stderr)
 	}
 	if err != nil {
-		if errors.Is(err, repro.ErrCampaignInterrupted) && *checkpoint != "" {
+		if errors.Is(err, fault.ErrInterrupted) && *checkpoint != "" {
 			fmt.Fprintf(c.Stderr, "inject: campaign state saved to %s; rerun with -resume to continue\n", *checkpoint)
 		}
 		return err
@@ -105,7 +105,7 @@ func runInject(c *cli.Cmd) error {
 			float64(res.ReplayCycles)/float64(res.SimulatedCycles))
 	}
 	c.Printf(")\n\n")
-	if err := repro.RenderCampaign(c.Stdout, res); err != nil {
+	if err := core.RenderCampaign(c.Stdout, res); err != nil {
 		return err
 	}
 

@@ -6,8 +6,10 @@ import (
 	"strconv"
 	"time"
 
-	"repro"
 	"repro/internal/cli"
+	"repro/internal/core"
+	"repro/internal/corpus"
+	"repro/internal/fault"
 	"repro/internal/ml/metrics"
 	"repro/internal/plan"
 )
@@ -31,7 +33,7 @@ func runPlan(c *cli.Cmd) error {
 		scenario   = c.Flags.String("scenario", "mac10ge/loopback", "corpus scenario to plan (family/workload)")
 		scaleStr   = c.Flags.String("scale", "small", "circuit/workload scale: small or default")
 		seed       = c.Flags.Int64("seed", 1, "planner seed (the random draws: every random round, committee's round 0)")
-		strategy   = c.Flags.String("strategy", repro.StrategyCommittee, "acquisition strategy: random or committee")
+		strategy   = c.Flags.String("strategy", plan.StrategyCommittee, "acquisition strategy: random or committee")
 		model      = c.Flags.String("model", "k-NN", "estimate model (Table I row label)")
 		n          = c.Flags.Int("n", 0, "injections per measured flip-flop (0 = scenario default)")
 		budget     = c.Flags.Float64("budget", 0.5, "fraction of flip-flops the loop may measure (0,1]")
@@ -62,7 +64,7 @@ func runPlan(c *cli.Cmd) error {
 		c.NonNegFloat("delta", *delta),
 		c.NonNegFloat("ci", *ciWidth),
 		c.Requires("resume", "checkpoint", !*resume || *checkpoint != ""),
-		c.OneOf("strategy", *strategy, repro.AdaptiveStrategyNames()...),
+		c.OneOf("strategy", *strategy, plan.StrategyNames()...),
 	); err != nil {
 		return err
 	}
@@ -73,15 +75,15 @@ func runPlan(c *cli.Cmd) error {
 	if err != nil {
 		return err
 	}
-	scale, err := repro.ParseCorpusScale(*scaleStr)
+	scale, err := corpus.ParseScale(*scaleStr)
 	if err != nil {
 		return c.UsageErrorf("bad -scale: %v", err)
 	}
-	spec, err := repro.FindModel(*model)
+	spec, err := core.FindModel(*model)
 	if err != nil {
 		return c.UsageErrorf("bad -model: %v", err)
 	}
-	sc, err := repro.FindCorpusScenario(*scenario)
+	sc, err := corpus.Find(*scenario)
 	if err != nil {
 		return c.UsageErrorf("bad -scenario: %v", err)
 	}
@@ -94,7 +96,7 @@ func runPlan(c *cli.Cmd) error {
 	}
 	defer stop()
 
-	study, err := repro.NewCorpusStudy(sc, repro.CorpusStudyConfig{
+	study, err := core.NewCorpusStudy(sc, core.CorpusStudyConfig{
 		Scale:           scale,
 		InjectionsPerFF: *n,
 		Model:           fmodel,
@@ -114,12 +116,12 @@ func runPlan(c *cli.Cmd) error {
 	if budgetFFs < 1 {
 		budgetFFs = 1
 	}
-	acquire, err := plan.New(*strategy, repro.CommitteeMembers())
+	acquire, err := plan.New(*strategy, core.CommitteeMembers())
 	if err != nil {
 		return err
 	}
 	var trajectory [][]string
-	loop, err := repro.NewAdaptiveStudy(study, repro.AdaptiveStudyConfig{
+	loop, err := core.NewAdaptiveStudy(study, core.AdaptiveConfig{
 		Strategy:       acquire,
 		Model:          spec.Factory,
 		ModelName:      spec.Name,
@@ -133,7 +135,7 @@ func runPlan(c *cli.Cmd) error {
 		Patience:       *patience,
 		CheckpointPath: *checkpoint,
 		Resume:         *resume,
-		OnRound: func(r repro.AdaptiveRound) {
+		OnRound: func(r plan.Round) {
 			trajectory = append(trajectory, []string{
 				strconv.Itoa(r.Index), strconv.Itoa(len(r.Selected)),
 				strconv.Itoa(r.MeasuredFFs), strconv.Itoa(r.Injections),
@@ -157,7 +159,7 @@ func runPlan(c *cli.Cmd) error {
 	start := time.Now()
 	res, err := loop.RunContext(c.Ctx)
 	if err != nil {
-		if errors.Is(err, repro.ErrCampaignInterrupted) && *checkpoint != "" {
+		if errors.Is(err, fault.ErrInterrupted) && *checkpoint != "" {
 			fmt.Fprintf(c.Stderr, "plan: loop state saved to %s; rerun with -resume to continue\n", *checkpoint)
 		}
 		return err
@@ -189,7 +191,7 @@ func runPlan(c *cli.Cmd) error {
 // planEval runs the exhaustive ground-truth campaign and scores the
 // adaptive estimate against it: prediction quality on the flip-flops the
 // planner never measured, and the circuit-level FFR error.
-func planEval(c *cli.Cmd, study *repro.Study, res *repro.AdaptiveResult) error {
+func planEval(c *cli.Cmd, study *core.Study, res *plan.Result) error {
 	c.Printf("\nrunning exhaustive ground-truth campaign for -eval…\n")
 	gt, err := study.RunGroundTruthContext(c.Ctx)
 	if err != nil {

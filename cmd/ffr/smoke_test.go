@@ -195,6 +195,10 @@ func TestFabricSmoke(t *testing.T) {
 
 	a := start(t, "work", "-coordinator", base, "-name", "smoke-a", "-workers", "1",
 		"-log-level", "debug", "-log-format", "json", "-trace", workSpans)
+	// smoke-b joins only once the traced worker holds a lease: started
+	// together, smoke-b could drain the campaign and leave smoke-a nothing
+	// to trace.
+	a.await(t, a.stderr, `("msg":"lease granted")`)
 	b := start(t, "work", "-coordinator", base, "-name", "smoke-b", "-workers", "1")
 	for _, p := range []*proc{a, b, coord} {
 		if code := p.wait(t); code != 0 {
@@ -309,5 +313,31 @@ func TestHardenSmoke(t *testing.T) {
 	}
 	if text := lintMetrics(t, base+"/metrics"); !strings.Contains(text, "ffr_harden_requests_total 1\n") {
 		t.Errorf("/metrics does not count the harden request:\n%s", text)
+	}
+}
+
+// TestHardenTaggedScenarioMustMatchTraining: without -scenario, ffr harden
+// materializes the artifact's tagged scenario at -scale and -seed, which the
+// artifact does not record; a circuit whose FF count is not the model's
+// training rows is refused, naming both counts. -scenario may advise across
+// circuits.
+func TestHardenTaggedScenarioMustMatchTraining(t *testing.T) {
+	artifacts := filepath.Join(t.TempDir(), "artifacts")
+	mustFFR(t, "corpus", "-sweep", "-scenario", "alupipe/randomops", "-scale", "default", "-n", "2", "-out", artifacts)
+	artifact := filepath.Join(artifacts, "alupipe-randomops.ffrm")
+	code, stdout, stderr := ffr(t, "harden", "-load", artifact)
+	if code != 1 || stdout != "" {
+		t.Fatalf("harden of a default-scale model at -scale small: exit %d, stdout:\n%s", code, stdout)
+	}
+	for _, want := range []string{"has 85 FFs", "trained on 256", "-scale and -seed"} {
+		if !strings.Contains(stderr, want) {
+			t.Errorf("refusal lacks %q:\n%s", want, stderr)
+		}
+	}
+	if stdout, _ := mustFFR(t, "harden", "-load", artifact, "-scale", "default"); !strings.Contains(stdout, " of 256 FFs within budget") {
+		t.Errorf("harden at the training scale:\n%s", stdout)
+	}
+	if stdout, _ := mustFFR(t, "harden", "-load", artifact, "-scenario", "alupipe/randomops"); !strings.Contains(stdout, " of 85 FFs within budget") {
+		t.Errorf("harden with an explicit -scenario:\n%s", stdout)
 	}
 }

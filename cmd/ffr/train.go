@@ -1,8 +1,10 @@
 package main
 
 import (
-	"repro"
 	"repro/internal/cli"
+	"repro/internal/core"
+	"repro/internal/ml"
+	"repro/internal/persist"
 )
 
 // runTrain trains one regression model on the FDR estimation problem and
@@ -16,9 +18,9 @@ import (
 func runTrain(c *cli.Cmd) error {
 	var (
 		model   = c.Flags.String("model", "k-NN", "model name (Table I row label)")
-		train   = c.Flags.Float64("train", repro.PaperTrainFrac, "training size fraction")
-		splits  = c.Flags.Int("splits", repro.PaperCVSplits, "cross-validation splits")
-		n       = c.Flags.Int("n", repro.PaperInjections, "injections per flip-flop")
+		train   = c.Flags.Float64("train", core.PaperTrainFrac, "training size fraction")
+		splits  = c.Flags.Int("splits", core.PaperCVSplits, "cross-validation splits")
+		n       = c.Flags.Int("n", core.PaperInjections, "injections per flip-flop")
 		tune    = c.Flags.Bool("tune", false, "random+grid hyperparameter search before evaluation")
 		samples = c.Flags.Int("samples", 20, "random-search samples when -tune is set")
 		save    = c.Flags.String("save", "", "write the final fitted model to this artifact file")
@@ -27,7 +29,7 @@ func runTrain(c *cli.Cmd) error {
 	if err := c.Parse(); err != nil {
 		return err
 	}
-	spec, err := repro.FindModel(*model)
+	spec, err := core.FindModel(*model)
 	if err != nil {
 		return c.UsageErrorf("bad -model: %v", err)
 	}
@@ -66,15 +68,15 @@ func runTrain(c *cli.Cmd) error {
 		// The search winner becomes the model under evaluation — and the
 		// model -save persists — not the paper defaults.
 		best, build := out.Grid.Best, spec.Tunable.Build
-		spec.Factory = func() repro.Regressor { return build(best) }
+		spec.Factory = func() ml.Regressor { return build(best) }
 		c.Printf("evaluating and saving with tuned parameters %v\n", best)
 	}
 
-	rows, err := study.Table1([]repro.ModelSpec{spec}, *splits, *train, 1)
+	rows, err := study.Table1([]core.ModelSpec{spec}, *splits, *train, 1)
 	if err != nil {
 		return err
 	}
-	if err := repro.RenderTable1(c.Stdout, rows); err != nil {
+	if err := core.RenderTable1(c.Stdout, rows); err != nil {
 		return err
 	}
 	if *save == "" {
@@ -84,7 +86,7 @@ func runTrain(c *cli.Cmd) error {
 	if err != nil {
 		return err
 	}
-	if err := repro.SaveModel(*save, art); err != nil {
+	if err := persist.Save(*save, art); err != nil {
 		return err
 	}
 	c.Printf("\nsaved %q (%s) trained on %d flip-flops to %s\n",

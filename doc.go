@@ -6,10 +6,10 @@
 // it exposes the end-to-end study (circuit generation → synthesis →
 // simulation → feature extraction → fault-injection ground truth →
 // regression models → paper experiments), the circuit corpus, the model
-// artifact store and prediction service, and the active-learning campaign
-// planner, all with stable names. The Example functions in this package's
-// tests and most of cmd/ffr are written against this surface;
-// docs/ARCHITECTURE.md maps the packages behind it.
+// artifact store, the hardening advisor, the distributed campaign fabric
+// and the active-learning campaign planner, all with stable names. It keeps exactly the names the Example
+// walkthroughs in this package's tests use; cmd/ffr imports the internal
+// packages directly. docs/ARCHITECTURE.md maps the packages behind it.
 //
 // Quick start:
 //

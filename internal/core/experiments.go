@@ -18,6 +18,9 @@ const (
 	PaperCVSplits = 10
 	// PaperTrainFrac is the paper's "training size of 50 %".
 	PaperTrainFrac = 0.5
+	// PaperInjections is the paper's flat-campaign budget: 170 injections
+	// per flip-flop.
+	PaperInjections = 170
 	// PaperStratifyBins quantile-bins the FDR target for stratification.
 	PaperStratifyBins = 10
 )

@@ -70,12 +70,12 @@ type StudyConfig struct {
 }
 
 // DefaultStudyConfig reproduces the paper's setup: the 1054-FF circuit and
-// 170 injections per flip-flop.
+// PaperInjections per flip-flop.
 func DefaultStudyConfig() StudyConfig {
 	return StudyConfig{
 		MAC:             circuit.DefaultMACConfig(),
 		Bench:           circuit.DefaultMACBenchConfig(),
-		InjectionsPerFF: 170,
+		InjectionsPerFF: PaperInjections,
 		CampaignSeed:    2019, // DSN 2019
 	}
 }

@@ -1,6 +1,7 @@
 package harden
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -226,4 +227,44 @@ func Advise(art *persist.Artifact, m *corpus.Materialized, budget float64) (*Pla
 	plan.Circuit = m.Scenario.Entry.Name
 	plan.Workload = m.Scenario.Workload.Name
 	return plan, nil
+}
+
+// Errors of Materialize, matchable with errors.Is.
+var (
+	// ErrNoScenarioTag reports an artifact without a circuit/workload tag
+	// given no scenario to advise over.
+	ErrNoScenarioTag = errors.New("artifact carries no scenario tag")
+	// ErrUntrainedCircuit reports a tagged scenario that materializes a
+	// circuit other than the one the model was trained on.
+	ErrUntrainedCircuit = errors.New("not the circuit the model was trained on")
+)
+
+// Materialize materializes the corpus scenario a plan advises over: id, or,
+// when id is empty, the scenario the artifact's circuit/workload tag names.
+// An artifact records no scale or seed, so a tagged scenario is held to the
+// model instead: FitArtifact trains on every flip-flop, and a circuit whose
+// flip-flop count is not TrainRows is ErrUntrainedCircuit (an artifact
+// without TrainRows is not checked). A scenario named by id is not checked:
+// advising across circuits is allowed.
+func Materialize(art *persist.Artifact, id string, scale corpus.Scale, seed int64) (*corpus.Materialized, error) {
+	tagged := id == ""
+	if tagged {
+		if art.Circuit == "" || art.Workload == "" {
+			return nil, ErrNoScenarioTag
+		}
+		id = art.Circuit + "/" + art.Workload
+	}
+	sc, err := corpus.Find(id)
+	if err != nil {
+		return nil, err
+	}
+	m, err := sc.Materialize(scale, seed)
+	if err != nil {
+		return nil, err
+	}
+	if tagged && art.TrainRows != 0 && m.NumFFs() != art.TrainRows {
+		return nil, fmt.Errorf("%w: %s at scale %s, seed %d has %d FFs, model %q was trained on %d",
+			ErrUntrainedCircuit, id, scale, corpus.ResolveSeed(seed), m.NumFFs(), art.Name, art.TrainRows)
+	}
+	return m, nil
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
 	"time"
@@ -94,25 +95,20 @@ func explicitPlan(a *persist.Artifact, req api.HardenRequest) (*harden.Plan, err
 // scenarioPlan materializes the request's scenario — or the artifact's
 // training scenario when the request names none — and advises over it.
 func scenarioPlan(a *persist.Artifact, req api.HardenRequest) (*harden.Plan, error) {
-	id := req.Scenario
-	if id == "" {
-		if a.Circuit == "" || a.Workload == "" {
-			return nil, fmt.Errorf("model %q carries no scenario tag; pass vectors or a scenario", a.Name)
-		}
-		id = a.Circuit + "/" + a.Workload
-	}
-	sc, err := corpus.Find(id)
-	if err != nil {
-		return nil, err
-	}
 	scale := corpus.ScaleSmall
 	if req.Scale != "" {
+		var err error
 		if scale, err = corpus.ParseScale(req.Scale); err != nil {
 			return nil, err
 		}
 	}
-	m, err := sc.Materialize(scale, req.ScenarioSeed)
-	if err != nil {
+	m, err := harden.Materialize(a, req.Scenario, scale, req.ScenarioSeed)
+	switch {
+	case errors.Is(err, harden.ErrNoScenarioTag):
+		return nil, fmt.Errorf("model %q carries no scenario tag; pass vectors or a scenario", a.Name)
+	case errors.Is(err, harden.ErrUntrainedCircuit):
+		return nil, fmt.Errorf("%w; pass the training run's scale and scenario_seed", err)
+	case err != nil:
 		return nil, err
 	}
 	return harden.Advise(a, m, req.Budget)

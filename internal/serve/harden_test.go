@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -118,7 +119,8 @@ func TestHardenValidation(t *testing.T) {
 
 // scenarioArtifact fits a k-NN named "truth" on a 16-injection ground truth
 // of the scenario materialized at small scale and seed 1, tagged with the
-// scenario, and returns it with that materialization.
+// scenario and, like core's FitArtifact, with one training row per
+// flip-flop, and returns it with that materialization.
 func scenarioArtifact(t testing.TB, id string) (*persist.Artifact, *corpus.Materialized) {
 	t.Helper()
 	sc, err := corpus.Find(id)
@@ -143,6 +145,7 @@ func scenarioArtifact(t testing.TB, id string) (*persist.Artifact, *corpus.Mater
 	}
 	art := persist.New("truth", model, features.Names())
 	art.Circuit, art.Workload = sc.Entry.Name, sc.Workload.Name
+	art.TrainRows = m.NumFFs()
 	return art, m
 }
 
@@ -174,6 +177,34 @@ func TestHardenScenarioSeedDefault(t *testing.T) {
 			t.Fatalf("%s: response selects %v, harden.Advise over seed 1 selects %v",
 				body, got.SelectedFFs, want.SelectedFFs)
 		}
+	}
+}
+
+// TestHardenTaggedScenarioMustMatchTraining: a request that names no
+// scenario plans the artifact's tagged one at the request's scale and
+// scenario_seed, and an artifact records neither, so a circuit whose FF
+// count is not the model's training rows is refused with a 400 naming both
+// counts. A request that names the scenario may advise across circuits.
+func TestHardenTaggedScenarioMustMatchTraining(t *testing.T) {
+	art, m := scenarioArtifact(t, "alupipe/randomops")
+	s := New(Config{})
+	if err := s.Add(art); err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	rec, _ := postHarden(t, h, `{"model":"truth","budget":0.5,"scale":"default"}`)
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("tagged scenario at another scale: status %d, want 400: %s", rec.Code, rec.Body.String())
+	}
+	e := decodeEnvelope(t, rec)
+	for _, want := range []string{"trained on " + strconv.Itoa(m.NumFFs()), "scale and scenario_seed"} {
+		if !strings.Contains(e.Message, want) {
+			t.Errorf("refusal %q does not say %q", e.Message, want)
+		}
+	}
+	if _, other := postHarden(t, h, `{"model":"truth","budget":0.5,"scale":"default","scenario":"alupipe/randomops"}`); len(other.Selected)+len(other.Rest) <= m.NumFFs() {
+		t.Errorf("explicit scenario at default scale planned %d FFs, want more than the %d trained on",
+			len(other.Selected)+len(other.Rest), m.NumFFs())
 	}
 }
 
