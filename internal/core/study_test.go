@@ -47,6 +47,49 @@ func smallStudy(t testing.TB) *Study {
 	return testStudy.study
 }
 
+// ablationRows is the table ffr exp -exp ablation prints: k-NN under the
+// Table I protocol on each feature-group subset, labelled as there.
+func ablationRows(t *testing.T, s *Study, seed int64) []TableRow {
+	t.Helper()
+	S, Y, D := features.GroupStructural, features.GroupSynthesis, features.GroupDynamic
+	cases := []struct {
+		name string
+		keep []features.Group
+	}{
+		{"all features", []features.Group{S, Y, D}},
+		{"structural only", []features.Group{S}},
+		{"synthesis only", []features.Group{Y}},
+		{"dynamic only", []features.Group{D}},
+		{"w/o dynamic", []features.Group{S, Y}},
+		{"w/o structural", []features.Group{Y, D}},
+	}
+	var rows []TableRow
+	for _, c := range cases {
+		row, err := s.Table1Ablation(PaperModels()[1], s.MaskFeatureGroups(c.keep...), PaperCVSplits, PaperTrainFrac, seed)
+		if err != nil {
+			t.Fatalf("ablation %s: %v", c.name, err)
+		}
+		row.Model = c.name
+		rows = append(rows, row)
+	}
+	return rows
+}
+
+// pcaR2s is the column ffr exp -exp pca prints: the test R² of k-NN behind
+// standardization and a PCA keeping each of ks components.
+func pcaR2s(t *testing.T, s *Study, ks []int, nSplits int, seed int64) []float64 {
+	t.Helper()
+	points, err := s.PCASweep(PaperModels()[1], ks, nSplits, seed)
+	if err != nil {
+		t.Fatalf("PCA rows: %v", err)
+	}
+	r2s := make([]float64, len(points))
+	for i, p := range points {
+		r2s[i] = p.R2
+	}
+	return r2s
+}
+
 func TestStudyConstruction(t *testing.T) {
 	s := smallStudy(t)
 	if s.NumFFs() < 300 {
