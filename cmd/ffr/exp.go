@@ -14,6 +14,7 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/fault"
 	"repro/internal/features"
+	"repro/internal/ml/metrics"
 	"repro/internal/persist"
 )
 
@@ -165,19 +166,11 @@ func (r expRunner) writeSeries(id string, header []string, rows [][]string) erro
 }
 
 // predict is -exp predict: validate the artifact's schema against the
-// study's features, then predict every flip-flop.
+// extractor's, then predict every flip-flop.
 func (r expRunner) predict(art *persist.Artifact, path string) error {
 	start := time.Now()
-	names := features.Names()
-	if len(art.FeatureNames) != len(names) {
-		return fmt.Errorf("artifact schema has %d features, study extracts %d",
-			len(art.FeatureNames), len(names))
-	}
-	for i, name := range names {
-		if art.FeatureNames[i] != name {
-			return fmt.Errorf("artifact feature %d is %q, study extracts %q",
-				i, art.FeatureNames[i], name)
-		}
+	if err := art.CheckSchema(features.Names()); err != nil {
+		return err
 	}
 	r.c.Printf("loaded %q (%s, trained on %d flip-flops, hash %x) from %s\n",
 		art.Name, art.Kind, art.TrainRows, art.TrainHash, path)
@@ -225,14 +218,15 @@ func (r expRunner) table1(models []core.ModelSpec) error {
 // figA reproduces Figures 2a/3a/4a: the per-instance prediction of an
 // example fold with training size 50 %.
 func (r expRunner) figA(id string, spec core.ModelSpec) error {
-	est, trainScores, testScores, err := r.study.FoldPrediction(spec, r.seed)
+	est, err := r.study.EstimateFDR(spec.Factory, core.PaperTrainFrac, r.seed)
 	if err != nil {
 		return err
 	}
-	if err := core.RenderFoldPrediction(r.c.Stdout, spec.Name, est); err != nil {
+	if err := core.RenderFold(r.c.Stdout, spec.Name, est); err != nil {
 		return err
 	}
-	r.c.Printf("train: %v\ntest:  %v\n", trainScores, testScores)
+	r.c.Printf("train: %v\ntest:  %v\n",
+		metrics.Evaluate(est.TrainTrue, est.TrainPred), metrics.Evaluate(est.TestTrue, est.TestPred))
 	var rows [][]string
 	series := func(part string, idx []int, truth, pred []float64) {
 		for i := range idx {
@@ -280,28 +274,25 @@ func (r expRunner) search() error {
 	return nil
 }
 
+// ablation runs Table I on k-NN behind each feature-group subset.
 func (r expRunner) ablation() error {
-	spec := core.PaperModels()[1] // k-NN carries the ablation
-	cases := []struct {
-		name string
-		keep []features.Group
-	}{
-		{"all features", []features.Group{features.GroupStructural, features.GroupSynthesis, features.GroupDynamic}},
-		{"structural only", []features.Group{features.GroupStructural}},
-		{"synthesis only", []features.Group{features.GroupSynthesis}},
-		{"dynamic only", []features.Group{features.GroupDynamic}},
-		{"w/o dynamic", []features.Group{features.GroupStructural, features.GroupSynthesis}},
-		{"w/o structural", []features.Group{features.GroupSynthesis, features.GroupDynamic}},
+	knn := core.PaperModels()[1]
+	S, Y, D := features.GroupStructural, features.GroupSynthesis, features.GroupDynamic
+	rows, err := r.study.Table1([]core.ModelSpec{
+		core.FeatureGroupModel("all features", knn, S, Y, D),
+		core.FeatureGroupModel("structural only", knn, S),
+		core.FeatureGroupModel("synthesis only", knn, Y),
+		core.FeatureGroupModel("dynamic only", knn, D),
+		core.FeatureGroupModel("w/o dynamic", knn, S, Y),
+		core.FeatureGroupModel("w/o structural", knn, Y, D),
+	}, core.PaperCVSplits, core.PaperTrainFrac, r.seed)
+	if err != nil {
+		return err
 	}
 	r.c.Printf("%-18s %8s %8s %8s %8s %8s\n", "Feature set", "MAE", "MAX", "RMSE", "EV", "R2")
-	for _, cs := range cases {
-		row, err := r.study.Table1Ablation(spec, r.study.MaskFeatureGroups(cs.keep...),
-			core.PaperCVSplits, core.PaperTrainFrac, r.seed)
-		if err != nil {
-			return err
-		}
+	for _, row := range rows {
 		r.c.Printf("%-18s %8.3f %8.3f %8.3f %8.3f %8.3f\n",
-			cs.name, row.MAE, row.MAX, row.RMSE, row.EV, row.R2)
+			row.Model, row.MAE, row.MAX, row.RMSE, row.EV, row.R2)
 	}
 	return nil
 }
@@ -337,15 +328,21 @@ func (r expRunner) importance() error {
 	return nil
 }
 
-// pca runs the Section V dimensionality-reduction sweep.
+// pca runs the Section V dimensionality-reduction sweep: Table I on k-NN
+// behind standardization and PCA at several kept dimensionalities.
 func (r expRunner) pca() error {
-	points, err := r.study.PCASweep(core.PaperModels()[1], []int{3, 5, 10, 15, 25}, 5, r.seed)
+	ks := []int{3, 5, 10, 15, 25}
+	specs := make([]core.ModelSpec, len(ks))
+	for i, k := range ks {
+		specs[i] = core.PCAModel(core.PaperModels()[1], k)
+	}
+	rows, err := r.study.Table1(specs, 5, core.PaperTrainFrac, r.seed)
 	if err != nil {
 		return err
 	}
 	r.c.Printf("%-14s %10s\n", "components", "k-NN R2")
-	for _, p := range points {
-		r.c.Printf("%-14d %10.3f\n", p.Components, p.R2)
+	for i, row := range rows {
+		r.c.Printf("%-14d %10.3f\n", ks[i], row.R2)
 	}
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"os"
 	"os/exec"
@@ -126,6 +127,35 @@ func TestServeSmoke(t *testing.T) {
 	stdout, stderr := mustFFR(t, "exp", "-exp", "predict", "-load", artifact)
 	if !strings.Contains(stdout, "predicted FDR for 1054 flip-flops") || strings.Contains(stderr, "campaign start") {
 		t.Errorf("exp -exp predict:\n%s\nstderr:\n%s", stdout, stderr)
+	}
+}
+
+// TestExpVariantTables: -exp ablation and -exp pca through the command at
+// -n 2 print one row per feature set and per kept dimensionality, in order,
+// each with a finite R² in its last column.
+func TestExpVariantTables(t *testing.T) {
+	for _, c := range []struct {
+		exp, header string
+		rows        []string
+	}{
+		{"ablation", "Feature set", []string{"all features", "structural only", "synthesis only",
+			"dynamic only", "w/o dynamic", "w/o structural"}},
+		{"pca", "components", []string{"3", "5", "10", "15", "25"}},
+	} {
+		stdout, _ := mustFFR(t, "exp", "-exp", c.exp, "-n", "2")
+		_, table, ok := strings.Cut(stdout, "\n"+c.header)
+		lines := strings.Split(strings.TrimSpace(table), "\n")
+		if !ok || len(lines) != len(c.rows)+1 {
+			t.Fatalf("-exp %s: want a header and %d rows:\n%s", c.exp, len(c.rows), stdout)
+		}
+		for i, row := range c.rows {
+			line := lines[i+1]
+			f := strings.Fields(line)
+			r2, err := strconv.ParseFloat(f[len(f)-1], 64)
+			if !strings.HasPrefix(line, row+" ") || err != nil || math.IsNaN(r2) || math.IsInf(r2, 0) {
+				t.Errorf("-exp %s row %d is %q, want %q with a finite R²", c.exp, i, line, row)
+			}
+		}
 	}
 }
 

@@ -184,13 +184,9 @@ func (s *Study) CompareAdaptiveStrategies(strategies []string, spec ModelSpec, b
 	if rounds < 1 {
 		return nil, fmt.Errorf("core: adaptive comparison needs >= 1 round, got %d", rounds)
 	}
-	y, err := s.FDR()
+	y, splits, err := s.splits(1, PaperTrainFrac, seed)
 	if err != nil {
 		return nil, err
-	}
-	splits, err := ml.StratifiedShuffleSplits(y, 1, PaperTrainFrac, PaperStratifyBins, seed)
-	if err != nil {
-		return nil, fmt.Errorf("core: adaptive comparison split: %w", err)
 	}
 	pool, eval := splits[0].Train, splits[0].Test
 	X := s.FeatureRows()

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"strings"
 
 	"repro/internal/ml"
 	"repro/internal/ml/metrics"
@@ -135,49 +136,32 @@ func (tm *TransferMatrix) Cell(trainID, testID string) (TransferCell, error) {
 // (R² and Kendall τ; diagonal cells marked with * as held-out
 // within-circuit baselines).
 func RenderTransferMatrix(w io.Writer, tm *TransferMatrix) error {
-	render := func(title string, value func(TransferCell) float64) error {
-		label := tm.Model
-		if tm.FaultModel != "" {
-			label += ", fault model " + tm.FaultModel
-		}
-		if _, err := fmt.Fprintf(w, "%s (%s), train row → test column:\n", title, label); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "%-20s", ""); err != nil {
-			return err
-		}
+	label := tm.Model
+	if tm.FaultModel != "" {
+		label += ", fault model " + tm.FaultModel
+	}
+	var sb strings.Builder
+	render := func(title string, value func(TransferCell) float64) {
+		fmt.Fprintf(&sb, "%s (%s), train row → test column:\n%-20s", title, label, "")
 		for _, id := range tm.IDs {
-			if _, err := fmt.Fprintf(w, " %18s", id); err != nil {
-				return err
-			}
+			fmt.Fprintf(&sb, " %18s", id)
 		}
-		if _, err := fmt.Fprintln(w); err != nil {
-			return err
-		}
+		sb.WriteByte('\n')
 		for i, id := range tm.IDs {
-			if _, err := fmt.Fprintf(w, "%-20s", id); err != nil {
-				return err
-			}
-			for j := range tm.IDs {
+			fmt.Fprintf(&sb, "%-20s", id)
+			for _, cell := range tm.Cells[i] {
 				mark := " "
-				if tm.Cells[i][j].Diagonal {
+				if cell.Diagonal {
 					mark = "*"
 				}
-				if _, err := fmt.Fprintf(w, " %17.3f%s", value(tm.Cells[i][j]), mark); err != nil {
-					return err
-				}
+				fmt.Fprintf(&sb, " %17.3f%s", value(cell), mark)
 			}
-			if _, err := fmt.Fprintln(w); err != nil {
-				return err
-			}
+			sb.WriteByte('\n')
 		}
-		return nil
 	}
-	if err := render("R²", func(c TransferCell) float64 { return c.R2 }); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintln(w); err != nil {
-		return err
-	}
-	return render("Kendall τ", func(c TransferCell) float64 { return c.Tau })
+	render("R²", func(c TransferCell) float64 { return c.R2 })
+	sb.WriteByte('\n')
+	render("Kendall τ", func(c TransferCell) float64 { return c.Tau })
+	_, err := io.WriteString(w, sb.String())
+	return err
 }

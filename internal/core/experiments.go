@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/fault"
 	"repro/internal/features"
@@ -32,15 +33,13 @@ type TableRow struct {
 }
 
 // Table1 reproduces Table I: every model evaluated over stratified shuffle
-// splits at the given training size, scores averaged over splits.
+// splits at the given training size, scores averaged over splits. The
+// Section V tables are the same protocol over model variants
+// (FeatureGroupModel, PCAModel).
 func (s *Study) Table1(models []ModelSpec, nSplits int, trainFrac float64, seed int64) ([]TableRow, error) {
-	y, err := s.FDR()
+	y, splits, err := s.splits(nSplits, trainFrac, seed)
 	if err != nil {
 		return nil, err
-	}
-	splits, err := ml.StratifiedShuffleSplits(y, nSplits, trainFrac, PaperStratifyBins, seed)
-	if err != nil {
-		return nil, fmt.Errorf("core: table1 splits: %w", err)
 	}
 	X := s.FeatureRows()
 	rows := make([]TableRow, 0, len(models))
@@ -52,6 +51,53 @@ func (s *Study) Table1(models []ModelSpec, nSplits int, trainFrac float64, seed 
 		rows = append(rows, TableRow{Model: spec.Name, Scores: res.MeanTest()})
 	}
 	return rows, nil
+}
+
+// FeatureGroupModel is spec behind a front end that keeps only the feature
+// columns of the given groups, in schema order: one row of the
+// feature-group ablation, called name.
+func FeatureGroupModel(name string, spec ModelSpec, keep ...features.Group) ModelSpec {
+	var cols columns
+	for j, g := range features.Groups() {
+		if slices.Contains(keep, g) {
+			cols = append(cols, j)
+		}
+	}
+	return ModelSpec{Name: name, Factory: func() ml.Regressor {
+		return &ml.Pipeline{Scaler: cols, Model: spec.Factory()}
+	}}
+}
+
+// columns is a Scaler that keeps the listed columns; it learns nothing.
+type columns []int
+
+func (c columns) Fit([][]float64) error { return nil }
+
+func (c columns) Transform(X [][]float64) [][]float64 {
+	out := make([][]float64, len(X))
+	for i, x := range X {
+		out[i] = c.TransformRow(x)
+	}
+	return out
+}
+
+func (c columns) TransformRow(x []float64) []float64 {
+	out := make([]float64, len(c))
+	for k, j := range c {
+		out[k] = x[j]
+	}
+	return out
+}
+
+// PCAModel is spec behind standardization and a PCA keeping k components:
+// one row of the dimensionality-reduction direction of Section V. PCA on
+// raw features would be dominated by large-scale columns such as
+// state_changes, hence the standardization.
+func PCAModel(spec ModelSpec, k int) ModelSpec {
+	return ModelSpec{Name: fmt.Sprintf("%s, PCA %d", spec.Name, k), Factory: func() ml.Regressor {
+		pca := &ml.Pipeline{Scaler: ml.NewPCA(k), Model: spec.Factory()}
+		return &ml.Pipeline{Scaler: &ml.StandardScaler{}, Model: pca}
+	}}
 }
 
 // FitArtifact refits spec on every flip-flop's measured FDR — cross
@@ -80,24 +126,6 @@ func (s *Study) FitArtifact(name string, spec ModelSpec, cv TableRow) (*persist.
 	return art, nil
 }
 
-// Table1Ablation evaluates one model on a reduced feature matrix (the
-// feature-group ablation bench).
-func (s *Study) Table1Ablation(spec ModelSpec, X [][]float64, nSplits int, trainFrac float64, seed int64) (TableRow, error) {
-	y, err := s.FDR()
-	if err != nil {
-		return TableRow{}, err
-	}
-	splits, err := ml.StratifiedShuffleSplits(y, nSplits, trainFrac, PaperStratifyBins, seed)
-	if err != nil {
-		return TableRow{}, fmt.Errorf("core: ablation splits: %w", err)
-	}
-	res, err := modelsel.CrossValidate(spec.Factory, X, y, splits)
-	if err != nil {
-		return TableRow{}, fmt.Errorf("core: ablation %s: %w", spec.Name, err)
-	}
-	return TableRow{Model: spec.Name, Scores: res.MeanTest()}, nil
-}
-
 // LearningCurve reproduces Figures 2b/3b/4b for one model: train and test
 // R² as a function of the training size.
 func (s *Study) LearningCurve(spec ModelSpec, fracs []float64, nSplits int, seed int64) ([]modelsel.LearningPoint, error) {
@@ -123,18 +151,6 @@ func PaperLearningFracs() []float64 {
 	return []float64{0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95}
 }
 
-// FoldPrediction reproduces Figures 2a/3a/4a: one 50 % split, the model's
-// prediction on the train and test partitions, and the per-instance errors.
-func (s *Study) FoldPrediction(spec ModelSpec, seed int64) (*EstimateResult, metrics.Scores, metrics.Scores, error) {
-	est, err := s.EstimateFDR(spec.Factory, PaperTrainFrac, seed)
-	if err != nil {
-		return nil, metrics.Scores{}, metrics.Scores{}, err
-	}
-	trainScores := metrics.Evaluate(est.TrainTrue, est.TrainPred)
-	testScores := metrics.Evaluate(est.TestTrue, est.TestPred)
-	return est, trainScores, testScores, nil
-}
-
 // SearchOutcome reports a hyperparameter search (Section III-A protocol).
 type SearchOutcome struct {
 	Model  string
@@ -148,11 +164,7 @@ func (s *Study) TuneModel(spec ModelSpec, nRandom int, seed int64) (*SearchOutco
 	if spec.Tunable == nil {
 		return nil, fmt.Errorf("core: model %q has no tunable hyperparameters", spec.Name)
 	}
-	y, err := s.FDR()
-	if err != nil {
-		return nil, err
-	}
-	splits, err := ml.StratifiedShuffleSplits(y, 5, PaperTrainFrac, PaperStratifyBins, seed)
+	y, splits, err := s.splits(5, PaperTrainFrac, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -187,11 +199,7 @@ func (s *Study) TuneModel(spec ModelSpec, nRandom int, seed int64) (*SearchOutco
 // separately", Section V) using the given model on a 50 % split. The result
 // is ordered by feature index, aligned with features.Names().
 func (s *Study) FeatureValue(spec ModelSpec, repeats int, seed int64) ([]modelsel.FeatureImportance, error) {
-	y, err := s.FDR()
-	if err != nil {
-		return nil, err
-	}
-	splits, err := ml.StratifiedShuffleSplits(y, 1, PaperTrainFrac, PaperStratifyBins, seed)
+	y, splits, err := s.splits(1, PaperTrainFrac, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -200,66 +208,6 @@ func (s *Study) FeatureValue(spec ModelSpec, repeats int, seed int64) ([]modelse
 		return nil, fmt.Errorf("core: feature value: %w", err)
 	}
 	return imp, nil
-}
-
-// PCAPoint is one dimensionality-reduction measurement: the Table I
-// protocol with a PCA front end keeping k components.
-type PCAPoint struct {
-	Components int
-	R2         float64
-}
-
-// PCASweep evaluates the dimensionality-reduction direction of Section V:
-// the given base model behind a standardize+PCA pipeline at several kept
-// dimensionalities.
-func (s *Study) PCASweep(spec ModelSpec, components []int, nSplits int, seed int64) ([]PCAPoint, error) {
-	y, err := s.FDR()
-	if err != nil {
-		return nil, err
-	}
-	splits, err := ml.StratifiedShuffleSplits(y, nSplits, PaperTrainFrac, PaperStratifyBins, seed)
-	if err != nil {
-		return nil, err
-	}
-	X := s.FeatureRows()
-	out := make([]PCAPoint, 0, len(components))
-	for _, k := range components {
-		k := k
-		factory := func() ml.Regressor {
-			return &ml.Pipeline{
-				Scaler: &pcaChain{std: &ml.StandardScaler{}, pca: ml.NewPCA(k)},
-				Model:  spec.Factory(),
-			}
-		}
-		res, err := modelsel.CrossValidate(factory, X, y, splits)
-		if err != nil {
-			return nil, fmt.Errorf("core: PCA sweep k=%d: %w", k, err)
-		}
-		out = append(out, PCAPoint{Components: k, R2: res.MeanTest().R2})
-	}
-	return out, nil
-}
-
-// pcaChain standardizes then projects — PCA on raw features would be
-// dominated by large-scale columns such as state_changes.
-type pcaChain struct {
-	std *ml.StandardScaler
-	pca *ml.PCA
-}
-
-func (c *pcaChain) Fit(X [][]float64) error {
-	if err := c.std.Fit(X); err != nil {
-		return err
-	}
-	return c.pca.Fit(c.std.Transform(X))
-}
-
-func (c *pcaChain) Transform(X [][]float64) [][]float64 {
-	return c.pca.Transform(c.std.Transform(X))
-}
-
-func (c *pcaChain) TransformRow(x []float64) []float64 {
-	return c.pca.TransformRow(c.std.TransformRow(x))
 }
 
 // BudgetPoint is one injection-budget ablation measurement.

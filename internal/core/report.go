@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"math"
 	"strings"
 
 	"repro/internal/fault"
@@ -41,17 +42,17 @@ func RenderLearningCurve(w io.Writer, model string, points []modelsel.LearningPo
 	return err
 }
 
-// RenderFoldPrediction summarizes a Fig. 2a/3a/4a fold: per-partition
-// scores and an FDR-vs-error digest (full series are written by the CSV
-// exporters in ffr exp).
-func RenderFoldPrediction(w io.Writer, model string, est *EstimateResult) error {
+// RenderFold summarizes a Fig. 2a/3a/4a fold: partition sizes and the
+// largest test error (the full series are written by the CSV exporters in
+// ffr exp).
+func RenderFold(w io.Writer, model string, est *EstimateResult) error {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "FOLD PREDICTION — %s (training size = %.0f %%)\n\n", model, PaperTrainFrac*100)
 	fmt.Fprintf(&sb, "train instances: %d, test instances: %d\n", len(est.TrainIdx), len(est.TestIdx))
 	var worst float64
 	var worstIdx int
 	for i := range est.TestTrue {
-		if d := abs(est.TestTrue[i] - est.TestPred[i]); d > worst {
+		if d := math.Abs(est.TestTrue[i] - est.TestPred[i]); d > worst {
 			worst = d
 			worstIdx = est.TestIdx[i]
 		}
@@ -91,11 +92,4 @@ func RenderCampaign(w io.Writer, res *fault.Result) error {
 	}
 	_, err := io.WriteString(w, sb.String())
 	return err
-}
-
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }

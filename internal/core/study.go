@@ -8,7 +8,6 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/corpus"
 	"repro/internal/fault"
-	"repro/internal/features"
 	"repro/internal/ml"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -201,28 +200,18 @@ func (s *Study) FDR() ([]float64, error) {
 	return s.Campaign.FDR, nil
 }
 
-// MaskFeatureGroups returns a copy of the feature rows keeping only the
-// columns of the requested groups (ablation studies).
-func (s *Study) MaskFeatureGroups(keep ...features.Group) [][]float64 {
-	groups := features.Groups()
-	var cols []int
-	for j, g := range groups {
-		for _, k := range keep {
-			if g == k {
-				cols = append(cols, j)
-				break
-			}
-		}
+// splits is the preamble of every stratified protocol on the ground truth:
+// the targets and nSplits stratified shuffle splits of them at trainFrac.
+func (s *Study) splits(nSplits int, trainFrac float64, seed int64) ([]float64, []ml.Split, error) {
+	y, err := s.FDR()
+	if err != nil {
+		return nil, nil, err
 	}
-	out := make([][]float64, len(s.Features.Rows))
-	for i, row := range s.Features.Rows {
-		r := make([]float64, len(cols))
-		for k, j := range cols {
-			r[k] = row[j]
-		}
-		out[i] = r
+	splits, err := ml.StratifiedShuffleSplits(y, nSplits, trainFrac, PaperStratifyBins, seed)
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: stratified splits: %w", err)
 	}
-	return out
+	return y, splits, nil
 }
 
 // EstimateResult is one execution of the Fig. 1 flow on a single split:
@@ -241,13 +230,9 @@ type EstimateResult struct {
 // campaign: by planFor's subset rule a partial campaign over the subset
 // measures exactly the ground truth's counts for it.
 func (s *Study) EstimateFDR(factory ml.Factory, trainFrac float64, seed int64) (*EstimateResult, error) {
-	y, err := s.FDR()
+	y, splits, err := s.splits(1, trainFrac, seed)
 	if err != nil {
 		return nil, err
-	}
-	splits, err := ml.StratifiedShuffleSplits(y, 1, trainFrac, 10, seed)
-	if err != nil {
-		return nil, fmt.Errorf("core: estimate split: %w", err)
 	}
 	sp := splits[0]
 	X := s.FeatureRows()

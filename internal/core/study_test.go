@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -11,6 +12,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/features"
 	"repro/internal/ml"
+	"repro/internal/ml/metrics"
 	"repro/internal/ml/modelsel"
 	"repro/internal/obs"
 	"repro/internal/persist"
@@ -63,14 +65,13 @@ func ablationRows(t *testing.T, s *Study, seed int64) []TableRow {
 		{"w/o dynamic", []features.Group{S, Y}},
 		{"w/o structural", []features.Group{Y, D}},
 	}
-	var rows []TableRow
+	var specs []ModelSpec
 	for _, c := range cases {
-		row, err := s.Table1Ablation(PaperModels()[1], s.MaskFeatureGroups(c.keep...), PaperCVSplits, PaperTrainFrac, seed)
-		if err != nil {
-			t.Fatalf("ablation %s: %v", c.name, err)
-		}
-		row.Model = c.name
-		rows = append(rows, row)
+		specs = append(specs, FeatureGroupModel(c.name, PaperModels()[1], c.keep...))
+	}
+	rows, err := s.Table1(specs, PaperCVSplits, PaperTrainFrac, seed)
+	if err != nil {
+		t.Fatalf("ablation: %v", err)
 	}
 	return rows
 }
@@ -79,13 +80,17 @@ func ablationRows(t *testing.T, s *Study, seed int64) []TableRow {
 // standardization and a PCA keeping each of ks components.
 func pcaR2s(t *testing.T, s *Study, ks []int, nSplits int, seed int64) []float64 {
 	t.Helper()
-	points, err := s.PCASweep(PaperModels()[1], ks, nSplits, seed)
+	specs := make([]ModelSpec, len(ks))
+	for i, k := range ks {
+		specs[i] = PCAModel(PaperModels()[1], k)
+	}
+	rows, err := s.Table1(specs, nSplits, PaperTrainFrac, seed)
 	if err != nil {
 		t.Fatalf("PCA rows: %v", err)
 	}
-	r2s := make([]float64, len(points))
-	for i, p := range points {
-		r2s[i] = p.R2
+	r2s := make([]float64, len(rows))
+	for i, r := range rows {
+		r2s[i] = r.R2
 	}
 	return r2s
 }
@@ -200,17 +205,21 @@ func TestEstimateFDRFlow(t *testing.T) {
 	}
 }
 
-func TestFoldPrediction(t *testing.T) {
+// TestEstimateFoldScores: the Fig. 2a/3a/4a fold is EstimateFDR at the
+// paper's training size, scored per partition.
+func TestEstimateFoldScores(t *testing.T) {
 	s := smallStudy(t)
-	est, trainScores, testScores, err := s.FoldPrediction(PaperModels()[1], 2)
+	est, err := s.EstimateFDR(PaperModels()[1].Factory, PaperTrainFrac, 2)
 	if err != nil {
-		t.Fatalf("FoldPrediction: %v", err)
+		t.Fatalf("EstimateFDR: %v", err)
 	}
+	trainScores := metrics.Evaluate(est.TrainTrue, est.TrainPred)
+	testScores := metrics.Evaluate(est.TestTrue, est.TestPred)
 	if trainScores.R2 < testScores.R2-0.05 {
 		t.Fatalf("k-NN train score (%v) should not trail test (%v)", trainScores.R2, testScores.R2)
 	}
 	var buf bytes.Buffer
-	if err := RenderFoldPrediction(&buf, "k-NN", est); err != nil {
+	if err := RenderFold(&buf, "k-NN", est); err != nil {
 		t.Fatal(err)
 	}
 	if buf.Len() == 0 {
@@ -238,26 +247,52 @@ func TestLearningCurvePlateau(t *testing.T) {
 	}
 }
 
-func TestMaskFeatureGroups(t *testing.T) {
+// TestFeatureGroupModelKeepsColumns: a feature-group variant's front end
+// passes the model exactly the columns of its groups, in schema order.
+func TestFeatureGroupModelKeepsColumns(t *testing.T) {
 	s := smallStudy(t)
-	dyn := s.MaskFeatureGroups(features.GroupDynamic)
-	if len(dyn) != s.NumFFs() || len(dyn[0]) != 3 {
-		t.Fatalf("dynamic mask shape: %dx%d", len(dyn), len(dyn[0]))
+	X := s.FeatureRows()
+	front := func(keep ...features.Group) [][]float64 {
+		pipe := FeatureGroupModel("variant", PaperModels()[1], keep...).Factory().(*ml.Pipeline)
+		if err := pipe.Scaler.Fit(X); err != nil {
+			t.Fatal(err)
+		}
+		return pipe.Scaler.Transform(X)
 	}
-	all := s.MaskFeatureGroups(features.GroupStructural, features.GroupSynthesis, features.GroupDynamic)
-	if len(all[0]) != features.NumFeatures {
-		t.Fatalf("full mask width %d", len(all[0]))
+	dyn := front(features.GroupDynamic)
+	if len(dyn) != s.NumFFs() || len(dyn[0]) != 3 {
+		t.Fatalf("dynamic columns shape: %dx%d", len(dyn), len(dyn[0]))
+	}
+	var dynCols []int
+	for j, g := range features.Groups() {
+		if g == features.GroupDynamic {
+			dynCols = append(dynCols, j)
+		}
+	}
+	for i, row := range dyn {
+		for k, j := range dynCols {
+			if row[k] != X[i][j] {
+				t.Fatalf("row %d column %d is %v, feature %d is %v", i, k, row[k], j, X[i][j])
+			}
+		}
+	}
+	all := front(features.GroupStructural, features.GroupSynthesis, features.GroupDynamic)
+	if len(all[0]) != features.NumFeatures || !reflect.DeepEqual(all, X) {
+		t.Fatalf("every group keeps %d of %d columns, or changes them", len(all[0]), features.NumFeatures)
 	}
 }
 
-func TestTable1Ablation(t *testing.T) {
+// TestTable1FeatureGroupRow: one ablation row is a Table I row of the
+// variant, under the variant's name.
+func TestTable1FeatureGroupRow(t *testing.T) {
 	s := smallStudy(t)
-	row, err := s.Table1Ablation(PaperModels()[1], s.MaskFeatureGroups(features.GroupStructural), 3, 0.5, 4)
+	spec := FeatureGroupModel("structural only", PaperModels()[1], features.GroupStructural)
+	rows, err := s.Table1([]ModelSpec{spec}, 3, 0.5, 4)
 	if err != nil {
-		t.Fatalf("Table1Ablation: %v", err)
+		t.Fatalf("Table1: %v", err)
 	}
-	if row.R2 <= -1 || row.R2 > 1 {
-		t.Fatalf("ablation R² out of range: %v", row.R2)
+	if row := rows[0]; row.Model != "structural only" || row.R2 <= -1 || row.R2 > 1 {
+		t.Fatalf("ablation row %q, R² %v", row.Model, row.R2)
 	}
 }
 
@@ -449,23 +484,25 @@ func TestFeatureValue(t *testing.T) {
 	}
 }
 
-func TestPCASweep(t *testing.T) {
+// TestTable1PCARows: the dimensionality-reduction sweep is Table I over
+// PCA variants, one row per kept dimensionality.
+func TestTable1PCARows(t *testing.T) {
 	s := smallStudy(t)
-	points, err := s.PCASweep(PaperModels()[1], []int{3, 10}, 2, 4)
+	rows, err := s.Table1([]ModelSpec{PCAModel(PaperModels()[1], 3), PCAModel(PaperModels()[1], 10)}, 2, PaperTrainFrac, 4)
 	if err != nil {
-		t.Fatalf("PCASweep: %v", err)
+		t.Fatalf("Table1: %v", err)
 	}
-	if len(points) != 2 {
-		t.Fatalf("points = %d", len(points))
+	if len(rows) != 2 {
+		t.Fatalf("rows = %d", len(rows))
 	}
-	for _, p := range points {
-		if p.R2 > 1 {
-			t.Fatalf("R² out of range: %+v", p)
+	for _, r := range rows {
+		if r.R2 > 1 {
+			t.Fatalf("R² out of range: %+v", r)
 		}
 	}
 	// More components should not be dramatically worse.
-	if points[1].R2 < points[0].R2-0.3 {
-		t.Fatalf("PCA sweep implausible: %+v", points)
+	if rows[1].R2 < rows[0].R2-0.3 {
+		t.Fatalf("PCA rows implausible: %+v", rows)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/corpus"
+	"repro/internal/features"
 	"repro/internal/persist"
 )
 
@@ -200,8 +201,12 @@ func NewPlan(cands []Candidate, budget float64) (*Plan, error) {
 // Advise runs the whole advisor over a materialized scenario: score every
 // flip-flop with the artifact's model, rank by score, and fill the budget.
 // Per-FF TMR costs come from the synthesized netlist's cell types, so a
-// flip-flop that synthesis upsized costs more to triplicate.
+// flip-flop that synthesis upsized costs more to triplicate. The
+// artifact's feature schema must be the extractor's, name for name.
 func Advise(art *persist.Artifact, m *corpus.Materialized, budget float64) (*Plan, error) {
+	if err := art.CheckSchema(features.Names()); err != nil {
+		return nil, fmt.Errorf("harden: %w", err)
+	}
 	scores, err := Score(art, m.Features.Rows)
 	if err != nil {
 		return nil, err

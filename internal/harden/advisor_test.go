@@ -1,11 +1,17 @@
 package harden_test
 
 import (
+	"errors"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/corpus"
+	"repro/internal/features"
 	"repro/internal/harden"
+	"repro/internal/ml/knn"
+	"repro/internal/persist"
 )
 
 // cands builds a candidate ranking straight from parallel slices, bypassing
@@ -248,5 +254,33 @@ func TestWriteCSV(t *testing.T) {
 	}
 	if !strings.HasSuffix(lines[1], ",0.2") || !strings.HasSuffix(lines[2], ",0") {
 		t.Fatalf("unexpected CSV rows:\n%s", sb.String())
+	}
+}
+
+// TestAdviseRefusesForeignSchema: a model scores rows in its own schema's
+// column order, so an artifact whose feature names are the extractor's in
+// another order is refused as a schema mismatch, not advised with columns
+// it reads as other features.
+func TestAdviseRefusesForeignSchema(t *testing.T) {
+	sc, err := corpus.Find("alupipe/randomops")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := sc.Materialize(corpus.ScaleSmall, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := knn.New(1)
+	if err := model.Fit(m.Features.Rows, make([]float64, m.NumFFs())); err != nil {
+		t.Fatal(err)
+	}
+	names := features.Names()
+	if _, err := harden.Advise(persist.New("m", model, names), m, 0.5); err != nil {
+		t.Fatalf("extractor schema: %v", err)
+	}
+	slices.Reverse(names)
+	_, err = harden.Advise(persist.New("m", model, names), m, 0.5)
+	if !errors.Is(err, persist.ErrSchemaMismatch) {
+		t.Fatalf("reversed schema: err %v, want ErrSchemaMismatch", err)
 	}
 }

@@ -26,8 +26,8 @@ var (
 	// ErrUnknownKind marks an artifact whose model kind has no codec
 	// registered in this build.
 	ErrUnknownKind = errors.New("persist: unknown model kind")
-	// ErrSchemaMismatch marks a feature vector that does not match the
-	// artifact's feature schema.
+	// ErrSchemaMismatch marks a feature vector or schema that does not
+	// match the artifact's feature schema.
 	ErrSchemaMismatch = errors.New("persist: feature schema mismatch")
 )
 
@@ -85,6 +85,23 @@ func (a *Artifact) CheckVector(x []float64) error {
 	if len(x) != len(a.FeatureNames) {
 		return fmt.Errorf("%w: vector has %d features, model %q wants %d",
 			ErrSchemaMismatch, len(x), a.Name, len(a.FeatureNames))
+	}
+	return nil
+}
+
+// CheckSchema validates the names of the features an extractor produces,
+// in its order, against the feature schema: a model scores rows in its own
+// column order, so a reordered schema is as wrong as a narrower one.
+func (a *Artifact) CheckSchema(names []string) error {
+	if len(names) != len(a.FeatureNames) {
+		return fmt.Errorf("%w: model %q wants %d features, extractor produces %d",
+			ErrSchemaMismatch, a.Name, len(a.FeatureNames), len(names))
+	}
+	for i, name := range names {
+		if a.FeatureNames[i] != name {
+			return fmt.Errorf("%w: feature %d of model %q is %q, extractor produces %q",
+				ErrSchemaMismatch, i, a.Name, a.FeatureNames[i], name)
+		}
 	}
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -205,6 +206,37 @@ func TestHardenTaggedScenarioMustMatchTraining(t *testing.T) {
 	if _, other := postHarden(t, h, `{"model":"truth","budget":0.5,"scale":"default","scenario":"alupipe/randomops"}`); len(other.Selected)+len(other.Rest) <= m.NumFFs() {
 		t.Errorf("explicit scenario at default scale planned %d FFs, want more than the %d trained on",
 			len(other.Selected)+len(other.Rest), m.NumFFs())
+	}
+}
+
+// TestHardenRefusesForeignSchema: scenario mode scores the extractor's
+// rows, so a model whose feature names are the extractor's in another order
+// is refused with a 400 envelope. Explicit vectors come in the artifact's
+// own order, and only their width is checked.
+func TestHardenRefusesForeignSchema(t *testing.T) {
+	art, m := scenarioArtifact(t, "alupipe/randomops")
+	names := features.Names()
+	slices.Reverse(names)
+	reordered := persist.New("reordered", art.Model, names)
+	reordered.Circuit, reordered.Workload, reordered.TrainRows = art.Circuit, art.Workload, art.TrainRows
+	s := New(Config{})
+	if err := s.Add(reordered); err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	rec, _ := postHarden(t, h, `{"model":"reordered","budget":0.5}`)
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("reordered schema: status %d, want 400: %s", rec.Code, rec.Body.String())
+	}
+	if e := decodeEnvelope(t, rec); e.Code != api.CodeBadRequest || !strings.Contains(e.Message, "feature schema mismatch") {
+		t.Fatalf("refusal %+v does not name the schema mismatch", e)
+	}
+	row, err := json.Marshal(m.Features.Rows[:2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec, _ := postHarden(t, h, `{"model":"reordered","budget":0.5,"vectors":`+string(row)+`}`); rec.Code != http.StatusOK {
+		t.Fatalf("explicit vectors: status %d: %s", rec.Code, rec.Body.String())
 	}
 }
 
