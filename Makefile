@@ -81,6 +81,11 @@ bench:
 # FuzzMLPFitMatchesScalarLoops is differential: mlp.Fit must train small
 # networks to the weight bits of the scalar loops kept in
 # internal/ml/mlp/equiv_test.go, non-finite rows and zero deltas included.
+# FuzzSortSamplesMatchesSortFunc is differential: the split search's copy of
+# pdqsort (internal/ml/tree/pdqsort.go) must leave tie-heavy, patterned and
+# NaN keys in the permutation slices.SortFunc gives them. A failure after a
+# toolchain upgrade means the standard library's sort changed; the copy is
+# what the pinned tree bits rest on, so it stays as it is.
 # FuzzKernelMatchesEngine is differential too: whatever netlist the parser
 # accepts, its compiled kernel must match four packed Engines word for word
 # through 16 cycles of random inputs and flip-flop upsets.
@@ -101,4 +106,5 @@ fuzz-smoke:
 	$(FUZZ) -fuzz=FuzzNeighbors ./internal/ml/knn
 	$(FUZZ) -fuzz=FuzzPredictEachK ./internal/ml/knn
 	$(FUZZ) -fuzz=FuzzMLPFitMatchesScalarLoops ./internal/ml/mlp
+	$(FUZZ) -fuzz=FuzzSortSamplesMatchesSortFunc ./internal/ml/tree
 	$(FUZZ) -fuzz=FuzzKernelMatchesEngine ./internal/sim

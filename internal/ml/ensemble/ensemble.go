@@ -121,6 +121,12 @@ func NewBoosting(stages int, learningRate float64, maxDepth int) *GradientBoosti
 
 // Fit runs the boosting iterations.
 func (g *GradientBoosting) Fit(X [][]float64, y []float64) error {
+	return g.fit(X, y, new(tree.Orders))
+}
+
+// fit is Fit with the sort orders stages fitting all of X share (nil: none);
+// subsampled stages see other rows each time and never use them.
+func (g *GradientBoosting) fit(X [][]float64, y []float64, orders *tree.Orders) error {
 	if err := ml.CheckXY(X, y); err != nil {
 		return err
 	}
@@ -163,7 +169,7 @@ func (g *GradientBoosting) Fit(X [][]float64, y []float64) error {
 		}
 		stage := &tree.Regressor{MaxDepth: g.MaxDepth, MinSamplesLeaf: g.MinSamplesLeaf}
 		if rows == n {
-			if err := stage.Fit(X, resid); err != nil {
+			if err := stage.FitShared(X, resid, orders); err != nil {
 				return fmt.Errorf("ml/ensemble: stage %d: %w", t, err)
 			}
 		} else {

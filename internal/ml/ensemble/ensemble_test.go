@@ -180,3 +180,36 @@ func TestDefaultsApplied(t *testing.T) {
 		t.Fatalf("boosting defaults wrong: %+v", g)
 	}
 }
+
+// Without subsampling every stage fits all of X and takes the sort orders
+// earlier stages recorded wherever a node's row set recurs; that must not
+// move a bit of any prediction. A subsampled stage fits other rows each
+// time and must not use the orders at all.
+func TestBoostingSharedOrdersBitIdentical(t *testing.T) {
+	X, y := tieHeavyData(21, 240, 6)
+	teX, _ := tieHeavyData(22, 80, 6)
+	for _, subsample := range []float64{1, 0.6} {
+		build := func() *GradientBoosting {
+			return &GradientBoosting{Stages: 60, LearningRate: 0.1, MaxDepth: 3, Subsample: subsample, Seed: 4}
+		}
+		plain, shared := build(), build()
+		if err := plain.fit(X, y, nil); err != nil {
+			t.Fatalf("subsample %v, fresh sorts: %v", subsample, err)
+		}
+		var orders tree.Orders
+		if err := shared.fit(X, y, &orders); err != nil {
+			t.Fatalf("subsample %v, shared orders: %v", subsample, err)
+		}
+		for i, x := range append(append([][]float64(nil), X...), teX...) {
+			if got, want := shared.Predict(x), plain.Predict(x); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("subsample %v, row %d: %v with shared orders, %v with fresh sorts", subsample, i, got, want)
+			}
+		}
+		switch reused := orders.Reused(); {
+		case subsample == 1 && reused == 0:
+			t.Errorf("subsample 1: no node reused an earlier stage's orders")
+		case subsample < 1 && reused != 0:
+			t.Errorf("subsample %v: %d nodes reused orders across different rows", subsample, reused)
+		}
+	}
+}

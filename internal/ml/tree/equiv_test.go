@@ -217,21 +217,28 @@ func TestFitBitIdenticalForestStyle(t *testing.T) {
 	}
 }
 
+// The stages share one Orders, as GradientBoosting's do, so most of their
+// nodes take the sort orders an earlier stage recorded; each stage must
+// still grow the reference's tree.
 func TestFitBitIdenticalBoostingStyle(t *testing.T) {
 	X, y := tieHeavyData(7, 200, 5)
 	pred := make([]float64, len(y))
 	resid := make([]float64, len(y))
+	var orders Orders
 	for stage := 0; stage < 40; stage++ {
 		for i := range resid {
 			resid[i] = y[i] - pred[i]
 		}
 		got := &Regressor{MaxDepth: 3, MinSamplesLeaf: 1, MinSamplesSplit: 2}
-		if err := got.Fit(X, resid); err != nil {
+		if err := got.FitShared(X, resid, &orders); err != nil {
 			t.Fatalf("stage %d: Fit: %v", stage, err)
 		}
 		requireSameTree(t, "boosting stage", got, refFit(&Regressor{MaxDepth: 3, MinSamplesLeaf: 1, MinSamplesSplit: 2}, X, resid))
 		for i := range pred {
 			pred[i] += 0.1 * got.Predict(X[i])
 		}
+	}
+	if orders.Reused() == 0 {
+		t.Fatal("no stage reused an earlier stage's sort orders")
 	}
 }

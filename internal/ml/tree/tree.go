@@ -3,7 +3,6 @@ package tree
 import (
 	"encoding/gob"
 	"fmt"
-	"slices"
 
 	"repro/internal/ml"
 )
@@ -61,7 +60,13 @@ func New(maxDepth int) *Regressor {
 }
 
 // Fit grows the tree.
-func (r *Regressor) Fit(X [][]float64, y []float64) error {
+func (r *Regressor) Fit(X [][]float64, y []float64) error { return r.FitShared(X, y, nil) }
+
+// FitShared is Fit reusing the sort orders earlier fits recorded in orders,
+// and recording its own. Every fit sharing one Orders must see the same X,
+// unchanged, and the same configuration; a nil orders, or a tree with
+// FeatureOrder, sorts every node afresh.
+func (r *Regressor) FitShared(X [][]float64, y []float64, orders *Orders) error {
 	if err := ml.CheckXY(X, y); err != nil {
 		return err
 	}
@@ -87,6 +92,10 @@ func (r *Regressor) Fit(X [][]float64, y []float64) error {
 		g.feats = make([]int, numFeatures)
 		for i := range g.feats {
 			g.feats[i] = i
+		}
+		if orders != nil {
+			orders.begin(X, numFeatures)
+			g.orders = orders
 		}
 	}
 	idx := make([]int, len(X))
@@ -131,6 +140,7 @@ type grower struct {
 	sorted []sample // the node's rows in feature order
 	right  []int    // rows bound for the right child while idx is partitioned
 	feats  []int    // the features every split examines; nil under FeatureOrder
+	orders *Orders  // sort orders shared with other fits over X; nil for none
 }
 
 // grow appends the subtree over idx to r.Nodes and returns its root's index.
@@ -157,23 +167,34 @@ func (g *grower) grow(idx []int, depth int) int {
 		feats = r.FeatureOrder(len(X[0]))
 	}
 	sorted := g.sorted[:len(idx)]
-	for _, f := range feats {
-		// The node's rows in idx order, sorted by feature f. The sort sees
-		// the keys sort.Slice over an index slice would, in the same
-		// positions, and both are the same pdqsort: equal keys come out in
-		// the same order, which the sums below depend on.
-		for k, i := range idx {
-			sorted[k] = sample{X[i][f], y[i]}
+	orders, reuse := g.orders.find(idx)
+	for fi, f := range feats {
+		// The node's rows sorted by feature f. sortSamples leaves equal keys
+		// in slices.SortFunc's order, which the sums below add in; its
+		// permutation depends on the keys alone, so a recorded order is
+		// reused, and a sort to record carries the row numbers in y.
+		m := len(idx)
+		switch {
+		case reuse:
+			for k, i := range orders[fi*m : (fi+1)*m] {
+				sorted[k] = sample{X[i][f], y[i]}
+			}
+		case orders != nil:
+			for k, i := range idx {
+				sorted[k] = sample{X[i][f], float64(i)}
+			}
+			sortSamples(sorted)
+			for k, s := range sorted {
+				i := int32(s.y)
+				orders[fi*m+k] = i
+				sorted[k].y = y[i]
+			}
+		default:
+			for k, i := range idx {
+				sorted[k] = sample{X[i][f], y[i]}
+			}
+			sortSamples(sorted)
 		}
-		slices.SortFunc(sorted, func(a, b sample) int {
-			if a.x < b.x {
-				return -1
-			}
-			if b.x < a.x {
-				return 1
-			}
-			return 0
-		})
 		// Prefix sums over the sorted order for O(n) split evaluation.
 		var sumL, sumSqL float64
 		var sumR, sumSqR float64
@@ -245,23 +266,6 @@ func (r *Regressor) Predict(x []float64) float64 {
 		}
 	}
 	return n.Value
-}
-
-// Depth returns the height of the fitted tree (a leaf-only tree has
-// depth 0); -1 before Fit.
-func (r *Regressor) Depth() int {
-	if !r.Fitted {
-		return -1
-	}
-	var rec func(int) int
-	rec = func(i int) int {
-		n := r.Nodes[i]
-		if n.Feature < 0 {
-			return 0
-		}
-		return 1 + max(rec(n.Left), rec(n.Right))
-	}
-	return rec(0)
 }
 
 var _ ml.Regressor = (*Regressor)(nil)

@@ -20,6 +20,23 @@ func stepData() ([][]float64, []float64) {
 	return X, y
 }
 
+// depth returns the height of the fitted tree (a leaf-only tree has depth
+// 0); -1 before Fit.
+func depth(r *Regressor) int {
+	if !r.Fitted {
+		return -1
+	}
+	var rec func(int) int
+	rec = func(i int) int {
+		n := r.Nodes[i]
+		if n.Feature < 0 {
+			return 0
+		}
+		return 1 + max(rec(n.Left), rec(n.Right))
+	}
+	return rec(0)
+}
+
 func TestFitsStepFunctionExactly(t *testing.T) {
 	X, y := stepData()
 	m := New(3)
@@ -37,7 +54,7 @@ func TestFitsStepFunctionExactly(t *testing.T) {
 	if got := m.Predict([]float64{0.55, 0}); got != 1 {
 		t.Fatalf("right side = %v, want 1", got)
 	}
-	if d := m.Depth(); d != 1 {
+	if d := depth(m); d != 1 {
 		t.Fatalf("depth = %d, want 1 (single split suffices)", d)
 	}
 }
@@ -51,13 +68,13 @@ func TestMaxDepthRespected(t *testing.T) {
 		X[i] = []float64{rng.Float64()}
 		y[i] = rng.Float64()
 	}
-	for _, depth := range []int{1, 2, 3, 5} {
-		m := New(depth)
+	for _, maxDepth := range []int{1, 2, 3, 5} {
+		m := New(maxDepth)
 		if err := m.Fit(X, y); err != nil {
 			t.Fatalf("Fit: %v", err)
 		}
-		if got := m.Depth(); got > depth {
-			t.Fatalf("tree depth %d exceeds bound %d", got, depth)
+		if got := depth(m); got > maxDepth {
+			t.Fatalf("tree depth %d exceeds bound %d", got, maxDepth)
 		}
 	}
 }
@@ -69,8 +86,8 @@ func TestMinSamplesLeaf(t *testing.T) {
 		t.Fatalf("Fit: %v", err)
 	}
 	// 8 samples with min leaf 5 → no legal split → a single leaf.
-	if m.Depth() != 0 {
-		t.Fatalf("depth = %d, want 0 leaf-only", m.Depth())
+	if depth(m) != 0 {
+		t.Fatalf("depth = %d, want 0 leaf-only", depth(m))
 	}
 	if got := m.Predict(X[0]); got != 0.5 {
 		t.Fatalf("leaf mean = %v, want 0.5", got)
@@ -84,8 +101,8 @@ func TestPureNodeStopsSplitting(t *testing.T) {
 	if err := m.Fit(X, y); err != nil {
 		t.Fatalf("Fit: %v", err)
 	}
-	if m.Depth() != 0 {
-		t.Fatalf("pure data must give leaf, depth=%d", m.Depth())
+	if depth(m) != 0 {
+		t.Fatalf("pure data must give leaf, depth=%d", depth(m))
 	}
 }
 
@@ -166,7 +183,7 @@ func TestValidation(t *testing.T) {
 	if got := fresh.Predict([]float64{1}); got != 0 {
 		t.Fatalf("unfitted Predict = %v", got)
 	}
-	if fresh.Depth() != -1 {
+	if depth(fresh) != -1 {
 		t.Fatal("unfitted Depth must be -1")
 	}
 }
