@@ -11,7 +11,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint loc bench fuzz-smoke
+.PHONY: all build test race lint loc knobs bench fuzz-smoke
 
 all: lint build test
 
@@ -40,6 +40,17 @@ loc:
 	for d in internal/*/ cmd/*/; do printf '%7d %s\n' "$$(count $$d)" "$${d%/}"; done; \
 	printf '%7d repro (root facade)\n' "$$(count . -maxdepth 1)"; \
 	printf '%7d non-test Go lines outside bench/\n' "$$(count .)"
+
+# The option count the simplicity review asks every PR to report: the flags
+# each ffr command registers (the lines of its -h list) and their total. Like
+# loc, CI prints it in every PR's log; it is a number to report, not a gate.
+knobs:
+	@ffr=$$(mktemp); trap 'rm -f "$$ffr"' EXIT; $(GO) build -o "$$ffr" ./cmd/ffr; total=0; \
+	for c in $$("$$ffr" help 2>&1 | sed -n 's/^  \([a-z]*\) .*/\1/p'); do \
+		k=$$("$$ffr" $$c -h 2>&1 | grep -c '^  -'); total=$$((total + k)); \
+		printf '%7d ffr %s\n' $$k $$c; \
+	done; \
+	printf '%7d flags in all\n' $$total
 
 # Every micro-benchmark once, each beside the layer it measures, so a
 # regression localizes below the workloads of ./bench: the simulator

@@ -27,7 +27,7 @@ import (
 // straggler chunks are work-stolen by idle workers.
 func runCoord(c *cli.Cmd) error {
 	var (
-		campaign   = c.Campaign("corpus scenario to run (\"family/workload\"; see ffr corpus -list)")
+		campaign   = c.CampaignSpec("corpus scenario to run (\"family/workload\"; see ffr corpus -list)", 0)
 		hardenList = c.Flags.String("harden", "", "comma-separated flip-flop indices to TMR-harden before the campaign (e.g. from ffr harden)")
 		faultModel = c.FaultModel("fault model: seu, mbu:N, stuck0:D, stuck1:D, set, each with optional @start-end window; part of the campaign identity, shipped to workers in the spec")
 		addr       = c.Flags.String("addr", ":9090", "listen address (host:port; port 0 picks a free port)")
@@ -69,15 +69,14 @@ func runCoord(c *cli.Cmd) error {
 	defer stop()
 
 	coord, err := fabric.NewCoordinator(fabric.CoordinatorConfig{
-		Spec:            spec,
-		LeaseTTL:        *leaseTTL,
-		MaxLeaseChunks:  *maxLease,
-		CheckpointPath:  local.CheckpointPath,
-		CheckpointEvery: local.CheckpointEvery,
-		Resume:          local.Resume,
-		Logger:          tel.Logger,
-		Tracer:          tel.Tracer,
-		Metrics:         tel.Metrics,
+		Spec:           spec,
+		LeaseTTL:       *leaseTTL,
+		MaxLeaseChunks: *maxLease,
+		CheckpointPath: local.CheckpointPath,
+		Resume:         local.Resume,
+		Logger:         tel.Logger,
+		Tracer:         tel.Tracer,
+		Metrics:        tel.Metrics,
 	})
 	if err != nil {
 		return err

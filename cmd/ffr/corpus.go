@@ -30,23 +30,17 @@ func runCorpus(c *cli.Cmd) error {
 		sweep      = c.Flags.Bool("sweep", false, "run every scenario end to end through the campaign runner")
 		scaleStr   = c.Flags.String("scale", "small", "circuit/workload scale: small or default")
 		seed       = c.Flags.Int64("seed", 1, "generator and workload seed (0 means 1)")
-		n          = c.Flags.Int("n", 0, "injections per flip-flop (0 = per-scenario default)")
+		campaign   = c.Campaign(cli.Injections | cli.Chunk | cli.Workers)
 		model      = c.Flags.String("model", "k-NN", "model trained per scenario during -sweep")
 		out        = c.Flags.String("out", "", "directory for per-scenario model artifacts (-sweep)")
 		scenario   = c.Flags.String("scenario", "", "comma-separated scenario IDs (default: all)")
-		shards     = c.Flags.Int("shards", 0, "split each campaign into about this many shard chunks")
-		workers    = c.Flags.Int("workers", 0, "campaign worker count (0 = GOMAXPROCS)")
 		faultModel = c.FaultModel("fault model for -sweep campaigns: seu, mbu:N, stuck0:D, stuck1:D, each with optional @start-end window")
 		tel        = c.Telemetry(cli.Profile)
 	)
 	if err := c.Parse(); err != nil {
 		return err
 	}
-	if err := cli.Check(
-		c.MinInt("n", *n, 0),
-		c.MinInt("shards", *shards, 0),
-		c.MinInt("workers", *workers, 0),
-	); err != nil {
+	if err := campaign.Check(); err != nil {
 		return err
 	}
 	modes := 0
@@ -82,8 +76,10 @@ func runCorpus(c *cli.Cmd) error {
 		if err := os.MkdirAll(*out, 0o755); err != nil {
 			return err
 		}
-		if err := cli.Creatable("out", filepath.Join(*out, artifactFile(scenarios[0]))); err != nil {
-			return err
+		for _, sc := range scenarios {
+			if err := cli.Creatable("out", filepath.Join(*out, artifactFile(sc))); err != nil {
+				return err
+			}
 		}
 	}
 	stop, err := tel.Start()
@@ -109,10 +105,10 @@ func runCorpus(c *cli.Cmd) error {
 		study, err := core.NewCorpusStudy(sc, core.CorpusStudyConfig{
 			Scale:           scale,
 			Seed:            *seed,
-			InjectionsPerFF: *n,
+			InjectionsPerFF: campaign.InjectionsPerFF,
 			Model:           fmodel,
-			Workers:         *workers,
-			Shards:          *shards,
+			Workers:         campaign.Workers,
+			ChunkJobs:       campaign.ChunkJobs,
 			Logger:          tel.Logger,
 		})
 		if err != nil {

@@ -31,8 +31,7 @@ func runHarden(c *cli.Cmd) error {
 		budget   = c.Flags.Float64("budget", 0.5, "area budget as a fraction of full-TMR area")
 		csvPath  = c.Flags.String("csv", "", "write the full ranking as CSV to this file")
 		verify   = c.Flags.Bool("verify", false, "TMR-rewrite the netlist and re-measure residual FFR by campaign")
-		workers  = c.Flags.Int("workers", 0, "verify simulation workers (0 = GOMAXPROCS)")
-		campaign = c.Campaign("corpus scenario (\"family/workload\"; default: the artifact's training scenario)")
+		campaign = c.CampaignSpec("corpus scenario (\"family/workload\"; default: the artifact's training scenario)", cli.Workers)
 		tel      = c.Telemetry(0)
 	)
 	if err := c.Parse(); err != nil {
@@ -40,8 +39,7 @@ func runHarden(c *cli.Cmd) error {
 	}
 	if err := cli.Check(
 		c.NonNegFloat("budget", *budget),
-		c.MinInt("workers", *workers, 0),
-		c.OnlyWith("-verify", *verify, "n", "campaign-seed", "workers", "chunk", "checkpoint", "resume", "checkpoint-every"),
+		c.OnlyWith("-verify", *verify, "n", "campaign-seed", "workers", "chunk", "checkpoint", "resume"),
 	); err != nil {
 		return err
 	}
@@ -101,7 +99,7 @@ func runHarden(c *cli.Cmd) error {
 	if !*verify {
 		return nil
 	}
-	local.Workers, local.Logger = *workers, tel.Logger
+	local.Logger = tel.Logger
 	v, err := harden.Verify(c.Ctx, plan, spec, local)
 	if err != nil {
 		return err

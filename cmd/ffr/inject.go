@@ -22,13 +22,8 @@ import (
 // uninterrupted run.
 func runInject(c *cli.Cmd) error {
 	var (
-		n          = c.Flags.Int("n", core.PaperInjections, "injections per flip-flop")
-		seed       = c.Flags.Int64("seed", 2019, "injection plan seed (0 = the scenario default, 2019)")
-		workers    = c.Flags.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
+		campaign   = c.Campaign(cli.Injections | cli.Chunk | cli.CampaignSeed | cli.Workers | cli.Checkpoint)
 		csvOut     = c.Flags.String("csv", "", "write per-FF results to this CSV file")
-		checkpoint = c.Flags.String("checkpoint", "", "periodically save campaign state to this file")
-		resume     = c.Flags.Bool("resume", false, "resume from -checkpoint if it exists")
-		shards     = c.Flags.Int("shards", 0, "split the plan into about this many shard chunks (rounded to whole 64-lane batches; must match on -resume; 0 = default chunk size)")
 		progress   = c.Flags.Bool("progress", false, "print live campaign progress to stderr")
 		faultModel = c.FaultModel("fault model: seu, mbu:N, stuck0:D, stuck1:D, each with optional @start-end window (e.g. mbu:3, stuck0:8@0.25-0.75)")
 		tel        = c.Telemetry(cli.Metrics | cli.Profile)
@@ -36,12 +31,7 @@ func runInject(c *cli.Cmd) error {
 	if err := c.Parse(); err != nil {
 		return err
 	}
-	if err := cli.Check(
-		c.MinInt("n", *n, 1),
-		c.MinInt("workers", *workers, 0),
-		c.MinInt("shards", *shards, 0),
-		c.Requires("resume", "checkpoint", !*resume || *checkpoint != ""),
-	); err != nil {
+	if err := campaign.Check(); err != nil {
 		return err
 	}
 	model, err := faultModel()
@@ -58,12 +48,12 @@ func runInject(c *cli.Cmd) error {
 	defer stop()
 
 	cfg := core.DefaultStudyConfig()
-	cfg.InjectionsPerFF = *n
-	cfg.CampaignSeed = *seed
-	cfg.Workers = *workers
-	cfg.Checkpoint = *checkpoint
-	cfg.Resume = *resume
-	cfg.Shards = *shards
+	cfg.InjectionsPerFF = campaign.InjectionsPerFF
+	cfg.CampaignSeed = campaign.CampaignSeed
+	cfg.Workers = campaign.Workers
+	cfg.Checkpoint = campaign.Checkpoint
+	cfg.Resume = campaign.Resume
+	cfg.ChunkJobs = campaign.ChunkJobs
 	cfg.Model = model
 	cfg.Metrics = tel.Metrics
 	cfg.Logger = tel.Logger
@@ -90,8 +80,8 @@ func runInject(c *cli.Cmd) error {
 		fmt.Fprintln(c.Stderr)
 	}
 	if err != nil {
-		if errors.Is(err, fault.ErrInterrupted) && *checkpoint != "" {
-			fmt.Fprintf(c.Stderr, "inject: campaign state saved to %s; rerun with -resume to continue\n", *checkpoint)
+		if errors.Is(err, fault.ErrInterrupted) && campaign.Checkpoint != "" {
+			fmt.Fprintf(c.Stderr, "inject: campaign state saved to %s; rerun with -resume to continue\n", campaign.Checkpoint)
 		}
 		return err
 	}

@@ -179,8 +179,10 @@ func TestUsage(t *testing.T) {
 // -cpuprofile runs each case with one, and the existing file it names must
 // keep its bytes. An unknown flag exits 2 and -h exits 0, both with the flag
 // list on stderr; -schedule, which inject and coord had while packing was a
-// user's choice, and inject's -snapshot-every, which never changed a result,
-// are such flags now.
+// user's choice, inject's -snapshot-every, which never changed a result, and
+// the settings only tests changed (-checkpoint-every, -heartbeat,
+// -retry-after) are such flags now, and so are inject's and corpus's
+// -shards and inject's -seed, now -chunk and -campaign-seed.
 func TestMisuse(t *testing.T) {
 	t.Setenv("FFR_LOG", "")
 	profile := filepath.Join(t.TempDir(), "cpu.pprof")
@@ -188,7 +190,7 @@ func TestMisuse(t *testing.T) {
 	misuse := map[string][][]string{
 		"gen": {{"-fifo", "1"}, {"-statw", "0"}, {"-ffs", "-1"}, {"stray"}},
 		"sim": {{"-packets", "0"}},
-		"inject": {{"-n", "0"}, {"-workers", "-1"}, {"-shards", "-1"},
+		"inject": {{"-n", "-1"}, {"-workers", "-1"}, {"-chunk", "-1"},
 			{"-resume"}, {"-fault-model", "mbu:99"}, {"-fault-model", "bogus"},
 			{"-log-level", "loud"}, {"-log-format", "xml"}},
 		"feat": {{"-n", "0"}},
@@ -196,13 +198,12 @@ func TestMisuse(t *testing.T) {
 			{"-model", "bogus"}, {"-model", "MLP", "-tune"}},
 		"exp": {{"-n", "0"}, {"-exp", "bogus"}, {"-exp", "table1", "-load", "m.ffrm"}, {"-exp", "predict"},
 			{"-exp", "table1", "-scenarios", "alupipe/randomops"}, {"-scale", "default"}, {"-exp", "fig2a", "-fault-models", "seu"}},
-		"corpus": {{}, {"-list", "-sweep"}, {"-sweep", "-n", "-1"}, {"-sweep", "-shards", "-1"},
+		"corpus": {{}, {"-list", "-sweep"}, {"-sweep", "-n", "-1"}, {"-sweep", "-chunk", "-1"},
 			{"-sweep", "-workers", "-1"}, {"-sweep", "-fault-model", "bogus"},
 			{"-sweep", "-scale", "bogus"}, {"-sweep", "-model", "bogus"}, {"-sweep", "-scenario", "bogus"}},
-		"serve": {{}, {"-model", "m.ffrm", "-workers", "-1"}, {"-model", "m.ffrm", "-retry-after", "-1"}},
+		"serve": {{}, {"-model", "m.ffrm", "-workers", "-1"}},
 		"coord": {{}, {"-scenario", "random/noise", "-n", "-1"}, {"-scenario", "random/noise", "-chunk", "-1"},
-			{"-scenario", "random/noise", "-max-lease", "0"}, {"-scenario", "random/noise", "-checkpoint-every", "-1"},
-			{"-scenario", "random/noise", "-resume"},
+			{"-scenario", "random/noise", "-max-lease", "0"}, {"-scenario", "random/noise", "-resume"},
 			{"-scenario", "random/noise", "-harden", "1,x"}, {"-scenario", "random/noise", "-harden", "-3"},
 			{"-scenario", "random/noise", "-fault-model", "bogus"}, {"-scenario", "random/noise", "-lease-ttl", "0s"},
 			{"-scenario", "bogus"}, {"-scenario", "random/noise", "-scale", "bogus"}},
@@ -215,12 +216,11 @@ func TestMisuse(t *testing.T) {
 			{"-scale", "bogus"}, {"-model", "bogus"}, {"-scenario", "bogus"}},
 		"harden": {{}, {"-load", "m.ffrm", "-budget", "-1"}, {"-load", "m.ffrm", "-budget", "NaN"},
 			{"-load", "m.ffrm", "-verify", "-n", "-1"}, {"-load", "m.ffrm", "-verify", "-workers", "-1"},
-			{"-load", "m.ffrm", "-verify", "-chunk", "-1"}, {"-load", "m.ffrm", "-verify", "-checkpoint-every", "-1"},
-			{"-load", "m.ffrm", "-verify", "-resume"},
+			{"-load", "m.ffrm", "-verify", "-chunk", "-1"}, {"-load", "m.ffrm", "-verify", "-resume"},
 			// The verify campaign's flags without -verify: refused, not ignored.
 			{"-load", "m.ffrm", "-n", "16"}, {"-load", "m.ffrm", "-campaign-seed", "3"}, {"-load", "m.ffrm", "-workers", "2"},
 			{"-load", "m.ffrm", "-chunk", "64"}, {"-load", "m.ffrm", "-checkpoint", "v.ckpt"},
-			{"-load", "m.ffrm", "-checkpoint", "v.ckpt", "-resume"}, {"-load", "m.ffrm", "-checkpoint-every", "2"}},
+			{"-load", "m.ffrm", "-checkpoint", "v.ckpt", "-resume"}},
 	}
 	for _, cmd := range commands {
 		cases := misuse[cmd.name]
@@ -263,7 +263,10 @@ func TestMisuse(t *testing.T) {
 	// Removed flags are unknown flags now. The name of harden's removed
 	// k-means seed flag is assembled, so no Go source spells it out.
 	for _, args := range [][]string{{"inject", "-schedule", "zigzag"}, {"coord", "-scenario", "random/noise", "-schedule", "zigzag"},
-		{"inject", "-snapshot-every", "4"}, {"harden", "-clusters", "4"}, {"harden", "-cluster" + "-seed", "1"}} {
+		{"inject", "-snapshot-every", "4"}, {"harden", "-clusters", "4"}, {"harden", "-cluster" + "-seed", "1"},
+		{"coord", "-scenario", "random/noise", "-checkpoint-every", "2"}, {"harden", "-load", "m.ffrm", "-checkpoint-every", "2"},
+		{"work", "-coordinator", "http://127.0.0.1:1", "-heartbeat", "1s"}, {"serve", "-model", "m.ffrm", "-retry-after", "2"},
+		{"inject", "-shards", "4"}, {"corpus", "-sweep", "-shards", "4"}, {"inject", "-seed", "7"}} {
 		code, stdout, stderr := ffr(t, args...)
 		if code != 2 || stdout != "" || !strings.HasPrefix(stderr, "flag provided but not defined: "+args[len(args)-2]+"\nUsage of ffr "+args[0]+":\n") {
 			t.Errorf("ffr %v: exit %d, stdout %q, stderr %q", args, code, stdout, stderr)

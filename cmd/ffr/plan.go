@@ -35,7 +35,7 @@ func runPlan(c *cli.Cmd) error {
 		seed       = c.Flags.Int64("seed", 1, "planner seed (the random draws: every random round, committee's round 0)")
 		strategy   = c.Flags.String("strategy", plan.StrategyCommittee, "acquisition strategy: random or committee")
 		model      = c.Flags.String("model", "k-NN", "estimate model (Table I row label)")
-		n          = c.Flags.Int("n", 0, "injections per measured flip-flop (0 = scenario default)")
+		campaign   = c.Campaign(cli.Injections | cli.Workers | cli.Checkpoint)
 		budget     = c.Flags.Float64("budget", 0.5, "fraction of flip-flops the loop may measure (0,1]")
 		rounds     = c.Flags.Int("rounds", 0, "maximum planner rounds (0 = default)")
 		initFFs    = c.Flags.Int("init", 0, "round-0 batch size in flip-flops (0 = -batch)")
@@ -43,9 +43,6 @@ func runPlan(c *cli.Cmd) error {
 		delta      = c.Flags.Float64("delta", 0, "FFR-delta convergence tolerance (0 = disabled)")
 		ciWidth    = c.Flags.Float64("ci", 0, "95% CI width convergence tolerance (0 = disabled)")
 		patience   = c.Flags.Int("patience", 0, "consecutive converged rounds required (0 = default)")
-		checkpoint = c.Flags.String("checkpoint", "", "persist loop state to this file after every round")
-		resume     = c.Flags.Bool("resume", false, "resume from -checkpoint if it exists")
-		workers    = c.Flags.Int("workers", 0, "campaign worker goroutines (0 = GOMAXPROCS)")
 		eval       = c.Flags.Bool("eval", false, "also run the exhaustive campaign and score the adaptive estimate against it")
 		csvOut     = c.Flags.String("csv", "", "write the per-round trajectory to this CSV file")
 		faultModel = c.FaultModel("fault model: seu, mbu:N, stuck0:D, stuck1:D, each with optional @start-end window")
@@ -55,15 +52,13 @@ func runPlan(c *cli.Cmd) error {
 		return err
 	}
 	if err := cli.Check(
-		c.MinInt("n", *n, 0),
+		campaign.Check(),
 		c.MinInt("rounds", *rounds, 0),
 		c.MinInt("init", *initFFs, 0),
 		c.MinInt("batch", *batch, 0),
 		c.MinInt("patience", *patience, 0),
-		c.MinInt("workers", *workers, 0),
 		c.NonNegFloat("delta", *delta),
 		c.NonNegFloat("ci", *ciWidth),
-		c.Requires("resume", "checkpoint", !*resume || *checkpoint != ""),
 		c.OneOf("strategy", *strategy, plan.StrategyNames()...),
 	); err != nil {
 		return err
@@ -98,9 +93,9 @@ func runPlan(c *cli.Cmd) error {
 
 	study, err := core.NewCorpusStudy(sc, core.CorpusStudyConfig{
 		Scale:           scale,
-		InjectionsPerFF: *n,
+		InjectionsPerFF: campaign.InjectionsPerFF,
 		Model:           fmodel,
-		Workers:         *workers,
+		Workers:         campaign.Workers,
 		Metrics:         tel.Metrics,
 		Logger:          tel.Logger,
 	})
@@ -133,8 +128,8 @@ func runPlan(c *cli.Cmd) error {
 		DeltaTol:       *delta,
 		CIWidthTol:     *ciWidth,
 		Patience:       *patience,
-		CheckpointPath: *checkpoint,
-		Resume:         *resume,
+		CheckpointPath: campaign.Checkpoint,
+		Resume:         campaign.Resume,
 		OnRound: func(r plan.Round) {
 			trajectory = append(trajectory, []string{
 				strconv.Itoa(r.Index), strconv.Itoa(len(r.Selected)),
@@ -159,8 +154,8 @@ func runPlan(c *cli.Cmd) error {
 	start := time.Now()
 	res, err := loop.RunContext(c.Ctx)
 	if err != nil {
-		if errors.Is(err, fault.ErrInterrupted) && *checkpoint != "" {
-			fmt.Fprintf(c.Stderr, "plan: loop state saved to %s; rerun with -resume to continue\n", *checkpoint)
+		if errors.Is(err, fault.ErrInterrupted) && campaign.Checkpoint != "" {
+			fmt.Fprintf(c.Stderr, "plan: loop state saved to %s; rerun with -resume to continue\n", campaign.Checkpoint)
 		}
 		return err
 	}

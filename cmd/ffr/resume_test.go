@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -45,15 +47,33 @@ func TestValidateBeforeComputing(t *testing.T) {
 	}
 }
 
+// TestCorpusSweepChecksEveryArtifactPath: a -sweep -out whose artifact path
+// for a later scenario cannot be written is refused before the first
+// campaign runs, not after the earlier scenarios' campaigns and artifacts.
+func TestCorpusSweepChecksEveryArtifactPath(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.Mkdir(filepath.Join(dir, "rrarb-uniform.ffrm"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	code, stdout, stderr := ffr(t, "corpus", "-sweep", "-n", "1", "-out", dir,
+		"-scenario", "alupipe/randomops,rrarb/uniform")
+	if code != 1 || stdout != "" || strings.Count(stderr, "\n") != 1 || !strings.Contains(stderr, "rrarb-uniform.ffrm") {
+		t.Errorf("exit %d, stdout %q, stderr %q", code, stdout, stderr)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "alupipe-randomops.ffrm")); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("the first scenario's artifact exists (%v)", err)
+	}
+}
+
 // TestInjectInterruptResume interrupts a checkpointed campaign right after
 // its first checkpoint flush and resumes it: the resumed run must adopt the
 // flushed chunks and write a CSV byte-identical to an uninterrupted run's.
 func TestInjectInterruptResume(t *testing.T) {
 	dir := t.TempDir()
 	want, got, ckpt := filepath.Join(dir, "want.csv"), filepath.Join(dir, "got.csv"), filepath.Join(dir, "campaign.ffr")
-	mustFFR(t, "inject", "-n", "8", "-shards", "8", "-csv", want)
+	mustFFR(t, "inject", "-n", "8", "-chunk", "1088", "-csv", want)
 
-	args := []string{"inject", "-n", "8", "-shards", "8", "-workers", "1", "-checkpoint", ckpt, "-csv", got, "-log-level", "debug"}
+	args := []string{"inject", "-n", "8", "-chunk", "1088", "-workers", "1", "-checkpoint", ckpt, "-csv", got, "-log-level", "debug"}
 	first := newProc(args...)
 	first.stderr.onMatch("checkpoint saved", first.cancel)
 	first.start(t)
@@ -88,7 +108,8 @@ func TestInjectInterruptResume(t *testing.T) {
 
 // TestInjectResumesCheckpointOfEarlierBuild resumes from a checkpoint that the
 // build before internal/durable wrote for `ffr inject -n 1 -shards 4` (see
-// internal/fault/testdata): every chunk must be adopted — so the plan,
+// internal/fault/testdata), whose geometry is `-chunk 320`: 1054 jobs in
+// four chunks. Every chunk must be adopted — so the plan,
 // golden-trace and criterion fingerprints this build computes are the ones
 // in that file's header — and the CSV must be a fresh campaign's.
 func TestInjectResumesCheckpointOfEarlierBuild(t *testing.T) {
@@ -101,8 +122,8 @@ func TestInjectResumesCheckpointOfEarlierBuild(t *testing.T) {
 	if err := os.WriteFile(ckpt, old, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	mustFFR(t, "inject", "-n", "1", "-shards", "4", "-csv", want)
-	stdout, _ := mustFFR(t, "inject", "-n", "1", "-shards", "4", "-checkpoint", ckpt, "-resume", "-csv", got)
+	mustFFR(t, "inject", "-n", "1", "-chunk", "320", "-csv", want)
+	stdout, _ := mustFFR(t, "inject", "-n", "1", "-chunk", "320", "-checkpoint", ckpt, "-resume", "-csv", got)
 	if !strings.Contains(stdout, "(4 chunks, 4 resumed from checkpoint") {
 		t.Errorf("the resumed run did not adopt all four chunks:\n%s", stdout)
 	}
@@ -170,7 +191,7 @@ func TestInjectRefusesLegacyCheckpoint(t *testing.T) {
 	if err := os.WriteFile(ckpt, legacy, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	code, stdout, stderr := ffr(t, "inject", "-n", "1", "-shards", "4", "-checkpoint", ckpt, "-resume")
+	code, stdout, stderr := ffr(t, "inject", "-n", "1", "-chunk", "320", "-checkpoint", ckpt, "-resume")
 	if code != 1 || strings.Contains(stdout, "chunks") || strings.Count(stderr, "\n") != 1 ||
 		!strings.Contains(stderr, "unsupported checkpoint version") || !strings.Contains(stderr, "plan order") {
 		t.Errorf("exit %d, stdout %q, stderr %q", code, stdout, stderr)

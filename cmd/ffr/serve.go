@@ -35,21 +35,17 @@ func (l *stringList) Set(v string) error {
 func runServe(c *cli.Cmd) error {
 	var models stringList
 	var (
-		addr       = c.Flags.String("addr", ":8080", "listen address (host:port; port 0 picks a free port)")
-		workers    = c.Flags.Int("workers", 0, "concurrent model evaluations across all requests (0 = GOMAXPROCS)")
-		cache      = c.Flags.Int("cache", 0, "LRU response cache capacity in vectors (0 = default 4096, negative disables)")
-		queue      = c.Flags.Int("queue", 0, "per-model in-flight request bound before 429 (0 = default 1024, negative = unbounded)")
-		retryAfter = c.Flags.Int("retry-after", 0, "Retry-After seconds on 429 responses (0 = default 1)")
-		tel        = c.Telemetry(cli.Profile)
+		addr    = c.Flags.String("addr", ":8080", "listen address (host:port; port 0 picks a free port)")
+		workers = c.Flags.Int("workers", 0, "concurrent model evaluations across all requests (0 = GOMAXPROCS)")
+		cache   = c.Flags.Int("cache", 0, "LRU response cache capacity in vectors (0 = default 4096, negative disables)")
+		queue   = c.Flags.Int("queue", 0, "per-model in-flight request bound before 429 (0 = default 1024, negative = unbounded)")
+		tel     = c.Telemetry(cli.Profile)
 	)
 	c.Flags.Var(&models, "model", "model artifact file to serve (repeatable)")
 	if err := c.Parse(); err != nil {
 		return err
 	}
-	if err := cli.Check(
-		c.MinInt("workers", *workers, 0),
-		c.MinInt("retry-after", *retryAfter, 0),
-	); err != nil {
+	if err := c.MinInt("workers", *workers, 0); err != nil {
 		return err
 	}
 	if len(models) == 0 {
@@ -62,11 +58,10 @@ func runServe(c *cli.Cmd) error {
 	defer stop()
 
 	srv := serve.New(serve.Config{
-		Workers:           *workers,
-		CacheSize:         *cache,
-		QueueDepth:        *queue,
-		RetryAfterSeconds: *retryAfter,
-		Logger:            tel.Logger,
+		Workers:    *workers,
+		CacheSize:  *cache,
+		QueueDepth: *queue,
+		Logger:     tel.Logger,
 	})
 	for _, path := range models {
 		a, err := srv.LoadArtifact(path)

@@ -160,7 +160,7 @@ func TestExpVariantTables(t *testing.T) {
 }
 
 // TestCorpusSmoke: enumerate and validate every DUT family, sweep the
-// whole corpus (tiny geometry, 4 shards) with per-scenario artifacts, run
+// whole corpus (tiny geometry, 128-job chunks) with per-scenario artifacts, run
 // one cross-circuit transfer matrix, then serve two of the swept artifacts
 // and require their scenario tags in /v1/models.
 func TestCorpusSmoke(t *testing.T) {
@@ -171,7 +171,7 @@ func TestCorpusSmoke(t *testing.T) {
 		t.Errorf("corpus -validate:\n%s", stdout)
 	}
 	artifacts := filepath.Join(t.TempDir(), "artifacts")
-	if stdout, _ := mustFFR(t, "corpus", "-sweep", "-n", "2", "-shards", "4", "-out", artifacts); !strings.HasSuffix(stdout, "corpus sweep OK\n") {
+	if stdout, _ := mustFFR(t, "corpus", "-sweep", "-n", "2", "-chunk", "128", "-out", artifacts); !strings.HasSuffix(stdout, "corpus sweep OK\n") {
 		t.Errorf("corpus -sweep:\n%s", stdout)
 	}
 	stdout, _ := mustFFR(t, "exp", "-exp", "cross", "-n", "2", "-fault-models", "seu",

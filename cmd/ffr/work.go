@@ -26,7 +26,6 @@ func runWork(c *cli.Cmd) error {
 		name        = c.Flags.String("name", "", "worker name, unique per campaign (default host-pid)")
 		workers     = c.Flags.Int("workers", 0, "local simulation goroutines (0 = GOMAXPROCS)")
 		maxChunks   = c.Flags.Int("max-chunks", 0, "maximum chunks requested per lease (0 = coordinator's cap)")
-		heartbeat   = c.Flags.Duration("heartbeat", 0, "lease heartbeat interval (0 = a third of the coordinator's TTL)")
 		tel         = c.Telemetry(cli.Trace | cli.Metrics | cli.Profile)
 	)
 	if err := c.Parse(); err != nil {
@@ -59,7 +58,6 @@ func runWork(c *cli.Cmd) error {
 		Coordinator: *coordinator,
 		Workers:     *workers,
 		MaxChunks:   *maxChunks,
-		Heartbeat:   *heartbeat,
 		Logger:      tel.Logger,
 		Tracer:      tel.Tracer,
 		Metrics:     tel.Metrics,

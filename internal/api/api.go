@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 )
 
 // Stable error codes of the common envelope. Clients match on these, never
@@ -90,14 +89,10 @@ func WriteError(w http.ResponseWriter, status int, code, format string, args ...
 	}})
 }
 
-// WriteOverloaded writes a 429 rejection with a Retry-After header of the
-// given number of seconds (minimum 1 — a zero Retry-After invites an
-// immediate, equally doomed retry).
-func WriteOverloaded(w http.ResponseWriter, retryAfterSeconds int, format string, args ...any) {
-	if retryAfterSeconds < 1 {
-		retryAfterSeconds = 1
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
+// WriteOverloaded writes a 429 rejection with a Retry-After hint of 1 s:
+// the shortest that does not invite an immediate, equally doomed retry.
+func WriteOverloaded(w http.ResponseWriter, format string, args ...any) {
+	w.Header().Set("Retry-After", "1")
 	WriteError(w, http.StatusTooManyRequests, CodeOverloaded, format, args...)
 }
 

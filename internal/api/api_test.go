@@ -152,12 +152,12 @@ func TestWriteJSONUnencodable(t *testing.T) {
 
 func TestWriteOverloaded(t *testing.T) {
 	rec := httptest.NewRecorder()
-	WriteOverloaded(rec, 0, "queue full")
+	WriteOverloaded(rec, "queue full")
 	if rec.Code != http.StatusTooManyRequests {
 		t.Fatalf("status %d", rec.Code)
 	}
 	if ra := rec.Header().Get("Retry-After"); ra != "1" {
-		t.Fatalf("Retry-After %q, want floor of 1", ra)
+		t.Fatalf("Retry-After %q, want 1", ra)
 	}
 	if e := DecodeError(rec.Code, rec.Body.Bytes()); e.Code != CodeOverloaded {
 		t.Fatalf("code %q", e.Code)

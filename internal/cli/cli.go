@@ -159,34 +159,92 @@ func (c *Cmd) FaultModel(usage string) func() (fault.Model, error) {
 	}
 }
 
-// Campaign registers the flags of a corpus campaign that ffr coord and ffr
-// harden share — its identity (-scenario, -scale, -seed, -n,
-// -campaign-seed, -chunk) and this node's checkpointing (-checkpoint,
-// -resume, -checkpoint-every) — and returns the function that validates
-// them once Parse has run and returns them as the spec and runner config
-// fabric.BuildCampaign takes. scenario is the -scenario flag's usage.
-func (c *Cmd) Campaign(scenario string) func() (api.CampaignSpec, fault.RunnerConfig, error) {
-	var (
-		spec  api.CampaignSpec
-		local fault.RunnerConfig
+// CampaignFlags selects the campaign flags a command registers with
+// Cmd.Campaign. Each is declared once, here, so every campaign command
+// spells, documents and validates it the same way.
+type CampaignFlags uint
+
+const (
+	// Injections adds -n, injections per flip-flop.
+	Injections CampaignFlags = 1 << iota
+	// Chunk adds -chunk, the shard chunk size in jobs.
+	Chunk
+	// CampaignSeed adds -campaign-seed, the injection sampling seed.
+	CampaignSeed
+	// Workers adds -workers, the local campaign goroutines.
+	Workers
+	// Checkpoint adds -checkpoint and -resume.
+	Checkpoint
+)
+
+// Campaign holds what a command's campaign flags parse to. A flag the
+// command did not select keeps its zero value, which every campaign
+// setting reads as its default: the scenario's injection count and seed,
+// the runner's chunk size, GOMAXPROCS workers, no checkpoint.
+type Campaign struct {
+	InjectionsPerFF int
+	ChunkJobs       int
+	CampaignSeed    int64
+	Workers         int
+	Checkpoint      string
+	Resume          bool
+
+	c *Cmd
+}
+
+// Campaign registers the selected campaign flags; run Check on the result
+// once Parse has run.
+func (c *Cmd) Campaign(flags CampaignFlags) *Campaign {
+	v := &Campaign{c: c}
+	fs := c.Flags
+	if flags&Injections != 0 {
+		fs.IntVar(&v.InjectionsPerFF, "n", 0, "injections per flip-flop (0 = scenario default)")
+	}
+	if flags&Chunk != 0 {
+		fs.IntVar(&v.ChunkJobs, "chunk", 0, "shard chunk size in jobs (0 = runner default, rounded to 64-lane batches)")
+	}
+	if flags&CampaignSeed != 0 {
+		fs.Int64Var(&v.CampaignSeed, "campaign-seed", 0, "injection sampling seed (0 = scenario default)")
+	}
+	if flags&Workers != 0 {
+		fs.IntVar(&v.Workers, "workers", 0, "campaign worker goroutines (0 = GOMAXPROCS)")
+	}
+	if flags&Checkpoint != 0 {
+		fs.StringVar(&v.Checkpoint, "checkpoint", "", "campaign checkpoint file (optional)")
+		fs.BoolVar(&v.Resume, "resume", false, "resume from -checkpoint if it exists, skipping completed chunks")
+	}
+	return v
+}
+
+// Check validates the campaign flags: no count is negative, and -resume
+// needs a -checkpoint.
+func (v *Campaign) Check() error {
+	c := v.c
+	return Check(
+		c.MinInt("n", v.InjectionsPerFF, 0),
+		c.MinInt("chunk", v.ChunkJobs, 0),
+		c.MinInt("workers", v.Workers, 0),
+		c.Requires("resume", "checkpoint", !v.Resume || v.Checkpoint != ""),
 	)
+}
+
+// CampaignSpec registers the flags of a corpus campaign that ffr coord and
+// ffr harden share — its identity (-scenario, -scale, -seed, -n,
+// -campaign-seed, -chunk) and this node's -checkpoint and -resume, plus the
+// campaign flags in more — and returns the function that validates them
+// once Parse has run and returns them as the spec and runner config
+// fabric.BuildCampaign takes. scenario is the -scenario flag's usage.
+func (c *Cmd) CampaignSpec(scenario string, more CampaignFlags) func() (api.CampaignSpec, fault.RunnerConfig, error) {
+	var spec api.CampaignSpec
 	fs := c.Flags
 	fs.StringVar(&spec.Scenario, "scenario", "", scenario)
 	fs.StringVar(&spec.Scale, "scale", "small", "corpus scale (small, default)")
 	fs.Int64Var(&spec.Seed, "seed", 1, "scenario materialization seed (netlist + workload; 0 means 1)")
-	fs.IntVar(&spec.InjectionsPerFF, "n", 0, "injections per flip-flop (0 = scenario default)")
-	fs.Int64Var(&spec.CampaignSeed, "campaign-seed", 0, "injection sampling seed (0 = scenario default)")
-	fs.IntVar(&spec.ChunkJobs, "chunk", 0, "shard chunk size in jobs (0 = runner default, rounded to 64-lane batches)")
-	fs.StringVar(&local.CheckpointPath, "checkpoint", "", "campaign checkpoint file (optional)")
-	fs.BoolVar(&local.Resume, "resume", false, "resume from -checkpoint if it exists, skipping completed chunks")
-	fs.IntVar(&local.CheckpointEvery, "checkpoint-every", 0, "completed chunks between checkpoint flushes (0 = default)")
+	v := c.Campaign(Injections | CampaignSeed | Chunk | Checkpoint | more)
 	return func() (api.CampaignSpec, fault.RunnerConfig, error) {
-		return spec, local, Check(
-			c.MinInt("n", spec.InjectionsPerFF, 0),
-			c.MinInt("chunk", spec.ChunkJobs, 0),
-			c.MinInt("checkpoint-every", local.CheckpointEvery, 0),
-			c.Requires("resume", "checkpoint", !local.Resume || local.CheckpointPath != ""),
-		)
+		spec.InjectionsPerFF, spec.CampaignSeed, spec.ChunkJobs = v.InjectionsPerFF, v.CampaignSeed, v.ChunkJobs
+		local := fault.RunnerConfig{Workers: v.Workers, CheckpointPath: v.Checkpoint, Resume: v.Resume}
+		return spec, local, v.Check()
 	}
 }
 

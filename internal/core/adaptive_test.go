@@ -92,7 +92,7 @@ func TestAdaptiveReachesFullCampaignQualityCorpus(t *testing.T) {
 
 // adaptiveResumeStudy builds the fixture of the interruption tests: a small
 // corpus study with fine-grained campaign chunking so rounds span several
-// checkpointable chunks: two shards of a 96-job round are 64-job chunks.
+// checkpointable chunks: a 96-job round is a 64-job and a 32-job chunk.
 func adaptiveResumeStudy(t *testing.T) *Study {
 	t.Helper()
 	sc, err := corpus.Find("alupipe/randomops")
@@ -102,8 +102,7 @@ func adaptiveResumeStudy(t *testing.T) *Study {
 	s, err := NewCorpusStudy(sc, CorpusStudyConfig{
 		Scale:           corpus.ScaleSmall,
 		InjectionsPerFF: 8,
-		Shards:          2,
-		CheckpointEvery: 1,
+		ChunkJobs:       64,
 		Workers:         1,
 	})
 	if err != nil {

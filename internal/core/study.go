@@ -43,20 +43,15 @@ type StudyConfig struct {
 
 	// Campaign runtime knobs (see fault.RunnerConfig).
 
-	// Shards, when positive, splits the plan of each campaign into about
-	// this many equal shard chunks; 0 uses the runner's default chunk size.
-	// The derived chunk size is rounded up to whole 64-lane batches, so the
-	// actual chunk count can be lower than requested; resuming a checkpoint
-	// requires the same shard geometry.
-	Shards int
+	// ChunkJobs is the shard chunk size of every campaign in jobs, rounded
+	// up to whole 64-lane batches (0 = fault.DefaultChunkJobs); resuming a
+	// checkpoint requires the same chunk size.
+	ChunkJobs int
 	// Checkpoint enables periodic campaign checkpointing to this file.
 	Checkpoint string
 	// Resume restarts an interrupted ground-truth campaign from
 	// Checkpoint instead of from scratch.
 	Resume bool
-	// CheckpointEvery is the number of completed chunks between
-	// checkpoint flushes (0 = runner default).
-	CheckpointEvery int
 	// Progress, when non-nil, receives campaign progress updates.
 	Progress func(fault.Progress)
 	// Metrics optionally receives the ffr_campaign_* metric families of
@@ -125,23 +120,17 @@ func (s *Study) GoldenTrace() *sim.Trace { return s.Golden }
 // golden trace and snapshots, so nothing is re-simulated per campaign. Every
 // campaign of a study comes through here — ground truth, partial campaigns,
 // the budget ablation, planner rounds — and they differ only in the jobs and
-// the checkpoint they bring. A positive Config.Shards splits whatever plan
-// it is handed.
+// the checkpoint they bring.
 func (s *Study) campaign(ctx context.Context, jobs []fault.Job, checkpoint string, resume bool) (*fault.Result, error) {
-	chunkJobs := 0
-	if s.Config.Shards > 0 {
-		chunkJobs = (len(jobs) + s.Config.Shards - 1) / s.Config.Shards
-	}
 	r, err := s.Runner(fault.RunnerConfig{
-		Model:           s.Config.Model,
-		ChunkJobs:       chunkJobs,
-		Workers:         s.Config.Workers,
-		CheckpointPath:  checkpoint,
-		CheckpointEvery: s.Config.CheckpointEvery,
-		Resume:          resume,
-		OnProgress:      s.Config.Progress,
-		Metrics:         s.Config.Metrics,
-		Logger:          s.Config.Logger,
+		Model:          s.Config.Model,
+		ChunkJobs:      s.Config.ChunkJobs,
+		Workers:        s.Config.Workers,
+		CheckpointPath: checkpoint,
+		Resume:         resume,
+		OnProgress:     s.Config.Progress,
+		Metrics:        s.Config.Metrics,
+		Logger:         s.Config.Logger,
 	})
 	if err != nil {
 		return nil, err

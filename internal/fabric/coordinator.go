@@ -42,9 +42,6 @@ type CoordinatorConfig struct {
 	// CheckpointPath persists merged worker results in the standard
 	// campaign-checkpoint format; "" disables persistence.
 	CheckpointPath string
-	// CheckpointEvery is the number of completed chunks between flushes
-	// (0 = fault.DefaultCheckpointEvery).
-	CheckpointEvery int
 	// Resume loads CheckpointPath (if present) and skips its completed
 	// chunks, exactly like a single-node resumed run.
 	Resume bool
@@ -108,7 +105,7 @@ type Coordinator struct {
 // NewCoordinator materializes the campaign and prepares the lease state.
 // It does not listen; mount Handler on a server of your choice.
 func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
-	if cfg.LeaseTTL < 0 || cfg.CheckpointEvery < 0 || cfg.MaxLeaseChunks < 0 {
+	if cfg.LeaseTTL < 0 || cfg.MaxLeaseChunks < 0 {
 		return nil, fmt.Errorf("fabric: negative coordinator knob")
 	}
 	if cfg.LeaseTTL == 0 {
@@ -121,9 +118,8 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		cfg.Clock = time.Now
 	}
 	camp, err := BuildCampaign(cfg.Spec, fault.RunnerConfig{
-		CheckpointPath:  cfg.CheckpointPath,
-		CheckpointEvery: cfg.CheckpointEvery,
-		Resume:          cfg.Resume,
+		CheckpointPath: cfg.CheckpointPath,
+		Resume:         cfg.Resume,
 	})
 	if err != nil {
 		return nil, err

@@ -145,7 +145,6 @@ func TestWorkerRunsSelectedBackend(t *testing.T) {
 		Coordinator: srv.URL,
 		Workers:     1,
 		MaxChunks:   1,
-		Heartbeat:   100 * time.Millisecond,
 		Metrics:     reg,
 	})
 	if err != nil {
@@ -277,8 +276,7 @@ func TestWorkerCrashRecovery(t *testing.T) {
 	// interrupted-lease path (it posts finished chunks before exiting).
 	ireg := obs.NewRegistry()
 	interrupted, err := fabric.NewWorker(fabric.WorkerConfig{
-		Name: "interrupted", Coordinator: srv.URL, Workers: 1,
-		Heartbeat: 50 * time.Millisecond, Metrics: ireg,
+		Name: "interrupted", Coordinator: srv.URL, Workers: 1, Metrics: ireg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -298,7 +296,6 @@ func TestWorkerCrashRecovery(t *testing.T) {
 	// The survivor finishes the campaign, re-leasing whatever expired.
 	survivor, err := fabric.NewWorker(fabric.WorkerConfig{
 		Name: "survivor", Coordinator: srv.URL, Workers: 2,
-		Heartbeat: 50 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -476,23 +473,28 @@ func TestCompleteValidation(t *testing.T) {
 }
 
 // TestFailedCampaignAnswersInternal: a coordinator whose checkpoint cannot
-// be flushed has failed, not its workers. The Complete that hit the failure
-// and every later Lease and Heartbeat answer 500 internal naming the cause,
-// a worker's Run returns an error instead of reporting the campaign
-// complete, and Wait returns the flush error.
+// be flushed has failed, not its workers. The chunks merged before the first
+// flush is due are accepted; the Complete that hit the failure (the fourth,
+// the cadence's first flush) and every later Lease and Heartbeat answer 500
+// internal naming the cause, a worker's Run returns an error instead of
+// reporting the campaign complete, and Wait returns the flush error.
 func TestFailedCampaignAnswersInternal(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "ckpt")
 	if err := os.Mkdir(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
 	coord, err := fabric.NewCoordinator(fabric.CoordinatorConfig{
-		Spec: testSpec(), CheckpointPath: filepath.Join(dir, "campaign.ckpt"), CheckpointEvery: 1,
+		Spec: testSpec(), CheckpointPath: filepath.Join(dir, "campaign.ckpt"),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	camp := coord.Campaign()
-	done, err := camp.Plan.RunChunks(context.Background(), []int{0})
+	const flushAt = 4 // the ledger's cadence: the fourth merged chunk flushes
+	if n := camp.Plan.NumChunks(); n <= flushAt {
+		t.Fatalf("fixture has %d chunks, want more than %d", n, flushAt)
+	}
+	done, err := camp.Plan.RunChunks(context.Background(), []int{0, 1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -510,13 +512,18 @@ func TestFailedCampaignAnswersInternal(t *testing.T) {
 			t.Fatalf("%s: %v, want 500 %s naming the checkpoint", what, err, api.CodeInternal)
 		}
 	}
-	_, err = client.Complete(ctx, api.CompleteRequest{
-		Worker: "a", Chunk: 0, PlanHash: camp.PlanHashHex(), Masks: api.EncodeMasks(done[0]),
-	})
+	for ci := range flushAt {
+		_, err = client.Complete(ctx, api.CompleteRequest{
+			Worker: "a", Chunk: ci, PlanHash: camp.PlanHashHex(), Masks: api.EncodeMasks(done[ci]),
+		})
+		if ci < flushAt-1 && err != nil {
+			t.Fatalf("complete %d, before any flush is due: %v", ci, err)
+		}
+	}
 	internal("complete", err)
 	_, err = client.Lease(ctx, api.LeaseRequest{Worker: "b"})
 	internal("lease", err)
-	_, err = client.Heartbeat(ctx, api.HeartbeatRequest{Worker: "b", Chunks: []int{1}})
+	_, err = client.Heartbeat(ctx, api.HeartbeatRequest{Worker: "b", Chunks: []int{flushAt}})
 	internal("heartbeat", err)
 
 	w, err := fabric.NewWorker(fabric.WorkerConfig{Name: "c", Coordinator: srv.URL, Workers: 1})

@@ -56,7 +56,7 @@ func runWorkers(t *testing.T, coord *fabric.Coordinator, n int) uint64 {
 	errs := make([]error, n)
 	for i := range errs {
 		w, err := fabric.NewWorker(fabric.WorkerConfig{
-			Name: fmt.Sprintf("w%d", i), Coordinator: srv.URL, Workers: 1, Heartbeat: 100 * time.Millisecond,
+			Name: fmt.Sprintf("w%d", i), Coordinator: srv.URL, Workers: 1,
 		})
 		if err != nil {
 			t.Fatal(err)

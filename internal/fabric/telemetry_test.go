@@ -72,7 +72,6 @@ func TestCampaignTelemetryCorrelates(t *testing.T) {
 		Name:        "w1",
 		Coordinator: srv.URL,
 		Workers:     1,
-		Heartbeat:   time.Second,
 		Logger:      slog.New(slog.NewJSONHandler(&workLog, nil)),
 		Tracer:      obs.NewTracer(&workSpans, "ffrwork"),
 	})

@@ -29,9 +29,6 @@ type WorkerConfig struct {
 	Workers int
 	// MaxChunks caps chunks requested per lease (0 = coordinator's cap).
 	MaxChunks int
-	// Heartbeat overrides the heartbeat interval (0 = a third of the
-	// coordinator's lease TTL).
-	Heartbeat time.Duration
 	// Logger optionally receives structured records (join, lease grants,
 	// chunk completions) carrying the trace ID each lease cycle runs
 	// under; nil is silent.
@@ -145,10 +142,9 @@ func (w *Worker) Run(ctx context.Context) error {
 		"chunks", join.NumChunks,
 		"chunk_jobs", join.ChunkJobs)
 
-	hb := w.cfg.Heartbeat
-	if hb <= 0 {
-		hb = time.Duration(join.LeaseTTLMillis) * time.Millisecond / 3
-	}
+	// Heartbeats come three times per lease TTL, so one lost request
+	// never lets a held lease expire.
+	hb := time.Duration(join.LeaseTTLMillis) * time.Millisecond / 3
 	if hb <= 0 {
 		hb = time.Second
 	}

@@ -185,10 +185,9 @@ func TestEquivalenceCheckpointResumeIncremental(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	ri, err := fault.NewGoldenRunner(p, bench.Stim, bench.Monitors, newCls(), fault.RunnerConfig{
-		ChunkJobs:       sim.Lanes,
-		Workers:         2,
-		CheckpointPath:  ckpt,
-		CheckpointEvery: 1,
+		ChunkJobs:      sim.Lanes,
+		Workers:        2,
+		CheckpointPath: ckpt,
 		OnProgress: func(pr fault.Progress) {
 			if pr.ChunksDone >= 2 {
 				cancel()

@@ -10,6 +10,9 @@ var (
 	ChunkMasks      = chunkMasks
 )
 
+// CheckpointEvery is the Ledger's flush cadence in merged chunks.
+const CheckpointEvery = checkpointEvery
+
 // Kernel is the compiled kernel the Runner's plans simulate.
 func (r *Runner) Kernel() (*sim.Kernel, error) { return r.kernel() }
 

@@ -19,7 +19,7 @@ var ErrChunkConflict = errors.New("fault: conflicting chunk result")
 // local pool, or a fabric coordinator collecting its workers' leases — opens
 // one and hands it every finished chunk; the ledger decides which checkpoint
 // belongs to the campaign, checks each chunk, flushes the checkpoint (every
-// CheckpointEvery chunks, and with the last one) and folds the masks into
+// checkpointEvery chunks, and with the last one) and folds the masks into
 // the Result. A Ledger is not safe for concurrent use.
 type Ledger struct {
 	pl   *Plan
@@ -144,7 +144,7 @@ func (l *Ledger) Add(ci int, masks []uint64) (duplicate bool, err error) {
 	l.jobsDone += hi - lo
 	l.sinceFlush++
 	l.pl.r.metrics.observeJobs(l.jobsDone, sh.totalJobs)
-	if l.sinceFlush >= l.pl.r.cfg.CheckpointEvery || len(l.done) == sh.numChunks {
+	if l.sinceFlush >= checkpointEvery || len(l.done) == sh.numChunks {
 		return false, l.Flush()
 	}
 	return false, nil

@@ -68,9 +68,9 @@ import (
 const (
 	// DefaultChunkJobs is the default shard chunk size: 16 batches.
 	DefaultChunkJobs = 16 * sim.Lanes
-	// DefaultCheckpointEvery is the default number of completed chunks
-	// between checkpoint flushes.
-	DefaultCheckpointEvery = 4
+	// checkpointEvery is the number of merged chunks between checkpoint
+	// flushes; a Ledger also flushes with the last chunk and on interrupt.
+	checkpointEvery = 4
 )
 
 // ErrInterrupted reports a campaign stopped by context cancellation. The
@@ -120,9 +120,6 @@ type RunnerConfig struct {
 	Snapshots *sim.Snapshots
 	// CheckpointPath enables checkpointing to this file; "" disables it.
 	CheckpointPath string
-	// CheckpointEvery is the number of completed chunks between flushes;
-	// 0 means DefaultCheckpointEvery.
-	CheckpointEvery int
 	// Resume loads CheckpointPath (if it exists) before running and skips
 	// its completed chunks. Requires CheckpointPath.
 	Resume bool
@@ -171,9 +168,6 @@ func NewRunner(p *sim.Program, stim *sim.Stimulus, monitors []int, cls Classifie
 	if cfg.Workers < 0 {
 		return nil, fmt.Errorf("fault: negative Workers %d", cfg.Workers)
 	}
-	if cfg.CheckpointEvery < 0 {
-		return nil, fmt.Errorf("fault: negative CheckpointEvery %d", cfg.CheckpointEvery)
-	}
 	if cfg.Resume && cfg.CheckpointPath == "" {
 		return nil, fmt.Errorf("fault: Resume requires a CheckpointPath")
 	}
@@ -188,9 +182,6 @@ func NewRunner(p *sim.Program, stim *sim.Stimulus, monitors []int, cls Classifie
 	}
 	if err := cfg.Snapshots.Matches(p, stim); err != nil {
 		return nil, fmt.Errorf("fault: supplied snapshots: %w", err)
-	}
-	if cfg.CheckpointEvery == 0 {
-		cfg.CheckpointEvery = DefaultCheckpointEvery
 	}
 	r := &Runner{
 		p: p, stim: stim, monitors: monitors, cls: cls, cfg: cfg,

@@ -3,6 +3,8 @@ package fault_test
 import (
 	"context"
 	"errors"
+	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"testing"
@@ -45,7 +47,6 @@ func TestRunnerConfigValidation(t *testing.T) {
 	bad := []fault.RunnerConfig{
 		{ChunkJobs: -1},
 		{Workers: -1},
-		{CheckpointEvery: -1},
 		{Resume: true}, // resume without a checkpoint path
 	}
 	for i, cfg := range bad {
@@ -184,15 +185,14 @@ func TestRunnerInterruptResumeBitIdentical(t *testing.T) {
 		t.Fatalf("fixture too small to interrupt meaningfully: %d chunks", want.Chunks)
 	}
 
-	// Interrupted run: cancel after the second completed chunk, flushing
-	// the checkpoint on every chunk.
+	// Interrupted run: cancel after the second completed chunk, before the
+	// first periodic flush, so the checkpoint is the interrupt's flush.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	ri, _ := newRunner(t, fault.RunnerConfig{
-		ChunkJobs:       sim.Lanes,
-		Workers:         2,
-		CheckpointPath:  ckpt,
-		CheckpointEvery: 1,
+		ChunkJobs:      sim.Lanes,
+		Workers:        2,
+		CheckpointPath: ckpt,
 		OnProgress: func(p fault.Progress) {
 			if p.ChunksDone >= 2 {
 				cancel()
@@ -308,10 +308,9 @@ func TestRunnerInterruptBeforeFirstFlushWritesCheckpoint(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	r, jobs := newRunner(t, fault.RunnerConfig{
-		ChunkJobs:       sim.Lanes,
-		Workers:         1,
-		CheckpointPath:  ckpt,
-		CheckpointEvery: 1 << 20, // never flush periodically
+		ChunkJobs:      sim.Lanes,
+		Workers:        1,
+		CheckpointPath: ckpt,
 		OnProgress: func(p fault.Progress) {
 			cancel()
 		},
@@ -323,8 +322,56 @@ func TestRunnerInterruptBeforeFirstFlushWritesCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatalf("no checkpoint after early interrupt: %v", err)
 	}
-	if len(ck.Chunks) == 0 {
-		t.Fatal("checkpoint holds no completed chunks")
+	if len(ck.Chunks) == 0 || len(ck.Chunks) >= fault.CheckpointEvery {
+		t.Fatalf("checkpoint holds %d completed chunks, want 1 to %d: the interrupt's flush, not a periodic one",
+			len(ck.Chunks), fault.CheckpointEvery-1)
+	}
+}
+
+// TestLedgerFlushCadence pins the checkpoint cadence: read from OnProgress,
+// the file holds every CheckpointEvery-th merged chunk — 4⌊k/4⌋ of the k
+// merged so far, no file at all before the fourth — and, after the last
+// chunk, every chunk of the plan.
+func TestLedgerFlushCadence(t *testing.T) {
+	ckpt := filepath.Join(t.TempDir(), "campaign.ffr")
+	var seen []int
+	var fail error
+	r, jobs := newRunner(t, fault.RunnerConfig{
+		ChunkJobs:      sim.Lanes,
+		Workers:        2,
+		CheckpointPath: ckpt,
+		OnProgress: func(p fault.Progress) {
+			held := 0
+			ck, err := fault.LoadCheckpoint(ckpt)
+			switch {
+			case err == nil:
+				held = len(ck.Chunks)
+			case !errors.Is(err, fs.ErrNotExist):
+				fail = err
+			}
+			want := p.ChunksDone / fault.CheckpointEvery * fault.CheckpointEvery
+			if p.ChunksDone == p.ChunksTotal {
+				want = p.ChunksTotal
+			}
+			if held != want && fail == nil {
+				fail = fmt.Errorf("after %d of %d merged chunks the checkpoint holds %d, want %d",
+					p.ChunksDone, p.ChunksTotal, held, want)
+			}
+			seen = append(seen, p.ChunksDone)
+		},
+	})
+	res, err := r.Run(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fail != nil {
+		t.Fatal(fail)
+	}
+	if res.Chunks < 9 || res.Chunks%fault.CheckpointEvery == 0 {
+		t.Fatalf("fixture has %d chunks: want at least 9, the last one off the cadence", res.Chunks)
+	}
+	if len(seen) != res.Chunks || seen[len(seen)-1] != res.Chunks {
+		t.Fatalf("progress reported after chunks %v, want 1..%d", seen, res.Chunks)
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 	"repro/internal/sim"
 )
 
-// Two netlists small enough to draw, with every feature of every flip-flop
+// Three netlists small enough to draw, with every feature of every flip-flop
 // worked out by hand from the definitions in features.go — not from the
 // extractor, and not from its predecessor (reference_test.go pins the
 // extractor to that; nothing there says either is right). The stage graph
@@ -175,6 +175,104 @@ var ring4Want = map[string]Vector{
 	},
 }
 
+// regfile2 is a register file of two 2-bit registers, rf/a and rf/b, on
+// one write-data bus (d0, d1) and one read bus (dout0, dout1). Each register
+// loads behind a MUX2 whose select is its load enable, so each flip-flop's
+// D is MUX2(its own Q, d, we): it feeds back through its own hold mux. The
+// read mux picks a (rsel = 0) or b; bit 1 leaves through a buffer.
+//
+//	d0 ─┬─► MUX(qa0,·,we_a) ─► rf/a[0] ─┬─► MUX(·,qb0,rsel) ─────────► dout0
+//	    └─► MUX(qb0,·,we_b) ─► rf/b[0] ─┘
+//	d1 ─┬─► MUX(qa1,·,we_a) ─► rf/a[1] ─┬─► MUX(·,qb1,rsel) ─► BUF ─► dout1
+//	    └─► MUX(qb1,·,we_b) ─► rf/b[1] ─┘
+//
+// (each flip-flop's Q also returns to the first input of its own write mux.)
+// Stage graph: a self-loop on every flip-flop; d0, we_a → rf/a[0];
+// d1, we_a → rf/a[1]; d0, we_b → rf/b[0]; d1, we_b → rf/b[1];
+// rf/a[0], rf/b[0], rsel → dout0; rf/a[1], rf/b[1], rsel → dout1. No
+// flip-flop reaches another, so each is its own strongly connected
+// component, cyclic through its self-loop: it is reached from, and reaches,
+// itself alone, once, and its shortest loop is 1 stage. rsel reaches no
+// flip-flop.
+const regfile2 = `design regfile2
+input d0
+input d1
+input we_a
+input we_b
+input rsel
+cell u_wa0 MUX2_X1 out=da0 in=qa0,d0,we_a
+cell rf/a[0] DFF_X1 out=qa0 in=da0 init=0
+cell u_wa1 MUX2_X1 out=da1 in=qa1,d1,we_a
+cell rf/a[1] DFF_X1 out=qa1 in=da1 init=0
+cell u_wb0 MUX2_X1 out=db0 in=qb0,d0,we_b
+cell rf/b[0] DFF_X2 out=qb0 in=db0 init=0
+cell u_wb1 MUX2_X1 out=db1 in=qb1,d1,we_b
+cell rf/b[1] DFF_X4 out=qb1 in=db1 init=0
+cell u_rd0 MUX2_X1 out=y0 in=qa0,qb0,rsel
+cell u_rd1 MUX2_X1 out=r1 in=qa1,qb1,rsel
+cell u_obuf BUF_X1 out=y1 in=r1
+output dout0 y0
+output dout1 y1
+`
+
+// regfile2Activity is a 4-cycle run made up for the dynamic columns.
+var regfile2Activity = &sim.Activity{Cycles: 4, Ones: []int64{1, 2, 3, 4}, Toggles: []int64{1, 2, 3, 1}}
+
+var regfile2Want = map[string]Vector{
+	// D = MUX2(qa0, d0, we_a): one cell in the cone, holding one flip-flop
+	// (itself) and two inputs, no constant. Q reads into u_wa0, which feeds
+	// only rf/a[0] back, and into u_rd0, which drives dout0: one flip-flop,
+	// two cells, each chain one cell long. d0 and we_a are both 1 stage
+	// away (max 1, average 1, min 1); dout0 is 1 stage away and dout1 never
+	// reached. Bus rf/a, position 0 of 2.
+	"rf/a[0]": {
+		FFFanIn: 1, FFFanOut: 1, TotalFFsFrom: 1, TotalFFsTo: 1,
+		ConnFromPI: 2, ConnToPO: 1,
+		ProxPIMax: 1, ProxPIAvg: 1, ProxPIMin: 1,
+		ProxPOMax: 1, ProxPOAvg: 1, ProxPOMin: 1,
+		PartOfBus: 1, BusPosition: 0, BusLength: 2,
+		ConnConst: 0, HasFeedback: 1, FeedbackDep: 1,
+		DriveStrength: 1, CombFanIn: 1, CombFanOut: 2, CombDepth: 1,
+		At0: 0.75, At1: 0.25, StateChanges: 1,
+	},
+	// As rf/a[0] with d1 and dout1, but the read path is u_rd1 then u_obuf:
+	// three cells in the output cone, the longest chain two deep. The
+	// buffer adds no stage: dout1 is still 1 stage away.
+	"rf/a[1]": {
+		FFFanIn: 1, FFFanOut: 1, TotalFFsFrom: 1, TotalFFsTo: 1,
+		ConnFromPI: 2, ConnToPO: 1,
+		ProxPIMax: 1, ProxPIAvg: 1, ProxPIMin: 1,
+		ProxPOMax: 1, ProxPOAvg: 1, ProxPOMin: 1,
+		PartOfBus: 1, BusPosition: 1, BusLength: 2,
+		ConnConst: 0, HasFeedback: 1, FeedbackDep: 1,
+		DriveStrength: 1, CombFanIn: 1, CombFanOut: 3, CombDepth: 2,
+		At0: 0.5, At1: 0.5, StateChanges: 2,
+	},
+	// rf/a[0]'s twin on we_b, in bus rf/b — a bus of its own, not a third
+	// and fourth member of rf/a. An X2 cell.
+	"rf/b[0]": {
+		FFFanIn: 1, FFFanOut: 1, TotalFFsFrom: 1, TotalFFsTo: 1,
+		ConnFromPI: 2, ConnToPO: 1,
+		ProxPIMax: 1, ProxPIAvg: 1, ProxPIMin: 1,
+		ProxPOMax: 1, ProxPOAvg: 1, ProxPOMin: 1,
+		PartOfBus: 1, BusPosition: 0, BusLength: 2,
+		ConnConst: 0, HasFeedback: 1, FeedbackDep: 1,
+		DriveStrength: 2, CombFanIn: 1, CombFanOut: 2, CombDepth: 1,
+		At0: 0.25, At1: 0.75, StateChanges: 3,
+	},
+	// rf/a[1]'s twin on we_b, u_rd1 and u_obuf shared with it. An X4 cell.
+	"rf/b[1]": {
+		FFFanIn: 1, FFFanOut: 1, TotalFFsFrom: 1, TotalFFsTo: 1,
+		ConnFromPI: 2, ConnToPO: 1,
+		ProxPIMax: 1, ProxPIAvg: 1, ProxPIMin: 1,
+		ProxPOMax: 1, ProxPOAvg: 1, ProxPOMin: 1,
+		PartOfBus: 1, BusPosition: 1, BusLength: 2,
+		ConnConst: 0, HasFeedback: 1, FeedbackDep: 1,
+		DriveStrength: 4, CombFanIn: 1, CombFanOut: 3, CombDepth: 2,
+		At0: 0, At1: 1, StateChanges: 1,
+	},
+}
+
 func TestHandComputedFeatures(t *testing.T) {
 	for _, c := range []struct {
 		gnl  string
@@ -183,6 +281,7 @@ func TestHandComputedFeatures(t *testing.T) {
 	}{
 		{shift4, shift4Activity, shift4Want},
 		{ring4, nil, ring4Want},
+		{regfile2, regfile2Activity, regfile2Want},
 	} {
 		nl, err := netlist.Parse(bytes.NewReader([]byte(c.gnl)))
 		if err != nil {

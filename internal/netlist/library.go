@@ -270,64 +270,3 @@ func EvalScalar(f Func, in []bool) bool {
 		panic(fmt.Sprintf("netlist: EvalScalar on non-combinational func %v", f))
 	}
 }
-
-// EvalPacked computes the 64-lane bit-parallel output of a combinational
-// function: bit k of every word belongs to independent simulation lane k.
-// Calling it for FuncDFF panics.
-func EvalPacked(f Func, in []uint64) uint64 {
-	switch f {
-	case FuncConst0:
-		return 0
-	case FuncConst1:
-		return ^uint64(0)
-	case FuncBuf:
-		return in[0]
-	case FuncInv:
-		return ^in[0]
-	case FuncAnd:
-		v := ^uint64(0)
-		for _, w := range in {
-			v &= w
-		}
-		return v
-	case FuncOr:
-		var v uint64
-		for _, w := range in {
-			v |= w
-		}
-		return v
-	case FuncNand:
-		v := ^uint64(0)
-		for _, w := range in {
-			v &= w
-		}
-		return ^v
-	case FuncNor:
-		var v uint64
-		for _, w := range in {
-			v |= w
-		}
-		return ^v
-	case FuncXor:
-		var v uint64
-		for _, w := range in {
-			v ^= w
-		}
-		return v
-	case FuncXnor:
-		var v uint64
-		for _, w := range in {
-			v ^= w
-		}
-		return ^v
-	case FuncMux2:
-		return (in[0] &^ in[2]) | (in[1] & in[2])
-	case FuncAOI21:
-		return ^((in[0] & in[1]) | in[2])
-	case FuncOAI21:
-		return ^((in[0] | in[1]) & in[2])
-	default:
-		// Programmer error: only tests call it, with the library's funcs.
-		panic(fmt.Sprintf("netlist: EvalPacked on non-combinational func %v", f))
-	}
-}

@@ -1,10 +1,6 @@
 package netlist
 
-import (
-	"math/rand"
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestStdLibLookup(t *testing.T) {
 	lib := StdLib()
@@ -163,55 +159,4 @@ func TestEvalScalarPanicsOnDFF(t *testing.T) {
 		}
 	}()
 	EvalScalar(FuncDFF, []bool{true})
-}
-
-func TestEvalPackedPanicsOnDFF(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	EvalPacked(FuncDFF, []uint64{0})
-}
-
-// Property: EvalPacked agrees with EvalScalar on every lane for every
-// combinational function and random inputs.
-func TestEvalPackedMatchesScalar(t *testing.T) {
-	funcs := []struct {
-		f Func
-		n int
-	}{
-		{FuncConst0, 0}, {FuncConst1, 0}, {FuncBuf, 1}, {FuncInv, 1},
-		{FuncAnd, 2}, {FuncAnd, 3}, {FuncAnd, 4},
-		{FuncOr, 2}, {FuncOr, 3}, {FuncOr, 4},
-		{FuncNand, 2}, {FuncNand, 3}, {FuncNand, 4},
-		{FuncNor, 2}, {FuncNor, 3}, {FuncNor, 4},
-		{FuncXor, 2}, {FuncXnor, 2},
-		{FuncMux2, 3}, {FuncAOI21, 3}, {FuncOAI21, 3},
-	}
-	prop := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		for _, fc := range funcs {
-			words := make([]uint64, fc.n)
-			for i := range words {
-				words[i] = rng.Uint64()
-			}
-			packed := EvalPacked(fc.f, words)
-			for lane := 0; lane < 64; lane++ {
-				bits := make([]bool, fc.n)
-				for i := range bits {
-					bits[i] = (words[i]>>uint(lane))&1 == 1
-				}
-				want := EvalScalar(fc.f, bits)
-				got := (packed>>uint(lane))&1 == 1
-				if got != want {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
 }

@@ -28,10 +28,6 @@ const DefaultCacheSize = 4096
 // server answers 429.
 const DefaultQueueDepth = 1024
 
-// DefaultRetryAfterSeconds is the Retry-After hint on 429 responses when
-// RetryAfterSeconds is zero.
-const DefaultRetryAfterSeconds = 1
-
 // Config parameterizes a Server.
 type Config struct {
 	// Registry is the model store to serve; nil creates an empty one.
@@ -48,9 +44,6 @@ type Config struct {
 	// QueueDepth+1 is answered 429 + Retry-After (0 = DefaultQueueDepth,
 	// negative = unbounded).
 	QueueDepth int
-	// RetryAfterSeconds is the Retry-After hint on 429 responses
-	// (0 = DefaultRetryAfterSeconds).
-	RetryAfterSeconds int
 	// Metrics optionally receives the serve metric families; nil creates a
 	// private registry (still exported at /metrics).
 	Metrics *obs.Registry
@@ -68,7 +61,6 @@ type Server struct {
 	cache      *lruCache
 	sem        chan struct{}
 	queueDepth int
-	retryAfter int
 
 	admitMu sync.Mutex
 	admit   map[string]chan struct{}
@@ -90,9 +82,6 @@ func New(cfg Config) *Server {
 	if cfg.QueueDepth == 0 {
 		cfg.QueueDepth = DefaultQueueDepth
 	}
-	if cfg.RetryAfterSeconds <= 0 {
-		cfg.RetryAfterSeconds = DefaultRetryAfterSeconds
-	}
 	reg := cfg.Registry
 	if reg == nil {
 		reg = NewRegistry()
@@ -106,7 +95,6 @@ func New(cfg Config) *Server {
 		cache:      newLRUCache(cfg.CacheSize),
 		sem:        make(chan struct{}, cfg.Workers),
 		queueDepth: cfg.QueueDepth,
-		retryAfter: cfg.RetryAfterSeconds,
 		admit:      make(map[string]chan struct{}),
 		obsReg:     obsReg,
 		metrics:    newMetrics(obsReg),
@@ -230,8 +218,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 			defer func() { <-slots }()
 		default:
 			s.metrics.rejected.Inc()
-			api.WriteOverloaded(w, s.retryAfter,
-				"model %q has %d requests in flight", req.Model, cap(slots))
+			api.WriteOverloaded(w, "model %q has %d requests in flight", req.Model, cap(slots))
 			return
 		}
 	}

@@ -565,7 +565,7 @@ func TestAdmissionControl(t *testing.T) {
 	m := blockingModel{started: make(chan struct{}, 8), release: make(chan struct{}), evals: evals}
 	s := New(Config{
 		Workers:    2,
-		QueueDepth: 1, RetryAfterSeconds: 7,
+		QueueDepth: 1,
 	})
 	if err := s.Add(&persist.Artifact{Name: "slow", FeatureNames: []string{"f0"}, Model: m}); err != nil {
 		t.Fatal(err)
@@ -605,8 +605,8 @@ func TestAdmissionControl(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status %d, want 429 (%s)", resp.StatusCode, body)
 	}
-	if ra := resp.Header.Get("Retry-After"); ra != "7" {
-		t.Fatalf("Retry-After %q, want 7", ra)
+	if ra := resp.Header.Get("Retry-After"); ra != "1" {
+		t.Fatalf("Retry-After %q, want 1", ra)
 	}
 	if er := api.DecodeError(resp.StatusCode, body); er.Code != api.CodeOverloaded {
 		t.Fatalf("code %q, want %q", er.Code, api.CodeOverloaded)
@@ -639,7 +639,7 @@ func TestAdmissionFlood(t *testing.T) {
 	m := blockingModel{started: make(chan struct{}, 1), release: make(chan struct{}), evals: &atomic.Int32{}}
 	s := New(Config{
 		Workers:    4,
-		QueueDepth: depth, RetryAfterSeconds: 3,
+		QueueDepth: depth,
 	})
 	if err := s.Add(&persist.Artifact{Name: "slow", FeatureNames: []string{"f0"}, Model: m}); err != nil {
 		t.Fatal(err)
@@ -691,8 +691,8 @@ func TestAdmissionFlood(t *testing.T) {
 			}
 		case http.StatusTooManyRequests:
 			shed++
-			if ra := a.rec.Header().Get("Retry-After"); ra != "3" {
-				t.Errorf("vector [%g]: Retry-After %q, want 3", a.x, ra)
+			if ra := a.rec.Header().Get("Retry-After"); ra != "1" {
+				t.Errorf("vector [%g]: Retry-After %q, want 1", a.x, ra)
 			}
 			if er := api.DecodeError(a.rec.Code, a.rec.Body.Bytes()); er.Code != api.CodeOverloaded {
 				t.Errorf("vector [%g]: code %q, want %q", a.x, er.Code, api.CodeOverloaded)
