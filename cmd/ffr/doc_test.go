@@ -4,16 +4,20 @@ import (
 	"context"
 	"flag"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io"
 	"io/fs"
 	"maps"
 	"os"
+	"os/exec"
 	"path"
 	"path/filepath"
 	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -112,10 +116,11 @@ func TestCLIReference(t *testing.T) {
 	}
 }
 
-// goSource calls visit with the slash-separated path below the repository
-// root and the text of every Go test file in it (tests) or of every other Go
-// file (!tests).
-func goSource(t *testing.T, tests bool, visit func(rel, src string)) {
+// sourceFiles calls visit with the slash-separated path below the
+// repository root and the text of every .go and .md file in it. It skips
+// dot-directories, where bench's scratch files come and go while the tests
+// run, and reads nothing else, so every source guard sees the same files.
+func sourceFiles(t *testing.T, visit func(rel, src string)) {
 	t.Helper()
 	root := filepath.Join("..", "..")
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
@@ -125,7 +130,7 @@ func goSource(t *testing.T, tests bool, visit func(rel, src string)) {
 		if d.IsDir() && strings.HasPrefix(d.Name(), ".") && path != root {
 			return filepath.SkipDir
 		}
-		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") != tests {
+		if ext := filepath.Ext(path); d.IsDir() || ext != ".go" && ext != ".md" {
 			return nil
 		}
 		src, err := os.ReadFile(path)
@@ -142,6 +147,17 @@ func goSource(t *testing.T, tests bool, visit func(rel, src string)) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// goSource calls visit with every Go test file (tests) or every other Go
+// file (!tests) that sourceFiles walks.
+func goSource(t *testing.T, tests bool, visit func(rel, src string)) {
+	t.Helper()
+	sourceFiles(t, func(rel, src string) {
+		if path.Ext(rel) == ".go" && strings.HasSuffix(rel, "_test.go") == tests {
+			visit(rel, src)
+		}
+	})
 }
 
 // TestOneCheckpointMatcher: which checkpoint belongs to a campaign, when it
@@ -183,7 +199,20 @@ func TestFacadeLayout(t *testing.T) {
 			declared[id.Name] = true
 		}
 	}
-	goSource(t, false, func(rel, src string) {
+	var used []string
+	use := regexp.MustCompile(`\brepro\.([A-Z]\w*)`)
+	sourceFiles(t, func(rel, src string) {
+		switch rel {
+		case "example_test.go", "ffr_test.go", "doc.go", "README.md":
+			used = append(used, src)
+		default:
+			if strings.HasPrefix(rel, "docs/") || strings.HasPrefix(rel, "bench/") {
+				used = append(used, src)
+			}
+		}
+		if path.Ext(rel) != ".go" || strings.HasSuffix(rel, "_test.go") {
+			return
+		}
 		f, err := parser.ParseFile(token.NewFileSet(), rel, src, parser.SkipObjectResolution)
 		if err != nil {
 			t.Fatal(err)
@@ -221,27 +250,8 @@ func TestFacadeLayout(t *testing.T) {
 	if len(declared) == 0 {
 		t.Fatal("found no names declared in ffr.go or serving.go: the guard matches nothing")
 	}
-	root := filepath.Join("..", "..")
-	callers := []string{"example_test.go", "ffr_test.go", "doc.go", "README.md"}
-	for _, dir := range []string{"docs", "bench"} {
-		err := filepath.WalkDir(filepath.Join(root, dir), func(p string, d fs.DirEntry, err error) error {
-			if err == nil && !d.IsDir() {
-				rel, _ := filepath.Rel(root, p)
-				callers = append(callers, rel)
-			}
-			return err
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	use := regexp.MustCompile(`\brepro\.([A-Z]\w*)`)
-	for _, rel := range callers {
-		src, err := os.ReadFile(filepath.Join(root, rel))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, m := range use.FindAllStringSubmatch(string(src), -1) {
+	for _, src := range used {
+		for _, m := range use.FindAllStringSubmatch(src, -1) {
 			delete(declared, m[1])
 		}
 	}
@@ -357,5 +367,242 @@ func TestFuzzSmokeListsEveryTarget(t *testing.T) {
 	}
 	if !t.Failed() && !slices.Equal(defined, listed) {
 		t.Errorf("make fuzz-smoke runs a target twice:\n%s", strings.Join(listed, "\n"))
+	}
+}
+
+// uncalledAllowed lists the exported names below internal/ that keep no
+// production caller on purpose, each with the reason: references and
+// probes that tests in more than one package share, so no one package's
+// _test.go file can hold them. An entry that is gone, or that has gained a
+// caller, fails TestEveryExportHasACaller, so the list cannot go stale.
+var uncalledAllowed = map[string]string{
+	"sim.NewScalarEngine":     "the one-lane boolean oracle, independent of the packed engines, that the sim and fault tests share",
+	"sim.RunScalar":           "runs the one-lane oracle over a stimulus for the sim and fault tests",
+	"sim.ScalarEngine.FlipFF": "injects an upset into the one-lane oracle for the fault tests",
+	"sim.Engine.FlipFF":       "injects an upset into the interpreter, the full-replay reference of the sim, fault, corpus and circuit tests",
+	"sim.Engine.ForceFF":      "injects a stuck-at into the interpreter for the fault tests' full-replay reference",
+	"sim.KernelEngine.FFWord": "reads a kernel's flip-flop state, which the sim and corpus tests hold to the interpreter's",
+	"ml/tree.Orders.Reused":   "counts the nodes that took an earlier fit's sort orders, which the tree and ensemble tests hold to what boosting should reuse",
+	"netlist.Parse":           "the fuzzed inverse of netlist.Write, which ffr gen uses; the netlist, features, sim and circuit tests read netlists back with it",
+}
+
+// importerFunc adapts a function to types.Importer.
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// uncalledExports type-checks every non-test package of the module (cmd/ffr,
+// bench/ and the root facade among them) and the root walkthroughs
+// example_test.go and ffr_test.go, and returns the exported package-level
+// funcs, types, vars and consts and the exported methods declared under
+// internal/ that no non-test file uses, as "<dir below internal>.<Name>" or
+// "<dir>.<Type>.<Method>". A use inside the declaring package counts: such a
+// name has a production caller, and unexporting it would rename code
+// without deleting any. A method that satisfies an interface the module or
+// a standard package it imports declares, or an interface type written in
+// the source (an inline constraint or a type assertion), may be called
+// through that interface and is not listed. It also returns how many names
+// it examined.
+func uncalledExports(t *testing.T) (uncalled []string, examined int) {
+	t.Helper()
+	fset := token.NewFileSet()
+	files := map[string][]*ast.File{} // import path -> files
+	sourceFiles(t, func(rel, src string) {
+		if path.Ext(rel) != ".go" {
+			return
+		}
+		pkg := path.Join("repro", path.Dir(rel))
+		if strings.HasSuffix(rel, "_test.go") {
+			if rel != "example_test.go" && rel != "ffr_test.go" {
+				return
+			}
+			pkg += "_test"
+		}
+		f, err := parser.ParseFile(fset, rel, src, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[pkg] = append(files[pkg], f)
+	})
+
+	// The standard packages come from their export data, which one go list
+	// call finds for all of them (importer.Default runs go list per package).
+	var stdPaths []string
+	for _, pkgFiles := range files {
+		for _, f := range pkgFiles {
+			for _, spec := range f.Imports {
+				p, err := strconv.Unquote(spec.Path.Value)
+				if _, ok := files[p]; err == nil && !ok && !slices.Contains(stdPaths, p) {
+					stdPaths = append(stdPaths, p)
+				}
+			}
+		}
+	}
+	out, err := exec.Command("go", append([]string{"list", "-export", "-f", "{{.ImportPath}} {{.Export}}"}, stdPaths...)...).Output()
+	if err != nil {
+		t.Fatalf("go list -export: %v", err)
+	}
+	exports := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		p, export, _ := strings.Cut(line, " ")
+		exports[p] = export
+	}
+	std := importer.ForCompiler(fset, "gc", func(p string) (io.ReadCloser, error) { return os.Open(exports[p]) })
+
+	info := &types.Info{Types: map[ast.Expr]types.TypeAndValue{}, Uses: map[*ast.Ident]types.Object{}}
+	checked := map[string]*types.Package{}
+	var load importerFunc
+	load = func(p string) (*types.Package, error) {
+		if pkg := checked[p]; pkg != nil {
+			return pkg, nil
+		}
+		src, ok := files[p]
+		if !ok {
+			return std.Import(p)
+		}
+		pkg, err := (&types.Config{Importer: load}).Check(p, fset, src, info)
+		checked[p] = pkg
+		return pkg, err
+	}
+	for _, p := range slices.Sorted(maps.Keys(files)) {
+		if _, err := load(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// The objects some non-test file uses.
+	used := map[types.Object]bool{}
+	for _, obj := range info.Uses {
+		switch o := obj.(type) {
+		case *types.Func:
+			obj = o.Origin()
+		case *types.Var:
+			obj = o.Origin()
+		}
+		used[obj] = true
+	}
+
+	// The interfaces a method may be called through, by method name.
+	ifaces := map[string][]*types.Interface{}
+	addIface := func(typ types.Type) {
+		if it, ok := typ.Underlying().(*types.Interface); ok {
+			for m := range it.Methods() {
+				ifaces[m.Name()] = append(ifaces[m.Name()], it)
+			}
+		}
+	}
+	addIface(types.Universe.Lookup("error").Type())
+	for _, tv := range info.Types {
+		if tv.IsType() {
+			addIface(tv.Type)
+		}
+	}
+	seen := map[*types.Package]bool{}
+	var declare func(pkg *types.Package)
+	declare = func(pkg *types.Package) {
+		if seen[pkg] {
+			return
+		}
+		seen[pkg] = true
+		for _, name := range pkg.Scope().Names() {
+			if tn, ok := pkg.Scope().Lookup(name).(*types.TypeName); ok {
+				addIface(tn.Type())
+			}
+		}
+		for _, imp := range pkg.Imports() {
+			declare(imp)
+		}
+	}
+	for _, pkg := range checked {
+		declare(pkg)
+	}
+	viaInterface := func(recv types.Type, method string) bool {
+		for _, it := range ifaces[method] {
+			if types.Implements(recv, it) || types.Implements(types.NewPointer(recv), it) {
+				return true
+			}
+		}
+		return false
+	}
+
+	for p, pkg := range checked {
+		dir, ok := strings.CutPrefix(p, "repro/internal/")
+		if !ok {
+			continue
+		}
+		for _, name := range pkg.Scope().Names() {
+			obj := pkg.Scope().Lookup(name)
+			if obj.Exported() {
+				examined++
+				if !used[obj] {
+					uncalled = append(uncalled, dir+"."+name)
+				}
+			}
+			tn, ok := obj.(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			named, ok := tn.Type().(*types.Named)
+			if !ok {
+				continue
+			}
+			for m := range named.Methods() {
+				if !m.Exported() {
+					continue
+				}
+				examined++
+				if !used[m] && !viaInterface(named, m.Name()) {
+					uncalled = append(uncalled, dir+"."+name+"."+m.Name())
+				}
+			}
+		}
+	}
+	slices.Sort(uncalled)
+	return uncalled, examined
+}
+
+// exportProblems compares the names uncalledExports lists with an
+// allowlist: one message for each listed name the allowlist lacks, and one
+// for each entry that is no longer listed.
+func exportProblems(uncalled []string, allowed map[string]string) []string {
+	var problems []string
+	for _, name := range uncalled {
+		if _, ok := allowed[name]; !ok {
+			problems = append(problems, name+" has no caller outside tests; delete it, move it into a _test.go file, or allowlist it with a reason")
+		}
+	}
+	for _, name := range slices.Sorted(maps.Keys(allowed)) {
+		if !slices.Contains(uncalled, name) {
+			problems = append(problems, "the allowlist names "+name+", which is gone or has a production caller; drop the entry")
+		}
+	}
+	return problems
+}
+
+// TestEveryExportHasACaller: every exported name declared under internal/
+// has a caller in non-test code (cmd/ffr, bench/, the root facade and its
+// walkthroughs, or the rest of its own package), or an entry in
+// uncalledAllowed, so API surface that only tests use does not pile up.
+// Delete such a name, or move it into its package's export_test.go or into
+// the test that uses it.
+func TestEveryExportHasACaller(t *testing.T) {
+	uncalled, examined := uncalledExports(t)
+	if examined == 0 {
+		t.Fatal("found no exported names under internal/: the guard matches nothing")
+	}
+	for _, p := range exportProblems(uncalled, uncalledAllowed) {
+		t.Error(p)
+	}
+}
+
+// TestExportProblems: the guard names an uncalled name the allowlist lacks,
+// and an allowlist entry that is gone or has gained a caller.
+func TestExportProblems(t *testing.T) {
+	got := exportProblems([]string{"fault.Kept", "fault.New"}, map[string]string{"fault.Kept": "why", "fault.Stale": "why"})
+	if len(got) != 2 || !strings.HasPrefix(got[0], "fault.New has no caller") || !strings.Contains(got[1], "names fault.Stale, which is gone") {
+		t.Errorf("exportProblems = %q", got)
+	}
+	if got := exportProblems([]string{"fault.Kept"}, map[string]string{"fault.Kept": "why"}); len(got) != 0 {
+		t.Errorf("an allowlisted name is reported: %q", got)
 	}
 }

@@ -91,8 +91,8 @@ func TestServeSmoke(t *testing.T) {
 	// load: every one is served (internal/serve's TestAdmissionFlood is the
 	// 10k-request overload check).
 	client := api.NewClient(base)
-	models, err := client.Models()
-	if err != nil || len(models.Models) != 1 {
+	var models api.ModelsResponse
+	if err := client.Do(context.Background(), http.MethodGet, "/v1/models", nil, &models); err != nil || len(models.Models) != 1 {
 		t.Fatalf("/v1/models: %+v, %v", models, err)
 	}
 	errs := make(chan error)

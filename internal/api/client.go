@@ -84,24 +84,3 @@ func (c *Client) Predict(req PredictRequest) (PredictResponse, error) {
 	err := c.Do(context.Background(), http.MethodPost, "/v1/predict", req, &resp)
 	return resp, err
 }
-
-// Models lists the served models.
-func (c *Client) Models() (ModelsResponse, error) {
-	var resp ModelsResponse
-	err := c.Do(context.Background(), http.MethodGet, "/v1/models", nil, &resp)
-	return resp, err
-}
-
-// Harden posts one hardening-plan request.
-func (c *Client) Harden(req HardenRequest) (HardenResponse, error) {
-	var resp HardenResponse
-	err := c.Do(context.Background(), http.MethodPost, "/v1/harden", req, &resp)
-	return resp, err
-}
-
-// Reload triggers a hot reload of file-backed artifacts.
-func (c *Client) Reload(req ReloadRequest) (ReloadResponse, error) {
-	var resp ReloadResponse
-	err := c.Do(context.Background(), http.MethodPost, "/v1/models/reload", req, &resp)
-	return resp, err
-}

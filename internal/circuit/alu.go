@@ -175,33 +175,3 @@ func wordOr(b *netlist.Builder, x, y Word) Word {
 	}
 	return w
 }
-
-// ALUModel is the software reference for one ALU operation at the given
-// datapath width; it returns the result and the carry flag (meaningful for
-// add/sub only). Testbenches and unit tests check the gate-level pipeline
-// against it.
-func ALUModel(width, op int, a, bv uint64) (uint64, bool) {
-	mask := uint64(1)<<uint(width) - 1
-	a &= mask
-	bv &= mask
-	switch op {
-	case ALUAdd:
-		s := a + bv
-		return s & mask, s>>uint(width)&1 == 1
-	case ALUSub:
-		s := a + (^bv & mask) + 1
-		return s & mask, s>>uint(width)&1 == 1
-	case ALUAnd:
-		return a & bv, false
-	case ALUOr:
-		return a | bv, false
-	case ALUXor:
-		return a ^ bv, false
-	case ALUShl:
-		return a << 1 & mask, false
-	case ALUShr:
-		return a >> 1, false
-	default:
-		return a, false
-	}
-}

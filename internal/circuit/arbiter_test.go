@@ -228,7 +228,7 @@ func TestRRArbBudgetAndDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := nl.NumFFs(); got != cfg.TargetFFs {
+	if got := len(nl.FFs()); got != cfg.TargetFFs {
 		t.Fatalf("FF count %d, want %d", got, cfg.TargetFFs)
 	}
 	nl2, err := circuit.NewRRArb(cfg)

@@ -97,15 +97,6 @@ func EqualConst(b *netlist.Builder, x Word, k uint64) netlist.NetID {
 	return b.And(terms...)
 }
 
-// Equal returns a net that is high when buses x and y are equal.
-func Equal(b *netlist.Builder, x, y Word) netlist.NetID {
-	terms := make([]netlist.NetID, len(x))
-	for i := range x {
-		terms[i] = b.Xnor(x[i], y[i])
-	}
-	return b.And(terms...)
-}
-
 // Decoder returns the one-hot decode of sel: out[i] is high iff sel == i.
 // It produces 2^len(sel) outputs.
 func Decoder(b *netlist.Builder, sel Word) []netlist.NetID {
@@ -274,24 +265,4 @@ func TMRWord(bd *netlist.Builder, name string, width int, init uint64, next func
 		}
 	}
 	return firstVote
-}
-
-// LFSR builds a Fibonacci linear-feedback shift register with the given tap
-// positions (bit indices XORed into the feedback). A non-zero init keeps it
-// from locking up in the all-zero state.
-func LFSR(b *netlist.Builder, name string, width int, taps []int, init uint64) Word {
-	q := make(Word, width)
-	setters := make([]func(netlist.NetID), width)
-	for i := 0; i < width; i++ {
-		q[i], setters[i] = b.DFFDecl(fmt.Sprintf("%s[%d]", name, i), init>>uint(i)&1 == 1)
-	}
-	fb := q[taps[0]]
-	for _, t := range taps[1:] {
-		fb = b.Xor(fb, q[t])
-	}
-	setters[0](fb)
-	for i := 1; i < width; i++ {
-		setters[i](q[i-1])
-	}
-	return q
 }

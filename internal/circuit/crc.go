@@ -26,30 +26,6 @@ const CRCInit uint32 = 0xFFFFFFFF
 // number" check used by the receive path.
 const CRCResidue uint32 = 0xDEBB20E3
 
-// CRC32UpdateByte is the software reference for one byte step, used by
-// testbenches and unit tests. crc is the raw register (not complemented).
-func CRC32UpdateByte(crc uint32, data byte) uint32 {
-	crc ^= uint32(data)
-	for i := 0; i < 8; i++ {
-		if crc&1 == 1 {
-			crc = crc>>1 ^ ReflectedPoly
-		} else {
-			crc >>= 1
-		}
-	}
-	return crc
-}
-
-// CRC32Bytes runs the reference over a byte string starting from CRCInit and
-// returns the final complemented checksum (equal to hash/crc32 ChecksumIEEE).
-func CRC32Bytes(data []byte) uint32 {
-	crc := CRCInit
-	for _, d := range data {
-		crc = CRC32UpdateByte(crc, d)
-	}
-	return crc ^ 0xFFFFFFFF
-}
-
 // CRC32ByteStep builds the combinational next-state network for one byte of
 // data: given the 32-bit register value and 8 data bits it returns the next
 // register value. Gate cost: 8 stages × (1 + popcount(poly)) XOR2 gates.

@@ -68,7 +68,7 @@ func TestApplyTMRPreservesFaultFreeBehavior(t *testing.T) {
 	if base.Fingerprint() == hardened.Fingerprint() {
 		t.Fatal("TMR rewrite must change the netlist fingerprint")
 	}
-	if got, want := hardened.NumFFs(), base.NumFFs()+6; got != want {
+	if got, want := len(hardened.FFs()), len(base.FFs())+6; got != want {
 		t.Fatalf("hardened has %d FFs, want %d", got, want)
 	}
 	const cycles = 24
@@ -93,7 +93,7 @@ func TestApplyTMROutvotesSingleFlips(t *testing.T) {
 	// The unhardened design must actually be vulnerable, or the test below
 	// proves nothing.
 	vulnerable := false
-	for ff := 0; ff < base.NumFFs(); ff++ {
+	for ff := 0; ff < len(base.FFs()); ff++ {
 		faulty := runWithFlip(t, base, cycles, ff, 5, true)
 		for c := range golden {
 			if faulty[c] != golden[c] {
@@ -107,7 +107,7 @@ func TestApplyTMROutvotesSingleFlips(t *testing.T) {
 
 	// Every flip-flop of the hardened design — originals and replicas —
 	// must tolerate a single-cycle flip with bit-identical outputs.
-	for ff := 0; ff < hardened.NumFFs(); ff++ {
+	for ff := 0; ff < len(hardened.FFs()); ff++ {
 		faulty := runWithFlip(t, hardened, cycles, ff, 5, true)
 		for c := range golden {
 			if faulty[c] != golden[c] {
@@ -123,7 +123,7 @@ func TestApplyTMRPartialSelection(t *testing.T) {
 	if err := circuit.ApplyTMR(hardened, []int{1, 1}); err != nil {
 		t.Fatalf("ApplyTMR: %v", err)
 	}
-	if got, want := hardened.NumFFs(), 5; got != want {
+	if got, want := len(hardened.FFs()), 5; got != want {
 		t.Fatalf("hardened has %d FFs, want %d", got, want)
 	}
 	base := buildToggleChain(t)

@@ -71,21 +71,6 @@ func (c UARTConfig) Validate() error {
 	return nil
 }
 
-// UARTFrame is the software reference: the FrameBits line symbols for one
-// data byte, in wire order.
-func UARTFrame(data byte) []bool {
-	bits := make([]bool, 0, FrameBits)
-	bits = append(bits, false) // start
-	parity := false
-	for i := 0; i < 8; i++ {
-		bit := data>>uint(i)&1 == 1
-		bits = append(bits, bit)
-		parity = parity != bit
-	}
-	bits = append(bits, parity, true) // even parity, stop
-	return bits
-}
-
 // NewUARTSer generates the serializer netlist.
 func NewUARTSer(cfg UARTConfig) (*netlist.Netlist, error) {
 	if err := cfg.Validate(); err != nil {

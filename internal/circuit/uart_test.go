@@ -8,6 +8,21 @@ import (
 	"repro/internal/sim"
 )
 
+// uartFrame is the software reference: the FrameBits line symbols for one
+// data byte, in wire order.
+func uartFrame(data byte) []bool {
+	bits := make([]bool, 0, circuit.FrameBits)
+	bits = append(bits, false) // start
+	parity := false
+	for i := 0; i < 8; i++ {
+		bit := data>>uint(i)&1 == 1
+		bits = append(bits, bit)
+		parity = parity != bit
+	}
+	bits = append(bits, parity, true) // even parity, stop
+	return bits
+}
+
 type uartDriver struct {
 	e    *sim.Engine
 	wr   int
@@ -131,7 +146,7 @@ func TestUARTSerFramesBytes(t *testing.T) {
 			t.Fatalf("divisor %d: sent %d bytes, decoded %d frames", cfg.Divisor, len(sent), len(frames))
 		}
 		for i, bv := range sent {
-			want := circuit.UARTFrame(bv)
+			want := uartFrame(bv)
 			for k := range want {
 				if frames[i][k] != want[k] {
 					t.Fatalf("divisor %d frame %d (byte %#x): symbol %d is %v, want %v",
@@ -176,7 +191,7 @@ func TestUARTSerBudgetAndDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := nl.NumFFs(); got != cfg.TargetFFs {
+	if got := len(nl.FFs()); got != cfg.TargetFFs {
 		t.Fatalf("FF count %d, want %d", got, cfg.TargetFFs)
 	}
 	nl2, err := circuit.NewUARTSer(cfg)

@@ -115,23 +115,6 @@ func CrossCircuit(studies []*Study, spec ModelSpec, seed int64) (*TransferMatrix
 	return tm, nil
 }
 
-// Cell looks up the transfer from trainID to testID.
-func (tm *TransferMatrix) Cell(trainID, testID string) (TransferCell, error) {
-	ti, tj := -1, -1
-	for k, id := range tm.IDs {
-		if id == trainID {
-			ti = k
-		}
-		if id == testID {
-			tj = k
-		}
-	}
-	if ti < 0 || tj < 0 {
-		return TransferCell{}, fmt.Errorf("core: transfer matrix has no pair %q → %q", trainID, testID)
-	}
-	return tm.Cells[ti][tj], nil
-}
-
 // RenderTransferMatrix writes the train-on-row/predict-on-column matrices
 // (R² and Kendall τ; diagonal cells marked with * as held-out
 // within-circuit baselines).

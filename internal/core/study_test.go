@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"reflect"
 	"sync"
@@ -450,7 +451,7 @@ func TestInjectionBudgetAblationHonoursStudyModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := runner.Run(fault.NewModelPlan(model, s.NumFFs(), budget, s.ActiveCycles(), s.Config.CampaignSeed+budget))
+	want, err := runner.RunContext(context.Background(), fault.NewModelPlan(model, s.NumFFs(), budget, s.ActiveCycles(), s.Config.CampaignSeed+budget))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package corpus_test
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/corpus"
@@ -197,7 +198,7 @@ func TestCorpusScenarioCampaigns(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", s.ID(), err)
 		}
-		res, err := runner.Run(m.Jobs(fault.Model{}, g.InjectionsPerFF, g.CampaignSeed))
+		res, err := runner.RunContext(context.Background(), m.Jobs(fault.Model{}, g.InjectionsPerFF, g.CampaignSeed))
 		if err != nil {
 			t.Fatalf("%s: campaign: %v", s.ID(), err)
 		}

@@ -55,10 +55,3 @@ func (c *Client) Complete(ctx context.Context, req api.CompleteRequest) (api.Com
 	err := c.c.Do(ctx, http.MethodPost, "/v1/fabric/complete", req, &resp)
 	return resp, err
 }
-
-// Status fetches campaign progress.
-func (c *Client) Status(ctx context.Context) (api.FabricStatus, error) {
-	var resp api.FabricStatus
-	err := c.c.Do(ctx, http.MethodGet, "/v1/fabric/status", nil, &resp)
-	return resp, err
-}

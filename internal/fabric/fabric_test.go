@@ -419,8 +419,8 @@ func TestWorkStealing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st, err := client.Status(ctx)
-	if err != nil {
+	var st api.FabricStatus
+	if err := api.NewClient(srv.URL).Do(ctx, http.MethodGet, "/v1/fabric/status", nil, &st); err != nil {
 		t.Fatal(err)
 	}
 	if !st.Done || st.ShardsStolen != 1 {

@@ -36,7 +36,7 @@ func checkpointed(t *testing.T, spec api.CampaignSpec, local fault.RunnerConfig,
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := runner.Run(camp.Jobs); err != nil {
+	if _, err := runner.RunContext(context.Background(), camp.Jobs); err != nil {
 		t.Fatal(err)
 	}
 	ck, err := fault.LoadCheckpoint(path)

@@ -1,6 +1,7 @@
 package fault_test
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -97,7 +98,7 @@ func runJobs(p *sim.Program, stim *sim.Stimulus, monitors []int, cls fault.Class
 	if err != nil {
 		return nil, err
 	}
-	return r.Run(jobs)
+	return r.RunContext(context.Background(), jobs)
 }
 
 func TestCampaignOnSmallMAC(t *testing.T) {

@@ -220,7 +220,7 @@ func TestEquivalenceCheckpointResumeIncremental(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewRunner: %v", err)
 	}
-	got, err := rr.Run(jobs)
+	got, err := rr.RunContext(context.Background(), jobs)
 	if err != nil {
 		t.Fatalf("resume: %v", err)
 	}

@@ -1,6 +1,7 @@
 package fault_test
 
 import (
+	"context"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -25,7 +26,7 @@ func TestCampaignMetrics(t *testing.T) {
 		Workers:   2,
 		Metrics:   reg,
 	})
-	res, err := r.Run(jobs)
+	res, err := r.RunContext(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,14 +153,14 @@ func lintExposition(t *testing.T, text string) {
 // produces identical failure counts.
 func TestCampaignMetricsUnchangedResults(t *testing.T) {
 	plain, jobs := newRunner(t, fault.RunnerConfig{ChunkJobs: sim.Lanes, Workers: 2})
-	want, err := plain.Run(jobs)
+	want, err := plain.RunContext(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	metered, jobs2 := newRunner(t, fault.RunnerConfig{
 		ChunkJobs: sim.Lanes, Workers: 2, Metrics: obs.NewRegistry(),
 	})
-	got, err := metered.Run(jobs2)
+	got, err := metered.RunContext(context.Background(), jobs2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,11 +59,6 @@ const (
 	KindSET    ModelKind = "set"
 )
 
-// ModelKinds lists every fault mechanism in canonical order.
-func ModelKinds() []ModelKind {
-	return []ModelKind{KindSEU, KindMBU, KindStuck0, KindStuck1, KindSET}
-}
-
 // normalize fills the zero-value defaults in: empty kind is SEU, an MBU
 // without a size flips 2 flip-flops, a stuck-at without a duration holds
 // for 1 cycle, and a zero window is the full active window.

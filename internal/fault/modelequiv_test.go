@@ -1,6 +1,7 @@
 package fault_test
 
 import (
+	"context"
 	"errors"
 	"path/filepath"
 	"reflect"
@@ -107,10 +108,19 @@ func tinyFixture(t *testing.T) (*sim.Program, *sim.Stimulus, []int, int) {
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
-	// Locate the dead inverter's comb-target index for targeted SET jobs.
+	// Locate the dead inverter's comb-target index for targeted SET jobs:
+	// the SET targets are the combinational cells in netlist cell order.
+	var comb []netlist.CellID
+	for ci := range nl.Cells {
+		if !nl.Cells[ci].Type.IsSequential() {
+			comb = append(comb, netlist.CellID(ci))
+		}
+	}
+	if len(comb) != p.NumCombTargets() {
+		t.Fatalf("%d combinational cells, %d SET targets", len(comb), p.NumCombTargets())
+	}
 	deadTarget := -1
-	for ti := 0; ti < p.NumCombTargets(); ti++ {
-		ci := p.CombTargetCell(ti)
+	for ti, ci := range comb {
 		read := false
 		out := nl.Cells[ci].Output
 		for cj := range nl.Cells {
@@ -349,7 +359,7 @@ func TestModelMismatchRejected(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewRunner: %v", err)
 	}
-	if _, err := seed.Run(jobs); err != nil {
+	if _, err := seed.RunContext(context.Background(), jobs); err != nil {
 		t.Fatalf("seeding checkpoint: %v", err)
 	}
 
@@ -359,7 +369,7 @@ func TestModelMismatchRejected(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewRunner: %v", err)
 	}
-	if _, err := other.Run(jobs); !errors.Is(err, fault.ErrCheckpointMismatch) {
+	if _, err := other.RunContext(context.Background(), jobs); !errors.Is(err, fault.ErrCheckpointMismatch) {
 		t.Fatalf("SEU resume of an MBU checkpoint returned %v", err)
 	}
 }

@@ -211,12 +211,6 @@ func checkGolden(golden *sim.Trace, stim *sim.Stimulus, monitors []int) error {
 	return nil
 }
 
-// Run executes the plan to completion (or until the checkpoint says it
-// already completed). It is RunContext with a background context.
-func (r *Runner) Run(jobs []Job) (*Result, error) {
-	return r.RunContext(context.Background(), jobs)
-}
-
 // workers resolves the configured pool bound.
 func (r *Runner) workers() int {
 	if r.cfg.Workers > 0 {

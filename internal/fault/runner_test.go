@@ -65,10 +65,10 @@ func TestRunnerConfigValidation(t *testing.T) {
 
 func TestRunnerRejectsBadJobs(t *testing.T) {
 	r, _ := newRunner(t, fault.RunnerConfig{})
-	if _, err := r.Run([]fault.Job{{FF: -1, Cycle: 0}}); err == nil {
+	if _, err := r.RunContext(context.Background(), []fault.Job{{FF: -1, Cycle: 0}}); err == nil {
 		t.Fatal("negative FF accepted")
 	}
-	if _, err := r.Run([]fault.Job{{FF: 0, Cycle: 99999}}); err == nil {
+	if _, err := r.RunContext(context.Background(), []fault.Job{{FF: 0, Cycle: 99999}}); err == nil {
 		t.Fatal("out-of-range cycle accepted")
 	}
 }
@@ -77,14 +77,14 @@ func TestRunnerRejectsBadJobs(t *testing.T) {
 // campaign (what RunCampaign was) regardless of chunk size or worker count.
 func TestRunnerMatchesRunCampaign(t *testing.T) {
 	r, jobs := newRunner(t, fault.RunnerConfig{})
-	want, err := r.Run(jobs)
+	want, err := r.RunContext(context.Background(), jobs)
 	if err != nil {
 		t.Fatalf("default campaign: %v", err)
 	}
 	for _, chunk := range []int{sim.Lanes, 3 * sim.Lanes, 1 << 20} {
 		for _, workers := range []int{1, 3} {
 			r, jobs := newRunner(t, fault.RunnerConfig{ChunkJobs: chunk, Workers: workers})
-			got, err := r.Run(jobs)
+			got, err := r.RunContext(context.Background(), jobs)
 			if err != nil {
 				t.Fatalf("Run(chunk=%d,workers=%d): %v", chunk, workers, err)
 			}
@@ -97,7 +97,7 @@ func TestRunnerChunkGeometry(t *testing.T) {
 	// 100 jobs in chunks of 70 → rounded to 2 batches (128 jobs) per
 	// chunk → a single chunk of 2 batches.
 	r, jobs := newRunner(t, fault.RunnerConfig{ChunkJobs: 70, Workers: 1})
-	res, err := r.Run(jobs[:100])
+	res, err := r.RunContext(context.Background(), jobs[:100])
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -106,7 +106,7 @@ func TestRunnerChunkGeometry(t *testing.T) {
 	}
 	// One-batch chunks.
 	r2, _ := newRunner(t, fault.RunnerConfig{ChunkJobs: sim.Lanes, Workers: 2})
-	res2, err := r2.Run(jobs[:100])
+	res2, err := r2.RunContext(context.Background(), jobs[:100])
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -132,7 +132,7 @@ func TestRunnerGoldenReuse(t *testing.T) {
 		if _, got := pl.Hashes(); got != durable.Hash(golden.Fingerprint()) {
 			t.Fatalf("plan pins golden %v, supplied trace is %x", got, golden.Fingerprint())
 		}
-		if results[i], err = r.Run(jobs[:sim.Lanes]); err != nil {
+		if results[i], err = r.RunContext(context.Background(), jobs[:sim.Lanes]); err != nil {
 			t.Fatalf("Run with shared golden: %v", err)
 		}
 	}
@@ -148,7 +148,7 @@ func TestRunnerProgress(t *testing.T) {
 			seen = append(seen, p)
 		},
 	})
-	res, err := r.Run(jobs)
+	res, err := r.RunContext(context.Background(), jobs)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -177,7 +177,7 @@ func TestRunnerInterruptResumeBitIdentical(t *testing.T) {
 
 	// Reference: uninterrupted run.
 	r, jobs := newRunner(t, fault.RunnerConfig{ChunkJobs: sim.Lanes, Workers: 2})
-	want, err := r.Run(jobs)
+	want, err := r.RunContext(context.Background(), jobs)
 	if err != nil {
 		t.Fatalf("uninterrupted run: %v", err)
 	}
@@ -217,7 +217,7 @@ func TestRunnerInterruptResumeBitIdentical(t *testing.T) {
 		CheckpointPath: ckpt,
 		Resume:         true,
 	})
-	got, err := rr.Run(jobs)
+	got, err := rr.RunContext(context.Background(), jobs)
 	if err != nil {
 		t.Fatalf("resumed run: %v", err)
 	}
@@ -227,7 +227,7 @@ func TestRunnerInterruptResumeBitIdentical(t *testing.T) {
 	sameResult(t, want, got)
 
 	// A second resume of the now-complete checkpoint restores everything.
-	again, err := rr.Run(jobs)
+	again, err := rr.RunContext(context.Background(), jobs)
 	if err != nil {
 		t.Fatalf("re-run from complete checkpoint: %v", err)
 	}
@@ -245,7 +245,7 @@ func TestRunnerResumeRejectsForeignCheckpoint(t *testing.T) {
 		ChunkJobs:      sim.Lanes,
 		CheckpointPath: ckpt,
 	})
-	if _, err := r.Run(jobs); err != nil {
+	if _, err := r.RunContext(context.Background(), jobs); err != nil {
 		t.Fatalf("seeding checkpoint: %v", err)
 	}
 
@@ -257,7 +257,7 @@ func TestRunnerResumeRejectsForeignCheckpoint(t *testing.T) {
 		CheckpointPath: ckpt,
 		Resume:         true,
 	})
-	if _, err := rr.Run(other); !errors.Is(err, fault.ErrCheckpointMismatch) {
+	if _, err := rr.RunContext(context.Background(), other); !errors.Is(err, fault.ErrCheckpointMismatch) {
 		t.Fatalf("foreign plan resumed: %v", err)
 	}
 
@@ -267,7 +267,7 @@ func TestRunnerResumeRejectsForeignCheckpoint(t *testing.T) {
 		CheckpointPath: ckpt,
 		Resume:         true,
 	})
-	if _, err := rg.Run(jobs); !errors.Is(err, fault.ErrCheckpointMismatch) {
+	if _, err := rg.RunContext(context.Background(), jobs); !errors.Is(err, fault.ErrCheckpointMismatch) {
 		t.Fatalf("mismatched geometry resumed: %v", err)
 	}
 }
@@ -286,7 +286,7 @@ func TestRunnerResumeRejectsDifferentCriterion(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewRunner: %v", err)
 	}
-	if _, err := strict.Run(jobs); err != nil {
+	if _, err := strict.RunContext(context.Background(), jobs); err != nil {
 		t.Fatalf("seeding checkpoint: %v", err)
 	}
 
@@ -296,7 +296,7 @@ func TestRunnerResumeRejectsDifferentCriterion(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewRunner: %v", err)
 	}
-	if _, err := lax.Run(jobs); !errors.Is(err, fault.ErrCheckpointMismatch) {
+	if _, err := lax.RunContext(context.Background(), jobs); !errors.Is(err, fault.ErrCheckpointMismatch) {
 		t.Fatalf("different criterion resumed: %v", err)
 	}
 }
@@ -360,7 +360,7 @@ func TestLedgerFlushCadence(t *testing.T) {
 			seen = append(seen, p.ChunksDone)
 		},
 	})
-	res, err := r.Run(jobs)
+	res, err := r.RunContext(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +382,7 @@ func TestRunnerResumeWithoutCheckpointFileStartsFresh(t *testing.T) {
 		CheckpointPath: ckpt,
 		Resume:         true,
 	})
-	res, err := r.Run(jobs[:sim.Lanes])
+	res, err := r.RunContext(context.Background(), jobs[:sim.Lanes])
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}

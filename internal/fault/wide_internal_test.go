@@ -335,7 +335,7 @@ func TestKernelSharedAndCollectable(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := r.Run(NewModelPlan(Model{}, p.NumFFs(), 1, bench.ActiveCycles, 5)); err != nil {
+			if _, err := r.RunContext(context.Background(), NewModelPlan(Model{}, p.NumFFs(), 1, bench.ActiveCycles, 5)); err != nil {
 				t.Fatal(err)
 			}
 			if kernels[i], err = r.kernel(); err != nil {

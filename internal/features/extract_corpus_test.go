@@ -35,8 +35,8 @@ func extractDUT(t *testing.T, nl *netlist.Netlist, cycles int) *Matrix {
 	if err != nil {
 		t.Fatalf("Extract: %v", err)
 	}
-	if len(m.Rows) != nl.NumFFs() {
-		t.Fatalf("rows = %d, want %d", len(m.Rows), nl.NumFFs())
+	if len(m.Rows) != len(nl.FFs()) {
+		t.Fatalf("rows = %d, want %d", len(m.Rows), len(nl.FFs()))
 	}
 	return m
 }

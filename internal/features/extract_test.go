@@ -300,8 +300,8 @@ func TestMACFeatureExtraction(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Extract: %v", err)
 	}
-	if len(m.Rows) != nl.NumFFs() {
-		t.Fatalf("rows = %d, want %d", len(m.Rows), nl.NumFFs())
+	if len(m.Rows) != len(nl.FFs()) {
+		t.Fatalf("rows = %d, want %d", len(m.Rows), len(nl.FFs()))
 	}
 	// Sanity: features vary across the population (a constant column
 	// would be useless for regression); count distinct values per column.

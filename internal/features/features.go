@@ -77,13 +77,8 @@ func Groups() []Group {
 	return g
 }
 
-// Slice flattens the vector in Names order.
-func (v *Vector) Slice() []float64 {
-	flat := v.array()
-	return flat[:]
-}
-
-// array is Slice by value, for a caller that copies it into a row it owns.
+// array flattens the vector in Names order, by value, for a caller that
+// copies it into a row it owns.
 func (v *Vector) array() [25]float64 {
 	return [...]float64{
 		v.FFFanIn, v.FFFanOut, v.TotalFFsFrom, v.TotalFFsTo,

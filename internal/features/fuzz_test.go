@@ -82,12 +82,13 @@ output o y
 // parser; whatever it accepts, the extractor must analyze without a panic
 // and to the reference's bits.
 func FuzzExtractMatchesReference(f *testing.F) {
-	for _, build := range []func() (*netlist.Netlist, error){
-		func() (*netlist.Netlist, error) { return circuit.CounterCircuit(4) },
-		circuit.LFSRCircuit,
-		circuit.ParityPipeline,
+	// Three small generated circuits, then the hand-written corner cases.
+	for i, cfg := range []circuit.RandomConfig{
+		{Inputs: 2, FFs: 4, Gates: 12, Outputs: 2},
+		{Inputs: 1, FFs: 16, Gates: 24, Outputs: 4},
+		{Inputs: 9, FFs: 30, Gates: 60, Outputs: 9},
 	} {
-		nl, err := build()
+		nl, err := circuit.RandomCircuit(cfg, int64(i+1))
 		if err != nil {
 			f.Fatal(err)
 		}

@@ -645,7 +645,7 @@ func TestExtractMatchesReference(t *testing.T) {
 			// Every third flip-flop: voters and replicas beside untouched
 			// registers, so hardened and plain cones meet.
 			var harden []int
-			for i := 0; i < nl.NumFFs(); i += 3 {
+			for i := 0; i < len(nl.FFs()); i += 3 {
 				harden = append(harden, i)
 			}
 			return circuit.ApplyTMR(nl, harden)

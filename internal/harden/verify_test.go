@@ -35,7 +35,7 @@ func trainTruthModel(t *testing.T, m *corpus.Materialized, n int, cseed int64) *
 	if err != nil {
 		t.Fatalf("Runner: %v", err)
 	}
-	res, err := runner.Run(m.Jobs(fault.Model{}, n, cseed))
+	res, err := runner.RunContext(context.Background(), m.Jobs(fault.Model{}, n, cseed))
 	if err != nil {
 		t.Fatalf("ground-truth campaign: %v", err)
 	}

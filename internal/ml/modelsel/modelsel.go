@@ -81,15 +81,6 @@ func crossValidate(n int, predict func(trX [][]float64, trY []float64, teX [][]f
 // Params is a hyperparameter assignment.
 type Params map[string]float64
 
-// Clone copies the assignment.
-func (p Params) Clone() Params {
-	out := make(Params, len(p))
-	for k, v := range p {
-		out[k] = v
-	}
-	return out
-}
-
 // Range is a sampling interval for one hyperparameter.
 type Range struct {
 	Min, Max float64

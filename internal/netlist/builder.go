@@ -34,9 +34,6 @@ func NewBuilder(design string) *Builder {
 	return &Builder{lib: StdLib(), nl: NewNetlist(design), const0: None, const1: None}
 }
 
-// Err returns the sticky error, if any.
-func (b *Builder) Err() error { return b.err }
-
 func (b *Builder) fail(format string, args ...interface{}) NetID {
 	if b.err == nil {
 		b.err = fmt.Errorf(format, args...)
@@ -163,9 +160,6 @@ func (b *Builder) Const1() NetID {
 // Not returns !a.
 func (b *Builder) Not(a NetID) NetID { return b.cell("INV_X1", "inv", []NetID{a}, false) }
 
-// Buf returns a buffered copy of a.
-func (b *Builder) Buf(a NetID) NetID { return b.cell("BUF_X1", "buf", []NetID{a}, false) }
-
 // nary folds ins into a tree of up-to-4-input gates of the given function.
 func (b *Builder) nary(f Func, kind string, ins []NetID) NetID {
 	switch len(ins) {
@@ -201,12 +195,6 @@ func (b *Builder) And(ins ...NetID) NetID { return b.nary(FuncAnd, "and", ins) }
 
 // Or returns the disjunction of the inputs, building a gate tree as needed.
 func (b *Builder) Or(ins ...NetID) NetID { return b.nary(FuncOr, "or", ins) }
-
-// Nand returns !(a&b).
-func (b *Builder) Nand(a, x NetID) NetID { return b.cell("NAND2_X1", "nand", []NetID{a, x}, false) }
-
-// Nor returns !(a|b).
-func (b *Builder) Nor(a, x NetID) NetID { return b.cell("NOR2_X1", "nor", []NetID{a, x}, false) }
 
 // Xor returns a^b.
 func (b *Builder) Xor(a, x NetID) NetID { return b.cell("XOR2_X1", "xor", []NetID{a, x}, false) }

@@ -2,7 +2,6 @@ package netlist
 
 import (
 	"fmt"
-	"sort"
 )
 
 // Func identifies the logic function of a cell type.
@@ -123,7 +122,6 @@ func driveAreaFactor(drive int) float64 {
 // Library is an immutable set of cell types indexed by name.
 type Library struct {
 	byName map[string]*CellType
-	names  []string // sorted, for deterministic iteration
 }
 
 // Lookup returns the cell type with the given name.
@@ -133,13 +131,6 @@ func (l *Library) Lookup(name string) (*CellType, error) {
 		return nil, fmt.Errorf("netlist: unknown cell type %q", name)
 	}
 	return ct, nil
-}
-
-// Names returns the sorted list of cell type names.
-func (l *Library) Names() []string {
-	out := make([]string, len(l.names))
-	copy(out, l.names)
-	return out
 }
 
 // Variant returns the cell type with the same function and input count as ct
@@ -198,11 +189,6 @@ func StdLib() *Library {
 	add(FuncAOI21, 3, drives)
 	add(FuncOAI21, 3, drives)
 	add(FuncDFF, 1, drives)
-	l.names = make([]string, 0, len(l.byName))
-	for n := range l.byName {
-		l.names = append(l.names, n)
-	}
-	sort.Strings(l.names)
 	return l
 }
 

@@ -83,17 +83,6 @@ func (n *Netlist) FindNet(name string) (NetID, bool) {
 	return id, ok
 }
 
-// NumFFs returns the number of sequential cells.
-func (n *Netlist) NumFFs() int {
-	c := 0
-	for i := range n.Cells {
-		if n.Cells[i].Type.IsSequential() {
-			c++
-		}
-	}
-	return c
-}
-
 // FFs returns the IDs of all sequential cells in instantiation order.
 func (n *Netlist) FFs() []CellID {
 	out := make([]CellID, 0, 64)

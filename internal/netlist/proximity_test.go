@@ -19,8 +19,8 @@ func TestFFProximityClustersChain(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Finish: %v", err)
 	}
-	if nl.NumFFs() != 6 {
-		t.Fatalf("NumFFs = %d, want 6", nl.NumFFs())
+	if len(nl.FFs()) != 6 {
+		t.Fatalf("NumFFs = %d, want 6", len(nl.FFs()))
 	}
 
 	clusters := FFProximityClusters(nl, 3)

@@ -224,23 +224,6 @@ func (v *GaugeVec) With(values ...string) *Gauge {
 	return v.f.child(values, func() any { return &Gauge{} }).(*Gauge)
 }
 
-// HistogramVec registers a labeled histogram family. A nil buckets slice
-// selects DefBuckets. Buckets must be sorted ascending.
-func (r *Registry) HistogramVec(name, help string, buckets []float64, labels ...string) *HistogramVec {
-	if buckets == nil {
-		buckets = DefBuckets
-	}
-	return &HistogramVec{f: r.register(name, help, kindHistogram, labels, buckets)}
-}
-
-// HistogramVec is a histogram family with labels.
-type HistogramVec struct{ f *family }
-
-// With returns the histogram for the given label values.
-func (v *HistogramVec) With(values ...string) *Histogram {
-	return v.f.child(values, func() any { return newHistogram(v.f.buckets) }).(*Histogram)
-}
-
 // WriteText renders every registered family in the Prometheus text
 // exposition format, families in registration order, children in first-use
 // order.

@@ -129,22 +129,6 @@ func (t *Tracer) Start(ctx context.Context, name string, attrs ...slog.Attr) (co
 	return ContextWithTrace(ctx, tc), s
 }
 
-// Trace returns the span's trace identity (its own span ID as current).
-func (s *Span) Trace() Trace {
-	if s == nil {
-		return Trace{}
-	}
-	return Trace{TraceID: s.rec.TraceID, SpanID: s.rec.SpanID}
-}
-
-// TraceID returns the trace identifier the span belongs to.
-func (s *Span) TraceID() string {
-	if s == nil {
-		return ""
-	}
-	return s.rec.TraceID
-}
-
 // SetAttr attaches attributes to the span.
 func (s *Span) SetAttr(attrs ...slog.Attr) {
 	if s == nil || len(attrs) == 0 {

@@ -90,8 +90,8 @@ func TestNilTracerStillPropagates(t *testing.T) {
 	if !ok || tc.TraceID == "" || tc.SpanID == "" {
 		t.Fatalf("nil tracer produced no trace identity: %+v", tc)
 	}
-	if s.TraceID() != tc.TraceID {
-		t.Fatalf("span trace %q, context trace %q", s.TraceID(), tc.TraceID)
+	if s.rec.TraceID != tc.TraceID {
+		t.Fatalf("span trace %q, context trace %q", s.rec.TraceID, tc.TraceID)
 	}
 }
 

@@ -64,7 +64,7 @@ func FuzzPredictRequest(f *testing.F) {
 func FuzzHardenRequest(f *testing.F) {
 	s, _ := testServer(f, Config{})
 	art, _ := scenarioArtifact(f, "alupipe/randomops")
-	if err := s.Add(art); err != nil {
+	if err := s.reg.add(art, ""); err != nil {
 		f.Fatal(err)
 	}
 	h := s.Handler()
@@ -136,7 +136,7 @@ func FuzzReloadRequest(f *testing.F) {
 	if _, err := s.LoadArtifact(path); err != nil {
 		f.Fatal(err)
 	}
-	if err := s.Add(syntheticArtifact(f, "Linear Least Squares", linreg.NewRidge(0))); err != nil {
+	if err := s.reg.add(syntheticArtifact(f, "Linear Least Squares", linreg.NewRidge(0)), ""); err != nil {
 		f.Fatal(err)
 	}
 	h := s.Handler()

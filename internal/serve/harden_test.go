@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -136,7 +137,7 @@ func scenarioArtifact(t testing.TB, id string) (*persist.Artifact, *corpus.Mater
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := runner.Run(m.Jobs(fault.Model{}, 16, sc.Entry.Defaults.CampaignSeed))
+	res, err := runner.RunContext(context.Background(), m.Jobs(fault.Model{}, 16, sc.Entry.Defaults.CampaignSeed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +157,7 @@ func scenarioArtifact(t testing.TB, id string) (*persist.Artifact, *corpus.Mater
 func TestHardenScenarioSeedDefault(t *testing.T) {
 	art, m := scenarioArtifact(t, "alupipe/randomops")
 	s := New(Config{})
-	if err := s.Add(art); err != nil {
+	if err := s.reg.add(art, ""); err != nil {
 		t.Fatal(err)
 	}
 
@@ -189,7 +190,7 @@ func TestHardenScenarioSeedDefault(t *testing.T) {
 func TestHardenTaggedScenarioMustMatchTraining(t *testing.T) {
 	art, m := scenarioArtifact(t, "alupipe/randomops")
 	s := New(Config{})
-	if err := s.Add(art); err != nil {
+	if err := s.reg.add(art, ""); err != nil {
 		t.Fatal(err)
 	}
 	h := s.Handler()
@@ -220,7 +221,7 @@ func TestHardenRefusesForeignSchema(t *testing.T) {
 	reordered := persist.New("reordered", art.Model, names)
 	reordered.Circuit, reordered.Workload, reordered.TrainRows = art.Circuit, art.Workload, art.TrainRows
 	s := New(Config{})
-	if err := s.Add(reordered); err != nil {
+	if err := s.reg.add(reordered, ""); err != nil {
 		t.Fatal(err)
 	}
 	h := s.Handler()

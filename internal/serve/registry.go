@@ -31,10 +31,6 @@ func NewRegistry() *Registry {
 	return &Registry{entries: make(map[string]*regEntry)}
 }
 
-// Add registers an in-memory artifact under its model name. In-memory
-// artifacts cannot be hot-reloaded (there is no source to re-read).
-func (r *Registry) Add(a *persist.Artifact) error { return r.add(a, "") }
-
 // AddFrom loads an artifact file and registers it with the path recorded
 // as its reload source.
 func (r *Registry) AddFrom(path string) (*persist.Artifact, error) {
@@ -81,13 +77,6 @@ func (r *Registry) Len() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return len(r.entries)
-}
-
-// Names lists the registered model names in registration order.
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return append([]string(nil), r.order...)
 }
 
 // Models lists the registered artifacts in registration order as wire

@@ -102,15 +102,6 @@ func New(cfg Config) *Server {
 	}
 }
 
-// Registry returns the server's model store.
-func (s *Server) Registry() *Registry { return s.reg }
-
-// Metrics returns the registry serving /metrics.
-func (s *Server) Metrics() *obs.Registry { return s.obsReg }
-
-// Add registers a loaded artifact under its model name.
-func (s *Server) Add(a *persist.Artifact) error { return s.reg.Add(a) }
-
 // LoadArtifact loads a persist artifact file and registers it with the
 // path tracked for hot reload.
 func (s *Server) LoadArtifact(path string) (*persist.Artifact, error) {
@@ -119,9 +110,6 @@ func (s *Server) LoadArtifact(path string) (*persist.Artifact, error) {
 
 // NumModels reports the registered model count.
 func (s *Server) NumModels() int { return s.reg.Len() }
-
-// Models lists the registered artifacts in registration order.
-func (s *Server) Models() []api.ModelInfo { return s.reg.Models() }
 
 // ErrNoModels is returned by Ready when the server has nothing to serve.
 var ErrNoModels = errors.New("serve: no models loaded")

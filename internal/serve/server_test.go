@@ -54,10 +54,10 @@ func testServer(t testing.TB, cfg Config) (*Server, *persist.Artifact) {
 	t.Helper()
 	s := New(cfg)
 	knnArt := syntheticArtifact(t, "k-NN", knn.New(3))
-	if err := s.Add(knnArt); err != nil {
+	if err := s.reg.add(knnArt, ""); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Add(syntheticArtifact(t, "Linear Least Squares", linreg.NewRidge(0))); err != nil {
+	if err := s.reg.add(syntheticArtifact(t, "Linear Least Squares", linreg.NewRidge(0)), ""); err != nil {
 		t.Fatal(err)
 	}
 	return s, knnArt
@@ -319,11 +319,11 @@ func TestLoadArtifactAndDuplicates(t *testing.T) {
 	if _, err := s.LoadArtifact(path); err == nil {
 		t.Fatal("duplicate model name accepted")
 	}
-	if err := s.Add(nil); err == nil {
+	if err := s.reg.add(nil, ""); err == nil {
 		t.Fatal("nil artifact accepted")
 	}
 	// File-backed models surface their source in the listing.
-	if ms := s.Models(); ms[0].Source != path {
+	if ms := s.reg.Models(); ms[0].Source != path {
 		t.Fatalf("source %q, want %q", ms[0].Source, path)
 	}
 }
@@ -341,7 +341,7 @@ func (panicModel) Predict(x []float64) float64          { panic("width mismatch"
 func TestPredictContainsModelPanic(t *testing.T) {
 	s, _ := testServer(t, Config{Workers: 2})
 	bad := &persist.Artifact{Name: "bad", FeatureNames: []string{"f0", "f1", "f2"}, Model: panicModel{}}
-	if err := s.Add(bad); err != nil {
+	if err := s.reg.add(bad, ""); err != nil {
 		t.Fatal(err)
 	}
 	h := s.Handler()
@@ -410,10 +410,10 @@ func TestModelsEndpointScenarioTags(t *testing.T) {
 	tagged := syntheticArtifact(t, "k-NN", knn.New(3))
 	tagged.Circuit = "alupipe"
 	tagged.Workload = "randomops"
-	if err := s.Add(tagged); err != nil {
+	if err := s.reg.add(tagged, ""); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Add(syntheticArtifact(t, "untagged", knn.New(3))); err != nil {
+	if err := s.reg.add(syntheticArtifact(t, "untagged", knn.New(3)), ""); err != nil {
 		t.Fatal(err)
 	}
 	req := httptest.NewRequest(http.MethodGet, "/v1/models", nil)
@@ -567,10 +567,10 @@ func TestAdmissionControl(t *testing.T) {
 		Workers:    2,
 		QueueDepth: 1,
 	})
-	if err := s.Add(&persist.Artifact{Name: "slow", FeatureNames: []string{"f0"}, Model: m}); err != nil {
+	if err := s.reg.add(&persist.Artifact{Name: "slow", FeatureNames: []string{"f0"}, Model: m}, ""); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Add(syntheticArtifact(t, "k-NN", knn.New(3))); err != nil {
+	if err := s.reg.add(syntheticArtifact(t, "k-NN", knn.New(3)), ""); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(s.Handler())
@@ -641,7 +641,7 @@ func TestAdmissionFlood(t *testing.T) {
 		Workers:    4,
 		QueueDepth: depth,
 	})
-	if err := s.Add(&persist.Artifact{Name: "slow", FeatureNames: []string{"f0"}, Model: m}); err != nil {
+	if err := s.reg.add(&persist.Artifact{Name: "slow", FeatureNames: []string{"f0"}, Model: m}, ""); err != nil {
 		t.Fatal(err)
 	}
 	h := s.Handler()
@@ -738,7 +738,7 @@ func TestMetricsEndpoint(t *testing.T) {
 // one registry see the same models.
 func TestSharedRegistry(t *testing.T) {
 	reg := NewRegistry()
-	if err := reg.Add(syntheticArtifact(t, "k-NN", knn.New(3))); err != nil {
+	if err := reg.add(syntheticArtifact(t, "k-NN", knn.New(3)), ""); err != nil {
 		t.Fatal(err)
 	}
 	a := New(Config{Registry: reg})
@@ -746,10 +746,10 @@ func TestSharedRegistry(t *testing.T) {
 	if a.NumModels() != 1 || b.NumModels() != 1 {
 		t.Fatalf("shared registry not visible: %d/%d", a.NumModels(), b.NumModels())
 	}
-	if a.Registry() != reg {
-		t.Fatal("Registry() does not return the injected store")
+	if a.reg != reg {
+		t.Fatal("the server does not keep the injected store")
 	}
-	if got := reg.Names(); len(got) != 1 || got[0] != "k-NN" {
-		t.Fatalf("names %v", got)
+	if got := reg.Models(); len(got) != 1 || got[0].Name != "k-NN" {
+		t.Fatalf("models %+v", got)
 	}
 }

@@ -37,11 +37,10 @@ type Program struct {
 	outputNets []int32 // primary output nets in port order
 
 	// SET targets: one per combinational cell, in netlist cell order, so a
-	// target index is stable for a given netlist. combCells holds the cell,
-	// combOps the index of the op computing the cell's output net (for a
-	// decomposed wide gate, the root op).
-	combCells []netlist.CellID
-	combOps   []int32
+	// target index is stable for a given netlist. combOps holds the index of
+	// the op computing the cell's output net (for a decomposed wide gate, the
+	// root op).
+	combOps []int32
 
 	// kernels memoizes Kernel by kept-port set. The memo lives on the
 	// program so it dies with it: a process that builds many studies
@@ -130,7 +129,6 @@ func Compile(nl *netlist.Netlist) (*Program, error) {
 		if c.Type.IsSequential() {
 			continue
 		}
-		p.combCells = append(p.combCells, netlist.CellID(ci))
 		p.combOps = append(p.combOps, opByOut[int32(c.Output)])
 	}
 	return p, nil
@@ -234,11 +232,7 @@ func (p *Program) FFCell(i int) netlist.CellID { return p.ffs[i].cell }
 
 // NumCombTargets returns the number of SET-injection targets: one per
 // combinational cell, indexed in netlist cell order.
-func (p *Program) NumCombTargets() int { return len(p.combCells) }
-
-// CombTargetCell returns the netlist cell ID of SET target t, for mapping
-// pulse targets back to cell names in reports.
-func (p *Program) CombTargetCell(t int) netlist.CellID { return p.combCells[t] }
+func (p *Program) NumCombTargets() int { return len(p.combOps) }
 
 // InputIndex resolves a primary input port by net name.
 func (p *Program) InputIndex(name string) (int, error) {

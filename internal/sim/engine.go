@@ -89,9 +89,6 @@ func (e *Engine) ForceFF(ff int, laneMask uint64, value bool) {
 	}
 }
 
-// FFState returns the packed state of flip-flop ff.
-func (e *Engine) FFState(ff int) uint64 { return e.nets[e.p.ffs[ff].q] }
-
 func (e *Engine) ffBits(dst []uint64) {
 	for w := range dst {
 		var word uint64

@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -11,17 +12,42 @@ import (
 	"repro/internal/netlist"
 )
 
+// compileCounter compiles a standalone width-bit counter with enable and
+// clear inputs and the count as output.
 func compileCounter(t *testing.T, width int) *sim.Program {
 	t.Helper()
-	nl, err := circuit.CounterCircuit(width)
+	b := netlist.NewBuilder(fmt.Sprintf("counter%d", width))
+	en := b.Input("en")
+	clear := b.Input("clear")
+	b.OutputBus("q", circuit.Counter(b, "cnt", width, en, clear))
+	nl, err := b.Finish()
 	if err != nil {
-		t.Fatalf("CounterCircuit: %v", err)
+		t.Fatalf("counter: %v", err)
 	}
 	p, err := sim.Compile(nl)
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
 	return p
+}
+
+// lfsrCircuit builds a maximal-length 16-bit LFSR (taps 16,15,13,4 →
+// indices 15,14,12,3) with a run enable input.
+func lfsrCircuit() (*netlist.Netlist, error) {
+	b := netlist.NewBuilder("lfsr16")
+	en := b.Input("en")
+	q := make(circuit.Word, 16)
+	setters := make([]func(netlist.NetID), 16)
+	for i := range q {
+		q[i], setters[i] = b.DFFDecl(fmt.Sprintf("lfsr[%d]", i), i == 0) // init 0x0001
+	}
+	fb := b.Xor(b.Xor(q[15], q[14]), b.Xor(q[12], q[3]))
+	setters[0](b.Mux(q[0], fb, en))
+	for i := 1; i < 16; i++ {
+		setters[i](b.Mux(q[i], q[i-1], en))
+	}
+	b.OutputBus("q", q)
+	return b.Finish()
 }
 
 func readBus(e *sim.Engine, first, width int, lane uint) uint64 {
@@ -94,9 +120,9 @@ func TestEngineCounterWraps(t *testing.T) {
 }
 
 func TestEngineResetRestoresInit(t *testing.T) {
-	nl, err := circuit.LFSRCircuit()
+	nl, err := lfsrCircuit()
 	if err != nil {
-		t.Fatalf("LFSRCircuit: %v", err)
+		t.Fatalf("lfsrCircuit: %v", err)
 	}
 	p, err := sim.Compile(nl)
 	if err != nil {
@@ -146,9 +172,9 @@ func TestEngineFlipFFPropagates(t *testing.T) {
 }
 
 func TestLFSRMaximalPeriod(t *testing.T) {
-	nl, err := circuit.LFSRCircuit()
+	nl, err := lfsrCircuit()
 	if err != nil {
-		t.Fatalf("LFSRCircuit: %v", err)
+		t.Fatalf("lfsrCircuit: %v", err)
 	}
 	p, err := sim.Compile(nl)
 	if err != nil {

@@ -18,6 +18,12 @@ func CheckLaneAgainstScalar(t *Trace, scalar [][]bool, lane int) error {
 	return nil
 }
 
+// FFState returns the packed state of flip-flop ff.
+func (e *Engine) FFState(ff int) uint64 { return e.nets[e.p.ffs[ff].q] }
+
+// FFState returns the state of flip-flop ff.
+func (e *ScalarEngine) FFState(ff int) bool { return e.nets[e.p.ffs[ff].q] }
+
 // SlotRefs returns every register-file slot the kernel addresses: each
 // instruction's destination and six operand fields (unused ones are slot
 // 0), every capture's Q and D rows or Q, x and s rows, the input ports, the

@@ -32,6 +32,13 @@ import (
 func randKernelNetlist(seed int64) (*netlist.Netlist, error) {
 	rng := rand.New(rand.NewSource(seed))
 	b := netlist.NewBuilder(fmt.Sprintf("kprop_%d", seed))
+	// The builder makes no BUF, NAND2 or NOR2 cells: as builds an INV, AND2
+	// or OR2 in their place, and the finished netlist is retyped.
+	retype := map[netlist.NetID]string{}
+	as := func(cell string, out netlist.NetID) netlist.NetID {
+		retype[out] = cell
+		return out
+	}
 
 	nIn := 3 + rng.Intn(6)
 	nFF := 2 + rng.Intn(6)
@@ -56,7 +63,7 @@ func randKernelNetlist(seed int64) (*netlist.Netlist, error) {
 	qHold, setHold := b.DFFDecl("ffHold", true)
 	setIn(pool[0])
 	setS0(qIn)
-	setS1(b.Buf(qS0))
+	setS1(as("BUF_X1", b.Not(qS0)))
 	setHold(qHold)
 	pool = append(pool, qIn, qS0, qS1, qHold)
 	pick := func() netlist.NetID { return pool[rng.Intn(len(pool))] }
@@ -66,7 +73,7 @@ func randKernelNetlist(seed int64) (*netlist.Netlist, error) {
 		case 0:
 			out = b.Not(pick())
 		case 1:
-			out = b.Buf(pick())
+			out = as("BUF_X1", b.Not(pick()))
 		case 2:
 			out = b.And(pick(), pick())
 		case 3:
@@ -76,9 +83,9 @@ func randKernelNetlist(seed int64) (*netlist.Netlist, error) {
 		case 5:
 			out = b.Or(pick(), pick(), pick())
 		case 6:
-			out = b.Nand(pick(), pick())
+			out = as("NAND2_X1", b.And(pick(), pick()))
 		case 7:
-			out = b.Nor(pick(), pick())
+			out = as("NOR2_X1", b.Or(pick(), pick()))
 		case 8:
 			out = b.Xor(pick(), pick())
 		case 9:
@@ -170,7 +177,24 @@ func randKernelNetlist(seed int64) (*netlist.Netlist, error) {
 	port := and()
 	b.Output("andPort", port)
 	b.Output("andPortRead", b.Or(and(), port, and()))
-	return b.Finish()
+	nl, err := b.Finish()
+	if err != nil {
+		return nil, err
+	}
+	return nl, retypeCells(nl, retype)
+}
+
+// retypeCells gives the cell driving each net of retype the named library
+// cell type, which must have the same inputs as the one it replaces.
+func retypeCells(nl *netlist.Netlist, retype map[netlist.NetID]string) error {
+	for out, name := range retype {
+		ct, err := netlist.StdLib().Lookup(name)
+		if err != nil {
+			return err
+		}
+		nl.Cells[nl.Nets[out].Driver].Type = ct
+	}
+	return nil
 }
 
 // TestKernelMatchesInterpreters holds a KernelEngine of W words, for every

@@ -41,9 +41,6 @@ func (e *ScalarEngine) FlipFF(ff int) {
 	e.nets[q] = !e.nets[q]
 }
 
-// FFState returns the state of flip-flop ff.
-func (e *ScalarEngine) FFState(ff int) bool { return e.nets[e.p.ffs[ff].q] }
-
 // Output returns primary output port i (valid after Eval).
 func (e *ScalarEngine) Output(i int) bool { return e.nets[e.p.outputNets[i]] }
 

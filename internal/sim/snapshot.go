@@ -67,12 +67,6 @@ func (s *Snapshots) numSnaps() int {
 	return (s.cycles-1)/s.every + 1
 }
 
-// Every returns the snapshot cadence in cycles.
-func (s *Snapshots) Every() int { return s.every }
-
-// Cycles returns the stimulus length the snapshots cover.
-func (s *Snapshots) Cycles() int { return s.cycles }
-
 // Complete reports whether every restore point has been captured (i.e. the
 // golden run the set was attached to ran to completion).
 func (s *Snapshots) Complete() bool { return s.captured == s.numSnaps() }

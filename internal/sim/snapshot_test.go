@@ -183,8 +183,8 @@ func TestRunWindowSeesDivergenceAndRestoreClearsIt(t *testing.T) {
 func TestSnapshotsGeometry(t *testing.T) {
 	p, bench := snapshotFixture(t)
 	_, snaps := goldenWithSnapshots(t, p, bench, 8)
-	if snaps.Every() != 8 {
-		t.Fatalf("Every = %d", snaps.Every())
+	if got := snaps.SnapCycle(1); got != 8 {
+		t.Fatalf("SnapCycle(1) = %d", got)
 	}
 	if got := snaps.IndexAtOrBefore(0); got != 0 {
 		t.Fatalf("IndexAtOrBefore(0) = %d", got)
