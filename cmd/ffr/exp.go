@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -35,16 +34,16 @@ var experiments = []struct {
 	{"fig4b", func(r expRunner) error { return r.figB("fig4b", core.PaperModels()[2]) }},
 	{"table1x", func(r expRunner) error { return r.table1(core.ExtendedModels()) }},
 	{"search", expRunner.search},
-	{"ablation", expRunner.ablation},
+	{"features", expRunner.features},
 	{"budget", expRunner.budget},
-	{"importance", expRunner.importance},
-	{"pca", expRunner.pca},
 }
 
 // runExp regenerates the paper's evaluation artifacts: Table I and Figures
 // 2a/2b, 3a/3b, 4a/4b, plus the campaign report, the extended-model table,
-// the hyperparameter search and the ablations. Figure experiments also
-// emit the plotted series as CSV files when -csvdir is given.
+// the hyperparameter search, the feature table (k-NN without each feature
+// group, near-duplicate family and column, and behind PCA) and the
+// injection-budget ablation. Figure experiments also emit the plotted
+// series as CSV files when -csvdir is given.
 //
 // The predict experiment is the train-once/predict-forever fast path: it
 // loads a saved model artifact (ffr train -save) and predicts the FDR of
@@ -274,24 +273,17 @@ func (r expRunner) search() error {
 	return nil
 }
 
-// ablation runs Table I on k-NN behind each feature-group subset.
-func (r expRunner) ablation() error {
-	knn := core.PaperModels()[1]
-	S, Y, D := features.GroupStructural, features.GroupSynthesis, features.GroupDynamic
-	rows, err := r.study.Table1([]core.ModelSpec{
-		core.FeatureGroupModel("all features", knn, S, Y, D),
-		core.FeatureGroupModel("structural only", knn, S),
-		core.FeatureGroupModel("synthesis only", knn, Y),
-		core.FeatureGroupModel("dynamic only", knn, D),
-		core.FeatureGroupModel("w/o dynamic", knn, S, Y),
-		core.FeatureGroupModel("w/o structural", knn, Y, D),
-	}, core.PaperCVSplits, core.PaperTrainFrac, r.seed)
+// features is the Section V feature table: Table I on k-NN behind each
+// column-keeping variant and each PCA row (core.FeatureVariants).
+func (r expRunner) features() error {
+	rows, err := r.study.Table1(core.FeatureVariants(core.PaperModels()[1]),
+		core.PaperCVSplits, core.PaperTrainFrac, r.seed)
 	if err != nil {
 		return err
 	}
-	r.c.Printf("%-18s %8s %8s %8s %8s %8s\n", "Feature set", "MAE", "MAX", "RMSE", "EV", "R2")
+	r.c.Printf("%-20s %8s %8s %8s %8s %8s\n", "Feature set", "MAE", "MAX", "RMSE", "EV", "R2")
 	for _, row := range rows {
-		r.c.Printf("%-18s %8.3f %8.3f %8.3f %8.3f %8.3f\n",
+		r.c.Printf("%-20s %8.3f %8.3f %8.3f %8.3f %8.3f\n",
 			row.Model, row.MAE, row.MAX, row.RMSE, row.EV, row.R2)
 	}
 	return nil
@@ -305,44 +297,6 @@ func (r expRunner) budget() error {
 	r.c.Printf("%-16s %14s %12s\n", "Injections/FF", "mean 95% CI", "k-NN R2")
 	for _, p := range points {
 		r.c.Printf("%-16d %14.3f %12.3f\n", p.InjectionsPerFF, p.MeanCI95, p.KNNR2)
-	}
-	return nil
-}
-
-// importance runs the Section V feature-value analysis.
-func (r expRunner) importance() error {
-	imp, err := r.study.FeatureValue(core.PaperModels()[1], 5, r.seed)
-	if err != nil {
-		return err
-	}
-	names := features.Names()
-	ranked := make([]int, len(imp))
-	for i := range ranked {
-		ranked[i] = i
-	}
-	sort.SliceStable(ranked, func(a, b int) bool { return imp[ranked[a]].MeanDrop > imp[ranked[b]].MeanDrop })
-	r.c.Printf("permutation importance (k-NN, R² drop when shuffled):\n")
-	for _, j := range ranked {
-		r.c.Printf("  %-16s %7.4f\n", names[j], imp[j].MeanDrop)
-	}
-	return nil
-}
-
-// pca runs the Section V dimensionality-reduction sweep: Table I on k-NN
-// behind standardization and PCA at several kept dimensionalities.
-func (r expRunner) pca() error {
-	ks := []int{3, 5, 10, 15, 25}
-	specs := make([]core.ModelSpec, len(ks))
-	for i, k := range ks {
-		specs[i] = core.PCAModel(core.PaperModels()[1], k)
-	}
-	rows, err := r.study.Table1(specs, 5, core.PaperTrainFrac, r.seed)
-	if err != nil {
-		return err
-	}
-	r.c.Printf("%-14s %10s\n", "components", "k-NN R2")
-	for i, row := range rows {
-		r.c.Printf("%-14d %10.3f\n", ks[i], row.R2)
 	}
 	return nil
 }

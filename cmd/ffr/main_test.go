@@ -182,7 +182,9 @@ func TestUsage(t *testing.T) {
 // user's choice, inject's -snapshot-every, which never changed a result, and
 // the settings only tests changed (-checkpoint-every, -heartbeat,
 // -retry-after) are such flags now, and so are inject's and corpus's
-// -shards and inject's -seed, now -chunk and -campaign-seed.
+// -shards and inject's -seed, now -chunk and -campaign-seed. The three
+// experiments -exp features replaced (importance, ablation, pca) are
+// refused like any unknown -exp id.
 func TestMisuse(t *testing.T) {
 	t.Setenv("FFR_LOG", "")
 	profile := filepath.Join(t.TempDir(), "cpu.pprof")
@@ -197,7 +199,8 @@ func TestMisuse(t *testing.T) {
 		"train": {{"-train", "0"}, {"-train", "1"}, {"-train", "NaN"}, {"-splits", "0"}, {"-n", "0"}, {"-samples", "0"},
 			{"-model", "bogus"}, {"-model", "MLP", "-tune"}},
 		"exp": {{"-n", "0"}, {"-exp", "bogus"}, {"-exp", "table1", "-load", "m.ffrm"}, {"-exp", "predict"},
-			{"-exp", "table1", "-scenarios", "alupipe/randomops"}, {"-scale", "default"}, {"-exp", "fig2a", "-fault-models", "seu"}},
+			{"-exp", "table1", "-scenarios", "alupipe/randomops"}, {"-scale", "default"}, {"-exp", "fig2a", "-fault-models", "seu"},
+			{"-exp", "importance"}, {"-exp", "ablation"}, {"-exp", "pca"}},
 		"corpus": {{}, {"-list", "-sweep"}, {"-sweep", "-n", "-1"}, {"-sweep", "-chunk", "-1"},
 			{"-sweep", "-workers", "-1"}, {"-sweep", "-fault-model", "bogus"},
 			{"-sweep", "-scale", "bogus"}, {"-sweep", "-model", "bogus"}, {"-sweep", "-scenario", "bogus"}},

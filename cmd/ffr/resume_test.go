@@ -40,7 +40,7 @@ func TestValidateBeforeComputing(t *testing.T) {
 		}
 	}
 	_, _, stderr := ffr(t, "exp", "-exp", "bogus")
-	for _, id := range []string{"table1", "fig4b", "pca", "predict", "cross", "all"} {
+	for _, id := range []string{"table1", "fig4b", "features", "predict", "cross", "all"} {
 		if !strings.Contains(stderr, id) {
 			t.Errorf("the -exp error does not list %q: %s", id, stderr)
 		}

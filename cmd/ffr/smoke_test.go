@@ -11,6 +11,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -18,6 +19,7 @@ import (
 	"repro/internal/api"
 	"repro/internal/fabric"
 	"repro/internal/fault"
+	"repro/internal/features"
 )
 
 // zeroVector is a features.NumFeatures-wide prediction input.
@@ -130,31 +132,34 @@ func TestServeSmoke(t *testing.T) {
 	}
 }
 
-// TestExpVariantTables: -exp ablation and -exp pca through the command at
-// -n 2 print one row per feature set and per kept dimensionality, in order,
-// each with a finite R² in its last column.
+// TestExpVariantTables: -exp features through the command at -n 2 prints
+// its header and one row per variant, in order — all features, without each
+// feature group, without each near-duplicate family, without each column in
+// schema order, then k-NN behind PCA — each with a finite R² in its last
+// column.
 func TestExpVariantTables(t *testing.T) {
-	for _, c := range []struct {
-		exp, header string
-		rows        []string
-	}{
-		{"ablation", "Feature set", []string{"all features", "structural only", "synthesis only",
-			"dynamic only", "w/o dynamic", "w/o structural"}},
-		{"pca", "components", []string{"3", "5", "10", "15", "25"}},
-	} {
-		stdout, _ := mustFFR(t, "exp", "-exp", c.exp, "-n", "2")
-		_, table, ok := strings.Cut(stdout, "\n"+c.header)
-		lines := strings.Split(strings.TrimSpace(table), "\n")
-		if !ok || len(lines) != len(c.rows)+1 {
-			t.Fatalf("-exp %s: want a header and %d rows:\n%s", c.exp, len(c.rows), stdout)
-		}
-		for i, row := range c.rows {
-			line := lines[i+1]
-			f := strings.Fields(line)
-			r2, err := strconv.ParseFloat(f[len(f)-1], 64)
-			if !strings.HasPrefix(line, row+" ") || err != nil || math.IsNaN(r2) || math.IsInf(r2, 0) {
-				t.Errorf("-exp %s row %d is %q, want %q with a finite R²", c.exp, i, line, row)
-			}
+	rows := []string{"all features", "w/o structural", "w/o synthesis", "w/o dynamic", "w/o prox_*", "w/o bus"}
+	for _, name := range features.Names() {
+		rows = append(rows, "w/o "+name)
+	}
+	for _, k := range []int{3, 5, 10, 15, 25} {
+		rows = append(rows, fmt.Sprintf("k-NN, PCA %d", k))
+	}
+	stdout, _ := mustFFR(t, "exp", "-exp", "features", "-n", "2")
+	_, table, ok := strings.Cut(stdout, "\nFeature set")
+	lines := strings.Split(strings.TrimSpace(table), "\n")
+	if !ok || len(lines) != len(rows)+1 {
+		t.Fatalf("-exp features: want a header and %d rows:\n%s", len(rows), stdout)
+	}
+	if h := strings.Fields(lines[0]); !slices.Equal(h, []string{"MAE", "MAX", "RMSE", "EV", "R2"}) {
+		t.Errorf("-exp features header is %q", "Feature set"+lines[0])
+	}
+	for i, row := range rows {
+		line := lines[i+1]
+		f := strings.Fields(line)
+		r2, err := strconv.ParseFloat(f[len(f)-1], 64)
+		if !strings.HasPrefix(line, row+" ") || err != nil || math.IsNaN(r2) || math.IsInf(r2, 0) {
+			t.Errorf("-exp features row %d is %q, want %q with a finite R²", i, line, row)
 		}
 	}
 }

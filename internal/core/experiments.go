@@ -3,7 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"slices"
+	"strings"
 
 	"repro/internal/fault"
 	"repro/internal/features"
@@ -34,8 +34,8 @@ type TableRow struct {
 
 // Table1 reproduces Table I: every model evaluated over stratified shuffle
 // splits at the given training size, scores averaged over splits. The
-// Section V tables are the same protocol over model variants
-// (FeatureGroupModel, PCAModel).
+// Section V feature table is the same protocol over model variants
+// (FeatureVariants).
 func (s *Study) Table1(models []ModelSpec, nSplits int, trainFrac float64, seed int64) ([]TableRow, error) {
 	y, splits, err := s.splits(nSplits, trainFrac, seed)
 	if err != nil {
@@ -53,19 +53,52 @@ func (s *Study) Table1(models []ModelSpec, nSplits int, trainFrac float64, seed 
 	return rows, nil
 }
 
-// FeatureGroupModel is spec behind a front end that keeps only the feature
-// columns of the given groups, in schema order: one row of the
-// feature-group ablation, called name.
-func FeatureGroupModel(name string, spec ModelSpec, keep ...features.Group) ModelSpec {
-	var cols columns
-	for j, g := range features.Groups() {
-		if slices.Contains(keep, g) {
-			cols = append(cols, j)
-		}
-	}
+// ColumnsModel is spec behind a front end that keeps only the feature
+// columns keep, in the order given: one row of the feature table, called
+// name.
+func ColumnsModel(name string, spec ModelSpec, keep []int) ModelSpec {
 	return ModelSpec{Name: name, Factory: func() ml.Regressor {
-		return &ml.Pipeline{Scaler: cols, Model: spec.Factory()}
+		return &ml.Pipeline{Scaler: columns(keep), Model: spec.Factory()}
 	}}
+}
+
+// FeatureVariants lists the rows of the Section V feature table for spec,
+// each a ColumnsModel that keeps the schema order, then the PCA rows: all
+// features; without each group; without each near-duplicate family (the six
+// prox_* columns, the three bus columns); without each column, in
+// features.Names order; and PCA at k = 3, 5, 10, 15, 25.
+func FeatureVariants(spec ModelSpec) []ModelSpec {
+	names, groups := features.Names(), features.Groups()
+	without := func(name string, drop func(j int) bool) ModelSpec {
+		var keep []int
+		for j := range names {
+			if !drop(j) {
+				keep = append(keep, j)
+			}
+		}
+		return ColumnsModel(name, spec, keep)
+	}
+	rows := []ModelSpec{without("all features", func(int) bool { return false })}
+	for _, g := range []struct {
+		name  string
+		group features.Group
+	}{
+		{"structural", features.GroupStructural},
+		{"synthesis", features.GroupSynthesis},
+		{"dynamic", features.GroupDynamic},
+	} {
+		rows = append(rows, without("w/o "+g.name, func(j int) bool { return groups[j] == g.group }))
+	}
+	rows = append(rows,
+		without("w/o prox_*", func(j int) bool { return strings.HasPrefix(names[j], "prox_") }),
+		without("w/o bus", func(j int) bool { return strings.Contains(names[j], "bus") }))
+	for j, name := range names {
+		rows = append(rows, without("w/o "+name, func(k int) bool { return k == j }))
+	}
+	for _, k := range []int{3, 5, 10, 15, 25} {
+		rows = append(rows, PCAModel(spec, k))
+	}
+	return rows
 }
 
 // columns is a Scaler that keeps the listed columns; it learns nothing.
@@ -192,22 +225,6 @@ func (s *Study) TuneModel(spec ModelSpec, nRandom int, seed int64) (*SearchOutco
 		return nil, fmt.Errorf("core: grid search %s: %w", spec.Name, err)
 	}
 	return &SearchOutcome{Model: spec.Name, Random: random, Grid: refined}, nil
-}
-
-// FeatureValue runs the permutation-importance analysis the paper's future
-// work calls for ("the value of each feature needs to be evaluated
-// separately", Section V) using the given model on a 50 % split. The result
-// is ordered by feature index, aligned with features.Names().
-func (s *Study) FeatureValue(spec ModelSpec, repeats int, seed int64) ([]modelsel.FeatureImportance, error) {
-	y, splits, err := s.splits(1, PaperTrainFrac, seed)
-	if err != nil {
-		return nil, err
-	}
-	imp, err := modelsel.PermutationImportance(spec.Factory, s.FeatureRows(), y, splits[0], repeats, seed)
-	if err != nil {
-		return nil, fmt.Errorf("core: feature value: %w", err)
-	}
-	return imp, nil
 }
 
 // BudgetPoint is one injection-budget ablation measurement.

@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"context"
 	"math"
-	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -50,8 +50,20 @@ func smallStudy(t testing.TB) *Study {
 	return testStudy.study
 }
 
-// ablationRows is the table ffr exp -exp ablation prints: k-NN under the
-// Table I protocol on each feature-group subset, labelled as there.
+// groupColumns lists the columns of the given feature groups, in schema
+// order.
+func groupColumns(keep ...features.Group) []int {
+	var cols []int
+	for j, g := range features.Groups() {
+		if slices.Contains(keep, g) {
+			cols = append(cols, j)
+		}
+	}
+	return cols
+}
+
+// ablationRows is k-NN under the Table I protocol on six feature-group
+// subsets, the rows TestFeatureVariantGoldenBits pins.
 func ablationRows(t *testing.T, s *Study, seed int64) []TableRow {
 	t.Helper()
 	S, Y, D := features.GroupStructural, features.GroupSynthesis, features.GroupDynamic
@@ -68,7 +80,7 @@ func ablationRows(t *testing.T, s *Study, seed int64) []TableRow {
 	}
 	var specs []ModelSpec
 	for _, c := range cases {
-		specs = append(specs, FeatureGroupModel(c.name, PaperModels()[1], c.keep...))
+		specs = append(specs, ColumnsModel(c.name, PaperModels()[1], groupColumns(c.keep...)))
 	}
 	rows, err := s.Table1(specs, PaperCVSplits, PaperTrainFrac, seed)
 	if err != nil {
@@ -77,8 +89,8 @@ func ablationRows(t *testing.T, s *Study, seed int64) []TableRow {
 	return rows
 }
 
-// pcaR2s is the column ffr exp -exp pca prints: the test R² of k-NN behind
-// standardization and a PCA keeping each of ks components.
+// pcaR2s is the test R² of k-NN behind standardization and a PCA keeping
+// each of ks components.
 func pcaR2s(t *testing.T, s *Study, ks []int, nSplits int, seed int64) []float64 {
 	t.Helper()
 	specs := make([]ModelSpec, len(ks))
@@ -248,38 +260,56 @@ func TestLearningCurvePlateau(t *testing.T) {
 	}
 }
 
-// TestFeatureGroupModelKeepsColumns: a feature-group variant's front end
-// passes the model exactly the columns of its groups, in schema order.
+// TestFeatureGroupModelKeepsColumns: a column-keeping variant's front end
+// passes the model exactly the columns it keeps, in schema order — a feature
+// group, the whole vector, the -exp features row without one column and the
+// one without the prox_* family.
 func TestFeatureGroupModelKeepsColumns(t *testing.T) {
 	s := smallStudy(t)
 	X := s.FeatureRows()
-	front := func(keep ...features.Group) [][]float64 {
-		pipe := FeatureGroupModel("variant", PaperModels()[1], keep...).Factory().(*ml.Pipeline)
+	names := features.Names()
+	variants := FeatureVariants(PaperModels()[1])
+	variant := func(name string) ModelSpec {
+		i := slices.IndexFunc(variants, func(v ModelSpec) bool { return v.Name == name })
+		if i < 0 {
+			t.Fatalf("FeatureVariants has no %q row", name)
+		}
+		return variants[i]
+	}
+	withoutConst := slices.DeleteFunc(slices.Clone(names), func(n string) bool { return n == "conn_const" })
+	for _, c := range []struct {
+		spec ModelSpec
+		keep []string
+	}{
+		{ColumnsModel("dynamic only", PaperModels()[1], groupColumns(features.GroupDynamic)),
+			[]string{"at0", "at1", "state_changes"}},
+		{variant("all features"), names},
+		{variant("w/o conn_const"), withoutConst},
+		{variant("w/o prox_*"), []string{
+			"ff_fan_in", "ff_fan_out", "total_ffs_from", "total_ffs_to",
+			"conn_from_pi", "conn_to_po",
+			"part_of_bus", "bus_position", "bus_length",
+			"conn_const", "has_feedback", "feedback_depth",
+			"drive_strength", "comb_fan_in", "comb_fan_out", "comb_depth",
+			"at0", "at1", "state_changes",
+		}},
+	} {
+		pipe := c.spec.Factory().(*ml.Pipeline)
 		if err := pipe.Scaler.Fit(X); err != nil {
 			t.Fatal(err)
 		}
-		return pipe.Scaler.Transform(X)
-	}
-	dyn := front(features.GroupDynamic)
-	if len(dyn) != s.NumFFs() || len(dyn[0]) != 3 {
-		t.Fatalf("dynamic columns shape: %dx%d", len(dyn), len(dyn[0]))
-	}
-	var dynCols []int
-	for j, g := range features.Groups() {
-		if g == features.GroupDynamic {
-			dynCols = append(dynCols, j)
+		front := pipe.Scaler.Transform(X)
+		if len(front) != s.NumFFs() || len(front[0]) != len(c.keep) {
+			t.Fatalf("%s: front end is %dx%d, want %dx%d", c.spec.Name, len(front), len(front[0]), s.NumFFs(), len(c.keep))
 		}
-	}
-	for i, row := range dyn {
-		for k, j := range dynCols {
-			if row[k] != X[i][j] {
-				t.Fatalf("row %d column %d is %v, feature %d is %v", i, k, row[k], j, X[i][j])
+		for k, name := range c.keep {
+			j := slices.Index(names, name)
+			for i, row := range front {
+				if row[k] != X[i][j] {
+					t.Fatalf("%s: row %d column %d is %v, feature %s is %v", c.spec.Name, i, k, row[k], name, X[i][j])
+				}
 			}
 		}
-	}
-	all := front(features.GroupStructural, features.GroupSynthesis, features.GroupDynamic)
-	if len(all[0]) != features.NumFeatures || !reflect.DeepEqual(all, X) {
-		t.Fatalf("every group keeps %d of %d columns, or changes them", len(all[0]), features.NumFeatures)
 	}
 }
 
@@ -287,7 +317,7 @@ func TestFeatureGroupModelKeepsColumns(t *testing.T) {
 // variant, under the variant's name.
 func TestTable1FeatureGroupRow(t *testing.T) {
 	s := smallStudy(t)
-	spec := FeatureGroupModel("structural only", PaperModels()[1], features.GroupStructural)
+	spec := ColumnsModel("structural only", PaperModels()[1], groupColumns(features.GroupStructural))
 	rows, err := s.Table1([]ModelSpec{spec}, 3, 0.5, 4)
 	if err != nil {
 		t.Fatalf("Table1: %v", err)
@@ -462,26 +492,6 @@ func TestInjectionBudgetAblationHonoursStudyModel(t *testing.T) {
 	}
 	if got, want := points[0].MeanCI95, widthSum/float64(s.NumFFs()); got != want {
 		t.Fatalf("budget-%d targets have mean CI width %v, the %s campaign of the same plan %v", budget, got, model, want)
-	}
-}
-
-func TestFeatureValue(t *testing.T) {
-	s := smallStudy(t)
-	imp, err := s.FeatureValue(PaperModels()[1], 2, 3)
-	if err != nil {
-		t.Fatalf("FeatureValue: %v", err)
-	}
-	if len(imp) != features.NumFeatures {
-		t.Fatalf("importances = %d, want %d", len(imp), features.NumFeatures)
-	}
-	any := false
-	for _, fi := range imp {
-		if fi.MeanDrop > 0.01 {
-			any = true
-		}
-	}
-	if !any {
-		t.Fatal("no feature carries importance — implausible")
 	}
 }
 

@@ -9,11 +9,11 @@ import (
 
 // featureVariantGoldenBits is the Table I protocol run on the two Section V
 // model variants, on the small MAC study at seed 1, every score printed as a
-// hexadecimal float64: the six feature-group rows ffr exp -exp ablation
-// prints (k-NN, PaperCVSplits splits) and the R² of the five rows of
-// -exp pca (k-NN behind standardization and PCA, 5 splits). It was recorded
-// before the two tables became Table1 over model variants and must never
-// change (docs/ARCHITECTURE.md, "ML numerics").
+// hexadecimal float64: six feature-group rows (k-NN behind ColumnsModel,
+// PaperCVSplits splits) and the R² of five PCA rows (k-NN behind
+// standardization and PCA, 5 splits), the two kinds of row ffr exp -exp
+// features prints. It was recorded before the rows became Table1 over model
+// variants and must never change (docs/ARCHITECTURE.md, "ML numerics").
 const featureVariantGoldenBits = `ablation "all features" mae=0x1.1da9800cfb092p-04 max=0x1.6651ebcb60b17p-01 rmse=0x1.011d1366e724fp-03 ev=0x1.9750a7624f49cp-01 r2=0x1.9659e6a10bb54p-01
 ablation "structural only" mae=0x1.26a233a6bd687p-04 max=0x1.7e4c572f5b644p-01 rmse=0x1.0e333643d8023p-03 ev=0x1.8c08792692cb5p-01 r2=0x1.8b15fcff471b3p-01
 ablation "synthesis only" mae=0x1.4fb833fc5999fp-04 max=0x1.98532c7616045p-01 rmse=0x1.2aa6abad421abp-03 ev=0x1.725db25e0282dp-01 r2=0x1.71cf714e44562p-01

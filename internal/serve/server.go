@@ -70,8 +70,8 @@ type Server struct {
 	log     *slog.Logger
 }
 
-// New builds a server; load models with Add or LoadArtifact (or pass a
-// pre-populated Registry).
+// New builds a server; load models with LoadArtifact, or pass a Registry
+// already filled by Registry.AddFrom.
 func New(cfg Config) *Server {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
