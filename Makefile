@@ -11,12 +11,20 @@
 
 GO ?= go
 
-.PHONY: all build test race lint loc knobs bench fuzz-smoke
+.PHONY: all build cross test race lint loc knobs bench fuzz-smoke
 
 all: lint build test
 
 build:
 	$(GO) build ./...
+
+# The file set of a platform without the amd64 assembly (internal/ml/mlp's
+# AVX kernels): it must build, not only vet, since vet passes a function
+# declared without a body that the build rejects. On amd64 itself, vet's
+# asmdecl check (make lint) holds each .s frame to its Go declaration.
+cross:
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./...
 
 test:
 	$(GO) test ./...
@@ -31,15 +39,15 @@ lint:
 		echo "gofmt needed:"; echo "$$unformatted"; exit 1; \
 	fi
 
-# The size metric ROADMAP and CHANGES.md quote: non-test Go lines outside
-# bench/, per internal/ package tree, for each command and for the root
-# facade (the rows add up to the total). CI prints it in every PR's log; it
-# is a number to report, not a gate.
+# The size metric ROADMAP and CHANGES.md quote: non-test Go and assembly
+# (*.s) lines outside bench/, per internal/ package tree, for each command
+# and for the root facade (the rows add up to the total). CI prints it in
+# every PR's log; it is a number to report, not a gate.
 loc:
-	@count() { find "$$@" -name '*.go' ! -name '*_test.go' ! -path './bench/*' -print0 | xargs -0 cat | wc -l; }; \
+	@count() { find "$$@" \( -name '*.go' -o -name '*.s' \) ! -name '*_test.go' ! -path './bench/*' -print0 | xargs -0 cat | wc -l; }; \
 	for d in internal/*/ cmd/*/; do printf '%7d %s\n' "$$(count $$d)" "$${d%/}"; done; \
 	printf '%7d repro (root facade)\n' "$$(count . -maxdepth 1)"; \
-	printf '%7d non-test Go lines outside bench/\n' "$$(count .)"
+	printf '%7d non-test Go and assembly lines outside bench/\n' "$$(count .)"
 
 # The option count the simplicity review asks every PR to report: the flags
 # each ffr command registers (the lines of its -h list) and their total. Like

@@ -244,6 +244,8 @@ func zeroDeltaTargets(m *Regressor, X [][]float64) []float64 {
 	return y
 }
 
+// TestFitBitIdenticalToScalarLoops trains each case with refFit and with
+// every kernel set this machine can run (platformKernels).
 func TestFitBitIdenticalToScalarLoops(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	const n, width = 70, 9 // n is not a multiple of the batch size
@@ -319,19 +321,24 @@ func TestFitBitIdenticalToScalarLoops(t *testing.T) {
 				m.L2, m.Epochs, m.BatchSize = tc.l2, 12, 16
 				return m
 			}
-			got, want := build(), build()
+			want := build()
 			ty := tc.y
 			if tc.zeroStep {
-				ty = zeroDeltaTargets(got, tc.X)
-			}
-			if err := got.Fit(tc.X, ty); err != nil {
-				t.Fatalf("Fit: %v", err)
+				ty = zeroDeltaTargets(want, tc.X)
 			}
 			refFit(want, tc.X, ty)
-			sameNetwork(t, got, want, tc.X)
-			if tc.zeroStep && tc.l2 == 0 {
-				// Every delta was 0, so training left the initial network.
-				sameNetwork(t, got, initialNetwork(*build(), width), tc.X)
+			for _, k := range platformKernels {
+				t.Run(k.name, func(t *testing.T) {
+					got := build()
+					if err := got.fit(tc.X, ty, k); err != nil {
+						t.Fatalf("fit: %v", err)
+					}
+					sameNetwork(t, got, want, tc.X)
+					if tc.zeroStep && tc.l2 == 0 {
+						// Every delta was 0, so training left the initial network.
+						sameNetwork(t, got, initialNetwork(*build(), width), tc.X)
+					}
+				})
 			}
 		})
 	}
@@ -356,9 +363,9 @@ func fuzzValue(b byte) float64 {
 	return float64(int(b)-128) / 16
 }
 
-// FuzzMLPFitMatchesScalarLoops fits small networks on small datasets with Fit
-// and with refFit, the scalar loops kept verbatim, and compares every weight
-// and bias bit for bit. Rows and targets are drawn from the fuzzed bytes (then
+// FuzzMLPFitMatchesScalarLoops fits small networks on small datasets with
+// refFit, the scalar loops kept verbatim, and with every kernel set this
+// machine can run, and compares every weight and bias bit for bit. Rows and targets are drawn from the fuzzed bytes (then
 // from seed once those run out) and may hold NaN, ±Inf, −0 and huge values.
 // cfg packs the shape and the training setup: from the low bit up, the width
 // (3 bits), the rows (5), the two hidden widths (3 each, a second width of 0
@@ -408,14 +415,17 @@ func FuzzMLPFitMatchesScalarLoops(f *testing.F) {
 			}
 			return m
 		}
-		got, want := build(), build()
+		want := build()
 		if field(20, 1) != 0 {
-			y = zeroDeltaTargets(got, X)
-		}
-		if err := got.Fit(X, y); err != nil {
-			t.Fatal(err)
+			y = zeroDeltaTargets(want, X)
 		}
 		refFit(want, X, y)
-		sameNetwork(t, got, want, X)
+		for _, k := range platformKernels {
+			got := build()
+			if err := got.fit(X, y, k); err != nil {
+				t.Fatalf("%s kernels: %v", k.name, err)
+			}
+			sameNetwork(t, got, want, X)
+		}
 	})
 }

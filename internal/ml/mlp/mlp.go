@@ -163,8 +163,13 @@ func activate(out, pre []float64) {
 	}
 }
 
-// Fit trains the network with Adam.
+// Fit trains the network with Adam, on the first of platformKernels.
 func (m *Regressor) Fit(X [][]float64, y []float64) error {
+	return m.fit(X, y, platformKernels[0])
+}
+
+// fit is Fit on the kernel set k.
+func (m *Regressor) fit(X [][]float64, y []float64, k kernels) error {
 	if err := ml.CheckXY(X, y); err != nil {
 		return err
 	}
@@ -206,6 +211,8 @@ func (m *Regressor) Fit(X [][]float64, y []float64) error {
 		vb[l] = make([]float64, len(m.Biases[l]))
 	}
 	const beta1, beta2, eps = 0.9, 0.999, 1e-8
+	adam := adamStep{l2: m.L2, beta1: beta1, omb1: 1 - beta1, beta2: beta2, omb2: 1 - beta2,
+		lr: m.LearningRate, eps: eps}
 
 	n := len(X)
 	order := rng.Perm(n)
@@ -226,12 +233,21 @@ func (m *Regressor) Fit(X [][]float64, y []float64) error {
 		gw[l] = make([]float64, len(m.Weights[l]))
 		gb[l] = make([]float64, len(m.Biases[l]))
 	}
-	// Back-propagation skips the terms of a zero delta. Every sum it would
-	// add them to starts at +0, and under round-to-nearest a sum that starts
+	// hidden[l] is hidden layer l's weight matrix as k.forward reads it,
+	// laid out by k.weights once a batch (in wt[l] if it is a copy). The
+	// output layer is one neuron: affine.
+	hidden := make([][]float64, L-1)
+	wt := make([][]float64, L-1)
+	for l := range wt {
+		wt[l] = make([]float64, len(m.Weights[l]))
+	}
+	// Back-propagation and the gradient may skip the terms of a zero delta.
+	// Every sum they would add them to starts at +0 (each sample's deltas,
+	// each batch's gradients), and under round-to-nearest a sum that starts
 	// at +0 is never −0, so adding ±0 leaves it as it is. A zero times ±Inf
 	// or NaN is NaN, not ±0, so a term is skipped only when the values it
 	// multiplies are finite: the weights of layer l (finiteW[l], fixed for a
-	// batch) or the layer's input (finiteX).
+	// batch) or the layer's input.
 	finiteW := make([]bool, L)
 
 	step := 0
@@ -248,28 +264,23 @@ func (m *Regressor) Fit(X [][]float64, y []float64) error {
 				clear(gb[l])
 				finiteW[l] = finite(m.Weights[l])
 			}
+			for l := range hidden {
+				hidden[l] = k.weights(wt[l], m.Weights[l], m.Dims[l+1], m.Dims[l])
+			}
 			for _, idx := range batch {
 				// Forward.
 				out[0] = X[idx]
 				for l := 0; l < L-1; l++ {
-					affine(pre[l], m.Weights[l], m.Biases[l], out[l])
+					k.forward(pre[l], hidden[l], m.Biases[l], out[l])
 					activate(out[l+1], pre[l])
 				}
 				affine(out[L], m.Weights[L-1], m.Biases[L-1], out[L-1]) // linear output
-				// Backward.
+				// Backward: delta[l][j] = act'(pre[l][j]) · Σ_k2 delta[l+1][k2]·W[l+1][k2][j].
 				delta[L-1][0] = out[L][0] - y[idx]
 				for l := L - 2; l >= 0; l-- {
-					// delta[l][j] = act'(pre[l][j]) · Σ_k2 W[l+1][k2][j]·delta[l+1][k2],
-					// accumulated one W[l+1] row at a time: every delta[l][j]
-					// still adds its terms in ascending k2.
 					d, p := delta[l], pre[l][:len(delta[l])]
 					clear(d)
-					for k2, up := range delta[l+1] {
-						if up == 0 && finiteW[l+1] {
-							continue
-						}
-						axpy(d, up, m.Weights[l+1][k2*len(d):(k2+1)*len(d)])
-					}
+					k.backprop(d, m.Weights[l+1], delta[l+1], finiteW[l+1])
 					for j, s := range p {
 						if s < 0 {
 							d[j] *= 0
@@ -277,36 +288,25 @@ func (m *Regressor) Fit(X [][]float64, y []float64) error {
 					}
 				}
 				for l := 0; l < L; l++ {
-					x, g, bias := out[l], gw[l], gb[l][:len(delta[l])]
-					finiteX := finite(x)
+					x, bias := out[l], gb[l][:len(delta[l])]
+					k.outer(gw[l], delta[l], x, finite(x))
 					for j, d := range delta[l] {
-						if d == 0 && finiteX {
-							continue
-						}
-						axpy(g[j*len(x):(j+1)*len(x)], d, x)
 						bias[j] += d
 					}
 				}
 			}
 			// Adam update.
 			step++
-			bs := float64(len(batch))
-			corr1 := 1 - math.Pow(beta1, float64(step))
-			corr2 := 1 - math.Pow(beta2, float64(step))
+			adam.bs = float64(len(batch))
+			adam.corr1 = 1 - math.Pow(beta1, float64(step))
+			adam.corr2 = 1 - math.Pow(beta2, float64(step))
 			for l := 0; l < L; l++ {
-				w, g, m1, v1 := m.Weights[l], gw[l], mw[l], vw[l]
-				g, m1, v1 = g[:len(w)], m1[:len(w)], v1[:len(w)]
-				for i := range w {
-					gi := g[i]/bs + m.L2*w[i]
-					m1[i] = beta1*m1[i] + (1-beta1)*gi
-					v1[i] = beta2*v1[i] + (1-beta2)*gi*gi
-					w[i] -= m.LearningRate * (m1[i] / corr1) / (math.Sqrt(v1[i]/corr2) + eps)
-				}
+				k.adam(m.Weights[l], gw[l], mw[l], vw[l], &adam)
 				for i := range m.Biases[l] {
-					g := gb[l][i] / bs
+					g := gb[l][i] / adam.bs
 					mb[l][i] = beta1*mb[l][i] + (1-beta1)*g
 					vb[l][i] = beta2*vb[l][i] + (1-beta2)*g*g
-					m.Biases[l][i] -= m.LearningRate * (mb[l][i] / corr1) / (math.Sqrt(vb[l][i]/corr2) + eps)
+					m.Biases[l][i] -= m.LearningRate * (mb[l][i] / adam.corr1) / (math.Sqrt(vb[l][i]/adam.corr2) + eps)
 				}
 			}
 		}
