@@ -108,6 +108,10 @@ bench:
 # FuzzKernelMatchesEngine is differential too: whatever netlist the parser
 # accepts, its compiled kernel must match four packed Engines word for word
 # through 16 cycles of random inputs and flip-flop upsets.
+# FuzzMACVerdictMatchesPacketList is differential: whatever receive-side and
+# statistics bits a window of the small MAC's golden trace is flipped in,
+# the MAC verdict decoded from that window must equal the packet lists and
+# statistics readout compared over the whole trace, for all 64 lanes.
 # Minimizing each coverage-increasing input would eat the whole budget (60 s
 # apiece by default), so it is capped at ten executions.
 FUZZ = $(GO) test -run='^$$' -fuzztime=10s -fuzzminimizetime=10x
@@ -127,3 +131,4 @@ fuzz-smoke:
 	$(FUZZ) -fuzz=FuzzMLPFitMatchesScalarLoops ./internal/ml/mlp
 	$(FUZZ) -fuzz=FuzzSortSamplesMatchesSortFunc ./internal/ml/tree
 	$(FUZZ) -fuzz=FuzzKernelMatchesEngine ./internal/sim
+	$(FUZZ) -fuzz=FuzzMACVerdictMatchesPacketList ./internal/fault

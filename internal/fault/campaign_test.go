@@ -193,48 +193,19 @@ func TestClassifierBenignTimingShiftIgnored(t *testing.T) {
 	// structural property: every classified failure has a concrete
 	// packet/stat difference.
 	p, bench := smallMAC(t)
-	e := sim.NewEngine(p)
-	golden, _ := sim.Run(e, bench.Stim, sim.RunConfig{Monitors: bench.Monitors})
-	goldenPkts := bench.LanePackets(golden, 0)
-	goldenStats := bench.LaneStats(golden, 0)
-
+	golden := goldenTrace(t)
 	cls := fault.NewMACClassifier(bench, true)
-	jobs := fault.NewModelPlan(fault.Model{}, p.NumFFs(), 1, bench.ActiveCycles, 3)[:64]
+	faulty, jobs := faultyTrace(t, 3)
 	res, err := runJobs(p, bench.Stim, bench.Monitors, cls, jobs,
 		fault.RunnerConfig{Workers: 1})
 	if err != nil {
 		t.Fatalf("RunJobs: %v", err)
 	}
 
-	// Re-run the same batch manually and verify classification agrees
-	// with a from-scratch packet comparison.
-	e2 := sim.NewEngine(p)
-	faulty, _ := sim.Run(e2, bench.Stim, sim.RunConfig{
-		Monitors: bench.Monitors,
-		PreEval: func(c int) {
-			for lane, j := range jobs {
-				if j.Cycle == c {
-					e2.FlipFF(j.FF, 1<<uint(lane))
-				}
-			}
-		},
-	})
+	// The campaign's verdicts must agree with a from-scratch packet
+	// comparison of the same batch replayed whole.
 	for lane, j := range jobs {
-		pkts := bench.LanePackets(faulty, lane)
-		stats := bench.LaneStats(faulty, lane)
-		wantFail := len(pkts) != len(goldenPkts)
-		if !wantFail {
-			for i := range pkts {
-				if pkts[i].Err != goldenPkts[i].Err ||
-					string(pkts[i].Payload) != string(goldenPkts[i].Payload) {
-					wantFail = true
-					break
-				}
-			}
-		}
-		if !wantFail && string(stats) != string(goldenStats) {
-			wantFail = true
-		}
+		wantFail := packetVerdict(bench, golden, faulty, lane, true)
 		gotFail := res.Failures[j.FF] > 0
 		// Multiple jobs can share an FF within the slice; only compare
 		// when this FF appears once.

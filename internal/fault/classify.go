@@ -1,7 +1,6 @@
 package fault
 
 import (
-	"bytes"
 	"fmt"
 	"hash/fnv"
 	"math/bits"
@@ -87,26 +86,28 @@ func (s *exactStream) Observe(cycle int, golden, faulty []uint64) uint64 {
 // pure latency shift with intact frames is benign — or, when CheckStats is
 // set, when the end-of-test statistics readout differs (the management
 // plane of the application checking its RMON counters).
+//
+// The stream and the verdict run one frame decoder (macStream), started
+// from the golden decoder state, so neither rebuilds a lane's packet list:
+// the verdict decodes only the rows a batch dirtied.
 type MACClassifier struct {
 	Bench *circuit.MACBench
 	// CheckStats extends the failure criterion to the statistics readout.
 	CheckStats bool
 
-	goldenPkts  []circuit.LanePacket
-	goldenStats []byte
+	goldenPkts []circuit.LanePacket
 	// goldenDec[c] is the golden frame decoder's state at the top of cycle c.
 	goldenDec []frameDec
 	prepare   sync.Once
 }
 
-// prepared decodes the golden run once: its packets, its statistics readout
-// and the frame decoder state streams start from.
+// prepared decodes the golden run once: its packets and the frame decoder
+// state every decode of a faulty window starts from.
 func (m *MACClassifier) prepared(golden *sim.Trace) {
 	m.prepare.Do(func() {
 		// Golden is lane-uniform; lane 0 is canonical.
 		b := m.Bench
 		m.goldenPkts = b.LanePackets(golden, 0)
-		m.goldenStats = b.LaneStats(golden, 0)
 		m.goldenDec = make([]frameDec, golden.Cycles()+1)
 		for c := 0; c < golden.Cycles(); c++ {
 			m.goldenDec[c+1] = m.goldenDec[c]
@@ -129,25 +130,38 @@ func (m *MACClassifier) ConfigFingerprint() uint64 {
 	return h.Sum64()
 }
 
-// FailingLanes implements Classifier.
+// FailingLanes implements Classifier by decoding the dirty window only. It
+// relies on the Classifier promise that faulty equals golden outside
+// [from, to): a stream started at the golden decoder state at from observes
+// rows [from, to) and confirms the lanes whose failure is already certain.
+// Every other lane whose receive-side bits diverged is decided by the suffix
+// rule, because the rows from to on are golden's and complete the golden
+// frames from the golden decoder state at to (g):
+//   - a frame count k other than g.k ends with a frame count other than
+//     golden's;
+//   - k == g.k with frames left and a byte position other than g.pos closes
+//     the open frame with the wrong length;
+//   - anything else passes: the open frame completes as golden's does, and
+//     once every golden frame is received (k == len(goldenPkts)) the lane's
+//     dangling bytes never complete a frame.
+//
+// With CheckStats, a statistics readout divergence can only lie inside the
+// window too, and the stream confirms every one.
 func (m *MACClassifier) FailingLanes(golden, faulty *sim.Trace, used uint64, from, to int) uint64 {
 	m.prepared(golden)
-
-	// Fast path: lanes whose monitored trace is bit-identical to golden
-	// cannot fail. Golden lanes are uniform, so XOR of packed words flags
-	// every divergent lane directly.
-	diff := divergedLanes(golden, faulty, from, to) & used
-
-	var failing uint64
-	for lane := 0; lane < sim.Lanes; lane++ {
-		if diff>>uint(lane)&1 == 0 {
-			continue
-		}
-		if m.laneFails(faulty, lane) {
-			failing |= 1 << uint(lane)
+	s := macStream{m: m, used: used, g: m.goldenDec[from]}
+	for c := from; c < to; c++ {
+		s.Observe(c, golden.Row(c), faulty.Row(c))
+	}
+	failed := s.failed
+	for w := s.diverged &^ failed; w != 0; w &= w - 1 {
+		lane := bits.TrailingZeros64(w)
+		k, pos := s.k[lane], s.pos[lane]
+		if k != s.g.k || int(k) < len(m.goldenPkts) && pos != s.g.pos {
+			failed |= 1 << uint(lane)
 		}
 	}
-	return failing
+	return failed
 }
 
 // StartStream implements Classifier with an incremental frame decoder:
@@ -162,8 +176,8 @@ func (m *MACClassifier) FailingLanes(golden, faulty *sim.Trace, used uint64, fro
 //
 // Under-delivery ("the circuit stopped sending or receiving data") is NOT
 // confirmable mid-run — a missing frame may still arrive late and benign —
-// so lanes that fail only by frame count are decided by the trace-based
-// verdict when the batch ends or every lane re-converges.
+// so lanes that fail only by frame count are decided by FailingLanes' suffix
+// rule when the batch ends or every lane re-converges.
 func (m *MACClassifier) StartStream(golden *sim.Trace, used uint64, from int) Stream {
 	m.prepared(golden)
 	// Lanes are bit-identical to golden before from, so their
@@ -282,25 +296,4 @@ func (s *macStream) Observe(cycle int, golden, faulty []uint64) uint64 {
 	// Advance the golden decoder (uniform: bit 0 is canonical).
 	s.g.advance(golden[b.MonRxValid]&1 == 1, golden[b.MonRxEOP]&1 == 1)
 	return s.failed
-}
-
-func (m *MACClassifier) laneFails(faulty *sim.Trace, lane int) bool {
-	pkts := m.Bench.LanePackets(faulty, lane)
-	if len(pkts) != len(m.goldenPkts) {
-		return true // stopped receiving, or spurious frames
-	}
-	for i := range pkts {
-		if pkts[i].Err != m.goldenPkts[i].Err {
-			return true
-		}
-		if !bytes.Equal(pkts[i].Payload, m.goldenPkts[i].Payload) {
-			return true // payload corruption
-		}
-	}
-	if m.CheckStats {
-		if !bytes.Equal(m.Bench.LaneStats(faulty, lane), m.goldenStats) {
-			return true
-		}
-	}
-	return false
 }

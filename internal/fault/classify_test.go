@@ -2,14 +2,17 @@ package fault_test
 
 import (
 	"bytes"
+	"math/bits"
+	"slices"
 	"testing"
 
+	"repro/internal/circuit"
 	"repro/internal/fault"
 	"repro/internal/sim"
 )
 
 // goldenTrace runs the small MAC fixture cleanly and returns its trace.
-func goldenTrace(t *testing.T) *sim.Trace {
+func goldenTrace(t testing.TB) *sim.Trace {
 	t.Helper()
 	p, bench := smallMAC(t)
 	e := sim.NewEngine(p)
@@ -32,24 +35,41 @@ func TestMACClassifierGoldenIsClean(t *testing.T) {
 	}
 }
 
-// faultyTrace simulates one 64-lane batch of real injections and returns the
-// faulty trace plus the jobs, one per lane.
-func faultyTrace(t *testing.T, seed int64) (*sim.Trace, []fault.Job) {
+// faultyTrace simulates one 64-lane batch of real SEU injections and returns
+// the faulty trace plus the jobs, one per lane.
+func faultyTrace(t testing.TB, seed int64) (*sim.Trace, []fault.Job) {
+	t.Helper()
+	return batchTrace(t, fault.Model{}, seed)
+}
+
+// batchTrace replays one 64-lane batch of injections under model m on the
+// equivalence suites' reference and returns the whole faulty trace plus the
+// jobs, one per lane.
+func batchTrace(t testing.TB, m fault.Model, seed int64) (*sim.Trace, []fault.Job) {
 	t.Helper()
 	p, bench := smallMAC(t)
-	jobs := fault.NewModelPlan(fault.Model{}, p.NumFFs(), 1, bench.ActiveCycles, seed)[:sim.Lanes]
-	e := sim.NewEngine(p)
-	faulty, _ := sim.Run(e, bench.Stim, sim.RunConfig{
-		Monitors: bench.Monitors,
-		PreEval: func(c int) {
-			for lane, j := range jobs {
-				if j.Cycle == c {
-					e.FlipFF(j.FF, 1<<uint(lane))
-				}
-			}
-		},
-	})
+	r, err := fault.NewGoldenRunner(p, bench.Stim, bench.Monitors, &fault.ExactClassifier{}, fault.RunnerConfig{Model: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := fault.NewModelPlan(m, m.NumTargets(p), 1, bench.ActiveCycles, seed)[:sim.Lanes]
+	faulty, _, err := r.ReplayBatch(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return faulty, jobs
+}
+
+// packetVerdict is the MAC criterion written out over whole traces, the
+// oracle the classifier is held to: lane fails when its received packet
+// list differs from golden's in count, payload bytes or error flags or, with
+// checkStats, when its statistics readout differs.
+func packetVerdict(bench *circuit.MACBench, golden, faulty *sim.Trace, lane int, checkStats bool) bool {
+	samePacket := func(a, b circuit.LanePacket) bool { return a.Err == b.Err && bytes.Equal(a.Payload, b.Payload) }
+	if !slices.EqualFunc(bench.LanePackets(faulty, lane), bench.LanePackets(golden, 0), samePacket) {
+		return true
+	}
+	return checkStats && !bytes.Equal(bench.LaneStats(faulty, lane), bench.LaneStats(golden, 0))
 }
 
 // The used mask gates classification: lanes outside it must never be
@@ -98,34 +118,35 @@ func TestMACClassifierDeterministic(t *testing.T) {
 
 // Every lane the classifier flags must show a concrete applicative
 // difference (packet count, payload, error flag, or statistics readout), and
-// every unflagged used lane must not.
+// every unflagged used lane must not, for SEU, MBU and stuck-at batches.
 func TestMACClassifierAgreesWithPacketComparison(t *testing.T) {
 	_, bench := smallMAC(t)
 	golden := goldenTrace(t)
-	faulty, _ := faultyTrace(t, 7)
-	goldenPkts := bench.LanePackets(golden, 0)
-	goldenStats := bench.LaneStats(golden, 0)
-
-	cls := fault.NewMACClassifier(bench, true)
-	failing := cls.FailingLanes(golden, faulty, ^uint64(0), 0, golden.Cycles())
-	for lane := 0; lane < sim.Lanes; lane++ {
-		pkts := bench.LanePackets(faulty, lane)
-		stats := bench.LaneStats(faulty, lane)
-		wantFail := len(pkts) != len(goldenPkts)
-		if !wantFail {
-			for i := range pkts {
-				if pkts[i].Err != goldenPkts[i].Err || !bytes.Equal(pkts[i].Payload, goldenPkts[i].Payload) {
-					wantFail = true
-					break
+	var failed, benign int
+	for _, spec := range []string{"seu", "mbu:3", "stuck0"} {
+		m, err := fault.ParseModel(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, seed := range []int64{7, 8, 9} {
+			faulty, _ := batchTrace(t, m, seed)
+			diverged := (&fault.ExactClassifier{}).FailingLanes(golden, faulty, ^uint64(0), 0, golden.Cycles())
+			for _, checkStats := range []bool{false, true} {
+				failing := fault.NewMACClassifier(bench, checkStats).FailingLanes(golden, faulty, ^uint64(0), 0, golden.Cycles())
+				for lane := 0; lane < sim.Lanes; lane++ {
+					got := failing>>uint(lane)&1 == 1
+					if want := packetVerdict(bench, golden, faulty, lane, checkStats); got != want {
+						t.Fatalf("%s seed %d stats=%v lane %d: classified fail=%v, packet comparison says %v",
+							spec, seed, checkStats, lane, got, want)
+					}
 				}
+				failed += bits.OnesCount64(failing)
+				benign += bits.OnesCount64(diverged &^ failing)
 			}
 		}
-		if !wantFail && !bytes.Equal(stats, goldenStats) {
-			wantFail = true
-		}
-		if got := failing>>uint(lane)&1 == 1; got != wantFail {
-			t.Fatalf("lane %d: classified fail=%v, packet comparison says %v", lane, got, wantFail)
-		}
+	}
+	if failed == 0 || benign == 0 {
+		t.Fatalf("%d failing and %d diverged but benign lanes: the batches do not exercise both verdicts", failed, benign)
 	}
 }
 
@@ -224,7 +245,8 @@ func streamOverTrace(sc fault.Classifier, golden, faulty *sim.Trace, used uint64
 }
 
 // Streaming confirmations must be sound: every stream-confirmed lane is also
-// failed by the trace-based verdict, for both classifiers and from every
+// failed by the trace-based verdict and by the packet-list oracle, which
+// shares no decoder with the stream, for both classifiers and from every
 // starting cycle (the fast-forward entry points).
 func TestStreamConfirmationsAreSound(t *testing.T) {
 	_, bench := smallMAC(t)
@@ -234,11 +256,21 @@ func TestStreamConfirmationsAreSound(t *testing.T) {
 		for _, checkStats := range []bool{false, true} {
 			mac := fault.NewMACClassifier(bench, checkStats)
 			verdict := mac.FailingLanes(golden, faulty, ^uint64(0), 0, golden.Cycles())
+			var oracle uint64
+			for lane := 0; lane < sim.Lanes; lane++ {
+				if packetVerdict(bench, golden, faulty, lane, checkStats) {
+					oracle |= 1 << uint(lane)
+				}
+			}
 			for _, from := range []int{0, 8, 32} {
 				confirmed := streamOverTrace(mac, golden, faulty, ^uint64(0), from)
 				if confirmed&^verdict != 0 {
 					t.Fatalf("seed %d stats=%v from=%d: stream confirmed non-failing lanes %#x",
 						seed, checkStats, from, confirmed&^verdict)
+				}
+				if confirmed&^oracle != 0 {
+					t.Fatalf("seed %d stats=%v from=%d: stream confirmed lanes %#x the packet lists pass",
+						seed, checkStats, from, confirmed&^oracle)
 				}
 			}
 		}
@@ -277,5 +309,32 @@ func TestStreamRespectsUsedMask(t *testing.T) {
 	cls := &fault.ExactClassifier{}
 	if got := streamOverTrace(cls, golden, faulty, used, 0); got&^used != 0 {
 		t.Fatalf("exact stream confirmed unused lanes: %#x", got&^used)
+	}
+}
+
+// BenchmarkMACFailingLanes measures the MAC verdict on one 64-lane SEU batch
+// of the small MAC, over a 32-cycle dirty window (the faulty rows from the
+// earliest injection on, golden's everywhere else) and over the whole trace.
+func BenchmarkMACFailingLanes(b *testing.B) {
+	_, bench := smallMAC(b)
+	golden := goldenTrace(b)
+	faulty, jobs := faultyTrace(b, 7)
+	from := slices.MinFunc(jobs, func(x, y fault.Job) int { return x.Cycle - y.Cycle }).Cycle
+	to := min(from+32, golden.Cycles())
+	window := sim.NewTrace(golden.Monitors, golden.Cycles())
+	window.CopyCycles(golden, 0, golden.Cycles())
+	window.CopyCycles(faulty, from, to)
+	for _, c := range []struct {
+		name     string
+		faulty   *sim.Trace
+		from, to int
+	}{{"window32", window, from, to}, {"whole", faulty, 0, golden.Cycles()}} {
+		b.Run(c.name, func(b *testing.B) {
+			cls := fault.NewMACClassifier(bench, true)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				cls.FailingLanes(golden, c.faulty, ^uint64(0), c.from, c.to)
+			}
+		})
 	}
 }

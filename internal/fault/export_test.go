@@ -1,6 +1,10 @@
 package fault
 
-import "repro/internal/sim"
+import (
+	"fmt"
+
+	"repro/internal/sim"
+)
 
 // The reference replays and the Runner's concatenated chunk masks, for the
 // fault_test suites.
@@ -28,4 +32,18 @@ func NewGoldenRunner(p *sim.Program, stim *sim.Stimulus, monitors []int, cls Cla
 		cfg.Golden, _ = sim.Run(sim.NewEngine(p), stim, sim.RunConfig{Monitors: monitors, Snapshots: cfg.Snapshots})
 	}
 	return NewRunner(p, stim, monitors, cls, cfg)
+}
+
+// ReplayBatch is the reference's replay of one batch of at most 64 jobs,
+// lane i carrying jobs[i]: the faulty trace of the whole stimulus and the
+// mask of lanes used.
+func (r *Runner) ReplayBatch(jobs []Job) (*sim.Trace, uint64, error) {
+	if len(jobs) > sim.Lanes {
+		return nil, 0, fmt.Errorf("%d jobs do not fit one batch", len(jobs))
+	}
+	if err := r.validateJobs(jobs); err != nil {
+		return nil, 0, err
+	}
+	faulty, used := r.replayBatch(sim.NewEngine(r.p), r.setEffects(jobs), jobs)
+	return faulty, used, nil
 }

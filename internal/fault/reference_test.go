@@ -17,43 +17,54 @@ func replayBatches(r *Runner, jobs []Job, order []int) ([]uint64, error) {
 	golden := r.cfg.Golden
 	fx := r.setEffects(jobs)
 	e := sim.NewEngine(r.p)
-	var flips []flipOp
-	var sorter flipSorter
-	var glitches []laneGlitch
+	batch := make([]Job, 0, sim.Lanes)
 	masks := make([]uint64, 0, (len(jobs)+sim.Lanes-1)/sim.Lanes)
 	for blo := 0; blo < len(jobs); blo += sim.Lanes {
-		flips, glitches = flips[:0], glitches[:0]
-		var used uint64
-		for lane := 0; lane < sim.Lanes && blo+lane < len(jobs); lane++ {
-			job := jobs[order[blo+lane]]
-			laneMask := uint64(1) << uint(lane)
-			flips = r.expandJob(flips, fx, job, laneMask)
-			glitches = r.appendGlitches(glitches, fx, job, laneMask)
-			used |= laneMask
+		batch = batch[:0]
+		for _, i := range order[blo:min(blo+sim.Lanes, len(jobs))] {
+			batch = append(batch, jobs[i])
 		}
-		flips = sorter.sort(flips)
-		ptr := 0
-		faulty, _ := sim.Run(e, r.stim, sim.RunConfig{
-			Monitors: r.monitors,
-			PreEval: func(c int) {
-				for ; ptr < len(flips) && flips[ptr].cycle == c; ptr++ {
-					switch f := &flips[ptr]; f.kind {
-					case effForce0:
-						e.ForceFF(f.ff, f.mask, false)
-					case effForce1:
-						e.ForceFF(f.ff, f.mask, true)
-					default:
-						e.FlipFF(f.ff, f.mask)
-					}
-				}
-			},
-		})
-		for _, g := range glitches {
-			faulty.XORWord(g.cycle, g.mon, g.mask)
-		}
+		faulty, used := r.replayBatch(e, fx, batch)
 		masks = append(masks, r.cls.FailingLanes(golden, faulty, used, 0, golden.Cycles()))
 	}
 	return masks, nil
+}
+
+// replayBatch replays one batch — lane i carries batch[i] — on e from cycle
+// 0 to the end of the stimulus and returns its whole faulty trace, SET
+// glitches applied, and the mask of lanes used.
+func (r *Runner) replayBatch(e *sim.Engine, fx map[int64]setEffect, batch []Job) (*sim.Trace, uint64) {
+	var flips []flipOp
+	var glitches []laneGlitch
+	var used uint64
+	for lane, job := range batch {
+		laneMask := uint64(1) << uint(lane)
+		flips = r.expandJob(flips, fx, job, laneMask)
+		glitches = r.appendGlitches(glitches, fx, job, laneMask)
+		used |= laneMask
+	}
+	var sorter flipSorter
+	flips = sorter.sort(flips)
+	ptr := 0
+	faulty, _ := sim.Run(e, r.stim, sim.RunConfig{
+		Monitors: r.monitors,
+		PreEval: func(c int) {
+			for ; ptr < len(flips) && flips[ptr].cycle == c; ptr++ {
+				switch f := &flips[ptr]; f.kind {
+				case effForce0:
+					e.ForceFF(f.ff, f.mask, false)
+				case effForce1:
+					e.ForceFF(f.ff, f.mask, true)
+				default:
+					e.FlipFF(f.ff, f.mask)
+				}
+			}
+		},
+	})
+	for _, g := range glitches {
+		faulty.XORWord(g.cycle, g.mon, g.mask)
+	}
+	return faulty, used
 }
 
 // referenceMasks replays the plan in the Runner's own packing, for
