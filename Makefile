@@ -18,8 +18,9 @@ all: lint build test
 build:
 	$(GO) build ./...
 
-# The file set of a platform without the amd64 assembly (internal/ml/mlp's
-# AVX kernels): it must build, not only vet, since vet passes a function
+# The file set of a platform without the amd64 assembly (internal/cpuid's
+# CPUID test, internal/sim's AVX combinational pass and internal/ml/mlp's AVX
+# training kernels): it must build, not only vet, since vet passes a function
 # declared without a body that the build rejects. On amd64 itself, vet's
 # asmdecl check (make lint) holds each .s frame to its Go declaration.
 cross:
@@ -63,7 +64,8 @@ knobs:
 # Every micro-benchmark once, each beside the layer it measures, so a
 # regression localizes below the workloads of ./bench: the simulator
 # (BenchmarkKernelEval/Commit on a reset register file, BenchmarkKernelWindow
-# over the MAC stimulus's activity), the chunk executor (BenchmarkRunChunks per
+# over the MAC stimulus's activity; Eval and Window once per Eval
+# implementation, /avx and /go), the chunk executor (BenchmarkRunChunks per
 # circuit and fault model, with ns/injection, sim-cycles/injection and lane
 # occupancy; BenchmarkLease: an empty and a 2-chunk fabric lease on one
 # prepared plan; BenchmarkWilsonInterval), feature extraction per circuit

@@ -1,15 +1,13 @@
 package mlp
 
+import "repro/internal/cpuid"
+
 // The AVX kernels run the Go loops' arithmetic four float64 lanes at a time:
 // VMULPD, VADDPD, VSUBPD, VDIVPD and VSQRTPD round each lane as MULSD,
 // ADDSD, SUBSD, DIVSD and SQRTSD do, there is no fused multiply-add, and each
 // lane adds its element's terms in the Go loops' order. Each wrapper
 // reslices its operands to the lengths the assembly touches, so a bad call
 // panics here instead of reading past a slice.
-
-// hasAVX reports whether the CPU has AVX and the operating system saves the
-// YMM registers (CPUID.1:ECX.OSXSAVE and .AVX, XCR0 bits 1 and 2).
-func hasAVX() bool
 
 // gemvAVX is backprop's loop; with dst set to the biases first, it is also
 // the forward pass over a transposed weight matrix.
@@ -63,7 +61,7 @@ func transpose(t, w []float64, rows, cols int) {
 // platformKernels lists the kernel sets this machine can run, the one Fit
 // uses first. The AVX kernels are on it only where the CPU has AVX.
 var platformKernels = func() []kernels {
-	if hasAVX() {
+	if cpuid.AVX() {
 		return []kernels{avxKernels, goKernels}
 	}
 	return []kernels{goKernels}

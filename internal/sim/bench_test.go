@@ -106,35 +106,48 @@ func reportLaneCycle(b *testing.B, e *sim.KernelEngine) {
 
 // BenchmarkKernelWindow measures a whole window on the compiled MAC kernel:
 // RunWindowWide over the MAC stimulus from cycle 0, 256 lanes recording the
-// monitored ports. Unlike the Eval and Commit benchmarks, which step a reset
-// register file, its rows carry the stimulus's activity, so gates toggle and
-// enables switch as they do in a campaign.
+// monitored ports, once per Eval implementation (sub-benchmarks /avx, /go).
+// Unlike the Eval and Commit benchmarks, which step a reset register file,
+// its rows carry the stimulus's activity, so gates toggle and enables switch
+// as they do in a campaign.
 func BenchmarkKernelWindow(b *testing.B) {
 	p, bench := compiledMAC(b)
 	stim, monitors := bench.Stim, bench.Monitors
 	snaps := sim.NewSnapshots(p, stim, 0)
 	sim.Run(sim.NewEngine(p), stim, sim.RunConfig{Monitors: monitors, Snapshots: snaps})
-	e := sim.NewKernelEngine(campaignKernel(b, p, stim, monitors), sim.DefaultKernelWords)
-	cfg := sim.WideWindowConfig{Monitors: monitors, Traces: make([]*sim.Trace, e.Words())}
-	for w := range cfg.Traces {
-		cfg.Traces[w] = sim.NewTrace(monitors, stim.Cycles())
+	k := campaignKernel(b, p, stim, monitors)
+	for _, eval := range sim.PlatformEvals() {
+		b.Run(eval, func(b *testing.B) {
+			e := sim.NewKernelEngine(k, sim.DefaultKernelWords)
+			e.UseEval(eval)
+			cfg := sim.WideWindowConfig{Monitors: monitors, Traces: make([]*sim.Trace, e.Words())}
+			for w := range cfg.Traces {
+				cfg.Traces[w] = sim.NewTrace(monitors, stim.Cycles())
+			}
+			b.ReportAllocs()
+			for b.Loop() {
+				sim.RunWindowWide(e, stim, snaps, 0, cfg)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(e.Lanes()*stim.Cycles()), "ns/lane-cycle")
+		})
 	}
-	b.ReportAllocs()
-	for b.Loop() {
-		sim.RunWindowWide(e, stim, snaps, 0, cfg)
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(e.Lanes()*stim.Cycles()), "ns/lane-cycle")
 }
 
 // BenchmarkKernelEval measures one fused combinational pass of the compiled
-// MAC kernel over a 256-lane batch — the campaign's inner loop.
+// MAC kernel over a 256-lane batch — the campaign's inner loop — once per
+// Eval implementation (sub-benchmarks /avx, /go).
 func BenchmarkKernelEval(b *testing.B) {
 	e := macKernelEngine(b)
-	b.ReportAllocs()
-	for b.Loop() {
-		e.Eval()
+	for _, eval := range sim.PlatformEvals() {
+		b.Run(eval, func(b *testing.B) {
+			e.UseEval(eval)
+			b.ReportAllocs()
+			for b.Loop() {
+				e.Eval()
+			}
+			reportLaneCycle(b, e)
+		})
 	}
-	reportLaneCycle(b, e)
 }
 
 // BenchmarkKernelCommit measures the clock edge of the same engine: 1054

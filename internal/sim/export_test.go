@@ -49,14 +49,50 @@ func (k *Kernel) SlotRefs() []int32 {
 	return refs
 }
 
-// WideOpCounts counts the kernel's wide-fusion superops by name.
-func (k *Kernel) WideOpCounts() map[string]int {
-	names := map[kOp]string{kAO222: "AO222", kMuxA: "MuxA", kMuxB: "MuxB", kXor3: "Xor3"}
-	counts := make(map[string]int, len(names))
+// opNames names the opcodes, in kOp order, for the tests' census.
+var opNames = [kHalt]string{
+	kInv: "Inv", kAnd2: "And2", kAnd3: "And3", kAnd4: "And4",
+	kOr2: "Or2", kOr3: "Or3", kOr4: "Or4",
+	kNand2: "Nand2", kNand3: "Nand3", kNand4: "Nand4",
+	kNor2: "Nor2", kNor3: "Nor3", kNor4: "Nor4",
+	kXor2: "Xor2", kXnor2: "Xnor2", kMux2: "Mux2", kAOI21: "AOI21", kOAI21: "OAI21",
+	kAO21: "AO21", kOA21: "OA21", kAndN: "AndN", kOrN: "OrN",
+	kAO222: "AO222", kMuxA: "MuxA", kMuxB: "MuxB", kXor3: "Xor3",
+}
+
+// OpCounts counts the kernel's instructions by opcode name, with every
+// opcode Eval implements listed, zeros included.
+func (k *Kernel) OpCounts() map[string]int {
+	counts := make(map[string]int, len(opNames))
+	for _, name := range opNames {
+		counts[name] = 0
+	}
 	for _, ins := range k.code {
-		if name, ok := names[ins.op]; ok {
-			counts[name]++
-		}
+		counts[opNames[ins.op]]++
 	}
 	return counts
 }
+
+// PlatformEvals names the Eval implementations this machine can run, the
+// one engines use first.
+func PlatformEvals() []string {
+	names := make([]string, len(platformEvals))
+	for i, ev := range platformEvals {
+		names[i] = ev.name
+	}
+	return names
+}
+
+// UseEval makes e's Eval run the implementation of platformEvals named name.
+func (e *KernelEngine) UseEval(name string) {
+	for _, ev := range platformEvals {
+		if ev.name == name {
+			e.eval = ev.run
+			return
+		}
+	}
+	panic("sim: no Eval implementation " + name)
+}
+
+// Rows returns the engine's register file, one row per slot.
+func (e *KernelEngine) Rows() [][DefaultKernelWords]uint64 { return e.regs }

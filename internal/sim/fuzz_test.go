@@ -2,7 +2,6 @@ package sim_test
 
 import (
 	"bytes"
-	"math/rand"
 	"testing"
 
 	"repro/internal/netlist"
@@ -128,7 +127,7 @@ output o3 h3
 // FuzzKernelMatchesEngine is differential: whatever netlist the parser
 // accepts, its compiled kernel over a 4-word batch must match four packed
 // Engines and the scalar reference through 16 seeded cycles of random inputs
-// and flip-flop upsets (matchInterpreters).
+// and flip-flop upsets, on every Eval implementation (matchInterpreters).
 func FuzzKernelMatchesEngine(f *testing.F) {
 	for _, seed := range kernelSeeds {
 		if _, err := netlist.Parse(bytes.NewReader([]byte(seed.gnl))); err != nil {
@@ -152,6 +151,6 @@ func FuzzKernelMatchesEngine(f *testing.F) {
 		if err != nil {
 			t.Fatalf("kernel of a compiled program: %v", err)
 		}
-		matchInterpreters(t, p, k, sim.DefaultKernelWords, 16, rand.New(rand.NewSource(seed)))
+		matchInterpreters(t, p, k, sim.DefaultKernelWords, 16, seed)
 	})
 }

@@ -690,7 +690,7 @@ func (b *irBuilder) buildKernel() (*Kernel, error) {
 
 	k := &Kernel{
 		p:      p,
-		code:   make([]kinstr, 0, len(live)),
+		code:   make([]kinstr, 0, len(live)+1),
 		inSlot: make([]int32, len(p.inputNets)),
 		ffQ:    make([]int32, len(p.ffs)),
 		ffInit: make([]bool, len(p.ffs)),
@@ -791,14 +791,29 @@ func (b *irBuilder) buildKernel() (*Kernel, error) {
 		Slots:      k.slots,
 		Holds:      len(holdCaps),
 	}
+	k.code = append(k.code, kinstr{op: kHalt})[:len(k.code)]
+	if err := k.checkSlots(); err != nil {
+		return nil, err
+	}
 	return k, nil
+}
+
+// checkSlots reports an instruction slot outside the register file. Eval's
+// assembly indexes rows unchecked, so BuildKernel refuses such a kernel.
+func (k *Kernel) checkSlots() error {
+	for i, ins := range k.code {
+		for _, s := range [...]int32{ins.dst, ins.a, ins.b, ins.c, ins.d, ins.e, ins.f} {
+			if uint32(s) >= uint32(k.slots) {
+				return fmt.Errorf("sim: kernel: instruction %d names slot %d of %d", i, s, k.slots)
+			}
+		}
+	}
+	return nil
 }
 
 // encodeOp maps a surviving IR op to its kernel opcode.
 func encodeOp(o *irOp) (kOp, error) {
 	switch o.fn {
-	case netlist.FuncBuf:
-		return kBuf, nil
 	case netlist.FuncInv:
 		return kInv, nil
 	case netlist.FuncAnd:

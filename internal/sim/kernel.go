@@ -19,8 +19,7 @@ const DefaultKernelWords = 4
 type kOp uint8
 
 const (
-	kBuf kOp = iota
-	kInv
+	kInv kOp = iota
 	kAnd2
 	kAnd3
 	kAnd4
@@ -47,6 +46,7 @@ const (
 	kMuxA  // mux(mux(a, b, c), d, e)
 	kMuxB  // mux(d, mux(a, b, c), e)
 	kXor3  // a^b^c
+	kHalt  // ends evalAVX's pass: BuildKernel puts one past the end of code
 )
 
 // kinstr is one kernel instruction: an opcode plus its operand rows, as
@@ -177,9 +177,10 @@ func (k *Kernel) planCommit(copies []ffCopy, holds []ffHold) {
 // the upper words of every row unread.
 type KernelEngine struct {
 	k     *Kernel
-	w     int    // batch words in use, ≤ DefaultKernelWords
-	regs  []krow // one row per slot
-	nextQ []krow // capture staging, one row per staged flip-flop
+	w     int                              // batch words in use, ≤ DefaultKernelWords
+	regs  []krow                           // one row per slot
+	nextQ []krow                           // capture staging, one row per staged flip-flop
+	eval  func(regs []krow, code []kinstr) // platformEvals[0].run
 
 	// RunWindowWide scratch, recycled across windows: per-lane loopback
 	// words, per-word divergence masks, and the register-file slots of the
@@ -204,6 +205,7 @@ func NewKernelEngine(k *Kernel, words int) *KernelEngine {
 		w:     words,
 		regs:  make([]krow, k.slots),
 		nextQ: make([]krow, k.staged),
+		eval:  platformEvals[0].run,
 	}
 	e.Reset()
 	return e
@@ -304,20 +306,29 @@ func (e *KernelEngine) Output(i int) uint64 { return e.OutputWord(i, 0) }
 func mux(a, b, s uint64) uint64 { return a ^ (a^b)&s }
 
 // Eval executes the kernel bytecode: one fused combinational pass over all
-// lanes of every row. Every instruction reads all its operand words before
-// writing the destination row (the right-hand sides of a tuple assignment
-// are evaluated first), so in-place destinations — the allocator's
-// preferred layout — are safe.
-func (e *KernelEngine) Eval() {
-	regs := e.regs
-	code := e.k.code
+// lanes of every row, by the first of platformEvals.
+func (e *KernelEngine) Eval() { e.eval(e.regs, e.k.code) }
+
+// kernelEval is one implementation of Eval's pass, named for the tests.
+type kernelEval struct {
+	name string
+	run  func(regs []krow, code []kinstr)
+}
+
+// platformEvals lists the Eval implementations this machine can run, the one
+// engines use first: the Go pass, behind the AVX pass of kernel_amd64.go.
+var platformEvals = []kernelEval{{"go", evalGo}}
+
+// evalGo is the pass in Go, and the reference the assembly is held to. Every
+// instruction reads all its operand words before writing the destination row
+// (the right-hand sides of a tuple assignment are evaluated first), so
+// in-place destinations — the allocator's preferred layout — are safe.
+func evalGo(regs []krow, code []kinstr) {
 	for i := range code {
 		ins := &code[i]
 		rd := &regs[ins.dst]
 		a := &regs[ins.a]
 		switch ins.op {
-		case kBuf:
-			rd[0], rd[1], rd[2], rd[3] = a[0], a[1], a[2], a[3]
 		case kInv:
 			rd[0], rd[1], rd[2], rd[3] = ^a[0], ^a[1], ^a[2], ^a[3]
 		case kAnd2:

@@ -217,8 +217,9 @@ func TestKernelMatchesInterpreters(t *testing.T) {
 			tot.Folded += st.Folded
 			tot.Pruned += st.Pruned
 			tot.Holds += st.Holds
-			for op, n := range k.WideOpCounts() {
-				wide[op] += n
+			counts := k.OpCounts()
+			for op := range wide {
+				wide[op] += counts[op]
 			}
 		}
 	}
@@ -239,6 +240,18 @@ func TestKernelMatchesInterpreters(t *testing.T) {
 // kernelMatchesInterpreters runs one (netlist seed, batch width) case and
 // returns the kernel it checked.
 func kernelMatchesInterpreters(t *testing.T, seed int64, W int) *sim.Kernel {
+	p, k := randKernel(t, seed)
+	if st := k.Stats(); st.KernelOps > st.ProgramOps {
+		t.Fatalf("kernel grew: %+v", st)
+	}
+	matchInterpreters(t, p, k, W, 24, seed*7919+int64(W))
+	return k
+}
+
+// randKernel compiles randKernelNetlist(seed) and its kernel, every output
+// port kept.
+func randKernel(t *testing.T, seed int64) (*sim.Program, *sim.Kernel) {
+	t.Helper()
 	nl, err := randKernelNetlist(seed)
 	if err != nil {
 		t.Fatal(err)
@@ -251,22 +264,30 @@ func kernelMatchesInterpreters(t *testing.T, seed int64, W int) *sim.Kernel {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := k.Stats(); st.KernelOps > st.ProgramOps {
-		t.Fatalf("kernel grew: %+v", st)
-	}
-	matchInterpreters(t, p, k, W, 24, rand.New(rand.NewSource(seed*7919+int64(W))))
-	return k
+	return p, k
 }
 
-// matchInterpreters drives a KernelEngine of W words through the given
-// number of cycles against W independent packed Engines (word w ≡ narrow
-// batch w) and a ScalarEngine shadowing lane 0 of word 0: random inputs
-// and, on two cycles in three, an upset in one random word. Every output
-// word must agree on every cycle and every flip-flop word after every
-// clock edge.
-func matchInterpreters(t *testing.T, p *sim.Program, k *sim.Kernel, W, cycles int, rng *rand.Rand) {
+// matchInterpreters runs matchInterpretersOn once per Eval implementation
+// this machine can run, as a subtest named after it, each from the same seed.
+func matchInterpreters(t *testing.T, p *sim.Program, k *sim.Kernel, W, cycles int, seed int64) {
+	t.Helper()
+	for _, eval := range sim.PlatformEvals() {
+		t.Run(eval, func(t *testing.T) {
+			matchInterpretersOn(t, p, k, eval, W, cycles, rand.New(rand.NewSource(seed)))
+		})
+	}
+}
+
+// matchInterpretersOn drives a KernelEngine of W words on the named Eval
+// through the given number of cycles against W independent packed Engines
+// (word w ≡ narrow batch w) and a ScalarEngine shadowing lane 0 of word 0:
+// random inputs and, on two cycles in three, an upset in one random word.
+// Every output word must agree on every cycle and every flip-flop word after
+// every clock edge.
+func matchInterpretersOn(t *testing.T, p *sim.Program, k *sim.Kernel, eval string, W, cycles int, rng *rand.Rand) {
 	t.Helper()
 	ke := sim.NewKernelEngine(k, W)
+	ke.UseEval(eval)
 	if ke.Lanes() != W*sim.Lanes {
 		t.Fatalf("lanes %d, want %d", ke.Lanes(), W*sim.Lanes)
 	}
@@ -530,5 +551,70 @@ func TestKernelLayout(t *testing.T) {
 			}
 			check(t, m.Program, m.Bench.Stim, m.Bench.Monitors)
 		})
+	}
+}
+
+// TestKernelEvalsMatchGo holds every Eval implementation this machine can
+// run to the Go loop on register files of random words, which reach
+// in-place destinations and operand patterns that a reset or simulated file
+// never holds: on the full MAC's campaign kernel, every corpus scenario's at
+// both scales and the kernels of TestKernelMatchesInterpreters' 25 random
+// netlists. Every row must agree after each pass, and every opcode must
+// appear in those kernels, so that no opcode's implementation goes untested.
+func TestKernelEvalsMatchGo(t *testing.T) {
+	census := map[string]int{}
+	check := func(t *testing.T, k *sim.Kernel, seed int64) {
+		for op, n := range k.OpCounts() {
+			census[op] += n
+		}
+		ref := sim.NewKernelEngine(k, sim.DefaultKernelWords)
+		ref.UseEval("go")
+		for _, eval := range sim.PlatformEvals() {
+			e := sim.NewKernelEngine(k, sim.DefaultKernelWords)
+			e.UseEval(eval)
+			rng := rand.New(rand.NewSource(seed))
+			for pass := 0; pass < 4; pass++ {
+				got, want := e.Rows(), ref.Rows()
+				for s := range want {
+					for w := range want[s] {
+						want[s][w] = rng.Uint64()
+					}
+					got[s] = want[s]
+				}
+				e.Eval()
+				ref.Eval()
+				for s := range want {
+					if got[s] != want[s] {
+						t.Fatalf("%s Eval, pass %d: slot %d is %016x, the Go loop gives %016x", eval, pass, s, got[s], want[s])
+					}
+				}
+			}
+		}
+	}
+	t.Run("mac10ge/full", func(t *testing.T) {
+		p, bench := compiledMAC(t)
+		check(t, campaignKernel(t, p, bench.Stim, bench.Monitors), 1)
+	})
+	for _, scale := range []corpus.Scale{corpus.ScaleSmall, corpus.ScaleDefault} {
+		for i, sc := range corpus.List() {
+			t.Run(sc.ID()+"/"+scale.String(), func(t *testing.T) {
+				m, err := sc.Materialize(scale, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(t, campaignKernel(t, m.Program, m.Bench.Stim, m.Bench.Monitors), int64(2+i))
+			})
+		}
+	}
+	for seed := int64(1); seed <= 25; seed++ {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			_, k := randKernel(t, seed)
+			check(t, k, seed)
+		})
+	}
+	for op, n := range census {
+		if n == 0 {
+			t.Errorf("no kernel has a %s instruction: %v", op, census)
+		}
 	}
 }
