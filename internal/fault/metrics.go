@@ -47,6 +47,7 @@ type campaignMetrics struct {
 	kernelOps       *obs.Gauge
 	kernelSlots     *obs.Gauge
 	kernelHolds     *obs.Gauge
+	kernelCoalesced *obs.Gauge
 	kernelRemoved   *obs.GaugeVec
 }
 
@@ -88,6 +89,8 @@ func newCampaignMetrics(reg *obs.Registry) *campaignMetrics {
 			"register-file rows of the campaign kernel"),
 		kernelHolds: reg.Gauge("ffr_campaign_kernel_hold_captures",
 			"load-enable flip-flops the campaign kernel captures at the clock edge instead of through a mux op"),
+		kernelCoalesced: reg.Gauge("ffr_campaign_kernel_coalesced_captures",
+			"plain flip-flops whose D instruction writes the Q row, so the campaign kernel's clock edge copies nothing for them"),
 		kernelRemoved: reg.GaugeVec("ffr_campaign_kernel_removed_ops",
 			"program ops the kernel compiler removed, by pass: constant folding and copy propagation (fold), producers fused into a superop (fuse), dead fanout (prune)", "pass"),
 	}
@@ -101,6 +104,7 @@ func (m *campaignMetrics) observeKernel(st sim.KernelStats) {
 	m.kernelOps.Set(float64(st.KernelOps))
 	m.kernelSlots.Set(float64(st.Slots))
 	m.kernelHolds.Set(float64(st.Holds))
+	m.kernelCoalesced.Set(float64(st.Coalesced))
 	m.kernelRemoved.With("fold").Set(float64(st.Folded))
 	m.kernelRemoved.With("fuse").Set(float64(st.Fused))
 	m.kernelRemoved.With("prune").Set(float64(st.Pruned))

@@ -49,6 +49,7 @@ func TestCampaignMetrics(t *testing.T) {
 		"ffr_campaign_kernel_ops",
 		"ffr_campaign_kernel_slots",
 		"ffr_campaign_kernel_hold_captures",
+		"ffr_campaign_kernel_coalesced_captures",
 		"ffr_campaign_kernel_removed_ops",
 	} {
 		if !strings.Contains(text, fam) {
@@ -100,6 +101,7 @@ func TestCampaignMetrics(t *testing.T) {
 		"ffr_campaign_kernel_ops":                       st.KernelOps,
 		"ffr_campaign_kernel_slots":                     st.Slots,
 		"ffr_campaign_kernel_hold_captures":             st.Holds,
+		"ffr_campaign_kernel_coalesced_captures":        st.Coalesced,
 		`ffr_campaign_kernel_removed_ops{pass="fold"}`:  st.Folded,
 		`ffr_campaign_kernel_removed_ops{pass="fuse"}`:  st.Fused,
 		`ffr_campaign_kernel_removed_ops{pass="prune"}`: st.Pruned,

@@ -109,7 +109,9 @@ func reportLaneCycle(b *testing.B, e *sim.KernelEngine) {
 // monitored ports, once per Eval implementation (sub-benchmarks /avx, /go).
 // Unlike the Eval and Commit benchmarks, which step a reset register file,
 // its rows carry the stimulus's activity, so gates toggle and enables switch
-// as they do in a campaign.
+// as they do in a campaign. An OnSnapshot hook that never stops the run
+// makes it compare the state with every golden snapshot, as a campaign's
+// window does.
 func BenchmarkKernelWindow(b *testing.B) {
 	p, bench := compiledMAC(b)
 	stim, monitors := bench.Stim, bench.Monitors
@@ -120,7 +122,11 @@ func BenchmarkKernelWindow(b *testing.B) {
 		b.Run(eval, func(b *testing.B) {
 			e := sim.NewKernelEngine(k, sim.DefaultKernelWords)
 			e.UseEval(eval)
-			cfg := sim.WideWindowConfig{Monitors: monitors, Traces: make([]*sim.Trace, e.Words())}
+			cfg := sim.WideWindowConfig{
+				Monitors:   monitors,
+				Traces:     make([]*sim.Trace, e.Words()),
+				OnSnapshot: func(int, []uint64) bool { return false },
+			}
 			for w := range cfg.Traces {
 				cfg.Traces[w] = sim.NewTrace(monitors, stim.Cycles())
 			}

@@ -96,3 +96,71 @@ func (e *KernelEngine) UseEval(name string) {
 
 // Rows returns the engine's register file, one row per slot.
 func (e *KernelEngine) Rows() [][DefaultKernelWords]uint64 { return e.regs }
+
+// Words returns every packed word the snapshot set holds: the flip-flop
+// bits of each restore point, then its loopback words.
+func (s *Snapshots) Words() []uint64 { return append(append([]uint64(nil), s.ff...), s.lb...) }
+
+// CaptureCensus counts the plain-copy flip-flops of p's kernel under cfg by
+// what capture coalescing made of them: "coalesced", or the reason it kept
+// the clock-edge copy — "D not an op", "shared D" (an earlier flip-flop took
+// the D op), "Q an output port", "Q another FF's D", "Q a hold's x/s" or "Q
+// read after D's op". The reasons come from the IR, "coalesced" from the
+// kernel (an instruction writes the Q slot), so a refused flip-flop whose Q
+// row an instruction writes, or a hold's, is counted under "wrongly written".
+func CaptureCensus(p *Program, cfg KernelConfig) (map[string]int, error) {
+	k, err := BuildKernel(p, cfg)
+	if err != nil {
+		return nil, err
+	}
+	written := map[int32]bool{}
+	for _, ins := range k.code {
+		written[ins.dst] = true
+	}
+	b := newIR(p)
+	b.simplify()
+	b.fuse()
+	b.prune(cfg.KeepOutputs)
+	holds := b.foldHolds()
+	port, ffD, holdIn, claimed := map[int32]bool{}, map[int32]bool{}, map[int32]bool{}, map[int32]bool{}
+	for _, n := range p.outputNets {
+		port[b.resolve(n)] = true
+	}
+	for i, h := range holds {
+		ffD[b.resolve(p.ffs[i].d)] = true
+		if h.x >= 0 {
+			holdIn[h.x], holdIn[h.s] = true, true
+		}
+	}
+	census := map[string]int{}
+	for i, h := range holds {
+		d := b.resolve(p.ffs[i].d)
+		why := "Q read after D's op"
+		switch {
+		case h.x >= 0:
+			why = "hold"
+		case b.kind[d] != irKindOp:
+			why = "D not an op"
+		case claimed[d]:
+			why = "shared D"
+		case port[h.q]:
+			why = "Q an output port"
+		case ffD[h.q]:
+			why = "Q another FF's D"
+		case holdIn[h.q]:
+			why = "Q a hold's x/s"
+		default:
+			claimed[d] = true
+			if written[k.ffQ[i]] {
+				why = "coalesced"
+			}
+		}
+		if why != "coalesced" && written[k.ffQ[i]] {
+			why = "wrongly written"
+		}
+		if why != "hold" {
+			census[why]++
+		}
+	}
+	return census, nil
+}

@@ -9,8 +9,10 @@ import (
 )
 
 // kernelSeeds are hand-written .gnl netlists for the kernel compiler's wide
-// fusion and grouped hold captures: one per fused idiom, then one per shape
-// whose producer must stay an op because something else reads it.
+// fusion, grouped hold captures and capture coalescing: one per fused idiom,
+// one per shape whose producer must stay an op because something else reads
+// it, then one per reason a plain flip-flop keeps its clock-edge copy
+// (TestCaptureCoalescingCensus holds each to the reason in its name).
 var kernelSeeds = []struct{ name, gnl string }{
 	{"or3 of and2s", `design ao222
 input a
@@ -122,12 +124,67 @@ cell h4r DFF_X1 out=h4 in=d4 init=1
 output o0 h0
 output o3 h3
 `},
+	{"coalescing refused: Q an output port", `design qport
+input a
+input b
+cell r0 DFF_X1 out=q0 in=y init=0
+cell u0 AND2_X1 out=y in=a,b
+output o q0
+`},
+	{"coalescing refused: Q another FF's D", `design qshift
+input a
+input b
+cell r0 DFF_X1 out=q0 in=y init=0
+cell r1 DFF_X1 out=q1 in=q0 init=1
+cell u0 XOR2_X1 out=y in=a,q1
+cell u1 AND2_X1 out=z in=q1,b
+output o z
+`},
+	{"coalescing refused: Q a hold's x/s", `design qhold
+input a
+input b
+input s
+cell r0 DFF_X1 out=q0 in=y init=0
+cell u0 OR2_X1 out=y in=a,b
+cell m0 MUX2_X1 out=hd in=qh,q0,s
+cell rh DFF_X1 out=qh in=hd init=1
+cell m1 MUX2_X1 out=ge in=gq,a,q0
+cell rg DFF_X1 out=gq in=ge init=0
+output o qh
+output p gq
+`},
+	{"coalescing refused: Q read after D's op", `design qlate
+input a
+input b
+cell r0 DFF_X1 out=q0 in=y init=0
+cell u0 AND2_X1 out=y in=a,b
+cell u1 XOR2_X1 out=z in=y,q0
+output o z
+`},
+	{"coalescing refused: D not an op", `design dinput
+input a
+input b
+cell r0 DFF_X1 out=q0 in=a init=1
+cell u0 AND2_X1 out=z in=q0,b
+output o z
+`},
+	{"coalescing refused: shared D", `design shared
+input a
+input b
+cell r0 DFF_X1 out=q0 in=y init=0
+cell r1 DFF_X1 out=q1 in=y init=1
+cell u0 XOR2_X1 out=y in=a,q0
+cell u1 AND2_X1 out=z in=q1,b
+output o z
+`},
 }
 
 // FuzzKernelMatchesEngine is differential: whatever netlist the parser
 // accepts, its compiled kernel over a 4-word batch must match four packed
 // Engines and the scalar reference through 16 seeded cycles of random inputs
-// and flip-flop upsets, on every Eval implementation (matchInterpreters).
+// and flip-flop upsets, on every Eval implementation (matchInterpreters),
+// and RunKernel must match Run's trace, activity and snapshots
+// (runKernelMatchesRun).
 func FuzzKernelMatchesEngine(f *testing.F) {
 	for _, seed := range kernelSeeds {
 		if _, err := netlist.Parse(bytes.NewReader([]byte(seed.gnl))); err != nil {
@@ -152,5 +209,6 @@ func FuzzKernelMatchesEngine(f *testing.F) {
 			t.Fatalf("kernel of a compiled program: %v", err)
 		}
 		matchInterpreters(t, p, k, sim.DefaultKernelWords, 16, seed)
+		runKernelMatchesRun(t, p, k, 16, seed)
 	})
 }

@@ -38,7 +38,9 @@ import (
 //     so the kernel's working set is compacted into a small register file
 //     that stays cache-resident regardless of netlist size (operand
 //     locality), with destination slots preferentially reusing a dying
-//     operand's slot.
+//     operand's slot. A plain flip-flop's D op writes the flip-flop's Q
+//     slot when nothing reads Q after it (capture coalescing), so the clock
+//     edge has no copy to make for it.
 //
 // Fused superops that have no netlist.Func counterpart live in a private
 // extension of the Func space; they exist only between the fuse passes and
@@ -91,6 +93,9 @@ type KernelStats struct {
 	// Holds counts the hold muxes folded into the clock edge as hold
 	// captures; they are neither emitted nor pruned.
 	Holds int
+	// Coalesced counts the plain-copy flip-flops whose D instruction writes
+	// the Q row itself, so the clock edge copies nothing for them.
+	Coalesced int
 	// Slots is the register-file height in 64-lane words per batch word.
 	Slots int
 }
@@ -613,8 +618,8 @@ func (b *irBuilder) fuseWide(rooted []bool) int {
 }
 
 // buildKernel runs passes 4 to 6 and emission: hold folding, wide fusion,
-// liveness-based slot allocation over the surviving ops, then bytecode. See
-// kernel.go for the artifact.
+// liveness-based slot allocation over the surviving ops with capture
+// coalescing, then bytecode. See kernel.go for the artifact.
 func (b *irBuilder) buildKernel() (*Kernel, error) {
 	p := b.p
 	holds := b.foldHolds()
@@ -632,6 +637,16 @@ func (b *irBuilder) buildKernel() (*Kernel, error) {
 		rooted[b.resolve(n)] = true
 	}
 	absorbed := b.fuseWide(rooted)
+	// Capture coalescing: the first plain-copy flip-flop on an op's D net
+	// whose Q is no root (no port, hold input or other flip-flop's D reads
+	// it after Eval) has that op write the Q row, if no later op reads Q.
+	intoQ := make([]int32, p.nets) // D net → that flip-flop's Q net + 1, or 0
+	for i, h := range holds {
+		d := b.resolve(p.ffs[i].d)
+		if intoQ[d] == 0 && h.x < 0 && b.kind[d] == irKindOp && !rooted[h.q] {
+			intoQ[d] = h.q + 1
+		}
+	}
 	const unallocated = int32(-1)
 	slotOfNet := make([]int32, p.nets)
 	for i := range slotOfNet {
@@ -698,6 +713,7 @@ func (b *irBuilder) buildKernel() (*Kernel, error) {
 		const1: const1,
 	}
 	var free []int32
+	coalesced := 0
 	for pos, o := range live {
 		code, err := encodeOp(o)
 		if err != nil {
@@ -724,7 +740,10 @@ func (b *irBuilder) buildKernel() (*Kernel, error) {
 			}
 		}
 		var dst int32
-		if len(free) > 0 {
+		if q := intoQ[o.out] - 1; q >= 0 && lastUse[q] <= int32(pos) {
+			dst = slotOfNet[q]
+			coalesced++
+		} else if len(free) > 0 {
 			dst = free[len(free)-1]
 			free = free[:len(free)-1]
 		} else {
@@ -790,6 +809,7 @@ func (b *irBuilder) buildKernel() (*Kernel, error) {
 		Pruned:     len(p.ops) - folded - len(k.code) - len(holdCaps) - absorbed,
 		Slots:      k.slots,
 		Holds:      len(holdCaps),
+		Coalesced:  coalesced,
 	}
 	k.code = append(k.code, kinstr{op: kHalt})[:len(k.code)]
 	if err := k.checkSlots(); err != nil {

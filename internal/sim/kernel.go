@@ -113,22 +113,28 @@ type ffHold struct {
 	hold         uint64
 }
 
-// planCommit sorts the flip-flop captures. Commit writes Q rows only, each
-// capture its own, so a capture reading no Q row but its own (only
-// instruction results, primary inputs and constants: the allocator never
-// hands a Q slot to an instruction) can run in place, in any order. One
-// reading another Q row (an FF→FF shift path, a hold whose data or enable is
-// a Q; a copy of its own Q, too) stages, and a staged copy is a hold that
-// always loads. Holds sharing a select row and hold word are grouped, so
-// Commit tests and masks each shared load-enable once: in-place captures
-// read no other Q row, so their order is free, and the one whose select is
-// its own Q is alone in its group (another reading that Q is staged).
+// planCommit sorts the flip-flop captures. A copy whose D row is its own Q
+// row needs nothing: Eval's coalesced D instruction already wrote it, or the
+// flip-flop holds itself. Commit writes Q rows only, each capture its own,
+// so a capture reading no Q row but its own (instruction results, primary
+// inputs and constants: the only instruction given a Q slot is a coalesced
+// D, and a capture reading it reads a Q row) can run in place, in any order.
+// One reading another Q row (an FF→FF shift path, a hold whose data or
+// enable is a Q, a second flip-flop on a coalesced D) stages, and a staged
+// copy is a hold that always loads. Holds sharing a select row and hold
+// word are grouped, so Commit tests and masks each shared load-enable once:
+// in-place captures read no other Q row, so their order is free, and the one
+// whose select is its own Q is alone in its group (another reading that Q is
+// staged).
 func (k *Kernel) planCommit(copies []ffCopy, holds []ffHold) {
 	isQ := make([]bool, k.slots)
 	for _, q := range k.ffQ {
 		isQ[q] = true
 	}
 	for _, c := range copies {
+		if c.d == c.q { // D's instruction wrote the Q row, or Q holds itself
+			continue
+		}
 		if isQ[c.d] {
 			holds = append(holds, ffHold{q: c.q, x: c.d, s: k.const1})
 		} else {
@@ -265,7 +271,10 @@ func (e *KernelEngine) ForceFF(ff, w int, mask uint64, value bool) {
 	}
 }
 
-// FFWord returns the packed state of flip-flop ff in batch word w.
+// FFWord returns the packed state of flip-flop ff in batch word w. It is
+// valid at the top of a cycle (after Reset, a restore or Commit), not
+// between Eval and Commit: a coalesced capture's Q row then holds the next
+// state.
 func (e *KernelEngine) FFWord(ff, w int) uint64 {
 	return e.row(e.k.ffQ[ff])[w]
 }

@@ -11,13 +11,16 @@ package sim_test
 // kernel's Commit treats specially: an FF fed straight by a primary input,
 // direct FF→FF shift links (one through a BUF that copy propagation
 // removes), an FF holding its own Q, load-enable FFs in every shape the
-// compiler folds into a hold capture or must leave alone, and in-place holds
-// sharing one enable. Last come the idioms wide fusion merges into one
+// compiler folds into a hold capture or must leave alone, in-place holds
+// sharing one enable, and plain flip-flops in each shape capture coalescing
+// must refuse. Last come the idioms wide fusion merges into one
 // superop, each also in a negative form whose producer must stay an op.
 
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -177,6 +180,22 @@ func randKernelNetlist(seed int64) (*netlist.Netlist, error) {
 	port := and()
 	b.Output("andPort", port)
 	b.Output("andPortRead", b.Or(and(), port, and()))
+
+	// Capture coalescing: a plain flip-flop on an op's D net whose Q is read
+	// by an output port, as another flip-flop's D, as a hold's data, or by an
+	// op after D's, must keep its clock-edge copy (ffIn, ffShift[0] and ffHold
+	// have a D that is no op, ffHoldTwin shares ffHoldShared's D).
+	plain := func(name string, d netlist.NetID) netlist.NetID {
+		q, set := b.DFFDecl(name, rng.Intn(2) == 1)
+		set(d)
+		return q
+	}
+	b.Output("qPort", plain("ffQPort", and()))
+	b.DFF("ffQShiftNext", plain("ffQShift", xor()), false)
+	qData := plain("ffQData", b.Or(leaf(), leaf()))
+	hold("ffHoldQData", func(q netlist.NetID) netlist.NetID { return b.Mux(q, qData, leaf()) })
+	late := and()
+	b.Output("qLate", b.Xor(late, plain("ffQLate", late)))
 	nl, err := b.Finish()
 	if err != nil {
 		return nil, err
@@ -349,6 +368,131 @@ func matchInterpretersOn(t *testing.T, p *sim.Program, k *sim.Kernel, eval strin
 	}
 }
 
+// TestRunKernelMatchesRun holds RunKernel to Run on the 25 random netlists
+// (runKernelMatchesRun). Between Eval and Commit a coalesced capture's Q row
+// already holds the next state, so a run loop sampling flip-flops there
+// would record a kernel's activity one cycle early.
+func TestRunKernelMatchesRun(t *testing.T) {
+	for seed := int64(1); seed <= 25; seed++ {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			p, k := randKernel(t, seed)
+			runKernelMatchesRun(t, p, k, 40, seed)
+		})
+	}
+}
+
+// runKernelMatchesRun runs a random stimulus of the given length, with a
+// loopback from output 0 into the last input when there are both and every
+// flip-flop inverted by the injection hook on one cycle, through Run on the
+// interpreter and RunKernel on k under each Eval implementation: traces,
+// activity and every snapshot word must be equal.
+func runKernelMatchesRun(t *testing.T, p *sim.Program, k *sim.Kernel, cycles int, seed int64) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	stim := sim.NewStimulus(cycles)
+	nIn, nOut, nFF := p.NumInputs(), p.NumOutputs(), p.NumFFs()
+	driven := nIn
+	if nIn > 1 && nOut > 0 {
+		driven--
+		stim.AddLoopback(nIn-1, 0)
+	}
+	for i := 0; i < driven; i++ {
+		set := stim.DrivePort(i)
+		for c := 0; c < cycles; c++ {
+			set(c, rng.Intn(2) == 1)
+		}
+	}
+	monitors := make([]int, nOut)
+	for i := range monitors {
+		monitors[i] = i
+	}
+	flipAt := rng.Intn(cycles)
+	flipAll := func(flip func(ff int)) func(int) {
+		return func(c int) {
+			for ff := 0; c == flipAt && ff < nFF; ff++ {
+				flip(ff)
+			}
+		}
+	}
+	const every = 4
+	interp := sim.NewEngine(p)
+	wantSnaps := sim.NewSnapshots(p, stim, every)
+	want, wantAct := sim.Run(interp, stim, sim.RunConfig{
+		Monitors: monitors, CollectActivity: true, Snapshots: wantSnaps,
+		PreEval: flipAll(func(ff int) { interp.FlipFF(ff, ^uint64(0)) }),
+	})
+	for _, eval := range sim.PlatformEvals() {
+		t.Run(eval, func(t *testing.T) {
+			e := sim.NewKernelEngine(k, 1)
+			e.UseEval(eval)
+			snaps := sim.NewSnapshots(p, stim, every)
+			got, act := sim.RunKernel(e, stim, sim.RunConfig{
+				Monitors: monitors, CollectActivity: true, Snapshots: snaps,
+				PreEval: flipAll(func(ff int) { e.FlipFF(ff, 0, ^uint64(0)) }),
+			})
+			if !got.Equal(want) {
+				t.Error("RunKernel's trace differs from Run's")
+			}
+			if act.Cycles != wantAct.Cycles || !slices.Equal(act.Ones, wantAct.Ones) || !slices.Equal(act.Toggles, wantAct.Toggles) {
+				t.Errorf("RunKernel's activity differs from Run's: ones %v toggles %v, want %v %v",
+					act.Ones, act.Toggles, wantAct.Ones, wantAct.Toggles)
+			}
+			if !slices.Equal(snaps.Words(), wantSnaps.Words()) {
+				t.Error("RunKernel's snapshots differ from Run's")
+			}
+		})
+	}
+}
+
+// TestCaptureCoalescingCensus requires capture coalescing to find work on
+// the random netlists and each of its refusals to occur there
+// (sim.CaptureCensus), no refused flip-flop's Q row to be an instruction's
+// destination, and every "coalescing refused" seed of the fuzz corpus to
+// show the refusal it is named for.
+func TestCaptureCoalescingCensus(t *testing.T) {
+	census := func(t *testing.T, p *sim.Program) map[string]int {
+		t.Helper()
+		c, err := sim.CaptureCensus(p, sim.KernelConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c["wrongly written"] != 0 {
+			t.Errorf("an instruction writes the Q row of a flip-flop coalescing refused: %v", c)
+		}
+		return c
+	}
+	tot := map[string]int{}
+	for seed := int64(1); seed <= 25; seed++ {
+		p, _ := randKernel(t, seed)
+		for why, n := range census(t, p) {
+			tot[why] += n
+		}
+	}
+	for _, why := range []string{"coalesced", "D not an op", "shared D", "Q an output port",
+		"Q another FF's D", "Q a hold's x/s", "Q read after D's op"} {
+		if tot[why] == 0 {
+			t.Errorf("no %q capture across the random netlists: %v", why, tot)
+		}
+	}
+	for _, seed := range kernelSeeds {
+		why, ok := strings.CutPrefix(seed.name, "coalescing refused: ")
+		if !ok {
+			continue
+		}
+		nl, err := netlist.Parse(strings.NewReader(seed.gnl))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := sim.Compile(nl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c := census(t, p); c[why] == 0 {
+			t.Errorf("seed %q: census %v", seed.name, c)
+		}
+	}
+}
+
 // TestKernelPrunedOutputs checks dead-fanout pruning against a restricted
 // observed set: kept ports and all flip-flop state must stay bit-identical
 // to the interpreter while reading a pruned port panics.
@@ -497,10 +641,11 @@ func TestMACKernelShape(t *testing.T) {
 		got, want int
 	}{
 		{"kernel ops", st.KernelOps, 2551},
-		{"slots", st.Slots, 1826},
+		{"slots", st.Slots, 1800},
 		{"fused", st.Fused, 1284},
 		{"holds", st.Holds, 690},
 		{"pruned", st.Pruned, 102},
+		{"coalesced", st.Coalesced, 326},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s = %d, want %d (%+v)", c.name, c.got, c.want, st)

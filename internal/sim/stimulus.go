@@ -195,7 +195,9 @@ type stepper interface {
 	SetInput(i int, word uint64)
 	Eval()
 	Output(i int) uint64
-	// ffBits packs lane 0 of every flip-flop's Q, flip-flop i at bit i%64 of dst[i/64].
+	// ffBits packs lane 0 of every flip-flop's Q, flip-flop i at bit i%64 of
+	// dst[i/64]. It is valid at the top of a cycle, not between Eval and
+	// Commit: a kernel's coalesced Q row then holds the next state.
 	ffBits(dst []uint64)
 	Commit()
 }
@@ -248,18 +250,9 @@ func run(e stepper, p *Program, stim *Stimulus, cfg RunConfig) (*Trace, *Activit
 		if cfg.PreEval != nil {
 			cfg.PreEval(c)
 		}
-		e.Eval()
-		for i, l := range stim.loopback {
-			lb[i] = e.Output(l.Out)
-		}
-		if trace != nil {
-			base := c * len(cfg.Monitors)
-			for m, port := range cfg.Monitors {
-				trace.words[base+m] = e.Output(port)
-			}
-		}
 		if act != nil {
-			// Set bits only: a cycle costs its ones and toggles, not its flip-flops.
+			// Sampled before Eval, at the top of the cycle. Set bits only: a
+			// cycle costs its ones and toggles, not its flip-flops.
 			e.ffBits(q)
 			for w, word := range q {
 				for b := word; b != 0; b &= b - 1 {
@@ -270,6 +263,16 @@ func run(e stepper, p *Program, stim *Stimulus, cfg RunConfig) (*Trace, *Activit
 				}
 			}
 			q, prev = prev, q
+		}
+		e.Eval()
+		for i, l := range stim.loopback {
+			lb[i] = e.Output(l.Out)
+		}
+		if trace != nil {
+			base := c * len(cfg.Monitors)
+			for m, port := range cfg.Monitors {
+				trace.words[base+m] = e.Output(port)
+			}
 		}
 		e.Commit()
 	}

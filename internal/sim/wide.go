@@ -28,12 +28,9 @@ func (s *Snapshots) RestoreKernel(e *KernelEngine, idx int, lb []uint64) {
 	e.Reset()
 	W := e.w
 	ffBase := idx * s.ffWords
-	for i := 0; i < s.numFFs; i++ {
-		var word uint64
-		if s.ff[ffBase+i/64]>>uint(i%64)&1 == 1 {
-			word = ^uint64(0)
-		}
-		*e.row(e.k.ffQ[i]) = krow{word, word, word, word}
+	for i, q := range e.k.ffQ {
+		word := -(s.ff[ffBase+i/64] >> (i & 63) & 1) // all ones or zero, no branch
+		*e.row(q) = krow{word, word, word, word}
 	}
 	lbBase := idx * s.numLb
 	for j := 0; j < s.numLb; j++ {
@@ -51,12 +48,9 @@ func (s *Snapshots) divergedKernel(e *KernelEngine, lb []uint64, idx int, out []
 	W := e.w
 	var diff krow
 	ffBase := idx * s.ffWords
-	for i := 0; i < s.numFFs; i++ {
-		var want uint64
-		if s.ff[ffBase+i/64]>>uint(i%64)&1 == 1 {
-			want = ^uint64(0)
-		}
-		q := e.row(e.k.ffQ[i])
+	for i, slot := range e.k.ffQ {
+		want := -(s.ff[ffBase+i/64] >> (i & 63) & 1)
+		q := e.row(slot)
 		diff[0] |= q[0] ^ want
 		diff[1] |= q[1] ^ want
 		diff[2] |= q[2] ^ want
