@@ -15,6 +15,7 @@ import (
 	"repro/internal/features"
 	"repro/internal/ml/metrics"
 	"repro/internal/persist"
+	"repro/internal/plan"
 )
 
 // experiments lists the MAC-study experiments in the order -exp all runs
@@ -42,8 +43,9 @@ var experiments = []struct {
 // 2a/2b, 3a/3b, 4a/4b, plus the campaign report, the extended-model table,
 // the hyperparameter search, the feature table (k-NN without each feature
 // group, near-duplicate family and column, and behind PCA) and the
-// injection-budget ablation. Figure experiments also emit the plotted
-// series as CSV files when -csvdir is given.
+// equal-injection budget table, replayed from the one ground-truth
+// campaign. Figure experiments also emit the plotted series as CSV files
+// when -csvdir is given.
 //
 // The predict experiment is the train-once/predict-forever fast path: it
 // loads a saved model artifact (ffr train -save) and predicts the FDR of
@@ -289,14 +291,27 @@ func (r expRunner) features() error {
 	return nil
 }
 
+// budget is the equal-injection table: the paper's k-NN trained on the
+// full campaign, then per budget fraction the thin spread (every pool
+// flip-flop at that fraction of its injections), the random control and the
+// committee planner (that fraction of the pool's flip-flops, six rounds),
+// all replayed from the ground truth. At -n 170 the thin rows are 10, 34,
+// 85 and 170 injections per flip-flop.
 func (r expRunner) budget() error {
-	points, err := r.study.InjectionBudgetAblation([]int{10, 34, 85, 170}, core.PaperModels()[1], 5, r.seed)
-	if err != nil {
-		return err
-	}
-	r.c.Printf("%-16s %14s %12s\n", "Injections/FF", "mean 95% CI", "k-NN R2")
-	for _, p := range points {
-		r.c.Printf("%-16d %14.3f %12.3f\n", p.InjectionsPerFF, p.MeanCI95, p.KNNR2)
+	const format = "%-8s %-10s %5d %6d %6.3f %10s %7.3f %7.3f\n"
+	r.c.Printf("%-8s %-10s %5s %6s %6s %10s %7s %7s\n", "budget", "row", "FFs", "inj/FF", "share", "|FFR-true|", "R2", "tau")
+	for i, frac := range []float64{10.0 / 170, 34.0 / 170, 85.0 / 170, 1} {
+		cmp, err := r.study.CompareAdaptiveStrategies(plan.StrategyNames(), core.PaperModels()[1], frac, 6, r.seed)
+		if err != nil {
+			return err
+		}
+		if i == 0 {
+			r.c.Printf(format, "-", "full", cmp.PoolFFs, r.study.Config.InjectionsPerFF, 1.0, "-", cmp.FullR2, cmp.FullTau)
+		}
+		for _, o := range append([]core.AdaptiveOutcome{cmp.Thin}, cmp.Outcomes...) {
+			r.c.Printf(format, fmt.Sprintf("%.3f", frac), o.Strategy, o.MeasuredFFs, o.Injections/o.MeasuredFFs,
+				o.InjectionFrac, fmt.Sprintf("%.4f", math.Abs(o.FFR-cmp.TrueFFR)), o.R2, o.Tau)
+		}
 	}
 	return nil
 }

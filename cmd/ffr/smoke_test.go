@@ -164,6 +164,31 @@ func TestExpVariantTables(t *testing.T) {
 	}
 }
 
+// TestExpBudgetSmoke: -exp budget at -n 4 prints the full-campaign row,
+// then per budget fraction a thin, a random and a committee row, every one
+// replayed from the ground truth: the one campaign stderr logs.
+func TestExpBudgetSmoke(t *testing.T) {
+	stdout, stderr := mustFFR(t, "exp", "-exp", "budget", "-n", "4")
+	if n := strings.Count(stderr, `msg="campaign complete"`); n != 1 {
+		t.Errorf("-exp budget logged %d completed campaigns, want the ground truth alone:\n%s", n, stderr)
+	}
+	want := []string{"- full"}
+	for _, budget := range []string{"0.059", "0.200", "0.500", "1.000"} {
+		for _, row := range []string{"thin", "random", "committee"} {
+			want = append(want, budget+" "+row)
+		}
+	}
+	var rows []string
+	for _, line := range strings.Split(stdout, "\n") {
+		if f := strings.Fields(line); len(f) == 8 && f[0] != "budget" {
+			rows = append(rows, f[0]+" "+f[1])
+		}
+	}
+	if !slices.Equal(rows, want) {
+		t.Errorf("-exp budget rows %q, want %q:\n%s", rows, want, stdout)
+	}
+}
+
 // TestCorpusSmoke: enumerate and validate every DUT family, sweep the
 // whole corpus (tiny geometry, 128-job chunks) with per-scenario artifacts, run
 // one cross-circuit transfer matrix, then serve two of the swept artifacts

@@ -105,29 +105,31 @@ func (s *Study) planFor(ffs []int) ([]fault.Job, error) {
 }
 
 // replayTarget serves round measurements straight from a completed
-// ground-truth campaign instead of re-simulating them. This is exact, not an
-// approximation: a round's plan is the per-FF subset of the full plan
+// ground-truth campaign instead of re-simulating them: each flip-flop's
+// first k recorded job outcomes (fault.Result.FailedJobs). This is exact,
+// not an approximation: a round's plan is the per-FF subset of the full plan
 // (planFor), every job's outcome is a deterministic function of (job, golden
 // trace), and the equivalence suite pins that partial campaigns reproduce
-// ground-truth counts bit-identically. Evaluation protocols use it to sweep
-// many strategies against one already-measured campaign at zero simulation
-// cost.
+// ground-truth counts bit-identically. The plan is target-major and i.i.d.,
+// so a flip-flop's first k jobs are a uniform sample of k injections; at
+// k = InjectionsPerFF the replay is the whole recorded measurement.
+// Evaluation protocols use it to sweep many strategies and budgets against
+// one already-measured campaign at zero simulation cost.
 type replayTarget struct {
 	studyTarget
-	campaign *fault.Result
+	k int
 }
 
 func (t *replayTarget) RunRound(ctx context.Context, ffs []int, checkpointPath string, resume bool) (*fault.Result, error) {
-	res := &fault.Result{
-		FDR:        make([]float64, t.study.NumFFs()),
-		Failures:   make([]int, t.study.NumFFs()),
-		Injections: make([]int, t.study.NumFFs()),
-	}
+	n, per, bits := t.study.NumFFs(), t.study.Config.InjectionsPerFF, t.study.Campaign.FailedJobs
+	res := &fault.Result{FDR: make([]float64, n), Failures: make([]int, n), Injections: make([]int, n)}
 	for _, ff := range ffs {
-		res.Failures[ff] = t.campaign.Failures[ff]
-		res.Injections[ff] = t.campaign.Injections[ff]
-		res.FDR[ff] = t.campaign.FDR[ff]
-		res.TotalRuns += t.campaign.Injections[ff]
+		for j := ff * per; j < ff*per+t.k; j++ {
+			res.Failures[ff] += int(bits[j/64] >> (j % 64) & 1)
+		}
+		res.Injections[ff] = t.k
+		res.FDR[ff] = float64(res.Failures[ff]) / float64(t.k)
+		res.TotalRuns += t.k
 	}
 	return res, nil
 }
@@ -154,7 +156,7 @@ type AdaptiveOutcome struct {
 }
 
 // AdaptiveComparison is the outcome of CompareAdaptiveStrategies: a shared
-// full-campaign baseline plus one outcome per strategy.
+// full-campaign baseline, the thin spread and one outcome per strategy.
 type AdaptiveComparison struct {
 	// PoolFFs and EvalFFs are the sizes of the measurable pool and the
 	// held-out evaluation set.
@@ -164,21 +166,28 @@ type AdaptiveComparison struct {
 	FullR2, FullTau float64
 	// TrueFFR is the ground-truth circuit FFR (mean per-FF FDR).
 	TrueFFR float64
+	// Thin spreads the same injections over the whole pool: every pool
+	// flip-flop measured once at the budget fraction of its injections (at
+	// least one), no selection.
+	Thin AdaptiveOutcome
 	// Outcomes holds one entry per requested strategy, in request order.
 	Outcomes []AdaptiveOutcome
 }
 
 // CompareAdaptiveStrategies measures whether active selection reaches
-// full-campaign estimation quality at a fraction of the injections. The
-// protocol: draw one stratified 50 % split; the train side is the pool the
-// planner may measure, the test side is held out for evaluation. The
-// baseline trains spec on the whole pool (the "full campaign"); each
-// strategy gets budgetFrac of the pool, spread over `rounds` adaptive rounds
-// after an initial half-budget draw. Rounds replay measurements from the
-// ground-truth campaign (see replayTarget), so the comparison is exact and
-// cheap. Ground truth must be available.
+// full-campaign estimation quality at a fraction of the injections, and
+// whether it beats spreading those injections thinly. The protocol: draw
+// one stratified 50 % split; the train side is the pool the planner may
+// measure, the test side is held out for evaluation. The baseline trains
+// spec on the whole pool (the "full campaign"); each strategy gets
+// budgetFrac of the pool, spread over `rounds` adaptive rounds after an
+// initial draw of a third of the budget; the thin row measures the whole
+// pool in one round at budgetFrac of each flip-flop's injections. Every row
+// replays measurements from the ground-truth campaign (see replayTarget),
+// so the comparison is exact and simulates nothing. Ground truth must be
+// available.
 func (s *Study) CompareAdaptiveStrategies(strategies []string, spec ModelSpec, budgetFrac float64, rounds int, seed int64) (*AdaptiveComparison, error) {
-	if budgetFrac <= 0 || budgetFrac > 1 {
+	if !(0 < budgetFrac && budgetFrac <= 1) {
 		return nil, fmt.Errorf("core: adaptive budget fraction %v out of (0,1]", budgetFrac)
 	}
 	if rounds < 1 {
@@ -211,25 +220,12 @@ func (s *Study) CompareAdaptiveStrategies(strategies []string, spec ModelSpec, b
 		TrueFFR: trueFFR / float64(len(y)),
 	}
 
-	// Floor, so the spent fraction never exceeds the requested one.
-	budget := int(budgetFrac * float64(len(pool)))
-	if budget < 2 {
-		budget = 2
-	}
-	// A third of the budget seeds the model, the rest is spent adaptively —
-	// the more rounds, the more often the acquisition re-aims.
-	init := (budget + 2) / 3
-	perRound := (budget - init + rounds - 1) / rounds
-	if perRound < 1 {
-		perRound = 1
-	}
-	for _, name := range strategies {
-		strategy, err := plan.New(name, CommitteeMembers())
-		if err != nil {
-			return nil, err
-		}
+	// run is one row: a planner loop on the replay at k injections per
+	// flip-flop, scored on the held-out set.
+	per := s.Config.InjectionsPerFF
+	run := func(name string, strategy plan.Strategy, k, init, perRound, maxRounds, budget int) (AdaptiveOutcome, error) {
 		loop, err := plan.NewLoop(plan.Config{
-			Target:    &replayTarget{studyTarget{s}, s.Campaign},
+			Target:    &replayTarget{studyTarget{s}, k},
 			Strategy:  strategy,
 			Model:     spec.Factory,
 			ModelName: spec.Name,
@@ -237,28 +233,50 @@ func (s *Study) CompareAdaptiveStrategies(strategies []string, spec ModelSpec, b
 			Pool:      pool,
 			InitFFs:   init,
 			RoundFFs:  perRound,
-			MaxRounds: rounds + 1,
+			MaxRounds: maxRounds,
 			BudgetFFs: budget,
 		})
 		if err != nil {
-			return nil, fmt.Errorf("core: %s loop: %w", name, err)
+			return AdaptiveOutcome{}, fmt.Errorf("core: %s loop: %w", name, err)
 		}
 		res, err := loop.Run()
 		if err != nil {
-			return nil, fmt.Errorf("core: %s loop: %w", name, err)
+			return AdaptiveOutcome{}, fmt.Errorf("core: %s loop: %w", name, err)
 		}
 		pred := ml.PredictAll(res.Model, evalX)
-		cmp.Outcomes = append(cmp.Outcomes, AdaptiveOutcome{
+		return AdaptiveOutcome{
 			Strategy:      name,
 			Rounds:        len(res.Rounds),
 			Converged:     res.Converged,
 			MeasuredFFs:   len(res.Measured),
 			Injections:    res.TotalInjections,
-			InjectionFrac: float64(res.TotalInjections) / float64(len(pool)*s.Config.InjectionsPerFF),
+			InjectionFrac: float64(res.TotalInjections) / float64(len(pool)*per),
 			R2:            metrics.R2(evalY, pred),
 			Tau:           metrics.KendallTau(evalY, pred),
 			FFR:           res.FFR,
-		})
+		}, nil
+	}
+	// Floors, so the spent fraction never exceeds the requested one above
+	// the minimum of one injection per flip-flop (thin) or two flip-flops.
+	if cmp.Thin, err = run("thin", plan.Random{}, max(1, int(budgetFrac*float64(per))),
+		len(pool), len(pool), 1, len(pool)); err != nil {
+		return nil, err
+	}
+	budget := max(2, int(budgetFrac*float64(len(pool))))
+	// A third of the budget seeds the model, the rest is spent adaptively —
+	// the more rounds, the more often the acquisition re-aims.
+	init := (budget + 2) / 3
+	perRound := max(1, (budget-init+rounds-1)/rounds)
+	for _, name := range strategies {
+		strategy, err := plan.New(name, CommitteeMembers())
+		if err != nil {
+			return nil, err
+		}
+		o, err := run(name, strategy, per, init, perRound, rounds+1, budget)
+		if err != nil {
+			return nil, err
+		}
+		cmp.Outcomes = append(cmp.Outcomes, o)
 	}
 	return cmp, nil
 }

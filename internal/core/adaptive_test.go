@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"log/slog"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"reflect"
@@ -15,6 +16,8 @@ import (
 
 	"repro/internal/corpus"
 	"repro/internal/fault"
+	"repro/internal/ml"
+	"repro/internal/ml/metrics"
 	"repro/internal/obs"
 	"repro/internal/plan"
 )
@@ -197,24 +200,67 @@ func TestAdaptiveStudyResumeBitIdentical(t *testing.T) {
 	}
 }
 
-// TestReplayTargetMatchesPartialCampaign pins the equivalence the comparison
-// protocol relies on: serving round counts from the ground-truth campaign is
-// bit-identical to actually re-injecting the round's flip-flops.
+// TestReplayTargetMatchesPartialCampaign pins the equivalence every replayed
+// protocol relies on: serving a round from the ground-truth campaign's
+// per-job outcomes — each flip-flop's first k — is bit-identical to
+// simulating exactly those jobs, on every corpus scenario under SEU, MBU
+// and stuck-at, at one injection per flip-flop, half of them and all.
 func TestReplayTargetMatchesPartialCampaign(t *testing.T) {
-	s := smallStudy(t)
-	ffs := []int{0, 7, 31, 100, s.NumFFs() - 1}
-	measured, err := s.RunPartialCampaign(ffs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	replay, err := (&replayTarget{studyTarget{s}, s.Campaign}).RunRound(context.Background(), ffs, "", false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ff := range ffs {
-		if measured.Failures[ff] != replay.Failures[ff] || measured.Injections[ff] != replay.Injections[ff] {
-			t.Errorf("FF %d: measured %d/%d, replay %d/%d",
-				ff, measured.Failures[ff], measured.Injections[ff], replay.Failures[ff], replay.Injections[ff])
+	for _, sc := range corpus.List() {
+		for _, spec := range []string{"seu", "mbu:3", "stuck0"} {
+			t.Run(sc.ID()+"/"+spec, func(t *testing.T) {
+				model, err := fault.ParseModel(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s, err := NewCorpusStudy(sc, CorpusStudyConfig{Scale: corpus.ScaleSmall, InjectionsPerFF: 8, Model: model})
+				if err != nil {
+					t.Fatal(err)
+				}
+				truth, err := s.RunGroundTruth()
+				if err != nil {
+					t.Fatal(err)
+				}
+				per := s.Config.InjectionsPerFF
+				if slices.Max(truth.Failures) == 0 {
+					t.Fatal("no job failed: the fixture cannot tell a replay from a wrong one")
+				}
+				for ff, want := range truth.Failures {
+					got := 0
+					for j := ff * per; j < (ff+1)*per; j++ {
+						got += int(truth.FailedJobs[j/64] >> (j % 64) & 1)
+					}
+					if got != want {
+						t.Fatalf("FF %d: %d per-job failure bits, %d failures", ff, got, want)
+					}
+				}
+				all := s.Jobs(model, per, s.Config.CampaignSeed)
+				ffs := make([]int, s.NumFFs())
+				for i := range ffs {
+					ffs[i] = i
+				}
+				for _, k := range []int{1, per / 2, per} {
+					var jobs []fault.Job
+					for _, ff := range ffs {
+						jobs = append(jobs, all[ff*per:ff*per+k]...)
+					}
+					want, err := s.campaign(context.Background(), jobs, "", false)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := (&replayTarget{studyTarget{s}, k}).RunRound(context.Background(), ffs, "", false)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, ff := range ffs {
+						if got.Failures[ff] != want.Failures[ff] || got.Injections[ff] != want.Injections[ff] ||
+							math.Float64bits(got.FDR[ff]) != math.Float64bits(want.FDR[ff]) {
+							t.Fatalf("k=%d FF %d: replay %d/%d (FDR %v), simulated %d/%d (FDR %v)", k, ff,
+								got.Failures[ff], got.Injections[ff], got.FDR[ff], want.Failures[ff], want.Injections[ff], want.FDR[ff])
+						}
+					}
+				}
+			})
 		}
 	}
 }
@@ -385,13 +431,127 @@ func TestAdaptiveStudyDefaults(t *testing.T) {
 
 func TestCompareAdaptiveValidation(t *testing.T) {
 	s := smallStudy(t)
-	if _, err := s.CompareAdaptiveStrategies([]string{"random"}, PaperModels()[1], 0, 4, 1); err == nil {
-		t.Error("zero budget fraction accepted")
+	for _, frac := range []float64{0, -0.5, 1.5, math.NaN()} {
+		if _, err := s.CompareAdaptiveStrategies([]string{"random"}, PaperModels()[1], frac, 4, 1); err == nil {
+			t.Errorf("budget fraction %v accepted", frac)
+		}
 	}
 	if _, err := s.CompareAdaptiveStrategies([]string{"random"}, PaperModels()[1], 0.5, 0, 1); err == nil {
 		t.Error("zero rounds accepted")
 	}
 	if _, err := s.CompareAdaptiveStrategies([]string{"bogus"}, PaperModels()[1], 0.5, 4, 1); err == nil {
 		t.Error("unknown strategy accepted")
+	}
+}
+
+// TestThinSpreadRow: the thin row measures every pool flip-flop at the
+// budget fraction of its injections, and at the whole budget it is the
+// full-campaign baseline: the same pool, rows and counts, so the same R² and
+// τ bit for bit.
+func TestThinSpreadRow(t *testing.T) {
+	s := smallStudy(t)
+	for _, c := range []struct {
+		frac float64
+		k    int
+	}{{1, 8}, {0.5, 4}, {0.1, 1}, {0.01, 1}} {
+		cmp, err := s.CompareAdaptiveStrategies(nil, PaperModels()[1], c.frac, 6, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		thin := cmp.Thin
+		if thin.Strategy != "thin" || thin.Rounds != 1 || thin.MeasuredFFs != cmp.PoolFFs || thin.Injections != cmp.PoolFFs*c.k {
+			t.Errorf("frac %v: thin row %+v, want 1 round over %d FFs at %d injections each", c.frac, thin, cmp.PoolFFs, c.k)
+		}
+		if c.frac == 1 && (math.Float64bits(thin.R2) != math.Float64bits(cmp.FullR2) ||
+			math.Float64bits(thin.Tau) != math.Float64bits(cmp.FullTau) || thin.InjectionFrac != 1) {
+			t.Errorf("at the whole budget thin R²=%v τ=%v share %v, full campaign R²=%v τ=%v",
+				thin.R2, thin.Tau, thin.InjectionFrac, cmp.FullR2, cmp.FullTau)
+		}
+	}
+}
+
+// prefixCampaign measures each round by simulating every flip-flop's first k
+// jobs of the study's plan under the study's fault model: what replayTarget
+// at k must reproduce without simulating.
+type prefixCampaign struct {
+	studyTarget
+	model fault.Model
+	k     int
+}
+
+func (t *prefixCampaign) RunRound(ctx context.Context, ffs []int, checkpointPath string, resume bool) (*fault.Result, error) {
+	per := t.study.Config.InjectionsPerFF
+	all := t.study.Jobs(t.model, per, t.study.Config.CampaignSeed)
+	var jobs []fault.Job
+	for _, ff := range ffs {
+		jobs = append(jobs, all[ff*per:ff*per+t.k]...)
+	}
+	return t.study.campaign(ctx, jobs, "", false)
+}
+
+// TestInjectionBudgetAblationHonoursStudyModel: the reduced-budget row of
+// the budget experiment (CompareAdaptiveStrategies' thin row) on an MBU
+// study is the MBU measurement of those injections — not an SEU one scored
+// against an MBU ground truth — and the experiment simulates nothing. The
+// reference runs the thin row's loop on a target that simulates each pool
+// flip-flop's first k MBU jobs on the study's instrumented runner.
+func TestInjectionBudgetAblationHonoursStudyModel(t *testing.T) {
+	sc, err := corpus.Find("alupipe/randomops")
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := fault.ParseModel("mbu:3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	s, err := NewCorpusStudy(sc, CorpusStudyConfig{
+		Scale: corpus.ScaleSmall, InjectionsPerFF: 8, Model: model, Metrics: reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.RunGroundTruth(); err != nil {
+		t.Fatal(err)
+	}
+	chunks := reg.Counter("ffr_campaign_chunks_completed_total", "")
+	before := chunks.Value()
+	const seed, k = 2, 4
+	spec := PaperModels()[1]
+	cmp, err := s.CompareAdaptiveStrategies(nil, spec, 0.5, 6, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if chunks.Value() != before {
+		t.Fatalf("the budget experiment simulated %v chunks; it replays the recorded campaign", chunks.Value()-before)
+	}
+
+	y, splits, err := s.splits(1, PaperTrainFrac, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool, eval := splits[0].Train, splits[0].Test
+	loop, err := plan.NewLoop(plan.Config{
+		Target: &prefixCampaign{studyTarget{s}, model, k}, Strategy: plan.Random{},
+		Model: spec.Factory, ModelName: spec.Name, Seed: seed, Pool: pool,
+		InitFFs: len(pool), RoundFFs: len(pool), MaxRounds: 1, BudgetFFs: len(pool),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := loop.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if chunks.Value() == before {
+		t.Fatal("the reference campaign reported nothing to the study's metrics registry")
+	}
+	evalX, evalY := ml.Gather(s.FeatureRows(), y, eval)
+	wantR2 := metrics.R2(evalY, ml.PredictAll(want.Model, evalX))
+	thin := cmp.Thin
+	if thin.Injections != want.TotalInjections || math.Float64bits(thin.FFR) != math.Float64bits(want.FFR) ||
+		math.Float64bits(thin.R2) != math.Float64bits(wantR2) {
+		t.Fatalf("thin row at k=%d: %d injections, FFR %v, R² %v; simulated %s prefix: %d, %v, %v",
+			k, thin.Injections, thin.FFR, thin.R2, model, want.TotalInjections, want.FFR, wantR2)
 	}
 }

@@ -9,6 +9,6 @@
 // the cross-circuit transfer study, and the active-learning extension:
 // NewAdaptiveStudy makes a Study the target of the plan package's campaign
 // planner so the model chooses where to inject next, and CompareAdaptiveStrategies
-// measures the resulting budget-vs-quality win against full-campaign
-// training.
+// replays the ground truth to score the planner, and the same injections
+// spread thinly over every flip-flop, against full-campaign training.
 package core

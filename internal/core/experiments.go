@@ -1,11 +1,9 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
-	"repro/internal/fault"
 	"repro/internal/features"
 	"repro/internal/ml"
 	"repro/internal/ml/metrics"
@@ -225,58 +223,4 @@ func (s *Study) TuneModel(spec ModelSpec, nRandom int, seed int64) (*SearchOutco
 		return nil, fmt.Errorf("core: grid search %s: %w", spec.Name, err)
 	}
 	return &SearchOutcome{Model: spec.Name, Random: random, Grid: refined}, nil
-}
-
-// BudgetPoint is one injection-budget ablation measurement.
-type BudgetPoint struct {
-	InjectionsPerFF int
-	MeanCI95        float64 // mean Wilson 95% interval width of the targets
-	KNNR2           float64 // Table I protocol test R² for the k-NN model
-}
-
-// InjectionBudgetAblation re-derives the training targets from campaigns
-// with smaller per-FF injection budgets and measures how target noise
-// propagates into model quality. The ground-truth (full-budget) campaign
-// remains the evaluation reference.
-func (s *Study) InjectionBudgetAblation(budgets []int, spec ModelSpec, nSplits int, seed int64) ([]BudgetPoint, error) {
-	yRef, err := s.FDR()
-	if err != nil {
-		return nil, err
-	}
-	X := s.FeatureRows()
-	out := make([]BudgetPoint, 0, len(budgets))
-	for _, budget := range budgets {
-		jobs := s.Jobs(s.Config.Model, budget, s.Config.CampaignSeed+int64(budget))
-		res, err := s.campaign(context.Background(), jobs, "", false)
-		if err != nil {
-			return nil, fmt.Errorf("core: budget %d campaign: %w", budget, err)
-		}
-		var widthSum float64
-		for ff := range res.FDR {
-			lo, hi := fault.WilsonInterval(res.Failures[ff], res.Injections[ff], 1.96)
-			widthSum += hi - lo
-		}
-		// Train on noisy targets, evaluate against the reference.
-		splits, err := ml.StratifiedShuffleSplits(res.FDR, nSplits, PaperTrainFrac, PaperStratifyBins, seed)
-		if err != nil {
-			return nil, err
-		}
-		var r2sum float64
-		for _, sp := range splits {
-			trX, trY := ml.Gather(X, res.FDR, sp.Train)
-			teX, _ := ml.Gather(X, res.FDR, sp.Test)
-			_, teRef := ml.Gather(X, yRef, sp.Test)
-			model := spec.Factory()
-			if err := model.Fit(trX, trY); err != nil {
-				return nil, fmt.Errorf("core: budget %d fit: %w", budget, err)
-			}
-			r2sum += metrics.R2(teRef, ml.PredictAll(model, teX))
-		}
-		out = append(out, BudgetPoint{
-			InjectionsPerFF: budget,
-			MeanCI95:        widthSum / float64(s.NumFFs()),
-			KNNR2:           r2sum / float64(len(splits)),
-		})
-	}
-	return out, nil
 }

@@ -119,8 +119,8 @@ func (s *Study) GoldenTrace() *sim.Trace { return s.Golden }
 // campaign runs jobs to completion on a runner over the materialization's
 // golden trace and snapshots, so nothing is re-simulated per campaign. Every
 // campaign of a study comes through here — ground truth, partial campaigns,
-// the budget ablation, planner rounds — and they differ only in the jobs and
-// the checkpoint they bring.
+// planner rounds — and they differ only in the jobs and the checkpoint they
+// bring.
 func (s *Study) campaign(ctx context.Context, jobs []fault.Job, checkpoint string, resume bool) (*fault.Result, error) {
 	r, err := s.Runner(fault.RunnerConfig{
 		Model:          s.Config.Model,

@@ -2,20 +2,16 @@ package core
 
 import (
 	"bytes"
-	"context"
 	"math"
 	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/circuit"
-	"repro/internal/corpus"
-	"repro/internal/fault"
 	"repro/internal/features"
 	"repro/internal/ml"
 	"repro/internal/ml/metrics"
 	"repro/internal/ml/modelsel"
-	"repro/internal/obs"
 	"repro/internal/persist"
 )
 
@@ -424,74 +420,6 @@ func TestKNNScoresMatchCrossValidation(t *testing.T) {
 	tooMany := []modelsel.Params{{"k": 3}, {"k": float64(len(splits[0].Train) + 1)}}
 	if _, err := spec.Score(tooMany, s.FeatureRows(), y, splits); err == nil {
 		t.Error("a k above the training set's size was scored")
-	}
-}
-
-func TestInjectionBudgetAblation(t *testing.T) {
-	s := smallStudy(t)
-	points, err := s.InjectionBudgetAblation([]int{2, 8}, PaperModels()[1], 2, 6)
-	if err != nil {
-		t.Fatalf("InjectionBudgetAblation: %v", err)
-	}
-	if len(points) != 2 {
-		t.Fatalf("points = %d", len(points))
-	}
-	// More injections → narrower confidence intervals.
-	if points[1].MeanCI95 >= points[0].MeanCI95 {
-		t.Fatalf("CI width must shrink with budget: %v vs %v",
-			points[1].MeanCI95, points[0].MeanCI95)
-	}
-}
-
-// TestInjectionBudgetAblationHonoursStudyModel: the reduced-budget targets
-// must come from campaigns under the study's own fault model, on its
-// instrumented runner configuration — not from SEU campaigns scored against
-// an MBU ground truth.
-func TestInjectionBudgetAblationHonoursStudyModel(t *testing.T) {
-	sc, err := corpus.Find("alupipe/randomops")
-	if err != nil {
-		t.Fatal(err)
-	}
-	model, err := fault.ParseModel("mbu:3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := obs.NewRegistry()
-	s, err := NewCorpusStudy(sc, CorpusStudyConfig{
-		Scale: corpus.ScaleSmall, InjectionsPerFF: 8, Model: model, Metrics: reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.RunGroundTruth(); err != nil {
-		t.Fatal(err)
-	}
-	chunks := reg.Counter("ffr_campaign_chunks_completed_total", "")
-	before := chunks.Value()
-	const budget = 4
-	points, err := s.InjectionBudgetAblation([]int{budget}, PaperModels()[1], 2, 6)
-	if err != nil {
-		t.Fatalf("InjectionBudgetAblation: %v", err)
-	}
-	if chunks.Value() == before {
-		t.Fatal("the ablation campaign reported nothing to the study's metrics registry")
-	}
-
-	runner, err := s.Runner(fault.RunnerConfig{Model: model})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := runner.RunContext(context.Background(), fault.NewModelPlan(model, s.NumFFs(), budget, s.ActiveCycles(), s.Config.CampaignSeed+budget))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var widthSum float64
-	for ff := range want.FDR {
-		lo, hi := fault.WilsonInterval(want.Failures[ff], want.Injections[ff], 1.96)
-		widthSum += hi - lo
-	}
-	if got, want := points[0].MeanCI95, widthSum/float64(s.NumFFs()); got != want {
-		t.Fatalf("budget-%d targets have mean CI width %v, the %s campaign of the same plan %v", budget, got, model, want)
 	}
 }
 

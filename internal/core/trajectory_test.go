@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/corpus"
+	"repro/internal/obs"
 	"repro/internal/plan"
 )
 
@@ -69,15 +70,29 @@ func selectedDigest(ffs []int) uint64 {
 	return h.Sum64()
 }
 
-// trajectoryLines runs one adaptive study and renders its pin lines.
-func trajectoryLines(t *testing.T, name string, s *Study, cfg AdaptiveConfig) string {
+// trajectoryLines runs one adaptive study and renders its pin lines. With
+// replay set the loop is NewAdaptiveStudy's on the study's ground-truth
+// replay instead of live campaigns.
+func trajectoryLines(t *testing.T, name string, s *Study, cfg AdaptiveConfig, replay bool) string {
 	t.Helper()
 	var b strings.Builder
 	cfg.OnRound = func(r plan.Round) {
 		fmt.Fprintf(&b, "%s round=%d n=%d selected=%016x ffr=%016x\n",
 			name, r.Index, len(r.Selected), selectedDigest(r.Selected), math.Float64bits(r.FFR))
 	}
-	as, err := NewAdaptiveStudy(s, cfg)
+	newLoop := NewAdaptiveStudy
+	if replay {
+		newLoop = func(s *Study, cfg AdaptiveConfig) (*plan.Loop, error) {
+			cfg.Target = &replayTarget{studyTarget{s}, s.Config.InjectionsPerFF}
+			cfg.Strategy = plan.Committee{Members: CommitteeMembers()}
+			if cfg.Model == nil {
+				knn := PaperModels()[1]
+				cfg.Model, cfg.ModelName = knn.Factory, knn.Name
+			}
+			return plan.NewLoop(cfg)
+		}
+	}
+	as, err := newLoop(s, cfg)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
@@ -98,13 +113,14 @@ func TestCommitteeTrajectoryPins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got.WriteString(trajectoryLines(t, "mac/bench", mac, AdaptiveConfig{Seed: 1, BudgetFFs: mac.NumFFs() / 2}))
+	got.WriteString(trajectoryLines(t, "mac/bench", mac, AdaptiveConfig{Seed: 1, BudgetFFs: mac.NumFFs() / 2}, false))
 
 	sc, err := corpus.Find("rrarb/uniform")
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewCorpusStudy(sc, CorpusStudyConfig{Scale: corpus.ScaleSmall, InjectionsPerFF: 32})
+	reg := obs.NewRegistry()
+	s, err := NewCorpusStudy(sc, CorpusStudyConfig{Scale: corpus.ScaleSmall, InjectionsPerFF: 32, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,12 +130,29 @@ func TestCommitteeTrajectoryPins(t *testing.T) {
 			pool = append(pool, ff)
 		}
 	}
-	got.WriteString(trajectoryLines(t, "rrarb/pool", s, AdaptiveConfig{Seed: 3, Pool: pool, RoundFFs: 9}))
 	svr := PaperModels()[2]
-	got.WriteString(trajectoryLines(t, "rrarb/svr", s, AdaptiveConfig{Seed: 2, Model: svr.Factory, ModelName: svr.Name, RoundFFs: 12}))
+	rrarb := func(replay bool) string {
+		return trajectoryLines(t, "rrarb/pool", s, AdaptiveConfig{Seed: 3, Pool: pool, RoundFFs: 9}, replay) +
+			trajectoryLines(t, "rrarb/svr", s, AdaptiveConfig{Seed: 2, Model: svr.Factory, ModelName: svr.Name, RoundFFs: 12}, replay)
+	}
+	live := rrarb(false)
+	got.WriteString(live)
 
 	if _, err := s.RunGroundTruth(); err != nil {
 		t.Fatal(err)
+	}
+	// The same planner on the ground truth's replay prints the same lines
+	// and simulates nothing.
+	chunks := reg.Counter("ffr_campaign_chunks_completed_total", "")
+	before := chunks.Value()
+	if before == 0 {
+		t.Fatal("the study's campaigns reported no chunks to its registry")
+	}
+	if replayed := rrarb(true); replayed != live {
+		t.Errorf("replayed trajectories differ from the live ones:\n%s\nlive:\n%s", replayed, live)
+	}
+	if after := chunks.Value(); after != before {
+		t.Errorf("the replayed planner simulated %v chunks", after-before)
 	}
 	cmp, err := s.CompareAdaptiveStrategies(plan.StrategyNames(), PaperModels()[1], 0.5, 6, 1)
 	if err != nil {

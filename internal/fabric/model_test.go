@@ -1,7 +1,9 @@
 package fabric_test
 
 import (
+	"context"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -43,12 +45,13 @@ func TestResolveSpecCanonicalizesFaultModel(t *testing.T) {
 // TestDistributedModelCampaignMatchesSingleNode: a 2-worker distributed MBU
 // campaign merges to a checkpoint fingerprint-identical to the single-node
 // run — the model rides the wire spec, so workers materialize the same
-// clusters and plans without any side channel.
+// clusters and plans without any side channel — and to the same per-job
+// outcome bits.
 func TestDistributedModelCampaignMatchesSingleNode(t *testing.T) {
 	spec := testSpec()
 	spec.FaultModel = "mbu:2"
 
-	ck := checkpointed(t, spec, fault.RunnerConfig{Workers: 2}, filepath.Join(t.TempDir(), "single.ckpt"))
+	ck, single := checkpointed(t, spec, fault.RunnerConfig{Workers: 2}, filepath.Join(t.TempDir(), "single.ckpt"))
 	want := ck.Fingerprint()
 	if ck.Model != "mbu:2" {
 		t.Fatalf("single-node checkpoint records model %q, want %q", ck.Model, "mbu:2")
@@ -63,5 +66,13 @@ func TestDistributedModelCampaignMatchesSingleNode(t *testing.T) {
 	}
 	if got := runWorkers(t, coord, 2); got != want {
 		t.Fatalf("distributed MBU fingerprint %x != single-node %x", got, want)
+	}
+	res, err := coord.Wait(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.FailedJobs) == 0 || !slices.Equal(res.FailedJobs, single.FailedJobs) {
+		t.Fatalf("distributed per-job outcome bits (%d words) differ from the single-node run's (%d)",
+			len(res.FailedJobs), len(single.FailedJobs))
 	}
 }

@@ -20,8 +20,8 @@ import (
 
 // checkpointed runs the spec single-node under local (Model, ChunkJobs,
 // Golden and Snapshots come from the spec) with a checkpoint at path and
-// returns the finished file.
-func checkpointed(t *testing.T, spec api.CampaignSpec, local fault.RunnerConfig, path string) *fault.Checkpoint {
+// returns the finished file and the campaign's result.
+func checkpointed(t *testing.T, spec api.CampaignSpec, local fault.RunnerConfig, path string) (*fault.Checkpoint, *fault.Result) {
 	t.Helper()
 	camp, err := fabric.BuildCampaign(spec, fault.RunnerConfig{})
 	if err != nil {
@@ -36,14 +36,15 @@ func checkpointed(t *testing.T, spec api.CampaignSpec, local fault.RunnerConfig,
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := runner.RunContext(context.Background(), camp.Jobs); err != nil {
+	res, err := runner.RunContext(context.Background(), camp.Jobs)
+	if err != nil {
 		t.Fatal(err)
 	}
 	ck, err := fault.LoadCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ck
+	return ck, res
 }
 
 // runWorkers runs n workers against the coordinator until the campaign
@@ -105,7 +106,7 @@ func TestCoordinatorRefusesForeignCheckpoint(t *testing.T) {
 			other := spec
 			tc.foreign(&other)
 			path := filepath.Join(t.TempDir(), "campaign.ckpt")
-			ck := checkpointed(t, other, fault.RunnerConfig{}, path)
+			ck, _ := checkpointed(t, other, fault.RunnerConfig{}, path)
 			mine, err := fabric.BuildCampaign(spec, fault.RunnerConfig{})
 			if err != nil {
 				t.Fatal(err)
@@ -167,7 +168,7 @@ func TestCoordinatorRefusesLegacyCheckpoint(t *testing.T) {
 	for _, recorded := range []string{"", "plan"} {
 		t.Run("recorded="+cmp.Or(recorded, "none"), func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "campaign.ckpt")
-			ck := checkpointed(t, spec, fault.RunnerConfig{}, path)
+			ck, _ := checkpointed(t, spec, fault.RunnerConfig{}, path)
 			ck.Schedule = recorded
 			if err := fault.SaveCheckpoint(path, ck); err != nil {
 				t.Fatal(err)

@@ -74,6 +74,9 @@ type Result struct {
 	// Failures and Injections are the per-target raw counts.
 	Failures   []int
 	Injections []int
+	// FailedJobs holds one outcome bit per job: bit j%64 of word j/64 is
+	// set when job j of the caller's plan failed.
+	FailedJobs []uint64
 	// TotalRuns is the number of injection runs simulated.
 	TotalRuns int
 	// Batches is the number of 64-lane simulation passes.

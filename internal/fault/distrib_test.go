@@ -5,6 +5,7 @@ import (
 	"errors"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/circuit"
@@ -93,6 +94,9 @@ func TestRunChunksMergeMatchesRun(t *testing.T) {
 					t.Fatalf("target %d: distributed %d/%d, single-node %d/%d", ff,
 						res.Failures[ff], res.Injections[ff], ref.Failures[ff], ref.Injections[ff])
 				}
+			}
+			if !slices.Equal(res.FailedJobs, ref.FailedJobs) {
+				t.Fatal("distributed per-job outcome bits differ from the single-node run's")
 			}
 			if lg.Fingerprint() != singleCk.Fingerprint() {
 				t.Fatalf("checkpoint fingerprints differ: distributed %x, single-node %x",

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/circuit"
@@ -64,6 +65,9 @@ func assertEquivalent(t *testing.T, p *sim.Program, stim *sim.Stimulus, monitors
 			t.Fatalf("target %d = %d/%d failures, reference %d/%d",
 				i, res.Failures[i], res.Injections[i], ref.Failures[i], ref.Injections[i])
 		}
+	}
+	if !slices.Equal(res.FailedJobs, ref.FailedJobs) {
+		t.Fatal("per-job outcome bits differ from the reference's")
 	}
 	return ref
 }

@@ -203,10 +203,10 @@ func (l *Ledger) Fingerprint() uint64 { return l.checkpoint().Fingerprint() }
 
 // Result folds the masks of the complete ledger into the final per-target
 // Result (per flip-flop for FF-targeted models, per combinational cell for
-// SET). The fold visits chunks in index order and maps every lane back to
-// its job through the packing, so the outcome is independent of completion
-// order, packing and of which chunks came from a checkpoint or from which
-// worker.
+// SET) and its per-job outcome bits, in the caller's plan order. The fold
+// visits chunks in index order and maps every lane back to its job through
+// the packing, so the outcome is independent of completion order, packing
+// and of which chunks came from a checkpoint or from which worker.
 func (l *Ledger) Result() (*Result, error) {
 	pl, sh := l.pl, l.pl.sh
 	if len(l.done) != sh.numChunks {
@@ -217,6 +217,7 @@ func (l *Ledger) Result() (*Result, error) {
 		FDR:           make([]float64, numTargets),
 		Failures:      make([]int, numTargets),
 		Injections:    make([]int, numTargets),
+		FailedJobs:    make([]uint64, (sh.totalJobs+63)/64),
 		TotalRuns:     sh.totalJobs,
 		Batches:       sh.numBatches(),
 		Chunks:        sh.numChunks,
@@ -231,10 +232,12 @@ func (l *Ledger) Result() (*Result, error) {
 				bhi = hi
 			}
 			for lane, pos := 0, blo; pos < bhi; lane, pos = lane+1, pos+1 {
-				job := pl.jobs[pl.order[pos]]
-				res.Injections[job.FF]++
+				j := pl.order[pos]
+				ff := pl.jobs[j].FF
+				res.Injections[ff]++
 				if mask>>uint(lane)&1 == 1 {
-					res.Failures[job.FF]++
+					res.Failures[ff]++
+					res.FailedJobs[j/64] |= 1 << (uint(j) % 64)
 				}
 			}
 		}

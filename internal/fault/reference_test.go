@@ -77,7 +77,8 @@ func referenceMasks(r *Runner, jobs []Job) ([]uint64, error) {
 // referenceResult replays the plan in plan order — an identity packing no
 // campaign uses, kept here so that the reference and the Runner pack
 // differently — and folds the masks per target on its own, into the Result a
-// campaign over the same plan must report.
+// campaign over the same plan must report. In plan order the masks are
+// the per-job outcome bits themselves.
 func referenceResult(r *Runner, jobs []Job) (*Result, error) {
 	order := make([]int, len(jobs))
 	for i := range order {
@@ -96,6 +97,7 @@ func referenceResult(r *Runner, jobs []Job) (*Result, error) {
 		FDR:        make([]float64, n),
 		Failures:   make([]int, n),
 		Injections: make([]int, n),
+		FailedJobs: masks,
 		TotalRuns:  len(jobs),
 		Batches:    len(masks),
 		Chunks:     sh.numChunks,

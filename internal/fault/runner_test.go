@@ -7,6 +7,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/durable"
@@ -38,6 +39,9 @@ func sameResult(t *testing.T, a, b *fault.Result) {
 			t.Fatalf("FF %d differs: %d/%d failures, %d/%d injections, %v/%v FDR",
 				ff, a.Failures[ff], b.Failures[ff], a.Injections[ff], b.Injections[ff], a.FDR[ff], b.FDR[ff])
 		}
+	}
+	if !slices.Equal(a.FailedJobs, b.FailedJobs) {
+		t.Fatal("per-job outcome bits differ")
 	}
 }
 
