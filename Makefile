@@ -68,11 +68,12 @@ knobs:
 # implementation, /avx and /go), the chunk executor (BenchmarkRunChunks per
 # circuit and fault model, with ns/injection, sim-cycles/injection and lane
 # occupancy; BenchmarkLease: an empty and a 2-chunk fabric lease on one
-# prepared plan; BenchmarkWilsonInterval), feature extraction per circuit
-# (BenchmarkExtract, ns/flip-flop), the front end phase by phase
-# (BenchmarkMaterialize, ms per phase), the per-model fit/predict/tune
-# benchmarks, artifact save/load and raw predict throughput, and one batch
-# through the prediction service's HTTP stack.
+# prepared plan; BenchmarkMACVerdict: a MAC stream over a 32-cycle window and
+# over the whole trace, ending in its Verdict; BenchmarkWilsonInterval),
+# feature extraction per circuit (BenchmarkExtract, ns/flip-flop), the front
+# end phase by phase (BenchmarkMaterialize, ms per phase), the per-model
+# fit/predict/tune benchmarks, artifact save/load and raw predict
+# throughput, and one batch through the prediction service's HTTP stack.
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./internal/sim ./internal/fault \
 		./internal/features ./internal/corpus ./internal/core ./internal/persist ./internal/serve
@@ -112,8 +113,9 @@ bench:
 # through 16 cycles of random inputs and flip-flop upsets.
 # FuzzMACVerdictMatchesPacketList is differential: whatever receive-side and
 # statistics bits a window of the small MAC's golden trace is flipped in,
-# the MAC verdict decoded from that window must equal the packet lists and
-# statistics readout compared over the whole trace, for all 64 lanes.
+# the Verdict of a MAC stream that observed that window must equal the
+# packet lists and statistics readout compared over the whole trace, for
+# all 64 lanes.
 # Minimizing each coverage-increasing input would eat the whole budget (60 s
 # apiece by default), so it is capped at ten executions.
 FUZZ = $(GO) test -run='^$$' -fuzztime=10s -fuzzminimizetime=10x

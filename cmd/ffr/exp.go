@@ -296,19 +296,30 @@ func (r expRunner) features() error {
 // flip-flop at that fraction of its injections), the random control and the
 // committee planner (that fraction of the pool's flip-flops, six rounds),
 // all replayed from the ground truth. At -n 170 the thin rows are 10, 34,
-// 85 and 170 injections per flip-flop.
+// 85 and 170 injections per flip-flop. Where the fraction of -n is below one
+// injection, the thin row would spend one per flip-flop, more than its
+// share, so a # note naming the smallest -n that fits takes its place.
 func (r expRunner) budget() error {
 	const format = "%-8s %-10s %5d %6d %6.3f %10s %7.3f %7.3f\n"
+	n := r.study.Config.InjectionsPerFF
 	r.c.Printf("%-8s %-10s %5s %6s %6s %10s %7s %7s\n", "budget", "row", "FFs", "inj/FF", "share", "|FFR-true|", "R2", "tau")
-	for i, frac := range []float64{10.0 / 170, 34.0 / 170, 85.0 / 170, 1} {
+	for i, num := range []int{10, 34, 85, 170} {
+		frac := float64(num) / 170
 		cmp, err := r.study.CompareAdaptiveStrategies(plan.StrategyNames(), core.PaperModels()[1], frac, 6, r.seed)
 		if err != nil {
 			return err
 		}
 		if i == 0 {
-			r.c.Printf(format, "-", "full", cmp.PoolFFs, r.study.Config.InjectionsPerFF, 1.0, "-", cmp.FullR2, cmp.FullTau)
+			r.c.Printf(format, "-", "full", cmp.PoolFFs, n, 1.0, "-", cmp.FullR2, cmp.FullTau)
 		}
-		for _, o := range append([]core.AdaptiveOutcome{cmp.Thin}, cmp.Outcomes...) {
+		rows := cmp.Outcomes
+		if num*n >= 170 {
+			rows = append([]core.AdaptiveOutcome{cmp.Thin}, rows...)
+		} else {
+			r.c.Printf("# %.3f thin: left out, under one injection per flip-flop at -n %d; -n %d or more makes it equal-injection\n",
+				frac, n, (170+num-1)/num)
+		}
+		for _, o := range rows {
 			r.c.Printf(format, fmt.Sprintf("%.3f", frac), o.Strategy, o.MeasuredFFs, o.Injections/o.MeasuredFFs,
 				o.InjectionFrac, fmt.Sprintf("%.4f", math.Abs(o.FFR-cmp.TrueFFR)), o.R2, o.Tau)
 		}

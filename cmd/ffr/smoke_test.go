@@ -166,26 +166,41 @@ func TestExpVariantTables(t *testing.T) {
 
 // TestExpBudgetSmoke: -exp budget at -n 4 prints the full-campaign row,
 // then per budget fraction a thin, a random and a committee row, every one
-// replayed from the ground truth: the one campaign stderr logs.
+// replayed from the ground truth: the one campaign stderr logs. A thin row
+// that -n 4 cannot give its share of injections is a note instead.
 func TestExpBudgetSmoke(t *testing.T) {
 	stdout, stderr := mustFFR(t, "exp", "-exp", "budget", "-n", "4")
 	if n := strings.Count(stderr, `msg="campaign complete"`); n != 1 {
 		t.Errorf("-exp budget logged %d completed campaigns, want the ground truth alone:\n%s", n, stderr)
 	}
+	// At -n 4 the two smallest fractions are below one injection per
+	// flip-flop: no thin row there, a note naming the -n that fits instead.
 	want := []string{"- full"}
 	for _, budget := range []string{"0.059", "0.200", "0.500", "1.000"} {
-		for _, row := range []string{"thin", "random", "committee"} {
+		rows := []string{"thin", "random", "committee"}
+		if budget == "0.059" || budget == "0.200" {
+			rows = rows[1:]
+		}
+		for _, row := range rows {
 			want = append(want, budget+" "+row)
 		}
 	}
-	var rows []string
+	var rows, notes []string
 	for _, line := range strings.Split(stdout, "\n") {
-		if f := strings.Fields(line); len(f) == 8 && f[0] != "budget" {
+		f := strings.Fields(line)
+		switch {
+		case strings.HasPrefix(line, "# ") && strings.Contains(line, " thin: "):
+			notes = append(notes, line)
+		case len(f) == 8 && f[0] != "budget":
 			rows = append(rows, f[0]+" "+f[1])
 		}
 	}
 	if !slices.Equal(rows, want) {
 		t.Errorf("-exp budget rows %q, want %q:\n%s", rows, want, stdout)
+	}
+	if len(notes) != 2 || !strings.HasPrefix(notes[0], "# 0.059 thin:") || !strings.Contains(notes[0], "-n 17 or more") ||
+		!strings.HasPrefix(notes[1], "# 0.200 thin:") || !strings.Contains(notes[1], "-n 5 or more") {
+		t.Errorf("-exp budget notes %q, want one per thin row left out, naming -n 17 and -n 5:\n%s", notes, stdout)
 	}
 }
 

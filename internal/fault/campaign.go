@@ -14,34 +14,22 @@ type Job struct {
 	Cycle int
 }
 
-// Classifier is the applicative failure criterion of a campaign: it decides
-// which lanes of a faulty batch fail against the golden trace, post hoc over
-// the recorded trace and, for early exit, cycle by cycle while the batch
-// runs.
+// Classifier is the applicative failure criterion of a campaign: a stream
+// per faulty batch observes the batch cycle by cycle while it runs, confirms
+// the failures that are already certain (for early exit) and gives the
+// batch's verdict when it stops.
 type Classifier interface {
-	// FailingLanes returns a bitmask of lanes in faulty that fail against
-	// golden. used is the mask of lanes carrying real jobs; faulty equals
-	// golden in every row outside [from, to), so only those rows need
-	// comparing (0, golden.Cycles() when nothing is known).
-	FailingLanes(golden, faulty *sim.Trace, used uint64, from, to int) uint64
-	// StartStream begins streaming classification of one 64-lane batch
-	// against the golden trace: the stream observes the batch cycle by cycle
-	// and reports lanes whose failure is already certain. used masks the
-	// lanes carrying real jobs; from is the first cycle Observe will see —
-	// every earlier cycle is bit-identical to golden (the batch's
-	// fast-forwarded prefix), so a stateful stream starts from the golden
-	// run's state at from. The runner stops a batch as soon as every used
-	// lane is either stream-confirmed failed or has re-converged to the
-	// golden engine state, because no remaining cycle can change either
-	// verdict.
+	// StartStream begins classifying one 64-lane batch against the golden
+	// trace. used masks the lanes carrying real jobs; from is the first
+	// cycle Observe will see — every earlier cycle is bit-identical to
+	// golden (the batch's fast-forwarded prefix), so a stateful stream
+	// starts from the golden run's state at from. The runner stops a batch
+	// as soon as every used lane is either confirmed failed by Observe or
+	// has re-converged to the golden engine state, and takes the stream's
+	// Verdict there: a re-converged lane's remaining rows are golden's.
 	//
-	// Soundness contract: a lane reported failed by Observe MUST be
-	// classified as failing by FailingLanes no matter what the remaining
-	// cycles hold — whether they are the lane's real future or the golden
-	// suffix the runner substitutes after an early exit. A criterion that
-	// cannot confirm failures mid-run returns a stream that never does; its
-	// verdicts then all come from FailingLanes, and its batches still exit
-	// early on re-convergence.
+	// Soundness contract: Verdict includes every lane Observe confirmed,
+	// whatever rows follow.
 	StartStream(golden *sim.Trace, used uint64, from int) Stream
 	// ConfigFingerprint is a stable digest of the criterion's configuration.
 	// Checkpoints record it so a campaign cannot be resumed under a
@@ -61,6 +49,9 @@ type Stream interface {
 	// batch's fast-forward point, where every lane is still bit-identical
 	// to golden.
 	Observe(cycle int, golden, faulty []uint64) uint64
+	// Verdict returns the lanes that fail when every row after the last
+	// observed one is golden's.
+	Verdict() uint64
 }
 
 // Result is the outcome of a campaign. The per-target arrays are indexed by

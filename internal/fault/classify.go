@@ -32,25 +32,6 @@ func (e *ExactClassifier) ConfigFingerprint() uint64 {
 	return h.Sum64()
 }
 
-// FailingLanes implements Classifier: XOR of the packed monitor words flags
-// every divergent lane directly (the golden trace is lane-uniform).
-func (e *ExactClassifier) FailingLanes(golden, faulty *sim.Trace, used uint64, from, to int) uint64 {
-	return divergedLanes(golden, faulty, max(from, e.CheckFrom), to) & used
-}
-
-// divergedLanes returns the lanes whose monitor words differ from golden's
-// in any row of [from, to).
-func divergedLanes(golden, faulty *sim.Trace, from, to int) uint64 {
-	var diff uint64
-	for c := from; c < to; c++ {
-		fr := faulty.Row(c)
-		for w, gw := range golden.Row(c) {
-			diff |= gw ^ fr[w]
-		}
-	}
-	return diff
-}
-
 // StartStream implements Classifier. The exact criterion is ideal for
 // streaming: any monitored divergence inside the check window is final, so a
 // lane is confirmed failed the cycle it first diverges. The skipped prefix
@@ -76,6 +57,10 @@ func (s *exactStream) Observe(cycle int, golden, faulty []uint64) uint64 {
 	return s.failed
 }
 
+// Verdict implements Stream: a divergence is a failure the cycle it is
+// observed, so every failing lane is already confirmed.
+func (s *exactStream) Verdict() uint64 { return s.failed }
+
 // MACClassifier implements the paper's applicative failure criterion for the
 // MAC loopback testbench: "the simulation run was considered a functional
 // failure when the final received packages contained payload corruption or
@@ -87,9 +72,10 @@ func (s *exactStream) Observe(cycle int, golden, faulty []uint64) uint64 {
 // set, when the end-of-test statistics readout differs (the management
 // plane of the application checking its RMON counters).
 //
-// The stream and the verdict run one frame decoder (macStream), started
-// from the golden decoder state, so neither rebuilds a lane's packet list:
-// the verdict decodes only the rows a batch dirtied.
+// A batch's stream (macStream) is one frame decoder started from the golden
+// decoder state: it decodes only the rows the batch simulated, and its
+// Verdict completes them with the golden suffix, so nothing rebuilds a
+// lane's packet list.
 type MACClassifier struct {
 	Bench *circuit.MACBench
 	// CheckStats extends the failure criterion to the statistics readout.
@@ -130,40 +116,6 @@ func (m *MACClassifier) ConfigFingerprint() uint64 {
 	return h.Sum64()
 }
 
-// FailingLanes implements Classifier by decoding the dirty window only. It
-// relies on the Classifier promise that faulty equals golden outside
-// [from, to): a stream started at the golden decoder state at from observes
-// rows [from, to) and confirms the lanes whose failure is already certain.
-// Every other lane whose receive-side bits diverged is decided by the suffix
-// rule, because the rows from to on are golden's and complete the golden
-// frames from the golden decoder state at to (g):
-//   - a frame count k other than g.k ends with a frame count other than
-//     golden's;
-//   - k == g.k with frames left and a byte position other than g.pos closes
-//     the open frame with the wrong length;
-//   - anything else passes: the open frame completes as golden's does, and
-//     once every golden frame is received (k == len(goldenPkts)) the lane's
-//     dangling bytes never complete a frame.
-//
-// With CheckStats, a statistics readout divergence can only lie inside the
-// window too, and the stream confirms every one.
-func (m *MACClassifier) FailingLanes(golden, faulty *sim.Trace, used uint64, from, to int) uint64 {
-	m.prepared(golden)
-	s := macStream{m: m, used: used, g: m.goldenDec[from]}
-	for c := from; c < to; c++ {
-		s.Observe(c, golden.Row(c), faulty.Row(c))
-	}
-	failed := s.failed
-	for w := s.diverged &^ failed; w != 0; w &= w - 1 {
-		lane := bits.TrailingZeros64(w)
-		k, pos := s.k[lane], s.pos[lane]
-		if k != s.g.k || int(k) < len(m.goldenPkts) && pos != s.g.pos {
-			failed |= 1 << uint(lane)
-		}
-	}
-	return failed
-}
-
 // StartStream implements Classifier with an incremental frame decoder:
 // every lane whose receive-side monitor bits ever diverge from golden gets a
 // private packet reconstruction, compared frame-by-frame against the golden
@@ -172,11 +124,11 @@ func (m *MACClassifier) FailingLanes(golden, faulty *sim.Trace, used uint64, fro
 // length or error flag, opens more frames than the golden run ever received,
 // or (with CheckStats) shows any statistics-readout divergence. These are
 // exactly the monotone components of the criterion: once observed they hold
-// whatever the remaining cycles deliver, so FailingLanes must agree.
+// whatever the remaining cycles deliver.
 //
 // Under-delivery ("the circuit stopped sending or receiving data") is NOT
 // confirmable mid-run — a missing frame may still arrive late and benign —
-// so lanes that fail only by frame count are decided by FailingLanes' suffix
+// so lanes that fail only by frame count are decided by Verdict's suffix
 // rule when the batch ends or every lane re-converges.
 func (m *MACClassifier) StartStream(golden *sim.Trace, used uint64, from int) Stream {
 	m.prepared(golden)
@@ -296,4 +248,31 @@ func (s *macStream) Observe(cycle int, golden, faulty []uint64) uint64 {
 	// Advance the golden decoder (uniform: bit 0 is canonical).
 	s.g.advance(golden[b.MonRxValid]&1 == 1, golden[b.MonRxEOP]&1 == 1)
 	return s.failed
+}
+
+// Verdict implements Stream with the suffix rule. Besides the confirmed
+// lanes, every lane whose receive-side bits diverged is decided from its
+// decoder state (k, pos) against the golden decoder's (g), because the rows
+// after the last observed one are golden's and complete the golden frames
+// from g:
+//   - a frame count k other than g.k ends with a frame count other than
+//     golden's;
+//   - k == g.k with frames left and a byte position other than g.pos closes
+//     the open frame with the wrong length;
+//   - anything else passes: the open frame completes as golden's does, and
+//     once every golden frame is received (k == len(goldenPkts)) the lane's
+//     dangling bytes never complete a frame.
+//
+// With CheckStats, a statistics readout divergence can only lie in the
+// observed rows too, and Observe confirms every one.
+func (s *macStream) Verdict() uint64 {
+	failed := s.failed
+	for w := s.diverged &^ failed; w != 0; w &= w - 1 {
+		lane := bits.TrailingZeros64(w)
+		k, pos := s.k[lane], s.pos[lane]
+		if k != s.g.k || int(k) < len(s.m.goldenPkts) && pos != s.g.pos {
+			failed |= 1 << uint(lane)
+		}
+	}
+	return failed
 }

@@ -28,7 +28,7 @@ func TestMACClassifierGoldenIsClean(t *testing.T) {
 	for _, checkStats := range []bool{false, true} {
 		cls := fault.NewMACClassifier(bench, checkStats)
 		for _, used := range []uint64{0, 1, 0xff, ^uint64(0)} {
-			if got := cls.FailingLanes(golden, golden, used, 0, golden.Cycles()); got != 0 {
+			if got := fault.Verdict(cls, golden, golden, used, 0, golden.Cycles()); got != 0 {
 				t.Fatalf("checkStats=%v used=%#x: golden classified failing: %#x", checkStats, used, got)
 			}
 		}
@@ -80,12 +80,12 @@ func TestMACClassifierRespectsUsedMask(t *testing.T) {
 	faulty, _ := faultyTrace(t, 5)
 	cls := fault.NewMACClassifier(bench, true)
 
-	all := cls.FailingLanes(golden, faulty, ^uint64(0), 0, golden.Cycles())
+	all := fault.Verdict(cls, golden, faulty, ^uint64(0), 0, golden.Cycles())
 	if all == 0 {
 		t.Fatal("fixture produced no failing lanes; classifier untestable")
 	}
 	for _, used := range []uint64{0, 1, 0xffff, 0xaaaaaaaaaaaaaaaa} {
-		got := cls.FailingLanes(golden, faulty, used, 0, golden.Cycles())
+		got := fault.Verdict(cls, golden, faulty, used, 0, golden.Cycles())
 		if got&^used != 0 {
 			t.Fatalf("used=%#x: failing lanes %#x outside used mask", used, got)
 		}
@@ -104,14 +104,14 @@ func TestMACClassifierDeterministic(t *testing.T) {
 	faulty, _ := faultyTrace(t, 6)
 
 	cls := fault.NewMACClassifier(bench, true)
-	first := cls.FailingLanes(golden, faulty, ^uint64(0), 0, golden.Cycles())
+	first := fault.Verdict(cls, golden, faulty, ^uint64(0), 0, golden.Cycles())
 	for i := 0; i < 3; i++ {
-		if got := cls.FailingLanes(golden, faulty, ^uint64(0), 0, golden.Cycles()); got != first {
+		if got := fault.Verdict(cls, golden, faulty, ^uint64(0), 0, golden.Cycles()); got != first {
 			t.Fatalf("call %d: %#x, first %#x", i, got, first)
 		}
 	}
 	fresh := fault.NewMACClassifier(bench, true)
-	if got := fresh.FailingLanes(golden, faulty, ^uint64(0), 0, golden.Cycles()); got != first {
+	if got := fault.Verdict(fresh, golden, faulty, ^uint64(0), 0, golden.Cycles()); got != first {
 		t.Fatalf("fresh classifier: %#x, want %#x", got, first)
 	}
 }
@@ -130,9 +130,9 @@ func TestMACClassifierAgreesWithPacketComparison(t *testing.T) {
 		}
 		for _, seed := range []int64{7, 8, 9} {
 			faulty, _ := batchTrace(t, m, seed)
-			diverged := (&fault.ExactClassifier{}).FailingLanes(golden, faulty, ^uint64(0), 0, golden.Cycles())
+			diverged := fault.Verdict(&fault.ExactClassifier{}, golden, faulty, ^uint64(0), 0, golden.Cycles())
 			for _, checkStats := range []bool{false, true} {
-				failing := fault.NewMACClassifier(bench, checkStats).FailingLanes(golden, faulty, ^uint64(0), 0, golden.Cycles())
+				failing := fault.Verdict(fault.NewMACClassifier(bench, checkStats), golden, faulty, ^uint64(0), 0, golden.Cycles())
 				for lane := 0; lane < sim.Lanes; lane++ {
 					got := failing>>uint(lane)&1 == 1
 					if want := packetVerdict(bench, golden, faulty, lane, checkStats); got != want {
@@ -174,8 +174,8 @@ func TestMACClassifierCheckStatsWidens(t *testing.T) {
 	golden := goldenTrace(t)
 	faulty, _ := faultyTrace(t, 8)
 
-	noStats := fault.NewMACClassifier(bench, false).FailingLanes(golden, faulty, ^uint64(0), 0, golden.Cycles())
-	withStats := fault.NewMACClassifier(bench, true).FailingLanes(golden, faulty, ^uint64(0), 0, golden.Cycles())
+	noStats := fault.Verdict(fault.NewMACClassifier(bench, false), golden, faulty, ^uint64(0), 0, golden.Cycles())
+	withStats := fault.Verdict(fault.NewMACClassifier(bench, true), golden, faulty, ^uint64(0), 0, golden.Cycles())
 	if noStats&^withStats != 0 {
 		t.Fatalf("lanes %#x fail without stats but pass with stats", noStats&^withStats)
 	}
@@ -190,28 +190,28 @@ func TestExactClassifier(t *testing.T) {
 	cls := &fault.ExactClassifier{}
 
 	for _, used := range []uint64{0, 1, ^uint64(0)} {
-		if got := cls.FailingLanes(golden, golden, used, 0, golden.Cycles()); got != 0 {
+		if got := fault.Verdict(cls, golden, golden, used, 0, golden.Cycles()); got != 0 {
 			t.Fatalf("used=%#x: golden classified failing: %#x", used, got)
 		}
 	}
-	all := cls.FailingLanes(golden, faulty, ^uint64(0), 0, golden.Cycles())
+	all := fault.Verdict(cls, golden, faulty, ^uint64(0), 0, golden.Cycles())
 	if all == 0 {
 		t.Fatal("fixture produced no divergent lanes; classifier untestable")
 	}
 	for _, used := range []uint64{1, 0xffff, 0xaaaaaaaaaaaaaaaa} {
-		if got := cls.FailingLanes(golden, faulty, used, 0, golden.Cycles()); got != all&used {
+		if got := fault.Verdict(cls, golden, faulty, used, 0, golden.Cycles()); got != all&used {
 			t.Fatalf("used=%#x: failing = %#x, want %#x", used, got, all&used)
 		}
 	}
 	// A window starting past the end of the trace sees no divergence.
 	late := &fault.ExactClassifier{CheckFrom: golden.Cycles()}
-	if got := late.FailingLanes(golden, faulty, ^uint64(0), 0, golden.Cycles()); got != 0 {
+	if got := fault.Verdict(late, golden, faulty, ^uint64(0), 0, golden.Cycles()); got != 0 {
 		t.Fatalf("empty check window still fails lanes %#x", got)
 	}
 	// Exact classification is at least as strict as the MAC criterion: the
 	// exact mask must cover every applicatively failing lane.
 	_, bench := smallMAC(t)
-	mac := fault.NewMACClassifier(bench, true).FailingLanes(golden, faulty, ^uint64(0), 0, golden.Cycles())
+	mac := fault.Verdict(fault.NewMACClassifier(bench, true), golden, faulty, ^uint64(0), 0, golden.Cycles())
 	if mac&^all != 0 {
 		t.Fatalf("lanes %#x fail applicatively but match golden exactly", mac&^all)
 	}
@@ -245,7 +245,7 @@ func streamOverTrace(sc fault.Classifier, golden, faulty *sim.Trace, used uint64
 }
 
 // Streaming confirmations must be sound: every stream-confirmed lane is also
-// failed by the trace-based verdict and by the packet-list oracle, which
+// failed by the whole-trace Verdict and by the packet-list oracle, which
 // shares no decoder with the stream, for both classifiers and from every
 // starting cycle (the fast-forward entry points).
 func TestStreamConfirmationsAreSound(t *testing.T) {
@@ -255,7 +255,7 @@ func TestStreamConfirmationsAreSound(t *testing.T) {
 		faulty, _ := faultyTrace(t, seed)
 		for _, checkStats := range []bool{false, true} {
 			mac := fault.NewMACClassifier(bench, checkStats)
-			verdict := mac.FailingLanes(golden, faulty, ^uint64(0), 0, golden.Cycles())
+			verdict := fault.Verdict(mac, golden, faulty, ^uint64(0), 0, golden.Cycles())
 			var oracle uint64
 			for lane := 0; lane < sim.Lanes; lane++ {
 				if packetVerdict(bench, golden, faulty, lane, checkStats) {
@@ -277,19 +277,26 @@ func TestStreamConfirmationsAreSound(t *testing.T) {
 	}
 }
 
-// For the exact criterion, streaming over the whole trace is not just sound
-// but complete: any in-window divergence is a failure, so the final stream
-// mask equals the trace-based verdict exactly.
+// For the exact criterion the stream is not just sound but complete: its
+// confirmations over the whole trace and its Verdict are the criterion's
+// definition, the lanes whose monitor words differ from golden's in any row
+// of [CheckFrom, cycles).
 func TestExactStreamMatchesVerdict(t *testing.T) {
 	golden := goldenTrace(t)
 	for _, seed := range []int64{6, 7} {
 		faulty, _ := faultyTrace(t, seed)
 		for _, from := range []int{0, 5} {
+			var diverged uint64
+			for c := from; c < golden.Cycles(); c++ {
+				for w, gw := range golden.Row(c) {
+					diverged |= gw ^ faulty.Row(c)[w]
+				}
+			}
 			cls := &fault.ExactClassifier{CheckFrom: from}
-			verdict := cls.FailingLanes(golden, faulty, ^uint64(0), 0, golden.Cycles())
+			verdict := fault.Verdict(cls, golden, faulty, ^uint64(0), 0, golden.Cycles())
 			confirmed := streamOverTrace(cls, golden, faulty, ^uint64(0), 0)
-			if confirmed != verdict {
-				t.Fatalf("seed %d CheckFrom=%d: stream %#x, verdict %#x", seed, from, confirmed, verdict)
+			if confirmed != diverged || verdict != diverged {
+				t.Fatalf("seed %d CheckFrom=%d: stream %#x, verdict %#x, diverged %#x", seed, from, confirmed, verdict, diverged)
 			}
 		}
 	}
@@ -312,28 +319,23 @@ func TestStreamRespectsUsedMask(t *testing.T) {
 	}
 }
 
-// BenchmarkMACFailingLanes measures the MAC verdict on one 64-lane SEU batch
-// of the small MAC, over a 32-cycle dirty window (the faulty rows from the
-// earliest injection on, golden's everywhere else) and over the whole trace.
-func BenchmarkMACFailingLanes(b *testing.B) {
+// BenchmarkMACVerdict measures the MAC verdict on one 64-lane SEU batch of
+// the small MAC: a stream observes a 32-cycle window (the faulty rows from
+// the earliest injection on) or the whole trace, and gives its Verdict.
+func BenchmarkMACVerdict(b *testing.B) {
 	_, bench := smallMAC(b)
 	golden := goldenTrace(b)
 	faulty, jobs := faultyTrace(b, 7)
 	from := slices.MinFunc(jobs, func(x, y fault.Job) int { return x.Cycle - y.Cycle }).Cycle
-	to := min(from+32, golden.Cycles())
-	window := sim.NewTrace(golden.Monitors, golden.Cycles())
-	window.CopyCycles(golden, 0, golden.Cycles())
-	window.CopyCycles(faulty, from, to)
 	for _, c := range []struct {
 		name     string
-		faulty   *sim.Trace
 		from, to int
-	}{{"window32", window, from, to}, {"whole", faulty, 0, golden.Cycles()}} {
+	}{{"window32", from, min(from+32, golden.Cycles())}, {"whole", 0, golden.Cycles()}} {
 		b.Run(c.name, func(b *testing.B) {
 			cls := fault.NewMACClassifier(bench, true)
 			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				cls.FailingLanes(golden, c.faulty, ^uint64(0), c.from, c.to)
+			for b.Loop() {
+				fault.Verdict(cls, golden, faulty, ^uint64(0), c.from, c.to)
 			}
 		})
 	}

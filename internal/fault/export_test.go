@@ -14,6 +14,17 @@ var (
 	ChunkMasks      = chunkMasks
 )
 
+// Verdict is the whole-trace verdict of the tests: a stream of cls started at
+// from observes rows [from, to) of faulty and gives its Verdict, which takes
+// every later row as golden's.
+func Verdict(cls Classifier, golden, faulty *sim.Trace, used uint64, from, to int) uint64 {
+	s := cls.StartStream(golden, used, from)
+	for c := from; c < to; c++ {
+		s.Observe(c, golden.Row(c), faulty.Row(c))
+	}
+	return s.Verdict()
+}
+
 // CheckpointEvery is the Ledger's flush cadence in merged chunks.
 const CheckpointEvery = checkpointEvery
 

@@ -93,8 +93,8 @@ func FuzzParseModel(f *testing.F) {
 // monitor word in one row of a faulty trace.
 type macEdit struct{ row, mon, lane int }
 
-// macVerdict holds MACClassifier.FailingLanes over a batch's dirty window
-// to packetVerdict over the whole trace.
+// macVerdict holds the Verdict of a MAC stream that observed a batch's
+// window to packetVerdict over the whole trace.
 type macVerdict struct {
 	bench          *circuit.MACBench
 	golden, faulty *sim.Trace              // faulty is a copy of golden the edits go into
@@ -116,10 +116,11 @@ func newMACVerdict(t testing.TB) *macVerdict {
 }
 
 // check XORs edits, which lie in rows [from, to), into the faulty copy and
-// fails t unless FailingLanes over [from, to) equals packetVerdict for every
-// lane, with and without the statistics readout. It restores the copy and
-// returns the lanes failing without the statistics readout that the stream
-// over the window does not confirm: those the suffix rule decides.
+// fails t unless the Verdict of a stream over [from, to) equals
+// packetVerdict for every lane, with and without the statistics readout. It
+// restores the copy and returns the lanes failing without the statistics
+// readout that the stream over the window does not confirm: those the suffix
+// rule decides.
 func (v *macVerdict) check(t *testing.T, from, to int, edits []macEdit) (suffixDecided uint64) {
 	for _, e := range edits {
 		v.faulty.XORWord(e.row, v.mons[e.mon], 1<<uint(e.lane))
@@ -127,15 +128,15 @@ func (v *macVerdict) check(t *testing.T, from, to int, edits []macEdit) (suffixD
 	defer v.faulty.CopyCycles(v.golden, from, to)
 	// A lane whose bits the edits left as golden's has golden's packet
 	// lists and readout, so the oracle's verdict on it is a pass.
-	edited := (&fault.ExactClassifier{}).FailingLanes(v.golden, v.faulty, ^uint64(0), from, to)
+	edited := fault.Verdict(&fault.ExactClassifier{}, v.golden, v.faulty, ^uint64(0), from, to)
 	var failing [2]uint64
 	for i, cls := range v.cls {
-		failing[i] = cls.FailingLanes(v.golden, v.faulty, ^uint64(0), from, to)
+		failing[i] = fault.Verdict(cls, v.golden, v.faulty, ^uint64(0), from, to)
 		for lane := 0; lane < sim.Lanes; lane++ {
 			got := failing[i]>>uint(lane)&1 == 1
 			want := edited>>uint(lane)&1 == 1 && packetVerdict(v.bench, v.golden, v.faulty, lane, i == 1)
 			if got != want {
-				t.Fatalf("window [%d, %d) edits %v stats=%v lane %d: FailingLanes says fail=%v, the packet lists %v",
+				t.Fatalf("window [%d, %d) edits %v stats=%v lane %d: Verdict says fail=%v, the packet lists %v",
 					from, to, edits, i == 1, lane, got, want)
 			}
 		}
@@ -179,11 +180,11 @@ func encodeMACEdits(from, to int, edits []macEdit) []byte {
 }
 
 // Whatever window a batch dirtied and whatever its receive-side and
-// statistics bits hold there, the MAC verdict decoded from the window equals
-// the packet lists compared over the whole trace. The seeds are the cases
-// the suffix rule decides alone: a frame never closed, a byte missing from
-// the frame open at the window's end (both fail), and data bytes after the
-// last frame, which never complete one (benign).
+// statistics bits hold there, the Verdict of a MAC stream that observed the
+// window equals the packet lists compared over the whole trace. The seeds
+// are the cases the suffix rule decides alone: a frame never closed, a byte
+// missing from the frame open at the window's end (both fail), and data
+// bytes after the last frame, which never complete one (benign).
 func FuzzMACVerdictMatchesPacketList(f *testing.F) {
 	v := newMACVerdict(f)
 	const valid, eop, data0 = 0, 1, 3 // indices into v.mons

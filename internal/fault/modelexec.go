@@ -16,16 +16,17 @@ import (
 //   - MBU:       one flip per cluster member at the job cycle.
 //   - stuck-at:  one force per held cycle, clamped to the stimulus end.
 //   - SET:       one flip at cycle+1 per flip-flop that latched the pulse,
-//     plus post-hoc output glitches for the pulse cycle itself.
+//     plus output glitches (appendGlitches) for the pulse cycle itself.
 //
-// Every event carries a fin marker on the lane's last event: the batch
-// window keeps a lane "pending" — ineligible for settling — until
-// its final event has been applied, which is what keeps streaming early
-// exit sound for multi-event models (a stuck-at lane that still has forces
-// coming, or a SET lane whose capture lands next cycle, can re-diverge and
-// must not be declared re-converged yet). Lanes with no events at all are
-// never pending, and a batch with no events skips simulation entirely —
-// its trace is the golden trace (plus glitches).
+// The lane's last event carries a fin marker: the batch window keeps a lane
+// "pending" — ineligible for settling — until its final event has been
+// applied, which is what keeps streaming early exit sound for multi-event
+// models (a stuck-at lane that still has forces coming, or a SET lane whose
+// capture lands next cycle, can re-diverge and must not be declared
+// re-converged yet). A SET pulse nothing latches ends on a glitch, which
+// retires the lane once its row has been observed. Lanes with no events at
+// all are never pending, and a batch with no events skips simulation
+// entirely — its trace is the golden trace.
 
 // effKind is the engine operation of one scheduled event.
 type effKind uint8
@@ -39,14 +40,16 @@ const (
 )
 
 // laneGlitch is one SET output glitch: toggle monitor mon's sample at the
-// given cycle in the lanes of mask. Glitches are applied to the
-// reconstructed trace after simulation, never to engine state — the pulse
-// is combinational and leaves no state behind beyond what expandJob already
-// schedules as capture flips.
+// given cycle in the lanes of mask of batch word word (fin: the lane's last
+// event). Glitches are applied to the recorded rows before a stream observes
+// them, never to engine state — the pulse is combinational and leaves no
+// state behind beyond what expandJob already schedules as capture flips.
 type laneGlitch struct {
 	cycle int
 	mon   int
 	mask  uint64
+	word  int
+	fin   bool
 }
 
 // setEffect is the precomputed consequence of pulsing one combinational

@@ -6,10 +6,11 @@ import "repro/internal/sim"
 // against: each 64-lane batch of a packing — position i carries
 // jobs[order[i]] — is replayed on the interpreter (sim.Engine) from cycle 0
 // to the end of the stimulus — no snapshot, no early exit, no repacking — and
-// classified post hoc over its whole trace. It returns one failure mask per
-// batch, in position order. The events come from expandJob and
-// appendGlitches, as in runBatchWide; TestReferenceMatchesScalarOracle ties
-// it to a replay that shares nothing with either.
+// classified by a stream that observes its whole trace (Verdict). It returns
+// one failure mask per batch, in position order. The events come from
+// expandJob and appendGlitches, as in runBatchWide;
+// TestReferenceMatchesScalarOracle ties it to a replay that shares nothing
+// with either.
 func replayBatches(r *Runner, jobs []Job, order []int) ([]uint64, error) {
 	if err := r.validateJobs(jobs); err != nil {
 		return nil, err
@@ -25,7 +26,7 @@ func replayBatches(r *Runner, jobs []Job, order []int) ([]uint64, error) {
 			batch = append(batch, jobs[i])
 		}
 		faulty, used := r.replayBatch(e, fx, batch)
-		masks = append(masks, r.cls.FailingLanes(golden, faulty, used, 0, golden.Cycles()))
+		masks = append(masks, Verdict(r.cls, golden, faulty, used, 0, golden.Cycles()))
 	}
 	return masks, nil
 }

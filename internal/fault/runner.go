@@ -34,15 +34,15 @@ import (
 //
 //   - Golden fast-forward: the golden run captures periodic engine-state
 //     snapshots (sim.Snapshots); every faulty batch restores the snapshot at
-//     or before its earliest injection cycle instead of re-simulating the
-//     prefix, which is provably identical to golden because lanes only
-//     diverge at their first flip.
+//     or before its earliest event (a flip or a SET output glitch) instead
+//     of re-simulating the prefix, which is provably identical to golden
+//     because lanes only diverge at their first event.
 //   - Streaming early exit: a batch stops as soon as every used lane is
 //     either confirmed failed by the classifier's stream
 //     (Classifier.StartStream) or has re-converged to the golden engine
 //     state — in both cases the remaining cycles cannot change the verdict,
-//     so the trace suffix is the golden run's and the batch is classified as
-//     usual.
+//     so the stream's Verdict, which takes the trace suffix as the golden
+//     run's, is the batch's verdict.
 //   - Cycle-clustered packing: jobs are packed into batches in ascending
 //     injection-cycle order (see cycleOrder), so each batch spans a narrow
 //     cycle window and the prefix skip actually bites.

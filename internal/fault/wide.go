@@ -2,6 +2,7 @@ package fault
 
 import (
 	"math/bits"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -18,8 +19,9 @@ import (
 // lanes keep simulating while the window runs, which is sound because
 // settled lanes evolve identically to golden (their recorded rows equal the
 // golden rows) and stream-confirmed failures are final regardless of the
-// trace suffix — the per-group classification is post hoc over the
-// reconstructed trace.
+// trace suffix. Each group's stream sees every row of the window, SET output
+// glitches included, so when the window stops its Verdict is the group's
+// verdict: nothing classifies a batch twice.
 //
 // It is also mostly wasted: a few latent lanes per batch stay undecided to
 // the end of the stimulus. So a chunk is a work list of scheduled positions
@@ -36,8 +38,8 @@ import (
 //
 // A batch's bookkeeping is bounded by its window, not the stimulus: the
 // worker's traces hold the golden trace between batches, a batch records its
-// window and glitches into them, classifies over those rows alone and puts
-// them back (dirtyRange); its events are ordered in linear time (flipSorter).
+// window and glitches into them and puts those rows back; its events are
+// ordered in linear time (flipSorter).
 
 // repackFraction sets the cut: a batch is repacked once at most a quarter of
 // its lanes are undecided, so four cut batches' stragglers fill at most one
@@ -67,26 +69,21 @@ type wideWorkerState struct {
 	traces []*sim.Trace
 	flips  []flipOp
 	sorter flipSorter
-	// glitches collects the batch's SET output glitches per word.
-	glitches [][]laneGlitch
+	// glitches are the batch's SET output glitches in cycle order.
+	glitches []laneGlitch
 	// work is the current round's scheduled positions, next the stragglers
 	// its batches leave for the following round.
 	work, next []int
 
-	// The current batch, as its window hooks see it: the next event to
-	// apply, the groups in use and their streams and lane sets.
-	ptr     int
-	groups  int
-	streams []Stream
-	used    []uint64
-	pending []uint64
-	failed  []uint64
-	settled []uint64
-	// glitched are the lanes carrying a SET output glitch. Glitches are
-	// XORed into the trace after the window, so a stream never saw them and
-	// must not confirm these lanes: where the cut splices the golden suffix
-	// on is not theirs to choose. They decide by settling.
-	glitched []uint64
+	// The current batch, as its window hooks see it: the next flip and
+	// glitch to apply, the groups in use and their streams and lane sets.
+	ptr, gptr int
+	groups    int
+	streams   []Stream
+	used      []uint64
+	pending   []uint64
+	failed    []uint64
+	settled   []uint64
 	// cutAt stops the window at a snapshot boundary leaving this many lanes
 	// or fewer undecided: 0 on a final round.
 	cutAt int
@@ -102,17 +99,15 @@ type wideWorkerState struct {
 func newWideWorkerState(r *Runner, cp *Plan) *wideWorkerState {
 	W := sim.DefaultKernelWords
 	ws := &wideWorkerState{
-		golden:   cp.golden,
-		e:        sim.NewKernelEngine(cp.kern, W),
-		traces:   make([]*sim.Trace, W),
-		flips:    make([]flipOp, 0, W*sim.Lanes),
-		glitches: make([][]laneGlitch, W),
-		streams:  make([]Stream, W),
-		used:     make([]uint64, W),
-		pending:  make([]uint64, W),
-		failed:   make([]uint64, W),
-		settled:  make([]uint64, W),
-		glitched: make([]uint64, W),
+		golden:  cp.golden,
+		e:       sim.NewKernelEngine(cp.kern, W),
+		traces:  make([]*sim.Trace, W),
+		flips:   make([]flipOp, 0, W*sim.Lanes),
+		streams: make([]Stream, W),
+		used:    make([]uint64, W),
+		pending: make([]uint64, W),
+		failed:  make([]uint64, W),
+		settled: make([]uint64, W),
 	}
 	for i := range ws.traces {
 		ws.traces[i] = sim.NewTrace(r.monitors, r.stim.Cycles())
@@ -140,13 +135,21 @@ func (ws *wideWorkerState) applyEvents(c int) {
 	}
 }
 
-// onCycle feeds cycle c's recorded rows to the groups' streams and stops
-// the window once every lane is decided.
+// onCycle XORs cycle c's glitches into the recorded rows, retiring lanes
+// from pending on their final event, feeds the rows to the groups' streams
+// and stops the window once every lane is decided.
 func (ws *wideWorkerState) onCycle(c int) bool {
+	for ; ws.gptr < len(ws.glitches) && ws.glitches[ws.gptr].cycle == c; ws.gptr++ {
+		gl := &ws.glitches[ws.gptr]
+		ws.traces[gl.word].XORWord(c, gl.mon, gl.mask)
+		if gl.fin {
+			ws.pending[gl.word] &^= gl.mask
+		}
+	}
 	gr := ws.golden.Row(c)
 	undecided := uint64(0)
 	for g := 0; g < ws.groups; g++ {
-		ws.failed[g] = ws.streams[g].Observe(c, gr, ws.traces[g].Row(c)) &^ ws.glitched[g]
+		ws.failed[g] = ws.streams[g].Observe(c, gr, ws.traces[g].Row(c))
 		undecided |= ws.undecided(g)
 	}
 	return undecided == 0
@@ -212,8 +215,8 @@ func (r *Runner) runBatchWide(ws *wideWorkerState, cp *Plan, lo int, batch []int
 	snaps, golden := cp.snaps, cp.golden
 	groups := (len(batch) + sim.Lanes - 1) / sim.Lanes
 	carried := len(ws.next)
-	ws.flips = ws.flips[:0]
-	ws.ptr, ws.groups, ws.cutAt = 0, groups, 0
+	ws.flips, ws.glitches = ws.flips[:0], ws.glitches[:0]
+	ws.ptr, ws.gptr, ws.groups, ws.cutAt = 0, 0, groups, 0
 	ws.undecidedLanes, ws.activeLaneCycles = len(batch), 0
 	if !final {
 		ws.cutAt = len(batch) / repackFraction
@@ -221,55 +224,59 @@ func (r *Runner) runBatchWide(ws *wideWorkerState, cp *Plan, lo int, batch []int
 	used, failed, settled := ws.used, ws.failed, ws.settled
 	for g := 0; g < groups; g++ {
 		used[g], failed[g], settled[g] = 0, 0, 0
-		ws.glitches[g] = ws.glitches[g][:0]
 		var eventless uint64
 		for lane, pos := range batch[g*sim.Lanes : min((g+1)*sim.Lanes, len(batch))] {
 			job := cp.jobs[cp.order[pos]]
 			laneMask := uint64(1) << uint(lane)
-			n := len(ws.flips)
+			n, k := len(ws.flips), len(ws.glitches)
 			ws.flips = r.expandJob(ws.flips, cp.setFX, job, laneMask)
-			if len(ws.flips) == n {
-				eventless |= laneMask
-			}
+			ws.glitches = r.appendGlitches(ws.glitches, cp.setFX, job, laneMask)
 			for i := n; i < len(ws.flips); i++ {
 				ws.flips[i].word = g
 			}
-			ws.glitches[g] = r.appendGlitches(ws.glitches[g], cp.setFX, job, laneMask)
+			for i := k; i < len(ws.glitches); i++ {
+				ws.glitches[i].word = g
+			}
+			if len(ws.flips) == n {
+				if len(ws.glitches) == k {
+					eventless |= laneMask
+				} else {
+					// A pulse nothing latches, or one at the last cycle:
+					// its last event is its glitch.
+					ws.glitches[len(ws.glitches)-1].fin = true
+				}
+			}
 			used[g] |= laneMask
 		}
 		// Eventless lanes are never pending: their state is golden forever.
 		ws.pending[g] = used[g] &^ eventless
-		ws.glitched[g] = 0
-		for i := range ws.glitches[g] {
-			ws.glitched[g] |= ws.glitches[g][i].mask
-		}
 	}
 	ws.flips = ws.sorter.sort(ws.flips)
+	slices.SortFunc(ws.glitches, func(a, b laneGlitch) int { return a.cycle - b.cycle })
 
 	// A wide batch with no events at all (possible under SET) needs no
-	// simulation: every lane is settled from the start, its trace the
-	// golden trace plus glitches.
+	// simulation: every lane is settled from the start, its trace golden's.
 	var start, stop int
-	if len(ws.flips) == 0 {
+	if len(ws.flips) == 0 && len(ws.glitches) == 0 {
 		copy(settled[:groups], used)
 	} else {
-		minCycle := ws.flips[0].cycle
-		start = snaps.SnapCycle(snaps.IndexAtOrBefore(minCycle))
+		first := r.stim.Cycles()
+		if len(ws.flips) > 0 {
+			first = ws.flips[0].cycle
+		}
+		if len(ws.glitches) > 0 {
+			first = min(first, ws.glitches[0].cycle)
+		}
+		start = snaps.SnapCycle(snaps.IndexAtOrBefore(first))
 		for g := 0; g < groups; g++ {
 			ws.streams[g] = r.cls.StartStream(golden, used[g], start)
 		}
 		ws.since = start
 		ws.window.Traces = ws.traces[:groups]
-		stop = sim.RunWindowWide(ws.e, r.stim, snaps, minCycle, ws.window)
+		stop = sim.RunWindowWide(ws.e, r.stim, snaps, first, ws.window)
 		ws.closeInterval(stop)
 	}
 	for g := 0; g < groups; g++ {
-		tr := ws.traces[g]
-		from, to := ws.dirtyRange(g, start, stop)
-		for i := range ws.glitches[g] {
-			gl := &ws.glitches[g][i]
-			tr.XORWord(gl.cycle, gl.mon, gl.mask)
-		}
 		r.metrics.observeBatch(start, stop, r.stim.Cycles(), used[g], failed[g], settled[g])
 		// A window that reached the end of the stimulus decided every lane.
 		var repack uint64
@@ -277,31 +284,18 @@ func (r *Runner) runBatchWide(ws *wideWorkerState, cp *Plan, lo int, batch []int
 			repack = ws.undecided(g)
 		}
 		group := batch[g*sim.Lanes:]
-		for m := r.cls.FailingLanes(golden, tr, used[g]&^repack, from, to); m != 0; m &= m - 1 {
-			at := group[bits.TrailingZeros64(m)] - lo
-			masks[at/sim.Lanes] |= 1 << uint(at%sim.Lanes)
+		// An eventless batch ran no stream: every lane passes.
+		if stop > start {
+			for m := ws.streams[g].Verdict() & (used[g] &^ repack); m != 0; m &= m - 1 {
+				at := group[bits.TrailingZeros64(m)] - lo
+				masks[at/sim.Lanes] |= 1 << uint(at%sim.Lanes)
+			}
 		}
 		for m := repack; m != 0; m &= m - 1 {
 			ws.next = append(ws.next, group[bits.TrailingZeros64(m)])
 		}
-		tr.CopyCycles(golden, from, to)
+		ws.traces[g].CopyCycles(golden, start, stop)
 	}
 	r.metrics.observeWideBatch(ws.activeLaneCycles, (stop-start)*ws.e.Words()*sim.Lanes, len(ws.next)-carried)
 	return stop - start
-}
-
-// dirtyRange returns the rows of group g's trace the current batch may leave
-// different from golden: the window [start, stop) and the group's SET glitch
-// rows, which can lie outside it — a pulse is observed the cycle before its
-// capture flips land, and one that nothing latches has no flips at all.
-func (ws *wideWorkerState) dirtyRange(g, start, stop int) (from, to int) {
-	from, to = start, stop
-	for i := range ws.glitches[g] {
-		c := ws.glitches[g][i].cycle
-		if from == to {
-			from, to = c, c+1
-		}
-		from, to = min(from, c), max(to, c+1)
-	}
-	return from, to
 }

@@ -148,16 +148,21 @@ func wholeWindows(t *testing.T, r *Runner, jobs []Job) int64 {
 	return cycles
 }
 
-// postHoc replaces a classifier's stream with one that never confirms a
-// lane, so every verdict comes from FailingLanes and a batch decides its
-// lanes by settling alone.
+// postHoc wraps a classifier's stream so that it never confirms a lane:
+// every verdict comes from the stream's Verdict when the window stops, and a
+// batch decides its lanes by settling alone.
 type postHoc struct{ Classifier }
 
-func (postHoc) StartStream(*sim.Trace, uint64, int) Stream { return neverConfirms{} }
+func (p postHoc) StartStream(golden *sim.Trace, used uint64, from int) Stream {
+	return neverConfirms{p.Classifier.StartStream(golden, used, from)}
+}
 
-type neverConfirms struct{}
+type neverConfirms struct{ Stream }
 
-func (neverConfirms) Observe(int, []uint64, []uint64) uint64 { return 0 }
+func (s neverConfirms) Observe(c int, golden, faulty []uint64) uint64 {
+	s.Stream.Observe(c, golden, faulty)
+	return 0
+}
 
 // TestRepackedChunksMatchReference pins the repacking rounds against the
 // reference, which replays every 64-lane group's whole stimulus: per fault
@@ -357,8 +362,8 @@ func TestKernelSharedAndCollectable(t *testing.T) {
 
 // runRoundsChecked is runChunkWide over every chunk of the plan with the
 // worker-trace invariant checked after each batch: whatever the batch
-// recorded, glitched and classified, every worker trace is the golden trace
-// again when it returns. It returns the masks in scheduled-position order.
+// recorded and glitched, every worker trace is the golden trace again when
+// it returns. It returns the masks in scheduled-position order.
 func runRoundsChecked(t *testing.T, r *Runner, cp *Plan) []uint64 {
 	t.Helper()
 	ws := newWideWorkerState(r, cp)
@@ -390,10 +395,10 @@ func runRoundsChecked(t *testing.T, r *Runner, cp *Plan) []uint64 {
 
 // TestWorkerTracesReturnToGolden pins the invariant the window-bounded
 // bookkeeping rests on, across the fault-model matrix and both kinds of
-// classifier: a batch dirties only the rows of its window and its glitches
-// and restores exactly those, so between batches every worker trace equals
-// golden — and classifying over that range alone gives the reference's
-// masks.
+// classifier: a batch dirties only the rows of its window, glitches
+// included, and restores exactly those, so between batches every worker
+// trace equals golden — and the streams' verdicts over those rows alone
+// give the reference's masks.
 func TestWorkerTracesReturnToGolden(t *testing.T) {
 	p, bench := wideMAC(t)
 	for _, spec := range []string{"seu", "mbu:3", "stuck0:8", "stuck1:4@0.25-0.75", "set"} {
@@ -424,17 +429,17 @@ func TestWorkerTracesReturnToGolden(t *testing.T) {
 	}
 }
 
-// setRunner returns a SET-model runner over the small MAC under the exact
-// classifier, with the effect table of one pulse per combinational target
-// at each of the given cycles.
-func setRunner(t *testing.T, cycles ...int) (*Runner, []Job, map[int64]setEffect) {
+// setRunner returns a SET-model runner over the small MAC under cls, with
+// the effect table of one pulse per combinational target at each of the
+// given cycles.
+func setRunner(t *testing.T, cls Classifier, cycles ...int) (*Runner, []Job, map[int64]setEffect) {
 	t.Helper()
 	p, bench := wideMAC(t)
 	model, err := ParseModel("set")
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewGoldenRunner(p, bench.Stim, bench.Monitors, &ExactClassifier{}, RunnerConfig{Model: model})
+	r, err := NewGoldenRunner(p, bench.Stim, bench.Monitors, cls, RunnerConfig{Model: model})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,6 +450,18 @@ func setRunner(t *testing.T, cycles ...int) (*Runner, []Job, map[int64]setEffect
 		}
 	}
 	return r, jobs, r.setEffects(jobs)
+}
+
+// startsAt records the cycle every stream of a classifier starts at: the
+// first row of each window the runner simulates.
+type startsAt struct {
+	Classifier
+	from *[]int
+}
+
+func (s startsAt) StartStream(golden *sim.Trace, used uint64, from int) Stream {
+	*s.from = append(*s.from, from)
+	return s.Classifier.StartStream(golden, used, from)
 }
 
 // runOneBatch runs jobs as a single final wide batch on a fresh worker and
@@ -465,15 +482,16 @@ func runOneBatch(t *testing.T, r *Runner, jobs []Job) (*wideWorkerState, int, []
 	return ws, n, masks
 }
 
-// TestSETGlitchRowBeforeWindow is the dirty range's corner: a SET pulse at
-// cycle c is observed at row c but its capture flips land at c+1, so when
-// c+1 is snapshot-aligned the window starts at c+1 and the glitch row lies
-// before it. That row must be classified (the exact criterion fails the
-// lane on the glitch alone) and restored.
+// TestSETGlitchRowBeforeWindow is the window's SET corner: a pulse at cycle
+// c is observed at row c but its capture flips land at c+1, so when c+1 is
+// snapshot-aligned the window must start at the snapshot before it, or the
+// streams never see the glitch row. That row must be classified (the exact
+// criterion fails the lane on the glitch alone) and restored.
 func TestSETGlitchRowBeforeWindow(t *testing.T) {
 	_, bench := wideMAC(t)
 	pulse := bench.ActiveCycles/2/sim.DefaultSnapshotEvery*sim.DefaultSnapshotEvery - 1
-	r, all, fx := setRunner(t, pulse)
+	var starts []int
+	r, all, fx := setRunner(t, startsAt{&ExactClassifier{}, &starts}, pulse)
 	var jobs []Job
 	for _, j := range all {
 		if eff := fx[setKey(j.FF, j.Cycle)]; len(eff.ffs) > 0 && len(eff.mons) > 0 && len(jobs) < sim.Lanes {
@@ -483,55 +501,64 @@ func TestSETGlitchRowBeforeWindow(t *testing.T) {
 	if len(jobs) == 0 {
 		t.Fatalf("no pulse at cycle %d both glitches a monitor and is latched", pulse)
 	}
-	ws, n, got := runOneBatch(t, r, jobs)
-	if n == 0 {
-		t.Fatal("the batch simulated nothing")
-	}
-	if from, _ := ws.dirtyRange(0, pulse+1, pulse+1+n); from != pulse {
-		t.Fatalf("dirty range starts at %d, want the glitch row %d before the window at %d", from, pulse, pulse+1)
-	}
 	want, err := referenceMasks(r, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
+	starts = nil // the reference's streams
+	ws, n, got := runOneBatch(t, r, jobs)
 	if !slices.Equal(got, want) {
 		t.Fatalf("masks %x, reference %x", got, want)
+	}
+	if len(starts) != 1 || starts[0] > pulse || starts[0]+n <= pulse {
+		t.Fatalf("streams start at %v and run %d cycles: the glitch row %d lies outside", starts, n, pulse)
 	}
 	if want[0] != uint64(1)<<uint(len(jobs))-1 {
 		t.Fatalf("reference masks %x: every glitched lane fails the exact criterion", want)
 	}
 	if !ws.traces[0].Equal(ws.golden) {
-		t.Fatal("the glitch row before the window was not restored")
+		t.Fatal("the glitch row was not restored")
 	}
 }
 
 // TestEventlessGlitchBatch runs a batch made only of SET pulses nothing
-// latches: no event, no window, yet every lane's glitch row is classified
-// and restored.
+// latches — no flip at all — at two cycles far apart. A lane whose last event
+// is its glitch stays pending until the glitch row has been observed, so the
+// window runs through the last glitch row, however early the state of every
+// lane re-converges, and every lane's glitch is classified and restored.
 func TestEventlessGlitchBatch(t *testing.T) {
 	_, bench := wideMAC(t)
 	// The last cycle has no following cycle to latch into at all.
-	r, all, fx := setRunner(t, bench.ActiveCycles/3, bench.Stim.Cycles()-1)
+	last := bench.Stim.Cycles() - 1
+	var starts []int
+	r, all, fx := setRunner(t, startsAt{&ExactClassifier{}, &starts}, bench.ActiveCycles/3, last)
 	var jobs []Job
+	perCycle := map[int]int{}
 	for _, j := range all {
 		eff := fx[setKey(j.FF, j.Cycle)]
-		if len(eff.mons) > 0 && (len(eff.ffs) == 0 || j.Cycle == bench.Stim.Cycles()-1) && len(jobs) < lanesPerBatch {
+		if len(eff.mons) > 0 && (len(eff.ffs) == 0 || j.Cycle == last) && perCycle[j.Cycle] < lanesPerBatch/2 {
 			jobs = append(jobs, j)
+			perCycle[j.Cycle]++
 		}
 	}
-	if len(jobs) <= sim.Lanes {
-		t.Fatalf("only %d glitch-only pulses: want more than one group", len(jobs))
-	}
-	ws, n, got := runOneBatch(t, r, jobs)
-	if n != 0 || len(ws.flips) != 0 {
-		t.Fatalf("an event-less batch simulated %d cycles over %d events", n, len(ws.flips))
+	if len(perCycle) != 2 || len(jobs) <= sim.Lanes {
+		t.Fatalf("%d glitch-only pulses at %d cycles: want more than one group over both", len(jobs), len(perCycle))
 	}
 	want, err := referenceMasks(r, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
+	starts = nil // the reference's streams
+	ws, n, got := runOneBatch(t, r, jobs)
+	if len(ws.flips) != 0 {
+		t.Fatalf("the batch has %d flips, want none", len(ws.flips))
+	}
 	if !slices.Equal(got, want) {
 		t.Fatalf("masks %x, reference %x", got, want)
+	}
+	if len(starts) != len(got) || starts[0] > bench.ActiveCycles/3 || starts[0]+n != last+1 {
+		t.Fatalf("streams start at %v and run %d cycles: want one per group through the glitch rows %d and %d",
+			starts, n, bench.ActiveCycles/3, last)
 	}
 	for g, m := range got {
 		if m == 0 {
@@ -543,18 +570,33 @@ func TestEventlessGlitchBatch(t *testing.T) {
 	}
 }
 
-// shortRange classifies over the first half of the range it is handed — a
-// caller that under-reports what a batch dirtied.
-type shortRange struct{ Classifier }
+// skipsRow hands its streams every row the runner observes but one, the
+// first that differs from golden: a runner that misses a row of its window.
+type skipsRow struct{ Classifier }
 
-func (s shortRange) FailingLanes(golden, faulty *sim.Trace, used uint64, from, to int) uint64 {
-	return s.Classifier.FailingLanes(golden, faulty, used, from, from+(to-from)/2)
+func (s skipsRow) StartStream(golden *sim.Trace, used uint64, from int) Stream {
+	return &skippingStream{Stream: s.Classifier.StartStream(golden, used, from)}
 }
 
-// TestNarrowedRangeBreaksEquivalence is the negative control of the range
-// contract: the equivalence suites must notice a classifier call whose
-// range is narrower than the real divergence. If this test fails, the
-// suites would pass a Runner that under-reports its dirty rows.
+type skippingStream struct {
+	Stream
+	skipped   bool
+	confirmed uint64
+}
+
+func (s *skippingStream) Observe(c int, golden, faulty []uint64) uint64 {
+	if !s.skipped && !slices.Equal(golden, faulty) {
+		s.skipped = true
+		return s.confirmed
+	}
+	s.confirmed = s.Stream.Observe(c, golden, faulty)
+	return s.confirmed
+}
+
+// TestNarrowedRangeBreaksEquivalence is the negative control of the window
+// contract: the equivalence suites must notice a stream that misses one row
+// of its window. If this test fails, the suites would pass a Runner whose
+// streams do not see every row it dirtied.
 func TestNarrowedRangeBreaksEquivalence(t *testing.T) {
 	p, bench := wideMAC(t)
 	jobs := NewModelPlan(Model{}, p.NumFFs(), 2, bench.ActiveCycles, 41)
@@ -570,10 +612,10 @@ func TestNarrowedRangeBreaksEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := chunkMasks(t, run(&ExactClassifier{}), jobs); !slices.Equal(got, want) {
-		t.Fatal("the unnarrowed Runner already differs from the reference")
+		t.Fatal("the Runner already differs from the reference")
 	}
-	if got := chunkMasks(t, run(shortRange{&ExactClassifier{}}), jobs); slices.Equal(got, want) {
-		t.Fatal("classifying half of every dirty range still matched the reference")
+	if got := chunkMasks(t, run(skipsRow{&ExactClassifier{}}), jobs); slices.Equal(got, want) {
+		t.Fatal("streams that skip a row of every window still matched the reference")
 	}
 }
 

@@ -102,9 +102,9 @@ func (t *Trace) Row(cycle int) []uint64 {
 
 // XORWord toggles the lanes of mask in monitor m's word at the given cycle.
 // The fault runner applies SET output glitches with it: a pulse that reaches
-// a monitored port flips that port's sample for exactly the pulse cycle, and
-// the runner patches the recorded (or golden-copied) row post hoc so every
-// backend reconstructs the identical observable trace.
+// a monitored port flips that port's sample for exactly the pulse cycle, so
+// the runner toggles the recorded row before its streams observe it, and the
+// reference replay the whole trace's rows after its run.
 func (t *Trace) XORWord(cycle, m int, mask uint64) {
 	t.words[cycle*len(t.Monitors)+m] ^= mask
 }
