@@ -19,8 +19,8 @@ build:
 	$(GO) build ./...
 
 # The file set of a platform without the amd64 assembly (internal/cpuid's
-# CPUID test, internal/sim's AVX combinational pass and internal/ml/mlp's AVX
-# training kernels): it must build, not only vet, since vet passes a function
+# CPUID test, internal/sim's AVX combinational pass, internal/ml/mlp's AVX
+# training kernels and internal/ml/knn's AVX distance scan): it must build, not only vet, since vet passes a function
 # declared without a body that the build rejects. On amd64 itself, vet's
 # asmdecl check (make lint) holds each .s frame to its Go declaration.
 cross:
@@ -72,11 +72,13 @@ knobs:
 # over the whole trace, ending in its Verdict; BenchmarkWilsonInterval),
 # feature extraction per circuit (BenchmarkExtract, ns/flip-flop), the front
 # end phase by phase (BenchmarkMaterialize, ms per phase), the per-model
-# fit/predict/tune benchmarks, artifact save/load and raw predict
-# throughput, and one batch through the prediction service's HTTP stack.
+# fit/predict/tune benchmarks, the k-NN neighbour search once per distance
+# scan (BenchmarkNeighbors, /avx and /go), artifact save/load and raw
+# predict throughput, and one batch through the prediction service's HTTP
+# stack.
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./internal/sim ./internal/fault \
-		./internal/features ./internal/corpus ./internal/core ./internal/persist ./internal/serve
+		./internal/features ./internal/corpus ./internal/core ./internal/ml/knn ./internal/persist ./internal/serve
 
 # Ten seconds of each fuzz target, one `go test -fuzz` invocation apiece (the
 # flag takes a single target). FuzzExtractMatchesReference is differential:
@@ -95,11 +97,14 @@ bench:
 # per requested model, or a 4xx envelope), and FuzzCoordinatorRequests to the
 # fabric coordinator's four POST routes (join, lease, heartbeat, complete): a
 # 200 that decodes to the route's response type or a 4xx envelope.
-# FuzzNeighbors is differential: k-NN's bounded neighbour search must return
-# the indices and distance bits of the full search kept in
-# internal/ml/knn/equiv_test.go, whatever the rows, widths, NaNs and infinities.
+# FuzzNeighbors is differential: k-NN's neighbour search, under the AVX block
+# kernel and under the bounded Go loop, must return the indices and distance
+# bits of the full search kept in internal/ml/knn/equiv_test.go, whatever the
+# rows, widths, NaNs and infinities (a NaN's payload is compared outside
+# instrumented builds only: fuzzing and -race reorder the Go loop's adds).
 # FuzzPredictEachK holds the shared pass that scores several k from one
-# distance scan to a model of its own per k, prediction bit for bit.
+# distance scan, under each scan, to a model of its own per k, prediction bit
+# for bit.
 # FuzzMLPFitMatchesScalarLoops is differential: mlp.Fit must train small
 # networks to the weight bits of the scalar loops kept in
 # internal/ml/mlp/equiv_test.go, non-finite rows and zero deltas included.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"io/fs"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -540,6 +541,19 @@ func TestFailedCampaignAnswersInternal(t *testing.T) {
 	}
 }
 
+// cancelOn is a log sink that cancels once a record holds msg.
+type cancelOn struct {
+	msg    string
+	cancel context.CancelFunc
+}
+
+func (c cancelOn) Write(p []byte) (int, error) {
+	if strings.Contains(string(p), c.msg) {
+		c.cancel()
+	}
+	return len(p), nil
+}
+
 // TestInterruptedLeasePostsFinishedChunks: a worker cancelled mid-lease
 // still hands the coordinator every chunk its pool finished — none waits out
 // its lease TTL to be simulated again — and reports the cancellation.
@@ -565,23 +579,19 @@ func TestInterruptedLeasePostsFinishedChunks(t *testing.T) {
 	}))
 	defer srv.Close()
 
+	// The cancellation comes from the pool's one worker as it starts the
+	// lease's first chunk, so that chunk is in flight and the pool finishes
+	// it, while the others are never dispatched.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	logs := slog.NewTextHandler(cancelOn{msg: `msg="chunk started"`, cancel: cancel}, &slog.HandlerOptions{Level: slog.LevelDebug})
 	reg := obs.NewRegistry()
 	w, err := fabric.NewWorker(fabric.WorkerConfig{
-		Name: "interrupted", Coordinator: srv.URL, Workers: 1, Metrics: reg,
+		Name: "interrupted", Coordinator: srv.URL, Workers: 1, Metrics: reg, Logger: slog.New(logs),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go func() {
-		// The first wide batch is through: a chunk of the first lease is
-		// in flight, and the pool will finish it after the cancellation.
-		for ctx.Err() == nil && reg.Counter("ffr_campaign_window_lane_cycles_total", "").Value() == 0 {
-			time.Sleep(100 * time.Microsecond)
-		}
-		cancel()
-	}()
 	if err := w.Run(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupted worker returned %v, want the cancellation", err)
 	}

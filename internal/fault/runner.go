@@ -132,7 +132,8 @@ type RunnerConfig struct {
 	// nil disables campaign metrics.
 	Metrics *obs.Registry
 	// Logger optionally receives structured campaign records (start,
-	// per-chunk completions, checkpoint flushes); nil disables logging.
+	// per-chunk starts and completions, checkpoint flushes); nil disables
+	// logging.
 	Logger *slog.Logger
 }
 
@@ -257,6 +258,7 @@ func (r *Runner) runPool(ctx context.Context, pl *Plan, idx []int, collect func(
 			defer wg.Done()
 			ws := newWideWorkerState(r, pl)
 			for ci := range chunks {
+				r.log.Debug("chunk started", "chunk", ci)
 				cr := chunkResult{index: ci, replayCycles: int64(pl.sh.chunkBatches(ci)) * int64(r.stim.Cycles())}
 				start := time.Now()
 				cr.masks, cr.simCycles = r.runChunkWide(ws, pl, ci)

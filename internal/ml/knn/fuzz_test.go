@@ -2,6 +2,7 @@ package knn
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -54,12 +55,13 @@ func fuzzRows(seed int64, w, n uint8, data []byte) (X [][]float64, y []float64, 
 	return X, y, next
 }
 
-// FuzzNeighbors holds Neighbors, whose distance blocks give up once they
-// cannot reach the k nearest, to refNeighbors, which sums every distance in
-// full: the same indices in the same order and bit-equal distances. Widths run
-// from 1 to 40, below and above distances4's check interval; rows are drawn
-// from the fuzzed bytes (then from seed once those run out), and a row may
-// repeat an earlier one.
+// FuzzNeighbors holds Neighbors under every scan of PlatformScans — the AVX
+// block kernel, and distances4, whose blocks give up once they cannot reach
+// the k nearest — to refNeighbors, which sums every distance in full: the
+// same indices in the same order and bit-equal distances. Widths run from 1
+// to 40, below and above distances4's check interval, and rows from 1 to 64,
+// so the last block is padded; rows are drawn from the fuzzed bytes (then
+// from seed once those run out), and a row may repeat an earlier one.
 func FuzzNeighbors(f *testing.F) {
 	f.Add(int64(1), uint8(24), uint8(40), uint8(2), []byte{})
 	f.Add(int64(39), uint8(39), uint8(63), uint8(66), []byte("0"))
@@ -82,28 +84,18 @@ func FuzzNeighbors(f *testing.F) {
 		if err := m.Fit(X, y); err != nil {
 			t.Fatal(err)
 		}
-		idx, dist, err := m.Neighbors(query)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantIdx, wantDist := refNeighbors(m, query)
-		if len(idx) != len(wantIdx) || len(dist) != len(wantDist) {
-			t.Fatalf("%d/%d neighbours, want %d", len(idx), len(dist), len(wantIdx))
-		}
-		for i := range wantIdx {
-			if idx[i] != wantIdx[i] || math.Float64bits(dist[i]) != math.Float64bits(wantDist[i]) {
-				t.Fatalf("neighbour %d of %d (width %d, %d rows): (%d, %x), the full search gives (%d, %x)",
-					i, m.K, width, rows, idx[i], math.Float64bits(dist[i]), wantIdx[i], math.Float64bits(wantDist[i]))
-			}
+		for _, scan := range PlatformScans() {
+			m.UseScan(scan)
+			assertNeighbors(t, scan, fmt.Sprintf("k=%d, width %d, %d rows", m.K, width, rows), 0, m, query)
 		}
 	})
 }
 
 // FuzzPredictEachK holds PredictEachK, one distance scan per query feeding a
-// heap per k, to a model of its own per k: the same prediction bits for every
-// k and query. The ks come from the bytes of kb (up to 8, repeats
-// allowed), the rows from fuzzRows, and the queries are two drawn rows and a
-// training row.
+// heap per k, under every scan of PlatformScans to a model of its own per k
+// on distances4: the same prediction bits for every k and query. The ks come
+// from the bytes of kb (up to 8, repeats allowed), the rows from fuzzRows,
+// and the queries are two drawn rows and a training row.
 func FuzzPredictEachK(f *testing.F) {
 	f.Add(int64(1), uint8(24), uint8(40), []byte{2, 0, 6, 2}, []byte{})
 	f.Add(int64(2), uint8(4), uint8(13), []byte{0, 12, 5}, []byte{0xff, 0x80, 0xfe, 0xfd, 0xfc, 0x80, 0x81})
@@ -124,23 +116,33 @@ func FuzzPredictEachK(f *testing.F) {
 				q[j] = fuzzValue(next())
 			}
 		}
-		shared := New(1)
-		if err := shared.Fit(X, y); err != nil {
-			t.Fatal(err)
-		}
-		got, err := shared.PredictEachK(queries, ks)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := make([][]float64, len(ks))
 		for i, k := range ks {
 			m := New(k)
 			if err := m.Fit(X, y); err != nil {
 				t.Fatal(err)
 			}
-			for q, x := range queries {
-				if want := m.Predict(x); math.Float64bits(got[i][q]) != math.Float64bits(want) {
-					t.Fatalf("k=%d (of %v) query %d (width %d, %d rows): %x, a model of its own gives %x",
-						k, ks, q, len(x), len(X), math.Float64bits(got[i][q]), math.Float64bits(want))
+			m.UseScan("go")
+			for _, x := range queries {
+				want[i] = append(want[i], m.Predict(x))
+			}
+		}
+		shared := New(1)
+		if err := shared.Fit(X, y); err != nil {
+			t.Fatal(err)
+		}
+		for _, scan := range PlatformScans() {
+			shared.UseScan(scan)
+			got, err := shared.PredictEachK(queries, ks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, k := range ks {
+				for q, x := range queries {
+					if !sameBits(scan, got[i][q], want[i][q]) {
+						t.Fatalf("%s: k=%d (of %v) query %d (width %d, %d rows): %x, a model of its own gives %x",
+							scan, k, ks, q, len(x), len(X), math.Float64bits(got[i][q]), math.Float64bits(want[i][q]))
+					}
 				}
 			}
 		}

@@ -28,7 +28,8 @@ const (
 // Regressor is the k-NN model: the inverse-distance weighted average of the
 // K nearest training rows under Manhattan distance. The zero value is k=0
 // and invalid (use New). The fields are also the model's gob payload; X and
-// Y are the memorized training set.
+// Y are the memorized training set. Fit and GobDecode derive the distance
+// kernel's copy of X from it, so a fitted model's X is read-only.
 type Regressor struct {
 	K       int
 	Metric  Metric
@@ -36,6 +37,8 @@ type Regressor struct {
 	X       [][]float64
 	Y       []float64
 	Fitted  bool
+
+	blk []float64 // X as blockDistances reads it (see blocks); nil without one
 }
 
 // New returns the paper's configuration with the given k.
@@ -83,7 +86,26 @@ func (r *Regressor) Fit(X [][]float64, y []float64) error {
 	}
 	r.Y = append([]float64(nil), y...)
 	r.Fitted = true
+	r.blk = blocks(r.X)
 	return nil
+}
+
+// blocks returns the copy of X that blockDistances reads, or nil where the
+// platform has no such kernel: blocks of four rows, row 4b+j's feature f at
+// (b·d+f)·4+j for d features, zero rows padding it to an even number of
+// blocks.
+func blocks(X [][]float64) []float64 {
+	if !hasBlockKernel {
+		return nil
+	}
+	d := len(X[0])
+	blk := make([]float64, (len(X)+7)/8*8*d)
+	for i, row := range X {
+		for f, v := range row {
+			blk[(i/4*d+f)*4+i%4] = v
+		}
+	}
+	return blk
 }
 
 const checkEvery = 8 // features distances4 adds between two looks at its bound
@@ -202,34 +224,45 @@ func bound(hs []nearest) float64 {
 
 // scan offers every training row's distance from x to each heap of hs, in
 // index order. Every heap sees the same offers a search of its own would
-// make, so each ends up holding what that search would (see bound).
+// make, so each ends up holding what that search would (see bound). The rows
+// go by blocks of four: with a block copy of X, blockDistances sums 16
+// blocks at a time in full; without one (no kernel, a hand-built model, a
+// query of another width), distances4 sums a block. A short last block is
+// filled up with zero padding or the last row again, whose sums take part in
+// the skip below but are offered to no heap.
 func (r *Regressor) scan(x []float64, hs []nearest) {
 	rows := r.X
-	i := 0
+	last := len(rows) - 1
+	blk := r.blk
+	if len(x) != len(rows[0]) {
+		blk = nil // distances4 reads x's width, or panics
+	}
+	var run [64]float64 // blockDistances' sums of 16 blocks
 	// Once every heap is full, b is the largest root (see bound). distances4
 	// gives up a block whose partial sums are all >= b, and a block whose four
 	// sums, partial or full, are all >= b is not offered: every heap's offer
 	// would reject it, as it would the full distances.
 	b := math.NaN()
-	for ; i+4 <= len(rows); i += 4 {
-		d0, d1, d2, d3 := distances4(x, rows[i], rows[i+1], rows[i+2], rows[i+3], b)
-		if d0 >= b && d1 >= b && d2 >= b && d3 >= b {
+	for i := 0; i <= last; i += 4 {
+		var d [4]float64
+		if blk != nil {
+			at := i % len(run)
+			if at == 0 {
+				blockDistances(run[:min(len(run), (last-i+8)&^7)], x, blk[i*len(x):])
+			}
+			d = [4]float64(run[at:])
+		} else {
+			d[0], d[1], d[2], d[3] = distances4(x, rows[i], rows[min(i+1, last)], rows[min(i+2, last)], rows[min(i+3, last)], b)
+		}
+		if d[0] >= b && d[1] >= b && d[2] >= b && d[3] >= b {
 			continue
 		}
 		for j := range hs {
-			h := &hs[j]
-			h.offer(i, d0)
-			h.offer(i+1, d1)
-			h.offer(i+2, d2)
-			h.offer(i+3, d3)
+			for o, dist := range d[:min(4, last+1-i)] {
+				hs[j].offer(i+o, dist)
+			}
 		}
 		b = bound(hs)
-	}
-	for ; i < len(rows); i++ {
-		d, _, _, _ := distances4(x, rows[i], rows[i], rows[i], rows[i], b)
-		for j := range hs {
-			hs[j].offer(i, d)
-		}
 	}
 }
 
@@ -331,4 +364,11 @@ type wire Regressor
 func (r *Regressor) GobEncode() ([]byte, error) { return ml.GobState((*wire)(r)) }
 
 // GobDecode restores a k-NN model.
-func (r *Regressor) GobDecode(data []byte) error { return ml.UngobState(data, (*wire)(r), r.check) }
+func (r *Regressor) GobDecode(data []byte) error {
+	err := ml.UngobState(data, (*wire)(r), r.check)
+	r.blk = nil
+	if err == nil && r.Fitted {
+		r.blk = blocks(r.X)
+	}
+	return err
+}

@@ -147,3 +147,40 @@ func TestNeighborsAllocations(t *testing.T) {
 		t.Errorf("Neighbors allocates %v times per query, want <= 2", n)
 	}
 }
+
+// BenchmarkNeighbors times the k=3 neighbours of 64 queries among 528
+// training rows of 25 standard-normal features (the size of a half-split
+// MAC feature matrix), once per distance scan of PlatformScans.
+func BenchmarkNeighbors(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	row := func() []float64 {
+		r := make([]float64, 25)
+		for j := range r {
+			r[j] = rng.NormFloat64()
+		}
+		return r
+	}
+	X := make([][]float64, 528)
+	y := make([]float64, len(X))
+	for i := range X {
+		X[i], y[i] = row(), rng.NormFloat64()
+	}
+	queries := make([][]float64, 64)
+	for q := range queries {
+		queries[q] = row()
+	}
+	m := New(3)
+	if err := m.Fit(X, y); err != nil {
+		b.Fatal(err)
+	}
+	for _, scan := range PlatformScans() {
+		b.Run(scan, func(b *testing.B) {
+			m.UseScan(scan)
+			for b.Loop() {
+				for _, q := range queries {
+					m.Neighbors(q)
+				}
+			}
+		})
+	}
+}
